@@ -4,7 +4,7 @@ SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate docslint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
+.PHONY: build test bench bench-json bench-gate docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
 
 build:
 	$(GO) build ./...
@@ -96,9 +96,10 @@ fuzz:
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, and the streamed PSA cancel paths),
-# independent of the main test matrix.
+# independent of the main test matrix. -shuffle=on randomizes test
+# order so order dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/...
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/
@@ -134,6 +135,13 @@ loadgate:
 # (see scripts/docslint.sh). Gating in CI.
 docslint:
 	sh scripts/docslint.sh
+
+# Executor-seam lint: internal/psa and internal/leaflet must not import
+# an engine (rdd, dask, mpi), and only one package — the engine table in
+# internal/jobs — may import all three (see scripts/enginelint.sh).
+# Gating in CI.
+enginelint:
+	sh scripts/enginelint.sh
 
 fmt:
 	gofmt -l .

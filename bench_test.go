@@ -24,6 +24,7 @@ import (
 	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
 	"mdtask/internal/synth"
+	"mdtask/internal/traj"
 )
 
 var (
@@ -204,7 +205,7 @@ func benchShuffle(b *testing.B, approach leaflet.Approach) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := leaflet.RunRDD(rdd.NewContext(0), approach, sys.Coords, synth.BilayerCutoff, 64)
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), approach, sys.Coords, synth.BilayerCutoff, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func BenchmarkPSASerial(b *testing.B) {
 	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psa.Serial(ens, psa.Opts{Method: hausdorff.Naive}); err != nil {
+		if _, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Method: hausdorff.Naive}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +256,7 @@ func BenchmarkPSARDDEngine(b *testing.B) {
 	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psa.RunRDD(rdd.NewContext(0), ens, 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
+		if _, err := psa.Run(rdd.NewExecutor(rdd.NewContext(0), nil), traj.RefsOf(ens), 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func BenchmarkPSADaskEngine(b *testing.B) {
 	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psa.RunDask(dask.NewClient(0), ens, 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
+		if _, err := psa.Run(dask.NewExecutor(dask.NewClient(0), nil), traj.RefsOf(ens), 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func TestWorkerDrainsCoordinator(t *testing.T) {
 	for i := range ens {
 		ens[i] = synth.Walk("t", 6, 5, 8, uint64(i))
 	}
-	job, err := c.SubmitPSA(ens, 2, psa.Opts{Symmetric: true}, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
+	"mdtask/internal/traj"
 )
 
 // Calibration holds per-operation compute costs measured by running the
@@ -58,6 +59,14 @@ func timeIt(minDur time.Duration, fn func()) float64 {
 	return time.Since(start).Seconds() / float64(reps)
 }
 
+// calibrationPair is the trajectory pair the Hausdorff and CPPTraj
+// kernels are calibrated on: the small preset's atoms at a reduced
+// frame count.
+func calibrationPair(frames int) (*traj.Trajectory, *traj.Trajectory) {
+	return synth.Walk("cal-a", synth.Small.NAtoms, frames, 1, 0),
+		synth.Walk("cal-b", synth.Small.NAtoms, frames, 1, 1)
+}
+
 // Calibrate measures every kernel cost. It takes a few seconds; results
 // should be reused across experiments.
 func Calibrate() *Calibration {
@@ -71,8 +80,7 @@ func Calibrate() *Calibration {
 	// Hausdorff pair cost: time a reduced-frame pair of the small preset
 	// and scale quadratically in frames, linearly in atoms.
 	small := synth.Small
-	t1 := synth.Walk("cal-a", small.NAtoms, cal.calFrames, 1, 0)
-	t2 := synth.Walk("cal-b", small.NAtoms, cal.calFrames, 1, 1)
+	t1, t2 := calibrationPair(cal.calFrames)
 	fa, fb := hausdorff.Frames(t1), hausdorff.Frames(t2)
 	frameScale := float64(small.NFrames*small.NFrames) / float64(cal.calFrames*cal.calFrames)
 	perPairSmall := timeIt(30*time.Millisecond, func() {

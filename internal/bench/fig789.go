@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mdtask/internal/cluster"
+	"mdtask/internal/dask"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/stats"
 	"mdtask/internal/synth"
@@ -179,7 +180,7 @@ func Fig7(cal *Calibration) *Table {
 				alloc := cluster.Alloc{Machine: m, Nodes: pt.nodes, CoresPerNode: pt.cores / pt.nodes}
 				for _, fw := range leafletFrameworks {
 					if approach == leaflet.Broadcast1D && fw == cluster.Dask &&
-						preset.NAtoms > leaflet.DaskScatterAtomLimit {
+						preset.NAtoms > dask.ScatterElementLimit {
 						row = append(row, "FAIL(scatter)", "-")
 						continue
 					}

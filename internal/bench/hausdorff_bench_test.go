@@ -48,9 +48,9 @@ func benchPathEnsemble() traj.Ensemble {
 // kernelCounters runs one serial PSA pass and returns the kernel's
 // frame-pair accounting. The counters are a pure function of the
 // ensemble and method — identical on every engine and every run.
-func kernelCounters(ens traj.Ensemble, m hausdorff.Method) engine.Metrics {
+func kernelCounters(ens traj.Ensemble, m hausdorff.Method) engine.Snapshot {
 	sink := &engine.Metrics{}
-	if _, err := psa.Serial(ens, psa.Opts{Symmetric: true, Method: m, Metrics: sink}); err != nil {
+	if _, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: m, Metrics: sink}); err != nil {
 		panic(err)
 	}
 	return sink.Snapshot()
@@ -63,7 +63,7 @@ func benchHausdorff(b *testing.B, ens traj.Ensemble, m hausdorff.Method) {
 	s := kernelCounters(ens, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psa.Serial(ens, psa.Opts{Symmetric: true, Method: m}); err != nil {
+		if _, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: m}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,11 +105,11 @@ func TestPrunedKernelEvalReduction(t *testing.T) {
 		{"walk", benchPSAEnsemble()},
 		{"path", benchPathEnsemble()},
 	} {
-		want, err := psa.Serial(tc.ens, psa.Opts{Method: hausdorff.Naive})
+		want, err := psa.SerialRefs(traj.RefsOf(tc.ens), psa.Opts{Method: hausdorff.Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := psa.Serial(tc.ens, psa.Opts{Symmetric: true, Method: hausdorff.Pruned})
+		got, err := psa.SerialRefs(traj.RefsOf(tc.ens), psa.Opts{Symmetric: true, Method: hausdorff.Pruned})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +150,11 @@ func TestIndexedKernelEvalReduction(t *testing.T) {
 		{"walk", benchPSAEnsemble()},
 		{"path", benchPathEnsemble()},
 	} {
-		want, err := psa.Serial(tc.ens, psa.Opts{Method: hausdorff.Naive})
+		want, err := psa.SerialRefs(traj.RefsOf(tc.ens), psa.Opts{Method: hausdorff.Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := psa.Serial(tc.ens, psa.Opts{Symmetric: true, Method: hausdorff.Indexed})
+		got, err := psa.SerialRefs(traj.RefsOf(tc.ens), psa.Opts{Symmetric: true, Method: hausdorff.Indexed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func measureBlockCache() benchBlockCacheJSON {
 		return traj.RefsOf(ens)
 	}
 	store := blockstore.New(0)
-	run := func(n int) engine.Metrics {
+	run := func(n int) engine.Snapshot {
 		refs := refsOf(n)
 		blocks, err := psa.Partition(n, 1, true)
 		if err != nil {

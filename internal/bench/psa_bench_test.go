@@ -5,6 +5,7 @@ import (
 
 	"mdtask/internal/dask"
 	"mdtask/internal/hausdorff"
+	"mdtask/internal/mpi"
 	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
 	"mdtask/internal/synth"
@@ -60,22 +61,22 @@ func benchPSAEngines(b *testing.B, sym bool) {
 	b.Helper()
 	b.Run("serial", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.Serial(ens, opts)
+			return psa.SerialRefs(traj.RefsOf(ens), opts)
 		})
 	})
 	b.Run("rdd", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunRDD(rdd.NewContext(benchPSACores), ens, benchPSAGroup, opts)
+			return psa.Run(rdd.NewExecutor(rdd.NewContext(benchPSACores), nil), traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 	b.Run("dask", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunDask(dask.NewClient(benchPSACores), ens, benchPSAGroup, opts)
+			return psa.Run(dask.NewExecutor(dask.NewClient(benchPSACores), nil), traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 	b.Run("mpi", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunMPI(benchPSACores, ens, benchPSAGroup, opts)
+			return psa.Run(mpi.NewExecutor(benchPSACores, nil), traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 }
@@ -93,11 +94,11 @@ func BenchmarkPSASymmetric(b *testing.B) { benchPSAEngines(b, true) }
 // schedule must do at most half the kernel invocations.
 func TestPSASchedulesAgreeInBench(t *testing.T) {
 	ens := benchPSAEnsemble()
-	full, err := psa.Serial(ens, psa.Opts{Method: hausdorff.Naive})
+	full, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := psa.RunRDD(rdd.NewContext(benchPSACores), ens, benchPSAGroup,
+	sym, err := psa.Run(rdd.NewExecutor(rdd.NewContext(benchPSACores), nil), traj.RefsOf(ens), benchPSAGroup,
 		psa.Opts{Symmetric: true, Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)

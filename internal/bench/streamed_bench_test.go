@@ -73,7 +73,7 @@ func BenchmarkPSAStreamed(b *testing.B) {
 		opts := psa.Opts{Symmetric: true, Method: hausdorff.Naive}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := psa.Serial(ens, opts); err != nil {
+			if _, err := psa.SerialRefs(traj.RefsOf(ens), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func BenchmarkPSAStreamed(b *testing.B) {
 // streamed run used for timing produces exactly the in-memory matrix.
 func TestStreamedBenchBitIdentical(t *testing.T) {
 	ens := benchStreamEnsemble()
-	want, err := psa.Serial(ens, psa.Opts{Symmetric: true, Method: hausdorff.Naive})
+	want, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}

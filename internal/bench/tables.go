@@ -67,7 +67,7 @@ func Tab2(cal *Calibration) *Table {
 	}
 	sys := synth.Bilayer(tab2Atoms, 11)
 	for _, r := range rows {
-		res, err := leaflet.RunRDD(rdd.NewContext(0), r.a, sys.Coords, synth.BilayerCutoff, 64)
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), r.a, sys.Coords, synth.BilayerCutoff, 64)
 		if err != nil {
 			t.AddRow(r.a.String(), r.part, r.mapDesc, r.shuffleDesc, r.reduceDesc, "-", "-", "-", "ERR: "+err.Error())
 			continue

@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 
-	"mdtask/internal/dask"
+	"mdtask/internal/engine"
+	"mdtask/internal/jobs"
 	"mdtask/internal/linalg"
-	"mdtask/internal/mpi"
-	"mdtask/internal/rdd"
 	"mdtask/internal/traj"
 )
 
@@ -32,96 +31,33 @@ func rowChunks(n, parts int) []rowChunk {
 	return out
 }
 
-// runRowChunks executes fn over row chunks on the configured engine and
-// assembles the row-major result rows into out (each fn call returns
-// the rows [c.lo, c.hi) × width).
+// runRowChunks executes fn over row chunks on the configured engine's
+// executor and assembles the row-major result rows (each fn call
+// returns the rows [c.lo, c.hi) × width). Staged engines (pilot, fleet)
+// run no closures and are rejected.
 func runRowChunks(cfg Config, n, width int, fn func(c rowChunk) []float64) ([]float64, error) {
+	name, err := cfg.Engine.jobsName()
+	if err != nil {
+		return nil, err
+	}
+	ex, err := jobs.NewExecutor(name, cfg.Parallelism, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: engine %v does not support matrix analyses: %w", cfg.Engine, err)
+	}
 	chunks := rowChunks(n, maxTasksFor(cfg))
+	rows, err := engine.Map(ex, len(chunks), nil, func(i int) ([]float64, error) { return fn(chunks[i]), nil })
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, n*width)
-	place := func(c rowChunk, rows []float64) error {
-		if len(rows) != (c.hi-c.lo)*width {
-			return fmt.Errorf("core: chunk [%d,%d) returned %d values, want %d",
-				c.lo, c.hi, len(rows), (c.hi-c.lo)*width)
+	for i, c := range chunks {
+		if len(rows[i]) != (c.hi-c.lo)*width {
+			return nil, fmt.Errorf("core: chunk [%d,%d) returned %d values, want %d",
+				c.lo, c.hi, len(rows[i]), (c.hi-c.lo)*width)
 		}
-		copy(out[c.lo*width:c.hi*width], rows)
-		return nil
+		copy(out[c.lo*width:c.hi*width], rows[i])
 	}
-	switch cfg.Engine {
-	case EngineSpark:
-		ctx := rdd.NewContext(cfg.parallelism())
-		r := rdd.Parallelize(ctx, chunks, len(chunks))
-		results, err := rdd.Map(r, func(c rowChunk) (struct {
-			c    rowChunk
-			rows []float64
-		}, error) {
-			return struct {
-				c    rowChunk
-				rows []float64
-			}{c, fn(c)}, nil
-		}).Collect()
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
-			if err := place(res.c, res.rows); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-
-	case EngineDask:
-		client := dask.NewClient(cfg.parallelism())
-		nodes := make([]*dask.Delayed, len(chunks))
-		for i, c := range chunks {
-			c := c
-			nodes[i] = client.Delayed(fmt.Sprintf("rows-%d", i),
-				func([]interface{}) (interface{}, error) { return fn(c), nil })
-		}
-		vals, err := client.Compute(nodes...)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vals {
-			if err := place(chunks[i], v.([]float64)); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-
-	case EngineMPI:
-		type chunkRows struct {
-			C    rowChunk
-			Rows []float64
-		}
-		err := mpi.Run(cfg.ranks(), nil, func(c *mpi.Comm) error {
-			var local []chunkRows
-			for i := c.Rank(); i < len(chunks); i += c.Size() {
-				local = append(local, chunkRows{chunks[i], fn(chunks[i])})
-			}
-			var bytes int64
-			for _, cr := range local {
-				bytes += int64(len(cr.Rows)) * 8
-			}
-			gathered := mpi.Gather(c, 0, local, bytes)
-			if c.Rank() == 0 {
-				for _, g := range gathered {
-					for _, cr := range g {
-						if err := place(cr.C, cr.Rows); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	default:
-		return nil, fmt.Errorf("core: engine %v does not support matrix analyses", cfg.Engine)
-	}
+	return out, nil
 }
 
 // maxTasksFor derives a task bound from the config.
@@ -137,7 +73,7 @@ func maxTasksFor(cfg Config) int {
 
 // PairwiseDistances computes the n×n Euclidean distance matrix between
 // the atoms of a frame (the paper's PD analysis, §2), parallelized over
-// row chunks on the configured engine (MPI, Spark, or Dask).
+// row chunks on the configured engine (serial, MPI, Spark, or Dask).
 func PairwiseDistances(cfg Config, frame []linalg.Vec3) ([]float64, error) {
 	n := len(frame)
 	return runRowChunks(cfg, n, n, func(c rowChunk) []float64 {

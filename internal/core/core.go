@@ -2,7 +2,11 @@
 // trajectory analyses (Path Similarity Analysis, Leaflet Finder) on a
 // selectable task-parallel engine, and encodes the paper's qualitative
 // framework comparison (Table 1) and decision framework (Table 3) as a
-// programmatic recommendation facility.
+// programmatic recommendation facility. It carries no engine dispatch
+// of its own: every analysis reaches its engine through the jobs
+// package's engine table — PSA and LeafletFinder as one-shot job runs,
+// the row-chunked matrix analyses (PD, 2D-RMSD) as a Map over the
+// engine's engine.Executor.
 //
 // Typical use:
 //
@@ -13,16 +17,13 @@ package core
 
 import (
 	"fmt"
-	"os"
+	"strconv"
 
-	"mdtask/internal/dask"
-	"mdtask/internal/fleet"
 	"mdtask/internal/hausdorff"
+	"mdtask/internal/jobs"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
-	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
-	"mdtask/internal/rdd"
 	"mdtask/internal/traj"
 )
 
@@ -50,34 +51,44 @@ const (
 	EngineFleet
 )
 
+// engineNames gives each engine its display name and its name in the
+// jobs engine table — the one place engines are brought up; core carries
+// no dispatch of its own.
+var engineNames = [...]struct{ display, jobs string }{
+	EngineMPI:    {"MPI", jobs.EngineMPI},
+	EngineSpark:  {"Spark", jobs.EngineSpark},
+	EngineDask:   {"Dask", jobs.EngineDask},
+	EnginePilot:  {"RADICAL-Pilot", jobs.EnginePilot},
+	EngineSerial: {"Serial", jobs.EngineSerial},
+	EngineFleet:  {"Fleet", jobs.EngineFleet},
+}
+
+func (e Engine) known() bool { return e >= 0 && int(e) < len(engineNames) }
+
 // String returns the engine's display name.
 func (e Engine) String() string {
-	switch e {
-	case EngineMPI:
-		return "MPI"
-	case EngineSpark:
-		return "Spark"
-	case EngineDask:
-		return "Dask"
-	case EnginePilot:
-		return "RADICAL-Pilot"
-	case EngineSerial:
-		return "Serial"
-	case EngineFleet:
-		return "Fleet"
-	default:
+	if !e.known() {
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
+	return engineNames[e].display
 }
 
 // Engines lists all runtimes in the paper's comparison order.
 var Engines = []Engine{EngineMPI, EngineSpark, EngineDask, EnginePilot}
 
+// jobsName returns the engine's name in the jobs engine table.
+func (e Engine) jobsName() (string, error) {
+	if !e.known() {
+		return "", fmt.Errorf("core: unknown engine %v", e)
+	}
+	return engineNames[e].jobs, nil
+}
+
 // Config selects and sizes the execution engine for an analysis run.
 type Config struct {
 	Engine Engine
 	// Parallelism is the worker/rank count (< 1: GOMAXPROCS for the
-	// shared-memory engines, 4 for MPI/pilot).
+	// shared-memory engines, 4 for MPI/pilot/fleet).
 	Parallelism int
 	// Tasks bounds the task count of partitioned analyses (0: one task
 	// per worker for PSA, 1024 for Leaflet Finder, matching the paper).
@@ -88,26 +99,21 @@ type Config struct {
 	// reproduction. The zero value keeps the ~2× cheaper symmetric
 	// schedule, which produces bit-identical matrices.
 	FullMatrix bool
-	// PilotDir is the staging directory for EnginePilot (default: a
-	// fresh temporary directory).
-	PilotDir string
-	// PilotConfig tunes the pilot coordination latencies (zero value:
-	// pilot.Defaults()).
-	PilotConfig pilot.Config
 }
 
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
+// spec starts the job spec of an analysis run on the configured engine.
+func (c Config) spec(analysis string) (jobs.Spec, error) {
+	name, err := c.Engine.jobsName()
+	if err != nil {
+		return jobs.Spec{}, err
 	}
-	return 0 // engines interpret 0 as GOMAXPROCS
-}
-
-func (c Config) ranks() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return 4
+	return jobs.Spec{
+		Analysis:    analysis,
+		Engine:      name,
+		Parallelism: max(c.Parallelism, 0),
+		Tasks:       max(c.Tasks, 0),
+		FullMatrix:  c.FullMatrix,
+	}, nil
 }
 
 // PSA computes the all-pairs Hausdorff distance matrix of the ensemble
@@ -119,46 +125,16 @@ func PSA(cfg Config, ens traj.Ensemble, method hausdorff.Method) (*psa.Matrix, e
 	if len(ens) == 0 {
 		return psa.NewMatrix(0), nil
 	}
-	wantTasks := cfg.Tasks
-	if wantTasks <= 0 {
-		wantTasks = cfg.ranks()
+	spec, err := cfg.spec(jobs.AnalysisPSA)
+	if err != nil {
+		return nil, err
 	}
-	n1 := psa.DefaultGroupSize(len(ens), wantTasks)
-	opts := psa.Opts{Symmetric: !cfg.FullMatrix, Method: method}
-	switch cfg.Engine {
-	case EngineSerial:
-		return psa.Serial(ens, opts)
-	case EngineSpark:
-		return psa.RunRDD(rdd.NewContext(cfg.parallelism()), ens, n1, opts)
-	case EngineDask:
-		return psa.RunDask(dask.NewClient(cfg.parallelism()), ens, n1, opts)
-	case EngineMPI:
-		return psa.RunMPI(cfg.ranks(), ens, n1, opts)
-	case EnginePilot:
-		p, cleanup, err := cfg.startPilot()
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		return psa.RunPilot(p, ens, n1, opts)
-	case EngineFleet:
-		lf, err := fleet.StartLocal(cfg.ranks(), fleet.LocalOptions())
-		if err != nil {
-			return nil, err
-		}
-		defer lf.Close()
-		job, err := lf.C.SubmitPSA(ens, n1, opts, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer lf.C.Drop(job)
-		if err := job.Wait(nil); err != nil {
-			return nil, err
-		}
-		return job.Matrix(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown engine %v", cfg.Engine)
+	spec.Method = method.String()
+	res, _, err := jobs.Run(jobs.DefaultRegistry(), spec, &jobs.Input{Ens: ens, Refs: traj.RefsOf(ens)})
+	if err != nil {
+		return nil, err
 	}
+	return res.Matrix, nil
 }
 
 // LeafletFinder identifies the lipid leaflets of a membrane snapshot on
@@ -172,80 +148,20 @@ func LeafletFinder(cfg Config, coords []linalg.Vec3, cutoff float64, approach le
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("core: cutoff must be positive, got %g", cutoff)
 	}
-	tasks := cfg.Tasks
-	if tasks <= 0 {
-		tasks = 1024
-	}
-	switch cfg.Engine {
-	case EngineSerial:
-		return leaflet.Serial(coords, cutoff), nil
-	case EngineSpark:
-		return leaflet.RunRDD(rdd.NewContext(cfg.parallelism()), approach, coords, cutoff, tasks)
-	case EngineDask:
-		return leaflet.RunDask(dask.NewClient(cfg.parallelism()), approach, coords, cutoff, tasks)
-	case EngineMPI:
-		return leaflet.RunMPI(cfg.ranks(), approach, coords, cutoff, tasks)
-	case EnginePilot:
-		if approach != leaflet.TaskAPI2D {
-			return nil, fmt.Errorf("core: pilot engine supports only the Task-API 2-D approach, got %v", approach)
-		}
-		p, cleanup, err := cfg.startPilot()
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		return leaflet.RunPilot(p, coords, cutoff, tasks)
-	case EngineFleet:
-		lf, err := fleet.StartLocal(cfg.ranks(), fleet.LocalOptions())
-		if err != nil {
-			return nil, err
-		}
-		defer lf.Close()
-		job, err := lf.C.SubmitLeaflet(coords, cutoff, tasks, approach == leaflet.TreeSearch, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer lf.C.Drop(job)
-		if err := job.Wait(nil); err != nil {
-			return nil, err
-		}
-		return job.Leaflet(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown engine %v", cfg.Engine)
-	}
-}
-
-// startPilot brings up a pilot with the config's staging directory and
-// latencies, returning a cleanup function that shuts it down.
-func (c Config) startPilot() (*pilot.Pilot, func(), error) {
-	dir := c.PilotDir
-	cleanupDir := false
-	if dir == "" {
-		d, err := os.MkdirTemp("", "mdtask-pilot-*")
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: creating pilot staging dir: %w", err)
-		}
-		dir = d
-		cleanupDir = true
-	}
-	pcfg := c.PilotConfig
-	if pcfg == (pilot.Config{}) {
-		pcfg = pilot.Defaults()
-	}
-	db := pilot.NewDB(pcfg.DBLatency)
-	p, err := pilot.NewPilot(c.ranks(), dir, db, pcfg, nil)
+	spec, err := cfg.spec(jobs.AnalysisLeaflet)
 	if err != nil {
-		if cleanupDir {
-			os.RemoveAll(dir)
-		}
-		return nil, nil, err
+		return nil, err
 	}
-	return p, func() {
-		p.Shutdown()
-		if cleanupDir {
-			os.RemoveAll(dir)
-		}
-	}, nil
+	spec.Approach = strconv.Itoa(int(approach))
+	spec.Cutoff = cutoff
+	if spec.Tasks == 0 {
+		spec.Tasks = 1024
+	}
+	res, _, err := jobs.Run(jobs.DefaultRegistry(), spec, &jobs.Input{Coords: coords})
+	if err != nil {
+		return nil, err
+	}
+	return res.Leaflet, nil
 }
 
 // RMSDSeries computes the RMSD (with optimal superposition) of every

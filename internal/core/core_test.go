@@ -21,7 +21,7 @@ func smallEnsemble() traj.Ensemble {
 
 func TestPSAAllEngines(t *testing.T) {
 	ens := smallEnsemble()
-	want, err := psa.Serial(ens, psa.Opts{Method: hausdorff.Naive})
+	want, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestOgresComplete(t *testing.T) {
 // PSA and partition-for-partition on the Leaflet Finder.
 func TestFleetEngine(t *testing.T) {
 	ens := smallEnsemble()
-	want, err := psa.Serial(ens, psa.Opts{Symmetric: true, Method: hausdorff.EarlyBreak})
+	want, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: hausdorff.EarlyBreak})
 	if err != nil {
 		t.Fatal(err)
 	}

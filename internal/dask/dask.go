@@ -11,6 +11,10 @@
 // restart when a task's declared working set exceeds the memory limit
 // (the behaviour that stopped the paper's 4M-atom Approach-3 run,
 // §4.3.3). Use DelayedMem to declare working sets.
+//
+// Executor is the package's engine.Executor: the shared analyses
+// (psa.Run, leaflet.Run) run on it as one delayed node per task, with
+// the scatter limit of §4.3.1 enforced by its Broadcast.
 package dask
 
 import (
@@ -31,6 +35,10 @@ type Client struct {
 	// MemoryLimit, when > 0, causes tasks whose declared working set
 	// exceeds it to fail with ErrWorkerRestarted.
 	MemoryLimit int64
+	// Cancel, when non-nil, is polled before each task starts: once it
+	// reports true the scheduler runs no further task bodies and
+	// Compute fails with engine.ErrCancelled.
+	Cancel func() bool
 
 	mu     sync.Mutex
 	nextID int64
@@ -200,12 +208,11 @@ func (d *Delayed) computed() bool { return d.ran.Load() }
 
 func (d *Delayed) run() {
 	d.onceRun.Do(func() {
-		defer func() {
-			if v := recover(); v != nil {
-				d.err = fmt.Errorf("dask: task %s panicked: %v", d.name, v)
-			}
-			d.ran.Store(true)
-		}()
+		defer d.ran.Store(true)
+		if d.client.Cancel != nil && d.client.Cancel() {
+			d.err = engine.ErrCancelled
+			return
+		}
 		if d.client.MemoryLimit > 0 && d.mem > 0 {
 			if float64(d.mem) > 0.95*float64(d.client.MemoryLimit) {
 				d.err = fmt.Errorf("%w (task %s needs %d bytes, limit %d)",
@@ -222,12 +229,9 @@ func (d *Delayed) run() {
 			}
 			args[i] = dep.val
 		}
-		dur, err := engine.Timed(func() error {
-			v, err := d.fn(args)
-			d.val = v
+		d.err = engine.RunTask(d.client.Metrics, int(d.id), func() (err error) {
+			d.val, err = d.fn(args)
 			return err
 		})
-		d.client.Metrics.RecordTask(dur)
-		d.err = err
 	})
 }

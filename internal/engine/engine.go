@@ -1,8 +1,16 @@
-// Package engine provides the shared execution machinery of the four
-// task-parallel runtimes in this repository: a bounded worker pool with
-// panic capture, per-task timing, and the metrics structure every
-// runtime reports. The rdd, dask, pilot and mpi packages build their
-// framework-specific semantics on top of these primitives.
+// Package engine is the seam between the analyses and the task-parallel
+// runtimes in this repository. It defines the Executor contract — run N
+// independent closures (Map), run N closures and combine their values
+// with the engine's native reduction (Reduce), ship one value to every
+// worker (Broadcast), and the Metrics sink all of it is accounted into
+// — which psa.Run and leaflet.Run are written against once and which
+// the rdd, dask and mpi packages each implement on their own primitives
+// (the serial reference executor lives here). It also provides the
+// machinery those runtimes share: a bounded worker pool, per-task
+// timing with panic capture (RunTask), and the Metrics/Snapshot pair
+// every runtime reports. The pilot and fleet engines exchange staged
+// bytes rather than closures and stay outside the contract; see
+// docs/engines.md.
 package engine
 
 import (
@@ -131,11 +139,41 @@ func (m *Metrics) AddBlockCache(hits, misses, bytesSaved int64) {
 	atomic.AddInt64(&m.BlockCacheBytesSaved, bytesSaved)
 }
 
+// Snapshot is a plain (lock-free, JSON-friendly) copy of a Metrics
+// sink: the wire form of engine accounting in job status and
+// /v1/metrics. Fields mirror Metrics one for one (a reflection test
+// pins that).
+type Snapshot struct {
+	Tasks          int64         `json:"tasks"`
+	Stages         int64         `json:"stages"`
+	ComputeTime    time.Duration `json:"compute_ns"`
+	MaxTask        time.Duration `json:"max_task_ns"`
+	MinTask        time.Duration `json:"min_task_ns"`
+	BytesShuffled  int64         `json:"bytes_shuffled"`
+	BytesBroadcast int64         `json:"bytes_broadcast"`
+	BytesStaged    int64         `json:"bytes_staged"`
+	Failures       int64         `json:"failures"`
+
+	PairsEvaluated int64 `json:"pairs_evaluated"`
+	PairsPruned    int64 `json:"pairs_pruned"`
+	PairsAbandoned int64 `json:"pairs_abandoned"`
+
+	NodesVisited int64 `json:"nodes_visited"`
+	NodesPruned  int64 `json:"nodes_pruned"`
+
+	PeakResidentFrames int64 `json:"peak_resident_frames"`
+	BytesStreamed      int64 `json:"bytes_streamed"`
+
+	BlockCacheHits       int64 `json:"block_cache_hits"`
+	BlockCacheMisses     int64 `json:"block_cache_misses"`
+	BlockCacheBytesSaved int64 `json:"block_cache_bytes_saved"`
+}
+
 // Snapshot returns a copy of the metrics safe to read.
-func (m *Metrics) Snapshot() Metrics {
+func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Metrics{
+	return Snapshot{
 		Tasks:          m.Tasks,
 		Stages:         atomic.LoadInt64(&m.Stages),
 		ComputeTime:    m.ComputeTime,
@@ -205,6 +243,10 @@ func (e *TaskPanicError) Error() string {
 type Pool struct {
 	workers int
 	metrics *Metrics
+	// Cancel, when non-nil, is polled before each iteration is handed
+	// out: once it reports true no further iteration starts and ForEach
+	// returns ErrCancelled.
+	Cancel func() bool
 }
 
 // NewPool creates a pool with the given parallelism; values < 1 default
@@ -221,7 +263,8 @@ func (p *Pool) Workers() int { return p.workers }
 
 // ForEach runs fn(i) for i in [0, n) on the pool's workers and returns
 // the first error (including recovered panics). All n iterations are
-// attempted even after an error so that partial results are complete.
+// attempted even after an error so that partial results are complete;
+// only cancellation stops iterations from being handed out.
 func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -236,26 +279,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		errOnce sync.Once
 		first   error
 	)
-	record := func(err error) {
-		if err != nil {
-			if p.metrics != nil {
-				p.metrics.RecordFailure()
-			}
-			errOnce.Do(func() { first = err })
-		}
-	}
-	run := func(i int) {
-		start := time.Now()
-		defer func() {
-			if v := recover(); v != nil {
-				record(&TaskPanicError{Task: i, Value: v})
-			}
-			if p.metrics != nil {
-				p.metrics.RecordTask(time.Since(start))
-			}
-		}()
-		record(fn(i))
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -265,17 +288,16 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				run(i)
+				if p.Cancel != nil && p.Cancel() {
+					errOnce.Do(func() { first = ErrCancelled })
+					return
+				}
+				if err := RunTask(p.metrics, i, func() error { return fn(i) }); err != nil {
+					errOnce.Do(func() { first = err })
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	return first
-}
-
-// Timed runs fn and returns its wall-clock duration alongside its error.
-func Timed(fn func() error) (time.Duration, error) {
-	start := time.Now()
-	err := fn()
-	return time.Since(start), err
 }

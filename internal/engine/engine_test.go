@@ -118,16 +118,6 @@ func TestMetricsPairCounters(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	d, err := Timed(func() error {
-		time.Sleep(5 * time.Millisecond)
-		return nil
-	})
-	if err != nil || d < 5*time.Millisecond {
-		t.Errorf("d=%v err=%v", d, err)
-	}
-}
-
 func TestPoolMoreWorkersThanTasks(t *testing.T) {
 	p := NewPool(64, nil)
 	var count int64

@@ -33,9 +33,10 @@ func setDistinct(t *testing.T, m *Metrics) map[string]int64 {
 	return want
 }
 
-func exportedValues(m *Metrics) map[string]int64 {
+// exportedValues reads every exported field of a Snapshot by name.
+func exportedValues(snap Snapshot) map[string]int64 {
 	got := make(map[string]int64)
-	rv := reflect.ValueOf(m).Elem()
+	rv := reflect.ValueOf(snap)
 	rt := rv.Type()
 	for i := 0; i < rt.NumField(); i++ {
 		if !rt.Field(i).IsExported() {
@@ -50,7 +51,7 @@ func TestMetricsSnapshotCoversEveryField(t *testing.T) {
 	var m Metrics
 	want := setDistinct(t, &m)
 	snap := m.Snapshot()
-	got := exportedValues(&snap)
+	got := exportedValues(snap)
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("Snapshot drops or mangles Metrics.%s: got %d, want %d", name, got[name], w)
@@ -63,7 +64,7 @@ func TestMetricsMergeFromCoversEveryField(t *testing.T) {
 	want := setDistinct(t, &src)
 	dst.MergeFrom(&src)
 	snap := dst.Snapshot()
-	got := exportedValues(&snap)
+	got := exportedValues(snap)
 	// Merging into a zero sink must carry every field over: counters and
 	// durations add from zero, extrema (MaxTask, MinTask,
 	// PeakResidentFrames) widen from zero.

@@ -222,24 +222,16 @@ func (j *Job) finishLocked(err error) {
 	close(j.doneCh)
 }
 
-// SubmitPSA schedules an all-pairs Hausdorff job over the ensemble
+// SubmitPSARefs schedules an all-pairs Hausdorff job over the ensemble
 // with block edge n1 (the schedule of psa.Partition). Only the
 // Symmetric, Method and MaxResidentFrames fields of opts apply —
 // cancellation and metrics run coordinator-side: per-unit task times
 // and kernel counters are folded into m as results arrive (nil m:
-// accounting is discarded).
-func (c *Coordinator) SubmitPSA(ens traj.Ensemble, n1 int, opts psa.Opts, m *engine.Metrics) (*Job, error) {
-	if err := ens.Validate(); err != nil {
-		return nil, err
-	}
-	return c.SubmitPSARefs(traj.RefsOf(ens), n1, opts, m)
-}
-
-// SubmitPSARefs is SubmitPSA over trajectory handles. With
-// opts.MaxResidentFrames set the job is streamed: no whole-ensemble
-// payload is encoded — workers fetch window-sized MDT blobs on demand
-// (GET …/input?traj=I&win=K), encoded from the refs at request time,
-// so neither side ever materializes an ensemble.
+// accounting is discarded). With opts.MaxResidentFrames set the job is
+// streamed: no whole-ensemble payload is encoded — workers fetch
+// window-sized MDT blobs on demand (GET …/input?traj=I&win=K), encoded
+// from the refs at request time, so neither side ever materializes an
+// ensemble.
 func (c *Coordinator) SubmitPSARefs(refs traj.RefEnsemble, n1 int, opts psa.Opts, m *engine.Metrics) (*Job, error) {
 	if err := refs.Validate(); err != nil {
 		return nil, err

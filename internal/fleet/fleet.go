@@ -44,7 +44,7 @@
 // first accepted result wins, duplicates are rejected), so killing a
 // worker mid-job never loses a block and never double-counts metrics.
 // Assembled results are bit-identical to the serial reference because
-// the unit bodies are the very same ComputeBlock/BlockPartial kernels
+// the unit bodies are the very same ComputeBlockRefs/BlockPartial kernels
 // the in-process engines run, and all floats cross the wire as exact
 // little-endian bit patterns, never as decimal text.
 package fleet

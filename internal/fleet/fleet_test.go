@@ -111,11 +111,11 @@ func TestFleetPSAMatchesSerial(t *testing.T) {
 		for _, method := range hausdorff.Methods {
 			for _, sym := range []bool{true, false} {
 				opts := psa.Opts{Symmetric: sym, Method: method}
-				want, err := psa.Serial(ens, opts)
+				want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				job, err := lf.C.SubmitPSA(ens, 2, opts, nil)
+				job, err := lf.C.SubmitPSARefs(traj.RefsOf(ens), 2, opts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func TestFleetPSAMetrics(t *testing.T) {
 	defer lf.Close()
 	ens := testEnsemble(4, 6, 5, 3)
 	var m engine.Metrics
-	job, err := lf.C.SubmitPSA(ens, 2, psa.Opts{Symmetric: true, Method: hausdorff.Pruned}, &m)
+	job, err := lf.C.SubmitPSARefs(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true, Method: hausdorff.Pruned}, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFleetLeafletMatchesSerial(t *testing.T) {
 func TestFleetSubmitValidation(t *testing.T) {
 	c := NewCoordinator(LocalOptions())
 	defer c.Close()
-	if _, err := c.SubmitPSA(testEnsemble(4, 4, 3, 1), 3, psa.Opts{}, nil); err == nil {
+	if _, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(4, 4, 3, 1)), 3, psa.Opts{}, nil); err == nil {
 		t.Error("non-divisor group size accepted")
 	}
 	if _, err := c.SubmitLeaflet(nil, 1, 4, false, nil); err == nil {
@@ -219,7 +219,7 @@ func TestFleetSubmitValidation(t *testing.T) {
 		t.Error("negative cutoff accepted")
 	}
 	c.Close()
-	if _, err := c.SubmitPSA(testEnsemble(2, 4, 3, 1), 1, psa.Opts{}, nil); err != ErrClosed {
+	if _, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(2, 4, 3, 1)), 1, psa.Opts{}, nil); err != ErrClosed {
 		t.Errorf("submit after close: got %v, want ErrClosed", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mdtask/internal/faultinject"
 	"mdtask/internal/psa"
+	"mdtask/internal/traj"
 )
 
 // TestFailedUnitNackRequeues drives the nack protocol by hand: a
@@ -21,7 +22,7 @@ func TestFailedUnitNackRequeues(t *testing.T) {
 		SweepEvery:   20 * time.Millisecond,
 		PollEvery:    5 * time.Millisecond,
 	})
-	job, err := c.SubmitPSA(testEnsemble(2, 4, 3, 7), 1, psa.Opts{Symmetric: true}, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(2, 4, 3, 7)), 1, psa.Opts{Symmetric: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 	})
 	ens := testEnsemble(2, 4, 3, 11)
 	opts := psa.Opts{Symmetric: true}
-	want, err := psa.Serial(ens, opts)
+	want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSA(ens, 1, opts, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mdtask/internal/psa"
+	"mdtask/internal/traj"
 )
 
 // protoClient drives the worker protocol by hand, playing the part of
@@ -109,11 +110,11 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	})
 	ens := testEnsemble(4, 6, 5, 13)
 	opts := psa.Opts{Symmetric: true}
-	want, err := psa.Serial(ens, opts)
+	want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSA(ens, 2, opts, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	})
 	ens := testEnsemble(4, 6, 5, 17)
 	opts := psa.Opts{Symmetric: true}
-	want, err := psa.Serial(ens, opts)
+	want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSA(ens, 2, opts, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestDeadWorkerRequeues(t *testing.T) {
 // never-registered workers 404.
 func TestAbortStalePostsAndUnknownWorker(t *testing.T) {
 	c, url := startCoordinator(t, LocalOptions())
-	job, err := c.SubmitPSA(testEnsemble(4, 6, 5, 29), 2, psa.Opts{Symmetric: true}, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(4, 6, 5, 29)), 2, psa.Opts{Symmetric: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestAbortStalePostsAndUnknownWorker(t *testing.T) {
 
 	// Graceful deregister requeues immediately.
 	pc2 := newProtoClient(t, url)
-	job2, err := c.SubmitPSA(testEnsemble(2, 4, 3, 1), 1, psa.Opts{Symmetric: true}, nil)
+	job2, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(2, 4, 3, 1)), 1, psa.Opts{Symmetric: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestMalformedResultRequeues(t *testing.T) {
 	})
 	ens := testEnsemble(2, 4, 3, 5)
 	opts := psa.Opts{Symmetric: true}
-	job, err := c.SubmitPSA(ens, 1, opts, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestSlowUnitOnLiveWorkerNotRevoked(t *testing.T) {
 	})
 	ens := testEnsemble(2, 4, 3, 31)
 	opts := psa.Opts{Symmetric: true}
-	job, err := c.SubmitPSA(ens, 1, opts, nil)
+	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,10 @@ func TestSlowUnitOnLiveWorkerNotRevoked(t *testing.T) {
 		pc.heartbeat()
 	}
 	b := psa.Block{I0: l.PSA.I0, I1: l.PSA.I1, J0: l.PSA.J0, J1: l.PSA.J1}
-	br := psa.ComputeBlock(ens, b, psa.Opts{Symmetric: l.PSA.Symmetric})
+	br, err := psa.ComputeBlockRefs(traj.RefsOf(ens), b, psa.Opts{Symmetric: l.PSA.Symmetric})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, ValuesB64: PackFloats(br.Values)}); code != http.StatusOK {
 		t.Fatalf("slow-but-alive worker's post rejected with %d", code)
 	}

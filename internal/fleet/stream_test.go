@@ -41,7 +41,7 @@ func TestFleetPSAStreamedMatchesSerial(t *testing.T) {
 
 	for _, method := range hausdorff.Methods {
 		for _, sym := range []bool{true, false} {
-			want, err := psa.Serial(ens, psa.Opts{Symmetric: sym, Method: method})
+			want, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: sym, Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestCoordinatorWindowEndpointBounds(t *testing.T) {
 		t.Fatal("window request for unknown job accepted")
 	}
 	// Non-streamed jobs refuse window requests.
-	job2, err := c.SubmitPSA(ens, 1, psa.Opts{Symmetric: true}, nil)
+	job2, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, psa.Opts{Symmetric: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ type UnitResult struct {
 	Error  string `json:"error,omitempty"`
 
 	// ValuesB64 carries a PSA block's distances: base64 of packed
-	// little-endian float64s, in ComputeBlock's iteration order.
+	// little-endian float64s, in ComputeBlockRefs' iteration order.
 	ValuesB64 string `json:"values_b64,omitempty"`
 
 	// Comps carries a Leaflet tile's partial connected components.

@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"errors"
-
 	"mdtask/internal/blockstore"
 	"mdtask/internal/fleet"
 	"mdtask/internal/leaflet"
@@ -10,7 +8,7 @@ import (
 	"mdtask/internal/psa"
 )
 
-// The fleet runners bridge the jobs layer to the distributed
+// The fleet bodies bridge the jobs layer to the distributed
 // coordinator/worker engine. Bound to a shared coordinator (the one
 // cmd/mdserver embeds and cmd/mdworker processes pull from), a job's
 // blocks fan out across whatever workers are registered; with no
@@ -38,81 +36,44 @@ func fleetCoordinator(shared *fleet.Coordinator, workers int, store *blockstore.
 	return lf.C, lf.Close, nil
 }
 
-// awaitFleet waits a submitted fleet job out, mapping abort to the
-// jobs layer's cooperative-cancellation error.
-func awaitFleet(c *fleet.Coordinator, job *fleet.Job, rc *RunContext) error {
+// psaFleet is the fleet engine's PSA body. Cancellation and metrics are
+// coordinator-side concerns: of opts the coordinator reads only what
+// changes the computed values' schedule, the streaming window, and the
+// trace parent its fleet.job span nests under.
+func psaFleet(shared *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, opts psa.Opts) (*psa.Matrix, error) {
+	c, cleanup, err := fleetCoordinator(shared, spec.ranks(), rc.BlockStore(), rc.Tracer())
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	job, err := c.SubmitPSARefs(in.Refs, spec.groupSize(len(in.Refs)), opts, rc.Metrics())
+	if err != nil {
+		return nil, err
+	}
 	defer c.Drop(job)
 	if err := job.Wait(rc.Cancelled); err != nil {
-		if errors.Is(err, fleet.ErrAborted) {
-			return ErrCancelled
-		}
-		return err
+		return nil, err // an abort maps to ErrCancelled in the runner
 	}
-	return nil
+	return job.Matrix(), nil
 }
 
-// psaFleetRunner builds the PSA runner for the fleet engine.
-func psaFleetRunner(shared *fleet.Coordinator) Runner {
-	return func(rc *RunContext, spec Spec, in *Input) (*Result, error) {
-		if rc.Cancelled() {
-			return nil, ErrCancelled
-		}
-		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+EngineFleet)
-		defer engSpan.End()
-		c, cleanup, err := fleetCoordinator(shared, spec.ranks(), rc.BlockStore(), rc.Tracer())
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		// Cancellation and metrics are coordinator-side concerns, so the
-		// opts carry only what changes the computed values' schedule, the
-		// streaming window, and the trace the coordinator's fleet.job span
-		// parents under.
-		opts := psa.Opts{
-			Symmetric:         !spec.FullMatrix,
-			Method:            spec.hausdorffMethod(),
-			MaxResidentFrames: spec.MaxResidentFrames,
-			TraceParent:       engSpan.Context(),
-		}
-		job, err := c.SubmitPSARefs(in.Refs, spec.groupSize(len(in.Refs)), opts, rc.Metrics())
-		if err != nil {
-			return nil, err
-		}
-		if err := awaitFleet(c, job, rc); err != nil {
-			return nil, err
-		}
-		return &Result{Matrix: job.Matrix()}, nil
+// leafletFleet is the fleet engine's Leaflet Finder body. All
+// approaches run the Parallel-CC dataflow over the 2-D tiling (only
+// components cross the wire); the tree approach selects BallTree edge
+// discovery, the rest pairwise distances.
+func leafletFleet(shared *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, approach leaflet.Approach, parent obs.SpanContext) (*leaflet.Result, error) {
+	c, cleanup, err := fleetCoordinator(shared, spec.ranks(), rc.BlockStore(), rc.Tracer())
+	if err != nil {
+		return nil, err
 	}
-}
-
-// leafletFleetRunner builds the Leaflet Finder runner for the fleet
-// engine. All approaches run the Parallel-CC dataflow over the 2-D
-// tiling (only components cross the wire); the tree approach selects
-// BallTree edge discovery, the rest pairwise distances.
-func leafletFleetRunner(shared *fleet.Coordinator) Runner {
-	return func(rc *RunContext, spec Spec, in *Input) (*Result, error) {
-		if rc.Cancelled() {
-			return nil, ErrCancelled
-		}
-		approach, _, err := ParseApproach(spec.Approach)
-		if err != nil {
-			return nil, err
-		}
-		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+EngineFleet)
-		defer engSpan.End()
-		c, cleanup, err := fleetCoordinator(shared, spec.ranks(), rc.BlockStore(), rc.Tracer())
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		tree := approach == leaflet.TreeSearch
-		job, err := c.SubmitLeaflet(in.Coords, spec.Cutoff, spec.Tasks, tree, rc.Metrics(), engSpan.Context())
-		if err != nil {
-			return nil, err
-		}
-		if err := awaitFleet(c, job, rc); err != nil {
-			return nil, err
-		}
-		return &Result{Leaflet: job.Leaflet()}, nil
+	defer cleanup()
+	job, err := c.SubmitLeaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch, rc.Metrics(), parent)
+	if err != nil {
+		return nil, err
 	}
+	defer c.Drop(job)
+	if err := job.Wait(rc.Cancelled); err != nil {
+		return nil, err // an abort maps to ErrCancelled in the runner
+	}
+	return job.Leaflet(), nil
 }

@@ -3,8 +3,10 @@ package jobs
 import (
 	"testing"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/psa"
+	"mdtask/internal/traj"
 )
 
 // TestPSARunnersMatchSerial checks every engine's PSA runner produces a
@@ -18,7 +20,7 @@ func TestPSARunnersMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := psa.Serial(in.Ens, psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
+	want, err := psa.SerialRefs(traj.RefsOf(in.Ens), psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +124,60 @@ func TestRunContextCancelPreemptsRun(t *testing.T) {
 		res, err := runner(rc, spec, in)
 		if err != ErrCancelled || res != nil {
 			t.Errorf("%s: cancelled run returned %v, %v", eng, res, err)
+		}
+	}
+}
+
+// packProbe is a serial executor that records, before handing out the
+// first task, whether every trajectory of the input is already packed.
+type packProbe struct {
+	*engine.Serial
+	ens      traj.Ensemble
+	unpacked []string
+}
+
+func (p *packProbe) Map(tasks []engine.Task) ([]any, error) {
+	for _, t := range p.ens {
+		if !t.IsPacked() {
+			p.unpacked = append(p.unpacked, t.Name)
+		}
+	}
+	return p.Serial.Map(tasks)
+}
+
+// TestPSARunnerPrePacksPackedKernels checks the runner builds the packed
+// representation before the first block runs for both kernels that read
+// it (pruned and indexed — an indexed job used to pack inside its first
+// timed tasks), and for no other method or the streamed path.
+func TestPSARunnerPrePacksPackedKernels(t *testing.T) {
+	for _, tc := range []struct {
+		method   string
+		window   int
+		prePacks bool
+	}{
+		{"pruned", 0, true}, {"indexed", 0, true},
+		{"naive", 0, false}, {"early-break", 0, false}, {"indexed", 2, false},
+	} {
+		spec := validPSASpec()
+		spec.Method, spec.MaxResidentFrames = tc.method, tc.window
+		spec, in, err := Resolve(spec) // fresh, unpacked trajectories
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probe *packProbe
+		runner := psaRunner("probe", engineRow{executor: func(_ int, cancel func() bool) engine.Executor {
+			probe = &packProbe{Serial: engine.NewSerial(cancel), ens: in.Ens}
+			return probe
+		}}, nil)
+		if _, err := runner(NewRunContext(), spec, in); err != nil {
+			t.Fatal(err)
+		}
+		if tc.prePacks && len(probe.unpacked) != 0 {
+			t.Errorf("%s: %v not packed before the first block", tc.method, probe.unpacked)
+		}
+		if !tc.prePacks && len(probe.unpacked) != len(in.Ens) {
+			t.Errorf("%s/window=%d: runner packed %d trajectories it does not read packed",
+				tc.method, tc.window, len(in.Ens)-len(probe.unpacked))
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"time"
-
 	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/psa"
@@ -18,70 +16,16 @@ type Result struct {
 	Leaflet *leaflet.Result `json:"leaflet,omitempty"`
 }
 
-// MetricsSnapshot is a plain (lock-free, JSON-friendly) copy of an
-// engine.Metrics sink.
-type MetricsSnapshot struct {
-	Tasks          int64         `json:"tasks"`
-	Stages         int64         `json:"stages"`
-	ComputeTime    time.Duration `json:"compute_ns"`
-	MaxTask        time.Duration `json:"max_task_ns"`
-	MinTask        time.Duration `json:"min_task_ns"`
-	BytesShuffled  int64         `json:"bytes_shuffled"`
-	BytesBroadcast int64         `json:"bytes_broadcast"`
-	BytesStaged    int64         `json:"bytes_staged"`
-	Failures       int64         `json:"failures"`
-	// Hausdorff kernel frame-pair accounting: full dRMS evaluations,
-	// pairs dismissed in O(1) by a pruning bound or row cut, and
-	// evaluations abandoned mid-sum.
-	PairsEvaluated int64 `json:"pairs_evaluated"`
-	PairsPruned    int64 `json:"pairs_pruned"`
-	PairsAbandoned int64 `json:"pairs_abandoned"`
-	// Ball-tree descent accounting of the indexed kernel: nodes
-	// expanded, and nodes dismissed whole by their aggregate bound.
-	NodesVisited int64 `json:"nodes_visited"`
-	NodesPruned  int64 `json:"nodes_pruned"`
-	// Streamed-path accounting: the largest frame residency any task
-	// reached (≤ 2 × max_resident_frames in streamed runs) and the
-	// coordinate bytes decoded from trajectory sources.
-	PeakResidentFrames int64 `json:"peak_resident_frames"`
-	BytesStreamed      int64 `json:"bytes_streamed"`
-	// Block-cache accounting: per-block lookups against the
-	// content-addressed store (hits skipped their kernel entirely,
-	// saving the recorded payload bytes of recomputation).
-	BlockCacheHits       int64 `json:"block_cache_hits"`
-	BlockCacheMisses     int64 `json:"block_cache_misses"`
-	BlockCacheBytesSaved int64 `json:"block_cache_bytes_saved"`
-}
+// MetricsSnapshot is the wire form of engine accounting in job status
+// and /v1/metrics.
+type MetricsSnapshot = engine.Snapshot
 
 // SnapshotOf copies the current totals of a metrics sink (nil-safe).
 func SnapshotOf(m *engine.Metrics) MetricsSnapshot {
 	if m == nil {
 		return MetricsSnapshot{}
 	}
-	s := m.Snapshot()
-	return MetricsSnapshot{
-		Tasks:          s.Tasks,
-		Stages:         s.Stages,
-		ComputeTime:    s.ComputeTime,
-		MaxTask:        s.MaxTask,
-		MinTask:        s.MinTask,
-		BytesShuffled:  s.BytesShuffled,
-		BytesBroadcast: s.BytesBroadcast,
-		BytesStaged:    s.BytesStaged,
-		Failures:       s.Failures,
-		PairsEvaluated: s.PairsEvaluated,
-		PairsPruned:    s.PairsPruned,
-		PairsAbandoned: s.PairsAbandoned,
-		NodesVisited:   s.NodesVisited,
-		NodesPruned:    s.NodesPruned,
-
-		PeakResidentFrames: s.PeakResidentFrames,
-		BytesStreamed:      s.BytesStreamed,
-
-		BlockCacheHits:       s.BlockCacheHits,
-		BlockCacheMisses:     s.BlockCacheMisses,
-		BlockCacheBytesSaved: s.BlockCacheBytesSaved,
-	}
+	return m.Snapshot()
 }
 
 // resultBytes estimates the retained payload size of a job result, for

@@ -11,6 +11,7 @@ import (
 
 	"mdtask/internal/leaflet"
 	"mdtask/internal/psa"
+	"mdtask/internal/traj"
 )
 
 func newTestServer(t *testing.T, reg *Registry, o Options) (*httptest.Server, *Scheduler) {
@@ -107,7 +108,7 @@ func TestAPIPSAAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := psa.Serial(in.Ens, psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
+	want, err := psa.SerialRefs(traj.RefsOf(in.Ens), psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
 	if err != nil {
 		t.Fatal(err)
 	}

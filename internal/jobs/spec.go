@@ -1,5 +1,7 @@
-// Package jobs is the serving layer of the repository: a registry of
-// named analysis runners (analysis × engine), a bounded FIFO scheduler
+// Package jobs is the serving layer of the repository: the engine table
+// (engines.go — the one place an engine name becomes an engine.Executor
+// or a pair of staged runners), a registry of named analysis runners
+// (analysis × engine) built from it, a bounded FIFO scheduler
 // with cooperative cancellation and per-job engine metrics, and a
 // content-addressed result cache. cmd/mdserver exposes it over HTTP;
 // cmd/psa and cmd/leaflet run their one-shot invocations through the

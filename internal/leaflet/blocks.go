@@ -10,8 +10,8 @@ import (
 // BlockSpec addresses one 2-D tile of the pairwise comparison space by
 // atom index ranges: rows [RLo,RHi) against columns [CLo,CHi). It is
 // the distributable unit of the fleet engine — plain integers that
-// survive a trip over the wire, unlike the unexported block type the
-// in-process drivers share.
+// survive a trip over the wire, unlike the unexported block type Run
+// tiles with.
 type BlockSpec struct {
 	RLo, RHi, CLo, CHi int
 }
@@ -53,8 +53,7 @@ func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) 
 }
 
 // FromPartials folds per-unit partial component sets (in unit order)
-// into a full Result over n atoms, exactly as the in-process drivers'
-// reduce does: sets sharing a node merge, and the merged components
+// into a full Result over n atoms, exactly as Run's reduce does: sets sharing a node merge, and the merged components
 // expand into the canonical labeling.
 func FromPartials(n int, partials [][]graph.Component, stats Stats) *Result {
 	var merged []graph.Component

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"mdtask/internal/blockstore"
-	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
 )
@@ -56,25 +55,29 @@ type TilePartial struct {
 // SizeBytes reports the payload size used for byte-budget accounting.
 func (t TilePartial) SizeBytes() int64 { return graph.ComponentBytes(t.Comps) + 16 }
 
+// WireBytes is the partial's shuffle payload — its component node ids,
+// the volume Table 2 reports (engine.Sized).
+func (t TilePartial) WireBytes() int64 { return graph.ComponentBytes(t.Comps) }
+
 func tileSizeOf(v any) int64 { return v.(TilePartial).SizeBytes() }
 
 // WithBlockCache makes the per-tile task bodies of the Parallel-CC and
-// Tree-Search drivers consult store before running their edge kernel,
-// keyed under the given coordinate content digest. Cache lookup
-// accounting goes to m (hits skip the kernel entirely). The broadcast
-// and task-API approaches ship raw edges, not per-tile partials, so
-// they have no per-tile unit to cache and ignore this option.
-func WithBlockCache(store *blockstore.Store, digest string, m *engine.Metrics) Option {
+// Tree-Search approaches consult store before running their edge
+// kernel, keyed under the given coordinate content digest. Cache lookup
+// accounting goes to the executor's sink (hits skip the kernel
+// entirely). The broadcast and task-API approaches ship raw edges, not
+// per-tile partials, so they have no per-tile unit to cache and ignore
+// this option.
+func WithBlockCache(store *blockstore.Store, digest string) Option {
 	return func(o *runOpts) {
 		o.store = store
 		o.coordsDigest = digest
-		o.cacheMetrics = m
 	}
 }
 
-// tilePartial computes (or recalls) one tile's partial components.
-// Callers poll cancellation before invoking it: the kernel itself never
-// aborts mid-tile, so any value that reaches the store is complete.
+// tilePartial computes (or recalls) one tile's partial components. The
+// kernel never aborts mid-tile, so any value that reaches the store is
+// complete.
 func (o runOpts) tilePartial(coords []linalg.Vec3, b block, cutoff float64, useTree bool) TilePartial {
 	span := o.tracer.StartChild(o.traceParent, "leaflet.tile")
 	span.SetAttr("tile", fmt.Sprintf("[%d:%d)x[%d:%d)", b.rows.lo, b.rows.hi, b.cols.lo, b.cols.hi))
@@ -94,12 +97,10 @@ func (o runOpts) tilePartial(coords []linalg.Vec3, b block, cutoff float64, useT
 	doSpan.End()
 	tp := val.(TilePartial)
 	span.SetAttr("cache_hit", strconv.FormatBool(hit))
-	if o.cacheMetrics != nil {
-		if hit {
-			o.cacheMetrics.AddBlockCache(1, 0, tp.SizeBytes())
-		} else {
-			o.cacheMetrics.AddBlockCache(0, 1, 0)
-		}
+	if hit {
+		o.metrics.AddBlockCache(1, 0, tp.SizeBytes())
+	} else {
+		o.metrics.AddBlockCache(0, 1, 0)
 	}
 	return tp
 }

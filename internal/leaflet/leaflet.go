@@ -18,9 +18,13 @@
 //	Approach 4 — Tree-Search: like 3, but edge discovery uses a
 //	  BallTree nearest-neighbor query instead of pairwise distances.
 //
-// Each approach has drivers for the Spark-like (rdd), Dask-like (dask)
-// and MPI engines; Approach 2 additionally runs on the pilot engine
-// (the paper's Figure 9). All drivers are validated against Serial.
+// The four approaches are written once, in Run, over engine.Executor:
+// the approach picks the task body and the combine step, the executor
+// (serial, rdd, dask, mpi) owns scheduling, reduction and broadcast.
+// Approach 2 additionally runs on the pilot engine (RunPilot, the
+// paper's Figure 9), whose units exchange staged files rather than
+// closures. Every run is validated against Serial, the untiled
+// reference.
 package leaflet
 
 import (
@@ -262,13 +266,6 @@ func rowChunkEdges(coords []linalg.Vec3, rows span, cutoff float64) []graph.Edge
 	return out
 }
 
-// partialOut is the map-side output of Approaches 3 and 4: the block's
-// partial components plus its discovered edge count.
-type partialOut struct {
-	Comps []graph.Component
-	Edges int64
-}
-
 // mergePartialSets joins two partial-component sets, combining
 // components that share a node (the associative reduce of Approach 3).
 func mergePartialSets(a, b []graph.Component) []graph.Component {
@@ -353,13 +350,3 @@ func SampleDataMovement(coords []linalg.Vec3, cutoff float64, nTasks int) Stats 
 	}
 	return st
 }
-
-// DaskScatterAtomLimit models the Dask limitation the paper hit in
-// §4.3.1: dask's scatter turns the dataset into a per-element list,
-// which failed to broadcast the 524k-atom system. Approach-1 Dask runs
-// above this atom count return ErrDaskScatter.
-const DaskScatterAtomLimit = 300_000
-
-// ErrDaskScatter is returned by the Dask Approach-1 driver for systems
-// larger than DaskScatterAtomLimit.
-var ErrDaskScatter = fmt.Errorf("leaflet: dask scatter cannot broadcast systems larger than %d atoms (per-element list materialization)", DaskScatterAtomLimit)

@@ -1,29 +1,26 @@
 package leaflet
 
 import (
-	"time"
-
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
 	"mdtask/internal/obs"
 )
 
-// Option configures a driver run. The zero set of options preserves the
-// historical behaviour of every driver.
+// Option configures a run; the zero set of options is a plain uncached,
+// untraced, uncancellable run.
 type Option func(*runOpts)
 
 type runOpts struct {
-	cancel  func() bool
+	cancel func() bool
+	// metrics is the executor's sink (set by Run), where tile-cache
+	// lookups are accounted.
 	metrics *engine.Metrics
 
 	// Tile cache (WithBlockCache): the content-addressed store the
-	// Parallel-CC / Tree-Search tile bodies consult, the coordinate
-	// digest tiles are keyed under, and the sink cache accounting goes
-	// to (distinct from metrics, which only RunMPI routes task timing
-	// through).
+	// Parallel-CC / Tree-Search tile bodies consult and the coordinate
+	// digest tiles are keyed under.
 	store        *blockstore.Store
 	coordsDigest string
-	cacheMetrics *engine.Metrics
 
 	// Tracing (WithTrace): each tile body records a leaflet.tile span
 	// parented under traceParent.
@@ -33,14 +30,6 @@ type runOpts struct {
 
 func (o runOpts) cancelled() bool { return o.cancel != nil && o.cancel() }
 
-// recordTask accounts one task started at start into the metrics sink,
-// if one was supplied.
-func (o runOpts) recordTask(start time.Time) {
-	if o.metrics != nil {
-		o.metrics.RecordTask(time.Since(start))
-	}
-}
-
 func gatherOpts(opts []Option) runOpts {
 	var o runOpts
 	for _, fn := range opts {
@@ -49,16 +38,13 @@ func gatherOpts(opts []Option) runOpts {
 	return o
 }
 
-// WithCancel installs a cooperative cancellation flag: tasks poll it at
-// block boundaries and skip their remaining work once it reports true,
-// so a run drains quickly instead of completing. The caller is
-// responsible for discarding the partial result of a cancelled run.
+// WithCancel installs a cooperative cancellation flag for the runs that
+// schedule their own work: Serial polls it every few thousand atoms and
+// RunPilot's units skip their kernel once it reports true, so a run
+// drains quickly instead of completing. (Run needs none: its executor
+// stops handing out tasks.) The caller is responsible for discarding the
+// partial result of a cancelled run.
 func WithCancel(fn func() bool) Option { return func(o *runOpts) { o.cancel = fn } }
-
-// WithMetrics directs the engine accounting of runners that do not carry
-// their own metrics-bearing context (RunMPI) into m. The rdd, dask and
-// pilot runners account through their Context/Client/Pilot instead.
-func WithMetrics(m *engine.Metrics) Option { return func(o *runOpts) { o.metrics = m } }
 
 // WithTrace makes each tile body record a leaflet.tile span (with tile
 // bounds and cache outcome) into t, parented under parent. A nil t

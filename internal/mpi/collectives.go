@@ -137,7 +137,7 @@ func Alltoall[T any](c *Comm, parts []T, bytesPer int64) []T {
 
 // BlockRange returns the [lo, hi) slice of n items owned by rank r of
 // size ranks under contiguous block partitioning, the decomposition the
-// MPI drivers use.
+// executor's Reduce uses.
 func BlockRange(n, r, size int) (lo, hi int) {
 	lo = r * n / size
 	hi = (r + 1) * n / size

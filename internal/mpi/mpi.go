@@ -6,6 +6,9 @@
 // repository run unchanged semantics — rank-0 gathers, binomial-tree
 // broadcast, static work partitioning — with per-operation byte
 // accounting feeding the experiment harness.
+//
+// Executor is the package's engine.Executor: the shared analyses
+// (psa.Run, leaflet.Run) run on it as a rank loop plus collectives.
 package mpi
 
 import (

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mdtask/internal/synth"
+	"mdtask/internal/traj"
 )
 
 // twoGroupMatrix builds a distance matrix with two well-separated
@@ -142,7 +143,7 @@ func TestClusterOnRealPSAMatrix(t *testing.T) {
 		}
 		ens = append(ens, c)
 	}
-	m, err := Serial(ens, Opts{})
+	m, err := SerialRefs(traj.RefsOf(ens), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

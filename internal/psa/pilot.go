@@ -6,132 +6,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
-	"mdtask/internal/dask"
 	"mdtask/internal/engine"
 	"mdtask/internal/hausdorff"
-	"mdtask/internal/mpi"
 	"mdtask/internal/pilot"
-	"mdtask/internal/rdd"
 	"mdtask/internal/traj"
 )
 
-// RunRDD computes PSA on the Spark-like engine: an RDD with one
-// partition per block task and a map over partitions, as the paper's
-// PySpark implementation does (§4.2: "an RDD with one partition per
-// task; tasks executed in a map function").
-func RunRDD(ctx *rdd.Context, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunRDDRefs(ctx, traj.RefsOf(ens), n1, opts)
-}
-
-// RunRDDRefs is RunRDD over trajectory handles; stream-backed refs with
-// opts.MaxResidentFrames make every partition's task body out-of-core.
-func RunRDDRefs(ctx *rdd.Context, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
-	blocks, err := Partition(len(refs), n1, opts.Symmetric)
-	if err != nil {
-		return nil, err
-	}
-	r := rdd.Parallelize(ctx, blocks, len(blocks))
-	results, err := rdd.Map(r, func(b Block) (BlockResult, error) {
-		return ComputeBlockRefs(refs, b, opts)
-	}).Collect()
-	if err != nil {
-		return nil, err
-	}
-	return Assemble(len(refs), results), nil
-}
-
-// RunDask computes PSA on the Dask-like engine: one delayed function per
-// block task, computed by the distributed scheduler (§4.2: "tasks are
-// defined as delayed functions").
-func RunDask(client *dask.Client, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunDaskRefs(client, traj.RefsOf(ens), n1, opts)
-}
-
-// RunDaskRefs is RunDask over trajectory handles.
-func RunDaskRefs(client *dask.Client, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
-	blocks, err := Partition(len(refs), n1, opts.Symmetric)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]*dask.Delayed, len(blocks))
-	for i, b := range blocks {
-		b := b
-		nodes[i] = client.Delayed(fmt.Sprintf("psa-block-%d", i),
-			func([]interface{}) (interface{}, error) {
-				return ComputeBlockRefs(refs, b, opts)
-			})
-	}
-	vals, err := client.Compute(nodes...)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]BlockResult, len(vals))
-	for i, v := range vals {
-		results[i] = v.(BlockResult)
-	}
-	return Assemble(len(refs), results), nil
-}
-
-// RunMPI computes PSA on the MPI runtime: block tasks are statically
-// partitioned over ranks (one task per process, cycling), results are
-// gathered at rank 0.
-func RunMPI(ranks int, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunMPIRefs(ranks, traj.RefsOf(ens), n1, opts)
-}
-
-// RunMPIRefs is RunMPI over trajectory handles.
-func RunMPIRefs(ranks int, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
-	blocks, err := Partition(len(refs), n1, opts.Symmetric)
-	if err != nil {
-		return nil, err
-	}
-	var out *Matrix
-	err = mpi.Run(ranks, opts.Metrics, func(c *mpi.Comm) error {
-		var local []BlockResult
-		for i := c.Rank(); i < len(blocks); i += c.Size() {
-			start := time.Now()
-			br, err := ComputeBlockRefs(refs, blocks[i], opts)
-			if err != nil {
-				return err
-			}
-			local = append(local, br)
-			if opts.Metrics != nil {
-				opts.Metrics.RecordTask(time.Since(start))
-			}
-		}
-		var bytes int64
-		for _, r := range local {
-			bytes += int64(len(r.Values)) * 8
-		}
-		gathered := mpi.Gather(c, 0, local, bytes)
-		if c.Rank() == 0 {
-			var all []BlockResult
-			for _, g := range gathered {
-				all = append(all, g...)
-			}
-			out = Assemble(len(refs), all)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunPilot computes PSA on the pilot engine: one Compute-Unit per block
-// task. Faithful to RADICAL-Pilot's execution model, each unit reads its
-// input trajectories from staged MDT files in its sandbox and writes its
-// block of distances to an output file, which the client collects — all
-// data exchange goes through the filesystem (§3.3).
-func RunPilot(p *pilot.Pilot, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunPilotRefs(p, traj.RefsOf(ens), n1, opts)
-}
-
-// RunPilotRefs is RunPilot over trajectory handles. With
-// opts.MaxResidentFrames set, each trajectory is staged as a sequence
+// RunPilotRefs computes PSA on the pilot engine: one Compute-Unit per
+// block task. Faithful to RADICAL-Pilot's execution model, each unit
+// reads its input trajectories from staged MDT files in its sandbox and
+// writes its block of distances to an output file, which the client
+// collects — all data exchange goes through the filesystem (§3.3), which
+// is why the pilot is a staged engine outside the engine.Executor
+// contract: its unit of exchange is bytes on disk, not a closure.
+//
+// With opts.MaxResidentFrames set, each trajectory is staged as a sequence
 // of window-sized MDT files instead of one whole-trajectory file
 // (traj.EncodeMDTWindow); the unit then replays the window chain
 // through the streamed kernel, holding at most two windows of frames

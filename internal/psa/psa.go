@@ -1,9 +1,12 @@
 // Package psa implements Path Similarity Analysis (the paper's §2.1.1,
 // Algorithm 1): the all-pairs Hausdorff distance matrix over an ensemble
 // of trajectories, parallelized with the 2-D output partitioning of
-// Algorithm 2 and runnable on each of the four task-parallel engines
-// (§4.2). PSA is embarrassingly parallel; each task computes one block
-// of the distance matrix serially.
+// Algorithm 2. PSA is embarrassingly parallel; each task computes one
+// block of the distance matrix serially (ComputeBlockRefs). The analysis
+// is written once — Run maps the block tasks over an engine.Executor, so
+// Spark, Dask, MPI and the serial loop (§4.2) share one code path — plus
+// RunPilotRefs for the pilot engine, whose units exchange staged files
+// rather than closures. SerialRefs is the blockless reference.
 package psa
 
 import (
@@ -53,10 +56,10 @@ type Opts struct {
 	// between rows.
 	Cancel func() bool
 	// Metrics, when non-nil, receives the Hausdorff kernel's frame-pair
-	// counters (evaluated / pruned / abandoned) from every runner, and
-	// engine task accounting for the runners that do not carry their own
-	// metrics-bearing context (RunMPI; the rdd/dask/pilot runners account
-	// tasks through their Context/Client/Pilot).
+	// counters (evaluated / pruned / abandoned) and the streaming and
+	// block-cache accounting of every task body. Run points it at its
+	// executor's sink; the staged runners and direct ComputeBlockRefs
+	// callers set it themselves.
 	Metrics *engine.Metrics
 	// MaxResidentFrames, when positive, switches every task body to the
 	// streamed window kernel: trajectories are consumed as bounded frame
@@ -226,29 +229,15 @@ type BlockResult struct {
 	Symmetric bool
 }
 
-// ComputeBlock evaluates the Hausdorff distances of one block serially
-// (the task body shared by all engine drivers). Under opts.Symmetric a
+// ComputeBlockRefs evaluates the Hausdorff distances of one block
+// serially: the task body every engine runs. Under opts.Symmetric a
 // diagonal block computes only its strict upper triangle — the zero
 // self-distances and the mirror pairs are skipped. With
-// opts.MaxResidentFrames set the block runs the windowed kernel over
-// the in-memory frames (bounding the packed working set); fully
-// out-of-core callers hand ComputeBlockRefs stream-backed refs instead.
-func ComputeBlock(ens traj.Ensemble, b Block, opts Opts) BlockResult {
-	r, err := ComputeBlockRefs(traj.RefsOf(ens), b, opts)
-	if err != nil {
-		// Memory-backed refs cannot fail to stream.
-		panic(err)
-	}
-	return r
-}
-
-// ComputeBlockRefs is ComputeBlock over trajectory handles: the task
-// body of the streaming PSA path. With opts.MaxResidentFrames > 0 each
-// comparison holds at most two windows resident (DistanceStreamed);
-// otherwise the block's trajectories are materialized once each and the
-// in-memory kernels run. Cancellation is polled between comparisons;
-// the remaining values of a cancelled block are left zero, matching
-// ComputeBlock's contract.
+// opts.MaxResidentFrames > 0 each comparison holds at most two windows
+// resident (DistanceStreamed); otherwise the block's trajectories are
+// materialized once each and the in-memory kernels run. Cancellation is
+// polled between comparisons; the remaining values of a cancelled block
+// are left zero.
 //
 // With opts.Cache set the block store is consulted first: on a hit the
 // stored values are returned without running any kernel (no frame-pair
@@ -378,6 +367,30 @@ func computeBlockVals(refs traj.RefEnsemble, b Block, opts Opts) (vals []float64
 	return vals, true, nil
 }
 
+// WireBytes is the block's payload size when an engine moves it between
+// workers (engine.Sized).
+func (r BlockResult) WireBytes() int64 { return int64(len(r.Values)) * 8 }
+
+// Run computes PSA on any engine: Partition → one ComputeBlockRefs task
+// per block, mapped by the executor → Assemble. This is the whole
+// analysis; what differs between Spark, Dask and MPI (§4.2) lives in
+// the executor. Kernel counters go to the executor's sink, whatever
+// opts.Metrics says.
+func Run(ex engine.Executor, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
+	blocks, err := Partition(len(refs), n1, opts.Symmetric)
+	if err != nil {
+		return nil, err
+	}
+	opts.Metrics = ex.Metrics()
+	results, err := engine.Map(ex, len(blocks), nil, func(i int) (BlockResult, error) {
+		return ComputeBlockRefs(refs, blocks[i], opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return Assemble(len(refs), results), nil
+}
+
 // Assemble writes block results into the full matrix, mirroring
 // symmetric results into the lower triangle.
 func Assemble(n int, results []BlockResult) *Matrix {
@@ -386,7 +399,7 @@ func Assemble(n int, results []BlockResult) *Matrix {
 		b := r.Block
 		switch {
 		case r.Symmetric:
-			// Values are packed in ComputeBlock's iteration order:
+			// Values are packed in ComputeBlockRefs' iteration order:
 			// diagonal blocks hold only their strict upper triangle.
 			skipMirror := b.Diagonal()
 			k := 0
@@ -413,22 +426,14 @@ func Assemble(n int, results []BlockResult) *Matrix {
 	return m
 }
 
-// Serial computes the full PSA distance matrix on one goroutine: the
-// reference implementation every engine driver is validated against.
-// Under opts.Symmetric each unordered pair is evaluated once and
-// mirrored; the result is bit-identical to the full scan because the
-// Hausdorff distance is exactly symmetric.
-func Serial(ens traj.Ensemble, opts Opts) (*Matrix, error) {
-	if err := ens.Validate(); err != nil {
-		return nil, err
-	}
-	return SerialRefs(traj.RefsOf(ens), opts)
-}
-
-// SerialRefs is Serial over trajectory handles: with
-// opts.MaxResidentFrames set it is the single-goroutine out-of-core
-// reference (two windows resident per comparison), otherwise handles
-// are materialized and the in-memory kernels run.
+// SerialRefs computes the full PSA distance matrix on one goroutine as a
+// plain pair loop, no blocks: the reference implementation Run is
+// validated against on every engine. Under opts.Symmetric each
+// unordered pair is evaluated once and mirrored; the result is
+// bit-identical to the full scan because the Hausdorff distance is
+// exactly symmetric. With opts.MaxResidentFrames set it is the
+// out-of-core reference (two windows resident per comparison),
+// otherwise handles are materialized and the in-memory kernels run.
 func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 	if err := refs.Validate(); err != nil {
 		return nil, err
@@ -491,7 +496,7 @@ func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 }
 
 // DefaultGroupSize picks the largest n1 dividing n with at least
-// wantTasks = (n/n1)² tasks, the heuristic the drivers use to generate
+// wantTasks = (n/n1)² tasks, the heuristic the runners use to generate
 // one task per core (§4.2: "one task per core").
 func DefaultGroupSize(n, wantTasks int) int {
 	best := 1

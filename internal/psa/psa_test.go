@@ -148,9 +148,20 @@ func TestDefaultGroupSize(t *testing.T) {
 	}
 }
 
+// computeBlock runs one block over memory-backed refs, which cannot
+// fail to stream.
+func computeBlock(t *testing.T, ens traj.Ensemble, b Block, opts Opts) BlockResult {
+	t.Helper()
+	r, err := ComputeBlockRefs(traj.RefsOf(ens), b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestSerialProperties(t *testing.T) {
 	ens := testEnsemble(5, 6, 4)
-	m, err := Serial(ens, Opts{Method: hausdorff.Naive})
+	m, err := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +182,14 @@ func TestSerialProperties(t *testing.T) {
 
 func TestComputeBlockAndAssemble(t *testing.T) {
 	ens := testEnsemble(4, 5, 3)
-	want, _ := Serial(ens, Opts{Method: hausdorff.Naive})
+	want, _ := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 	blocks, err := Partition2D(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	results := make([]BlockResult, len(blocks))
 	for i, b := range blocks {
-		results[i] = ComputeBlock(ens, b, Opts{Method: hausdorff.Naive})
+		results[i] = computeBlock(t, ens, b, Opts{Method: hausdorff.Naive})
 		if len(results[i].Values) != b.Pairs() {
 			t.Fatalf("block %d: %d values, want %d", i, len(results[i].Values), b.Pairs())
 		}
@@ -189,13 +200,13 @@ func TestComputeBlockAndAssemble(t *testing.T) {
 	}
 }
 
-// ComputeBlock and Assemble must handle blocks of any shape: ragged
+// ComputeBlockRefs and Assemble must handle blocks of any shape: ragged
 // (non-square) blocks, 1×1 blocks, and diagonal blocks (I0==J0) under
 // both schedules — including 1×1 diagonal blocks, whose symmetric
 // result is empty (the self-distance is implied zero).
 func TestComputeBlockShapes(t *testing.T) {
 	ens := testEnsemble(5, 4, 3)
-	want, _ := Serial(ens, Opts{Method: hausdorff.Naive})
+	want, _ := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 	for _, sym := range []bool{false, true} {
 		opts := Opts{Symmetric: sym, Method: hausdorff.Naive}
 		for _, b := range []Block{
@@ -204,7 +215,7 @@ func TestComputeBlockShapes(t *testing.T) {
 			{I0: 1, I1: 4, J0: 1, J1: 4}, // 3×3 diagonal
 			{I0: 2, I1: 3, J0: 2, J1: 3}, // 1×1 diagonal
 		} {
-			r := ComputeBlock(ens, b, opts)
+			r := computeBlock(t, ens, b, opts)
 			if len(r.Values) != b.TaskPairs(sym) {
 				t.Fatalf("sym=%v block %+v: %d values, want %d", sym, b, len(r.Values), b.TaskPairs(sym))
 			}
@@ -232,7 +243,7 @@ func TestComputeBlockShapes(t *testing.T) {
 func TestAssemblePartitionEqualsSerial(t *testing.T) {
 	for _, tc := range []struct{ n, n1 int }{{4, 1}, {4, 2}, {6, 3}, {6, 6}, {8, 2}, {9, 3}} {
 		ens := testEnsemble(tc.n, 4, 3)
-		want, err := Serial(ens, Opts{Method: hausdorff.Naive})
+		want, err := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +255,7 @@ func TestAssemblePartitionEqualsSerial(t *testing.T) {
 			}
 			results := make([]BlockResult, len(blocks))
 			for i, b := range blocks {
-				results[i] = ComputeBlock(ens, b, opts)
+				results[i] = computeBlock(t, ens, b, opts)
 			}
 			if got := Assemble(tc.n, results); !matricesEqual(got, want, 0) {
 				t.Fatalf("n=%d n1=%d sym=%v: assembled matrix != serial", tc.n, tc.n1, sym)
@@ -259,11 +270,11 @@ func TestAssemblePartitionEqualsSerial(t *testing.T) {
 func TestSerialSymmetricBitIdentical(t *testing.T) {
 	ens := testEnsemble(6, 5, 4)
 	for _, m := range []hausdorff.Method{hausdorff.Naive, hausdorff.EarlyBreak} {
-		full, err := Serial(ens, Opts{Method: m})
+		full, err := SerialRefs(traj.RefsOf(ens), Opts{Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sym, err := Serial(ens, Opts{Symmetric: true, Method: m})
+		sym, err := SerialRefs(traj.RefsOf(ens), Opts{Symmetric: true, Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +297,7 @@ func matricesEqual(a, b *Matrix, tol float64) bool {
 }
 
 func TestSerialRejectsInvalidEnsemble(t *testing.T) {
-	if _, err := Serial(traj.Ensemble{nil}, Opts{Method: hausdorff.Naive}); err == nil {
+	if _, err := SerialRefs(traj.RefEnsemble{nil}, Opts{Method: hausdorff.Naive}); err == nil {
 		t.Fatal("nil member accepted")
 	}
 }

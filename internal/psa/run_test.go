@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"mdtask/internal/dask"
+	"mdtask/internal/engine"
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/pilot"
-	"mdtask/internal/rdd"
+	"mdtask/internal/traj"
 )
 
 // testPilot brings up a fast-polling pilot for driver tests.
@@ -29,8 +29,8 @@ func testPilot(t *testing.T) *pilot.Pilot {
 // The cross-engine value contract — every engine × method × schedule ×
 // residency mode bit-identical to the serial reference — is locked down
 // by internal/engine/conformtest, which runs through the jobs registry
-// (the dispatch surface the CLIs and the server use) and so covers the
-// drivers here plus serial and fleet. The tests below keep the
+// (the dispatch surface the CLIs and the server use) and so covers Run
+// on every executor plus pilot and fleet. The tests below keep the
 // driver-local invariants: staging economics, input validation, and the
 // pilot wire codecs.
 
@@ -61,18 +61,44 @@ func TestPilotSymmetricStagesFewerBlobs(t *testing.T) {
 	}
 }
 
-func TestDriversRejectBadGroupSize(t *testing.T) {
-	ens := testEnsemble(4, 5, 3)
+func TestRunRejectsBadGroupSize(t *testing.T) {
+	refs := traj.RefsOf(testEnsemble(4, 5, 3))
 	for _, sym := range []bool{false, true} {
 		opts := Opts{Symmetric: sym, Method: hausdorff.Naive}
-		if _, err := RunRDD(rdd.NewContext(2), ens, 3, opts); err == nil {
-			t.Errorf("rdd accepted non-divisor group size (sym=%v)", sym)
+		if _, err := Run(engine.NewSerial(nil), refs, 3, opts); err == nil {
+			t.Errorf("Run accepted non-divisor group size (sym=%v)", sym)
 		}
-		if _, err := RunDask(dask.NewClient(2), ens, 3, opts); err == nil {
-			t.Errorf("dask accepted non-divisor group size (sym=%v)", sym)
+		if _, err := RunPilotRefs(testPilot(t), refs, 3, opts); err == nil {
+			t.Errorf("RunPilotRefs accepted non-divisor group size (sym=%v)", sym)
 		}
-		if _, err := RunMPI(2, ens, 3, opts); err == nil {
-			t.Errorf("mpi accepted non-divisor group size (sym=%v)", sym)
+	}
+}
+
+// Run over the serial executor is Partition → ComputeBlockRefs →
+// Assemble and nothing else: bit-identical to the blockless reference,
+// one task per block, kernel counters in the executor's sink. (The
+// rdd, dask and mpi executors run the same function through the
+// conformance matrix in internal/engine/conformtest.)
+func TestRunMatchesSerialRefs(t *testing.T) {
+	refs := traj.RefsOf(testEnsemble(6, 5, 4))
+	for _, sym := range []bool{false, true} {
+		opts := Opts{Symmetric: sym, Method: hausdorff.Pruned}
+		want, err := SerialRefs(refs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := engine.NewSerial(nil)
+		got, err := Run(ex, refs, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matricesEqual(got, want, 0) {
+			t.Fatalf("sym=%v: Run differs from SerialRefs", sym)
+		}
+		blocks, _ := Partition(len(refs), 2, sym)
+		snap := ex.Metrics().Snapshot()
+		if snap.Tasks != int64(len(blocks)) || snap.PairsEvaluated == 0 {
+			t.Fatalf("sym=%v: tasks=%d (want %d) evaluated=%d", sym, snap.Tasks, len(blocks), snap.PairsEvaluated)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestSerialStreamedMatchesInMemory(t *testing.T) {
 	const n, atoms, frames = 5, 6, 7
 	ens := testEnsemble(n, atoms, frames)
-	want, err := Serial(ens, Opts{Method: hausdorff.Naive})
+	want, err := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,7 @@ func TestSerialStreamedMatchesInMemory(t *testing.T) {
 	}
 }
 
-// ComputeBlockRefs must reproduce ComputeBlock exactly for streamed
-// windows, and a window that exceeds the trajectory must degrade to
+// The streamed kernel must reproduce the in-memory block exactly, and a window that exceeds the trajectory must degrade to
 // one whole-trajectory window.
 func TestComputeBlockRefsStreamed(t *testing.T) {
 	ens := testEnsemble(6, 5, 4)
@@ -92,7 +91,7 @@ func TestComputeBlockRefsStreamed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range blocks {
-			want := ComputeBlock(ens, b, Opts{Symmetric: sym, Method: hausdorff.Naive})
+			want := computeBlock(t, ens, b, Opts{Symmetric: sym, Method: hausdorff.Naive})
 			got, err := ComputeBlockRefs(refs, b, Opts{Symmetric: sym, Method: hausdorff.Pruned, MaxResidentFrames: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -144,12 +143,12 @@ func TestComputeBlockRefsStreamedCancel(t *testing.T) {
 func TestPilotStreamedStagesWindows(t *testing.T) {
 	const n, atoms, frames, n1 = 4, 5, 6, 2
 	ens := testEnsemble(n, atoms, frames)
-	want, err := Serial(ens, Opts{Method: hausdorff.Naive})
+	want, err := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &engine.Metrics{}
-	got, err := RunPilot(testPilot(t), ens, n1, Opts{
+	got, err := RunPilotRefs(testPilot(t), traj.RefsOf(ens), n1, Opts{
 		Symmetric: true, Method: hausdorff.Pruned,
 		MaxResidentFrames: 2, Metrics: sink,
 	})

@@ -11,6 +11,9 @@
 // like Spark pipelining. Shuffle operations (ReduceByKey, GroupByKey,
 // Repartition) materialize their map side eagerly, recording a stage
 // barrier and the shuffled byte volume.
+//
+// Executor is the package's engine.Executor: the shared analyses
+// (psa.Run, leaflet.Run) run on it as one partition per task.
 package rdd
 
 import (

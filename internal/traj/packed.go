@@ -121,3 +121,11 @@ func (t *Trajectory) Packed() *Packed {
 	t.packed.Store(p)
 	return p
 }
+
+// IsPacked reports whether the packed representation is already cached,
+// so a call to Packed costs nothing: how tests assert that a runner
+// packed up front rather than inside its first timed tasks.
+func (t *Trajectory) IsPacked() bool {
+	p := t.packed.Load()
+	return p != nil && p.NFrames == len(t.Frames)
+}
