@@ -86,12 +86,15 @@ smoke-crash:
 smoke-stream:
 	sh scripts/smoke_stream.sh
 
-# Run the trajectory-decoder fuzz targets for FUZZTIME each (native
-# `go test -fuzz`; seed corpora live in internal/traj/testdata/fuzz).
+# Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
+# corpora live in the packages' testdata/fuzz): the trajectory decoders,
+# then the differential test of the Hausdorff exactness contract — every
+# method, in memory and streamed, bit-identical to naive.
 fuzz:
 	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
+	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet

@@ -3,13 +3,18 @@
 // scratch path) against the committed baseline and fails the build
 // when the pruned Hausdorff pipeline loses ground.
 //
-// Only the deterministic frame-pair counters gate — PairsEvaluated,
-// the pruned fraction, and the scheduled-pair total. Wall-clock
-// (ns_per_op) is machine-dependent noise on shared CI runners and is
-// deliberately ignored. On top of the relative comparison, one
-// absolute rule guards the indexed kernel's reason to exist: on every
-// ensemble measuring both methods, indexed must complete strictly
-// fewer full evaluations than pruned.
+// Only the deterministic counters gate — PairsEvaluated, the pruned
+// fraction and the scheduled-pair total per method, and for the
+// streamed kernel the pairs that touch atoms, the windows decoded and
+// the bytes streamed. Wall-clock (ns_per_op) is machine-dependent noise
+// on shared CI runners and is deliberately ignored. On top of the
+// relative comparison, one absolute rule guards the indexed kernel's
+// reason to exist: on every ensemble measuring both methods, indexed
+// must complete strictly fewer full evaluations than pruned. The
+// streamed section records the in-memory pruned kernel's atom-touching
+// pairs next to the streamed kernel's; a ceiling on their ratio comes
+// with the cross-window kernel (ROADMAP item 3) — the window-local fold
+// touches atoms for every pair it does not bound away.
 //
 // Usage:
 //
@@ -33,7 +38,26 @@ import (
 type benchFile struct {
 	Benchmark  string           `json:"benchmark"`
 	Ensembles  []benchEnsemble  `json:"ensembles"`
+	Streamed   []benchStreamed  `json:"streamed"`
 	BlockCache *benchBlockCache `json:"block_cache"`
+}
+
+// benchStreamed is one ensemble's streamed-pruned record: the pair
+// counters, the read volume, and the in-memory pruned kernel's
+// atom-touching pairs on the same ensemble.
+type benchStreamed struct {
+	Kind           string `json:"kind"`
+	Trajectories   int    `json:"trajectories"`
+	Atoms          int    `json:"atoms"`
+	Frames         int    `json:"frames"`
+	Window         int    `json:"window"`
+	PairsEvaluated int64  `json:"pairs_evaluated"`
+	PairsPruned    int64  `json:"pairs_pruned"`
+	PairsAbandoned int64  `json:"pairs_abandoned"`
+	WindowsDecoded int64  `json:"windows_decoded"`
+	BytesStreamed  int64  `json:"bytes_streamed"`
+	InMemEvaluated int64  `json:"inmem_pairs_evaluated"`
+	InMemAbandoned int64  `json:"inmem_pairs_abandoned"`
 }
 
 type benchEnsemble struct {
@@ -137,12 +161,15 @@ func load(path string) (benchFile, error) {
 //   - evaluated pairs may not exceed baseline × (1+tol);
 //   - the pruned fraction may not drop below baseline − tol.
 //
+// The streamed section is gated by gateStreamed.
+//
 // When the baseline carries a block_cache section, its deterministic
 // counters must match the current run exactly (hits lost to a keying
 // or recording regression show up as a mismatch here).
 func gate(baseline, current benchFile, tol float64) (violations, improvements []string) {
 	violations = append(violations, gateBlockCache(baseline.BlockCache, current.BlockCache)...)
 	violations = append(violations, gateIndexedReduction(current)...)
+	violations = append(violations, gateStreamed(baseline.Streamed, current.Streamed, tol)...)
 	cur := make(map[string]benchMethod)
 	for _, e := range current.Ensembles {
 		for _, m := range e.Methods {
@@ -210,6 +237,45 @@ func gateIndexedReduction(current benchFile) (violations []string) {
 				"%s: indexed evaluated %d pairs, want strictly fewer than pruned's %d",
 				e.Kind, indexed.PairsEvaluated, pruned.PairsEvaluated))
 		}
+	}
+	return violations
+}
+
+// gateStreamed gates the streamed section: every baseline entry must
+// still be measured, on the same shape, with no counter that costs
+// time — evaluated pairs, atom-touching pairs, windows decoded, bytes
+// streamed — above baseline × (1+tol). A baseline without the section
+// gates nothing.
+func gateStreamed(base, cur []benchStreamed, tol float64) (violations []string) {
+	byKind := make(map[string]benchStreamed)
+	for _, c := range cur {
+		byKind[c.Kind] = c
+	}
+	for _, b := range base {
+		key := "streamed/" + b.Kind
+		c, ok := byKind[b.Kind]
+		if !ok {
+			violations = append(violations, key+": missing from current run")
+			continue
+		}
+		baseTotal := b.PairsEvaluated + b.PairsPruned + b.PairsAbandoned
+		curTotal := c.PairsEvaluated + c.PairsPruned + c.PairsAbandoned
+		if baseTotal != curTotal || b.Window != c.Window {
+			violations = append(violations, fmt.Sprintf(
+				"%s: scheduled pairs changed %d -> %d, window %d -> %d (benchmark drift; regenerate the baseline deliberately)",
+				key, baseTotal, curTotal, b.Window, c.Window))
+			continue
+		}
+		check := func(name string, b, c int64) {
+			if limit := float64(b) * (1 + tol); float64(c) > limit {
+				violations = append(violations, fmt.Sprintf("%s: %s %d > %d (baseline %d × %.2f)",
+					key, name, c, int64(limit), b, 1+tol))
+			}
+		}
+		check("evaluated pairs", b.PairsEvaluated, c.PairsEvaluated)
+		check("evaluated+abandoned pairs", b.PairsEvaluated+b.PairsAbandoned, c.PairsEvaluated+c.PairsAbandoned)
+		check("windows decoded", b.WindowsDecoded, c.WindowsDecoded)
+		check("bytes streamed", b.BytesStreamed, c.BytesStreamed)
 	}
 	return violations
 }

@@ -94,3 +94,54 @@ func TestGateToleratesSlackAndReportsImprovements(t *testing.T) {
 		t.Fatalf("improvement run: violations=%v improvements=%v", v, imp)
 	}
 }
+
+func streamedFixture() benchFile {
+	f := baselineFixture()
+	f.Streamed = []benchStreamed{{
+		Kind: "walk", Window: 16,
+		PairsEvaluated: 100, PairsPruned: 800, PairsAbandoned: 100,
+		WindowsDecoded: 50, BytesStreamed: 5000,
+		InMemEvaluated: 40, InMemAbandoned: 160,
+	}}
+	return f
+}
+
+func TestGateStreamedSection(t *testing.T) {
+	if v, _ := gate(streamedFixture(), streamedFixture(), 0.02); len(v) != 0 {
+		t.Fatalf("identical streamed run tripped the gate: %v", v)
+	}
+	// A baseline without the section gates nothing.
+	if v, _ := gate(baselineFixture(), streamedFixture(), 0.02); len(v) != 0 {
+		t.Fatalf("new streamed section gated against a baseline without one: %v", v)
+	}
+
+	// More windows decoded and more bytes streamed: read amplification
+	// is a regression even when the pair counters hold.
+	cur := streamedFixture()
+	cur.Streamed[0].WindowsDecoded = 60
+	cur.Streamed[0].BytesStreamed = 6000
+	v, _ := gate(streamedFixture(), cur, 0.02)
+	if len(v) != 2 || !strings.Contains(v[0], "windows decoded") || !strings.Contains(v[1], "bytes streamed") {
+		t.Fatalf("violations = %v, want windows-decoded and bytes-streamed failures", v)
+	}
+
+	// Abandons turned into evaluations keep evaluated+abandoned but
+	// raise evaluated.
+	cur = streamedFixture()
+	cur.Streamed[0].PairsEvaluated, cur.Streamed[0].PairsAbandoned = 150, 50
+	v, _ = gate(streamedFixture(), cur, 0.02)
+	if len(v) != 1 || !strings.Contains(v[0], "evaluated pairs") {
+		t.Fatalf("violations = %v, want an evaluated-pairs failure", v)
+	}
+
+	// Drift and disappearance.
+	cur = streamedFixture()
+	cur.Streamed[0].PairsPruned = 700
+	if v, _ := gate(streamedFixture(), cur, 0.02); len(v) != 1 || !strings.Contains(v[0], "scheduled pairs changed") {
+		t.Fatalf("violations = %v, want schedule drift", v)
+	}
+	cur.Streamed = nil
+	if v, _ := gate(streamedFixture(), cur, 0.02); len(v) != 1 || !strings.Contains(v[0], "missing from current run") {
+		t.Fatalf("violations = %v, want a missing-measurement failure", v)
+	}
+}

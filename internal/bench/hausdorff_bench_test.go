@@ -226,6 +226,63 @@ type benchBlockCacheJSON struct {
 	DeltaMisses       int64 `json:"delta_misses"`
 }
 
+// benchStreamedJSON records the streamed pruned kernel's deterministic
+// cost on one multi-window ensemble in BENCH_psa.json: the pair
+// counters, the windows it decoded and the coordinate bytes that came
+// with them (the read amplification of the out-of-core path, as a
+// count), next to what the in-memory pruned kernel evaluates and
+// abandons on the same ensemble. cmd/benchgate gates all of it.
+type benchStreamedJSON struct {
+	Kind           string `json:"kind"`
+	Trajectories   int    `json:"trajectories"`
+	Atoms          int    `json:"atoms"`
+	Frames         int    `json:"frames"`
+	Window         int    `json:"window"`
+	PairsEvaluated int64  `json:"pairs_evaluated"`
+	PairsPruned    int64  `json:"pairs_pruned"`
+	PairsAbandoned int64  `json:"pairs_abandoned"`
+	WindowsDecoded int64  `json:"windows_decoded"`
+	BytesStreamed  int64  `json:"bytes_streamed"`
+	InMemEvaluated int64  `json:"inmem_pairs_evaluated"`
+	InMemAbandoned int64  `json:"inmem_pairs_abandoned"`
+}
+
+// Shape of the streamed section's ensembles: four windows of 16 frames
+// per trajectory, so what the fold does across windows is what is being
+// counted.
+const (
+	benchStreamedTrajs  = 8
+	benchStreamedFrames = 64
+	benchStreamedWindow = 16
+)
+
+// measureStreamed runs the streamed and the in-memory pruned kernel
+// over every pair of the ensemble.
+func measureStreamed(kind string, ens traj.Ensemble) benchStreamedJSON {
+	refs := traj.RefsOf(ens)
+	var (
+		sc, mc hausdorff.Counters
+		st     hausdorff.StreamStats
+	)
+	for i := range ens {
+		for j := i + 1; j < len(ens); j++ {
+			got, err := hausdorff.DistanceStreamed(refs[i], refs[j], benchStreamedWindow, hausdorff.Pruned, &sc, &st)
+			if err != nil {
+				panic(err)
+			}
+			if want := hausdorff.DistanceCounted(ens[i], ens[j], hausdorff.Pruned, &mc); got != want {
+				panic(fmt.Sprintf("%s pair (%d,%d): streamed %v != in-memory %v", kind, i, j, got, want))
+			}
+		}
+	}
+	return benchStreamedJSON{
+		Kind: kind, Trajectories: len(ens), Atoms: benchPSAAtoms, Frames: benchStreamedFrames, Window: benchStreamedWindow,
+		PairsEvaluated: sc.Evaluated, PairsPruned: sc.Pruned, PairsAbandoned: sc.Abandoned,
+		WindowsDecoded: st.WindowsDecoded, BytesStreamed: st.BytesStreamed,
+		InMemEvaluated: mc.Evaluated, InMemAbandoned: mc.Abandoned,
+	}
+}
+
 // measureBlockCache runs the cold/warm/delta scenario and returns its
 // counters.
 func measureBlockCache() benchBlockCacheJSON {
@@ -282,10 +339,17 @@ func TestWriteBenchPSAJSON(t *testing.T) {
 	report := struct {
 		Benchmark  string               `json:"benchmark"`
 		Ensembles  []benchJSONEnsemble  `json:"ensembles"`
+		Streamed   []benchStreamedJSON  `json:"streamed"`
 		BlockCache *benchBlockCacheJSON `json:"block_cache,omitempty"`
 	}{Benchmark: "psa-hausdorff-kernel"}
 	bc := measureBlockCache()
 	report.BlockCache = &bc
+	report.Streamed = []benchStreamedJSON{
+		measureStreamed("walk", synth.Ensemble(synth.EnsemblePreset{
+			Name: "bench", NAtoms: benchPSAAtoms, NFrames: benchStreamedFrames,
+		}, benchStreamedTrajs, 41)),
+		measureStreamed("path", synth.PathEnsemble(benchStreamedTrajs, benchPSAAtoms, benchStreamedFrames, 43)),
+	}
 	for _, tc := range []struct {
 		kind string
 		ens  traj.Ensemble

@@ -22,6 +22,12 @@ import (
 // are the Go API the jobs layer drives it with.
 type Coordinator struct {
 	opts Options
+	// epoch tags this coordinator incarnation in every worker id it
+	// issues. Sequence numbers restart with the process, so without it
+	// a worker that outlived a coordinator crash could find its old id
+	// already re-issued to a peer, heartbeat successfully under it and
+	// never re-register — two workers sharing one identity.
+	epoch string
 
 	mu       sync.Mutex
 	workers  map[string]*workerState
@@ -77,6 +83,7 @@ func (l *lease) endLocked(outcome string) {
 func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:    opts.withDefaults(),
+		epoch:   fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),
 		workers: make(map[string]*workerState),
 		jobs:    make(map[string]*Job),
 		leases:  make(map[string]*lease),
@@ -451,7 +458,7 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	c.wseq++
 	c.workersSeen++
 	w := &workerState{
-		id:       fmt.Sprintf("w-%06d", c.wseq),
+		id:       fmt.Sprintf("w-%s-%06d", c.epoch, c.wseq),
 		name:     req.Name,
 		lastSeen: time.Now(),
 		leases:   make(map[string]*lease),

@@ -223,3 +223,28 @@ func TestFleetSubmitValidation(t *testing.T) {
 		t.Errorf("submit after close: got %v, want ErrClosed", err)
 	}
 }
+
+// Worker ids are unique across coordinator incarnations. Sequence
+// numbers restart with the process: without the incarnation tag, a
+// worker that outlived a coordinator crash finds its old id re-issued
+// to whichever peer re-registered first, heartbeats successfully under
+// it and never re-registers — two workers sharing one identity, the
+// reason `make smoke-crash` waited in vain for its second worker.
+func TestWorkerIDsUniqueAcrossCoordinatorRestarts(t *testing.T) {
+	old := NewCoordinator(Options{})
+	orphan := old.register(RegisterRequest{Name: "w1"}).ID
+	old.Close()
+
+	restarted := NewCoordinator(Options{})
+	defer restarted.Close()
+	peer := restarted.register(RegisterRequest{Name: "w2"}).ID
+	if peer == orphan {
+		t.Fatalf("restarted coordinator re-issued worker id %s", orphan)
+	}
+	if restarted.heartbeat(orphan) {
+		t.Fatalf("restarted coordinator accepted a heartbeat under the previous incarnation's id %s", orphan)
+	}
+	if got := restarted.Stats().Workers; got != 1 {
+		t.Fatalf("restarted coordinator tracks %d workers, want 1", got)
+	}
+}

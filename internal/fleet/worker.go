@@ -596,8 +596,7 @@ func (w *Worker) streamRefs(l *Lease, kernel obs.SpanContext) (traj.RefEnsemble,
 	refs := make(traj.RefEnsemble, maxIx+1)
 	for _, s := range l.PSA.Trajs {
 		s := s
-		nwin := (s.NFrames + l.PSA.Window - 1) / l.PSA.Window
-		r, err := traj.WindowChainRef(s.Name, s.NAtoms, s.NFrames, nwin,
+		r, err := traj.WindowChainRef(s.Name, s.NAtoms, s.NFrames, l.PSA.Window,
 			func(win int) ([]byte, error) { return w.fetchWindow(l.Job, s.Index, win, tp) })
 		if err != nil {
 			return nil, err

@@ -59,11 +59,12 @@ import (
 
 // StreamStats accumulates the residency and volume accounting of
 // streamed evaluations: the peak number of simultaneously materialized
-// frames and the total coordinate bytes decoded from sources
+// frames, the windows decoded and their total coordinate bytes
 // (re-scans count every time — that is the cost being measured).
 type StreamStats struct {
 	PeakResidentFrames int64
 	BytesStreamed      int64
+	WindowsDecoded     int64
 }
 
 // observe folds one window-pair residency into the peak.
@@ -73,10 +74,11 @@ func (s *StreamStats) observe(frames int64) {
 	}
 }
 
-// stream accounts materialized coordinate bytes.
-func (s *StreamStats) stream(bytes int64) {
+// decoded accounts one materialized window.
+func (s *StreamStats) decoded(w *traj.Window) {
 	if s != nil {
-		s.BytesStreamed += bytes
+		s.BytesStreamed += w.CoordBytes()
+		s.WindowsDecoded++
 	}
 }
 
@@ -111,7 +113,7 @@ func DistanceStreamed(a, b *traj.Ref, window int, m Method, c *Counters, st *Str
 		if err != nil {
 			return 0, err
 		}
-		st.stream(wa.CoordBytes())
+		st.decoded(wa)
 		itb := b.Windows(window)
 		for {
 			wb, err := itb.Next()
@@ -122,7 +124,7 @@ func DistanceStreamed(a, b *traj.Ref, window int, m Method, c *Counters, st *Str
 				itb.Close()
 				return 0, err
 			}
-			st.stream(wb.CoordBytes())
+			st.decoded(wb)
 			st.observe(int64(wa.NFrames()) + int64(wb.NFrames()))
 			foldWindowPair(wa, wb, rowMin, colMin, m, c)
 		}

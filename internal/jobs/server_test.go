@@ -3,13 +3,16 @@ package jobs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"mdtask/internal/leaflet"
+	"mdtask/internal/linalg"
 	"mdtask/internal/psa"
 	"mdtask/internal/traj"
 )
@@ -328,5 +331,47 @@ func TestAPIListAndHealth(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].ID != st.ID {
 		t.Errorf("list = %+v", list)
+	}
+}
+
+// A trajectory file holding a NaN or ±Inf coordinate is a client error:
+// both the in-memory and the streamed submission are refused with 400
+// before anything is queued, and the message names the file, the frame
+// and the atom (non-finite values would make every pruning bound of the
+// Hausdorff kernels vacuous, so they are rejected at decode).
+func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
+	dir := t.TempDir()
+	good := traj.New("good", 2)
+	bad := traj.New("bad", 2)
+	for f := 0; f < 4; f++ {
+		fr := traj.Frame{Time: float64(f), Coords: []linalg.Vec3{{float64(f), 0, 0}, {0, 1, float64(f)}}}
+		good.Frames = append(good.Frames, fr)
+		bad.Frames = append(bad.Frames, fr.Clone())
+	}
+	bad.Frames[2].Coords[1][0] = math.Inf(-1)
+	if err := traj.WriteMDTFile(filepath.Join(dir, "a-good.mdt"), good, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := traj.WriteMDTFile(filepath.Join(dir, "b-bad.mdt"), bad, 4); err != nil {
+		t.Fatal(err)
+	}
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	for _, maxFrames := range []int{0, 2} {
+		body, err := json.Marshal(Spec{Analysis: AnalysisPSA, Path: dir, MaxResidentFrames: maxFrames})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", string(body))
+		if code != http.StatusBadRequest {
+			t.Fatalf("max_resident_frames=%d: got %d, want 400: %s", maxFrames, code, raw)
+		}
+		for _, part := range []string{"b-bad.mdt", "frame 2", "atom 1", "non-finite"} {
+			if !strings.Contains(string(raw), part) {
+				t.Fatalf("max_resident_frames=%d: error %s does not name %q", maxFrames, raw, part)
+			}
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d job(s) admitted from an ensemble with a non-finite coordinate", n)
 	}
 }

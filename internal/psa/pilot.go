@@ -104,7 +104,6 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 		b := blocks[bi]
 		inputs := make(map[string][]byte)
 		shapes := make(map[int][2]int) // trajectory → {nAtoms, nFrames}
-		wins := make(map[int]int)      // trajectory → staged window count
 		for _, ix := range b.TrajIndices() {
 			bs, err := blobsOf(ix)
 			if err != nil {
@@ -114,7 +113,6 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 				inputs[trajFile(ix, win)] = blob
 			}
 			shapes[ix] = [2]int{refs[ix].NAtoms(), refs[ix].NFrames()}
-			wins[ix] = len(bs)
 		}
 		descs[di] = pilot.UnitDescription{
 			Name:        fmt.Sprintf("psa-block-%d", bi),
@@ -128,7 +126,11 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 				unitRefs := make(traj.RefEnsemble, len(refs))
 				for ix, shape := range shapes {
 					ix := ix
-					r, err := traj.WindowChainRef(fmt.Sprintf("traj-%d", ix), shape[0], shape[1], wins[ix],
+					chain := max(shape[1], 1) // staged as one blob unless streaming
+					if opts.streaming() {
+						chain = w
+					}
+					r, err := traj.WindowChainRef(fmt.Sprintf("traj-%d", ix), shape[0], shape[1], chain,
 						func(win int) ([]byte, error) {
 							return os.ReadFile(filepath.Join(sandbox, trajFile(ix, win)))
 						})

@@ -3,6 +3,8 @@ package traj
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -97,10 +99,11 @@ func FuzzDecodeMDT(f *testing.F) {
 	})
 }
 
-// FuzzWindowRoundTrip drives the window chunker over fuzzed shapes:
+// FuzzWindowRoundTrip drives the window reader over fuzzed shapes:
 // concatenating the windows of any trajectory must reproduce it
-// exactly, for any window size, from both a memory-backed ref and an
-// MDT-blob-backed stream ref.
+// exactly, for any window size, front to back and — by random access —
+// back to front, from a memory-backed ref, a forward-only
+// MDT-blob-backed stream ref and a seekable .mdt file.
 func FuzzWindowRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(2), uint64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(9))
@@ -124,7 +127,40 @@ func FuzzWindowRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ref := range []*Ref{MemRef(tr), streamRef} {
+		path := filepath.Join(t.TempDir(), "fuzz.mdt")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fileRef, err := FileRef(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFrames := func(win *Window, label string) {
+			for i := 0; i < win.Packed.NFrames; i++ {
+				row := win.Packed.Row(i)
+				want := tr.Frames[win.Start+i].Coords
+				for a := 0; a < na; a++ {
+					for k := 0; k < 3; k++ {
+						if row[a*3+k] != want[a][k] {
+							t.Fatalf("%s: window at %d frame %d atom %d component %d differs", label, win.Start, i, a, k)
+						}
+					}
+				}
+			}
+		}
+		for _, ref := range []*Ref{MemRef(tr), streamRef, fileRef} {
+			rd := ref.WindowReader(w)
+			for k := rd.NumWindows() - 1; k >= 0; k-- {
+				win, err := rd.Window(k)
+				if err != nil {
+					t.Fatalf("random access to window %d: %v", k, err)
+				}
+				if win.Start != k*rd.Size() {
+					t.Fatalf("window %d starts at %d, want %d", k, win.Start, k*rd.Size())
+				}
+				sameFrames(win, "random access")
+			}
+			rd.Close()
 			it := ref.Windows(w)
 			frames := 0
 			windows := 0
@@ -139,17 +175,7 @@ func FuzzWindowRoundTrip(f *testing.F) {
 				if win.Start != frames {
 					t.Fatalf("window %d starts at %d, want %d", windows, win.Start, frames)
 				}
-				for i := 0; i < win.Packed.NFrames; i++ {
-					row := win.Packed.Row(i)
-					want := tr.Frames[frames+i].Coords
-					for a := 0; a < na; a++ {
-						for k := 0; k < 3; k++ {
-							if row[a*3+k] != want[a][k] {
-								t.Fatalf("window %d frame %d atom %d component %d differs", windows, i, a, k)
-							}
-						}
-					}
-				}
+				sameFrames(win, "sequential")
 				frames += win.Packed.NFrames
 				windows++
 			}

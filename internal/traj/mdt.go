@@ -235,6 +235,9 @@ func (mr *MDTReader) ReadFrame() (Frame, error) {
 			} else {
 				comp[ci] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 			}
+			if comp[ci]-comp[ci] != 0 { // NaN or ±Inf
+				return Frame{}, nonFiniteError(mr.read, len(f.Coords))
+			}
 			ci++
 			if ci == 3 {
 				f.Coords = append(f.Coords, linalg.Vec3{comp[0], comp[1], comp[2]})
@@ -245,6 +248,42 @@ func (mr *MDTReader) ReadFrame() (Frame, error) {
 	}
 	mr.read++
 	return f, nil
+}
+
+// decodeMDTFrames decodes the raw payload of whole MDT frames (each an
+// 8-byte time then nAtoms·3 components of prec bytes) straight into
+// packed rows, len(rows)/(nAtoms·3) frames of them. frame0 is the
+// trajectory index of the first frame, for error reporting.
+func decodeMDTFrames(raw []byte, prec, nAtoms, frame0 int, rows []float64) error {
+	w3 := nAtoms * 3
+	if w3 == 0 {
+		return nil
+	}
+	fb := 8 + w3*prec
+	for i := 0; i*w3 < len(rows); i++ {
+		row := rows[i*w3 : (i+1)*w3]
+		b := raw[i*fb+8 : (i+1)*fb]
+		if prec == 4 {
+			const expMask = 0x7f800000
+			for k := range row {
+				u := binary.LittleEndian.Uint32(b[4*k:])
+				if u&expMask == expMask {
+					return nonFiniteError(frame0+i, k/3)
+				}
+				row[k] = float64(math.Float32frombits(u))
+			}
+		} else {
+			const expMask = 0x7ff0000000000000
+			for k := range row {
+				u := binary.LittleEndian.Uint64(b[8*k:])
+				if u&expMask == expMask {
+					return nonFiniteError(frame0+i, k/3)
+				}
+				row[k] = math.Float64frombits(u)
+			}
+		}
+	}
+	return nil
 }
 
 // SkipFrames reads and discards the next n frames (bounded memory, CRC

@@ -77,26 +77,22 @@ func PackFrames(frames [][]linalg.Vec3, nAtoms int) *Packed {
 	}
 	for i, coords := range frames {
 		row := p.Coords[i*nAtoms*3 : (i+1)*nAtoms*3]
-		for j, pt := range coords {
-			row[j*3] = pt[0]
-			row[j*3+1] = pt[1]
-			row[j*3+2] = pt[2]
-		}
-		c := linalg.Centroid(coords)
-		p.Centroids[i] = c
-		if nAtoms > 0 {
-			var s float64
-			for _, pt := range coords {
-				s += linalg.Dist2(pt, c)
-			}
-			p.RadGyr[i] = math.Sqrt(s / float64(nAtoms))
-		}
+		packRow(row, coords)
+		p.Centroids[i], p.RadGyr[i] = rowStats(row)
 		if i > 0 {
 			d, _ := linalg.DRMSWithin(p.Row(i-1), row, math.Inf(1))
 			p.StepDRMS[i] = d
 		}
 	}
 	return p
+}
+
+// packRow flattens one frame's coordinates into a packed row of xyz
+// triples (len(row) = 3·len(coords)).
+func packRow(row []float64, coords []linalg.Vec3) {
+	for j, pt := range coords {
+		row[j*3], row[j*3+1], row[j*3+2] = pt[0], pt[1], pt[2]
+	}
 }
 
 // Pack builds the packed representation of a trajectory.

@@ -20,6 +20,10 @@ type Ref struct {
 	nFrames int
 	mem     *Trajectory
 	open    Opener
+	// frames, when non-nil, opens a random-access backing for the ref's
+	// WindowReaders (a plain .mdt file, a window chain); stream refs
+	// without one are windowed through the forward-only Opener.
+	frames func(sequential bool) (frameReader, error)
 
 	// Content digest, computed lazily by Digest and cached: the block
 	// cache keys every ref it sees, so the (possibly streaming) hash
@@ -75,7 +79,9 @@ func FileRef(path string) (*Ref, error) {
 		if !ok || st.Size() != want {
 			return nil, fmt.Errorf("traj: %s: %w: file is %d bytes, header implies %d", path, ErrTruncated, st.Size(), want)
 		}
-		return &Ref{name: mr.Name(), nAtoms: mr.NAtoms(), nFrames: mr.NFrames(), open: FileOpener(path)}, nil
+		r := &Ref{name: mr.Name(), nAtoms: mr.NAtoms(), nFrames: mr.NFrames(), open: FileOpener(path)}
+		r.frames = func(sequential bool) (frameReader, error) { return openMDTFileReader(path, r, sequential) }
+		return r, nil
 	}
 	// Compressed or text formats: shape requires a full (streaming,
 	// bounded-memory) scan, which also validates the payload end to end.
@@ -96,7 +102,7 @@ func FileRef(path string) (*Ref, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("traj: %s: %w", path, err)
+			return nil, err // the source names its own path
 		}
 		if nAtoms < 0 {
 			nAtoms = len(f.Coords)
@@ -250,14 +256,20 @@ func skipFrames(src FrameSource, n int) error {
 	return nil
 }
 
-// WindowChainRef describes a trajectory shipped as nwin consecutive
-// window-sized MDT blobs: opening it replays the chain through
-// MultiSource, fetching blob win (0-based) on demand via fetch and
-// decoding at most one blob's frames at a time. The pilot engine uses
+// WindowChainRef describes a trajectory shipped as consecutive MDT
+// blobs of window frames each (the last one shorter): blob win
+// (0-based) is fetched on demand via fetch. Windowed reads decode
+// exactly the blob(s) holding the frames asked for — one fetch per
+// window when the reader's window size is the chain's — and Load
+// replays the whole chain through MultiSource. The pilot engine uses
 // it over staged sandbox files and the fleet worker over coordinator
 // HTTP fetches, keeping the two engines' window-chain semantics in one
 // place.
-func WindowChainRef(name string, nAtoms, nFrames, nwin int, fetch func(win int) ([]byte, error)) (*Ref, error) {
+func WindowChainRef(name string, nAtoms, nFrames, window int, fetch func(win int) ([]byte, error)) (*Ref, error) {
+	if window < 1 {
+		return nil, fmt.Errorf("traj: window chain %q has window size %d", name, window)
+	}
+	nwin := (nFrames + window - 1) / window
 	open := func() (FrameSource, error) {
 		next := 0
 		return MultiSource(nAtoms, func() (FrameSource, error) {
@@ -276,7 +288,14 @@ func WindowChainRef(name string, nAtoms, nFrames, nwin int, fetch func(win int) 
 			return SourceOf(t), nil
 		}), nil
 	}
-	return NewStreamRef(name, nAtoms, nFrames, open)
+	r, err := NewStreamRef(name, nAtoms, nFrames, open)
+	if err != nil {
+		return nil, err
+	}
+	r.frames = func(bool) (frameReader, error) {
+		return &chainFrameReader{ref: r, window: window, fetch: fetch}, nil
+	}
+	return r, nil
 }
 
 // RefEnsemble is an ensemble of trajectory handles — the input type of

@@ -26,10 +26,10 @@ type FrameSource interface {
 }
 
 // Opener produces a fresh FrameSource positioned at the first frame.
-// Windowed algorithms re-scan trajectories (the inner side of a
-// Hausdorff window sweep is read once per outer window), so streaming
-// inputs are described by how to open them, not by a single exhausted
-// source.
+// Windowed algorithms revisit trajectories (the inner side of a
+// Hausdorff window sweep is re-read for every outer window that still
+// needs it), so streaming inputs are described by how to open them,
+// not by a single exhausted source.
 type Opener func() (FrameSource, error)
 
 // memSource streams an in-memory trajectory.
@@ -61,6 +61,7 @@ func (s *memSource) Close() error {
 // any) with the source.
 type mdtSource struct {
 	mr      *MDTReader
+	path    string // for error reporting; empty for in-memory payloads
 	closers []io.Closer
 	// seek, when non-nil, is the raw (uncompressed) underlying reader:
 	// MDT frames are fixed-size, so window reads can jump straight to a
@@ -102,6 +103,8 @@ func (s *mdtSource) NextFrame() (Frame, error) {
 	f, err := s.mr.ReadFrame()
 	if err == io.EOF {
 		s.done = true
+	} else if err != nil && s.path != "" {
+		err = fmt.Errorf("traj: %s: %w", s.path, err)
 	}
 	return f, err
 }
@@ -153,7 +156,7 @@ func OpenSource(path string) (FrameSource, error) {
 			closeAll(closers)
 			return nil, fmt.Errorf("traj: %s: %w", path, err)
 		}
-		src := &mdtSource{mr: mr, closers: closers}
+		src := &mdtSource{mr: mr, path: path, closers: closers}
 		if !gzipped {
 			src.seek = f
 		}

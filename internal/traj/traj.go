@@ -30,16 +30,21 @@
 //     (MemRef), a file (FileRef, header-only until read), or any
 //     custom stream (NewStreamRef: staged window files, an HTTP
 //     coordinator endpoint).
-//   - Window / WindowIter (window.go) materialize bounded frame
-//     windows, each with its packed centroid/rg/step-dRMS side data,
-//     so out-of-core consumers (hausdorff.DistanceStreamed) hold at
-//     most two windows per comparison.
+//   - WindowReader / Window (window.go) serve bounded frame windows by
+//     random access into one reused slot — raw payload bytes decoded
+//     straight into packed rows with the centroid/rg side data computed
+//     on the way in (framereader.go holds the per-backing readers:
+//     O(1) seek on plain .mdt, blob index on window chains, re-open on
+//     a backward jump for forward-only sources) — so out-of-core
+//     consumers (hausdorff.DistanceStreamed) hold at most two windows
+//     per comparison. Ref.Windows is the sequential wrapper.
 //
 // The decoders treat headers as hostile input: claimed atom or frame
 // counts never size an allocation beyond what the payload actually
 // delivers (fuzzed by FuzzReadXYZT / FuzzDecodeMDT /
-// FuzzWindowRoundTrip), and parse errors carry the file path and
-// 1-based line number where applicable.
+// FuzzWindowRoundTrip), parse errors carry the file path and 1-based
+// line number where applicable, and NaN / ±Inf coordinates are refused
+// by every decoder (ErrNonFinite, naming file, frame and atom).
 package traj
 
 import (
@@ -79,6 +84,16 @@ type Trajectory struct {
 // ErrShapeMismatch is returned when a frame's coordinate count does not
 // match the trajectory's atom count.
 var ErrShapeMismatch = errors.New("traj: frame size does not match trajectory atom count")
+
+// ErrNonFinite is returned by every decoder (MDT, XYZT) for a NaN or
+// ±Inf coordinate. A non-finite value makes every comparison of the
+// Hausdorff pruning bounds vacuous, so it is refused where it enters
+// the program; the wrapped error names the frame and atom.
+var ErrNonFinite = errors.New("traj: non-finite coordinate")
+
+func nonFiniteError(frame, atom int) error {
+	return fmt.Errorf("frame %d atom %d: %w", frame, atom, ErrNonFinite)
+}
 
 // New creates an empty trajectory for nAtoms atoms.
 func New(name string, nAtoms int) *Trajectory {

@@ -53,6 +53,8 @@ type xyztDecoder struct {
 	// nAtoms is the atom count fixed by the first frame (-1 until then).
 	nAtoms int
 	name   string
+	// frames counts the frame blocks decoded so far.
+	frames int
 }
 
 func newXYZTDecoder(r io.Reader) *xyztDecoder {
@@ -132,9 +134,13 @@ func (d *xyztDecoder) readFrame() (Frame, error) {
 			if err != nil {
 				return Frame{}, d.errf("bad coordinate %q", parts[k])
 			}
+			if p[k]-p[k] != 0 { // NaN or ±Inf
+				return Frame{}, fmt.Errorf("traj: xyzt line %d: %w", d.line, nonFiniteError(d.frames, i))
+			}
 		}
 		coords = append(coords, p)
 	}
+	d.frames++
 	return Frame{Time: tm, Coords: coords}, nil
 }
 
