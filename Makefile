@@ -88,13 +88,15 @@ smoke-stream:
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the trajectory decoders,
-# then the differential test of the Hausdorff exactness contract — every
-# method, in memory and streamed, bit-identical to naive.
+# then the differential tests of the Hausdorff exactness contract — every
+# method, in memory and streamed, bit-identical to naive, and the same
+# adversarial inputs through every engine and both schedules.
 fuzz:
 	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
+	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
@@ -126,10 +128,11 @@ bench-gate:
 # under cmd/mdload with every deterministic invariant gating (zero
 # lost jobs, exact shed/submit accounting, Retry-After on 429s, 413 on
 # oversized bodies, wal_records_skipped == 0, no goroutine leaks);
-# then a third, MDTASK_FAULTS-armed worker takes the chaos scenario,
-# which must find evidence of the injected faults. Latency lands in
-# BENCH_load.json / load_latency.csv but never gates (see
-# scripts/loadgate.sh).
+# then an MDTASK_FAULTS-armed worker takes the chaos scenario's first
+# units alone, crashes at its fourth, and two fresh healthy workers
+# finish it; the scenario must find evidence of the injected faults.
+# Latency lands in BENCH_load.json / load_latency.csv but never gates
+# (see scripts/loadgate.sh).
 loadgate:
 	sh scripts/loadgate.sh
 

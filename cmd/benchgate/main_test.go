@@ -34,11 +34,36 @@ func TestGateCatchesMoreEvaluatedPairs(t *testing.T) {
 	cur.Ensembles[0].Methods[1].PairsPruned = 750
 	cur.Ensembles[0].Methods[1].PrunedFraction = 0.85
 	v, _ := gate(baselineFixture(), cur, 0.02)
-	if len(v) != 2 {
-		t.Fatalf("violations = %v, want evaluated-pairs and pruned-fraction failures", v)
+	if len(v) != 3 {
+		t.Fatalf("violations = %v, want evaluated-pairs, evaluated+abandoned and pruned-fraction failures", v)
 	}
-	if !strings.Contains(v[0], "evaluated pairs") || !strings.Contains(v[1], "pruned fraction") {
+	if !strings.Contains(v[0], "evaluated pairs") || !strings.Contains(v[1], "evaluated+abandoned pairs") || !strings.Contains(v[2], "pruned fraction") {
 		t.Fatalf("violations = %v", v)
+	}
+}
+
+// Abandoned evaluations touch atoms too, and the pruned fraction counts
+// them as pruned: a change that completes a few evaluations fewer and
+// abandons hundreds more passes every other rule.
+func TestGateCatchesMoreAbandonedPairs(t *testing.T) {
+	cur := baselineFixture()
+	cur.Ensembles[0].Methods[1].PairsEvaluated = 95
+	cur.Ensembles[0].Methods[1].PairsPruned = 600
+	cur.Ensembles[0].Methods[1].PairsAbandoned = 305
+	cur.Ensembles[0].Methods[1].PrunedFraction = 0.905
+	cur.Ensembles[0].Methods[2].PairsEvaluated = 85 // indexed keeps its strict lead
+	cur.Ensembles[0].Methods[2].PairsPruned = 815
+	v, imp := gate(baselineFixture(), cur, 0.02)
+	if len(v) != 1 || !strings.Contains(v[0], "walk/pruned: evaluated+abandoned pairs 400 > 204") {
+		t.Fatalf("violations = %v, want one evaluated+abandoned failure", v)
+	}
+	if len(imp) != 2 {
+		t.Fatalf("improvements = %v, want the two evaluated-pairs notes", imp)
+	}
+	// Inside the tolerance: 200 -> 204.
+	cur.Ensembles[0].Methods[1].PairsPruned, cur.Ensembles[0].Methods[1].PairsAbandoned = 796, 109
+	if v, _ := gate(baselineFixture(), cur, 0.02); len(v) != 0 {
+		t.Fatalf("within-tolerance run tripped the gate: %v", v)
 	}
 }
 

@@ -4,10 +4,12 @@
 // bit-identical distance matrix, with self-consistent metrics counters.
 // It runs through the jobs registry — the exact dispatch surface
 // cmd/psa and cmd/mdserver use — and replaces the ad-hoc per-driver
-// comparison tests the psa package used to carry. The same package
-// holds the Leaflet Finder matrix (leaflet_test.go: every engine ×
-// approach against leaflet.Serial) and the engine.Executor contract
-// suite (executor_test.go) the shared psa.Run / leaflet.Run rely on.
+// comparison tests the psa package used to carry. FuzzEnginesAgree
+// (fuzz_test.go) asserts the same on adversarial generated ensembles.
+// The same package holds the Leaflet Finder matrix (leaflet_test.go:
+// every engine × approach against leaflet.Serial) and the
+// engine.Executor contract suite (executor_test.go) the shared
+// psa.Run / leaflet.Run rely on.
 package conformtest
 
 import (

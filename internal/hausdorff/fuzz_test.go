@@ -3,79 +3,18 @@ package hausdorff
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"path/filepath"
 	"testing"
 
-	"mdtask/internal/linalg"
+	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
 
-// fuzzPair builds two small adversarial trajectories. kind selects the
-// structure the pruning devices are most likely to mishandle; scale
-// moves the coordinates across 60 orders of magnitude (every choice
-// still fits a float32 .mdt).
+// fuzzPair builds two small adversarial trajectories (see
+// synth.Adversarial for what kind and seed select).
 func fuzzPair(nAtoms, na, nb int, kind uint8, seed uint64) (a, b *traj.Trajectory) {
-	r := rand.New(rand.NewPCG(seed, 0x5eed))
-	scale := []float64{1, 1e-30, 1e-3, 1e6, 1e30}[seed%5]
-	frame := func(base []linalg.Vec3, jitter float64) []linalg.Vec3 {
-		out := make([]linalg.Vec3, nAtoms)
-		for i := range out {
-			for k := 0; k < 3; k++ {
-				v := r.NormFloat64() * jitter
-				if base != nil {
-					v += base[i][k] / scale
-				}
-				out[i][k] = v * scale
-			}
-		}
-		return out
-	}
-	// centered mirrors the second half of a frame onto the first, so
-	// its centroid is (numerically almost) the origin whatever the
-	// coordinates: coincident centroids across every frame.
-	centered := func(f []linalg.Vec3) []linalg.Vec3 {
-		for i := 0; i+1 < len(f); i += 2 {
-			f[i+1] = f[i].Scale(-1)
-		}
-		return f
-	}
-	build := func(name string, n int, start []linalg.Vec3) *traj.Trajectory {
-		t := traj.New(name, nAtoms)
-		cur := start
-		for f := 0; f < n; f++ {
-			switch kind % 5 {
-			case 0: // independent frames: no temporal coherence at all
-				cur = frame(nil, 10)
-			case 1: // a walk: consecutive frames are near neighbours
-				cur = frame(cur, 0.1)
-			case 2: // runs of exact duplicates
-				if f%3 == 0 || cur == nil {
-					cur = frame(cur, 1)
-				}
-			case 3: // coincident centroids: the centroid bound is useless
-				cur = centered(frame(nil, 5))
-			case 4: // both trajectories walk away from one shared frame
-				cur = frame(cur, 0.5)
-			}
-			t.Frames = append(t.Frames, traj.Frame{Time: float64(f), Coords: append([]linalg.Vec3(nil), cur...)})
-		}
-		return t
-	}
-	var start []linalg.Vec3
-	if kind%5 == 4 {
-		start = frame(nil, 10)
-	}
-	a = build("a", na, start)
-	if kind%5 == 2 && na > 0 {
-		// b revisits a's frames, so zero distances and ties abound.
-		b = traj.New("b", nAtoms)
-		for f := 0; f < nb; f++ {
-			b.Frames = append(b.Frames, traj.Frame{Time: float64(f), Coords: a.Frames[(f*2)%na].Coords})
-		}
-		return a, b
-	}
-	return a, build("b", nb, start)
+	ens := synth.Adversarial(nAtoms, []int{na, nb}, kind, seed)
+	return ens[0], ens[1]
 }
 
 // FuzzHausdorffMethodsAgree is the differential test of the exactness

@@ -30,7 +30,10 @@ const (
 	// Naive computes every frame-pair distance (the paper's Algorithm 1).
 	Naive Method = iota
 	// EarlyBreak aborts the inner scan as soon as a frame distance drops
-	// below the running maximum (Taha & Hanbury 2015).
+	// below the running maximum (Taha & Hanbury 2015). Like Pruned and
+	// Indexed it keeps one running maximum across the two directed
+	// passes of the symmetric distance: the reverse pass starts from the
+	// forward pass's result.
 	EarlyBreak
 	// Pruned adds O(1) frame-pair pruning on top of EarlyBreak: the exact
 	// centroid/radius-of-gyration lower bound skips whole pairs, dRMS
@@ -193,11 +196,17 @@ func directedNaive(a, b [][]linalg.Vec3, c *Counters) float64 {
 // DirectedNaive but breaks out of the inner scan once a distance below
 // the running maximum proves the current frame cannot raise it.
 func DirectedEarlyBreak(a, b [][]linalg.Vec3) float64 {
-	return directedEarlyBreak(a, b, nil)
+	return directedEarlyBreak(a, b, 0, nil)
 }
 
-func directedEarlyBreak(a, b [][]linalg.Vec3, c *Counters) float64 {
-	var cmax float64
+// directedEarlyBreak is DirectedEarlyBreak with the running maximum
+// started at seed instead of 0: it returns max(seed, h(A→B)), and every
+// row whose minimum is already below seed breaks at the first distance
+// that shows it. Seeding the reverse pass with the forward pass's
+// result is how the symmetric distance carries one running maximum
+// across both directions (docs/kernels.md, "The symmetric distance").
+func directedEarlyBreak(a, b [][]linalg.Vec3, seed float64, c *Counters) float64 {
+	cmax := seed
 	for _, fa := range a {
 		cmin := math.Inf(1)
 		for j, fb := range b {
@@ -266,9 +275,7 @@ func DistanceFrames(fa, fb [][]linalg.Vec3, m Method) float64 {
 func DistanceFramesCounted(fa, fb [][]linalg.Vec3, m Method, c *Counters) float64 {
 	switch m {
 	case EarlyBreak:
-		h1 := directedEarlyBreak(fa, fb, c)
-		h2 := directedEarlyBreak(fb, fa, c)
-		return math.Max(h1, h2)
+		return directedEarlyBreak(fb, fa, directedEarlyBreak(fa, fb, 0, c), c)
 	case Pruned:
 		return DistancePacked(packViews(fa), packViews(fb), c)
 	case Indexed:

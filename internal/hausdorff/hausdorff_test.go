@@ -30,20 +30,6 @@ func TestDistanceSelfZero(t *testing.T) {
 	}
 }
 
-func TestDistanceSymmetric(t *testing.T) {
-	ts := randTrajs(2, 2, 15, 8)
-	for _, m := range Methods {
-		d1 := Distance(ts[0], ts[1], m)
-		d2 := Distance(ts[1], ts[0], m)
-		if d1 != d2 {
-			t.Errorf("%v: H not symmetric: %v vs %v", m, d1, d2)
-		}
-		if d1 <= 0 {
-			t.Errorf("%v: distinct trajectories at distance %v", m, d1)
-		}
-	}
-}
-
 // The early-break optimization must be exact (Taha & Hanbury compute the
 // same value as the naive scan).
 func TestEarlyBreakEqualsNaiveQuick(t *testing.T) {

@@ -124,28 +124,30 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 // inputs follow DirectedNaive: 0 when A is empty, +Inf when A is
 // non-empty but B is empty.
 func DirectedIndexed(a, b *traj.Packed, c *Counters) float64 {
-	return directedIndexed(a, b, c, nil, nil)
+	return directedIndexed(a, b, 0, c, nil, nil)
 }
 
 // directedIndexed is DirectedIndexed with the cross-direction coupling
-// of DistanceIndexed: rowUB[i], when non-nil, is a proven upper bound
-// on row i's minimum (an exact distance the opposite direction already
-// evaluated), letting the row skip without even its warm evaluation
-// when the bound cannot raise the max; outUB, when non-nil, collects
-// this direction's completed evaluations as column upper bounds
-// (outUB[j] = smallest exact d(·, b_j) seen) for the opposite
-// direction to consume. Both refinements only skip provably
-// irrelevant work, so the returned value is unchanged.
-func directedIndexed(a, b *traj.Packed, c *Counters, rowUB, outUB []float64) float64 {
+// of DistanceIndexed. The running maximum starts at seed instead of 0,
+// so the result is max(seed, h(A→B)), exactly as in directedPruned.
+// rowUB[i], when non-nil, is a proven upper bound on row i's minimum
+// (an exact distance the opposite direction already evaluated),
+// letting the row skip without even its warm evaluation when the bound
+// cannot raise the max. outUB, when non-nil, collects this direction's
+// completed evaluations as column upper bounds (outUB[j] = smallest
+// exact d(·, b_j) seen) for the opposite direction to consume. All
+// three only skip work that provably cannot raise the maximum above
+// seed, so the returned value is max(seed, h(A→B)) whatever they are.
+func directedIndexed(a, b *traj.Packed, seed float64, c *Counters, rowUB, outUB []float64) float64 {
 	na, nb := a.NFrames, b.NFrames
 	if na == 0 {
-		return 0
+		return seed
 	}
 	if nb == 0 {
 		return math.Inf(1)
 	}
 	tree := b.FrameTree()
-	var cmax float64
+	cmax := seed
 	// jstar/dstar chain exactly as in DirectedPruned: a column index
 	// whose distance to the current outer frame is known to be at most
 	// dstar, grown by the step dRMS across rows (triangle inequality).
@@ -268,10 +270,13 @@ func directedIndexed(a, b *traj.Packed, c *Counters, rowUB, outUB []float64) flo
 // returns exactly the same value as DistanceFrames with the Naive
 // method; each side's ball tree is built (and cached on the Packed)
 // the first time it serves as the inner search structure. The two
-// directed passes are coupled: every distance the first pass evaluates
-// to completion is an exact upper bound on one of the second pass's
-// row minima, letting reverse rows skip wholesale — a reduction the
-// independent directed scans of the flat kernels cannot express.
+// directed passes are coupled twice over. Like DistancePacked's they
+// share one running maximum: the reverse pass starts from h(A→B). And
+// every distance the first pass evaluates to completion is an exact
+// upper bound on one of the second pass's row minima, so a reverse row
+// whose bound does not exceed h(A→B) skips wholesale, before even its
+// warm evaluation — a reduction the flat kernels, which keep no column
+// minima, cannot express.
 func DistanceIndexed(a, b *traj.Packed, c *Counters) float64 {
 	var colUB []float64
 	if b.NFrames > 0 {
@@ -280,7 +285,6 @@ func DistanceIndexed(a, b *traj.Packed, c *Counters) float64 {
 			colUB[j] = math.Inf(1)
 		}
 	}
-	h1 := directedIndexed(a, b, c, nil, colUB)
-	h2 := directedIndexed(b, a, c, colUB, nil)
-	return math.Max(h1, h2)
+	h1 := directedIndexed(a, b, 0, c, nil, colUB)
+	return directedIndexed(b, a, h1, c, colUB, nil)
 }

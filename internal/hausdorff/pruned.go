@@ -34,9 +34,11 @@ const boundSlack = 1e-9
 //     Pairs whose bound already reaches the row's running minimum are
 //     dismissed in O(1) using only precomputed per-frame statistics.
 //  2. Bounded evaluation: pairs that survive the bound run through
-//     linalg.DRMSWithin with the running minimum as the bound, so most
-//     of them abandon after a fraction of the atom sum. A completed
-//     evaluation is bit-identical to linalg.DRMS.
+//     linalg.DRMSWithin with the running minimum as the bound, and
+//     abandon once a tested prefix of the atom sum (every eight atoms)
+//     exceeds it — early on diverging paths, near the end of the sum
+//     on tight random walks, where all distances are alike. A
+//     completed evaluation is bit-identical to linalg.DRMS.
 //  3. Temporal coherence: the inner scan starts at the previous outer
 //     frame's argmin (consecutive MD frames have nearby nearest
 //     neighbours, driving the running minimum down immediately), and
@@ -49,14 +51,25 @@ const boundSlack = 1e-9
 // well. Empty inputs follow DirectedNaive: 0 when A is empty, +Inf when
 // A is non-empty but B is empty.
 func DirectedPruned(a, b *traj.Packed, c *Counters) float64 {
+	return directedPruned(a, b, 0, c)
+}
+
+// directedPruned is DirectedPruned with the running maximum started at
+// seed instead of 0: it returns max(seed, h(A→B)). Both devices that
+// compare against the running maximum — the temporal-chain row skip and
+// the Taha & Hanbury break — then fire for every row whose minimum is
+// provably at most seed, which is what DistancePacked's reverse pass
+// uses the forward result for. An empty A returns seed; a non-empty A
+// against an empty B is +Inf whatever the seed.
+func directedPruned(a, b *traj.Packed, seed float64, c *Counters) float64 {
 	na, nb := a.NFrames, b.NFrames
 	if na == 0 {
-		return 0
+		return seed
 	}
 	if nb == 0 {
 		return math.Inf(1)
 	}
-	var cmax float64
+	cmax := seed
 	// jstar anchors the temporal-coherence chain: a column index whose
 	// distance to the current outer frame is known to be at most dstar.
 	// After each scanned row it is the row's argmin with dstar the exact
@@ -125,9 +138,12 @@ func DirectedPruned(a, b *traj.Packed, c *Counters) float64 {
 // DistancePacked computes the symmetric Hausdorff distance
 // H(A,B) = max(h(A→B), h(B→A)) with the pruned kernel, folding
 // frame-pair accounting into c (which may be nil). It returns exactly
-// the same value as DistanceFrames with the Naive method.
+// the same value as DistanceFrames with the Naive method. The two
+// directed passes share one running maximum: the reverse pass starts
+// from h(A→B), since h(B→A) matters only where it exceeds it, so every
+// reverse row whose minimum is at most h(A→B) is skipped or broken off
+// instead of being scanned to its exact minimum (docs/kernels.md, "The
+// symmetric distance").
 func DistancePacked(a, b *traj.Packed, c *Counters) float64 {
-	h1 := DirectedPruned(a, b, c)
-	h2 := DirectedPruned(b, a, c)
-	return math.Max(h1, h2)
+	return directedPruned(b, a, directedPruned(a, b, 0, c), c)
 }

@@ -14,12 +14,13 @@
 #   - wal_records_skipped == 0 on the journal-backed server;
 #   - go_goroutines returns to baseline after each scenario.
 #
-# A third mdworker is then started with MDTASK_FAULTS arming the
-# fleet.unit.execute point — a slowdown, an injected unit failure
-# (exercising the failure-nack requeue), and a process crash
-# (exercising the lease-expiry failure detector) — and the chaos
-# scenario runs with -chaos, which additionally REQUIRES scraped
-# evidence that the faults fired. Latency percentiles are recorded to
+# The healthy workers are then replaced by one mdworker started with
+# MDTASK_FAULTS arming the fleet.unit.execute point — a slowdown, an
+# injected unit failure (exercising the failure-nack requeue), and a
+# process crash (exercising the lease-expiry failure detector) — and
+# the chaos scenario runs with -chaos, which additionally REQUIRES
+# scraped evidence that the faults fired; two fresh healthy workers
+# join once the armed one has crashed and finish the jobs. Latency percentiles are recorded to
 # BENCH_load.json / load_latency.csv but never gate.
 #
 # Every spawned process is reaped from a single trap, so an assertion
@@ -36,10 +37,11 @@ SERVER_PID=""
 W1_PID=""
 W2_PID=""
 W3_PID=""
+LOAD_PID=""
 
 cleanup() {
     status=$?
-    for pid in "$W1_PID" "$W2_PID" "$W3_PID" "$SERVER_PID"; do
+    for pid in "$LOAD_PID" "$W1_PID" "$W2_PID" "$W3_PID" "$SERVER_PID"; do
         [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     done
     wait 2>/dev/null || true
@@ -97,26 +99,61 @@ echo "loadgate: running the non-chaos suite"
     -expect-shed -require-workers -gate \
     -json "$REPORT_DIR/BENCH_load.json" -csv "$REPORT_DIR/load_latency.csv"
 
-# Chaos leg: a third worker armed at the fleet.unit.execute point —
-# its 1st unit is slowed, its 2nd fails (failure nack -> immediate
-# requeue), its 4th crashes the process (exit 137 -> heartbeat expiry
-# -> leases requeued by the failure detector). Armed only now, so the
-# before/after fleet-stat deltas the chaos gate checks are all its own.
+# Chaos leg: a worker armed at the fleet.unit.execute point — its 1st
+# unit is slowed, its 2nd fails (failure nack -> immediate requeue),
+# its 4th crashes the process (exit 137 -> heartbeat expiry -> leases
+# requeued by the failure detector). The faults fire by unit count, so
+# the armed worker must lease four units — and the scenario's ~96 small
+# units last about as long on two healthy workers as one idle poll of a
+# third (200 ms), so beside them it often leased none. It therefore
+# takes the leg's first units alone: the healthy workers deregister
+# before it starts (a clean shutdown, not a lost worker, so the
+# fleet-stat deltas the chaos gate checks are all the armed worker's
+# own), the scenario runs until the armed worker has crashed, and two
+# fresh healthy workers then finish every job, the dead worker's
+# requeued lease included.
 echo "loadgate: running the chaos scenario against a fault-armed worker"
+kill "$W1_PID" "$W2_PID"
+wait "$W1_PID" "$W2_PID" 2>/dev/null || true
+W1_PID=""
+W2_PID=""
+wait_workers 0
 MDTASK_FAULTS='fleet.unit.execute=sleep:50ms@1,fleet.unit.execute=error@2,fleet.unit.execute=crash@4' \
     "$BIN/mdworker" -coordinator "$BASE" -name loadgate-chaos >"$OUT/w3.log" 2>&1 &
 W3_PID=$!
-wait_workers 3
+wait_workers 1
 "$BIN/mdload" -server "$BASE" -scenario chaos \
     -jobs 12 -concurrency 4 -seed 1 \
     -chaos -require-workers -gate \
-    -json "$REPORT_DIR/BENCH_load_chaos.json"
-W3_PID="" # crashed by design; already reaped
+    -json "$REPORT_DIR/BENCH_load_chaos.json" &
+LOAD_PID=$!
 
-# The armed worker must actually have died (crash@4), proving the
-# killed-worker path ran, not just the nack path.
+# The armed worker must actually die at its fourth unit (crash@4),
+# proving the killed-worker path ran, not just the nack path.
+i=0
+while kill -0 "$W3_PID" 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -ge 300 ] && { echo "loadgate: chaos worker never crashed" >&2; exit 1; }
+    sleep 0.1
+done
+status=0
+wait "$W3_PID" || status=$?
+W3_PID=""
+if [ "$status" -ne 137 ]; then
+    echo "loadgate: chaos worker exited $status, want 137 (crash@4)" >&2
+    exit 1
+fi
+echo "loadgate: chaos worker crashed at its 4th unit; attaching 2 healthy workers"
+"$BIN/mdworker" -coordinator "$BASE" -name loadgate-w4 >"$OUT/w4.log" 2>&1 &
+W1_PID=$!
+"$BIN/mdworker" -coordinator "$BASE" -name loadgate-w5 >"$OUT/w5.log" 2>&1 &
+W2_PID=$!
+wait "$LOAD_PID"
+LOAD_PID=""
+
+# ... and the coordinator must have noticed: the crash is a lost worker.
 if [ "$(curl -fsS "$BASE/v1/fleet" | jq -r .workers_lost)" -lt 1 ]; then
-    echo "loadgate: chaos worker never crashed (workers_lost == 0)" >&2
+    echo "loadgate: chaos worker's crash went unnoticed (workers_lost == 0)" >&2
     exit 1
 fi
 
