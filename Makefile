@@ -4,7 +4,7 @@ SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
+.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
 
 build:
 	$(GO) build ./...
@@ -122,6 +122,19 @@ bench-json:
 bench-gate:
 	MDTASK_BENCH_JSON=$(BENCH_CURRENT) $(GO) test -count=1 ./internal/bench/ -run TestWriteBenchPSAJSON
 	$(GO) run ./cmd/benchgate -baseline $(CURDIR)/BENCH_psa.json -current $(BENCH_CURRENT)
+
+# The end-to-end benchmark of BENCHMARK.json: every workload once, the
+# end-to-end metrics by name (benchmark/README.md; time is measured here
+# and only here). BENCHMARK_ARGS passes flags through, e.g.
+# `make benchmark BENCHMARK_ARGS="-workload psa-cold -seed 7 -out a.jsonl"`.
+benchmark:
+	bash benchmark/run.sh $(BENCHMARK_ARGS)
+
+# Compare two sets of runs written with -out (A: the parent's, B: the
+# change's); exits 1 on any out-of-bound worsening.
+benchmark-compare:
+	@[ -n "$(A)" ] && [ -n "$(B)" ] || { echo "usage: make benchmark-compare A=parent.jsonl B=change.jsonl" >&2; exit 2; }
+	bash benchmark/run.sh -compare $(A) $(B)
 
 # CI gate for the production load harness: mdserver (small queue,
 # journal) + 2 healthy mdworkers run the full non-chaos scenario suite

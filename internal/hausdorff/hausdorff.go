@@ -205,27 +205,60 @@ func DirectedEarlyBreak(a, b [][]linalg.Vec3) float64 {
 // that shows it. Seeding the reverse pass with the forward pass's
 // result is how the symmetric distance carries one running maximum
 // across both directions (docs/kernels.md, "The symmetric distance").
+// The probe row is scanned before the others (probeRow); this kernel
+// has no start column, so its rows all scan from column 0.
 func directedEarlyBreak(a, b [][]linalg.Vec3, seed float64, c *Counters) float64 {
-	cmax := seed
-	for _, fa := range a {
-		cmin := math.Inf(1)
-		for j, fb := range b {
-			c.eval()
-			d := linalg.DRMS(fa, fb)
-			if d < cmax {
-				cmin = d
-				c.prune(int64(len(b) - j - 1))
-				break
-			}
-			if d < cmin {
-				cmin = d
-			}
-		}
-		if cmin > cmax {
-			cmax = cmin
+	if len(a) == 0 {
+		return seed
+	}
+	probe, _ := probeRow(len(a), len(b))
+	cmax := earlyBreakRow(a[probe], b, seed, c)
+	for i, fa := range a {
+		if i != probe {
+			cmax = earlyBreakRow(fa, b, cmax, c)
 		}
 	}
 	return cmax
+}
+
+// earlyBreakRow scans one row of a directed pass whose running maximum
+// is cmax and returns the running maximum after it.
+func earlyBreakRow(fa []linalg.Vec3, b [][]linalg.Vec3, cmax float64, c *Counters) float64 {
+	cmin := math.Inf(1)
+	for j, fb := range b {
+		c.eval()
+		d := linalg.DRMS(fa, fb)
+		if d < cmax {
+			c.prune(int64(len(b) - j - 1))
+			return cmax
+		}
+		if d < cmin {
+			cmin = d
+		}
+	}
+	if cmin > cmax {
+		cmax = cmin
+	}
+	return cmax
+}
+
+// probeRow is the visiting order every non-naive kernel shares: the row
+// of an na × nb directed pass that is scanned to its exact minimum
+// before the sequential sweep of the others, and the column its inner
+// scan starts at. The early break and the row skip only fire against a
+// running maximum that is already large, and a sweep from row 0 builds
+// it up one row at a time; a row scanned first hands the sweep its
+// minimum, so nearly every other row stops at its first evaluation.
+// The maximum over rows does not depend on the order they are visited
+// in, so any row would be exact. The last one is chosen because a
+// diverging path realises its directed distance at an end and the
+// sweep, anchored at row 0, learns about the far end last; the
+// proportional column is where B is as far along as the probe is along
+// A. One probe, not two, and not an option: docs/kernels.md, "Row
+// order: probe first", has the measurements.
+func probeRow(na, nb int) (row, col int) {
+	row = na - 1
+	return row, row * nb / na
 }
 
 // Frames extracts the coordinate view of a trajectory for the distance

@@ -117,7 +117,9 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 //     with the running minimum.
 //
 // The Taha & Hanbury early break applies as in DirectedPruned: once the
-// row's minimum drops below the running maximum the row is dismissed.
+// row's minimum drops below the running maximum the row is dismissed —
+// and, as there, the probe row is visited first (probeRow), so the
+// sweep starts with the running maximum already near h(A→B).
 // Frame-pair accounting lands in the same three buckets as every other
 // method (Evaluated + Pruned + Abandoned = |A|·|B| per directed call);
 // node accounting lands in NodesVisited/NodesPruned on top. Empty
@@ -138,6 +140,9 @@ func DirectedIndexed(a, b *traj.Packed, c *Counters) float64 {
 // exact d(·, b_j) seen) for the opposite direction to consume. All
 // three only skip work that provably cannot raise the maximum above
 // seed, so the returned value is max(seed, h(A→B)) whatever they are.
+// The visiting order is directedPruned's: the probe row first, on a
+// chain of its own but under the same rowUB test and feeding the same
+// outUB, then rows 0…na−1 with the probed row stepped over.
 func directedIndexed(a, b *traj.Packed, seed float64, c *Counters, rowUB, outUB []float64) float64 {
 	na, nb := a.NFrames, b.NFrames
 	if na == 0 {
@@ -146,122 +151,150 @@ func directedIndexed(a, b *traj.Packed, seed float64, c *Counters, rowUB, outUB 
 	if nb == 0 {
 		return math.Inf(1)
 	}
-	tree := b.FrameTree()
-	cmax := seed
-	// jstar/dstar chain exactly as in DirectedPruned: a column index
+	s := indexedScan{a: a, b: b, tree: b.FrameTree(), c: c, rowUB: rowUB, outUB: outUB}
+	// The descent frontier is reused from row to row, with whatever
+	// capacity earlier rows grew it to.
+	frontier := make([]nodeItem, 0, 64)
+	probe, col := probeRow(na, nb)
+	cmax, _, _, frontier := s.row(frontier, probe, col, math.Inf(1), seed)
+	// jstar/dstar chain exactly as in directedPruned: a column index
 	// whose distance to the current outer frame is known to be at most
 	// dstar, grown by the step dRMS across rows (triangle inequality).
 	jstar := 0
 	dstar := math.Inf(1)
-	frontier := make([]nodeItem, 0, 64)
 	for i := 0; i < na; i++ {
 		if i > 0 {
 			dstar += a.StepDRMS[i]
 			dstar += dstar * boundSlack
 		}
-		rowBound := dstar
-		if rowUB != nil && rowUB[i] < rowBound {
-			rowBound = rowUB[i]
-		}
-		if rowBound <= cmax {
-			// Row skip: the row's minimum is provably ≤ cmax — through
-			// the temporal chain (≤ dstar) or an exact distance the
-			// opposite direction evaluated (≤ rowUB[i]) — so it cannot
-			// raise the max.
-			c.prune(int64(nb))
+		if i == probe {
 			continue
 		}
-		rowA := a.Row(i)
-		ca := a.Centroids[i]
-		ra := a.RadGyr[i]
-		q := balltree.Point4{ca[0], ca[1], ca[2], ra}
-		// Warm start: an evaluation against an infinite bound always
-		// completes, so cmin is exact from the first pair on.
-		warm := jstar
-		d, _ := linalg.DRMSWithin(rowA, b.Row(warm), math.Inf(1))
-		c.eval()
-		if outUB != nil && d < outUB[warm] {
-			outUB[warm] = d
-		}
-		cmin, argmin := d, warm
-		settled := 1
-		if cmin >= cmax && settled < nb {
-			frontier = frontier[:0]
-			frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[0]), 0})
-			for len(frontier) > 0 {
-				var top nodeItem
-				top, frontier = heapPop(frontier)
-				if top.lb >= cmin {
-					// The smallest frontier bound cannot lower the running
-					// minimum, so no remaining candidate can: dismiss them
-					// all. Unsettled pairs are accounted below.
-					nn := remainingNodes(frontier)
-					if top.id >= 0 {
-						nn++
-					}
-					c.pruneNodes(nn)
-					break
-				}
-				if top.id < 0 {
-					// Pair candidate: its bound is the smallest remaining.
-					j := int(^top.id)
-					dj, ok := linalg.DRMSWithin(rowA, b.Row(j), cmin)
-					settled++
-					if !ok {
-						c.abandon()
-						continue
-					}
-					c.eval()
-					if outUB != nil && dj < outUB[j] {
-						outUB[j] = dj
-					}
-					if dj < cmin {
-						cmin, argmin = dj, j
-					}
-					if cmin < cmax {
-						// Taha & Hanbury: the row cannot raise the max.
-						c.pruneNodes(remainingNodes(frontier))
-						break
-					}
-					continue
-				}
-				c.visitNode()
-				n := &tree.Nodes[top.id]
-				if !n.Leaf() {
-					frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[n.Left]), n.Left})
-					frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[n.Right]), n.Right})
-					continue
-				}
-				for _, ix := range tree.Perm[n.Start:n.End] {
-					j := int(ix)
-					if j == warm {
-						continue // settled by the warm start
-					}
-					dc := ca.Sub(b.Centroids[j])
-					dr := ra - b.RadGyr[j]
-					lb2 := dc.Norm2() + dr*dr
-					lb2 -= lb2 * (2 * boundSlack)
-					if lb2 >= cmin*cmin {
-						c.prune(1)
-						settled++
-						continue
-					}
-					frontier = heapPush(frontier, nodeItem{math.Sqrt(lb2), ^int32(j)})
-				}
-			}
-		}
-		if settled < nb {
-			// Pairs dismissed wholesale — by a node bound, the early
-			// break, or the warm start undercutting cmax — without being
-			// touched individually.
-			c.prune(int64(nb - settled))
-		}
-		jstar, dstar = argmin, cmin
-		if cmin > cmax {
-			cmax = cmin
-		}
+		cmax, jstar, dstar, frontier = s.row(frontier, i, jstar, dstar, cmax)
 	}
 	return cmax
+}
+
+// indexedScan is what the rows of one directedIndexed call share and
+// none of them changes: the two sides, B's tree, the counters and the
+// cross-direction bounds.
+type indexedScan struct {
+	a, b         *traj.Packed
+	tree         *balltree.FrameTree
+	c            *Counters
+	rowUB, outUB []float64
+}
+
+// row is prunedRow for the indexed kernel: it visits row i given the
+// chain anchor (jstar, dstar) and the running maximum cmax, and returns
+// the running maximum after the row with the anchor the row leaves
+// behind. frontier is scratch space for the descent, handed back for
+// the next row (passed rather than kept in s so it can stay on the
+// caller's stack).
+func (s *indexedScan) row(frontier []nodeItem, i, jstar int, dstar, cmax float64) (float64, int, float64, []nodeItem) {
+	a, b, tree, c, outUB := s.a, s.b, s.tree, s.c, s.outUB
+	nb := b.NFrames
+	rowBound := dstar
+	if s.rowUB != nil && s.rowUB[i] < rowBound {
+		rowBound = s.rowUB[i]
+	}
+	if rowBound <= cmax {
+		// Row skip: the row's minimum is provably ≤ cmax — through
+		// the temporal chain (≤ dstar) or an exact distance the
+		// opposite direction evaluated (≤ rowUB[i]) — so it cannot
+		// raise the max.
+		c.prune(int64(nb))
+		return cmax, jstar, dstar, frontier
+	}
+	rowA := a.Row(i)
+	ca := a.Centroids[i]
+	ra := a.RadGyr[i]
+	q := balltree.Point4{ca[0], ca[1], ca[2], ra}
+	// Warm start: an evaluation against an infinite bound always
+	// completes, so cmin is exact from the first pair on.
+	warm := jstar
+	d, _ := linalg.DRMSWithin(rowA, b.Row(warm), math.Inf(1))
+	c.eval()
+	if outUB != nil && d < outUB[warm] {
+		outUB[warm] = d
+	}
+	cmin, argmin := d, warm
+	settled := 1
+	if cmin >= cmax && settled < nb {
+		frontier = frontier[:0]
+		frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[0]), 0})
+		for len(frontier) > 0 {
+			var top nodeItem
+			top, frontier = heapPop(frontier)
+			if top.lb >= cmin {
+				// The smallest frontier bound cannot lower the running
+				// minimum, so no remaining candidate can: dismiss them
+				// all. Unsettled pairs are accounted below.
+				nn := remainingNodes(frontier)
+				if top.id >= 0 {
+					nn++
+				}
+				c.pruneNodes(nn)
+				break
+			}
+			if top.id < 0 {
+				// Pair candidate: its bound is the smallest remaining.
+				j := int(^top.id)
+				dj, ok := linalg.DRMSWithin(rowA, b.Row(j), cmin)
+				settled++
+				if !ok {
+					c.abandon()
+					continue
+				}
+				c.eval()
+				if outUB != nil && dj < outUB[j] {
+					outUB[j] = dj
+				}
+				if dj < cmin {
+					cmin, argmin = dj, j
+				}
+				if cmin < cmax {
+					// Taha & Hanbury: the row cannot raise the max.
+					c.pruneNodes(remainingNodes(frontier))
+					break
+				}
+				continue
+			}
+			c.visitNode()
+			n := &tree.Nodes[top.id]
+			if !n.Leaf() {
+				frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[n.Left]), n.Left})
+				frontier = heapPush(frontier, nodeItem{frameNodeBound(q, &tree.Nodes[n.Right]), n.Right})
+				continue
+			}
+			for _, ix := range tree.Perm[n.Start:n.End] {
+				j := int(ix)
+				if j == warm {
+					continue // settled by the warm start
+				}
+				dc := ca.Sub(b.Centroids[j])
+				dr := ra - b.RadGyr[j]
+				lb2 := dc.Norm2() + dr*dr
+				lb2 -= lb2 * (2 * boundSlack)
+				if lb2 >= cmin*cmin {
+					c.prune(1)
+					settled++
+					continue
+				}
+				frontier = heapPush(frontier, nodeItem{math.Sqrt(lb2), ^int32(j)})
+			}
+		}
+	}
+	if settled < nb {
+		// Pairs dismissed wholesale — by a node bound, the early
+		// break, or the warm start undercutting cmax — without being
+		// touched individually.
+		c.prune(int64(nb - settled))
+	}
+	if cmin > cmax {
+		cmax = cmin
+	}
+	return cmax, argmin, cmin, frontier
 }
 
 // DistanceIndexed computes the symmetric Hausdorff distance

@@ -48,8 +48,11 @@ const boundSlack = 1e-9
 //     does not exceed the running maximum cannot raise it.
 //
 // The Taha & Hanbury early break of DirectedEarlyBreak is applied as
-// well. Empty inputs follow DirectedNaive: 0 when A is empty, +Inf when
-// A is non-empty but B is empty.
+// well, and like it the pass visits its probe row first (probeRow), so
+// that the break and the row skip compare against a running maximum
+// that is near h(A→B) from the first swept row on. Empty inputs follow
+// DirectedNaive: 0 when A is empty, +Inf when A is non-empty but B is
+// empty.
 func DirectedPruned(a, b *traj.Packed, c *Counters) float64 {
 	return directedPruned(a, b, 0, c)
 }
@@ -61,6 +64,12 @@ func DirectedPruned(a, b *traj.Packed, c *Counters) float64 {
 // provably at most seed, which is what DistancePacked's reverse pass
 // uses the forward result for. An empty A returns seed; a non-empty A
 // against an empty B is +Inf whatever the seed.
+//
+// The probe row is visited before the sweep, on a chain of its own
+// (dstar = +Inf: nothing is known about it yet, so only a +Inf seed
+// skips it), and the sweep then runs rows 0…na−1 in order, its chain
+// starting at row 0 and stepping over the probed row as over any
+// skipped row.
 func directedPruned(a, b *traj.Packed, seed float64, c *Counters) float64 {
 	na, nb := a.NFrames, b.NFrames
 	if na == 0 {
@@ -69,7 +78,8 @@ func directedPruned(a, b *traj.Packed, seed float64, c *Counters) float64 {
 	if nb == 0 {
 		return math.Inf(1)
 	}
-	cmax := seed
+	probe, col := probeRow(na, nb)
+	cmax, _, _ := prunedRow(a, b, probe, col, math.Inf(1), seed, c)
 	// jstar anchors the temporal-coherence chain: a column index whose
 	// distance to the current outer frame is known to be at most dstar.
 	// After each scanned row it is the row's argmin with dstar the exact
@@ -82,57 +92,70 @@ func directedPruned(a, b *traj.Packed, seed float64, c *Counters) float64 {
 			dstar += a.StepDRMS[i]
 			dstar += dstar * boundSlack
 		}
-		if dstar <= cmax {
-			// Row skip: min over b of d(a_i, ·) ≤ d(a_i, b_jstar) ≤ dstar
-			// ≤ cmax, so this row cannot raise the max.
-			c.prune(int64(nb))
+		if i == probe {
 			continue
 		}
-		rowA := a.Row(i)
-		ca := a.Centroids[i]
-		ra := a.RadGyr[i]
-		cmin := math.Inf(1)
-		argmin := jstar
-		for k := 0; k < nb; k++ {
-			j := jstar + k
-			if j >= nb {
-				j -= nb
-			}
-			dc := ca.Sub(b.Centroids[j])
-			dr := ra - b.RadGyr[j]
-			lb2 := dc.Norm2() + dr*dr
-			lb2 -= lb2 * (2 * boundSlack)
-			if lb2 >= cmin*cmin {
-				// The pair provably cannot lower the running minimum.
-				c.prune(1)
-				continue
-			}
-			d, ok := linalg.DRMSWithin(rowA, b.Row(j), cmin)
-			if !ok {
-				c.abandon()
-				continue
-			}
-			c.eval()
-			if d < cmin {
-				cmin, argmin = d, j
-			}
-			if cmin < cmax {
-				// Taha & Hanbury: the row's minimum is already below the
-				// running maximum, so the row cannot raise it.
-				c.prune(int64(nb - k - 1))
-				break
-			}
-		}
-		// cmin is the exact distance to argmin: the first surviving pair
-		// of a row always completes (nothing skips or abandons against an
-		// infinite minimum), and updates thereafter are completed
-		// evaluations.
-		jstar, dstar = argmin, cmin
-		if cmin > cmax {
-			cmax = cmin
-		}
+		cmax, jstar, dstar = prunedRow(a, b, i, jstar, dstar, cmax, c)
 	}
 	return cmax
+}
+
+// prunedRow visits row i of a directed pass whose running maximum is
+// cmax, given a column jstar known to lie within dstar of the row's
+// frame. It returns the running maximum after the row and the chain
+// anchor the row leaves behind: its argmin and exact minimum when it was
+// scanned, jstar and dstar unchanged when it was skipped.
+func prunedRow(a, b *traj.Packed, i, jstar int, dstar, cmax float64, c *Counters) (float64, int, float64) {
+	nb := b.NFrames
+	if dstar <= cmax {
+		// Row skip: min over b of d(a_i, ·) ≤ d(a_i, b_jstar) ≤ dstar
+		// ≤ cmax, so this row cannot raise the max.
+		c.prune(int64(nb))
+		return cmax, jstar, dstar
+	}
+	rowA := a.Row(i)
+	ca := a.Centroids[i]
+	ra := a.RadGyr[i]
+	cmin := math.Inf(1)
+	argmin := jstar
+	for k := 0; k < nb; k++ {
+		j := jstar + k
+		if j >= nb {
+			j -= nb
+		}
+		dc := ca.Sub(b.Centroids[j])
+		dr := ra - b.RadGyr[j]
+		lb2 := dc.Norm2() + dr*dr
+		lb2 -= lb2 * (2 * boundSlack)
+		if lb2 >= cmin*cmin {
+			// The pair provably cannot lower the running minimum.
+			c.prune(1)
+			continue
+		}
+		d, ok := linalg.DRMSWithin(rowA, b.Row(j), cmin)
+		if !ok {
+			c.abandon()
+			continue
+		}
+		c.eval()
+		if d < cmin {
+			cmin, argmin = d, j
+		}
+		if cmin < cmax {
+			// Taha & Hanbury: the row's minimum is already below the
+			// running maximum, so the row cannot raise it.
+			c.prune(int64(nb - k - 1))
+			break
+		}
+	}
+	// cmin is the exact distance to argmin: the first surviving pair
+	// of a row always completes (nothing skips or abandons against an
+	// infinite minimum), and updates thereafter are completed
+	// evaluations.
+	if cmin > cmax {
+		cmax = cmin
+	}
+	return cmax, argmin, cmin
 }
 
 // DistancePacked computes the symmetric Hausdorff distance

@@ -38,7 +38,7 @@ type engineRow struct {
 	leaflet func(shared *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, approach leaflet.Approach, parent obs.SpanContext) (*leaflet.Result, error)
 	// leafletPlan, when set, replaces leaflet.PlanTasks for engines
 	// whose leaflet body schedules a fixed dataflow whatever the
-	// approach.
+	// approach, or records more tasks than leaflet.Run hands it.
 	leafletPlan func(spec Spec, nAtoms int) int
 }
 
@@ -60,6 +60,7 @@ var engineTable = map[string]engineRow{
 		executor: func(p int, cancel func() bool) engine.Executor {
 			return dask.NewExecutor(dask.NewClient(p), cancel)
 		},
+		leafletPlan: planDaskGraph,
 	},
 	EngineMPI: {
 		executor: func(p int, cancel func() bool) engine.Executor {
@@ -73,6 +74,29 @@ var engineTable = map[string]engineRow{
 
 // plan2D plans the engines that run every approach over the 2-D tiling.
 func plan2D(spec Spec, nAtoms int) int { return len(leaflet.Plan2D(nAtoms, spec.Tasks)) }
+
+// planDaskGraph plans a dask Leaflet job by the nodes of the graph
+// dask.Executor builds, since every node records as a task: Broadcast
+// adds one scatter node to the row chunks, and Reduce folds its N tile
+// nodes through a bag — N fold-accumulate and N−1 fold-combine nodes on
+// top. Progress is tasks ÷ planned, so planning the tiles alone pinned
+// it at its clamp a third of the way in.
+func planDaskGraph(spec Spec, nAtoms int) int {
+	approach, _, err := ParseApproach(spec.Approach)
+	if err != nil {
+		return 0
+	}
+	n := leaflet.PlanTasks(approach, nAtoms, spec.Tasks)
+	switch approach {
+	case leaflet.Broadcast1D:
+		return n + 1
+	case leaflet.ParallelCC, leaflet.TreeSearch:
+		if n > 0 { // Reduce builds no graph for zero tasks
+			return 3*n - 1
+		}
+	}
+	return n
+}
 
 // NewExecutor brings up the named engine's executor for one run.
 // Staged engines (pilot, fleet) run no closures and have none.

@@ -363,3 +363,54 @@ func TestJobEntryEvictionByByteBudget(t *testing.T) {
 		t.Errorf("cache accounting: hits=%d misses=%d", m.CacheHits, m.CacheMisses)
 	}
 }
+
+// A dask Leaflet job records every graph node as a task — tiles, bag
+// fold and scatter — so its plan must count them too: progress
+// (tasks ÷ planned) then climbs monotonically over the whole run and
+// passes 0.9 only in the last tenth of the tasks, where planning the
+// tiles alone pinned it at the 0.99 clamp a third of the way in.
+func TestDaskLeafletProgressTracksTasks(t *testing.T) {
+	for _, approach := range []string{"broadcast", "parallel-cc", "tree"} {
+		t.Run(approach, func(t *testing.T) {
+			s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
+			defer s.Close()
+			job, err := s.Submit(Spec{
+				Analysis: AnalysisLeaflet, Engine: EngineDask, Approach: approach,
+				Parallelism: 2, Tasks: 64, Synth: &SynthSpec{Atoms: 6000, Seed: 5},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var samples []Status
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				st := job.Status()
+				samples = append(samples, st)
+				if st.State.Terminal() {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job stuck in %s", st.State)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+			final := samples[len(samples)-1]
+			if final.State != StateDone || final.Progress != 1 {
+				t.Fatalf("job finished %s at progress %v (error %q)", final.State, final.Progress, final.Error)
+			}
+			if int64(final.TasksTotal) != final.Metrics.Tasks {
+				t.Fatalf("planned %d tasks, ran %d", final.TasksTotal, final.Metrics.Tasks)
+			}
+			var last float64
+			for _, st := range samples {
+				if st.Progress < last {
+					t.Fatalf("progress fell from %v to %v", last, st.Progress)
+				}
+				last = st.Progress
+				if st.Progress > 0.9 && 10*st.TasksDone <= 9*final.Metrics.Tasks {
+					t.Fatalf("progress %v with %d of %d tasks done", st.Progress, st.TasksDone, final.Metrics.Tasks)
+				}
+			}
+		})
+	}
+}
