@@ -87,11 +87,13 @@ smoke-stream:
 	sh scripts/smoke_stream.sh
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
-# corpora live in the packages' testdata/fuzz): the trajectory decoders,
-# then the differential tests of the Hausdorff exactness contract — every
-# method, in memory and streamed, bit-identical to naive, and the same
-# adversarial inputs through every engine and both schedules.
+# corpora live in the packages' testdata/fuzz): the job-spec decoder and
+# normalization, the trajectory decoders, then the differential tests of
+# the Hausdorff exactness contract — every method, in memory and
+# streamed, bit-identical to naive, and the same adversarial inputs
+# through every engine and both schedules.
 fuzz:
+	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/

@@ -262,9 +262,12 @@ func NewPool(workers int, m *Metrics) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // ForEach runs fn(i) for i in [0, n) on the pool's workers and returns
-// the first error (including recovered panics). All n iterations are
-// attempted even after an error so that partial results are complete;
-// only cancellation stops iterations from being handed out.
+// the error (including recovered panics) of the lowest failing index —
+// the one a sequential loop would have stopped at, whatever order the
+// workers happened to fail in. All n iterations are attempted even
+// after an error so that partial results are complete; only
+// cancellation stops iterations from being handed out, and it reports
+// ErrCancelled as the error of the first index it withheld.
 func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -274,11 +277,19 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		workers = n
 	}
 	var (
-		next    int64 = -1
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		first   error
+		next     int64 = -1
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstIdx = n
+		first    error
 	)
+	fail := func(i int, err error) {
+		mu.Lock()
+		if i < firstIdx {
+			firstIdx, first = i, err
+		}
+		mu.Unlock()
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -289,11 +300,11 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 					return
 				}
 				if p.Cancel != nil && p.Cancel() {
-					errOnce.Do(func() { first = ErrCancelled })
+					fail(i, ErrCancelled)
 					return
 				}
 				if err := RunTask(p.metrics, i, func() error { return fn(i) }); err != nil {
-					errOnce.Do(func() { first = err })
+					fail(i, err)
 				}
 			}
 		}()

@@ -48,6 +48,28 @@ func TestPoolErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestPoolErrorLowestIndex: the error ForEach returns is the lowest
+// failing index's, even when a higher index failed first in time.
+func TestPoolErrorLowestIndex(t *testing.T) {
+	p := NewPool(2, nil)
+	late, early := errors.New("index 2"), errors.New("index 5")
+	fiveFailed := make(chan struct{})
+	err := p.ForEach(8, func(i int) error {
+		switch i {
+		case 2:
+			<-fiveFailed // the other worker runs 3, 4, 5 meanwhile
+			return late
+		case 5:
+			close(fiveFailed)
+			return early
+		}
+		return nil
+	})
+	if err != late {
+		t.Fatalf("err = %v, want %v", err, late)
+	}
+}
+
 func TestPoolPanicCapture(t *testing.T) {
 	m := &Metrics{}
 	p := NewPool(2, m)

@@ -252,12 +252,16 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 		if (opts.Method == hausdorff.Pruned || opts.Method == hausdorff.Indexed) && opts.MaxResidentFrames == 0 {
 			// Both kernels read the packed representation (contiguous
 			// frames + per-frame pruning statistics). Build it once up
-			// front, O(F·N) per trajectory, so no timed kernel task pays
-			// for it and concurrent tasks never pack the same trajectory
-			// twice. Runs after the cache lookup: a cache hit never packs.
-			// The streamed kernel packs windows on the fly instead.
-			for _, t := range in.Ens {
-				t.Packed()
+			// front, O(F·N) per trajectory and one task per trajectory,
+			// so no timed kernel task pays for it and concurrent tasks
+			// never pack the same trajectory twice. Runs after the cache
+			// lookup: a cache hit never packs. The streamed kernel packs
+			// windows on the fly instead.
+			if err := engine.NewPool(0, nil).ForEach(len(in.Ens), func(i int) error {
+				in.Ens[i].Packed()
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 		}
 		ex := row.executor(spec.Parallelism, rc.Cancelled)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
@@ -92,26 +93,35 @@ func ResolveInput(spec Spec) (*Input, error) {
 }
 
 // resolveEnsemble reads a directory of .mdt files (sorted by name) or
-// generates a random-walk ensemble.
+// generates a random-walk ensemble, one task per trajectory on a
+// GOMAXPROCS pool. Each member is a pure function of its own (seed,
+// stream) or file, so the ensemble is the same whatever the schedule,
+// and a failure names the lowest failing file, as a sequential loop
+// would.
 func resolveEnsemble(spec Spec) (traj.Ensemble, error) {
+	var (
+		n      int
+		member func(i int) (*traj.Trajectory, error)
+	)
 	if g := spec.Synth; g != nil {
-		ens := make(traj.Ensemble, g.Count)
-		for i := range ens {
-			ens[i] = synth.Walk(fmt.Sprintf("synth-%03d", i), g.Atoms, g.Frames, g.Seed, uint64(i))
+		n = g.Count
+		member = func(i int) (*traj.Trajectory, error) {
+			return synth.Walk(fmt.Sprintf("synth-%03d", i), g.Atoms, g.Frames, g.Seed, uint64(i)), nil
 		}
-		return ens, nil
-	}
-	paths, err := ensemblePaths(spec.Path)
-	if err != nil {
-		return nil, err
-	}
-	ens := make(traj.Ensemble, 0, len(paths))
-	for _, p := range paths {
-		t, err := traj.ReadMDTFile(p)
+	} else {
+		paths, err := ensemblePaths(spec.Path)
 		if err != nil {
 			return nil, err
 		}
-		ens = append(ens, t)
+		n = len(paths)
+		member = func(i int) (*traj.Trajectory, error) { return traj.ReadMDTFile(paths[i]) }
+	}
+	ens := make(traj.Ensemble, n)
+	if err := engine.NewPool(0, nil).ForEach(n, func(i int) (err error) {
+		ens[i], err = member(i)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return ens, nil
 }
@@ -167,13 +177,20 @@ func resolveCoords(spec Spec) ([]linalg.Vec3, error) {
 // refsDigest hashes an ensemble as the ordered list of its members'
 // content digests. Each member digests streamed or in-memory data
 // identically (traj.Ref.Digest), so streamed and in-memory submissions
-// of the same input share one cache entry. The cost is one full scan of
-// on-disk data per submission (content addressing cannot be had for
-// less without trusting file metadata); callers that cannot afford the
-// scan on the submit path should run through RunLocal, which never
-// digests.
+// of the same input share one cache entry. The members are hashed as
+// one task each on a GOMAXPROCS pool and composed in ensemble order, so
+// the digest does not depend on the schedule and a failure names the
+// lowest failing member. The cost is still one full scan of on-disk
+// data per submission, spread over the cores (content addressing
+// cannot be had for less without trusting file metadata); callers that
+// cannot afford the scan on the submit path should run through
+// RunLocal, which never digests.
 func refsDigest(refs traj.RefEnsemble) (string, error) {
-	ds, err := refs.Digests()
+	ds := make([]string, len(refs))
+	err := engine.NewPool(0, nil).ForEach(len(refs), func(i int) (err error) {
+		ds[i], err = refs[i].Digest()
+		return err
+	})
 	if err != nil {
 		return "", err
 	}

@@ -323,13 +323,15 @@ func (s *Scheduler) registerMetrics() {
 func (s *Scheduler) Obs() *obs.Obs { return s.obs }
 
 // Submit validates and enqueues a job. The input is resolved (loaded or
-// generated) synchronously so the result cache can be consulted
-// immediately: an identical earlier submission completes the job on the
-// spot, without touching the queue or any engine. The tradeoff is that
-// the caller's goroutine pays for input loading and hashing, and each
-// queued job holds its input in memory until a worker picks it up —
-// QueueDepth bounds that multiplier, and an overloaded (or closed)
-// scheduler rejects submissions before resolving their input.
+// generated) and content-digested before Submit returns, so the result
+// cache can be consulted and the cache key journaled at admission: an
+// identical earlier submission completes the job on the spot, without
+// touching the queue or any engine. The caller waits for that staging,
+// which runs one task per trajectory across GOMAXPROCS cores (load or
+// generate, then digest), and each queued job holds its input in memory
+// until a worker picks it up — QueueDepth bounds that multiplier, and
+// an overloaded (or closed) scheduler rejects submissions before
+// resolving their input.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	norm, err := spec.Normalized()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"mdtask/internal/obs"
@@ -22,6 +23,16 @@ type ServerOptions struct {
 	// submissions are rejected with 413 before the decoder buffers them
 	// (< 1: DefaultMaxSpecBytes).
 	MaxSpecBytes int64
+}
+
+// decodeSpec decodes a POST /v1/jobs body: one JSON spec, unknown
+// fields rejected.
+func decodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // NewServer wraps a scheduler in the mdserver HTTP JSON API with
@@ -55,10 +66,8 @@ func NewServerWith(s *Scheduler, o ServerOptions) http.Handler {
 		// balloon server memory. MaxBytesReader also closes the
 		// connection once the limit trips, ending the upload.
 		r.Body = http.MaxBytesReader(w, r.Body, o.MaxSpecBytes)
-		var spec Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(r.Body)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeError(w, http.StatusRequestEntityTooLarge,

@@ -313,6 +313,31 @@ func TestAPISpecBodyBound(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsOversizedSynth is the regression test for a one-request
+// server kill: a synth spec whose coordinates cannot fit used to reach
+// synth.Walk on the submit path and end in a fatal (unrecoverable) out
+// of memory. It must answer 400 without admitting anything, and the
+// server must go on running the next valid job.
+func TestAPIRejectsOversizedSynth(t *testing.T) {
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	for _, body := range []string{
+		`{"analysis":"psa","synth":{"atoms":1099511627776,"frames":2}}`,
+		`{"analysis":"leaflet","synth":{"atoms":1099511627776}}`,
+	} {
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds") {
+			t.Fatalf("%s: got %d (%s), want 400 naming the ceiling", body, code, raw)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("oversized synth admitted %d job(s)", n)
+	}
+	st := pollJob(t, ts.URL, submitJob(t, ts.URL, validPSASpec()).ID)
+	if st.State != StateDone {
+		t.Fatalf("valid job after the rejection: %s (%s)", st.State, st.Error)
+	}
+}
+
 // TestAPIListAndHealth covers GET /v1/jobs and /healthz.
 func TestAPIListAndHealth(t *testing.T) {
 	ts, _ := newTestServer(t, DefaultRegistry(), Options{Workers: 1})

@@ -230,6 +230,33 @@ func (s Spec) Normalized() (Spec, error) {
 	return s, nil
 }
 
+// MaxSynthBytes bounds what one synth spec may ask the server to
+// generate: a PSA ensemble's coordinate payload (count × frames × atoms
+// × 24 B) and its count × count float64 distance matrix, and a Leaflet
+// membrane's coordinates (atoms × 24 B). Generation runs on the submit
+// path, and an allocation the machine cannot satisfy is a fatal runtime
+// error, not a recoverable panic, so one oversized POST would otherwise
+// kill the server. 1 GiB admits every paper preset: a large (13364 ×
+// 102) ensemble of up to 32 trajectories, and the 4M-atom membrane
+// (96 MB). It bounds the input, not the run: a job's resident set is a
+// small multiple of its payload (frames plus the packed copy), and a
+// Leaflet run's neighbour graph is larger still.
+const MaxSynthBytes = 1 << 30
+
+// synthFits reports whether 24 B (one Vec3) times every factor stays
+// within MaxSynthBytes, checking each step before it could overflow.
+// Factors are positive (normalization has filled the defaults).
+func synthFits(factors ...int) bool {
+	n := int64(24)
+	for _, f := range factors {
+		if int64(f) > MaxSynthBytes/n {
+			return false
+		}
+		n *= int64(f)
+	}
+	return true
+}
+
 // normalizedPSASynth fills a PSA generator spec's defaults.
 func normalizedPSASynth(g SynthSpec) (SynthSpec, error) {
 	if g.Preset != "" {
@@ -253,6 +280,12 @@ func normalizedPSASynth(g SynthSpec) (SynthSpec, error) {
 	if g.Frames <= 0 {
 		g.Frames = 8
 	}
+	if !synthFits(g.Count, g.Frames, g.Atoms) {
+		return SynthSpec{}, fmt.Errorf("jobs: synth ensemble of %d × %d frames × %d atoms exceeds %d bytes of coordinates", g.Count, g.Frames, g.Atoms, MaxSynthBytes)
+	}
+	if int64(g.Count) > MaxSynthBytes/8/int64(g.Count) {
+		return SynthSpec{}, fmt.Errorf("jobs: synth ensemble of %d trajectories exceeds a %d-byte distance matrix", g.Count, MaxSynthBytes)
+	}
 	return g, nil
 }
 
@@ -273,6 +306,9 @@ func normalizedLeafletSynth(g SynthSpec) (SynthSpec, error) {
 	g.Count, g.Frames = 0, 0
 	if g.Atoms <= 0 {
 		g.Atoms = 2048
+	}
+	if !synthFits(g.Atoms) {
+		return SynthSpec{}, fmt.Errorf("jobs: synth membrane of %d atoms exceeds %d bytes of coordinates", g.Atoms, MaxSynthBytes)
 	}
 	return g, nil
 }

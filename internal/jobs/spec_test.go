@@ -3,6 +3,8 @@ package jobs
 import (
 	"strings"
 	"testing"
+
+	"mdtask/internal/synth"
 )
 
 func validPSASpec() Spec {
@@ -65,19 +67,48 @@ func TestNormalizedPresets(t *testing.T) {
 	}
 }
 
+// TestSynthCeilingAdmitsPresets: MaxSynthBytes admits every preset the
+// README documents — each ensemble preset at up to 32 trajectories and
+// every membrane preset — and the largest payload that fits is
+// accepted while one more atom is not.
+func TestSynthCeilingAdmitsPresets(t *testing.T) {
+	for _, p := range synth.EnsemblePresets {
+		if _, err := (Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Preset: p.Name, Count: 32}}).Normalized(); err != nil {
+			t.Errorf("ensemble preset %s × 32: %v", p.Name, err)
+		}
+	}
+	for _, p := range synth.MembranePresets {
+		if _, err := (Spec{Analysis: AnalysisLeaflet, Synth: &SynthSpec{Preset: p.Name}}).Normalized(); err != nil {
+			t.Errorf("membrane preset %s: %v", p.Name, err)
+		}
+	}
+	edge := Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 1, Frames: 1, Atoms: MaxSynthBytes / 24}}
+	if _, err := edge.Normalized(); err != nil {
+		t.Errorf("largest payload within MaxSynthBytes rejected: %v", err)
+	}
+	edge.Synth.Atoms++
+	if _, err := edge.Normalized(); err == nil {
+		t.Error("payload just past MaxSynthBytes accepted")
+	}
+}
+
 func TestNormalizedErrors(t *testing.T) {
 	cases := map[string]Spec{
-		"missing analysis":   {Synth: &SynthSpec{}},
-		"unknown analysis":   {Analysis: "docking", Synth: &SynthSpec{}},
-		"unknown engine":     {Analysis: AnalysisPSA, Engine: "hadoop", Synth: &SynthSpec{}},
-		"unknown method":     {Analysis: AnalysisPSA, Method: "exact", Synth: &SynthSpec{}},
-		"unknown approach":   {Analysis: AnalysisLeaflet, Approach: "5", Synth: &SynthSpec{}},
-		"pilot non-task2d":   {Analysis: AnalysisLeaflet, Engine: EnginePilot, Approach: "tree", Synth: &SynthSpec{}},
-		"negative cutoff":    {Analysis: AnalysisLeaflet, Cutoff: -1, Synth: &SynthSpec{}},
-		"no input":           {Analysis: AnalysisPSA},
-		"two inputs":         {Analysis: AnalysisPSA, Path: "/tmp", Synth: &SynthSpec{}},
-		"unknown psa preset": {Analysis: AnalysisPSA, Synth: &SynthSpec{Preset: "huge"}},
-		"unknown mem preset": {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Preset: "1M"}},
+		"missing analysis":              {Synth: &SynthSpec{}},
+		"unknown analysis":              {Analysis: "docking", Synth: &SynthSpec{}},
+		"unknown engine":                {Analysis: AnalysisPSA, Engine: "hadoop", Synth: &SynthSpec{}},
+		"unknown method":                {Analysis: AnalysisPSA, Method: "exact", Synth: &SynthSpec{}},
+		"unknown approach":              {Analysis: AnalysisLeaflet, Approach: "5", Synth: &SynthSpec{}},
+		"pilot non-task2d":              {Analysis: AnalysisLeaflet, Engine: EnginePilot, Approach: "tree", Synth: &SynthSpec{}},
+		"negative cutoff":               {Analysis: AnalysisLeaflet, Cutoff: -1, Synth: &SynthSpec{}},
+		"no input":                      {Analysis: AnalysisPSA},
+		"two inputs":                    {Analysis: AnalysisPSA, Path: "/tmp", Synth: &SynthSpec{}},
+		"unknown psa preset":            {Analysis: AnalysisPSA, Synth: &SynthSpec{Preset: "huge"}},
+		"unknown mem preset":            {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Preset: "1M"}},
+		"synth atoms x 24 B overflows":  {Analysis: AnalysisPSA, Synth: &SynthSpec{Atoms: 1 << 60, Frames: 2}},
+		"synth over the ceiling":        {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 33, Preset: "large"}},
+		"synth matrix over the ceiling": {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 20000, Atoms: 1, Frames: 1}},
+		"synth membrane over ceiling":   {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Atoms: MaxSynthBytes/24 + 1}},
 	}
 	for name, spec := range cases {
 		if _, err := spec.Normalized(); err == nil {

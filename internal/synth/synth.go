@@ -67,20 +67,36 @@ func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajector
 		step = 0.15 // per-frame Gaussian displacement σ, Å
 		dt   = 1.0  // frame spacing, ps
 	)
-	t := traj.New(name, nAtoms)
-	cur := make([]linalg.Vec3, nAtoms)
-	for i := range cur {
-		cur[i] = linalg.Vec3{r.Float64() * box, r.Float64() * box, r.Float64() * box}
+	t := frames(name, nAtoms, nFrames, dt)
+	if nFrames == 0 {
+		return t
 	}
-	for f := 0; f < nFrames; f++ {
-		coords := make([]linalg.Vec3, nAtoms)
-		copy(coords, cur)
-		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
-		for i := range cur {
-			cur[i][0] += r.NormFloat64() * step
-			cur[i][1] += r.NormFloat64() * step
-			cur[i][2] += r.NormFloat64() * step
+	first := t.Frames[0].Coords
+	for i := range first {
+		first[i] = linalg.Vec3{r.Float64() * box, r.Float64() * box, r.Float64() * box}
+	}
+	for f := 1; f < nFrames; f++ {
+		prev, cur := t.Frames[f-1].Coords, t.Frames[f].Coords
+		for i, p := range prev {
+			p[0] += r.NormFloat64() * step
+			p[1] += r.NormFloat64() * step
+			p[2] += r.NormFloat64() * step
+			cur[i] = p
 		}
+	}
+	return t
+}
+
+// frames allocates a trajectory of nFrames frames, dt apart, whose
+// coordinates share one contiguous backing. Each frame's slice is capped
+// at its own end, so an append to one frame can never overwrite the next.
+func frames(name string, nAtoms, nFrames int, dt float64) *traj.Trajectory {
+	t := traj.New(name, nAtoms)
+	all := make([]linalg.Vec3, nAtoms*nFrames)
+	t.Frames = make([]traj.Frame, nFrames)
+	for f := range t.Frames {
+		a, b := f*nAtoms, (f+1)*nAtoms
+		t.Frames[f] = traj.Frame{Time: float64(f) * dt, Coords: all[a:b:b]}
 	}
 	return t
 }
@@ -101,11 +117,15 @@ func PathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Traje
 		jitter = 0.15 // per-frame per-atom Gaussian displacement σ, Å
 		dt     = 1.0  // frame spacing, ps
 	)
+	t := frames(name, nAtoms, nFrames, dt)
+	if nFrames == 0 {
+		return t
+	}
 	// The shared starting configuration depends only on the seed.
 	base := rng(seed, 0x9A7B)
-	start := make([]linalg.Vec3, nAtoms)
-	for i := range start {
-		start[i] = linalg.Vec3{base.Float64() * box, base.Float64() * box, base.Float64() * box}
+	first := t.Frames[0].Coords
+	for i := range first {
+		first[i] = linalg.Vec3{base.Float64() * box, base.Float64() * box, base.Float64() * box}
 	}
 	// Drift direction and jitter are per-trajectory.
 	r := rng(seed, stream^0x5EED)
@@ -113,18 +133,14 @@ func PathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Traje
 	if n := dir.Norm(); n > 0 {
 		dir = dir.Scale(drift / n)
 	}
-	t := traj.New(name, nAtoms)
-	cur := make([]linalg.Vec3, nAtoms)
-	copy(cur, start)
-	for f := 0; f < nFrames; f++ {
-		coords := make([]linalg.Vec3, nAtoms)
-		copy(coords, cur)
-		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
-		for i := range cur {
-			cur[i] = cur[i].Add(dir)
-			cur[i][0] += r.NormFloat64() * jitter
-			cur[i][1] += r.NormFloat64() * jitter
-			cur[i][2] += r.NormFloat64() * jitter
+	for f := 1; f < nFrames; f++ {
+		prev, cur := t.Frames[f-1].Coords, t.Frames[f].Coords
+		for i, p := range prev {
+			p = p.Add(dir)
+			p[0] += r.NormFloat64() * jitter
+			p[1] += r.NormFloat64() * jitter
+			p[2] += r.NormFloat64() * jitter
+			cur[i] = p
 		}
 	}
 	return t

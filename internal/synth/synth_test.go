@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mdtask/internal/linalg"
+	"mdtask/internal/traj"
 )
 
 func TestWalkDeterministic(t *testing.T) {
@@ -146,5 +147,107 @@ func TestMembranePresets(t *testing.T) {
 		if want[p.Name] != p.NAtoms {
 			t.Errorf("preset %s = %d atoms, want %d", p.Name, p.NAtoms, want[p.Name])
 		}
+	}
+}
+
+// oldWalk and oldPathWalk are the generators as they were before Walk
+// and PathWalk wrote into one contiguous backing per trajectory: a
+// scratch configuration advanced in place and copied out per frame.
+// They are the reference the rewrite must match bit for bit.
+func oldWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
+	r := rng(seed, stream)
+	const box, step, dt = 50.0, 0.15, 1.0
+	t := traj.New(name, nAtoms)
+	cur := make([]linalg.Vec3, nAtoms)
+	for i := range cur {
+		cur[i] = linalg.Vec3{r.Float64() * box, r.Float64() * box, r.Float64() * box}
+	}
+	for f := 0; f < nFrames; f++ {
+		coords := make([]linalg.Vec3, nAtoms)
+		copy(coords, cur)
+		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
+		for i := range cur {
+			cur[i][0] += r.NormFloat64() * step
+			cur[i][1] += r.NormFloat64() * step
+			cur[i][2] += r.NormFloat64() * step
+		}
+	}
+	return t
+}
+
+func oldPathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
+	const box, drift, jitter, dt = 50.0, 1.0, 0.15, 1.0
+	base := rng(seed, 0x9A7B)
+	start := make([]linalg.Vec3, nAtoms)
+	for i := range start {
+		start[i] = linalg.Vec3{base.Float64() * box, base.Float64() * box, base.Float64() * box}
+	}
+	r := rng(seed, stream^0x5EED)
+	dir := linalg.Vec3{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+	if n := dir.Norm(); n > 0 {
+		dir = dir.Scale(drift / n)
+	}
+	t := traj.New(name, nAtoms)
+	cur := make([]linalg.Vec3, nAtoms)
+	copy(cur, start)
+	for f := 0; f < nFrames; f++ {
+		coords := make([]linalg.Vec3, nAtoms)
+		copy(coords, cur)
+		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
+		for i := range cur {
+			cur[i] = cur[i].Add(dir)
+			cur[i][0] += r.NormFloat64() * jitter
+			cur[i][1] += r.NormFloat64() * jitter
+			cur[i][2] += r.NormFloat64() * jitter
+		}
+	}
+	return t
+}
+
+// TestWalkMatchesOldLoopBitForBit pins both generators to their old
+// per-frame-copy loops: same shape, same times, same float64 bits.
+func TestWalkMatchesOldLoopBitForBit(t *testing.T) {
+	gens := []struct {
+		name     string
+		new, old func(string, int, int, uint64, uint64) *traj.Trajectory
+	}{
+		{"Walk", Walk, oldWalk},
+		{"PathWalk", PathWalk, oldPathWalk},
+	}
+	shapes := [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {7, 1}, {3, 9}, {64, 17}, {1024, 4}}
+	for _, g := range gens {
+		for _, sh := range shapes {
+			for _, stream := range []uint64{0, 3} {
+				got := g.new("x", sh[0], sh[1], 1000, stream)
+				want := g.old("x", sh[0], sh[1], 1000, stream)
+				if got.NAtoms != want.NAtoms || got.NFrames() != want.NFrames() {
+					t.Fatalf("%s %v: shape %d×%d, want %d×%d", g.name, sh, got.NAtoms, got.NFrames(), want.NAtoms, want.NFrames())
+				}
+				for f := range want.Frames {
+					gf, wf := got.Frames[f], want.Frames[f]
+					if math.Float64bits(gf.Time) != math.Float64bits(wf.Time) || len(gf.Coords) != len(wf.Coords) {
+						t.Fatalf("%s %v frame %d: time %v/%d coords, want %v/%d", g.name, sh, f, gf.Time, len(gf.Coords), wf.Time, len(wf.Coords))
+					}
+					for i := range wf.Coords {
+						for c := 0; c < 3; c++ {
+							if math.Float64bits(gf.Coords[i][c]) != math.Float64bits(wf.Coords[i][c]) {
+								t.Fatalf("%s %v frame %d atom %d axis %d: %v, want %v", g.name, sh, f, i, c, gf.Coords[i][c], wf.Coords[i][c])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWalkFramesIndependent: frames share one backing, but an append
+// to one frame must never write into the next.
+func TestWalkFramesIndependent(t *testing.T) {
+	tr := Walk("x", 4, 3, 1, 0)
+	next := tr.Frames[1].Coords[0]
+	_ = append(tr.Frames[0].Coords, linalg.Vec3{-1, -1, -1})
+	if tr.Frames[1].Coords[0] != next {
+		t.Fatal("append to frame 0 overwrote frame 1")
 	}
 }

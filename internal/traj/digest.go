@@ -79,16 +79,3 @@ func (r *Ref) computeDigest() (string, error) {
 	h.Write(out)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
-
-// Digests resolves the content digest of every member, in order.
-func (e RefEnsemble) Digests() ([]string, error) {
-	out := make([]string, len(e))
-	for i, r := range e {
-		d, err := r.Digest()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
