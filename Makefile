@@ -88,12 +88,13 @@ smoke-stream:
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
-# normalization, the trajectory decoders, then the differential tests of
-# the Hausdorff exactness contract — every method, in memory and
-# streamed, bit-identical to naive, and the same adversarial inputs
-# through every engine and both schedules.
+# normalization, the WAL recovery scanner, the trajectory decoders, then
+# the differential tests of the Hausdorff exactness contract — every
+# method, in memory and streamed, bit-identical to naive, and the same
+# adversarial inputs through every engine and both schedules.
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
+	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
 	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
@@ -102,11 +103,14 @@ fuzz:
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
-# coordinator/worker protocol, and the streamed PSA cancel paths),
-# independent of the main test matrix. -shuffle=on randomizes test
-# order so order dependence between tests is caught here, not on main.
+# coordinator/worker protocol, the streamed PSA cancel paths, and the
+# trajectory layer, whose cached Packed and lazy digest share memory
+# with the frames), independent of the main test matrix. -race also
+# turns on checkptr, which checks traj's in-place views stay inside one
+# allocation. -shuffle=on randomizes test order so order dependence
+# between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/...
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/

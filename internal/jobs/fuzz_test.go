@@ -11,9 +11,10 @@ import (
 // decoder (decodeSpec: unknown fields rejected) into Spec.Normalized:
 // it must never panic, must be idempotent, must leave the cache key
 // unchanged when re-applied, and must never admit a synth input whose
-// coordinates or PSA matrix exceed MaxSynthBytes. It stops at the spec and never calls ResolveInput, so
-// no input it accepts is generated or read. Seed corpus: f.Add below
-// plus testdata/fuzz/FuzzSpecNormalize.
+// coordinates or PSA matrix exceed MaxSynthBytes, nor a parallelism
+// above MaxParallelism. It stops at the spec and never calls
+// ResolveInput, so no input it accepts is generated or read. Seed
+// corpus: f.Add below plus testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"analysis":"psa","synth":{}}`))
 	f.Add([]byte(`{"analysis":"psa","engine":"dask","method":"pruned","synth":{"count":8,"atoms":1024,"frames":64,"seed":7}}`))
@@ -40,6 +41,9 @@ func FuzzSpecNormalize(f *testing.F) {
 		}
 		if a, b := CacheKey(once, "d"), CacheKey(twice, "d"); a != b {
 			t.Fatalf("cache key moved under re-normalization: %s → %s", a, b)
+		}
+		if once.Parallelism < 0 || once.Parallelism > MaxParallelism {
+			t.Fatalf("admitted parallelism %d (bound %d)", once.Parallelism, MaxParallelism)
 		}
 		if g := once.Synth; g != nil {
 			payload := big.NewInt(24)

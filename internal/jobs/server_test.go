@@ -338,6 +338,29 @@ func TestAPIRejectsOversizedSynth(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsOversizedParallelism is the regression test for the
+// other one-request server kill: an mpi job asking for 40000 ranks used
+// to reach mpi.Run, whose 40000² channel fabric is a fatal out of
+// memory. It must answer 400 without admitting anything, and the
+// server must go on running the next valid job.
+func TestAPIRejectsOversizedParallelism(t *testing.T) {
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	body := `{"analysis":"psa","engine":"mpi","parallelism":40000,"synth":{"seed":1}}`
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), "parallelism") {
+		t.Fatalf("got %d (%s), want 400 naming parallelism", code, raw)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("oversized parallelism admitted %d job(s)", n)
+	}
+	spec := validPSASpec()
+	spec.Engine, spec.Parallelism = EngineMPI, 4
+	st := pollJob(t, ts.URL, submitJob(t, ts.URL, spec).ID)
+	if st.State != StateDone {
+		t.Fatalf("valid job after the rejection: %s (%s)", st.State, st.Error)
+	}
+}
+
 // TestAPIListAndHealth covers GET /v1/jobs and /healthz.
 func TestAPIListAndHealth(t *testing.T) {
 	ts, _ := newTestServer(t, DefaultRegistry(), Options{Workers: 1})

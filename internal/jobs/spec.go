@@ -174,6 +174,9 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.Parallelism < 0 {
 		s.Parallelism = 0
 	}
+	if s.Parallelism > MaxParallelism {
+		return Spec{}, fmt.Errorf("jobs: parallelism %d exceeds %d", s.Parallelism, MaxParallelism)
+	}
 	if s.Tasks < 0 {
 		s.Tasks = 0
 	}
@@ -239,9 +242,17 @@ func (s Spec) Normalized() (Spec, error) {
 // kill the server. 1 GiB admits every paper preset: a large (13364 ×
 // 102) ensemble of up to 32 trajectories, and the 4M-atom membrane
 // (96 MB). It bounds the input, not the run: a job's resident set is a
-// small multiple of its payload (frames plus the packed copy), and a
-// Leaflet run's neighbour graph is larger still.
+// small multiple of its payload (a generated PSA ensemble is packed in
+// place, but engines add their own buffers), and a Leaflet run's
+// neighbour graph is larger still.
 const MaxSynthBytes = 1 << 30
+
+// MaxParallelism bounds a spec's worker/rank count. An mpi world of p
+// ranks allocates 2·p² buffered channels up front (p = 256: about 40 MB),
+// so an unbounded value is another fatal, unrecoverable allocation on a
+// request's say-so. 256 is far above every core count the CLIs, smoke
+// scripts and benchmark use (at most 8).
+const MaxParallelism = 256
 
 // synthFits reports whether 24 B (one Vec3) times every factor stays
 // within MaxSynthBytes, checking each step before it could overflow.

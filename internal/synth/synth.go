@@ -88,15 +88,12 @@ func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajector
 }
 
 // frames allocates a trajectory of nFrames frames, dt apart, whose
-// coordinates share one contiguous backing. Each frame's slice is capped
-// at its own end, so an append to one frame can never overwrite the next.
+// coordinates share one contiguous backing (traj.Alloc): the generators
+// fill it in place, and packing it for the kernels adds no copy.
 func frames(name string, nAtoms, nFrames int, dt float64) *traj.Trajectory {
-	t := traj.New(name, nAtoms)
-	all := make([]linalg.Vec3, nAtoms*nFrames)
-	t.Frames = make([]traj.Frame, nFrames)
+	t := traj.Alloc(name, nAtoms, nFrames)
 	for f := range t.Frames {
-		a, b := f*nAtoms, (f+1)*nAtoms
-		t.Frames[f] = traj.Frame{Time: float64(f) * dt, Coords: all[a:b:b]}
+		t.Frames[f].Time = float64(f) * dt
 	}
 	return t
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // Digest returns the hex SHA-256 of the trajectory's content — shape
-// plus every coordinate's float64 bits — computed lazily and cached on
-// the ref. Memory-backed and stream-backed refs over the same data
-// digest identically: a stream-backed ref hashes bounded chunks of
-// frames decoded by the same loop its window readers use, so digesting
-// never materializes the trajectory. The digest is the
+// plus every coordinate's float64 bits, little-endian — computed lazily
+// and cached on the ref. Memory-backed and stream-backed refs over the
+// same data digest identically: a memory-backed ref hashes each frame's
+// coordinate memory as it lies, and a stream-backed ref hashes bounded
+// chunks of frames decoded by the same loop its window readers use, so
+// digesting never copies or materializes the trajectory. The digest is the
 // content-addressing unit of the block cache: PSA block keys are built
 // from the digests of the trajectories a block reads, so identical
 // trajectories hit cached blocks whatever job, engine, or matrix
@@ -29,33 +30,31 @@ func (r *Ref) Digest() (string, error) {
 // a time (at least one frame).
 const digestChunkBytes = 1 << 16
 
+// littleEndian reports whether the host stores a float64 as its
+// little-endian encoding — the bytes Digest hashes — so coordinate
+// memory can be hashed as it lies.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 func (r *Ref) computeDigest() (string, error) {
 	h := sha256.New()
-	var buf [8]byte
-	writeI := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeI(int64(r.nAtoms))
-	writeI(int64(r.nFrames))
-	w3 := r.nAtoms * 3
-	// Frames per chunk: what fits the budget, never more than there are.
-	per := max(1, min(digestChunkBytes/max(1, w3*8), r.nFrames))
-	out := make([]byte, 0, per*w3*8)
-	hashRow := func(row []float64) {
-		for _, v := range row {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.nAtoms))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.nFrames))
+	h.Write(buf)
+	hashFloats := func(v []float64) {
+		if littleEndian {
+			h.Write(floatBytes(v))
+			return
 		}
-		if len(out)+w3*8 > cap(out) {
-			h.Write(out)
-			out = out[:0]
+		buf = buf[:0]
+		for _, x := range v {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
+		h.Write(buf)
 	}
 	if r.mem != nil {
-		row := make([]float64, w3)
 		for _, f := range r.mem.Frames {
-			packRow(row, f.Coords)
-			hashRow(row)
+			hashFloats(vec3Floats(f.Coords))
 		}
 	} else {
 		// The same decode loop the window readers run, front to back (so
@@ -65,17 +64,17 @@ func (r *Ref) computeDigest() (string, error) {
 			return "", err
 		}
 		defer fr.close()
+		w3 := r.nAtoms * 3
+		// Frames per chunk: what fits the budget, never more than there are.
+		per := max(1, min(digestChunkBytes/max(1, w3*8), r.nFrames))
 		rows := make([]float64, per*w3)
 		for start := 0; start < r.nFrames; start += per {
 			n := min(per, r.nFrames-start)
 			if err := fr.readFrames(start, n, rows[:n*w3]); err != nil {
 				return "", fmt.Errorf("traj: %s: %w", r.name, err)
 			}
-			for i := 0; i < n; i++ {
-				hashRow(rows[i*w3 : (i+1)*w3])
-			}
+			hashFloats(rows[:n*w3])
 		}
 	}
-	h.Write(out)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -387,21 +387,57 @@ func (mr *MDTReader) impliedSize() (int64, bool) {
 	return fixed + int64(mr.nFrames)*frameBytes, true
 }
 
+// readSized reads the whole trajectory of an MDT stream of size bytes
+// into one Alloc backing — so Pack views it in place — decoding bounded
+// chunks of frames with decodeMDTFrames, the window readers' decoder,
+// and verifies the trailing checksum. The size is checked against the
+// header (overflow-checked) before anything is allocated, which bounds
+// every allocation by a small multiple of the bytes actually present.
+// The reader must not have read any frame yet.
+func (mr *MDTReader) readSized(size int64) (*Trajectory, error) {
+	want, ok := mr.impliedSize()
+	if !ok || size != want {
+		return nil, fmt.Errorf("%w: %d bytes, header implies %d", ErrTruncated, size, want)
+	}
+	t := Alloc(mr.name, mr.nAtoms, mr.nFrames)
+	rows := vec3Floats(t.backing)
+	w3 := mr.nAtoms * 3
+	fb := 8 + w3*mr.prec
+	per := max(1, mdtRawBudget/fb)
+	raw := make([]byte, min(per, mr.nFrames)*fb) // fb alone may be hostile when nFrames is 0
+	for start := 0; start < mr.nFrames; start += per {
+		n := min(per, mr.nFrames-start)
+		b := raw[:n*fb]
+		if _, err := io.ReadFull(mr.r, b); err != nil {
+			return nil, fmt.Errorf("%w: frame %d: %v", ErrTruncated, start, err)
+		}
+		mr.crc = crc32.Update(mr.crc, crc32.IEEETable, b)
+		if err := decodeMDTFrames(b, mr.prec, mr.nAtoms, start, rows[start*w3:(start+n)*w3]); err != nil {
+			return nil, err
+		}
+		for i := range n {
+			t.Frames[start+i].Time = math.Float64frombits(binary.LittleEndian.Uint64(b[i*fb:]))
+		}
+	}
+	mr.read = mr.nFrames
+	if _, err := mr.ReadFrame(); err != io.EOF { // verifies the checksum
+		return nil, err
+	}
+	return t, nil
+}
+
 // DecodeMDT deserializes MDT bytes back into a trajectory, verifying
 // the trailing checksum. The payload length the header implies is
 // validated against len(b) up front (with overflow-checked arithmetic),
 // so a hostile header claiming billions of frames or atoms fails before
-// any frame is decoded.
+// any frame is decoded or any frame storage is allocated. The
+// trajectory's frames share one backing (see Alloc).
 func DecodeMDT(b []byte) (*Trajectory, error) {
 	mr, err := NewMDTReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, err
 	}
-	want, ok := mr.impliedSize()
-	if !ok || int64(len(b)) != want {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header implies %d", ErrTruncated, len(b), want)
-	}
-	return mr.ReadAll()
+	return mr.readSized(int64(len(b)))
 }
 
 // sliceWriter is a minimal append-based io.Writer over a byte slice.
@@ -412,18 +448,24 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ReadMDTFile reads a whole trajectory from path.
+// ReadMDTFile reads a whole trajectory from path. The file size is
+// checked against the header first, as FileRef checks it, and the
+// frames are decoded into one backing (see DecodeMDT).
 func ReadMDTFile(path string) (*Trajectory, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	mr, err := NewMDTReader(f)
 	if err != nil {
 		return nil, fmt.Errorf("traj: %s: %w", path, err)
 	}
-	t, err := mr.ReadAll()
+	t, err := mr.readSized(st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("traj: %s: %w", path, err)
 	}

@@ -9,17 +9,20 @@ import (
 )
 
 // Packed is the contiguous, precomputed frame representation the pruned
-// Hausdorff kernel consumes: every frame's coordinates flattened into
-// one cache-friendly []float64 (frame-major, xyz triples), plus the
+// Hausdorff kernel consumes: every frame's coordinates as one
+// cache-friendly []float64 (frame-major, xyz triples), plus the
 // per-frame statistics the kernel's pruning bounds need — centroids,
-// radii of gyration, and the dRMS between consecutive frames. All of it
-// is computed once per trajectory in O(frames·atoms) instead of being
-// re-derived inside every O(frames²) trajectory comparison.
+// radii of gyration, and the dRMS between consecutive frames. The
+// statistics are computed once per trajectory in O(frames·atoms)
+// instead of being re-derived inside every O(frames²) trajectory
+// comparison; the coordinates are the trajectory's own backing when it
+// has one (see Pack), so packing adds no second copy of them.
 type Packed struct {
 	NAtoms  int
 	NFrames int
 	// Coords holds the frames back to back: frame i occupies
 	// Coords[i*NAtoms*3 : (i+1)*NAtoms*3] as x,y,z triples in atom order.
+	// It may share memory with the packed trajectory's frames.
 	Coords []float64
 	// Centroids[i] is the arithmetic-mean position of frame i.
 	Centroids []linalg.Vec3
@@ -63,21 +66,30 @@ func (p *Packed) Row(i int) []float64 {
 	return p.Coords[i*w : (i+1)*w]
 }
 
-// PackFrames builds the packed representation of raw frame views. All
-// frames must have nAtoms coordinates.
+// PackFrames builds the packed representation of raw frame views,
+// copying their coordinates. All frames must have nAtoms coordinates.
 func PackFrames(frames [][]linalg.Vec3, nAtoms int) *Packed {
-	nf := len(frames)
+	w3 := nAtoms * 3
+	coords := make([]float64, len(frames)*w3)
+	for i, f := range frames {
+		packRow(coords[i*w3:(i+1)*w3], f)
+	}
+	return packCoords(coords, nAtoms, len(frames))
+}
+
+// packCoords wraps nf frames of packed coordinates (kept, not copied)
+// with their per-frame statistics.
+func packCoords(coords []float64, nAtoms, nf int) *Packed {
 	p := &Packed{
 		NAtoms:    nAtoms,
 		NFrames:   nf,
-		Coords:    make([]float64, nf*nAtoms*3),
+		Coords:    coords,
 		Centroids: make([]linalg.Vec3, nf),
 		RadGyr:    make([]float64, nf),
 		StepDRMS:  make([]float64, nf),
 	}
-	for i, coords := range frames {
-		row := p.Coords[i*nAtoms*3 : (i+1)*nAtoms*3]
-		packRow(row, coords)
+	for i := range nf {
+		row := p.Row(i)
 		p.Centroids[i], p.RadGyr[i] = rowStats(row)
 		if i > 0 {
 			d, _ := linalg.DRMSWithin(p.Row(i-1), row, math.Inf(1))
@@ -95,8 +107,15 @@ func packRow(row []float64, coords []linalg.Vec3) {
 	}
 }
 
-// Pack builds the packed representation of a trajectory.
+// Pack builds the packed representation of a trajectory. A trajectory
+// from Alloc whose frames are all still their slices of its backing, in
+// order, is packed in place: Coords is that backing viewed as float64s,
+// and only the per-frame statistics are computed. Any other trajectory
+// is copied (PackFrames).
 func Pack(t *Trajectory) *Packed {
+	if coords, ok := t.inPlace(); ok {
+		return packCoords(coords, t.NAtoms, len(t.Frames))
+	}
 	frames := make([][]linalg.Vec3, len(t.Frames))
 	for i := range t.Frames {
 		frames[i] = t.Frames[i].Coords
@@ -104,10 +123,28 @@ func Pack(t *Trajectory) *Packed {
 	return PackFrames(frames, t.NAtoms)
 }
 
+// inPlace returns the trajectory's coordinates as packed rows without
+// copying them, when frame i is exactly backing[i·NAtoms : (i+1)·NAtoms]
+// for every i. Pointer identity of each frame's first atom proves it:
+// the backing is one allocation, so the view never spans two.
+func (t *Trajectory) inPlace() ([]float64, bool) {
+	n := t.NAtoms
+	if len(t.backing) == 0 || len(t.backing) != n*len(t.Frames) {
+		return nil, false
+	}
+	for i, f := range t.Frames {
+		if len(f.Coords) != n || &f.Coords[0] != &t.backing[i*n] {
+			return nil, false
+		}
+	}
+	return vec3Floats(t.backing), true
+}
+
 // Packed returns the trajectory's packed representation, computing it on
 // first use and caching it. The cache is safe for concurrent use (racing
 // callers at worst pack twice) and is invalidated when the frame count
-// changes; mutating frame coordinates in place after the first call is
+// changes. The packed coordinates may be the frames' own memory (see
+// Pack), so mutating frame coordinates in place after the first call is
 // not supported.
 func (t *Trajectory) Packed() *Packed {
 	if p := t.packed.Load(); p != nil && p.NFrames == len(t.Frames) {

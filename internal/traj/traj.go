@@ -13,11 +13,23 @@
 //     files, one block per frame (xyzt.go).
 //
 // Beyond the frame-of-Vec3 data model, the package provides a packed
-// analysis representation (packed.go): Trajectory.Packed flattens every
-// frame into one contiguous []float64 and precomputes the per-frame
+// analysis representation (packed.go): Trajectory.Packed presents every
+// frame as one contiguous []float64 and precomputes the per-frame
 // centroids, radii of gyration, and consecutive-frame dRMS values that
 // the pruned Hausdorff kernel's lower bounds consume, once per
 // trajectory instead of once per trajectory comparison.
+//
+// A trajectory keeps one resident copy of its coordinates. Alloc lays
+// every frame out as a capped slice of one backing — synth.Walk,
+// synth.PathWalk, DecodeMDT and ReadMDTFile build their trajectories
+// this way — and while each frame is still its slice of that backing,
+// in order, Packed views the backing in place instead of copying it.
+// Any other trajectory (built by AppendFrame, SelectAtoms,
+// SelectFrames, ReadXYZT or a streaming Load, or one whose frames were
+// reassigned or reordered) is packed into a copy. Ref.Digest hashes
+// coordinate memory as it lies, with no scratch encoding on
+// little-endian hosts. Mutating coordinates after the first Packed call
+// is unsupported either way.
 //
 // For inputs larger than memory, the package also provides a streaming
 // layer:
@@ -76,6 +88,10 @@ type Trajectory struct {
 	NAtoms int
 	Frames []Frame
 
+	// backing is the one allocation Alloc sliced the frames from. Pack
+	// views it in place while every frame is still its slice (see
+	// inPlace); nil for a trajectory built any other way.
+	backing []linalg.Vec3
 	// packed caches the contiguous frame representation (see packed.go),
 	// built on first use by Packed().
 	packed atomic.Pointer[Packed]
@@ -98,6 +114,22 @@ func nonFiniteError(frame, atom int) error {
 // New creates an empty trajectory for nAtoms atoms.
 func New(name string, nAtoms int) *Trajectory {
 	return &Trajectory{Name: name, NAtoms: nAtoms}
+}
+
+// Alloc creates a trajectory of nFrames frames of nAtoms zeroed atoms
+// (all at time 0) for the caller to fill in place. The frames are
+// consecutive slices of one backing, each capped at its own end so an
+// append to one frame never writes into the next; Packed views that
+// backing instead of copying it.
+func Alloc(name string, nAtoms, nFrames int) *Trajectory {
+	t := New(name, nAtoms)
+	t.backing = make([]linalg.Vec3, nAtoms*nFrames)
+	t.Frames = make([]Frame, nFrames)
+	for f := range t.Frames {
+		a, b := f*nAtoms, (f+1)*nAtoms
+		t.Frames[f].Coords = t.backing[a:b:b]
+	}
+	return t
 }
 
 // AppendFrame adds a frame, validating its shape.
