@@ -91,7 +91,8 @@ smoke-stream:
 # normalization, the WAL recovery scanner, the trajectory decoders, then
 # the differential tests of the Hausdorff exactness contract — every
 # method, in memory and streamed, bit-identical to naive, and the same
-# adversarial inputs through every engine and both schedules.
+# adversarial inputs through every engine and both schedules — and the
+# Leaflet partial-component merge against its pseudo-edge reference.
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
@@ -100,17 +101,19 @@ fuzz:
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
+	$(GO) test -fuzz FuzzMergePartialSets -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
-# with the frames), independent of the main test matrix. -race also
-# turns on checkptr, which checks traj's in-place views stay inside one
-# allocation. -shuffle=on randomizes test order so order dependence
-# between tests is caught here, not on main.
+# with the frames, and the Leaflet reduce, whose pooled merge scratch
+# the dask/rdd workers share), independent of the main test matrix.
+# -race also turns on checkptr, which checks traj's in-place views stay
+# inside one allocation. -shuffle=on randomizes test order so order
+# dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/...
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/

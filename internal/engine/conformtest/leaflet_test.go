@@ -12,6 +12,36 @@ import (
 	"mdtask/internal/synth"
 )
 
+// leafletAccounting pins, per engine/approach at the matrix's 2000-atom,
+// 16-task point, the result's Stats.ShuffleBytes and Stats.Tasks and the
+// tasks the executor recorded. Tile skipping and the partial merge are
+// pure speedups: neither may move mpi's post-combine shuffle (the
+// per-rank merged partials' wire size) or the dask plan (every graph
+// node, scatter and bag fold).
+var leafletAccounting = map[string]struct{ shuffle, tasks, ran int64 }{
+	"serial/broadcast":   {0, 1, 1},
+	"serial/task2d":      {0, 1, 1},
+	"serial/parallel-cc": {0, 1, 1},
+	"serial/tree":        {0, 1, 1},
+	"spark/broadcast":    {78824, 16, 16},
+	"spark/task2d":       {78824, 15, 15},
+	"spark/parallel-cc":  {9740, 15, 15},
+	"spark/tree":         {9740, 15, 15},
+	"dask/broadcast":     {78824, 16, 17},
+	"dask/task2d":        {78824, 15, 15},
+	"dask/parallel-cc":   {9740, 15, 44},
+	"dask/tree":          {9740, 15, 44},
+	"mpi/broadcast":      {78824, 2, 2},
+	"mpi/task2d":         {78824, 15, 15},
+	"mpi/parallel-cc":    {8216, 15, 15},
+	"mpi/tree":           {8216, 15, 15},
+	"pilot/task2d":       {78824, 15, 15},
+	"fleet/broadcast":    {9740, 15, 15},
+	"fleet/task2d":       {9740, 15, 15},
+	"fleet/parallel-cc":  {9740, 15, 15},
+	"fleet/tree":         {9740, 15, 15},
+}
+
 func TestLeafletEngineConformance(t *testing.T) {
 	const atoms, seed, tasks = 2000, 31, 16
 	reg := jobs.DefaultRegistry()
@@ -53,6 +83,14 @@ func TestLeafletEngineConformance(t *testing.T) {
 				// and bag fold included (see docs/engines.md).
 				if planned := int64(jobs.PlannedTasks(spec, in)); planned <= 0 || metrics.Tasks != planned {
 					t.Fatalf("ran %d tasks, planned %d", metrics.Tasks, planned)
+				}
+				pin, ok := leafletAccounting[engine+"/"+approach]
+				if !ok {
+					t.Fatal("no pinned accounting for this engine/approach")
+				}
+				if st := res.Leaflet.Stats; st.ShuffleBytes != pin.shuffle || int64(st.Tasks) != pin.tasks || metrics.Tasks != pin.ran {
+					t.Fatalf("shuffle %d B, %d tasks, %d ran; pinned %d B, %d, %d",
+						st.ShuffleBytes, st.Tasks, metrics.Tasks, pin.shuffle, pin.tasks, pin.ran)
 				}
 			})
 		}

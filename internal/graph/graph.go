@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -76,11 +77,20 @@ type UnionFind struct {
 
 // NewUnionFind creates a forest of n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]uint8, n)}
+	uf := &UnionFind{}
+	uf.Reset(n)
+	return uf
+}
+
+// Reset turns the forest into n singleton sets, reusing its memory when
+// it has room (pooled scratch reuses one forest across calls).
+func (uf *UnionFind) Reset(n int) {
+	uf.parent = slices.Grow(uf.parent[:0], n)[:n]
+	uf.rank = slices.Grow(uf.rank[:0], n)[:n]
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
-	return uf
+	clear(uf.rank)
 }
 
 // Len returns the number of elements in the forest.
@@ -155,44 +165,83 @@ type Component []int32
 // PartialComponents computes the connected components induced by a
 // partial edge list (the map-side computation of the paper's Approach 3):
 // only nodes that appear in at least one edge are included, so isolated
-// nodes of the full graph do not leak into shuffle payloads.
+// nodes of the full graph do not leak into shuffle payloads. The result
+// is canonical: every component sorted, components ordered by first node.
 func PartialComponents(edges []Edge) []Component {
 	if len(edges) == 0 {
 		return nil
 	}
-	// Compact the touched node ids.
-	ids := make(map[int32]int32)
-	var nodes []int32
-	idOf := func(v int32) int32 {
-		if id, ok := ids[v]; ok {
-			return id
-		}
-		id := int32(len(nodes))
-		ids[v] = id
-		nodes = append(nodes, v)
-		return id
-	}
-	compact := make([]Edge, len(edges))
-	for i, e := range edges {
-		compact[i] = Edge{idOf(e.U), idOf(e.V)}
-	}
+	nodes, idOf := touchedNodes(edges)
 	uf := NewUnionFind(len(nodes))
-	for _, e := range compact {
-		uf.Union(e.U, e.V)
+	for _, e := range edges {
+		uf.Union(idOf(e.U), idOf(e.V))
 	}
-	groups := make(map[int32]Component)
+	// Group in node order: a component is numbered when its smallest node
+	// is met and filled in ascending order, so the output is canonical
+	// without sorting. All components share one backing array, each
+	// capped at its size so an append can never spill into a neighbour.
+	comp := make([]int32, len(nodes)) // root → 1 + component number
+	var sizes []int
 	for i := range nodes {
 		r := uf.Find(int32(i))
-		groups[r] = append(groups[r], nodes[i])
+		if comp[r] == 0 {
+			sizes = append(sizes, 0)
+			comp[r] = int32(len(sizes))
+		}
+		sizes[comp[r]-1]++
 	}
-	out := make([]Component, 0, len(groups))
-	for _, c := range groups {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out = append(out, c)
+	backing := make([]int32, len(nodes))
+	out := make([]Component, len(sizes))
+	pos := 0
+	for k, size := range sizes {
+		out[k] = backing[pos : pos : pos+size]
+		pos += size
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	for i, v := range nodes {
+		k := comp[uf.Find(int32(i))] - 1
+		out[k] = append(out[k], v)
+	}
 	return out
 }
+
+// touchedNodes returns the sorted distinct endpoints of a non-empty edge
+// list and a function giving an endpoint's position among them. When
+// the endpoints span a range at most denseSpan times the edge count (as
+// the edges of a diagonal or neighbouring Leaflet tile do), a table over
+// that range numbers them in one pass; otherwise the endpoints are
+// sorted and compacted and positions are binary searches.
+func touchedNodes(edges []Edge) (nodes []int32, idOf func(int32) int32) {
+	lo, hi := edges[0].U, edges[0].U
+	for _, e := range edges {
+		lo, hi = min(lo, e.U, e.V), max(hi, e.U, e.V)
+	}
+	if span := int64(hi) - int64(lo) + 1; span <= denseSpan*int64(len(edges)) {
+		table := make([]int32, span)
+		for _, e := range edges {
+			table[e.U-lo], table[e.V-lo] = 1, 1
+		}
+		for i, seen := range table {
+			if seen != 0 {
+				table[i] = int32(len(nodes))
+				nodes = append(nodes, lo+int32(i))
+			}
+		}
+		return nodes, func(v int32) int32 { return table[v-lo] }
+	}
+	nodes = make([]int32, 0, 2*len(edges))
+	for _, e := range edges {
+		nodes = append(nodes, e.U, e.V)
+	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	return nodes, func(v int32) int32 {
+		i, _ := slices.BinarySearch(nodes, v)
+		return int32(i)
+	}
+}
+
+// denseSpan bounds touchedNodes' table at a few int32s per edge.
+const denseSpan = 4
 
 // MergeComponents joins partial components that share at least one node
 // (the paper's Approach-3 reduce). n is the total node count of the full

@@ -4,6 +4,7 @@ import (
 	mathrand "math/rand"
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,101 @@ func TestPartialComponentsOnlyTouchedNodes(t *testing.T) {
 	}
 	if PartialComponents(nil) != nil {
 		t.Error("empty edge list should produce nil")
+	}
+}
+
+// partialComponentsRef is the map-and-sort PartialComponents the current
+// one replaced, kept as its reference.
+func partialComponentsRef(edges []Edge) []Component {
+	if len(edges) == 0 {
+		return nil
+	}
+	ids := make(map[int32]int32)
+	var nodes []int32
+	idOf := func(v int32) int32 {
+		if id, ok := ids[v]; ok {
+			return id
+		}
+		id := int32(len(nodes))
+		ids[v] = id
+		nodes = append(nodes, v)
+		return id
+	}
+	compact := make([]Edge, len(edges))
+	for i, e := range edges {
+		compact[i] = Edge{idOf(e.U), idOf(e.V)}
+	}
+	uf := NewUnionFind(len(nodes))
+	for _, e := range compact {
+		uf.Union(e.U, e.V)
+	}
+	groups := make(map[int32]Component)
+	for i := range nodes {
+		r := uf.Find(int32(i))
+		groups[r] = append(groups[r], nodes[i])
+	}
+	out := make([]Component, 0, len(groups))
+	for _, c := range groups {
+		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// PartialComponents equals the map-and-sort reference exactly, on edge
+// lists whose endpoints are dense in their range (the table path) and
+// sparse in it (the sort-and-search path), self-loops included.
+func TestPartialComponentsMatchesReferenceQuick(t *testing.T) {
+	cfg := &quick.Config{
+		MaxCount: 300,
+		Values: func(args []reflect.Value, r *mathrand.Rand) {
+			args[0] = reflect.ValueOf(uint64(r.Int63()))
+			args[1] = reflect.ValueOf(1 + r.Intn(1<<(2+r.Intn(18))))
+			args[2] = reflect.ValueOf(1 + r.Intn(200))
+		},
+	}
+	f := func(seed uint64, n, m int) bool {
+		r := rand.New(rand.NewPCG(seed, 2))
+		edges := randEdges(r, n, m)
+		base := int32(r.IntN(1 << 20))
+		for i := range edges {
+			edges[i].U += base
+			edges[i].V += base
+		}
+		return reflect.DeepEqual(PartialComponents(edges), partialComponentsRef(edges))
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Components share one backing array; each is capped so an append
+// through one cannot overwrite the next.
+func TestPartialComponentsAreCapped(t *testing.T) {
+	comps := PartialComponents([]Edge{{1, 2}, {3, 4}})
+	_ = append(comps[0], 99)
+	if !reflect.DeepEqual(comps[1], Component{3, 4}) {
+		t.Fatalf("append through comps[0] changed comps[1] to %v", comps[1])
+	}
+}
+
+func TestUnionFindReset(t *testing.T) {
+	uf := NewUnionFind(8)
+	uf.Union(0, 7)
+	uf.Union(2, 3)
+	uf.Reset(5)
+	if uf.Len() != 5 {
+		t.Fatalf("Len = %d after Reset(5)", uf.Len())
+	}
+	for i := int32(0); i < 5; i++ {
+		if uf.Find(i) != i {
+			t.Fatalf("node %d not a singleton after Reset", i)
+		}
+	}
+	uf.Reset(12)
+	if !reflect.DeepEqual(uf.Labels(), ComponentsBFS(12, nil)) {
+		t.Fatal("grown forest is not all singletons")
 	}
 }
 

@@ -48,17 +48,14 @@ func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) 
 		rows: span{lo: b.RLo, hi: b.RHi},
 		cols: span{lo: b.CLo, hi: b.CHi},
 	}
-	edges := blockEdges(coords, blk, cutoff, tree)
+	edges, _ := blockEdges(coords, blk, cutoff, tree)
 	return graph.PartialComponents(edges), int64(len(edges))
 }
 
-// FromPartials folds per-unit partial component sets (in unit order)
-// into a full Result over n atoms, exactly as Run's reduce does: sets sharing a node merge, and the merged components
-// expand into the canonical labeling.
+// FromPartials joins per-unit partial component sets into a full Result
+// over n atoms with one union-find pass: components sharing a node
+// merge, exactly as Run's reduce merges them, and every atom gets the
+// canonical label.
 func FromPartials(n int, partials [][]graph.Component, stats Stats) *Result {
-	var merged []graph.Component
-	for _, p := range partials {
-		merged = mergePartialSets(merged, p)
-	}
-	return finish(labelsFromComponents(n, merged), stats)
+	return finish(graph.MergeComponents(n, partials...), stats)
 }

@@ -241,12 +241,50 @@ func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge 
 	return out
 }
 
-// blockEdges dispatches on the approach's edge-discovery kernel.
-func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) []graph.Edge {
-	if tree {
-		return blockEdgesTree(coords, b, cutoff)
+// blockEdges finds one tile's edges with the approach's kernel (tree
+// selects the BallTree); it is the entry point of every tile body. A
+// tile whose row and column atoms are boxed more than cutoff apart
+// (tileApart) holds no edge: it reports apart and returns no edges
+// without building a tree or computing a distance.
+func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) (edges []graph.Edge, apart bool) {
+	if tileApart(coords, b, cutoff) {
+		return nil, true
 	}
-	return blockEdgesBrute(coords, b, cutoff)
+	if tree {
+		return blockEdgesTree(coords, b, cutoff), false
+	}
+	return blockEdgesBrute(coords, b, cutoff), false
+}
+
+// tileApart reports whether no pair of the tile can be an edge because
+// the axis-aligned boxes of its row and column atoms lie more than
+// cutoff apart. The squared gap is linalg.Dist2 of the boxes' nearest
+// corners (equal coordinates on an axis where the boxes overlap), so it
+// runs the very subtractions, squares and sums of every pair's Dist2 on
+// operands no farther apart; IEEE rounding is monotone, hence the gap
+// is a lower bound on each pair's Dist2 and the skip is exact against
+// the kernels' Dist2 <= cutoff² test (docs/engines.md, "Tiles that
+// cannot hold an edge"). A tile with an empty span has no pairs; a
+// diagonal tile's boxes coincide.
+func tileApart(coords []linalg.Vec3, b block, cutoff float64) bool {
+	if b.rows.len() == 0 || b.cols.len() == 0 {
+		return true
+	}
+	if b.rows == b.cols {
+		return false
+	}
+	rlo, rhi := linalg.BoundingBox(coords[b.rows.lo:b.rows.hi])
+	clo, chi := linalg.BoundingBox(coords[b.cols.lo:b.cols.hi])
+	var p, q linalg.Vec3
+	for k := range 3 {
+		switch {
+		case rhi[k] < clo[k]:
+			p[k], q[k] = rhi[k], clo[k]
+		case chi[k] < rlo[k]:
+			p[k], q[k] = rlo[k], chi[k]
+		}
+	}
+	return linalg.Dist2(p, q) > cutoff*cutoff
 }
 
 // rowChunkEdges finds edges between a row chunk and all atoms with the
@@ -264,25 +302,6 @@ func rowChunkEdges(coords []linalg.Vec3, rows span, cutoff float64) []graph.Edge
 		}
 	}
 	return out
-}
-
-// mergePartialSets joins two partial-component sets, combining
-// components that share a node (the associative reduce of Approach 3).
-func mergePartialSets(a, b []graph.Component) []graph.Component {
-	pseudo := make([]graph.Edge, 0, len(a)+len(b))
-	collect := func(cs []graph.Component) {
-		for _, c := range cs {
-			for i := 1; i < len(c); i++ {
-				pseudo = append(pseudo, graph.Edge{U: c[0], V: c[i]})
-			}
-			if len(c) == 1 {
-				pseudo = append(pseudo, graph.Edge{U: c[0], V: c[0]})
-			}
-		}
-	}
-	collect(a)
-	collect(b)
-	return graph.PartialComponents(pseudo)
 }
 
 // labelsFromComponents expands merged components into a full canonical
@@ -343,7 +362,7 @@ func SampleDataMovement(coords []linalg.Vec3, cutoff float64, nTasks int) Stats 
 	var st Stats
 	st.Tasks = len(blocks)
 	for _, b := range blocks {
-		edges := blockEdgesTree(coords, b, cutoff)
+		edges, _ := blockEdges(coords, b, cutoff, true)
 		comps := graph.PartialComponents(edges)
 		st.Edges += int64(len(edges))
 		st.ShuffleBytes += graph.ComponentBytes(comps)

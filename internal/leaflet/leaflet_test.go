@@ -244,6 +244,17 @@ func TestSampleDataMovement(t *testing.T) {
 		t.Errorf("component shuffle %d B not smaller than edges %d B",
 			st.ShuffleBytes, graph.EdgeBytes(int(st.Edges)))
 	}
+	// It goes through the bounded tile entry point; the profile must not
+	// notice the skipped tiles.
+	want := Stats{Tasks: st.Tasks}
+	for _, b := range blocks2D(len(sys.Coords), 32) {
+		edges := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
+		want.Edges += int64(len(edges))
+		want.ShuffleBytes += graph.ComponentBytes(graph.PartialComponents(edges))
+	}
+	if st != want {
+		t.Errorf("stats = %+v, unbounded tiles give %+v", st, want)
+	}
 }
 
 func TestCoordBytes(t *testing.T) {

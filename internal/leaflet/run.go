@@ -44,7 +44,10 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		blocks := blocks2D(n, nTasks)
 		lists, err := engine.Map(ex, len(blocks),
 			func(i int) int64 { return blockMemBytes(blocks[i]) },
-			func(i int) ([]graph.Edge, error) { return blockEdgesBrute(coords, blocks[i], cutoff), nil })
+			func(i int) ([]graph.Edge, error) {
+				edges, _ := blockEdges(coords, blocks[i], cutoff, false)
+				return edges, nil
+			})
 		if err != nil {
 			return nil, err
 		}
