@@ -4,7 +4,7 @@ SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
+.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race soak loadgate
 
 build:
 	$(GO) build ./...
@@ -88,20 +88,24 @@ smoke-stream:
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
-# normalization, the WAL recovery scanner, the trajectory decoders, then
-# the differential tests of the Hausdorff exactness contract — every
-# method, in memory and streamed, bit-identical to naive, and the same
-# adversarial inputs through every engine and both schedules — and the
-# Leaflet partial-component merge against its pseudo-edge reference.
+# normalization, the WAL recovery scanner, the trajectory decoders, the
+# fleet wire decoders, then the differential tests of the Hausdorff
+# exactness contract — every method, in memory and streamed,
+# bit-identical to naive, and the same adversarial inputs through every
+# engine and both schedules — the Leaflet partial-component merge
+# against its pseudo-edge reference, and the Leaflet plan's dropped
+# tiles and every engine's labels against a brute-force scan.
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
 	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
+	$(GO) test -fuzz FuzzFleetWire -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 	$(GO) test -fuzz FuzzMergePartialSets -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
+	$(GO) test -fuzz FuzzLeafletPlanExact -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
@@ -114,6 +118,12 @@ fuzz:
 # dependence between tests is caught here, not on main.
 race:
 	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/...
+
+# Soak the serving layers: five shuffled passes under -race, so a test
+# that synchronises by sleeping instead of waiting on its condition
+# flakes here rather than on main.
+soak:
+	$(GO) test -race -shuffle=on -count=5 ./internal/jobs/... ./internal/fleet/... ./internal/wal/...
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/

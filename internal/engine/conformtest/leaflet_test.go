@@ -14,32 +14,33 @@ import (
 
 // leafletAccounting pins, per engine/approach at the matrix's 2000-atom,
 // 16-task point, the result's Stats.ShuffleBytes and Stats.Tasks and the
-// tasks the executor recorded. Tile skipping and the partial merge are
-// pure speedups: neither may move mpi's post-combine shuffle (the
-// per-rank merged partials' wire size) or the dask plan (every graph
-// node, scatter and bag fold).
+// tasks the executor recorded. The 16-task grid has 15 tiles, of which
+// the plan keeps the 11 live ones (dask: 3 × 11 − 1 graph nodes with
+// the bag fold). Dropping dead tiles and the partial merge are pure
+// speedups: neither may move a shuffle, mpi's post-combine one (the
+// per-rank merged partials' wire size) included.
 var leafletAccounting = map[string]struct{ shuffle, tasks, ran int64 }{
 	"serial/broadcast":   {0, 1, 1},
 	"serial/task2d":      {0, 1, 1},
 	"serial/parallel-cc": {0, 1, 1},
 	"serial/tree":        {0, 1, 1},
 	"spark/broadcast":    {78824, 16, 16},
-	"spark/task2d":       {78824, 15, 15},
-	"spark/parallel-cc":  {9740, 15, 15},
-	"spark/tree":         {9740, 15, 15},
+	"spark/task2d":       {78824, 11, 11},
+	"spark/parallel-cc":  {9740, 11, 11},
+	"spark/tree":         {9740, 11, 11},
 	"dask/broadcast":     {78824, 16, 17},
-	"dask/task2d":        {78824, 15, 15},
-	"dask/parallel-cc":   {9740, 15, 44},
-	"dask/tree":          {9740, 15, 44},
+	"dask/task2d":        {78824, 11, 11},
+	"dask/parallel-cc":   {9740, 11, 32},
+	"dask/tree":          {9740, 11, 32},
 	"mpi/broadcast":      {78824, 2, 2},
-	"mpi/task2d":         {78824, 15, 15},
-	"mpi/parallel-cc":    {8216, 15, 15},
-	"mpi/tree":           {8216, 15, 15},
-	"pilot/task2d":       {78824, 15, 15},
-	"fleet/broadcast":    {9740, 15, 15},
-	"fleet/task2d":       {9740, 15, 15},
-	"fleet/parallel-cc":  {9740, 15, 15},
-	"fleet/tree":         {9740, 15, 15},
+	"mpi/task2d":         {78824, 11, 11},
+	"mpi/parallel-cc":    {8216, 11, 11},
+	"mpi/tree":           {8216, 11, 11},
+	"pilot/task2d":       {78824, 11, 11},
+	"fleet/broadcast":    {9740, 11, 11},
+	"fleet/task2d":       {9740, 11, 11},
+	"fleet/parallel-cc":  {9740, 11, 11},
+	"fleet/tree":         {9740, 11, 11},
 }
 
 func TestLeafletEngineConformance(t *testing.T) {

@@ -293,9 +293,11 @@ func (c *Coordinator) SubmitPSARefs(refs traj.RefEnsemble, n1 int, opts psa.Opts
 }
 
 // SubmitLeaflet schedules a Leaflet Finder job over the coordinate
-// set: the 2-D tiling of leaflet.Blocks with at most maxTasks tiles,
-// each computing partial connected components (tree selects BallTree
-// edge discovery). Per-unit accounting folds into m as results arrive.
+// set: the live tiles of a 2-D grid of at most maxTasks tiles
+// (leaflet.LiveBlocks), each computing partial connected components
+// (tree selects BallTree edge discovery); tiles that cannot hold an
+// edge are never leased. Per-unit accounting folds into m as results
+// arrive.
 // An optional trailing span context parents the job's trace under the
 // submitter's span (variadic so pre-tracing call sites read unchanged;
 // only the first value is used).
@@ -306,7 +308,7 @@ func (c *Coordinator) SubmitLeaflet(coords []linalg.Vec3, cutoff float64, maxTas
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("fleet: cutoff must be positive, got %g", cutoff)
 	}
-	tiles := leaflet.Blocks(len(coords), maxTasks)
+	tiles := leaflet.LiveBlocks(coords, cutoff, maxTasks)
 	j := &Job{
 		c:        c,
 		analysis: AnalysisLeaflet,

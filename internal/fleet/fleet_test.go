@@ -199,8 +199,12 @@ func TestFleetLeafletMatchesSerial(t *testing.T) {
 		if !leaflet.Equal(got, want) {
 			t.Fatalf("tree=%v: assignment differs from serial", tree)
 		}
-		if got.Stats.Tasks != len(leaflet.Blocks(len(coords), 16)) {
-			t.Errorf("tree=%v: tasks = %d", tree, got.Stats.Tasks)
+		if got.Stats.Edges != want.Stats.Edges {
+			t.Errorf("tree=%v: edges = %d, want %d", tree, got.Stats.Edges, want.Stats.Edges)
+		}
+		// Only the plan's live tiles are leased.
+		if live := len(leaflet.LiveBlocks(coords, cutoff, 16)); got.Stats.Tasks != live || live >= len(leaflet.Blocks(len(coords), 16)) {
+			t.Errorf("tree=%v: tasks = %d, live tiles %d of %d", tree, got.Stats.Tasks, live, len(leaflet.Blocks(len(coords), 16)))
 		}
 	}
 }

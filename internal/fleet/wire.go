@@ -234,14 +234,17 @@ func EncodeEnsemble(ens traj.Ensemble) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeEnsemble deserializes a PSA input payload.
+// DecodeEnsemble deserializes a PSA input payload. The count in the
+// header is untrusted: the ensemble's capacity is bounded by the
+// payload, since every trajectory needs at least its 8-byte length
+// prefix.
 func DecodeEnsemble(b []byte) (traj.Ensemble, error) {
 	if len(b) < 5 || b[0] != inputTagPSA {
 		return nil, fmt.Errorf("fleet: not a PSA input payload")
 	}
 	count := int(binary.LittleEndian.Uint32(b[1:]))
 	b = b[5:]
-	ens := make(traj.Ensemble, 0, count)
+	ens := make(traj.Ensemble, 0, min(count, len(b)/8))
 	for i := 0; i < count; i++ {
 		if len(b) < 8 {
 			return nil, fmt.Errorf("fleet: truncated PSA input payload (trajectory %d)", i)

@@ -9,6 +9,7 @@ import (
 	"mdtask/internal/fleet"
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
+	"mdtask/internal/linalg"
 	"mdtask/internal/mpi"
 	"mdtask/internal/obs"
 	"mdtask/internal/pilot"
@@ -39,7 +40,7 @@ type engineRow struct {
 	// leafletPlan, when set, replaces leaflet.PlanTasks for engines
 	// whose leaflet body schedules a fixed dataflow whatever the
 	// approach, or records more tasks than leaflet.Run hands it.
-	leafletPlan func(spec Spec, nAtoms int) int
+	leafletPlan func(spec Spec, coords []linalg.Vec3) int
 }
 
 // engineTable is the one place an engine name becomes an engine:
@@ -49,7 +50,7 @@ var engineTable = map[string]engineRow{
 	EngineSerial: {
 		executor:    func(_ int, cancel func() bool) engine.Executor { return engine.NewSerial(cancel) },
 		leaflet:     leafletSerial,
-		leafletPlan: func(Spec, int) int { return 1 },
+		leafletPlan: func(Spec, []linalg.Vec3) int { return 1 },
 	},
 	EngineSpark: {
 		executor: func(p int, cancel func() bool) engine.Executor {
@@ -72,21 +73,24 @@ var engineTable = map[string]engineRow{
 	EngineFleet: {psa: psaFleet, leaflet: leafletFleet, leafletPlan: plan2D},
 }
 
-// plan2D plans the engines that run every approach over the 2-D tiling.
-func plan2D(spec Spec, nAtoms int) int { return len(leaflet.Plan2D(nAtoms, spec.Tasks)) }
+// plan2D plans the engines that run every approach over the live tiles
+// of the 2-D grid.
+func plan2D(spec Spec, coords []linalg.Vec3) int {
+	return leaflet.PlanTasks(leaflet.TaskAPI2D, coords, spec.Cutoff, spec.Tasks)
+}
 
 // planDaskGraph plans a dask Leaflet job by the nodes of the graph
 // dask.Executor builds, since every node records as a task: Broadcast
-// adds one scatter node to the row chunks, and Reduce folds its N tile
-// nodes through a bag — N fold-accumulate and N−1 fold-combine nodes on
-// top. Progress is tasks ÷ planned, so planning the tiles alone pinned
-// it at its clamp a third of the way in.
-func planDaskGraph(spec Spec, nAtoms int) int {
+// adds one scatter node to the row chunks, and Reduce folds its N live
+// tile nodes through a bag — N fold-accumulate and N−1 fold-combine
+// nodes on top. Progress is tasks ÷ planned, so planning the tiles alone
+// pinned it at its clamp a third of the way in.
+func planDaskGraph(spec Spec, coords []linalg.Vec3) int {
 	approach, _, err := ParseApproach(spec.Approach)
 	if err != nil {
 		return 0
 	}
-	n := leaflet.PlanTasks(approach, nAtoms, spec.Tasks)
+	n := leaflet.PlanTasks(approach, coords, spec.Cutoff, spec.Tasks)
 	switch approach {
 	case leaflet.Broadcast1D:
 		return n + 1
@@ -190,13 +194,13 @@ func PlannedTasks(spec Spec, in *Input) int {
 		return len(blocks)
 	case AnalysisLeaflet:
 		if plan := engineTable[spec.Engine].leafletPlan; plan != nil {
-			return plan(spec, len(in.Coords))
+			return plan(spec, in.Coords)
 		}
 		approach, _, err := ParseApproach(spec.Approach)
 		if err != nil {
 			return 0
 		}
-		return leaflet.PlanTasks(approach, len(in.Coords), spec.leafletTasks(approach))
+		return leaflet.PlanTasks(approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach))
 	}
 	return 0
 }
@@ -295,23 +299,36 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		}
 		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+engineName)
 		defer engSpan.End()
+		var res *leaflet.Result
 		if row.leaflet != nil {
-			res, err := row.leaflet(shared, rc, spec, in, approach, engSpan.Context())
-			return finish(rc, &Result{Leaflet: res}, err)
-		}
-		// The tile bodies of the tile-parallel approaches consult the
-		// run's block store, keyed under the input's content digest.
-		opts := []leaflet.Option{leaflet.WithTrace(rc.Tracer(), engSpan.Context())}
-		if store := rc.BlockStore(); store != nil {
-			if digest, derr := in.ContentDigest(); derr == nil {
-				opts = append(opts, leaflet.WithBlockCache(store, digest))
+			res, err = row.leaflet(shared, rc, spec, in, approach, engSpan.Context())
+		} else {
+			// The tile bodies of the tile-parallel approaches consult the
+			// run's block store, keyed under the input's content digest.
+			opts := []leaflet.Option{leaflet.WithTrace(rc.Tracer(), engSpan.Context())}
+			if store := rc.BlockStore(); store != nil {
+				if digest, derr := in.ContentDigest(); derr == nil {
+					opts = append(opts, leaflet.WithBlockCache(store, digest))
+				}
 			}
+			ex := row.executor(spec.Parallelism, rc.Cancelled)
+			rc.SetMetrics(ex.Metrics())
+			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), opts...)
 		}
-		ex := row.executor(spec.Parallelism, rc.Cancelled)
-		rc.SetMetrics(ex.Metrics())
-		res, err := leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), opts...)
+		// What the plan saved: the grid's tiles against the live ones run.
+		if res != nil && rc.Tracer().Enabled() && tiled2D(engineName, approach) {
+			engSpan.SetAttrInt("tiles_grid", int64(len(leaflet.Plan2D(len(in.Coords), spec.Tasks))))
+			engSpan.SetAttrInt("tiles_live", int64(res.Stats.Tasks))
+		}
 		return finish(rc, &Result{Leaflet: res}, err)
 	}
+}
+
+// tiled2D reports whether an engine runs an approach over the 2-D grid:
+// the serial reference runs untiled, and Approach 1 cuts 1-D row chunks
+// everywhere but on the fleet, which runs every approach over the grid.
+func tiled2D(engineName string, approach leaflet.Approach) bool {
+	return engineName != EngineSerial && (approach != leaflet.Broadcast1D || engineName == EngineFleet)
 }
 
 // leafletSerial runs the untiled reference, leaflet.Serial, as one task

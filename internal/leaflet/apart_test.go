@@ -4,42 +4,45 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
 )
 
-// offTile lays rows and cols out as one coordinate set and returns the
-// off-diagonal tile that compares them.
-func offTile(rows, cols []linalg.Vec3) ([]linalg.Vec3, block) {
-	coords := append(append([]linalg.Vec3{}, rows...), cols...)
-	return coords, block{rows: span{0, len(rows)}, cols: span{len(rows), len(coords)}}
-}
-
-// checkTile asserts that the bound's verdict is the expected one, that a
-// skipped tile holds no edge by brute force, and that blockEdges with
-// either kernel finds exactly the brute-force edges.
-func checkTile(t *testing.T, coords []linalg.Vec3, b block, cutoff float64, wantApart bool, wantEdges int) {
+// checkTile lays rows and cols out as two chunks of one coordinate set
+// and asserts the plan's verdict on their off-diagonal tile: boxesApart
+// says wantApart, planTiles keeps both diagonal tiles and the
+// off-diagonal one exactly when it is not apart, and a dropped tile
+// holds no edge by brute force.
+func checkTile(t *testing.T, rows, cols []linalg.Vec3, cutoff float64, wantApart bool, wantEdges int) {
 	t.Helper()
-	if got := tileApart(coords, b, cutoff); got != wantApart {
-		t.Fatalf("tileApart = %v, want %v", got, wantApart)
+	coords := append(append([]linalg.Vec3{}, rows...), cols...)
+	ch := []span{{0, len(rows)}, {len(rows), len(coords)}}
+	off := block{rows: ch[0], cols: ch[1]}
+	if got := boxesApart(boxOf(rows), boxOf(cols), cutoff); got != wantApart {
+		t.Fatalf("boxesApart = %v, want %v", got, wantApart)
 	}
-	brute := blockEdgesBrute(coords, b, cutoff)
+	want := []block{{ch[0], ch[0]}, {ch[1], ch[1]}}
+	if !wantApart {
+		want = []block{{ch[0], ch[0]}, off, {ch[1], ch[1]}}
+	}
+	if got := planTiles(coords, ch, cutoff); !reflect.DeepEqual(got, want) {
+		t.Fatalf("planTiles = %v, want %v", got, want)
+	}
+	brute := blockEdgesBrute(coords, off, cutoff)
 	if len(brute) != wantEdges {
 		t.Fatalf("brute edges = %d, want %d", len(brute), wantEdges)
 	}
-	for _, tree := range []bool{false, true} {
-		edges, apart := blockEdges(coords, b, cutoff, tree)
-		if apart != wantApart || !sameEdgeSet(edges, brute) {
-			t.Fatalf("tree=%v: blockEdges = %v (apart %v), brute %v", tree, edges, apart, brute)
-		}
+	if edges := blockEdgesTree(coords, off, cutoff); !sameEdgeSet(edges, brute) {
+		t.Fatalf("tree edges = %v, brute %v", edges, brute)
 	}
 }
 
 // A gap of exactly cutoff is an edge (the kernels test Dist2 <= c²), so
-// the bound must not skip it; one ulp more and the tile is skipped —
-// with no brute-force edge lost.
+// the plan must keep it; one ulp more and the tile is dropped — with no
+// brute-force edge lost.
 func TestTileApartIsExact(t *testing.T) {
 	const cutoff = 15.0
 	over := math.Nextafter(cutoff, math.Inf(1))
@@ -75,27 +78,32 @@ func TestTileApartIsExact(t *testing.T) {
 		{"overlap x, gap y", []linalg.Vec3{{0, 0, 0}, {10, 0, 0}}, []linalg.Vec3{{5, 20, 0}}, cutoff, true, 0},
 		{"overlapping boxes", []linalg.Vec3{{0, 0, 0}, {40, 40, 0}}, []linalg.Vec3{{20, 20, 0}}, cutoff, false, 0},
 		{"1-atom spans at cutoff", []linalg.Vec3{{2, 2, 2}}, []linalg.Vec3{{2, 2 + cutoff, 2}}, cutoff, false, 1},
+		// An empty chunk's inverted box is apart from every box.
 		{"empty rows", nil, []linalg.Vec3{{0, 0, 0}}, cutoff, true, 0},
 		{"empty cols", []linalg.Vec3{{0, 0, 0}}, nil, cutoff, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coords, b := offTile(tc.rows, tc.cols)
-			checkTile(t, coords, b, tc.cutoff, tc.apart, tc.wantEdges)
+			checkTile(t, tc.rows, tc.cols, tc.cutoff, tc.apart, tc.wantEdges)
 		})
 	}
 
-	// A diagonal tile's boxes coincide: it is never skipped, whatever its
-	// size, and a 1-atom or empty one simply has no pair.
+	// The plan keeps every diagonal tile, however far its atoms spread.
 	pts := []linalg.Vec3{{0, 0, 0}, {1, 0, 0}, {100, 0, 0}}
-	checkTile(t, pts, block{rows: span{0, 3}, cols: span{0, 3}}, 2, false, 1)
-	checkTile(t, pts, block{rows: span{2, 3}, cols: span{2, 3}}, 2, false, 0)
-	checkTile(t, pts, block{rows: span{1, 1}, cols: span{1, 1}}, 2, true, 0)
+	for _, ch := range [][]span{{{0, 3}}, {{0, 1}, {1, 2}, {2, 3}}} {
+		got := planTiles(pts, ch, 2)
+		for _, c := range ch {
+			if !slices.Contains(got, block{rows: c, cols: c}) {
+				t.Fatalf("chunks %v: plan %v drops diagonal tile %v", ch, got, c)
+			}
+		}
+	}
 }
 
-// Per tile, blockEdges (bound first, then either kernel) equals the
-// unbounded brute-force scan: on the generator's lattice order, where
-// most off-diagonal tiles are boxed apart, and on a shuffled order,
-// where every chunk spans the membrane and nothing may be skipped.
+// Over the full grid, every tile the plan drops holds no brute-force
+// edge, and the tree kernel finds the brute-force edges on every tile,
+// live or not: on the generator's lattice order, where most off-diagonal
+// tiles are dropped, and on a shuffled order, where every chunk spans
+// the membrane and nothing may be dropped.
 func TestBlockEdgesMatchBruteEveryTile(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewPCG(seed, 7))
@@ -108,30 +116,25 @@ func TestBlockEdgesMatchBruteEveryTile(t *testing.T) {
 			name   string
 			coords []linalg.Vec3
 		}{{"lattice", sys.Coords}, {"shuffled", shuffled}} {
-			skipped := 0
+			live := liveBlocks2D(order.coords, cutoff, nTasks)
+			dropped := 0
 			for _, b := range blocks2D(len(order.coords), nTasks) {
 				want := blockEdgesBrute(order.coords, b, cutoff)
-				for _, tree := range []bool{false, true} {
-					got, apart := blockEdges(order.coords, b, cutoff, tree)
-					if apart && (len(want) != 0 || got != nil) {
-						t.Fatalf("seed %d %s tile %+v: skipped with %d brute edges", seed, order.name, b, len(want))
+				if !slices.Contains(live, b) {
+					dropped++
+					if len(want) != 0 {
+						t.Fatalf("seed %d %s tile %+v: dropped with %d brute edges", seed, order.name, b, len(want))
 					}
-					if !tree && !apart && !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s tile %+v: pairwise edges differ from brute", seed, order.name, b)
-					}
-					if !sameEdgeSet(got, want) {
-						t.Fatalf("seed %d %s tile %+v tree=%v: %d edges, brute %d", seed, order.name, b, tree, len(got), len(want))
-					}
-					if apart && !tree {
-						skipped++
-					}
+				}
+				if got := blockEdgesTree(order.coords, b, cutoff); !sameEdgeSet(got, want) {
+					t.Fatalf("seed %d %s tile %+v: %d tree edges, brute %d", seed, order.name, b, len(got), len(want))
 				}
 			}
 			switch {
-			case order.name == "shuffled" && skipped != 0:
-				t.Errorf("seed %d: %d shuffled-order tiles skipped; their boxes overlap", seed, skipped)
-			case order.name == "lattice" && skipped == 0:
-				t.Errorf("seed %d: no lattice-order tile skipped", seed)
+			case order.name == "shuffled" && dropped != 0:
+				t.Errorf("seed %d: %d shuffled-order tiles dropped; their boxes overlap", seed, dropped)
+			case order.name == "lattice" && dropped == 0:
+				t.Errorf("seed %d: no lattice-order tile dropped", seed)
 			}
 		}
 	}

@@ -27,11 +27,19 @@ func (b BlockSpec) Valid(n int) error {
 	return nil
 }
 
-// Blocks returns the 2-D tiling of Plan2D as addressable specs: the
-// same upper-triangular chunk-pair schedule Approaches 2-4 run, with
-// every unordered atom pair covered by exactly one tile.
-func Blocks(n, maxTasks int) []BlockSpec {
-	blocks := blocks2D(n, maxTasks)
+// Blocks returns the full 2-D grid of Plan2D as addressable specs: the
+// upper-triangular chunk-pair tiling, with every unordered atom pair
+// covered by exactly one tile.
+func Blocks(n, maxTasks int) []BlockSpec { return specsOf(blocks2D(n, maxTasks)) }
+
+// LiveBlocks returns the tiles of Blocks(len(coords), maxTasks) that
+// can hold an edge — the schedule Approaches 2-4 run. Every edge lies in
+// a live tile.
+func LiveBlocks(coords []linalg.Vec3, cutoff float64, maxTasks int) []BlockSpec {
+	return specsOf(liveBlocks2D(coords, cutoff, maxTasks))
+}
+
+func specsOf(blocks []block) []BlockSpec {
 	out := make([]BlockSpec, len(blocks))
 	for i, b := range blocks {
 		out[i] = BlockSpec{RLo: b.rows.lo, RHi: b.rows.hi, CLo: b.cols.lo, CHi: b.cols.hi}
@@ -42,13 +50,14 @@ func Blocks(n, maxTasks int) []BlockSpec {
 // BlockPartial computes one tile's partial connected components and its
 // discovered edge count — the map side of the Parallel-CC architecture
 // (tree selects the BallTree kernel of Approach 4, otherwise pairwise
-// distances). This is the task body fleet workers execute.
+// distances). This is the task body fleet workers execute; it is
+// correct on any tile, live or not.
 func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) ([]graph.Component, int64) {
 	blk := block{
 		rows: span{lo: b.RLo, hi: b.RHi},
 		cols: span{lo: b.CLo, hi: b.CHi},
 	}
-	edges, _ := blockEdges(coords, blk, cutoff, tree)
+	edges := blockEdges(coords, blk, cutoff, tree)
 	return graph.PartialComponents(edges), int64(len(edges))
 }
 

@@ -83,10 +83,7 @@ func (o runOpts) tilePartial(coords []linalg.Vec3, b block, cutoff float64, useT
 	span.SetAttr("tile", fmt.Sprintf("[%d:%d)x[%d:%d)", b.rows.lo, b.rows.hi, b.cols.lo, b.cols.hi))
 	defer span.End()
 	compute := func() TilePartial {
-		edges, apart := blockEdges(coords, b, cutoff, useTree)
-		if apart {
-			span.SetAttr("apart", "true")
-		}
+		edges := blockEdges(coords, b, cutoff, useTree)
 		return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
 	}
 	if o.store == nil || o.coordsDigest == "" {

@@ -29,6 +29,7 @@ package leaflet
 
 import (
 	"fmt"
+	"math"
 
 	"mdtask/internal/balltree"
 	"mdtask/internal/graph"
@@ -166,11 +167,9 @@ func chunks1D(n, parts int) []span {
 // comparison space.
 type block struct{ rows, cols span }
 
-// blocks2D tiles the upper triangle of the n×n comparison space into at
-// most maxTasks blocks: the atom range is cut into p chunks with
-// p(p+1)/2 <= maxTasks, and every chunk pair (i <= j) becomes a task.
-// This is the paper's 2-D pre-partitioning (Approaches 2-4).
-func blocks2D(n, maxTasks int) []block {
+// chunks2D cuts [0, n) into the p chunks of the 2-D grid, the largest p
+// with p(p+1)/2 <= maxTasks (and at most n).
+func chunks2D(n, maxTasks int) []span {
 	p := 1
 	for (p+1)*(p+2)/2 <= maxTasks {
 		p++
@@ -181,14 +180,84 @@ func blocks2D(n, maxTasks int) []block {
 	if p < 1 {
 		p = 1
 	}
-	ch := chunks1D(n, p)
-	var out []block
-	for i := 0; i < len(ch); i++ {
+	return chunks1D(n, p)
+}
+
+// blocks2D tiles the upper triangle of the n×n comparison space into at
+// most maxTasks blocks: every chunk pair (i <= j) of chunks2D is a tile.
+// This is the paper's 2-D pre-partitioning, the full grid; the runs of
+// Approaches 2-4 schedule only its live tiles (liveBlocks2D).
+func blocks2D(n, maxTasks int) []block {
+	ch := chunks2D(n, maxTasks)
+	out := make([]block, 0, len(ch)*(len(ch)+1)/2)
+	for i := range ch {
 		for j := i; j < len(ch); j++ {
 			out = append(out, block{rows: ch[i], cols: ch[j]})
 		}
 	}
 	return out
+}
+
+// liveBlocks2D is the plan of Approaches 2-4: the tiles of
+// blocks2D(len(coords), maxTasks) that can hold an edge, in grid order.
+// A dropped tile never becomes a task, a span or a cache entry.
+func liveBlocks2D(coords []linalg.Vec3, cutoff float64, maxTasks int) []block {
+	return planTiles(coords, chunks2D(len(coords), maxTasks), cutoff)
+}
+
+// planTiles pairs the chunks ch (i <= j) into tiles, boxing each chunk
+// once — one O(n) pass — and dropping every off-diagonal pair whose
+// boxes lie more than cutoff apart (boxesApart). Diagonal tiles are
+// always kept.
+func planTiles(coords []linalg.Vec3, ch []span, cutoff float64) []block {
+	boxes := make([]box, len(ch))
+	for i, c := range ch {
+		boxes[i] = boxOf(coords[c.lo:c.hi])
+	}
+	var out []block
+	for i := range ch {
+		for j := i; j < len(ch); j++ {
+			if i == j || !boxesApart(boxes[i], boxes[j], cutoff) {
+				out = append(out, block{rows: ch[i], cols: ch[j]})
+			}
+		}
+	}
+	return out
+}
+
+// box is the axis-aligned bounding box of a chunk's atoms.
+type box struct{ lo, hi linalg.Vec3 }
+
+// boxOf boxes pts. The box of no points is inverted (lo = +Inf,
+// hi = −Inf), so boxesApart finds it apart from every box.
+func boxOf(pts []linalg.Vec3) box {
+	if len(pts) == 0 {
+		inf := math.Inf(1)
+		return box{lo: linalg.Vec3{inf, inf, inf}, hi: linalg.Vec3{-inf, -inf, -inf}}
+	}
+	lo, hi := linalg.BoundingBox(pts)
+	return box{lo: lo, hi: hi}
+}
+
+// boxesApart reports whether no pair of points, one in each box, can be
+// an edge. The squared gap is linalg.Dist2 of the boxes' nearest corners
+// (equal coordinates on an axis where the boxes overlap), so it runs the
+// very subtractions, squares and sums of every pair's Dist2 on operands
+// no farther apart; IEEE rounding is monotone, hence the gap is a lower
+// bound on each pair's Dist2 and the drop is exact against the kernels'
+// Dist2 <= cutoff² test (docs/engines.md, "Tiles that cannot hold an
+// edge").
+func boxesApart(r, c box, cutoff float64) bool {
+	var p, q linalg.Vec3
+	for k := range 3 {
+		switch {
+		case r.hi[k] < c.lo[k]:
+			p[k], q[k] = r.hi[k], c.lo[k]
+		case c.hi[k] < r.lo[k]:
+			p[k], q[k] = r.lo[k], c.hi[k]
+		}
+	}
+	return linalg.Dist2(p, q) > cutoff*cutoff
 }
 
 // blockEdgesBrute finds all edges of one block by pairwise distance
@@ -242,49 +311,13 @@ func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge 
 }
 
 // blockEdges finds one tile's edges with the approach's kernel (tree
-// selects the BallTree); it is the entry point of every tile body. A
-// tile whose row and column atoms are boxed more than cutoff apart
-// (tileApart) holds no edge: it reports apart and returns no edges
-// without building a tree or computing a distance.
-func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) (edges []graph.Edge, apart bool) {
-	if tileApart(coords, b, cutoff) {
-		return nil, true
-	}
+// selects the BallTree); it is the entry point of every tile body and
+// is correct on any tile, live or not.
+func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) []graph.Edge {
 	if tree {
-		return blockEdgesTree(coords, b, cutoff), false
+		return blockEdgesTree(coords, b, cutoff)
 	}
-	return blockEdgesBrute(coords, b, cutoff), false
-}
-
-// tileApart reports whether no pair of the tile can be an edge because
-// the axis-aligned boxes of its row and column atoms lie more than
-// cutoff apart. The squared gap is linalg.Dist2 of the boxes' nearest
-// corners (equal coordinates on an axis where the boxes overlap), so it
-// runs the very subtractions, squares and sums of every pair's Dist2 on
-// operands no farther apart; IEEE rounding is monotone, hence the gap
-// is a lower bound on each pair's Dist2 and the skip is exact against
-// the kernels' Dist2 <= cutoff² test (docs/engines.md, "Tiles that
-// cannot hold an edge"). A tile with an empty span has no pairs; a
-// diagonal tile's boxes coincide.
-func tileApart(coords []linalg.Vec3, b block, cutoff float64) bool {
-	if b.rows.len() == 0 || b.cols.len() == 0 {
-		return true
-	}
-	if b.rows == b.cols {
-		return false
-	}
-	rlo, rhi := linalg.BoundingBox(coords[b.rows.lo:b.rows.hi])
-	clo, chi := linalg.BoundingBox(coords[b.cols.lo:b.cols.hi])
-	var p, q linalg.Vec3
-	for k := range 3 {
-		switch {
-		case rhi[k] < clo[k]:
-			p[k], q[k] = rhi[k], clo[k]
-		case chi[k] < rlo[k]:
-			p[k], q[k] = rlo[k], chi[k]
-		}
-	}
-	return linalg.Dist2(p, q) > cutoff*cutoff
+	return blockEdgesBrute(coords, b, cutoff)
 }
 
 // rowChunkEdges finds edges between a row chunk and all atoms with the
@@ -327,8 +360,9 @@ type BlockDims struct {
 	Diagonal   bool
 }
 
-// Plan2D exposes the 2-D tiling used by Approaches 2-4 so the experiment
-// harness can model per-task costs without running the tasks.
+// Plan2D exposes the full 2-D grid Approaches 2-4 plan their live tiles
+// from, so the experiment harness can model per-task costs without
+// running the tasks.
 func Plan2D(n, maxTasks int) []BlockDims {
 	blocks := blocks2D(n, maxTasks)
 	out := make([]BlockDims, len(blocks))
@@ -354,15 +388,15 @@ func Plan1D(n, parts int) (lens []int, pairs []int64) {
 }
 
 // SampleDataMovement runs the map side of Approach 3 (tree-based edge
-// discovery + partial components per block) serially on a real system
-// and returns the measured data-movement profile, used by the
+// discovery + partial components per live tile) serially on a real
+// system and returns the measured data-movement profile, used by the
 // experiment harness to calibrate edges-per-atom and shuffle volumes.
 func SampleDataMovement(coords []linalg.Vec3, cutoff float64, nTasks int) Stats {
-	blocks := blocks2D(len(coords), nTasks)
+	blocks := liveBlocks2D(coords, cutoff, nTasks)
 	var st Stats
 	st.Tasks = len(blocks)
 	for _, b := range blocks {
-		edges, _ := blockEdges(coords, b, cutoff, true)
+		edges := blockEdges(coords, b, cutoff, true)
 		comps := graph.PartialComponents(edges)
 		st.Edges += int64(len(edges))
 		st.ShuffleBytes += graph.ComponentBytes(comps)

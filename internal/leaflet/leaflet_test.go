@@ -244,9 +244,9 @@ func TestSampleDataMovement(t *testing.T) {
 		t.Errorf("component shuffle %d B not smaller than edges %d B",
 			st.ShuffleBytes, graph.EdgeBytes(int(st.Edges)))
 	}
-	// It goes through the bounded tile entry point; the profile must not
-	// notice the skipped tiles.
-	want := Stats{Tasks: st.Tasks}
+	// It runs only the plan's live tiles; the profile must not notice
+	// the dropped ones.
+	want := Stats{Tasks: len(liveBlocks2D(sys.Coords, synth.BilayerCutoff, 32))}
 	for _, b := range blocks2D(len(sys.Coords), 32) {
 		edges := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
 		want.Edges += int64(len(edges))

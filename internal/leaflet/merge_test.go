@@ -86,7 +86,8 @@ func TestMergePartialSetsOutputsAreCapped(t *testing.T) {
 }
 
 // The fleet coordinator joins per-unit partials with FromPartials; over
-// Run's own 1024-tile plan it must label every atom as Run does.
+// Run's own plan of a 1024-tile grid it must label every atom as Run
+// does, and so must the full grid, whose extra tiles hold no edge.
 func TestFromPartialsMatchesRun(t *testing.T) {
 	sys := membrane(4096)
 	const nTasks = 1024
@@ -99,20 +100,27 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := Blocks(len(sys.Coords), nTasks)
-		partials := make([][]graph.Component, len(specs))
-		var edges int64
-		for i, b := range specs {
-			var n int64
-			partials[i], n = BlockPartial(sys.Coords, b, synth.BilayerCutoff, tree)
-			edges += n
+		for _, specs := range [][]BlockSpec{
+			LiveBlocks(sys.Coords, synth.BilayerCutoff, nTasks),
+			Blocks(len(sys.Coords), nTasks),
+		} {
+			partials := make([][]graph.Component, len(specs))
+			var edges int64
+			for i, b := range specs {
+				var n int64
+				partials[i], n = BlockPartial(sys.Coords, b, synth.BilayerCutoff, tree)
+				edges += n
+			}
+			got := FromPartials(len(sys.Coords), partials, Stats{Tasks: len(specs), Edges: edges})
+			if !Equal(got, want) || !reflect.DeepEqual(got.Components, want.Components) {
+				t.Fatalf("tree=%v, %d tiles: FromPartials labels differ from Run", tree, len(specs))
+			}
+			if got.Stats.Edges != want.Stats.Edges {
+				t.Errorf("tree=%v, %d tiles: edges %d, Run %d", tree, len(specs), got.Stats.Edges, want.Stats.Edges)
+			}
 		}
-		got := FromPartials(len(sys.Coords), partials, Stats{Tasks: len(specs), Edges: edges})
-		if !Equal(got, want) || !reflect.DeepEqual(got.Components, want.Components) {
-			t.Fatalf("tree=%v: FromPartials labels differ from Run", tree)
-		}
-		if got.Stats.Edges != want.Stats.Edges || got.Stats.Tasks != want.Stats.Tasks {
-			t.Errorf("tree=%v: stats %+v, Run %+v", tree, got.Stats, want.Stats)
+		if live := len(LiveBlocks(sys.Coords, synth.BilayerCutoff, nTasks)); want.Stats.Tasks != live {
+			t.Errorf("tree=%v: Run ran %d tasks, the plan has %d live tiles", tree, want.Stats.Tasks, live)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // RunPilot executes the Leaflet Finder on the pilot engine using
 // Approach 2 (the configuration the paper evaluates in Figure 9): one
-// Compute-Unit per 2-D block, each unit staging its two coordinate
+// Compute-Unit per live 2-D block, each unit staging its two coordinate
 // chunks in as files, writing its edge list out as a file, and the
 // client computing the connected components after all units finish. All
 // intermediate data moves through the filesystem, as RADICAL-Pilot's
@@ -23,7 +23,7 @@ import (
 func RunPilot(p *pilot.Pilot, coords []linalg.Vec3, cutoff float64, nTasks int, opts ...Option) (*Result, error) {
 	o := gatherOpts(opts)
 	n := len(coords)
-	blocks := blocks2D(n, nTasks)
+	blocks := liveBlocks2D(coords, cutoff, nTasks)
 	descs := make([]pilot.UnitDescription, len(blocks))
 	for i, b := range blocks {
 		b := b

@@ -41,13 +41,10 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		// 2-D pre-partitioned blocks; map to edge lists; collect; master
 		// computes components. Each task declares its cdist working set
 		// (the memory wall of §4.3.2).
-		blocks := blocks2D(n, nTasks)
+		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		lists, err := engine.Map(ex, len(blocks),
 			func(i int) int64 { return blockMemBytes(blocks[i]) },
-			func(i int) ([]graph.Edge, error) {
-				edges, _ := blockEdges(coords, blocks[i], cutoff, false)
-				return edges, nil
-			})
+			func(i int) ([]graph.Edge, error) { return blockEdges(coords, blocks[i], cutoff, false), nil })
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +53,7 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 	case ParallelCC, TreeSearch:
 		// Map: edges + partial components per block. Reduce: merge
 		// component sets sharing nodes. Only components cross the shuffle.
-		blocks := blocks2D(n, nTasks)
+		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		useTree := approach == TreeSearch
 		mem := func(i int) int64 { return blockMemBytes(blocks[i]) }
 		if useTree {
@@ -97,14 +94,14 @@ func fromEdges(ex engine.Executor, n int, lists [][]graph.Edge, stats Stats) *Re
 	return finish(graph.ComponentsUnionFind(n, edges), stats)
 }
 
-// PlanTasks is the number of tasks Run schedules for an approach over n
-// atoms with task bound nTasks: Approach 1 cuts the rows into 1-D
-// chunks, the others tile the upper triangle in 2-D.
-func PlanTasks(approach Approach, n, nTasks int) int {
+// PlanTasks is the number of tasks Run schedules for an approach over
+// coords with task bound nTasks: Approach 1 cuts the rows into 1-D
+// chunks, the others run the live tiles of the 2-D grid.
+func PlanTasks(approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int) int {
 	if approach == Broadcast1D {
-		return len(chunks1D(n, nTasks))
+		return len(chunks1D(len(coords), nTasks))
 	}
-	return len(blocks2D(n, nTasks))
+	return len(liveBlocks2D(coords, cutoff, nTasks))
 }
 
 // blockMemBytes is the cdist working set of one block: rows × cols

@@ -56,7 +56,7 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 			if got.Stats.Edges != want.Stats.Edges {
 				t.Errorf("edges = %d, want %d", got.Stats.Edges, want.Stats.Edges)
 			}
-			plan := PlanTasks(approach, len(sys.Coords), nTasks)
+			plan := PlanTasks(approach, sys.Coords, synth.BilayerCutoff, nTasks)
 			if got.Stats.Tasks != plan || ex.Metrics().Snapshot().Tasks != int64(plan) {
 				t.Errorf("stats tasks = %d, executor tasks = %d, plan = %d",
 					got.Stats.Tasks, ex.Metrics().Snapshot().Tasks, plan)
@@ -81,7 +81,7 @@ func TestRunDeclaresCdistWorkingSet(t *testing.T) {
 		if _, err := Run(rec, tc.approach, sys.Coords, synth.BilayerCutoff, 6); err != nil {
 			t.Fatal(err)
 		}
-		blocks := blocks2D(len(sys.Coords), 6)
+		blocks := liveBlocks2D(sys.Coords, synth.BilayerCutoff, 6)
 		for i, task := range rec.tasks {
 			want := int64(0)
 			if tc.declares {
