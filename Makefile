@@ -4,7 +4,7 @@ SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race soak loadgate
+.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint deadapi fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race soak loadgate
 
 build:
 	$(GO) build ./...
@@ -89,7 +89,8 @@ smoke-stream:
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
 # normalization, the WAL recovery scanner, the trajectory decoders, the
-# fleet wire decoders, then the differential tests of the Hausdorff
+# fleet wire decoders and the coordinator's check of Leaflet unit
+# results, then the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
 # bit-identical to naive, and the same adversarial inputs through every
 # engine and both schedules — the Leaflet partial-component merge
@@ -102,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzFleetWire -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
+	$(GO) test -fuzz FuzzRecordLeafletResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 	$(GO) test -fuzz FuzzMergePartialSets -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
@@ -163,8 +165,8 @@ benchmark-compare:
 # then an MDTASK_FAULTS-armed worker takes the chaos scenario's first
 # units alone, crashes at its fourth, and two fresh healthy workers
 # finish it; the scenario must find evidence of the injected faults.
-# Latency lands in BENCH_load.json / load_latency.csv but never gates
-# (see scripts/loadgate.sh).
+# The invariant reports land in BENCH_load.json / BENCH_load_chaos.json
+# (see scripts/loadgate.sh); time is benchmark/'s to measure.
 loadgate:
 	sh scripts/loadgate.sh
 
@@ -180,6 +182,13 @@ docslint:
 # Gating in CI.
 enginelint:
 	sh scripts/enginelint.sh
+
+# Dead-API lint: every exported func and method under internal/ must
+# be referenced by a non-test file of the module, cmd/, examples/ and
+# benchmark/ included; a short allowlist in the script names the test
+# references that must stay (see scripts/deadapi.sh). Gating in CI.
+deadapi:
+	sh scripts/deadapi.sh
 
 fmt:
 	gofmt -l .

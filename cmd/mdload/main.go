@@ -3,18 +3,18 @@
 // resubmit storms, delta-append storms, fleet fan-out across all four
 // Hausdorff methods, cancel storms, streamed-vs-in-memory mixes, queue
 // overload with a 413 probe, and chaos against MDTASK_FAULTS-armed
-// workers — with per-endpoint throughput and latency percentiles
-// reported as a table, CSV, and BENCH_load.json.
+// workers — each checked against deterministic invariants (lost jobs,
+// counter mismatches, missing Retry-After, WAL skips, goroutine leaks)
+// and reported as text and, with -json, as a JSON report. Time is not
+// measured here; the end-to-end benchmark (benchmark/) owns it.
 //
-// The -gate mode exits non-zero when any deterministic invariant fails
-// (lost jobs, counter mismatches, missing Retry-After, WAL skips,
-// goroutine leaks); latency is recorded but never gates.
+// The -gate mode exits non-zero when any invariant fails.
 //
 // Usage:
 //
 //	mdload -server http://127.0.0.1:8077                  # full suite
 //	mdload -server ... -scenario overload,cancel-storm    # a subset
-//	mdload -server ... -gate -json BENCH_load.json        # CI gate
+//	mdload -server ... -gate -json load.json              # CI gate
 //	mdload -list                                          # scenario ids
 package main
 
@@ -43,8 +43,7 @@ func main() {
 		expectShed = flag.Bool("expect-shed", false, "require the overload scenario to provoke 429s (set when the queue is sized below concurrency)")
 		reqWorkers = flag.Bool("require-workers", false, "fail fleet scenarios instead of skipping when no workers are registered")
 		oversized  = flag.Int64("oversized-bytes", 2<<20, "size of the 413 probe body")
-		jsonPath   = flag.String("json", "", "write the full report as JSON (e.g. BENCH_load.json)")
-		csvPath    = flag.String("csv", "", "write per-endpoint latency rows as CSV")
+		jsonPath   = flag.String("json", "", "write the full report as JSON")
 		gate       = flag.Bool("gate", false, "exit non-zero when any invariant fails")
 		list       = flag.Bool("list", false, "list scenario names and exit")
 	)
@@ -53,7 +52,7 @@ func main() {
 		server: *server, scenario: *scenario, jobs: *jobsN, conc: *conc,
 		warmup: *warmup, duration: *duration, seed: *seed, chaos: *chaos,
 		expectShed: *expectShed, reqWorkers: *reqWorkers, oversized: *oversized,
-		jsonPath: *jsonPath, csvPath: *csvPath, gate: *gate, list: *list,
+		jsonPath: *jsonPath, gate: *gate, list: *list,
 	}, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mdload:", err)
 		os.Exit(1)
@@ -68,12 +67,12 @@ type config struct {
 	chaos, expectShed bool
 	reqWorkers, gate  bool
 	oversized         int64
-	jsonPath, csvPath string
+	jsonPath          string
 	list              bool
 }
 
 // errGate marks an invariant failure so main exits non-zero after the
-// report (table, JSON, CSV) has already been written.
+// report (text, JSON) has already been written.
 var errGate = fmt.Errorf("invariant failures (see report above)")
 
 func run(c config, stdout io.Writer) error {
@@ -107,7 +106,7 @@ func run(c config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	loadgen.WriteTable(stdout, rep)
+	loadgen.WriteReport(stdout, rep)
 	if c.jsonPath != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -117,20 +116,6 @@ func run(c config, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", c.jsonPath)
-	}
-	if c.csvPath != "" {
-		f, err := os.Create(c.csvPath)
-		if err != nil {
-			return err
-		}
-		if err := loadgen.WriteCSV(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", c.csvPath)
 	}
 	if c.gate && !rep.OK {
 		return errGate

@@ -44,23 +44,22 @@ func TestRunWritesReports(t *testing.T) {
 	defer sched.Close()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", ob.Metrics.Handler())
-	mux.Handle("/", jobs.NewServer(sched))
+	mux.Handle("/", jobs.NewServerWith(sched, jobs.ServerOptions{}))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_load.json")
-	csvPath := filepath.Join(dir, "load.csv")
+	jsonPath := filepath.Join(dir, "load.json")
 	var out bytes.Buffer
 	err := run(config{
 		server: srv.URL, scenario: "resubmit-storm", jobs: 3, conc: 2, seed: 11,
-		jsonPath: jsonPath, csvPath: csvPath, gate: true,
+		jsonPath: jsonPath, gate: true,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "resubmit-storm") || !strings.Contains(out.String(), "invariants:") {
-		t.Fatalf("table output missing sections:\n%s", out.String())
+		t.Fatalf("report output missing sections:\n%s", out.String())
 	}
 
 	blob, err := os.ReadFile(jsonPath)
@@ -69,17 +68,10 @@ func TestRunWritesReports(t *testing.T) {
 	}
 	var rep loadgen.Report
 	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("BENCH_load.json does not parse: %v", err)
+		t.Fatalf("JSON report does not parse: %v", err)
 	}
 	if rep.Benchmark != "mdserver-load" || !rep.OK || len(rep.Scenarios) != 1 {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
 
-	csvBlob, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatalf("reading %s: %v", csvPath, err)
-	}
-	if !strings.HasPrefix(string(csvBlob), "scenario,endpoint,") {
-		t.Fatalf("csv header missing: %q", string(csvBlob)[:40])
-	}
 }

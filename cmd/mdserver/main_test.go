@@ -20,7 +20,7 @@ import (
 func TestServerSmoke(t *testing.T) {
 	sched := jobs.NewScheduler(jobs.DefaultRegistry(), jobs.Options{Workers: 1})
 	defer sched.Close()
-	ts := httptest.NewServer(jobs.NewServer(sched))
+	ts := httptest.NewServer(jobs.NewServerWith(sched, jobs.ServerOptions{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/healthz")

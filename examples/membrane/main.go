@@ -9,9 +9,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 	"time"
 
-	"mdtask/internal/core"
+	"mdtask/internal/jobs"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/synth"
 )
@@ -26,12 +27,14 @@ func main() {
 	fmt.Printf("%-32s %8s %10s %12s %12s %9s\n",
 		"approach", "tasks", "edges", "broadcast", "shuffle", "elapsed")
 	for _, approach := range leaflet.Approaches {
-		cfg := core.Config{Engine: core.EngineSpark, Tasks: 256}
+		spec := jobs.Spec{Analysis: jobs.AnalysisLeaflet, Engine: jobs.EngineSpark, Tasks: 256,
+			Approach: strconv.Itoa(int(approach)), Cutoff: synth.BilayerCutoff}
 		start := time.Now()
-		res, err := core.LeafletFinder(cfg, sys.Coords, synth.BilayerCutoff, approach)
+		job, _, err := jobs.Run(jobs.DefaultRegistry(), spec, &jobs.Input{Coords: sys.Coords})
 		if err != nil {
 			log.Fatalf("%v: %v", approach, err)
 		}
+		res := job.Leaflet
 		elapsed := time.Since(start)
 		if len(res.Components) != 2 {
 			log.Fatalf("%v: found %d components, want 2", approach, len(res.Components))

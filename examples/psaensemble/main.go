@@ -12,9 +12,9 @@ import (
 	"math"
 	"time"
 
-	"mdtask/internal/core"
-	"mdtask/internal/hausdorff"
+	"mdtask/internal/jobs"
 	"mdtask/internal/synth"
+	"mdtask/internal/traj"
 )
 
 func main() {
@@ -22,20 +22,23 @@ func main() {
 	fmt.Printf("ensemble: %d trajectories x %d atoms x %d frames\n\n",
 		len(ens), ens[0].NAtoms, ens[0].NFrames())
 
+	in := &jobs.Input{Ens: ens, Refs: traj.RefsOf(ens)}
 	var reference []float64
 	fmt.Printf("%-14s %-10s %10s %8s\n", "engine", "schedule", "elapsed", "agrees")
-	for _, eng := range core.Engines {
+	for _, eng := range []string{jobs.EngineMPI, jobs.EngineSpark, jobs.EngineDask, jobs.EnginePilot} {
 		for _, full := range []bool{true, false} {
 			schedule := "symmetric"
 			if full {
 				schedule = "full"
 			}
-			cfg := core.Config{Engine: eng, Parallelism: 4, Tasks: 16, FullMatrix: full}
+			spec := jobs.Spec{Analysis: jobs.AnalysisPSA, Engine: eng, Parallelism: 4, Tasks: 16,
+				FullMatrix: full, Method: "early-break"}
 			start := time.Now()
-			m, err := core.PSA(cfg, ens, hausdorff.EarlyBreak)
+			res, _, err := jobs.Run(jobs.DefaultRegistry(), spec, in)
 			if err != nil {
 				log.Fatalf("%v: %v", eng, err)
 			}
+			m := res.Matrix
 			elapsed := time.Since(start)
 			agrees := "ref"
 			if reference == nil {

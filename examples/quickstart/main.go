@@ -1,6 +1,6 @@
 // Quickstart: generate a small trajectory ensemble, run Path Similarity
-// Analysis on the Dask-like engine through the high-level core API, and
-// print the Hausdorff distance matrix.
+// Analysis on the Dask-like engine as a one-shot job, and print the
+// Hausdorff distance matrix.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -9,21 +9,25 @@ import (
 	"fmt"
 	"log"
 
-	"mdtask/internal/core"
-	"mdtask/internal/hausdorff"
-	"mdtask/internal/synth"
+	"mdtask/internal/jobs"
 )
 
 func main() {
-	// Six random-walk trajectories of 200 atoms over 40 frames.
-	ens := synth.Ensemble(synth.EnsemblePreset{Name: "demo", NAtoms: 200, NFrames: 40}, 6, 1)
-
-	cfg := core.Config{Engine: core.EngineDask, Parallelism: 4}
-	m, err := core.PSA(cfg, ens, hausdorff.EarlyBreak)
+	// Six random-walk trajectories of 200 atoms over 40 frames,
+	// generated from the spec and run on four Dask-like workers.
+	spec := jobs.Spec{
+		Analysis:    jobs.AnalysisPSA,
+		Engine:      jobs.EngineDask,
+		Parallelism: 4,
+		Method:      "early-break",
+		Synth:       &jobs.SynthSpec{Count: 6, Atoms: 200, Frames: 40, Seed: 1},
+	}
+	_, res, _, err := jobs.RunLocal(jobs.DefaultRegistry(), spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	m := res.Matrix
 	fmt.Println("PSA Hausdorff distance matrix (Å):")
 	for i := 0; i < m.N; i++ {
 		for j := 0; j < m.N; j++ {
@@ -31,14 +35,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// The decision framework (paper Table 3) picks an engine for a
-	// throughput-bound, shuffle-free workload like this one.
-	recs, err := core.Recommend(core.Requirements{
-		Needs: []core.Criterion{core.Throughput, core.ManyTasks, core.PythonNative},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nrecommended engine for this workload: %s\n", recs[0].Engine)
 }

@@ -68,11 +68,7 @@ func main() {
 		descs[i] = pilot.UnitDescription{Name: "t", Fn: func(string) error { return nil }}
 	}
 	start = time.Now()
-	units, err := p.Submit(descs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := p.Wait(units); err != nil {
+	if err := p.Wait(p.Submit(descs)); err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)

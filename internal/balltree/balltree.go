@@ -3,7 +3,7 @@
 //
 //   - Tree, over 3-D atom positions, replaces the Scikit-Learn BallTree
 //     used by the paper's Leaflet Finder Approach 4 ("Tree-Search",
-//     §4.3.4): radius and k-NN queries over membrane coordinates.
+//     §4.3.4): radius queries over membrane coordinates.
 //   - FrameTree, over 4-D frame signatures (centroid + radius of
 //     gyration), is the metric index behind PSA's indexed Hausdorff
 //     kernel (hausdorff.Indexed): each trajectory window's frames are
@@ -18,7 +18,6 @@
 package balltree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -45,13 +44,11 @@ type Tree struct {
 }
 
 // New builds a BallTree with the default leaf size.
-func New(pts []linalg.Vec3) *Tree { return NewLeafSize(pts, DefaultLeafSize) }
+func New(pts []linalg.Vec3) *Tree { return newLeafSize(pts, DefaultLeafSize) }
 
-// NewLeafSize builds a BallTree with a custom leaf size (minimum 1).
-func NewLeafSize(pts []linalg.Vec3, leafSize int) *Tree {
-	if leafSize < 1 {
-		leafSize = 1
-	}
+// newLeafSize builds a BallTree whose nodes become leaves below
+// leafSize points (≥ 1).
+func newLeafSize(pts []linalg.Vec3, leafSize int) *Tree {
 	t := &Tree{pts: pts, perm: make([]int32, len(pts)), leafSize: leafSize}
 	for i := range t.perm {
 		t.perm[i] = int32(i)
@@ -61,9 +58,6 @@ func NewLeafSize(pts []linalg.Vec3, leafSize int) *Tree {
 	}
 	return t
 }
-
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
 
 // build creates the node covering perm[start:end] and returns its id.
 func (t *Tree) build(start, end int32) int32 {
@@ -131,14 +125,6 @@ func (t *Tree) rangeBounds(start, end int32) (lo, hi linalg.Vec3) {
 	return lo, hi
 }
 
-// QueryRadius returns the indices of all points within radius of q, in
-// ascending index order.
-func (t *Tree) QueryRadius(q linalg.Vec3, radius float64) []int32 {
-	out := t.QueryRadiusAppend(nil, q, radius)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // QueryRadiusAppend appends the indices of points within radius of q to
 // dst (unsorted) and returns the extended slice. It performs no
 // allocations beyond growing dst.
@@ -179,74 +165,8 @@ func (t *Tree) QueryRadiusAppend(dst []int32, q linalg.Vec3, radius float64) []i
 	return dst
 }
 
-// kHeap is a max-heap of (dist2, index) pairs bounded by k.
-type kHeap []knnItem
-
-type knnItem struct {
-	d2 float64
-	ix int32
-}
-
-func (h kHeap) Len() int            { return len(h) }
-func (h kHeap) Less(i, j int) bool  { return h[i].d2 > h[j].d2 }
-func (h kHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *kHeap) Push(x interface{}) { *h = append(*h, x.(knnItem)) }
-func (h *kHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// QueryKNN returns the indices of the k points nearest to q, closest
-// first. If the tree holds fewer than k points, all are returned.
-func (t *Tree) QueryKNN(q linalg.Vec3, k int) []int32 {
-	if k <= 0 || len(t.nodes) == 0 {
-		return nil
-	}
-	h := make(kHeap, 0, k+1)
-	var visit func(id int32)
-	visit = func(id int32) {
-		n := &t.nodes[id]
-		if len(h) == k {
-			if linalg.Dist(q, n.center)-n.radius > math.Sqrt(h[0].d2) {
-				return
-			}
-		}
-		if n.left == -1 {
-			for _, ix := range t.perm[n.start:n.end] {
-				d2 := linalg.Dist2(q, t.pts[ix])
-				if len(h) < k {
-					heap.Push(&h, knnItem{d2, ix})
-				} else if d2 < h[0].d2 {
-					h[0] = knnItem{d2, ix}
-					heap.Fix(&h, 0)
-				}
-			}
-			return
-		}
-		// Visit the closer child first for tighter pruning.
-		dl := linalg.Dist2(q, t.nodes[n.left].center)
-		dr := linalg.Dist2(q, t.nodes[n.right].center)
-		if dl <= dr {
-			visit(n.left)
-			visit(n.right)
-		} else {
-			visit(n.right)
-			visit(n.left)
-		}
-	}
-	visit(0)
-	out := make([]int32, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(knnItem).ix
-	}
-	return out
-}
-
-// BruteRadius is the reference implementation of QueryRadius used by
-// tests and by the crossover ablation benchmark.
+// BruteRadius is the brute-force reference for QueryRadiusAppend that
+// the tree's tests compare against.
 func BruteRadius(pts []linalg.Vec3, q linalg.Vec3, radius float64) []int32 {
 	r2 := radius * radius
 	var out []int32

@@ -19,6 +19,14 @@ func randPoints(r *rand.Rand, n int, scale float64) []linalg.Vec3 {
 	return pts
 }
 
+// queryRadius is QueryRadiusAppend in ascending index order, the order
+// BruteRadius reports.
+func queryRadius(t *Tree, q linalg.Vec3, radius float64) []int32 {
+	out := t.QueryRadiusAppend(nil, q, radius)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func TestQueryRadiusMatchesBruteQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 120,
@@ -33,7 +41,7 @@ func TestQueryRadiusMatchesBruteQuick(t *testing.T) {
 		pts := randPoints(r, n, 10)
 		tree := New(pts)
 		q := linalg.Vec3{r.Float64() * 10, r.Float64() * 10, r.Float64() * 10}
-		got := tree.QueryRadius(q, radius)
+		got := queryRadius(tree, q, radius)
 		want := BruteRadius(pts, q, radius)
 		return reflect.DeepEqual(got, want) || (len(got) == 0 && len(want) == 0)
 	}
@@ -48,8 +56,8 @@ func TestQueryRadiusLeafSizes(t *testing.T) {
 	q := linalg.Vec3{10, 10, 10}
 	want := BruteRadius(pts, q, 4)
 	for _, leaf := range []int{1, 2, 8, 64, 1000} {
-		tree := NewLeafSize(pts, leaf)
-		got := tree.QueryRadius(q, 4)
+		tree := newLeafSize(pts, leaf)
+		got := queryRadius(tree, q, 4)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("leafSize=%d: got %d hits, want %d", leaf, len(got), len(want))
 		}
@@ -58,52 +66,18 @@ func TestQueryRadiusLeafSizes(t *testing.T) {
 
 func TestQueryRadiusEmptyAndSingle(t *testing.T) {
 	empty := New(nil)
-	if got := empty.QueryRadius(linalg.Vec3{}, 1); len(got) != 0 {
+	if got := queryRadius(empty, linalg.Vec3{}, 1); len(got) != 0 {
 		t.Errorf("empty tree returned %v", got)
 	}
-	if empty.Len() != 0 {
-		t.Errorf("Len = %d", empty.Len())
+	if len(empty.nodes) != 0 {
+		t.Errorf("empty tree has %d nodes", len(empty.nodes))
 	}
 	single := New([]linalg.Vec3{{1, 1, 1}})
-	if got := single.QueryRadius(linalg.Vec3{1, 1, 1}, 0.1); len(got) != 1 || got[0] != 0 {
+	if got := queryRadius(single, linalg.Vec3{1, 1, 1}, 0.1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single tree returned %v", got)
 	}
-	if got := single.QueryRadius(linalg.Vec3{5, 5, 5}, 0.1); len(got) != 0 {
+	if got := queryRadius(single, linalg.Vec3{5, 5, 5}, 0.1); len(got) != 0 {
 		t.Errorf("miss returned %v", got)
-	}
-}
-
-func TestQueryKNN(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 6))
-	pts := randPoints(r, 400, 10)
-	tree := New(pts)
-	q := linalg.Vec3{5, 5, 5}
-	for _, k := range []int{1, 3, 17, 400, 500} {
-		got := tree.QueryKNN(q, k)
-		// Brute-force reference: sort all indices by distance.
-		idx := make([]int32, len(pts))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return linalg.Dist2(q, pts[idx[a]]) < linalg.Dist2(q, pts[idx[b]])
-		})
-		wantLen := k
-		if wantLen > len(pts) {
-			wantLen = len(pts)
-		}
-		if len(got) != wantLen {
-			t.Fatalf("k=%d: got %d results", k, len(got))
-		}
-		for i, ix := range got {
-			// Compare distances, not indices, to tolerate ties.
-			if d1, d2 := linalg.Dist2(q, pts[ix]), linalg.Dist2(q, pts[idx[i]]); d1 != d2 {
-				t.Fatalf("k=%d result %d: dist %v, want %v", k, i, d1, d2)
-			}
-		}
-	}
-	if got := tree.QueryKNN(q, 0); got != nil {
-		t.Errorf("k=0 returned %v", got)
 	}
 }
 
@@ -137,7 +111,7 @@ func TestDegeneratePoints(t *testing.T) {
 	// All points identical: tree must still terminate and answer.
 	pts := make([]linalg.Vec3, 100)
 	tree := New(pts)
-	if got := tree.QueryRadius(linalg.Vec3{}, 0.5); len(got) != 100 {
+	if got := queryRadius(tree, linalg.Vec3{}, 0.5); len(got) != 100 {
 		t.Fatalf("got %d hits, want 100", len(got))
 	}
 	// Collinear points.
@@ -145,7 +119,7 @@ func TestDegeneratePoints(t *testing.T) {
 		pts[i] = linalg.Vec3{float64(i), 0, 0}
 	}
 	tree = New(pts)
-	got := tree.QueryRadius(linalg.Vec3{50, 0, 0}, 2.5)
+	got := queryRadius(tree, linalg.Vec3{50, 0, 0}, 2.5)
 	if len(got) != 5 {
 		t.Fatalf("collinear: got %v", got)
 	}

@@ -58,9 +58,6 @@ type FrameNode struct {
 	Left, Right int32
 }
 
-// Members reports how many signatures the node covers.
-func (n FrameNode) Members() int { return int(n.End - n.Start) }
-
 // Leaf reports whether the node has no children.
 func (n FrameNode) Leaf() bool { return n.Left < 0 }
 

@@ -44,7 +44,7 @@ func TestFrameTreeInvariants(t *testing.T) {
 			t.Fatalf("n=%d: root covers [%d,%d)", n, root.Start, root.End)
 		}
 		for id, nd := range tr.Nodes {
-			if nd.Members() <= 0 {
+			if int(nd.End-nd.Start) <= 0 {
 				t.Fatalf("n=%d: node %d empty", n, id)
 			}
 			for _, ix := range tr.Perm[nd.Start:nd.End] {
@@ -53,8 +53,8 @@ func TestFrameTreeInvariants(t *testing.T) {
 				}
 			}
 			if nd.Leaf() {
-				if nd.Members() > DefaultFrameLeafSize {
-					t.Fatalf("n=%d: leaf %d holds %d members", n, id, nd.Members())
+				if int(nd.End-nd.Start) > DefaultFrameLeafSize {
+					t.Fatalf("n=%d: leaf %d holds %d members", n, id, int(nd.End-nd.Start))
 				}
 				continue
 			}
@@ -89,8 +89,8 @@ func TestFrameTreeLeafSize(t *testing.T) {
 	pts := randSigs(r, 40)
 	one := NewFrameTree(pts, 1)
 	for id, nd := range one.Nodes {
-		if nd.Leaf() && nd.Members() != 1 {
-			t.Fatalf("leafSize=1: leaf %d holds %d members", id, nd.Members())
+		if nd.Leaf() && int(nd.End-nd.Start) != 1 {
+			t.Fatalf("leafSize=1: leaf %d holds %d members", id, int(nd.End-nd.Start))
 		}
 	}
 	if big := NewFrameTree(pts, 100); len(big.Nodes) != 1 || !big.Nodes[0].Leaf() {

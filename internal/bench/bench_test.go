@@ -19,6 +19,34 @@ var (
 	calVal  *Calibration
 )
 
+// FixedCalibration returns a machine-independent calibration with
+// representative values measured once on the development machine. The
+// shape tests use it so their assertions do not depend on the
+// measurement conditions of the machine running the tests (e.g. race
+// instrumentation slows the kernels by an order of magnitude, which
+// would distort the modeled compute/coordination ratios).
+func FixedCalibration() *Calibration {
+	return &Calibration{
+		HausdorffPair: map[string]float64{
+			"small":  0.187,
+			"medium": 0.374,
+			"large":  0.749,
+		},
+		CPPTrajPair: map[string]float64{
+			"GNU":                      0.0886,
+			"Intel -Wall -O3 (no MKL)": 0.0607,
+		},
+		CdistPerPair: 2.28e-9,
+		CCPerOp:      9.4e-9,
+		EdgesPerAtom: 5.11,
+		CompIDsPerAtom: map[int]float64{
+			leafletTasksPaper: 1.795,
+			leafletTasks4M:    4.479,
+		},
+		calFrames: 20,
+	}
+}
+
 // sharedCal returns the fixed reference calibration: the shape
 // assertions must not depend on how fast this machine (or this build
 // mode — race instrumentation slows kernels ~10x) runs the kernels.
@@ -365,6 +393,24 @@ func TestTab1AndTab3Render(t *testing.T) {
 	}
 }
 
+func TestRecommend(t *testing.T) {
+	for _, c := range []struct {
+		needs []string
+		want  string
+	}{
+		// Throughput-oriented: Dask (Table 3: ++ vs + vs -).
+		{[]string{"Low Latency", "Throughput"}, "Dask"},
+		// Shuffle/broadcast/caching-heavy: Spark.
+		{[]string{"Shuffle", "Broadcast", "Caching"}, "Spark"},
+		// HPC/MPI tasks with native code: RADICAL-Pilot.
+		{[]string{"MPI/HPC Tasks", "Python/native Code"}, "RADICAL-Pilot"},
+	} {
+		if got, _ := recommend(c.needs...); got != c.want {
+			t.Errorf("recommend(%q) = %s, want %s", c.needs, got, c.want)
+		}
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tb := &Table{ID: "x", Title: "t", Header: []string{"a", "b"}}
 	tb.AddRow(1, "two")
@@ -396,18 +442,6 @@ func TestCompIDsCached(t *testing.T) {
 	v2 := cal.CompIDs(64)
 	if v1 != v2 || v1 <= 0 {
 		t.Errorf("CompIDs = %v, %v", v1, v2)
-	}
-}
-
-func TestTreeQueryCostScaling(t *testing.T) {
-	cal := sharedCal()
-	small := cal.TreeQueryCost(64)
-	big := cal.TreeQueryCost(1 << 20)
-	if big <= small {
-		t.Errorf("tree query cost should grow with chunk: %g vs %g", small, big)
-	}
-	if cal.TreeQueryCost(1) <= 0 {
-		t.Error("degenerate chunk cost")
 	}
 }
 

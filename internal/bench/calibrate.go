@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math"
 	"time"
 
 	"mdtask/internal/balltree"
@@ -27,11 +26,6 @@ type Calibration struct {
 	// CdistPerPair is the cost of one pairwise-distance comparison in
 	// brute-force edge discovery.
 	CdistPerPair float64
-	// TreeBuildPerAtom and TreeQueryPerAtom are the BallTree costs at
-	// reference chunk size TreeRefChunk.
-	TreeBuildPerAtom float64
-	TreeQueryPerAtom float64
-	TreeRefChunk     int
 	// CCPerOp is the union-find cost per (node+edge) operation.
 	CCPerOp float64
 	// EdgesPerAtom is the contact-graph edge density of the synthetic
@@ -107,28 +101,11 @@ func Calibrate() *Calibration {
 		linalg.PairsWithinSelf(patch.Coords, synth.BilayerCutoff)
 	}) / nPairs
 
-	// BallTree costs on a larger patch.
+	// Contact-graph density and union-find cost per operation on a
+	// larger patch, its edges found with a BallTree.
 	big := synth.Bilayer(16384, 8)
-	cal.TreeRefChunk = len(big.Coords)
-	cal.TreeBuildPerAtom = timeIt(30*time.Millisecond, func() {
-		balltree.New(big.Coords)
-	}) / float64(len(big.Coords))
 	tree := balltree.New(big.Coords)
-	var edgeTotal int64
-	cal.TreeQueryPerAtom = timeIt(30*time.Millisecond, func() {
-		var buf []int32
-		edgeTotal = 0
-		for _, p := range big.Coords {
-			buf = tree.QueryRadiusAppend(buf[:0], p, synth.BilayerCutoff)
-			edgeTotal += int64(len(buf))
-		}
-	}) / float64(len(big.Coords))
-	// Each undirected edge was counted twice (once per endpoint), and
-	// self-matches once per atom.
-	cal.EdgesPerAtom = float64(edgeTotal-int64(len(big.Coords))) / 2 / float64(len(big.Coords))
-
-	// Union-find cost per operation on the measured graph.
-	edges := make([]graph.Edge, 0, int(cal.EdgesPerAtom*float64(len(big.Coords))))
+	var edges []graph.Edge
 	var buf []int32
 	for i, p := range big.Coords {
 		buf = tree.QueryRadiusAppend(buf[:0], p, synth.BilayerCutoff)
@@ -138,43 +115,13 @@ func Calibrate() *Calibration {
 			}
 		}
 	}
+	cal.EdgesPerAtom = float64(len(edges)) / float64(len(big.Coords))
 	ops := float64(len(big.Coords) + len(edges))
 	cal.CCPerOp = timeIt(30*time.Millisecond, func() {
 		graph.ComponentsUnionFind(len(big.Coords), edges)
 	}) / ops
 
 	return cal
-}
-
-// FixedCalibration returns a machine-independent calibration with
-// representative values measured once on the development machine. The
-// shape tests use it so their assertions do not depend on the
-// measurement conditions of the machine running the tests (e.g. race
-// instrumentation slows the kernels by an order of magnitude, which
-// would distort the modeled compute/coordination ratios).
-func FixedCalibration() *Calibration {
-	return &Calibration{
-		HausdorffPair: map[string]float64{
-			"small":  0.187,
-			"medium": 0.374,
-			"large":  0.749,
-		},
-		CPPTrajPair: map[string]float64{
-			"GNU":                      0.0886,
-			"Intel -Wall -O3 (no MKL)": 0.0607,
-		},
-		CdistPerPair:     2.28e-9,
-		TreeBuildPerAtom: 1.20e-6,
-		TreeQueryPerAtom: 1.16e-6,
-		TreeRefChunk:     16384,
-		CCPerOp:          9.4e-9,
-		EdgesPerAtom:     5.11,
-		CompIDsPerAtom: map[int]float64{
-			leafletTasksPaper: 1.795,
-			leafletTasks4M:    4.479,
-		},
-		calFrames: 20,
-	}
 }
 
 // CompIDs returns the calibrated partial-component shuffle ids per atom
@@ -189,19 +136,6 @@ func (c *Calibration) CompIDs(nTasks int) float64 {
 	v := float64(st.ShuffleBytes) / 4 / float64(len(sys.Coords))
 	c.CompIDsPerAtom[nTasks] = v
 	return v
-}
-
-// TreeQueryCost returns the per-query cost against a chunk of the given
-// size, scaling the reference measurement logarithmically.
-func (c *Calibration) TreeQueryCost(chunk int) float64 {
-	if chunk < 2 {
-		chunk = 2
-	}
-	scale := math.Log2(float64(chunk)) / math.Log2(float64(c.TreeRefChunk))
-	if scale < 0.25 {
-		scale = 0.25
-	}
-	return c.TreeQueryPerAtom * scale
 }
 
 // TrajBytes is the on-disk size of one trajectory of the preset

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mdtask/internal/cluster"
-	"mdtask/internal/stats"
 )
 
 // throughputFrameworks are the frameworks of the paper's §4.1 throughput
@@ -48,7 +47,7 @@ func Fig2(cal *Calibration) *Table {
 				continue
 			}
 			res := cluster.Estimate(prof, alloc, nullWorkload(n))
-			row = append(row, stats.FormatSeconds(res.Makespan), stats.FormatRate(res.Throughput(n)))
+			row = append(row, formatSeconds(res.Makespan), formatRate(res.Throughput(n)))
 		}
 		t.AddRow(row...)
 	}
@@ -78,7 +77,7 @@ func Fig3(cal *Calibration) *Table {
 				prof.Startup = 0
 				alloc := cluster.Alloc{Machine: m, Nodes: nodes, CoresPerNode: 24}
 				res := cluster.Estimate(prof, alloc, nullWorkload(nTasks))
-				row = append(row, stats.FormatRate(res.Throughput(nTasks)))
+				row = append(row, formatRate(res.Throughput(nTasks)))
 			}
 			t.AddRow(row...)
 		}

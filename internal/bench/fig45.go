@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mdtask/internal/cluster"
-	"mdtask/internal/stats"
 	"mdtask/internal/synth"
 )
 
@@ -73,7 +72,7 @@ func Fig4(cal *Calibration) *Table {
 						row = append(row, "FAIL")
 						continue
 					}
-					row = append(row, stats.FormatSeconds(res.Makespan))
+					row = append(row, formatSeconds(res.Makespan))
 				}
 				t.AddRow(row...)
 			}
@@ -116,7 +115,7 @@ func Fig5(cal *Calibration) *Table {
 				if pt.cores == mp.points[0].cores {
 					base[fw] = res.Makespan
 				}
-				row = append(row, stats.FormatSeconds(res.Makespan),
+				row = append(row, formatSeconds(res.Makespan),
 					fmt.Sprintf("%.1f", base[fw]/res.Makespan))
 			}
 			t.AddRow(row...)

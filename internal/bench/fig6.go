@@ -5,7 +5,6 @@ import (
 
 	"mdtask/internal/cluster"
 	"mdtask/internal/cpptraj"
-	"mdtask/internal/stats"
 	"mdtask/internal/synth"
 )
 
@@ -58,7 +57,7 @@ func Fig6(cal *Calibration) *Table {
 			if cores == coresList[0] {
 				base[k] = res.Makespan
 			}
-			row = append(row, stats.FormatSeconds(res.Makespan), fmt.Sprintf("%.1f", base[k]/res.Makespan))
+			row = append(row, formatSeconds(res.Makespan), fmt.Sprintf("%.1f", base[k]/res.Makespan))
 		}
 		t.AddRow(row...)
 	}

@@ -6,7 +6,6 @@ import (
 	"mdtask/internal/cluster"
 	"mdtask/internal/dask"
 	"mdtask/internal/leaflet"
-	"mdtask/internal/stats"
 	"mdtask/internal/synth"
 )
 
@@ -192,7 +191,7 @@ func Fig7(cal *Calibration) *Table {
 					if _, ok := base[fw]; !ok {
 						base[fw] = res.Makespan
 					}
-					row = append(row, stats.FormatSeconds(res.Makespan),
+					row = append(row, formatSeconds(res.Makespan),
 						fmt.Sprintf("%.1f", base[fw]/res.Makespan))
 				}
 				t.AddRow(row...)
@@ -228,8 +227,8 @@ func Fig8(cal *Calibration) *Table {
 					row = append(row, "-", "FAIL", "-")
 					continue
 				}
-				row = append(row, stats.FormatSeconds(res.Broadcast),
-					stats.FormatSeconds(res.Makespan),
+				row = append(row, formatSeconds(res.Broadcast),
+					formatSeconds(res.Makespan),
 					fmt.Sprintf("%.0f%%", 100*res.Broadcast/res.Makespan))
 			}
 			t.AddRow(row...)
@@ -261,7 +260,7 @@ func Fig9(cal *Calibration) *Table {
 				row = append(row, "FAIL")
 				continue
 			}
-			row = append(row, stats.FormatSeconds(res.Makespan))
+			row = append(row, formatSeconds(res.Makespan))
 		}
 		t.AddRow(row...)
 	}

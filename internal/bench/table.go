@@ -94,3 +94,48 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
+
+// formatSeconds renders a duration in seconds with sensible precision
+// for tables (3 significant figures).
+func formatSeconds(s float64) string {
+	switch {
+	case s == 0:
+		return "0"
+	case s < 0.01:
+		return fmt.Sprintf("%.2e", s)
+	case s < 10:
+		return fmt.Sprintf("%.3f", s)
+	case s < 1000:
+		return fmt.Sprintf("%.1f", s)
+	default:
+		return fmt.Sprintf("%.0f", s)
+	}
+}
+
+// formatRate renders tasks/second for tables.
+func formatRate(r float64) string {
+	switch {
+	case r == 0:
+		return "-"
+	case r < 10:
+		return fmt.Sprintf("%.2f", r)
+	case r < 1000:
+		return fmt.Sprintf("%.1f", r)
+	default:
+		return fmt.Sprintf("%.0f", r)
+	}
+}
+
+// formatBytes renders a byte count with binary units.
+func formatBytes(n int64) string {
+	const unit = 1024
+	if n < unit {
+		return fmt.Sprintf("%d B", n)
+	}
+	div, exp := int64(unit), 0
+	for m := n / unit; m >= unit; m /= unit {
+		div *= unit
+		exp++
+	}
+	return fmt.Sprintf("%.1f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
+}

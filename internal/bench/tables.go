@@ -3,39 +3,39 @@ package bench
 import (
 	"fmt"
 
-	"mdtask/internal/core"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/rdd"
-	"mdtask/internal/stats"
 	"mdtask/internal/synth"
 )
 
-// Tab1 renders the paper's Table 1 (framework comparison) from the
-// structured data in the core package.
+// frameworks are the columns of Tables 1 and 3, in the paper's order.
+var frameworks = []string{"RADICAL-Pilot", "Spark", "Dask"}
+
+// table1 is the paper's Table 1 (framework comparison): one row per
+// property, one cell per framework.
+var table1 = [][4]string{
+	{"Languages", "Python", "Java, Scala, Python, R", "Python"},
+	{"Task Abstraction", "Task (Compute-Unit)", "Map-Task", "Delayed"},
+	{"Functional Abstraction", "-", "RDD API", "Bag"},
+	{"Higher-Level Abstractions", "EnTK", "Dataframe, ML Pipeline, MLlib", "Dataframe, Arrays for block computations"},
+	{"Resource Management", "Pilot-Job", "Spark Execution Engines", "Dask Distributed Scheduler"},
+	{"Scheduler", "Individual Tasks", "Stage-oriented DAG", "DAG"},
+	{"Shuffle", "-", "hash/sort-based shuffle", "hash/sort-based shuffle"},
+	{"Limitations", "no shuffle, filesystem-based communication",
+		"high overheads for Python tasks (serialization)",
+		"Dask Array can not deal with dynamic output shapes"},
+}
+
+// Tab1 renders the paper's Table 1 (framework comparison).
 func Tab1(cal *Calibration) *Table {
 	t := &Table{
 		ID:     "tab1",
 		Title:  "Frameworks comparison (paper Table 1)",
-		Header: []string{"property", "RADICAL-Pilot", "Spark", "Dask"},
+		Header: append([]string{"property"}, frameworks...),
 	}
-	get := func(f func(core.Traits) string) []interface{} {
-		row := make([]interface{}, 0, 3)
-		for _, tr := range core.Table1 {
-			row = append(row, f(tr))
-		}
-		return row
+	for _, row := range table1 {
+		t.AddRow(row[0], row[1], row[2], row[3])
 	}
-	add := func(name string, f func(core.Traits) string) {
-		t.AddRow(append([]interface{}{name}, get(f)...)...)
-	}
-	add("Languages", func(tr core.Traits) string { return tr.Languages })
-	add("Task Abstraction", func(tr core.Traits) string { return tr.TaskAbstraction })
-	add("Functional Abstraction", func(tr core.Traits) string { return tr.FunctionalAPI })
-	add("Higher-Level Abstractions", func(tr core.Traits) string { return tr.HigherLevel })
-	add("Resource Management", func(tr core.Traits) string { return tr.ResourceMgmt })
-	add("Scheduler", func(tr core.Traits) string { return tr.Scheduler })
-	add("Shuffle", func(tr core.Traits) string { return tr.Shuffle })
-	add("Limitations", func(tr core.Traits) string { return tr.Limitations })
 	return t
 }
 
@@ -74,41 +74,94 @@ func Tab2(cal *Calibration) *Table {
 		}
 		t.AddRow(r.a.String(), r.part, r.mapDesc, r.shuffleDesc, r.reduceDesc,
 			res.Stats.Tasks, res.Stats.Edges,
-			stats.FormatBytes(res.Stats.BroadcastBytes), stats.FormatBytes(res.Stats.ShuffleBytes))
+			formatBytes(res.Stats.BroadcastBytes), formatBytes(res.Stats.ShuffleBytes))
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: approaches 3-4 shuffle far fewer bytes than 1-2 (components vs edges).")
 	return t
 }
 
-// Tab3 renders the paper's Table 3 (decision framework) from the core
-// package's DecisionTable, plus a worked recommendation example.
+// Table 3's support grades, ordered so that their sum ranks
+// frameworks: unsupported or low performance, minor, supported, major.
+var supportSymbols = []string{"-", "o", "+", "++"}
+
+// criterion is one row of the paper's Table 3: a framework's support
+// for it, indexed like frameworks and graded like supportSymbols.
+type criterion struct {
+	name    string
+	support [3]int
+}
+
+// table3 is the paper's Table 3 (decision framework), in its two
+// sections.
+var table3 = []struct {
+	section  string
+	criteria []criterion
+}{
+	{"Task Management", []criterion{
+		{"Low Latency", [3]int{0, 1, 2}},
+		{"Throughput", [3]int{0, 2, 3}},
+		{"MPI/HPC Tasks", [3]int{2, 1, 1}},
+		{"Task API", [3]int{2, 1, 3}},
+		{"Large Number of Tasks", [3]int{0, 3, 3}},
+	}},
+	{"Application Characteristics", []criterion{
+		{"Python/native Code", [3]int{3, 1, 2}},
+		{"Java", [3]int{1, 3, 1}},
+		{"Higher-Level Abstraction", [3]int{0, 3, 2}},
+		{"Shuffle", [3]int{0, 3, 2}},
+		{"Broadcast", [3]int{0, 3, 2}},
+		{"Caching", [3]int{0, 3, 1}},
+	}},
+}
+
+// recommend ranks the frameworks against an application's needs with
+// the paper's decision framework (§4.4): each needed criterion adds its
+// support grade, and the highest total wins, ties going to the earlier
+// column. MPI is the baseline, not ranked, as in Table 3.
+func recommend(needs ...string) (framework string, score int) {
+	var scores [3]int
+	for _, need := range needs {
+		found := false
+		for _, sec := range table3 {
+			for _, c := range sec.criteria {
+				if c.name == need {
+					found = true
+					for i, s := range c.support {
+						scores[i] += s
+					}
+				}
+			}
+		}
+		if !found {
+			panic("bench: unknown Table 3 criterion " + need)
+		}
+	}
+	best := 0
+	for i, s := range scores {
+		if s > scores[best] {
+			best = i
+		}
+	}
+	return frameworks[best], scores[best]
+}
+
+// Tab3 renders the paper's Table 3 (decision framework), plus a worked
+// recommendation example.
 func Tab3(cal *Calibration) *Table {
 	t := &Table{
 		ID:     "tab3",
 		Title:  "Decision framework: criteria and ranking (paper Table 3)",
-		Header: []string{"criterion", "RADICAL-Pilot", "Spark", "Dask"},
+		Header: append([]string{"criterion"}, frameworks...),
 	}
-	section := func(name string, crits []core.Criterion) {
-		t.AddRow("["+name+"]", "", "", "")
-		for _, c := range crits {
-			row := core.DecisionTable[c]
-			t.AddRow(string(c),
-				row[core.EnginePilot].String(),
-				row[core.EngineSpark].String(),
-				row[core.EngineDask].String())
+	for _, sec := range table3 {
+		t.AddRow("["+sec.section+"]", "", "", "")
+		for _, c := range sec.criteria {
+			t.AddRow(c.name, supportSymbols[c.support[0]], supportSymbols[c.support[1]], supportSymbols[c.support[2]])
 		}
 	}
-	section("Task Management", core.TaskManagementCriteria)
-	section("Application Characteristics", core.ApplicationCriteria)
-
-	recs, err := core.Recommend(core.Requirements{Needs: []core.Criterion{
-		core.Throughput, core.ManyTasks, core.Shuffle,
-	}})
-	if err == nil && len(recs) > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"example: for {throughput, many tasks, shuffle}, Recommend ranks %s first (score %d)",
-			recs[0].Engine, recs[0].Score))
-	}
+	fw, score := recommend("Throughput", "Large Number of Tasks", "Shuffle")
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"example: for {throughput, many tasks, shuffle}, Recommend ranks %s first (score %d)", fw, score))
 	return t
 }

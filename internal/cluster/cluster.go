@@ -18,7 +18,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Machine describes a compute resource.
@@ -270,9 +269,6 @@ type Phase struct {
 	// (import cost per task for interpreter-based runtimes).
 	ColdStart bool
 }
-
-// TotalTasks returns the task count of the phase.
-func (p Phase) TotalTasks() int { return len(p.Tasks) }
 
 // Workload is a sequence of phases executed in order.
 type Workload struct {
@@ -561,13 +557,4 @@ func UniformTasks(n int, d float64) []float64 {
 		t[i] = d
 	}
 	return t
-}
-
-// SortedDescending returns a copy of durations sorted longest first
-// (LPT order), which the dispatch scheduler benefits from.
-func SortedDescending(durations []float64) []float64 {
-	out := make([]float64, len(durations))
-	copy(out, durations)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"mdtask/internal/sim"
 )
@@ -207,44 +206,4 @@ type pendingTask struct {
 	index      int
 	dur        float64
 	dispatched float64
-}
-
-// WorkerUtilization summarizes a trace: per-worker busy fraction over
-// the phase span.
-func (t *Trace) WorkerUtilization() map[int]float64 {
-	if len(t.Tasks) == 0 {
-		return nil
-	}
-	busy := make(map[int]float64)
-	lo, hi := t.Tasks[0].Start, t.Tasks[0].Finish
-	for _, ev := range t.Tasks {
-		busy[ev.Worker] += ev.Finish - ev.Start
-		if ev.Start < lo {
-			lo = ev.Start
-		}
-		if ev.Finish > hi {
-			hi = ev.Finish
-		}
-	}
-	span := hi - lo
-	if span <= 0 {
-		return busy
-	}
-	for w := range busy {
-		busy[w] /= span
-	}
-	return busy
-}
-
-// CompletionOrder returns task indices in finish order (for straggler
-// analysis).
-func (t *Trace) CompletionOrder() []int {
-	evs := make([]TaskEvent, len(t.Tasks))
-	copy(evs, t.Tasks)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Finish < evs[j].Finish })
-	out := make([]int, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.Index
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -165,4 +166,44 @@ func TestSimulateFailures(t *testing.T) {
 	if _, err := Simulate(DefaultProfile(Spark), alloc(Comet(), 1, 4), w2); err == nil {
 		t.Error("memory limit not enforced")
 	}
+}
+
+// WorkerUtilization summarizes a trace: per-worker busy fraction over
+// the phase span.
+func (t *Trace) WorkerUtilization() map[int]float64 {
+	if len(t.Tasks) == 0 {
+		return nil
+	}
+	busy := make(map[int]float64)
+	lo, hi := t.Tasks[0].Start, t.Tasks[0].Finish
+	for _, ev := range t.Tasks {
+		busy[ev.Worker] += ev.Finish - ev.Start
+		if ev.Start < lo {
+			lo = ev.Start
+		}
+		if ev.Finish > hi {
+			hi = ev.Finish
+		}
+	}
+	span := hi - lo
+	if span <= 0 {
+		return busy
+	}
+	for w := range busy {
+		busy[w] /= span
+	}
+	return busy
+}
+
+// CompletionOrder returns task indices in finish order (for straggler
+// analysis).
+func (t *Trace) CompletionOrder() []int {
+	evs := make([]TaskEvent, len(t.Tasks))
+	copy(evs, t.Tasks)
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Finish < evs[j].Finish })
+	out := make([]int, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Index
+	}
+	return out
 }

@@ -21,7 +21,6 @@ import (
 
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/linalg"
-	"mdtask/internal/mpi"
 	"mdtask/internal/traj"
 )
 
@@ -152,64 +151,4 @@ func finishMSD(na, nb, dot, inv float64) float64 {
 		msd = 0
 	}
 	return math.Sqrt(msd)
-}
-
-// PairResult is the Hausdorff distance of one trajectory pair computed
-// from its full 2D-RMSD matrix.
-type PairResult struct {
-	I, J int
-	H    float64
-}
-
-// RunEnsemble computes the all-pairs Hausdorff distance matrix of the
-// ensemble the CPPTraj way: the 2D-RMSD between every trajectory pair is
-// computed in parallel over MPI ranks (frames equally distributed, at
-// least one rank per ensemble member per §2.2), results are gathered at
-// rank 0, and the Hausdorff distances are extracted from the full
-// matrices. Returns the N×N distance matrix row-major.
-func RunEnsemble(ens traj.Ensemble, k Kernel, ranks int) ([]float64, error) {
-	n := len(ens)
-	if err := ens.Validate(); err != nil {
-		return nil, err
-	}
-	pairs := make([][2]int, 0, n*(n+1)/2)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	out := make([]float64, n*n)
-	err := mpi.Run(ranks, nil, func(c *mpi.Comm) error {
-		var local []PairResult
-		for idx := c.Rank(); idx < len(pairs); idx += c.Size() {
-			i, j := pairs[idx][0], pairs[idx][1]
-			m, err := Matrix2DRMS(ens[i], ens[j], k)
-			if err != nil {
-				return err
-			}
-			h := hausdorff.FromMatrix(m, ens[i].NFrames(), ens[j].NFrames())
-			local = append(local, PairResult{I: i, J: j, H: h})
-		}
-		gathered := mpi.Gather(c, 0, local, int64(len(local))*24)
-		if c.Rank() == 0 {
-			for _, rs := range gathered {
-				for _, r := range rs {
-					out[r.I*n+r.J] = r.H
-					out[r.J*n+r.I] = r.H
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mdtask/internal/hausdorff"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -58,50 +57,6 @@ func TestKernelStrings(t *testing.T) {
 	}
 	if Blocked.String() == "unknown" || Kernel(7).String() != "unknown" {
 		t.Error("kernel names wrong")
-	}
-}
-
-func TestRunEnsembleMatchesHausdorff(t *testing.T) {
-	ens := traj.Ensemble{
-		synth.Walk("t0", 8, 6, 3, 0),
-		synth.Walk("t1", 8, 6, 3, 1),
-		synth.Walk("t2", 8, 6, 3, 2),
-	}
-	for _, k := range []Kernel{Naive, Blocked} {
-		got, err := RunEnsemble(ens, k, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := len(ens)
-		// The blocked kernel's norm decomposition loses ~half the
-		// mantissa near zero (catastrophic cancellation), so compare at
-		// 1e-5 absolute.
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := hausdorff.Distance(ens[i], ens[j], hausdorff.Naive)
-				if math.Abs(got[i*n+j]-want) > 1e-5 {
-					t.Fatalf("kernel %v: D[%d][%d] = %v, want %v", k, i, j, got[i*n+j], want)
-				}
-			}
-		}
-	}
-}
-
-func TestRunEnsembleValidates(t *testing.T) {
-	bad := traj.Ensemble{nil}
-	if _, err := RunEnsemble(bad, Naive, 2); err == nil {
-		t.Fatal("nil ensemble member accepted")
-	}
-}
-
-func TestRunEnsembleMoreRanksThanPairs(t *testing.T) {
-	ens := traj.Ensemble{synth.Walk("t0", 4, 3, 5, 0)}
-	got, err := RunEnsemble(ens, Blocked, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0 {
-		t.Errorf("self distance = %v", got[0])
 	}
 }
 

@@ -11,89 +11,10 @@ type Bag[T any] struct {
 	parts  []*Delayed // each evaluates to []T
 }
 
-// BagFromSequence splits data into numParts contiguous partitions
-// (0 uses the client's worker count).
-func BagFromSequence[T any](c *Client, data []T, numParts int) *Bag[T] {
-	if numParts <= 0 {
-		numParts = c.Workers()
-	}
-	if numParts > len(data) && len(data) > 0 {
-		numParts = len(data)
-	}
-	if numParts == 0 {
-		numParts = 1
-	}
-	n := len(data)
-	parts := make([]*Delayed, numParts)
-	for i := 0; i < numParts; i++ {
-		lo := i * n / numParts
-		hi := (i + 1) * n / numParts
-		seg := data[lo:hi]
-		parts[i] = c.Value(fmt.Sprintf("bag-part-%d", i), seg)
-	}
-	return &Bag[T]{client: c, parts: parts}
-}
-
 // BagFromDelayed builds a bag from existing nodes, each of which must
 // evaluate to []T.
 func BagFromDelayed[T any](c *Client, parts []*Delayed) *Bag[T] {
 	return &Bag[T]{client: c, parts: parts}
-}
-
-// NumPartitions returns the bag's partition count.
-func (b *Bag[T]) NumPartitions() int { return len(b.parts) }
-
-// BagMap applies f to every element.
-func BagMap[T, U any](b *Bag[T], f func(T) (U, error)) *Bag[U] {
-	parts := make([]*Delayed, len(b.parts))
-	for i, p := range b.parts {
-		parts[i] = b.client.Delayed(fmt.Sprintf("map-%d", i), func(args []interface{}) (interface{}, error) {
-			in := args[0].([]T)
-			out := make([]U, len(in))
-			var err error
-			for j, v := range in {
-				if out[j], err = f(v); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}, p)
-	}
-	return &Bag[U]{client: b.client, parts: parts}
-}
-
-// BagMapPartitions applies f to each whole partition.
-func BagMapPartitions[T, U any](b *Bag[T], f func(part int, in []T) ([]U, error)) *Bag[U] {
-	parts := make([]*Delayed, len(b.parts))
-	for i, p := range b.parts {
-		i := i
-		parts[i] = b.client.Delayed(fmt.Sprintf("mapPartitions-%d", i), func(args []interface{}) (interface{}, error) {
-			out, err := f(i, args[0].([]T))
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}, p)
-	}
-	return &Bag[U]{client: b.client, parts: parts}
-}
-
-// BagFilter keeps elements matching pred.
-func BagFilter[T any](b *Bag[T], pred func(T) bool) *Bag[T] {
-	parts := make([]*Delayed, len(b.parts))
-	for i, p := range b.parts {
-		parts[i] = b.client.Delayed(fmt.Sprintf("filter-%d", i), func(args []interface{}) (interface{}, error) {
-			in := args[0].([]T)
-			var out []T
-			for _, v := range in {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-			return out, nil
-		}, p)
-	}
-	return &Bag[T]{client: b.client, parts: parts}
 }
 
 // BagFold reduces the bag with a per-partition accumulator and a
@@ -129,17 +50,4 @@ func BagFold[T, A any](b *Bag[T], zero A, acc func(A, T) A, combine func(A, A) A
 		return b.client.Value("fold-empty", zero)
 	}
 	return partials[0]
-}
-
-// Compute evaluates the bag and concatenates its partitions.
-func (b *Bag[T]) Compute() ([]T, error) {
-	vals, err := b.client.Compute(b.parts...)
-	if err != nil {
-		return nil, err
-	}
-	var out []T
-	for _, v := range vals {
-		out = append(out, v.([]T)...)
-	}
-	return out, nil
 }

@@ -3,11 +3,9 @@ package dask
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestDelayedSingle(t *testing.T) {
@@ -156,31 +154,13 @@ func TestComputeMultipleRoots(t *testing.T) {
 	}
 }
 
-func TestBagMapFilterCompute(t *testing.T) {
-	c := NewClient(4)
-	data := make([]int, 30)
-	for i := range data {
-		data[i] = i
+// bagOf splits data into parts contiguous Value partitions.
+func bagOf(c *Client, data []int, parts int) *Bag[int] {
+	nodes := make([]*Delayed, parts)
+	for i := range nodes {
+		nodes[i] = c.Value("part", data[i*len(data)/parts:(i+1)*len(data)/parts])
 	}
-	b := BagFromSequence(c, data, 5)
-	if b.NumPartitions() != 5 {
-		t.Fatalf("partitions = %d", b.NumPartitions())
-	}
-	mapped := BagMap(b, func(x int) (int, error) { return x * 3, nil })
-	filtered := BagFilter(mapped, func(x int) bool { return x%2 == 0 })
-	got, err := filtered.Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []int
-	for _, x := range data {
-		if x*3%2 == 0 {
-			want = append(want, x*3)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
+	return BagFromDelayed[int](c, nodes)
 }
 
 func TestBagFold(t *testing.T) {
@@ -189,7 +169,7 @@ func TestBagFold(t *testing.T) {
 	for i := range data {
 		data[i] = i
 	}
-	b := BagFromSequence(c, data, 7)
+	b := bagOf(c, data, 7)
 	sum := BagFold(b, 0,
 		func(acc, x int) int { return acc + x },
 		func(a, b int) int { return a + b })
@@ -204,7 +184,7 @@ func TestBagFold(t *testing.T) {
 
 func TestBagFoldEmpty(t *testing.T) {
 	c := NewClient(2)
-	b := BagFromSequence(c, []int(nil), 3)
+	b := bagOf(c, nil, 3)
 	// The zero value must be an identity of combine (seeded per
 	// partition, as in Dask).
 	sum := BagFold(b, 0,
@@ -216,51 +196,6 @@ func TestBagFoldEmpty(t *testing.T) {
 	}
 	if vals[0].(int) != 0 {
 		t.Fatalf("fold of empty = %v, want 0", vals[0])
-	}
-}
-
-func TestBagMapPartitions(t *testing.T) {
-	c := NewClient(2)
-	b := BagFromSequence(c, []int{1, 2, 3, 4}, 2)
-	sums := BagMapPartitions(b, func(part int, in []int) ([]int, error) {
-		s := 0
-		for _, v := range in {
-			s += v
-		}
-		return []int{s}, nil
-	})
-	got, err := sums.Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{3, 7}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestBagMatchesSerialQuick(t *testing.T) {
-	c := NewClient(4)
-	f := func(data []int8, parts uint8) bool {
-		np := int(parts%6) + 1
-		ints := make([]int, len(data))
-		for i, v := range data {
-			ints[i] = int(v)
-		}
-		b := BagMap(BagFromSequence(c, ints, np), func(x int) (int, error) { return x + 1, nil })
-		got, err := b.Compute()
-		if err != nil || len(got) != len(ints) {
-			return false
-		}
-		for i := range ints {
-			if got[i] != ints[i]+1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -140,17 +140,6 @@ func Deactivate() {
 // Enabled reports whether any point is armed.
 func Enabled() bool { return active.Load() }
 
-// Hits returns how many times the named point has fired its check
-// since activation (armed or not for that particular hit).
-func Hits(name string) int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if c, ok := hits[name]; ok {
-		return atomic.LoadInt64(c)
-	}
-	return 0
-}
-
 // Fire checks the named point. Disarmed (the common case) it returns
 // nil after one atomic load. Armed, it performs the configured fault:
 // ErrInjected / ErrPartial returns, a sleep, or a process exit.

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -82,4 +83,15 @@ func TestMalformedSpecs(t *testing.T) {
 	if Enabled() {
 		t.Fatal("empty spec left points armed")
 	}
+}
+
+// Hits returns how many times the named point has fired its check
+// since activation (armed or not for that particular hit).
+func Hits(name string) int64 {
+	mu.Lock()
+	defer mu.Unlock()
+	if c, ok := hits[name]; ok {
+		return atomic.LoadInt64(c)
+	}
+	return 0
 }

@@ -712,9 +712,17 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 	return nil
 }
 
-// recordLocked validates and stores one unit's payload. Callers hold
-// c.mu.
+// recordLocked validates and stores one unit's payload, or rejects it
+// and records nothing. A Leaflet partial must be canonical
+// (graph.CheckComponents): the coordinator caches it under the same
+// tile key in-process runs read, and their reduce relies on that form.
+// Callers hold c.mu.
 func (j *Job) recordLocked(unit int, res UnitResult) error {
+	k := res.Counters
+	if min(res.Edges, res.PeakResidentFrames, res.BytesStreamed, res.ElapsedNS,
+		k.Evaluated, k.Pruned, k.Abandoned, k.NodesVisited, k.NodesPruned) < 0 {
+		return fmt.Errorf("fleet: unit %d reported a negative count", unit)
+	}
 	switch j.analysis {
 	case AnalysisPSA:
 		vals, err := UnpackFloats(res.ValuesB64)
@@ -727,12 +735,8 @@ func (j *Job) recordLocked(unit int, res UnitResult) error {
 		}
 		j.results[unit] = psa.BlockResult{Block: b, Values: vals, Symmetric: j.sym}
 	case AnalysisLeaflet:
-		for _, comp := range res.Comps {
-			for _, a := range comp {
-				if a < 0 || int(a) >= j.nAtoms {
-					return fmt.Errorf("fleet: unit %d component references atom %d of %d", unit, a, j.nAtoms)
-				}
-			}
+		if err := graph.CheckComponents(j.nAtoms, res.Comps); err != nil {
+			return fmt.Errorf("fleet: unit %d: %w", unit, err)
 		}
 		j.parts[unit] = res.Comps
 		j.edges += res.Edges

@@ -306,6 +306,36 @@ func ComponentBytes(cs []Component) int64 {
 	return n
 }
 
+// CheckComponents validates that a partial-component set over nodes
+// [0, n) is canonical, the form PartialComponents produces and the
+// Leaflet reduce requires: every component non-empty and strictly
+// increasing, no node in two components, components ordered by first
+// node.
+func CheckComponents(n int, cs []Component) error {
+	seen := make([]bool, n)
+	for i, c := range cs {
+		if len(c) == 0 {
+			return fmt.Errorf("graph: component %d is empty", i)
+		}
+		if i > 0 && c[0] <= cs[i-1][0] {
+			return fmt.Errorf("graph: component %d starts at node %d, not after %d", i, c[0], cs[i-1][0])
+		}
+		for k, v := range c {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("graph: component %d holds node %d outside [0,%d)", i, v, n)
+			}
+			if k > 0 && v <= c[k-1] {
+				return fmt.Errorf("graph: component %d is not strictly increasing at node %d", i, v)
+			}
+			if seen[v] {
+				return fmt.Errorf("graph: node %d is in two components", v)
+			}
+			seen[v] = true
+		}
+	}
+	return nil
+}
+
 // EdgeBytes returns the shuffle payload size of an edge list at 8 bytes
 // per edge (two int32 ids).
 func EdgeBytes(nEdges int) int64 { return int64(nEdges) * 8 }

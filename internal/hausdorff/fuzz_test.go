@@ -67,7 +67,7 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := Distance(la, lb, Naive)
+			want := distance(la, lb, Naive)
 			for _, m := range Methods {
 				var c Counters
 				if got := DistanceCounted(la, lb, m, &c); math.Float64bits(got) != math.Float64bits(want) {

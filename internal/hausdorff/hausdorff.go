@@ -271,15 +271,10 @@ func Frames(t *traj.Trajectory) [][]linalg.Vec3 {
 	return out
 }
 
-// Distance computes the symmetric Hausdorff distance
+// DistanceCounted computes the symmetric Hausdorff distance
 // H(A,B) = max(h(A→B), h(B→A)) between two trajectories with the chosen
-// method. Both trajectories must have the same atom count.
-func Distance(a, b *traj.Trajectory, m Method) float64 {
-	return DistanceCounted(a, b, m, nil)
-}
-
-// DistanceCounted is Distance with frame-pair accounting folded into c
-// (which may be nil). The Pruned and Indexed methods consume the
+// method, folding frame-pair accounting into c (which may be nil). Both
+// trajectories must have the same atom count. The Pruned and Indexed methods consume the
 // trajectories' cached packed representation (traj.Trajectory.Packed);
 // Indexed additionally consumes the cached frame-signature ball tree
 // (traj.Packed.FrameTree).
@@ -293,7 +288,7 @@ func DistanceCounted(a, b *traj.Trajectory, m Method, c *Counters) float64 {
 	return DistanceFramesCounted(Frames(a), Frames(b), m, c)
 }
 
-// DistanceFrames is Distance on raw frame views. Empty inputs follow
+// DistanceFrames is DistanceCounted, uncounted, on raw frame views. Empty inputs follow
 // the directed-distance convention: 0 when both sides are empty, +Inf
 // when exactly one side is empty (no frame of the non-empty side has a
 // nearest neighbour).

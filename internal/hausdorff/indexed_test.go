@@ -16,7 +16,7 @@ import (
 // bucket), and non-negative node counters.
 func checkIndexedPair(t *testing.T, a, b *traj.Trajectory) {
 	t.Helper()
-	want := Distance(a, b, Naive)
+	want := distance(a, b, Naive)
 	var c Counters
 	got := DistanceCounted(a, b, Indexed, &c)
 	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
@@ -114,13 +114,13 @@ func TestIndexedSelfDistanceZero(t *testing.T) {
 func TestIndexedEmptyConventions(t *testing.T) {
 	empty := traj.New("e", 3)
 	full := synth.Walk("f", 3, 4, 5, 0)
-	if got := Distance(empty, empty.Clone(), Indexed); got != 0 {
+	if got := distance(empty, empty.Clone(), Indexed); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)
 	}
-	if got := Distance(empty, full, Indexed); !math.IsInf(got, 1) {
+	if got := distance(empty, full, Indexed); !math.IsInf(got, 1) {
 		t.Errorf("H(empty,full) = %v, want +Inf", got)
 	}
-	if got := Distance(full, empty, Indexed); !math.IsInf(got, 1) {
+	if got := distance(full, empty, Indexed); !math.IsInf(got, 1) {
 		t.Errorf("H(full,empty) = %v, want +Inf", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestIndexedNodeCountersNilSafe(t *testing.T) {
 	c.pruneNodes(2)
 	a := synth.Walk("a", 4, 6, 2, 0)
 	b := synth.Walk("b", 4, 6, 2, 1)
-	if got, want := DistanceCounted(a, b, Indexed, nil), Distance(a, b, Naive); got != want {
+	if got, want := DistanceCounted(a, b, Indexed, nil), distance(a, b, Naive); got != want {
 		t.Errorf("nil-counter indexed = %v, want %v", got, want)
 	}
 }

@@ -25,7 +25,7 @@ func expectedPairs(na, nb int) int64 {
 // bucket).
 func checkPrunedPair(t *testing.T, a, b *traj.Trajectory) {
 	t.Helper()
-	want := Distance(a, b, Naive)
+	want := distance(a, b, Naive)
 	var c Counters
 	got := DistanceCounted(a, b, Pruned, &c)
 	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
@@ -95,13 +95,13 @@ func TestPrunedSelfDistanceZero(t *testing.T) {
 func TestPrunedEmptyConventions(t *testing.T) {
 	empty := traj.New("e", 3)
 	full := synth.Walk("f", 3, 4, 5, 0)
-	if got := Distance(empty, empty.Clone(), Pruned); got != 0 {
+	if got := distance(empty, empty.Clone(), Pruned); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)
 	}
-	if got := Distance(empty, full, Pruned); !math.IsInf(got, 1) {
+	if got := distance(empty, full, Pruned); !math.IsInf(got, 1) {
 		t.Errorf("H(empty,full) = %v, want +Inf", got)
 	}
-	if got := Distance(full, empty, Pruned); !math.IsInf(got, 1) {
+	if got := distance(full, empty, Pruned); !math.IsInf(got, 1) {
 		t.Errorf("H(full,empty) = %v, want +Inf", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestCounterMethodsNilSafe(t *testing.T) {
 	c.Add(Counters{Evaluated: 1})
 	a := synth.Walk("a", 4, 3, 2, 0)
 	b := synth.Walk("b", 4, 3, 2, 1)
-	if got, want := DistanceCounted(a, b, Pruned, nil), Distance(a, b, Naive); got != want {
+	if got, want := DistanceCounted(a, b, Pruned, nil), distance(a, b, Naive); got != want {
 		t.Errorf("nil-counter pruned = %v, want %v", got, want)
 	}
 }

@@ -85,7 +85,7 @@ func (s *StreamStats) decoded(w *traj.Window) {
 // DistanceStreamed computes the symmetric Hausdorff distance between
 // two trajectory refs holding at most one window of each resident
 // (window < 1 streams whole trajectories as single windows). The
-// result is bit-identical to Distance on the loaded trajectories for
+// result is bit-identical to DistanceCounted on the loaded trajectories for
 // every method; c and st may be nil.
 func DistanceStreamed(a, b *traj.Ref, window int, m Method, c *Counters, st *StreamStats) (float64, error) {
 	na, nb := a.NFrames(), b.NFrames()

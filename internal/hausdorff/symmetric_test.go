@@ -59,7 +59,7 @@ func withFarFrame(t *traj.Trajectory, pos int) *traj.Trajectory {
 func TestDistanceSymmetricBitwise(t *testing.T) {
 	for name, pair := range symmetricCases() {
 		a, b := pair[0], pair[1]
-		want := Distance(a, b, Naive)
+		want := distance(a, b, Naive)
 		if (name == "walk" || name == "path") && want <= 0 {
 			t.Errorf("%s: distinct trajectories at distance %v", name, want)
 		}

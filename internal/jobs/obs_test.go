@@ -216,7 +216,7 @@ func TestTraceEndpoint(t *testing.T) {
 	ob := obs.New("mdserver")
 	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Obs: ob})
 	defer s.Close()
-	h := NewServer(s)
+	h := NewServerWith(s, ServerOptions{})
 
 	job, err := s.Submit(Spec{
 		Analysis: AnalysisPSA,

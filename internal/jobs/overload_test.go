@@ -72,7 +72,7 @@ func TestAPIOverloadSheddingAccounting(t *testing.T) {
 	release := make(chan struct{})
 	rec := &recordingStore{}
 	s := NewScheduler(blockingRegistry(started, release), Options{Workers: 1, QueueDepth: depth, Journal: rec})
-	ts := httptest.NewServer(NewServer(s))
+	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	defer func() {
 		ts.Close()
 		s.Close()

@@ -218,7 +218,7 @@ func TestServerQueueFullReturns429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts := httptest.NewServer(NewServer(s))
+	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	defer ts.Close()
 	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"analysis":"psa","engine":"serial","synth":{"count":3,"atoms":8,"frames":4,"seed":3}}`))
@@ -251,7 +251,7 @@ func TestServerRecoveredResultGone(t *testing.T) {
 		ID: "job-000001", Spec: norm, Key: "k", State: StateDone,
 		Digest: "d", Created: now, Updated: now,
 	}})
-	ts := httptest.NewServer(NewServer(s))
+	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/job-000001/result")
 	if err != nil {

@@ -3,7 +3,6 @@ package jobs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -135,18 +134,6 @@ func (r *Registry) Lookup(name string) (Runner, bool) {
 	defer r.mu.RUnlock()
 	fn, ok := r.runners[name]
 	return fn, ok
-}
-
-// Names lists the registered runner names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.runners))
-	for name := range r.runners {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Resolve normalizes a spec and loads or generates its input — the

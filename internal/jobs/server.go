@@ -35,8 +35,9 @@ func decodeSpec(r io.Reader) (Spec, error) {
 	return spec, err
 }
 
-// NewServer wraps a scheduler in the mdserver HTTP JSON API with
-// default options:
+// NewServerWith wraps a scheduler in the mdserver HTTP JSON API
+// (cmd/mdserver wires the -max-spec-bytes flag through o; zero options
+// take the defaults):
 //
 //	POST   /v1/jobs          submit a job (body: Spec JSON) → Status
 //	GET    /v1/jobs          list jobs → []Status
@@ -46,12 +47,6 @@ func decodeSpec(r io.Reader) (Spec, error) {
 //	GET    /v1/jobs/{id}/trace   job trace → Chrome trace_event JSON
 //	GET    /v1/metrics       service-wide metrics → ServiceMetrics
 //	GET    /healthz          liveness probe
-func NewServer(s *Scheduler) http.Handler {
-	return NewServerWith(s, ServerOptions{})
-}
-
-// NewServerWith is NewServer with explicit options (cmd/mdserver wires
-// the -max-spec-bytes flag through here).
 func NewServerWith(s *Scheduler, o ServerOptions) http.Handler {
 	if o.MaxSpecBytes < 1 {
 		o.MaxSpecBytes = DefaultMaxSpecBytes

@@ -20,7 +20,7 @@ import (
 func newTestServer(t *testing.T, reg *Registry, o Options) (*httptest.Server, *Scheduler) {
 	t.Helper()
 	s := NewScheduler(reg, o)
-	ts := httptest.NewServer(NewServer(s))
+	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()

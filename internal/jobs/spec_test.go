@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -208,6 +209,18 @@ func digestOf(t *testing.T, in *Input) string {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// Names lists the registered runner names, sorted.
+func (r *Registry) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.runners))
+	for name := range r.runners {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestRunnerNameAndRegistry(t *testing.T) {

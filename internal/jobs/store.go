@@ -383,14 +383,6 @@ func (st *WALStore) Close() error {
 	return st.log.Close()
 }
 
-// Recovery returns what OpenWALStore reconstructed (the job list is
-// not retained — use the Recovered returned at open).
-func (st *WALStore) Recovery() Recovered {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.recovered
-}
-
 // JournalErrors counts failed journal writes since open.
 func (st *WALStore) JournalErrors() int64 {
 	st.mu.Lock()

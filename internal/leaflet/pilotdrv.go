@@ -71,10 +71,7 @@ func RunPilot(p *pilot.Pilot, coords []linalg.Vec3, cutoff float64, nTasks int, 
 			},
 		}
 	}
-	units, err := p.Submit(descs)
-	if err != nil {
-		return nil, err
-	}
+	units := p.Submit(descs)
 	if err := p.Wait(units); err != nil {
 		return nil, err
 	}

@@ -1,40 +1,5 @@
 package linalg
 
-import "math"
-
-// Cdist computes the all-pairs Euclidean distance matrix between point
-// sets a and b, equivalent to SciPy's scipy.spatial.distance.cdist.
-// The result is row-major: element i*len(b)+j is the distance between
-// a[i] and b[j]. The full matrix of len(a)*len(b) float64 values is
-// materialized, mirroring the memory footprint that limits the paper's
-// cdist-based Leaflet Finder approaches (§4.3).
-func Cdist(a, b []Vec3) []float64 {
-	out := make([]float64, len(a)*len(b))
-	CdistInto(out, a, b)
-	return out
-}
-
-// CdistInto computes the all-pairs distance matrix into dst, which must
-// have length len(a)*len(b). It panics otherwise.
-func CdistInto(dst []float64, a, b []Vec3) {
-	if len(dst) != len(a)*len(b) {
-		panic("linalg: CdistInto destination has wrong length")
-	}
-	for i, p := range a {
-		row := dst[i*len(b) : (i+1)*len(b)]
-		for j, q := range b {
-			row[j] = Dist(p, q)
-		}
-	}
-}
-
-// CdistBytes returns the number of bytes a Cdist call over point sets of
-// the given sizes materializes. Used by the memory-accounting in the
-// Leaflet Finder drivers to reproduce the paper's out-of-memory limits.
-func CdistBytes(na, nb int) int64 {
-	return int64(na) * int64(nb) * 8
-}
-
 // PairsWithin scans all pairs (i, j) with a[i] within cutoff of b[j] and
 // returns them as index pairs. This is the brute-force O(n*m) edge
 // discovery used by Leaflet Finder approaches 1-3.
@@ -65,16 +30,4 @@ func PairsWithinSelf(pts []Vec3, cutoff float64) [][2]int32 {
 		}
 	}
 	return out
-}
-
-// MinDistPointSet returns the minimum distance from point p to any point
-// in set, and math.Inf(1) for an empty set.
-func MinDistPointSet(p Vec3, set []Vec3) float64 {
-	best := math.Inf(1)
-	for _, q := range set {
-		if d := Dist2(p, q); d < best {
-			best = d
-		}
-	}
-	return math.Sqrt(best)
 }

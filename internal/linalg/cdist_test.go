@@ -1,40 +1,9 @@
 package linalg
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 )
-
-func TestCdist(t *testing.T) {
-	a := []Vec3{{0, 0, 0}, {1, 0, 0}}
-	b := []Vec3{{0, 0, 0}, {0, 3, 4}, {1, 0, 0}}
-	got := Cdist(a, b)
-	want := []float64{0, 5, 1, 1, math.Sqrt(1 + 25), 0}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("Cdist[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCdistIntoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CdistInto did not panic on wrong length")
-		}
-	}()
-	CdistInto(make([]float64, 3), make([]Vec3, 2), make([]Vec3, 2))
-}
-
-func TestCdistBytes(t *testing.T) {
-	if got := CdistBytes(1000, 2000); got != 16_000_000 {
-		t.Errorf("CdistBytes = %d", got)
-	}
-}
 
 func TestPairsWithinMatchesCdist(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
@@ -46,10 +15,9 @@ func TestPairsWithinMatchesCdist(t *testing.T) {
 	for _, p := range pairs {
 		seen[p] = true
 	}
-	d := Cdist(a, b)
 	for i := range a {
 		for j := range b {
-			within := d[i*len(b)+j] <= cutoff
+			within := Dist(a[i], b[j]) <= cutoff
 			if within != seen[[2]int32{int32(i), int32(j)}] {
 				t.Fatalf("pair (%d,%d): within=%v but listed=%v", i, j, within, !within)
 			}
@@ -94,15 +62,5 @@ func TestPairsWithinSelfMatchesCross(t *testing.T) {
 		if self[i] != filtered[i] {
 			t.Fatalf("pair %d: %v vs %v", i, self[i], filtered[i])
 		}
-	}
-}
-
-func TestMinDistPointSet(t *testing.T) {
-	set := []Vec3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}}
-	if got := MinDistPointSet(Vec3{0, 0, 0}, set); got != 1 {
-		t.Errorf("MinDistPointSet = %v, want 1", got)
-	}
-	if got := MinDistPointSet(Vec3{}, nil); !math.IsInf(got, 1) {
-		t.Errorf("MinDistPointSet(empty) = %v, want +Inf", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package linalg provides the small dense linear-algebra and distance
 // kernels used by the MD trajectory analysis algorithms: 3-vector
 // arithmetic, frame metrics (dRMS, RMSD with optimal superposition),
-// all-pairs distance computation (cdist), and cutoff pair searches.
+// and the cutoff pair searches that stand in for SciPy's cdist.
 //
 // All kernels operate on slices of Vec3 in double precision, mirroring
 // the NumPy/SciPy kernels the paper's Python implementations rely on.
@@ -23,15 +23,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} 
 
 // Dot returns the inner product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
-
-// Cross returns the vector product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v[1]*w[2] - v[2]*w[1],
-		v[2]*w[0] - v[0]*w[2],
-		v[0]*w[1] - v[1]*w[0],
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -64,16 +55,6 @@ func Centroid(pts []Vec3) Vec3 {
 	}
 	inv := 1 / float64(len(pts))
 	return c.Scale(inv)
-}
-
-// Center translates the points so their centroid is at the origin,
-// in place, and returns the centroid that was removed.
-func Center(pts []Vec3) Vec3 {
-	c := Centroid(pts)
-	for i := range pts {
-		pts[i] = pts[i].Sub(c)
-	}
-	return c
 }
 
 // BoundingBox returns the axis-aligned bounding box (min, max corners)

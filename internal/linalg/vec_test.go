@@ -34,23 +34,6 @@ func TestVecOps(t *testing.T) {
 	}
 }
 
-func TestCrossProperties(t *testing.T) {
-	v := Vec3{1, 0, 0}
-	w := Vec3{0, 1, 0}
-	if got := v.Cross(w); got != (Vec3{0, 0, 1}) {
-		t.Errorf("x cross y = %v, want z", got)
-	}
-	// Cross product is perpendicular to both operands.
-	f := func(a, b Vec3) bool {
-		c := a.Cross(b)
-		return almostEqual(c.Dot(a), 0, 1e-6*(1+a.Norm2()*b.Norm2())) &&
-			almostEqual(c.Dot(b), 0, 1e-6*(1+a.Norm2()*b.Norm2()))
-	}
-	if err := quick.Check(f, boundedVecs(17)); err != nil {
-		t.Error(err)
-	}
-}
-
 // boundedVecs makes testing/quick generate Vec3 values with components
 // in [-100, 100] so products do not overflow.
 func boundedVecs(seed uint64) *quick.Config {
@@ -175,4 +158,14 @@ func TestDRMSMetricQuick(t *testing.T) {
 			t.Fatalf("triangle violated: d(a,b)=%v > d(a,c)+d(c,b)=%v", dab, dac+dcb)
 		}
 	}
+}
+
+// Center translates the points so their centroid is at the origin,
+// in place, and returns the centroid that was removed.
+func Center(pts []Vec3) Vec3 {
+	c := Centroid(pts)
+	for i := range pts {
+		pts[i] = pts[i].Sub(c)
+	}
+	return c
 }

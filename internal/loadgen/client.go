@@ -15,14 +15,12 @@ import (
 )
 
 // Harness is the shared client machinery every scenario runs on: a
-// keep-alive HTTP client sized for the closed-loop pool, the latency
-// recorder of the scenario in flight, and the counters the invariant
-// checks audit afterwards.
+// keep-alive HTTP client sized for the closed-loop pool and the
+// counters the invariant checks audit afterwards.
 type Harness struct {
 	cfg  Config
 	base string
 	hc   *http.Client
-	rec  *Recorder
 
 	mu                sync.Mutex
 	accepted          []string
@@ -52,7 +50,6 @@ func newHarness(cfg Config) *Harness {
 func (h *Harness) reset() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.rec = NewRecorder()
 	h.accepted = nil
 	h.shed, h.retryAfterMissing = 0, 0
 	h.oversizedSent, h.oversized413 = 0, 0
@@ -145,21 +142,17 @@ func (h *Harness) parallel(n, total int, fn func(i int) error) error {
 	}
 }
 
-// submit posts one job spec, recording latency under POST /v1/jobs and
-// classifying the outcome into the harness counters. The returned
+// submit posts one job spec, classifying the outcome into the harness counters. The returned
 // Status is zero-valued unless the submission was accepted.
 func (h *Harness) submit(spec jobs.Spec) (jobs.Status, int, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return jobs.Status{}, 0, err
 	}
-	start := time.Now()
 	resp, err := h.hc.Post(h.base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		h.rec.Error("POST /v1/jobs")
 		return jobs.Status{}, 0, fmt.Errorf("loadgen: submit: %w", err)
 	}
-	h.rec.Observe("POST /v1/jobs", time.Since(start))
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusAccepted:
@@ -220,18 +213,15 @@ func (h *Harness) submitOversized() error {
 	h.mu.Lock()
 	h.oversizedSent++
 	h.mu.Unlock()
-	start := time.Now()
 	resp, err := h.hc.Post(h.base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		// MaxBytesReader may reset the connection mid-upload instead of
 		// draining it; that still proves the bound. Count it as tripped.
-		h.rec.Error("POST /v1/jobs (oversized)")
 		h.mu.Lock()
 		h.oversized413++
 		h.mu.Unlock()
 		return nil
 	}
-	h.rec.Observe("POST /v1/jobs (oversized)", time.Since(start))
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		h.mu.Lock()
@@ -241,15 +231,12 @@ func (h *Harness) submitOversized() error {
 	return nil
 }
 
-// status fetches one job's status, recording latency.
+// status fetches one job's status.
 func (h *Harness) status(id string) (jobs.Status, error) {
-	start := time.Now()
 	resp, err := h.hc.Get(h.base + "/v1/jobs/" + id)
 	if err != nil {
-		h.rec.Error("GET /v1/jobs/{id}")
 		return jobs.Status{}, err
 	}
-	h.rec.Observe("GET /v1/jobs/{id}", time.Since(start))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return jobs.Status{}, fmt.Errorf("loadgen: status of %s: %s", id, resp.Status)
@@ -266,13 +253,10 @@ func (h *Harness) cancel(id string) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	resp, err := h.hc.Do(req)
 	if err != nil {
-		h.rec.Error("DELETE /v1/jobs/{id}")
 		return err
 	}
-	h.rec.Observe("DELETE /v1/jobs/{id}", time.Since(start))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
 		return fmt.Errorf("loadgen: cancel of %s: %s", id, resp.Status)
@@ -323,16 +307,12 @@ func (h *Harness) waitTerminal(id string, allowed ...jobs.State) (jobs.Status, e
 	}
 }
 
-// fetchResult downloads a done job's result body, recording latency;
-// the body is decoded only far enough to prove it parses.
+// fetchResult downloads a done job's result body; the body is decoded only far enough to prove it parses.
 func (h *Harness) fetchResult(id string) error {
-	start := time.Now()
 	resp, err := h.hc.Get(h.base + "/v1/jobs/" + id + "/result")
 	if err != nil {
-		h.rec.Error("GET /v1/jobs/{id}/result")
 		return err
 	}
-	h.rec.Observe("GET /v1/jobs/{id}/result", time.Since(start))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("loadgen: result of %s: %s", id, resp.Status)

@@ -108,9 +108,6 @@ func TestRunSuiteEndToEnd(t *testing.T) {
 				t.Errorf("scenario %s invariant %s failed: %s", sc.Scenario, inv.Name, inv.Detail)
 			}
 		}
-		if !sc.Skipped && len(sc.Endpoints) == 0 {
-			t.Errorf("scenario %s recorded no endpoint stats", sc.Scenario)
-		}
 	}
 	if !rep.OK {
 		t.Fatal("report marked not OK")

@@ -142,7 +142,6 @@ func (h *Harness) runScenario(sc Scenario) (*ScenarioReport, error) {
 	}
 
 	rep.Invariants = append(rep.Invariants, extra...)
-	rep.Endpoints = h.rec.Stats()
 	status := "ok"
 	if !rep.OK() {
 		status = "INVARIANT FAILURES"

@@ -1,7 +1,6 @@
 // Package loadgen is the production load harness behind cmd/mdload: a
 // Savina-style suite of named scenarios driven closed-loop against a
-// live mdserver, with per-endpoint latency/throughput recording and a
-// set of deterministic invariants that gate CI.
+// live mdserver, and a set of deterministic invariants that gate CI.
 //
 // Each scenario exercises one production failure or contention mode —
 // a cache-hot resubmit storm, a delta-append storm over growing
@@ -10,8 +9,7 @@
 // (429) plus an oversized-body probe (413), and a chaos run against
 // MDTASK_FAULTS-armed workers. Scenarios share one Harness: a bounded
 // pool of closed-loop clients (each waits for its response before
-// issuing the next request), a latency Recorder, and before/after
-// metric snapshots scraped from /v1/metrics, /v1/fleet, and the
+// issuing the next request) and before/after metric snapshots scraped from /v1/metrics, /v1/fleet, and the
 // Prometheus /metrics exposition.
 //
 // The gate deliberately checks only deterministic bookkeeping — jobs
@@ -19,13 +17,13 @@
 // rejected-counter delta, every 429 carries Retry-After, every
 // accepted job reaches a terminal state, wal_records_skipped stays
 // zero, goroutine counts return to baseline — never wall-clock
-// latency. Latency percentiles are recorded and reported (table, CSV,
-// BENCH_load.json) so regressions are visible, but a slow CI runner
-// cannot fail the build.
+// latency, so a slow CI runner cannot fail the build. Time is the
+// end-to-end benchmark's question (benchmark/), not this harness's.
 package loadgen
 
 import (
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -93,21 +91,20 @@ type Invariant struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// ScenarioReport is one scenario's outcome: harness-side counters, the
-// invariant verdicts, and the per-endpoint latency profile.
+// ScenarioReport is one scenario's outcome: harness-side counters and
+// the invariant verdicts.
 type ScenarioReport struct {
-	Scenario    string          `json:"scenario"`
-	Description string          `json:"description,omitempty"`
-	Skipped     bool            `json:"skipped,omitempty"`
-	SkipReason  string          `json:"skip_reason,omitempty"`
-	ElapsedMS   int64           `json:"elapsed_ms"`
-	Accepted    int             `json:"jobs_accepted"`
-	Shed        int             `json:"jobs_shed_429"`
-	Oversized   int             `json:"oversized_413"`
-	CacheHits   int             `json:"cache_hits"`
-	Cancelled   int             `json:"jobs_cancelled"`
-	Invariants  []Invariant     `json:"invariants"`
-	Endpoints   []EndpointStats `json:"endpoints"`
+	Scenario    string      `json:"scenario"`
+	Description string      `json:"description,omitempty"`
+	Skipped     bool        `json:"skipped,omitempty"`
+	SkipReason  string      `json:"skip_reason,omitempty"`
+	ElapsedMS   int64       `json:"elapsed_ms"`
+	Accepted    int         `json:"jobs_accepted"`
+	Shed        int         `json:"jobs_shed_429"`
+	Oversized   int         `json:"oversized_413"`
+	CacheHits   int         `json:"cache_hits"`
+	Cancelled   int         `json:"jobs_cancelled"`
+	Invariants  []Invariant `json:"invariants"`
 }
 
 // OK reports whether every invariant of the scenario held.
@@ -120,8 +117,7 @@ func (r ScenarioReport) OK() bool {
 	return true
 }
 
-// Report is the whole run: what cmd/mdload serializes to
-// BENCH_load.json next to BENCH_psa.json.
+// Report is the whole run: what cmd/mdload -json serializes.
 type Report struct {
 	Benchmark string           `json:"benchmark"`
 	Server    string           `json:"server"`
@@ -192,4 +188,28 @@ func resolve(names []string) ([]Scenario, error) {
 		out = append(out, sc)
 	}
 	return out, nil
+}
+
+// WriteReport renders the report as text: one line per skipped
+// scenario, then every invariant verdict.
+func WriteReport(w io.Writer, rep *Report) {
+	for _, sc := range rep.Scenarios {
+		if sc.Skipped {
+			fmt.Fprintf(w, "%s (skipped: %s)\n", sc.Scenario, sc.SkipReason)
+		}
+	}
+	fmt.Fprintln(w, "invariants:")
+	for _, sc := range rep.Scenarios {
+		for _, inv := range sc.Invariants {
+			mark := "ok  "
+			if !inv.OK {
+				mark = "FAIL"
+			}
+			fmt.Fprintf(w, "  [%s] %s/%s", mark, sc.Scenario, inv.Name)
+			if inv.Detail != "" {
+				fmt.Fprintf(w, " — %s", inv.Detail)
+			}
+			fmt.Fprintln(w)
+		}
+	}
 }

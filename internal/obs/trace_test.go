@@ -186,3 +186,13 @@ func TestImportSkipsInvalidTraceIDs(t *testing.T) {
 		t.Fatal("invalid trace ids were imported")
 	}
 }
+
+// TraceCount returns the number of traces currently buffered.
+func (t *Tracer) TraceCount() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.traces)
+}

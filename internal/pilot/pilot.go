@@ -9,18 +9,13 @@
 //   - units exchange data through real files in a shared staging
 //     directory (there is no shuffle data plane);
 //   - the agent polls the DB on an interval, adding dispatch delay.
-//
-// The DB supports failure injection (Down) so tests can exercise the
-// communication-sensitivity the paper reports for RADICAL-Pilot.
 package pilot
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mdtask/internal/engine"
@@ -38,14 +33,10 @@ const (
 	StateFailed     State = "FAILED"
 )
 
-// ErrDBDown is returned while the coordination database is unreachable.
-var ErrDBDown = errors.New("pilot: coordination database unreachable")
-
 // DB simulates the MongoDB coordination store: a key-value unit table
 // whose every operation costs one network round trip.
 type DB struct {
 	latency time.Duration
-	down    atomic.Bool
 
 	mu    sync.Mutex
 	units map[int]*record
@@ -61,36 +52,23 @@ func NewDB(latency time.Duration) *DB {
 	return &DB{latency: latency, units: make(map[int]*record)}
 }
 
-// SetDown toggles failure injection: while down, every operation
-// returns ErrDBDown.
-func (db *DB) SetDown(down bool) { db.down.Store(down) }
-
-func (db *DB) roundTrip() error {
+func (db *DB) roundTrip() {
 	if db.latency > 0 {
 		time.Sleep(db.latency)
 	}
-	if db.down.Load() {
-		return ErrDBDown
-	}
-	return nil
 }
 
 // Insert registers a unit in state NEW.
-func (db *DB) Insert(id int) error {
-	if err := db.roundTrip(); err != nil {
-		return err
-	}
+func (db *DB) Insert(id int) {
+	db.roundTrip()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.units[id] = &record{state: StateNew}
-	return nil
 }
 
 // SetState transitions a unit, recording an error message for FAILED.
 func (db *DB) SetState(id int, s State, errMsg string) error {
-	if err := db.roundTrip(); err != nil {
-		return err
-	}
+	db.roundTrip()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	r, ok := db.units[id]
@@ -104,9 +82,7 @@ func (db *DB) SetState(id int, s State, errMsg string) error {
 
 // GetState reads a unit's state.
 func (db *DB) GetState(id int) (State, string, error) {
-	if err := db.roundTrip(); err != nil {
-		return "", "", err
-	}
+	db.roundTrip()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	r, ok := db.units[id]
@@ -119,10 +95,8 @@ func (db *DB) GetState(id int) (State, string, error) {
 // ClaimNew atomically claims up to max units in state NEW, moving them
 // to SCHEDULING, and returns their ids (one round trip for the batch,
 // like the agent's bulk pull).
-func (db *DB) ClaimNew(max int) ([]int, error) {
-	if err := db.roundTrip(); err != nil {
-		return nil, err
-	}
+func (db *DB) ClaimNew(max int) []int {
+	db.roundTrip()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []int
@@ -135,7 +109,7 @@ func (db *DB) ClaimNew(max int) ([]int, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // UnitFunc is the "executable" of a Compute-Unit. It runs in a sandbox
@@ -241,13 +215,8 @@ func (p *Pilot) Metrics() *engine.Metrics { return p.metrics }
 // Cores returns the pilot's current worker parallelism.
 func (p *Pilot) Cores() int { return p.sem.capacity() }
 
-// Resize grows or shrinks the pilot's core pool at runtime (the dynamic
-// resource management of the paper's future work, §6). Shrinking takes
-// effect as in-flight units finish.
-func (p *Pilot) Resize(cores int) { p.sem.setCapacity(cores) }
-
 // Submit registers units with the coordination DB and returns handles.
-func (p *Pilot) Submit(descs []UnitDescription) ([]*Unit, error) {
+func (p *Pilot) Submit(descs []UnitDescription) []*Unit {
 	units := make([]*Unit, len(descs))
 	for i, d := range descs {
 		p.mu.Lock()
@@ -256,12 +225,10 @@ func (p *Pilot) Submit(descs []UnitDescription) ([]*Unit, error) {
 		u := &Unit{ID: id, Desc: d, Sandbox: filepath.Join(p.dir, fmt.Sprintf("unit.%06d", id))}
 		p.units[id] = u
 		p.mu.Unlock()
-		if err := p.db.Insert(id); err != nil {
-			return nil, fmt.Errorf("pilot: submitting unit %d: %w", id, err)
-		}
+		p.db.Insert(id)
 		units[i] = u
 	}
-	return units, nil
+	return units
 }
 
 // agent is the pilot's scheduler/executor loop: it claims NEW units from
@@ -278,11 +245,7 @@ func (p *Pilot) agent() {
 			return
 		case <-ticker.C:
 		}
-		ids, err := p.db.ClaimNew(4 * p.sem.capacity())
-		if err != nil {
-			continue // DB down: retry on next poll
-		}
-		for _, id := range ids {
+		for _, id := range p.db.ClaimNew(4 * p.sem.capacity()) {
 			p.mu.Lock()
 			u := p.units[id]
 			p.mu.Unlock()
@@ -302,22 +265,10 @@ func (p *Pilot) agent() {
 	}
 }
 
-// setState drives a unit's state transition, retrying through DB
-// outages (the agent keeps trying until the database is reachable again
-// or the pilot shuts down).
-func (p *Pilot) setState(id int, s State, msg string) {
-	for {
-		err := p.db.SetState(id, s, msg)
-		if err == nil || !errors.Is(err, ErrDBDown) {
-			return
-		}
-		select {
-		case <-p.stopped:
-			return
-		case <-time.After(p.cfg.AgentPollInterval):
-		}
-	}
-}
+// setState drives a unit's state transition through the DB. The pilot
+// registered the unit at Submit, so the DB cannot miss it and the error
+// is dropped.
+func (p *Pilot) setState(id int, s State, msg string) { _ = p.db.SetState(id, s, msg) }
 
 // execute stages, runs, and collects one unit, driving its state
 // through the DB.
@@ -405,4 +356,64 @@ func (p *Pilot) Wait(units []*Unit) error {
 func (p *Pilot) Shutdown() {
 	close(p.stopped)
 	p.done.Wait()
+}
+
+// semaphore is the pilot's counting semaphore over its cores; acquire
+// also gives up when the pilot shuts down.
+type semaphore struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	cap  int
+	used int
+}
+
+func newSemaphore(capacity int) *semaphore {
+	s := &semaphore{cap: capacity}
+	s.cond = sync.NewCond(&s.mu)
+	return s
+}
+
+// acquire blocks until a slot is free or stop is closed; it reports
+// whether a slot was obtained.
+func (s *semaphore) acquire(stop <-chan struct{}) bool {
+	// Wake waiters when stop closes.
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-stop:
+			s.cond.Broadcast()
+		case <-done:
+		}
+	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.used >= s.cap {
+		select {
+		case <-stop:
+			return false
+		default:
+		}
+		s.cond.Wait()
+		select {
+		case <-stop:
+			return false
+		default:
+		}
+	}
+	s.used++
+	return true
+}
+
+func (s *semaphore) release() {
+	s.mu.Lock()
+	s.used--
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+func (s *semaphore) capacity() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cap
 }

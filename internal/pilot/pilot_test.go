@@ -46,10 +46,7 @@ func TestSubmitAndWait(t *testing.T) {
 			},
 		}
 	}
-	units, err := p.Submit(descs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	units := p.Submit(descs)
 	if err := p.Wait(units); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +60,7 @@ func TestSubmitAndWait(t *testing.T) {
 
 func TestInputStagingAndOutputCollection(t *testing.T) {
 	p := newTestPilot(t, 2)
-	units, err := p.Submit([]UnitDescription{{
+	units := p.Submit([]UnitDescription{{
 		Name:        "copy",
 		InputFiles:  map[string][]byte{"in.txt": []byte("hello staging")},
 		OutputFiles: []string{"out.txt"},
@@ -76,9 +73,6 @@ func TestInputStagingAndOutputCollection(t *testing.T) {
 				[]byte(strings.ToUpper(string(data))), 0o644)
 		},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Wait(units); err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +87,10 @@ func TestInputStagingAndOutputCollection(t *testing.T) {
 
 func TestUnitFailureReported(t *testing.T) {
 	p := newTestPilot(t, 2)
-	units, err := p.Submit([]UnitDescription{
+	units := p.Submit([]UnitDescription{
 		{Name: "good", Fn: func(string) error { return nil }},
 		{Name: "bad", Fn: func(string) error { return errors.New("task exploded") }},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	werr := p.Wait(units)
 	if werr == nil || !strings.Contains(werr.Error(), "task exploded") {
 		t.Fatalf("Wait = %v", werr)
@@ -108,21 +99,15 @@ func TestUnitFailureReported(t *testing.T) {
 
 func TestUnitPanicBecomesFailure(t *testing.T) {
 	p := newTestPilot(t, 2)
-	units, err := p.Submit([]UnitDescription{{
+	units := p.Submit([]UnitDescription{{
 		Name: "panics",
 		Fn:   func(string) error { panic("agent should survive") },
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if werr := p.Wait(units); werr == nil || !strings.Contains(werr.Error(), "panicked") {
 		t.Fatalf("Wait = %v", werr)
 	}
 	// The agent must still execute subsequent units.
-	units2, err := p.Submit([]UnitDescription{{Name: "after", Fn: func(string) error { return nil }}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	units2 := p.Submit([]UnitDescription{{Name: "after", Fn: func(string) error { return nil }}})
 	if err := p.Wait(units2); err != nil {
 		t.Fatal(err)
 	}
@@ -130,54 +115,13 @@ func TestUnitPanicBecomesFailure(t *testing.T) {
 
 func TestMissingOutputIsFailure(t *testing.T) {
 	p := newTestPilot(t, 1)
-	units, err := p.Submit([]UnitDescription{{
+	units := p.Submit([]UnitDescription{{
 		Name:        "forgetful",
 		OutputFiles: []string{"never-written.bin"},
 		Fn:          func(string) error { return nil },
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if werr := p.Wait(units); werr == nil {
 		t.Fatal("missing output not reported")
-	}
-}
-
-func TestDBDownFailsSubmit(t *testing.T) {
-	db := NewDB(fastConfig().DBLatency)
-	p, err := NewPilot(2, t.TempDir(), db, fastConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-	db.SetDown(true)
-	if _, err := p.Submit([]UnitDescription{{Name: "x"}}); !errors.Is(err, ErrDBDown) {
-		t.Fatalf("Submit = %v, want ErrDBDown", err)
-	}
-}
-
-func TestDBOutageDuringWait(t *testing.T) {
-	db := NewDB(fastConfig().DBLatency)
-	p, err := NewPilot(2, t.TempDir(), db, fastConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-	units, err := p.Submit([]UnitDescription{{Name: "x", Fn: func(string) error {
-		time.Sleep(20 * time.Millisecond)
-		return nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetDown(true)
-	if werr := p.Wait(units); !errors.Is(werr, ErrDBDown) {
-		t.Fatalf("Wait = %v, want ErrDBDown", werr)
-	}
-	// Recovery: the DB comes back and the unit completes.
-	db.SetDown(false)
-	if werr := p.Wait(units); werr != nil {
-		t.Fatalf("Wait after recovery = %v", werr)
 	}
 }
 
@@ -199,10 +143,7 @@ func TestConcurrencyBoundedByCores(t *testing.T) {
 			return nil
 		}}
 	}
-	units, err := p.Submit(descs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	units := p.Submit(descs)
 	if err := p.Wait(units); err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +154,13 @@ func TestConcurrencyBoundedByCores(t *testing.T) {
 
 func TestDBStateTransitions(t *testing.T) {
 	db := NewDB(0)
-	if err := db.Insert(1); err != nil {
-		t.Fatal(err)
-	}
+	db.Insert(1)
 	st, _, err := db.GetState(1)
 	if err != nil || st != StateNew {
 		t.Fatalf("state = %v, %v", st, err)
 	}
-	ids, err := db.ClaimNew(10)
-	if err != nil || len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("ClaimNew = %v, %v", ids, err)
+	if ids := db.ClaimNew(10); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("ClaimNew = %v", ids)
 	}
 	st, _, _ = db.GetState(1)
 	if st != StateScheduling {
@@ -246,17 +184,13 @@ func TestDBStateTransitions(t *testing.T) {
 func TestClaimNewBatchLimit(t *testing.T) {
 	db := NewDB(0)
 	for i := 0; i < 10; i++ {
-		if err := db.Insert(i); err != nil {
-			t.Fatal(err)
-		}
+		db.Insert(i)
 	}
-	ids, err := db.ClaimNew(4)
-	if err != nil || len(ids) != 4 {
-		t.Fatalf("ClaimNew = %d ids, %v", len(ids), err)
+	if ids := db.ClaimNew(4); len(ids) != 4 {
+		t.Fatalf("ClaimNew = %d ids", len(ids))
 	}
-	rest, err := db.ClaimNew(100)
-	if err != nil || len(rest) != 6 {
-		t.Fatalf("second ClaimNew = %d ids, %v", len(rest), err)
+	if rest := db.ClaimNew(100); len(rest) != 6 {
+		t.Fatalf("second ClaimNew = %d ids", len(rest))
 	}
 }
 
@@ -268,11 +202,30 @@ func TestMetricsSharedSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Shutdown()
-	units, _ := p.Submit([]UnitDescription{{Name: "x", Fn: func(string) error { return nil }}})
+	units := p.Submit([]UnitDescription{{Name: "x", Fn: func(string) error { return nil }}})
 	if err := p.Wait(units); err != nil {
 		t.Fatal(err)
 	}
 	if m.Snapshot().Tasks != 1 {
 		t.Error("external metrics sink not used")
+	}
+}
+
+func TestSemaphoreStop(t *testing.T) {
+	s := newSemaphore(1)
+	stop := make(chan struct{})
+	if !s.acquire(stop) {
+		t.Fatal("first acquire failed")
+	}
+	result := make(chan bool)
+	go func() { result <- s.acquire(stop) }()
+	close(stop)
+	select {
+	case ok := <-result:
+		if ok {
+			t.Fatal("acquire succeeded after stop")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("acquire did not observe stop")
 	}
 }

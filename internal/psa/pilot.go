@@ -160,10 +160,7 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 			},
 		}
 	}
-	units, err := p.Submit(descs)
-	if err != nil {
-		return nil, err
-	}
+	units := p.Submit(descs)
 	if err := p.Wait(units); err != nil {
 		return nil, err
 	}

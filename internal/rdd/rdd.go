@@ -1,25 +1,21 @@
 // Package rdd is a Spark-like data-parallel engine: an RDD abstraction
-// with lazy narrow transformations, eager shuffle boundaries, actions,
-// broadcast variables, caching, and a stage-oriented execution model.
-// It reproduces — natively in Go, on goroutine workers — the execution
-// semantics the paper exercises through PySpark: a job is a DAG of
-// stages; each stage is a set of parallel tasks separated by barriers at
-// shuffle points (§3.1).
+// with lazy narrow transformations, actions, broadcast variables and a
+// stage-oriented execution model. It reproduces — natively in Go, on
+// goroutine workers — the execution semantics the paper exercises
+// through PySpark: a job is a DAG of stages; each stage is a set of
+// parallel tasks separated by barriers (§3.1).
 //
-// Narrow transformations (Map, Filter, FlatMap, MapPartitions) chain
-// lazily and collapse into a single stage at the next action, exactly
-// like Spark pipelining. Shuffle operations (ReduceByKey, GroupByKey,
-// Repartition) materialize their map side eagerly, recording a stage
-// barrier and the shuffled byte volume.
+// Map chains lazily and collapses into a single stage at the next
+// action (Collect, Count, Reduce), exactly like Spark pipelining.
 //
 // Executor is the package's engine.Executor: the shared analyses
-// (psa.Run, leaflet.Run) run on it as one partition per task.
+// (psa.Run, leaflet.Run) run on it as one partition per task; its
+// Reduce accounts every map output as shuffled bytes.
 package rdd
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mdtask/internal/engine"
 )
@@ -49,18 +45,10 @@ type RDD[T any] struct {
 	name     string
 	numParts int
 	compute  func(part int) ([]T, error)
-
-	persist sync.Once
-	cached  [][]T
-	cacheOn bool
-	cacheMu sync.Mutex
 }
 
 // Context returns the owning context.
 func (r *RDD[T]) Context() *Context { return r.ctx }
-
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return r.numParts }
 
 // Name returns the RDD's debug name.
 func (r *RDD[T]) Name() string { return r.name }
@@ -91,17 +79,6 @@ func Parallelize[T any](ctx *Context, data []T, numParts int) *RDD[T] {
 	}
 }
 
-// FromPartitions builds an RDD with one partition per element of parts.
-// The slices are referenced, not copied.
-func FromPartitions[T any](ctx *Context, parts [][]T) *RDD[T] {
-	return &RDD[T]{
-		ctx:      ctx,
-		name:     "fromPartitions",
-		numParts: len(parts),
-		compute:  func(part int) ([]T, error) { return parts[part], nil },
-	}
-}
-
 // Range creates an RDD of the integers [0, n) in numParts partitions,
 // the idiom the paper uses to map "one task per partition".
 func Range(ctx *Context, n, numParts int) *RDD[int] {
@@ -120,7 +97,7 @@ func Map[T, U any](r *RDD[T], f func(T) (U, error)) *RDD[U] {
 		name:     r.name + "|map",
 		numParts: r.numParts,
 		compute: func(part int) ([]U, error) {
-			in, err := r.materializedPartition(part)
+			in, err := r.compute(part)
 			if err != nil {
 				return nil, err
 			}
@@ -135,100 +112,9 @@ func Map[T, U any](r *RDD[T], f func(T) (U, error)) *RDD[U] {
 	}
 }
 
-// Filter keeps the elements for which pred is true (narrow).
-func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	return &RDD[T]{
-		ctx:      r.ctx,
-		name:     r.name + "|filter",
-		numParts: r.numParts,
-		compute: func(part int) ([]T, error) {
-			in, err := r.materializedPartition(part)
-			if err != nil {
-				return nil, err
-			}
-			var out []T
-			for _, v := range in {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-			return out, nil
-		},
-	}
-}
-
-// FlatMap applies f and concatenates the results (narrow).
-func FlatMap[T, U any](r *RDD[T], f func(T) ([]U, error)) *RDD[U] {
-	return &RDD[U]{
-		ctx:      r.ctx,
-		name:     r.name + "|flatMap",
-		numParts: r.numParts,
-		compute: func(part int) ([]U, error) {
-			in, err := r.materializedPartition(part)
-			if err != nil {
-				return nil, err
-			}
-			var out []U
-			for _, v := range in {
-				us, err := f(v)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, us...)
-			}
-			return out, nil
-		},
-	}
-}
-
-// MapPartitions transforms each whole partition at once (narrow), the
-// transformation the paper's 2-D partitioned implementations use.
-func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *RDD[U] {
-	return &RDD[U]{
-		ctx:      r.ctx,
-		name:     r.name + "|mapPartitions",
-		numParts: r.numParts,
-		compute: func(part int) ([]U, error) {
-			in, err := r.materializedPartition(part)
-			if err != nil {
-				return nil, err
-			}
-			return f(part, in)
-		},
-	}
-}
-
-// materializedPartition returns partition part, from cache if persisted.
-func (r *RDD[T]) materializedPartition(part int) ([]T, error) {
-	r.cacheMu.Lock()
-	if r.cached != nil {
-		p := r.cached[part]
-		r.cacheMu.Unlock()
-		return p, nil
-	}
-	r.cacheMu.Unlock()
-	return r.compute(part)
-}
-
-// Persist marks the RDD for caching: the first action materializes all
-// partitions and later actions reuse them, like Spark's MEMORY_ONLY
-// persistence.
-func (r *RDD[T]) Persist() *RDD[T] {
-	r.cacheOn = true
-	return r
-}
-
 // runStage computes every partition on the pool and returns them.
 // It records one stage in the metrics.
 func (r *RDD[T]) runStage() ([][]T, error) {
-	r.cacheMu.Lock()
-	if r.cached != nil {
-		c := r.cached
-		r.cacheMu.Unlock()
-		return c, nil
-	}
-	r.cacheMu.Unlock()
-
 	r.ctx.Metrics.RecordStage()
 	parts := make([][]T, r.numParts)
 	err := r.ctx.pool.ForEach(r.numParts, func(i int) error {
@@ -241,13 +127,6 @@ func (r *RDD[T]) runStage() ([][]T, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if r.cacheOn {
-		r.cacheMu.Lock()
-		if r.cached == nil {
-			r.cached = parts
-		}
-		r.cacheMu.Unlock()
 	}
 	return parts, nil
 }
@@ -307,4 +186,19 @@ func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
 		return zero, ErrEmptyRDD
 	}
 	return acc, nil
+}
+
+// Broadcast is a read-only value shipped once to every worker, like
+// Spark's torrent broadcast. Bytes is the caller-declared payload size
+// used for accounting.
+type Broadcast[T any] struct {
+	Value T
+	Bytes int64
+}
+
+// NewBroadcast registers a broadcast variable with the context,
+// accounting its payload size against the metrics.
+func NewBroadcast[T any](ctx *Context, value T, bytes int64) *Broadcast[T] {
+	ctx.Metrics.AddBroadcast(bytes)
+	return &Broadcast[T]{Value: value, Bytes: bytes}
 }

@@ -47,15 +47,6 @@ type Engine struct {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule runs fn after delay virtual seconds. Negative delays are
-// clamped to zero (fire "now", after already-queued events at now).
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
-}
-
 // At runs fn at absolute virtual time t; times in the past are clamped
 // to now.
 func (e *Engine) At(t Time, fn func()) {
@@ -83,6 +74,3 @@ func (e *Engine) Run() Time {
 	}
 	return e.now
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -84,3 +84,15 @@ func TestStepAndPending(t *testing.T) {
 		t.Errorf("after one step: now=%v pending=%d", e.Now(), e.Pending())
 	}
 }
+
+// Schedule runs fn after delay virtual seconds. Negative delays are
+// clamped to zero (fire "now", after already-queued events at now).
+func (e *Engine) Schedule(delay Time, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.At(e.now+delay, fn)
+}
+
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.queue) }

@@ -238,11 +238,6 @@ func sheet(sys *BilayerSystem, n int, z float64, label uint8, r *rand.Rand) {
 	}
 }
 
-// Membrane generates the bilayer for a named preset.
-func Membrane(p MembranePreset, seed uint64) *BilayerSystem {
-	return Bilayer(p.NAtoms, seed)
-}
-
 // CountLeaflets returns the sizes of the two ground-truth leaflets.
 func (b *BilayerSystem) CountLeaflets() (lower, upper int) {
 	for _, l := range b.Leaflet {

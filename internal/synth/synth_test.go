@@ -95,8 +95,8 @@ func TestBilayerSeparation(t *testing.T) {
 	}
 	minDist := math.Inf(1)
 	for _, p := range upper {
-		if d := linalg.MinDistPointSet(p, lower); d < minDist {
-			minDist = d
+		for _, q := range lower {
+			minDist = math.Min(minDist, linalg.Dist(p, q))
 		}
 	}
 	if minDist <= BilayerCutoff {

@@ -3,6 +3,8 @@ package traj
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	mathrand "math/rand"
 	"os"
@@ -180,7 +182,7 @@ func TestXYZTRoundTrip(t *testing.T) {
 	if err := WriteXYZT(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadXYZT(&buf)
+	got, err := readXYZT(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +194,10 @@ func TestXYZTRoundTrip(t *testing.T) {
 func TestXYZTFileRoundTrip(t *testing.T) {
 	tr := randTraj(t, 16, 3, 2)
 	path := filepath.Join(t.TempDir(), "t.xyzt")
-	if err := WriteXYZTFile(path, tr); err != nil {
+	if err := writeXYZTFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadXYZTFile(path)
+	got, err := readXYZTFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +217,14 @@ func TestXYZTErrors(t *testing.T) {
 		"short coord line":    "1\nt=0 x\n1 2\n",
 	}
 	for name, input := range cases {
-		if _, err := ReadXYZT(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ReadXYZT accepted %q", name, input)
+		if _, err := readXYZT(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: readXYZT accepted %q", name, input)
 		}
 	}
 }
 
 func TestXYZTEmpty(t *testing.T) {
-	got, err := ReadXYZT(strings.NewReader(""))
+	got, err := readXYZT(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,4 +260,57 @@ func TestMDTStreamingReader(t *testing.T) {
 	if _, err := mr.ReadFrame(); err == nil || err.Error() != "EOF" {
 		t.Fatalf("expected io.EOF after last frame, got %v", err)
 	}
+}
+
+// writeXYZTFile writes the trajectory to path as XYZT text.
+func writeXYZTFile(path string, t *Trajectory) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteXYZT(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readXYZTFile reads a trajectory from an XYZT text file; errors carry
+// the path and the line number of malformed input.
+func readXYZTFile(path string) (*Trajectory, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := readXYZT(f)
+	if err != nil {
+		return nil, fmt.Errorf("traj: %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// readXYZT parses an XYZT stream into a trajectory. The atom count of
+// every frame must match the first frame's; parse errors include the
+// 1-based line number of the offending input.
+func readXYZT(r io.Reader) (*Trajectory, error) {
+	d := newXYZTDecoder(r)
+	var t *Trajectory
+	for {
+		f, err := d.readFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			t = New(d.name, d.nAtoms)
+		}
+		t.Frames = append(t.Frames, f)
+	}
+	if t == nil {
+		t = New("", 0)
+	}
+	return t, nil
 }

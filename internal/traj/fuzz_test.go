@@ -38,7 +38,7 @@ func FuzzReadXYZT(f *testing.F) {
 	f.Add([]byte("2\nt=nope\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadXYZT(bytes.NewReader(data))
+		tr, err := readXYZT(bytes.NewReader(data))
 		if err != nil {
 			if !strings.Contains(err.Error(), "line") {
 				t.Fatalf("parse error carries no line position: %v", err)
@@ -49,7 +49,7 @@ func FuzzReadXYZT(f *testing.F) {
 		if err := WriteXYZT(&buf, tr); err != nil {
 			t.Fatalf("accepted trajectory fails to encode: %v", err)
 		}
-		back, err := ReadXYZT(&buf)
+		back, err := readXYZT(&buf)
 		if err != nil {
 			t.Fatalf("re-encoded trajectory fails to parse: %v", err)
 		}

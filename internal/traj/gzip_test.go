@@ -1,12 +1,57 @@
 package traj
 
 import (
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mdtask/internal/linalg"
 )
+
+// writeMDTGZFile writes the trajectory as gzip-compressed MDT, an
+// input format FileRef and OpenSource read.
+func writeMDTGZFile(path string, t *Trajectory, prec int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	zw, err := gzip.NewWriterLevel(f, gzip.BestSpeed)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	mw, err := NewMDTWriter(zw, t.Name, t.NAtoms, len(t.Frames), prec)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	for _, fr := range t.Frames {
+		if err := mw.WriteFrame(fr); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := mw.Close(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readMDTGZ loads a .mdt.gz trajectory through FileRef, the path every
+// job input takes.
+func readMDTGZ(path string) (*Trajectory, error) {
+	r, err := FileRef(path)
+	if err != nil {
+		return nil, err
+	}
+	return r.Load()
+}
 
 func TestMDTGZRoundTrip(t *testing.T) {
 	tr := randTraj(t, 21, 50, 10)
@@ -16,10 +61,10 @@ func TestMDTGZRoundTrip(t *testing.T) {
 	if err := WriteMDTFile(plain, tr, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMDTGZFile(zipped, tr, 8); err != nil {
+	if err := writeMDTGZFile(zipped, tr, 8); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMDTGZFile(zipped)
+	got, err := readMDTGZ(zipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +99,7 @@ func TestMDTGZCompressesStructuredData(t *testing.T) {
 	if err := WriteMDTFile(plain, tr, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMDTGZFile(zipped, tr, 8); err != nil {
+	if err := writeMDTGZFile(zipped, tr, 8); err != nil {
 		t.Fatal(err)
 	}
 	pi, _ := os.Stat(plain)
@@ -62,7 +107,7 @@ func TestMDTGZCompressesStructuredData(t *testing.T) {
 	if zi.Size() >= pi.Size()/2 {
 		t.Errorf("structured data should compress >2x: %d vs %d", zi.Size(), pi.Size())
 	}
-	got, err := ReadMDTGZFile(zipped)
+	got, err := readMDTGZ(zipped)
 	if err != nil || !trajEqual(tr, got, 0) {
 		t.Fatal("structured gz round trip failed")
 	}
@@ -73,7 +118,7 @@ func TestMDTGZRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not gzip at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMDTGZFile(path); err == nil {
+	if _, err := readMDTGZ(path); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -54,11 +54,11 @@ func TestOpenSourceFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	mdtgz := filepath.Join(dir, "a.mdt.gz")
-	if err := WriteMDTGZFile(mdtgz, tr, 8); err != nil {
+	if err := writeMDTGZFile(mdtgz, tr, 8); err != nil {
 		t.Fatal(err)
 	}
 	xyzt := filepath.Join(dir, "a.xyzt")
-	if err := WriteXYZTFile(xyzt, tr); err != nil {
+	if err := writeXYZTFile(xyzt, tr); err != nil {
 		t.Fatal(err)
 	}
 	xyztgz := filepath.Join(dir, "a.xyzt.gz")
@@ -120,11 +120,11 @@ func TestFileRefShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	xyzt := filepath.Join(dir, "b.xyzt")
-	if err := WriteXYZTFile(xyzt, tr); err != nil {
+	if err := writeXYZTFile(xyzt, tr); err != nil {
 		t.Fatal(err)
 	}
 	gz := filepath.Join(dir, "b.mdt.gz")
-	if err := WriteMDTGZFile(gz, tr, 8); err != nil {
+	if err := writeMDTGZFile(gz, tr, 8); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{mdt, xyzt, gz} {
@@ -194,7 +194,7 @@ func TestXYZTErrorsCarryLineNumbers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadXYZT(strings.NewReader(tc.input))
+			_, err := readXYZT(strings.NewReader(tc.input))
 			if err == nil {
 				t.Fatalf("malformed input accepted")
 			}
@@ -209,7 +209,7 @@ func TestXYZTErrorsCarryLineNumbers(t *testing.T) {
 	if err := os.WriteFile(path, []byte("1\nt=0\n0 0 nope\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadXYZTFile(path)
+	_, err := readXYZTFile(path)
 	if err == nil {
 		t.Fatal("malformed file accepted")
 	}

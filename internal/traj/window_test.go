@@ -31,8 +31,8 @@ func windowBackings(t *testing.T, tr *Trajectory, chainWindow int) map[string]*R
 	}
 	fileRef("f64.mdt", func(p string) error { return WriteMDTFile(p, tr, 8) })
 	fileRef("f32.mdt", func(p string) error { return WriteMDTFile(p, tr, 4) })
-	fileRef("z.mdt.gz", func(p string) error { return WriteMDTGZFile(p, tr, 8) })
-	fileRef("text.xyzt", func(p string) error { return WriteXYZTFile(p, tr) })
+	fileRef("z.mdt.gz", func(p string) error { return writeMDTGZFile(p, tr, 8) })
+	fileRef("text.xyzt", func(p string) error { return writeXYZTFile(p, tr) })
 
 	packed := tr.Clone()
 	packed.Packed()
@@ -356,7 +356,7 @@ func TestDecodersRejectNonFinite(t *testing.T) {
 			check("Load", err)
 		}
 		gz := filepath.Join(dir, "nonfinite.mdt.gz")
-		if err := WriteMDTGZFile(gz, tr, 8); err != nil {
+		if err := writeMDTGZFile(gz, tr, 8); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := FileRef(gz); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "nonfinite.mdt.gz") {
@@ -367,7 +367,7 @@ func TestDecodersRejectNonFinite(t *testing.T) {
 	if err := os.WriteFile(xyzt, []byte("2\nt=0 n\n0 0 0\n1 1 1\n2\nt=1 n\n0 0 0\n1 NaN 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadXYZTFile(xyzt)
+	_, err := readXYZTFile(xyzt)
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("xyzt: err = %v, want ErrNonFinite", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -144,31 +143,6 @@ func (d *xyztDecoder) readFrame() (Frame, error) {
 	return Frame{Time: tm, Coords: coords}, nil
 }
 
-// ReadXYZT parses an XYZT stream into a trajectory. The atom count of
-// every frame must match the first frame's; parse errors include the
-// 1-based line number of the offending input.
-func ReadXYZT(r io.Reader) (*Trajectory, error) {
-	d := newXYZTDecoder(r)
-	var t *Trajectory
-	for {
-		f, err := d.readFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			t = New(d.name, d.nAtoms)
-		}
-		t.Frames = append(t.Frames, f)
-	}
-	if t == nil {
-		t = New("", 0)
-	}
-	return t, nil
-}
-
 // xyztSource adapts the streaming decoder to FrameSource. NAtoms is -1
 // until the first frame fixes it (an empty stream reports 0).
 type xyztSource struct {
@@ -214,32 +188,4 @@ func (s *xyztSource) Close() error {
 	}
 	s.closers = nil
 	return first
-}
-
-// WriteXYZTFile writes the trajectory to path as XYZT text.
-func WriteXYZTFile(path string, t *Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteXYZT(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadXYZTFile reads a trajectory from an XYZT text file; errors carry
-// the path and the line number of malformed input.
-func ReadXYZTFile(path string) (*Trajectory, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, err := ReadXYZT(f)
-	if err != nil {
-		return nil, fmt.Errorf("traj: %s: %w", path, err)
-	}
-	return t, nil
 }
