@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Machine describes a compute resource.
@@ -557,4 +558,13 @@ func UniformTasks(n int, d float64) []float64 {
 		t[i] = d
 	}
 	return t
+}
+
+// SortedDescending returns a copy of durations sorted longest first
+// (LPT order), which the dispatch scheduler benefits from.
+func SortedDescending(durations []float64) []float64 {
+	out := make([]float64, len(durations))
+	copy(out, durations)
+	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	return out
 }

@@ -189,6 +189,17 @@ func TestColdStartOverhead(t *testing.T) {
 	}
 }
 
+func TestSortedDescending(t *testing.T) {
+	in := []float64{1, 3, 2}
+	out := SortedDescending(in)
+	if out[0] != 3 || out[1] != 2 || out[2] != 1 {
+		t.Errorf("SortedDescending = %v", out)
+	}
+	if in[0] != 1 {
+		t.Error("input mutated")
+	}
+}
+
 func TestResultThroughput(t *testing.T) {
 	r := Result{Makespan: 2}
 	if got := r.Throughput(100); got != 50 {

@@ -2,8 +2,6 @@ package dask
 
 import (
 	"errors"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -64,54 +62,5 @@ func TestManyConcurrentFutures(t *testing.T) {
 		if v.(int) != i {
 			t.Fatalf("vals[%d] = %v", i, v)
 		}
-	}
-}
-
-func TestBagFlatMap(t *testing.T) {
-	c := NewClient(2)
-	b := BagFromSequence(c, []int{1, 2, 3}, 2)
-	fm := BagFlatMap(b, func(x int) ([]int, error) { return []int{x, -x}, nil })
-	got, err := fm.Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{1, -1, 2, -2, 3, -3}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestBagCount(t *testing.T) {
-	c := NewClient(2)
-	b := BagFromSequence(c, make([]int, 37), 5)
-	n, err := BagCount(b)
-	if err != nil || n != 37 {
-		t.Fatalf("BagCount = %d, %v", n, err)
-	}
-}
-
-func TestBagGroupBy(t *testing.T) {
-	c := NewClient(3)
-	b := BagFromSequence(c, []int{1, 2, 3, 4, 5, 6, 7}, 3)
-	groups, err := BagGroupBy(b, func(x int) int { return x % 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(groups[0])
-	sort.Ints(groups[1])
-	if !reflect.DeepEqual(groups[0], []int{2, 4, 6}) || !reflect.DeepEqual(groups[1], []int{1, 3, 5, 7}) {
-		t.Fatalf("groups = %v", groups)
-	}
-}
-
-func TestBagDistinct(t *testing.T) {
-	c := NewClient(2)
-	b := BagFromSequence(c, []string{"a", "b", "a", "c", "b"}, 2)
-	got, err := BagDistinct(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("distinct = %v", got)
 	}
 }

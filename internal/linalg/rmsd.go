@@ -110,3 +110,15 @@ func maxEigen4(a [4][4]float64) float64 {
 	}
 	return best
 }
+
+// RotateFrame applies the 3x3 rotation matrix m to every point of the
+// frame in place.
+func RotateFrame(frame []Vec3, m [3][3]float64) {
+	for i, p := range frame {
+		frame[i] = Vec3{
+			m[0][0]*p[0] + m[0][1]*p[1] + m[0][2]*p[2],
+			m[1][0]*p[0] + m[1][1]*p[1] + m[1][2]*p[2],
+			m[2][0]*p[0] + m[2][1]*p[1] + m[2][2]*p[2],
+		}
+	}
+}

@@ -12,18 +12,6 @@ func rotZ(theta float64) [3][3]float64 {
 	return [3][3]float64{{c, -s, 0}, {s, c, 0}, {0, 0, 1}}
 }
 
-// rotateFrame applies the rotation matrix m to every point of frame in
-// place.
-func rotateFrame(frame []Vec3, m [3][3]float64) {
-	for i, p := range frame {
-		frame[i] = Vec3{
-			m[0][0]*p[0] + m[0][1]*p[1] + m[0][2]*p[2],
-			m[1][0]*p[0] + m[1][1]*p[1] + m[1][2]*p[2],
-			m[2][0]*p[0] + m[2][1]*p[1] + m[2][2]*p[2],
-		}
-	}
-}
-
 func TestRMSDIdentical(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 10))
 	a := randFrame(r, 30)
@@ -37,7 +25,7 @@ func TestRMSDInvariantUnderRigidMotion(t *testing.T) {
 	a := randFrame(r, 40)
 	b := make([]Vec3, len(a))
 	copy(b, a)
-	rotateFrame(b, rotZ(0.7))
+	RotateFrame(b, rotZ(0.7))
 	for i := range b {
 		b[i] = b[i].Add(Vec3{5, -3, 2})
 	}
@@ -102,6 +90,14 @@ func TestRMSDEmptyAndMismatch(t *testing.T) {
 		}
 	}()
 	RMSD(make([]Vec3, 1), make([]Vec3, 2))
+}
+
+func TestRotateFrame(t *testing.T) {
+	f := []Vec3{{1, 0, 0}}
+	RotateFrame(f, rotZ(math.Pi/2))
+	if !almostEqual(f[0][0], 0, 1e-12) || !almostEqual(f[0][1], 1, 1e-12) {
+		t.Errorf("rotated = %v, want (0,1,0)", f[0])
+	}
 }
 
 func TestMaxEigen4Diagonal(t *testing.T) {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 	mathrand "math/rand"
 	"reflect"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mdtask/internal/engine"
 )
@@ -161,6 +161,46 @@ func TestReduceAndAllreduce(t *testing.T) {
 	}
 }
 
+func TestAlltoall(t *testing.T) {
+	const size = 5
+	err := Run(size, nil, func(c *Comm) error {
+		parts := make([]int, size)
+		for i := range parts {
+			parts[i] = c.Rank()*100 + i
+		}
+		got := Alltoall(c, parts, 8)
+		for src, v := range got {
+			if v != src*100+c.Rank() {
+				t.Errorf("rank %d from %d: %d", c.Rank(), src, v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBarrierSynchronizes(t *testing.T) {
+	const size = 6
+	var phase1 int64
+	err := Run(size, nil, func(c *Comm) error {
+		if c.Rank() == 0 {
+			time.Sleep(5 * time.Millisecond) // straggler
+		}
+		atomic.AddInt64(&phase1, 1)
+		c.Barrier()
+		if got := atomic.LoadInt64(&phase1); got != size {
+			t.Errorf("rank %d passed barrier with phase1=%d", c.Rank(), got)
+		}
+		c.Barrier() // reusable
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRankErrorAbortsWorld(t *testing.T) {
 	err := Run(4, nil, func(c *Comm) error {
 		if c.Rank() == 2 {
@@ -181,8 +221,7 @@ func TestRankPanicAbortsWorld(t *testing.T) {
 		if c.Rank() == 1 {
 			panic("rank 1 crashed")
 		}
-		// The peers wait on the crashed rank; the abort unwinds them.
-		c.Recv(1)
+		c.Barrier()
 		return nil
 	})
 	if err == nil {
@@ -292,22 +331,4 @@ func TestAllGatherLargePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Send transfers value to rank dst (eager, buffered) over the fabric
-// the collectives use: the tests drive rank-to-rank traffic and the
-// abort paths with it. bytes is the payload size used for accounting.
-func (c *Comm) Send(dst int, value interface{}, bytes int64) {
-	if dst < 0 || dst >= c.w.size {
-		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, c.w.size))
-	}
-	c.send(c.w.coll, dst, message{value, bytes})
-}
-
-// Recv receives the next message from rank src.
-func (c *Comm) Recv(src int) interface{} {
-	if src < 0 || src >= c.w.size {
-		panic(fmt.Sprintf("mpi: Recv from invalid rank %d (size %d)", src, c.w.size))
-	}
-	return c.recv(c.w.coll, src).value
 }

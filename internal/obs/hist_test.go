@@ -82,6 +82,70 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// randomHist builds a histogram with integral observations (so Sum
+// arithmetic is float-exact and merging is order-independent).
+func randomHist(rng *rand.Rand, n int) *Histogram {
+	h := NewHistogram(nil)
+	for i := 0; i < n; i++ {
+		h.Observe(float64(rng.Intn(128)))
+	}
+	return h
+}
+
+func histEqual(a, b HistSnapshot) bool {
+	if a.Count != b.Count || a.Sum != b.Sum || len(a.Counts) != len(b.Counts) {
+		return false
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestMergeAssociativityProperty(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		mk := func() (*Histogram, *Histogram, *Histogram) {
+			return randomHist(rng, rng.Intn(200)), randomHist(rng, rng.Intn(200)), randomHist(rng, rng.Intn(200))
+		}
+		a1, b1, c1 := mk()
+		rng = rand.New(rand.NewSource(int64(trial)))
+		a2, b2, c2 := mk()
+
+		// (a ⊕ b) ⊕ c
+		left := NewHistogram(nil)
+		left.Merge(a1)
+		left.Merge(b1)
+		left.Merge(c1)
+		// a ⊕ (b ⊕ c)
+		bc := NewHistogram(nil)
+		bc.Merge(b2)
+		bc.Merge(c2)
+		right := NewHistogram(nil)
+		right.Merge(a2)
+		right.Merge(bc)
+
+		if !histEqual(left.Snapshot(), right.Snapshot()) {
+			t.Fatalf("trial %d: merge is not associative:\n(a⊕b)⊕c = %+v\na⊕(b⊕c) = %+v",
+				trial, left.Snapshot(), right.Snapshot())
+		}
+	}
+}
+
+func TestMergeLayoutMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging mismatched bucket layouts did not panic")
+		}
+	}()
+	a := NewHistogram([]float64{1, 2, 3})
+	b := NewHistogram([]float64{1, 2})
+	b.Observe(1)
+	a.Merge(b)
+}
+
 func TestQuantileMonotonicityProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))

@@ -30,8 +30,8 @@
 // A Registry holds counters, gauges (value callbacks), and fixed
 // exponential-bucket histograms with per-series labels, and writes
 // the Prometheus text exposition format (GET /metrics). Histograms
-// support lock-free concurrent Observe and p50/p95/p99-style quantile
-// estimation by linear interpolation.
+// support lock-free concurrent Observe, exact Merge, and
+// p50/p95/p99-style quantile estimation by linear interpolation.
 package obs
 
 // Obs bundles the observability handles of one process: its tracer

@@ -79,6 +79,17 @@ func Parallelize[T any](ctx *Context, data []T, numParts int) *RDD[T] {
 	}
 }
 
+// FromPartitions builds an RDD with one partition per element of parts.
+// The slices are referenced, not copied.
+func FromPartitions[T any](ctx *Context, parts [][]T) *RDD[T] {
+	return &RDD[T]{
+		ctx:      ctx,
+		name:     "fromPartitions",
+		numParts: len(parts),
+		compute:  func(part int) ([]T, error) { return parts[part], nil },
+	}
+}
+
 // Range creates an RDD of the integers [0, n) in numParts partitions,
 // the idiom the paper uses to map "one task per partition".
 func Range(ctx *Context, n, numParts int) *RDD[int] {

@@ -24,8 +24,9 @@
 // synth.PathWalk, DecodeMDT and ReadMDTFile build their trajectories
 // this way — and while each frame is still its slice of that backing,
 // in order, Packed views the backing in place instead of copying it.
-// Any other trajectory (built by AppendFrame or a streaming Load, or
-// one whose frames were reassigned or reordered) is packed into a copy. Ref.Digest hashes
+// Any other trajectory (built by AppendFrame, SelectAtoms,
+// SelectFrames, ReadXYZT or a streaming Load, or one whose frames were
+// reassigned or reordered) is packed into a copy. Ref.Digest hashes
 // coordinate memory as it lies, with no scratch encoding on
 // little-endian hosts. Mutating coordinates after the first Packed call
 // is unsupported either way.

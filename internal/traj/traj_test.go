@@ -83,3 +83,60 @@ func TestEnsembleValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestSelectAtoms(t *testing.T) {
+	tr := randTraj(t, 7, 6, 3)
+	sub, err := tr.SelectAtoms([]int{5, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.NAtoms != 3 || sub.NFrames() != 3 {
+		t.Fatalf("shape = %d atoms, %d frames", sub.NAtoms, sub.NFrames())
+	}
+	for f := range sub.Frames {
+		if sub.Frames[f].Coords[0] != tr.Frames[f].Coords[5] ||
+			sub.Frames[f].Coords[1] != tr.Frames[f].Coords[0] ||
+			sub.Frames[f].Coords[2] != tr.Frames[f].Coords[2] {
+			t.Fatalf("frame %d atoms reordered incorrectly", f)
+		}
+	}
+	if _, err := tr.SelectAtoms([]int{6}); err == nil {
+		t.Fatal("SelectAtoms accepted out-of-range index")
+	}
+	if _, err := tr.SelectAtoms([]int{-1}); err == nil {
+		t.Fatal("SelectAtoms accepted negative index")
+	}
+}
+
+func TestSelectFrames(t *testing.T) {
+	tr := randTraj(t, 8, 2, 10)
+	sub, err := tr.SelectFrames(2, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.NFrames() != 3 {
+		t.Fatalf("NFrames = %d, want 3", sub.NFrames())
+	}
+	for i, want := range []float64{5, 10, 15} {
+		if sub.Frames[i].Time != want {
+			t.Errorf("frame %d time = %v, want %v", i, sub.Frames[i].Time, want)
+		}
+	}
+	if _, err := tr.SelectFrames(0, 11, 1); err == nil {
+		t.Fatal("SelectFrames accepted out-of-range stop")
+	}
+	if _, err := tr.SelectFrames(0, 5, 0); err == nil {
+		t.Fatal("SelectFrames accepted zero stride")
+	}
+	if _, err := tr.SelectFrames(5, 2, 1); err == nil {
+		t.Fatal("SelectFrames accepted start > stop")
+	}
+}
+
+func TestSphereSelection(t *testing.T) {
+	frame := []linalg.Vec3{{0, 0, 0}, {1, 0, 0}, {5, 0, 0}}
+	got := SphereSelection(frame, linalg.Vec3{0, 0, 0}, 2)
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("SphereSelection = %v", got)
+	}
+}
