@@ -89,8 +89,8 @@ smoke-stream:
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
 # normalization, the WAL recovery scanner, the trajectory decoders, the
-# fleet wire decoders and the coordinator's check of Leaflet unit
-# results, then the differential tests of the Hausdorff
+# fleet wire decoders, a worker's execution of arbitrary leases and the
+# coordinator's check of Leaflet unit results, then the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
 # bit-identical to naive, and the same adversarial inputs through every
 # engine and both schedules — the Leaflet partial-component merge
@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzFleetWire -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzRecordLeafletResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
+	$(GO) test -fuzz FuzzLease -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 	$(GO) test -fuzz FuzzMergePartialSets -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
@@ -130,8 +131,9 @@ soak:
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/
 
-# Record the PSA Hausdorff kernel perf trajectory (ns/op + frame-pair
-# counters + pruned fraction per kernel method) to BENCH_psa.json.
+# Record the PSA Hausdorff kernel counters (frame pairs and pruned
+# fraction per kernel method, block-cache and streamed sections) to
+# BENCH_psa.json. No time: benchmark/ measures it.
 bench-json:
 	MDTASK_BENCH_JSON=$(CURDIR)/BENCH_psa.json $(GO) test -count=1 ./internal/bench/ -run TestWriteBenchPSAJSON -v
 	@cat $(CURDIR)/BENCH_psa.json

@@ -8,9 +8,9 @@
 // as much as a completed one, and the pruned fraction counts it as
 // pruned), the pruned fraction and the scheduled-pair total per method,
 // and for the streamed kernel the same pair counters, the windows
-// decoded and the bytes streamed. Wall-clock (ns_per_op) is
-// machine-dependent noise on shared CI runners and is deliberately
-// ignored. On top of the relative comparison, one absolute rule guards
+// decoded and the bytes streamed. The baseline records no wall-clock:
+// time is machine-dependent noise on shared CI runners, and measuring
+// it is the end-to-end benchmark's job (benchmark/). On top of the relative comparison, one absolute rule guards
 // the indexed kernel's reason to exist: on every ensemble measuring
 // both methods, indexed must complete strictly fewer full evaluations
 // than pruned. The
@@ -73,7 +73,6 @@ type benchEnsemble struct {
 
 type benchMethod struct {
 	Method         string  `json:"method"`
-	NsPerOp        int64   `json:"ns_per_op"`
 	PairsEvaluated int64   `json:"pairs_evaluated"`
 	PairsPruned    int64   `json:"pairs_pruned"`
 	PairsAbandoned int64   `json:"pairs_abandoned"`

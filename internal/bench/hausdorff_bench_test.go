@@ -36,8 +36,9 @@ import (
 //
 //	go test -bench Hausdorff ./internal/bench
 //
-// make bench-json records the numbers (ns/op + counters + the
-// full-evaluation reduction versus early-break) in BENCH_psa.json.
+// make bench-json records the counters (and the full-evaluation
+// reduction versus early-break) in BENCH_psa.json; time is the end-to-end
+// benchmark's to measure, never the baseline's.
 
 // benchPathEnsemble mirrors benchPSAEnsemble's dimensions in the
 // diverging-path regime.
@@ -186,7 +187,6 @@ func TestIndexedKernelEvalReduction(t *testing.T) {
 // benchJSONEntry is one method's record in BENCH_psa.json.
 type benchJSONEntry struct {
 	Method         string  `json:"method"`
-	NsPerOp        int64   `json:"ns_per_op"`
 	PairsEvaluated int64   `json:"pairs_evaluated"`
 	PairsPruned    int64   `json:"pairs_pruned"`
 	PairsAbandoned int64   `json:"pairs_abandoned"`
@@ -196,13 +196,12 @@ type benchJSONEntry struct {
 }
 
 type benchJSONEnsemble struct {
-	Kind           string           `json:"kind"`
-	Trajectories   int              `json:"trajectories"`
-	Atoms          int              `json:"atoms"`
-	Frames         int              `json:"frames"`
-	Methods        []benchJSONEntry `json:"methods"`
-	EvalReduction  float64          `json:"full_eval_reduction_vs_early_break"`
-	SpeedupVsNaive float64          `json:"pruned_speedup_vs_naive"`
+	Kind          string           `json:"kind"`
+	Trajectories  int              `json:"trajectories"`
+	Atoms         int              `json:"atoms"`
+	Frames        int              `json:"frames"`
+	Methods       []benchJSONEntry `json:"methods"`
+	EvalReduction float64          `json:"full_eval_reduction_vs_early_break"`
 	// IndexedEvalReduction is the headline number of the indexed
 	// kernel: full dRMS evaluations of pruned over indexed (> 1 means
 	// the tree descent settles more pairs without touching atoms).
@@ -328,7 +327,7 @@ func measureBlockCache() benchBlockCacheJSON {
 	}
 }
 
-// TestWriteBenchPSAJSON records the kernel perf trajectory to the file
+// TestWriteBenchPSAJSON records the kernel counters to the file
 // named by MDTASK_BENCH_JSON (skipped when unset — it is driven by
 // `make bench-json`, which CI runs as a non-gating step).
 func TestWriteBenchPSAJSON(t *testing.T) {
@@ -363,16 +362,12 @@ func TestWriteBenchPSAJSON(t *testing.T) {
 			Atoms:        benchPSAAtoms,
 			Frames:       benchPSAFrames,
 		}
-		nsPerOp := make(map[string]int64)
 		evaluated := make(map[string]int64)
 		for _, m := range hausdorff.Methods {
-			m := m
-			r := testing.Benchmark(func(b *testing.B) { benchHausdorff(b, tc.ens, m) })
 			s := kernelCounters(tc.ens, m)
 			total := s.PairsEvaluated + s.PairsPruned + s.PairsAbandoned
 			entry := benchJSONEntry{
 				Method:         m.String(),
-				NsPerOp:        r.NsPerOp(),
 				PairsEvaluated: s.PairsEvaluated,
 				PairsPruned:    s.PairsPruned,
 				PairsAbandoned: s.PairsAbandoned,
@@ -382,15 +377,11 @@ func TestWriteBenchPSAJSON(t *testing.T) {
 			if total > 0 {
 				entry.PrunedFraction = float64(total-s.PairsEvaluated) / float64(total)
 			}
-			nsPerOp[m.String()] = r.NsPerOp()
 			evaluated[m.String()] = s.PairsEvaluated
 			e.Methods = append(e.Methods, entry)
 		}
 		if evaluated["pruned"] > 0 {
 			e.EvalReduction = float64(evaluated["early-break"]) / float64(evaluated["pruned"])
-		}
-		if nsPerOp["pruned"] > 0 {
-			e.SpeedupVsNaive = float64(nsPerOp["naive"]) / float64(nsPerOp["pruned"])
 		}
 		if evaluated["indexed"] > 0 {
 			e.IndexedEvalReduction = float64(evaluated["pruned"]) / float64(evaluated["indexed"])

@@ -1,7 +1,6 @@
 // Package dask is a Dask-like task-graph engine: delayed nodes form an
 // arbitrary DAG that a dependency-driven distributed scheduler executes
-// on worker goroutines, plus the Bag fold its Executor reduces with and
-// the submit/gather Futures API. It
+// on worker goroutines, plus the Bag fold its Executor reduces with. It
 // reproduces the execution semantics the paper exercises through
 // Dask.distributed (§3.2): tasks run as soon as their inputs are
 // satisfied — there are no stage barriers — and the per-task overhead is

@@ -7,49 +7,57 @@
 // the rdd, dask and mpi packages each implement on their own primitives
 // (the serial reference executor lives here). It also provides the
 // machinery those runtimes share: a bounded worker pool, per-task
-// timing with panic capture (RunTask), and the Metrics/Snapshot pair
-// every runtime reports. The pilot and fleet engines exchange staged
-// bytes rather than closures and stay outside the contract; see
-// docs/engines.md.
+// timing with panic capture (RunTask), and the one accounting record
+// every runtime reports — Snapshot, accumulated in a Metrics sink
+// through Add, its only merge rule. The pilot and fleet engines
+// exchange staged bytes rather than closures and stay outside the
+// contract; their units account into a sink of their own and ship its
+// Snapshot back, which the receiving side checks with Snapshot.Valid
+// before it folds it in. The fleet's wire carries that Snapshot, so
+// mdserver and mdworker must come from one build. See docs/engines.md.
 package engine
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics accumulates execution statistics of a runtime instance.
-// All fields are safe for concurrent update through the methods.
-type Metrics struct {
-	mu             sync.Mutex
-	Tasks          int64
-	Stages         int64
-	ComputeTime    time.Duration // summed task wall time
-	MaxTask        time.Duration
-	MinTask        time.Duration
-	BytesShuffled  int64
-	BytesBroadcast int64
-	BytesStaged    int64 // pilot file staging
-	Failures       int64
+// Snapshot is the one record of engine accounting every runtime reports
+// — the paper's split of a run into task execution, framework overhead
+// and data staging, plus the analyses' kernel, streaming and cache
+// counters. It is the wire form too: job status and /v1/metrics serve
+// it as JSON, and the staged engines' units (pilot metrics files, fleet
+// unit results) ship it back to be folded into the job's sink.
+type Snapshot struct {
+	Tasks          int64         `json:"tasks"`
+	Stages         int64         `json:"stages"`
+	ComputeTime    time.Duration `json:"compute_ns"` // summed task wall time
+	MaxTask        time.Duration `json:"max_task_ns"`
+	MinTask        time.Duration `json:"min_task_ns"` // zero: no task yet
+	BytesShuffled  int64         `json:"bytes_shuffled"`
+	BytesBroadcast int64         `json:"bytes_broadcast"`
+	BytesStaged    int64         `json:"bytes_staged"` // pilot file staging
+	Failures       int64         `json:"failures"`
 
 	// Hausdorff kernel frame-pair accounting (see hausdorff.Counters):
 	// pairs whose dRMS ran to completion, pairs dismissed in O(1) by a
 	// pruning bound or the early-break row cut, and evaluations
 	// abandoned mid-sum. Their sum is the total frame pairs scheduled,
 	// whatever the kernel method.
-	PairsEvaluated int64
-	PairsPruned    int64
-	PairsAbandoned int64
+	PairsEvaluated int64 `json:"pairs_evaluated"`
+	PairsPruned    int64 `json:"pairs_pruned"`
+	PairsAbandoned int64 `json:"pairs_abandoned"`
 
 	// Ball-tree descent accounting of the indexed kernel (see
 	// hausdorff.Counters): nodes expanded and nodes dismissed whole by
 	// their aggregate lower bound. Additive to — never part of — the
 	// pair-sum invariant above; both stay zero for the flat methods.
-	NodesVisited int64
-	NodesPruned  int64
+	NodesVisited int64 `json:"nodes_visited"`
+	NodesPruned  int64 `json:"nodes_pruned"`
 
 	// Streaming accounting of the out-of-core trajectory path:
 	// PeakResidentFrames is the largest number of frames any single
@@ -57,8 +65,8 @@ type Metrics struct {
 	// streamed runs), and BytesStreamed is the total coordinate bytes
 	// decoded from trajectory sources — window re-scans count every
 	// time, making the streaming read amplification visible.
-	PeakResidentFrames int64
-	BytesStreamed      int64
+	PeakResidentFrames int64 `json:"peak_resident_frames"`
+	BytesStreamed      int64 `json:"bytes_streamed"`
 
 	// Block-cache accounting: task bodies that consult the
 	// content-addressed block store count each lookup as a hit (the
@@ -67,165 +75,101 @@ type Metrics struct {
 	// recorded). Hits run no kernel work, so on a fully warm run the
 	// frame-pair counters stay zero while BlockCacheHits equals the
 	// schedule's block count.
-	BlockCacheHits       int64
-	BlockCacheMisses     int64
-	BlockCacheBytesSaved int64
-}
-
-// RecordTask accounts one completed task of the given duration.
-func (m *Metrics) RecordTask(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Tasks++
-	m.ComputeTime += d
-	if d > m.MaxTask {
-		m.MaxTask = d
-	}
-	if m.MinTask == 0 || d < m.MinTask {
-		m.MinTask = d
-	}
-}
-
-// RecordStage accounts one stage/phase barrier.
-func (m *Metrics) RecordStage() { atomic.AddInt64(&m.Stages, 1) }
-
-// AddShuffle accounts bytes moved through a shuffle.
-func (m *Metrics) AddShuffle(n int64) { atomic.AddInt64(&m.BytesShuffled, n) }
-
-// AddBroadcast accounts bytes moved through a broadcast.
-func (m *Metrics) AddBroadcast(n int64) { atomic.AddInt64(&m.BytesBroadcast, n) }
-
-// AddStaged accounts bytes written to/read from staging files.
-func (m *Metrics) AddStaged(n int64) { atomic.AddInt64(&m.BytesStaged, n) }
-
-// RecordFailure accounts one failed task.
-func (m *Metrics) RecordFailure() { atomic.AddInt64(&m.Failures, 1) }
-
-// AddPairs accounts Hausdorff kernel frame-pair work: full evaluations,
-// O(1)-pruned pairs, and mid-sum abandons.
-func (m *Metrics) AddPairs(evaluated, pruned, abandoned int64) {
-	atomic.AddInt64(&m.PairsEvaluated, evaluated)
-	atomic.AddInt64(&m.PairsPruned, pruned)
-	atomic.AddInt64(&m.PairsAbandoned, abandoned)
-}
-
-// AddNodes accounts the indexed kernel's ball-tree descent work:
-// nodes expanded and nodes dismissed whole by their aggregate bound.
-func (m *Metrics) AddNodes(visited, pruned int64) {
-	atomic.AddInt64(&m.NodesVisited, visited)
-	atomic.AddInt64(&m.NodesPruned, pruned)
-}
-
-// ObservePeakResident widens the peak simultaneously-resident frame
-// count to at least frames.
-func (m *Metrics) ObservePeakResident(frames int64) {
-	for {
-		cur := atomic.LoadInt64(&m.PeakResidentFrames)
-		if frames <= cur || atomic.CompareAndSwapInt64(&m.PeakResidentFrames, cur, frames) {
-			return
-		}
-	}
-}
-
-// AddStreamed accounts coordinate bytes decoded from trajectory
-// sources.
-func (m *Metrics) AddStreamed(n int64) { atomic.AddInt64(&m.BytesStreamed, n) }
-
-// AddBlockCache accounts block-store lookups: hits (with the payload
-// bytes the cache saved recomputing) and misses.
-func (m *Metrics) AddBlockCache(hits, misses, bytesSaved int64) {
-	atomic.AddInt64(&m.BlockCacheHits, hits)
-	atomic.AddInt64(&m.BlockCacheMisses, misses)
-	atomic.AddInt64(&m.BlockCacheBytesSaved, bytesSaved)
-}
-
-// Snapshot is a plain (lock-free, JSON-friendly) copy of a Metrics
-// sink: the wire form of engine accounting in job status and
-// /v1/metrics. Fields mirror Metrics one for one (a reflection test
-// pins that).
-type Snapshot struct {
-	Tasks          int64         `json:"tasks"`
-	Stages         int64         `json:"stages"`
-	ComputeTime    time.Duration `json:"compute_ns"`
-	MaxTask        time.Duration `json:"max_task_ns"`
-	MinTask        time.Duration `json:"min_task_ns"`
-	BytesShuffled  int64         `json:"bytes_shuffled"`
-	BytesBroadcast int64         `json:"bytes_broadcast"`
-	BytesStaged    int64         `json:"bytes_staged"`
-	Failures       int64         `json:"failures"`
-
-	PairsEvaluated int64 `json:"pairs_evaluated"`
-	PairsPruned    int64 `json:"pairs_pruned"`
-	PairsAbandoned int64 `json:"pairs_abandoned"`
-
-	NodesVisited int64 `json:"nodes_visited"`
-	NodesPruned  int64 `json:"nodes_pruned"`
-
-	PeakResidentFrames int64 `json:"peak_resident_frames"`
-	BytesStreamed      int64 `json:"bytes_streamed"`
-
 	BlockCacheHits       int64 `json:"block_cache_hits"`
 	BlockCacheMisses     int64 `json:"block_cache_misses"`
 	BlockCacheBytesSaved int64 `json:"block_cache_bytes_saved"`
 }
 
-// Snapshot returns a copy of the metrics safe to read.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Snapshot{
-		Tasks:          m.Tasks,
-		Stages:         atomic.LoadInt64(&m.Stages),
-		ComputeTime:    m.ComputeTime,
-		MaxTask:        m.MaxTask,
-		MinTask:        m.MinTask,
-		BytesShuffled:  atomic.LoadInt64(&m.BytesShuffled),
-		BytesBroadcast: atomic.LoadInt64(&m.BytesBroadcast),
-		BytesStaged:    atomic.LoadInt64(&m.BytesStaged),
-		Failures:       atomic.LoadInt64(&m.Failures),
-		PairsEvaluated: atomic.LoadInt64(&m.PairsEvaluated),
-		PairsPruned:    atomic.LoadInt64(&m.PairsPruned),
-		PairsAbandoned: atomic.LoadInt64(&m.PairsAbandoned),
-		NodesVisited:   atomic.LoadInt64(&m.NodesVisited),
-		NodesPruned:    atomic.LoadInt64(&m.NodesPruned),
-
-		PeakResidentFrames: atomic.LoadInt64(&m.PeakResidentFrames),
-		BytesStreamed:      atomic.LoadInt64(&m.BytesStreamed),
-
-		BlockCacheHits:       atomic.LoadInt64(&m.BlockCacheHits),
-		BlockCacheMisses:     atomic.LoadInt64(&m.BlockCacheMisses),
-		BlockCacheBytesSaved: atomic.LoadInt64(&m.BlockCacheBytesSaved),
+// Valid reports the first negative field of s. Every field counts or
+// times something, so a negative one can only come from a corrupt or
+// hostile payload; the staged engines check a unit's snapshot with it
+// before folding it into a job.
+func (s Snapshot) Valid() error {
+	v := reflect.ValueOf(s)
+	for i := range v.NumField() {
+		if x := v.Field(i).Int(); x < 0 {
+			return fmt.Errorf("engine: metrics field %s is negative (%d)", v.Type().Field(i).Name, x)
+		}
 	}
+	return nil
 }
 
-// MergeFrom folds the current totals of another sink into m: counters
-// and durations add, task extrema widen. The job scheduler uses it to
-// aggregate per-job engine metrics into a service-wide view.
-func (m *Metrics) MergeFrom(other *Metrics) {
-	if other == nil {
+// Metrics is the concurrency-safe sink a runtime accounts into: one
+// Snapshot behind a mutex. Add is its only merge rule and every
+// recorder is a one-line delta through it. All methods are no-ops on
+// a nil sink (Snapshot returns zeros), so callers never check.
+type Metrics struct {
+	mu sync.Mutex
+	s  Snapshot
+}
+
+// Add folds d into the sink: counters and durations add, MaxTask and
+// PeakResidentFrames widen, and MinTask narrows (a zero MinTask on
+// either side means no task was observed).
+func (m *Metrics) Add(d Snapshot) {
+	if m == nil {
 		return
 	}
-	s := other.Snapshot()
 	m.mu.Lock()
-	m.Tasks += s.Tasks
-	m.ComputeTime += s.ComputeTime
-	if s.MaxTask > m.MaxTask {
-		m.MaxTask = s.MaxTask
+	defer m.mu.Unlock()
+	s := &m.s
+	s.Tasks += d.Tasks
+	s.Stages += d.Stages
+	s.ComputeTime += d.ComputeTime
+	s.MaxTask = max(s.MaxTask, d.MaxTask)
+	if d.MinTask > 0 && (s.MinTask == 0 || d.MinTask < s.MinTask) {
+		s.MinTask = d.MinTask
 	}
-	if s.MinTask > 0 && (m.MinTask == 0 || s.MinTask < m.MinTask) {
-		m.MinTask = s.MinTask
+	s.BytesShuffled += d.BytesShuffled
+	s.BytesBroadcast += d.BytesBroadcast
+	s.BytesStaged += d.BytesStaged
+	s.Failures += d.Failures
+	s.PairsEvaluated += d.PairsEvaluated
+	s.PairsPruned += d.PairsPruned
+	s.PairsAbandoned += d.PairsAbandoned
+	s.NodesVisited += d.NodesVisited
+	s.NodesPruned += d.NodesPruned
+	s.PeakResidentFrames = max(s.PeakResidentFrames, d.PeakResidentFrames)
+	s.BytesStreamed += d.BytesStreamed
+	s.BlockCacheHits += d.BlockCacheHits
+	s.BlockCacheMisses += d.BlockCacheMisses
+	s.BlockCacheBytesSaved += d.BlockCacheBytesSaved
+}
+
+// Snapshot returns a copy of the sink's totals.
+func (m *Metrics) Snapshot() Snapshot {
+	if m == nil {
+		return Snapshot{}
 	}
-	m.mu.Unlock()
-	atomic.AddInt64(&m.Stages, s.Stages)
-	atomic.AddInt64(&m.BytesShuffled, s.BytesShuffled)
-	atomic.AddInt64(&m.BytesBroadcast, s.BytesBroadcast)
-	atomic.AddInt64(&m.BytesStaged, s.BytesStaged)
-	atomic.AddInt64(&m.Failures, s.Failures)
-	m.AddPairs(s.PairsEvaluated, s.PairsPruned, s.PairsAbandoned)
-	m.AddNodes(s.NodesVisited, s.NodesPruned)
-	m.ObservePeakResident(s.PeakResidentFrames)
-	m.AddStreamed(s.BytesStreamed)
-	m.AddBlockCache(s.BlockCacheHits, s.BlockCacheMisses, s.BlockCacheBytesSaved)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.s
+}
+
+// RecordTask accounts one completed task of the given duration.
+func (m *Metrics) RecordTask(d time.Duration) {
+	m.Add(Snapshot{Tasks: 1, ComputeTime: d, MaxTask: d, MinTask: d})
+}
+
+// RecordStage accounts one stage/phase barrier.
+func (m *Metrics) RecordStage() { m.Add(Snapshot{Stages: 1}) }
+
+// AddShuffle accounts bytes moved through a shuffle.
+func (m *Metrics) AddShuffle(n int64) { m.Add(Snapshot{BytesShuffled: n}) }
+
+// AddBroadcast accounts bytes moved through a broadcast.
+func (m *Metrics) AddBroadcast(n int64) { m.Add(Snapshot{BytesBroadcast: n}) }
+
+// AddStaged accounts bytes written to/read from staging files.
+func (m *Metrics) AddStaged(n int64) { m.Add(Snapshot{BytesStaged: n}) }
+
+// RecordFailure accounts one failed task.
+func (m *Metrics) RecordFailure() { m.Add(Snapshot{Failures: 1}) }
+
+// AddBlockCache accounts block-store lookups: hits (with the payload
+// bytes the cache saved recomputing) and misses.
+func (m *Metrics) AddBlockCache(hits, misses, bytesSaved int64) {
+	m.Add(Snapshot{BlockCacheHits: hits, BlockCacheMisses: misses, BlockCacheBytesSaved: bytesSaved})
 }
 
 // TaskPanicError wraps a panic recovered from a task so callers get an

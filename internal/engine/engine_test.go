@@ -126,15 +126,15 @@ func TestMetricsAccounting(t *testing.T) {
 
 func TestMetricsPairCounters(t *testing.T) {
 	m := &Metrics{}
-	m.AddPairs(10, 20, 5)
-	m.AddPairs(1, 2, 3)
+	m.Add(Snapshot{PairsEvaluated: 10, PairsPruned: 20, PairsAbandoned: 5})
+	m.Add(Snapshot{PairsEvaluated: 1, PairsPruned: 2, PairsAbandoned: 3})
 	s := m.Snapshot()
 	if s.PairsEvaluated != 11 || s.PairsPruned != 22 || s.PairsAbandoned != 8 {
 		t.Errorf("pairs = %d/%d/%d", s.PairsEvaluated, s.PairsPruned, s.PairsAbandoned)
 	}
 	agg := &Metrics{}
-	agg.AddPairs(100, 0, 0)
-	agg.MergeFrom(m)
+	agg.Add(Snapshot{PairsEvaluated: 100})
+	agg.Add(m.Snapshot())
 	if got := agg.Snapshot(); got.PairsEvaluated != 111 || got.PairsPruned != 22 || got.PairsAbandoned != 8 {
 		t.Errorf("merged pairs = %d/%d/%d", got.PairsEvaluated, got.PairsPruned, got.PairsAbandoned)
 	}

@@ -70,12 +70,10 @@ func RunTask(m *Metrics, i int, fn func() error) (err error) {
 		if v := recover(); v != nil {
 			err = &TaskPanicError{Task: i, Value: v}
 		}
-		if m != nil {
-			if err != nil {
-				m.RecordFailure()
-			}
-			m.RecordTask(time.Since(start))
+		if err != nil {
+			m.RecordFailure()
 		}
+		m.RecordTask(time.Since(start))
 	}()
 	return fn()
 }

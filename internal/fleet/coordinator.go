@@ -232,9 +232,9 @@ func (j *Job) finishLocked(err error) {
 // SubmitPSARefs schedules an all-pairs Hausdorff job over the ensemble
 // with block edge n1 (the schedule of psa.Partition). Only the
 // Symmetric, Method and MaxResidentFrames fields of opts apply —
-// cancellation and metrics run coordinator-side: per-unit task times
-// and kernel counters are folded into m as results arrive (nil m:
-// accounting is discarded). With opts.MaxResidentFrames set the job is
+// cancellation and metrics run coordinator-side: each unit's metrics
+// snapshot is folded into m as its result arrives (nil m: accounting is
+// discarded). With opts.MaxResidentFrames set the job is
 // streamed: no whole-ensemble payload is encoded — workers fetch
 // window-sized MDT blobs on demand (GET …/input?traj=I&win=K), encoded
 // from the refs at request time, so neither side ever materializes an
@@ -340,9 +340,6 @@ func (c *Coordinator) SubmitLeaflet(coords []linalg.Vec3, cutoff float64, maxTas
 // queue, so a job sharing input with an earlier one — whatever engine
 // or worker computed it — fans out only its missing units.
 func (c *Coordinator) admit(j *Job, units int) (*Job, error) {
-	if j.metrics == nil {
-		j.metrics = &engine.Metrics{}
-	}
 	j.done = make([]bool, units)
 	j.remaining = units
 	j.pending = make([]int, 0, units)
@@ -699,11 +696,7 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 			store.Put(j.keys[l.unit], tp, tp.SizeBytes())
 		}
 	}
-	j.metrics.RecordTask(time.Duration(res.ElapsedNS))
-	j.metrics.AddPairs(res.Counters.Evaluated, res.Counters.Pruned, res.Counters.Abandoned)
-	j.metrics.AddNodes(res.Counters.NodesVisited, res.Counters.NodesPruned)
-	j.metrics.ObservePeakResident(res.PeakResidentFrames)
-	j.metrics.AddStreamed(res.BytesStreamed)
+	j.metrics.Add(res.Metrics)
 	recSpan.End()
 	l.endLocked("completed")
 	if j.remaining == 0 {
@@ -713,15 +706,16 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 }
 
 // recordLocked validates and stores one unit's payload, or rejects it
-// and records nothing. A Leaflet partial must be canonical
-// (graph.CheckComponents): the coordinator caches it under the same
-// tile key in-process runs read, and their reduce relies on that form.
-// Callers hold c.mu.
+// and records nothing. Its metrics must pass Snapshot.Valid, and a
+// Leaflet partial must be canonical (graph.CheckComponents): the
+// coordinator caches it under the same tile key in-process runs read,
+// and their reduce relies on that form. Callers hold c.mu.
 func (j *Job) recordLocked(unit int, res UnitResult) error {
-	k := res.Counters
-	if min(res.Edges, res.PeakResidentFrames, res.BytesStreamed, res.ElapsedNS,
-		k.Evaluated, k.Pruned, k.Abandoned, k.NodesVisited, k.NodesPruned) < 0 {
-		return fmt.Errorf("fleet: unit %d reported a negative count", unit)
+	if err := res.Metrics.Valid(); err != nil {
+		return fmt.Errorf("fleet: unit %d: %w", unit, err)
+	}
+	if res.Edges < 0 {
+		return fmt.Errorf("fleet: unit %d reported a negative edge count", unit)
 	}
 	switch j.analysis {
 	case AnalysisPSA:

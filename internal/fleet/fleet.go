@@ -46,7 +46,9 @@
 // Assembled results are bit-identical to the serial reference because
 // the unit bodies are the very same ComputeBlockRefs/BlockPartial kernels
 // the in-process engines run, and all floats cross the wire as exact
-// little-endian bit patterns, never as decimal text.
+// little-endian bit patterns, never as decimal text. A result carries
+// its unit's engine.Snapshot, and the wire is not versioned: mdserver
+// and mdworker must come from the same build.
 package fleet
 
 import (

@@ -27,8 +27,8 @@ var badLeafletPayloads = []struct{ name, body string }{
 	{"out-of-range", `{"comps":[[1,1024]]}`},
 	{"negative-atom", `{"comps":[[-1,2]]}`},
 	{"negative-edges", `{"comps":[[1,2]],"edges":-1}`},
-	{"negative-counter", `{"comps":[[1,2]],"edges":1,"counters":{"evaluated":-1}}`},
-	{"negative-elapsed", `{"comps":[[1,2]],"edges":1,"elapsed_ns":-5}`},
+	{"negative-counter", `{"comps":[[1,2]],"edges":1,"metrics":{"pairs_evaluated":-1}}`},
+	{"negative-elapsed", `{"comps":[[1,2]],"edges":1,"metrics":{"compute_ns":-5}}`},
 }
 
 // poisonAtoms and poisonTasks size the membrane and tiling of the

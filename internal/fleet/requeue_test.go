@@ -87,7 +87,7 @@ func (pc *protoClient) heartbeat() {
 }
 
 // startCoordinator serves a coordinator over httptest.
-func startCoordinator(t *testing.T, opts Options) (*Coordinator, string) {
+func startCoordinator(t testing.TB, opts Options) (*Coordinator, string) {
 	t.Helper()
 	c := NewCoordinator(opts)
 	ts := httptest.NewServer(c.Handler())

@@ -4,8 +4,8 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"math"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
 	"mdtask/internal/obs"
@@ -105,17 +105,6 @@ type Lease struct {
 	Leaflet *LeafletUnit `json:"leaflet,omitempty"`
 }
 
-// Counters mirrors hausdorff.Counters on the wire.
-type Counters struct {
-	Evaluated int64 `json:"evaluated"`
-	Pruned    int64 `json:"pruned"`
-	Abandoned int64 `json:"abandoned"`
-	// NodesVisited/NodesPruned carry the indexed kernel's ball-tree
-	// descent accounting (zero for the flat methods).
-	NodesVisited int64 `json:"nodes_visited,omitempty"`
-	NodesPruned  int64 `json:"nodes_pruned,omitempty"`
-}
-
 // UnitResult is the body of POST /v1/workers/{id}/results: one
 // completed unit plus its engine accounting.
 type UnitResult struct {
@@ -143,14 +132,11 @@ type UnitResult struct {
 	// Edges is the tile's discovered edge count.
 	Edges int64 `json:"edges,omitempty"`
 
-	// Counters is the unit's Hausdorff frame-pair accounting.
-	Counters Counters `json:"counters"`
-	// PeakResidentFrames / BytesStreamed carry the unit's streamed-path
-	// residency and volume accounting (zero for in-memory units).
-	PeakResidentFrames int64 `json:"peak_resident_frames,omitempty"`
-	BytesStreamed      int64 `json:"bytes_streamed,omitempty"`
-	// ElapsedNS is the unit's wall time on the worker.
-	ElapsedNS int64 `json:"elapsed_ns"`
+	// Metrics is the unit's engine accounting: its task time, and for a
+	// PSA block the kernel's frame-pair, node and streaming counters. The
+	// coordinator checks it (Snapshot.Valid) and folds it into the job's
+	// sink.
+	Metrics engine.Snapshot `json:"metrics"`
 	// Spans carries the worker-side spans of the unit (the kernel span
 	// and its children), finished and exported; the coordinator imports
 	// them into its tracer so one job trace covers both processes.
@@ -186,11 +172,7 @@ type WorkerView struct {
 // PackFloats encodes float64 values as base64 little-endian bit
 // patterns — exact, whatever the values.
 func PackFloats(vals []float64) string {
-	raw := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
-	}
-	return base64.StdEncoding.EncodeToString(raw)
+	return base64.StdEncoding.EncodeToString(linalg.AppendFloats(make([]byte, 0, 8*len(vals)), vals))
 }
 
 // UnpackFloats decodes a PackFloats payload.
@@ -199,14 +181,7 @@ func UnpackFloats(s string) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: float payload: %w", err)
 	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("fleet: float payload length %d not a multiple of 8", len(raw))
-	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out, nil
+	return linalg.DecodeFloats(raw)
 }
 
 // Input payload format (GET /v1/fleet/jobs/{id}/input), little endian:
@@ -269,12 +244,7 @@ func EncodeCoords(coords []linalg.Vec3) []byte {
 	out := make([]byte, 0, 5+len(coords)*24)
 	out = append(out, inputTagLeaflet)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(coords)))
-	for _, p := range coords {
-		for k := 0; k < 3; k++ {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p[k]))
-		}
-	}
-	return out
+	return linalg.AppendVec3s(out, coords)
 }
 
 // DecodeCoords deserializes a Leaflet Finder input payload.
@@ -283,15 +253,8 @@ func DecodeCoords(b []byte) ([]linalg.Vec3, error) {
 		return nil, fmt.Errorf("fleet: not a Leaflet input payload")
 	}
 	n := int(binary.LittleEndian.Uint32(b[1:]))
-	b = b[5:]
-	if len(b) != n*24 {
-		return nil, fmt.Errorf("fleet: Leaflet input payload has %d bytes, want %d", len(b), n*24)
+	if len(b)-5 != n*24 {
+		return nil, fmt.Errorf("fleet: Leaflet input payload has %d bytes, want %d", len(b)-5, n*24)
 	}
-	coords := make([]linalg.Vec3, n)
-	for i := range coords {
-		for k := 0; k < 3; k++ {
-			coords[i][k] = math.Float64frombits(binary.LittleEndian.Uint64(b[(i*3+k)*8:]))
-		}
-	}
-	return coords, nil
+	return linalg.DecodeVec3s(b[5:])
 }

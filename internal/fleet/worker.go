@@ -89,9 +89,6 @@ type Worker struct {
 
 	// UnitsDone counts results the coordinator accepted.
 	UnitsDone atomic.Int64
-	// Metrics accounts executed units locally (for logs; the
-	// coordinator keeps the authoritative per-job accounting).
-	Metrics engine.Metrics
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -330,7 +327,6 @@ func (w *Worker) executorLoop() {
 			// to land, the unit is still reclaimed when this worker dies
 			// or goes silent (the lease-expiry backstop).
 			w.o.Logf("fleet worker %s: unit %s/%d failed: %v", w.ID(), l.Job, l.Unit, err)
-			w.Metrics.RecordFailure()
 			nack := UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit,
 				Failed: true, Error: err.Error(), Spans: res.Spans}
 			w.post(l.TraceParent, nack)
@@ -401,6 +397,9 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 		res.Spans = w.tracer.Take(span.Context().Trace)
 	}()
 	start := time.Now()
+	// The unit's own sink: the kernel accounts into it, the unit's wall
+	// time joins it, and it ships with the result.
+	var m engine.Metrics
 	switch l.Analysis {
 	case AnalysisPSA:
 		if l.PSA == nil {
@@ -411,48 +410,28 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 			return res, err
 		}
 		block := psa.Block{I0: l.PSA.I0, I1: l.PSA.I1, J0: l.PSA.J0, J1: l.PSA.J1}
-		opts := psa.Opts{
-			Symmetric: l.PSA.Symmetric, Method: method,
-			Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist,
-		}
-		var m engine.Metrics
-		opts.Metrics = &m
-		var br psa.BlockResult
+		var refs traj.RefEnsemble
 		if l.PSA.Window > 0 {
 			// Streamed unit: never download the ensemble — rebuild each
 			// trajectory as a window-by-window fetch from the coordinator
 			// and run the out-of-core kernel (two windows resident).
-			refs, err := w.streamRefs(l, span.Context())
-			if err != nil {
-				return res, err
-			}
-			opts.MaxResidentFrames = l.PSA.Window
-			br, err = psa.ComputeBlockRefs(refs, block, opts)
-			if err != nil {
-				return res, err
-			}
+			refs, block, err = w.streamRefs(l, block, span.Context())
 		} else {
-			in, err := w.inputs.ensemble(w, l.Job)
-			if err != nil {
-				return res, err
-			}
-			var cerr error
-			br, cerr = psa.ComputeBlockRefs(traj.RefsOf(in), block, opts)
-			if cerr != nil {
-				return res, cerr
-			}
+			var in traj.Ensemble
+			in, err = w.inputs.ensemble(w, l.Job)
+			refs = traj.RefsOf(in)
 		}
-		snap := m.Snapshot()
+		if err != nil {
+			return res, err
+		}
+		br, err := psa.ComputeBlockRefs(refs, block, psa.Opts{
+			Symmetric: l.PSA.Symmetric, Method: method, Metrics: &m, MaxResidentFrames: l.PSA.Window,
+			Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist,
+		})
+		if err != nil {
+			return res, err
+		}
 		res.ValuesB64 = PackFloats(br.Values)
-		res.Counters = Counters{
-			Evaluated:    snap.PairsEvaluated,
-			Pruned:       snap.PairsPruned,
-			Abandoned:    snap.PairsAbandoned,
-			NodesVisited: snap.NodesVisited,
-			NodesPruned:  snap.NodesPruned,
-		}
-		res.PeakResidentFrames = snap.PeakResidentFrames
-		res.BytesStreamed = snap.BytesStreamed
 	case AnalysisLeaflet:
 		if l.Leaflet == nil {
 			return res, fmt.Errorf("fleet: Leaflet lease without unit geometry")
@@ -473,9 +452,8 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	default:
 		return res, fmt.Errorf("fleet: unknown analysis %q", l.Analysis)
 	}
-	elapsed := time.Since(start)
-	res.ElapsedNS = elapsed.Nanoseconds()
-	w.Metrics.RecordTask(elapsed)
+	m.RecordTask(time.Since(start))
+	res.Metrics = m.Snapshot()
 	return res, nil
 }
 
@@ -578,38 +556,57 @@ func (w *Worker) fetchWindow(jobID string, trajIx, win int, traceparent string) 
 	return w.readTransfer(resp.Body)
 }
 
-// streamRefs rebuilds the trajectory handles of a streamed PSA lease:
-// each handle opens as a chain of window fetches, so no more than one
-// window's blob is decoded at a time and nothing is cached. Window
-// fetches carry the kernel span's traceparent.
-func (w *Worker) streamRefs(l *Lease, kernel obs.SpanContext) (traj.RefEnsemble, error) {
+// streamRefs rebuilds the trajectory handles of a streamed PSA lease
+// as a compact ensemble — block b's rows, then its columns unless b is
+// diagonal — and returns b re-addressed into it, so the handles cost
+// what the block reads whatever its trajectory indices (its psa.block
+// span reports the re-addressed ranges). Each handle opens as a chain of
+// window fetches, so no more than one window's blob is decoded at a time
+// and nothing is cached. Window fetches carry the kernel span's
+// traceparent.
+func (w *Worker) streamRefs(l *Lease, b psa.Block, kernel obs.SpanContext) (traj.RefEnsemble, psa.Block, error) {
+	shapes := make(map[int]PSATrajShape, len(l.PSA.Trajs))
+	for _, s := range l.PSA.Trajs {
+		shapes[s.Index] = s
+	}
+	rows, cols := b.I1-b.I0, b.J1-b.J0
+	if min(b.I0, b.J0, rows, cols) < 0 || max(rows, cols) > len(shapes) {
+		return nil, b, fmt.Errorf("fleet: streamed lease %s: block %+v does not fit its %d trajectory shapes", l.Lease, b, len(shapes))
+	}
+	local := psa.Block{I1: rows, J0: rows, J1: rows + cols}
+	if b.Diagonal() {
+		local.J0, local.J1 = 0, rows
+	}
 	tp := ""
 	if kernel.Valid() {
 		tp = kernel.TraceParent()
 	}
-	maxIx := 0
-	for _, s := range l.PSA.Trajs {
-		if s.Index > maxIx {
-			maxIx = s.Index
+	refs := make(traj.RefEnsemble, max(local.I1, local.J1))
+	for p := range refs {
+		ix := b.I0 + p
+		if p >= rows {
+			ix = b.J0 + p - rows
 		}
-	}
-	refs := make(traj.RefEnsemble, maxIx+1)
-	for _, s := range l.PSA.Trajs {
-		s := s
+		s, ok := shapes[ix]
+		if !ok {
+			return nil, b, fmt.Errorf("fleet: streamed lease %s lacks the shape of trajectory %d", l.Lease, ix)
+		}
+		// The transfer-size contract covers a streamed trajectory too:
+		// one window must fit one transfer, and so must the kernel's
+		// per-frame state (8 bytes a frame).
+		frames := int64(min(l.PSA.Window, max(s.NFrames, 1)))
+		if limit := w.o.MaxTransferBytes; int64(s.NFrames) > limit/8 || int64(s.NAtoms) > limit/24/frames {
+			return nil, b, fmt.Errorf("fleet: streamed lease %s: trajectory %d of %d atoms × %d frames exceeds the %d-byte transfer limit",
+				l.Lease, ix, s.NAtoms, s.NFrames, limit)
+		}
 		r, err := traj.WindowChainRef(s.Name, s.NAtoms, s.NFrames, l.PSA.Window,
 			func(win int) ([]byte, error) { return w.fetchWindow(l.Job, s.Index, win, tp) })
 		if err != nil {
-			return nil, err
+			return nil, b, err
 		}
-		refs[s.Index] = r
+		refs[p] = r
 	}
-	block := psa.Block{I0: l.PSA.I0, I1: l.PSA.I1, J0: l.PSA.J0, J1: l.PSA.J1}
-	for _, ix := range block.TrajIndices() {
-		if ix >= len(refs) || refs[ix] == nil {
-			return nil, fmt.Errorf("fleet: streamed lease %s lacks the shape of trajectory %d", l.Lease, ix)
-		}
-	}
-	return refs, nil
+	return refs, local, nil
 }
 
 // inputCache holds decoded job inputs, fetched once per job per worker

@@ -98,7 +98,7 @@ var Methods = []Method{Naive, EarlyBreak, Pruned, Indexed}
 // (2·|A|·|B| for the symmetric distance). The zero value is ready to
 // use; methods are nil-safe so callers that don't account can pass nil.
 // A Counters is not safe for concurrent use — accumulate per task and
-// merge (see engine.Metrics.AddPairs for the concurrent aggregate).
+// merge (engine.Metrics is the concurrent aggregate).
 type Counters struct {
 	// Evaluated counts dRMS evaluations run to completion over all atoms.
 	Evaluated int64

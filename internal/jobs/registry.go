@@ -154,7 +154,7 @@ func Resolve(spec Spec) (Spec, *Input, error) {
 // Run executes an already-resolved spec synchronously on the calling
 // goroutine, returning the result and the engine metrics of the run.
 // The run is uncached; use RunCached to attach a block store.
-func Run(reg *Registry, spec Spec, in *Input) (*Result, MetricsSnapshot, error) {
+func Run(reg *Registry, spec Spec, in *Input) (*Result, engine.Snapshot, error) {
 	return RunCached(reg, spec, in, nil)
 }
 
@@ -163,24 +163,24 @@ func Run(reg *Registry, spec Spec, in *Input) (*Result, MetricsSnapshot, error) 
 // record completed results into it, so consecutive runs sharing content
 // (same input on another engine, or a grown ensemble) recompute only
 // missing blocks. A nil store runs uncached.
-func RunCached(reg *Registry, spec Spec, in *Input, store *blockstore.Store) (*Result, MetricsSnapshot, error) {
+func RunCached(reg *Registry, spec Spec, in *Input, store *blockstore.Store) (*Result, engine.Snapshot, error) {
 	name := RunnerName(spec.Analysis, spec.Engine)
 	runner, ok := reg.Lookup(name)
 	if !ok {
-		return nil, MetricsSnapshot{}, fmt.Errorf("jobs: no runner registered for %q", name)
+		return nil, engine.Snapshot{}, fmt.Errorf("jobs: no runner registered for %q", name)
 	}
 	rc := NewRunContext()
 	rc.SetBlockStore(store)
 	res, err := runner(rc, spec, in)
-	return res, SnapshotOf(rc.Metrics()), err
+	return res, rc.Metrics().Snapshot(), err
 }
 
 // RunLocal is Resolve followed by Run — the one-shot path for callers
 // that don't need the two phases separated.
-func RunLocal(reg *Registry, spec Spec) (*Input, *Result, MetricsSnapshot, error) {
+func RunLocal(reg *Registry, spec Spec) (*Input, *Result, engine.Snapshot, error) {
 	norm, in, err := Resolve(spec)
 	if err != nil {
-		return nil, nil, MetricsSnapshot{}, err
+		return nil, nil, engine.Snapshot{}, err
 	}
 	res, metrics, err := Run(reg, norm, in)
 	return in, res, metrics, err

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/psa"
 )
@@ -14,18 +13,6 @@ type Result struct {
 	Matrix *psa.Matrix `json:"matrix,omitempty"`
 	// Leaflet is the Leaflet Finder assignment.
 	Leaflet *leaflet.Result `json:"leaflet,omitempty"`
-}
-
-// MetricsSnapshot is the wire form of engine accounting in job status
-// and /v1/metrics.
-type MetricsSnapshot = engine.Snapshot
-
-// SnapshotOf copies the current totals of a metrics sink (nil-safe).
-func SnapshotOf(m *engine.Metrics) MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return m.Snapshot()
 }
 
 // resultBytes estimates the retained payload size of a job result, for

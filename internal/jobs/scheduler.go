@@ -59,7 +59,7 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	result   *Result
-	final    MetricsSnapshot
+	final    engine.Snapshot
 	input    *Input // held until the run starts, then released
 
 	// Tracing: the job's root span, its queue.wait child (ended when a
@@ -103,7 +103,7 @@ type Status struct {
 	// between for a delta resubmission that recomputed only its missing
 	// blocks. Zero also when the run made no block lookups.
 	BlockHitRatio float64         `json:"block_hit_ratio"`
-	Metrics       MetricsSnapshot `json:"metrics"`
+	Metrics       engine.Snapshot `json:"metrics"`
 	// TraceID is the job's distributed trace id; feed it to
 	// GET /v1/jobs/{id}/trace. Empty when tracing is disabled.
 	TraceID string `json:"trace_id,omitempty"`
@@ -139,7 +139,7 @@ func (j *Job) Status() Status {
 	if j.state.Terminal() {
 		st.Metrics = j.final
 	} else {
-		st.Metrics = SnapshotOf(j.rc.Metrics())
+		st.Metrics = j.rc.Metrics().Snapshot()
 	}
 	st.TasksDone = st.Metrics.Tasks
 	if looked := st.Metrics.BlockCacheHits + st.Metrics.BlockCacheMisses; looked > 0 {
@@ -580,7 +580,7 @@ type ServiceMetrics struct {
 	CacheMisses  int64            `json:"cache_misses"`
 	CacheEntries int              `json:"cache_entries"`
 	BlockCache   blockstore.Stats `json:"block_cache"`
-	Engine       MetricsSnapshot  `json:"engine"`
+	Engine       engine.Snapshot  `json:"engine"`
 }
 
 // Metrics snapshots the service-wide view.
@@ -595,7 +595,7 @@ func (s *Scheduler) Metrics() ServiceMetrics {
 		CacheMisses:  s.cacheMisses.Load(),
 		CacheEntries: s.store.Len(),
 		BlockCache:   s.store.Stats(),
-		Engine:       SnapshotOf(s.agg),
+		Engine:       s.agg.Snapshot(),
 	}
 }
 
@@ -687,12 +687,12 @@ func (s *Scheduler) runJob(job *Job) {
 		res, err = runner(job.rc, spec, in)
 	}
 
-	live := job.rc.Metrics()
-	s.agg.MergeFrom(live)
+	final := job.rc.Metrics().Snapshot()
+	s.agg.Add(final)
 
 	job.mu.Lock()
 	job.input = nil
-	job.final = SnapshotOf(live)
+	job.final = final
 	job.finished = time.Now()
 	var publish bool
 	switch {

@@ -21,17 +21,12 @@ func CoordsDigest(coords []linalg.Vec3) string {
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(coords)))
 	h.Write(n[:])
-	buf := make([]byte, 0, 24*256)
-	for _, p := range coords {
-		for k := 0; k < 3; k++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p[k]))
-		}
-		if len(buf) >= 24*256 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
+	const chunk = 256 // points hashed per buffer fill
+	buf := make([]byte, 0, 24*chunk)
+	for lo := 0; lo < len(coords); lo += chunk {
+		buf = linalg.AppendVec3s(buf[:0], coords[lo:min(lo+chunk, len(coords))])
+		h.Write(buf)
 	}
-	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

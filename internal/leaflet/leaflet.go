@@ -69,21 +69,6 @@ func (a Approach) String() string {
 // Approaches lists all four in the paper's order.
 var Approaches = []Approach{Broadcast1D, TaskAPI2D, ParallelCC, TreeSearch}
 
-// TreeCrossoverAtoms is the system size above which tree-based edge
-// discovery beats pairwise distances in the paper's evaluation (faster
-// from 524k atoms up, slower at 262k and below, §4.3.4).
-const TreeCrossoverAtoms = 400_000
-
-// Recommended returns the architectural approach the paper's findings
-// select for a system size: parallel connected components with pairwise
-// distances below the crossover, tree search above it.
-func Recommended(nAtoms int) Approach {
-	if nAtoms >= TreeCrossoverAtoms {
-		return TreeSearch
-	}
-	return ParallelCC
-}
-
 // Stats records the data-movement profile of a run, the quantities
 // Table 2 and Figure 8 report.
 type Stats struct {

@@ -273,12 +273,3 @@ func TestApproachStrings(t *testing.T) {
 		t.Error("unknown approach string")
 	}
 }
-
-func TestRecommended(t *testing.T) {
-	if Recommended(131_072) != ParallelCC || Recommended(262_144) != ParallelCC {
-		t.Error("small systems should use pairwise distances (Approach 3)")
-	}
-	if Recommended(524_288) != TreeSearch || Recommended(4_000_000) != TreeSearch {
-		t.Error("large systems should use the tree search (Approach 4)")
-	}
-}

@@ -3,7 +3,6 @@ package leaflet
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -28,10 +27,10 @@ func RunPilot(p *pilot.Pilot, coords []linalg.Vec3, cutoff float64, nTasks int, 
 	for i, b := range blocks {
 		b := b
 		inputs := map[string][]byte{
-			"rows.bin": encodeCoords(coords[b.rows.lo:b.rows.hi]),
+			"rows.bin": linalg.AppendVec3s(nil, coords[b.rows.lo:b.rows.hi]),
 		}
 		if b.rows != b.cols {
-			inputs["cols.bin"] = encodeCoords(coords[b.cols.lo:b.cols.hi])
+			inputs["cols.bin"] = linalg.AppendVec3s(nil, coords[b.cols.lo:b.cols.hi])
 		}
 		descs[i] = pilot.UnitDescription{
 			Name:        fmt.Sprintf("leaflet-block-%d", i),
@@ -94,33 +93,13 @@ func RunPilot(p *pilot.Pilot, coords []linalg.Vec3, cutoff float64, nTasks int, 
 	}), nil
 }
 
-// encodeCoords packs points as little-endian float64 triples.
-func encodeCoords(pts []linalg.Vec3) []byte {
-	out := make([]byte, 0, len(pts)*24)
-	for _, p := range pts {
-		for k := 0; k < 3; k++ {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p[k]))
-		}
-	}
-	return out
-}
-
-// readCoords loads points written by encodeCoords.
+// readCoords loads a staged coordinate file.
 func readCoords(path string) ([]linalg.Vec3, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(b)%24 != 0 {
-		return nil, fmt.Errorf("leaflet: coordinate file %s has odd length %d", path, len(b))
-	}
-	out := make([]linalg.Vec3, len(b)/24)
-	for i := range out {
-		for k := 0; k < 3; k++ {
-			out[i][k] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*24+k*8:]))
-		}
-	}
-	return out, nil
+	return linalg.DecodeVec3s(b)
 }
 
 // encodeEdges packs edges as little-endian int32 pairs.

@@ -3,9 +3,7 @@ package mpi
 import "fmt"
 
 // Collectives: every rank of the communicator must call the same
-// collective with compatible arguments, as in MPI. All collectives use a
-// fabric separate from point-to-point traffic so they cannot be confused
-// with pending Sends.
+// collective with compatible arguments, as in MPI.
 
 // relRank maps rank onto the tree rooted at root.
 func relRank(rank, root, size int) int { return (rank - root + size) % size }
@@ -107,32 +105,6 @@ func Reduce[T any](c *Comm, root int, value T, bytes int64, op func(T, T) T) (T,
 func Allreduce[T any](c *Comm, value T, bytes int64, op func(T, T) T) T {
 	acc, _ := Reduce(c, 0, value, bytes, op)
 	return Bcast(c, 0, acc, bytes)
-}
-
-// Alltoall exchanges parts[i] from every rank to rank i and returns the
-// received slice indexed by source rank. parts must have length Size.
-func Alltoall[T any](c *Comm, parts []T, bytesPer int64) []T {
-	if len(parts) != c.w.size {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d parts, got %d", c.w.size, len(parts)))
-	}
-	out := make([]T, c.w.size)
-	out[c.rank] = parts[c.rank]
-	// Send everything first (buffered fabric), then receive: with
-	// bounded buffers this could deadlock for huge worlds, so interleave
-	// by round-robin offset instead.
-	for off := 1; off < c.w.size; off++ {
-		dst := (c.rank + off) % c.w.size
-		src := (c.rank - off + c.w.size) % c.w.size
-		// Alternate send/recv order by parity to avoid cycles.
-		if c.rank < dst {
-			c.send(c.w.coll, dst, message{parts[dst], bytesPer})
-			out[src] = c.recv(c.w.coll, src).value.(T)
-		} else {
-			out[src] = c.recv(c.w.coll, src).value.(T)
-			c.send(c.w.coll, dst, message{parts[dst], bytesPer})
-		}
-	}
-	return out
 }
 
 // BlockRange returns the [lo, hi) slice of n items owned by rank r of

@@ -1,11 +1,11 @@
 // Package mpi is an MPI-like SPMD runtime: a fixed set of ranks run the
 // same function concurrently (as goroutines) and communicate through
-// typed point-to-point messages and collectives (Bcast, Scatter, Gather,
-// Reduce, Allreduce, Barrier). It stands in for the paper's MPI4py
-// baselines: the Leaflet Finder and PSA MPI implementations in this
-// repository run unchanged semantics — rank-0 gathers, binomial-tree
-// broadcast, static work partitioning — with per-operation byte
-// accounting feeding the experiment harness.
+// collectives (Bcast, Scatter, Gather, Reduce, Allreduce) over a
+// channel fabric. It stands in for the paper's MPI4py baselines: the
+// Leaflet Finder and PSA MPI implementations in this repository run
+// unchanged semantics — rank-0 gathers, binomial-tree broadcast, static
+// work partitioning — with per-operation byte accounting feeding the
+// experiment harness.
 //
 // Executor is the package's engine.Executor: the shared analyses
 // (psa.Run, leaflet.Run) run on it as a rank loop plus collectives.
@@ -24,20 +24,12 @@ type message struct {
 	bytes int64
 }
 
-// world is the shared state of one Run: the channel fabric and barrier.
+// world is the shared state of one Run: the channel fabric and the
+// abort signal.
 type world struct {
 	size    int
-	p2p     []chan message // p2p[src*size+dst]
-	coll    []chan message // separate fabric for collectives
+	coll    []chan message // coll[src*size+dst], the collectives' fabric
 	metrics *engine.Metrics
-
-	bar struct {
-		mu      sync.Mutex
-		cond    *sync.Cond
-		count   int
-		gen     int
-		aborted bool
-	}
 
 	abortOnce sync.Once
 	abort     chan struct{}
@@ -71,21 +63,15 @@ func Run(size int, m *engine.Metrics, fn func(c *Comm) error) error {
 	if size < 1 {
 		return fmt.Errorf("mpi: world size must be >= 1, got %d", size)
 	}
-	if m == nil {
-		m = &engine.Metrics{}
-	}
 	w := &world{
 		size:    size,
-		p2p:     make([]chan message, size*size),
 		coll:    make([]chan message, size*size),
 		metrics: m,
 		abort:   make(chan struct{}),
 	}
-	for i := range w.p2p {
-		w.p2p[i] = make(chan message, 8)
+	for i := range w.coll {
 		w.coll[i] = make(chan message, 8)
 	}
-	w.bar.cond = sync.NewCond(&w.bar.mu)
 
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -128,13 +114,7 @@ func Run(size int, m *engine.Metrics, fn func(c *Comm) error) error {
 
 // doAbort wakes every blocked rank with an abort panic.
 func (w *world) doAbort() {
-	w.abortOnce.Do(func() {
-		close(w.abort)
-		w.bar.mu.Lock()
-		w.bar.aborted = true // release current and future barrier waiters
-		w.bar.cond.Broadcast()
-		w.bar.mu.Unlock()
-	})
+	w.abortOnce.Do(func() { close(w.abort) })
 }
 
 func (w *world) checkAbort(rank int) {
@@ -162,52 +142,6 @@ func (c *Comm) recv(fabric []chan message, src int) message {
 	case msg := <-fabric[src*c.w.size+c.rank]:
 		return msg
 	case <-c.w.abort:
-		panic(abortError{c.rank})
-	}
-}
-
-// Send transfers value to rank dst (eager, buffered). bytes is the
-// payload size used for accounting.
-func (c *Comm) Send(dst int, value interface{}, bytes int64) {
-	if dst < 0 || dst >= c.w.size {
-		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, c.w.size))
-	}
-	c.send(c.w.p2p, dst, message{value, bytes})
-}
-
-// Recv receives the next message from rank src.
-func (c *Comm) Recv(src int) interface{} {
-	if src < 0 || src >= c.w.size {
-		panic(fmt.Sprintf("mpi: Recv from invalid rank %d (size %d)", src, c.w.size))
-	}
-	return c.recv(c.w.p2p, src).value
-}
-
-// Barrier blocks until every rank reaches it. If the world aborts
-// (a peer failed), waiting and arriving ranks unwind instead of
-// deadlocking on ranks that will never arrive.
-func (c *Comm) Barrier() {
-	b := &c.w.bar
-	b.mu.Lock()
-	if b.aborted {
-		b.mu.Unlock()
-		panic(abortError{c.rank})
-	}
-	gen := b.gen
-	b.count++
-	if b.count == c.w.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen && !b.aborted {
-		b.cond.Wait()
-	}
-	aborted := b.aborted
-	b.mu.Unlock()
-	if aborted {
 		panic(abortError{c.rank})
 	}
 }

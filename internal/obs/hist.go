@@ -101,39 +101,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge folds other's observations into h. The bucket layouts must
-// match (histograms merged across jobs or processes are created from
-// the same bounds); mismatched layouts panic.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	h.MergeSnapshot(other.Snapshot())
-}
-
-// MergeSnapshot folds an exported snapshot into h (the cross-process
-// form: workers ship snapshots, the coordinator merges them).
-func (h *Histogram) MergeSnapshot(s HistSnapshot) {
-	if h == nil || s.Count == 0 && s.Sum == 0 {
-		return
-	}
-	if len(s.Counts) != len(h.counts) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	for i := range s.Counts {
-		if s.Counts[i] != 0 {
-			h.counts[i].Add(s.Counts[i])
-		}
-	}
-	h.count.Add(s.Count)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+s.Sum)) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -184,13 +184,11 @@ type Pilot struct {
 }
 
 // NewPilot starts a pilot with the given core count (worker goroutines)
-// using dir for unit sandboxes. The agent runs until Shutdown.
+// using dir for unit sandboxes, accounting into m (nil: nowhere). The
+// agent runs until Shutdown.
 func NewPilot(cores int, dir string, db *DB, cfg Config, m *engine.Metrics) (*Pilot, error) {
 	if cores < 1 {
 		cores = 1
-	}
-	if m == nil {
-		m = &engine.Metrics{}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pilot: creating sandbox root: %w", err)

@@ -25,7 +25,7 @@ func fastConfig() Config {
 func newTestPilot(t *testing.T, cores int) *Pilot {
 	t.Helper()
 	db := NewDB(fastConfig().DBLatency)
-	p, err := NewPilot(cores, t.TempDir(), db, fastConfig(), nil)
+	p, err := NewPilot(cores, t.TempDir(), db, fastConfig(), &engine.Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 package psa
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
 	"mdtask/internal/engine"
-	"mdtask/internal/hausdorff"
+	"mdtask/internal/linalg"
 	"mdtask/internal/pilot"
 	"mdtask/internal/traj"
 )
@@ -16,7 +15,8 @@ import (
 // RunPilotRefs computes PSA on the pilot engine: one Compute-Unit per
 // block task. Faithful to RADICAL-Pilot's execution model, each unit
 // reads its input trajectories from staged MDT files in its sandbox and
-// writes its block of distances to an output file, which the client
+// writes its block of distances and its engine accounting (an
+// engine.Snapshot as JSON) to output files, which the client checks and
 // collects — all data exchange goes through the filesystem (§3.3), which
 // is why the pilot is a staged engine outside the engine.Executor
 // contract: its unit of exchange is bytes on disk, not a closure.
@@ -58,11 +58,11 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 		if keys != nil {
 			if v, ok := opts.Cache.Get(keys[i]); ok {
 				vals := v.([]float64)
-				opts.recordBlockCache(1, 0, int64(len(vals))*8)
+				opts.Metrics.AddBlockCache(1, 0, int64(len(vals))*8)
 				results[i] = BlockResult{Block: blocks[i], Values: vals, Symmetric: opts.Symmetric}
 				continue
 			}
-			opts.recordBlockCache(0, 1, 0)
+			opts.Metrics.AddBlockCache(0, 1, 0)
 		}
 		missing = append(missing, i)
 	}
@@ -117,7 +117,7 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 		descs[di] = pilot.UnitDescription{
 			Name:        fmt.Sprintf("psa-block-%d", bi),
 			InputFiles:  inputs,
-			OutputFiles: []string{"distances.bin", "counters.bin"},
+			OutputFiles: []string{"distances.bin", "metrics.json"},
 			Fn: func(sandbox string) error {
 				// Rebuild each staged trajectory as a stream over its
 				// window files: at most one window's frames are decoded at
@@ -147,16 +147,14 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 				if err != nil {
 					return err
 				}
-				if err := os.WriteFile(filepath.Join(sandbox, "distances.bin"), encodeFloats(br.Values), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(sandbox, "distances.bin"), linalg.AppendFloats(nil, br.Values), 0o644); err != nil {
 					return err
 				}
-				snap := m.Snapshot()
-				kc := hausdorff.Counters{
-					Evaluated: snap.PairsEvaluated, Pruned: snap.PairsPruned, Abandoned: snap.PairsAbandoned,
-					NodesVisited: snap.NodesVisited, NodesPruned: snap.NodesPruned,
+				raw, err := json.Marshal(m.Snapshot())
+				if err != nil {
+					return err
 				}
-				st := hausdorff.StreamStats{PeakResidentFrames: snap.PeakResidentFrames, BytesStreamed: snap.BytesStreamed}
-				return os.WriteFile(filepath.Join(sandbox, "counters.bin"), encodeCounters(kc, st), 0o644)
+				return os.WriteFile(filepath.Join(sandbox, "metrics.json"), raw, 0o644)
 			},
 		}
 	}
@@ -164,95 +162,51 @@ func RunPilotRefs(p *pilot.Pilot, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 	if err := p.Wait(units); err != nil {
 		return nil, err
 	}
-	for ui, u := range units {
-		bi := missing[ui]
-		raw, ok := u.Output("distances.bin")
-		if !ok {
-			return nil, fmt.Errorf("psa: unit %d produced no output", u.ID)
-		}
-		vals, err := decodeFloats(raw)
+	if err := collect(units, blocks, missing, keys, results, opts); err != nil {
+		return nil, err
+	}
+	return Assemble(len(refs), results), nil
+}
+
+// collect reads back units[k], which computed blocks[missing[k]], into
+// results. Every unit's distances and metrics file are decoded and
+// checked before any is folded into opts.Metrics or recorded in
+// opts.Cache, so one malformed unit fails the run and leaves no trace.
+// (The pilot fails a unit whose output files are missing, so an absent
+// file never reaches here.)
+func collect(units []*pilot.Unit, blocks []Block, missing []int, keys []string, results []BlockResult, opts Opts) error {
+	snaps := make([]engine.Snapshot, len(missing))
+	for k, bi := range missing {
+		raw, _ := units[k].Output("distances.bin")
+		vals, err := linalg.DecodeFloats(raw)
 		if err != nil {
-			return nil, fmt.Errorf("psa: unit %d: %w", u.ID, err)
+			return fmt.Errorf("psa: block %d: %w", bi, err)
 		}
 		if want := blocks[bi].TaskPairs(opts.Symmetric); len(vals) != want {
-			return nil, fmt.Errorf("psa: unit %d returned %d values, want %d", u.ID, len(vals), want)
+			return fmt.Errorf("psa: block %d: unit returned %d values, want %d", bi, len(vals), want)
 		}
-		rawKC, ok := u.Output("counters.bin")
-		if !ok {
-			return nil, fmt.Errorf("psa: unit %d produced no kernel counters", u.ID)
+		raw, _ = units[k].Output("metrics.json")
+		if err := json.Unmarshal(raw, &snaps[k]); err != nil {
+			return fmt.Errorf("psa: block %d: metrics: %w", bi, err)
 		}
-		kc, st, err := decodeCounters(rawKC)
-		if err != nil {
-			return nil, fmt.Errorf("psa: unit %d: %w", u.ID, err)
+		if err := snaps[k].Valid(); err != nil {
+			return fmt.Errorf("psa: block %d: %w", bi, err)
 		}
-		opts.recordKernel(kc)
-		opts.recordStream(st)
 		results[bi] = BlockResult{Block: blocks[bi], Values: vals, Symmetric: opts.Symmetric}
+	}
+	for k, bi := range missing {
+		opts.Metrics.Add(snaps[k])
 		if keys != nil && !opts.cancelled() {
 			// A completed unit's values are a full kernel result; record
 			// them. After a cancellation request units zero-fill instead,
 			// so nothing may be recorded.
+			vals := results[bi].Values
 			opts.Cache.Put(keys[bi], vals, int64(len(vals))*8)
 		}
 	}
-	return Assemble(len(refs), results), nil
+	return nil
 }
 
 // trajFile names a staged trajectory window blob inside a unit sandbox
 // (window 0 is the whole trajectory when not streaming).
 func trajFile(ix, win int) string { return fmt.Sprintf("traj-%04d-w%05d.mdt", ix, win) }
-
-// encodeFloats packs float64 values little-endian.
-func encodeFloats(vals []float64) []byte {
-	out := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out
-}
-
-// encodeCounters packs a unit's kernel and streaming accounting as
-// seven little-endian uint64s: evaluated, pruned, abandoned, nodes
-// visited, nodes pruned, peak resident frames, bytes streamed.
-func encodeCounters(kc hausdorff.Counters, st hausdorff.StreamStats) []byte {
-	out := make([]byte, 0, 56)
-	out = binary.LittleEndian.AppendUint64(out, uint64(kc.Evaluated))
-	out = binary.LittleEndian.AppendUint64(out, uint64(kc.Pruned))
-	out = binary.LittleEndian.AppendUint64(out, uint64(kc.Abandoned))
-	out = binary.LittleEndian.AppendUint64(out, uint64(kc.NodesVisited))
-	out = binary.LittleEndian.AppendUint64(out, uint64(kc.NodesPruned))
-	out = binary.LittleEndian.AppendUint64(out, uint64(st.PeakResidentFrames))
-	out = binary.LittleEndian.AppendUint64(out, uint64(st.BytesStreamed))
-	return out
-}
-
-// decodeCounters unpacks the counters payload of a pilot unit.
-func decodeCounters(b []byte) (hausdorff.Counters, hausdorff.StreamStats, error) {
-	if len(b) != 56 {
-		return hausdorff.Counters{}, hausdorff.StreamStats{}, fmt.Errorf("psa: counters payload length %d, want 56", len(b))
-	}
-	kc := hausdorff.Counters{
-		Evaluated:    int64(binary.LittleEndian.Uint64(b)),
-		Pruned:       int64(binary.LittleEndian.Uint64(b[8:])),
-		Abandoned:    int64(binary.LittleEndian.Uint64(b[16:])),
-		NodesVisited: int64(binary.LittleEndian.Uint64(b[24:])),
-		NodesPruned:  int64(binary.LittleEndian.Uint64(b[32:])),
-	}
-	st := hausdorff.StreamStats{
-		PeakResidentFrames: int64(binary.LittleEndian.Uint64(b[40:])),
-		BytesStreamed:      int64(binary.LittleEndian.Uint64(b[48:])),
-	}
-	return kc, st, nil
-}
-
-// decodeFloats unpacks little-endian float64 values.
-func decodeFloats(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("psa: float payload length %d not a multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}

@@ -96,31 +96,16 @@ type Opts struct {
 // selected.
 func (o Opts) streaming() bool { return o.MaxResidentFrames > 0 }
 
-// recordStream folds a task's streaming accounting into the metrics
-// sink.
-func (o Opts) recordStream(st hausdorff.StreamStats) {
-	if o.Metrics != nil {
-		o.Metrics.ObservePeakResident(st.PeakResidentFrames)
-		o.Metrics.AddStreamed(st.BytesStreamed)
-	}
-}
-
-// recordKernel folds a block's kernel counters into the metrics sink.
-func (o Opts) recordKernel(c hausdorff.Counters) {
-	if o.Metrics != nil {
-		o.Metrics.AddPairs(c.Evaluated, c.Pruned, c.Abandoned)
-		o.Metrics.AddNodes(c.NodesVisited, c.NodesPruned)
-	}
-}
-
 // cancelled reports whether a cooperative cancellation was requested.
 func (o Opts) cancelled() bool { return o.Cancel != nil && o.Cancel() }
 
-// recordBlockCache folds block-store lookup accounting into the metrics
-// sink.
-func (o Opts) recordBlockCache(hits, misses, bytesSaved int64) {
-	if o.Metrics != nil {
-		o.Metrics.AddBlockCache(hits, misses, bytesSaved)
+// kernelDelta is a task body's kernel and streaming accounting as a
+// metrics delta.
+func kernelDelta(kc hausdorff.Counters, st hausdorff.StreamStats) engine.Snapshot {
+	return engine.Snapshot{
+		PairsEvaluated: kc.Evaluated, PairsPruned: kc.Pruned, PairsAbandoned: kc.Abandoned,
+		NodesVisited: kc.NodesVisited, NodesPruned: kc.NodesPruned,
+		PeakResidentFrames: st.PeakResidentFrames, BytesStreamed: st.BytesStreamed,
 	}
 }
 
@@ -237,7 +222,8 @@ type BlockResult struct {
 // resident (DistanceStreamed); otherwise the block's trajectories are
 // materialized once each and the in-memory kernels run. Cancellation is
 // polled between comparisons; the remaining values of a cancelled block
-// are left zero.
+// are left zero. A block out of range of refs is an error: a fleet
+// worker runs blocks its coordinator sent.
 //
 // With opts.Cache set the block store is consulted first: on a hit the
 // stored values are returned without running any kernel (no frame-pair
@@ -246,6 +232,9 @@ type BlockResult struct {
 // recorded for later lookups. Cancelled (zero-filled) blocks are never
 // recorded.
 func ComputeBlockRefs(refs traj.RefEnsemble, b Block, opts Opts) (BlockResult, error) {
+	if n := len(refs); b.I0 < 0 || b.I0 > b.I1 || b.I1 > n || b.J0 < 0 || b.J0 > b.J1 || b.J1 > n {
+		return BlockResult{}, fmt.Errorf("psa: block %+v out of range for %d trajectories", b, n)
+	}
 	span := opts.Tracer.StartChild(opts.TraceParent, "psa.block")
 	span.SetAttr("block", fmt.Sprintf("[%d:%d)x[%d:%d)", b.I0, b.I1, b.J0, b.J1))
 	defer span.End()
@@ -278,9 +267,9 @@ func ComputeBlockRefs(refs traj.RefEnsemble, b Block, opts Opts) (BlockResult, e
 			}
 			vals := val.([]float64)
 			if hit {
-				opts.recordBlockCache(1, 0, int64(len(vals))*8)
+				opts.Metrics.AddBlockCache(1, 0, int64(len(vals))*8)
 			} else {
-				opts.recordBlockCache(0, 1, 0)
+				opts.Metrics.AddBlockCache(0, 1, 0)
 			}
 			res.Values = vals
 			return res, nil
@@ -310,10 +299,7 @@ func computeBlockVals(refs traj.RefEnsemble, b Block, opts Opts) (vals []float64
 		start := time.Now()
 		defer func() { opts.KernelHist.Observe(time.Since(start).Seconds()) }()
 	}
-	defer func() {
-		opts.recordKernel(kc)
-		opts.recordStream(st)
-	}()
+	defer func() { opts.Metrics.Add(kernelDelta(kc, st)) }()
 
 	var loaded map[int]*traj.Trajectory
 	load := func(ix int) (*traj.Trajectory, error) {
@@ -443,10 +429,7 @@ func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 		kc hausdorff.Counters
 		st hausdorff.StreamStats
 	)
-	defer func() {
-		opts.recordKernel(kc)
-		opts.recordStream(st)
-	}()
+	defer func() { opts.Metrics.Add(kernelDelta(kc, st)) }()
 	var ens traj.Ensemble
 	if !opts.streaming() {
 		loaded, err := refs.Load()

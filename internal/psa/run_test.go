@@ -1,11 +1,15 @@
 package psa
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
 	"mdtask/internal/hausdorff"
+	"mdtask/internal/linalg"
 	"mdtask/internal/pilot"
 	"mdtask/internal/traj"
 )
@@ -32,7 +36,7 @@ func testPilot(t *testing.T) *pilot.Pilot {
 // (the dispatch surface the CLIs and the server use) and so covers Run
 // on every executor plus pilot and fleet. The tests below keep the
 // driver-local invariants: staging economics, input validation, and the
-// pilot wire codecs.
+// checks on what pilot units write back.
 
 // The symmetric pilot schedule must not stage blobs for mirror blocks:
 // total staged inputs drop from N²/n1 (every block stages its rows and
@@ -103,18 +107,54 @@ func TestRunMatchesSerialRefs(t *testing.T) {
 	}
 }
 
-func TestFloatCodec(t *testing.T) {
-	vals := []float64{0, 1.5, -2.25, 1e300}
-	got, err := decodeFloats(encodeFloats(vals))
+// A pilot unit's metrics file is bytes on disk the client cannot
+// trust. One that is truncated or carries a negative count fails the
+// job, and nothing of the run reaches the block store or the metrics
+// sink — not even the well-formed units read before it.
+func TestPilotRejectsBadUnitMetrics(t *testing.T) {
+	blocks, err := Partition(4, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("codec mismatch at %d: %v vs %v", i, got[i], vals[i])
+	missing := []int{0, 1, 2}
+	keys := []string{"b0", "b1", "b2"}
+	p := testPilot(t)
+	for name, bad := range map[string]string{
+		"truncated": `{"tasks":1,"pairs_evalu`,
+		"negative":  `{"pairs_evaluated":-1}`,
+	} {
+		descs := make([]pilot.UnitDescription, len(missing))
+		for k, bi := range missing {
+			vals := linalg.AppendFloats(nil, make([]float64, blocks[bi].TaskPairs(true)))
+			metrics := []byte(`{"pairs_evaluated":4}`)
+			if k == len(missing)-1 {
+				metrics = []byte(bad)
+			}
+			descs[k] = pilot.UnitDescription{
+				OutputFiles: []string{"distances.bin", "metrics.json"},
+				Fn: func(sandbox string) error {
+					if err := os.WriteFile(filepath.Join(sandbox, "distances.bin"), vals, 0o644); err != nil {
+						return err
+					}
+					return os.WriteFile(filepath.Join(sandbox, "metrics.json"), metrics, 0o644)
+				},
+			}
 		}
-	}
-	if _, err := decodeFloats([]byte{1, 2, 3}); err == nil {
-		t.Error("odd-length payload accepted")
+		units := p.Submit(descs)
+		if err := p.Wait(units); err != nil {
+			t.Fatal(err)
+		}
+		var m engine.Metrics
+		store := blockstore.New(1 << 20)
+		opts := Opts{Symmetric: true, Metrics: &m, Cache: store}
+		if err := collect(units, blocks, missing, keys, make([]BlockResult, len(blocks)), opts); err == nil {
+			t.Fatalf("%s: metrics file %q accepted", name, bad)
+		}
+		if n := store.Len(); n != 0 {
+			t.Errorf("%s: %d blocks recorded in the store", name, n)
+		}
+		if s := m.Snapshot(); s != (engine.Snapshot{}) {
+			t.Errorf("%s: metrics folded: %+v", name, s)
+		}
 	}
 }

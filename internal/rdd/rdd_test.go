@@ -159,12 +159,3 @@ func TestRangeRDD(t *testing.T) {
 		t.Fatalf("Range = %v, %v", got, err)
 	}
 }
-
-func TestFromPartitions(t *testing.T) {
-	ctx := NewContext(2)
-	r := FromPartitions(ctx, [][]string{{"a"}, {"b", "c"}})
-	got, err := r.Collect()
-	if err != nil || !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}

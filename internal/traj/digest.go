@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
+
+	"mdtask/internal/linalg"
 )
 
 // Digest returns the hex SHA-256 of the trajectory's content — shape
@@ -46,10 +47,7 @@ func (r *Ref) computeDigest() (string, error) {
 			h.Write(floatBytes(v))
 			return
 		}
-		buf = buf[:0]
-		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
+		buf = linalg.AppendFloats(buf[:0], v)
 		h.Write(buf)
 	}
 	if r.mem != nil {

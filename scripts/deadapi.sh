@@ -11,10 +11,6 @@
 # below, each with its reason. An allowlist entry that is no longer
 # flagged fails too, so the list cannot go stale.
 #
-# Entries whose reason starts "deferred" are operators reached only from
-# their own tests whose deletion ROADMAP item 8(d) schedules for the
-# next round, code and tests together; that round empties this group.
-#
 # Run via `make deadapi`; CI gates on it.
 set -eu
 cd "$(dirname "$0")/.."
@@ -34,22 +30,6 @@ traj.Trajectory.IsPacked      lets jobs tests assert a runner packs before its t
 faultinject.Deactivate        disarms injected faults between tests in five packages
 jobs.NewExecutor              conformtest runs leaflet.Run on each engine through the table
 leaflet.Equal                 label-equality check the Leaflet tests of five packages compare with
-mpi.Scan                      deferred: MPI extras (Allgather, Scan, Exscan, ReduceScatter, Sendrecv, Split)
-mpi.Exscan                    deferred: MPI extras
-mpi.Comm.Sendrecv             deferred: MPI extras
-mpi.Group.WorldRank           deferred: MPI extras (Split groups)
-mpi.GroupGather               deferred: MPI extras (Split groups)
-mpi.GroupBcast                deferred: MPI extras (Split groups)
-mpi.Comm.Barrier              deferred: MPI Barrier
-dask.Client.Gather            deferred: dask submit/gather futures
-traj.Trajectory.SelectAtoms   deferred: trajectory sub-setting (select.go)
-traj.Trajectory.SelectFrames  deferred: trajectory sub-setting (select.go)
-traj.SphereSelection          deferred: trajectory sub-setting (select.go)
-obs.Histogram.Merge           deferred: histogram merge across processes
-linalg.RotateFrame            deferred: rotation helper of the RMSD tests
-rdd.FromPartitions            deferred: RDD from explicit partitions
-cluster.SortedDescending      deferred: LPT ordering of task durations
-leaflet.Recommended           deferred: approach choice by system size (paper §4.3.4 crossover)
 '
 
 # The file list arrives on stdin and awk reads each file itself, so one
