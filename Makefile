@@ -88,7 +88,7 @@ smoke-stream:
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
-# normalization, the WAL recovery scanner, the trajectory decoders, the
+# normalization, the WAL recovery scanner, the MDT decoders, the
 # fleet wire decoders, a worker's execution of arbitrary leases and the
 # coordinator's check of Leaflet unit results, then the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
@@ -99,7 +99,6 @@ smoke-stream:
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
-	$(GO) test -fuzz FuzzReadXYZT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzFleetWire -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/

@@ -328,8 +328,7 @@ func packViews(frames [][]linalg.Vec3) *traj.Packed {
 // Matrix2DRMS computes the full frame-by-frame dRMS matrix between two
 // trajectories: element i*len(b)+j is dRMS(a_i, b_j). This is the
 // CPPTraj "2D-RMSD" kernel of §4.2: Algorithm 1 with no min–max
-// reduction, from which the Hausdorff distance is recovered by
-// FromMatrix.
+// reduction.
 func Matrix2DRMS(a, b [][]linalg.Vec3) []float64 {
 	out := make([]float64, len(a)*len(b))
 	for i, fa := range a {
@@ -339,46 +338,4 @@ func Matrix2DRMS(a, b [][]linalg.Vec3) []float64 {
 		}
 	}
 	return out
-}
-
-// FromMatrix recovers the symmetric Hausdorff distance from a
-// precomputed na×nb frame distance matrix (row-major). Empty inputs
-// follow DistanceFrames: 0 when both dimensions are empty, +Inf when
-// exactly one is.
-func FromMatrix(m []float64, na, nb int) float64 {
-	if na == 0 && nb == 0 {
-		return 0
-	}
-	if na == 0 || nb == 0 {
-		return math.Inf(1)
-	}
-	if len(m) != na*nb {
-		panic("hausdorff: FromMatrix dimensions do not match matrix length")
-	}
-	var h1 float64 // max over rows of min over cols
-	for i := 0; i < na; i++ {
-		row := m[i*nb : (i+1)*nb]
-		cmin := row[0]
-		for _, d := range row[1:] {
-			if d < cmin {
-				cmin = d
-			}
-		}
-		if cmin > h1 {
-			h1 = cmin
-		}
-	}
-	var h2 float64 // max over cols of min over rows
-	for j := 0; j < nb; j++ {
-		cmin := m[j]
-		for i := 1; i < na; i++ {
-			if d := m[i*nb+j]; d < cmin {
-				cmin = d
-			}
-		}
-		if cmin > h2 {
-			h2 = cmin
-		}
-	}
-	return math.Max(h1, h2)
 }

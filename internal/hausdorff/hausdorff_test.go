@@ -82,29 +82,8 @@ func TestDirectedEmptySets(t *testing.T) {
 	}
 }
 
-func TestFromMatrixEqualsDirect(t *testing.T) {
-	ts := randTrajs(11, 2, 12, 9)
-	fa, fb := Frames(ts[0]), Frames(ts[1])
-	m := Matrix2DRMS(fa, fb)
-	want := DistanceFrames(fa, fb, Naive)
-	got := FromMatrix(m, len(fa), len(fb))
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("FromMatrix = %v, want %v", got, want)
-	}
-}
-
-func TestFromMatrixEdgeCases(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromMatrix accepted wrong dimensions")
-		}
-	}()
-	FromMatrix(make([]float64, 5), 2, 3)
-}
-
-// Regression: FromMatrix and DistanceFrames must agree on empty inputs
-// (FromMatrix used to return 0 for half-empty matrices while
-// DistanceFrames returned +Inf).
+// Every method follows one empty-input convention: 0 when both frame
+// sets are empty, +Inf when exactly one is.
 func TestEmptyInputConsistency(t *testing.T) {
 	ts := randTrajs(13, 1, 6, 5)
 	nonEmpty := Frames(ts[0])
@@ -123,9 +102,6 @@ func TestEmptyInputConsistency(t *testing.T) {
 			if got := DistanceFrames(tc.fa, tc.fb, m); got != tc.want {
 				t.Errorf("%s: DistanceFrames(%v) = %v, want %v", tc.name, m, got, tc.want)
 			}
-		}
-		if got := FromMatrix(Matrix2DRMS(tc.fa, tc.fb), len(tc.fa), len(tc.fb)); got != tc.want {
-			t.Errorf("%s: FromMatrix = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package linalg provides the small dense linear-algebra and distance
 // kernels used by the MD trajectory analysis algorithms: 3-vector
-// arithmetic, frame metrics (dRMS, RMSD with optimal superposition),
-// and the cutoff pair searches that stand in for SciPy's cdist.
+// arithmetic, the dRMS frame metric, and the cutoff pair searches that stand in for SciPy's cdist.
 //
 // All kernels operate on slices of Vec3 in double precision, mirroring
 // the NumPy/SciPy kernels the paper's Python implementations rely on.

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Collectives: every rank of the communicator must call the same
 // collective with compatible arguments, as in MPI.
 
@@ -47,24 +45,6 @@ func Bcast[T any](c *Comm, root int, value T, bytes int64) T {
 		}
 	}
 	return have
-}
-
-// Scatter sends parts[i] from root to rank i and returns this rank's
-// part. Only root's parts argument is read; it must have length Size.
-func Scatter[T any](c *Comm, root int, parts []T, bytesPer int64) T {
-	if c.rank == root {
-		if len(parts) != c.w.size {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", c.w.size, len(parts)))
-		}
-		for dst := 0; dst < c.w.size; dst++ {
-			if dst == root {
-				continue
-			}
-			c.send(c.w.coll, dst, message{parts[dst], bytesPer})
-		}
-		return parts[root]
-	}
-	return c.recv(c.w.coll, root).value.(T)
 }
 
 // Gather collects every rank's value at root, indexed by rank. Non-root

@@ -1,6 +1,6 @@
 // Package mpi is an MPI-like SPMD runtime: a fixed set of ranks run the
 // same function concurrently (as goroutines) and communicate through
-// collectives (Bcast, Scatter, Gather, Reduce, Allreduce) over a
+// collectives (Bcast, Gather, Reduce, Allreduce) over a
 // channel fabric. It stands in for the paper's MPI4py baselines: the
 // Leaflet Finder and PSA MPI implementations in this repository run
 // unchanged semantics — rank-0 gathers, binomial-tree broadcast, static

@@ -57,7 +57,7 @@ func (r *Ref) computeDigest() (string, error) {
 	} else {
 		// The same decode loop the window readers run, front to back (so
 		// a plain .mdt payload is checksum-verified on the way).
-		fr, err := r.openFrames(true)
+		fr, err := r.frames(true)
 		if err != nil {
 			return "", err
 		}
@@ -68,7 +68,7 @@ func (r *Ref) computeDigest() (string, error) {
 		rows := make([]float64, per*w3)
 		for start := 0; start < r.nFrames; start += per {
 			n := min(per, r.nFrames-start)
-			if err := fr.readFrames(start, n, rows[:n*w3]); err != nil {
+			if err := fr.readFrames(start, n, rows[:n*w3], nil); err != nil {
 				return "", fmt.Errorf("traj: %s: %w", r.name, err)
 			}
 			hashFloats(rows[:n*w3])

@@ -2,8 +2,10 @@ package traj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	mathrand "math/rand"
@@ -108,7 +110,7 @@ func TestMDTTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := readMDTBytes(data[:len(data)/2])
+	_, rerr := DecodeMDT(data[:len(data)/2])
 	if !errors.Is(rerr, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", rerr)
 	}
@@ -125,18 +127,10 @@ func TestMDTChecksumDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[len(data)-20] ^= 0xFF // flip a payload byte near the end
-	_, rerr := readMDTBytes(data)
+	_, rerr := DecodeMDT(data)
 	if !errors.Is(rerr, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", rerr)
 	}
-}
-
-func readMDTBytes(b []byte) (*Trajectory, error) {
-	mr, err := NewMDTReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return mr.ReadAll()
 }
 
 func TestMDTWriterShapeCheck(t *testing.T) {
@@ -175,142 +169,47 @@ func TestMDTHeaderFields(t *testing.T) {
 	}
 }
 
-func TestXYZTRoundTrip(t *testing.T) {
-	tr := randTraj(t, 15, 5, 4)
-	tr.Name = "walker"
-	var buf bytes.Buffer
-	if err := WriteXYZT(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readXYZT(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trajEqual(tr, got, 1e-6) {
-		t.Fatal("xyzt round trip mismatch")
-	}
-}
-
-func TestXYZTFileRoundTrip(t *testing.T) {
-	tr := randTraj(t, 16, 3, 2)
-	path := filepath.Join(t.TempDir(), "t.xyzt")
-	if err := writeXYZTFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readXYZTFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trajEqual(tr, got, 1e-6) {
-		t.Fatal("xyzt file round trip mismatch")
-	}
-}
-
-func TestXYZTErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad atom count":      "abc\nt=0 x\n",
-		"truncated frame":     "2\nt=0 x\n1 2 3\n",
-		"bad coordinate":      "1\nt=0 x\n1 2 z\n",
-		"missing comment":     "1\n",
-		"inconsistent counts": "1\nt=0 x\n1 2 3\n2\nt=1 x\n1 2 3\n4 5 6\n",
-		"bad time":            "1\nt=zz x\n1 2 3\n",
-		"short coord line":    "1\nt=0 x\n1 2\n",
-	}
-	for name, input := range cases {
-		if _, err := readXYZT(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: readXYZT accepted %q", name, input)
-		}
-	}
-}
-
-func TestXYZTEmpty(t *testing.T) {
-	got, err := readXYZT(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NFrames() != 0 {
-		t.Errorf("NFrames = %d", got.NFrames())
-	}
-}
-
-func TestMDTStreamingReader(t *testing.T) {
-	tr := randTraj(t, 17, 4, 6)
-	path := filepath.Join(t.TempDir(), "t.mdt")
-	if err := WriteMDTFile(path, tr, 8); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	mr, err := NewMDTReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		fr, err := mr.ReadFrame()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if fr.Time != tr.Frames[i].Time {
-			t.Fatalf("frame %d time %v, want %v", i, fr.Time, tr.Frames[i].Time)
-		}
-	}
-	if _, err := mr.ReadFrame(); err == nil || err.Error() != "EOF" {
-		t.Fatalf("expected io.EOF after last frame, got %v", err)
-	}
-}
-
-// writeXYZTFile writes the trajectory to path as XYZT text.
-func writeXYZTFile(path string, t *Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteXYZT(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readXYZTFile reads a trajectory from an XYZT text file; errors carry
-// the path and the line number of malformed input.
-func readXYZTFile(path string) (*Trajectory, error) {
-	f, err := os.Open(path)
+// readAllFrames is the per-frame MDT decoder the whole-payload and
+// window decoders are checked against: frames read one at a time
+// through an io.Reader, each coordinate converted on its own and
+// appended to a frame of its own, the checksum verified at the end.
+func readAllFrames(b []byte) (*Trajectory, error) {
+	mr, err := NewMDTReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t, err := readXYZT(f)
-	if err != nil {
-		return nil, fmt.Errorf("traj: %s: %w", path, err)
-	}
-	return t, nil
-}
-
-// readXYZT parses an XYZT stream into a trajectory. The atom count of
-// every frame must match the first frame's; parse errors include the
-// 1-based line number of the offending input.
-func readXYZT(r io.Reader) (*Trajectory, error) {
-	d := newXYZTDecoder(r)
-	var t *Trajectory
-	for {
-		f, err := d.readFrame()
-		if err == io.EOF {
-			break
+	r := bytes.NewReader(b[mr.headerLen:])
+	crc := mr.crc
+	t := New(mr.name, mr.nAtoms)
+	buf := make([]byte, 8+mr.nAtoms*3*mr.prec)
+	for range mr.nFrames {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 		}
-		if err != nil {
+		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		f := Frame{Time: math.Float64frombits(binary.LittleEndian.Uint64(buf))}
+		for a := range mr.nAtoms {
+			var p linalg.Vec3
+			for k := range p {
+				off := 8 + (a*3+k)*mr.prec
+				if mr.prec == 4 {
+					p[k] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
+				} else {
+					p[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+				}
+			}
+			f.Coords = append(f.Coords, p)
+		}
+		if err := t.AppendFrame(f); err != nil {
 			return nil, err
 		}
-		if t == nil {
-			t = New(d.name, d.nAtoms)
-		}
-		t.Frames = append(t.Frames, f)
 	}
-	if t == nil {
-		t = New("", 0)
+	var tail [4]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return nil, fmt.Errorf("%w: missing checksum: %v", ErrTruncated, err)
+	}
+	if binary.LittleEndian.Uint32(tail[:]) != crc {
+		return nil, ErrChecksum
 	}
 	return t, nil
 }

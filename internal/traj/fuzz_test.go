@@ -1,11 +1,9 @@
 package traj
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -26,38 +24,6 @@ func fuzzTraj(nAtoms, nFrames int, seed uint64) *Trajectory {
 		t.Frames = append(t.Frames, fr)
 	}
 	return t
-}
-
-// FuzzReadXYZT throws arbitrary text at the XYZT decoder: it must never
-// panic or allocate proportionally to a hostile header, and anything it
-// accepts must re-encode and re-parse to the same shape.
-func FuzzReadXYZT(f *testing.F) {
-	f.Add([]byte("2\nt=0 demo\n0 0 0\n1 1 1\n2\nt=1 demo\n0 0 1\n1 0 1\n"))
-	f.Add([]byte("1\nt=0.5\n1e300 -2.5 3\n"))
-	f.Add([]byte("999999999\nt=0\n0 0 0\n")) // hostile count, truncated frame
-	f.Add([]byte("2\nt=nope\n"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := readXYZT(bytes.NewReader(data))
-		if err != nil {
-			if !strings.Contains(err.Error(), "line") {
-				t.Fatalf("parse error carries no line position: %v", err)
-			}
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteXYZT(&buf, tr); err != nil {
-			t.Fatalf("accepted trajectory fails to encode: %v", err)
-		}
-		back, err := readXYZT(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded trajectory fails to parse: %v", err)
-		}
-		if back.NAtoms != tr.NAtoms || back.NFrames() != tr.NFrames() {
-			t.Fatalf("round trip changed shape: %d×%d -> %d×%d",
-				tr.NAtoms, tr.NFrames(), back.NAtoms, back.NFrames())
-		}
-	})
 }
 
 // FuzzDecodeMDT throws arbitrary bytes at the MDT decoder: hostile
@@ -102,8 +68,9 @@ func FuzzDecodeMDT(f *testing.F) {
 // FuzzWindowRoundTrip drives the window reader over fuzzed shapes:
 // concatenating the windows of any trajectory must reproduce it
 // exactly, for any window size, front to back and — by random access —
-// back to front, from a memory-backed ref, a forward-only
-// MDT-blob-backed stream ref and a seekable .mdt file.
+// back to front, from a memory-backed ref, a window chain whose blob
+// size is never the reader's window size (so windows straddle blobs)
+// and a seekable .mdt file.
 func FuzzWindowRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(2), uint64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(9))
@@ -117,12 +84,10 @@ func FuzzWindowRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamRef, err := NewStreamRef(tr.Name, na, nf, func() (FrameSource, error) {
-			mr, err := NewMDTReader(bytes.NewReader(blob))
-			if err != nil {
-				return nil, err
-			}
-			return &mdtSource{mr: mr}, nil
+		mem := MemRef(tr)
+		chain := mem.WindowReader(w).Size()%3 + 1
+		chainRef, err := WindowChainRef(tr.Name, na, nf, chain, func(win int) ([]byte, error) {
+			return mem.EncodeMDTWindow(win*chain, chain, 8)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +113,7 @@ func FuzzWindowRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		for _, ref := range []*Ref{MemRef(tr), streamRef, fileRef} {
+		for _, ref := range []*Ref{mem, chainRef, fileRef} {
 			rd := ref.WindowReader(w)
 			for k := rd.NumWindows() - 1; k >= 0; k-- {
 				win, err := rd.Window(k)

@@ -10,8 +10,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"mdtask/internal/linalg"
 )
 
 // The MDT binary trajectory format.
@@ -27,8 +25,8 @@ import (
 //	frames  nFrames × { time float64; coords nAtoms×3×prec }
 //	crc     uint32   IEEE CRC-32 over everything after the magic
 //
-// The frame payload streams, so readers can process trajectories larger
-// than memory one frame at a time.
+// Frames are fixed-size, so a reader decodes any window of frames by
+// offset, and trajectories larger than memory are read window by window.
 
 var mdtMagic = [4]byte{'M', 'D', 'T', '1'}
 
@@ -118,23 +116,18 @@ func (mw *MDTWriter) Close() error {
 	return mw.w.Flush()
 }
 
-// MDTReader streams frames from an MDT file.
+// MDTReader holds a parsed MDT header. The frame payload is decoded
+// whole by DecodeMDT, or a window at a time by a Ref's frame readers
+// (FileRef, WindowChainRef).
 type MDTReader struct {
-	r       *bufio.Reader
-	crc     uint32
+	crc     uint32 // checksum of the header after the magic, where the payload's continues
 	prec    int
 	name    string
 	nAtoms  int
 	nFrames int
-	read    int
 	// headerLen is the byte length of everything before the first
 	// frame (magic + fixed fields + name).
 	headerLen int
-	// skipCRC disables trailing-checksum verification after a seek has
-	// bypassed part of the payload (the accumulator no longer covers
-	// the whole stream).
-	skipCRC bool
-	buf     []byte
 }
 
 // NewMDTReader parses the MDT header from r.
@@ -147,7 +140,7 @@ func NewMDTReader(r io.Reader) (*MDTReader, error) {
 	if magic != mdtMagic {
 		return nil, ErrBadMagic
 	}
-	mr := &MDTReader{r: br}
+	mr := &MDTReader{}
 	fixed := make([]byte, 3)
 	if _, err := io.ReadFull(br, fixed); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
@@ -179,88 +172,18 @@ func (mr *MDTReader) NAtoms() int { return mr.nAtoms }
 // NFrames returns the number of frames in the file.
 func (mr *MDTReader) NFrames() int { return mr.nFrames }
 
-// mdtChunk bounds how many payload bytes are buffered at a time while
-// decoding or skipping a frame. Header fields are attacker-controlled:
-// a claimed frame of 2³² atoms must not allocate its whole payload up
-// front — chunked reads make a truncated hostile file fail after the
-// bytes actually present, with memory bounded by the chunk size plus
-// the coordinates genuinely decoded.
-const mdtChunk = 1 << 16
-
-// ReadFrame reads the next frame. After the final frame it verifies the
-// trailing checksum and returns io.EOF on the following call.
-func (mr *MDTReader) ReadFrame() (Frame, error) {
-	if mr.read >= mr.nFrames {
-		var tail [4]byte
-		if _, err := io.ReadFull(mr.r, tail[:]); err != nil {
-			return Frame{}, fmt.Errorf("%w: missing checksum: %v", ErrTruncated, err)
-		}
-		if !mr.skipCRC && binary.LittleEndian.Uint32(tail[:]) != mr.crc {
-			return Frame{}, ErrChecksum
-		}
-		return Frame{}, io.EOF
-	}
-	var timeBuf [8]byte
-	if _, err := io.ReadFull(mr.r, timeBuf[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: frame %d: %v", ErrTruncated, mr.read, err)
-	}
-	mr.crc = crc32.Update(mr.crc, crc32.IEEETable, timeBuf[:])
-	f := Frame{
-		Time:   math.Float64frombits(binary.LittleEndian.Uint64(timeBuf[:])),
-		Coords: make([]linalg.Vec3, 0, min(mr.nAtoms, mdtChunk/24)),
-	}
-	// Decode the coordinate payload in bounded chunks, each a whole
-	// number of components.
-	compSize := mr.prec
-	perChunk := (mdtChunk / compSize) * compSize
-	if cap(mr.buf) < perChunk {
-		mr.buf = make([]byte, perChunk)
-	}
-	remaining := mr.nAtoms * 3 * compSize
-	var comp [3]float64
-	ci := 0
-	for remaining > 0 {
-		n := remaining
-		if n > perChunk {
-			n = perChunk
-		}
-		b := mr.buf[:n]
-		if _, err := io.ReadFull(mr.r, b); err != nil {
-			return Frame{}, fmt.Errorf("%w: frame %d: %v", ErrTruncated, mr.read, err)
-		}
-		mr.crc = crc32.Update(mr.crc, crc32.IEEETable, b)
-		for off := 0; off < n; off += compSize {
-			if mr.prec == 4 {
-				comp[ci] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:])))
-			} else {
-				comp[ci] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-			}
-			if comp[ci]-comp[ci] != 0 { // NaN or ±Inf
-				return Frame{}, nonFiniteError(mr.read, len(f.Coords))
-			}
-			ci++
-			if ci == 3 {
-				f.Coords = append(f.Coords, linalg.Vec3{comp[0], comp[1], comp[2]})
-				ci = 0
-			}
-		}
-		remaining -= n
-	}
-	mr.read++
-	return f, nil
-}
-
 // decodeMDTFrames decodes the raw payload of whole MDT frames (each an
-// 8-byte time then nAtoms·3 components of prec bytes) straight into
-// packed rows, len(rows)/(nAtoms·3) frames of them. frame0 is the
-// trajectory index of the first frame, for error reporting.
-func decodeMDTFrames(raw []byte, prec, nAtoms, frame0 int, rows []float64) error {
+// 8-byte time then nAtoms·3 components of prec bytes), len(raw)/frame
+// size of them, straight into packed rows, and their times into times
+// unless it is nil. frame0 is the trajectory index of the first frame,
+// for error reporting.
+func decodeMDTFrames(raw []byte, prec, nAtoms, frame0 int, rows, times []float64) error {
 	w3 := nAtoms * 3
-	if w3 == 0 {
-		return nil
-	}
 	fb := 8 + w3*prec
-	for i := 0; i*w3 < len(rows); i++ {
+	for i := range len(raw) / fb {
+		if times != nil {
+			times[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*fb:]))
+		}
 		row := rows[i*w3 : (i+1)*w3]
 		b := raw[i*fb+8 : (i+1)*fb]
 		if prec == 4 {
@@ -284,48 +207,6 @@ func decodeMDTFrames(raw []byte, prec, nAtoms, frame0 int, rows []float64) error
 		}
 	}
 	return nil
-}
-
-// SkipFrames reads and discards the next n frames (bounded memory, CRC
-// still folded in so a subsequent full read to EOF verifies). It stops
-// early without error if fewer than n frames remain.
-func (mr *MDTReader) SkipFrames(n int) error {
-	frameBytes := 8 + mr.nAtoms*3*mr.prec
-	if cap(mr.buf) < mdtChunk {
-		mr.buf = make([]byte, mdtChunk)
-	}
-	for ; n > 0 && mr.read < mr.nFrames; n-- {
-		remaining := frameBytes
-		for remaining > 0 {
-			c := remaining
-			if c > mdtChunk {
-				c = mdtChunk
-			}
-			b := mr.buf[:c]
-			if _, err := io.ReadFull(mr.r, b); err != nil {
-				return fmt.Errorf("%w: frame %d: %v", ErrTruncated, mr.read, err)
-			}
-			mr.crc = crc32.Update(mr.crc, crc32.IEEETable, b)
-			remaining -= c
-		}
-		mr.read++
-	}
-	return nil
-}
-
-// ReadAll reads all remaining frames and verifies the checksum.
-func (mr *MDTReader) ReadAll() (*Trajectory, error) {
-	t := New(mr.name, mr.nAtoms)
-	for {
-		f, err := mr.ReadFrame()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Frames = append(t.Frames, f)
-	}
 }
 
 // WriteMDTFile writes the whole trajectory to path with the given
@@ -387,57 +268,51 @@ func (mr *MDTReader) impliedSize() (int64, bool) {
 	return fixed + int64(mr.nFrames)*frameBytes, true
 }
 
-// readSized reads the whole trajectory of an MDT stream of size bytes
-// into one Alloc backing — so Pack views it in place — decoding bounded
-// chunks of frames with decodeMDTFrames, the window readers' decoder,
-// and verifies the trailing checksum. The size is checked against the
-// header (overflow-checked) before anything is allocated, which bounds
-// every allocation by a small multiple of the bytes actually present.
-// The reader must not have read any frame yet.
-func (mr *MDTReader) readSized(size int64) (*Trajectory, error) {
-	want, ok := mr.impliedSize()
-	if !ok || size != want {
-		return nil, fmt.Errorf("%w: %d bytes, header implies %d", ErrTruncated, size, want)
+// parseMDT checks a whole in-memory MDT stream and splits it into its
+// header and frame payload. The length the header implies is checked
+// against len(b) first, with overflow-checked arithmetic, so a hostile
+// header claiming billions of frames or atoms is refused before
+// anything is sized from it; then the trailing checksum is verified.
+func parseMDT(b []byte) (*MDTReader, []byte, error) {
+	mr, err := NewMDTReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, nil, err
 	}
-	t := Alloc(mr.name, mr.nAtoms, mr.nFrames)
-	rows := vec3Floats(t.backing)
-	w3 := mr.nAtoms * 3
-	fb := 8 + w3*mr.prec
-	per := max(1, mdtRawBudget/fb)
-	raw := make([]byte, min(per, mr.nFrames)*fb) // fb alone may be hostile when nFrames is 0
-	for start := 0; start < mr.nFrames; start += per {
-		n := min(per, mr.nFrames-start)
-		b := raw[:n*fb]
-		if _, err := io.ReadFull(mr.r, b); err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrTruncated, start, err)
-		}
-		mr.crc = crc32.Update(mr.crc, crc32.IEEETable, b)
-		if err := decodeMDTFrames(b, mr.prec, mr.nAtoms, start, rows[start*w3:(start+n)*w3]); err != nil {
-			return nil, err
-		}
-		for i := range n {
-			t.Frames[start+i].Time = math.Float64frombits(binary.LittleEndian.Uint64(b[i*fb:]))
-		}
+	size, ok := mr.impliedSize()
+	if !ok || int64(len(b)) != size {
+		return nil, nil, fmt.Errorf("%w: %d bytes, header implies %d", ErrTruncated, len(b), size)
 	}
-	mr.read = mr.nFrames
-	if _, err := mr.ReadFrame(); err != io.EOF { // verifies the checksum
-		return nil, err
+	if crc32.ChecksumIEEE(b[4:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return nil, nil, ErrChecksum
 	}
-	return t, nil
+	return mr, b[mr.headerLen : len(b)-4], nil
 }
 
-// DecodeMDT deserializes MDT bytes back into a trajectory, verifying
-// the trailing checksum. The payload length the header implies is
-// validated against len(b) up front (with overflow-checked arithmetic),
-// so a hostile header claiming billions of frames or atoms fails before
-// any frame is decoded or any frame storage is allocated. The
-// trajectory's frames share one backing (see Alloc).
+// DecodeMDT deserializes MDT bytes back into a trajectory (see
+// parseMDT for what is checked first). The trajectory's frames share
+// one backing, so it packs in place (see Alloc).
 func DecodeMDT(b []byte) (*Trajectory, error) {
-	mr, err := NewMDTReader(bytes.NewReader(b))
+	mr, payload, err := parseMDT(b)
 	if err != nil {
 		return nil, err
 	}
-	return mr.readSized(int64(len(b)))
+	return allocDecoded(mr.name, mr.nAtoms, mr.nFrames, func(rows, times []float64) error {
+		return decodeMDTFrames(payload, mr.prec, mr.nAtoms, 0, rows, times)
+	})
+}
+
+// allocDecoded builds an n-frame Alloc trajectory whose packed rows and
+// frame times decode fills.
+func allocDecoded(name string, nAtoms, n int, decode func(rows, times []float64) error) (*Trajectory, error) {
+	t := Alloc(name, nAtoms, n)
+	times := make([]float64, n)
+	if err := decode(vec3Floats(t.backing), times); err != nil {
+		return nil, err
+	}
+	for i, tm := range times {
+		t.Frames[i].Time = tm
+	}
+	return t, nil
 }
 
 // sliceWriter is a minimal append-based io.Writer over a byte slice.
@@ -448,26 +323,13 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ReadMDTFile reads a whole trajectory from path. The file size is
-// checked against the header first, as FileRef checks it, and the
-// frames are decoded into one backing (see DecodeMDT).
+// ReadMDTFile reads a whole trajectory from path: FileRef checks the
+// file size against the header, and Load decodes the frames into one
+// backing, verifying the checksum.
 func ReadMDTFile(path string) (*Trajectory, error) {
-	f, err := os.Open(path)
+	r, err := FileRef(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	mr, err := NewMDTReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("traj: %s: %w", path, err)
-	}
-	t, err := mr.readSized(st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("traj: %s: %w", path, err)
-	}
-	return t, nil
+	return r.Load()
 }

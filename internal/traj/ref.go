@@ -2,27 +2,25 @@ package traj
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"sync"
 )
 
 // Ref is a windowed handle to one trajectory: its identity and shape
-// plus a way to stream its frames, without committing to where the
+// plus a way to read its frames, without committing to where the
 // frames live. A Ref is either memory-backed (wrapping a loaded
-// *Trajectory) or stream-backed (an Opener over a file, a chain of
-// staged window blobs, or a remote fetch). The PSA engines consume
-// RefEnsembles so the same drivers run fully in-memory or out-of-core.
+// *Trajectory) or stream-backed: a plain .mdt file (FileRef) or a chain
+// of window-sized MDT blobs (WindowChainRef: staged pilot files, fleet
+// coordinator fetches). The PSA engines consume RefEnsembles so the
+// same drivers run fully in-memory or out-of-core.
 type Ref struct {
 	name    string
 	nAtoms  int
 	nFrames int
 	mem     *Trajectory
-	open    Opener
-	// frames, when non-nil, opens a random-access backing for the ref's
-	// WindowReaders (a plain .mdt file, a window chain); stream refs
-	// without one are windowed through the forward-only Opener.
+	// frames opens the random-access backing of a stream-backed ref; a
+	// sequential reader scans front to back, so a plain .mdt backing
+	// verifies the payload checksum as it completes.
 	frames func(sequential bool) (frameReader, error)
 
 	// Content digest, computed lazily by Digest and cached: the block
@@ -38,101 +36,32 @@ func MemRef(t *Trajectory) *Ref {
 	return &Ref{name: t.Name, nAtoms: t.NAtoms, nFrames: t.NFrames(), mem: t}
 }
 
-// NewStreamRef describes a stream-backed trajectory of known shape.
-// The opener must yield the declared number of frames of the declared
-// atom count; windowed reads validate both.
-func NewStreamRef(name string, nAtoms, nFrames int, open Opener) (*Ref, error) {
-	if nAtoms < 0 || nFrames < 0 {
-		return nil, fmt.Errorf("traj: stream ref %q has negative shape (%d atoms, %d frames)", name, nAtoms, nFrames)
-	}
-	if open == nil {
-		return nil, fmt.Errorf("traj: stream ref %q has no opener", name)
-	}
-	return &Ref{name: name, nAtoms: nAtoms, nFrames: nFrames, open: open}, nil
-}
-
-// FileRef builds a stream-backed Ref over a trajectory file, learning
-// the shape from the header (MDT) or a counting scan (XYZT, gzip). For
-// plain .mdt files the header's claimed frame count is validated
+// FileRef builds a stream-backed Ref over an MDT file, learning the
+// shape from the header alone. The header's claimed shape is validated
 // against the file size, so a hostile header can never make downstream
-// per-frame allocations unbounded.
+// per-frame allocations unbounded. Any other content (gzip, text) fails
+// with ErrBadMagic naming the path.
 func FileRef(path string) (*Ref, error) {
-	kind, gzipped, err := formatOf(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if kind == "mdt" && !gzipped {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		mr, err := NewMDTReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("traj: %s: %w", path, err)
-		}
-		want, ok := mr.impliedSize()
-		if !ok || st.Size() != want {
-			return nil, fmt.Errorf("traj: %s: %w: file is %d bytes, header implies %d", path, ErrTruncated, st.Size(), want)
-		}
-		r := &Ref{name: mr.Name(), nAtoms: mr.NAtoms(), nFrames: mr.NFrames(), open: FileOpener(path)}
-		r.frames = func(sequential bool) (frameReader, error) { return openMDTFileReader(path, r, sequential) }
-		return r, nil
-	}
-	// Compressed or text formats: shape requires a full (streaming,
-	// bounded-memory) scan, which also validates the payload end to end.
-	src, err := OpenSource(path)
+	defer f.Close()
+	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	name := ""
-	if ms, ok := src.(*mdtSource); ok {
-		name = ms.mr.Name()
+	mr, err := NewMDTReader(f)
+	if err != nil {
+		return nil, fmt.Errorf("traj: %s: %w", path, err)
 	}
-	frames := 0
-	nAtoms := -1
-	for {
-		f, err := src.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err // the source names its own path
-		}
-		if nAtoms < 0 {
-			nAtoms = len(f.Coords)
-		} else if len(f.Coords) != nAtoms {
-			return nil, fmt.Errorf("traj: %s: frame %d: %w", path, frames, ErrShapeMismatch)
-		}
-		frames++
+	want, ok := mr.impliedSize()
+	if !ok || st.Size() != want {
+		return nil, fmt.Errorf("traj: %s: %w: file is %d bytes, header implies %d", path, ErrTruncated, st.Size(), want)
 	}
-	if nAtoms < 0 {
-		nAtoms = src.NAtoms()
-	}
-	if xs, ok := src.(*xyztSource); ok {
-		name = xs.d.name
-	}
-	if name == "" {
-		name = refNameFromPath(path)
-	}
-	return &Ref{name: name, nAtoms: nAtoms, nFrames: frames, open: FileOpener(path)}, nil
-}
-
-// refNameFromPath derives a display name from a file path.
-func refNameFromPath(path string) string {
-	base := path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	for _, suf := range []string{".gz", ".mdt", ".xyzt"} {
-		base = strings.TrimSuffix(base, suf)
-	}
-	return base
+	r := &Ref{name: mr.name, nAtoms: mr.nAtoms, nFrames: mr.nFrames}
+	r.frames = func(sequential bool) (frameReader, error) { return openMDTFileReader(path, r, sequential) }
+	return r, nil
 }
 
 // Name returns the trajectory's display name.
@@ -148,147 +77,76 @@ func (r *Ref) NFrames() int { return r.nFrames }
 // Trajectory.Bytes).
 func (r *Ref) Bytes() int64 { return int64(r.nFrames) * int64(r.nAtoms) * 3 * 8 }
 
-// Open returns a fresh FrameSource positioned at the first frame.
-func (r *Ref) Open() (FrameSource, error) {
-	if r.mem != nil {
-		return SourceOf(r.mem), nil
-	}
-	return r.open()
-}
-
 // Load materializes the whole trajectory. Memory-backed refs return
 // their trajectory (shared, with its cached packed representation);
-// stream-backed refs read every frame.
+// stream-backed refs decode every frame into one backing, which packs
+// in place, verifying a plain .mdt payload's checksum. The backing is
+// sized from the ref's declared shape, so Load is for shapes checked
+// against real bytes (FileRef, shapes a client staged itself), never
+// for a shape only a remote peer declared.
 func (r *Ref) Load() (*Trajectory, error) {
 	if r.mem != nil {
 		return r.mem, nil
 	}
-	src, err := r.Open()
+	return r.read(0, r.nFrames)
+}
+
+// read decodes frames [start, start+n) of a stream-backed ref into a
+// new trajectory.
+func (r *Ref) read(start, n int) (*Trajectory, error) {
+	fr, err := r.frames(start == 0 && n == r.nFrames)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	t := New(r.name, r.nAtoms)
-	t.Frames = make([]Frame, 0, min(r.nFrames, xyztAllocCap))
-	for {
-		f, err := src.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AppendFrame(f); err != nil {
-			return nil, fmt.Errorf("traj: %s: frame %d: %w", r.name, t.NFrames(), err)
-		}
-	}
-	if t.NFrames() != r.nFrames {
-		return nil, fmt.Errorf("traj: %s: source yielded %d frames, ref declares %d", r.name, t.NFrames(), r.nFrames)
+	defer fr.close()
+	t, err := allocDecoded(r.name, r.nAtoms, n, func(rows, times []float64) error {
+		return fr.readFrames(start, n, rows, times)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("traj: %s: %w", r.name, err)
 	}
 	return t, nil
 }
 
 // EncodeMDTWindow serializes frames [start, start+count) as an MDT blob
-// with the given precision, streaming from the source so only the
-// window is resident. It is how the pilot and fleet engines ship
+// with the given precision, decoding only the window from a
+// stream-backed ref. It is how the pilot and fleet engines ship
 // windows across process boundaries. A start at or past the end yields
 // an empty (zero-frame) blob.
 func (r *Ref) EncodeMDTWindow(start, count, prec int) ([]byte, error) {
 	if start < 0 || count < 0 {
 		return nil, fmt.Errorf("traj: %s: negative window [%d,+%d)", r.name, start, count)
 	}
-	if start > r.nFrames {
-		start = r.nFrames
-	}
-	if start+count > r.nFrames {
-		count = r.nFrames - start
-	}
+	start = min(start, r.nFrames)
+	count = min(count, r.nFrames-start)
 	if r.mem != nil {
-		w := &Trajectory{Name: r.name, NAtoms: r.nAtoms, Frames: r.mem.Frames[start : start+count]}
-		return EncodeMDT(w, prec)
+		return EncodeMDT(&Trajectory{Name: r.name, NAtoms: r.nAtoms, Frames: r.mem.Frames[start : start+count]}, prec)
 	}
-	src, err := r.Open()
+	w, err := r.read(start, count)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	if err := skipFrames(src, start); err != nil {
-		return nil, fmt.Errorf("traj: %s: %w", r.name, err)
-	}
-	var buf sliceWriter
-	mw, err := NewMDTWriter(&buf, r.name, r.nAtoms, count, prec)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < count; i++ {
-		f, err := src.NextFrame()
-		if err != nil {
-			return nil, fmt.Errorf("traj: %s: window frame %d: %w", r.name, start+i, err)
-		}
-		if err := mw.WriteFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	if err := mw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
-// skipFrames advances a source by n frames: O(1) seek on plain MDT
-// files, the MDT reader's bounded read-skip otherwise, frame-by-frame
-// decode as the last resort. Keeping window serving cheap matters: the
-// fleet coordinator skips to a window once per fetch, so without the
-// seek a full streamed scan would cost O(frames²/window) re-decoding
-// per trajectory on the serving side.
-func skipFrames(src FrameSource, n int) error {
-	if ms, ok := src.(*mdtSource); ok {
-		return ms.skipFrames(n)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := src.NextFrame(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return EncodeMDT(w, prec)
 }
 
 // WindowChainRef describes a trajectory shipped as consecutive MDT
 // blobs of window frames each (the last one shorter): blob win
-// (0-based) is fetched on demand via fetch. Windowed reads decode
-// exactly the blob(s) holding the frames asked for — one fetch per
-// window when the reader's window size is the chain's — and Load
-// replays the whole chain through MultiSource. The pilot engine uses
-// it over staged sandbox files and the fleet worker over coordinator
-// HTTP fetches, keeping the two engines' window-chain semantics in one
+// (0-based) is fetched on demand via fetch, and every blob fetched is
+// checked against the declared shape, its length and its checksum.
+// Windowed reads decode exactly the blob(s) holding the frames asked
+// for — one fetch per window when the reader's window size is the
+// chain's — and Load reads the whole chain. The pilot engine uses it
+// over staged sandbox files and the fleet worker over coordinator HTTP
+// fetches, keeping the two engines' window-chain semantics in one
 // place.
 func WindowChainRef(name string, nAtoms, nFrames, window int, fetch func(win int) ([]byte, error)) (*Ref, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("traj: window chain %q has window size %d", name, window)
 	}
-	nwin := (nFrames + window - 1) / window
-	open := func() (FrameSource, error) {
-		next := 0
-		return MultiSource(nAtoms, func() (FrameSource, error) {
-			if next >= nwin {
-				return nil, nil
-			}
-			blob, err := fetch(next)
-			next++
-			if err != nil {
-				return nil, err
-			}
-			t, err := DecodeMDT(blob)
-			if err != nil {
-				return nil, fmt.Errorf("traj: %s: window %d: %w", name, next-1, err)
-			}
-			return SourceOf(t), nil
-		}), nil
+	if nAtoms < 0 || nFrames < 0 {
+		return nil, fmt.Errorf("traj: window chain %q has negative shape (%d atoms, %d frames)", name, nAtoms, nFrames)
 	}
-	r, err := NewStreamRef(name, nAtoms, nFrames, open)
-	if err != nil {
-		return nil, err
-	}
+	r := &Ref{name: name, nAtoms: nAtoms, nFrames: nFrames}
 	r.frames = func(bool) (frameReader, error) {
 		return &chainFrameReader{ref: r, window: window, fetch: fetch}, nil
 	}

@@ -1,16 +1,14 @@
 // Package traj provides the molecular-dynamics trajectory data model and
-// file formats used throughout the repository. A trajectory is a time
+// file format used throughout the repository. A trajectory is a time
 // series of frames; each frame holds the 3-D positions of N atoms. This
 // replaces the trajectory I/O layer of MDAnalysis in the paper: the
 // analysis algorithms only consume "frames of N×3 coordinates", which is
 // exactly what this package produces.
 //
-// Two on-disk formats are provided:
-//
-//   - MDT (.mdt): a compact binary format with a checksummed payload and
-//     selectable float32/float64 coordinate precision (format.go).
-//   - XYZT (.xyzt): a human-readable text format in the spirit of XYZ
-//     files, one block per frame (xyzt.go).
+// There is one on-disk format, MDT (.mdt, mdt.go): a compact binary
+// format with fixed-size frames, a checksummed payload and selectable
+// float32/float64 coordinate precision. Jobs, the CLIs, trajgen and
+// the pilot and fleet engines read and write nothing else.
 //
 // Beyond the frame-of-Vec3 data model, the package provides a packed
 // analysis representation (packed.go): Trajectory.Packed presents every
@@ -21,41 +19,37 @@
 //
 // A trajectory keeps one resident copy of its coordinates. Alloc lays
 // every frame out as a capped slice of one backing — synth.Walk,
-// synth.PathWalk, DecodeMDT and ReadMDTFile build their trajectories
-// this way — and while each frame is still its slice of that backing,
-// in order, Packed views the backing in place instead of copying it.
-// Any other trajectory (built by AppendFrame or a streaming Load, or
-// one whose frames were reassigned or reordered) is packed into a copy.
+// synth.PathWalk, DecodeMDT, ReadMDTFile and Ref.Load build their
+// trajectories this way — and while each frame is still its slice of
+// that backing, in order, Packed views the backing in place instead of
+// copying it. Any other trajectory (built by AppendFrame, or one whose
+// frames were reassigned or reordered) is packed into a copy.
 // Ref.Digest hashes coordinate memory as it lies, with no scratch
 // encoding on little-endian hosts. Mutating coordinates after the first
 // Packed call is unsupported either way.
 //
-// For inputs larger than memory, the package also provides a streaming
-// layer:
+// For inputs larger than memory, frames are read a window at a time:
 //
-//   - FrameSource (source.go) decodes any supported format one frame
-//     at a time; OpenSource dispatches on extension (.mdt, .mdt.gz,
-//     .xyzt, .xyzt.gz) and MultiSource chains blob sequences.
 //   - Ref (ref.go) is a windowed handle to one trajectory — identity
-//     and shape plus an Opener — wherever its frames live: memory
-//     (MemRef), a file (FileRef, header-only until read), or any
-//     custom stream (NewStreamRef: staged window files, an HTTP
-//     coordinator endpoint).
+//     and shape plus where its frames live: memory (MemRef), a plain
+//     .mdt file (FileRef, header-only until read) or a chain of
+//     window-sized MDT blobs (WindowChainRef: staged pilot files, fleet
+//     coordinator fetches).
+//   - A stream-backed Ref reads frames through one frameReader
+//     (framereader.go): raw MDT payload decoded straight into packed
+//     rows, by an O(1) seek in a .mdt file or by blob index in a chain.
+//     Windows, Digest, Load and EncodeMDTWindow all read through it.
 //   - WindowReader / Window (window.go) serve bounded frame windows by
-//     random access into one reused slot — raw payload bytes decoded
-//     straight into packed rows with the centroid/rg side data computed
-//     on the way in (framereader.go holds the per-backing readers:
-//     O(1) seek on plain .mdt, blob index on window chains, re-open on
-//     a backward jump for forward-only sources) — so out-of-core
-//     consumers (hausdorff.DistanceStreamed) hold at most two windows
-//     per comparison. Ref.Windows is the sequential wrapper.
+//     random access into one reused slot, with the centroid/rg side
+//     data computed on the way in, so out-of-core consumers
+//     (hausdorff.DistanceStreamed) hold at most two windows per
+//     comparison. Ref.Windows is the sequential wrapper.
 //
-// The decoders treat headers as hostile input: claimed atom or frame
-// counts never size an allocation beyond what the payload actually
-// delivers (fuzzed by FuzzReadXYZT / FuzzDecodeMDT /
-// FuzzWindowRoundTrip), parse errors carry the file path and 1-based
-// line number where applicable, and NaN / ±Inf coordinates are refused
-// by every decoder (ErrNonFinite, naming file, frame and atom).
+// The decoders treat headers as hostile input: a claimed shape is
+// checked against the bytes actually present before anything is sized
+// from it (fuzzed by FuzzDecodeMDT / FuzzWindowRoundTrip), a file's
+// errors name its path, and NaN / ±Inf coordinates are refused by every
+// decoder (ErrNonFinite, naming the frame and atom).
 package traj
 
 import (
@@ -100,7 +94,7 @@ type Trajectory struct {
 // match the trajectory's atom count.
 var ErrShapeMismatch = errors.New("traj: frame size does not match trajectory atom count")
 
-// ErrNonFinite is returned by every decoder (MDT, XYZT) for a NaN or
+// ErrNonFinite is returned by every MDT decoder for a NaN or
 // ±Inf coordinate. A non-finite value makes every comparison of the
 // Hausdorff pruning bounds vacuous, so it is refused where it enters
 // the program; the wrapped error names the frame and atom.

@@ -143,8 +143,9 @@ func TestPackCopyPaths(t *testing.T) {
 	}
 }
 
-// DecodeMDT and ReadMDTFile decode the whole payload into one backing —
-// which packs in place — bit-identical to the per-frame ReadAll path.
+// DecodeMDT, ReadMDTFile and Load of a FileRef or a window chain decode
+// into one backing — which packs in place — bit- and time-identical to
+// the per-frame reference decoder.
 func TestMDTWholeDecodeMatchesReadAll(t *testing.T) {
 	for _, prec := range []int{4, 8} {
 		for _, sh := range [][2]int{{0, 3}, {3, 0}, {5, 1}, {7, 9}, {3000, 30}} {
@@ -153,11 +154,7 @@ func TestMDTWholeDecodeMatchesReadAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mr, err := NewMDTReader(bytes.NewReader(blob))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := mr.ReadAll()
+			want, err := readAllFrames(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +170,28 @@ func TestMDTWholeDecodeMatchesReadAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for label, got := range map[string]*Trajectory{"ReadMDTFile": fromFile, "DecodeMDT": fromBytes} {
+			ref, err := FileRef(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromRef, err := ref.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := MemRef(want)
+			chain, err := WindowChainRef(want.Name, want.NAtoms, want.NFrames(), 4, func(win int) ([]byte, error) {
+				return mem.EncodeMDTWindow(win*4, 4, 8)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromChain, err := chain.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for label, got := range map[string]*Trajectory{
+				"ReadMDTFile": fromFile, "DecodeMDT": fromBytes, "FileRef.Load": fromRef, "chain Load": fromChain,
+			} {
 				if got.Name != want.Name || got.NAtoms != want.NAtoms || len(got.Frames) != len(want.Frames) {
 					t.Fatalf("prec %d %v %s: %q %d×%d, want %q %d×%d", prec, sh, label,
 						got.Name, got.NFrames(), got.NAtoms, want.Name, want.NFrames(), want.NAtoms)
@@ -188,6 +206,46 @@ func TestMDTWholeDecodeMatchesReadAll(t *testing.T) {
 				}
 				if _, ok := got.inPlace(); ok != (sh[0] > 0 && sh[1] > 0) {
 					t.Fatalf("prec %d %v %s: packs in place = %v", prec, sh, label, ok)
+				}
+			}
+		}
+	}
+}
+
+// EncodeMDTWindow ships the same bytes whatever backs the ref: a
+// float64 .mdt file and a window chain encode every window — inside one
+// blob, straddling chain blobs, the short tail, clamped past the end —
+// byte-identical to the memory-backed ref.
+func TestEncodeMDTWindowSameAcrossBackings(t *testing.T) {
+	tr := fuzzTraj(5, 11, 31)
+	mem := MemRef(tr)
+	path := filepath.Join(t.TempDir(), "w.mdt")
+	if err := WriteMDTFile(path, tr, 8); err != nil {
+		t.Fatal(err)
+	}
+	file, err := FileRef(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := WindowChainRef(tr.Name, tr.NAtoms, tr.NFrames(), 4, func(win int) ([]byte, error) {
+		return mem.EncodeMDTWindow(win*4, 4, 8)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int{{0, 11}, {0, 4}, {1, 2}, {3, 3}, {2, 7}, {6, 5}, {8, 10}, {10, 1}, {11, 2}, {20, 1}, {0, 0}} {
+		for _, prec := range []int{4, 8} {
+			want, err := mem.EncodeMDTWindow(w[0], w[1], prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for label, r := range map[string]*Ref{"file": file, "chain": chain} {
+				got, err := r.EncodeMDTWindow(w[0], w[1], prec)
+				if err != nil {
+					t.Fatalf("%s %v prec %d: %v", label, w, prec, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %v prec %d: blob differs from the memory-backed ref's", label, w, prec)
 				}
 			}
 		}

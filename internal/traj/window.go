@@ -32,12 +32,14 @@ func (w *Window) CoordBytes() int64 {
 	return int64(w.Packed.NFrames) * int64(w.Packed.NAtoms) * 3 * 8
 }
 
-// frameReader is the random-access backing of a WindowReader: it
-// decodes frames [start, start+n) of one trajectory straight into
-// packed rows (frame-major xyz triples, len(rows) = n·nAtoms·3).
-// Implementations reject non-finite coordinates with ErrNonFinite.
+// frameReader is the random-access backing of a stream-backed Ref
+// (framereader.go): it decodes frames [start, start+n) of one
+// trajectory straight into packed rows (frame-major xyz triples,
+// len(rows) = n·nAtoms·3) and, unless times is nil, their times into
+// times. Implementations reject non-finite coordinates with
+// ErrNonFinite.
 type frameReader interface {
-	readFrames(start, n int, rows []float64) error
+	readFrames(start, n int, rows, times []float64) error
 	close()
 }
 
@@ -49,9 +51,8 @@ type frameReader interface {
 //
 // What a jump costs depends on the backing: a memory-backed ref serves
 // slice views of its cached Packed (no copy), a plain .mdt file seeks
-// in O(1), a window chain fetches the blob(s) holding the window, and
-// forward-only sources (.gz, .xyzt, custom openers) re-open and skip
-// on a backward jump. A WindowReader is not safe for concurrent use.
+// in O(1), and a window chain fetches the blob(s) holding the window.
+// A WindowReader is not safe for concurrent use.
 type WindowReader struct {
 	ref  *Ref
 	size int
@@ -107,7 +108,7 @@ func (wr *WindowReader) Window(k int) (*Window, error) {
 		p.RadGyr = full.RadGyr[start : start+n]
 	} else {
 		if wr.fr == nil {
-			fr, err := r.openFrames(wr.sequential)
+			fr, err := r.frames(wr.sequential)
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +121,7 @@ func (wr *WindowReader) Window(k int) (*Window, error) {
 		}
 		p.Coords = wr.buf[:n*w3]
 		p.Centroids, p.RadGyr = p.Centroids[:n], p.RadGyr[:n]
-		if err := wr.fr.readFrames(start, n, p.Coords); err != nil {
+		if err := wr.fr.readFrames(start, n, p.Coords, nil); err != nil {
 			return nil, fmt.Errorf("traj: %s: %w", r.name, err)
 		}
 		for i := 0; i < n; i++ {
@@ -185,8 +186,8 @@ func (r *Ref) Windows(size int) *WindowIter {
 }
 
 // Next decodes the next window, returning io.EOF after the last one
-// (at which point the source is closed; reading the last window
-// validated the declared frame count).
+// (at which point the source is closed; reading the last window of a
+// plain .mdt file verified its checksum).
 func (it *WindowIter) Next() (*Window, error) {
 	if it.next >= it.wr.NumWindows() {
 		it.wr.Close()

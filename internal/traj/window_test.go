@@ -12,8 +12,8 @@ import (
 )
 
 // windowBackings builds one ref per backing a WindowReader serves —
-// memory (packed and not yet packed), plain .mdt at both precisions,
-// .mdt.gz, .xyzt and a window chain — over the same source trajectory.
+// memory (packed and not yet packed), plain .mdt at both precisions and
+// a window chain — over the same source trajectory.
 func windowBackings(t *testing.T, tr *Trajectory, chainWindow int) map[string]*Ref {
 	t.Helper()
 	dir := t.TempDir()
@@ -31,8 +31,6 @@ func windowBackings(t *testing.T, tr *Trajectory, chainWindow int) map[string]*R
 	}
 	fileRef("f64.mdt", func(p string) error { return WriteMDTFile(p, tr, 8) })
 	fileRef("f32.mdt", func(p string) error { return WriteMDTFile(p, tr, 4) })
-	fileRef("z.mdt.gz", func(p string) error { return writeMDTGZFile(p, tr, 8) })
-	fileRef("text.xyzt", func(p string) error { return writeXYZTFile(p, tr) })
 
 	packed := tr.Clone()
 	packed.Packed()
@@ -202,7 +200,7 @@ func TestWindowsSequentialWrapper(t *testing.T) {
 // else: a file replaced by one with a different header, or truncated
 // after the ref was built, fails the read instead of sizing a buffer
 // from the new header; a flipped payload byte fails a front-to-back
-// scan (Windows, Digest) with ErrChecksum.
+// scan (Windows, Digest, Load) with ErrChecksum.
 func TestWindowReaderHostileFile(t *testing.T) {
 	tr := fuzzTraj(4, 6, 3)
 	dir := t.TempDir()
@@ -265,10 +263,14 @@ func TestWindowReaderHostileFile(t *testing.T) {
 	if _, err := ref.Digest(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("digest of a corrupted payload: err = %v, want ErrChecksum", err)
 	}
+	if _, err := ref.Load(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("Load of a corrupted payload: err = %v, want ErrChecksum", err)
+	}
 }
 
-// A window chain validates every blob it is handed: wrong shape,
-// wrong length and a corrupted payload are all errors.
+// A window chain validates every blob it is handed, through a window
+// read or Load: wrong shape, wrong length and a corrupted payload are
+// all errors.
 func TestWindowChainRejectsBadBlobs(t *testing.T) {
 	tr := fuzzTraj(3, 6, 8)
 	mem := MemRef(tr)
@@ -311,6 +313,9 @@ func TestWindowChainRejectsBadBlobs(t *testing.T) {
 			t.Fatalf("%s: err = %v, want it to mention %q", name, err, tc.want)
 		}
 		rd.Close()
+		if _, err := ref.Load(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Load err = %v, want it to mention %q", name, err, tc.want)
+		}
 	}
 }
 
@@ -355,28 +360,5 @@ func TestDecodersRejectNonFinite(t *testing.T) {
 			_, err = ref.Load()
 			check("Load", err)
 		}
-		gz := filepath.Join(dir, "nonfinite.mdt.gz")
-		if err := writeMDTGZFile(gz, tr, 8); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := FileRef(gz); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "nonfinite.mdt.gz") {
-			t.Fatalf("%v gz: err = %v, want ErrNonFinite naming the file", bad, err)
-		}
-	}
-	xyzt := filepath.Join(dir, "nonfinite.xyzt")
-	if err := os.WriteFile(xyzt, []byte("2\nt=0 n\n0 0 0\n1 1 1\n2\nt=1 n\n0 0 0\n1 NaN 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := readXYZTFile(xyzt)
-	if !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("xyzt: err = %v, want ErrNonFinite", err)
-	}
-	for _, part := range []string{"nonfinite.xyzt", "line 8", "frame 1", "atom 1"} {
-		if !strings.Contains(err.Error(), part) {
-			t.Fatalf("xyzt: error %q does not name %q", err, part)
-		}
-	}
-	if _, err := FileRef(xyzt); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("xyzt FileRef: err = %v, want ErrNonFinite", err)
 	}
 }
