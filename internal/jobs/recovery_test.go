@@ -42,8 +42,9 @@ func TestSchedulerCrashRecovery(t *testing.T) {
 	}
 	<-started // job 1 is running; 2 and 3 are queued — all journaled
 
-	// The "crash": a byte-level copy of the fsynced data directory is
-	// exactly what a SIGKILL here would leave behind.
+	// The "crash": a byte-level copy of the data directory is exactly
+	// what a SIGKILL here would leave behind: the page cache keeps every
+	// written record, synced or not.
 	crashDir := copyDir(t, dir)
 	close(release)
 	s.Close()

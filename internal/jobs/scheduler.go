@@ -390,9 +390,10 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	s.seq++
 	job.id = fmt.Sprintf("job-%06d", s.seq)
 	// Journal the admission before acknowledging it: once Submit
-	// returns, the job survives a SIGKILL. A journal that cannot take
-	// the record fails the submission instead of admitting a job a
-	// restart would never have heard of. The fsync rides inside s.mu —
+	// returns, the job survives a SIGKILL or a power loss. A journal
+	// that cannot take the record fails the submission instead of
+	// admitting a job a restart would never have heard of. This is the
+	// one fsync a job's lifecycle waits on, and it rides inside s.mu —
 	// admission order and journal order stay identical.
 	if s.journal != nil {
 		rec := JobRecord{
@@ -447,9 +448,11 @@ func (s *Scheduler) jobFinished(state State) {
 		"Jobs reaching a terminal state, by state.", "state", string(state)).Inc()
 }
 
-// journalState journals a non-submission lifecycle transition.
-// Failures are counted rather than surfaced: the in-memory state is
-// already committed, and the gap shows up as
+// journalState journals a non-submission lifecycle transition. Only a
+// cancel waits for an fsync (Store.JournalState); running, done and
+// failed records ride the next one, so a power loss before it re-runs
+// the job. Failures are counted rather than surfaced: the in-memory
+// state is already committed, and the gap shows up as
 // mdtask_jobs_journal_errors_total (worst case, recovery re-runs the
 // job — the at-least-once contract absorbs it).
 func (s *Scheduler) journalState(id string, state State, errMsg, digest string, ts time.Time) {

@@ -20,6 +20,13 @@ import (
 // marker. A nil Store in Options leaves the scheduler memory-only
 // (the pre-durability behaviour); WALStore is the crash-recoverable
 // implementation cmd/mdserver wires in under -data-dir.
+//
+// Only the records an HTTP answer waits on are fsynced before their
+// call returns: the submission (the POST answer) and the cancelled
+// state (a queued job's DELETE answer). Every other record is written
+// in order and becomes durable with the next fsync; a power loss
+// before it re-runs the job (a lost running or terminal record) or
+// prunes it again later (a lost prune). A process kill loses nothing.
 type Store interface {
 	// JournalSubmit records an admitted job: its normalized spec, cache
 	// key, and initial state (StateQueued, or StateDone with a digest
@@ -27,10 +34,12 @@ type Store interface {
 	// is not durable — the scheduler un-admits the job and fails the
 	// submission, so no acknowledged job can be lost.
 	JournalSubmit(rec JobRecord) error
-	// JournalState records a lifecycle transition.
+	// JournalState records a lifecycle transition. Only StateCancelled
+	// is durable on return; the others wait for the next fsync.
 	JournalState(id string, state State, errMsg, resultDigest string, ts time.Time) error
 	// JournalPrune records the eviction of terminal job records, so
-	// replay state stays bounded alongside the in-memory table.
+	// replay state stays bounded alongside the in-memory table. The
+	// record waits for the next fsync.
 	JournalPrune(ids []string) error
 	// JournalShutdown records a clean shutdown: every transition before
 	// it is known journaled.
@@ -266,9 +275,10 @@ func (st *WALStore) tableLocked() []JobRecord {
 }
 
 // append journals one record: assign the next LSN, write it to the
-// WAL, apply it to the shadow table, and compact if the log has grown
-// past its bounds.
-func (st *WALStore) append(r walRecord, shadow func()) error {
+// WAL (fsynced per the policy when durable is set, riding the next
+// fsync otherwise), apply it to the shadow table, and compact if the
+// log has grown past its bounds.
+func (st *WALStore) append(r walRecord, durable bool, shadow func()) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := faultinject.Fire("jobs.journal"); err != nil {
@@ -282,7 +292,11 @@ func (st *WALStore) append(r walRecord, shadow func()) error {
 		st.journalErrs++
 		return err
 	}
-	if err := st.log.Append(raw); err != nil {
+	write := st.log.AppendNoSync
+	if durable {
+		write = st.log.Append
+	}
+	if err := write(raw); err != nil {
 		st.journalErrs++
 		st.lsn--
 		return err
@@ -311,9 +325,10 @@ func (st *WALStore) compactLocked() {
 	st.sinceCompact = 0
 }
 
-// JournalSubmit implements Store.
+// JournalSubmit implements Store. The record is fsynced (per the sync
+// policy) before it returns.
 func (st *WALStore) JournalSubmit(rec JobRecord) error {
-	return st.append(walRecord{T: "submit", Job: &rec}, func() {
+	return st.append(walRecord{T: "submit", Job: &rec}, true, func() {
 		j := rec
 		if _, dup := st.jobs[j.ID]; !dup {
 			st.order = append(st.order, j.ID)
@@ -322,9 +337,11 @@ func (st *WALStore) JournalSubmit(rec JobRecord) error {
 	})
 }
 
-// JournalState implements Store.
+// JournalState implements Store. Only a cancel is fsynced before it
+// returns: a queued job's DELETE answers 200 after it.
 func (st *WALStore) JournalState(id string, state State, errMsg, resultDigest string, ts time.Time) error {
-	return st.append(walRecord{T: "state", ID: id, State: state, Err: errMsg, Digest: resultDigest, TS: ts}, func() {
+	r := walRecord{T: "state", ID: id, State: state, Err: errMsg, Digest: resultDigest, TS: ts}
+	return st.append(r, state == StateCancelled, func() {
 		if j, ok := st.jobs[id]; ok {
 			j.State, j.Error, j.Digest, j.Updated = state, errMsg, resultDigest, ts
 		}
@@ -333,7 +350,7 @@ func (st *WALStore) JournalState(id string, state State, errMsg, resultDigest st
 
 // JournalPrune implements Store.
 func (st *WALStore) JournalPrune(ids []string) error {
-	return st.append(walRecord{T: "prune", IDs: ids}, func() {
+	return st.append(walRecord{T: "prune", IDs: ids}, false, func() {
 		for _, id := range ids {
 			if _, ok := st.jobs[id]; ok {
 				delete(st.jobs, id)

@@ -41,7 +41,8 @@ func tableJSON(t *testing.T, jobs []JobRecord) string {
 }
 
 // copyDir snapshots a data directory — the moral equivalent of a
-// SIGKILL at that instant, since the store fsyncs every record.
+// SIGKILL at that instant, which keeps every written record, synced or
+// not (unsynced frames live in the page cache).
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -229,10 +230,10 @@ func TestWALStoreSnapshotEquivalence(t *testing.T) {
 
 // TestWALStoreCrashAtEveryRecordBoundary snapshots the data directory
 // after every single journal write — each copy is the disk image a
-// SIGKILL at that record boundary would leave (the store fsyncs every
-// record) — and re-opens them all: no acknowledged record may be lost,
-// nothing may be skipped, and the table must match the expectation at
-// that instant.
+// SIGKILL at that record boundary would leave (written records survive
+// a process kill whether or not they were fsynced) — and re-opens them
+// all: no acknowledged record may be lost, nothing may be skipped, and
+// the table must match the expectation at that instant.
 func TestWALStoreCrashAtEveryRecordBoundary(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactRecords = 5 })

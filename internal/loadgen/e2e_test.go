@@ -14,13 +14,19 @@ import (
 )
 
 // startTestServer wires the same stack cmd/mdserver serves — scheduler
-// with a shared block store, fleet coordinator, Prometheus registry —
-// behind an httptest listener, plus nWorkers in-process fleet workers.
+// with a shared block store and a job journal, fleet coordinator,
+// Prometheus registry — behind an httptest listener, plus nWorkers
+// in-process fleet workers.
 func startTestServer(t *testing.T, queueDepth, nWorkers int) (*httptest.Server, func()) {
 	t.Helper()
 	store := blockstore.New(0)
 	ob := obs.New("mdserver-test")
 	obs.RegisterRuntimeMetrics(ob.Metrics)
+	journal, _, err := jobs.OpenWALStore(jobs.WALStoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("opening job journal: %v", err)
+	}
+	journal.RegisterMetrics(ob.Metrics)
 	coord := fleet.NewCoordinator(fleet.Options{
 		BlockStore:   store,
 		Tracer:       ob.Tracer,
@@ -32,6 +38,7 @@ func startTestServer(t *testing.T, queueDepth, nWorkers int) (*httptest.Server, 
 		QueueDepth: queueDepth,
 		BlockStore: store,
 		Obs:        ob,
+		Journal:    journal,
 	})
 	fh := coord.Handler()
 	mux := http.NewServeMux()
@@ -59,6 +66,7 @@ func startTestServer(t *testing.T, queueDepth, nWorkers int) (*httptest.Server, 
 		srv.Close()
 		sched.Close()
 		coord.Close()
+		journal.Close()
 	}
 }
 

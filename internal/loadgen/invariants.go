@@ -103,6 +103,19 @@ func (h *Harness) runScenario(sc Scenario) (*ScenarioReport, error) {
 		inv("wal-records-skipped-zero", v == 0, "mdtask_wal_records_skipped_total=%g", v)
 	}
 
+	// Durability cost: the journal fsyncs only the records an answer
+	// waits on — a submission, a cancel — plus one per compaction. The
+	// +1 absorbs a compaction landing between the two counters' scrapes.
+	// A return to an fsync per lifecycle record (three per job) fails
+	// here, deterministically, without timing anything.
+	if d, ok := Delta(before.prom, after.prom, "mdtask_wal_fsyncs_total"); ok {
+		snaps, _ := Delta(before.prom, after.prom, "mdtask_wal_snapshots_total")
+		bound := float64(rep.Accepted+rep.Cancelled) + snaps + 1
+		inv("wal-fsyncs-bounded", d <= bound,
+			"Δfsyncs %g, bound %g (accepted %d + cancelled %d + Δsnapshots %g + 1)",
+			d, bound, rep.Accepted, rep.Cancelled, snaps)
+	}
+
 	// Goroutine hygiene: after the drain the server must return to its
 	// baseline (plus slack for idle HTTP keep-alive conns and timer
 	// goroutines). Sampled with retries — goroutine exit is async.

@@ -8,11 +8,15 @@
 //	snapshot  latest compacted state: "MDTSNAP1" magic + one framed record
 //
 // Durability contract: a record whose Append returned nil under the
-// SyncAlways policy survives a process kill at any instant; an Append
-// that returned an error leaves no frame behind (a frame written but
-// not fsynced is truncated away). Recovery tolerates a torn tail (a
-// crash mid-write truncates back to the last complete record) and
-// skips bit-flipped records — payload or header — by resynchronizing
+// SyncAlways policy survives a process kill or a power loss at any
+// instant. A record whose AppendNoSync returned nil survives a process
+// kill (its frame is in the page cache), and survives a power loss
+// once a later fsync has returned: under SyncAlways, the next Append,
+// Sync, Compact or Close. An Append or AppendNoSync that returned an
+// error leaves no frame behind (a frame written but not fsynced is
+// truncated away). Recovery tolerates a torn tail (a crash mid-write
+// truncates back to the last complete record) and skips bit-flipped
+// records — payload or header — by resynchronizing
 // at the next frame whose CRC validates, so corruption orphans one
 // region, not every later record; skipped regions are counted, with
 // their byte size, so callers can alert instead of silently dropping
@@ -48,11 +52,11 @@ const (
 // SyncPolicy selects when Append fsyncs the log.
 type SyncPolicy string
 
-// Sync policies. SyncAlways fsyncs every append (the durability
-// default: an acknowledged record survives SIGKILL). SyncInterval
+// Sync policies. SyncAlways fsyncs every Append (the durability
+// default: an acknowledged record survives a power loss). SyncInterval
 // fsyncs at most once per Options.SyncInterval, piggybacked on
 // appends — bounded data loss for bursty workloads. SyncNever leaves
-// flushing to the OS.
+// flushing to the OS. No policy makes AppendNoSync fsync.
 const (
 	SyncAlways   SyncPolicy = "always"
 	SyncInterval SyncPolicy = "interval"
@@ -238,7 +242,18 @@ func resync(data []byte, pos int) int {
 // success (e.g. LSN assignment) should still treat a duplicate as
 // possible after a crash, since the rollback itself is not guaranteed
 // to reach the disk before a power loss.
-func (l *Log) Append(payload []byte) error {
+func (l *Log) Append(payload []byte) error { return l.append(payload, true) }
+
+// AppendNoSync writes one record like Append — the same frame, the same
+// wal.append fault point, the same rollback of a partial write — but
+// never fsyncs. It counts in Stats.Appends, not Syncs. The record is
+// visible to a recovery after a process kill as soon as AppendNoSync
+// returns, and survives a power loss once the next synced Append, Sync,
+// Compact or Close has returned. A later synced Append whose fsync
+// fails rolls back only its own frame.
+func (l *Log) AppendNoSync(payload []byte) error { return l.append(payload, false) }
+
+func (l *Log) append(payload []byte, durable bool) error {
 	if len(payload) > maxRecordLen {
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordLen)
 	}
@@ -268,15 +283,17 @@ func (l *Log) Append(payload []byte) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.off += int64(len(frame))
-	if err := l.maybeSyncLocked(); err != nil {
-		// The frame reached the file but its durability is unknown. Roll
-		// it back so the failed Append leaves nothing behind: otherwise a
-		// submission rejected here would resurface at the next recovery,
-		// and a caller reusing its sequence number would silently collide
-		// with the ghost frame.
-		l.off -= int64(len(frame))
-		l.rollback(int64(n))
-		return err
+	if durable {
+		if err := l.maybeSyncLocked(); err != nil {
+			// The frame reached the file but its durability is unknown.
+			// Roll it back so the failed Append leaves nothing behind:
+			// otherwise a submission rejected here would resurface at the
+			// next recovery, and a caller reusing its sequence number would
+			// silently collide with the ghost frame.
+			l.off -= int64(len(frame))
+			l.rollback(int64(n))
+			return err
+		}
 	}
 	l.appends++
 	return nil

@@ -266,40 +266,54 @@ func TestInjectedPartialAppendRecovers(t *testing.T) {
 
 func TestInjectedAppendErrorLeavesLogClean(t *testing.T) {
 	t.Cleanup(faultinject.Deactivate)
-	dir := t.TempDir()
-	l, _ := openT(t, dir)
-	if err := l.Append([]byte("ok-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Activate("wal.append=error"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("rejected")); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Append under error injection = %v", err)
-	}
-	faultinject.Deactivate()
-	if err := l.Append([]byte("ok-2")); err != nil {
-		t.Fatalf("append after recovered injection: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openT(t, dir)
-	if !sameRecords(rec.Records, [][]byte{[]byte("ok-1"), []byte("ok-2")}) || rec.Skipped != 0 {
-		t.Fatalf("log after injected error: %d records, skipped %d", len(rec.Records), rec.Skipped)
+	for _, w := range []struct {
+		name  string
+		write func(*Log, []byte) error
+	}{{"Append", (*Log).Append}, {"AppendNoSync", (*Log).AppendNoSync}} {
+		dir := t.TempDir()
+		l, _ := openT(t, dir)
+		if err := l.Append([]byte("ok-1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := faultinject.Activate("wal.append=error"); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(l, []byte("rejected")); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("%s under error injection = %v", w.name, err)
+		}
+		faultinject.Deactivate()
+		if got := l.Stats().Appends; got != 1 {
+			t.Fatalf("%s: appends = %d after a rejected write, want 1", w.name, got)
+		}
+		if err := l.Append([]byte("ok-2")); err != nil {
+			t.Fatalf("%s: append after recovered injection: %v", w.name, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec := openT(t, dir)
+		if !sameRecords(rec.Records, [][]byte{[]byte("ok-1"), []byte("ok-2")}) || rec.Skipped != 0 {
+			t.Fatalf("%s: log after injected error: %d records, skipped %d", w.name, len(rec.Records), rec.Skipped)
+		}
 	}
 }
 
 // TestSyncFailureRollsBackFrame arms the wal.sync fault point: an
 // Append whose post-write fsync fails must roll its frame back, so the
 // rejected record cannot resurface at the next recovery (and a caller
-// reusing its sequence number cannot collide with a ghost frame).
+// reusing its sequence number cannot collide with a ghost frame). The
+// unsynced frames written before it are not its own and stay.
 func TestSyncFailureRollsBackFrame(t *testing.T) {
 	t.Cleanup(faultinject.Deactivate)
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
 	if err := l.Append([]byte("ok-1")); err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range []string{"nosync-1", "nosync-2"} {
+		if err := l.AppendNoSync([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := faultinject.Activate("wal.sync=error"); err != nil {
 		t.Fatal(err)
@@ -315,9 +329,61 @@ func TestSyncFailureRollsBackFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rec := openT(t, dir)
-	if !sameRecords(rec.Records, [][]byte{[]byte("ok-1"), []byte("ok-2")}) || rec.Skipped != 0 {
-		t.Fatalf("log after failed fsync: %d records, skipped %d — the unsynced frame must not survive",
-			len(rec.Records), rec.Skipped)
+	want := [][]byte{[]byte("ok-1"), []byte("nosync-1"), []byte("nosync-2"), []byte("ok-2")}
+	if !sameRecords(rec.Records, want) || rec.Skipped != 0 {
+		t.Fatalf("log after failed fsync: %d records, skipped %d — want the %d written before and after it, not the failed frame",
+			len(rec.Records), rec.Skipped, len(want))
+	}
+}
+
+// TestAppendNoSync checks AppendNoSync's accounting and when its frames
+// reach the disk: it counts in Appends but issues no fsync, and each of
+// Append, Sync, Compact and Close then issues exactly one fsync that
+// covers the frames written before it, which a reopen recovers (for
+// Compact, through the snapshot that replaced them).
+func TestAppendNoSync(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sync func(*Log) error
+		want []string // records a reopen recovers after tc.sync
+	}{
+		{"Append", func(l *Log) error { return l.Append([]byte("synced")) }, []string{"a", "b", "synced"}},
+		{"Sync", (*Log).Sync, []string{"a", "b"}},
+		{"Compact", func(l *Log) error { return l.Compact([]byte("state")) }, nil},
+		{"Close", (*Log).Close, []string{"a", "b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir)
+			for _, r := range []string{"a", "b"} {
+				if err := l.AppendNoSync([]byte(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := l.Stats(); st.Appends != 2 || st.Syncs != 0 {
+				t.Fatalf("after two AppendNoSync: appends = %d, syncs = %d, want 2 and 0", st.Appends, st.Syncs)
+			}
+			if err := tc.sync(l); err != nil {
+				t.Fatal(err)
+			}
+			if st := l.Stats(); st.Syncs != 1 {
+				t.Fatalf("%s issued %d fsyncs, want 1", tc.name, st.Syncs)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec := openT(t, dir)
+			want := make([][]byte, len(tc.want))
+			for i, r := range tc.want {
+				want[i] = []byte(r)
+			}
+			if !sameRecords(rec.Records, want) || rec.Skipped != 0 {
+				t.Fatalf("reopen after %s recovered %q (skipped %d), want %q", tc.name, rec.Records, rec.Skipped, tc.want)
+			}
+			if tc.name == "Compact" && string(rec.Snapshot) != "state" {
+				t.Fatalf("snapshot = %q, want state", rec.Snapshot)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,10 @@
 #     rejected); every 429 carries Retry-After; every oversized body
 #     answers 413;
 #   - wal_records_skipped == 0 on the journal-backed server;
+#   - wal-fsyncs-bounded: the journal's fsyncs over a scenario are at
+#     most accepted + cancelled + snapshots + 1, so a return to an
+#     fsync per lifecycle record (three per job) fails here without
+#     timing anything;
 #   - go_goroutines returns to baseline after each scenario.
 #
 # The healthy workers are then replaced by one mdworker started with
