@@ -89,8 +89,9 @@ smoke-stream:
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
 # normalization, the WAL recovery scanner, the MDT decoders, the
-# fleet wire decoders, a worker's execution of arbitrary leases and the
-# coordinator's check of Leaflet unit results, then the differential tests of the Hausdorff
+# fleet wire decoders (input blobs, result payloads), a worker's
+# execution of arbitrary leases and the coordinator's check of both
+# unit kinds' results, then the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
 # bit-identical to naive, and the same adversarial inputs through every
 # engine and both schedules — the Leaflet partial-component merge

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"mdtask/internal/fleet"
+	"mdtask/internal/obs"
 	"mdtask/internal/psa"
+	"mdtask/internal/stage"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -38,7 +40,11 @@ func TestWorkerDrainsCoordinator(t *testing.T) {
 	for i := range ens {
 		ens[i] = synth.Walk("t", 6, 5, 8, uint64(i))
 	}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true}, nil)
+	plan, err := stage.PSA(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Submit(plan, nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // Handler exposes the coordinator over HTTP: the worker protocol
-// (register, heartbeat, lease, results, deregister), the job input
+// (register, heartbeat, lease, results, deregister), the input blob
 // endpoint, and the stats view. It is mountable into a larger mux —
 // cmd/mdserver serves it alongside the jobs API.
 func (c *Coordinator) Handler() http.Handler {
@@ -46,9 +45,10 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/workers/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		// Result bodies are bounded too — generously, since they carry
-		// base64 block values — so one misbehaving worker cannot balloon
+		// base64 payloads — so one misbehaving worker cannot balloon
 		// coordinator memory. The intentionally large input transfers run
-		// over GET …/input and are governed by the worker's own limit.
+		// over GET …/input/{name} and are governed by the worker's own
+		// limit.
 		r.Body = http.MaxBytesReader(w, r.Body, c.opts.MaxResultBytes)
 		var res UnitResult
 		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
@@ -74,35 +74,15 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Stats())
 	})
-	mux.HandleFunc("GET /v1/fleet/jobs/{id}/input", func(w http.ResponseWriter, r *http.Request) {
-		// ?traj=I&win=K serves one window of a streamed job as an MDT
-		// blob; without the parameters, the whole input payload of an
-		// in-memory job.
-		if tq := r.URL.Query().Get("traj"); tq != "" {
-			trajIx, err1 := strconv.Atoi(tq)
-			win, err2 := strconv.Atoi(r.URL.Query().Get("win"))
-			if err1 != nil || err2 != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("traj and win must be integers"))
-				return
-			}
-			blob, err := c.windowOf(r.PathValue("id"), trajIx, win)
-			if err != nil {
-				writeError(w, http.StatusNotFound, err)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(blob)
-			return
-		}
-		payload, ok := c.inputOf(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no such fleet job %q", r.PathValue("id")))
+	mux.HandleFunc("GET /v1/fleet/jobs/{id}/input/{name}", func(w http.ResponseWriter, r *http.Request) {
+		blob, err := c.blobOf(r.PathValue("id"), r.PathValue("name"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(payload)
+		_, _ = w.Write(blob)
 	})
 	return mux
 }

@@ -57,7 +57,7 @@ func TestWorkerFacingBodyBounds(t *testing.T) {
 
 	// An oversized result must trip the bound before the lease check:
 	// nothing about a huge body should be buffered or inspected.
-	big := `{"lease":"l-000001","values_b64":"` + strings.Repeat("A", 8192) + `"}`
+	big := `{"lease":"l-000001","payload":"` + strings.Repeat("A", 8192) + `"}`
 	if code := post("/v1/workers/w-000001/results", big); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized result: got %d, want 413", code)
 	}

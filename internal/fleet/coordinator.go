@@ -7,26 +7,23 @@ import (
 	"time"
 
 	"mdtask/internal/engine"
-	"mdtask/internal/graph"
-	"mdtask/internal/hausdorff"
-	"mdtask/internal/leaflet"
-	"mdtask/internal/linalg"
 	"mdtask/internal/obs"
-	"mdtask/internal/psa"
-	"mdtask/internal/traj"
+	"mdtask/internal/stage"
 )
 
 // Coordinator owns the fleet's state: registered workers, active
 // leases, and the jobs being assembled. It is the server half of the
-// worker protocol; Handler exposes it over HTTP, the Submit* methods
-// are the Go API the jobs layer drives it with.
+// worker protocol; Handler exposes it over HTTP, Submit is the Go API
+// the jobs layer drives it with.
 type Coordinator struct {
 	opts Options
-	// epoch tags this coordinator incarnation in every worker id it
-	// issues. Sequence numbers restart with the process, so without it
-	// a worker that outlived a coordinator crash could find its old id
-	// already re-issued to a peer, heartbeat successfully under it and
-	// never re-register — two workers sharing one identity.
+	// epoch tags this coordinator incarnation in every worker, job and
+	// lease id it issues. Sequence numbers restart with the process, so
+	// without it a worker that outlived a coordinator crash could find
+	// its old id already re-issued to a peer, heartbeat successfully
+	// under it and never re-register — two workers sharing one identity
+	// — or post an old-incarnation result whose lease, job and unit
+	// match a live lease's.
 	epoch string
 
 	mu       sync.Mutex
@@ -110,61 +107,29 @@ func (c *Coordinator) Close() {
 	c.sweepWG.Wait()
 }
 
-// Job is one fleet-scheduled analysis being assembled from unit
-// results. Exactly one of the psa/leaflet field sets is populated.
+// Job is one staged plan (internal/stage) being assembled from unit
+// results on the fleet.
 type Job struct {
-	c        *Coordinator
-	id       string
-	analysis string
-	input    []byte
-
-	// PSA
-	n       int
-	blocks  []psa.Block
-	sym     bool
-	method  hausdorff.Method
-	results []psa.BlockResult
-	// Streamed PSA: refs replaces the eagerly encoded input — workers
-	// fetch window-sized MDT blobs on demand — and window is the frame
-	// budget per window.
-	refs   traj.RefEnsemble
-	window int
-
-	// Leaflet
-	nAtoms  int
-	tiles   []leaflet.BlockSpec
-	cutoff  float64
-	tree    bool
-	parts   [][]graph.Component
-	edges   int64
-	shuffle int64
-
+	c       *Coordinator
+	id      string
+	run     *stage.Job
 	metrics *engine.Metrics
 
-	// keys holds the per-unit content addresses in the coordinator's
-	// block store (nil when the store is absent or the input could not
-	// be digested — the job then runs fully uncached).
-	keys []string
-
-	pending   []int // unit queue; requeued units go to the front
-	done      []bool
+	pending   []int  // unit queue; requeued units go to the front
+	open      []bool // units no result has been recorded for
 	remaining int
 	requeues  int64
 
 	// Tracing: span is the fleet.job span (open from admit to finish);
-	// traceParent is the submitter's context it nests under; lastLease
-	// remembers each unit's most recent lease id so a retry's lease
-	// span can carry a requeue_of link to the grant it replaces.
-	span        *obs.Span
-	traceParent obs.SpanContext
-	lastLease   []string
+	// lastLease remembers each unit's most recent lease id so a retry's
+	// lease span can carry a requeue_of link to the grant it replaces.
+	span      *obs.Span
+	lastLease []string
 
 	finished bool
 	err      error
 	doneCh   chan struct{}
-
-	matrix  *psa.Matrix
-	leafRes *leaflet.Result
+	result   any
 }
 
 // ID returns the job's fleet-scoped identifier.
@@ -178,18 +143,12 @@ func (j *Job) Requeues() int64 {
 	return j.requeues
 }
 
-// Matrix returns the assembled PSA matrix of a completed PSA job.
-func (j *Job) Matrix() *psa.Matrix {
+// Result returns the assembled result of a completed job: whatever its
+// plan's Assemble built.
+func (j *Job) Result() any {
 	j.c.mu.Lock()
 	defer j.c.mu.Unlock()
-	return j.matrix
-}
-
-// Leaflet returns the assembled result of a completed Leaflet job.
-func (j *Job) Leaflet() *leaflet.Result {
-	j.c.mu.Lock()
-	defer j.c.mu.Unlock()
-	return j.leafRes
+	return j.result
 }
 
 // Wait blocks until the job finishes (assembled, aborted, or the
@@ -229,180 +188,47 @@ func (j *Job) finishLocked(err error) {
 	close(j.doneCh)
 }
 
-// SubmitPSARefs schedules an all-pairs Hausdorff job over the ensemble
-// with block edge n1 (the schedule of psa.Partition). Only the
-// Symmetric, Method and MaxResidentFrames fields of opts apply —
-// cancellation and metrics run coordinator-side: each unit's metrics
-// snapshot is folded into m as its result arrives (nil m: accounting is
-// discarded). With opts.MaxResidentFrames set the job is
-// streamed: no whole-ensemble payload is encoded — workers fetch
-// window-sized MDT blobs on demand (GET …/input?traj=I&win=K), encoded
-// from the refs at request time, so neither side ever materializes an
-// ensemble.
-func (c *Coordinator) SubmitPSARefs(refs traj.RefEnsemble, n1 int, opts psa.Opts, m *engine.Metrics) (*Job, error) {
-	if err := refs.Validate(); err != nil {
-		return nil, err
-	}
-	blocks, err := psa.Partition(len(refs), n1, opts.Symmetric)
-	if err != nil {
-		return nil, err
-	}
-	j := &Job{
-		c:        c,
-		analysis: AnalysisPSA,
-		n:        len(refs),
-		blocks:   blocks,
-		sym:      opts.Symmetric,
-		method:   opts.Method,
-		results:  make([]psa.BlockResult, len(blocks)),
-		refs:     refs,
-		metrics:  m,
-		// The submitter's span context (the jobs layer's engine.fleet
-		// span) parents the coordinator-side job span.
-		traceParent: opts.TraceParent,
-	}
-	if opts.MaxResidentFrames > 0 {
-		j.window = opts.MaxResidentFrames
-	} else {
-		ens, err := refs.Load()
-		if err != nil {
-			return nil, err
-		}
-		j.input, err = EncodeEnsemble(ens)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Content-address the units so admit can serve already-cached blocks
-	// without leasing them. The keys are the very same ones the
-	// in-process engines use, so blocks cross between engines freely. A
-	// digest failure (unreadable source) just disables caching.
-	if c.opts.BlockStore != nil {
-		keys := make([]string, len(blocks))
-		for i, b := range blocks {
-			k, kerr := psa.BlockKey(refs, b, opts.Symmetric)
-			if kerr != nil {
-				keys = nil
-				break
-			}
-			keys[i] = k
-		}
-		j.keys = keys
-	}
-	return c.admit(j, len(blocks))
-}
-
-// SubmitLeaflet schedules a Leaflet Finder job over the coordinate
-// set: the live tiles of a 2-D grid of at most maxTasks tiles
-// (leaflet.LiveBlocks), each computing partial connected components
-// (tree selects BallTree edge discovery); tiles that cannot hold an
-// edge are never leased. Per-unit accounting folds into m as results
-// arrive.
-// An optional trailing span context parents the job's trace under the
-// submitter's span (variadic so pre-tracing call sites read unchanged;
-// only the first value is used).
-func (c *Coordinator) SubmitLeaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool, m *engine.Metrics, parent ...obs.SpanContext) (*Job, error) {
-	if len(coords) == 0 {
-		return nil, fmt.Errorf("fleet: empty coordinate set")
-	}
-	if cutoff <= 0 {
-		return nil, fmt.Errorf("fleet: cutoff must be positive, got %g", cutoff)
-	}
-	tiles := leaflet.LiveBlocks(coords, cutoff, maxTasks)
-	j := &Job{
-		c:        c,
-		analysis: AnalysisLeaflet,
-		input:    EncodeCoords(coords),
-		nAtoms:   len(coords),
-		tiles:    tiles,
-		cutoff:   cutoff,
-		tree:     tree,
-		parts:    make([][]graph.Component, len(tiles)),
-		metrics:  m,
-	}
-	if len(parent) > 0 {
-		j.traceParent = parent[0]
-	}
-	if c.opts.BlockStore != nil {
-		digest := leaflet.CoordsDigest(coords)
-		keys := make([]string, len(tiles))
-		for i, t := range tiles {
-			keys[i] = leaflet.TileKey(digest, cutoff, tree, t.RLo, t.RHi, t.CLo, t.CHi)
-		}
-		j.keys = keys
-	}
-	return c.admit(j, len(tiles))
-}
-
-// admit registers a prepared job with units work units. The block
-// store is consulted before any lease is granted: units whose content
+// Submit schedules a staged plan's units. The block store is consulted
+// before any lease is granted (stage.Start): units whose content
 // address is already cached are recorded here and never enter the
 // queue, so a job sharing input with an earlier one — whatever engine
-// or worker computed it — fans out only its missing units.
-func (c *Coordinator) admit(j *Job, units int) (*Job, error) {
-	j.done = make([]bool, units)
-	j.remaining = units
-	j.pending = make([]int, 0, units)
-	store := c.opts.BlockStore
-	for i := 0; i < units; i++ {
-		if store != nil && j.keys != nil {
-			if v, ok := store.Get(j.keys[i]); ok && j.prefill(i, v) {
-				j.done[i] = true
-				j.remaining--
-				continue
-			}
-			j.metrics.AddBlockCache(0, 1, 0)
-		}
-		j.pending = append(j.pending, i)
+// or worker computed it — fans out only its missing units. Each unit's
+// accounting folds into m as its result arrives (nil m: discarded);
+// parent, when valid, is the submitter's span the job's trace nests
+// under.
+func (c *Coordinator) Submit(plan stage.Plan, m *engine.Metrics, parent obs.SpanContext) (*Job, error) {
+	run := stage.Start(plan, c.opts.BlockStore, m)
+	units := run.Units()
+	j := &Job{
+		c:         c,
+		run:       run,
+		metrics:   m,
+		pending:   run.Missing(),
+		open:      make([]bool, len(units)),
+		remaining: len(run.Missing()),
+		lastLease: make([]string, len(units)),
+		doneCh:    make(chan struct{}),
 	}
-	j.doneCh = make(chan struct{})
-	j.lastLease = make([]string, units)
+	for _, i := range j.pending {
+		j.open[i] = true
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
 	c.jseq++
-	j.id = fmt.Sprintf("fj-%06d", c.jseq)
-	j.span = c.opts.Tracer.StartChild(j.traceParent, "fleet.job")
+	j.id = fmt.Sprintf("fj-%s-%06d", c.epoch, c.jseq)
+	j.span = c.opts.Tracer.StartChild(parent, "fleet.job")
 	j.span.SetAttr("fleet_job", j.id)
-	j.span.SetAttr("analysis", j.analysis)
-	j.span.SetAttrInt("units", int64(units))
-	j.span.SetAttrInt("units_cached", int64(units-j.remaining))
+	j.span.SetAttrInt("units", int64(len(units)))
+	j.span.SetAttrInt("units_cached", int64(len(units)-j.remaining))
 	c.jobs[j.id] = j
 	c.jobOrder = append(c.jobOrder, j)
 	if j.remaining == 0 {
 		j.assembleLocked()
 	}
 	return j, nil
-}
-
-// prefill records one unit from a cached store value, reporting whether
-// the value had the expected shape (a mismatch leaves the unit to be
-// computed normally). It runs before the job is registered, so no lock
-// is held.
-func (j *Job) prefill(unit int, v any) bool {
-	switch j.analysis {
-	case AnalysisPSA:
-		vals, ok := v.([]float64)
-		if !ok || len(vals) != j.blocks[unit].TaskPairs(j.sym) {
-			return false
-		}
-		j.results[unit] = psa.BlockResult{Block: j.blocks[unit], Values: vals, Symmetric: j.sym}
-		j.metrics.AddBlockCache(1, 0, int64(len(vals))*8)
-	case AnalysisLeaflet:
-		tp, ok := v.(leaflet.TilePartial)
-		if !ok {
-			return false
-		}
-		j.parts[unit] = tp.Comps
-		j.edges += tp.Edges
-		j.shuffle += graph.ComponentBytes(tp.Comps)
-		j.metrics.AddBlockCache(1, 0, tp.SizeBytes())
-	default:
-		return false
-	}
-	return true
 }
 
 // Abort cancels a job: pending units are dropped, Wait returns
@@ -530,7 +356,7 @@ func (c *Coordinator) lease(workerID string) (*Lease, error) {
 		j.pending = j.pending[1:]
 		c.lseq++
 		l := &lease{
-			id:       fmt.Sprintf("l-%06d", c.lseq),
+			id:       fmt.Sprintf("l-%s-%06d", c.epoch, c.lseq),
 			job:      j,
 			unit:     unit,
 			worker:   workerID,
@@ -549,82 +375,35 @@ func (c *Coordinator) lease(workerID string) (*Lease, error) {
 		j.lastLease[unit] = l.id
 		c.leases[l.id] = l
 		w.leases[l.id] = l
+		u := j.run.Units()[unit]
 		out := &Lease{
 			Lease:          l.id,
 			Job:            j.id,
 			Unit:           unit,
-			Analysis:       j.analysis,
+			Kind:           u.Kind,
+			Desc:           u.Desc,
+			Stream:         u.Stream,
 			DeadlineMillis: l.deadline.UnixMilli(),
 		}
 		if ctx := l.span.Context(); ctx.Valid() {
 			out.TraceParent = ctx.TraceParent()
-		}
-		switch j.analysis {
-		case AnalysisPSA:
-			b := j.blocks[unit]
-			out.PSA = &PSAUnit{
-				I0: b.I0, I1: b.I1, J0: b.J0, J1: b.J1,
-				Symmetric: j.sym, Method: j.method.String(),
-				Window: j.window,
-			}
-			if j.window > 0 {
-				for _, ix := range b.TrajIndices() {
-					r := j.refs[ix]
-					out.PSA.Trajs = append(out.PSA.Trajs, PSATrajShape{
-						Index: ix, Name: r.Name(), NAtoms: r.NAtoms(), NFrames: r.NFrames(),
-					})
-				}
-			}
-		case AnalysisLeaflet:
-			t := j.tiles[unit]
-			out.Leaflet = &LeafletUnit{
-				RLo: t.RLo, RHi: t.RHi, CLo: t.CLo, CHi: t.CHi,
-				Cutoff: j.cutoff, Tree: j.tree,
-			}
 		}
 		return out, nil
 	}
 	return nil, nil
 }
 
-// inputOf serves a job's input payload. Streamed jobs have none (ok is
-// false): their workers fetch windows through windowOf.
-func (c *Coordinator) inputOf(jobID string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[jobID]
-	if !ok || j.input == nil {
-		return nil, false
-	}
-	return j.input, true
-}
-
-// windowOf encodes one window of one trajectory of a streamed PSA job
-// as an MDT blob. The encode runs outside the coordinator lock — it
-// may read a file or a remote source — so a slow window fetch never
-// stalls the lease/heartbeat path.
-func (c *Coordinator) windowOf(jobID string, trajIx, win int) ([]byte, error) {
+// blobOf serves one input blob of a job. The plan encodes it outside
+// the coordinator lock — it may read a file or a remote source — so a
+// slow fetch never stalls the lease/heartbeat path.
+func (c *Coordinator) blobOf(jobID, name string) ([]byte, error) {
 	c.mu.Lock()
 	j, ok := c.jobs[jobID]
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("fleet: no such job %q", jobID)
 	}
-	w := j.window
-	if w <= 0 {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("fleet: job %s is not streamed", jobID)
-	}
-	if trajIx < 0 || trajIx >= len(j.refs) {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("fleet: job %s has no trajectory %d", jobID, trajIx)
-	}
-	r := j.refs[trajIx]
-	c.mu.Unlock()
-	if win < 0 || win >= r.NumWindows(w) {
-		return nil, fmt.Errorf("fleet: trajectory %d of job %s has no window %d", trajIx, jobID, win)
-	}
-	return r.EncodeMDTWindow(win*w, w, 8)
+	return j.run.Blob(name)
 }
 
 // complete records one unit result. The lease must still be held: a
@@ -661,12 +440,13 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 		c.touchLocked(w, time.Now())
 	}
 	j := l.job
-	if j.finished || j.done[l.unit] {
+	if j.finished || !j.open[l.unit] {
 		l.endLocked("stale")
 		return ErrStaleLease
 	}
 	recSpan := c.opts.Tracer.StartChild(l.span.Context(), "fleet.record")
-	if err := j.recordLocked(l.unit, res); err != nil {
+	d, err := stage.Check(j.run.Units()[l.unit], res.Payload, res.Metrics)
+	if err != nil {
 		// A malformed payload is a worker bug, not lost work: requeue
 		// the unit so a healthy worker redoes it.
 		recSpan.SetAttr("error", err.Error())
@@ -679,24 +459,13 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 	// parented under this lease's span; importing them completes the
 	// cross-process trace.
 	c.opts.Tracer.Import(res.Spans)
-	j.done[l.unit] = true
+	j.open[l.unit] = false
 	j.remaining--
 	c.unitsCompleted++
-	// Record the validated unit into the block store. Only complete,
-	// shape-checked payloads reach this point — an aborted job bails out
+	// Only checked payloads reach the fold — an aborted job bailed out
 	// above with ErrStaleLease — so no partial result is ever observable
 	// under a content address.
-	if store := c.opts.BlockStore; store != nil && j.keys != nil {
-		switch j.analysis {
-		case AnalysisPSA:
-			vals := j.results[l.unit].Values
-			store.Put(j.keys[l.unit], vals, int64(len(vals))*8)
-		case AnalysisLeaflet:
-			tp := leaflet.TilePartial{Comps: res.Comps, Edges: res.Edges}
-			store.Put(j.keys[l.unit], tp, tp.SizeBytes())
-		}
-	}
-	j.metrics.Add(res.Metrics)
+	j.run.Fold(l.unit, d)
 	recSpan.End()
 	l.endLocked("completed")
 	if j.remaining == 0 {
@@ -705,53 +474,10 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 	return nil
 }
 
-// recordLocked validates and stores one unit's payload, or rejects it
-// and records nothing. Its metrics must pass Snapshot.Valid, and a
-// Leaflet partial must be canonical (graph.CheckComponents): the
-// coordinator caches it under the same tile key in-process runs read,
-// and their reduce relies on that form. Callers hold c.mu.
-func (j *Job) recordLocked(unit int, res UnitResult) error {
-	if err := res.Metrics.Valid(); err != nil {
-		return fmt.Errorf("fleet: unit %d: %w", unit, err)
-	}
-	if res.Edges < 0 {
-		return fmt.Errorf("fleet: unit %d reported a negative edge count", unit)
-	}
-	switch j.analysis {
-	case AnalysisPSA:
-		vals, err := UnpackFloats(res.ValuesB64)
-		if err != nil {
-			return err
-		}
-		b := j.blocks[unit]
-		if want := b.TaskPairs(j.sym); len(vals) != want {
-			return fmt.Errorf("fleet: unit %d returned %d values, want %d", unit, len(vals), want)
-		}
-		j.results[unit] = psa.BlockResult{Block: b, Values: vals, Symmetric: j.sym}
-	case AnalysisLeaflet:
-		if err := graph.CheckComponents(j.nAtoms, res.Comps); err != nil {
-			return fmt.Errorf("fleet: unit %d: %w", unit, err)
-		}
-		j.parts[unit] = res.Comps
-		j.edges += res.Edges
-		j.shuffle += graph.ComponentBytes(res.Comps)
-	}
-	return nil
-}
-
 // assembleLocked builds the job's final result from its recorded
 // units. Callers hold c.mu.
 func (j *Job) assembleLocked() {
-	switch j.analysis {
-	case AnalysisPSA:
-		j.matrix = psa.Assemble(j.n, j.results)
-	case AnalysisLeaflet:
-		j.leafRes = leaflet.FromPartials(j.nAtoms, j.parts, leaflet.Stats{
-			Tasks:        len(j.tiles),
-			Edges:        j.edges,
-			ShuffleBytes: j.shuffle,
-		})
-	}
+	j.result = j.run.Result()
 	j.metrics.RecordStage()
 	j.finishLocked(nil)
 }
@@ -764,7 +490,7 @@ func (c *Coordinator) requeueLocked(l *lease) {
 		delete(w.leases, l.id)
 	}
 	j := l.job
-	if j.finished || j.done[l.unit] {
+	if j.finished || !j.open[l.unit] {
 		l.endLocked("stale")
 		return
 	}

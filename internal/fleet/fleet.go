@@ -1,27 +1,37 @@
 // Package fleet is the distributed execution layer of the repository:
-// a coordinator that decomposes PSA and Leaflet Finder jobs into the
-// same block schedules the in-process engines run, and a pull-based
-// HTTP worker protocol that fans those blocks out across processes and
-// machines — the reproduction of the paper's pilot-agent split
-// (a coordinator decomposes work into tasks; independent agent
-// processes pull, execute, and ship results back).
+// a coordinator that fans the staged units of a job (internal/stage:
+// PSA matrix blocks, Leaflet Finder tiles — the same block schedules
+// the in-process engines run) out across processes and machines over a
+// pull-based HTTP worker protocol — the reproduction of the paper's
+// pilot-agent split (a coordinator decomposes work into tasks;
+// independent agent processes pull, execute, and ship results back).
+// It is the fleet's transport and nothing more: a lease carries a
+// unit's kind and description, a worker runs it with stage.Exec, and
+// the coordinator checks and folds what comes back with stage.Job, so
+// no analysis appears here.
 //
 // # Protocol
 //
 // Workers drive everything; the coordinator never dials out:
 //
-//	POST   /v1/workers                  register   → worker id + intervals
-//	POST   /v1/workers/{id}/heartbeat   liveness
-//	POST   /v1/workers/{id}/lease       pull one work unit (204: none)
-//	POST   /v1/workers/{id}/results     ship a unit result back
-//	DELETE /v1/workers/{id}             graceful deregister (requeues leases)
-//	GET    /v1/fleet                    coordinator stats
-//	GET    /v1/fleet/jobs/{id}/input    job input payload (fetched once per job)
+//	POST   /v1/workers                        register   → worker id + intervals
+//	POST   /v1/workers/{id}/heartbeat         liveness
+//	POST   /v1/workers/{id}/lease             pull one unit: {kind, desc} (204: none)
+//	POST   /v1/workers/{id}/results           ship a unit's payload and metrics back
+//	DELETE /v1/workers/{id}                   graceful deregister (requeues leases)
+//	GET    /v1/fleet                          coordinator stats
+//	GET    /v1/fleet/jobs/{id}/input/{name}   one input blob of a job's units
+//
+// Every input a unit reads is one named blob — a trajectory, a window
+// of one, a chunk of coordinates — encoded by the job's plan when a
+// worker asks. A worker caches the blobs of an in-memory job for the
+// job's life, so each is fetched at most once per worker whatever the
+// executor parallelism; a streamed unit's windows are fetched on demand
+// and never cached, so at most two windows are resident.
 //
 // # Lease semantics
 //
-// A lease grants one worker one work unit (a PSA matrix block or a
-// Leaflet 2-D tile) until a deadline, LeaseTTL after the grant. Every
+// A lease grants one worker one work unit until a deadline, LeaseTTL after the grant. Every
 // contact from the holding worker — a heartbeat, another lease
 // request, a result post — renews its held leases to a fresh TTL, so
 // a unit that computes for longer than LeaseTTL on a live worker is
@@ -64,7 +74,7 @@ var (
 	// ErrAborted is returned by Job.Wait when the job was aborted (the
 	// cooperative-cancellation path of the jobs layer).
 	ErrAborted = errors.New("fleet: job aborted")
-	// ErrClosed is returned by Submit* after Close.
+	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("fleet: coordinator closed")
 	// ErrStaleLease rejects a result posted against a lease that was
 	// revoked (expired, worker declared dead, or job gone).
@@ -99,7 +109,7 @@ type Options struct {
 	// short JSON document (default 1 MiB). Oversized bodies answer 413.
 	MaxControlBytes int64
 	// MaxResultBytes bounds POST …/results bodies. Unit results carry
-	// base64 block values plus shipped spans, so the bound is generous
+	// base64 payloads plus shipped spans, so the bound is generous
 	// (default 64 MiB) — but not absent: without it one misbehaving
 	// worker could balloon coordinator memory with a single request.
 	// The input-transfer path (GET …/input) is not governed here; the

@@ -22,10 +22,7 @@ func TestFailedUnitNackRequeues(t *testing.T) {
 		SweepEvery:   20 * time.Millisecond,
 		PollEvery:    5 * time.Millisecond,
 	})
-	job, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(2, 4, 3, 7)), 1, psa.Opts{Symmetric: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(testEnsemble(2, 4, 3, 7)), 1, psa.Opts{Symmetric: true}, nil)
 	defer c.Drop(job)
 
 	pc := newProtoClient(t, url)
@@ -85,10 +82,7 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 1, opts, nil)
 	defer c.Drop(job)
 
 	w, err := StartWorker(WorkerOptions{Coordinator: url, Name: "flaky"})
@@ -111,7 +105,7 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 	if st := c.Stats(); st.UnitFailures < 1 {
 		t.Errorf("unit failures = %d, want >= 1", st.UnitFailures)
 	}
-	got := job.Matrix()
+	got := matrixOf(job)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("matrix differs from serial at %d after nacked retry", i)

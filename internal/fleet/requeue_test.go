@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"mdtask/internal/linalg"
 	"mdtask/internal/psa"
+	"mdtask/internal/stage"
 	"mdtask/internal/traj"
 )
 
@@ -114,10 +116,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 2, opts, nil)
 	defer c.Drop(job)
 
 	// The hostage-taker leases the first unit and sits on it.
@@ -141,7 +140,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if job.Requeues() < 1 {
 		t.Errorf("requeues = %d, want >= 1", job.Requeues())
 	}
-	got := job.Matrix()
+	got := matrixOf(job)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("matrix differs from serial at %d after requeue", i)
@@ -174,10 +173,7 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 2, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 2, opts, nil)
 	defer c.Drop(job)
 
 	// The doomed worker grabs a unit and then goes silent — the manual
@@ -203,7 +199,7 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	if job.Requeues() < 1 {
 		t.Errorf("requeues = %d, want >= 1", job.Requeues())
 	}
-	got := job.Matrix()
+	got := matrixOf(job)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("matrix differs from serial at %d after worker death", i)
@@ -219,10 +215,7 @@ func TestDeadWorkerRequeues(t *testing.T) {
 // never-registered workers 404.
 func TestAbortStalePostsAndUnknownWorker(t *testing.T) {
 	c, url := startCoordinator(t, LocalOptions())
-	job, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(4, 6, 5, 29)), 2, psa.Opts{Symmetric: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(testEnsemble(4, 6, 5, 29)), 2, psa.Opts{Symmetric: true}, nil)
 	defer c.Drop(job)
 
 	pc := newProtoClient(t, url)
@@ -250,10 +243,7 @@ func TestAbortStalePostsAndUnknownWorker(t *testing.T) {
 
 	// Graceful deregister requeues immediately.
 	pc2 := newProtoClient(t, url)
-	job2, err := c.SubmitPSARefs(traj.RefsOf(testEnsemble(2, 4, 3, 1)), 1, psa.Opts{Symmetric: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job2 := submitPSA(t, c, traj.RefsOf(testEnsemble(2, 4, 3, 1)), 1, psa.Opts{Symmetric: true}, nil)
 	defer c.Drop(job2)
 	if pc2.lease() == nil {
 		t.Fatal("no lease granted")
@@ -280,10 +270,7 @@ func TestMalformedResultRequeues(t *testing.T) {
 	})
 	ens := testEnsemble(2, 4, 3, 5)
 	opts := psa.Opts{Symmetric: true}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 1, opts, nil)
 	defer c.Drop(job)
 	pc := newProtoClient(t, url)
 	l := pc.lease()
@@ -291,7 +278,7 @@ func TestMalformedResultRequeues(t *testing.T) {
 		t.Fatal("no lease granted")
 	}
 	// Wrong value count for the block.
-	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, ValuesB64: PackFloats([]float64{1})}); code != http.StatusBadRequest {
+	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, Payload: linalg.AppendFloats(nil, []float64{1})}); code != http.StatusBadRequest {
 		t.Fatalf("malformed post: got %d, want 400", code)
 	}
 	// The unit comes back to the queue immediately.
@@ -313,10 +300,7 @@ func TestSlowUnitOnLiveWorkerNotRevoked(t *testing.T) {
 	})
 	ens := testEnsemble(2, 4, 3, 31)
 	opts := psa.Opts{Symmetric: true}
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 1, opts, nil)
 	defer c.Drop(job)
 
 	pc := newProtoClient(t, url)
@@ -329,12 +313,13 @@ func TestSlowUnitOnLiveWorkerNotRevoked(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		pc.heartbeat()
 	}
-	b := psa.Block{I0: l.PSA.I0, I1: l.PSA.I1, J0: l.PSA.J0, J1: l.PSA.J1}
-	br, err := psa.ComputeBlockRefs(traj.RefsOf(ens), b, psa.Opts{Symmetric: l.PSA.Symmetric})
+	payload, err := stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
+		Fetch: func(name string) ([]byte, error) { return c.blobOf(l.Job, name) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, ValuesB64: PackFloats(br.Values)}); code != http.StatusOK {
+	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, Payload: payload}); code != http.StatusOK {
 		t.Fatalf("slow-but-alive worker's post rejected with %d", code)
 	}
 	if got := job.Requeues(); got != 0 {

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"io"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mdtask/internal/engine"
@@ -47,14 +50,11 @@ func TestFleetPSAStreamedMatchesSerial(t *testing.T) {
 			}
 			var m engine.Metrics
 			opts := psa.Opts{Symmetric: sym, Method: method, MaxResidentFrames: window}
-			job, err := lf.C.SubmitPSARefs(refs, 2, opts, &m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			job := submitPSA(t, lf.C, refs, 2, opts, &m)
 			if err := job.Wait(nil); err != nil {
 				t.Fatalf("%v sym=%v: %v", method, sym, err)
 			}
-			got := job.Matrix()
+			got := matrixOf(job)
 			lf.C.Drop(job)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
@@ -81,58 +81,74 @@ func TestFleetPSAStreamedMatchesSerial(t *testing.T) {
 
 func trName(i int) string { return string([]byte{'t', byte('0' + i)}) }
 
-// A streamed job serves windows, not a whole-input payload; window
-// requests outside the job's geometry are rejected.
+// A streamed job serves its trajectories window by window, each window
+// a blob its units name; names outside the job's geometry, of another
+// job or of no job are refused, and an in-memory job serves whole
+// trajectories, never windows.
 func TestCoordinatorWindowEndpointBounds(t *testing.T) {
-	c := NewCoordinator(LocalOptions())
-	defer c.Close()
+	c, url := startCoordinator(t, LocalOptions())
 	ens := testEnsemble(2, 4, 5, 5)
-	job, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, psa.Opts{Symmetric: true, MaxResidentFrames: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 1, psa.Opts{Symmetric: true, MaxResidentFrames: 2}, nil)
 	defer c.Drop(job)
-	if _, ok := c.inputOf(job.ID()); ok {
-		t.Fatal("streamed job serves a whole-input payload")
+	// Unit 0 is the diagonal block of trajectory 0: its three windows.
+	u := job.run.Units()[0]
+	if !u.Stream || len(u.Inputs) != 3 {
+		t.Fatalf("streamed unit 0 reads %d blobs (stream=%v), want 3 windows", len(u.Inputs), u.Stream)
 	}
-	blob, err := c.windowOf(job.ID(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	get := func(jobID, name string) ([]byte, int) {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/fleet/jobs/" + jobID + "/input/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob, resp.StatusCode
 	}
-	part, err := traj.DecodeMDT(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.NFrames() != 2 || part.NAtoms != 4 {
-		t.Fatalf("window 0 is %d×%d, want 2 frames × 4 atoms", part.NFrames(), part.NAtoms)
-	}
-	// Final window is the remainder.
-	last, err := c.windowOf(job.ID(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, err := traj.DecodeMDT(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lt.NFrames() != 1 {
-		t.Fatalf("last window has %d frames, want 1", lt.NFrames())
-	}
-	for _, bad := range [][2]int{{0, 3}, {0, -1}, {2, 0}, {-1, 0}} {
-		if _, err := c.windowOf(job.ID(), bad[0], bad[1]); err == nil {
-			t.Fatalf("window request traj=%d win=%d accepted", bad[0], bad[1])
+	for i, want := range []int{2, 2, 1} { // the final window is the remainder
+		blob, code := get(job.ID(), u.Inputs[i])
+		if code != http.StatusOK {
+			t.Fatalf("window %s answered %d", u.Inputs[i], code)
+		}
+		part, err := traj.DecodeMDT(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.NFrames() != want || part.NAtoms != 4 {
+			t.Fatalf("window %d is %d×%d, want %d frames × 4 atoms", i, part.NFrames(), part.NAtoms, want)
 		}
 	}
-	if _, err := c.windowOf("fj-none", 0, 0); err == nil {
-		t.Fatal("window request for unknown job accepted")
+	first, last := u.Inputs[0], u.Inputs[2]
+	for _, bad := range []string{
+		strings.Replace(last, "w00002", "w00003", 1),
+		strings.Replace(first, "w00000", "w-0001", 1),
+		strings.Replace(first, "traj-0000", "traj-0002", 1),
+		strings.Replace(first, "traj-0000", "traj--001", 1),
+		strings.Replace(first, "w00000", "w0", 1),
+		"atoms-0-1.bin",
+	} {
+		if _, code := get(job.ID(), bad); code != http.StatusNotFound {
+			t.Fatalf("input %q answered %d, want 404", bad, code)
+		}
 	}
-	// Non-streamed jobs refuse window requests.
-	job2, err := c.SubmitPSARefs(traj.RefsOf(ens), 1, psa.Opts{Symmetric: true}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, code := get("fj-none", first); code != http.StatusNotFound {
+		t.Fatalf("input of an unknown job answered %d, want 404", code)
 	}
+	// In-memory jobs serve a trajectory as one blob and refuse windows.
+	job2 := submitPSA(t, c, traj.RefsOf(ens), 1, psa.Opts{Symmetric: true}, nil)
 	defer c.Drop(job2)
-	if _, err := c.windowOf(job2.ID(), 0, 0); err == nil {
-		t.Fatal("window request for in-memory job accepted")
+	if in := job2.run.Units()[0].Inputs; job2.run.Units()[0].Stream || len(in) != 1 || in[0] != first {
+		t.Fatalf("in-memory unit 0 reads %v, want the whole trajectory %s", in, first)
+	}
+	if blob, code := get(job2.ID(), first); code != http.StatusOK {
+		t.Fatalf("whole trajectory answered %d", code)
+	} else if whole, err := traj.DecodeMDT(blob); err != nil || whole.NFrames() != 5 {
+		t.Fatalf("whole trajectory decodes to %v frames (err %v), want 5", whole, err)
+	}
+	if _, code := get(job2.ID(), u.Inputs[1]); code != http.StatusNotFound {
+		t.Fatalf("window request for in-memory job answered %d, want 404", code)
 	}
 }

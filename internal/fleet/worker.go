@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,12 +16,8 @@ import (
 
 	"mdtask/internal/engine"
 	"mdtask/internal/faultinject"
-	"mdtask/internal/hausdorff"
-	"mdtask/internal/leaflet"
-	"mdtask/internal/linalg"
 	"mdtask/internal/obs"
-	"mdtask/internal/psa"
-	"mdtask/internal/traj"
+	"mdtask/internal/stage"
 )
 
 // WorkerOptions configures a fleet worker.
@@ -43,14 +41,15 @@ type WorkerOptions struct {
 	// fast enough to retry before the coordinator's failure detector
 	// declares this worker dead.
 	ControlTimeout time.Duration
-	// TransferTimeout bounds bulk input/window downloads (default 2m).
+	// TransferTimeout bounds input blob downloads (default 2m).
 	TransferTimeout time.Duration
-	// MaxTransferBytes bounds the size of one input or window download
-	// (default 1 GiB). The transfer-size contract: a whole-job input is
-	// the largest legitimate payload, a streamed window is far smaller,
-	// and either way a coordinator (or an interloper on its address)
-	// must not be able to balloon worker memory with one unbounded
-	// response body.
+	// MaxTransferBytes bounds the size of one input blob download
+	// (default 1 GiB). The transfer-size contract: a whole trajectory or
+	// coordinate chunk is the largest legitimate blob, a streamed window
+	// is far smaller, and either way a coordinator (or an interloper on
+	// its address) must not be able to balloon worker memory with one
+	// unbounded response body — nor, through a unit's declared shapes,
+	// with the memory a body sizes from them.
 	MaxTransferBytes int64
 	// Logf, when non-nil, receives worker lifecycle log lines.
 	Logf func(format string, args ...interface{})
@@ -71,7 +70,7 @@ type Worker struct {
 	o    WorkerOptions
 	base string
 	ctl  *http.Client // control plane: register, heartbeat, lease, result post
-	xfer *http.Client // bulk transfers: input and window downloads
+	xfer *http.Client // bulk transfers: input blob downloads
 
 	mu   sync.Mutex
 	id   string
@@ -137,7 +136,6 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 		}
 		w.leaseRetry, w.hbRetry, w.postRetry = retries("lease"), retries("heartbeat"), retries("post")
 	}
-	w.inputs.init(4)
 	deadline := time.Now().Add(o.RegisterWait)
 	for {
 		err := w.register()
@@ -364,11 +362,12 @@ func (w *Worker) lease() (*Lease, error) {
 	}
 }
 
-// execute runs one leased unit with the shared in-process kernels.
-// The unit runs inside a worker.kernel span parented under the lease's
-// coordinator-side span (via the lease's traceparent); the finished
-// worker-side spans are taken from the local tracer and shipped back
-// inside the result, so the coordinator can complete the job's trace.
+// execute runs one leased unit's body (stage.Exec) over blobs fetched
+// from the coordinator. The unit runs inside a worker.kernel span
+// parented under the lease's coordinator-side span (via the lease's
+// traceparent); the finished worker-side spans are taken from the local
+// tracer and shipped back inside the result, so the coordinator can
+// complete the job's trace.
 func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	res = UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit}
 	// Chaos hook: `MDTASK_FAULTS='fleet.unit.execute=…'` makes this
@@ -384,7 +383,7 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	span.SetAttr("job", l.Job)
 	span.SetAttr("lease", l.Lease)
 	span.SetAttrInt("unit", int64(l.Unit))
-	span.SetAttr("analysis", l.Analysis)
+	span.SetAttr("kind", l.Kind)
 	defer func() {
 		if err != nil {
 			span.SetAttr("error", err.Error())
@@ -397,62 +396,26 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 		res.Spans = w.tracer.Take(span.Context().Trace)
 	}()
 	start := time.Now()
+	tp := ""
+	if ctx := span.Context(); ctx.Valid() {
+		tp = ctx.TraceParent()
+	}
+	fetch := func(name string) ([]byte, error) { return w.fetchBlob(l.Job, name, tp) }
+	if !l.Stream {
+		fetch = func(name string) ([]byte, error) { return w.inputs.blob(w, l.Job, name, tp) }
+	}
 	// The unit's own sink: the kernel accounts into it, the unit's wall
 	// time joins it, and it ships with the result.
 	var m engine.Metrics
-	switch l.Analysis {
-	case AnalysisPSA:
-		if l.PSA == nil {
-			return res, fmt.Errorf("fleet: PSA lease without unit geometry")
-		}
-		method, err := hausdorff.ParseMethod(l.PSA.Method)
-		if err != nil {
-			return res, err
-		}
-		block := psa.Block{I0: l.PSA.I0, I1: l.PSA.I1, J0: l.PSA.J0, J1: l.PSA.J1}
-		var refs traj.RefEnsemble
-		if l.PSA.Window > 0 {
-			// Streamed unit: never download the ensemble — rebuild each
-			// trajectory as a window-by-window fetch from the coordinator
-			// and run the out-of-core kernel (two windows resident).
-			refs, block, err = w.streamRefs(l, block, span.Context())
-		} else {
-			var in traj.Ensemble
-			in, err = w.inputs.ensemble(w, l.Job)
-			refs = traj.RefsOf(in)
-		}
-		if err != nil {
-			return res, err
-		}
-		br, err := psa.ComputeBlockRefs(refs, block, psa.Opts{
-			Symmetric: l.PSA.Symmetric, Method: method, Metrics: &m, MaxResidentFrames: l.PSA.Window,
-			Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist,
-		})
-		if err != nil {
-			return res, err
-		}
-		res.ValuesB64 = PackFloats(br.Values)
-	case AnalysisLeaflet:
-		if l.Leaflet == nil {
-			return res, fmt.Errorf("fleet: Leaflet lease without unit geometry")
-		}
-		coords, err := w.inputs.coords(w, l.Job)
-		if err != nil {
-			return res, err
-		}
-		spec := leaflet.BlockSpec{RLo: l.Leaflet.RLo, RHi: l.Leaflet.RHi, CLo: l.Leaflet.CLo, CHi: l.Leaflet.CHi}
-		if err := spec.Valid(len(coords)); err != nil {
-			return res, err
-		}
-		kernelStart := time.Now()
-		comps, edges := leaflet.BlockPartial(coords, spec, l.Leaflet.Cutoff, l.Leaflet.Tree)
-		w.kernelHist.Observe(time.Since(kernelStart).Seconds())
-		res.Comps = comps
-		res.Edges = edges
-	default:
-		return res, fmt.Errorf("fleet: unknown analysis %q", l.Analysis)
+	payload, err := stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
+		Fetch: fetch, Metrics: &m, MaxBlobBytes: w.o.MaxTransferBytes,
+		Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist,
+	})
+	if err != nil {
+		return res, err
 	}
 	m.RecordTask(time.Since(start))
+	res.Payload = payload
 	res.Metrics = m.Snapshot()
 	return res, nil
 }
@@ -504,19 +467,6 @@ func (w *Worker) post(traceparent string, res UnitResult) bool {
 	}
 }
 
-// fetchInput downloads a job's input payload.
-func (w *Worker) fetchInput(jobID string) ([]byte, error) {
-	resp, err := w.xfer.Get(w.base + "/v1/fleet/jobs/" + jobID + "/input")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: input of job %s: coordinator returned %s", jobID, resp.Status)
-	}
-	return w.readTransfer(resp.Body)
-}
-
 // readTransfer drains one download under the transfer-size contract:
 // at most MaxTransferBytes land in memory, and a longer body is an
 // error, not a truncation — a silently clipped payload would fail
@@ -533,12 +483,11 @@ func (w *Worker) readTransfer(r io.Reader) ([]byte, error) {
 	return data, nil
 }
 
-// fetchWindow downloads one window of one trajectory of a streamed
-// job, forwarding the unit's traceparent (if any) so the fetch shows
-// up in the job's trace on the coordinator side.
-func (w *Worker) fetchWindow(jobID string, trajIx, win int, traceparent string) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet,
-		fmt.Sprintf("%s/v1/fleet/jobs/%s/input?traj=%d&win=%d", w.base, jobID, trajIx, win), nil)
+// fetchBlob downloads one input blob of a job, forwarding the unit's
+// traceparent (if any) so the fetch shows up in the job's trace on the
+// coordinator side.
+func (w *Worker) fetchBlob(jobID, name, traceparent string) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodGet, w.base+"/v1/fleet/jobs/"+jobID+"/input/"+url.PathEscape(name), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -551,166 +500,60 @@ func (w *Worker) fetchWindow(jobID string, trajIx, win int, traceparent string) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: window %d/%d of job %s: coordinator returned %s", trajIx, win, jobID, resp.Status)
+		return nil, fmt.Errorf("fleet: input %s of job %s: coordinator returned %s", name, jobID, resp.Status)
 	}
 	return w.readTransfer(resp.Body)
 }
 
-// streamRefs rebuilds the trajectory handles of a streamed PSA lease
-// as a compact ensemble — block b's rows, then its columns unless b is
-// diagonal — and returns b re-addressed into it, so the handles cost
-// what the block reads whatever its trajectory indices (its psa.block
-// span reports the re-addressed ranges). Each handle opens as a chain of
-// window fetches, so no more than one window's blob is decoded at a time
-// and nothing is cached. Window fetches carry the kernel span's
-// traceparent.
-func (w *Worker) streamRefs(l *Lease, b psa.Block, kernel obs.SpanContext) (traj.RefEnsemble, psa.Block, error) {
-	shapes := make(map[int]PSATrajShape, len(l.PSA.Trajs))
-	for _, s := range l.PSA.Trajs {
-		shapes[s.Index] = s
-	}
-	rows, cols := b.I1-b.I0, b.J1-b.J0
-	if min(b.I0, b.J0, rows, cols) < 0 || max(rows, cols) > len(shapes) {
-		return nil, b, fmt.Errorf("fleet: streamed lease %s: block %+v does not fit its %d trajectory shapes", l.Lease, b, len(shapes))
-	}
-	local := psa.Block{I1: rows, J0: rows, J1: rows + cols}
-	if b.Diagonal() {
-		local.J0, local.J1 = 0, rows
-	}
-	tp := ""
-	if kernel.Valid() {
-		tp = kernel.TraceParent()
-	}
-	refs := make(traj.RefEnsemble, max(local.I1, local.J1))
-	for p := range refs {
-		ix := b.I0 + p
-		if p >= rows {
-			ix = b.J0 + p - rows
-		}
-		s, ok := shapes[ix]
-		if !ok {
-			return nil, b, fmt.Errorf("fleet: streamed lease %s lacks the shape of trajectory %d", l.Lease, ix)
-		}
-		// The transfer-size contract covers a streamed trajectory too:
-		// one window must fit one transfer, and so must the kernel's
-		// per-frame state (8 bytes a frame).
-		frames := int64(min(l.PSA.Window, max(s.NFrames, 1)))
-		if limit := w.o.MaxTransferBytes; int64(s.NFrames) > limit/8 || int64(s.NAtoms) > limit/24/frames {
-			return nil, b, fmt.Errorf("fleet: streamed lease %s: trajectory %d of %d atoms × %d frames exceeds the %d-byte transfer limit",
-				l.Lease, ix, s.NAtoms, s.NFrames, limit)
-		}
-		r, err := traj.WindowChainRef(s.Name, s.NAtoms, s.NFrames, l.PSA.Window,
-			func(win int) ([]byte, error) { return w.fetchWindow(l.Job, s.Index, win, tp) })
-		if err != nil {
-			return nil, b, err
-		}
-		refs[p] = r
-	}
-	return refs, local, nil
-}
-
-// inputCache holds decoded job inputs, fetched once per job per worker
-// whatever the executor parallelism, evicting the least recently used
-// beyond a small bound (workers typically serve one or two jobs at a
-// time; inputs dominate worker memory).
+// inputCache holds the input blobs of in-memory jobs, each fetched once
+// per job per worker whatever the executor parallelism, evicting the
+// least recently used job beyond cachedJobs (workers typically serve
+// one or two jobs at a time; inputs dominate worker memory).
 type inputCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*inputEntry
-	order   []string // LRU, most recent last
+	mu    sync.Mutex
+	jobs  map[string]map[string]*blobEntry
+	order []string // LRU, most recent last
 }
 
-type inputEntry struct {
-	once   sync.Once
-	ens    traj.Ensemble
-	coords []linalg.Vec3
-	err    error
+const cachedJobs = 4
+
+type blobEntry struct {
+	mu   sync.Mutex
+	data []byte // nil until a fetch succeeds
 }
 
-func (ic *inputCache) init(limit int) {
-	ic.cap = limit
-	ic.entries = make(map[string]*inputEntry)
-}
-
-// entry returns the cache slot for a job, fetching and decoding its
-// payload on first use (concurrent executors block on the same fetch).
-func (ic *inputCache) entry(w *Worker, jobID string) *inputEntry {
+// blob returns one input blob of a job, fetching it on first use.
+// Concurrent executors wait on the same fetch, and a failed fetch is
+// retried by the next caller instead of replayed.
+func (ic *inputCache) blob(w *Worker, jobID, name, traceparent string) ([]byte, error) {
 	ic.mu.Lock()
-	e, ok := ic.entries[jobID]
-	if ok {
-		for i, id := range ic.order {
-			if id == jobID {
-				ic.order = append(ic.order[:i], ic.order[i+1:]...)
-				break
-			}
-		}
-	} else {
-		e = &inputEntry{}
-		ic.entries[jobID] = e
-		if len(ic.order) >= ic.cap {
-			evict := ic.order[0]
+	blobs, ok := ic.jobs[jobID]
+	if !ok {
+		if len(ic.order) == cachedJobs {
+			delete(ic.jobs, ic.order[0])
 			ic.order = ic.order[1:]
-			delete(ic.entries, evict)
 		}
+		if ic.jobs == nil {
+			ic.jobs = make(map[string]map[string]*blobEntry)
+		}
+		blobs = make(map[string]*blobEntry)
+		ic.jobs[jobID] = blobs
 	}
-	ic.order = append(ic.order, jobID)
+	ic.order = append(slices.DeleteFunc(ic.order, func(id string) bool { return id == jobID }), jobID)
+	e := blobs[name]
+	if e == nil {
+		e = &blobEntry{}
+		blobs[name] = e
+	}
 	ic.mu.Unlock()
-	e.once.Do(func() {
-		raw, err := w.fetchInput(jobID)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.data == nil {
+		data, err := w.fetchBlob(jobID, name, traceparent)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		switch {
-		case len(raw) > 0 && raw[0] == inputTagPSA:
-			e.ens, e.err = DecodeEnsemble(raw)
-		case len(raw) > 0 && raw[0] == inputTagLeaflet:
-			e.coords, e.err = DecodeCoords(raw)
-		default:
-			e.err = fmt.Errorf("fleet: unrecognized input payload for job %s", jobID)
-		}
-	})
-	return e
-}
-
-// ensemble returns a job's decoded PSA input.
-func (ic *inputCache) ensemble(w *Worker, jobID string) (traj.Ensemble, error) {
-	e := ic.entry(w, jobID)
-	if e.err != nil {
-		ic.forget(jobID, e)
-		return nil, e.err
+		e.data = data
 	}
-	if e.ens == nil {
-		return nil, fmt.Errorf("fleet: job %s input is not a PSA ensemble", jobID)
-	}
-	return e.ens, nil
-}
-
-// coords returns a job's decoded Leaflet input.
-func (ic *inputCache) coords(w *Worker, jobID string) ([]linalg.Vec3, error) {
-	e := ic.entry(w, jobID)
-	if e.err != nil {
-		ic.forget(jobID, e)
-		return nil, e.err
-	}
-	if e.coords == nil {
-		return nil, fmt.Errorf("fleet: job %s input is not a coordinate set", jobID)
-	}
-	return e.coords, nil
-}
-
-// forget drops a failed fetch so the next attempt retries instead of
-// replaying a cached transient error.
-func (ic *inputCache) forget(jobID string, failed *inputEntry) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if ic.entries[jobID] == failed {
-		delete(ic.entries, jobID)
-		for i, id := range ic.order {
-			if id == jobID {
-				ic.order = append(ic.order[:i], ic.order[i+1:]...)
-				break
-			}
-		}
-	}
+	return e.data, nil
 }

@@ -11,17 +11,18 @@ import (
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/mpi"
-	"mdtask/internal/obs"
 	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
+	"mdtask/internal/stage"
 )
 
 // engineRow says how one named engine runs the analyses. An engine is
 // either closure-running — executor brings up its engine.Executor and
 // the analyses run on it through psa.Run / leaflet.Run — or staged: its
 // unit of exchange is bytes (sandbox files for the pilot, HTTP leases
-// for the fleet), so it supplies its own psa and leaflet bodies.
+// for the fleet), so it ships each analysis's staged units
+// (internal/stage) over its transport instead.
 type engineRow struct {
 	// executor brings the engine up for one run, sized by the spec's
 	// parallelism; it stops handing out tasks once cancel reports true.
@@ -31,12 +32,15 @@ type engineRow struct {
 	// (Approach 1) every rank takes exactly one row chunk, so the task
 	// bound is the rank count, not the spec's (§4.3.1).
 	chunkPerRank bool
-	// psa and leaflet, when set, run the analysis in place of psa.Run /
-	// leaflet.Run on the executor. shared is the server's embedded
-	// fleet coordinator (nil in the one-shot CLIs); parent is the
-	// engine stage span.
-	psa     func(shared *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, opts psa.Opts) (*psa.Matrix, error)
-	leaflet func(shared *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, approach leaflet.Approach, parent obs.SpanContext) (*leaflet.Result, error)
+	// staged, when set, runs a staged engine: it ships plan's units over
+	// the engine's transport and returns what the plan assembled.
+	// shared is the server's embedded fleet coordinator (nil in the
+	// one-shot CLIs); env carries the run's cancellation and the engine
+	// stage span the units' spans nest under.
+	staged func(shared *fleet.Coordinator, rc *RunContext, spec Spec, plan stage.Plan, env stage.Env) (any, error)
+	// leaflet, when set, runs the Leaflet Finder in place of leaflet.Run
+	// on the executor.
+	leaflet func(rc *RunContext, spec Spec, in *Input) (*leaflet.Result, error)
 	// leafletPlan, when set, replaces leaflet.PlanTasks for engines
 	// whose leaflet body schedules a fixed dataflow whatever the
 	// approach, or records more tasks than leaflet.Run hands it.
@@ -69,12 +73,12 @@ var engineTable = map[string]engineRow{
 		},
 		chunkPerRank: true,
 	},
-	EnginePilot: {psa: psaPilot, leaflet: leafletPilot, leafletPlan: plan2D},
-	EngineFleet: {psa: psaFleet, leaflet: leafletFleet, leafletPlan: plan2D},
+	EnginePilot: {staged: runPilot, leafletPlan: plan2D},
+	EngineFleet: {staged: runFleet, leafletPlan: plan2D},
 }
 
-// plan2D plans the engines that run every approach over the live tiles
-// of the 2-D grid.
+// plan2D plans the staged engines, which run every approach as one
+// unit per live tile of the 2-D grid.
 func plan2D(spec Spec, coords []linalg.Vec3) int {
 	return leaflet.PlanTasks(leaflet.TaskAPI2D, coords, spec.Cutoff, spec.Tasks)
 }
@@ -221,7 +225,8 @@ func finish(rc *RunContext, res *Result, err error) (*Result, error) {
 
 // psaRunner builds the PSA runner of one engine: on a closure-running
 // engine bring the executor up and hand it to psa.Run; on a staged one
-// hand the same options to the row's own body.
+// cut the job into staged units (stage.PSA) and ship them over the
+// engine's transport.
 func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runner {
 	return func(rc *RunContext, spec Spec, in *Input) (*Result, error) {
 		if rc.Cancelled() {
@@ -248,9 +253,14 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 			opts.KernelHist = o.Metrics.Histogram("mdtask_block_kernel_seconds",
 				"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
 		}
-		if row.psa != nil {
-			opts.Metrics = rc.Metrics()
-			mat, err := row.psa(shared, rc, spec, in, opts)
+		if row.staged != nil {
+			plan, err := stage.PSA(in.Refs, spec.groupSize(len(in.Refs)), opts)
+			if err != nil {
+				return nil, err
+			}
+			res, err := row.staged(shared, rc, spec, plan, stage.Env{
+				Cancel: rc.Cancelled, Tracer: opts.Tracer, TraceParent: opts.TraceParent, KernelHist: opts.KernelHist})
+			mat, _ := res.(*psa.Matrix)
 			return finish(rc, &Result{Matrix: mat}, err)
 		}
 		if (opts.Method == hausdorff.Pruned || opts.Method == hausdorff.Indexed) && opts.MaxResidentFrames == 0 {
@@ -275,17 +285,6 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 	}
 }
 
-// psaPilot is the pilot engine's PSA body: units exchange staged MDT
-// files, so it runs psa.RunPilotRefs rather than psa.Run.
-func psaPilot(_ *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, opts psa.Opts) (*psa.Matrix, error) {
-	p, cleanup, err := startPilot(spec.ranks(), rc.Metrics())
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	return psa.RunPilotRefs(p, in.Refs, spec.groupSize(len(in.Refs)), opts)
-}
-
 // leafletRunner builds the Leaflet Finder runner of one engine, like
 // psaRunner.
 func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runner {
@@ -299,24 +298,35 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		}
 		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+engineName)
 		defer engSpan.End()
+		// The tile bodies consult the run's block store, keyed under the
+		// input's content digest.
+		digest := ""
+		if rc.BlockStore() != nil {
+			digest, _ = in.ContentDigest()
+		}
 		var res *leaflet.Result
-		if row.leaflet != nil {
-			res, err = row.leaflet(shared, rc, spec, in, approach, engSpan.Context())
-		} else {
-			// The tile bodies of the tile-parallel approaches consult the
-			// run's block store, keyed under the input's content digest.
+		switch {
+		case row.leaflet != nil:
+			res, err = row.leaflet(rc, spec, in)
+		case row.staged != nil:
+			var plan stage.Plan
+			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch, digest); err == nil {
+				var out any
+				out, err = row.staged(shared, rc, spec, plan, stage.Env{
+					Cancel: rc.Cancelled, Tracer: rc.Tracer(), TraceParent: engSpan.Context()})
+				res, _ = out.(*leaflet.Result)
+			}
+		default:
 			opts := []leaflet.Option{leaflet.WithTrace(rc.Tracer(), engSpan.Context())}
-			if store := rc.BlockStore(); store != nil {
-				if digest, derr := in.ContentDigest(); derr == nil {
-					opts = append(opts, leaflet.WithBlockCache(store, digest))
-				}
+			if digest != "" {
+				opts = append(opts, leaflet.WithBlockCache(rc.BlockStore(), digest))
 			}
 			ex := row.executor(spec.Parallelism, rc.Cancelled)
 			rc.SetMetrics(ex.Metrics())
 			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), opts...)
 		}
 		// What the plan saved: the grid's tiles against the live ones run.
-		if res != nil && rc.Tracer().Enabled() && tiled2D(engineName, approach) {
+		if res != nil && rc.Tracer().Enabled() && row.tiled2D(approach) {
 			engSpan.SetAttrInt("tiles_grid", int64(len(leaflet.Plan2D(len(in.Coords), spec.Tasks))))
 			engSpan.SetAttrInt("tiles_live", int64(res.Stats.Tasks))
 		}
@@ -324,17 +334,18 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 	}
 }
 
-// tiled2D reports whether an engine runs an approach over the 2-D grid:
-// the serial reference runs untiled, and Approach 1 cuts 1-D row chunks
-// everywhere but on the fleet, which runs every approach over the grid.
-func tiled2D(engineName string, approach leaflet.Approach) bool {
-	return engineName != EngineSerial && (approach != leaflet.Broadcast1D || engineName == EngineFleet)
+// tiled2D reports whether the engine runs an approach over the 2-D
+// grid: the serial reference runs untiled, the staged engines run every
+// approach as one unit per tile, and the executors cut Approach 1 into
+// 1-D row chunks.
+func (row engineRow) tiled2D(approach leaflet.Approach) bool {
+	return row.staged != nil || (row.leaflet == nil && approach != leaflet.Broadcast1D)
 }
 
 // leafletSerial runs the untiled reference, leaflet.Serial, as one task
 // of the serial executor — the trusted answer the others are compared
 // to. It has no per-tile unit and relies on whole-job cache entries.
-func leafletSerial(_ *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, _ leaflet.Approach, _ obs.SpanContext) (*leaflet.Result, error) {
+func leafletSerial(rc *RunContext, spec Spec, in *Input) (*leaflet.Result, error) {
 	ex := engine.NewSerial(rc.Cancelled)
 	rc.SetMetrics(ex.Metrics())
 	res, err := engine.Map(ex, 1, nil, func(int) (*leaflet.Result, error) {
@@ -346,37 +357,53 @@ func leafletSerial(_ *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, _
 	return res[0], nil
 }
 
-// leafletPilot is the pilot engine's Leaflet body: one unit per 2-D
-// block exchanging coordinate and edge files (the Figure 9
-// configuration), the only dataflow the pilot stages.
-func leafletPilot(_ *fleet.Coordinator, rc *RunContext, spec Spec, in *Input, approach leaflet.Approach, _ obs.SpanContext) (*leaflet.Result, error) {
-	if approach != leaflet.TaskAPI2D {
-		return nil, fmt.Errorf("jobs: the pilot engine supports only the task2d approach, got %q", spec.Approach)
+// runPilot is the pilot engine: each staged unit the block store cannot
+// serve runs as one Compute-Unit exchanging files in a temporary
+// staging directory.
+func runPilot(_ *fleet.Coordinator, rc *RunContext, spec Spec, plan stage.Plan, env stage.Env) (any, error) {
+	dir, err := os.MkdirTemp("", "mdtask-jobs-pilot-*")
+	if err != nil {
+		return nil, fmt.Errorf("jobs: creating pilot staging dir: %w", err)
 	}
-	p, cleanup, err := startPilot(spec.ranks(), rc.Metrics())
+	defer os.RemoveAll(dir)
+	cfg := pilot.Defaults()
+	p, err := pilot.NewPilot(spec.ranks(), dir, pilot.NewDB(cfg.DBLatency), cfg, rc.Metrics())
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-	return leaflet.RunPilot(p, in.Coords, spec.Cutoff, spec.Tasks, leaflet.WithCancel(rc.Cancelled))
+	defer p.Shutdown()
+	return p.Run(plan, rc.BlockStore(), env)
 }
 
-// startPilot brings up a pilot with a temporary staging directory and
-// the given metrics sink, returning a cleanup function.
-func startPilot(cores int, m *engine.Metrics) (*pilot.Pilot, func(), error) {
-	dir, err := os.MkdirTemp("", "mdtask-jobs-pilot-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: creating pilot staging dir: %w", err)
+// runFleet is the fleet engine: the staged units fan out as leases.
+// Bound to a shared coordinator (the one cmd/mdserver embeds and
+// cmd/mdworker processes pull from), they go to whatever workers are
+// registered, and the coordinator carries the server's block store.
+// With none bound (the CLI one-shot path), each job boots an ephemeral
+// loopback fleet sized by the spec's parallelism and handed the run's
+// store, so `-engine fleet` works standalone, still exercising the full
+// wire protocol and feeding the same cache as every other engine.
+// Cancellation and metrics are coordinator-side concerns.
+func runFleet(shared *fleet.Coordinator, rc *RunContext, spec Spec, plan stage.Plan, env stage.Env) (any, error) {
+	c := shared
+	if c == nil {
+		lo := fleet.LocalOptions()
+		lo.BlockStore = rc.BlockStore()
+		lo.Tracer = rc.Tracer()
+		lf, err := fleet.StartLocal(spec.ranks(), lo)
+		if err != nil {
+			return nil, err
+		}
+		defer lf.Close()
+		c = lf.C
 	}
-	cfg := pilot.Defaults()
-	db := pilot.NewDB(cfg.DBLatency)
-	p, err := pilot.NewPilot(cores, dir, db, cfg, m)
+	job, err := c.Submit(plan, rc.Metrics(), env.TraceParent)
 	if err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, err
+		return nil, err
 	}
-	return p, func() {
-		p.Shutdown()
-		os.RemoveAll(dir)
-	}, nil
+	defer c.Drop(job)
+	if err := job.Wait(rc.Cancelled); err != nil {
+		return nil, err // an abort maps to ErrCancelled in the runner
+	}
+	return job.Result(), nil
 }

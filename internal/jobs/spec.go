@@ -100,8 +100,10 @@ type Spec struct {
 	MaxResidentFrames int `json:"max_resident_frames,omitempty"`
 
 	// Approach is the Leaflet Finder architecture: "broadcast"|"1",
-	// "task2d"|"2", "parallel-cc"|"3" or "tree"|"4" (default "tree";
-	// the pilot engine supports only "task2d").
+	// "task2d"|"2", "parallel-cc"|"3" or "tree"|"4" (default "tree").
+	// The staged engines (pilot, fleet) run every approach as one unit
+	// per live tile shipping partial components; "tree" selects their
+	// BallTree kernel.
 	Approach string `json:"approach,omitempty"`
 	// Cutoff is the Leaflet Finder neighbor cutoff in Å (default
 	// synth.BilayerCutoff).
@@ -209,9 +211,6 @@ func (s Spec) Normalized() (Spec, error) {
 			return Spec{}, err
 		}
 		s.Approach = name
-		if s.Engine == EnginePilot && s.Approach != "task2d" {
-			return Spec{}, fmt.Errorf("jobs: the pilot engine supports only the task2d approach, got %q", s.Approach)
-		}
 		if s.Cutoff < 0 {
 			return Spec{}, fmt.Errorf("jobs: cutoff must be positive, got %g", s.Cutoff)
 		}

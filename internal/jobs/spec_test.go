@@ -100,7 +100,6 @@ func TestNormalizedErrors(t *testing.T) {
 		"unknown engine":                {Analysis: AnalysisPSA, Engine: "hadoop", Synth: &SynthSpec{}},
 		"unknown method":                {Analysis: AnalysisPSA, Method: "exact", Synth: &SynthSpec{}},
 		"unknown approach":              {Analysis: AnalysisLeaflet, Approach: "5", Synth: &SynthSpec{}},
-		"pilot non-task2d":              {Analysis: AnalysisLeaflet, Engine: EnginePilot, Approach: "tree", Synth: &SynthSpec{}},
 		"negative cutoff":               {Analysis: AnalysisLeaflet, Cutoff: -1, Synth: &SynthSpec{}},
 		"no input":                      {Analysis: AnalysisPSA},
 		"two inputs":                    {Analysis: AnalysisPSA, Path: "/tmp", Synth: &SynthSpec{}},

@@ -9,7 +9,7 @@ import (
 
 // BlockSpec addresses one 2-D tile of the pairwise comparison space by
 // atom index ranges: rows [RLo,RHi) against columns [CLo,CHi). It is
-// the distributable unit of the fleet engine — plain integers that
+// the distributable unit of the staged engines — plain integers that
 // survive a trip over the wire, unlike the unexported block type Run
 // tiles with.
 type BlockSpec struct {
@@ -48,17 +48,34 @@ func specsOf(blocks []block) []BlockSpec {
 }
 
 // BlockPartial computes one tile's partial connected components and its
-// discovered edge count — the map side of the Parallel-CC architecture
-// (tree selects the BallTree kernel of Approach 4, otherwise pairwise
-// distances). This is the task body fleet workers execute; it is
-// correct on any tile, live or not.
+// discovered edge count over the whole coordinate set — the map side of
+// the Parallel-CC architecture (tree selects the BallTree kernel of
+// Approach 4, otherwise pairwise distances). It is correct on any tile,
+// live or not.
 func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) ([]graph.Component, int64) {
-	blk := block{
-		rows: span{lo: b.RLo, hi: b.RHi},
-		cols: span{lo: b.CLo, hi: b.CHi},
+	tp := ChunkPartial(coords[b.RLo:b.RHi], coords[b.CLo:b.CHi], b, cutoff, tree)
+	return tp.Comps, tp.Edges
+}
+
+// ChunkPartial is BlockPartial from the tile's own chunks: rows holds
+// atoms [b.RLo, b.RHi) and cols atoms [b.CLo, b.CHi) (ignored on a
+// diagonal tile). It runs the kernel of Run's tile bodies on the chunks
+// joined, then shifts every edge back to global atom ids. This is the
+// body of the staged engines' Leaflet unit.
+func ChunkPartial(rows, cols []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) TilePartial {
+	pts, local := rows, block{rows: span{hi: len(rows)}, cols: span{hi: len(rows)}}
+	shift := int32(b.RLo)
+	if !b.Diagonal() {
+		pts = append(rows[:len(rows):len(rows)], cols...)
+		local.cols = span{lo: len(rows), hi: len(pts)}
+		shift = int32(b.CLo - len(rows))
 	}
-	edges := blockEdges(coords, blk, cutoff, tree)
-	return graph.PartialComponents(edges), int64(len(edges))
+	edges := blockEdges(pts, local, cutoff, tree)
+	for k := range edges {
+		edges[k].U += int32(b.RLo)
+		edges[k].V += shift
+	}
+	return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
 }
 
 // FromPartials joins per-unit partial component sets into a full Result

@@ -41,10 +41,11 @@ func TileKey(digest string, cutoff float64, tree bool, rlo, rhi, clo, chi int) s
 
 // TilePartial is the cached value of one tile: its partial connected
 // components and the number of edges the kernel discovered (needed so
-// warm runs report the same Stats as cold ones).
+// warm runs report the same Stats as cold ones). It is also what a
+// staged Leaflet unit ships back, as JSON.
 type TilePartial struct {
-	Comps []graph.Component
-	Edges int64
+	Comps []graph.Component `json:"comps"`
+	Edges int64             `json:"edges"`
 }
 
 // SizeBytes reports the payload size used for byte-budget accounting.

@@ -21,9 +21,9 @@
 // The four approaches are written once, in Run, over engine.Executor:
 // the approach picks the task body and the combine step, the executor
 // (serial, rdd, dask, mpi) owns scheduling, reduction and broadcast.
-// Approach 2 additionally runs on the pilot engine (RunPilot, the
-// paper's Figure 9), whose units exchange staged files rather than
-// closures. Every run is validated against Serial, the untiled
+// The staged engines (pilot, fleet) run BlockPartial over the live
+// tiles as staged units instead (internal/stage) and join the partials
+// with FromPartials. Every run is validated against Serial, the untiled
 // reference.
 package leaflet
 

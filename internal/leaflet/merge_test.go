@@ -85,9 +85,11 @@ func TestMergePartialSetsOutputsAreCapped(t *testing.T) {
 	}
 }
 
-// The fleet coordinator joins per-unit partials with FromPartials; over
-// Run's own plan of a 1024-tile grid it must label every atom as Run
-// does, and so must the full grid, whose extra tiles hold no edge.
+// The staged engines compute each tile from its own chunks
+// (ChunkPartial, under BlockPartial) and join the partials with
+// FromPartials; over Run's own plan of a 1024-tile grid they must label
+// every atom as Run does, and so must the full grid, whose extra tiles
+// hold no edge.
 func TestFromPartialsMatchesRun(t *testing.T) {
 	sys := membrane(4096)
 	const nTasks = 1024

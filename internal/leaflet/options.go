@@ -38,12 +38,11 @@ func gatherOpts(opts []Option) runOpts {
 	return o
 }
 
-// WithCancel installs a cooperative cancellation flag for the runs that
-// schedule their own work: Serial polls it every few thousand atoms and
-// RunPilot's units skip their kernel once it reports true, so a run
-// drains quickly instead of completing. (Run needs none: its executor
-// stops handing out tasks.) The caller is responsible for discarding the
-// partial result of a cancelled run.
+// WithCancel installs a cooperative cancellation flag for Serial, which
+// schedules its own work: it polls the flag every few thousand atoms,
+// so a run drains quickly instead of completing. (Run needs none: its
+// executor stops handing out tasks.) The caller is responsible for
+// discarding the partial result of a cancelled run.
 func WithCancel(fn func() bool) Option { return func(o *runOpts) { o.cancel = fn } }
 
 // WithTrace makes each tile body record a leaflet.tile span (with tile

@@ -2,10 +2,8 @@ package leaflet
 
 import (
 	"testing"
-	"time"
 
 	"mdtask/internal/engine"
-	"mdtask/internal/pilot"
 	"mdtask/internal/rdd"
 	"mdtask/internal/synth"
 )
@@ -15,8 +13,8 @@ import (
 // task counts — is locked down by TestLeafletEngineConformance in
 // internal/engine/conformtest, which runs through the jobs registry.
 // The tests below keep Run's own invariants: the data-movement profile
-// of each approach, the declared working sets, and the pilot's staged
-// path.
+// of each approach and the declared working sets (staged_test.go covers
+// the pilot's staged path).
 
 // recorder is a serial executor that remembers the tasks it was handed.
 type recorder struct {
@@ -128,31 +126,6 @@ func TestApproach1BroadcastAccounted(t *testing.T) {
 	}
 	if res2.Stats.BroadcastBytes != 0 {
 		t.Errorf("approach 2 broadcast = %d, want 0", res2.Stats.BroadcastBytes)
-	}
-}
-
-func TestPilotDriverMatchesSerial(t *testing.T) {
-	sys := membrane(1200)
-	want := Serial(sys.Coords, synth.BilayerCutoff)
-	cfg := pilot.Config{
-		DBLatency:          50 * time.Microsecond,
-		AgentPollInterval:  500 * time.Microsecond,
-		ClientPollInterval: 500 * time.Microsecond,
-	}
-	p, err := pilot.NewPilot(4, t.TempDir(), pilot.NewDB(cfg.DBLatency), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-	got, err := RunPilot(p, sys.Coords, synth.BilayerCutoff, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(got, want) {
-		t.Fatal("pilot result differs from serial")
-	}
-	if got.Stats.Edges != want.Stats.Edges {
-		t.Errorf("edges = %d, want %d", got.Stats.Edges, want.Stats.Edges)
 	}
 }
 

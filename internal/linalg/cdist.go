@@ -1,23 +1,8 @@
 package linalg
 
-// PairsWithin scans all pairs (i, j) with a[i] within cutoff of b[j] and
-// returns them as index pairs. This is the brute-force O(n*m) edge
-// discovery used by Leaflet Finder approaches 1-3.
-func PairsWithin(a, b []Vec3, cutoff float64) [][2]int32 {
-	c2 := cutoff * cutoff
-	var out [][2]int32
-	for i, p := range a {
-		for j, q := range b {
-			if Dist2(p, q) <= c2 {
-				out = append(out, [2]int32{int32(i), int32(j)})
-			}
-		}
-	}
-	return out
-}
-
 // PairsWithinSelf returns all unordered pairs (i, j), i < j, of points
-// within cutoff of each other in a single point set.
+// within cutoff of each other in a single point set: the brute-force
+// O(n²) edge discovery the experiment harness calibrates against.
 func PairsWithinSelf(pts []Vec3, cutoff float64) [][2]int32 {
 	c2 := cutoff * cutoff
 	var out [][2]int32

@@ -5,12 +5,29 @@ import (
 	"testing"
 )
 
+// pairsWithin scans all pairs (i, j) with a[i] within cutoff of b[j]
+// and returns them as index pairs: the cross-product reference
+// PairsWithinSelf is checked against.
+func pairsWithin(a, b []Vec3, cutoff float64) [][2]int32 {
+	c2 := cutoff * cutoff
+	var out [][2]int32
+	for i, p := range a {
+		for j, q := range b {
+			if Dist2(p, q) <= c2 {
+				out = append(out, [2]int32{int32(i), int32(j)})
+			}
+		}
+	}
+	return out
+}
+
+// The cross-product reference agrees with cdist's distances.
 func TestPairsWithinMatchesCdist(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
 	a := randFrame(r, 40)
 	b := randFrame(r, 30)
 	const cutoff = 1.5
-	pairs := PairsWithin(a, b, cutoff)
+	pairs := pairsWithin(a, b, cutoff)
 	seen := make(map[[2]int32]bool)
 	for _, p := range pairs {
 		seen[p] = true
@@ -47,7 +64,7 @@ func TestPairsWithinSelfMatchesCross(t *testing.T) {
 	pts := randFrame(r, 50)
 	const cutoff = 1.2
 	self := PairsWithinSelf(pts, cutoff)
-	cross := PairsWithin(pts, pts, cutoff)
+	cross := pairsWithin(pts, pts, cutoff)
 	// The cross version includes (i,i) and both orders; filter to i<j.
 	var filtered [][2]int32
 	for _, p := range cross {

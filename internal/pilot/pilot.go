@@ -210,9 +210,6 @@ func NewPilot(cores int, dir string, db *DB, cfg Config, m *engine.Metrics) (*Pi
 // Metrics returns the pilot's metrics sink.
 func (p *Pilot) Metrics() *engine.Metrics { return p.metrics }
 
-// Cores returns the pilot's current worker parallelism.
-func (p *Pilot) Cores() int { return p.sem.capacity() }
-
 // Submit registers units with the coordination DB and returns handles.
 func (p *Pilot) Submit(descs []UnitDescription) []*Unit {
 	units := make([]*Unit, len(descs))

@@ -4,9 +4,9 @@
 // Algorithm 2. PSA is embarrassingly parallel; each task computes one
 // block of the distance matrix serially (ComputeBlockRefs). The analysis
 // is written once — Run maps the block tasks over an engine.Executor, so
-// Spark, Dask, MPI and the serial loop (§4.2) share one code path — plus
-// RunPilotRefs for the pilot engine, whose units exchange staged files
-// rather than closures. SerialRefs is the blockless reference.
+// Spark, Dask, MPI and the serial loop (§4.2) share one code path, and
+// the staged engines (pilot, fleet) run the same ComputeBlockRefs as
+// staged units (internal/stage). SerialRefs is the blockless reference.
 package psa
 
 import (

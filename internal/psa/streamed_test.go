@@ -137,36 +137,6 @@ func TestComputeBlockRefsStreamedCancel(t *testing.T) {
 	}
 }
 
-// Window-staged pilot inputs replay through the streamed kernel: the
-// windowed pilot run must match the serial reference exactly, and a
-// streamed run stages more, smaller blobs than a whole-file run.
-func TestPilotStreamedStagesWindows(t *testing.T) {
-	const n, atoms, frames, n1 = 4, 5, 6, 2
-	ens := testEnsemble(n, atoms, frames)
-	want, err := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &engine.Metrics{}
-	got, err := RunPilotRefs(testPilot(t), traj.RefsOf(ens), n1, Opts{
-		Symmetric: true, Method: hausdorff.Pruned,
-		MaxResidentFrames: 2, Metrics: sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matricesEqual(got, want, 0) {
-		t.Fatal("streamed pilot matrix != serial")
-	}
-	s := sink.Snapshot()
-	if s.PeakResidentFrames == 0 || s.PeakResidentFrames > 4 {
-		t.Fatalf("pilot streamed peak resident %d frames, want 1..4", s.PeakResidentFrames)
-	}
-	if s.BytesStreamed <= 0 {
-		t.Fatal("pilot streamed run accounted no streamed bytes")
-	}
-}
-
 // EncodeMDTWindow windows must round-trip: decoding every window in
 // order reproduces the trajectory, whether the ref is memory- or
 // file-backed.
