@@ -148,6 +148,10 @@ func (c *Client) Compute(roots ...*Delayed) ([]interface{}, error) {
 			ready <- d
 		}
 	}
+	// Every node not yet computed runs as one task — task bodies, scatter
+	// futures on their first use, bag-fold nodes — so this graph's node
+	// count is what the scheduler plans.
+	c.Metrics.Add(engine.Snapshot{TasksPlanned: int64(pending)})
 
 	var (
 		wg       sync.WaitGroup

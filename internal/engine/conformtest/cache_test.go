@@ -70,6 +70,9 @@ func TestPSAWarmCacheConformance(t *testing.T) {
 								t.Fatalf("cold matrix differs at %d", i)
 							}
 						}
+						if coldM.Tasks != coldM.TasksPlanned {
+							t.Fatalf("cold run ran %d tasks, planned %d", coldM.Tasks, coldM.TasksPlanned)
+						}
 						if coldM.BlockCacheHits != 0 || coldM.BlockCacheMisses != nBlocks {
 							t.Fatalf("cold lookups: hits=%d misses=%d, want 0/%d",
 								coldM.BlockCacheHits, coldM.BlockCacheMisses, nBlocks)
@@ -83,6 +86,9 @@ func TestPSAWarmCacheConformance(t *testing.T) {
 							if warm.Matrix.Data[i] != want.Data[i] {
 								t.Fatalf("warm matrix differs at %d", i)
 							}
+						}
+						if warmM.Tasks != warmM.TasksPlanned {
+							t.Fatalf("warm run ran %d tasks, planned %d", warmM.Tasks, warmM.TasksPlanned)
 						}
 						if warmM.BlockCacheHits != nBlocks || warmM.BlockCacheMisses != 0 {
 							t.Fatalf("warm lookups: hits=%d misses=%d, want %d/0",
@@ -169,6 +175,10 @@ func TestPSADeltaResubmissionRunsOnlyMissingBlocks(t *testing.T) {
 			res, m2, err := jobs.RunCached(reg, norm2, in2, store)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if m1.Tasks != m1.TasksPlanned || m2.Tasks != m2.TasksPlanned {
+				t.Fatalf("base run ran %d tasks, planned %d; delta run ran %d, planned %d",
+					m1.Tasks, m1.TasksPlanned, m2.Tasks, m2.TasksPlanned)
 			}
 			if m2.BlockCacheHits != baseBlocks || m2.BlockCacheMisses != grownBlocks-baseBlocks {
 				t.Fatalf("delta run lookups: hits=%d misses=%d, want %d/%d",

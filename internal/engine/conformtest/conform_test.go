@@ -104,6 +104,9 @@ func TestPSAEngineConformance(t *testing.T) {
 							}
 						}
 
+						if metrics.Tasks <= 0 || metrics.Tasks != metrics.TasksPlanned {
+							t.Fatalf("ran %d tasks, planned %d", metrics.Tasks, metrics.TasksPlanned)
+						}
 						// Counter invariant: every scheduled directed frame
 						// pair lands in exactly one bucket.
 						total := metrics.PairsEvaluated + metrics.PairsPruned + metrics.PairsAbandoned

@@ -8,6 +8,7 @@ package conformtest
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,7 @@ func (b *backwards) Broadcast(v any, bytes int64) (any, error) {
 }
 
 func (b *backwards) Map(tasks []engine.Task) ([]any, error) {
+	b.m.Add(engine.Snapshot{TasksPlanned: int64(len(tasks))})
 	out := make([]any, len(tasks))
 	for i := len(tasks) - 1; i >= 0; i-- {
 		if b.cancel != nil && b.cancel() {
@@ -106,8 +108,12 @@ func TestExecutorMapOrderAndTaskCount(t *testing.T) {
 						t.Fatalf("n=%d: value %d = %d, want %d (not in task order)", n, i, v, i*i)
 					}
 				}
-				if grew := ex.Metrics().Snapshot().Tasks - before; grew != int64(n) {
+				snap := ex.Metrics().Snapshot()
+				if grew := snap.Tasks - before; grew != int64(n) {
 					t.Fatalf("n=%d: Tasks grew by %d", n, grew)
+				}
+				if snap.TasksPlanned != snap.Tasks {
+					t.Fatalf("n=%d: planned %d tasks, ran %d", n, snap.TasksPlanned, snap.Tasks)
 				}
 			}
 			if f := ex.Metrics().Snapshot().Failures; f != 0 {
@@ -177,6 +183,9 @@ func TestExecutorReduceIsLeftFold(t *testing.T) {
 				after := ex.Metrics().Snapshot()
 				if grew := after.Tasks - before.Tasks; grew < int64(n) {
 					t.Fatalf("n=%d: Tasks grew by %d", n, grew)
+				}
+				if after.TasksPlanned != after.Tasks {
+					t.Fatalf("n=%d: planned %d tasks, ran %d", n, after.TasksPlanned, after.Tasks)
 				}
 				wantShuffled := int64(0)
 				if e.shuffles {
@@ -249,8 +258,69 @@ func TestExecutorBroadcastAccountsOnce(t *testing.T) {
 			if err != nil || sums[0]+sums[1]+sums[2] != 6 {
 				t.Fatalf("tasks over the handle: %v, %v", sums, err)
 			}
-			if b := ex.Metrics().Snapshot().BytesBroadcast; b != 24 {
-				t.Fatalf("BytesBroadcast = %d after the map, want 24", b)
+			snap := ex.Metrics().Snapshot()
+			if snap.BytesBroadcast != 24 {
+				t.Fatalf("BytesBroadcast = %d after the map, want 24", snap.BytesBroadcast)
+			}
+			if snap.TasksPlanned != snap.Tasks {
+				t.Fatalf("planned %d tasks, ran %d", snap.TasksPlanned, snap.Tasks)
+			}
+		})
+	}
+}
+
+// A seeded property over every executor: a non-commutative Reduce
+// with either one failing task or a cancel raised by a random task. A
+// run that completes equals the left fold, a failed run returns the
+// task's error and no value, a cancelled run returns ErrCancelled, and
+// no run records more tasks than it planned.
+func TestExecutorReduceUnderFailureAndCancel(t *testing.T) {
+	boom := errors.New("boom")
+	for _, e := range executors {
+		t.Run(e.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				n := 1 + rng.Intn(4*execWorkers)
+				at := rng.Intn(n)
+				failing := rng.Intn(2) == 0
+				var cancelled atomic.Bool
+				ex := e.start(cancelled.Load)
+				tasks := make([]engine.Task, n)
+				var want strings.Builder
+				for i := range tasks {
+					w, _ := wordTask(i)
+					want.WriteString(string(w))
+					tasks[i].Run = func() (any, error) {
+						if i == at {
+							if failing {
+								return nil, boom
+							}
+							cancelled.Store(true)
+						}
+						return w, nil
+					}
+				}
+				v, _, err := ex.Reduce(tasks, func(a, b any) any { return a.(word) + b.(word) })
+				switch {
+				case err == nil:
+					if failing {
+						t.Fatalf("seed %d: task %d of %d failed, yet the run completed", seed, at, n)
+					}
+					if got, _ := v.(word); string(got) != want.String() {
+						t.Fatalf("seed %d: reduced to %q, want the left fold %q", seed, got, want.String())
+					}
+				case failing:
+					if !errors.Is(err, boom) || v != nil {
+						t.Fatalf("seed %d: failed run returned %v, %v; want the task's error and no value", seed, v, err)
+					}
+				default:
+					if !errors.Is(err, engine.ErrCancelled) || v != nil {
+						t.Fatalf("seed %d: cancelled run returned %v, %v; want ErrCancelled and no value", seed, v, err)
+					}
+				}
+				if snap := ex.Metrics().Snapshot(); snap.Tasks > snap.TasksPlanned {
+					t.Fatalf("seed %d: ran %d tasks, planned %d", seed, snap.Tasks, snap.TasksPlanned)
+				}
 			}
 		})
 	}

@@ -33,7 +33,17 @@ import (
 // it as JSON, and the staged engines' units (pilot metrics files, fleet
 // unit results) ship it back to be folded into the job's sink.
 type Snapshot struct {
+	// Tasks counts the tasks run. TasksPlanned counts the tasks the
+	// engine scheduled, added by the code that decides the count at the
+	// moment it schedules them — per Map or Reduce on the executors, per
+	// graph node on dask, per unit the block store did not serve on the
+	// staged engines — so a job's progress is Tasks ÷ TasksPlanned. A
+	// run that completes ends with the two equal; a failed or cancelled
+	// one with Tasks ≤ TasksPlanned. A staged unit plans nothing, so its
+	// shipped snapshot omits the field and a pilot unit's metrics file
+	// stages no extra bytes.
 	Tasks          int64         `json:"tasks"`
+	TasksPlanned   int64         `json:"tasks_planned,omitempty"`
 	Stages         int64         `json:"stages"`
 	ComputeTime    time.Duration `json:"compute_ns"` // summed task wall time
 	MaxTask        time.Duration `json:"max_task_ns"`
@@ -114,6 +124,7 @@ func (m *Metrics) Add(d Snapshot) {
 	defer m.mu.Unlock()
 	s := &m.s
 	s.Tasks += d.Tasks
+	s.TasksPlanned += d.TasksPlanned
 	s.Stages += d.Stages
 	s.ComputeTime += d.ComputeTime
 	s.MaxTask = max(s.MaxTask, d.MaxTask)

@@ -16,7 +16,9 @@ import (
 // was built with reports true (Map and Reduce then return
 // ErrCancelled), surfaces a task panic as a *TaskPanicError, counts one
 // Failures per failed task, and accounts tasks, stages, shuffle and
-// broadcast bytes into the sink Metrics returns.
+// broadcast bytes into the sink Metrics returns. It adds the tasks it
+// schedules to TasksPlanned when it schedules them, so a completed run
+// ends with Tasks equal to TasksPlanned.
 type Executor interface {
 	// Map runs every task and returns their values in task order.
 	Map(tasks []Task) ([]any, error)
@@ -119,6 +121,7 @@ func (s *Serial) Broadcast(v any, bytes int64) (any, error) {
 
 // Map implements Executor, stopping at the first task error.
 func (s *Serial) Map(tasks []Task) ([]any, error) {
+	s.metrics.Add(Snapshot{TasksPlanned: int64(len(tasks))})
 	out := make([]any, len(tasks))
 	for i, t := range tasks {
 		if s.cancel != nil && s.cancel() {

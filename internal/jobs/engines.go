@@ -9,7 +9,6 @@ import (
 	"mdtask/internal/fleet"
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
-	"mdtask/internal/linalg"
 	"mdtask/internal/mpi"
 	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
@@ -41,20 +40,15 @@ type engineRow struct {
 	// leaflet, when set, runs the Leaflet Finder in place of leaflet.Run
 	// on the executor.
 	leaflet func(rc *RunContext, spec Spec, in *Input) (*leaflet.Result, error)
-	// leafletPlan, when set, replaces leaflet.PlanTasks for engines
-	// whose leaflet body schedules a fixed dataflow whatever the
-	// approach, or records more tasks than leaflet.Run hands it.
-	leafletPlan func(spec Spec, coords []linalg.Vec3) int
 }
 
 // engineTable is the one place an engine name becomes an engine:
-// DefaultRegistry registers every runner from it, PlannedTasks plans
-// from it, and core's analyses reach engines through it (NewExecutor).
+// DefaultRegistry registers every runner from it, and core's analyses
+// reach engines through it (NewExecutor).
 var engineTable = map[string]engineRow{
 	EngineSerial: {
-		executor:    func(_ int, cancel func() bool) engine.Executor { return engine.NewSerial(cancel) },
-		leaflet:     leafletSerial,
-		leafletPlan: func(Spec, []linalg.Vec3) int { return 1 },
+		executor: func(_ int, cancel func() bool) engine.Executor { return engine.NewSerial(cancel) },
+		leaflet:  leafletSerial,
 	},
 	EngineSpark: {
 		executor: func(p int, cancel func() bool) engine.Executor {
@@ -65,7 +59,6 @@ var engineTable = map[string]engineRow{
 		executor: func(p int, cancel func() bool) engine.Executor {
 			return dask.NewExecutor(dask.NewClient(p), cancel)
 		},
-		leafletPlan: planDaskGraph,
 	},
 	EngineMPI: {
 		executor: func(p int, cancel func() bool) engine.Executor {
@@ -73,37 +66,8 @@ var engineTable = map[string]engineRow{
 		},
 		chunkPerRank: true,
 	},
-	EnginePilot: {staged: runPilot, leafletPlan: plan2D},
-	EngineFleet: {staged: runFleet, leafletPlan: plan2D},
-}
-
-// plan2D plans the staged engines, which run every approach as one
-// unit per live tile of the 2-D grid.
-func plan2D(spec Spec, coords []linalg.Vec3) int {
-	return leaflet.PlanTasks(leaflet.TaskAPI2D, coords, spec.Cutoff, spec.Tasks)
-}
-
-// planDaskGraph plans a dask Leaflet job by the nodes of the graph
-// dask.Executor builds, since every node records as a task: Broadcast
-// adds one scatter node to the row chunks, and Reduce folds its N live
-// tile nodes through a bag — N fold-accumulate and N−1 fold-combine
-// nodes on top. Progress is tasks ÷ planned, so planning the tiles alone
-// pinned it at its clamp a third of the way in.
-func planDaskGraph(spec Spec, coords []linalg.Vec3) int {
-	approach, _, err := ParseApproach(spec.Approach)
-	if err != nil {
-		return 0
-	}
-	n := leaflet.PlanTasks(approach, coords, spec.Cutoff, spec.Tasks)
-	switch approach {
-	case leaflet.Broadcast1D:
-		return n + 1
-	case leaflet.ParallelCC, leaflet.TreeSearch:
-		if n > 0 { // Reduce builds no graph for zero tasks
-			return 3*n - 1
-		}
-	}
-	return n
+	EnginePilot: {staged: runPilot},
+	EngineFleet: {staged: runFleet},
 }
 
 // NewExecutor brings up the named engine's executor for one run.
@@ -183,30 +147,6 @@ func (s Spec) hausdorffMethod() hausdorff.Method {
 		return hausdorff.Naive
 	}
 	return m
-}
-
-// PlannedTasks is how many engine tasks a job will run, for progress
-// reporting (0: unknown). It calls the plan functions the runs
-// themselves schedule with, so the two cannot drift apart.
-func PlannedTasks(spec Spec, in *Input) int {
-	switch spec.Analysis {
-	case AnalysisPSA:
-		blocks, err := psa.Partition(len(in.Refs), spec.groupSize(len(in.Refs)), !spec.FullMatrix)
-		if err != nil {
-			return 0
-		}
-		return len(blocks)
-	case AnalysisLeaflet:
-		if plan := engineTable[spec.Engine].leafletPlan; plan != nil {
-			return plan(spec, in.Coords)
-		}
-		approach, _, err := ParseApproach(spec.Approach)
-		if err != nil {
-			return 0
-		}
-		return leaflet.PlanTasks(approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach))
-	}
-	return 0
 }
 
 // finish maps a runner's outcome to its result, cancellation first: a

@@ -263,3 +263,39 @@ func TestDoneRecordAppendFailure(t *testing.T) {
 		t.Fatalf("next job finished %s (%s)", fin.State, fin.Error)
 	}
 }
+
+// TestJournalShutdownOneFsync counts the shutdown marker's fsyncs: the
+// compaction before it syncs once under SyncAlways, and the marker is
+// written unsynced and made durable by exactly one Sync, whatever the
+// policy.
+func TestJournalShutdownOneFsync(t *testing.T) {
+	for _, tc := range []struct {
+		policy      wal.SyncPolicy
+		compactions int64 // fsyncs the compaction adds
+	}{
+		{wal.SyncAlways, 1},
+		{wal.SyncNever, 0},
+	} {
+		t.Run(string(tc.policy), func(t *testing.T) {
+			st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.Sync = tc.policy })
+			defer st.Close()
+			if err := st.JournalSubmit(JobRecord{ID: "job-000001", Spec: serialSpec(1), State: StateQueued}); err != nil {
+				t.Fatal(err)
+			}
+			before := st.log.Stats()
+			if err := st.JournalShutdown(); err != nil {
+				t.Fatal(err)
+			}
+			after := st.log.Stats()
+			if d := after.Snapshots - before.Snapshots; d != 1 {
+				t.Fatalf("shutdown compacted %d times, want 1", d)
+			}
+			if d := after.Syncs - before.Syncs; d != tc.compactions+1 {
+				t.Errorf("shutdown issued %d fsyncs, want %d (compaction %d + marker 1)", d, tc.compactions+1, tc.compactions)
+			}
+			if d := after.Appends - before.Appends; d != 1 {
+				t.Errorf("shutdown appended %d records, want 1", d)
+			}
+		})
+	}
+}

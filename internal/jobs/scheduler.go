@@ -45,11 +45,10 @@ var (
 // Job is one scheduled analysis: a normalized spec, its lifecycle
 // state, and (once finished) its result and metrics.
 type Job struct {
-	id         string
-	spec       Spec
-	key        string
-	totalTasks int
-	rc         *RunContext
+	id   string
+	spec Spec
+	key  string
+	rc   *RunContext
 
 	mu       sync.Mutex
 	state    State
@@ -95,9 +94,13 @@ type Status struct {
 	Created         time.Time  `json:"created"`
 	Started         *time.Time `json:"started,omitempty"`
 	Finished        *time.Time `json:"finished,omitempty"`
-	TasksDone       int64      `json:"tasks_done"`
-	TasksTotal      int        `json:"tasks_total,omitempty"`
-	Progress        float64    `json:"progress"`
+	// TasksDone and TasksTotal are the engine's Tasks and TasksPlanned:
+	// TasksTotal appears once the engine has scheduled its tasks and is
+	// absent on a whole-job cache hit, which runs none. Progress is their
+	// ratio, held below 1 until the job is done.
+	TasksDone  int64   `json:"tasks_done"`
+	TasksTotal int     `json:"tasks_total,omitempty"`
+	Progress   float64 `json:"progress"`
 	// BlockHitRatio is the share of the job's block lookups answered
 	// from the store — 1 for a fully warm run, 0 for a cold one, and in
 	// between for a delta resubmission that recomputed only its missing
@@ -123,7 +126,6 @@ func (j *Job) Status() Status {
 		CacheHit:        j.cacheHit,
 		CancelRequested: j.rc.Cancelled() && !j.state.Terminal(),
 		Created:         j.created,
-		TasksTotal:      j.totalTasks,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -142,14 +144,15 @@ func (j *Job) Status() Status {
 		st.Metrics = j.rc.Metrics().Snapshot()
 	}
 	st.TasksDone = st.Metrics.Tasks
+	st.TasksTotal = int(st.Metrics.TasksPlanned)
 	if looked := st.Metrics.BlockCacheHits + st.Metrics.BlockCacheMisses; looked > 0 {
 		st.BlockHitRatio = float64(st.Metrics.BlockCacheHits) / float64(looked)
 	}
 	switch {
 	case j.state == StateDone:
 		st.Progress = 1
-	case j.totalTasks > 0:
-		p := float64(st.TasksDone) / float64(j.totalTasks)
+	case st.TasksTotal > 0:
+		p := float64(st.TasksDone) / float64(st.TasksTotal)
 		if p > 0.99 {
 			p = 0.99
 		}
@@ -364,13 +367,12 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		return nil, err
 	}
 	job := &Job{
-		spec:       norm,
-		key:        CacheKey(norm, digest),
-		totalTasks: PlannedTasks(norm, in),
-		rc:         NewRunContext(),
-		state:      StateQueued,
-		created:    time.Now(),
-		input:      in,
+		spec:    norm,
+		key:     CacheKey(norm, digest),
+		rc:      NewRunContext(),
+		state:   StateQueued,
+		created: time.Now(),
+		input:   in,
 	}
 	// Engines the runner brings up consult (and populate) the service
 	// store block by block, so even a partial overlap with earlier jobs
@@ -590,7 +592,9 @@ type ServiceMetrics struct {
 func (s *Scheduler) Metrics() ServiceMetrics {
 	counts := make(map[State]int)
 	for _, j := range s.Jobs() {
-		counts[j.Status().State]++
+		j.mu.Lock()
+		counts[j.state]++
+		j.mu.Unlock()
 	}
 	return ServiceMetrics{
 		Jobs:         counts,
@@ -812,7 +816,6 @@ func (s *Scheduler) Recover(recs []JobRecord) {
 			continue
 		}
 		job.state = StateQueued
-		job.totalTasks = PlannedTasks(rec.Spec, in)
 		job.input = in
 		s.mu.Lock()
 		job.jobSpan = s.obs.Tracer.StartRoot("job")

@@ -414,3 +414,56 @@ func TestDaskLeafletProgressTracksTasks(t *testing.T) {
 		})
 	}
 }
+
+// A staged engine plans only the units the block store cannot serve, so
+// a delta resubmission — the base ensemble grown by one trajectory, one
+// block per pair (the 10/5/128 table of conformtest) — reads 5 tasks in
+// total, not the 15 of its whole schedule, and its progress climbs to 1
+// without ever falling.
+func TestStagedDeltaProgressCountsUnitsRun(t *testing.T) {
+	spec := func(engine string, count int) Spec {
+		return Spec{
+			Analysis: AnalysisPSA, Engine: engine, Tasks: 64,
+			Synth: &SynthSpec{Count: count, Atoms: 8, Frames: 4, Seed: 101},
+		}
+	}
+	for _, engine := range []string{EngineFleet, EnginePilot} {
+		t.Run(engine, func(t *testing.T) {
+			s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
+			defer s.Close()
+			base, err := s.Submit(spec(engine, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin := waitTerminal(t, base); fin.State != StateDone || fin.TasksTotal != 10 {
+				t.Fatalf("base job finished %s with %d tasks planned (error %q), want done with 10", fin.State, fin.TasksTotal, fin.Error)
+			}
+			delta, err := s.Submit(spec(engine, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last float64
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				st := delta.Status()
+				if st.Progress < last {
+					t.Fatalf("progress fell from %v to %v", last, st.Progress)
+				}
+				last = st.Progress
+				if st.State.Terminal() {
+					if st.State != StateDone || st.Progress != 1 {
+						t.Fatalf("delta job finished %s at progress %v (error %q)", st.State, st.Progress, st.Error)
+					}
+					if st.TasksTotal != 5 || st.TasksDone != 5 {
+						t.Fatalf("delta job reads tasks_total %d, tasks %d; want 5 and 5", st.TasksTotal, st.TasksDone)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("delta job stuck in %s", st.State)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		})
+	}
+}

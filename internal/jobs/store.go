@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -189,18 +190,18 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	// acknowledged one.
 	snapLSN := st.lsn
 	for _, raw := range walRec.Records {
-		st.apply(raw, snapLSN, rec)
+		st.replay(raw, snapLSN, rec)
 	}
 	st.recovered = *rec
 	rec.Jobs = st.tableLocked()
 	return st, rec, nil
 }
 
-// apply replays one raw journal record into the shadow table. snapLSN
-// is the LSN the snapshot (if any) was taken at; records at or below
-// it were already absorbed. Above it, records apply unconditionally —
+// replay applies one raw journal record read back at open. snapLSN is
+// the LSN the snapshot (if any) was taken at; records at or below it
+// were already absorbed. Above it, records apply unconditionally —
 // last-writer-wins on a duplicate LSN (see OpenWALStore).
-func (st *WALStore) apply(raw []byte, snapLSN uint64, rec *Recovered) {
+func (st *WALStore) replay(raw []byte, snapLSN uint64, rec *Recovered) {
 	var r walRecord
 	if err := json.Unmarshal(raw, &r); err != nil {
 		rec.Unreplayable++
@@ -216,12 +217,34 @@ func (st *WALStore) apply(raw []byte, snapLSN uint64, rec *Recovered) {
 	if r.LSN > st.lsn {
 		st.lsn = r.LSN
 	}
-	rec.CleanShutdown = false
+	rec.CleanShutdown = r.T == "shutdown"
+	if st.apply(r) {
+		return
+	}
+	rec.Unreplayable++
+	if r.T == "state" {
+		// A transition without its submission (lost to a skipped
+		// region): surface the job as failed rather than dropping the
+		// evidence it existed.
+		st.jobs[r.ID] = &JobRecord{
+			ID:    r.ID,
+			State: StateFailed,
+			Error: fmt.Sprintf("jobs: unreplayable journal: %q transition without a surviving submit record", r.State),
+		}
+		st.order = append(st.order, r.ID)
+	}
+}
+
+// apply folds one journal record into the shadow table — the one code
+// path for a record replayed at open and a record just appended. It
+// reports false, changing nothing, for a record that cannot be applied:
+// a submit without its job, a state record for a job the table does not
+// hold, or an unknown type.
+func (st *WALStore) apply(r walRecord) bool {
 	switch r.T {
 	case "submit":
 		if r.Job == nil {
-			rec.Unreplayable++
-			return
+			return false
 		}
 		j := *r.Job
 		if _, dup := st.jobs[j.ID]; !dup {
@@ -231,36 +254,21 @@ func (st *WALStore) apply(raw []byte, snapLSN uint64, rec *Recovered) {
 	case "state":
 		j, ok := st.jobs[r.ID]
 		if !ok {
-			// A transition without its submission (lost to a skipped
-			// region): surface the job as failed rather than dropping the
-			// evidence it existed.
-			rec.Unreplayable++
-			st.jobs[r.ID] = &JobRecord{
-				ID:    r.ID,
-				State: StateFailed,
-				Error: fmt.Sprintf("jobs: unreplayable journal: %q transition without a surviving submit record", r.State),
-			}
-			st.order = append(st.order, r.ID)
-			return
+			return false
 		}
 		j.State, j.Error, j.Digest, j.Updated = r.State, r.Err, r.Digest, r.TS
 	case "prune":
 		for _, id := range r.IDs {
 			if _, ok := st.jobs[id]; ok {
 				delete(st.jobs, id)
-				for i, oid := range st.order {
-					if oid == id {
-						st.order = append(st.order[:i], st.order[i+1:]...)
-						break
-					}
-				}
+				st.order = slices.DeleteFunc(st.order, func(oid string) bool { return oid == id })
 			}
 		}
 	case "shutdown":
-		rec.CleanShutdown = true
 	default:
-		rec.Unreplayable++
+		return false
 	}
+	return true
 }
 
 // tableLocked copies the shadow table in submission order.
@@ -274,13 +282,26 @@ func (st *WALStore) tableLocked() []JobRecord {
 	return out
 }
 
-// append journals one record: assign the next LSN, write it to the
-// WAL (fsynced per the policy when durable is set, riding the next
-// fsync otherwise), apply it to the shadow table, and compact if the
-// log has grown past its bounds.
-func (st *WALStore) append(r walRecord, durable bool, shadow func()) error {
+// append journals one record and compacts if the log has grown past
+// its bounds.
+func (st *WALStore) append(r walRecord, durable bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := st.writeLocked(r, durable); err != nil {
+		return err
+	}
+	st.sinceCompact++
+	if st.sinceCompact >= st.o.CompactRecords || st.log.LogBytes() >= st.o.CompactBytes {
+		st.compactLocked()
+	}
+	return nil
+}
+
+// writeLocked assigns the next LSN, writes the record to the WAL
+// (fsynced per the policy when durable is set, riding the next fsync
+// otherwise) and applies it to the shadow table as replay would.
+// Callers hold st.mu.
+func (st *WALStore) writeLocked(r walRecord, durable bool) error {
 	if err := faultinject.Fire("jobs.journal"); err != nil {
 		st.journalErrs++
 		return err
@@ -301,11 +322,7 @@ func (st *WALStore) append(r walRecord, durable bool, shadow func()) error {
 		st.lsn--
 		return err
 	}
-	shadow()
-	st.sinceCompact++
-	if st.sinceCompact >= st.o.CompactRecords || st.log.LogBytes() >= st.o.CompactBytes {
-		st.compactLocked()
-	}
+	st.apply(r)
 	return nil
 }
 
@@ -328,66 +345,32 @@ func (st *WALStore) compactLocked() {
 // JournalSubmit implements Store. The record is fsynced (per the sync
 // policy) before it returns.
 func (st *WALStore) JournalSubmit(rec JobRecord) error {
-	return st.append(walRecord{T: "submit", Job: &rec}, true, func() {
-		j := rec
-		if _, dup := st.jobs[j.ID]; !dup {
-			st.order = append(st.order, j.ID)
-		}
-		st.jobs[j.ID] = &j
-	})
+	return st.append(walRecord{T: "submit", Job: &rec}, true)
 }
 
 // JournalState implements Store. Only a cancel is fsynced before it
 // returns: a queued job's DELETE answers 200 after it.
 func (st *WALStore) JournalState(id string, state State, errMsg, resultDigest string, ts time.Time) error {
 	r := walRecord{T: "state", ID: id, State: state, Err: errMsg, Digest: resultDigest, TS: ts}
-	return st.append(r, state == StateCancelled, func() {
-		if j, ok := st.jobs[id]; ok {
-			j.State, j.Error, j.Digest, j.Updated = state, errMsg, resultDigest, ts
-		}
-	})
+	return st.append(r, state == StateCancelled)
 }
 
 // JournalPrune implements Store.
 func (st *WALStore) JournalPrune(ids []string) error {
-	return st.append(walRecord{T: "prune", IDs: ids}, false, func() {
-		for _, id := range ids {
-			if _, ok := st.jobs[id]; ok {
-				delete(st.jobs, id)
-				for i, oid := range st.order {
-					if oid == id {
-						st.order = append(st.order[:i], st.order[i+1:]...)
-						break
-					}
-				}
-			}
-		}
-	})
+	return st.append(walRecord{T: "prune", IDs: ids}, false)
 }
 
-// JournalShutdown implements Store. It compacts first, then appends
-// the marker, so a clean restart replays a snapshot plus exactly one
-// shutdown record instead of the whole session's log. The marker is
-// written outside the compaction accounting: a compaction triggered
-// by the marker's own append (CompactRecords=1) would truncate it and
-// make the clean shutdown replay as unclean.
+// JournalShutdown implements Store. It compacts first, then writes the
+// marker and fsyncs once, so a clean restart replays a snapshot plus
+// exactly one shutdown record instead of the whole session's log. The
+// marker is written outside the compaction accounting: a compaction
+// triggered by the marker's own append (CompactRecords=1) would
+// truncate it and make the clean shutdown replay as unclean.
 func (st *WALStore) JournalShutdown() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.compactLocked()
-	if err := faultinject.Fire("jobs.journal"); err != nil {
-		st.journalErrs++
-		return err
-	}
-	st.lsn++
-	raw, err := json.Marshal(walRecord{LSN: st.lsn, T: "shutdown"})
-	if err != nil {
-		st.journalErrs++
-		return err
-	}
-	if err := st.log.Append(raw); err != nil {
-		st.journalErrs++
-		st.lsn--
+	if err := st.writeLocked(walRecord{T: "shutdown"}, false); err != nil {
 		return err
 	}
 	return st.log.Sync()

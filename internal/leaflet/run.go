@@ -94,16 +94,6 @@ func fromEdges(ex engine.Executor, n int, lists [][]graph.Edge, stats Stats) *Re
 	return finish(graph.ComponentsUnionFind(n, edges), stats)
 }
 
-// PlanTasks is the number of tasks Run schedules for an approach over
-// coords with task bound nTasks: Approach 1 cuts the rows into 1-D
-// chunks, the others run the live tiles of the 2-D grid.
-func PlanTasks(approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int) int {
-	if approach == Broadcast1D {
-		return len(chunks1D(len(coords), nTasks))
-	}
-	return len(liveBlocks2D(coords, cutoff, nTasks))
-}
-
 // blockMemBytes is the cdist working set of one block: rows × cols
 // float64 distances (the memory wall of §4.3.2/4.3.3).
 func blockMemBytes(b block) int64 {

@@ -9,8 +9,8 @@ import (
 )
 
 // The cross-engine contract — every approach on every engine partitions
-// the atoms exactly as Serial does, with equal edge counts and planned
-// task counts — is locked down by TestLeafletEngineConformance in
+// the atoms exactly as Serial does, with equal edge counts and as many
+// tasks run as the executor planned — is locked down by TestLeafletEngineConformance in
 // internal/engine/conformtest, which runs through the jobs registry.
 // The tests below keep Run's own invariants: the data-movement profile
 // of each approach and the declared working sets (staged_test.go covers
@@ -54,10 +54,14 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 			if got.Stats.Edges != want.Stats.Edges {
 				t.Errorf("edges = %d, want %d", got.Stats.Edges, want.Stats.Edges)
 			}
-			plan := PlanTasks(approach, sys.Coords, synth.BilayerCutoff, nTasks)
-			if got.Stats.Tasks != plan || ex.Metrics().Snapshot().Tasks != int64(plan) {
-				t.Errorf("stats tasks = %d, executor tasks = %d, plan = %d",
-					got.Stats.Tasks, ex.Metrics().Snapshot().Tasks, plan)
+			plan := len(liveBlocks2D(sys.Coords, synth.BilayerCutoff, nTasks))
+			if approach == Broadcast1D {
+				plan = len(chunks1D(len(sys.Coords), nTasks))
+			}
+			snap := ex.Metrics().Snapshot()
+			if got.Stats.Tasks != plan || snap.Tasks != int64(plan) || snap.TasksPlanned != int64(plan) {
+				t.Errorf("stats tasks = %d, executor tasks = %d planned %d, plan = %d",
+					got.Stats.Tasks, snap.Tasks, snap.TasksPlanned, plan)
 			}
 		})
 	}

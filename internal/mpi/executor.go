@@ -64,6 +64,7 @@ func (e *Executor) runLocal(tasks []engine.Task, lo, hi, step int, fold func(v a
 // task per process, cycling) and each rank's values are gathered at
 // rank 0.
 func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
+	e.metrics.Add(engine.Snapshot{TasksPlanned: int64(len(tasks))})
 	out := make([]any, len(tasks))
 	err := Run(e.ranks, e.metrics, func(c *Comm) error {
 		var (
@@ -96,6 +97,7 @@ func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 // combined partials cross the network. The shuffled volume is the
 // Allreduce'd sum of the partials' wire sizes.
 func (e *Executor) Reduce(tasks []engine.Task, merge func(a, b any) any) (any, int64, error) {
+	e.metrics.Add(engine.Snapshot{TasksPlanned: int64(len(tasks))})
 	merge = engine.MergeNil(merge)
 	var (
 		out      any

@@ -113,9 +113,9 @@ func Map[T, U any](r *RDD[T], f func(T) (U, error)) *RDD[U] {
 }
 
 // runStage computes every partition on the pool and returns them.
-// It records one stage in the metrics.
+// It records one stage in the metrics and plans one task per partition.
 func (r *RDD[T]) runStage() ([][]T, error) {
-	r.ctx.Metrics.RecordStage()
+	r.ctx.Metrics.Add(engine.Snapshot{Stages: 1, TasksPlanned: int64(r.numParts)})
 	parts := make([][]T, r.numParts)
 	err := r.ctx.pool.ForEach(r.numParts, func(i int) error {
 		p, err := r.compute(i)

@@ -60,10 +60,10 @@ func TestTransportContract(t *testing.T) {
 		ens[i] = synth.Walk("t", 3, 4, 9, uint64(i))
 	}
 	coords := synth.Bilayer(256, 5).Coords
-	psaPlan := func(store *blockstore.Store) (stage.Plan, error) {
+	planPSA := func(store *blockstore.Store) (stage.Plan, error) {
 		return stage.PSA(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true, Cache: store})
 	}
-	leafletPlan := func(*blockstore.Store) (stage.Plan, error) {
+	planLeaflet := func(*blockstore.Store) (stage.Plan, error) {
 		return stage.Leaflet(coords, synth.BilayerCutoff, 6, true, leaflet.CoordsDigest(coords))
 	}
 
@@ -78,17 +78,17 @@ func TestTransportContract(t *testing.T) {
 		kind, like string
 		exec       func(json.RawMessage, stage.Env) ([]byte, error)
 	}{
-		{"wrong-value-count", psaPlan, "psa-long", "psa", marked("psa", func(p []byte, _ stage.Env) []byte {
+		{"wrong-value-count", planPSA, "psa-long", "psa", marked("psa", func(p []byte, _ stage.Env) []byte {
 			return append(p, make([]byte, 8)...)
 		})},
-		{"non-canonical-partial", leafletPlan, "leaflet-unsorted", "leaflet", marked("leaflet", func([]byte, stage.Env) []byte {
+		{"non-canonical-partial", planLeaflet, "leaflet-unsorted", "leaflet", marked("leaflet", func([]byte, stage.Env) []byte {
 			return []byte(`{"comps":[[9,2]],"edges":1}`)
 		})},
-		{"negative-metrics", psaPlan, "psa-negative", "psa", marked("psa", func(p []byte, env stage.Env) []byte {
+		{"negative-metrics", planPSA, "psa-negative", "psa", marked("psa", func(p []byte, env stage.Env) []byte {
 			env.Metrics.Add(engine.Snapshot{BytesBroadcast: -1})
 			return p
 		})},
-		{"cancel-mid-job", psaPlan, "psa-cancel", "psa", marked("psa", func(p []byte, _ stage.Env) []byte {
+		{"cancel-mid-job", planPSA, "psa-cancel", "psa", marked("psa", func(p []byte, _ stage.Env) []byte {
 			cancelled.Store(true)
 			<-release
 			return p

@@ -28,7 +28,7 @@ type leafletDesc struct {
 // chunkBlob names the coordinates of atoms [lo, hi).
 func chunkBlob(lo, hi int) string { return fmt.Sprintf("atoms-%d-%d.bin", lo, hi) }
 
-type leafletPlan struct {
+type stagedLeaflet struct {
 	coords  []linalg.Vec3
 	units   []Unit
 	chunks  map[string][2]int // input name → atom range
@@ -52,7 +52,7 @@ func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool, dige
 		return nil, fmt.Errorf("stage: cutoff must be positive, got %g", cutoff)
 	}
 	tiles := leaflet.LiveBlocks(coords, cutoff, maxTasks)
-	p := &leafletPlan{coords: coords, units: make([]Unit, len(tiles)),
+	p := &stagedLeaflet{coords: coords, units: make([]Unit, len(tiles)),
 		chunks: make(map[string][2]int), parts: make([][]graph.Component, len(tiles))}
 	for i, t := range tiles {
 		desc, err := json.Marshal(leafletDesc{RLo: t.RLo, RHi: t.RHi, CLo: t.CLo, CHi: t.CHi,
@@ -76,9 +76,9 @@ func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool, dige
 	return p, nil
 }
 
-func (p *leafletPlan) Units() []Unit { return p.units }
+func (p *stagedLeaflet) Units() []Unit { return p.units }
 
-func (p *leafletPlan) Blob(name string) ([]byte, error) {
+func (p *stagedLeaflet) Blob(name string) ([]byte, error) {
 	c, ok := p.chunks[name]
 	if !ok {
 		return nil, fmt.Errorf("stage: the Leaflet job has no input %q", name)
@@ -86,14 +86,14 @@ func (p *leafletPlan) Blob(name string) ([]byte, error) {
 	return linalg.AppendVec3s(make([]byte, 0, 24*(c[1]-c[0])), p.coords[c[0]:c[1]]), nil
 }
 
-func (p *leafletPlan) Record(i int, v any) {
+func (p *stagedLeaflet) Record(i int, v any) {
 	tp := v.(leaflet.TilePartial)
 	p.parts[i] = tp.Comps
 	p.edges += tp.Edges
 	p.shuffle += tp.WireBytes()
 }
 
-func (p *leafletPlan) Assemble() any {
+func (p *stagedLeaflet) Assemble() any {
 	return leaflet.FromPartials(len(p.coords), p.parts, leaflet.Stats{
 		Tasks: len(p.units), Edges: p.edges, ShuffleBytes: p.shuffle,
 	})

@@ -38,7 +38,7 @@ func (d psaDesc) block() psa.Block { return psa.Block{I0: d.I0, I1: d.I1, J0: d.
 // trajectory when the job is not streamed).
 func trajBlob(ix, win int) string { return fmt.Sprintf("traj-%04d-w%05d.mdt", ix, win) }
 
-type psaPlan struct {
+type stagedPSA struct {
 	refs    traj.RefEnsemble
 	sym     bool
 	blocks  []psa.Block
@@ -67,7 +67,7 @@ func PSA(refs traj.RefEnsemble, n1 int, opts psa.Opts) (Plan, error) {
 		return nil, err
 	}
 	window := opts.MaxResidentFrames
-	p := &psaPlan{
+	p := &stagedPSA{
 		refs:    refs,
 		sym:     opts.Symmetric,
 		blocks:  blocks,
@@ -105,9 +105,9 @@ func PSA(refs traj.RefEnsemble, n1 int, opts psa.Opts) (Plan, error) {
 	return p, nil
 }
 
-func (p *psaPlan) Units() []Unit { return p.units }
+func (p *stagedPSA) Units() []Unit { return p.units }
 
-func (p *psaPlan) Blob(name string) ([]byte, error) {
+func (p *stagedPSA) Blob(name string) ([]byte, error) {
 	w, ok := p.blobs[name]
 	if !ok {
 		return nil, fmt.Errorf("stage: the PSA job has no input %q", name)
@@ -115,11 +115,11 @@ func (p *psaPlan) Blob(name string) ([]byte, error) {
 	return p.refs[w.ix].EncodeMDTWindow(w.start, w.n, 8)
 }
 
-func (p *psaPlan) Record(i int, v any) {
+func (p *stagedPSA) Record(i int, v any) {
 	p.results[i] = psa.BlockResult{Block: p.blocks[i], Values: v.([]float64), Symmetric: p.sym}
 }
 
-func (p *psaPlan) Assemble() any { return psa.Assemble(len(p.refs), p.results) }
+func (p *stagedPSA) Assemble() any { return psa.Assemble(len(p.refs), p.results) }
 
 // execPSA is the PSA unit body: it rebuilds the block's trajectories as
 // a compact ensemble of window chains over the unit's blobs — rows, then

@@ -150,9 +150,10 @@ type Job struct {
 }
 
 // Start plans a job and serves every unit the block store holds,
-// accounting hits and misses into m (nil: nowhere). A stored value that
-// fails its unit's check counts as a miss and runs. The plan's units
-// must be of registered kinds.
+// accounting hits and misses into m (nil: nowhere) and the units left
+// to run as the tasks it plans. A stored value that fails its unit's
+// check counts as a miss and runs. The plan's units must be of
+// registered kinds.
 func Start(plan Plan, store *blockstore.Store, m *engine.Metrics) *Job {
 	j := &Job{plan: plan, units: plan.Units(), store: store, metrics: m}
 	for i, u := range j.units {
@@ -168,6 +169,7 @@ func Start(plan Plan, store *blockstore.Store, m *engine.Metrics) *Job {
 		}
 		j.missing = append(j.missing, i)
 	}
+	m.Add(engine.Snapshot{TasksPlanned: int64(len(j.missing))})
 	return j
 }
 
