@@ -1,9 +1,12 @@
 // Package balltree implements ball-tree metric indexes for the two
 // branch-and-bound consumers in this repository:
 //
-//   - Tree, over 3-D atom positions, replaces the Scikit-Learn BallTree
-//     used by the paper's Leaflet Finder Approach 4 ("Tree-Search",
-//     §4.3.4): radius queries over membrane coordinates.
+//   - Tree, over 3-D atom positions, mirrors the Scikit-Learn BallTree
+//     of the paper's Leaflet Finder Approach 4 ("Tree-Search", §4.3.4):
+//     radius queries over membrane coordinates. It is no longer
+//     Leaflet's kernel (internal/leaflet finds neighbours with a cell
+//     list whose pairs Dist2 decides); it is kept for the calibration in
+//     internal/bench and the benchmark's layer C, which time it.
 //   - FrameTree, over 4-D frame signatures (centroid + radius of
 //     gyration), is the metric index behind PSA's indexed Hausdorff
 //     kernel (hausdorff.Indexed): each trajectory window's frames are

@@ -123,14 +123,19 @@ func bruteLeaflet(coords []linalg.Vec3, cutoff float64) ([]int32, int64) {
 }
 
 // FuzzLeafletPlanExact is the differential test of the Leaflet plan's
-// exactness: on boundaryMembrane's layouts, in lattice and in shuffled
-// atom order, every tile of the full grid the plan drops holds no edge
-// by brute force, and task2d and parallel-cc on the serial, spark, dask
-// and mpi executors label every atom and count edges exactly as a
-// brute-force pairwise scan does, running one task per live tile. (The
-// tree approach waits until its BallTree decides boundary pairs by
-// Dist2 too.) tasks = 0 aligns the grid with the layout's chunks; any
-// other value tiles across them.
+// and kernels' exactness: on boundaryMembrane's layouts, in lattice and
+// in shuffled atom order, every tile of the full grid the plan drops
+// holds no edge by brute force, and all four approaches (broadcast,
+// task2d, parallel-cc and tree) on the serial, spark, dask and mpi
+// executors, and leaflet.Serial, label every atom and count edges
+// exactly as a brute-force pairwise scan does; the 2-D approaches run
+// one task per live tile. Every kernel, the tree approach's cell list
+// included, decides pairs by the pairwise Dist2 <= cutoff² test, so the
+// pairs the layout puts at the cutoff and one ulp either side, across
+// chunk boundaries and on the facing faces of chunk boxes (the edges of
+// the cell lists' cells), must land on the same side everywhere.
+// tasks = 0 aligns the grid with the layout's chunks; any other value
+// tiles across them.
 func FuzzLeafletPlanExact(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), uint8(0), false, uint8(0))  // 15 Å, aligned
 	f.Add(uint64(2), uint8(6), uint8(2), uint8(1), false, uint8(0))  // 3-4-5 at 5 Å
@@ -162,8 +167,11 @@ func FuzzLeafletPlanExact(f *testing.F) {
 		}
 
 		labels, edges := bruteLeaflet(coords, cutoff)
+		if res := leaflet.Serial(coords, cutoff); !graph.EqualLabels(res.Labels, labels) || res.Stats.Edges != edges {
+			t.Fatalf("Serial: %d edges, labels %v; brute force %d edges, labels %v", res.Stats.Edges, res.Labels, edges, labels)
+		}
 		for _, engine := range []string{jobs.EngineSerial, jobs.EngineSpark, jobs.EngineDask, jobs.EngineMPI} {
-			for _, approach := range []leaflet.Approach{leaflet.TaskAPI2D, leaflet.ParallelCC} {
+			for _, approach := range leaflet.Approaches {
 				name := fmt.Sprintf("%s/%v", engine, approach)
 				ex, err := jobs.NewExecutor(engine, 2, nil)
 				if err != nil {
@@ -176,7 +184,7 @@ func FuzzLeafletPlanExact(f *testing.F) {
 				if !graph.EqualLabels(res.Labels, labels) {
 					t.Fatalf("%s: labels %v, brute force %v", name, res.Labels, labels)
 				}
-				if res.Stats.Edges != edges || res.Stats.Tasks != len(live) {
+				if res.Stats.Edges != edges || (approach != leaflet.Broadcast1D && res.Stats.Tasks != len(live)) {
 					t.Fatalf("%s: %d edges in %d tasks, brute force %d edges, %d live tiles",
 						name, res.Stats.Edges, res.Stats.Tasks, edges, len(live))
 				}

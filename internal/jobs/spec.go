@@ -103,7 +103,7 @@ type Spec struct {
 	// "task2d"|"2", "parallel-cc"|"3" or "tree"|"4" (default "tree").
 	// The staged engines (pilot, fleet) run every approach as one unit
 	// per live tile shipping partial components; "tree" selects their
-	// BallTree kernel.
+	// cell-list kernel.
 	Approach string `json:"approach,omitempty"`
 	// Cutoff is the Leaflet Finder neighbor cutoff in Å (default
 	// synth.BilayerCutoff).

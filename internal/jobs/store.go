@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -140,12 +139,22 @@ type WALStore struct {
 	log          *wal.Log
 	o            WALStoreOptions
 	lsn          uint64
-	jobs         map[string]*JobRecord
-	order        []string
+	jobs         map[string]*shadowJob
+	order        []string // submission order; may hold pruned or repeated ids
 	sinceCompact int
 
 	recovered   Recovered
 	journalErrs int64
+}
+
+// shadowJob is one job of the shadow table: its record and the index
+// in WALStore.order of its submission. An order entry is live only
+// when the job it names is in the table and sits at that index, so a
+// prune deletes from the map alone and leaves its order entries stale;
+// reorder drops them.
+type shadowJob struct {
+	JobRecord
+	at int
 }
 
 // OpenWALStore opens (or creates) the durable job store under o.Dir
@@ -166,7 +175,7 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	st := &WALStore{
 		log:  l,
 		o:    o,
-		jobs: make(map[string]*JobRecord),
+		jobs: make(map[string]*shadowJob),
 	}
 	rec := &Recovered{Skipped: walRec.Skipped, SkippedBytes: walRec.SkippedBytes}
 	if walRec.Snapshot != nil {
@@ -176,10 +185,8 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 			return nil, nil, fmt.Errorf("jobs: decoding journal snapshot: %w", err)
 		}
 		st.lsn = snap.LSN
-		for i := range snap.Jobs {
-			j := snap.Jobs[i]
-			st.jobs[j.ID] = &j
-			st.order = append(st.order, j.ID)
+		for _, j := range snap.Jobs {
+			st.admit(j)
 		}
 	}
 	// The guard below compares against the LSN the snapshot was taken
@@ -226,12 +233,11 @@ func (st *WALStore) replay(raw []byte, snapLSN uint64, rec *Recovered) {
 		// A transition without its submission (lost to a skipped
 		// region): surface the job as failed rather than dropping the
 		// evidence it existed.
-		st.jobs[r.ID] = &JobRecord{
+		st.admit(JobRecord{
 			ID:    r.ID,
 			State: StateFailed,
 			Error: fmt.Sprintf("jobs: unreplayable journal: %q transition without a surviving submit record", r.State),
-		}
-		st.order = append(st.order, r.ID)
+		})
 	}
 }
 
@@ -246,11 +252,11 @@ func (st *WALStore) apply(r walRecord) bool {
 		if r.Job == nil {
 			return false
 		}
-		j := *r.Job
-		if _, dup := st.jobs[j.ID]; !dup {
-			st.order = append(st.order, j.ID)
+		if j, dup := st.jobs[r.Job.ID]; dup {
+			j.JobRecord = *r.Job
+		} else {
+			st.admit(*r.Job)
 		}
-		st.jobs[j.ID] = &j
 	case "state":
 		j, ok := st.jobs[r.ID]
 		if !ok {
@@ -259,10 +265,10 @@ func (st *WALStore) apply(r walRecord) bool {
 		j.State, j.Error, j.Digest, j.Updated = r.State, r.Err, r.Digest, r.TS
 	case "prune":
 		for _, id := range r.IDs {
-			if _, ok := st.jobs[id]; ok {
-				delete(st.jobs, id)
-				st.order = slices.DeleteFunc(st.order, func(oid string) bool { return oid == id })
-			}
+			delete(st.jobs, id)
+		}
+		if len(st.order) > 2*len(st.jobs) {
+			st.reorder()
 		}
 	case "shutdown":
 	default:
@@ -271,12 +277,40 @@ func (st *WALStore) apply(r walRecord) bool {
 	return true
 }
 
+// admit adds a job the table does not hold, last in submission order.
+func (st *WALStore) admit(j JobRecord) {
+	st.jobs[j.ID] = &shadowJob{JobRecord: j, at: len(st.order)}
+	st.order = append(st.order, j.ID)
+}
+
+// live reports whether order entry i names the job's submission, not a
+// pruned or earlier one.
+func (st *WALStore) live(i int) (*shadowJob, bool) {
+	j, ok := st.jobs[st.order[i]]
+	return j, ok && j.at == i
+}
+
+// reorder drops the stale entries of st.order, in place. A prune calls
+// it once stale entries outnumber live ones, so each costs O(1)
+// amortized and order stays within twice the table.
+func (st *WALStore) reorder() {
+	kept := st.order[:0]
+	for i := range st.order {
+		if j, ok := st.live(i); ok {
+			j.at = len(kept)
+			kept = append(kept, j.ID)
+		}
+	}
+	clear(st.order[len(kept):])
+	st.order = kept
+}
+
 // tableLocked copies the shadow table in submission order.
 func (st *WALStore) tableLocked() []JobRecord {
-	out := make([]JobRecord, 0, len(st.order))
-	for _, id := range st.order {
-		if j, ok := st.jobs[id]; ok {
-			out = append(out, *j)
+	out := make([]JobRecord, 0, len(st.jobs))
+	for i := range st.order {
+		if j, ok := st.live(i); ok {
+			out = append(out, j.JobRecord)
 		}
 	}
 	return out
@@ -330,6 +364,7 @@ func (st *WALStore) writeLocked(r walRecord, durable bool) error {
 // Failures are counted, not fatal: the un-compacted log remains fully
 // replayable.
 func (st *WALStore) compactLocked() {
+	st.reorder()
 	state, err := json.Marshal(snapshotState{LSN: st.lsn, Jobs: st.tableLocked()})
 	if err != nil {
 		st.journalErrs++

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,6 +131,66 @@ func TestWALStorePruneDropsRecords(t *testing.T) {
 	defer st2.Close()
 	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "job-000002" {
 		t.Fatalf("prune not replayed: %+v", rec.Jobs)
+	}
+}
+
+// A prune costs O(ids): it leaves stale submission-order entries behind
+// rather than searching the order for each id. Over 10 000 submit +
+// prune cycles at a fixed retention, with pruned ids resubmitted and
+// live ones submitted twice, the order never grows past twice the
+// table, and the live and recovered tables equal the retained jobs in
+// submission order.
+func TestWALStorePruneKeepsOrderBounded(t *testing.T) {
+	const retain = 64
+	dir := t.TempDir()
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.Sync = wal.SyncNever })
+	var want []string // the retained ids, in submission order
+	next, pruned := 0, ""
+	for cycle := 0; cycle < 10000; cycle++ {
+		id := fmt.Sprintf("job-%06d", next)
+		switch {
+		case cycle%97 == 0 && pruned != "":
+			id = pruned // its stale entry is still in the order
+		case cycle%89 == 0 && len(want) > 0:
+			id = want[len(want)/2] // live: keeps its place
+		default:
+			next++
+		}
+		if err := st.JournalSubmit(testRecord(id)); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(want, id) {
+			want = append(want, id)
+		}
+		if len(want) > retain {
+			if err := st.JournalPrune(want[:1]); err != nil {
+				t.Fatal(err)
+			}
+			pruned, want = want[0], want[1:]
+		}
+		if st.mu.Lock(); len(st.order) > 2*len(st.jobs) {
+			t.Fatalf("cycle %d: %d order entries for %d jobs", cycle, len(st.order), len(st.jobs))
+		}
+		st.mu.Unlock()
+	}
+	ids := func(jobs []JobRecord) []string {
+		out := make([]string, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.ID
+		}
+		return out
+	}
+	st.mu.Lock()
+	live := st.tableLocked()
+	st.mu.Unlock()
+	if got := ids(live); !slices.Equal(got, want) {
+		t.Fatalf("live table %v, want %v", got, want)
+	}
+	st.Close()
+	st2, rec := openStore(t, dir)
+	defer st2.Close()
+	if tableJSON(t, rec.Jobs) != tableJSON(t, live) {
+		t.Fatalf("recovered %v, live %v", ids(rec.Jobs), want)
 	}
 }
 

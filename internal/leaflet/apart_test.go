@@ -35,7 +35,7 @@ func checkTile(t *testing.T, rows, cols []linalg.Vec3, cutoff float64, wantApart
 	if len(brute) != wantEdges {
 		t.Fatalf("brute edges = %d, want %d", len(brute), wantEdges)
 	}
-	if edges := blockEdgesTree(coords, off, cutoff); !sameEdgeSet(edges, brute) {
+	if edges, _ := blockEdgesTree(coords, off, cutoff); !sameEdgeSet(edges, brute) {
 		t.Fatalf("tree edges = %v, brute %v", edges, brute)
 	}
 }
@@ -126,7 +126,7 @@ func TestBlockEdgesMatchBruteEveryTile(t *testing.T) {
 						t.Fatalf("seed %d %s tile %+v: dropped with %d brute edges", seed, order.name, b, len(want))
 					}
 				}
-				if got := blockEdgesTree(order.coords, b, cutoff); !sameEdgeSet(got, want) {
+				if got, _ := blockEdgesTree(order.coords, b, cutoff); !sameEdgeSet(got, want) {
 					t.Fatalf("seed %d %s tile %+v: %d tree edges, brute %d", seed, order.name, b, len(got), len(want))
 				}
 			}

@@ -49,9 +49,9 @@ func specsOf(blocks []block) []BlockSpec {
 
 // BlockPartial computes one tile's partial connected components and its
 // discovered edge count over the whole coordinate set — the map side of
-// the Parallel-CC architecture (tree selects the BallTree kernel of
-// Approach 4, otherwise pairwise distances). It is correct on any tile,
-// live or not.
+// the Parallel-CC architecture (tree selects the cell-list kernel of
+// Approach 4, otherwise pairwise distances; both find the same edges).
+// It is correct on any tile, live or not.
 func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) ([]graph.Component, int64) {
 	tp := ChunkPartial(coords[b.RLo:b.RHi], coords[b.CLo:b.CHi], b, cutoff, tree)
 	return tp.Comps, tp.Edges

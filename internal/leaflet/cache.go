@@ -31,9 +31,10 @@ func CoordsDigest(coords []linalg.Vec3) string {
 }
 
 // TileKey returns the content address of one tile's partial result:
-// the coordinate digest, the cutoff, the edge kernel (pairwise vs.
-// BallTree — both find the same edge set, but Stats count them
-// differently), and the tile bounds.
+// the coordinate digest, the cutoff, the edge kernel (pairwise or the
+// tree approach's cell list; they find the same edges, and keying them
+// apart means a job only ever recalls its own kernel's result), and the
+// tile bounds.
 func TileKey(digest string, cutoff float64, tree bool, rlo, rhi, clo, chi int) string {
 	return fmt.Sprintf("leaflet-tile|%s|c=%x|tree=%t|%d:%d|%d:%d",
 		digest, math.Float64bits(cutoff), tree, rlo, rhi, clo, chi)

@@ -16,7 +16,10 @@
 //	  also computes the partial connected components of its block so
 //	  only components (O(n)) are shuffled instead of edges (O(E)).
 //	Approach 4 — Tree-Search: like 3, but edge discovery uses a
-//	  BallTree nearest-neighbor query instead of pairwise distances.
+//	  spatial index instead of a scan of every pair. The paper's index
+//	  is a BallTree; here it is a cell list over each tile's column
+//	  chunk (cells.go), whose candidates the pairwise kernels' own
+//	  Dist2 test decides, so Approach 4 finds exactly their edges.
 //
 // The four approaches are written once, in Run, over engine.Executor:
 // the approach picks the task body and the combine step, the executor
@@ -31,7 +34,6 @@ import (
 	"fmt"
 	"math"
 
-	"mdtask/internal/balltree"
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
 )
@@ -88,28 +90,30 @@ type Result struct {
 	Stats      Stats
 }
 
-// Serial computes the reference result on one goroutine, using a
-// BallTree for edge discovery so it stays usable on paper-sized systems.
-// A WithCancel option is polled every few thousand atoms; a cancelled
-// run returns its partial result, which the caller must discard.
+// Serial computes the reference result on one goroutine: the tree
+// approach's cell-list kernel over the whole system as one diagonal
+// block, so it stays usable on paper-sized systems. A WithCancel option
+// is polled every few thousand atoms; a cancelled run returns its
+// partial result, which the caller must discard.
 func Serial(coords []linalg.Vec3, cutoff float64, opts ...Option) *Result {
 	o := gatherOpts(opts)
 	n := len(coords)
-	tree := balltree.New(coords)
+	cl := cellPool.Get().(*cellList)
+	defer cellPool.Put(cl)
+	cl.bin(coords, span{hi: n}, cutoff)
 	uf := graph.NewUnionFind(n)
 	var edges int64
-	var buf []int32
-	for i := 0; i < n; i++ {
-		if i%4096 == 0 && o.cancelled() {
+	var buf []graph.Edge
+	const rowsPerPoll = 4096
+	for lo := 0; lo < n; lo += rowsPerPoll {
+		if o.cancelled() {
 			break
 		}
-		buf = tree.QueryRadiusAppend(buf[:0], coords[i], cutoff)
-		for _, j := range buf {
-			if j > int32(i) {
-				uf.Union(int32(i), j)
-				edges++
-			}
+		buf, _ = cl.appendEdges(buf[:0], coords, span{lo: lo, hi: min(lo+rowsPerPoll, n)}, cutoff, true)
+		for _, e := range buf {
+			uf.Union(e.U, e.V)
 		}
+		edges += int64(len(buf))
 	}
 	labels := uf.Labels()
 	return &Result{
@@ -274,33 +278,24 @@ func blockEdgesBrute(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge
 	return out
 }
 
-// blockEdgesTree finds the same edges as blockEdgesBrute using a
-// BallTree over the column chunk queried by each row atom (Approach 4).
-func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge {
-	tree := balltree.New(coords[b.cols.lo:b.cols.hi])
-	var out []graph.Edge
-	var buf []int32
-	for i := b.rows.lo; i < b.rows.hi; i++ {
-		buf = tree.QueryRadiusAppend(buf[:0], coords[i], cutoff)
-		for _, local := range buf {
-			j := int32(b.cols.lo) + local
-			if b.rows == b.cols {
-				if j <= int32(i) {
-					continue
-				}
-			}
-			out = append(out, graph.Edge{U: int32(i), V: j})
-		}
-	}
-	return out
+// blockEdgesTree finds exactly blockEdgesBrute's edges with a cell list
+// over the column chunk scanned by each row atom (Approach 4), and
+// returns them with the number of Dist2 tests it made.
+func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) ([]graph.Edge, int) {
+	cl := cellPool.Get().(*cellList)
+	defer cellPool.Put(cl)
+	cl.bin(coords, b.cols, cutoff)
+	return cl.appendEdges(nil, coords, b.rows, cutoff, b.rows == b.cols)
 }
 
 // blockEdges finds one tile's edges with the approach's kernel (tree
-// selects the BallTree); it is the entry point of every tile body and
-// is correct on any tile, live or not.
+// selects the cell list, otherwise the pairwise scan; both find the
+// same edges); it is the entry point of every tile body and is correct
+// on any tile, live or not.
 func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) []graph.Edge {
 	if tree {
-		return blockEdgesTree(coords, b, cutoff)
+		edges, _ := blockEdgesTree(coords, b, cutoff)
+		return edges
 	}
 	return blockEdgesBrute(coords, b, cutoff)
 }

