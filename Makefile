@@ -114,13 +114,15 @@ fuzz:
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
-# with the frames, and the Leaflet reduce, whose pooled merge scratch
-# the dask/rdd workers share), independent of the main test matrix.
+# with the frames, the Leaflet reduce, whose pooled merge scratch
+# the dask/rdd workers share, and the staged-unit driver, the pilot and
+# the block store, which TestTransportContract drives from both
+# transports at once), independent of the main test matrix.
 # -race also turns on checkptr, which checks traj's in-place views stay
 # inside one allocation. -shuffle=on randomizes test order so order
 # dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/...
 
 # Soak the serving layers: five shuffled passes under -race, so a test
 # that synchronises by sleeping instead of waiting on its condition

@@ -36,7 +36,7 @@
 // directory — acknowledged jobs survive SIGKILL and are re-run from
 // their specs on the next boot against the same directory (see the
 // "Durability & recovery" section of the README). -fsync picks the
-// journal's fsync policy (always|interval|never).
+// journal's fsync policy (always|never).
 //
 // Example:
 //
@@ -76,7 +76,7 @@ func main() {
 		retain     = flag.Int("retain", 4096, "finished-job records retained (oldest evicted beyond this)")
 		maxSpec    = flag.Int64("max-spec-bytes", jobs.DefaultMaxSpecBytes, "POST /v1/jobs request-body bound; larger submissions answer 413")
 		dataDir    = flag.String("data-dir", "", "durable job-journal directory; jobs survive crashes and restarts (empty: memory-only)")
-		fsync      = flag.String("fsync", "always", "journal fsync policy: always|interval|never")
+		fsync      = flag.String("fsync", "always", "journal fsync policy: always|never")
 
 		fleetWorkers = flag.Int("fleet-workers", 0, "in-process fleet workers to attach (0: external mdworkers only)")
 		leaseTTL     = flag.Duration("fleet-lease-ttl", 15*time.Second, "fleet work-unit lease before requeue")

@@ -3,12 +3,15 @@
 //
 // # Keys
 //
+// The store holds two kinds of entry: PSA blocks and whole-job results.
 // Entries are keyed by content, not by job: a PSA block key digests the
 // block layout (rectangular vs. triangle-packed diagonal) and the
 // content digests of the trajectories in its row and column ranges
-// (psa.BlockKey); a Leaflet tile key digests the frame's coordinates,
-// the cutoff, the edge algorithm, and the tile bounds (leaflet.TileKey);
-// whole-job results are stored under their jobs.CacheKey. Because keys
+// (psa.BlockKey); whole-job results are stored under their
+// jobs.CacheKey. Leaflet tiles are not stored: a tile's key would digest
+// the whole membrane, so a tile could hit only when the same membrane,
+// cutoff and task count re-ran on another engine or approach, which no
+// workload does. Because keys
 // carry no absolute matrix coordinates and no job identity, the same
 // trajectory pair hits the cache wherever it lands in the schedule —
 // which is what makes delta resubmission work: a job sharing K of N

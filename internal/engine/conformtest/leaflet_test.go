@@ -7,6 +7,7 @@ package conformtest
 import (
 	"testing"
 
+	"mdtask/internal/blockstore"
 	"mdtask/internal/jobs"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/synth"
@@ -93,6 +94,40 @@ func TestLeafletEngineConformance(t *testing.T) {
 				if st := res.Leaflet.Stats; st.ShuffleBytes != pin.shuffle || int64(st.Tasks) != pin.tasks || metrics.Tasks != pin.ran {
 					t.Fatalf("shuffle %d B, %d tasks, %d ran; pinned %d B, %d, %d",
 						st.ShuffleBytes, st.Tasks, metrics.Tasks, pin.shuffle, pin.tasks, pin.ran)
+				}
+			})
+		}
+	}
+}
+
+// Leaflet caches no tiles on any engine: a job run with a block store
+// leaves the store empty and accounts no block-cache lookup. Only the
+// whole job is cached, by the scheduler, since no two jobs share a tile
+// short of the identical membrane, cutoff and task count.
+func TestLeafletCachesNoTiles(t *testing.T) {
+	reg := jobs.DefaultRegistry()
+	for _, engine := range jobs.Engines {
+		for _, approach := range []string{"parallel-cc", "tree"} {
+			t.Run(engine+"/"+approach, func(t *testing.T) {
+				spec, in, err := jobs.Resolve(jobs.Spec{
+					Analysis:    jobs.AnalysisLeaflet,
+					Engine:      engine,
+					Approach:    approach,
+					Parallelism: 2,
+					Tasks:       16,
+					Synth:       &jobs.SynthSpec{Atoms: 2000, Seed: 31},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := blockstore.New(64 << 20)
+				_, metrics, err := jobs.RunCached(reg, spec, in, store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if store.Len() != 0 || metrics.BlockCacheHits+metrics.BlockCacheMisses != 0 {
+					t.Fatalf("store holds %d entries after %d hits and %d misses",
+						store.Len(), metrics.BlockCacheHits, metrics.BlockCacheMisses)
 				}
 			})
 		}

@@ -48,11 +48,11 @@ func submitPSA(t testing.TB, c *Coordinator, refs traj.RefEnsemble, n1 int, opts
 	return submitPlan(t, c, plan, m)
 }
 
-// submitLeaflet submits a Leaflet job over coords, its units keyed
-// under the coordinates' digest.
+// submitLeaflet submits a Leaflet job over coords, one unit per live
+// tile.
 func submitLeaflet(t testing.TB, c *Coordinator, coords []linalg.Vec3, cutoff float64, tasks int, tree bool) *Job {
 	t.Helper()
-	plan, err := stage.Leaflet(coords, cutoff, tasks, tree, leaflet.CoordsDigest(coords))
+	plan, err := stage.Leaflet(coords, cutoff, tasks, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +292,10 @@ func TestFleetSubmitValidation(t *testing.T) {
 	if _, err := stage.PSA(traj.RefsOf(testEnsemble(4, 4, 3, 1)), 3, psa.Opts{}); err == nil {
 		t.Error("non-divisor group size accepted")
 	}
-	if _, err := stage.Leaflet(nil, 1, 4, false, ""); err == nil {
+	if _, err := stage.Leaflet(nil, 1, 4, false); err == nil {
 		t.Error("empty coordinate set accepted")
 	}
-	if _, err := stage.Leaflet([]linalg.Vec3{{0, 0, 0}}, -1, 4, false, ""); err == nil {
+	if _, err := stage.Leaflet([]linalg.Vec3{{0, 0, 0}}, -1, 4, false); err == nil {
 		t.Error("negative cutoff accepted")
 	}
 	c.Close()

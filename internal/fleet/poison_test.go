@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mdtask/internal/blockstore"
-	"mdtask/internal/dask"
 	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/leaflet"
@@ -19,11 +18,14 @@ import (
 	"mdtask/internal/traj"
 )
 
-// A Leaflet unit's partial components are cached under the same tile
-// key in-process runs read, and the in-process reduce requires them
-// canonical. These payloads must therefore be refused before they reach
-// the store: the first two made every later dask/spark/mpi Leaflet job
-// on the membrane panic in its merge, the rest corrupt the job's counts.
+// A Leaflet unit's partial components feed the job's union-find
+// (leaflet.FromPartials), which indexes by atom, and its edge count the
+// job's Stats; the coordinator accepts only canonical components of the
+// job's atoms. These payloads must therefore be refused before they
+// fold: the first two once made every later dask/spark/mpi Leaflet job
+// on the membrane panic in its merge (when tiles were cached), an
+// out-of-range atom panics the union-find, the rest corrupt the job's
+// counts.
 var badLeafletPayloads = []struct{ name, payload, metrics string }{
 	{"empty-component", `{"comps":[[]]}`, `{}`},
 	{"unsorted", `{"comps":[[900,2]]}`, `{}`},
@@ -46,9 +48,8 @@ const (
 
 // TestMalformedLeafletPartialNotCached posts each bad payload as a
 // worker would: every one is refused with 400 and its unit requeued,
-// nothing lands in the block store under the tile's key, and an
-// in-process job over the same membrane and store then matches the
-// serial reference.
+// nothing folds into the job's sink or lands in the block store, and a
+// healthy worker then completes the job to the serial reference.
 func TestMalformedLeafletPartialNotCached(t *testing.T) {
 	store := blockstore.New(64 << 20)
 	c, url := startCoordinator(t, Options{
@@ -59,8 +60,14 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 		BlockStore:   store,
 	})
 	coords, cutoff := synth.Bilayer(poisonAtoms, 5).Coords, synth.BilayerCutoff
-	job := submitLeaflet(t, c, coords, cutoff, poisonTasks, true)
+	var m engine.Metrics
+	plan, err := stage.Leaflet(coords, cutoff, poisonTasks, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := submitPlan(t, c, plan, &m)
 	defer c.Drop(job)
+	before := m.Snapshot()
 	pc := newProtoClient(t, url)
 	l := pc.lease()
 	if l == nil {
@@ -74,8 +81,8 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 		if code := pc.post(res); code != http.StatusBadRequest {
 			t.Fatalf("%s: post answered %d, want 400", p.name, code)
 		}
-		if _, ok := store.Get(job.run.Units()[l.Unit].Key); ok {
-			t.Fatalf("%s: the refused partial was cached", p.name)
+		if store.Len() != 0 || m.Snapshot() != before {
+			t.Fatalf("%s: the refused partial was recorded", p.name)
 		}
 		next := pc.lease()
 		if next == nil || next.Unit != l.Unit {
@@ -83,16 +90,28 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 		}
 		l = next
 	}
-	pc.heartbeat()
-
-	ex := dask.NewExecutor(dask.NewClient(2), nil)
-	got, err := leaflet.Run(ex, leaflet.TreeSearch, coords, cutoff, poisonTasks,
-		leaflet.WithBlockCache(store, leaflet.CoordsDigest(coords)))
+	// The unit's genuine partial is then accepted, and a healthy worker
+	// runs the rest.
+	payload, err := stage.Exec(plan.Units()[l.Unit], stage.Env{Fetch: plan.Blob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !leaflet.Equal(got, leaflet.Serial(coords, cutoff)) {
-		t.Fatal("in-process job after the refused payloads differs from serial")
+	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, Payload: payload}); code != http.StatusOK {
+		t.Fatalf("genuine partial: post answered %d, want 200", code)
+	}
+	good, err := StartWorker(WorkerOptions{Coordinator: url, Name: "good"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if err := job.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Result().(*leaflet.Result); !leaflet.Equal(got, leaflet.Serial(coords, cutoff)) {
+		t.Fatal("job after the refused payloads differs from serial")
+	}
+	if store.Len() != 0 {
+		t.Fatalf("the store holds %d entries after a Leaflet job", store.Len())
 	}
 }
 
@@ -100,14 +119,16 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 // and its metrics JSON — at the coordinator's record path for the first
 // unit of a Leaflet job and of a PSA job, both kinds' decoders and
 // checks. A refused result records nothing: no block reaches the store
-// and nothing folds into the job's metrics. An accepted one is cached
-// under the unit's key, and an in-process job reading it back must
-// still run to completion, with canonical labels for Leaflet: whatever
-// a worker sends, the shared store never holds a value the in-process
-// engines cannot use. (A canonical but wrong result is accepted and
-// yields wrong output; only recomputing the unit could tell.) The seeds
-// are the Leaflet payloads that once poisoned the store, a PSA block
-// of the wrong length and one of the right length.
+// and nothing folds into the job's metrics. An accepted PSA block is
+// cached under the unit's key, and an in-process job reading it back
+// must still run to completion. An accepted Leaflet partial is folded
+// (its metrics into the job's sink, its edges into the job's Stats),
+// and the job assembled from it and the other units' genuine partials
+// must have canonical labels: whatever a worker sends, the job's merge
+// never sees a partial it cannot use. (A canonical but wrong result is
+// accepted and yields wrong output; only recomputing the unit could
+// tell.) The seeds are the Leaflet payloads that once poisoned the
+// store, a PSA block of the wrong length and one of the right length.
 func FuzzRecordLeafletResult(f *testing.F) {
 	for _, p := range badLeafletPayloads {
 		f.Add([]byte(p.payload), []byte(p.metrics))
@@ -117,7 +138,6 @@ func FuzzRecordLeafletResult(f *testing.F) {
 	f.Add(linalg.AppendFloats(nil, []float64{1, 2}), []byte(`{}`))
 	f.Add(linalg.AppendFloats(nil, []float64{0.5}), []byte(`{"tasks":1,"pairs_evaluated":40}`))
 	coords, cutoff := synth.Bilayer(poisonAtoms, 5).Coords, synth.BilayerCutoff
-	digest := leaflet.CoordsDigest(coords)
 	ens := testEnsemble(2, 3, 4, 1)
 	f.Fuzz(func(t *testing.T, payload, metrics []byte) {
 		var snap engine.Snapshot
@@ -130,7 +150,7 @@ func FuzzRecordLeafletResult(f *testing.F) {
 			var plan stage.Plan
 			var err error
 			if kind == "leaflet" {
-				plan, err = stage.Leaflet(coords, cutoff, poisonTasks, true, digest)
+				plan, err = stage.Leaflet(coords, cutoff, poisonTasks, true)
 			} else {
 				plan, err = stage.PSA(traj.RefsOf(ens), 1, psa.Opts{Cache: store})
 			}
@@ -156,20 +176,43 @@ func FuzzRecordLeafletResult(f *testing.F) {
 				}
 				continue
 			}
-			if _, ok := store.Get(job.run.Units()[0].Key); !ok {
-				t.Fatalf("%s: accepted result not cached", kind)
-			}
 			if kind == "psa" {
+				if _, ok := store.Get(job.run.Units()[0].Key); !ok {
+					t.Fatal("psa: accepted result not cached")
+				}
 				if _, err := psa.Run(engine.NewSerial(nil), traj.RefsOf(ens), 1, psa.Opts{Cache: store}); err != nil {
 					t.Fatalf("accepted PSA block broke an in-process job: %v", err)
 				}
 				continue
 			}
-			ex := dask.NewExecutor(dask.NewClient(2), nil)
-			got, err := leaflet.Run(ex, leaflet.TreeSearch, coords, cutoff, poisonTasks,
-				leaflet.WithBlockCache(store, digest))
-			if err != nil {
-				t.Fatalf("accepted payload broke an in-process job: %v", err)
+			var folded engine.Metrics
+			folded.Add(before)
+			folded.Add(snap)
+			if store.Len() != 0 || m.Snapshot() != folded.Snapshot() {
+				t.Fatal("leaflet: accepted result not folded as sent, or stored")
+			}
+			// The coordinator is closed: record the other units' genuine
+			// partials straight into the plan and assemble the job.
+			var accepted leaflet.TilePartial
+			if err := json.Unmarshal(payload, &accepted); err != nil {
+				t.Fatal(err)
+			}
+			edges := accepted.Edges
+			for i, u := range plan.Units()[1:] {
+				out, err := stage.Exec(u, stage.Env{Fetch: plan.Blob})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tp leaflet.TilePartial
+				if err := json.Unmarshal(out, &tp); err != nil {
+					t.Fatal(err)
+				}
+				plan.Record(i+1, tp)
+				edges += tp.Edges
+			}
+			got := plan.Assemble().(*leaflet.Result)
+			if got.Stats.Edges != edges {
+				t.Fatalf("leaflet: assembled %d edges, want %d with the accepted partial's", got.Stats.Edges, edges)
 			}
 			if err := graph.CheckLabels(got.Labels); err != nil {
 				t.Fatalf("accepted payload: %v", err)

@@ -40,7 +40,7 @@ func TestHostileInputBlobRefused(t *testing.T) {
 		}
 		plans = append(plans, p)
 	}
-	p, err := stage.Leaflet(synth.Bilayer(64, 1).Coords, synth.BilayerCutoff, 4, true, "")
+	p, err := stage.Leaflet(synth.Bilayer(64, 1).Coords, synth.BilayerCutoff, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}

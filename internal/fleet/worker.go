@@ -32,9 +32,6 @@ type WorkerOptions struct {
 	// while the coordinator is unreachable (default 10s) — workers may
 	// legitimately boot before their coordinator.
 	RegisterWait time.Duration
-	// Client, when non-nil, overrides BOTH per-endpoint clients —
-	// useful in tests that need a single instrumented transport.
-	Client *http.Client
 	// ControlTimeout bounds control-plane calls — register, heartbeat,
 	// lease, result post (default 15s). These carry small payloads; a
 	// call that takes longer is stuck, and a stuck heartbeat must fail
@@ -120,9 +117,6 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 		ctl:  &http.Client{Timeout: o.ControlTimeout},
 		xfer: &http.Client{Timeout: o.TransferTimeout},
 		stop: make(chan struct{}),
-	}
-	if o.Client != nil {
-		w.ctl, w.xfer = o.Client, o.Client
 	}
 	if o.Obs != nil {
 		w.tracer = o.Obs.Tracer

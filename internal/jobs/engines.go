@@ -10,6 +10,7 @@ import (
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/mpi"
+	"mdtask/internal/obs"
 	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
@@ -187,11 +188,8 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 			// Every task body consults the run's block store (nil on the
 			// uncached one-shot path), so blocks shared with earlier jobs
 			// skip their kernels whatever the engine.
-			Cache: rc.BlockStore(),
-		}
-		if o := rc.Obs(); o != nil {
-			opts.KernelHist = o.Metrics.Histogram("mdtask_block_kernel_seconds",
-				"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
+			Cache:      rc.BlockStore(),
+			KernelHist: kernelHist(rc),
 		}
 		if row.staged != nil {
 			plan, err := stage.PSA(in.Refs, spec.groupSize(len(in.Refs)), opts)
@@ -238,32 +236,25 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		}
 		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+engineName)
 		defer engSpan.End()
-		// The tile bodies consult the run's block store, keyed under the
-		// input's content digest.
-		digest := ""
-		if rc.BlockStore() != nil {
-			digest, _ = in.ContentDigest()
-		}
+		// Tiles are not cached; the scheduler caches the whole job.
+		kernel := kernelHist(rc)
 		var res *leaflet.Result
 		switch {
 		case row.leaflet != nil:
 			res, err = row.leaflet(rc, spec, in)
 		case row.staged != nil:
 			var plan stage.Plan
-			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch, digest); err == nil {
+			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch); err == nil {
 				var out any
 				out, err = row.staged(shared, rc, spec, plan, stage.Env{
-					Cancel: rc.Cancelled, Tracer: rc.Tracer(), TraceParent: engSpan.Context()})
+					Cancel: rc.Cancelled, Tracer: rc.Tracer(), TraceParent: engSpan.Context(), KernelHist: kernel})
 				res, _ = out.(*leaflet.Result)
 			}
 		default:
-			opts := []leaflet.Option{leaflet.WithTrace(rc.Tracer(), engSpan.Context())}
-			if digest != "" {
-				opts = append(opts, leaflet.WithBlockCache(rc.BlockStore(), digest))
-			}
 			ex := row.executor(spec.Parallelism, rc.Cancelled)
 			rc.SetMetrics(ex.Metrics())
-			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), opts...)
+			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach),
+				leaflet.WithTrace(rc.Tracer(), engSpan.Context(), kernel))
 		}
 		// What the plan saved: the grid's tiles against the live ones run.
 		if res != nil && rc.Tracer().Enabled() && row.tiled2D(approach) {
@@ -272,6 +263,18 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		}
 		return finish(rc, &Result{Leaflet: res}, err)
 	}
+}
+
+// kernelHist is the service's block kernel histogram, which every PSA
+// block and Leaflet tile body observes; nil when the run has no
+// observability bundle (the one-shot path).
+func kernelHist(rc *RunContext) *obs.Histogram {
+	o := rc.Obs()
+	if o == nil {
+		return nil
+	}
+	return o.Metrics.Histogram("mdtask_block_kernel_seconds",
+		"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
 }
 
 // tiled2D reports whether the engine runs an approach over the 2-D

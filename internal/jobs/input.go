@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"mdtask/internal/engine"
-	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
@@ -50,9 +49,25 @@ func (in *Input) ContentDigest() (string, error) {
 			in.digest, in.digestErr = refsDigest(in.Refs)
 			return
 		}
-		in.digest = leaflet.CoordsDigest(in.Coords)
+		in.digest = coordsDigest(in.Coords)
 	})
 	return in.digest, in.digestErr
+}
+
+// coordsDigest returns the hex SHA-256 of a coordinate set's content:
+// its count plus every coordinate's float64 bits.
+func coordsDigest(coords []linalg.Vec3) string {
+	h := sha256.New()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(coords)))
+	h.Write(n[:])
+	const chunk = 256 // points hashed per buffer fill
+	buf := make([]byte, 0, 24*chunk)
+	for lo := 0; lo < len(coords); lo += chunk {
+		buf = linalg.AppendVec3s(buf[:0], coords[lo:min(lo+chunk, len(coords))])
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ResolveInput loads or generates the input a normalized spec describes.

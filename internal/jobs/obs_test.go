@@ -289,3 +289,36 @@ func TestTracingDisabled(t *testing.T) {
 		}
 	}
 }
+
+// Every Leaflet tile body observes the service's block kernel
+// histogram, in-process (dask) and staged (pilot) alike: a tree job at
+// the engine conformance point (2000 atoms, 16 tasks) raises its count
+// by exactly the plan's 11 live tiles.
+func TestLeafletTilesObserveKernelHistogram(t *testing.T) {
+	ob := obs.NoTrace()
+	hist := ob.Metrics.Histogram("mdtask_block_kernel_seconds",
+		"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
+	reg := DefaultRegistry()
+	for _, engine := range []string{EngineDask, EnginePilot} {
+		spec, in, err := Resolve(Spec{Analysis: AnalysisLeaflet, Engine: engine, Approach: "tree",
+			Parallelism: 2, Tasks: 16, Synth: &SynthSpec{Atoms: 2000, Seed: 31}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner, ok := reg.Lookup(RunnerName(spec.Analysis, spec.Engine))
+		if !ok {
+			t.Fatalf("no %s runner", engine)
+		}
+		rc := NewRunContext()
+		rc.SetObs(ob, obs.SpanContext{})
+		before := hist.Count()
+		res, err := runner(rc, spec, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tiles := res.Leaflet.Stats.Tasks; tiles != 11 || hist.Count()-before != int64(tiles) {
+			t.Errorf("%s/tree: histogram count rose by %d over %d live tiles, want 11",
+				engine, hist.Count()-before, tiles)
+		}
+	}
+}

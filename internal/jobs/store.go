@@ -121,8 +121,6 @@ type WALStoreOptions struct {
 	// Sync is the fsync policy (default wal.SyncAlways: an acknowledged
 	// submission survives SIGKILL).
 	Sync wal.SyncPolicy
-	// SyncInterval bounds the unsynced window under wal.SyncInterval.
-	SyncInterval time.Duration
 	// CompactBytes triggers snapshot + log truncation when the log
 	// exceeds this size (< 1: 1 MiB).
 	CompactBytes int64
@@ -168,7 +166,7 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	if o.CompactRecords < 1 {
 		o.CompactRecords = 1024
 	}
-	l, walRec, err := wal.Open(wal.Options{Dir: o.Dir, Sync: o.Sync, SyncInterval: o.SyncInterval})
+	l, walRec, err := wal.Open(wal.Options{Dir: o.Dir, Sync: o.Sync})
 	if err != nil {
 		return nil, nil, err
 	}

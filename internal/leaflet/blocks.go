@@ -57,6 +57,19 @@ func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) 
 	return tp.Comps, tp.Edges
 }
 
+// TilePartial is one tile's partial result: its partial connected
+// components and the number of edges the kernel discovered. It is what
+// a Parallel-CC or Tree-Search task body returns to the reduce and what
+// a staged Leaflet unit ships back, as JSON.
+type TilePartial struct {
+	Comps []graph.Component `json:"comps"`
+	Edges int64             `json:"edges"`
+}
+
+// WireBytes is the partial's shuffle payload — its component node ids,
+// the volume Table 2 reports (engine.Sized).
+func (t TilePartial) WireBytes() int64 { return graph.ComponentBytes(t.Comps) }
+
 // ChunkPartial is BlockPartial from the tile's own chunks: rows holds
 // atoms [b.RLo, b.RHi) and cols atoms [b.CLo, b.CHi) (ignored on a
 // diagonal tile). It runs the kernel of Run's tile bodies on the chunks

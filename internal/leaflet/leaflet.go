@@ -189,7 +189,7 @@ func blocks2D(n, maxTasks int) []block {
 
 // liveBlocks2D is the plan of Approaches 2-4: the tiles of
 // blocks2D(len(coords), maxTasks) that can hold an edge, in grid order.
-// A dropped tile never becomes a task, a span or a cache entry.
+// A dropped tile never becomes a task or a span.
 func liveBlocks2D(coords []linalg.Vec3, cutoff float64, maxTasks int) []block {
 	return planTiles(coords, chunks2D(len(coords), maxTasks), cutoff)
 }

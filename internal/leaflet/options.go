@@ -1,31 +1,20 @@
 package leaflet
 
-import (
-	"mdtask/internal/blockstore"
-	"mdtask/internal/engine"
-	"mdtask/internal/obs"
-)
+import "mdtask/internal/obs"
 
-// Option configures a run; the zero set of options is a plain uncached,
-// untraced, uncancellable run.
+// Option configures a run; the zero set of options is a plain untraced,
+// uncancellable run.
 type Option func(*runOpts)
 
 type runOpts struct {
 	cancel func() bool
-	// metrics is the executor's sink (set by Run), where tile-cache
-	// lookups are accounted.
-	metrics *engine.Metrics
 
-	// Tile cache (WithBlockCache): the content-addressed store the
-	// Parallel-CC / Tree-Search tile bodies consult and the coordinate
-	// digest tiles are keyed under.
-	store        *blockstore.Store
-	coordsDigest string
-
-	// Tracing (WithTrace): each tile body records a leaflet.tile span
-	// parented under traceParent.
+	// Instrumentation (WithTrace): each tile body records a
+	// leaflet.tile span parented under traceParent and observes its
+	// kernel's wall time into kernelHist.
 	tracer      *obs.Tracer
 	traceParent obs.SpanContext
+	kernelHist  *obs.Histogram
 }
 
 func (o runOpts) cancelled() bool { return o.cancel != nil && o.cancel() }
@@ -45,12 +34,15 @@ func gatherOpts(opts []Option) runOpts {
 // discarding the partial result of a cancelled run.
 func WithCancel(fn func() bool) Option { return func(o *runOpts) { o.cancel = fn } }
 
-// WithTrace makes each tile body record a leaflet.tile span (with tile
-// bounds and cache outcome) into t, parented under parent. A nil t
-// disables tracing.
-func WithTrace(t *obs.Tracer, parent obs.SpanContext) Option {
+// WithTrace instruments the tile bodies of the Parallel-CC and
+// Tree-Search approaches: each records a leaflet.tile span (with its
+// tile bounds) into t, parented under parent, and observes its kernel's
+// wall time into kernel. A nil t disables tracing, a nil kernel the
+// observation.
+func WithTrace(t *obs.Tracer, parent obs.SpanContext, kernel *obs.Histogram) Option {
 	return func(o *runOpts) {
 		o.tracer = t
 		o.traceParent = parent
+		o.kernelHist = kernel
 	}
 }

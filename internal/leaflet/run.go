@@ -2,6 +2,7 @@ package leaflet
 
 import (
 	"fmt"
+	"time"
 
 	"mdtask/internal/engine"
 	"mdtask/internal/graph"
@@ -17,7 +18,6 @@ import (
 // paper uses 1024 partitions).
 func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int, opts ...Option) (*Result, error) {
 	o := gatherOpts(opts)
-	o.metrics = ex.Metrics()
 	n := len(coords)
 	switch approach {
 	case Broadcast1D:
@@ -76,6 +76,19 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 	default:
 		return nil, fmt.Errorf("leaflet: unknown approach %v", approach)
 	}
+}
+
+// tilePartial computes one tile's partial components, recording a
+// leaflet.tile span and the kernel's wall time (WithTrace).
+func (o runOpts) tilePartial(coords []linalg.Vec3, b block, cutoff float64, useTree bool) TilePartial {
+	span := o.tracer.StartChild(o.traceParent, "leaflet.tile")
+	span.SetAttr("tile", fmt.Sprintf("[%d:%d)x[%d:%d)", b.rows.lo, b.rows.hi, b.cols.lo, b.cols.hi))
+	defer span.End()
+	start := time.Now()
+	edges := blockEdges(coords, b, cutoff, useTree)
+	tp := TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
+	o.kernelHist.Observe(time.Since(start).Seconds())
+	return tp
 }
 
 // fromEdges is the combine step of Approaches 1 and 2: the per-task

@@ -10,7 +10,6 @@ import (
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
 	"mdtask/internal/fleet"
-	"mdtask/internal/leaflet"
 	"mdtask/internal/obs"
 	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
@@ -64,7 +63,7 @@ func TestTransportContract(t *testing.T) {
 		return stage.PSA(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true, Cache: store})
 	}
 	planLeaflet := func(*blockstore.Store) (stage.Plan, error) {
-		return stage.Leaflet(coords, synth.BilayerCutoff, 6, true, leaflet.CoordsDigest(coords))
+		return stage.Leaflet(coords, synth.BilayerCutoff, 6, true)
 	}
 
 	var (

@@ -41,10 +41,9 @@ type stagedLeaflet struct {
 // leaflet.LiveBlocks(coords, cutoff, maxTasks): each reads its row and
 // column chunks and stages out the tile's partial components (tree
 // selects the cell-list kernel), so only components cross the transport
-// whatever the approach. With digest set — the coordinates'
-// leaflet.CoordsDigest — units carry the tile keys the in-process
-// engines use.
-func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool, digest string) (Plan, error) {
+// whatever the approach. Its units carry no key: the store holds
+// Leaflet results only as whole jobs.
+func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool) (Plan, error) {
 	if len(coords) == 0 {
 		return nil, fmt.Errorf("stage: empty coordinate set")
 	}
@@ -67,9 +66,6 @@ func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool, dige
 				u.Inputs = append(u.Inputs, name)
 				p.chunks[name] = c
 			}
-		}
-		if digest != "" {
-			u.Key = leaflet.TileKey(digest, cutoff, tree, t.RLo, t.RHi, t.CLo, t.CHi)
 		}
 		p.units[i] = u
 	}
@@ -150,9 +146,11 @@ func decodeLeaflet(payload []byte) (any, error) {
 	return tp, nil
 }
 
-// checkLeaflet refuses any partial the in-process reduce could not
-// merge: the value is cached under the tile key in-process runs read,
-// and their merge requires canonical components (graph.CheckComponents).
+// checkLeaflet refuses any partial the job cannot fold: a worker's
+// components feed FromPartials' union-find, which indexes by atom, so
+// they must be canonical components of the job's atoms
+// (graph.CheckComponents), and its edge count feeds the job's Stats. A
+// Leaflet unit has no key, so it takes no room in the store.
 func checkLeaflet(raw json.RawMessage, v any) (int64, error) {
 	tp, ok := v.(leaflet.TilePartial)
 	if !ok {
@@ -168,5 +166,5 @@ func checkLeaflet(raw json.RawMessage, v any) (int64, error) {
 	if err := graph.CheckComponents(d.NAtoms, tp.Comps); err != nil {
 		return 0, err
 	}
-	return tp.SizeBytes(), nil
+	return 0, nil
 }

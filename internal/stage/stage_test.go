@@ -62,7 +62,7 @@ func TestPlansRefuseForeignBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfPlan, err := stage.Leaflet(synth.Bilayer(64, 1).Coords, synth.BilayerCutoff, 4, false, "")
+	lfPlan, err := stage.Leaflet(synth.Bilayer(64, 1).Coords, synth.BilayerCutoff, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}

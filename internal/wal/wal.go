@@ -36,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"mdtask/internal/faultinject"
 )
@@ -53,14 +52,11 @@ const (
 type SyncPolicy string
 
 // Sync policies. SyncAlways fsyncs every Append (the durability
-// default: an acknowledged record survives a power loss). SyncInterval
-// fsyncs at most once per Options.SyncInterval, piggybacked on
-// appends — bounded data loss for bursty workloads. SyncNever leaves
-// flushing to the OS. No policy makes AppendNoSync fsync.
+// default: an acknowledged record survives a power loss). SyncNever
+// leaves flushing to the OS. No policy makes AppendNoSync fsync.
 const (
-	SyncAlways   SyncPolicy = "always"
-	SyncInterval SyncPolicy = "interval"
-	SyncNever    SyncPolicy = "never"
+	SyncAlways SyncPolicy = "always"
+	SyncNever  SyncPolicy = "never"
 )
 
 // ParseSyncPolicy validates a policy name ("" defaults to SyncAlways).
@@ -68,10 +64,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch SyncPolicy(s) {
 	case "":
 		return SyncAlways, nil
-	case SyncAlways, SyncInterval, SyncNever:
+	case SyncAlways, SyncNever:
 		return SyncPolicy(s), nil
 	}
-	return "", fmt.Errorf("wal: unknown sync policy %q (want always|interval|never)", s)
+	return "", fmt.Errorf("wal: unknown sync policy %q (want always|never)", s)
 }
 
 // Options configures Open.
@@ -80,9 +76,6 @@ type Options struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncInterval bounds the unsynced window under SyncInterval
-	// (default 100ms).
-	SyncInterval time.Duration
 }
 
 // Recovery is what Open found on disk: the latest snapshot payload
@@ -106,14 +99,12 @@ type Recovery struct {
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
-	mu       sync.Mutex
-	dir      string
-	f        *os.File
-	off      int64 // end of the last complete record; appends go here
-	policy   SyncPolicy
-	interval time.Duration
-	lastSync time.Time
-	closed   bool
+	mu     sync.Mutex
+	dir    string
+	f      *os.File
+	off    int64 // end of the last complete record; appends go here
+	policy SyncPolicy
+	closed bool
 
 	appends   int64
 	syncs     int64
@@ -126,9 +117,6 @@ type Log struct {
 func Open(o Options) (*Log, Recovery, error) {
 	if o.Sync == "" {
 		o.Sync = SyncAlways
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
 	}
 	var rec Recovery
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
@@ -164,11 +152,7 @@ func Open(o Options) (*Log, Recovery, error) {
 		f.Close()
 		return nil, rec, err
 	}
-	l := &Log{
-		dir: o.Dir, f: f, off: off,
-		policy: o.Sync, interval: o.SyncInterval, lastSync: time.Now(),
-	}
-	return l, rec, nil
+	return &Log{dir: o.Dir, f: f, off: off, policy: o.Sync}, rec, nil
 }
 
 // scan decodes the framed records in data, returning them, the offset
@@ -314,13 +298,8 @@ func (l *Log) rollback(wrote int64) {
 
 // maybeSyncLocked applies the sync policy after an append.
 func (l *Log) maybeSyncLocked() error {
-	switch l.policy {
-	case SyncNever:
+	if l.policy == SyncNever {
 		return nil
-	case SyncInterval:
-		if time.Since(l.lastSync) < l.interval {
-			return nil
-		}
 	}
 	return l.syncLocked()
 }
@@ -333,7 +312,6 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.syncs++
-	l.lastSync = time.Now()
 	return nil
 }
 

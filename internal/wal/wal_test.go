@@ -477,7 +477,7 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, p := range []SyncPolicy{SyncAlways, SyncNever} {
 		t.Run(string(p), func(t *testing.T) {
 			dir := t.TempDir()
 			l, _, err := Open(Options{Dir: dir, Sync: p})
