@@ -13,11 +13,10 @@
 // it is the end-to-end benchmark's job (benchmark/). On top of the relative comparison, one absolute rule guards
 // the indexed kernel's reason to exist: on every ensemble measuring
 // both methods, indexed must complete strictly fewer full evaluations
-// than pruned. The
-// streamed section records the in-memory pruned kernel's atom-touching
-// pairs next to the streamed kernel's; a ceiling on their ratio comes
-// with the cross-window kernel (ROADMAP item 3) — the window-local fold
-// touches atoms for every pair it does not bound away.
+// than pruned. A second absolute rule guards the streamed fold: on each
+// streamed ensemble its atom-touching pairs may be at most
+// streamedCeiling times the in-memory pruned kernel's on the same
+// ensemble in the same run.
 //
 // Usage:
 //
@@ -175,6 +174,7 @@ func gate(baseline, current benchFile, tol float64) (violations, improvements []
 	violations = append(violations, gateBlockCache(baseline.BlockCache, current.BlockCache)...)
 	violations = append(violations, gateIndexedReduction(current)...)
 	violations = append(violations, gateStreamed(baseline.Streamed, current.Streamed, tol)...)
+	violations = append(violations, gateStreamedCeiling(current)...)
 	cur := make(map[string]benchMethod)
 	for _, e := range current.Ensembles {
 		for _, m := range e.Methods {
@@ -287,6 +287,38 @@ func gateStreamed(base, cur []benchStreamed, tol float64) (violations []string) 
 		check("evaluated+abandoned pairs", b.PairsEvaluated+b.PairsAbandoned, c.PairsEvaluated+c.PairsAbandoned)
 		check("windows decoded", b.WindowsDecoded, c.WindowsDecoded)
 		check("bytes streamed", b.BytesStreamed, c.BytesStreamed)
+	}
+	return violations
+}
+
+// streamedCeiling bounds, per ensemble kind, the streamed fold's
+// atom-touching pairs (evaluated + abandoned) as a multiple of the
+// in-memory pruned kernel's. The fold cannot reach 1×: a frame dies only
+// through a completed evaluation, so a comparison costs at least
+// max(na, nb) of them, and on diverging paths the in-memory kernel's
+// temporal chain skips whole rows without one (docs/kernels.md, "The
+// streamed fold"). Recorded at 3.1× on walk and 11.3× on path.
+var streamedCeiling = map[string]float64{"walk": 4, "path": 12}
+
+// gateStreamedCeiling enforces streamedCeiling on every streamed entry of
+// the current run. Like gateIndexedReduction it reads the current run
+// only, so a regenerated baseline cannot raise it; a kind with no
+// ceiling is a violation until one is set.
+func gateStreamedCeiling(current benchFile) (violations []string) {
+	for _, s := range current.Streamed {
+		key := "streamed/" + s.Kind
+		limit, ok := streamedCeiling[s.Kind]
+		if !ok {
+			violations = append(violations, key+": no streamed ceiling for this kind")
+			continue
+		}
+		touched := s.PairsEvaluated + s.PairsAbandoned
+		inmem := s.InMemEvaluated + s.InMemAbandoned
+		if float64(touched) > limit*float64(inmem) {
+			violations = append(violations, fmt.Sprintf(
+				"%s: evaluated+abandoned pairs %d > %.0f × in-memory pruned's %d",
+				key, touched, limit, inmem))
+		}
 	}
 	return violations
 }

@@ -170,3 +170,39 @@ func TestGateStreamedSection(t *testing.T) {
 		t.Fatalf("violations = %v, want a missing-measurement failure", v)
 	}
 }
+
+// The streamed fold's atom-touching pairs are held to a multiple of the
+// in-memory pruned kernel's on the same ensemble of the current run —
+// an absolute rule, so it trips even when the baseline records the same
+// (bad) numbers.
+func TestGateStreamedCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		kind          string
+		inmem, within int64 // in-memory pairs; streamed pairs at the ceiling
+	}{
+		{"walk", 200, 800},  // ≤ 4×
+		{"path", 100, 1200}, // ≤ 12×
+	} {
+		f := baselineFixture()
+		f.Streamed = []benchStreamed{{
+			Kind: tc.kind, Window: 16,
+			PairsEvaluated: tc.within / 2, PairsAbandoned: tc.within / 2, PairsPruned: 10000 - tc.within,
+			InMemEvaluated: tc.inmem / 2, InMemAbandoned: tc.inmem / 2,
+		}}
+		if v, _ := gate(f, f, 0.02); len(v) != 0 {
+			t.Fatalf("%s at the ceiling tripped the gate: %v", tc.kind, v)
+		}
+		f.Streamed[0].PairsAbandoned++
+		f.Streamed[0].PairsPruned--
+		v, _ := gate(f, f, 0.02)
+		if len(v) != 1 || !strings.Contains(v[0], "streamed/"+tc.kind+": evaluated+abandoned pairs") {
+			t.Fatalf("%s one pair over the ceiling: violations = %v", tc.kind, v)
+		}
+	}
+
+	f := streamedFixture()
+	f.Streamed[0].Kind = "shuffled"
+	if v, _ := gate(f, f, 0.02); len(v) != 1 || !strings.Contains(v[0], "no streamed ceiling") {
+		t.Fatalf("kind without a ceiling: violations = %v", v)
+	}
+}

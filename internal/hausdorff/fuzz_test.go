@@ -32,6 +32,19 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 	f.Add(uint8(2), uint8(9), uint8(4), uint8(40), uint8(4), uint64(6))  // shared start, window ≥ frames, tiny magnitude
 	f.Add(uint8(7), uint8(5), uint8(11), uint8(5), uint8(0), uint64(9))  // independent frames, huge magnitude
 	f.Add(uint8(1), uint8(12), uint8(12), uint8(0), uint8(1), uint64(2)) // one atom, whole-trajectory window
+	// The streamed fold's probes: sides of 1, 2 and 3 frames, where the
+	// last, first and middle frames coincide; windows of 1 and 2 frames,
+	// which hold the probes to min(3, window).
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(4), uint8(1), uint64(21))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(5), uint8(0), uint64(22))
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint8(4), uint64(23))
+	f.Add(uint8(4), uint8(9), uint8(6), uint8(2), uint8(1), uint64(24))
+	// Duplicate frames: every distance is zero, so every running minimum
+	// ties hlo exactly once it is finite.
+	f.Add(uint8(4), uint8(2), uint8(1), uint8(2), uint8(2), uint64(25))
+	f.Add(uint8(5), uint8(2), uint8(2), uint8(1), uint8(2), uint64(26))
+	// na ≠ nb, and the last window of each side is short.
+	f.Add(uint8(4), uint8(6), uint8(11), uint8(5), uint8(1), uint64(27))
 	f.Fuzz(func(t *testing.T, nAtoms, naFrames, nbFrames, window, kind uint8, seed uint64) {
 		atoms := int(nAtoms) % 9
 		na, nb := 1+int(naFrames)%12, 1+int(nbFrames)%12
@@ -56,6 +69,7 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 		}
 
 		pairs := int64(2 * na * nb)
+		constant := sameFrames(a, b)
 		for name, refs := range backings {
 			// The reference is naive on what this backing actually holds
 			// (a float32 file rounds the coordinates).
@@ -102,8 +116,37 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 					if st.WindowsDecoded < 2 {
 						t.Fatalf("%s/%v/w=%d streamed: %d windows decoded", name, m, w, st.WindowsDecoded)
 					}
+					if constant && m != Naive {
+						// Every distance is zero: a frame dies at its first
+						// evaluation, so the probe passes leave nothing live
+						// and the sweep decodes no tile. The flat kernels
+						// pay exactly one evaluation per frame, bar the one
+						// that kills a row and a column at once.
+						if scans := int64(refs[0].NumWindows(w) + refs[1].NumWindows(w)); st.WindowsDecoded != scans {
+							t.Fatalf("%s/%v/w=%d streamed, constant pair: %d windows decoded, want the probe passes' %d", name, m, w, st.WindowsDecoded, scans)
+						}
+						if flat := int64(2 * (na + nb - 1)); m != Indexed && (c.Evaluated != flat || c.Abandoned != 0) {
+							t.Fatalf("%s/%v/w=%d streamed, constant pair: counters %+v, want %d evaluated and none abandoned", name, m, w, c, flat)
+						}
+					}
 				}
 			}
 		}
 	})
+}
+
+// sameFrames reports whether every frame of a and b holds the
+// coordinates of a's first frame.
+func sameFrames(a, b *traj.Trajectory) bool {
+	ref := a.Frames[0].Coords
+	for _, t := range []*traj.Trajectory{a, b} {
+		for _, f := range t.Frames {
+			for i := range f.Coords {
+				if f.Coords[i] != ref[i] {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

@@ -63,13 +63,15 @@ type Opts struct {
 	Metrics *engine.Metrics
 	// MaxResidentFrames, when positive, switches every task body to the
 	// streamed window kernel: trajectories are consumed as bounded frame
-	// windows (at most MaxResidentFrames frames per window, two windows
-	// resident per comparison) instead of being fully materialized, so a
-	// task's peak frame residency is ≤ 2 × MaxResidentFrames whatever
-	// the ensemble size. Results are bit-identical to the in-memory path
-	// for every method and schedule; the price is re-decoding the inner
-	// trajectory of each comparison once per outer window, which the
-	// BytesStreamed metric accounts. Zero keeps the fully-resident path.
+	// windows of at most MaxResidentFrames frames instead of being fully
+	// materialized. A comparison holds the probe frames (at most
+	// min(3, MaxResidentFrames)) plus one window during its two probe
+	// passes, then two windows during its sweep, so a task's peak frame
+	// residency is ≤ 2 × MaxResidentFrames whatever the ensemble size.
+	// Results are bit-identical to the in-memory path for every method
+	// and schedule; the price is decoding windows more than once, which
+	// the BytesStreamed metric accounts. Zero keeps the fully-resident
+	// path.
 	MaxResidentFrames int
 	// Tracer and TraceParent, when set, give every task body a span:
 	// each block records a psa.block span (child of TraceParent) with

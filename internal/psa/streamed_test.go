@@ -1,6 +1,8 @@
 package psa
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,6 +76,52 @@ func TestSerialStreamedMatchesInMemory(t *testing.T) {
 					if s.BytesStreamed <= 0 {
 						t.Fatalf("%s/%v sym=%v w=%d: no bytes accounted as streamed", backing.name, m, sym, w)
 					}
+				}
+			}
+		}
+	}
+}
+
+// A streamed comparison reads each side front to back once — the probe
+// passes — and that pass is what verifies a plain .mdt payload
+// checksum (the sweep reads by random access). One flipped payload bit
+// in either trajectory of the comparison must fail the job with
+// traj.ErrChecksum, for every method and window size.
+func TestStreamedDetectsCorruptPayload(t *testing.T) {
+	const atoms, frames = 5, 9
+	ens := testEnsemble(2, atoms, frames)
+	for corrupt := range ens {
+		dir := t.TempDir()
+		refs := make(traj.RefEnsemble, len(ens))
+		for i, tr := range ens {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.mdt", tr.Name, i))
+			if err := traj.WriteMDTFile(path, tr, 4); err != nil {
+				t.Fatal(err)
+			}
+			if i == corrupt {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The low mantissa bit of the first coordinate of the
+				// middle frame: still finite, only the checksum can tell.
+				frameBytes := 8 + atoms*3*4
+				payload := len(raw) - 4 - frames*frameBytes
+				raw[payload+(frames/2)*frameBytes+8] ^= 0x01
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if refs[i], err = traj.FileRef(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range hausdorff.Methods {
+			for _, w := range []int{1, 4, frames} {
+				_, err := SerialRefs(refs, Opts{Symmetric: true, Method: m, MaxResidentFrames: w})
+				if !errors.Is(err, traj.ErrChecksum) {
+					t.Fatalf("trajectory %d corrupted, %v w=%d: err = %v, want ErrChecksum", corrupt, m, w, err)
 				}
 			}
 		}

@@ -43,7 +43,8 @@
 //     random access into one reused slot, with the centroid/rg side
 //     data computed on the way in, so out-of-core consumers
 //     (hausdorff.DistanceStreamed) hold at most two windows per
-//     comparison. Ref.Windows is the sequential wrapper.
+//     comparison. Ref.Windows is the sequential wrapper; only its
+//     front-to-back scans verify a plain .mdt payload checksum.
 //
 // The decoders treat headers as hostile input: a claimed shape is
 // checked against the bytes actually present before anything is sized

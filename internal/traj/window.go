@@ -13,7 +13,8 @@ import (
 // complete with the per-frame centroid / radius-of-gyration side data
 // the pruned Hausdorff bounds consume. Windows are the unit of
 // residency of the out-of-core PSA path: a streamed trajectory
-// comparison holds at most one window per side.
+// comparison holds a few probe frames of one side and a window of the
+// other while it probes, then one window per side.
 type Window struct {
 	// Start is the index of the window's first frame in the trajectory.
 	Start int
