@@ -195,11 +195,12 @@ func resolveCoords(spec Spec) ([]linalg.Vec3, error) {
 // of the same input share one cache entry. The members are hashed as
 // one task each on a GOMAXPROCS pool and composed in ensemble order, so
 // the digest does not depend on the schedule and a failure names the
-// lowest failing member. The cost is still one full scan of on-disk
-// data per submission, spread over the cores (content addressing
-// cannot be had for less without trusting file metadata); callers that
-// cannot afford the scan on the submit path should run through
-// RunLocal, which never digests.
+// lowest failing member. A member file the process has hashed before,
+// under the same device, inode, size, mtime and ctime, is not read
+// again (traj's file-identity cache; README, "What admission
+// trusts"), so a submission scans only the on-disk bytes it has not
+// seen; callers that cannot afford even that on the submit path should
+// run through RunLocal, which never digests.
 func refsDigest(refs traj.RefEnsemble) (string, error) {
 	ds := make([]string, len(refs))
 	err := engine.NewPool(0, nil).ForEach(len(refs), func(i int) (err error) {

@@ -10,6 +10,7 @@ import (
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
 	"mdtask/internal/obs"
+	"mdtask/internal/traj"
 )
 
 // State is a job lifecycle state: queued → running → done|failed|cancelled.
@@ -319,6 +320,15 @@ func (s *Scheduler) registerMetrics() {
 	m.CounterFunc("mdtask_jobs_cache_hits_total",
 		"Submissions answered whole from the job result cache.",
 		func() float64 { return float64(s.cacheHits.Load()) })
+	m.CounterFunc("mdtask_traj_digest_cache_hits_total",
+		"Input file digests served from the process's file-identity cache without reading the file.",
+		func() float64 { return float64(traj.FileDigestStats().Hits) })
+	m.CounterFunc("mdtask_traj_digest_cache_misses_total",
+		"Input file digests that hashed the file.",
+		func() float64 { return float64(traj.FileDigestStats().Misses) })
+	m.CounterFunc("mdtask_traj_digest_cache_racy_total",
+		"Input file hashes not recorded: the file's times were within the timestamp granularity of the hash, or moved during it.",
+		func() float64 { return float64(traj.FileDigestStats().Racy) })
 }
 
 // Obs returns the scheduler's observability bundle (never nil; its
@@ -575,17 +585,21 @@ func (s *Scheduler) unqueue(j *Job) {
 
 // ServiceMetrics is the JSON view of GET /v1/metrics: job counts by
 // state, whole-job cache effectiveness, the shared block store's
-// accounting, and the aggregated engine accounting of every job run so
-// far. CacheHits/CacheMisses count whole-job submissions answered from
-// the store; BlockCache counts every lookup inside it — per-block hits
-// from partially overlapping jobs land there, not in CacheHits.
+// accounting, the input-file digest cache's traffic, and the aggregated
+// engine accounting of every job run so far. CacheHits/CacheMisses
+// count whole-job submissions answered from the store; BlockCache
+// counts every lookup inside it — per-block hits from partially
+// overlapping jobs land there, not in CacheHits. DigestCache counts the
+// process-wide file-identity cache that admission digests through
+// (traj.FileDigestStats).
 type ServiceMetrics struct {
-	Jobs         map[State]int    `json:"jobs"`
-	CacheHits    int64            `json:"cache_hits"`
-	CacheMisses  int64            `json:"cache_misses"`
-	CacheEntries int              `json:"cache_entries"`
-	BlockCache   blockstore.Stats `json:"block_cache"`
-	Engine       engine.Snapshot  `json:"engine"`
+	Jobs         map[State]int         `json:"jobs"`
+	CacheHits    int64                 `json:"cache_hits"`
+	CacheMisses  int64                 `json:"cache_misses"`
+	CacheEntries int                   `json:"cache_entries"`
+	BlockCache   blockstore.Stats      `json:"block_cache"`
+	DigestCache  traj.DigestCacheStats `json:"digest_cache"`
+	Engine       engine.Snapshot       `json:"engine"`
 }
 
 // Metrics snapshots the service-wide view.
@@ -602,6 +616,7 @@ func (s *Scheduler) Metrics() ServiceMetrics {
 		CacheMisses:  s.cacheMisses.Load(),
 		CacheEntries: s.store.Len(),
 		BlockCache:   s.store.Stats(),
+		DigestCache:  traj.FileDigestStats(),
 		Engine:       s.agg.Snapshot(),
 	}
 }

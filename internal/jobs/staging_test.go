@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mdtask/internal/linalg"
 	"mdtask/internal/traj"
@@ -107,6 +108,61 @@ func TestStagingErrorIsLowestIndex(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "f2.mdt") || strings.Contains(err.Error(), "f5.mdt") {
 				t.Fatalf("max_resident_frames=%d run %d: error %v, want one naming f2.mdt", maxFrames, run, err)
 			}
+		}
+	}
+}
+
+// TestStreamedAdmissionDigestsEachFileOnce submits one streamed
+// ensemble twice: the first admission hashes every member file, the
+// second (a whole-job cache hit) reads none of them, and /metrics and
+// /v1/metrics both show it.
+func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
+	dir := t.TempDir()
+	const n = 3
+	for i := range n {
+		tr := traj.New(fmt.Sprintf("t%d", i), 4)
+		for f := range 5 {
+			coords := make([]linalg.Vec3, 4)
+			for a := range coords {
+				coords[a] = linalg.Vec3{float64(i), float64(f), float64(a)}
+			}
+			if err := tr.AppendFrame(traj.Frame{Coords: coords}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := traj.WriteMDTFile(filepath.Join(dir, fmt.Sprintf("t%d.mdt", i)), tr, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Past the racy window of the files' times (50 ms), so the first
+	// admission's digests are recorded.
+	time.Sleep(100 * time.Millisecond)
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
+	defer s.Close()
+	spec := Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Path: dir, MaxResidentFrames: 2}
+	var digests []traj.DigestCacheStats
+	for range 2 {
+		before := s.Metrics().DigestCache
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, job); st.State != StateDone {
+			t.Fatalf("job finished %s (%s)", st.State, st.Error)
+		}
+		after := s.Metrics().DigestCache
+		digests = append(digests, traj.DigestCacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses})
+	}
+	if digests[0].Misses != n || digests[1] != (traj.DigestCacheStats{Hits: n}) {
+		t.Fatalf("digest cache traffic per admission %+v: want %d misses, then %d hits", digests, n, n)
+	}
+	var prom strings.Builder
+	if err := s.Obs().Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"hits", "misses", "racy"} {
+		if series := "mdtask_traj_digest_cache_" + name + "_total"; !strings.Contains(prom.String(), series) {
+			t.Errorf("/metrics lacks %s", series)
 		}
 	}
 }

@@ -1,0 +1,302 @@
+package traj
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// The file-identity digest cache, case by case: each change to a file
+// must be re-hashed, and only an unchanged inode reached again may be
+// served from the cache.
+
+// cacheDelta is the digest cache's traffic since before.
+func cacheDelta(before DigestCacheStats) DigestCacheStats {
+	now := FileDigestStats()
+	return DigestCacheStats{Hits: now.Hits - before.Hits, Misses: now.Misses - before.Misses, Racy: now.Racy - before.Racy}
+}
+
+// fileDigest digests path through a fresh FileRef, as admission does.
+func fileDigest(t *testing.T, path string) (string, error) {
+	t.Helper()
+	r, err := FileRef(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Digest()
+}
+
+// contentDigestOf is the digest of the trajectory path holds, taken in
+// memory, past the cache.
+func contentDigestOf(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DecodeMDT(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := MemRef(tr).Digest()
+	return d
+}
+
+func writeTraj(t *testing.T, path string, seed int) {
+	t.Helper()
+	tr := streamTestTraj(5, 9)
+	for i := range tr.Frames {
+		tr.Frames[i].Coords[0][0] += float64(seed)
+	}
+	if err := WriteMDTFile(path, tr, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settle waits until path's times are old enough for the racy rule to
+// trust, so that its next digest is recorded.
+func settle(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	id, ok := identify(f)
+	if !ok {
+		t.Skip("no file identity on this platform: every digest hashes")
+	}
+	for deadline := time.Now().Add(10 * time.Second); racy(id, time.Now()); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: times never left the racy window", path)
+		}
+	}
+}
+
+// recorded writes a trajectory to path, lets it settle and digests it
+// once, so that the cache holds its identity.
+func recorded(t *testing.T, path string) string {
+	t.Helper()
+	writeTraj(t, path, 0)
+	settle(t, path)
+	before := FileDigestStats()
+	d, err := fileDigest(t, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cacheDelta(before); got != (DigestCacheStats{Misses: 1}) {
+		t.Fatalf("settled file not recorded: %+v", got)
+	}
+	return d
+}
+
+// wantRehash digests path again and requires a miss that returns its
+// current content's digest (wantErr nil) or fails with wantErr.
+func wantRehash(t *testing.T, path string, wantErr error) {
+	t.Helper()
+	before := FileDigestStats()
+	d, err := fileDigest(t, path)
+	if got := cacheDelta(before); got.Hits != 0 || got.Misses != 1 {
+		t.Fatalf("changed file served from the cache: %+v", got)
+	}
+	if wantErr != nil {
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("digest of the changed file: %v, want %v", err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := contentDigestOf(t, path); d != want {
+		t.Fatalf("digest %s, content %s", d, want)
+	}
+}
+
+func TestDigestCacheHardLinksShareOneEntry(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.mdt"), filepath.Join(dir, "b.mdt")
+	writeTraj(t, a, 0)
+	if err := os.Link(a, b); err != nil {
+		t.Skip(err)
+	}
+	settle(t, a) // after the link, which moved ctime
+	before := FileDigestStats()
+	da, err := fileDigest(t, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := fileDigest(t, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := contentDigestOf(t, a); da != want || db != want {
+		t.Fatalf("digests %s, %s; content %s", da, db, want)
+	}
+	if got := cacheDelta(before); got != (DigestCacheStats{Hits: 1, Misses: 1}) {
+		t.Fatalf("two links to one inode: %+v, want one hash and one hit", got)
+	}
+}
+
+// TestDigestCacheRacyRewrite rewrites a file in place, same size,
+// straight after its first digest: within one timestamp tick, so mtime
+// and ctime may not move. The racy rule must not have recorded the
+// first digest.
+func TestDigestCacheRacyRewrite(t *testing.T) {
+	dir := t.TempDir()
+	path, other := filepath.Join(dir, "a.mdt"), filepath.Join(dir, "b.mdt")
+	writeTraj(t, path, 0)
+	writeTraj(t, other, 1)
+	before := FileDigestStats()
+	if _, err := fileDigest(t, path); err != nil {
+		t.Fatal(err)
+	}
+	// Still racy now, so racy when hashing started: not recorded.
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if time.Since(st.ModTime()) < fineTimestamps {
+		if got := cacheDelta(before); got != (DigestCacheStats{Misses: 1, Racy: 1}) {
+			t.Fatalf("digest of a file written within the racy window: %+v", got)
+		}
+	}
+	b, err := os.ReadFile(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantRehash(t, path, nil)
+	if got := cacheDelta(before); got.Hits != 0 {
+		t.Fatalf("%+v", got)
+	}
+}
+
+func TestDigestCacheRenameOver(t *testing.T) {
+	dir := t.TempDir()
+	path, next := filepath.Join(dir, "a.mdt"), filepath.Join(dir, "next.mdt")
+	recorded(t, path)
+	writeTraj(t, next, 1)
+	settle(t, next)
+	if err := os.Rename(next, path); err != nil {
+		t.Fatal(err)
+	}
+	wantRehash(t, path, nil) // a new inode
+}
+
+func TestDigestCacheTruncateExtend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.mdt")
+	recorded(t, path)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()); err != nil {
+		t.Fatal(err)
+	}
+	wantRehash(t, path, ErrChecksum) // the tail now reads as zeros
+}
+
+// TestDigestCacheBitFlipMtimeRestored flips a payload bit and puts the
+// mtime back: only ctime, which userspace cannot restore, tells the
+// cache the file changed. This is the case that fails if ctime leaves
+// the key.
+func TestDigestCacheBitFlipMtimeRestored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.mdt")
+	d := recorded(t, path)
+	before := FileDigestStats()
+	if again, err := fileDigest(t, path); err != nil || again != d {
+		t.Fatalf("unchanged file: %s, %v; recorded %s", again, err, d)
+	}
+	if got := cacheDelta(before); got != (DigestCacheStats{Hits: 1}) {
+		t.Fatalf("unchanged file not served from the cache: %+v", got)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := NewMDTReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	off := int64(mr.headerLen) + 8 // the first frame's first component
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, time.Time{}, st.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.Stat(path); err != nil || !now.ModTime().Equal(st.ModTime()) || now.Size() != st.Size() {
+		t.Fatalf("mtime or size not restored: %v", err)
+	}
+	wantRehash(t, path, ErrChecksum)
+}
+
+// TestRacyRule pins which times the cache trusts against the moment
+// hashing started.
+func TestRacyRule(t *testing.T) {
+	start := time.Unix(1_700_000_000, 500_000_000)
+	ns := func(d time.Duration) int64 { return start.Add(d).UnixNano() }
+	for _, c := range []struct {
+		mtime, ctime time.Duration // relative to start
+		racy         bool
+	}{
+		{-time.Second, -time.Second, false},
+		{-fineTimestamps - time.Nanosecond, -fineTimestamps - time.Nanosecond, false},
+		{-fineTimestamps, -time.Second, true},
+		{-time.Second, -time.Millisecond, true}, // ctime recent: the mtime was put back
+		{time.Second, time.Second, true},        // stamped after start
+		{-1500 * time.Millisecond, -time.Second, false},
+		{-1500 * time.Millisecond, -1500 * time.Millisecond, true}, // whole seconds: coarse stamps
+		{-2500 * time.Millisecond, -2500 * time.Millisecond, false},
+	} {
+		id := fileIdentity{mtimeNs: ns(c.mtime), ctimeNs: ns(c.ctime)}
+		if got := racy(id, start); got != c.racy {
+			t.Errorf("mtime %v ctime %v from start: racy %v, want %v", c.mtime, c.ctime, got, c.racy)
+		}
+	}
+}
+
+func TestDigestCacheBound(t *testing.T) {
+	c := newDigestCache(2)
+	r := &Ref{nAtoms: 1, nFrames: 1}
+	for i := range 3 {
+		c.put(&digestEntry{id: fileIdentity{ino: uint64(i)}, nAtoms: 1, nFrames: 1, digest: fmt.Sprint(i)})
+		if i == 1 {
+			c.get(fileIdentity{ino: 0}, r) // 0 is now the most recent: 1 goes next
+		}
+	}
+	for i, want := range []bool{true, false, true} {
+		if _, ok := c.get(fileIdentity{ino: uint64(i)}, r); ok != want {
+			t.Errorf("entry %d cached %v, want %v", i, ok, want)
+		}
+	}
+	if _, ok := c.get(fileIdentity{ino: 0}, &Ref{nAtoms: 2, nFrames: 1}); ok {
+		t.Error("entry served to a ref of another shape")
+	}
+}

@@ -42,13 +42,22 @@ func openMDTFileReader(path string, r *Ref, sequential bool) (*mdtFileReader, er
 	if err != nil {
 		return nil, err
 	}
-	mr, err := NewMDTReader(f)
+	m, err := newMDTFileReader(f, path, r, sequential)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMDTFileReader reads r's file through f, open at offset 0; it
+// closes nothing, failed or not.
+func newMDTFileReader(f *os.File, path string, r *Ref, sequential bool) (*mdtFileReader, error) {
+	mr, err := NewMDTReader(f)
+	if err != nil {
 		return nil, fmt.Errorf("traj: %s: %w", path, err)
 	}
 	if mr.nAtoms != r.nAtoms || mr.nFrames != r.nFrames {
-		f.Close()
 		return nil, fmt.Errorf("traj: %s: header now declares %d atoms × %d frames, ref was built over %d × %d",
 			path, mr.nAtoms, mr.nFrames, r.nAtoms, r.nFrames)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,13 +29,25 @@ func fuzzTraj(nAtoms, nFrames int, seed uint64) *Trajectory {
 
 // FuzzDecodeMDT throws arbitrary bytes at the MDT decoder: hostile
 // atom/frame counts must return errors without unbounded allocation,
-// and accepted payloads must round-trip exactly.
+// and accepted payloads must round-trip exactly. The payload starts
+// 15 + len(name) bytes into the blob, so the seeds' names of length 1,
+// 3, 5 and 7 put the coordinates on both boundaries decodeCoords views
+// in place, on only the 4-byte one, and on neither.
 func FuzzDecodeMDT(f *testing.F) {
 	if blob, err := EncodeMDT(fuzzTraj(3, 2, 42), 8); err == nil {
 		f.Add(blob)
 	}
 	if blob, err := EncodeMDT(fuzzTraj(1, 5, 7), 4); err == nil {
 		f.Add(blob)
+	}
+	for _, nameLen := range []int{1, 3, 5, 7} {
+		for _, prec := range []int{4, 8} {
+			tr := fuzzTraj(2, 3, uint64(nameLen))
+			tr.Name = strings.Repeat("n", nameLen)
+			if blob, err := EncodeMDT(tr, prec); err == nil {
+				f.Add(blob)
+			}
+		}
 	}
 	f.Add([]byte("MDT1"))
 	f.Add([]byte("MDT1\x08\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff")) // hostile counts

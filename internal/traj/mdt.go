@@ -184,29 +184,87 @@ func decodeMDTFrames(raw []byte, prec, nAtoms, frame0 int, rows, times []float64
 		if times != nil {
 			times[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*fb:]))
 		}
-		row := rows[i*w3 : (i+1)*w3]
-		b := raw[i*fb+8 : (i+1)*fb]
-		if prec == 4 {
-			const expMask = 0x7f800000
-			for k := range row {
-				u := binary.LittleEndian.Uint32(b[4*k:])
-				if u&expMask == expMask {
-					return nonFiniteError(frame0+i, k/3)
-				}
-				row[k] = float64(math.Float32frombits(u))
-			}
-		} else {
-			const expMask = 0x7ff0000000000000
-			for k := range row {
-				u := binary.LittleEndian.Uint64(b[8*k:])
-				if u&expMask == expMask {
-					return nonFiniteError(frame0+i, k/3)
-				}
-				row[k] = math.Float64frombits(u)
-			}
+		if k := decodeCoords(rows[i*w3:(i+1)*w3], raw[i*fb+8:(i+1)*fb], prec); k >= 0 {
+			return nonFiniteError(frame0+i, k/3)
 		}
 	}
 	return nil
+}
+
+// decodeCoords widens one frame's prec-byte little-endian components b
+// into row and returns the index of the first non-finite component, or
+// -1 with every component written. Where the host can view b in place
+// (float32sLE, float64sLE) the components are read as floats, at load
+// speed, and finiteness is tested in the float domain (widenFinite);
+// every other case runs decodeCoordsLE. On success both write the same
+// bits, and both name the same index.
+func decodeCoords(row []float64, b []byte, prec int) int {
+	if prec == 4 {
+		if v, ok := float32sLE(b); ok {
+			return widenFinite(row, v)
+		}
+	} else if v, ok := float64sLE(b); ok {
+		return widenFinite(row, v)
+	}
+	return decodeCoordsLE(row, b, prec)
+}
+
+// widenFinite converts v into row. A finite x has x·0 = ±0 and a
+// non-finite one NaN, so four running sums of x·0 — independent, to
+// keep the adds off one dependency chain — are all zero exactly when v
+// is finite; only then is row whole. Otherwise the first non-finite
+// index is found by a second scan (row is then written past it).
+func widenFinite[F float32 | float64](row []float64, v []F) int {
+	v = v[:len(row)]
+	var s0, s1, s2, s3 F
+	k := 0
+	for ; k+4 <= len(v); k += 4 {
+		x, r := v[k:k+4:k+4], row[k:k+4:k+4]
+		s0 += x[0] * 0
+		s1 += x[1] * 0
+		s2 += x[2] * 0
+		s3 += x[3] * 0
+		r[0], r[1], r[2], r[3] = float64(x[0]), float64(x[1]), float64(x[2]), float64(x[3])
+	}
+	for ; k < len(v); k++ {
+		s0 += v[k] * 0
+		row[k] = float64(v[k])
+	}
+	if s0+s1+s2+s3 == 0 {
+		return -1
+	}
+	for k, x := range v {
+		if x*0 != 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// decodeCoordsLE is decodeCoords byte by byte, on any host and at any
+// alignment: a component whose exponent bits are all set is ±Inf or
+// NaN.
+func decodeCoordsLE(row []float64, b []byte, prec int) int {
+	if prec == 4 {
+		const expMask = 0x7f800000
+		for k := range row {
+			u := binary.LittleEndian.Uint32(b[4*k:])
+			if u&expMask == expMask {
+				return k
+			}
+			row[k] = float64(math.Float32frombits(u))
+		}
+		return -1
+	}
+	const expMask = 0x7ff0000000000000
+	for k := range row {
+		u := binary.LittleEndian.Uint64(b[8*k:])
+		if u&expMask == expMask {
+			return k
+		}
+		row[k] = math.Float64frombits(u)
+	}
+	return -1
 }
 
 // WriteMDTFile writes the whole trajectory to path with the given

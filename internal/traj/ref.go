@@ -18,6 +18,9 @@ type Ref struct {
 	nAtoms  int
 	nFrames int
 	mem     *Trajectory
+	// path is a plain-.mdt FileRef's file, whose digest goes through the
+	// file-identity cache; empty for every other ref.
+	path string
 	// frames opens the random-access backing of a stream-backed ref; a
 	// sequential reader scans front to back, so a plain .mdt backing
 	// verifies the payload checksum as it completes.
@@ -59,7 +62,7 @@ func FileRef(path string) (*Ref, error) {
 	if !ok || st.Size() != want {
 		return nil, fmt.Errorf("traj: %s: %w: file is %d bytes, header implies %d", path, ErrTruncated, st.Size(), want)
 	}
-	r := &Ref{name: mr.name, nAtoms: mr.nAtoms, nFrames: mr.nFrames}
+	r := &Ref{name: mr.name, nAtoms: mr.nAtoms, nFrames: mr.nFrames, path: path}
 	r.frames = func(sequential bool) (frameReader, error) { return openMDTFileReader(path, r, sequential) }
 	return r, nil
 }

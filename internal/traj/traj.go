@@ -39,6 +39,11 @@
 //     (framereader.go): raw MDT payload decoded straight into packed
 //     rows, by an O(1) seek in a .mdt file or by blob index in a chain.
 //     Windows, Digest, Load and EncodeMDTWindow all read through it.
+//     On a little-endian host an aligned payload is read in place as
+//     floats (view.go), any other byte by byte, to the same bits.
+//   - A plain .mdt FileRef's Digest goes through the process's
+//     file-identity cache (digestcache.go): a file hashed once is not
+//     read again while its device, inode, size, mtime and ctime stand.
 //   - WindowReader / Window (window.go) serve bounded frame windows by
 //     random access into one reused slot, with the centroid/rg side
 //     data computed on the way in, so out-of-core consumers

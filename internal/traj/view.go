@@ -1,16 +1,22 @@
 package traj
 
 import (
+	"encoding/binary"
 	"unsafe"
 
 	"mdtask/internal/linalg"
 )
 
-// The package's only use of unsafe: reading coordinate memory under a
-// second element type instead of copying it. Each view covers exactly
-// the one allocation it is given. linalg.Vec3 is [3]float64 — 24 bytes,
-// no padding (pinned by TestVec3Layout) — so n points are exactly 3n
+// The package's only use of unsafe: reading memory under a second
+// element type instead of copying it. Each view covers exactly the one
+// allocation it is given. linalg.Vec3 is [3]float64 — 24 bytes, no
+// padding (pinned by TestVec3Layout) — so n points are exactly 3n
 // float64s.
+
+// littleEndian reports whether the host stores a float as its
+// little-endian encoding — the bytes Digest hashes and the bytes an MDT
+// payload holds — so either can be read as it lies.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // vec3Floats views points as their x,y,z components, in place.
 func vec3Floats(v []linalg.Vec3) []float64 {
@@ -27,4 +33,29 @@ func floatBytes(f []float64) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 8*len(f))
+}
+
+// float32sLE views little-endian float32 encodings as float32s, in
+// place. ok is false — and the caller decodes byte by byte — on a
+// big-endian host or when b does not start on a 4-byte boundary (an
+// MDT payload sliced after a header of variable length).
+func float32sLE(b []byte) (v []float32, ok bool) {
+	if len(b) == 0 {
+		return nil, true
+	}
+	if !littleEndian || uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), true
+}
+
+// float64sLE is float32sLE for float64 encodings and 8-byte boundaries.
+func float64sLE(b []byte) (v []float64, ok bool) {
+	if len(b) == 0 {
+		return nil, true
+	}
+	if !littleEndian || uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8), true
 }
