@@ -115,20 +115,26 @@ fuzz:
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
 # with the frames, the Leaflet reduce, whose pooled merge scratch
-# the dask/rdd workers share, and the staged-unit driver, the pilot and
+# the dask/rdd workers share, the staged-unit driver, the pilot and
 # the block store, which TestTransportContract drives from both
-# transports at once), independent of the main test matrix.
+# transports at once, and the Hausdorff kernels, whose concurrent
+# streamed folds read one shared per-file sketch and recycle window
+# slots through a pool), independent of the main test matrix.
 # -race also turns on checkptr, which checks traj's in-place views stay
 # inside one allocation. -shuffle=on randomizes test order so order
 # dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/...
 
 # Soak the serving layers: five shuffled passes under -race, so a test
 # that synchronises by sleeping instead of waiting on its condition
-# flakes here rather than on main.
+# flakes here rather than on main. Then five passes of every package
+# with testing/quick properties (those calling proptest.Check) with a
+# fresh seed per test and 10x each property's MaxCount; a failure
+# prints the MDTASK_QUICK_SEED that replays it.
 soak:
 	$(GO) test -race -shuffle=on -count=5 ./internal/jobs/... ./internal/fleet/... ./internal/wal/...
+	MDTASK_QUICK_SOAK=1 $(GO) test -count=5 $$(grep -rl --include='*_test.go' 'proptest\.Check' internal | xargs -n1 dirname | sort -u | sed 's|^|./|')
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/

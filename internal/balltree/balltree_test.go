@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"mdtask/internal/linalg"
+	"mdtask/internal/proptest"
 )
 
 func randPoints(r *rand.Rand, n int, scale float64) []linalg.Vec3 {
@@ -45,9 +46,7 @@ func TestQueryRadiusMatchesBruteQuick(t *testing.T) {
 		want := BruteRadius(pts, q, radius)
 		return reflect.DeepEqual(got, want) || (len(got) == 0 && len(want) == 0)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestQueryRadiusLeafSizes(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mdtask/internal/proptest"
 )
 
 func alloc(m Machine, nodes, cpn int) Alloc {
@@ -303,7 +305,5 @@ func TestEstimateBoundsQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mdtask/internal/proptest"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -35,9 +36,7 @@ func TestBlockedMatchesNaiveQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestMatrixRejectsMismatchedAtoms(t *testing.T) {

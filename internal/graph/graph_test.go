@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"mdtask/internal/proptest"
 )
 
 func TestComponentsBFSSimple(t *testing.T) {
@@ -63,9 +65,7 @@ func TestBFSMatchesUnionFindQuick(t *testing.T) {
 		edges := randEdges(r, n, m)
 		return EqualLabels(ComponentsBFS(n, edges), ComponentsUnionFind(n, edges))
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestPartialComponentsOnlyTouchedNodes(t *testing.T) {
@@ -145,9 +145,7 @@ func TestPartialComponentsMatchesReferenceQuick(t *testing.T) {
 		}
 		return reflect.DeepEqual(PartialComponents(edges), partialComponentsRef(edges))
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 // Components share one backing array; each is capped so an append
@@ -209,9 +207,7 @@ func TestMergePartialsEqualsGlobalQuick(t *testing.T) {
 		merged := MergeComponents(n, partials...)
 		return EqualLabels(global, merged)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestGroupsOrdering(t *testing.T) {

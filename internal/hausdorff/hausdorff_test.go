@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"mdtask/internal/linalg"
+	"mdtask/internal/proptest"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -49,9 +50,7 @@ func TestEarlyBreakEqualsNaiveQuick(t *testing.T) {
 		ts := randTrajs(seed, 2, atoms, frames)
 		return distance(ts[0], ts[1], Naive) == distance(ts[0], ts[1], EarlyBreak)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 // The Hausdorff distance over the dRMS metric is itself a metric on

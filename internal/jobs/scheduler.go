@@ -329,6 +329,12 @@ func (s *Scheduler) registerMetrics() {
 	m.CounterFunc("mdtask_traj_digest_cache_racy_total",
 		"Input file hashes not recorded: the file's times were within the timestamp granularity of the hash, or moved during it.",
 		func() float64 { return float64(traj.FileDigestStats().Racy) })
+	m.CounterFunc("mdtask_traj_window_stats_sketched_total",
+		"Streamed window frames whose centroid and radius of gyration were served from the sketch recorded with their file's digest.",
+		func() float64 { return float64(traj.FileDigestStats().WindowStatsSketched) })
+	m.CounterFunc("mdtask_traj_window_stats_computed_total",
+		"Streamed window frames whose centroid and radius of gyration were computed at decode.",
+		func() float64 { return float64(traj.FileDigestStats().WindowStatsComputed) })
 }
 
 // Obs returns the scheduler's observability bundle (never nil; its
@@ -590,7 +596,8 @@ func (s *Scheduler) unqueue(j *Job) {
 // count whole-job submissions answered from the store; BlockCache
 // counts every lookup inside it — per-block hits from partially
 // overlapping jobs land there, not in CacheHits. DigestCache counts the
-// process-wide file-identity cache that admission digests through
+// process-wide file-identity cache that admission digests through, and
+// the streamed window frames whose statistics its sketches served
 // (traj.FileDigestStats).
 type ServiceMetrics struct {
 	Jobs         map[State]int         `json:"jobs"`

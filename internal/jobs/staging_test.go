@@ -115,7 +115,8 @@ func TestStagingErrorIsLowestIndex(t *testing.T) {
 // TestStreamedAdmissionDigestsEachFileOnce submits one streamed
 // ensemble twice: the first admission hashes every member file, the
 // second (a whole-job cache hit) reads none of them, and /metrics and
-// /v1/metrics both show it.
+// /v1/metrics both show it. The first job's streamed windows take
+// their statistics from the sketches its admission recorded.
 func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
 	dir := t.TempDir()
 	const n = 3
@@ -151,17 +152,24 @@ func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
 			t.Fatalf("job finished %s (%s)", st.State, st.Error)
 		}
 		after := s.Metrics().DigestCache
-		digests = append(digests, traj.DigestCacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses})
+		digests = append(digests, traj.DigestCacheStats{
+			Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+			WindowStatsSketched: after.WindowStatsSketched - before.WindowStatsSketched,
+			WindowStatsComputed: after.WindowStatsComputed - before.WindowStatsComputed,
+		})
 	}
-	if digests[0].Misses != n || digests[1] != (traj.DigestCacheStats{Hits: n}) {
-		t.Fatalf("digest cache traffic per admission %+v: want %d misses, then %d hits", digests, n, n)
+	if first := digests[0]; first.Misses != n || first.WindowStatsSketched == 0 || first.WindowStatsComputed != 0 {
+		t.Fatalf("first admission and run %+v: want %d misses, and every window frame's statistics sketched", first, n)
+	}
+	if digests[1] != (traj.DigestCacheStats{Hits: n}) {
+		t.Fatalf("resubmission %+v: want %d hits and no window read", digests[1], n)
 	}
 	var prom strings.Builder
 	if err := s.Obs().Metrics.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"hits", "misses", "racy"} {
-		if series := "mdtask_traj_digest_cache_" + name + "_total"; !strings.Contains(prom.String(), series) {
+	for _, name := range []string{"digest_cache_hits", "digest_cache_misses", "digest_cache_racy", "window_stats_sketched", "window_stats_computed"} {
+		if series := "mdtask_traj_" + name + "_total"; !strings.Contains(prom.String(), series) {
 			t.Errorf("/metrics lacks %s", series)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
+	"mdtask/internal/proptest"
 	"mdtask/internal/synth"
 )
 
@@ -93,9 +94,7 @@ func TestBlocks2DPairCoverageQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestChunks1DCoverage(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"mdtask/internal/proptest"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -36,11 +38,10 @@ func TestVecOps(t *testing.T) {
 
 // boundedVecs makes testing/quick generate Vec3 values with components
 // in [-100, 100] so products do not overflow.
-func boundedVecs(seed uint64) *quick.Config {
-	r := rand.New(rand.NewPCG(seed, seed+1))
+func boundedVecs() *quick.Config {
 	return &quick.Config{
 		MaxCount: 200,
-		Values: func(args []reflect.Value, _ *mathrand.Rand) {
+		Values: func(args []reflect.Value, r *mathrand.Rand) {
 			for i := range args {
 				args[i] = reflect.ValueOf(Vec3{
 					r.Float64()*200 - 100,
@@ -65,9 +66,7 @@ func TestDist(t *testing.T) {
 
 func TestDistSymmetricQuick(t *testing.T) {
 	f := func(a, b Vec3) bool { return Dist(a, b) == Dist(b, a) && Dist(a, a) == 0 }
-	if err := quick.Check(f, boundedVecs(19)); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, boundedVecs())
 }
 
 func TestCentroidAndCenter(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"mdtask/internal/engine"
+	"mdtask/internal/proptest"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -102,9 +103,7 @@ func TestBcastAllRootsAndSizes(t *testing.T) {
 		})
 		return err == nil && ok
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 // Gather collects every rank's value at a non-zero root, in rank order;

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"mdtask/internal/proptest"
 )
 
 func intRange(n int) []int {
@@ -73,9 +75,7 @@ func TestMapMatchesSerialQuick(t *testing.T) {
 		}
 		return len(got) == len(ints)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, &quick.Config{MaxCount: 50})
 }
 
 func TestReduce(t *testing.T) {

@@ -50,13 +50,14 @@ func (r *Ref) computeDigest() (string, error) {
 		return "", err
 	}
 	defer fr.close()
-	return r.hashFrames(fr)
+	return r.hashFrames(fr, nil)
 }
 
 // hashFrames digests a stream-backed ref through fr, front to back with
 // the same decode loop the window readers run (so a plain .mdt
-// payload's checksum is verified on the way).
-func (r *Ref) hashFrames(fr frameReader) (string, error) {
+// payload's checksum is verified on the way). Unless sk is nil, it also
+// fills sk with every frame's statistics, from the rows it hashes.
+func (r *Ref) hashFrames(fr frameReader, sk *sketch) (string, error) {
 	h := r.newContentHash()
 	w3 := r.nAtoms * 3
 	// Frames per chunk: what fits the budget, never more than there are.
@@ -68,6 +69,11 @@ func (r *Ref) hashFrames(fr frameReader) (string, error) {
 			return "", fmt.Errorf("traj: %s: %w", r.name, err)
 		}
 		h.floats(rows[:n*w3])
+		if sk != nil {
+			for i := range n {
+				sk.centroids[start+i], sk.radGyr[start+i] = rowStats(rows[i*w3 : (i+1)*w3])
+			}
+		}
 	}
 	return h.sum(), nil
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mdtask/internal/linalg"
 )
 
 // The file-identity digest cache: a plain .mdt file that Digest has
@@ -34,6 +36,13 @@ import (
 // the payload checksum; any block the fold computes still reads the
 // file front to back first, which does (see README, "What
 // admission trusts").
+//
+// A recorded hash also keeps the file's sketch: the centroid and radius
+// of gyration of every frame, computed from the rows the hash decoded.
+// A window reader over the file serves its windows' statistics from the
+// sketch instead of recomputing them, under the same trust: only when
+// the descriptor it reads has the identity the sketch was recorded
+// under (digestCache.sketchOf).
 
 // fileIdentity is the stat a cached digest is keyed by.
 type fileIdentity struct {
@@ -64,38 +73,83 @@ func racy(id fileIdentity, start time.Time) bool {
 	return id.mtimeNs >= edge || id.ctimeNs >= edge
 }
 
-// digestCacheEntries bounds the cache: an entry is ~150 bytes, so the
-// bound holds it under a megabyte.
-const digestCacheEntries = 4096
+// The cache's bounds. An entry costs digestEntryBytes (its list
+// element, map slot, identity and hex digest) plus sketchFrameBytes a
+// frame of sketch. A sketch that would make its entry larger than an
+// eighth of digestCacheBytes is not recorded, and its digest still is,
+// so no one file can flush most of the cache.
+const (
+	digestCacheEntries = 4096
+	digestCacheBytes   = 32 << 20
+	digestEntryBytes   = 256
+	sketchFrameBytes   = 32 // a centroid (3 float64s) and a radius of gyration
+)
 
 // fileDigests is the process's cache; every plain-.mdt FileRef digests
-// through it.
-var fileDigests = newDigestCache(digestCacheEntries)
+// through it, and every plain-.mdt window reader looks for its sketch
+// in it.
+var fileDigests = newDigestCache(digestCacheEntries, digestCacheBytes)
 
-// digestCache is a bounded LRU from file identity to content digest.
+// digestCache is a bounded LRU from file identity to content digest and
+// sketch.
 type digestCache struct {
-	max int
+	maxEntries int
+	maxBytes   int64
 
-	mu   sync.Mutex
-	lru  *list.List // of *digestEntry, most recently used first
-	byID map[fileIdentity]*list.Element
+	mu    sync.Mutex
+	lru   *list.List // of *digestEntry, most recently used first
+	byID  map[fileIdentity]*list.Element
+	bytes int64 // sum of the entries' size()
 
 	hits, misses, racy atomic.Int64
 }
 
+// digestEntry is one recorded file. It is never modified once put, so
+// its sketch may be shared with readers outside the lock.
 type digestEntry struct {
 	id              fileIdentity
 	nAtoms, nFrames int
 	digest          string
+	sketch          *sketch // nil when too large to record
 }
 
-func newDigestCache(max int) *digestCache {
-	return &digestCache{max: max, lru: list.New(), byID: make(map[fileIdentity]*list.Element)}
+func (e *digestEntry) size() int64 { return digestEntryBytes + e.sketch.size() }
+
+// sketch holds the per-frame statistics of one file, computed by the
+// pass that digested it with the rowStats a window decode would run on
+// the same decoded rows, so a window served from it is bit-identical to
+// one that computes. It is read-only once recorded: concurrent window
+// readers slice it.
+type sketch struct {
+	centroids []linalg.Vec3
+	radGyr    []float64
+}
+
+func newSketch(nFrames int) *sketch {
+	return &sketch{centroids: make([]linalg.Vec3, nFrames), radGyr: make([]float64, nFrames)}
+}
+
+func (s *sketch) size() int64 {
+	if s == nil {
+		return 0
+	}
+	return sketchFrameBytes * int64(len(s.radGyr))
+}
+
+func newDigestCache(maxEntries int, maxBytes int64) *digestCache {
+	return &digestCache{maxEntries: maxEntries, maxBytes: maxBytes, lru: list.New(), byID: make(map[fileIdentity]*list.Element)}
+}
+
+// sketches reports whether a file of nFrames frames gets a sketch
+// recorded with its digest.
+func (c *digestCache) sketches(nFrames int) bool {
+	return digestEntryBytes+sketchFrameBytes*int64(nFrames) <= c.maxBytes/8
 }
 
 // digest returns the content digest of the plain .mdt file r reads:
 // from the cache when the file's identity was recorded under r's shape,
-// else by hashing the same descriptor the identity was read from.
+// else by hashing the same descriptor the identity was read from. A
+// hash it records carries the file's sketch, computed on the way.
 func (c *digestCache) digest(r *Ref) (string, error) {
 	f, err := os.Open(r.path)
 	if err != nil {
@@ -104,9 +158,9 @@ func (c *digestCache) digest(r *Ref) (string, error) {
 	defer f.Close()
 	id, known := identify(f)
 	if known {
-		if d, ok := c.get(id, r); ok {
+		if e := c.lookup(id, r.nAtoms, r.nFrames); e != nil {
 			c.hits.Add(1)
-			return d, nil
+			return e.digest, nil
 		}
 	}
 	c.misses.Add(1)
@@ -115,7 +169,11 @@ func (c *digestCache) digest(r *Ref) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := r.hashFrames(m)
+	var sk *sketch
+	if known && c.sketches(r.nFrames) {
+		sk = newSketch(r.nFrames)
+	}
+	d, err := r.hashFrames(m, sk)
 	if err != nil || !known {
 		return d, err
 	}
@@ -123,40 +181,59 @@ func (c *digestCache) digest(r *Ref) (string, error) {
 		c.racy.Add(1)
 		return d, nil
 	}
-	c.put(&digestEntry{id: id, nAtoms: r.nAtoms, nFrames: r.nFrames, digest: d})
+	c.put(&digestEntry{id: id, nAtoms: r.nAtoms, nFrames: r.nFrames, digest: d, sketch: sk})
 	return d, nil
 }
 
-// get returns the digest recorded for id, if it was recorded under r's
-// shape (a ref built over an earlier header of a replaced file must
-// reach the miss path, which refuses it).
-func (c *digestCache) get(id fileIdentity, r *Ref) (string, bool) {
+// lookup returns the entry recorded for id, if it was recorded under
+// shape nAtoms × nFrames (a ref built over an earlier header of a
+// replaced file must reach the miss path, which refuses it), and marks
+// it used.
+func (c *digestCache) lookup(id fileIdentity, nAtoms, nFrames int) *digestEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byID[id]
 	if !ok {
-		return "", false
+		return nil
 	}
 	e := el.Value.(*digestEntry)
-	if e.nAtoms != r.nAtoms || e.nFrames != r.nFrames {
-		return "", false
+	if e.nAtoms != nAtoms || e.nFrames != nFrames {
+		return nil
 	}
 	c.lru.MoveToFront(el)
-	return e.digest, true
+	return e
+}
+
+// sketchOf returns the sketch recorded for the file open on f, when
+// f's identity was recorded under shape nAtoms × nFrames: the
+// statistics of exactly the bytes f reads. Nil otherwise, and always
+// off Linux.
+func (c *digestCache) sketchOf(f *os.File, nAtoms, nFrames int) *sketch {
+	id, ok := identify(f)
+	if !ok {
+		return nil
+	}
+	if e := c.lookup(id, nAtoms, nFrames); e != nil {
+		return e.sketch
+	}
+	return nil
 }
 
 func (c *digestCache) put(e *digestEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byID[e.id]; ok {
+		c.bytes -= el.Value.(*digestEntry).size()
 		el.Value = e
 		c.lru.MoveToFront(el)
-		return
+	} else {
+		c.byID[e.id] = c.lru.PushFront(e)
 	}
-	c.byID[e.id] = c.lru.PushFront(e)
-	for c.lru.Len() > c.max {
+	c.bytes += e.size()
+	for c.lru.Len() > 1 && (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) {
 		old := c.lru.Remove(c.lru.Back()).(*digestEntry)
 		delete(c.byID, old.id)
+		c.bytes -= old.size()
 	}
 }
 
@@ -164,15 +241,24 @@ func (c *digestCache) put(e *digestEntry) {
 // the process started: Digest calls on plain .mdt files answered from
 // the cache (Hits) and hashed (Misses), and, of the misses, digests not
 // recorded because the file's times were too recent to trust or its
-// stat moved while it was hashed (Racy).
+// stat moved while it was hashed (Racy). WindowStatsSketched and
+// WindowStatsComputed count the frames of stream-backed windows whose
+// centroid and radius of gyration were served from a recorded sketch
+// and computed at decode.
 type DigestCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Racy   int64 `json:"racy"`
+	Hits                int64 `json:"hits"`
+	Misses              int64 `json:"misses"`
+	Racy                int64 `json:"racy"`
+	WindowStatsSketched int64 `json:"window_stats_sketched"`
+	WindowStatsComputed int64 `json:"window_stats_computed"`
 }
 
 // FileDigestStats snapshots the process's digest cache counters.
 func FileDigestStats() DigestCacheStats {
 	c := fileDigests
-	return DigestCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Racy: c.racy.Load()}
+	return DigestCacheStats{
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Racy: c.racy.Load(),
+		WindowStatsSketched: windowStatsSketched.Load(),
+		WindowStatsComputed: windowStatsComputed.Load(),
+	}
 }

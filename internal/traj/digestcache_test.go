@@ -282,21 +282,74 @@ func TestRacyRule(t *testing.T) {
 	}
 }
 
+// TestDigestCacheBound pins both bounds: the entry count (least
+// recently used first out) and the byte budget, under which a sketch
+// too large to record leaves its digest recorded without it.
 func TestDigestCacheBound(t *testing.T) {
-	c := newDigestCache(2)
-	r := &Ref{nAtoms: 1, nFrames: 1}
+	c := newDigestCache(2, 1<<20)
 	for i := range 3 {
 		c.put(&digestEntry{id: fileIdentity{ino: uint64(i)}, nAtoms: 1, nFrames: 1, digest: fmt.Sprint(i)})
 		if i == 1 {
-			c.get(fileIdentity{ino: 0}, r) // 0 is now the most recent: 1 goes next
+			c.lookup(fileIdentity{ino: 0}, 1, 1) // 0 is now the most recent: 1 goes next
 		}
 	}
 	for i, want := range []bool{true, false, true} {
-		if _, ok := c.get(fileIdentity{ino: uint64(i)}, r); ok != want {
-			t.Errorf("entry %d cached %v, want %v", i, ok, want)
+		if e := c.lookup(fileIdentity{ino: uint64(i)}, 1, 1); (e != nil) != want {
+			t.Errorf("entry %d cached %v, want %v", i, e != nil, want)
 		}
 	}
-	if _, ok := c.get(fileIdentity{ino: 0}, &Ref{nAtoms: 2, nFrames: 1}); ok {
+	if e := c.lookup(fileIdentity{ino: 0}, 2, 1); e != nil {
 		t.Error("entry served to a ref of another shape")
+	}
+
+	// A budget of eight entries of 28 sketched frames: a 29-frame
+	// sketch is over an eighth of it, so the digest keeps no sketch.
+	budget := int64(8 * (digestEntryBytes + 28*sketchFrameBytes))
+	c = newDigestCache(100, budget)
+	if !c.sketches(28) || c.sketches(29) {
+		t.Fatalf("sketches(28) = %v, sketches(29) = %v; want true, false", c.sketches(28), c.sketches(29))
+	}
+	dir := t.TempDir()
+	for i, nFrames := range []int{28, 29} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.mdt", i))
+		if err := WriteMDTFile(path, streamTestTraj(2, nFrames), 8); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, path)
+		r, err := FileRef(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.digest(r); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := identify(f)
+		sk := c.sketchOf(f, 2, nFrames)
+		f.Close()
+		if e := c.lookup(id, 2, nFrames); e == nil {
+			t.Fatalf("%d frames: digest not recorded", nFrames)
+		}
+		if (sk != nil) != (nFrames == 28) {
+			t.Errorf("%d frames: sketch recorded %v, want %v", nFrames, sk != nil, nFrames == 28)
+		}
+	}
+	// Sketched entries past the budget evict the least recently used;
+	// the bytes accounted stay within it and match what is held.
+	for i := range 20 {
+		c.put(&digestEntry{id: fileIdentity{ino: uint64(100 + i)}, nAtoms: 2, nFrames: 28, digest: fmt.Sprint(i), sketch: newSketch(28)})
+		var held int64
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			held += el.Value.(*digestEntry).size()
+		}
+		if c.bytes != held || c.bytes > budget {
+			t.Fatalf("after %d puts: %d bytes accounted, %d held, budget %d", i+1, c.bytes, held, budget)
+		}
+	}
+	if c.lru.Len() != 8 || c.lookup(fileIdentity{ino: 119}, 2, 28) == nil || c.lookup(fileIdentity{ino: 111}, 2, 28) != nil {
+		t.Fatalf("%d entries held, want the 8 most recent", c.lru.Len())
 	}
 }

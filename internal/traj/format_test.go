@@ -17,6 +17,7 @@ import (
 	"testing/quick"
 
 	"mdtask/internal/linalg"
+	"mdtask/internal/proptest"
 )
 
 // roundTripMDT writes and re-reads a trajectory through the MDT format.
@@ -81,9 +82,7 @@ func TestMDTRoundTripQuick(t *testing.T) {
 		tr := randTraj(t, seed, nAtoms, nFrames)
 		return trajEqual(tr, roundTripMDT(t, tr, 8), 0)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, cfg)
 }
 
 func TestMDTBadMagic(t *testing.T) {

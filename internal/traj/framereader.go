@@ -35,6 +35,11 @@ type mdtFileReader struct {
 	// never asked for), which forfeits verification.
 	crcNext int
 	crc     uint32
+	// sk is the sketch the digest cache recorded for the identity of
+	// f when the reader opened it, if any (digestCache.sketchOf): a
+	// file rewritten since it was digested, one whose digest was racy,
+	// or one on a host without file identities has none.
+	sk *sketch
 }
 
 func openMDTFileReader(path string, r *Ref, sequential bool) (*mdtFileReader, error) {
@@ -47,6 +52,7 @@ func openMDTFileReader(path string, r *Ref, sequential bool) (*mdtFileReader, er
 		f.Close()
 		return nil, err
 	}
+	m.sk = fileDigests.sketchOf(f, m.nAtoms, m.nFrames)
 	return m, nil
 }
 
@@ -111,6 +117,8 @@ func (m *mdtFileReader) readFrames(start, n int, rows, times []float64) error {
 	return nil
 }
 
+func (m *mdtFileReader) stats() *sketch { return m.sk }
+
 func (m *mdtFileReader) close() { m.f.Close() }
 
 // chainFrameReader reads frame ranges of a trajectory shipped as
@@ -152,5 +160,8 @@ func (c *chainFrameReader) readFrames(start, n int, rows, times []float64) error
 	}
 	return nil
 }
+
+// stats: a window chain has no file identity, so no sketch.
+func (c *chainFrameReader) stats() *sketch { return nil }
 
 func (c *chainFrameReader) close() {}

@@ -44,9 +44,13 @@
 //   - A plain .mdt FileRef's Digest goes through the process's
 //     file-identity cache (digestcache.go): a file hashed once is not
 //     read again while its device, inode, size, mtime and ctime stand.
+//     A recorded hash keeps the file's sketch, every frame's centroid
+//     and radius of gyration, computed from the rows it hashed.
 //   - WindowReader / Window (window.go) serve bounded frame windows by
-//     random access into one reused slot, with the centroid/rg side
-//     data computed on the way in, so out-of-core consumers
+//     random access into one slot (pooled between readers), with the
+//     centroid/rg side data sliced from the file's sketch when the
+//     descriptor read has its recorded identity, and computed on the
+//     way in otherwise, so out-of-core consumers
 //     (hausdorff.DistanceStreamed) hold at most two windows per
 //     comparison. Ref.Windows is the sequential wrapper; only its
 //     front-to-back scans verify a plain .mdt payload checksum.

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"mdtask/internal/linalg"
 )
@@ -18,9 +21,11 @@ import (
 type Window struct {
 	// Start is the index of the window's first frame in the trajectory.
 	Start int
-	// Packed holds the window's frames and pruning statistics. Windows
-	// carry no StepDRMS chain (it stays nil): the streamed fold
-	// (hausdorff.DistanceStreamed) never reads it.
+	// Packed holds the window's frames and pruning statistics. The
+	// statistics are read-only: they may be slices of memory shared
+	// with other readers (a memory-backed ref's Packed, a file's
+	// recorded sketch). Windows carry no StepDRMS chain (it stays nil):
+	// the streamed fold (hausdorff.DistanceStreamed) never reads it.
 	Packed *Packed
 }
 
@@ -38,21 +43,31 @@ func (w *Window) CoordBytes() int64 {
 // trajectory straight into packed rows (frame-major xyz triples,
 // len(rows) = n·nAtoms·3) and, unless times is nil, their times into
 // times. Implementations reject non-finite coordinates with
-// ErrNonFinite.
+// ErrNonFinite. stats returns the statistics recorded for every frame
+// of exactly the bytes the reader decodes, or nil.
 type frameReader interface {
 	readFrames(start, n int, rows, times []float64) error
+	stats() *sketch
 	close()
 }
 
+// Frames of stream-backed windows whose statistics were served from a
+// recorded sketch, and computed at decode (DigestCacheStats).
+var windowStatsSketched, windowStatsComputed atomic.Int64
+
 // WindowReader serves the windows of one trajectory at one window size
 // by random access: window k holds frames [k·size, (k+1)·size). Every
-// window is decoded into the same reused slot, so the reader owns at
-// most one window of frames however many it serves; a returned Window
-// stays valid until the next Window or Close call.
+// window is decoded into the same slot, so the reader owns at most one
+// window of frames however many it serves; a returned Window stays
+// valid until the next Window or Close call. Close hands the slot to
+// the next reader of a like size.
 //
 // What a jump costs depends on the backing: a memory-backed ref serves
 // slice views of its cached Packed (no copy), a plain .mdt file seeks
 // in O(1), and a window chain fetches the blob(s) holding the window.
+// A plain .mdt file whose identity carries a sketch in the digest
+// cache also serves the window's statistics as slices of the sketch;
+// every other stream-backed window computes them from its rows.
 // A WindowReader is not safe for concurrent use.
 type WindowReader struct {
 	ref  *Ref
@@ -62,11 +77,35 @@ type WindowReader struct {
 	// verifies the payload checksum as the scan completes.
 	sequential bool
 
-	fr  frameReader
-	buf []float64 // the slot: size·nAtoms·3 coordinates, allocated on first decode
-	p   Packed
-	win Window
+	fr   frameReader
+	slot *windowSlot // taken on first decode, returned on Close
+	p    Packed
+	win  Window
 }
+
+// windowSlot is the memory a stream-backed window decodes into:
+// coordinates, and the statistics when no sketch serves them.
+type windowSlot struct {
+	coords    []float64
+	centroids []linalg.Vec3
+	radGyr    []float64
+}
+
+// slotPools recycles window slots between readers, one pool per
+// power-of-two class of coordinate count, so that a one-frame probe
+// reader and a full-window reader do not take each other's slots.
+var slotPools [bits.UintSize + 1]sync.Pool
+
+// takeSlot returns a slot of n coordinates.
+func takeSlot(n int) *windowSlot {
+	if s, _ := slotPools[bits.Len(uint(n))].Get().(*windowSlot); s != nil && cap(s.coords) >= n {
+		s.coords = s.coords[:n]
+		return s
+	}
+	return &windowSlot{coords: make([]float64, n)}
+}
+
+func releaseSlot(s *windowSlot) { slotPools[bits.Len(uint(cap(s.coords)))].Put(s) }
 
 // WindowReader returns a random-access reader over the trajectory in
 // windows of at most size frames (size < 1 means one window spanning
@@ -90,7 +129,8 @@ func (wr *WindowReader) Size() int { return wr.size }
 func (wr *WindowReader) NumWindows() int { return wr.ref.NumWindows(wr.size) }
 
 // Window decodes window k into the reader's slot and returns it. The
-// previous window becomes invalid.
+// previous window becomes invalid. Its statistics may be shared,
+// read-only memory (a memory-backed ref's Packed, a file's sketch).
 func (wr *WindowReader) Window(k int) (*Window, error) {
 	r := wr.ref
 	if k < 0 || k >= wr.NumWindows() {
@@ -115,18 +155,27 @@ func (wr *WindowReader) Window(k int) (*Window, error) {
 			}
 			wr.fr = fr
 		}
-		if wr.buf == nil {
-			wr.buf = make([]float64, wr.size*w3)
-			p.Centroids = make([]linalg.Vec3, wr.size)
-			p.RadGyr = make([]float64, wr.size)
+		if wr.slot == nil {
+			wr.slot = takeSlot(wr.size * w3)
 		}
-		p.Coords = wr.buf[:n*w3]
-		p.Centroids, p.RadGyr = p.Centroids[:n], p.RadGyr[:n]
+		s := wr.slot
+		p.Coords = s.coords[:n*w3]
 		if err := wr.fr.readFrames(start, n, p.Coords, nil); err != nil {
 			return nil, fmt.Errorf("traj: %s: %w", r.name, err)
 		}
-		for i := 0; i < n; i++ {
-			p.Centroids[i], p.RadGyr[i] = rowStats(p.Coords[i*w3 : (i+1)*w3])
+		if sk := wr.fr.stats(); sk != nil {
+			p.Centroids = sk.centroids[start : start+n]
+			p.RadGyr = sk.radGyr[start : start+n]
+			windowStatsSketched.Add(int64(n))
+		} else {
+			if cap(s.radGyr) < wr.size {
+				s.centroids, s.radGyr = make([]linalg.Vec3, wr.size), make([]float64, wr.size)
+			}
+			p.Centroids, p.RadGyr = s.centroids[:n], s.radGyr[:n]
+			for i := range n {
+				p.Centroids[i], p.RadGyr[i] = rowStats(p.Coords[i*w3 : (i+1)*w3])
+			}
+			windowStatsComputed.Add(int64(n))
 		}
 	}
 	wr.win = Window{Start: start, Packed: p}
@@ -140,7 +189,10 @@ func (wr *WindowReader) Close() {
 		wr.fr.close()
 		wr.fr = nil
 	}
-	wr.buf = nil
+	if wr.slot != nil {
+		releaseSlot(wr.slot)
+		wr.slot = nil
+	}
 	wr.p.Coords, wr.p.Centroids, wr.p.RadGyr = nil, nil, nil
 }
 

@@ -34,6 +34,7 @@ jobs.NewExecutor              conformtest runs leaflet.Run on each engine throug
 leaflet.Equal                 label-equality check the Leaflet tests of five packages compare with
 cluster.Simulate              independent event-driven reference the Estimate tests compare against
 linalg.Centroid               reference the traj packing tests compare per-frame centroids against
+proptest.Check                seeds, replayably, the testing/quick properties that tests in ten packages run
 '
 
 # The file list arrives on stdin and awk reads each file itself, so one
