@@ -1,10 +1,10 @@
 // Package mdtask_test holds the repository-level benchmark harness: one
 // testing.B benchmark per table/figure of the paper (each regenerates
 // the artifact through the experiment harness) plus ablation benchmarks
-// for the design choices DESIGN.md calls out (early-break Hausdorff,
-// union-find vs BFS components, tree vs brute edge discovery, 1-D vs
-// 2-D partitioning, partial-component shuffle reduction, stage-barrier
-// vs greedy DAG scheduling).
+// for the design choices (early-break Hausdorff, union-find vs BFS
+// components, tree vs brute edge discovery, 1-D vs 2-D partitioning,
+// partial-component shuffle reduction, stage-barrier vs greedy DAG
+// scheduling).
 //
 // Run with: go test -bench=. -benchmem
 package mdtask_test
@@ -17,6 +17,7 @@ import (
 	"mdtask/internal/bench"
 	"mdtask/internal/cluster"
 	"mdtask/internal/dask"
+	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
@@ -205,7 +206,7 @@ func benchShuffle(b *testing.B, approach leaflet.Approach) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), approach, sys.Coords, synth.BilayerCutoff, 64)
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), approach, sys.Coords, synth.BilayerCutoff, 64, engine.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}

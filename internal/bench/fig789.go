@@ -29,7 +29,7 @@ const (
 // Go costs into the cluster model would understate compute relative to
 // coordination overheads and erase the paper's crossovers, so the
 // workload builders restore the Python stack's cost levels with these
-// factors (see DESIGN.md §1 and EXPERIMENTS.md):
+// factors:
 const (
 	// pyCdistFactor scales the measured Go pairwise-distance cost to
 	// scipy.cdist + numpy filtering levels (~50ns/pair).

@@ -51,7 +51,7 @@ func benchPathEnsemble() traj.Ensemble {
 // ensemble and method — identical on every engine and every run.
 func kernelCounters(ens traj.Ensemble, m hausdorff.Method) engine.Snapshot {
 	sink := &engine.Metrics{}
-	if _, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: m, Metrics: sink}); err != nil {
+	if _, err := psa.SerialRefs(traj.RefsOf(ens), psa.Opts{Symmetric: true, Method: m, Env: engine.Env{Metrics: sink}}); err != nil {
 		panic(err)
 	}
 	return sink.Snapshot()
@@ -305,7 +305,7 @@ func measureBlockCache() benchBlockCacheJSON {
 		}
 		sink := &engine.Metrics{}
 		for _, b := range blocks {
-			if _, err := psa.ComputeBlockRefs(refs, b, psa.Opts{Symmetric: true, Cache: store, Metrics: sink}); err != nil {
+			if _, err := psa.ComputeBlockRefs(refs, b, psa.Opts{Symmetric: true, Cache: store, Env: engine.Env{Metrics: sink}}); err != nil {
 				panic(err)
 			}
 		}

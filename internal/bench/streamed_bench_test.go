@@ -39,7 +39,7 @@ func benchPSAStreamed(b *testing.B, method hausdorff.Method, window int) {
 		sink := &engine.Metrics{}
 		if _, err := psa.SerialRefs(refs, psa.Opts{
 			Symmetric: true, Method: method,
-			MaxResidentFrames: window, Metrics: sink,
+			MaxResidentFrames: window, Env: engine.Env{Metrics: sink},
 		}); err != nil {
 			b.Fatal(err)
 		}

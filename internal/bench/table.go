@@ -3,7 +3,7 @@
 // paper's workload, calibrates per-task compute costs by timing the real
 // kernels in this repository, and projects node/core sweeps through the
 // cluster performance model, printing the same rows/series the paper
-// reports. EXPERIMENTS.md records the expected shapes.
+// reports. TestExperimentsGolden pins every render against testdata/.
 package bench
 
 import (

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/rdd"
 	"mdtask/internal/synth"
@@ -67,7 +68,7 @@ func Tab2(cal *Calibration) *Table {
 	}
 	sys := synth.Bilayer(tab2Atoms, 11)
 	for _, r := range rows {
-		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), r.a, sys.Coords, synth.BilayerCutoff, 64)
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), r.a, sys.Coords, synth.BilayerCutoff, 64, engine.Env{})
 		if err != nil {
 			t.AddRow(r.a.String(), r.part, r.mapDesc, r.shuffleDesc, r.reduceDesc, "-", "-", "-", "ERR: "+err.Error())
 			continue

@@ -12,7 +12,8 @@
 // of the paper's results holds (Dask > Spark >> RADICAL-Pilot task
 // throughput with an RP plateau below 100 tasks/s; MPI broadcast cheap
 // but growing with ranks while Spark's stays flat; Dask broadcast and
-// shuffle weaker than Spark's), as documented in DESIGN.md §1.
+// shuffle weaker than Spark's). TestExperimentsGolden (internal/bench)
+// pins the figures they produce.
 package cluster
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mdtask/internal/dask"
+	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
@@ -19,7 +20,7 @@ func TestExecutorScatterLimit(t *testing.T) {
 	// before doing any work, so a zeroed slice suffices.
 	big := make([]linalg.Vec3, dask.ScatterElementLimit+1)
 	ex := dask.NewExecutor(dask.NewClient(2), nil)
-	_, err := leaflet.Run(ex, leaflet.Broadcast1D, big, 1.0, 8)
+	_, err := leaflet.Run(ex, leaflet.Broadcast1D, big, 1.0, 8, engine.Env{})
 	if !errors.Is(err, dask.ErrScatter) {
 		t.Fatalf("err = %v, want ErrScatter", err)
 	}
@@ -40,14 +41,14 @@ func TestExecutorWorkerMemoryLimit(t *testing.T) {
 		return dask.NewExecutor(client, nil)
 	}
 	ex := limited()
-	_, err := leaflet.Run(ex, leaflet.TaskAPI2D, sys.Coords, synth.BilayerCutoff, 8)
+	_, err := leaflet.Run(ex, leaflet.TaskAPI2D, sys.Coords, synth.BilayerCutoff, 8, engine.Env{})
 	if !errors.Is(err, dask.ErrWorkerRestarted) {
 		t.Fatalf("err = %v, want ErrWorkerRestarted", err)
 	}
 	if f := ex.Metrics().Snapshot().Failures; f == 0 {
 		t.Error("restarted workers recorded no failures")
 	}
-	res, err := leaflet.Run(limited(), leaflet.TreeSearch, sys.Coords, synth.BilayerCutoff, 8)
+	res, err := leaflet.Run(limited(), leaflet.TreeSearch, sys.Coords, synth.BilayerCutoff, 8, engine.Env{})
 	if err != nil {
 		t.Fatalf("tree approach failed under memory limit: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/jobs"
 	"mdtask/internal/leaflet"
@@ -170,14 +171,14 @@ func FuzzLeafletPlanExact(f *testing.F) {
 		if res := leaflet.Serial(coords, cutoff); !graph.EqualLabels(res.Labels, labels) || res.Stats.Edges != edges {
 			t.Fatalf("Serial: %d edges, labels %v; brute force %d edges, labels %v", res.Stats.Edges, res.Labels, edges, labels)
 		}
-		for _, engine := range []string{jobs.EngineSerial, jobs.EngineSpark, jobs.EngineDask, jobs.EngineMPI} {
+		for _, eng := range []string{jobs.EngineSerial, jobs.EngineSpark, jobs.EngineDask, jobs.EngineMPI} {
 			for _, approach := range leaflet.Approaches {
-				name := fmt.Sprintf("%s/%v", engine, approach)
-				ex, err := jobs.NewExecutor(engine, 2, nil)
+				name := fmt.Sprintf("%s/%v", eng, approach)
+				ex, err := jobs.NewExecutor(eng, 2, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := leaflet.Run(ex, approach, coords, cutoff, nTasks)
+				res, err := leaflet.Run(ex, approach, coords, cutoff, nTasks, engine.Env{})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

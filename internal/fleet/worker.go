@@ -122,8 +122,7 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 		w.tracer = o.Obs.Tracer
 		w.leaseHist = o.Obs.Metrics.Histogram("mdtask_fleet_lease_roundtrip_seconds",
 			"Latency of lease requests to the coordinator, including grants and empty polls.", nil)
-		w.kernelHist = o.Obs.Metrics.Histogram("mdtask_block_kernel_seconds",
-			"Wall time of block kernels (PSA blocks and Leaflet tiles) executed by this worker.", nil)
+		w.kernelHist = engine.KernelHistogram(o.Obs.Metrics)
 		retries := func(op string) *obs.Counter {
 			return o.Obs.Metrics.Counter("mdtask_fleet_worker_retries_total",
 				"Control-plane calls retried after a transient failure, by operation.", "op", op)
@@ -402,8 +401,8 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	// time joins it, and it ships with the result.
 	var m engine.Metrics
 	payload, err := stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
-		Fetch: fetch, Metrics: &m, MaxBlobBytes: w.o.MaxTransferBytes,
-		Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist,
+		Env:   engine.Env{Metrics: &m, Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist},
+		Fetch: fetch, MaxBlobBytes: w.o.MaxTransferBytes,
 	})
 	if err != nil {
 		return res, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/psa"
 )
 
@@ -32,7 +33,7 @@ func TestCancelledJobPoisonsNoBlockEntries(t *testing.T) {
 				// kernel zero-fills, and the store must refuse the value.
 				if _, err := psa.ComputeBlockRefs(in.Refs, blocks[1], psa.Opts{
 					Symmetric: true,
-					Cancel:    rc.Cancelled,
+					Env:       engine.Env{Cancel: rc.Cancelled},
 					Cache:     rc.BlockStore(),
 				}); err != nil {
 					return nil, err
@@ -45,7 +46,7 @@ func TestCancelledJobPoisonsNoBlockEntries(t *testing.T) {
 				r, err := psa.ComputeBlockRefs(in.Refs, b, psa.Opts{
 					Symmetric: true,
 					Cache:     rc.BlockStore(),
-					Metrics:   rc.Metrics(),
+					Env:       engine.Env{Metrics: rc.Metrics()},
 				})
 				if err != nil {
 					return nil, err

@@ -10,7 +10,6 @@ import (
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/mpi"
-	"mdtask/internal/obs"
 	"mdtask/internal/pilot"
 	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
@@ -35,12 +34,10 @@ type engineRow struct {
 	// staged, when set, runs a staged engine: it ships plan's units over
 	// the engine's transport and returns what the plan assembled.
 	// shared is the server's embedded fleet coordinator (nil in the
-	// one-shot CLIs); env carries the run's cancellation and the engine
-	// stage span the units' spans nest under.
+	// one-shot CLIs); env is the run's task environment (RunContext.Env),
+	// whose TraceParent is the engine stage span the units' spans nest
+	// under.
 	staged func(shared *fleet.Coordinator, rc *RunContext, spec Spec, plan stage.Plan, env stage.Env) (any, error)
-	// leaflet, when set, runs the Leaflet Finder in place of leaflet.Run
-	// on the executor.
-	leaflet func(rc *RunContext, spec Spec, in *Input) (*leaflet.Result, error)
 }
 
 // engineTable is the one place an engine name becomes an engine:
@@ -49,7 +46,6 @@ type engineRow struct {
 var engineTable = map[string]engineRow{
 	EngineSerial: {
 		executor: func(_ int, cancel func() bool) engine.Executor { return engine.NewSerial(cancel) },
-		leaflet:  leafletSerial,
 	},
 	EngineSpark: {
 		executor: func(p int, cancel func() bool) engine.Executor {
@@ -181,23 +177,19 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 		opts := psa.Opts{
 			Symmetric:         !spec.FullMatrix,
 			Method:            spec.hausdorffMethod(),
-			Cancel:            rc.Cancelled,
+			Env:               rc.Env(engSpan.Context()),
 			MaxResidentFrames: spec.MaxResidentFrames,
-			Tracer:            rc.Tracer(),
-			TraceParent:       engSpan.Context(),
 			// Every task body consults the run's block store (nil on the
 			// uncached one-shot path), so blocks shared with earlier jobs
 			// skip their kernels whatever the engine.
-			Cache:      rc.BlockStore(),
-			KernelHist: kernelHist(rc),
+			Cache: rc.BlockStore(),
 		}
 		if row.staged != nil {
 			plan, err := stage.PSA(in.Refs, spec.groupSize(len(in.Refs)), opts)
 			if err != nil {
 				return nil, err
 			}
-			res, err := row.staged(shared, rc, spec, plan, stage.Env{
-				Cancel: rc.Cancelled, Tracer: opts.Tracer, TraceParent: opts.TraceParent, KernelHist: opts.KernelHist})
+			res, err := row.staged(shared, rc, spec, plan, stage.Env{Env: opts.Env})
 			mat, _ := res.(*psa.Matrix)
 			return finish(rc, &Result{Matrix: mat}, err)
 		}
@@ -237,67 +229,29 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		engSpan := rc.Tracer().StartChild(rc.TraceParent(), "engine."+engineName)
 		defer engSpan.End()
 		// Tiles are not cached; the scheduler caches the whole job.
-		kernel := kernelHist(rc)
+		env := rc.Env(engSpan.Context())
 		var res *leaflet.Result
-		switch {
-		case row.leaflet != nil:
-			res, err = row.leaflet(rc, spec, in)
-		case row.staged != nil:
+		if row.staged != nil {
 			var plan stage.Plan
 			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch); err == nil {
 				var out any
-				out, err = row.staged(shared, rc, spec, plan, stage.Env{
-					Cancel: rc.Cancelled, Tracer: rc.Tracer(), TraceParent: engSpan.Context(), KernelHist: kernel})
+				out, err = row.staged(shared, rc, spec, plan, stage.Env{Env: env})
 				res, _ = out.(*leaflet.Result)
 			}
-		default:
+		} else {
 			ex := row.executor(spec.Parallelism, rc.Cancelled)
 			rc.SetMetrics(ex.Metrics())
-			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach),
-				leaflet.WithTrace(rc.Tracer(), engSpan.Context(), kernel))
+			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), env)
 		}
 		// What the plan saved: the grid's tiles against the live ones run.
-		if res != nil && rc.Tracer().Enabled() && row.tiled2D(approach) {
+		// The staged engines run every approach as one unit per live tile;
+		// the executors cut Approach 1 into 1-D row chunks instead.
+		if res != nil && rc.Tracer().Enabled() && (row.staged != nil || approach != leaflet.Broadcast1D) {
 			engSpan.SetAttrInt("tiles_grid", int64(len(leaflet.Plan2D(len(in.Coords), spec.Tasks))))
 			engSpan.SetAttrInt("tiles_live", int64(res.Stats.Tasks))
 		}
 		return finish(rc, &Result{Leaflet: res}, err)
 	}
-}
-
-// kernelHist is the service's block kernel histogram, which every PSA
-// block and Leaflet tile body observes; nil when the run has no
-// observability bundle (the one-shot path).
-func kernelHist(rc *RunContext) *obs.Histogram {
-	o := rc.Obs()
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Histogram("mdtask_block_kernel_seconds",
-		"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
-}
-
-// tiled2D reports whether the engine runs an approach over the 2-D
-// grid: the serial reference runs untiled, the staged engines run every
-// approach as one unit per tile, and the executors cut Approach 1 into
-// 1-D row chunks.
-func (row engineRow) tiled2D(approach leaflet.Approach) bool {
-	return row.staged != nil || (row.leaflet == nil && approach != leaflet.Broadcast1D)
-}
-
-// leafletSerial runs the untiled reference, leaflet.Serial, as one task
-// of the serial executor — the trusted answer the others are compared
-// to. It has no per-tile unit and relies on whole-job cache entries.
-func leafletSerial(rc *RunContext, spec Spec, in *Input) (*leaflet.Result, error) {
-	ex := engine.NewSerial(rc.Cancelled)
-	rc.SetMetrics(ex.Metrics())
-	res, err := engine.Map(ex, 1, nil, func(int) (*leaflet.Result, error) {
-		return leaflet.Serial(in.Coords, spec.Cutoff, leaflet.WithCancel(rc.Cancelled)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 // runPilot is the pilot engine: each staged unit the block store cannot

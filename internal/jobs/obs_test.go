@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/obs"
 )
 
@@ -290,35 +291,43 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// Every Leaflet tile body observes the service's block kernel
-// histogram, in-process (dask) and staged (pilot) alike: a tree job at
-// the engine conformance point (2000 atoms, 16 tasks) raises its count
-// by exactly the plan's 11 live tiles.
+// Every Leaflet tile body runs through one instrumented kernel call,
+// on an executor (dask, serial) or as a staged unit (pilot): a traced
+// job at the engine conformance point (2000 atoms, 16 tasks) records one
+// leaflet.tile span and one block kernel observation per live tile — 11
+// of them — for every tiled approach.
 func TestLeafletTilesObserveKernelHistogram(t *testing.T) {
-	ob := obs.NoTrace()
-	hist := ob.Metrics.Histogram("mdtask_block_kernel_seconds",
-		"Wall time of block kernels (PSA blocks and Leaflet tiles).", nil)
+	ob := obs.New("mdserver")
+	hist := engine.KernelHistogram(ob.Metrics)
 	reg := DefaultRegistry()
-	for _, engine := range []string{EngineDask, EnginePilot} {
-		spec, in, err := Resolve(Spec{Analysis: AnalysisLeaflet, Engine: engine, Approach: "tree",
-			Parallelism: 2, Tasks: 16, Synth: &SynthSpec{Atoms: 2000, Seed: 31}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runner, ok := reg.Lookup(RunnerName(spec.Analysis, spec.Engine))
-		if !ok {
-			t.Fatalf("no %s runner", engine)
-		}
-		rc := NewRunContext()
-		rc.SetObs(ob, obs.SpanContext{})
-		before := hist.Count()
-		res, err := runner(rc, spec, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tiles := res.Leaflet.Stats.Tasks; tiles != 11 || hist.Count()-before != int64(tiles) {
-			t.Errorf("%s/tree: histogram count rose by %d over %d live tiles, want 11",
-				engine, hist.Count()-before, tiles)
+	for _, eng := range []string{EngineDask, EnginePilot, EngineSerial} {
+		for _, approach := range []string{"task2d", "parallel-cc", "tree"} {
+			t.Run(eng+"/"+approach, func(t *testing.T) {
+				spec, in, err := Resolve(Spec{Analysis: AnalysisLeaflet, Engine: eng, Approach: approach,
+					Parallelism: 2, Tasks: 16, Synth: &SynthSpec{Atoms: 2000, Seed: 31}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runner, ok := reg.Lookup(RunnerName(spec.Analysis, spec.Engine))
+				if !ok {
+					t.Fatalf("no %s runner", eng)
+				}
+				root := ob.Tracer.StartRoot("run")
+				rc := NewRunContext()
+				rc.SetObs(ob, root.Context())
+				before := hist.Count()
+				res, err := runner(rc, spec, in)
+				root.End()
+				if err != nil {
+					t.Fatal(err)
+				}
+				spans, _ := ob.Tracer.Spans(root.Context().Trace)
+				observed, traced := hist.Count()-before, len(spansByName(spans)["leaflet.tile"])
+				if live := res.Leaflet.Stats.Tasks; live != 11 || observed != 11 || traced != 11 {
+					t.Errorf("%d live tiles: histogram rose by %d, %d leaflet.tile spans; want 11 each",
+						live, observed, traced)
+				}
+			})
 		}
 	}
 }

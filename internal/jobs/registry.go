@@ -79,9 +79,6 @@ func (rc *RunContext) SetObs(o *obs.Obs, parent obs.SpanContext) {
 	rc.span = parent
 }
 
-// Obs returns the run's observability bundle, or nil.
-func (rc *RunContext) Obs() *obs.Obs { return rc.obs }
-
 // Tracer returns the run's tracer (nil when tracing is disabled —
 // every method of a nil tracer no-ops).
 func (rc *RunContext) Tracer() *obs.Tracer {
@@ -94,6 +91,20 @@ func (rc *RunContext) Tracer() *obs.Tracer {
 // TraceParent returns the span context engine spans parent under
 // (zero when tracing is disabled).
 func (rc *RunContext) TraceParent() obs.SpanContext { return rc.span }
+
+// Env is the run's task environment, the one every engine's task
+// bodies get: its cancellation, its tracer with parent as the span the
+// bodies' spans nest under, and the process's block kernel histogram
+// (none on the one-shot path, which has no observability bundle).
+// Metrics is left to whoever owns the sink: psa.Run points it at the
+// executor's, a staged transport at each unit's own.
+func (rc *RunContext) Env(parent obs.SpanContext) engine.Env {
+	env := engine.Env{Cancel: rc.Cancelled, Tracer: rc.Tracer(), TraceParent: parent}
+	if rc.obs != nil {
+		env.KernelHist = engine.KernelHistogram(rc.obs.Metrics)
+	}
+	return env
+}
 
 // Runner executes one analysis job over already-resolved input and
 // returns its result. Runners must poll rc for cancellation and leave

@@ -3,6 +3,7 @@ package leaflet
 import (
 	"fmt"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
 )
@@ -53,7 +54,7 @@ func specsOf(blocks []block) []BlockSpec {
 // Approach 4, otherwise pairwise distances; both find the same edges).
 // It is correct on any tile, live or not.
 func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) ([]graph.Component, int64) {
-	tp := ChunkPartial(coords[b.RLo:b.RHi], coords[b.CLo:b.CHi], b, cutoff, tree)
+	tp := ChunkPartial(engine.Env{}, coords[b.RLo:b.RHi], coords[b.CLo:b.CHi], b, cutoff, tree)
 	return tp.Comps, tp.Edges
 }
 
@@ -73,22 +74,26 @@ func (t TilePartial) WireBytes() int64 { return graph.ComponentBytes(t.Comps) }
 // ChunkPartial is BlockPartial from the tile's own chunks: rows holds
 // atoms [b.RLo, b.RHi) and cols atoms [b.CLo, b.CHi) (ignored on a
 // diagonal tile). It runs the kernel of Run's tile bodies on the chunks
-// joined, then shifts every edge back to global atom ids. This is the
-// body of the staged engines' Leaflet unit.
-func ChunkPartial(rows, cols []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) TilePartial {
-	pts, local := rows, block{rows: span{hi: len(rows)}, cols: span{hi: len(rows)}}
-	shift := int32(b.RLo)
-	if !b.Diagonal() {
-		pts = append(rows[:len(rows):len(rows)], cols...)
-		local.cols = span{lo: len(rows), hi: len(pts)}
-		shift = int32(b.CLo - len(rows))
-	}
-	edges := blockEdges(pts, local, cutoff, tree)
-	for k := range edges {
-		edges[k].U += int32(b.RLo)
-		edges[k].V += shift
-	}
-	return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
+// joined, then shifts every edge back to global atom ids, instrumented
+// through env as Run's tile bodies are. This is the body of the staged
+// engines' Leaflet unit.
+func ChunkPartial(env engine.Env, rows, cols []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) TilePartial {
+	global := block{rows: span{lo: b.RLo, hi: b.RHi}, cols: span{lo: b.CLo, hi: b.CHi}}
+	return tileKernel(env, global, func() TilePartial {
+		pts, local := rows, block{rows: span{hi: len(rows)}, cols: span{hi: len(rows)}}
+		shift := int32(b.RLo)
+		if !b.Diagonal() {
+			pts = append(rows[:len(rows):len(rows)], cols...)
+			local.cols = span{lo: len(rows), hi: len(pts)}
+			shift = int32(b.CLo - len(rows))
+		}
+		edges := blockEdges(pts, local, cutoff, tree)
+		for k := range edges {
+			edges[k].U += int32(b.RLo)
+			edges[k].V += shift
+		}
+		return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
+	})
 }
 
 // FromPartials joins per-unit partial component sets into a full Result

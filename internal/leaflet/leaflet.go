@@ -92,34 +92,20 @@ type Result struct {
 
 // Serial computes the reference result on one goroutine: the tree
 // approach's cell-list kernel over the whole system as one diagonal
-// block, so it stays usable on paper-sized systems. A WithCancel option
-// is polled every few thousand atoms; a cancelled run returns its
-// partial result, which the caller must discard.
-func Serial(coords []linalg.Vec3, cutoff float64, opts ...Option) *Result {
-	o := gatherOpts(opts)
+// block, so it stays usable on paper-sized systems. It is the answer
+// every engine's run is checked against, not an engine: the jobs
+// layer's serial engine runs Run on the serial executor.
+func Serial(coords []linalg.Vec3, cutoff float64) *Result {
 	n := len(coords)
 	cl := cellPool.Get().(*cellList)
 	defer cellPool.Put(cl)
 	cl.bin(coords, span{hi: n}, cutoff)
-	uf := graph.NewUnionFind(n)
-	var edges int64
-	var buf []graph.Edge
-	const rowsPerPoll = 4096
-	for lo := 0; lo < n; lo += rowsPerPoll {
-		if o.cancelled() {
-			break
-		}
-		buf, _ = cl.appendEdges(buf[:0], coords, span{lo: lo, hi: min(lo+rowsPerPoll, n)}, cutoff, true)
-		for _, e := range buf {
-			uf.Union(e.U, e.V)
-		}
-		edges += int64(len(buf))
-	}
-	labels := uf.Labels()
+	edges, _ := cl.appendEdges(nil, coords, span{hi: n}, cutoff, true)
+	labels := graph.ComponentsUnionFind(n, edges)
 	return &Result{
 		Labels:     labels,
 		Components: graph.Groups(labels),
-		Stats:      Stats{Tasks: 1, Edges: edges},
+		Stats:      Stats{Tasks: 1, Edges: int64(len(edges))},
 	}
 }
 

@@ -98,7 +98,7 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 		if tree {
 			approach = TreeSearch
 		}
-		want, err := Run(engine.NewSerial(nil), approach, sys.Coords, synth.BilayerCutoff, nTasks)
+		want, err := Run(engine.NewSerial(nil), approach, sys.Coords, synth.BilayerCutoff, nTasks, engine.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestReduceOnConcurrentWorkersMatchesSerial(t *testing.T) {
 	want := Serial(sys.Coords, synth.BilayerCutoff)
 	for _, approach := range []Approach{ParallelCC, TreeSearch} {
 		for range 3 {
-			got, err := Run(dask.NewExecutor(dask.NewClient(4), nil), approach, sys.Coords, synth.BilayerCutoff, 256)
+			got, err := Run(dask.NewExecutor(dask.NewClient(4), nil), approach, sys.Coords, synth.BilayerCutoff, 256, engine.Env{})
 			if err != nil {
 				t.Fatal(err)
 			}

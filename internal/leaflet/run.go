@@ -15,9 +15,10 @@ import (
 // is the executor's business (an RDD partition per task on Spark, one
 // delayed node per task and a bag fold on Dask, a rank loop plus
 // collectives on MPI — §4.3). nTasks bounds the number of map tasks (the
-// paper uses 1024 partitions).
-func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int, opts ...Option) (*Result, error) {
-	o := gatherOpts(opts)
+// paper uses 1024 partitions). The tile bodies of Approaches 2-4 are
+// instrumented through env (tileKernel); cancellation is the
+// executor's.
+func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int, env engine.Env) (*Result, error) {
 	n := len(coords)
 	switch approach {
 	case Broadcast1D:
@@ -44,7 +45,10 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		lists, err := engine.Map(ex, len(blocks),
 			func(i int) int64 { return blockMemBytes(blocks[i]) },
-			func(i int) ([]graph.Edge, error) { return blockEdges(coords, blocks[i], cutoff, false), nil })
+			func(i int) ([]graph.Edge, error) {
+				b := blocks[i]
+				return tileKernel(env, b, func() []graph.Edge { return blockEdges(coords, b, cutoff, false) }), nil
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +64,10 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 			mem = nil // the tree kernel avoids the cdist matrix (§4.3.4)
 		}
 		merged, shuffled, err := engine.Reduce(ex, len(blocks), mem,
-			func(i int) (TilePartial, error) { return o.tilePartial(coords, blocks[i], cutoff, useTree), nil },
+			func(i int) (TilePartial, error) {
+				b := blocks[i]
+				return tileKernel(env, b, func() TilePartial { return tilePartial(coords, b, cutoff, useTree) }), nil
+			},
 			func(a, b TilePartial) TilePartial {
 				return TilePartial{Comps: mergePartialSets(a.Comps, b.Comps), Edges: a.Edges + b.Edges}
 			})
@@ -78,17 +85,25 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 	}
 }
 
-// tilePartial computes one tile's partial components, recording a
-// leaflet.tile span and the kernel's wall time (WithTrace).
-func (o runOpts) tilePartial(coords []linalg.Vec3, b block, cutoff float64, useTree bool) TilePartial {
-	span := o.tracer.StartChild(o.traceParent, "leaflet.tile")
+// tileKernel is the one instrumented call every tile body's kernel runs
+// through — Run's for Approaches 2-4 and the staged engines'
+// ChunkPartial: it records a leaflet.tile span bounded by b (global
+// atom ids) under env.TraceParent and observes the kernel's wall time
+// into env.KernelHist.
+func tileKernel[T any](env engine.Env, b block, kernel func() T) T {
+	span := env.Tracer.StartChild(env.TraceParent, "leaflet.tile")
 	span.SetAttr("tile", fmt.Sprintf("[%d:%d)x[%d:%d)", b.rows.lo, b.rows.hi, b.cols.lo, b.cols.hi))
 	defer span.End()
 	start := time.Now()
-	edges := blockEdges(coords, b, cutoff, useTree)
-	tp := TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
-	o.kernelHist.Observe(time.Since(start).Seconds())
-	return tp
+	v := kernel()
+	env.KernelHist.Observe(time.Since(start).Seconds())
+	return v
+}
+
+// tilePartial computes one tile's partial components.
+func tilePartial(coords []linalg.Vec3, b block, cutoff float64, tree bool) TilePartial {
+	edges := blockEdges(coords, b, cutoff, tree)
+	return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
 }
 
 // fromEdges is the combine step of Approaches 1 and 2: the per-task

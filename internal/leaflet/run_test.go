@@ -44,7 +44,7 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 	for _, approach := range Approaches {
 		t.Run(approach.String(), func(t *testing.T) {
 			ex := engine.NewSerial(nil)
-			got, err := Run(ex, approach, sys.Coords, synth.BilayerCutoff, nTasks)
+			got, err := Run(ex, approach, sys.Coords, synth.BilayerCutoff, nTasks, engine.Env{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestRunDeclaresCdistWorkingSet(t *testing.T) {
 		{Broadcast1D, false}, {TaskAPI2D, true}, {ParallelCC, true}, {TreeSearch, false},
 	} {
 		rec := &recorder{Serial: engine.NewSerial(nil)}
-		if _, err := Run(rec, tc.approach, sys.Coords, synth.BilayerCutoff, 6); err != nil {
+		if _, err := Run(rec, tc.approach, sys.Coords, synth.BilayerCutoff, 6, engine.Env{}); err != nil {
 			t.Fatal(err)
 		}
 		blocks := liveBlocks2D(sys.Coords, synth.BilayerCutoff, 6)
@@ -99,7 +99,7 @@ func TestRunDeclaresCdistWorkingSet(t *testing.T) {
 func TestApproach3ShufflesLessThanApproach2(t *testing.T) {
 	sys := membrane(4096)
 	run := func(a Approach) *Result {
-		res, err := Run(rdd.NewExecutor(rdd.NewContext(4), nil), a, sys.Coords, synth.BilayerCutoff, 32)
+		res, err := Run(rdd.NewExecutor(rdd.NewContext(4), nil), a, sys.Coords, synth.BilayerCutoff, 32, engine.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestApproach3ShufflesLessThanApproach2(t *testing.T) {
 func TestApproach1BroadcastAccounted(t *testing.T) {
 	sys := membrane(1500)
 	ex := engine.NewSerial(nil)
-	res, err := Run(ex, Broadcast1D, sys.Coords, synth.BilayerCutoff, 16)
+	res, err := Run(ex, Broadcast1D, sys.Coords, synth.BilayerCutoff, 16, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestApproach1BroadcastAccounted(t *testing.T) {
 		t.Errorf("broadcast: stats %d, executor %d, want %d",
 			res.Stats.BroadcastBytes, ex.Metrics().Snapshot().BytesBroadcast, want)
 	}
-	res2, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 16)
+	res2, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 16, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestApproach1BroadcastAccounted(t *testing.T) {
 
 func TestRunUnknownApproach(t *testing.T) {
 	sys := membrane(100)
-	if _, err := Run(engine.NewSerial(nil), Approach(9), sys.Coords, 1, 4); err == nil {
+	if _, err := Run(engine.NewSerial(nil), Approach(9), sys.Coords, 1, 4, engine.Env{}); err == nil {
 		t.Error("unknown approach accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestRunUnknownApproach(t *testing.T) {
 func TestSingleTaskDegenerate(t *testing.T) {
 	sys := membrane(600)
 	want := Serial(sys.Coords, synth.BilayerCutoff)
-	got, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 1)
+	got, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 1, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

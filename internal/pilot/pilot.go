@@ -170,7 +170,7 @@ func Defaults() Config {
 
 // Pilot is an acquired resource slice plus its agent.
 type Pilot struct {
-	sem     *semaphore
+	sem     semaphore
 	db      *DB
 	cfg     Config
 	dir     string
@@ -240,7 +240,7 @@ func (p *Pilot) agent() {
 			return
 		case <-ticker.C:
 		}
-		for _, id := range p.db.ClaimNew(4 * p.sem.capacity()) {
+		for _, id := range p.db.ClaimNew(4 * cap(p.sem)) {
 			p.mu.Lock()
 			u := p.units[id]
 			p.mu.Unlock()
@@ -353,62 +353,21 @@ func (p *Pilot) Shutdown() {
 	p.done.Wait()
 }
 
-// semaphore is the pilot's counting semaphore over its cores; acquire
-// also gives up when the pilot shuts down.
-type semaphore struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int
-	used int
-}
+// semaphore is the pilot's counting semaphore over its cores: one
+// buffered token per running unit.
+type semaphore chan struct{}
 
-func newSemaphore(capacity int) *semaphore {
-	s := &semaphore{cap: capacity}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
+func newSemaphore(capacity int) semaphore { return make(semaphore, capacity) }
 
 // acquire blocks until a slot is free or stop is closed; it reports
 // whether a slot was obtained.
-func (s *semaphore) acquire(stop <-chan struct{}) bool {
-	// Wake waiters when stop closes.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-stop:
-			s.cond.Broadcast()
-		case <-done:
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.used >= s.cap {
-		select {
-		case <-stop:
-			return false
-		default:
-		}
-		s.cond.Wait()
-		select {
-		case <-stop:
-			return false
-		default:
-		}
+func (s semaphore) acquire(stop <-chan struct{}) bool {
+	select {
+	case s <- struct{}{}:
+		return true
+	case <-stop:
+		return false
 	}
-	s.used++
-	return true
 }
 
-func (s *semaphore) release() {
-	s.mu.Lock()
-	s.used--
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-func (s *semaphore) capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cap
-}
+func (s semaphore) release() { <-s }

@@ -58,7 +58,7 @@ func (p *Pilot) Run(plan stage.Plan, store *blockstore.Store, env stage.Env) (an
 				if err != nil {
 					return err
 				}
-				if env.Cancel != nil && env.Cancel() {
+				if env.Cancelled() {
 					return engine.ErrCancelled
 				}
 				if err := os.WriteFile(filepath.Join(sandbox, "payload.bin"), payload, 0o644); err != nil {

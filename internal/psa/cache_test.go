@@ -62,7 +62,7 @@ func TestComputeBlockRefsCachesAcrossCalls(t *testing.T) {
 	store := blockstore.New(0)
 	b := Block{I0: 0, I1: 4, J0: 0, J1: 4}
 	var m engine.Metrics
-	opts := Opts{Symmetric: true, Cache: store, Metrics: &m}
+	opts := Opts{Symmetric: true, Cache: store, Env: engine.Env{Metrics: &m}}
 
 	cold, err := ComputeBlockRefs(refs, b, opts)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestCancelledBlockNeverRecorded(t *testing.T) {
 	partial, err := ComputeBlockRefs(refs, b, Opts{
 		Symmetric: true,
 		Cache:     store,
-		Cancel:    countingCancel(3), // cancel after two pairs
+		Env:       engine.Env{Cancel: countingCancel(3)}, // cancel after two pairs
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
 	"mdtask/internal/hausdorff"
-	"mdtask/internal/obs"
 	"mdtask/internal/traj"
 )
 
@@ -49,18 +48,18 @@ type Opts struct {
 	Symmetric bool
 	// Method selects the Hausdorff inner-loop algorithm.
 	Method hausdorff.Method
-	// Cancel, when non-nil, is polled cooperatively at block boundaries.
-	// Once it reports true the remaining blocks are skipped (their values
-	// are left zero), so a run drains quickly; the caller is responsible
-	// for discarding the partial matrix. Serial additionally polls it
-	// between rows.
-	Cancel func() bool
-	// Metrics, when non-nil, receives the Hausdorff kernel's frame-pair
-	// counters (evaluated / pruned / abandoned) and the streaming and
-	// block-cache accounting of every task body. Run points it at its
-	// executor's sink; the staged runners and direct ComputeBlockRefs
-	// callers set it themselves.
-	Metrics *engine.Metrics
+	// Env is the run's task environment. Cancel is polled between
+	// comparisons: once it reports true the remaining values are left
+	// zero, so a run drains quickly, and the caller discards the partial
+	// matrix (SerialRefs polls it between rows). Metrics receives the
+	// Hausdorff kernel's frame-pair counters and the streaming and
+	// block-cache accounting of every task body; Run points it at its
+	// executor's sink. Tracer gives each block a psa.block span (child
+	// of TraceParent) with its geometry and cache outcome, and a cached
+	// lookup a nested cache.do span; KernelHist observes each block
+	// kernel's wall time (cache hits run no kernel and are not
+	// observed).
+	engine.Env
 	// MaxResidentFrames, when positive, switches every task body to the
 	// streamed window kernel: trajectories are consumed as bounded frame
 	// windows of at most MaxResidentFrames frames instead of being fully
@@ -73,16 +72,6 @@ type Opts struct {
 	// the BytesStreamed metric accounts. Zero keeps the fully-resident
 	// path.
 	MaxResidentFrames int
-	// Tracer and TraceParent, when set, give every task body a span:
-	// each block records a psa.block span (child of TraceParent) with
-	// its geometry and cache outcome, and cached lookups record a
-	// nested cache.do span covering the store interaction. A nil Tracer
-	// disables tracing at the cost of one nil check per block.
-	Tracer      *obs.Tracer
-	TraceParent obs.SpanContext
-	// KernelHist, when non-nil, observes each block kernel's wall time
-	// in seconds (cache hits do not run a kernel and are not observed).
-	KernelHist *obs.Histogram
 	// Cache, when non-nil, is the content-addressed block store every
 	// task body consults before running its kernel: a block whose key
 	// (BlockKey: layout × trajectory content digests) is already stored
@@ -97,9 +86,6 @@ type Opts struct {
 // streaming reports whether the windowed out-of-core kernel is
 // selected.
 func (o Opts) streaming() bool { return o.MaxResidentFrames > 0 }
-
-// cancelled reports whether a cooperative cancellation was requested.
-func (o Opts) cancelled() bool { return o.Cancel != nil && o.Cancel() }
 
 // kernelDelta is a task body's kernel and streaming accounting as a
 // metrics delta.
@@ -326,7 +312,7 @@ func computeBlockVals(refs traj.RefEnsemble, b Block, opts Opts) (vals []float64
 			j0 = i + 1
 		}
 		for j := j0; j < b.J1; j++ {
-			if opts.cancelled() {
+			if opts.Cancelled() {
 				// Zero-fill the rest so downstream shape checks hold; the
 				// job layer discards the matrix of a cancelled run.
 				return append(vals, make([]float64, b.TaskPairs(opts.Symmetric)-len(vals))...), false, nil
@@ -451,7 +437,7 @@ func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 	}
 	if opts.Symmetric {
 		for i := range refs {
-			if opts.cancelled() {
+			if opts.Cancelled() {
 				return out, nil
 			}
 			for j := i + 1; j < len(refs); j++ {
@@ -466,7 +452,7 @@ func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 		return out, nil
 	}
 	for i := range refs {
-		if opts.cancelled() {
+		if opts.Cancelled() {
 			return out, nil
 		}
 		for j := range refs {

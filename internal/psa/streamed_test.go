@@ -50,7 +50,7 @@ func TestSerialStreamedMatchesInMemory(t *testing.T) {
 					sink := &engine.Metrics{}
 					got, err := SerialRefs(backing.refs, Opts{
 						Symmetric: sym, Method: m,
-						MaxResidentFrames: w, Metrics: sink,
+						MaxResidentFrames: w, Env: engine.Env{Metrics: sink},
 					})
 					if err != nil {
 						t.Fatalf("%s/%v sym=%v w=%d: %v", backing.name, m, sym, w, err)
@@ -164,7 +164,7 @@ func TestComputeBlockRefsStreamedCancel(t *testing.T) {
 	calls := 0
 	opts := Opts{
 		Symmetric: true, MaxResidentFrames: 2,
-		Cancel: func() bool { calls++; return calls > 2 },
+		Env: engine.Env{Cancel: func() bool { calls++; return calls > 2 }},
 	}
 	b := Block{I0: 0, I1: 4, J0: 0, J1: 4}
 	got, err := ComputeBlockRefs(refs, b, opts)

@@ -125,7 +125,7 @@ func TestTransportContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, err = p.Run(plan, store, stage.Env{Cancel: cancelled.Load})
+					_, err = p.Run(plan, store, stage.Env{Env: engine.Env{Cancel: cancelled.Load}})
 					p.Shutdown()
 					if err == nil {
 						t.Fatal("the pilot run succeeded")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"time"
 
 	"mdtask/internal/graph"
 	"mdtask/internal/leaflet"
@@ -116,10 +115,7 @@ func execLeaflet(raw json.RawMessage, env Env) ([]byte, error) {
 			return nil, err
 		}
 	}
-	start := time.Now()
-	tp := leaflet.ChunkPartial(rows, cols, t, d.Cutoff, d.Tree)
-	env.KernelHist.Observe(time.Since(start).Seconds())
-	return json.Marshal(tp)
+	return json.Marshal(leaflet.ChunkPartial(env.Env, rows, cols, t, d.Cutoff, d.Tree))
 }
 
 // fetchChunk reads the coordinates of atoms [lo, hi).

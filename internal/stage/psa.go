@@ -170,9 +170,7 @@ func execPSA(raw json.RawMessage, env Env) ([]byte, error) {
 		refs[p] = r
 	}
 	br, err := psa.ComputeBlockRefs(refs, local, psa.Opts{
-		Symmetric: d.Symmetric, Method: method, MaxResidentFrames: d.Window,
-		Cancel: env.Cancel, Metrics: env.Metrics,
-		Tracer: env.Tracer, TraceParent: env.TraceParent, KernelHist: env.KernelHist,
+		Symmetric: d.Symmetric, Method: method, MaxResidentFrames: d.Window, Env: env.Env,
 	})
 	if err != nil {
 		return nil, err

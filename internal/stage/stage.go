@@ -20,7 +20,6 @@ import (
 
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
-	"mdtask/internal/obs"
 )
 
 // Unit is one staged compute unit of a Plan.
@@ -54,23 +53,18 @@ type Plan interface {
 	Assemble() any
 }
 
-// Env is what a transport hands a unit body.
+// Env is what a transport hands a unit body: the run's task
+// environment (the unit's own Metrics sink, whose snapshot the
+// transport ships, and the cancellation and instrumentation the
+// in-process task bodies get) plus the unit's inputs.
 type Env struct {
+	engine.Env
 	// Fetch returns one of the unit's input blobs by name.
 	Fetch func(name string) ([]byte, error)
-	// Metrics is the unit's own sink; the transport ships its snapshot.
-	Metrics *engine.Metrics
-	// Cancel, when non-nil, is polled by kernels that can stop early.
-	Cancel func() bool
 	// MaxBlobBytes, when positive, bounds what one input blob and a
 	// streamed trajectory's per-frame state may claim, so a hostile
 	// description cannot size an allocation.
 	MaxBlobBytes int64
-	// Tracer, TraceParent and KernelHist instrument the kernel as the
-	// in-process task bodies are instrumented.
-	Tracer      *obs.Tracer
-	TraceParent obs.SpanContext
-	KernelHist  *obs.Histogram
 }
 
 // kind is one analysis's staged unit: its body and the check of what

@@ -1,7 +1,7 @@
 #!/bin/sh
 # enginelint: the executor seam must stay a seam. Each analysis is
 # written once over engine.Executor, and exactly one place — the engine
-# table in internal/jobs — turns an engine name into an engine. Two
+# table in internal/jobs — turns an engine name into an engine. Three
 # checks over non-test Go files keep it that way:
 #
 #   1. internal/psa and internal/leaflet import none of the closure
@@ -9,6 +9,10 @@
 #      engine it runs on belongs in that engine's executor instead.
 #   2. At most one package outside those three engines imports all of
 #      them: a second such package is a second dispatch table.
+#   3. internal/psa, internal/leaflet and internal/stage do not import
+#      mdtask/internal/obs: task bodies get their cancellation, metrics
+#      and instrumentation only through engine.Env, which the jobs
+#      layer builds once per run.
 #
 # Run via `make enginelint`; CI gates on it. See docs/engines.md.
 set -eu
@@ -39,6 +43,13 @@ for pkg in internal/psa internal/leaflet; do
   done
 done
 
+for pkg in internal/psa internal/leaflet internal/stage; do
+  if imports "$pkg" obs; then
+    echo "enginelint: $pkg imports mdtask/internal/obs — task bodies are instrumented through engine.Env" >&2
+    status=1
+  fi
+done
+
 tables=""
 for dir in $(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do
   case "$dir" in ./internal/rdd | ./internal/dask | ./internal/mpi) continue ;; esac
@@ -55,6 +66,6 @@ if [ "$#" -gt 1 ]; then
 fi
 
 if [ "$status" -eq 0 ]; then
-  echo "enginelint: OK — analyses import no engine; one engine table (${1:-none})"
+  echo "enginelint: OK — analyses import no engine or obs; one engine table (${1:-none})"
 fi
 exit $status
