@@ -20,6 +20,7 @@ import (
 	"mdtask/internal/engine"
 	"mdtask/internal/graph"
 	"mdtask/internal/hausdorff"
+	"mdtask/internal/jobs"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
 	"mdtask/internal/psa"
@@ -283,3 +284,27 @@ func BenchmarkLeafletSerial64k(b *testing.B) {
 		}
 	}
 }
+
+// benchLeafletJob runs a Leaflet job spec (the 32 768-atom membrane the
+// leaflet-cold service workload submits, its default 1024 tasks) through
+// the jobs layer, input resolved once outside the timer.
+func benchLeafletJob(b *testing.B, engineName, approach string) {
+	spec, in, err := jobs.Resolve(jobs.Spec{Analysis: "leaflet", Engine: engineName, Approach: approach,
+		Synth: &jobs.SynthSpec{Atoms: 32768, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := jobs.DefaultRegistry()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := jobs.Run(reg, spec, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLeafletJobSerialBroadcast(b *testing.B)  { benchLeafletJob(b, "serial", "broadcast") }
+func BenchmarkLeafletJobSerialTask2D(b *testing.B)     { benchLeafletJob(b, "serial", "task2d") }
+func BenchmarkLeafletJobSerialParallelCC(b *testing.B) { benchLeafletJob(b, "serial", "parallel-cc") }
+func BenchmarkLeafletJobSerialTree(b *testing.B)       { benchLeafletJob(b, "serial", "tree") }
+func BenchmarkLeafletJobDaskTree(b *testing.B)         { benchLeafletJob(b, "dask", "tree") }

@@ -92,7 +92,9 @@ type Result struct {
 
 // Serial computes the reference result on one goroutine: the tree
 // approach's cell-list kernel over the whole system as one diagonal
-// block, so it stays usable on paper-sized systems. It is the answer
+// block, so it stays usable on paper-sized systems: edges are found a
+// few thousand rows at a time into one reused buffer and unioned as they
+// come, so memory does not grow with the edge count. It is the answer
 // every engine's run is checked against, not an engine: the jobs
 // layer's serial engine runs Run on the serial executor.
 func Serial(coords []linalg.Vec3, cutoff float64) *Result {
@@ -100,12 +102,22 @@ func Serial(coords []linalg.Vec3, cutoff float64) *Result {
 	cl := cellPool.Get().(*cellList)
 	defer cellPool.Put(cl)
 	cl.bin(coords, span{hi: n}, cutoff)
-	edges, _ := cl.appendEdges(nil, coords, span{hi: n}, cutoff, true)
-	labels := graph.ComponentsUnionFind(n, edges)
+	uf := graph.NewUnionFind(n)
+	var edges int64
+	var buf []graph.Edge
+	const rowsPerChunk = 4096
+	for lo := 0; lo < n; lo += rowsPerChunk {
+		buf, _ = cl.appendEdges(buf[:0], coords, span{lo: lo, hi: min(lo+rowsPerChunk, n)}, cutoff, true)
+		for _, e := range buf {
+			uf.Union(e.U, e.V)
+		}
+		edges += int64(len(buf))
+	}
+	labels := uf.Labels()
 	return &Result{
 		Labels:     labels,
 		Components: graph.Groups(labels),
-		Stats:      Stats{Tasks: 1, Edges: int64(len(edges))},
+		Stats:      Stats{Tasks: 1, Edges: edges},
 	}
 }
 
