@@ -114,7 +114,7 @@ fuzz:
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
-# with the frames, the Leaflet reduce, whose pooled merge scratch
+# with the frames, the Leaflet tile bodies and reduce, whose scratch
 # the dask/rdd workers share, the staged-unit driver, the pilot and
 # the block store, which TestTransportContract drives from both
 # transports at once, and the Hausdorff kernels, whose concurrent

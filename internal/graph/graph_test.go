@@ -68,24 +68,10 @@ func TestBFSMatchesUnionFindQuick(t *testing.T) {
 	proptest.Check(t, f, cfg)
 }
 
-func TestPartialComponentsOnlyTouchedNodes(t *testing.T) {
-	comps := PartialComponents([]Edge{{5, 7}, {7, 9}, {20, 21}})
-	if len(comps) != 2 {
-		t.Fatalf("components = %v", comps)
-	}
-	if !reflect.DeepEqual(comps[0], Component{5, 7, 9}) {
-		t.Errorf("comp[0] = %v", comps[0])
-	}
-	if !reflect.DeepEqual(comps[1], Component{20, 21}) {
-		t.Errorf("comp[1] = %v", comps[1])
-	}
-	if PartialComponents(nil) != nil {
-		t.Error("empty edge list should produce nil")
-	}
-}
-
-// partialComponentsRef is the map-and-sort PartialComponents the current
-// one replaced, kept as its reference.
+// partialComponentsRef computes the components induced by a partial
+// edge list by map and sort: only nodes on an edge, each component
+// sorted, components ordered by first node (the map side of the
+// paper's Approach 3).
 func partialComponentsRef(edges []Edge) []Component {
 	if len(edges) == 0 {
 		return nil
@@ -121,41 +107,6 @@ func partialComponentsRef(edges []Edge) []Component {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
-}
-
-// PartialComponents equals the map-and-sort reference exactly, on edge
-// lists whose endpoints are dense in their range (the table path) and
-// sparse in it (the sort-and-search path), self-loops included.
-func TestPartialComponentsMatchesReferenceQuick(t *testing.T) {
-	cfg := &quick.Config{
-		MaxCount: 300,
-		Values: func(args []reflect.Value, r *mathrand.Rand) {
-			args[0] = reflect.ValueOf(uint64(r.Int63()))
-			args[1] = reflect.ValueOf(1 + r.Intn(1<<(2+r.Intn(18))))
-			args[2] = reflect.ValueOf(1 + r.Intn(200))
-		},
-	}
-	f := func(seed uint64, n, m int) bool {
-		r := rand.New(rand.NewPCG(seed, 2))
-		edges := randEdges(r, n, m)
-		base := int32(r.IntN(1 << 20))
-		for i := range edges {
-			edges[i].U += base
-			edges[i].V += base
-		}
-		return reflect.DeepEqual(PartialComponents(edges), partialComponentsRef(edges))
-	}
-	proptest.Check(t, f, cfg)
-}
-
-// Components share one backing array; each is capped so an append
-// through one cannot overwrite the next.
-func TestPartialComponentsAreCapped(t *testing.T) {
-	comps := PartialComponents([]Edge{{1, 2}, {3, 4}})
-	_ = append(comps[0], 99)
-	if !reflect.DeepEqual(comps[1], Component{3, 4}) {
-		t.Fatalf("append through comps[0] changed comps[1] to %v", comps[1])
-	}
 }
 
 func TestUnionFindReset(t *testing.T) {
@@ -202,7 +153,7 @@ func TestMergePartialsEqualsGlobalQuick(t *testing.T) {
 		}
 		partials := make([][]Component, parts)
 		for i, es := range partitioned {
-			partials[i] = PartialComponents(es)
+			partials[i] = partialComponentsRef(es)
 		}
 		merged := MergeComponents(n, partials...)
 		return EqualLabels(global, merged)

@@ -20,10 +20,15 @@ type BlockSpec struct {
 // Diagonal reports whether the tile compares a chunk against itself.
 func (b BlockSpec) Diagonal() bool { return b.RLo == b.CLo && b.RHi == b.CHi }
 
-// Valid checks the spec's ranges against an n-atom system.
+// Valid checks the spec's ranges against an n-atom system and that it
+// is a tile of the upper triangle, as every tile of Blocks is: a chunk
+// against itself, or rows that end where or before the columns start.
 func (b BlockSpec) Valid(n int) error {
 	if b.RLo < 0 || b.RLo > b.RHi || b.RHi > n || b.CLo < 0 || b.CLo > b.CHi || b.CHi > n {
 		return fmt.Errorf("leaflet: block %+v out of range for %d atoms", b, n)
+	}
+	if !b.Diagonal() && b.RHi > b.CLo {
+		return fmt.Errorf("leaflet: block %+v is not a tile of the upper triangle", b)
 	}
 	return nil
 }
@@ -52,7 +57,7 @@ func specsOf(blocks []block) []BlockSpec {
 // discovered edge count over the whole coordinate set — the map side of
 // the Parallel-CC architecture (tree selects the cell-list kernel of
 // Approach 4, otherwise pairwise distances; both find the same edges).
-// It is correct on any tile, live or not.
+// It is correct on any tile of Blocks, live or not.
 func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) ([]graph.Component, int64) {
 	tp := ChunkPartial(engine.Env{}, coords[b.RLo:b.RHi], coords[b.CLo:b.CHi], b, cutoff, tree)
 	return tp.Comps, tp.Edges
@@ -73,27 +78,13 @@ func (t TilePartial) WireBytes() int64 { return graph.ComponentBytes(t.Comps) }
 
 // ChunkPartial is BlockPartial from the tile's own chunks: rows holds
 // atoms [b.RLo, b.RHi) and cols atoms [b.CLo, b.CHi) (ignored on a
-// diagonal tile). It runs the kernel of Run's tile bodies on the chunks
-// joined, then shifts every edge back to global atom ids, instrumented
-// through env as Run's tile bodies are. This is the body of the staged
-// engines' Leaflet unit.
+// diagonal tile). It runs the tile body of Run's Approaches 3 and 4
+// (tilePartial), which numbers the two chunks' atoms locally and emits
+// global atom ids, instrumented through env as Run's tile bodies are.
+// This is the body of the staged engines' Leaflet unit.
 func ChunkPartial(env engine.Env, rows, cols []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) TilePartial {
 	global := block{rows: span{lo: b.RLo, hi: b.RHi}, cols: span{lo: b.CLo, hi: b.CHi}}
-	return tileKernel(env, global, func() TilePartial {
-		pts, local := rows, block{rows: span{hi: len(rows)}, cols: span{hi: len(rows)}}
-		shift := int32(b.RLo)
-		if !b.Diagonal() {
-			pts = append(rows[:len(rows):len(rows)], cols...)
-			local.cols = span{lo: len(rows), hi: len(pts)}
-			shift = int32(b.CLo - len(rows))
-		}
-		edges := blockEdges(pts, local, cutoff, tree)
-		for k := range edges {
-			edges[k].U += int32(b.RLo)
-			edges[k].V += shift
-		}
-		return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
-	})
+	return tileKernel(env, global, func() TilePartial { return tilePartial(rows, cols, global, cutoff, tree) })
 }
 
 // FromPartials joins per-unit partial component sets into a full Result

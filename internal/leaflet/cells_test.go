@@ -3,6 +3,7 @@ package leaflet
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"mdtask/internal/graph"
@@ -16,6 +17,15 @@ func pairwiseTests(b block) int {
 		return b.rows.len() * (b.rows.len() - 1) / 2
 	}
 	return b.rows.len() * b.cols.len()
+}
+
+// blockEdgesTree finds exactly blockEdgesBrute's edges, in global atom
+// ids, with the cell-list kernel of the tile body, and returns them with
+// the number of Dist2 tests it made.
+func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) ([]graph.Edge, int) {
+	s := tilePool.Get().(*tileScratch)
+	defer tilePool.Put(s)
+	return s.cells.tileEdges(nil, b.rows.of(coords), b.cols.of(coords), int32(b.rows.lo), int32(b.cols.lo), b.rows == b.cols, cutoff)
 }
 
 // leafletColdTiles is a 32768-atom membrane in lattice order and the
@@ -107,14 +117,19 @@ func TestCellListHostileInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			coords := append(append([]linalg.Vec3{}, tc.rows...), tc.cols...)
 			rows, cols := span{hi: len(tc.rows)}, span{lo: len(tc.rows), hi: len(coords)}
+			// The last two are diagonal tiles: the half-shell scan.
 			for _, b := range []block{{rows, cols}, {rows, rows}, {cols, cols}} {
 				want := blockEdgesBrute(coords, b, tc.cutoff)
 				got, _ := blockEdgesTree(coords, b, tc.cutoff)
 				if !sameEdgeSet(got, want) {
 					t.Fatalf("tile %+v: cell-list edges %v, pairwise %v", b, got, want)
 				}
+				wantTile := TilePartial{Comps: partialComponentsRef(want), Edges: int64(len(want))}
+				if tp := tilePartial(b.rows.of(coords), b.cols.of(coords), b, tc.cutoff, true); !reflect.DeepEqual(tp, wantTile) {
+					t.Fatalf("tile %+v: tile body %+v, reference %+v", b, tp, wantTile)
+				}
 				var cl cellList
-				cl.bin(coords, b.cols, tc.cutoff)
+				cl.bin(b.cols.of(coords), int32(b.cols.lo), tc.cutoff)
 				if cells := len(cl.start) - 1; cells > max(b.cols.len(), 1) {
 					t.Fatalf("tile %+v: %d cells for %d atoms", b, cells, b.cols.len())
 				}
@@ -140,28 +155,66 @@ func TestSerialMatchesPairwise(t *testing.T) {
 	}
 }
 
+// The half-shell scan over binned positions cut into chunks (as Serial
+// cuts a system past serialChunk atoms), each chunk starting mid-cell,
+// finds exactly the pairwise edges with the Dist2 tests of one whole
+// scan, and the chunks' edges are disjoint.
+func TestHalfShellChunksCoverEveryPair(t *testing.T) {
+	sys := membrane(3000)
+	n := len(sys.Coords)
+	var cl cellList
+	cl.bin(sys.Coords, 0, synth.BilayerCutoff)
+	whole, wholeTests := cl.appendHalfShell(nil, 0, n, synth.BilayerCutoff)
+	if want := blockEdgesBrute(sys.Coords, block{span{hi: n}, span{hi: n}}, synth.BilayerCutoff); !sameEdgeSet(whole, want) {
+		t.Fatalf("whole scan: %d edges, pairwise %d", len(whole), len(want))
+	}
+	for _, chunk := range []int{1, 7, 100, 1000, n} {
+		var edges []graph.Edge
+		tests := 0
+		for lo := 0; lo < n; lo += chunk {
+			var k int
+			edges, k = cl.appendHalfShell(edges, lo, min(lo+chunk, n), synth.BilayerCutoff)
+			tests += k
+		}
+		if !sameEdgeSet(edges, whole) || tests != wholeTests {
+			t.Fatalf("chunks of %d: %d edges and %d tests, whole scan %d and %d", chunk, len(edges), tests, len(whole), wholeTests)
+		}
+	}
+}
+
 // BenchmarkLeafletTiles times the tile kernels over the live tiles of a
 // 32768-atom job and reports Dist2 tests per tile (the pairwise count
-// for the pairwise kernel). It gates nothing.
+// for the pairwise kernel). The partial row times the whole tile body of
+// Approach 4, cell-list edges plus partial components. Allocations are
+// per pass over the live tiles. It gates nothing.
 func BenchmarkLeafletTiles(b *testing.B) {
 	coords, live := leafletColdTiles()
+	cellTests, pairTests := 0, 0
+	for _, t := range live {
+		_, n := blockEdgesTree(coords, t, synth.BilayerCutoff)
+		cellTests += n
+		pairTests += pairwiseTests(t)
+	}
 	for _, k := range []struct {
 		name   string
-		kernel func(block) int
+		tests  int
+		kernel func(block)
 	}{
-		{"cells", func(t block) int { _, n := blockEdgesTree(coords, t, synth.BilayerCutoff); return n }},
-		{"pairwise", func(t block) int { blockEdgesBrute(coords, t, synth.BilayerCutoff); return pairwiseTests(t) }},
+		{"cells", cellTests, func(t block) { blockEdgesTree(coords, t, synth.BilayerCutoff) }},
+		{"pairwise", pairTests, func(t block) { blockEdgesBrute(coords, t, synth.BilayerCutoff) }},
+		{"partial", cellTests, func(t block) {
+			tilePartial(t.rows.of(coords), t.cols.of(coords), t, synth.BilayerCutoff, true)
+		}},
 	} {
 		b.Run(k.name, func(b *testing.B) {
-			tests := 0
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tests = 0
 				for _, t := range live {
-					tests += k.kernel(t)
+					k.kernel(t)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(live)), "ns/tile")
-			b.ReportMetric(float64(tests)/float64(len(live)), "dist2/tile")
+			b.ReportMetric(float64(k.tests)/float64(len(live)), "dist2/tile")
 		})
 	}
 }

@@ -91,27 +91,26 @@ type Result struct {
 }
 
 // Serial computes the reference result on one goroutine: the tree
-// approach's cell-list kernel over the whole system as one diagonal
-// block, so it stays usable on paper-sized systems: edges are found a
-// few thousand rows at a time into one reused buffer and unioned as they
-// come, so memory does not grow with the edge count. It is the answer
-// every engine's run is checked against, not an engine: the jobs
-// layer's serial engine runs Run on the serial executor.
+// approach's cell list over the whole system as one diagonal block, so
+// it stays usable on paper-sized systems: the half-shell scan runs
+// serialChunk binned positions at a time into one reused buffer whose
+// edges are unioned as they come, so memory does not grow with the edge
+// count. It is the answer every engine's run is checked against, not an
+// engine: the jobs layer's serial engine runs Run on the serial
+// executor.
 func Serial(coords []linalg.Vec3, cutoff float64) *Result {
 	n := len(coords)
-	cl := cellPool.Get().(*cellList)
-	defer cellPool.Put(cl)
-	cl.bin(coords, span{hi: n}, cutoff)
+	s := tilePool.Get().(*tileScratch)
+	defer tilePool.Put(s)
+	s.cells.bin(coords, 0, cutoff)
 	uf := graph.NewUnionFind(n)
 	var edges int64
-	var buf []graph.Edge
-	const rowsPerChunk = 4096
-	for lo := 0; lo < n; lo += rowsPerChunk {
-		buf, _ = cl.appendEdges(buf[:0], coords, span{lo: lo, hi: min(lo+rowsPerChunk, n)}, cutoff, true)
-		for _, e := range buf {
+	for lo := 0; lo < n; lo += serialChunk {
+		s.edges, _ = s.cells.appendHalfShell(s.edges[:0], lo, min(lo+serialChunk, n), cutoff)
+		for _, e := range s.edges {
 			uf.Union(e.U, e.V)
 		}
-		edges += int64(len(buf))
+		edges += int64(len(s.edges))
 	}
 	labels := uf.Labels()
 	return &Result{
@@ -120,6 +119,9 @@ func Serial(coords []linalg.Vec3, cutoff float64) *Result {
 		Stats:      Stats{Tasks: 1, Edges: edges},
 	}
 }
+
+// serialChunk is the binned positions Serial scans between unions.
+const serialChunk = 4096
 
 // Equal reports whether two results partition the atoms identically.
 func Equal(a, b *Result) bool { return graph.EqualLabels(a.Labels, b.Labels) }
@@ -133,6 +135,9 @@ func finish(labels []int32, stats Stats) *Result {
 type span struct{ lo, hi int }
 
 func (s span) len() int { return s.hi - s.lo }
+
+// of returns the atoms of s.
+func (s span) of(coords []linalg.Vec3) []linalg.Vec3 { return coords[s.lo:s.hi] }
 
 // chunks1D splits [0, n) into parts contiguous spans (Approach 1's row
 // partitioning).
@@ -247,55 +252,38 @@ func boxesApart(r, c box, cutoff float64) bool {
 	return linalg.Dist2(p, q) > cutoff*cutoff
 }
 
-// blockEdgesBrute finds all edges of one block by pairwise distance
-// (SciPy-cdist style, Approaches 2 and 3). Diagonal blocks scan i<j;
-// off-diagonal blocks scan the full cross product. Every unordered pair
-// of the global graph is covered exactly once across the tiling.
+// blockEdgesBrute finds all edges of one block by pairwise distance in
+// global atom ids (Approach 2's map task). Every unordered pair of the
+// global graph is covered exactly once across the tiling.
 func blockEdgesBrute(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge {
+	return pairwiseEdges(nil, b.rows.of(coords), b.cols.of(coords), int32(b.rows.lo), int32(b.cols.lo), b.rows == b.cols, cutoff)
+}
+
+// pairwiseEdges appends to out every edge of the atoms rows against
+// cols by pairwise distance (SciPy-cdist style, Approaches 2 and 3), row
+// atom r as rowBase+r and column atom c as colBase+c. A diagonal tile
+// (cols is rows, and ignored) scans r < c; an off-diagonal one the full
+// cross product.
+func pairwiseEdges(out []graph.Edge, rows, cols []linalg.Vec3, rowBase, colBase int32, diagonal bool, cutoff float64) []graph.Edge {
 	c2 := cutoff * cutoff
-	var out []graph.Edge
-	if b.rows == b.cols {
-		for i := b.rows.lo; i < b.rows.hi; i++ {
-			p := coords[i]
-			for j := i + 1; j < b.rows.hi; j++ {
-				if linalg.Dist2(p, coords[j]) <= c2 {
-					out = append(out, graph.Edge{U: int32(i), V: int32(j)})
+	if diagonal {
+		for i, p := range rows {
+			for j := i + 1; j < len(rows); j++ {
+				if linalg.Dist2(p, rows[j]) <= c2 {
+					out = append(out, graph.Edge{U: rowBase + int32(i), V: rowBase + int32(j)})
 				}
 			}
 		}
 		return out
 	}
-	for i := b.rows.lo; i < b.rows.hi; i++ {
-		p := coords[i]
-		for j := b.cols.lo; j < b.cols.hi; j++ {
-			if linalg.Dist2(p, coords[j]) <= c2 {
-				out = append(out, graph.Edge{U: int32(i), V: int32(j)})
+	for i, p := range rows {
+		for j, q := range cols {
+			if linalg.Dist2(p, q) <= c2 {
+				out = append(out, graph.Edge{U: rowBase + int32(i), V: colBase + int32(j)})
 			}
 		}
 	}
 	return out
-}
-
-// blockEdgesTree finds exactly blockEdgesBrute's edges with a cell list
-// over the column chunk scanned by each row atom (Approach 4), and
-// returns them with the number of Dist2 tests it made.
-func blockEdgesTree(coords []linalg.Vec3, b block, cutoff float64) ([]graph.Edge, int) {
-	cl := cellPool.Get().(*cellList)
-	defer cellPool.Put(cl)
-	cl.bin(coords, b.cols, cutoff)
-	return cl.appendEdges(nil, coords, b.rows, cutoff, b.rows == b.cols)
-}
-
-// blockEdges finds one tile's edges with the approach's kernel (tree
-// selects the cell list, otherwise the pairwise scan; both find the
-// same edges); it is the entry point of every tile body and is correct
-// on any tile, live or not.
-func blockEdges(coords []linalg.Vec3, b block, cutoff float64, tree bool) []graph.Edge {
-	if tree {
-		edges, _ := blockEdgesTree(coords, b, cutoff)
-		return edges
-	}
-	return blockEdgesBrute(coords, b, cutoff)
 }
 
 // rowChunkEdges finds edges between a row chunk and all atoms with the
@@ -316,15 +304,20 @@ func rowChunkEdges(coords []linalg.Vec3, rows span, cutoff float64) []graph.Edge
 }
 
 // labelsFromComponents expands merged components into a full canonical
-// labeling of n atoms (untouched atoms stay singletons).
+// labeling of n atoms (untouched atoms stay singletons). The merged
+// components are canonical — disjoint and sorted — so each member's
+// label is its component's first atom.
 func labelsFromComponents(n int, comps []graph.Component) []int32 {
-	uf := graph.NewUnionFind(n)
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = int32(i)
+	}
 	for _, c := range comps {
-		for i := 1; i < len(c); i++ {
-			uf.Union(c[0], c[i])
+		for _, v := range c {
+			labels[v] = c[0]
 		}
 	}
-	return uf.Labels()
+	return labels
 }
 
 // CoordBytes is the broadcast payload size of a coordinate set
@@ -365,19 +358,18 @@ func Plan1D(n, parts int) (lens []int, pairs []int64) {
 	return lens, pairs
 }
 
-// SampleDataMovement runs the map side of Approach 3 (tree-based edge
-// discovery + partial components per live tile) serially on a real
-// system and returns the measured data-movement profile, used by the
-// experiment harness to calibrate edges-per-atom and shuffle volumes.
+// SampleDataMovement runs the map side of Approach 4 (the cell-list
+// tile body, edges + partial components per live tile) serially on a
+// real system and returns the measured data-movement profile, used by
+// the experiment harness to calibrate edges-per-atom and shuffle
+// volumes.
 func SampleDataMovement(coords []linalg.Vec3, cutoff float64, nTasks int) Stats {
 	blocks := liveBlocks2D(coords, cutoff, nTasks)
-	var st Stats
-	st.Tasks = len(blocks)
+	st := Stats{Tasks: len(blocks)}
 	for _, b := range blocks {
-		edges := blockEdges(coords, b, cutoff, true)
-		comps := graph.PartialComponents(edges)
-		st.Edges += int64(len(edges))
-		st.ShuffleBytes += graph.ComponentBytes(comps)
+		tp := tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, true)
+		st.Edges += tp.Edges
+		st.ShuffleBytes += tp.WireBytes()
 	}
 	return st
 }

@@ -236,7 +236,7 @@ func TestSampleDataMovement(t *testing.T) {
 	for _, b := range blocks2D(len(sys.Coords), 32) {
 		edges, _ := blockEdgesTree(sys.Coords, b, synth.BilayerCutoff)
 		want.Edges += int64(len(edges))
-		want.ShuffleBytes += graph.ComponentBytes(graph.PartialComponents(edges))
+		want.ShuffleBytes += graph.ComponentBytes(partialComponentsRef(edges))
 	}
 	if st != want {
 		t.Errorf("stats = %+v, unbounded tiles give %+v", st, want)

@@ -6,19 +6,19 @@ import (
 	"mdtask/internal/graph"
 )
 
-// mergePartialSets joins two partial-component sets, combining
-// components that share a node (the associative reduce of Approaches 3
-// and 4). Both sides must be canonical — non-empty sorted components,
-// disjoint, ordered by first node, as graph.PartialComponents and this
-// function produce — and so is the result.
+// merge joins two partial-component sets, combining components that
+// share a node (the associative reduce of Approaches 3 and 4). Both
+// sides must be canonical — non-empty sorted components, disjoint,
+// ordered by first node, as tilePartial and this method produce — and
+// so is the result.
 //
 // The cost is linear in |a|+|b|: nodes are marked with their component
-// in a pooled dense scratch, a node met twice unites two components, and
+// in s's dense scratch, a node met twice unites two components, and
 // each output component is its inputs' sorted merge. A component that
 // touches no other is passed through shared, not copied (components are
 // never modified once built); one joined from k > 2 inputs pays a k-way
 // merge's log k per node.
-func mergePartialSets(a, b []graph.Component) []graph.Component {
+func (s *mergeScratch) merge(a, b []graph.Component) []graph.Component {
 	switch {
 	case len(a) == 0 && len(b) == 0:
 		return nil
@@ -27,8 +27,6 @@ func mergePartialSets(a, b []graph.Component) []graph.Component {
 	case len(b) == 0:
 		return a
 	}
-	s := mergePool.Get().(*mergeScratch)
-	defer mergePool.Put(s)
 
 	// Component ids: a's in order, then b's.
 	k := len(a) + len(b)
@@ -122,8 +120,7 @@ func mergePartialSets(a, b []graph.Component) []graph.Component {
 	return out
 }
 
-// mergeScratch is the working memory of one mergePartialSets call,
-// pooled because the engines' reduce runs merges on many goroutines.
+// mergeScratch is the working memory of one merge at a time.
 type mergeScratch struct {
 	mark    []int32 // node → 1 + component id; all zero between calls
 	uf      graph.UnionFind
@@ -133,7 +130,31 @@ type mergeScratch struct {
 	lists   [][]int32
 }
 
-var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+// mergeScratchList hands merge scratch to a reduce's concurrent merges.
+// Run keeps one for the whole run, so each scratch's marks are sized to
+// the system's n atoms once and, unlike a sync.Pool's, survive a GC.
+type mergeScratchList struct {
+	mu   sync.Mutex
+	n    int
+	free []*mergeScratch
+}
+
+// merge is mergeScratch.merge on a scratch no other merge holds.
+func (l *mergeScratchList) merge(a, b []graph.Component) []graph.Component {
+	l.mu.Lock()
+	var s *mergeScratch
+	if k := len(l.free); k > 0 {
+		s, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		s = &mergeScratch{mark: make([]int32, l.n)}
+	}
+	l.mu.Unlock()
+	out := s.merge(a, b)
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
+	return out
+}
 
 // resize returns s with length n and every element zero.
 func resize[T any](s []T, n int) []T {

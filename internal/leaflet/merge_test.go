@@ -11,7 +11,14 @@ import (
 	"mdtask/internal/synth"
 )
 
-// mergePartialSetsRef is the pseudo-edge merge mergePartialSets
+// testMerges is the merge scratch the tests share, so each merge runs
+// on scratch an earlier one has used (its marks must be all zero again).
+var testMerges mergeScratchList
+
+// mergePartialSets is one merge through testMerges.
+func mergePartialSets(a, b []graph.Component) []graph.Component { return testMerges.merge(a, b) }
+
+// mergePartialSetsRef is the pseudo-edge merge the scratch merge
 // replaced, kept as its reference: every component becomes a star of
 // edges (a self-loop for a singleton) and the union is re-componented.
 func mergePartialSetsRef(a, b []graph.Component) []graph.Component {
@@ -28,7 +35,7 @@ func mergePartialSetsRef(a, b []graph.Component) []graph.Component {
 	}
 	collect(a)
 	collect(b)
-	return graph.PartialComponents(pseudo)
+	return partialComponentsRef(pseudo)
 }
 
 // bytePartials reads a canonical partial-component set from a byte
@@ -38,7 +45,7 @@ func bytePartials(raw []byte) []graph.Component {
 	for i := 0; i+1 < len(raw); i += 2 {
 		edges = append(edges, graph.Edge{U: int32(raw[i]), V: int32(raw[i+1])})
 	}
-	return graph.PartialComponents(edges)
+	return partialComponentsRef(edges)
 }
 
 func cloneComps(cs []graph.Component) []graph.Component {
@@ -127,8 +134,9 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 	}
 }
 
-// The merge scratch is pooled across the reduce's worker goroutines;
-// dask folds partials concurrently (run under -race by make race).
+// The merge scratch is shared by the reduce's worker goroutines through
+// the run's mergeScratchList; dask folds partials concurrently (run
+// under -race by make race).
 func TestReduceOnConcurrentWorkersMatchesSerial(t *testing.T) {
 	sys := membrane(4096)
 	want := Serial(sys.Coords, synth.BilayerCutoff)

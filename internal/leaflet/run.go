@@ -47,7 +47,7 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 			func(i int) int64 { return blockMemBytes(blocks[i]) },
 			func(i int) ([]graph.Edge, error) {
 				b := blocks[i]
-				return tileKernel(env, b, func() []graph.Edge { return blockEdges(coords, b, cutoff, false) }), nil
+				return tileKernel(env, b, func() []graph.Edge { return blockEdgesBrute(coords, b, cutoff) }), nil
 			})
 		if err != nil {
 			return nil, err
@@ -63,13 +63,16 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		if useTree {
 			mem = nil // the tree kernel avoids the cdist matrix (§4.3.4)
 		}
+		scratch := &mergeScratchList{n: n}
 		merged, shuffled, err := engine.Reduce(ex, len(blocks), mem,
 			func(i int) (TilePartial, error) {
 				b := blocks[i]
-				return tileKernel(env, b, func() TilePartial { return tilePartial(coords, b, cutoff, useTree) }), nil
+				return tileKernel(env, b, func() TilePartial {
+					return tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, useTree)
+				}), nil
 			},
 			func(a, b TilePartial) TilePartial {
-				return TilePartial{Comps: mergePartialSets(a.Comps, b.Comps), Edges: a.Edges + b.Edges}
+				return TilePartial{Comps: scratch.merge(a.Comps, b.Comps), Edges: a.Edges + b.Edges}
 			})
 		if err != nil {
 			return nil, err
@@ -98,12 +101,6 @@ func tileKernel[T any](env engine.Env, b block, kernel func() T) T {
 	v := kernel()
 	env.KernelHist.Observe(time.Since(start).Seconds())
 	return v
-}
-
-// tilePartial computes one tile's partial components.
-func tilePartial(coords []linalg.Vec3, b block, cutoff float64, tree bool) TilePartial {
-	edges := blockEdges(coords, b, cutoff, tree)
-	return TilePartial{Comps: graph.PartialComponents(edges), Edges: int64(len(edges))}
 }
 
 // fromEdges is the combine step of Approaches 1 and 2: the per-task

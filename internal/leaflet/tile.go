@@ -1,0 +1,90 @@
+package leaflet
+
+import (
+	"sync"
+
+	"mdtask/internal/graph"
+	"mdtask/internal/linalg"
+)
+
+// tileScratch is the working memory of one tile body, pooled because
+// the engines run tiles on many goroutines. Only scratch is pooled: the
+// components a tile returns cross the shuffle and are freshly allocated.
+type tileScratch struct {
+	cells cellList
+	edges []graph.Edge // the tile's edges, in local ids
+	uf    graph.UnionFind
+	size  []int32 // root → its set's size; −(1 + component number) once emitted
+}
+
+var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
+
+// tilePartial is the one tile body of Approaches 3 and 4 — Run's map
+// task, the staged engines' unit (ChunkPartial) and SampleDataMovement
+// all call it. rows holds atoms b.rows and cols atoms b.cols (ignored on
+// a diagonal tile); an off-diagonal tile's rows precede its cols, as in
+// every tile of the grid. It finds the tile's edges with the cell list
+// (tree) or the pairwise scan in local ids, row atom r as r and column
+// atom c as len(rows)+c, unions them in a dense forest over rows ∪ cols,
+// and walks the local ids in ascending order, which is global order, to
+// emit the partial components canonically: only atoms on an edge, each
+// component sorted, components ordered by first atom. All components
+// share one fresh backing array, each capped at its length so an append
+// through one cannot reach the next.
+func tilePartial(rows, cols []linalg.Vec3, b block, cutoff float64, tree bool) TilePartial {
+	s := tilePool.Get().(*tileScratch)
+	defer tilePool.Put(s)
+	diagonal := b.rows == b.cols
+	nodes, colBase := len(rows), int32(len(rows))
+	if !diagonal {
+		nodes += len(cols)
+	}
+	if tree {
+		s.edges, _ = s.cells.tileEdges(s.edges[:0], rows, cols, 0, colBase, diagonal, cutoff)
+	} else {
+		s.edges = pairwiseEdges(s.edges[:0], rows, cols, 0, colBase, diagonal, cutoff)
+	}
+	tp := TilePartial{Edges: int64(len(s.edges))}
+	if len(s.edges) == 0 {
+		return tp
+	}
+
+	s.uf.Reset(nodes)
+	for _, e := range s.edges {
+		s.uf.Union(e.U, e.V)
+	}
+	// No edge is a self-loop, so the atoms on an edge are exactly those
+	// in a set of two or more.
+	s.size = resize(s.size, nodes)
+	for v := range nodes {
+		s.size[s.uf.Find(int32(v))]++
+	}
+	comps, touched := 0, 0
+	for _, n := range s.size {
+		if n > 1 {
+			comps++
+			touched += int(n)
+		}
+	}
+	tp.Comps = make([]graph.Component, 0, comps)
+	backing := make([]int32, touched)
+	for v := range nodes {
+		r := s.uf.Find(int32(v)) // one step: the loop above compressed every path
+		n := s.size[r]
+		if n == 1 {
+			continue
+		}
+		if n > 1 { // v is the set's smallest atom: open its component
+			s.size[r] = -int32(len(tp.Comps)) - 1
+			tp.Comps = append(tp.Comps, backing[:0:n])
+			backing = backing[n:]
+		}
+		id := b.rows.lo + v // local → global
+		if v >= len(rows) {
+			id = b.cols.lo + v - len(rows)
+		}
+		k := -s.size[r] - 1
+		tp.Comps[k] = append(tp.Comps[k], int32(id))
+	}
+	return tp
+}
