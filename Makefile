@@ -94,8 +94,8 @@ smoke-stream:
 # unit kinds' results, then the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
 # bit-identical to naive, and the same adversarial inputs through every
-# engine and both schedules — the Leaflet partial-component merge
-# against its pseudo-edge reference, and the Leaflet plan's dropped
+# engine and both schedules — the Leaflet partial-component combine
+# against a BFS over pseudo-edge stars, and the Leaflet plan's dropped
 # tiles and every engine's labels against a brute-force scan.
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
@@ -114,7 +114,7 @@ fuzz:
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
-# with the frames, the Leaflet tile bodies and reduce, whose scratch
+# with the frames, the Leaflet tile bodies, whose pooled scratch
 # the dask/rdd workers share, the staged-unit driver, the pilot and
 # the block store, which TestTransportContract drives from both
 # transports at once, and the Hausdorff kernels, whose concurrent

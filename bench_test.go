@@ -307,4 +307,6 @@ func BenchmarkLeafletJobSerialBroadcast(b *testing.B)  { benchLeafletJob(b, "ser
 func BenchmarkLeafletJobSerialTask2D(b *testing.B)     { benchLeafletJob(b, "serial", "task2d") }
 func BenchmarkLeafletJobSerialParallelCC(b *testing.B) { benchLeafletJob(b, "serial", "parallel-cc") }
 func BenchmarkLeafletJobSerialTree(b *testing.B)       { benchLeafletJob(b, "serial", "tree") }
+func BenchmarkLeafletJobSparkTree(b *testing.B)        { benchLeafletJob(b, "spark", "tree") }
 func BenchmarkLeafletJobDaskTree(b *testing.B)         { benchLeafletJob(b, "dask", "tree") }
+func BenchmarkLeafletJobMPITree(b *testing.B)          { benchLeafletJob(b, "mpi", "tree") }

@@ -1,7 +1,6 @@
 // Package dask is a Dask-like task-graph engine: delayed nodes form an
 // arbitrary DAG that a dependency-driven distributed scheduler executes
-// on worker goroutines, plus the Bag fold its Executor reduces with. It
-// reproduces the execution semantics the paper exercises through
+// on worker goroutines. It reproduces the execution semantics the paper exercises through
 // Dask.distributed (§3.2): tasks run as soon as their inputs are
 // satisfied — there are no stage barriers — and the per-task overhead is
 // low, which is what gives Dask its task-throughput advantage in the
@@ -148,9 +147,9 @@ func (c *Client) Compute(roots ...*Delayed) ([]interface{}, error) {
 			ready <- d
 		}
 	}
-	// Every node not yet computed runs as one task — task bodies, scatter
-	// futures on their first use, bag-fold nodes — so this graph's node
-	// count is what the scheduler plans.
+	// Every node not yet computed runs as one task — task bodies and
+	// scatter futures on their first use — so this graph's node count is
+	// what the scheduler plans.
 	c.Metrics.Add(engine.Snapshot{TasksPlanned: int64(pending)})
 
 	var (

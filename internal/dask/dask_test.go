@@ -154,51 +154,6 @@ func TestComputeMultipleRoots(t *testing.T) {
 	}
 }
 
-// bagOf splits data into parts contiguous Value partitions.
-func bagOf(c *Client, data []int, parts int) *Bag[int] {
-	nodes := make([]*Delayed, parts)
-	for i := range nodes {
-		nodes[i] = c.Value("part", data[i*len(data)/parts:(i+1)*len(data)/parts])
-	}
-	return BagFromDelayed[int](c, nodes)
-}
-
-func TestBagFold(t *testing.T) {
-	c := NewClient(4)
-	data := make([]int, 101)
-	for i := range data {
-		data[i] = i
-	}
-	b := bagOf(c, data, 7)
-	sum := BagFold(b, 0,
-		func(acc, x int) int { return acc + x },
-		func(a, b int) int { return a + b })
-	vals, err := c.Compute(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].(int) != 5050 {
-		t.Fatalf("sum = %v", vals[0])
-	}
-}
-
-func TestBagFoldEmpty(t *testing.T) {
-	c := NewClient(2)
-	b := bagOf(c, nil, 3)
-	// The zero value must be an identity of combine (seeded per
-	// partition, as in Dask).
-	sum := BagFold(b, 0,
-		func(acc, x int) int { return acc + x },
-		func(a, b int) int { return a + b })
-	vals, err := c.Compute(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].(int) != 0 {
-		t.Fatalf("fold of empty = %v, want 0", vals[0])
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	if NewClient(0).Workers() < 1 {
 		t.Error("Workers < 1")

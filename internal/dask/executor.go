@@ -3,7 +3,6 @@ package dask
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 
 	"mdtask/internal/engine"
 )
@@ -20,8 +19,7 @@ var ErrScatter = fmt.Errorf("dask: scatter cannot broadcast datasets larger than
 
 // Executor runs engine tasks the way the paper's Dask implementations
 // do (§4.2): one delayed function per task, the whole graph handed to
-// the distributed scheduler in a single Compute; reductions fold
-// through a Bag (§3.2).
+// the distributed scheduler in a single Compute.
 type Executor struct {
 	client *Client
 	// scattered are the Broadcast futures; every later task node
@@ -66,31 +64,4 @@ func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 		nodes[i] = e.node(i, t.Mem, t.Run)
 	}
 	return e.client.Compute(nodes...)
-}
-
-// Reduce implements engine.Executor: the task nodes become the
-// partitions of a Bag folded by BagFold's binary combine tree, all in
-// one Compute. Every task value enters the fold, so the shuffled volume
-// is the sum of their wire sizes.
-func (e *Executor) Reduce(tasks []engine.Task, merge func(a, b any) any) (any, int64, error) {
-	if len(tasks) == 0 {
-		return nil, 0, nil
-	}
-	var shuffled atomic.Int64
-	parts := make([]*Delayed, len(tasks))
-	for i, t := range tasks {
-		parts[i] = e.node(i, t.Mem, func() (any, error) {
-			v, err := t.Run()
-			shuffled.Add(engine.WireBytes(v))
-			return []any{v}, err
-		})
-	}
-	merge = engine.MergeNil(merge)
-	folded := BagFold[any, any](BagFromDelayed[any](e.client, parts), nil, merge, merge)
-	vals, err := e.client.Compute(folded)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.client.Metrics.AddShuffle(shuffled.Load())
-	return vals[0], shuffled.Load(), nil
 }

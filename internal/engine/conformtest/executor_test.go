@@ -7,9 +7,7 @@ package conformtest
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -53,42 +51,19 @@ func (b *backwards) Map(tasks []engine.Task) ([]any, error) {
 	return out, nil
 }
 
-func (b *backwards) Reduce(tasks []engine.Task, merge func(a, b any) any) (any, int64, error) {
-	vals, err := b.Map(tasks)
-	if err != nil {
-		return nil, 0, err
-	}
-	var acc any
-	merge = engine.MergeNil(merge)
-	for _, v := range vals {
-		acc = merge(acc, v)
-	}
-	return acc, 0, nil
-}
-
-// executors lists every implementation under test. shuffles marks the
-// ones whose Reduce moves task values between workers and so must
-// report their wire bytes.
+// executors lists every implementation under test.
 var executors = []struct {
-	name     string
-	shuffles bool
-	start    func(cancel func() bool) engine.Executor
+	name  string
+	start func(cancel func() bool) engine.Executor
 }{
-	{"serial", false, func(c func() bool) engine.Executor { return engine.NewSerial(c) }},
-	{"rdd", true, func(c func() bool) engine.Executor { return rdd.NewExecutor(rdd.NewContext(execWorkers), c) }},
-	{"dask", true, func(c func() bool) engine.Executor { return dask.NewExecutor(dask.NewClient(execWorkers), c) }},
-	{"mpi", true, func(c func() bool) engine.Executor { return mpi.NewExecutor(execWorkers, c) }},
-	{"fake", false, func(c func() bool) engine.Executor { return &backwards{cancel: c} }},
+	{"serial", func(c func() bool) engine.Executor { return engine.NewSerial(c) }},
+	{"rdd", func(c func() bool) engine.Executor { return rdd.NewExecutor(rdd.NewContext(execWorkers), c) }},
+	{"dask", func(c func() bool) engine.Executor { return dask.NewExecutor(dask.NewClient(execWorkers), c) }},
+	{"mpi", func(c func() bool) engine.Executor { return mpi.NewExecutor(execWorkers, c) }},
+	{"fake", func(c func() bool) engine.Executor { return &backwards{cancel: c} }},
 }
 
 var execSizes = []int{0, 1, execWorkers - 1, 10 * execWorkers}
-
-// word is a task value that declares its wire size.
-type word string
-
-func (w word) WireBytes() int64 { return int64(len(w)) }
-
-func wordTask(i int) (word, error) { return word(fmt.Sprintf("<%d>", i)), nil }
 
 func TestExecutorMapOrderAndTaskCount(t *testing.T) {
 	for _, e := range executors {
@@ -142,59 +117,18 @@ func TestExecutorTaskErrorAndPanic(t *testing.T) {
 			}
 
 			ex = e.start(nil)
-			_, _, err = engine.Reduce(ex, 2*execWorkers, nil, func(i int) (int, error) {
+			_, err = engine.Map(ex, 2*execWorkers, nil, func(i int) (int, error) {
 				if i == 1 {
 					panic("kaboom")
 				}
 				return i, nil
-			}, func(a, b int) int { return a + b })
+			})
 			var pe *engine.TaskPanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("task panic surfaced as %v, want a TaskPanicError", err)
 			}
 			if f := ex.Metrics().Snapshot().Failures; f != 1 {
 				t.Fatalf("task panic counted %d failures, want 1", f)
-			}
-		})
-	}
-}
-
-// String concatenation is associative but not commutative, so equality
-// with the left fold pins the combine order of rdd.Reduce, the bag
-// fold's binary tree and the MPI rank-local + rank-ordered reduction.
-func TestExecutorReduceIsLeftFold(t *testing.T) {
-	for _, e := range executors {
-		t.Run(e.name, func(t *testing.T) {
-			ex := e.start(nil)
-			for _, n := range execSizes {
-				var want strings.Builder
-				for i := 0; i < n; i++ {
-					w, _ := wordTask(i)
-					want.WriteString(string(w))
-				}
-				before := ex.Metrics().Snapshot()
-				got, shuffled, err := engine.Reduce(ex, n, nil, wordTask, func(a, b word) word { return a + b })
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				if string(got) != want.String() {
-					t.Fatalf("n=%d: reduced to %q, want the left fold %q", n, got, want.String())
-				}
-				after := ex.Metrics().Snapshot()
-				if grew := after.Tasks - before.Tasks; grew < int64(n) {
-					t.Fatalf("n=%d: Tasks grew by %d", n, grew)
-				}
-				if after.TasksPlanned != after.Tasks {
-					t.Fatalf("n=%d: planned %d tasks, ran %d", n, after.TasksPlanned, after.Tasks)
-				}
-				wantShuffled := int64(0)
-				if e.shuffles {
-					wantShuffled = int64(want.Len()) // concatenation keeps every byte
-				}
-				if shuffled != wantShuffled || after.BytesShuffled-before.BytesShuffled < shuffled {
-					t.Fatalf("n=%d: shuffled %d (sink grew %d), want %d",
-						n, shuffled, after.BytesShuffled-before.BytesShuffled, wantShuffled)
-				}
 			}
 		})
 	}
@@ -210,9 +144,6 @@ func TestExecutorStopsOnCancel(t *testing.T) {
 			ex := e.start(func() bool { return true })
 			if _, err := engine.Map(ex, n, nil, body); !errors.Is(err, engine.ErrCancelled) {
 				t.Fatalf("pre-cancelled Map returned %v", err)
-			}
-			if _, _, err := engine.Reduce(ex, n, nil, body, func(a, b int) int { return a + b }); !errors.Is(err, engine.ErrCancelled) {
-				t.Fatalf("pre-cancelled Reduce returned %v", err)
 			}
 			if started.Load() != 0 {
 				t.Fatalf("%d tasks started on a cancelled run", started.Load())
@@ -250,8 +181,11 @@ func TestExecutorBroadcastAccountsOnce(t *testing.T) {
 			if got := h.([]float64); len(got) != 3 || got[2] != 3 {
 				t.Fatalf("handle = %v", h)
 			}
-			if b := ex.Metrics().Snapshot().BytesBroadcast; b != 24 {
-				t.Fatalf("BytesBroadcast = %d, want 24", b)
+			// A broadcast is accounted as broadcast, once, and moves
+			// nothing through the shuffle, whatever carries it to the
+			// workers (mpi's binomial tree).
+			if snap := ex.Metrics().Snapshot(); snap.BytesBroadcast != 24 || snap.BytesShuffled != 0 {
+				t.Fatalf("BytesBroadcast = %d, BytesShuffled = %d; want 24, 0", snap.BytesBroadcast, snap.BytesShuffled)
 			}
 			// Tasks read the broadcast through the handle.
 			sums, err := engine.Map(ex, 3, nil, func(i int) (float64, error) { return h.([]float64)[i], nil })
@@ -269,12 +203,12 @@ func TestExecutorBroadcastAccountsOnce(t *testing.T) {
 	}
 }
 
-// A seeded property over every executor: a non-commutative Reduce
-// with either one failing task or a cancel raised by a random task. A
-// run that completes equals the left fold, a failed run returns the
-// task's error and no value, a cancelled run returns ErrCancelled, and
+// A seeded property over every executor: a Map with either one
+// failing task or a cancel raised by a random task. A run that
+// completes returns every value in task order, a failed run returns the
+// task's error and no values, a cancelled run returns ErrCancelled, and
 // no run records more tasks than it planned.
-func TestExecutorReduceUnderFailureAndCancel(t *testing.T) {
+func TestExecutorMapUnderFailureAndCancel(t *testing.T) {
 	boom := errors.New("boom")
 	for _, e := range executors {
 		t.Run(e.name, func(t *testing.T) {
@@ -286,10 +220,7 @@ func TestExecutorReduceUnderFailureAndCancel(t *testing.T) {
 				var cancelled atomic.Bool
 				ex := e.start(cancelled.Load)
 				tasks := make([]engine.Task, n)
-				var want strings.Builder
 				for i := range tasks {
-					w, _ := wordTask(i)
-					want.WriteString(string(w))
 					tasks[i].Run = func() (any, error) {
 						if i == at {
 							if failing {
@@ -297,25 +228,30 @@ func TestExecutorReduceUnderFailureAndCancel(t *testing.T) {
 							}
 							cancelled.Store(true)
 						}
-						return w, nil
+						return i, nil
 					}
 				}
-				v, _, err := ex.Reduce(tasks, func(a, b any) any { return a.(word) + b.(word) })
+				vals, err := ex.Map(tasks)
 				switch {
 				case err == nil:
 					if failing {
 						t.Fatalf("seed %d: task %d of %d failed, yet the run completed", seed, at, n)
 					}
-					if got, _ := v.(word); string(got) != want.String() {
-						t.Fatalf("seed %d: reduced to %q, want the left fold %q", seed, got, want.String())
+					if len(vals) != n {
+						t.Fatalf("seed %d: %d values for %d tasks", seed, len(vals), n)
+					}
+					for i, v := range vals {
+						if v != i {
+							t.Fatalf("seed %d: value %d = %v, not in task order", seed, i, v)
+						}
 					}
 				case failing:
-					if !errors.Is(err, boom) || v != nil {
-						t.Fatalf("seed %d: failed run returned %v, %v; want the task's error and no value", seed, v, err)
+					if !errors.Is(err, boom) || vals != nil {
+						t.Fatalf("seed %d: failed run returned %v, %v; want the task's error and no values", seed, vals, err)
 					}
 				default:
-					if !errors.Is(err, engine.ErrCancelled) || v != nil {
-						t.Fatalf("seed %d: cancelled run returned %v, %v; want ErrCancelled and no value", seed, v, err)
+					if !errors.Is(err, engine.ErrCancelled) || vals != nil {
+						t.Fatalf("seed %d: cancelled run returned %v, %v; want ErrCancelled and no values", seed, vals, err)
 					}
 				}
 				if snap := ex.Metrics().Snapshot(); snap.Tasks > snap.TasksPlanned {

@@ -16,32 +16,33 @@ import (
 // leafletAccounting pins, per engine/approach at the matrix's 2000-atom,
 // 16-task point, the result's Stats.ShuffleBytes and Stats.Tasks and the
 // tasks the executor recorded. The 16-task grid has 15 tiles, of which
-// the plan keeps the 11 live ones (dask: 3 × 11 − 1 graph nodes with
-// the bag fold). Dropping dead tiles and the partial merge are pure
-// speedups: neither may move a shuffle, mpi's post-combine one (the
-// per-rank merged partials' wire size) included. The serial engine
-// runs leaflet.Run on the serial executor like every other executor,
-// so it runs spark's tile plan; its Reduce moves nothing between
-// workers, so Approaches 3 and 4 shuffle no bytes on it. The staged
-// engines (pilot, fleet) run every approach as one unit per live tile
-// shipping its partial components, so their cells are equal.
+// the plan keeps the 11 live ones. Approaches 1 and 2 shuffle the
+// collected edges; Approaches 3 and 4 the partial components every
+// live tile hands the one combine (leaflet.FromPartials), on every
+// engine alike, so their cells read one shuffle, 9740 B. Dropping dead
+// tiles is a pure speedup and moves no shuffle. The serial engine runs
+// leaflet.Run on the serial executor like every other executor, so it
+// runs spark's tile plan. Dask plans one graph node per task plus the
+// scatter of Approach 1. The staged engines (pilot, fleet) run every
+// approach as one unit per live tile shipping its partial components,
+// so their cells are equal.
 var leafletAccounting = map[string]struct{ shuffle, tasks, ran int64 }{
 	"serial/broadcast":   {78824, 16, 16},
 	"serial/task2d":      {78824, 11, 11},
-	"serial/parallel-cc": {0, 11, 11},
-	"serial/tree":        {0, 11, 11},
+	"serial/parallel-cc": {9740, 11, 11},
+	"serial/tree":        {9740, 11, 11},
 	"spark/broadcast":    {78824, 16, 16},
 	"spark/task2d":       {78824, 11, 11},
 	"spark/parallel-cc":  {9740, 11, 11},
 	"spark/tree":         {9740, 11, 11},
 	"dask/broadcast":     {78824, 16, 17},
 	"dask/task2d":        {78824, 11, 11},
-	"dask/parallel-cc":   {9740, 11, 32},
-	"dask/tree":          {9740, 11, 32},
+	"dask/parallel-cc":   {9740, 11, 11},
+	"dask/tree":          {9740, 11, 11},
 	"mpi/broadcast":      {78824, 2, 2},
 	"mpi/task2d":         {78824, 11, 11},
-	"mpi/parallel-cc":    {8216, 11, 11},
-	"mpi/tree":           {8216, 11, 11},
+	"mpi/parallel-cc":    {9740, 11, 11},
+	"mpi/tree":           {9740, 11, 11},
 	"pilot/broadcast":    {9740, 11, 11},
 	"pilot/task2d":       {9740, 11, 11},
 	"pilot/parallel-cc":  {9740, 11, 11},
@@ -85,8 +86,8 @@ func TestLeafletEngineConformance(t *testing.T) {
 					t.Fatalf("edges = %d, want %d", res.Leaflet.Stats.Edges, want.Stats.Edges)
 				}
 				// Progress is tasks ÷ planned, and each engine plans what
-				// it schedules — on dask every graph node, scatter and
-				// bag fold included (see docs/engines.md).
+				// it schedules — on dask every graph node, scatter
+				// included (see docs/engines.md).
 				if metrics.TasksPlanned <= 0 || metrics.Tasks != metrics.TasksPlanned {
 					t.Fatalf("ran %d tasks, planned %d", metrics.Tasks, metrics.TasksPlanned)
 				}
@@ -97,6 +98,14 @@ func TestLeafletEngineConformance(t *testing.T) {
 				if st := res.Leaflet.Stats; st.ShuffleBytes != pin.shuffle || int64(st.Tasks) != pin.tasks || metrics.Tasks != pin.ran {
 					t.Fatalf("shuffle %d B, %d tasks, %d ran; pinned %d B, %d, %d",
 						st.ShuffleBytes, st.Tasks, metrics.Tasks, pin.shuffle, pin.tasks, pin.ran)
+				}
+				// An in-process job's engine accounting moves exactly the
+				// bytes its result reports: the combine accounts its
+				// shuffle once, and no collective adds to it. (The staged
+				// engines' partials cross their transport instead.)
+				inProcess := engine != jobs.EnginePilot && engine != jobs.EngineFleet
+				if inProcess && metrics.BytesShuffled != res.Leaflet.Stats.ShuffleBytes {
+					t.Fatalf("job bytes_shuffled %d, result's Stats.ShuffleBytes %d", metrics.BytesShuffled, res.Leaflet.Stats.ShuffleBytes)
 				}
 			})
 		}

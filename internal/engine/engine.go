@@ -1,9 +1,8 @@
 // Package engine is the seam between the analyses and the task-parallel
 // runtimes in this repository. It defines the Executor contract — run N
-// independent closures (Map), run N closures and combine their values
-// with the engine's native reduction (Reduce), ship one value to every
-// worker (Broadcast), and the Metrics sink all of it is accounted into
-// — which psa.Run and leaflet.Run are written against once and which
+// independent closures and collect their values in task order (Map),
+// ship one value to every worker (Broadcast), and the Metrics sink all
+// of it is accounted into — which psa.Run and leaflet.Run are written against once and which
 // the rdd, dask and mpi packages each implement on their own primitives
 // (the serial reference executor lives here). It also provides the
 // machinery those runtimes share: a bounded worker pool, per-task
@@ -35,7 +34,7 @@ import (
 type Snapshot struct {
 	// Tasks counts the tasks run. TasksPlanned counts the tasks the
 	// engine scheduled, added by the code that decides the count at the
-	// moment it schedules them — per Map or Reduce on the executors, per
+	// moment it schedules them — per Map on the executors, per
 	// graph node on dask, per unit the block store did not serve on the
 	// staged engines — so a job's progress is Tasks ÷ TasksPlanned. A
 	// run that completes ends with the two equal; a failed or cancelled

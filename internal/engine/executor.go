@@ -13,23 +13,15 @@ import (
 // functions, a rank loop plus collectives — lives entirely behind it.
 //
 // Every executor stops handing out tasks once the cancel function it
-// was built with reports true (Map and Reduce then return
-// ErrCancelled), surfaces a task panic as a *TaskPanicError, counts one
-// Failures per failed task, and accounts tasks, stages, shuffle and
-// broadcast bytes into the sink Metrics returns. It adds the tasks it
+// was built with reports true (Map then returns ErrCancelled), surfaces
+// a task panic as a *TaskPanicError, counts one Failures per failed
+// task, and accounts tasks, stages, shuffle and broadcast bytes into
+// the sink Metrics returns. It adds the tasks it
 // schedules to TasksPlanned when it schedules them, so a completed run
 // ends with Tasks equal to TasksPlanned.
 type Executor interface {
 	// Map runs every task and returns their values in task order.
 	Map(tasks []Task) ([]any, error)
-	// Reduce runs every task and combines their values with merge using
-	// the engine's native reduction. merge must be associative; the
-	// result equals the left fold over task order. It also returns the
-	// bytes that crossed the engine's shuffle to produce the result
-	// (the Sized values that moved — per task on the shared-memory
-	// engines, per rank after local combining on MPI). Zero tasks
-	// reduce to a nil value.
-	Reduce(tasks []Task, merge func(a, b any) any) (v any, shuffled int64, err error)
 	// Broadcast ships one read-only value to every worker, accounting
 	// bytes once, and returns the handle tasks read it through.
 	Broadcast(v any, bytes int64) (any, error)
@@ -37,7 +29,7 @@ type Executor interface {
 	Metrics() *Metrics
 }
 
-// Task is one independent closure of a Map or Reduce.
+// Task is one independent closure of a Map.
 type Task struct {
 	// Mem is the task's declared peak working set in bytes (0:
 	// undeclared). Only an executor that models worker memory acts on
@@ -48,7 +40,7 @@ type Task struct {
 
 // Sized is implemented by task values that know their serialized size,
 // so executors can account the bytes a value costs to move (an MPI
-// Gather payload, a shuffled reduce input).
+// Gather payload).
 type Sized interface{ WireBytes() int64 }
 
 // WireBytes is v's declared wire size, 0 when v does not declare one.
@@ -59,7 +51,7 @@ func WireBytes(v any) int64 {
 	return 0
 }
 
-// ErrCancelled is returned by Map and Reduce when the run's cancel
+// ErrCancelled is returned by Map when the run's cancel
 // function reported true before every task had been handed out.
 var ErrCancelled = errors.New("engine: run cancelled")
 
@@ -80,24 +72,9 @@ func RunTask(m *Metrics, i int, fn func() error) (err error) {
 	return fn()
 }
 
-// MergeNil lifts an associative merge to values where nil is the
-// identity, the seed the native reductions (bag fold accumulators, an
-// MPI rank that drew no task) start from.
-func MergeNil(merge func(a, b any) any) func(a, b any) any {
-	return func(a, b any) any {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		}
-		return merge(a, b)
-	}
-}
-
 // Serial is the reference executor: tasks run one after another on the
-// calling goroutine, each Map or Reduce is one stage, and nothing moves
-// between workers, so Reduce shuffles no bytes.
+// calling goroutine, each Map is one stage, and nothing moves between
+// workers.
 type Serial struct {
 	cancel  func() bool
 	metrics *Metrics
@@ -141,20 +118,6 @@ func (s *Serial) Map(tasks []Task) ([]any, error) {
 	return out, nil
 }
 
-// Reduce implements Executor as a left fold over Map's values.
-func (s *Serial) Reduce(tasks []Task, merge func(a, b any) any) (any, int64, error) {
-	vals, err := s.Map(tasks)
-	if err != nil {
-		return nil, 0, err
-	}
-	var acc any
-	merge = MergeNil(merge)
-	for _, v := range vals {
-		acc = merge(acc, v)
-	}
-	return acc, 0, nil
-}
-
 // tasksOf wraps n typed closures as executor tasks; a non-nil mem
 // declares each task's working set.
 func tasksOf[T any](n int, mem func(i int) int64, fn func(i int) (T, error)) []Task {
@@ -182,15 +145,4 @@ func Map[T any](ex Executor, n int, mem func(i int) int64, fn func(i int) (T, er
 		out[i] = v.(T)
 	}
 	return out, nil
-}
-
-// Reduce is the typed form of Executor.Reduce; zero tasks reduce to the
-// zero T.
-func Reduce[T any](ex Executor, n int, mem func(i int) int64, fn func(i int) (T, error), merge func(a, b T) T) (T, int64, error) {
-	v, shuffled, err := ex.Reduce(tasksOf(n, mem, fn), func(a, b any) any { return merge(a.(T), b.(T)) })
-	if err != nil || v == nil {
-		var zero T
-		return zero, shuffled, err
-	}
-	return v.(T), shuffled, nil
 }

@@ -163,9 +163,10 @@ func ComponentsUnionFind(n int, edges []Edge) []int32 {
 type Component []int32
 
 // MergeComponents joins partial components that share at least one node
-// (the paper's Approach-3 reduce). n is the total node count of the full
-// graph; nodes not present in any partial component remain singletons
-// and receive their own label. The result is the canonical labeling.
+// (the paper's Approaches 3-4 reduce, in one union-find pass). n is the
+// total node count of the full graph; nodes not present in any partial
+// component remain singletons and receive their own label. The result
+// is the canonical labeling.
 func MergeComponents(n int, partials ...[]Component) []int32 {
 	uf := NewUnionFind(n)
 	for _, ps := range partials {
@@ -227,9 +228,9 @@ func ComponentBytes(cs []Component) int64 {
 
 // CheckComponents validates that a partial-component set over nodes
 // [0, n) is canonical, the form a Leaflet tile body produces and the
-// Leaflet reduce requires: every component non-empty and strictly
-// increasing, no node in two components, components ordered by first
-// node.
+// staged engines require of a shipped partial: every component
+// non-empty and strictly increasing, no node in two components,
+// components ordered by first node.
 func CheckComponents(n int, cs []Component) error {
 	seen := make([]bool, n)
 	for i, c := range cs {

@@ -364,11 +364,10 @@ func TestJobEntryEvictionByByteBudget(t *testing.T) {
 	}
 }
 
-// A dask Leaflet job records every graph node as a task — tiles, bag
-// fold and scatter — so its plan must count them too: progress
-// (tasks ÷ planned) then climbs monotonically over the whole run and
-// passes 0.9 only in the last tenth of the tasks, where planning the
-// tiles alone pinned it at the 0.99 clamp a third of the way in.
+// A dask Leaflet job records every graph node as a task — tiles and
+// scatter — so its plan must count them too: progress (tasks ÷ planned)
+// then climbs monotonically over the whole run and passes 0.9 only in
+// the last tenth of the tasks.
 func TestDaskLeafletProgressTracksTasks(t *testing.T) {
 	for _, approach := range []string{"broadcast", "parallel-cc", "tree"} {
 		t.Run(approach, func(t *testing.T) {

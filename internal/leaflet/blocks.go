@@ -65,16 +65,14 @@ func BlockPartial(coords []linalg.Vec3, b BlockSpec, cutoff float64, tree bool) 
 
 // TilePartial is one tile's partial result: its partial connected
 // components and the number of edges the kernel discovered. It is what
-// a Parallel-CC or Tree-Search task body returns to the reduce and what
-// a staged Leaflet unit ships back, as JSON.
+// a Parallel-CC or Tree-Search task body returns to the combine and
+// what a staged Leaflet unit ships back, as JSON. Its shuffle payload
+// is its component node ids (graph.ComponentBytes), the volume Table 2
+// reports, which the combine accounts once.
 type TilePartial struct {
 	Comps []graph.Component `json:"comps"`
 	Edges int64             `json:"edges"`
 }
-
-// WireBytes is the partial's shuffle payload — its component node ids,
-// the volume Table 2 reports (engine.Sized).
-func (t TilePartial) WireBytes() int64 { return graph.ComponentBytes(t.Comps) }
 
 // ChunkPartial is BlockPartial from the tile's own chunks: rows holds
 // atoms [b.RLo, b.RHi) and cols atoms [b.CLo, b.CHi) (ignored on a
@@ -87,10 +85,10 @@ func ChunkPartial(env engine.Env, rows, cols []linalg.Vec3, b BlockSpec, cutoff 
 	return tileKernel(env, global, func() TilePartial { return tilePartial(rows, cols, global, cutoff, tree) })
 }
 
-// FromPartials joins per-unit partial component sets into a full Result
+// FromPartials joins per-task partial component sets into a full Result
 // over n atoms with one union-find pass: components sharing a node
-// merge, exactly as Run's reduce merges them, and every atom gets the
-// canonical label.
+// merge, and every atom gets the canonical label. It is the combine of
+// Approaches 3 and 4 on every engine — Run's and the staged engines'.
 func FromPartials(n int, partials [][]graph.Component, stats Stats) *Result {
 	return finish(graph.MergeComponents(n, partials...), stats)
 }

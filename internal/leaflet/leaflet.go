@@ -23,11 +23,13 @@
 //
 // The four approaches are written once, in Run, over engine.Executor:
 // the approach picks the task body and the combine step, the executor
-// (serial, rdd, dask, mpi) owns scheduling, reduction and broadcast.
-// The staged engines (pilot, fleet) run BlockPartial over the live
-// tiles as staged units instead (internal/stage) and join the partials
-// with FromPartials. Every run is validated against Serial, the untiled
-// reference.
+// (serial, rdd, dask, mpi) owns scheduling and broadcast. The combine
+// runs on the master: a union-find over the collected edges
+// (Approaches 1-2) or over the collected partial components
+// (Approaches 3-4, FromPartials). The staged engines (pilot, fleet) run
+// the same tile body over the live tiles as staged units instead
+// (internal/stage) and join the partials with the same FromPartials.
+// Every run is validated against Serial, the untiled reference.
 package leaflet
 
 import (
@@ -303,23 +305,6 @@ func rowChunkEdges(coords []linalg.Vec3, rows span, cutoff float64) []graph.Edge
 	return out
 }
 
-// labelsFromComponents expands merged components into a full canonical
-// labeling of n atoms (untouched atoms stay singletons). The merged
-// components are canonical — disjoint and sorted — so each member's
-// label is its component's first atom.
-func labelsFromComponents(n int, comps []graph.Component) []int32 {
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	for _, c := range comps {
-		for _, v := range c {
-			labels[v] = c[0]
-		}
-	}
-	return labels
-}
-
 // CoordBytes is the broadcast payload size of a coordinate set
 // (3 × float64 per atom).
 func CoordBytes(n int) int64 { return int64(n) * 24 }
@@ -369,7 +354,7 @@ func SampleDataMovement(coords []linalg.Vec3, cutoff float64, nTasks int) Stats 
 	for _, b := range blocks {
 		tp := tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, true)
 		st.Edges += tp.Edges
-		st.ShuffleBytes += tp.WireBytes()
+		st.ShuffleBytes += graph.ComponentBytes(tp.Comps)
 	}
 	return st
 }

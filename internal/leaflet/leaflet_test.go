@@ -166,30 +166,6 @@ func PairsAsEdges(pairs [][2]int32) []graph.Edge {
 	return out
 }
 
-func TestMergePartialSets(t *testing.T) {
-	a := []graph.Component{{1, 2}, {5}}
-	b := []graph.Component{{2, 3}, {8, 9}}
-	got := mergePartialSets(a, b)
-	// {1,2}+{2,3} -> {1,2,3}; {5}; {8,9}
-	if len(got) != 3 {
-		t.Fatalf("merged = %v", got)
-	}
-	if !reflect.DeepEqual(got[0], graph.Component{1, 2, 3}) {
-		t.Errorf("merged[0] = %v", got[0])
-	}
-	if !reflect.DeepEqual(got[1], graph.Component{5}) {
-		t.Errorf("merged[1] = %v (singleton must survive)", got[1])
-	}
-}
-
-func TestLabelsFromComponents(t *testing.T) {
-	labels := labelsFromComponents(6, []graph.Component{{1, 4}, {2, 5}})
-	want := []int32{0, 1, 2, 3, 1, 2}
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
-	}
-}
-
 func TestPlanHelpers(t *testing.T) {
 	dims := Plan2D(100, 10)
 	if len(dims) == 0 || len(dims) > 10 {

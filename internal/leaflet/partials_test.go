@@ -11,33 +11,6 @@ import (
 	"mdtask/internal/synth"
 )
 
-// testMerges is the merge scratch the tests share, so each merge runs
-// on scratch an earlier one has used (its marks must be all zero again).
-var testMerges mergeScratchList
-
-// mergePartialSets is one merge through testMerges.
-func mergePartialSets(a, b []graph.Component) []graph.Component { return testMerges.merge(a, b) }
-
-// mergePartialSetsRef is the pseudo-edge merge the scratch merge
-// replaced, kept as its reference: every component becomes a star of
-// edges (a self-loop for a singleton) and the union is re-componented.
-func mergePartialSetsRef(a, b []graph.Component) []graph.Component {
-	pseudo := make([]graph.Edge, 0, len(a)+len(b))
-	collect := func(cs []graph.Component) {
-		for _, c := range cs {
-			for i := 1; i < len(c); i++ {
-				pseudo = append(pseudo, graph.Edge{U: c[0], V: c[i]})
-			}
-			if len(c) == 1 {
-				pseudo = append(pseudo, graph.Edge{U: c[0], V: c[0]})
-			}
-		}
-	}
-	collect(a)
-	collect(b)
-	return partialComponentsRef(pseudo)
-}
-
 // bytePartials reads a canonical partial-component set from a byte
 // string: each byte pair is an edge (equal bytes give a singleton).
 func bytePartials(raw []byte) []graph.Component {
@@ -56,40 +29,35 @@ func cloneComps(cs []graph.Component) []graph.Component {
 	return out
 }
 
-// The merge must equal the pseudo-edge reference exactly — same
-// components, sorted, in the same order, so the same wire bytes — and
-// must leave both inputs as they were (it shares untouched components).
-// Seeds in testdata/fuzz: empty sides, singletons, a chain joining many
+// FromPartials, the one combine of Approaches 3 and 4, must label the
+// atoms as a BFS over the components' pseudo-edges does — every
+// component a star from its first node — and must leave both partial
+// sets as they were (they are the tiles' own results). Seeds in
+// testdata/fuzz: empty sides, singletons, a chain joining many
 // components, one all-covering component, identical sides.
 func FuzzMergePartialSets(f *testing.F) {
+	const n = 256 // every node a byte can name
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a, b := bytePartials(rawA), bytePartials(rawB)
 		wantA, wantB := cloneComps(a), cloneComps(b)
-		got := mergePartialSets(a, b)
-		want := mergePartialSetsRef(a, b)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge(%v, %v) = %v, want %v", a, b, got, want)
+		var stars []graph.Edge
+		for _, c := range slices.Concat(a, b) {
+			for _, v := range c[1:] {
+				stars = append(stars, graph.Edge{U: c[0], V: v})
+			}
 		}
-		if graph.ComponentBytes(got) != graph.ComponentBytes(want) {
-			t.Fatalf("wire bytes %d, want %d", graph.ComponentBytes(got), graph.ComponentBytes(want))
+		stats := Stats{Tasks: 2, Edges: int64(len(rawA)/2 + len(rawB)/2)}
+		got := FromPartials(n, [][]graph.Component{a, b}, stats)
+		if want := graph.ComponentsBFS(n, stars); !graph.EqualLabels(got.Labels, want) {
+			t.Fatalf("FromPartials(%v, %v) labels %v, want %v", a, b, got.Labels, want)
+		}
+		if !reflect.DeepEqual(got.Components, graph.Groups(got.Labels)) || got.Stats != stats {
+			t.Fatalf("FromPartials(%v, %v): components or stats do not follow its labels", a, b)
 		}
 		if !reflect.DeepEqual(a, wantA) || !reflect.DeepEqual(b, wantB) {
-			t.Fatal("merge modified its inputs")
+			t.Fatal("FromPartials modified its inputs")
 		}
 	})
-}
-
-// A merge whose output shares an input component must not let a later
-// append through the output reach a neighbouring component.
-func TestMergePartialSetsOutputsAreCapped(t *testing.T) {
-	got := mergePartialSets(bytePartials([]byte{1, 2, 4, 5, 9, 9}), bytePartials([]byte{2, 3, 7, 8}))
-	snapshot := cloneComps(got)
-	for i := range got {
-		_ = append(got[i], -1)
-	}
-	if !reflect.DeepEqual(got, snapshot) {
-		t.Fatalf("append through one component changed another: %v, was %v", got, snapshot)
-	}
 }
 
 // The staged engines compute each tile from its own chunks
@@ -134,9 +102,9 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 	}
 }
 
-// The merge scratch is shared by the reduce's worker goroutines through
-// the run's mergeScratchList; dask folds partials concurrently (run
-// under -race by make race).
+// Four dask workers run the tile bodies concurrently, each on pooled
+// tile scratch, and hand their partials to the one combine; the result
+// must match Serial on every run (run under -race by make race).
 func TestReduceOnConcurrentWorkersMatchesSerial(t *testing.T) {
 	sys := membrane(4096)
 	want := Serial(sys.Coords, synth.BilayerCutoff)

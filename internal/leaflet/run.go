@@ -11,13 +11,13 @@ import (
 
 // Run executes the Leaflet Finder on any engine with the selected
 // architectural approach (Table 2). The approach picks the task body
-// and the combine step; how tasks are scheduled, reduced and broadcast
-// is the executor's business (an RDD partition per task on Spark, one
-// delayed node per task and a bag fold on Dask, a rank loop plus
-// collectives on MPI — §4.3). nTasks bounds the number of map tasks (the
-// paper uses 1024 partitions). The tile bodies of Approaches 2-4 are
-// instrumented through env (tileKernel); cancellation is the
-// executor's.
+// and the combine step, which runs on the master whatever the engine;
+// how tasks are scheduled and broadcast is the executor's business (an
+// RDD partition per task on Spark, one delayed node per task on Dask, a
+// rank loop plus collectives on MPI — §4.3). nTasks bounds the number
+// of map tasks (the paper uses 1024 partitions). The tile bodies of
+// Approaches 2-4 are instrumented through env (tileKernel);
+// cancellation is the executor's.
 func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int, env engine.Env) (*Result, error) {
 	n := len(coords)
 	switch approach {
@@ -55,33 +55,24 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		return fromEdges(ex, n, lists, Stats{Tasks: len(blocks)}), nil
 
 	case ParallelCC, TreeSearch:
-		// Map: edges + partial components per block. Reduce: merge
-		// component sets sharing nodes. Only components cross the shuffle.
+		// Map: edges + partial components per block; only components
+		// cross the shuffle. Combine: join them on the master.
 		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		useTree := approach == TreeSearch
 		mem := func(i int) int64 { return blockMemBytes(blocks[i]) }
 		if useTree {
 			mem = nil // the tree kernel avoids the cdist matrix (§4.3.4)
 		}
-		scratch := &mergeScratchList{n: n}
-		merged, shuffled, err := engine.Reduce(ex, len(blocks), mem,
-			func(i int) (TilePartial, error) {
-				b := blocks[i]
-				return tileKernel(env, b, func() TilePartial {
-					return tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, useTree)
-				}), nil
-			},
-			func(a, b TilePartial) TilePartial {
-				return TilePartial{Comps: scratch.merge(a.Comps, b.Comps), Edges: a.Edges + b.Edges}
-			})
+		tiles, err := engine.Map(ex, len(blocks), mem, func(i int) (TilePartial, error) {
+			b := blocks[i]
+			return tileKernel(env, b, func() TilePartial {
+				return tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, useTree)
+			}), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		return finish(labelsFromComponents(n, merged.Comps), Stats{
-			Tasks:        len(blocks),
-			Edges:        merged.Edges,
-			ShuffleBytes: shuffled,
-		}), nil
+		return fromTiles(ex, n, tiles), nil
 
 	default:
 		return nil, fmt.Errorf("leaflet: unknown approach %v", approach)
@@ -117,6 +108,24 @@ func fromEdges(ex engine.Executor, n int, lists [][]graph.Edge, stats Stats) *Re
 	stats.ShuffleBytes = graph.EdgeBytes(len(edges))
 	ex.Metrics().AddShuffle(stats.ShuffleBytes)
 	return finish(graph.ComponentsUnionFind(n, edges), stats)
+}
+
+// fromTiles is the combine step of Approaches 3 and 4: the per-task
+// partial components are collected on the master and joined in one
+// union-find pass (FromPartials, the staged engines' combine too). The
+// collected components are the approaches' shuffle (Table 2),
+// accounted once here for every engine, as fromEdges accounts edges —
+// which is why a TilePartial carries no wire size of its own.
+func fromTiles(ex engine.Executor, n int, tiles []TilePartial) *Result {
+	parts := make([][]graph.Component, len(tiles))
+	stats := Stats{Tasks: len(tiles)}
+	for i, tp := range tiles {
+		parts[i] = tp.Comps
+		stats.Edges += tp.Edges
+		stats.ShuffleBytes += graph.ComponentBytes(tp.Comps)
+	}
+	ex.Metrics().AddShuffle(stats.ShuffleBytes)
+	return FromPartials(n, parts, stats)
 }
 
 // blockMemBytes is the cdist working set of one block: rows × cols

@@ -27,11 +27,6 @@ func (r *recorder) Map(tasks []engine.Task) ([]any, error) {
 	return r.Serial.Map(tasks)
 }
 
-func (r *recorder) Reduce(tasks []engine.Task, merge func(a, b any) any) (any, int64, error) {
-	r.tasks = append(r.tasks, tasks...)
-	return r.Serial.Reduce(tasks, merge)
-}
-
 // Every approach on the reference executor must produce exactly the
 // serial reference partition, one task per planned tile.
 func TestRunMatchesSerialEveryApproach(t *testing.T) {

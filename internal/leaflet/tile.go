@@ -88,3 +88,13 @@ func tilePartial(rows, cols []linalg.Vec3, b block, cutoff float64, tree bool) T
 	}
 	return tp
 }
+
+// resize returns s with length n and every element zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -1,14 +1,15 @@
 // Package mpi is an MPI-like SPMD runtime: a fixed set of ranks run the
 // same function concurrently (as goroutines) and communicate through
-// collectives (Bcast, Gather, Reduce, Allreduce) over a
-// channel fabric. It stands in for the paper's MPI4py baselines: the
-// Leaflet Finder and PSA MPI implementations in this repository run
-// unchanged semantics — rank-0 gathers, binomial-tree broadcast, static
-// work partitioning — with per-operation byte accounting feeding the
-// experiment harness.
+// collectives (Bcast, Gather) over a channel fabric. It stands in for
+// the paper's MPI4py baselines: the Leaflet Finder and PSA MPI
+// implementations in this repository run unchanged semantics — rank-0
+// gathers, binomial-tree broadcast, static work partitioning — with
+// per-collective byte accounting (Gather as shuffle, Bcast as
+// broadcast) feeding the experiment harness.
 //
 // Executor is the package's engine.Executor: the shared analyses
-// (psa.Run, leaflet.Run) run on it as a rank loop plus collectives.
+// (psa.Run, leaflet.Run) run on it as a rank loop plus collectives: a
+// Bcast for Broadcast, a Gather at rank 0 for Map.
 package mpi
 
 import (
@@ -18,17 +19,11 @@ import (
 	"mdtask/internal/engine"
 )
 
-// message is one transfer between ranks.
-type message struct {
-	value interface{}
-	bytes int64
-}
-
 // world is the shared state of one Run: the channel fabric and the
 // abort signal.
 type world struct {
 	size    int
-	coll    []chan message // coll[src*size+dst], the collectives' fabric
+	coll    []chan any // coll[src*size+dst], the collectives' fabric
 	metrics *engine.Metrics
 
 	abortOnce sync.Once
@@ -65,12 +60,12 @@ func Run(size int, m *engine.Metrics, fn func(c *Comm) error) error {
 	}
 	w := &world{
 		size:    size,
-		coll:    make([]chan message, size*size),
+		coll:    make([]chan any, size*size),
 		metrics: m,
 		abort:   make(chan struct{}),
 	}
 	for i := range w.coll {
-		w.coll[i] = make(chan message, 8)
+		w.coll[i] = make(chan any, 8)
 	}
 
 	errs := make([]error, size)
@@ -125,22 +120,23 @@ func (w *world) checkAbort(rank int) {
 	}
 }
 
-// send transfers a message on the given fabric, respecting aborts.
-func (c *Comm) send(fabric []chan message, dst int, msg message) {
+// send transfers v to rank dst, respecting aborts. It accounts
+// nothing: each collective accounts its messages under its own kind.
+func (c *Comm) send(dst int, v any) {
 	c.w.checkAbort(c.rank)
 	select {
-	case fabric[c.rank*c.w.size+dst] <- msg:
-		c.w.metrics.AddShuffle(msg.bytes)
+	case c.w.coll[c.rank*c.w.size+dst] <- v:
 	case <-c.w.abort:
 		panic(abortError{c.rank})
 	}
 }
 
-func (c *Comm) recv(fabric []chan message, src int) message {
+// recv receives the next value rank src sent the calling rank.
+func (c *Comm) recv(src int) any {
 	c.w.checkAbort(c.rank)
 	select {
-	case msg := <-fabric[src*c.w.size+c.rank]:
-		return msg
+	case v := <-c.w.coll[src*c.w.size+c.rank]:
+		return v
 	case <-c.w.abort:
 		panic(abortError{c.rank})
 	}

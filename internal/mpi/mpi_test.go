@@ -41,7 +41,7 @@ func TestRunRejectsBadSize(t *testing.T) {
 func TestSendRecv(t *testing.T) {
 	err := Run(2, nil, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, "ping", 4)
+			c.Send(1, "ping")
 			if got := c.Recv(1).(string); got != "pong" {
 				t.Errorf("rank 0 got %q", got)
 			}
@@ -49,7 +49,7 @@ func TestSendRecv(t *testing.T) {
 			if got := c.Recv(0).(string); got != "ping" {
 				t.Errorf("rank 1 got %q", got)
 			}
-			c.Send(0, "pong", 4)
+			c.Send(0, "pong")
 		}
 		return nil
 	})
@@ -62,7 +62,7 @@ func TestSendRecvOrderingFIFO(t *testing.T) {
 	err := Run(2, nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 5; i++ {
-				c.Send(1, i, 8)
+				c.Send(1, i)
 			}
 		} else {
 			for i := 0; i < 5; i++ {
@@ -127,33 +127,6 @@ func TestScatterGather(t *testing.T) {
 	}
 }
 
-func TestReduceAndAllreduce(t *testing.T) {
-	const size = 7
-	err := Run(size, nil, func(c *Comm) error {
-		sum, isRoot := Reduce(c, 0, c.Rank()+1, 8, func(a, b int) int { return a + b })
-		if c.Rank() == 0 {
-			if !isRoot || sum != size*(size+1)/2 {
-				t.Errorf("Reduce = %d, isRoot=%v", sum, isRoot)
-			}
-		} else if isRoot {
-			t.Errorf("rank %d claims root", c.Rank())
-		}
-		all := Allreduce(c, c.Rank(), 8, func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if all != size-1 {
-			t.Errorf("Allreduce max = %d", all)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRankErrorAbortsWorld(t *testing.T) {
 	err := Run(4, nil, func(c *Comm) error {
 		if c.Rank() == 2 {
@@ -186,7 +159,7 @@ func TestRankPanicAbortsWorld(t *testing.T) {
 func TestInvalidRanksPanic(t *testing.T) {
 	err := Run(2, nil, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(5, "x", 1)
+			c.Send(5, "x")
 		}
 		return nil
 	})
@@ -195,36 +168,11 @@ func TestInvalidRanksPanic(t *testing.T) {
 	}
 }
 
-func TestBlockRangeCoverage(t *testing.T) {
-	for n := 0; n < 30; n++ {
-		for size := 1; size <= 7; size++ {
-			covered := make([]bool, n)
-			prevHi := 0
-			for r := 0; r < size; r++ {
-				lo, hi := BlockRange(n, r, size)
-				if lo != prevHi {
-					t.Fatalf("n=%d size=%d rank=%d: gap at %d", n, size, r, lo)
-				}
-				for i := lo; i < hi; i++ {
-					covered[i] = true
-				}
-				prevHi = hi
-			}
-			if prevHi != n {
-				t.Fatalf("n=%d size=%d: coverage ends at %d", n, size, prevHi)
-			}
-			for i, c := range covered {
-				if !c {
-					t.Fatalf("n=%d size=%d: item %d uncovered", n, size, i)
-				}
-			}
-		}
-	}
-}
-
 func TestByteAccounting(t *testing.T) {
 	m := &engine.Metrics{}
-	// Gather bytes are recorded as shuffle; Bcast as broadcast.
+	// Each collective accounts under its own kind: a Bcast once, at
+	// root, as broadcast (its three tree sends are that broadcast); a
+	// Gather's three non-root values as shuffle.
 	err := Run(4, m, func(c *Comm) error {
 		Bcast(c, 0, 1, 1000)
 		Gather(c, 0, c.Rank(), 500)
@@ -234,11 +182,11 @@ func TestByteAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	if s.BytesBroadcast == 0 {
-		t.Error("broadcast bytes not accounted")
+	if s.BytesBroadcast != 1000 {
+		t.Errorf("broadcast bytes = %d, want 1000", s.BytesBroadcast)
 	}
-	if s.BytesShuffled == 0 {
-		t.Error("gather bytes not accounted")
+	if s.BytesShuffled != 3*500 {
+		t.Errorf("gather bytes = %d, want %d", s.BytesShuffled, 3*500)
 	}
 }
 
@@ -275,12 +223,12 @@ func TestAllGatherLargePayloads(t *testing.T) {
 
 // Send transfers value to rank dst (eager, buffered) over the fabric
 // the collectives use: the tests drive rank-to-rank traffic and the
-// abort paths with it. bytes is the payload size used for accounting.
-func (c *Comm) Send(dst int, value interface{}, bytes int64) {
+// abort paths with it.
+func (c *Comm) Send(dst int, value interface{}) {
 	if dst < 0 || dst >= c.w.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, c.w.size))
 	}
-	c.send(c.w.coll, dst, message{value, bytes})
+	c.send(dst, value)
 }
 
 // Recv receives the next message from rank src.
@@ -288,5 +236,5 @@ func (c *Comm) Recv(src int) interface{} {
 	if src < 0 || src >= c.w.size {
 		panic(fmt.Sprintf("mpi: Recv from invalid rank %d (size %d)", src, c.w.size))
 	}
-	return c.recv(c.w.coll, src).value
+	return c.recv(src)
 }

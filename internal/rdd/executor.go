@@ -1,10 +1,6 @@
 package rdd
 
-import (
-	"sync/atomic"
-
-	"mdtask/internal/engine"
-)
+import "mdtask/internal/engine"
 
 // Executor runs engine tasks the way the paper's PySpark
 // implementations do (§4.2): an RDD with one partition per task, the
@@ -34,25 +30,4 @@ func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 	}
 	r := Parallelize(e.ctx, tasks, len(tasks))
 	return Map(r, func(t engine.Task) (any, error) { return t.Run() }).Collect()
-}
-
-// Reduce implements engine.Executor: Parallelize → Map → Reduce. Every
-// map output crosses the shuffle, so the shuffled volume is the sum of
-// the task values' wire sizes.
-func (e *Executor) Reduce(tasks []engine.Task, merge func(a, b any) any) (any, int64, error) {
-	if len(tasks) == 0 {
-		return nil, 0, nil
-	}
-	var shuffled atomic.Int64
-	r := Parallelize(e.ctx, tasks, len(tasks))
-	v, err := Reduce(Map(r, func(t engine.Task) (any, error) {
-		v, err := t.Run()
-		shuffled.Add(engine.WireBytes(v))
-		return v, err
-	}), merge)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.ctx.Metrics.AddShuffle(shuffled.Load())
-	return v, shuffled.Load(), nil
 }

@@ -6,15 +6,14 @@
 // parallel tasks separated by barriers (§3.1).
 //
 // Map chains lazily and collapses into a single stage at the next
-// action (Collect, Count, Reduce), exactly like Spark pipelining.
+// action (Collect, Count), exactly like Spark pipelining.
 //
 // Executor is the package's engine.Executor: the shared analyses
-// (psa.Run, leaflet.Run) run on it as one partition per task; its
-// Reduce accounts every map output as shuffled bytes.
+// (psa.Run, leaflet.Run) run on it as one partition per task, and its
+// Map collects the partitions' values to the driver.
 package rdd
 
 import (
-	"errors"
 	"fmt"
 
 	"mdtask/internal/engine"
@@ -159,33 +158,6 @@ func (r *RDD[T]) Count() (int, error) {
 		n += len(p)
 	}
 	return n, nil
-}
-
-// ErrEmptyRDD is returned by Reduce on an empty dataset.
-var ErrEmptyRDD = errors.New("rdd: reduce of empty RDD")
-
-// Reduce combines all elements with the associative function f.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	parts, err := r.runStage()
-	if err != nil {
-		return zero, err
-	}
-	acc := zero
-	have := false
-	for _, p := range parts {
-		for _, v := range p {
-			if !have {
-				acc, have = v, true
-			} else {
-				acc = f(acc, v)
-			}
-		}
-	}
-	if !have {
-		return zero, ErrEmptyRDD
-	}
-	return acc, nil
 }
 
 // Broadcast is a read-only value shipped once to every worker, like

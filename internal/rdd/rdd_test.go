@@ -78,26 +78,6 @@ func TestMapMatchesSerialQuick(t *testing.T) {
 	proptest.Check(t, f, &quick.Config{MaxCount: 50})
 }
 
-func TestReduce(t *testing.T) {
-	ctx := NewContext(4)
-	r := Parallelize(ctx, intRange(101), 7)
-	sum, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Errorf("sum = %d", sum)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	ctx := NewContext(2)
-	_, err := Reduce(Parallelize(ctx, []int(nil), 0), func(a, b int) int { return a + b })
-	if !errors.Is(err, ErrEmptyRDD) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
 	ctx := NewContext(2)
 	r := Map(Parallelize(ctx, intRange(10), 2), func(x int) (int, error) {

@@ -85,7 +85,7 @@ func (p *stagedLeaflet) Record(i int, v any) {
 	tp := v.(leaflet.TilePartial)
 	p.parts[i] = tp.Comps
 	p.edges += tp.Edges
-	p.shuffle += tp.WireBytes()
+	p.shuffle += graph.ComponentBytes(tp.Comps)
 }
 
 func (p *stagedLeaflet) Assemble() any {
