@@ -285,6 +285,20 @@ func BenchmarkLeafletSerial64k(b *testing.B) {
 	}
 }
 
+// BenchmarkGroups32k times graph.Groups, the component lists of a
+// Leaflet result, on the canonical labels of the 32 768-atom membrane
+// the leaflet-cold service workload submits.
+func BenchmarkGroups32k(b *testing.B) {
+	labels := leaflet.Serial(synth.Bilayer(32768, 1).Coords, synth.BilayerCutoff).Labels
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(graph.Groups(labels)) != 2 {
+			b.Fatal("wrong component count")
+		}
+	}
+}
+
 // benchLeafletJob runs a Leaflet job spec (the 32 768-atom membrane the
 // leaflet-cold service workload submits, its default 1024 tasks) through
 // the jobs layer, input resolved once outside the timer.

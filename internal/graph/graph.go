@@ -7,7 +7,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Edge is an undirected edge between node indices U and V.
@@ -180,23 +179,54 @@ func MergeComponents(n int, partials ...[]Component) []int32 {
 }
 
 // Groups converts a canonical labeling into sorted components, largest
-// first (ties broken by smallest member).
+// first (ties broken by smallest member). The labeling must be
+// canonical, as CheckLabels accepts: every label lies in [0, n) and is
+// the smallest node of its component, so a component's label is also
+// its first member.
+//
+// It runs in O(n) with no map and no sort: one pass counts each
+// component's size, a counting sort over sizes gives each component
+// its output slot (roots visited in ascending order, so equal sizes
+// keep smallest-member order), and a walk of the nodes in ascending
+// order opens each component at its first member and appends the rest,
+// so every component comes out sorted. All components share one
+// backing array, each capped at its length.
 func Groups(labels []int32) []Component {
-	byLabel := make(map[int32]Component)
-	for i, l := range labels {
-		byLabel[l] = append(byLabel[l], int32(i))
+	n := len(labels)
+	size := make([]int32, n) // root → its component's size; −(1 + slot) once opened
+	maxSize := int32(0)
+	for _, l := range labels {
+		size[l]++
+		maxSize = max(maxSize, size[l])
 	}
-	out := make([]Component, 0, len(byLabel))
-	for _, c := range byLabel {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
+	// next[s] is the next free slot for a component of size s: sizes
+	// descending, each size's components in root order.
+	next := make([]int32, maxSize+1)
+	comps := 0
+	for v, l := range labels {
+		if int(l) == v {
+			next[size[v]]++
+			comps++
 		}
-		return out[i][0] < out[j][0]
-	})
+	}
+	slot := int32(0)
+	for s := maxSize; s > 0; s-- {
+		slot, next[s] = slot+next[s], slot
+	}
+	out := make([]Component, comps)
+	backing := make([]int32, n)
+	for v, l := range labels {
+		if int(l) == v { // v is its component's first member: open it
+			s := size[v]
+			k := next[s]
+			next[s]++
+			out[k] = backing[:0:s]
+			backing = backing[s:]
+			size[v] = -k - 1
+		}
+		k := -size[l] - 1
+		out[k] = append(out[k], int32(v))
+	}
 	return out
 }
 

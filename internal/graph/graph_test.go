@@ -176,6 +176,92 @@ func TestGroupsOrdering(t *testing.T) {
 	}
 }
 
+// groupsRef is the map-and-sort Groups that the O(n) walk replaced:
+// bucket nodes by label, sort each bucket, then sort the buckets largest
+// first with ties broken by smallest member.
+func groupsRef(labels []int32) []Component {
+	byLabel := make(map[int32]Component)
+	for i, l := range labels {
+		byLabel[l] = append(byLabel[l], int32(i))
+	}
+	out := make([]Component, 0, len(byLabel))
+	for _, c := range byLabel {
+		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i]) != len(out[j]) {
+			return len(out[i]) > len(out[j])
+		}
+		return out[i][0] < out[j][0]
+	})
+	return out
+}
+
+// randomCanonicalLabels draws a canonical labeling of n nodes in one of
+// four shapes: all singletons, one component, components of one shared
+// size interleaved (every comparison a tie), or a random partition in
+// which each node opens a component or joins an open one.
+func randomCanonicalLabels(r *rand.Rand, n int) []int32 {
+	labels := make([]int32, n)
+	switch r.IntN(4) {
+	case 0:
+		for v := range labels {
+			labels[v] = int32(v)
+		}
+	case 1: // one component: every label is 0
+	case 2:
+		k := 1 + r.IntN(max(n, 1)) // n mod k nodes form one smaller tail group
+		for v := range labels {
+			labels[v] = int32(v % k)
+		}
+	default:
+		var roots []int32
+		for v := range labels {
+			if len(roots) == 0 || r.IntN(3) == 0 {
+				roots = append(roots, int32(v))
+				labels[v] = int32(v)
+				continue
+			}
+			labels[v] = roots[r.IntN(len(roots))]
+		}
+	}
+	return labels
+}
+
+// TestGroupsMatchesReference checks the O(n) Groups against groupsRef
+// on random canonical labelings of up to 300 nodes, n = 0 included, and
+// that every component it returns is capped at its length, so an append
+// through one cannot reach the next.
+func TestGroupsMatchesReference(t *testing.T) {
+	f := func(seed uint64, n uint16) bool {
+		r := rand.New(rand.NewPCG(seed, 0))
+		labels := randomCanonicalLabels(r, int(n%301))
+		if err := CheckLabels(labels); err != nil {
+			t.Logf("generator drew a non-canonical labeling: %v", err)
+			return false
+		}
+		got, want := Groups(labels), groupsRef(labels)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("labels %v:\n got %v\nwant %v", labels, got, want)
+			return false
+		}
+		for _, c := range got {
+			if cap(c) != len(c) {
+				t.Logf("component %v has capacity %d", c, cap(c))
+				return false
+			}
+		}
+		return true
+	}
+	proptest.Check(t, f, &quick.Config{MaxCount: 300})
+	for _, labels := range [][]int32{nil, {}, {0}, {0, 1, 2, 3}, {0, 0, 0, 0}, {0, 1, 0, 1, 4, 4}} {
+		if got, want := Groups(labels), groupsRef(labels); !reflect.DeepEqual(got, want) {
+			t.Errorf("Groups(%v) = %v, want %v", labels, got, want)
+		}
+	}
+}
+
 func TestCheckLabels(t *testing.T) {
 	if err := CheckLabels([]int32{0, 0, 2}); err != nil {
 		t.Errorf("valid labels rejected: %v", err)

@@ -167,7 +167,7 @@ func TestSchedulerPowerLossRecovery(t *testing.T) {
 			t.Fatalf("job %s finished %s (%s)", fin.ID, fin.State, fin.Error)
 		}
 		res, _, _ := job.Result()
-		digests[job.ID()] = resultDigestOf(res)
+		digests[job.ID()] = mustResultDigest(t, res)
 	}
 	waitAppends(t, st, 8) // 3 submits, 1 cancel, 2 running, 2 done
 	// Read the image before Close: the shutdown marker compacts the log.
@@ -217,7 +217,7 @@ func TestSchedulerPowerLossRecovery(t *testing.T) {
 			t.Fatalf("re-run of %s finished %s (%s)", id, fin.State, fin.Error)
 		}
 		res, _, _ := job.Result()
-		if got := resultDigestOf(res); got != want {
+		if got := mustResultDigest(t, res); got != want {
 			t.Errorf("re-run of %s digest %s, before the power loss %s", id, got, want)
 		}
 	}

@@ -79,7 +79,7 @@ func TestSchedulerCrashRecovery(t *testing.T) {
 		// kernels are what make at-least-once re-execution safe.
 		ref := referenceDigest(t, specs[i])
 		res, _, _ := job.Result()
-		if got := resultDigestOf(res); got != ref {
+		if got := mustResultDigest(t, res); got != ref {
 			t.Errorf("recovered job %s digest %s, reference run %s", id, got, ref)
 		}
 	}
@@ -106,7 +106,7 @@ func referenceDigest(t *testing.T, spec Spec) string {
 		t.Fatalf("reference run finished %s (%s)", fin.State, fin.Error)
 	}
 	res, _, _ := job.Result()
-	return resultDigestOf(res)
+	return mustResultDigest(t, res)
 }
 
 // TestSchedulerCleanShutdownRecovery checks the full graceful cycle:
@@ -123,7 +123,7 @@ func TestSchedulerCleanShutdownRecovery(t *testing.T) {
 	}
 	waitTerminal(t, job)
 	res, _, _ := job.Result()
-	digest := resultDigestOf(res)
+	digest := mustResultDigest(t, res)
 	id := job.ID()
 	s.Close()
 	st.Close()
@@ -157,8 +157,66 @@ func TestSchedulerCleanShutdownRecovery(t *testing.T) {
 		t.Fatalf("recomputation finished %s (%s)", fin.State, fin.Error)
 	}
 	res3, _, _ := rerun.Result()
-	if got := resultDigestOf(res3); got != digest {
+	if got := mustResultDigest(t, res3); got != digest {
 		t.Errorf("recomputed digest %s, journaled %s", got, digest)
+	}
+}
+
+// TestRecoveredDigestChecked checks that the digest a done record
+// journaled is kept through recovery and compared with the digest of
+// the next identical run: a true record counts no mismatch, and a
+// corrupted one counts exactly one in
+// mdtask_jobs_result_digest_mismatch_total, once per recovered job.
+func TestRecoveredDigestChecked(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openStore(t, dir)
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st})
+	job, err := s.Submit(validPSASpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	s.Close()
+	st.Close()
+	st2, rec := openStore(t, dir)
+	st2.Close()
+	if len(rec.Jobs) != 1 || rec.Jobs[0].State != StateDone || rec.Jobs[0].Digest == "" {
+		t.Fatalf("recovered %+v, want one done record with a digest", rec.Jobs)
+	}
+	corrupted := rec.Jobs[0]
+	corrupted.Digest = strings.Repeat("0", len(corrupted.Digest))
+
+	for _, tc := range []struct {
+		name string
+		rec  JobRecord
+		want int64
+	}{
+		{"matching", rec.Jobs[0], 0},
+		{"corrupted", corrupted, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
+			defer s.Close()
+			s.Recover([]JobRecord{tc.rec})
+			recovered, ok := s.Get(tc.rec.ID)
+			if !ok || recovered.digest != tc.rec.Digest {
+				t.Fatalf("recovered job lost its journaled digest %s", tc.rec.Digest)
+			}
+			// Twice: the second run is a whole-job cache hit, and the
+			// record is checked only once.
+			for i := 0; i < 2; i++ {
+				rerun, err := s.Submit(validPSASpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fin := waitTerminal(t, rerun); fin.State != StateDone {
+					t.Fatalf("resubmission finished %s (%s)", fin.State, fin.Error)
+				}
+			}
+			if got := s.digestMismatchCtr.Value(); got != tc.want {
+				t.Errorf("mdtask_jobs_result_digest_mismatch_total = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

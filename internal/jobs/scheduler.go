@@ -59,6 +59,7 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	result   *Result
+	digest   string // a recovered done job's journaled result digest
 	final    engine.Snapshot
 	input    *Input // held until the run starts, then released
 
@@ -220,9 +221,10 @@ type Scheduler struct {
 	submittedCtr  *obs.Counter
 	rejectedCtr   *obs.Counter
 
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	journalErrs atomic.Int64
+	cacheHits         atomic.Int64
+	cacheMisses       atomic.Int64
+	journalErrs       atomic.Int64
+	digestMismatchCtr *obs.Counter
 
 	mu         sync.Mutex
 	cond       *sync.Cond // signals workers when pending grows or closed flips
@@ -234,6 +236,9 @@ type Scheduler struct {
 	pending    []*Job // FIFO of queued jobs; cancelled ones are removed in place
 	jobs       map[string]*Job
 	order      []*Job
+	// recoveredDone maps a cache key to a done job recovered from the
+	// journal, until the next run of that key checks its digest.
+	recoveredDone map[string]*Job
 
 	wg sync.WaitGroup
 }
@@ -258,14 +263,15 @@ func NewScheduler(reg *Registry, o Options) *Scheduler {
 		ob = obs.NoTrace()
 	}
 	s := &Scheduler{
-		reg:        reg,
-		store:      store,
-		journal:    o.Journal,
-		agg:        &engine.Metrics{},
-		obs:        ob,
-		maxJobs:    o.MaxJobs,
-		queueDepth: o.QueueDepth,
-		jobs:       make(map[string]*Job),
+		reg:           reg,
+		store:         store,
+		journal:       o.Journal,
+		agg:           &engine.Metrics{},
+		obs:           ob,
+		maxJobs:       o.MaxJobs,
+		queueDepth:    o.QueueDepth,
+		jobs:          make(map[string]*Job),
+		recoveredDone: make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.registerMetrics()
@@ -296,6 +302,8 @@ func (s *Scheduler) registerMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.pending))
 		})
+	s.digestMismatchCtr = m.Counter("mdtask_jobs_result_digest_mismatch_total",
+		"Runs whose result digest differs from the one journaled for an identical job recovered at boot.")
 	m.CounterFunc("mdtask_jobs_journal_errors_total",
 		"Failed journal writes on non-submission transitions (submission failures reject the submission instead).",
 		func() float64 { return float64(s.journalErrs.Load()) })
@@ -401,6 +409,10 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		return nil, ErrClosed
 	}
 	cached, hitOK := s.store.Get(jobEntryKey(job.key))
+	var hit *jobEntry
+	if hitOK {
+		hit = cached.(*jobEntry)
+	}
 	if !hitOK && len(s.pending) >= s.queueDepth {
 		s.rejectedCtr.Inc()
 		return nil, ErrQueueFull
@@ -420,7 +432,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		}
 		if hitOK {
 			rec.State = StateDone
-			rec.Digest = resultDigestOf(cached.(*Result))
+			rec.Digest = hit.digest
 		}
 		if jerr := s.journal.JournalSubmit(rec); jerr != nil {
 			s.seq--
@@ -443,7 +455,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		s.cacheHits.Add(1)
 		job.state = StateDone
 		job.cacheHit = true
-		job.result = cached.(*Result)
+		job.result = hit.result
 		job.finished = job.created
 		job.input = nil
 		job.jobSpan.SetAttr("cache_hit", "true")
@@ -499,6 +511,9 @@ func (s *Scheduler) pruneLocked() {
 			j.mu.Unlock()
 			if terminal {
 				delete(s.jobs, j.id)
+				if s.recoveredDone[j.key] == j {
+					delete(s.recoveredDone, j.key)
+				}
 				evicted = append(evicted, j.id)
 				excess--
 				continue
@@ -706,14 +721,25 @@ func (s *Scheduler) runJob(job *Job) {
 	s.journalState(job.id, StateRunning, "", "", started)
 
 	var (
-		res *Result
-		err error
+		res    *Result
+		err    error
+		digest string
 	)
 	runner, ok := s.reg.Lookup(RunnerName(spec.Analysis, spec.Engine))
 	if !ok {
 		err = fmt.Errorf("jobs: no runner registered for %q", RunnerName(spec.Analysis, spec.Engine))
 	} else {
 		res, err = runner(job.rc, spec, in)
+	}
+	// Encode once, at finish: the digest is journaled, kept with the
+	// result and checked against a recovered record of the same key
+	// before the job reads done. A result that cannot be encoded (a
+	// ±Inf distance from finite but huge coordinates) fails the job
+	// rather than being served as an empty 200.
+	if err == nil && !job.rc.Cancelled() {
+		if digest, err = resultDigest(res); err == nil {
+			s.checkRecordedDigest(job.key, digest)
+		}
 	}
 
 	final := job.rc.Metrics().Snapshot()
@@ -752,7 +778,7 @@ func (s *Scheduler) runJob(job *Job) {
 		"analysis", spec.Analysis, "engine", spec.Engine).Observe(runDur.Seconds())
 	s.jobFinished(state)
 	if publish {
-		s.store.Put(jobEntryKey(key), res, resultBytes(res))
+		s.store.Put(jobEntryKey(key), &jobEntry{result: res, digest: digest}, resultBytes(res))
 	}
 	// A failed/cancelled outcome during drain is a shutdown artefact
 	// (the fleet coordinator aborting in-flight work), not a verdict on
@@ -762,11 +788,25 @@ func (s *Scheduler) runJob(job *Job) {
 	draining := s.draining
 	s.mu.Unlock()
 	if state == StateDone || !draining {
-		var digest string
-		if state == StateDone {
-			digest = resultDigestOf(res)
+		if state != StateDone {
+			digest = ""
 		}
 		s.journalState(job.id, state, errMsg, digest, finishedAt)
+	}
+}
+
+// checkRecordedDigest compares a finished run's result digest with the
+// one journaled for a recovered done job of the same cache key, once
+// per recovered job. Deterministic kernels make the two equal, so a
+// mismatch — a corrupted record, or a kernel that is no longer
+// deterministic — counts into mdtask_jobs_result_digest_mismatch_total.
+func (s *Scheduler) checkRecordedDigest(key, digest string) {
+	s.mu.Lock()
+	rec, ok := s.recoveredDone[key]
+	delete(s.recoveredDone, key)
+	s.mu.Unlock()
+	if ok && rec.digest != digest {
+		s.digestMismatchCtr.Inc()
 	}
 }
 
@@ -775,9 +815,10 @@ func (s *Scheduler) runJob(job *Job) {
 //
 // Terminal records come back as status-only entries: result bodies are
 // not journaled (only their digest), so a recovered done job keeps its
-// status and provenance but GET .../result answers 410 Gone until an
-// identical resubmission recomputes it — deterministic kernels make
-// that recomputation byte-identical to the digest on record.
+// status, provenance and digest but GET .../result answers 410 Gone
+// until an identical resubmission recomputes it — deterministic kernels
+// make that recomputation byte-identical to the digest on record, and
+// checkRecordedDigest counts any that is not.
 //
 // Queued and running records are re-enqueued and re-run from their
 // normalized specs: the at-least-once contract. A record whose input
@@ -808,6 +849,7 @@ func (s *Scheduler) Recover(recs []JobRecord) {
 			state:   rec.State,
 			errMsg:  rec.Error,
 			created: rec.Created,
+			digest:  rec.Digest,
 		}
 		job.rc.SetBlockStore(s.store)
 		if rec.State.Terminal() {
@@ -815,6 +857,9 @@ func (s *Scheduler) Recover(recs []JobRecord) {
 			s.mu.Lock()
 			s.jobs[job.id] = job
 			s.order = append(s.order, job)
+			if rec.State == StateDone && rec.Digest != "" {
+				s.recoveredDone[rec.Key] = job
+			}
 			s.mu.Unlock()
 			recoveredCtr(prior).Inc()
 			continue
@@ -861,3 +906,11 @@ func (s *Scheduler) Recover(recs []JobRecord) {
 // jobEntryKey namespaces a whole-job result inside the shared store,
 // alongside the per-block entries the engines record.
 func jobEntryKey(cacheKey string) string { return "job|" + cacheKey }
+
+// jobEntry is a whole-job store entry: the result and the digest its
+// run journaled, which a cache hit journals in turn without encoding
+// the result again.
+type jobEntry struct {
+	result *Result
+	digest string
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"mdtask/internal/obs"
 )
@@ -124,7 +125,7 @@ func NewServerWith(s *Scheduler, o ServerOptions) http.Handler {
 				writeError(w, http.StatusGone, fmt.Errorf("result evicted on restart; resubmit the job to recompute it"))
 				return
 			}
-			writeJSON(w, http.StatusOK, res)
+			writeResult(w, res)
 		case StateFailed:
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("job failed: %s", errMsg))
 		case StateCancelled:
@@ -182,6 +183,27 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// writeResult answers 200 with a result's encoding and a trailing
+// newline: the body json.Encoder would write, encoded without
+// reflection (appendResult) and sent with its Content-Length. The job
+// already encoded this result once, at finish, so encoding cannot fail
+// here; if it does, the answer is a 500.
+func writeResult(w http.ResponseWriter, r *Result) {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	body, err := appendResult((*buf)[:0], r)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	body = append(body, '\n')
+	*buf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // writeError encodes a JSON error envelope.

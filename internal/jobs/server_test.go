@@ -2,10 +2,12 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -421,5 +423,91 @@ func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
 	}
 	if n := len(s.Jobs()); n != 0 {
 		t.Fatalf("%d job(s) admitted from an ensemble with a non-finite coordinate", n)
+	}
+}
+
+// A result json.Marshal would refuse fails its job. Finite float64
+// coordinates at ±1e200 pass admission, but their distances overflow
+// to +Inf, which JSON cannot carry: the job must end failed with the
+// encoder's reason, GET …/result must answer 500 with that reason
+// instead of a 200 with an empty body, and the journal must hold a
+// failed record, never a done one with an empty digest.
+func TestAPIUnencodableResultFails(t *testing.T) {
+	dir := t.TempDir()
+	for i, x := range []float64{1e200, -1e200} {
+		tr := traj.New(fmt.Sprintf("t%d", i), 2)
+		for f := 0; f < 4; f++ {
+			tr.Frames = append(tr.Frames, traj.Frame{Time: float64(f),
+				Coords: []linalg.Vec3{{x, x, x}, {x, -x, float64(f)}}})
+		}
+		if err := traj.WriteMDTFile(filepath.Join(dir, tr.Name+".mdt"), tr, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dataDir := t.TempDir()
+	st, _ := openStore(t, dataDir)
+	defer st.Close()
+	ts, _ := newTestServer(t, DefaultRegistry(), Options{Workers: 1, Journal: st})
+
+	sub := submitJob(t, ts.URL, Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Path: dir})
+	fin := pollJob(t, ts.URL, sub.ID)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "unsupported value") {
+		t.Fatalf("job over ±1e200 coordinates finished %s (%q), want failed with the encoder's reason", fin.State, fin.Error)
+	}
+	code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID+"/result", "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(raw), "unsupported value") {
+		t.Fatalf("GET result = %d %s, want 500 with the encoder's reason", code, raw)
+	}
+	waitAppends(t, st, 3) // submit, running, failed
+	data, err := os.ReadFile(filepath.Join(dataDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs := journalFrames(t, data)
+	if last := recs[len(recs)-1]; last.T != "state" || last.State != StateFailed || last.Err == "" {
+		t.Errorf("last journal record %+v, want the failed state with its reason", last)
+	}
+	for _, r := range recs {
+		if r.State == StateDone {
+			t.Errorf("journal holds a done record %+v for a result that cannot be encoded", r)
+		}
+	}
+}
+
+// TestResultBodyMatchesEncoder pins the result wire: for a PSA and a
+// Leaflet job, GET …/result answers exactly what json.Encoder (HTML
+// escaping off) writes for the job's result, newline included, with a
+// Content-Length that matches it.
+func TestResultBodyMatchesEncoder(t *testing.T) {
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	for _, spec := range []Spec{validPSASpec(), validLeafletSpec()} {
+		st := pollJob(t, ts.URL, submitJob(t, ts.URL, spec).ID)
+		if st.State != StateDone {
+			t.Fatalf("%s job finished %s (%s)", spec.Analysis, st.State, st.Error)
+		}
+		job, _ := s.Get(st.ID)
+		res, _, _ := job.Result()
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != want.String() {
+			t.Fatalf("%s result: %d\n%s\nwant json.Encoder's\n%s", spec.Analysis, resp.StatusCode, body, want.String())
+		}
+		if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s result: Content-Length %d, Content-Type %q for a %d-byte JSON body",
+				spec.Analysis, resp.ContentLength, resp.Header.Get("Content-Type"), len(body))
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -456,19 +454,4 @@ func (st *WALStore) RegisterMetrics(m *obs.Registry) {
 	m.CounterFunc("mdtask_wal_journal_errors_total",
 		"Journal writes that failed (the affected submissions were rejected).",
 		func() float64 { return float64(st.JournalErrors()) })
-}
-
-// resultDigestOf content-addresses a job result (hex SHA-256 of its
-// canonical JSON encoding); journaled so a recovered StateDone record
-// can be checked against a recomputation.
-func resultDigestOf(r *Result) string {
-	if r == nil {
-		return ""
-	}
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
 }
