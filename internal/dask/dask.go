@@ -6,18 +6,14 @@
 // low, which is what gives Dask its task-throughput advantage in the
 // paper's Figures 2 and 3.
 //
-// The scheduler also models Dask's operational memory guard: workers
-// restart when a task's declared working set exceeds the memory limit
-// (the behaviour that stopped the paper's 4M-atom Approach-3 run,
-// §4.3.3). Use DelayedMem to declare working sets.
-//
 // Executor is the package's engine.Executor: the shared analyses
 // (psa.Run, leaflet.Run) run on it as one delayed node per task, with
-// the scatter limit of §4.3.1 enforced by its Broadcast.
+// the scatter limit of §4.3.1 enforced by its Broadcast. The memory
+// wall that restarted Dask's workers (§4.3.3) is modelled in
+// internal/cluster, not here.
 package dask
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,16 +27,13 @@ type Client struct {
 	workers int
 	// Metrics accumulates task and byte accounting.
 	Metrics *engine.Metrics
-	// MemoryLimit, when > 0, causes tasks whose declared working set
-	// exceeds it to fail with ErrWorkerRestarted.
-	MemoryLimit int64
 	// Cancel, when non-nil, is polled before each task starts: once it
 	// reports true the scheduler runs no further task bodies and
 	// Compute fails with engine.ErrCancelled.
 	Cancel func() bool
 
 	mu     sync.Mutex
-	nextID int64
+	nextID int
 }
 
 // NewClient creates a client with the given worker parallelism
@@ -54,21 +47,17 @@ func NewClient(workers int) *Client {
 // Workers returns the scheduler's parallelism.
 func (c *Client) Workers() int { return c.workers }
 
-// ErrWorkerRestarted signals that a worker exceeded its memory budget
-// and was restarted, losing the task (Dask's nanny behaviour at 95%
-// utilization).
-var ErrWorkerRestarted = errors.New("dask: worker restarted: memory utilization reached 95%")
-
 // Delayed is a lazy task: a function of the results of its dependencies.
 // Results are memoized, so a node shared by several graphs computes
 // once.
 type Delayed struct {
 	client *Client
-	id     int64
-	name   string
-	fn     func(args []interface{}) (interface{}, error)
-	deps   []*Delayed
-	mem    int64
+	// task is the index a panic reports: the node's position in an
+	// Executor.Map, else its creation order on the client.
+	task int
+	name string
+	fn   func(args []interface{}) (interface{}, error)
+	deps []*Delayed
 
 	onceRun sync.Once
 	ran     atomic.Bool
@@ -79,17 +68,11 @@ type Delayed struct {
 // Delayed wraps fn as a graph node depending on deps. At execution, fn
 // receives the dependency results in order.
 func (c *Client) Delayed(name string, fn func(args []interface{}) (interface{}, error), deps ...*Delayed) *Delayed {
-	return c.DelayedMem(name, 0, fn, deps...)
-}
-
-// DelayedMem is Delayed with a declared peak working set in bytes,
-// checked against the client's MemoryLimit.
-func (c *Client) DelayedMem(name string, memBytes int64, fn func(args []interface{}) (interface{}, error), deps ...*Delayed) *Delayed {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
-	return &Delayed{client: c, id: id, name: name, fn: fn, deps: deps, mem: memBytes}
+	return &Delayed{client: c, task: id, name: name, fn: fn, deps: deps}
 }
 
 // Value wraps an already-computed value as a graph node.
@@ -216,14 +199,6 @@ func (d *Delayed) run() {
 			d.err = engine.ErrCancelled
 			return
 		}
-		if d.client.MemoryLimit > 0 && d.mem > 0 {
-			if float64(d.mem) > 0.95*float64(d.client.MemoryLimit) {
-				d.err = fmt.Errorf("%w (task %s needs %d bytes, limit %d)",
-					ErrWorkerRestarted, d.name, d.mem, d.client.MemoryLimit)
-				d.client.Metrics.RecordFailure()
-				return
-			}
-		}
 		args := make([]interface{}, len(d.deps))
 		for i, dep := range d.deps {
 			if dep.err != nil {
@@ -232,7 +207,7 @@ func (d *Delayed) run() {
 			}
 			args[i] = dep.val
 		}
-		d.err = engine.RunTask(d.client.Metrics, int(d.id), func() (err error) {
+		d.err = engine.RunTask(d.client.Metrics, d.task, func() (err error) {
 			d.val, err = d.fn(args)
 			return err
 		})

@@ -106,21 +106,6 @@ func TestPanicCapture(t *testing.T) {
 	}
 }
 
-func TestMemoryLimitRestartsWorker(t *testing.T) {
-	c := NewClient(2)
-	c.MemoryLimit = 1 << 20
-	d := c.DelayedMem("huge", 2<<20, func([]interface{}) (interface{}, error) { return 1, nil })
-	_, err := c.Compute(d)
-	if !errors.Is(err, ErrWorkerRestarted) {
-		t.Fatalf("err = %v, want ErrWorkerRestarted", err)
-	}
-	// Small tasks are unaffected.
-	ok := c.DelayedMem("small", 1000, func([]interface{}) (interface{}, error) { return 2, nil })
-	if _, err := c.Compute(ok); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScatterAccountsBroadcast(t *testing.T) {
 	c := NewClient(2)
 	s := c.Scatter("data", []int{1, 2, 3}, 24)

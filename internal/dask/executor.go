@@ -48,20 +48,14 @@ func (e *Executor) Broadcast(v any, bytes int64) (any, error) {
 	return v, nil
 }
 
-// node wraps task i as a delayed function declaring its working set,
-// so a client MemoryLimit restarts the worker on oversized tasks
-// (§4.3.3).
-func (e *Executor) node(i int, mem int64, run func() (any, error)) *Delayed {
-	return e.client.DelayedMem(fmt.Sprintf("task-%d", i), mem,
-		func([]interface{}) (interface{}, error) { return run() }, e.scattered...)
-}
-
 // Map implements engine.Executor: one delayed node per task, one
 // Compute.
 func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 	nodes := make([]*Delayed, len(tasks))
-	for i, t := range tasks {
-		nodes[i] = e.node(i, t.Mem, t.Run)
+	for i, run := range tasks {
+		nodes[i] = e.client.Delayed(fmt.Sprintf("task-%d", i),
+			func([]interface{}) (interface{}, error) { return run() }, e.scattered...)
+		nodes[i].task = i
 	}
 	return e.client.Compute(nodes...)
 }

@@ -1,7 +1,8 @@
 // Package conformtest locks down the cross-engine PSA contract: every
 // engine × every kernel method × both schedules × both residency modes
 // (fully in-memory and streamed out-of-core windows) must produce the
-// bit-identical distance matrix, with self-consistent metrics counters.
+// bit-identical distance matrix, with self-consistent metrics counters
+// and no shuffle.
 // It runs through the jobs registry — the exact dispatch surface
 // cmd/psa and cmd/mdserver use — and replaces the ad-hoc per-driver
 // comparison tests the psa package used to carry. FuzzEnginesAgree
@@ -106,6 +107,11 @@ func TestPSAEngineConformance(t *testing.T) {
 
 						if metrics.Tasks <= 0 || metrics.Tasks != metrics.TasksPlanned {
 							t.Fatalf("ran %d tasks, planned %d", metrics.Tasks, metrics.TasksPlanned)
+						}
+						// Collecting the blocks is a gather, not a shuffle,
+						// on every engine.
+						if metrics.BytesShuffled != 0 {
+							t.Fatalf("PSA shuffled %d bytes, want 0", metrics.BytesShuffled)
 						}
 						// Counter invariant: every scheduled directed frame
 						// pair lands in exactly one bucket.

@@ -41,7 +41,7 @@ func (b *backwards) Map(tasks []engine.Task) ([]any, error) {
 			return nil, engine.ErrCancelled
 		}
 		err := engine.RunTask(&b.m, i, func() (err error) {
-			out[i], err = tasks[i].Run()
+			out[i], err = tasks[i]()
 			return err
 		})
 		if err != nil {
@@ -71,7 +71,7 @@ func TestExecutorMapOrderAndTaskCount(t *testing.T) {
 			ex := e.start(nil)
 			for _, n := range execSizes {
 				before := ex.Metrics().Snapshot().Tasks
-				got, err := engine.Map(ex, n, nil, func(i int) (int, error) { return i * i, nil })
+				got, err := engine.Map(ex, n, func(i int) (int, error) { return i * i, nil })
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
@@ -103,7 +103,7 @@ func TestExecutorTaskErrorAndPanic(t *testing.T) {
 	for _, e := range executors {
 		t.Run(e.name, func(t *testing.T) {
 			ex := e.start(nil)
-			_, err := engine.Map(ex, 2*execWorkers, nil, func(i int) (int, error) {
+			_, err := engine.Map(ex, 2*execWorkers, func(i int) (int, error) {
 				if i == 1 {
 					return 0, boom
 				}
@@ -117,7 +117,7 @@ func TestExecutorTaskErrorAndPanic(t *testing.T) {
 			}
 
 			ex = e.start(nil)
-			_, err = engine.Map(ex, 2*execWorkers, nil, func(i int) (int, error) {
+			_, err = engine.Map(ex, 2*execWorkers, func(i int) (int, error) {
 				if i == 1 {
 					panic("kaboom")
 				}
@@ -126,6 +126,9 @@ func TestExecutorTaskErrorAndPanic(t *testing.T) {
 			var pe *engine.TaskPanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("task panic surfaced as %v, want a TaskPanicError", err)
+			}
+			if pe.Task != 1 {
+				t.Fatalf("panic names task %d, want 1 (its index in the Map)", pe.Task)
 			}
 			if f := ex.Metrics().Snapshot().Failures; f != 1 {
 				t.Fatalf("task panic counted %d failures, want 1", f)
@@ -142,7 +145,7 @@ func TestExecutorStopsOnCancel(t *testing.T) {
 			var started atomic.Int64
 			body := func(i int) (int, error) { started.Add(1); return i, nil }
 			ex := e.start(func() bool { return true })
-			if _, err := engine.Map(ex, n, nil, body); !errors.Is(err, engine.ErrCancelled) {
+			if _, err := engine.Map(ex, n, body); !errors.Is(err, engine.ErrCancelled) {
 				t.Fatalf("pre-cancelled Map returned %v", err)
 			}
 			if started.Load() != 0 {
@@ -154,7 +157,7 @@ func TestExecutorStopsOnCancel(t *testing.T) {
 			var cancelled atomic.Bool
 			started.Store(0)
 			ex = e.start(cancelled.Load)
-			_, err := engine.Map(ex, n, nil, func(i int) (int, error) {
+			_, err := engine.Map(ex, n, func(i int) (int, error) {
 				cancelled.Store(true)
 				started.Add(1)
 				return i, nil
@@ -188,7 +191,7 @@ func TestExecutorBroadcastAccountsOnce(t *testing.T) {
 				t.Fatalf("BytesBroadcast = %d, BytesShuffled = %d; want 24, 0", snap.BytesBroadcast, snap.BytesShuffled)
 			}
 			// Tasks read the broadcast through the handle.
-			sums, err := engine.Map(ex, 3, nil, func(i int) (float64, error) { return h.([]float64)[i], nil })
+			sums, err := engine.Map(ex, 3, func(i int) (float64, error) { return h.([]float64)[i], nil })
 			if err != nil || sums[0]+sums[1]+sums[2] != 6 {
 				t.Fatalf("tasks over the handle: %v, %v", sums, err)
 			}
@@ -221,7 +224,7 @@ func TestExecutorMapUnderFailureAndCancel(t *testing.T) {
 				ex := e.start(cancelled.Load)
 				tasks := make([]engine.Task, n)
 				for i := range tasks {
-					tasks[i].Run = func() (any, error) {
+					tasks[i] = func() (any, error) {
 						if i == at {
 							if failing {
 								return nil, boom

@@ -30,26 +30,7 @@ type Executor interface {
 }
 
 // Task is one independent closure of a Map.
-type Task struct {
-	// Mem is the task's declared peak working set in bytes (0:
-	// undeclared). Only an executor that models worker memory acts on
-	// it — dask's worker restart, the paper's §4.3.3.
-	Mem int64
-	Run func() (any, error)
-}
-
-// Sized is implemented by task values that know their serialized size,
-// so executors can account the bytes a value costs to move (an MPI
-// Gather payload).
-type Sized interface{ WireBytes() int64 }
-
-// WireBytes is v's declared wire size, 0 when v does not declare one.
-func WireBytes(v any) int64 {
-	if s, ok := v.(Sized); ok {
-		return s.WireBytes()
-	}
-	return 0
-}
+type Task func() (any, error)
 
 // ErrCancelled is returned by Map when the run's cancel
 // function reported true before every task had been handed out.
@@ -105,7 +86,7 @@ func (s *Serial) Map(tasks []Task) ([]any, error) {
 			return nil, ErrCancelled
 		}
 		err := RunTask(s.metrics, i, func() (err error) {
-			out[i], err = t.Run()
+			out[i], err = t()
 			return err
 		})
 		if err != nil {
@@ -118,25 +99,15 @@ func (s *Serial) Map(tasks []Task) ([]any, error) {
 	return out, nil
 }
 
-// tasksOf wraps n typed closures as executor tasks; a non-nil mem
-// declares each task's working set.
-func tasksOf[T any](n int, mem func(i int) int64, fn func(i int) (T, error)) []Task {
-	tasks := make([]Task, n)
-	for i := range tasks {
-		tasks[i].Run = func() (any, error) { return fn(i) }
-		if mem != nil {
-			tasks[i].Mem = mem(i)
-		}
-	}
-	return tasks
-}
-
 // Map runs fn(0) … fn(n-1) as one task each on ex and returns the typed
 // values in task order (Go interface methods cannot be generic, so the
-// typed form is a free function over the contract). A non-nil mem
-// declares task i's working set.
-func Map[T any](ex Executor, n int, mem func(i int) int64, fn func(i int) (T, error)) ([]T, error) {
-	vals, err := ex.Map(tasksOf(n, mem, fn))
+// typed form is a free function over the contract).
+func Map[T any](ex Executor, n int, fn func(i int) (T, error)) ([]T, error) {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = func() (any, error) { return fn(i) }
+	}
+	vals, err := ex.Map(tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		}
 		system := shared.([]linalg.Vec3)
 		chunks := chunks1D(n, nTasks)
-		lists, err := engine.Map(ex, len(chunks), nil, func(i int) ([]graph.Edge, error) {
+		lists, err := engine.Map(ex, len(chunks), func(i int) ([]graph.Edge, error) {
 			return rowChunkEdges(system, chunks[i], cutoff), nil
 		})
 		if err != nil {
@@ -40,15 +40,12 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 
 	case TaskAPI2D:
 		// 2-D pre-partitioned blocks; map to edge lists; collect; master
-		// computes components. Each task declares its cdist working set
-		// (the memory wall of §4.3.2).
+		// computes components.
 		blocks := liveBlocks2D(coords, cutoff, nTasks)
-		lists, err := engine.Map(ex, len(blocks),
-			func(i int) int64 { return blockMemBytes(blocks[i]) },
-			func(i int) ([]graph.Edge, error) {
-				b := blocks[i]
-				return tileKernel(env, b, func() []graph.Edge { return blockEdgesBrute(coords, b, cutoff) }), nil
-			})
+		lists, err := engine.Map(ex, len(blocks), func(i int) ([]graph.Edge, error) {
+			b := blocks[i]
+			return tileKernel(env, b, func() []graph.Edge { return blockEdgesBrute(coords, b, cutoff) }), nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -59,11 +56,7 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 		// cross the shuffle. Combine: join them on the master.
 		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		useTree := approach == TreeSearch
-		mem := func(i int) int64 { return blockMemBytes(blocks[i]) }
-		if useTree {
-			mem = nil // the tree kernel avoids the cdist matrix (§4.3.4)
-		}
-		tiles, err := engine.Map(ex, len(blocks), mem, func(i int) (TilePartial, error) {
+		tiles, err := engine.Map(ex, len(blocks), func(i int) (TilePartial, error) {
 			b := blocks[i]
 			return tileKernel(env, b, func() TilePartial {
 				return tilePartial(b.rows.of(coords), b.cols.of(coords), b, cutoff, useTree)
@@ -97,8 +90,8 @@ func tileKernel[T any](env engine.Env, b block, kernel func() T) T {
 // fromEdges is the combine step of Approaches 1 and 2: the per-task
 // edge lists are concatenated on the master and its union-find computes
 // the components. The collected edge list is the approaches' shuffle
-// (Table 2), accounted once here for every engine — which is why the
-// per-task lists carry no wire size of their own.
+// (Table 2), accounted once here for every engine; no executor
+// accounts the values its Map collects.
 func fromEdges(ex engine.Executor, n int, lists [][]graph.Edge, stats Stats) *Result {
 	var edges []graph.Edge
 	for _, l := range lists {
@@ -114,8 +107,7 @@ func fromEdges(ex engine.Executor, n int, lists [][]graph.Edge, stats Stats) *Re
 // partial components are collected on the master and joined in one
 // union-find pass (FromPartials, the staged engines' combine too). The
 // collected components are the approaches' shuffle (Table 2),
-// accounted once here for every engine, as fromEdges accounts edges —
-// which is why a TilePartial carries no wire size of its own.
+// accounted once here for every engine, as fromEdges accounts edges.
 func fromTiles(ex engine.Executor, n int, tiles []TilePartial) *Result {
 	parts := make([][]graph.Component, len(tiles))
 	stats := Stats{Tasks: len(tiles)}
@@ -126,10 +118,4 @@ func fromTiles(ex engine.Executor, n int, tiles []TilePartial) *Result {
 	}
 	ex.Metrics().AddShuffle(stats.ShuffleBytes)
 	return FromPartials(n, parts, stats)
-}
-
-// blockMemBytes is the cdist working set of one block: rows × cols
-// float64 distances (the memory wall of §4.3.2/4.3.3).
-func blockMemBytes(b block) int64 {
-	return int64(b.rows.len()) * int64(b.cols.len()) * 8
 }

@@ -13,19 +13,7 @@ import (
 // tasks run as the executor planned — is locked down by TestLeafletEngineConformance in
 // internal/engine/conformtest, which runs through the jobs registry.
 // The tests below keep Run's own invariants: the data-movement profile
-// of each approach and the declared working sets (staged_test.go covers
-// the pilot's staged path).
-
-// recorder is a serial executor that remembers the tasks it was handed.
-type recorder struct {
-	*engine.Serial
-	tasks []engine.Task
-}
-
-func (r *recorder) Map(tasks []engine.Task) ([]any, error) {
-	r.tasks = append(r.tasks, tasks...)
-	return r.Serial.Map(tasks)
-}
+// of each approach (staged_test.go covers the pilot's staged path).
 
 // Every approach on the reference executor must produce exactly the
 // serial reference partition, one task per planned tile.
@@ -59,35 +47,6 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 					got.Stats.Tasks, snap.Tasks, snap.TasksPlanned, plan)
 			}
 		})
-	}
-}
-
-// The cdist-based approaches declare each task's rows × cols distance
-// matrix as its working set — what a Dask memory limit acts on
-// (§4.3.3) — while the tree approach, which never builds that matrix,
-// declares none (§4.3.4).
-func TestRunDeclaresCdistWorkingSet(t *testing.T) {
-	sys := membrane(600)
-	for _, tc := range []struct {
-		approach Approach
-		declares bool
-	}{
-		{Broadcast1D, false}, {TaskAPI2D, true}, {ParallelCC, true}, {TreeSearch, false},
-	} {
-		rec := &recorder{Serial: engine.NewSerial(nil)}
-		if _, err := Run(rec, tc.approach, sys.Coords, synth.BilayerCutoff, 6, engine.Env{}); err != nil {
-			t.Fatal(err)
-		}
-		blocks := liveBlocks2D(sys.Coords, synth.BilayerCutoff, 6)
-		for i, task := range rec.tasks {
-			want := int64(0)
-			if tc.declares {
-				want = blockMemBytes(blocks[i])
-			}
-			if task.Mem != want {
-				t.Errorf("%v task %d declares %d bytes, want %d", tc.approach, i, task.Mem, want)
-			}
-		}
 	}
 }
 

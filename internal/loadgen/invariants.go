@@ -103,6 +103,14 @@ func (h *Harness) runScenario(sc Scenario) (*ScenarioReport, error) {
 		inv("wal-records-skipped-zero", v == 0, "mdtask_wal_records_skipped_total=%g", v)
 	}
 
+	// Determinism: a rerun of a job recovered done from the journal must
+	// reproduce the result digest on record.
+	if v, ok := after.prom.Value("mdtask_jobs_result_digest_mismatch_total"); ok {
+		inv("result-digest-mismatch-zero", v == 0, "mdtask_jobs_result_digest_mismatch_total=%g", v)
+	} else {
+		inv("result-digest-mismatch-zero", false, "mdtask_jobs_result_digest_mismatch_total not exposed")
+	}
+
 	// Durability cost: the journal fsyncs only the records an answer
 	// waits on — a submission, a cancel — plus one per compaction. The
 	// +1 absorbs a compaction landing between the two counters' scrapes.

@@ -49,12 +49,12 @@ func Bcast[T any](c *Comm, root int, value T, bytes int64) T {
 }
 
 // Gather collects every rank's value at root, indexed by rank. Non-root
-// ranks return nil. bytes is the size of the calling rank's value; each
-// value that travels to root is accounted as shuffle.
-func Gather[T any](c *Comm, root int, value T, bytes int64) []T {
+// ranks return nil. A gather is not a shuffle and accounts nothing: an
+// analysis whose collected values are its shuffle (Leaflet's edges and
+// components) accounts them itself, the same on every engine.
+func Gather[T any](c *Comm, root int, value T) []T {
 	if c.rank != root {
 		c.send(root, value)
-		c.w.metrics.AddShuffle(bytes)
 		return nil
 	}
 	out := make([]T, c.w.size)

@@ -5,7 +5,7 @@ import "mdtask/internal/engine"
 // Executor runs engine tasks as an SPMD program, the paper's "realized
 // as a loop for MPI": every call is one Run over the world, each rank
 // loops over its share of the tasks, and results travel to rank 0
-// through a Gather that accounts the bytes moved as shuffle.
+// through a Gather.
 type Executor struct {
 	ranks   int
 	cancel  func() bool
@@ -47,26 +47,22 @@ func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 	e.metrics.Add(engine.Snapshot{TasksPlanned: int64(len(tasks))})
 	out := make([]any, len(tasks))
 	err := Run(e.ranks, e.metrics, func(c *Comm) error {
-		var (
-			local []any
-			bytes int64
-		)
+		var local []any
 		for i := c.Rank(); i < len(tasks); i += c.Size() {
 			if e.cancel != nil && e.cancel() {
 				return engine.ErrCancelled
 			}
 			var v any
 			err := engine.RunTask(e.metrics, i, func() (err error) {
-				v, err = tasks[i].Run()
+				v, err = tasks[i]()
 				return err
 			})
 			if err != nil {
 				return err
 			}
 			local = append(local, v)
-			bytes += engine.WireBytes(v)
 		}
-		for rank, vals := range Gather(c, 0, local, bytes) {
+		for rank, vals := range Gather(c, 0, local) {
 			for k, v := range vals {
 				out[rank+k*c.Size()] = v
 			}

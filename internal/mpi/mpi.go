@@ -4,8 +4,7 @@
 // the paper's MPI4py baselines: the Leaflet Finder and PSA MPI
 // implementations in this repository run unchanged semantics — rank-0
 // gathers, binomial-tree broadcast, static work partitioning — with
-// per-collective byte accounting (Gather as shuffle, Bcast as
-// broadcast) feeding the experiment harness.
+// Bcast's bytes accounted as broadcast for the experiment harness.
 //
 // Executor is the package's engine.Executor: the shared analyses
 // (psa.Run, leaflet.Run) run on it as a rank loop plus collectives: a

@@ -111,7 +111,7 @@ func TestBcastAllRootsAndSizes(t *testing.T) {
 func TestScatterGather(t *testing.T) {
 	const size = 6
 	err := Run(size, nil, func(c *Comm) error {
-		gathered := Gather(c, 2, (10+c.Rank())*2, 8)
+		gathered := Gather(c, 2, (10+c.Rank())*2)
 		if c.Rank() == 2 {
 			want := []int{20, 22, 24, 26, 28, 30}
 			if !reflect.DeepEqual(gathered, want) {
@@ -170,12 +170,12 @@ func TestInvalidRanksPanic(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	m := &engine.Metrics{}
-	// Each collective accounts under its own kind: a Bcast once, at
-	// root, as broadcast (its three tree sends are that broadcast); a
-	// Gather's three non-root values as shuffle.
+	// A Bcast accounts once, at root, as broadcast (its three tree
+	// sends are that broadcast); a Gather accounts nothing — collecting
+	// results is not a shuffle.
 	err := Run(4, m, func(c *Comm) error {
 		Bcast(c, 0, 1, 1000)
-		Gather(c, 0, c.Rank(), 500)
+		Gather(c, 0, c.Rank())
 		return nil
 	})
 	if err != nil {
@@ -185,8 +185,8 @@ func TestByteAccounting(t *testing.T) {
 	if s.BytesBroadcast != 1000 {
 		t.Errorf("broadcast bytes = %d, want 1000", s.BytesBroadcast)
 	}
-	if s.BytesShuffled != 3*500 {
-		t.Errorf("gather bytes = %d, want %d", s.BytesShuffled, 3*500)
+	if s.BytesShuffled != 0 {
+		t.Errorf("shuffle bytes = %d after a gather, want 0", s.BytesShuffled)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestAllGatherLargePayloads(t *testing.T) {
 		for i := range data {
 			data[i] = c.Rank()
 		}
-		gathered := Gather(c, 0, data, 800)
+		gathered := Gather(c, 0, data)
 		if c.Rank() == 0 {
 			var ranks []int
 			for src, d := range gathered {

@@ -341,10 +341,6 @@ func computeBlockVals(refs traj.RefEnsemble, b Block, opts Opts) (vals []float64
 	return vals, true, nil
 }
 
-// WireBytes is the block's payload size when an engine moves it between
-// workers (engine.Sized).
-func (r BlockResult) WireBytes() int64 { return int64(len(r.Values)) * 8 }
-
 // Run computes PSA on any engine: Partition → one ComputeBlockRefs task
 // per block, mapped by the executor → Assemble. This is the whole
 // analysis; what differs between Spark, Dask and MPI (§4.2) lives in
@@ -356,7 +352,7 @@ func Run(ex engine.Executor, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix,
 		return nil, err
 	}
 	opts.Metrics = ex.Metrics()
-	results, err := engine.Map(ex, len(blocks), nil, func(i int) (BlockResult, error) {
+	results, err := engine.Map(ex, len(blocks), func(i int) (BlockResult, error) {
 		return ComputeBlockRefs(refs, blocks[i], opts)
 	})
 	if err != nil {

@@ -29,5 +29,5 @@ func (e *Executor) Map(tasks []engine.Task) ([]any, error) {
 		return nil, nil
 	}
 	r := Parallelize(e.ctx, tasks, len(tasks))
-	return Map(r, func(t engine.Task) (any, error) { return t.Run() }).Collect()
+	return Map(r, func(t engine.Task) (any, error) { return t() }).Collect()
 }

@@ -12,6 +12,9 @@
 #     rejected); every 429 carries Retry-After; every oversized body
 #     answers 413;
 #   - wal_records_skipped == 0 on the journal-backed server;
+#   - result-digest-mismatch-zero: no rerun of a job recovered done
+#     from the journal produced a result digest other than the one on
+#     record (mdtask_jobs_result_digest_mismatch_total == 0);
 #   - wal-fsyncs-bounded: the journal's fsyncs over a scenario are at
 #     most accepted + cancelled + snapshots + 1, so a return to an
 #     fsync per lifecycle record (three per job) fails here without
