@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"mdtask/internal/graph"
 	"mdtask/internal/jobs"
 	"mdtask/internal/obs"
 	"mdtask/internal/psa"
@@ -124,7 +125,7 @@ func run(in, engineName string, parallel int, methodName string, tasks, clusters
 			return err
 		}
 		fmt.Printf("clusters (k=%d, average linkage):\n", clusters)
-		for gi, group := range psa.Clusters(labels) {
+		for gi, group := range graph.Groups(labels) {
 			fmt.Printf("  cluster %d:", gi)
 			for _, ix := range group {
 				fmt.Printf(" %s", refs[ix].Name())

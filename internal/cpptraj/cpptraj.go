@@ -6,20 +6,22 @@
 // Intel -O3; here the two compiler variants become two kernel
 // implementations with genuinely different performance:
 //
-//   - Naive: the straightforward triple loop (one dRMS per frame pair).
+//   - Naive: the straightforward triple loop (one dRMS per frame pair),
+//     the paper's Algorithm 1 with no min–max reduction.
 //   - Blocked: an algebraically restructured kernel that expands
 //     dRMS² = (|a|² + |b|² - 2 a·b)/N, precomputes per-frame norms, and
 //     computes the cross terms as a cache-blocked matrix product.
 //
-// Both produce identical matrices (verified by tests); the blocked one
-// is several times faster, mirroring the paper's GNU-vs-Intel gap.
+// Both read the packed frame rows of traj.Packed, the layout the
+// Hausdorff kernels read, and produce matrices equal to within rounding
+// (verified by tests); the blocked one is several times faster,
+// mirroring the paper's GNU-vs-Intel gap.
 package cpptraj
 
 import (
 	"fmt"
 	"math"
 
-	"mdtask/internal/hausdorff"
 	"mdtask/internal/linalg"
 	"mdtask/internal/traj"
 )
@@ -51,78 +53,83 @@ func (k Kernel) String() string {
 const blockSize = 16
 
 // Matrix2DRMS computes the frame-by-frame dRMS matrix between two
-// trajectories with the selected kernel.
+// trajectories with the selected kernel: element i·|B|+j is
+// dRMS(a_i, b_j).
 func Matrix2DRMS(a, b *traj.Trajectory, k Kernel) ([]float64, error) {
 	if a.NAtoms != b.NAtoms {
 		return nil, fmt.Errorf("cpptraj: atom counts differ: %d vs %d", a.NAtoms, b.NAtoms)
 	}
-	fa, fb := hausdorff.Frames(a), hausdorff.Frames(b)
+	pa, pb := a.Packed(), b.Packed()
 	switch k {
 	case Naive:
-		return hausdorff.Matrix2DRMS(fa, fb), nil
+		return matrixNaive(pa, pb), nil
 	case Blocked:
-		return matrixBlocked(fa, fb), nil
+		return matrixBlocked(pa, pb), nil
 	default:
 		return nil, fmt.Errorf("cpptraj: unknown kernel %d", int(k))
 	}
 }
 
-// flatten packs frames into a contiguous row-major [nFrames][3*nAtoms]
-// buffer and returns it with the per-frame squared norms.
-func flatten(frames [][]linalg.Vec3) (flat []float64, norms []float64, width int) {
-	if len(frames) == 0 {
-		return nil, nil, 0
-	}
-	width = 3 * len(frames[0])
-	flat = make([]float64, len(frames)*width)
-	norms = make([]float64, len(frames))
-	for i, f := range frames {
-		row := flat[i*width : (i+1)*width]
-		var n float64
-		for j, p := range f {
-			row[3*j], row[3*j+1], row[3*j+2] = p[0], p[1], p[2]
-			n += p.Norm2()
+// matrixNaive evaluates every frame pair's dRMS in turn. An infinite
+// bound never abandons, and a completed linalg.DRMSWithin is
+// bit-identical to linalg.DRMS.
+func matrixNaive(a, b *traj.Packed) []float64 {
+	nb := b.NFrames
+	out := make([]float64, a.NFrames*nb)
+	for i := 0; i < a.NFrames; i++ {
+		ra := a.Row(i)
+		row := out[i*nb : (i+1)*nb]
+		for j := range row {
+			row[j], _ = linalg.DRMSWithin(ra, b.Row(j), math.Inf(1))
 		}
-		norms[i] = n
 	}
-	return flat, norms, width
+	return out
+}
+
+// norms returns the squared norm of every packed frame row.
+func norms(p *traj.Packed) []float64 {
+	out := make([]float64, p.NFrames)
+	for i := range out {
+		row := p.Row(i)
+		var n float64
+		for j := 0; j+2 < len(row); j += 3 {
+			n += row[j]*row[j] + row[j+1]*row[j+1] + row[j+2]*row[j+2]
+		}
+		out[i] = n
+	}
+	return out
 }
 
 // matrixBlocked computes the dRMS matrix via the norm/cross-term
 // decomposition with cache blocking over frame tiles.
-func matrixBlocked(a, b [][]linalg.Vec3) []float64 {
-	na, nb := len(a), len(b)
+func matrixBlocked(a, b *traj.Packed) []float64 {
+	na, nb := a.NFrames, b.NFrames
 	out := make([]float64, na*nb)
 	if na == 0 || nb == 0 {
 		return out
 	}
-	nAtoms := len(a[0])
-	fa, normA, w := flatten(a)
-	fb, normB, _ := flatten(b)
-	inv := 1 / float64(nAtoms)
+	normA, normB := norms(a), norms(b)
+	inv := 1 / float64(a.NAtoms)
 
 	for i0 := 0; i0 < na; i0 += blockSize {
 		i1 := min(i0+blockSize, na)
 		for j0 := 0; j0 < nb; j0 += blockSize {
 			j1 := min(j0+blockSize, nb)
 			for i := i0; i < i1; i++ {
-				ra := fa[i*w : (i+1)*w]
+				ra := a.Row(i)
 				row := out[i*nb:]
 				j := j0
 				// Register blocking: four j-frames per pass reuse each
 				// loaded ra element four times, quartering memory
 				// traffic on this memory-bound kernel.
 				for ; j+4 <= j1; j += 4 {
-					rb0 := fb[j*w : (j+1)*w]
-					rb1 := fb[(j+1)*w : (j+2)*w]
-					rb2 := fb[(j+2)*w : (j+3)*w]
-					rb3 := fb[(j+3)*w : (j+4)*w]
+					rb0, rb1, rb2, rb3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 					var d0, d1, d2, d3 float64
-					for k, a := range ra {
-						d0 += a * rb0[k]
-						d1 += a * rb1[k]
-						d2 += a * rb2[k]
-						d3 += a * rb3[k]
+					for k, x := range ra {
+						d0 += x * rb0[k]
+						d1 += x * rb1[k]
+						d2 += x * rb2[k]
+						d3 += x * rb3[k]
 					}
 					row[j] = finishMSD(normA[i], normB[j], d0, inv)
 					row[j+1] = finishMSD(normA[i], normB[j+1], d1, inv)
@@ -130,10 +137,10 @@ func matrixBlocked(a, b [][]linalg.Vec3) []float64 {
 					row[j+3] = finishMSD(normA[i], normB[j+3], d3, inv)
 				}
 				for ; j < j1; j++ {
-					rb := fb[j*w : (j+1)*w]
+					rb := b.Row(j)
 					var dot float64
-					for k, a := range ra {
-						dot += a * rb[k]
+					for k, x := range ra {
+						dot += x * rb[k]
 					}
 					row[j] = finishMSD(normA[i], normB[j], dot, inv)
 				}

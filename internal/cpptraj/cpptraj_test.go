@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mdtask/internal/linalg"
 	"mdtask/internal/proptest"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
@@ -65,5 +66,21 @@ func TestEmptyTrajectories(t *testing.T) {
 	m, err := Matrix2DRMS(a, b, Blocked)
 	if err != nil || len(m) != 0 {
 		t.Errorf("empty matrix = %v, %v", m, err)
+	}
+}
+
+func TestMatrix2DRMSShape(t *testing.T) {
+	a := synth.Walk("a", 5, 4, 12, 0)
+	b := synth.Walk("b", 5, 6, 12, 1)
+	m, err := Matrix2DRMS(a, b, Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != a.NFrames()*b.NFrames() {
+		t.Fatalf("matrix len = %d", len(m))
+	}
+	// Spot check one element.
+	if got, want := m[1*b.NFrames()+2], linalg.DRMS(a.Frames[1].Coords, b.Frames[2].Coords); got != want {
+		t.Errorf("m[1][2] = %v, want %v", got, want)
 	}
 }

@@ -21,8 +21,9 @@ func fuzzPair(nAtoms, na, nb int, kind uint8, seed uint64) (a, b *traj.Trajector
 // contract (docs/kernels.md): every method, in memory and streamed at
 // fuzzed window sizes — 1, non-dividing, larger than the trajectory —
 // from memory-backed and .mdt-backed refs at both precisions, returns
-// the bits the naive in-memory kernel returns on the same loaded data,
-// and accounts every directed frame pair exactly once.
+// the bits the reference (refDirected, Algorithm 1 over frame views)
+// returns on the same loaded data, and accounts every directed frame
+// pair exactly once.
 func FuzzHausdorffMethodsAgree(f *testing.F) {
 	f.Add(uint8(4), uint8(7), uint8(5), uint8(3), uint8(1), uint64(1))   // walk, non-dividing window
 	f.Add(uint8(3), uint8(6), uint8(6), uint8(1), uint8(2), uint64(7))   // duplicate frames, window 1
@@ -71,8 +72,8 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 		pairs := int64(2 * na * nb)
 		constant := sameFrames(a, b)
 		for name, refs := range backings {
-			// The reference is naive on what this backing actually holds
-			// (a float32 file rounds the coordinates).
+			// The reference runs on what this backing actually holds (a
+			// float32 file rounds the coordinates).
 			la, err := refs[0].Load()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -81,11 +82,11 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := distance(la, lb, Naive)
+			want := refDistance(la, lb)
 			for _, m := range Methods {
 				var c Counters
 				if got := DistanceCounted(la, lb, m, &c); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s/%v in memory: %v, naive says %v", name, m, got, want)
+					t.Fatalf("%s/%v in memory: %v, reference says %v", name, m, got, want)
 				}
 				if c.Total() != pairs {
 					t.Fatalf("%s/%v in memory: counters %+v sum to %d, want %d", name, m, c, c.Total(), pairs)
@@ -98,7 +99,7 @@ func FuzzHausdorffMethodsAgree(f *testing.F) {
 						t.Fatalf("%s/%v/w=%d: %v", name, m, w, err)
 					}
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s/%v/w=%d streamed: %v, naive says %v", name, m, w, got, want)
+						t.Fatalf("%s/%v/w=%d streamed: %v, reference says %v", name, m, w, got, want)
 					}
 					if c.Total() != pairs || c.Evaluated < 0 || c.Pruned < 0 || c.Abandoned < 0 {
 						t.Fatalf("%s/%v/w=%d streamed: counters %+v sum to %d, want %d", name, m, w, c, c.Total(), pairs)

@@ -6,12 +6,13 @@
 // combining exact centroid/radius-of-gyration lower bounds with
 // bounded-dRMS early-abandon (pruned.go), and an indexed kernel
 // answering each row's min by best-first descent over a ball tree of
-// 4-D frame signatures (indexed.go, balltree.FrameTree). The package
-// also carries the streamed out-of-core fold (streamed.go), the
-// frame-pair and tree-node Counters every engine reports, and the
-// 2D-RMSD matrix variant computed by CPPTraj (Algorithm 1 with no
-// min–max reduction). The full kernel-method contract — bounds, slack
-// discipline, counter invariants — is docs/kernels.md.
+// 4-D frame signatures (indexed.go, balltree.FrameTree). Every kernel
+// reads one frame layout, the packed rows of traj.Packed, and the
+// package has two entry points: DistanceCounted for trajectories held
+// in memory and DistanceStreamed, the out-of-core fold (streamed.go),
+// for trajectory refs. Both report the frame-pair and tree-node
+// Counters every engine accounts. The full kernel-method contract —
+// bounds, slack discipline, counter invariants — is docs/kernels.md.
 package hausdorff
 
 import (
@@ -167,21 +168,20 @@ func (c *Counters) pruneNodes(n int64) {
 	}
 }
 
-// DirectedNaive computes the directed Hausdorff distance
+// directedNaive computes the directed Hausdorff distance
 // h(A→B) = max over a in A of min over b in B of dRMS(a, b),
-// evaluating every pair. It returns 0 when A is empty and +Inf when A is
-// non-empty but B is empty.
-func DirectedNaive(a, b [][]linalg.Vec3) float64 {
-	return directedNaive(a, b, nil)
-}
-
-func directedNaive(a, b [][]linalg.Vec3, c *Counters) float64 {
+// evaluating every pair. Each evaluation runs through
+// linalg.DRMSWithin with an infinite bound, which never abandons and
+// is bit-identical to linalg.DRMS. It returns 0 when A is empty and
+// +Inf when A is non-empty but B is empty.
+func directedNaive(a, b *traj.Packed, c *Counters) float64 {
 	var cmax float64
-	for _, fa := range a {
+	for i := 0; i < a.NFrames; i++ {
+		rowA := a.Row(i)
 		cmin := math.Inf(1)
-		for _, fb := range b {
+		for j := 0; j < b.NFrames; j++ {
 			c.eval()
-			if d := linalg.DRMS(fa, fb); d < cmin {
+			if d, _ := linalg.DRMSWithin(rowA, b.Row(j), math.Inf(1)); d < cmin {
 				cmin = d
 			}
 		}
@@ -192,30 +192,26 @@ func directedNaive(a, b [][]linalg.Vec3, c *Counters) float64 {
 	return cmax
 }
 
-// DirectedEarlyBreak computes the same directed distance as
-// DirectedNaive but breaks out of the inner scan once a distance below
-// the running maximum proves the current frame cannot raise it.
-func DirectedEarlyBreak(a, b [][]linalg.Vec3) float64 {
-	return directedEarlyBreak(a, b, 0, nil)
-}
-
-// directedEarlyBreak is DirectedEarlyBreak with the running maximum
-// started at seed instead of 0: it returns max(seed, h(A→B)), and every
-// row whose minimum is already below seed breaks at the first distance
-// that shows it. Seeding the reverse pass with the forward pass's
-// result is how the symmetric distance carries one running maximum
-// across both directions (docs/kernels.md, "The symmetric distance").
-// The probe row is scanned before the others (probeRow); this kernel
-// has no start column, so its rows all scan from column 0.
-func directedEarlyBreak(a, b [][]linalg.Vec3, seed float64, c *Counters) float64 {
-	if len(a) == 0 {
+// directedEarlyBreak computes the same directed distance as
+// directedNaive but breaks out of the inner scan once a distance below
+// the running maximum proves the current frame cannot raise it. The
+// running maximum starts at seed instead of 0: it returns
+// max(seed, h(A→B)), and every row whose minimum is already below seed
+// breaks at the first distance that shows it. Seeding the reverse pass
+// with the forward pass's result is how the symmetric distance carries
+// one running maximum across both directions (docs/kernels.md, "The
+// symmetric distance"). The probe row is scanned before the others
+// (probeRow); this kernel has no start column, so its rows all scan
+// from column 0.
+func directedEarlyBreak(a, b *traj.Packed, seed float64, c *Counters) float64 {
+	if a.NFrames == 0 {
 		return seed
 	}
-	probe, _ := probeRow(len(a), len(b))
-	cmax := earlyBreakRow(a[probe], b, seed, c)
-	for i, fa := range a {
+	probe, _ := probeRow(a.NFrames, b.NFrames)
+	cmax := earlyBreakRow(a.Row(probe), b, seed, c)
+	for i := 0; i < a.NFrames; i++ {
 		if i != probe {
-			cmax = earlyBreakRow(fa, b, cmax, c)
+			cmax = earlyBreakRow(a.Row(i), b, cmax, c)
 		}
 	}
 	return cmax
@@ -223,13 +219,14 @@ func directedEarlyBreak(a, b [][]linalg.Vec3, seed float64, c *Counters) float64
 
 // earlyBreakRow scans one row of a directed pass whose running maximum
 // is cmax and returns the running maximum after it.
-func earlyBreakRow(fa []linalg.Vec3, b [][]linalg.Vec3, cmax float64, c *Counters) float64 {
+func earlyBreakRow(rowA []float64, b *traj.Packed, cmax float64, c *Counters) float64 {
+	nb := b.NFrames
 	cmin := math.Inf(1)
-	for j, fb := range b {
+	for j := 0; j < nb; j++ {
 		c.eval()
-		d := linalg.DRMS(fa, fb)
+		d, _ := linalg.DRMSWithin(rowA, b.Row(j), math.Inf(1))
 		if d < cmax {
-			c.prune(int64(len(b) - j - 1))
+			c.prune(int64(nb - j - 1))
 			return cmax
 		}
 		if d < cmin {
@@ -261,81 +258,25 @@ func probeRow(na, nb int) (row, col int) {
 	return row, row * nb / na
 }
 
-// Frames extracts the coordinate view of a trajectory for the distance
-// kernels (no copying).
-func Frames(t *traj.Trajectory) [][]linalg.Vec3 {
-	out := make([][]linalg.Vec3, len(t.Frames))
-	for i := range t.Frames {
-		out[i] = t.Frames[i].Coords
-	}
-	return out
-}
-
 // DistanceCounted computes the symmetric Hausdorff distance
 // H(A,B) = max(h(A→B), h(B→A)) between two trajectories with the chosen
 // method, folding frame-pair accounting into c (which may be nil). Both
-// trajectories must have the same atom count. The Pruned and Indexed methods consume the
+// trajectories must have the same atom count. Every method reads the
 // trajectories' cached packed representation (traj.Trajectory.Packed);
 // Indexed additionally consumes the cached frame-signature ball tree
-// (traj.Packed.FrameTree).
+// (traj.Packed.FrameTree). Empty inputs follow the directed-distance
+// convention: 0 when both sides are empty, +Inf when exactly one side
+// is empty (no frame of the non-empty side has a nearest neighbour).
 func DistanceCounted(a, b *traj.Trajectory, m Method, c *Counters) float64 {
-	switch m {
-	case Pruned:
-		return DistancePacked(a.Packed(), b.Packed(), c)
-	case Indexed:
-		return DistanceIndexed(a.Packed(), b.Packed(), c)
-	}
-	return DistanceFramesCounted(Frames(a), Frames(b), m, c)
-}
-
-// DistanceFrames is DistanceCounted, uncounted, on raw frame views. Empty inputs follow
-// the directed-distance convention: 0 when both sides are empty, +Inf
-// when exactly one side is empty (no frame of the non-empty side has a
-// nearest neighbour).
-func DistanceFrames(fa, fb [][]linalg.Vec3, m Method) float64 {
-	return DistanceFramesCounted(fa, fb, m, nil)
-}
-
-// DistanceFramesCounted is DistanceFrames with frame-pair accounting
-// folded into c (which may be nil). For the Pruned method it packs both
-// frame sets on the fly; callers comparing whole trajectories should
-// prefer Distance/DistancePacked, which reuse the per-trajectory packing.
-func DistanceFramesCounted(fa, fb [][]linalg.Vec3, m Method, c *Counters) float64 {
+	pa, pb := a.Packed(), b.Packed()
 	switch m {
 	case EarlyBreak:
-		return directedEarlyBreak(fb, fa, directedEarlyBreak(fa, fb, 0, c), c)
+		return directedEarlyBreak(pb, pa, directedEarlyBreak(pa, pb, 0, c), c)
 	case Pruned:
-		return DistancePacked(packViews(fa), packViews(fb), c)
+		return distancePruned(pa, pb, c)
 	case Indexed:
-		return DistanceIndexed(packViews(fa), packViews(fb), c)
+		return distanceIndexed(pa, pb, c)
 	default:
-		h1 := directedNaive(fa, fb, c)
-		h2 := directedNaive(fb, fa, c)
-		return math.Max(h1, h2)
+		return math.Max(directedNaive(pa, pb, c), directedNaive(pb, pa, c))
 	}
-}
-
-// packViews packs raw frame views, deriving the atom count from the
-// first frame (zero frames pack as an empty trajectory).
-func packViews(frames [][]linalg.Vec3) *traj.Packed {
-	nAtoms := 0
-	if len(frames) > 0 {
-		nAtoms = len(frames[0])
-	}
-	return traj.PackFrames(frames, nAtoms)
-}
-
-// Matrix2DRMS computes the full frame-by-frame dRMS matrix between two
-// trajectories: element i*len(b)+j is dRMS(a_i, b_j). This is the
-// CPPTraj "2D-RMSD" kernel of §4.2: Algorithm 1 with no min–max
-// reduction.
-func Matrix2DRMS(a, b [][]linalg.Vec3) []float64 {
-	out := make([]float64, len(a)*len(b))
-	for i, fa := range a {
-		row := out[i*len(b) : (i+1)*len(b)]
-		for j, fb := range b {
-			row[j] = linalg.DRMS(fa, fb)
-		}
-	}
-	return out
 }

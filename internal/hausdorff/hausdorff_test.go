@@ -18,6 +18,44 @@ import (
 // trajectories.
 func distance(a, b *traj.Trajectory, m Method) float64 { return DistanceCounted(a, b, m, nil) }
 
+// frames is the coordinate view of a trajectory's frames (no copying).
+func frames(t *traj.Trajectory) [][]linalg.Vec3 {
+	out := make([][]linalg.Vec3, len(t.Frames))
+	for i := range t.Frames {
+		out[i] = t.Frames[i].Coords
+	}
+	return out
+}
+
+// refDirected is the reference every kernel is checked against: the
+// paper's Algorithm 1, h(A→B) = max over a in A of min over b in B of
+// dRMS(a, b), over frame views and linalg.DRMS. It shares no code with
+// the kernels, which all read traj.Packed rows through
+// linalg.DRMSWithin, so a defect in the production naive cannot reach
+// both sides of a comparison. It returns 0 when A is empty and +Inf
+// when A is non-empty but B is empty.
+func refDirected(a, b [][]linalg.Vec3) float64 {
+	var cmax float64
+	for _, fa := range a {
+		cmin := math.Inf(1)
+		for _, fb := range b {
+			if d := linalg.DRMS(fa, fb); d < cmin {
+				cmin = d
+			}
+		}
+		if cmin > cmax {
+			cmax = cmin
+		}
+	}
+	return cmax
+}
+
+// refDistance is the reference symmetric distance H(A,B).
+func refDistance(a, b *traj.Trajectory) float64 {
+	fa, fb := frames(a), frames(b)
+	return math.Max(refDirected(fa, fb), refDirected(fb, fa))
+}
+
 func randTrajs(seed uint64, n, atoms, frames int) []*traj.Trajectory {
 	out := make([]*traj.Trajectory, n)
 	for i := range out {
@@ -35,8 +73,8 @@ func TestDistanceSelfZero(t *testing.T) {
 	}
 }
 
-// The early-break optimization must be exact (Taha & Hanbury compute the
-// same value as the naive scan).
+// The naive scan and the early-break optimization must be exact (Taha &
+// Hanbury compute the same value as Algorithm 1).
 func TestEarlyBreakEqualsNaiveQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 100,
@@ -48,7 +86,8 @@ func TestEarlyBreakEqualsNaiveQuick(t *testing.T) {
 	}
 	f := func(seed uint64, atoms, frames int) bool {
 		ts := randTrajs(seed, 2, atoms, frames)
-		return distance(ts[0], ts[1], Naive) == distance(ts[0], ts[1], EarlyBreak)
+		want := refDistance(ts[0], ts[1])
+		return distance(ts[0], ts[1], Naive) == want && distance(ts[0], ts[1], EarlyBreak) == want
 	}
 	proptest.Check(t, f, cfg)
 }
@@ -69,52 +108,51 @@ func TestTriangleInequality(t *testing.T) {
 }
 
 func TestDirectedEmptySets(t *testing.T) {
-	fr := [][]linalg.Vec3{{{1, 2, 3}}}
-	if got := DirectedNaive(nil, fr); got != 0 {
+	fr := traj.New("x", 1)
+	if err := fr.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	empty, full := traj.New("e", 1).Packed(), fr.Packed()
+	if got := refDirected(nil, frames(fr)); got != 0 {
+		t.Errorf("reference h(empty->X) = %v, want 0", got)
+	}
+	if got := refDirected(frames(fr), nil); !math.IsInf(got, 1) {
+		t.Errorf("reference h(X->empty) = %v, want +Inf", got)
+	}
+	if got := directedNaive(empty, full, nil); got != 0 {
 		t.Errorf("h(empty->X) = %v, want 0", got)
 	}
-	if got := DirectedNaive(fr, nil); !math.IsInf(got, 1) {
+	if got := directedNaive(full, empty, nil); !math.IsInf(got, 1) {
 		t.Errorf("h(X->empty) = %v, want +Inf", got)
 	}
-	if got := DirectedEarlyBreak(nil, fr); got != 0 {
+	if got := directedEarlyBreak(empty, full, 0, nil); got != 0 {
 		t.Errorf("early-break h(empty->X) = %v", got)
 	}
 }
 
-// Every method follows one empty-input convention: 0 when both frame
-// sets are empty, +Inf when exactly one is.
+// Every method follows one empty-input convention: 0 when both
+// trajectories are empty, +Inf when exactly one is.
 func TestEmptyInputConsistency(t *testing.T) {
-	ts := randTrajs(13, 1, 6, 5)
-	nonEmpty := Frames(ts[0])
+	nonEmpty := randTrajs(13, 1, 6, 5)[0]
 	inf := math.Inf(1)
 	cases := []struct {
-		name   string
-		fa, fb [][]linalg.Vec3
-		want   float64
+		name string
+		a, b *traj.Trajectory
+		want float64
 	}{
-		{"empty-A", nil, nonEmpty, inf},
-		{"empty-B", nonEmpty, nil, inf},
-		{"empty-both", nil, nil, 0},
+		{"empty-A", traj.New("e", 6), nonEmpty, inf},
+		{"empty-B", nonEmpty, traj.New("e", 6), inf},
+		{"empty-both", traj.New("e", 6), traj.New("f", 6), 0},
 	}
 	for _, tc := range cases {
+		if got := refDistance(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: reference = %v, want %v", tc.name, got, tc.want)
+		}
 		for _, m := range Methods {
-			if got := DistanceFrames(tc.fa, tc.fb, m); got != tc.want {
-				t.Errorf("%s: DistanceFrames(%v) = %v, want %v", tc.name, m, got, tc.want)
+			if got := distance(tc.a, tc.b, m); got != tc.want {
+				t.Errorf("%s: %v = %v, want %v", tc.name, m, got, tc.want)
 			}
 		}
-	}
-}
-
-func TestMatrix2DRMSShape(t *testing.T) {
-	ts := randTrajs(12, 2, 5, 4)
-	fa, fb := Frames(ts[0]), Frames(ts[1])
-	m := Matrix2DRMS(fa, fb)
-	if len(m) != len(fa)*len(fb) {
-		t.Fatalf("matrix len = %d", len(m))
-	}
-	// Spot check one element.
-	if got, want := m[1*len(fb)+2], linalg.DRMS(fa[1], fb[2]); got != want {
-		t.Errorf("m[1][2] = %v, want %v", got, want)
 	}
 }
 
@@ -150,7 +188,9 @@ func TestSingleFrameReducesToDRMS(t *testing.T) {
 	_ = a.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{0, 0, 0}, {1, 0, 0}}})
 	_ = b.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{0, 1, 0}, {1, 1, 0}}})
 	want := linalg.DRMS(a.Frames[0].Coords, b.Frames[0].Coords)
-	if got := distance(a, b, Naive); got != want {
-		t.Errorf("H = %v, want %v", got, want)
+	for _, m := range Methods {
+		if got := distance(a, b, m); got != want {
+			t.Errorf("%v: H = %v, want %v", m, got, want)
+		}
 	}
 }

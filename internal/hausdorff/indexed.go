@@ -90,12 +90,12 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 	return (d - n.Radius) - (d+n.Radius)*boundSlack
 }
 
-// DirectedIndexed computes the directed Hausdorff distance
+// directedIndexed computes the directed Hausdorff distance
 // h(A→B) = max over a of min over b of dRMS(a, b) on packed
-// trajectories, returning exactly the same value as DirectedNaive — bit
+// trajectories, returning exactly the same value as directedNaive — bit
 // for bit — by best-first branch-and-bound descent over B's frame-
 // signature ball tree (traj.Packed.FrameTree). It applies the same
-// three exact pruning devices as DirectedPruned — the centroid/rg lower
+// three exact pruning devices as directedPruned — the centroid/rg lower
 // bound, bounded evaluation through linalg.DRMSWithin, and the
 // temporal-coherence row chain — but aggregates the pair bound into
 // per-node bounds, so the inner search visits O(log |B|) nodes instead
@@ -116,21 +116,18 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 //     in O(1), and the survivors evaluate via linalg.DRMSWithin seeded
 //     with the running minimum.
 //
-// The Taha & Hanbury early break applies as in DirectedPruned: once the
+// The Taha & Hanbury early break applies as in directedPruned: once the
 // row's minimum drops below the running maximum the row is dismissed —
 // and, as there, the probe row is visited first (probeRow), so the
 // sweep starts with the running maximum already near h(A→B).
 // Frame-pair accounting lands in the same three buckets as every other
 // method (Evaluated + Pruned + Abandoned = |A|·|B| per directed call);
 // node accounting lands in NodesVisited/NodesPruned on top. Empty
-// inputs follow DirectedNaive: 0 when A is empty, +Inf when A is
+// inputs follow directedNaive: 0 when A is empty, +Inf when A is
 // non-empty but B is empty.
-func DirectedIndexed(a, b *traj.Packed, c *Counters) float64 {
-	return directedIndexed(a, b, 0, c, nil, nil)
-}
-
-// directedIndexed is DirectedIndexed with the cross-direction coupling
-// of DistanceIndexed. The running maximum starts at seed instead of 0,
+//
+// The arguments after b are the cross-direction coupling of
+// distanceIndexed. The running maximum starts at seed instead of 0,
 // so the result is max(seed, h(A→B)), exactly as in directedPruned.
 // rowUB[i], when non-nil, is a proven upper bound on row i's minimum
 // (an exact distance the opposite direction already evaluated),
@@ -297,20 +294,20 @@ func (s *indexedScan) row(frontier []nodeItem, i, jstar int, dstar, cmax float64
 	return cmax, argmin, cmin, frontier
 }
 
-// DistanceIndexed computes the symmetric Hausdorff distance
+// distanceIndexed computes the symmetric Hausdorff distance
 // H(A,B) = max(h(A→B), h(B→A)) with the indexed kernel, folding
 // frame-pair and tree-node accounting into c (which may be nil). It
-// returns exactly the same value as DistanceFrames with the Naive
-// method; each side's ball tree is built (and cached on the Packed)
-// the first time it serves as the inner search structure. The two
-// directed passes are coupled twice over. Like DistancePacked's they
-// share one running maximum: the reverse pass starts from h(A→B). And
+// returns exactly the same value as the Naive method; each side's ball
+// tree is built (and cached on the Packed) the first time it serves as
+// the inner search structure. The two directed passes are coupled
+// twice over. Like distancePruned's they share one running maximum: the
+// reverse pass starts from h(A→B). And
 // every distance the first pass evaluates to completion is an exact
 // upper bound on one of the second pass's row minima, so a reverse row
 // whose bound does not exceed h(A→B) skips wholesale, before even its
 // warm evaluation — a reduction the flat kernels, which keep no column
 // minima, cannot express.
-func DistanceIndexed(a, b *traj.Packed, c *Counters) float64 {
+func distanceIndexed(a, b *traj.Packed, c *Counters) float64 {
 	var colUB []float64
 	if b.NFrames > 0 {
 		colUB = make([]float64, b.NFrames)

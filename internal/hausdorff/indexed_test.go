@@ -11,16 +11,16 @@ import (
 )
 
 // checkIndexedPair asserts the indexed kernel's contracts on one
-// trajectory pair: bit-identical output to the naive scan,
+// trajectory pair: bit-identical output to the reference scan,
 // self-consistent pair counters (every frame pair in exactly one
 // bucket), and non-negative node counters.
 func checkIndexedPair(t *testing.T, a, b *traj.Trajectory) {
 	t.Helper()
-	want := distance(a, b, Naive)
+	want := refDistance(a, b)
 	var c Counters
 	got := DistanceCounted(a, b, Indexed, &c)
 	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-		t.Fatalf("indexed H(%s,%s) = %v, naive = %v (na=%d nb=%d atoms=%d)",
+		t.Fatalf("indexed H(%s,%s) = %v, reference = %v (na=%d nb=%d atoms=%d)",
 			a.Name, b.Name, got, want, a.NFrames(), b.NFrames(), a.NAtoms)
 	}
 	if total, want := c.Total(), expectedPairs(a.NFrames(), b.NFrames()); total != want {
@@ -122,16 +122,6 @@ func TestIndexedEmptyConventions(t *testing.T) {
 	}
 	if got := distance(full, empty, Indexed); !math.IsInf(got, 1) {
 		t.Errorf("H(full,empty) = %v, want +Inf", got)
-	}
-}
-
-// TestDistanceFramesIndexedMatchesNaive covers the on-the-fly packing
-// path of DistanceFramesCounted.
-func TestDistanceFramesIndexedMatchesNaive(t *testing.T) {
-	ts := randTrajs(23, 2, 9, 6)
-	fa, fb := Frames(ts[0]), Frames(ts[1])
-	if got, want := DistanceFrames(fa, fb, Indexed), DistanceFrames(fa, fb, Naive); got != want {
-		t.Errorf("frames indexed = %v, naive = %v", got, want)
 	}
 }
 

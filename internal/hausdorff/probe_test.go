@@ -12,7 +12,6 @@ import (
 // probe row — rows 0…na−1 in order, built from the kernels' own row
 // functions — as the reference the probe-first order is costed against.
 func sweepKernels(a, b *traj.Trajectory) map[string]func(seed float64, c *Counters) float64 {
-	fa, fb := Frames(a), Frames(b)
 	pa, pb := a.Packed(), b.Packed()
 	// chain sweeps rows 0…na−1 of the packed kernels in order, carrying
 	// the temporal chain from row to row as the kernels do.
@@ -30,8 +29,8 @@ func sweepKernels(a, b *traj.Trajectory) map[string]func(seed float64, c *Counte
 	return map[string]func(float64, *Counters) float64{
 		"early-break": func(seed float64, c *Counters) float64 {
 			cmax := seed
-			for _, f := range fa {
-				cmax = earlyBreakRow(f, fb, cmax, c)
+			for i := 0; i < pa.NFrames; i++ {
+				cmax = earlyBreakRow(pa.Row(i), pb, cmax, c)
 			}
 			return cmax
 		},
@@ -80,7 +79,7 @@ func TestProbeRowCostsAtMostOneRow(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("%s (%s→%s)", name, a.Name, b.Name)
-			h := DirectedNaive(Frames(a), Frames(b))
+			h := refDirected(frames(a), frames(b))
 			probed, swept := seededKernels(a, b), sweepKernels(a, b)
 			for kernel := range probed {
 				for _, seed := range []float64{0, h / 2, h} {

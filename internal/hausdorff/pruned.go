@@ -20,9 +20,9 @@ import (
 // 10⁹ of a bound.
 const boundSlack = 1e-9
 
-// DirectedPruned computes the directed Hausdorff distance
+// directedPruned computes the directed Hausdorff distance
 // h(A→B) = max over a of min over b of dRMS(a, b) on packed
-// trajectories, returning exactly the same value as DirectedNaive —
+// trajectories, returning exactly the same value as directedNaive —
 // bit for bit — while skipping every evaluation that cannot change it.
 // Three exact pruning devices are combined:
 //
@@ -47,23 +47,18 @@ const boundSlack = 1e-9
 //     each row's minimum along the trajectory, and a row whose bound
 //     does not exceed the running maximum cannot raise it.
 //
-// The Taha & Hanbury early break of DirectedEarlyBreak is applied as
+// The Taha & Hanbury early break of directedEarlyBreak is applied as
 // well, and like it the pass visits its probe row first (probeRow), so
 // that the break and the row skip compare against a running maximum
-// that is near h(A→B) from the first swept row on. Empty inputs follow
-// DirectedNaive: 0 when A is empty, +Inf when A is non-empty but B is
-// empty.
-func DirectedPruned(a, b *traj.Packed, c *Counters) float64 {
-	return directedPruned(a, b, 0, c)
-}
-
-// directedPruned is DirectedPruned with the running maximum started at
-// seed instead of 0: it returns max(seed, h(A→B)). Both devices that
-// compare against the running maximum — the temporal-chain row skip and
-// the Taha & Hanbury break — then fire for every row whose minimum is
-// provably at most seed, which is what DistancePacked's reverse pass
-// uses the forward result for. An empty A returns seed; a non-empty A
-// against an empty B is +Inf whatever the seed.
+// that is near h(A→B) from the first swept row on.
+//
+// The running maximum starts at seed: the pass returns
+// max(seed, h(A→B)). Both devices that compare against the running
+// maximum — the temporal-chain row skip and the Taha & Hanbury break —
+// then fire for every row whose minimum is provably at most seed, which
+// is what distancePruned's reverse pass uses the forward result for. An
+// empty A returns seed; a non-empty A against an empty B is +Inf
+// whatever the seed.
 //
 // The probe row is visited before the sweep, on a chain of its own
 // (dstar = +Inf: nothing is known about it yet, so only a +Inf seed
@@ -158,15 +153,15 @@ func prunedRow(a, b *traj.Packed, i, jstar int, dstar, cmax float64, c *Counters
 	return cmax, argmin, cmin
 }
 
-// DistancePacked computes the symmetric Hausdorff distance
+// distancePruned computes the symmetric Hausdorff distance
 // H(A,B) = max(h(A→B), h(B→A)) with the pruned kernel, folding
 // frame-pair accounting into c (which may be nil). It returns exactly
-// the same value as DistanceFrames with the Naive method. The two
+// the same value as the Naive method. The two
 // directed passes share one running maximum: the reverse pass starts
 // from h(A→B), since h(B→A) matters only where it exceeds it, so every
 // reverse row whose minimum is at most h(A→B) is skipped or broken off
 // instead of being scanned to its exact minimum (docs/kernels.md, "The
 // symmetric distance").
-func DistancePacked(a, b *traj.Packed, c *Counters) float64 {
+func distancePruned(a, b *traj.Packed, c *Counters) float64 {
 	return directedPruned(b, a, directedPruned(a, b, 0, c), c)
 }

@@ -20,16 +20,16 @@ func expectedPairs(na, nb int) int64 {
 }
 
 // checkPrunedPair asserts the pruned kernel's two contracts on one
-// trajectory pair: bit-identical output to the naive scan, and
+// trajectory pair: bit-identical output to the reference scan, and
 // self-consistent counters (every frame pair lands in exactly one
 // bucket).
 func checkPrunedPair(t *testing.T, a, b *traj.Trajectory) {
 	t.Helper()
-	want := distance(a, b, Naive)
+	want := refDistance(a, b)
 	var c Counters
 	got := DistanceCounted(a, b, Pruned, &c)
 	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-		t.Fatalf("pruned H(%s,%s) = %v, naive = %v (na=%d nb=%d atoms=%d)",
+		t.Fatalf("pruned H(%s,%s) = %v, reference = %v (na=%d nb=%d atoms=%d)",
 			a.Name, b.Name, got, want, a.NFrames(), b.NFrames(), a.NAtoms)
 	}
 	if total, want := c.Total(), expectedPairs(a.NFrames(), b.NFrames()); total != want {
@@ -153,15 +153,5 @@ func TestNaiveAndEarlyBreakCounters(t *testing.T) {
 	}
 	if ce.Evaluated > cn.Evaluated {
 		t.Errorf("early-break evaluated %d > naive %d", ce.Evaluated, cn.Evaluated)
-	}
-}
-
-// TestDistanceFramesPrunedMatchesNaive covers the on-the-fly packing
-// path of DistanceFramesCounted.
-func TestDistanceFramesPrunedMatchesNaive(t *testing.T) {
-	ts := randTrajs(21, 2, 9, 6)
-	fa, fb := Frames(ts[0]), Frames(ts[1])
-	if got, want := DistanceFrames(fa, fb, Pruned), DistanceFrames(fa, fb, Naive); got != want {
-		t.Errorf("frames pruned = %v, naive = %v", got, want)
 	}
 }

@@ -59,7 +59,7 @@ import (
 // t: EarlyBreak bounds each evaluation by t (an evaluation that
 // abandons proves d ≥ t, so the pair can lower no live minimum);
 // Pruned first dismisses pairs in O(1) with the centroid/radius-of-
-// gyration bound of DirectedPruned; Indexed runs two directional
+// gyration bound of directedPruned; Indexed runs two directional
 // best-first descents per tile over tile-local frame-signature ball
 // trees — the rows' live frames against the columns' tree, pruned by
 // each row's own minimum, then the columns' live frames against the

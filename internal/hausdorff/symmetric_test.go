@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -54,12 +55,12 @@ func withFarFrame(t *traj.Trajectory, pos int) *traj.Trajectory {
 // The full-grid schedule computes H(A,B) and H(B,A) in different blocks
 // and the benchmark checks the matrix for symmetry, so with the reverse
 // pass seeded by the forward pass the two argument orders must still
-// return the same bits — and naive's — with every directed pair
-// accounted once.
+// return the same bits — and the reference's — with every directed
+// pair accounted once.
 func TestDistanceSymmetricBitwise(t *testing.T) {
 	for name, pair := range symmetricCases() {
 		a, b := pair[0], pair[1]
-		want := distance(a, b, Naive)
+		want := refDistance(a, b)
 		if (name == "walk" || name == "path") && want <= 0 {
 			t.Errorf("%s: distinct trajectories at distance %v", name, want)
 		}
@@ -68,7 +69,7 @@ func TestDistanceSymmetricBitwise(t *testing.T) {
 			ab := DistanceCounted(a, b, m, &cab)
 			ba := DistanceCounted(b, a, m, &cba)
 			if math.Float64bits(ab) != math.Float64bits(want) || math.Float64bits(ba) != math.Float64bits(want) {
-				t.Errorf("%s/%v: H(a,b) = %x, H(b,a) = %x, naive = %x", name, m, ab, ba, want)
+				t.Errorf("%s/%v: H(a,b) = %x, H(b,a) = %x, reference = %x", name, m, ab, ba, want)
 			}
 			if pairs := expectedPairs(a.NFrames(), b.NFrames()); cab.Total() != pairs || cba.Total() != pairs {
 				t.Errorf("%s/%v: counters %+v and %+v, want %d pairs each", name, m, cab, cba, pairs)
@@ -79,10 +80,9 @@ func TestDistanceSymmetricBitwise(t *testing.T) {
 
 // seededKernels runs each seeded directed kernel on one trajectory pair.
 func seededKernels(a, b *traj.Trajectory) map[string]func(seed float64, c *Counters) float64 {
-	fa, fb := Frames(a), Frames(b)
 	pa, pb := a.Packed(), b.Packed()
 	return map[string]func(float64, *Counters) float64{
-		"early-break": func(seed float64, c *Counters) float64 { return directedEarlyBreak(fa, fb, seed, c) },
+		"early-break": func(seed float64, c *Counters) float64 { return directedEarlyBreak(pa, pb, seed, c) },
 		"pruned":      func(seed float64, c *Counters) float64 { return directedPruned(pa, pb, seed, c) },
 		"indexed":     func(seed float64, c *Counters) float64 { return directedIndexed(pa, pb, seed, c, nil, nil) },
 	}
@@ -104,10 +104,12 @@ func TestSeededDirectedPass(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("%s (%s→%s)", name, a.Name, b.Name)
-			h := DirectedNaive(Frames(a), Frames(b))
+			h := refDirected(frames(a), frames(b))
 			var dmax float64
-			for _, d := range Matrix2DRMS(Frames(a), Frames(b)) {
-				dmax = math.Max(dmax, d)
+			for _, fa := range frames(a) {
+				for _, fb := range frames(b) {
+					dmax = math.Max(dmax, linalg.DRMS(fa, fb))
+				}
 			}
 			pairs := int64(na) * int64(nb)
 			for kernel, run := range seededKernels(a, b) {

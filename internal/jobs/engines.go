@@ -193,14 +193,16 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 			mat, _ := res.(*psa.Matrix)
 			return finish(rc, &Result{Matrix: mat}, err)
 		}
-		if (opts.Method == hausdorff.Pruned || opts.Method == hausdorff.Indexed) && opts.MaxResidentFrames == 0 {
-			// Both kernels read the packed representation (contiguous
-			// frames + per-frame pruning statistics). Build it once up
-			// front, O(F·N) per trajectory and one task per trajectory,
-			// so no timed kernel task pays for it and concurrent tasks
-			// never pack the same trajectory twice. Runs after the cache
-			// lookup: a cache hit never packs. The streamed kernel packs
-			// windows on the fly instead.
+		if len(in.Ens) > 0 {
+			// Every kernel reads the packed representation (contiguous
+			// frames + per-frame pruning statistics), and so do the
+			// windows of a streamed job's in-memory refs. Build it once
+			// up front, O(F·N) per trajectory and one task per
+			// trajectory, so no timed kernel task pays for it and
+			// concurrent tasks never pack the same trajectory twice.
+			// Runs after the cache lookup: a cache hit never packs.
+			// Inputs read from files have no resident ensemble; their
+			// windows are packed as they are decoded.
 			if err := engine.NewPool(0, nil).ForEach(len(in.Ens), func(i int) error {
 				in.Ens[i].Packed()
 				return nil

@@ -178,14 +178,11 @@ type Options struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (< 1: 64); Submit fails with ErrQueueFull beyond it.
 	QueueDepth int
-	// CacheBytes is the byte budget of the content-addressed result
-	// store — per-block kernel results and whole-job results share it
-	// (< 1: blockstore.DefaultMaxBytes). Ignored when BlockStore is set.
-	CacheBytes int64
-	// BlockStore, when non-nil, is a store the scheduler shares with
-	// other components instead of owning its own — cmd/mdserver passes
+	// BlockStore is the content-addressed result store — per-block
+	// kernel results and whole-job results share it. cmd/mdserver passes
 	// the store its fleet coordinator also records into, so fleet
-	// workers and in-process engines populate one cache.
+	// workers and in-process engines populate one cache. Nil: the
+	// scheduler owns a store of blockstore.DefaultMaxBytes.
 	BlockStore *blockstore.Store
 	// MaxJobs bounds the retained job records (< 1: 4096). When a new
 	// submission would exceed it, the oldest *terminal* job records —
@@ -256,7 +253,7 @@ func NewScheduler(reg *Registry, o Options) *Scheduler {
 	}
 	store := o.BlockStore
 	if store == nil {
-		store = blockstore.New(o.CacheBytes)
+		store = blockstore.New(blockstore.DefaultMaxBytes)
 	}
 	ob := o.Obs
 	if ob == nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"mdtask/internal/blockstore"
 )
 
 // waitTerminal polls a job to a terminal state.
@@ -337,7 +339,7 @@ func TestSchedulerJobTableBounded(t *testing.T) {
 // identical resubmission of the newest job still hits while the oldest
 // must rerun (possibly rebuilding from whatever block entries remain).
 func TestJobEntryEvictionByByteBudget(t *testing.T) {
-	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, CacheBytes: 1})
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, BlockStore: blockstore.New(1)})
 	defer s.Close()
 	first, err := s.Submit(validPSASpec())
 	if err != nil {

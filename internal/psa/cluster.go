@@ -3,7 +3,8 @@ package psa
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"mdtask/internal/graph"
 )
 
 // Hierarchical clustering of trajectories from the PSA distance matrix:
@@ -134,89 +135,16 @@ func (m *Matrix) Cluster(linkage Linkage) (*Dendrogram, error) {
 	return d, nil
 }
 
-// Cut returns the cluster assignment obtained by cutting the dendrogram
-// at the given height: merges with Height <= height are applied. Labels
-// are canonical (smallest member index), like the graph package's.
-func (d *Dendrogram) Cut(height float64) []int32 {
-	parent := make([]int32, d.N)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, mg := range d.Merges {
-		if mg.Height > height {
-			continue
-		}
-		ra, rb := find(int32(mg.A)), find(int32(mg.B))
-		if ra == rb {
-			continue
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-	}
-	labels := make([]int32, d.N)
-	for i := range labels {
-		labels[i] = find(int32(i))
-	}
-	return labels
-}
-
 // CutK cuts the dendrogram into exactly k clusters (1 <= k <= N) by
-// applying the first N-k merges.
+// applying the first N-k merges. Labels are canonical (smallest member
+// index), as graph.UnionFind.Labels makes them.
 func (d *Dendrogram) CutK(k int) ([]int32, error) {
 	if k < 1 || k > d.N {
 		return nil, fmt.Errorf("psa: CutK(%d) out of range [1,%d]", k, d.N)
 	}
-	parent := make([]int32, d.N)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := graph.NewUnionFind(d.N)
 	for _, mg := range d.Merges[:d.N-k] {
-		ra, rb := find(int32(mg.A)), find(int32(mg.B))
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
+		uf.Union(int32(mg.A), int32(mg.B))
 	}
-	labels := make([]int32, d.N)
-	for i := range labels {
-		labels[i] = find(int32(i))
-	}
-	return labels, nil
-}
-
-// Clusters groups item indices by label, largest cluster first.
-func Clusters(labels []int32) [][]int32 {
-	byLabel := make(map[int32][]int32)
-	for i, l := range labels {
-		byLabel[l] = append(byLabel[l], int32(i))
-	}
-	out := make([][]int32, 0, len(byLabel))
-	for _, c := range byLabel {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i][0] < out[j][0]
-	})
-	return out
+	return uf.Labels(), nil
 }

@@ -3,6 +3,7 @@ package psa
 import (
 	"testing"
 
+	"mdtask/internal/graph"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
@@ -65,29 +66,6 @@ func TestClusterHeightsMonotone(t *testing.T) {
 	}
 }
 
-func TestCutByHeight(t *testing.T) {
-	m := twoGroupMatrix()
-	d, err := m.Cluster(SingleLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cutting below the cross-group distance yields 2 clusters.
-	labels := d.Cut(5)
-	if got := len(Clusters(labels)); got != 2 {
-		t.Errorf("Cut(5): %d clusters, want 2", got)
-	}
-	// Cutting below everything yields singletons.
-	labels = d.Cut(0.5)
-	if got := len(Clusters(labels)); got != 5 {
-		t.Errorf("Cut(0.5): %d clusters, want 5", got)
-	}
-	// Cutting above everything yields one cluster.
-	labels = d.Cut(100)
-	if got := len(Clusters(labels)); got != 1 {
-		t.Errorf("Cut(100): %d clusters, want 1", got)
-	}
-}
-
 func TestCutKRange(t *testing.T) {
 	m := twoGroupMatrix()
 	d, _ := m.Cluster(AverageLinkage)
@@ -96,7 +74,7 @@ func TestCutKRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(Clusters(labels)); got != k {
+		if got := len(graph.Groups(labels)); got != k {
 			t.Errorf("CutK(%d): %d clusters", k, got)
 		}
 	}

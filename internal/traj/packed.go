@@ -66,9 +66,9 @@ func (p *Packed) Row(i int) []float64 {
 	return p.Coords[i*w : (i+1)*w]
 }
 
-// PackFrames builds the packed representation of raw frame views,
+// packFrames builds the packed representation of raw frame views,
 // copying their coordinates. All frames must have nAtoms coordinates.
-func PackFrames(frames [][]linalg.Vec3, nAtoms int) *Packed {
+func packFrames(frames [][]linalg.Vec3, nAtoms int) *Packed {
 	w3 := nAtoms * 3
 	coords := make([]float64, len(frames)*w3)
 	for i, f := range frames {
@@ -111,7 +111,7 @@ func packRow(row []float64, coords []linalg.Vec3) {
 // from Alloc whose frames are all still their slices of its backing, in
 // order, is packed in place: Coords is that backing viewed as float64s,
 // and only the per-frame statistics are computed. Any other trajectory
-// is copied (PackFrames).
+// is copied (packFrames).
 func Pack(t *Trajectory) *Packed {
 	if coords, ok := t.inPlace(); ok {
 		return packCoords(coords, t.NAtoms, len(t.Frames))
@@ -120,7 +120,7 @@ func Pack(t *Trajectory) *Packed {
 	for i := range t.Frames {
 		frames[i] = t.Frames[i].Coords
 	}
-	return PackFrames(frames, t.NAtoms)
+	return packFrames(frames, t.NAtoms)
 }
 
 // inPlace returns the trajectory's coordinates as packed rows without

@@ -47,13 +47,13 @@ func samePacked(t *testing.T, label string, got, want *Packed) {
 	sameBits(t, label+" StepDRMS", got.StepDRMS, want.StepDRMS)
 }
 
-// copyPacked is the reference every Pack must equal: PackFrames' copy.
+// copyPacked is the reference every Pack must equal: packFrames' copy.
 func copyPacked(tr *Trajectory) *Packed {
 	frames := make([][]linalg.Vec3, len(tr.Frames))
 	for i, f := range tr.Frames {
 		frames[i] = f.Coords
 	}
-	return PackFrames(frames, tr.NAtoms)
+	return packFrames(frames, tr.NAtoms)
 }
 
 // allocTraj is an Alloc trajectory filled with deterministic coordinates.
@@ -78,7 +78,7 @@ func sharesFrames(p *Packed, tr *Trajectory) bool {
 }
 
 // An Alloc trajectory packs in place: no coordinate is copied, and the
-// statistics are bit-identical to the PackFrames copy's.
+// statistics are bit-identical to the packFrames copy's.
 func TestPackInPlace(t *testing.T) {
 	for _, sh := range [][2]int{{1, 1}, {5, 1}, {3, 7}, {64, 17}} {
 		tr := allocTraj(sh[0], sh[1])

@@ -48,14 +48,14 @@ func windowBackings(t *testing.T, tr *Trajectory, chainWindow int) map[string]*R
 	return out
 }
 
-// packedWindow is the reference a decoded window must equal: PackFrames
+// packedWindow is the reference a decoded window must equal: packFrames
 // of the corresponding loaded frames.
 func packedWindow(loaded *Trajectory, start, n int) *Packed {
 	frames := make([][]linalg.Vec3, n)
 	for i := range frames {
 		frames[i] = loaded.Frames[start+i].Coords
 	}
-	return PackFrames(frames, loaded.NAtoms)
+	return packFrames(frames, loaded.NAtoms)
 }
 
 func sameWindow(t *testing.T, label string, got *Window, want *Packed, start int) {
@@ -86,7 +86,7 @@ func sameWindow(t *testing.T, label string, got *Window, want *Packed, start int
 }
 
 // Window k by random access — in any order, across backward jumps,
-// including the short tail window — equals PackFrames of the loaded
+// including the short tail window — equals packFrames of the loaded
 // frames bit for bit, for every backing and for reader sizes that do
 // and do not match a chain's blob size.
 func TestWindowReaderMatchesPackFrames(t *testing.T) {

@@ -20,10 +20,6 @@ cd "$(dirname "$0")/.."
 # pkg.Func or pkg.Type.Method, then the reason it stays.
 allow='
 balltree.BruteRadius          reference the ball-tree tests compare QueryRadiusAppend against
-hausdorff.DirectedNaive       reference the directed-kernel tests compare every method against
-hausdorff.DirectedEarlyBreak  directed pass the kernel tests check, seeded, against DirectedNaive
-hausdorff.DirectedPruned      directed pass the kernel tests check, seeded, against DirectedNaive
-hausdorff.DirectedIndexed     directed pass the kernel tests check, seeded, against DirectedNaive
 psa.SerialRefs                single-goroutine reference the engine conformance tests compare against
 graph.CheckLabels             canonical-labelling oracle the graph and leaflet tests share
 synth.Adversarial             generator of the hausdorff and engine differential fuzz targets
@@ -40,7 +36,9 @@ proptest.Check                seeds, replayably, the testing/quick properties th
 # The file list arrives on stdin and awk reads each file itself, so one
 # awk process sees the whole module however long the list grows. A
 # func counts as referenced by pkg.Name anywhere or by a bare Name in
-# its own package; a method by .Name anywhere.
+# its own package; a method by .Name anywhere, except where the name
+# before the dot is a package the same file imports (strings.Cut is no
+# call of a Cut method).
 find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort |
   awk -v allow="$allow" '
     BEGIN {
@@ -79,14 +77,37 @@ find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort |
       }
       return out
     }
-    function scan(file,    line, fnr, head, recv, dir, pkg, rest, tok, prev, dotted) {
+    # imported records the name an import spec ([name] "path") binds in
+    # the file being scanned: its alias, or the path'"'"'s last element
+    # (the one before a /vN major-version suffix).
+    function imported(spec,    name, path, n, el) {
+      if (!match(spec, /^[ \t]*([A-Za-z_][A-Za-z0-9_]*[ \t]+)?"[^"]*"/)) return
+      spec = substr(spec, RSTART, RLENGTH)
+      path = substr(spec, index(spec, "\"") + 1)
+      sub(/"$/, "", path)
+      name = substr(spec, 1, index(spec, "\"") - 1)
+      gsub(/[ \t]/, "", name)
+      if (name == "") {
+        n = split(path, el, "/")
+        name = el[n]
+        if (name ~ /^v[0-9]+$/ && n > 1) name = el[n - 1]
+      }
+      if (name != "_" && name != ".") imports[name] = 1
+    }
+    function scan(file,    line, fnr, head, recv, dir, pkg, rest, tok, prev, dotted, inimport) {
       dir = file
       sub(/\/[^\/]*$/, "", dir)
       pkg = dir
       sub(/.*\//, "", pkg)
       inraw = 0
+      split("", imports)
       while ((getline line < file) > 0) {
         fnr++
+        if (inimport) {
+          if (line ~ /^[ \t]*\)/) inimport = 0
+          else imported(line)
+        } else if (line ~ /^import[ \t]*\(/) inimport = 1
+        else if (line ~ /^import[ \t]/) imported(substr(line, 7))
         line = code(line)
         head = ""
         recv = ""
@@ -118,7 +139,7 @@ find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort |
           dotted = RSTART > 1 && substr(rest, RSTART - 1, 1) == "."
           if (!dotted) bare[dir, tok]++
           else {
-            dots[tok]++
+            if (!(RSTART == 2 && prev in imports)) dots[tok]++
             if (RSTART == 2 && prev != "") qual[prev "." tok]++
           }
           prev = tok
