@@ -88,8 +88,9 @@ smoke-stream:
 
 # Run the fuzz targets for FUZZTIME each (native `go test -fuzz`; seed
 # corpora live in the packages' testdata/fuzz): the job-spec decoder and
-# normalization, the job-result encoder against encoding/json, the WAL
-# recovery scanner, the MDT decoders, the
+# normalization, the job-result encoder against encoding/json, the job
+# table against the replay of its journal after every step of a random
+# scheduler workload, the WAL recovery scanner, the MDT decoders, the
 # fleet wire decoders (input blobs, result payloads), a worker's
 # execution of arbitrary leases and the coordinator's check of both
 # unit kinds' results, then the differential tests of the Hausdorff
@@ -101,6 +102,7 @@ smoke-stream:
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
+	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeMDT -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/
 	$(GO) test -fuzz FuzzWindowRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/traj/

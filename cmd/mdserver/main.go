@@ -194,8 +194,7 @@ func run(ctx context.Context, cfg serverConfig) error {
 	// written through it, and on boot the previous process's jobs are
 	// replayed — terminal ones as status-only records, queued/running
 	// ones re-enqueued and re-run from their specs.
-	var journal jobs.Store
-	var walStore *jobs.WALStore
+	var journal *jobs.WALStore
 	var recovered *jobs.Recovered
 	if cfg.dataDir != "" {
 		pol, err := wal.ParseSyncPolicy(cfg.fsync)
@@ -208,7 +207,7 @@ func run(ctx context.Context, cfg serverConfig) error {
 		}
 		defer ws.Close()
 		ws.RegisterMetrics(ob.Metrics)
-		walStore, recovered, journal = ws, rec, ws
+		journal, recovered = ws, rec
 	}
 	fleetOpts := cfg.fleetOpts
 	fleetOpts.BlockStore = store
@@ -223,8 +222,8 @@ func run(ctx context.Context, cfg serverConfig) error {
 		Obs:        ob,
 		Journal:    journal,
 	})
-	if walStore != nil {
-		sched.Recover(recovered.Jobs)
+	if journal != nil {
+		sched.Recover()
 		requeued := 0
 		for _, j := range recovered.Jobs {
 			if !j.State.Terminal() {

@@ -5,37 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// recordingStore is a Store that remembers which job ids were
-// journaled at submission, so overload tests can prove the
-// journal-before-acknowledge invariant: every 202 is journaled, no 429
-// ever is.
-type recordingStore struct {
-	mu      sync.Mutex
-	submits []string
-}
-
-func (r *recordingStore) JournalSubmit(rec JobRecord) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.submits = append(r.submits, rec.ID)
-	return nil
-}
-func (r *recordingStore) JournalState(string, State, string, string, time.Time) error { return nil }
-func (r *recordingStore) JournalPrune([]string) error                                 { return nil }
-func (r *recordingStore) JournalShutdown() error                                      { return nil }
-
-func (r *recordingStore) ids() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.submits...)
-}
 
 // promCounter scrapes one unlabelled counter's value from the
 // scheduler's Prometheus registry.
@@ -70,12 +45,14 @@ func TestAPIOverloadSheddingAccounting(t *testing.T) {
 	// size the channel so none of them blocks on it after release.
 	started := make(chan string, storm+2)
 	release := make(chan struct{})
-	rec := &recordingStore{}
-	s := NewScheduler(blockingRegistry(started, release), Options{Workers: 1, QueueDepth: depth, Journal: rec})
+	dir := t.TempDir()
+	journal, _ := openStore(t, dir)
+	s := NewScheduler(blockingRegistry(started, release), Options{Workers: 1, QueueDepth: depth, Journal: journal})
 	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	defer func() {
 		ts.Close()
 		s.Close()
+		journal.Close()
 	}()
 
 	spec := validPSASpec()
@@ -147,9 +124,22 @@ func TestAPIOverloadSheddingAccounting(t *testing.T) {
 		t.Errorf("mdtask_jobs_submitted_total = %g, want %d", got, len(accepted)+1)
 	}
 
-	// Journal audit: exactly the acknowledged ids (plus the parked
-	// first job), in particular nothing that was answered 429.
-	journaled := rec.ids()
+	// Journal audit: the replay of a byte copy of the journal holds
+	// exactly the acknowledged ids (plus the parked first job), in
+	// particular nothing that was answered 429, and equals the live
+	// table.
+	img, rec := openStore(t, copyDir(t, dir))
+	img.Close()
+	var journaled, live []string
+	for _, j := range rec.Jobs {
+		journaled = append(journaled, j.ID)
+	}
+	for _, j := range s.Jobs() {
+		live = append(live, j.ID())
+	}
+	if !slices.Equal(journaled, live) {
+		t.Errorf("journal replays to %v, live table holds %v", journaled, live)
+	}
 	wantJournal := map[string]bool{first.ID: true}
 	for id := range accepted {
 		wantJournal[id] = true

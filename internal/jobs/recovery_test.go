@@ -65,7 +65,7 @@ func TestSchedulerCrashRecovery(t *testing.T) {
 
 	s2 := NewScheduler(DefaultRegistry(), Options{Workers: 2, Journal: st2})
 	defer s2.Close()
-	s2.Recover(rec.Jobs)
+	s2.Recover()
 	for i, id := range ids {
 		job, ok := s2.Get(id)
 		if !ok {
@@ -90,6 +90,18 @@ func TestSchedulerCrashRecovery(t *testing.T) {
 	if fresh.ID() != "job-000004" {
 		t.Errorf("post-recovery submission got id %s, want job-000004", fresh.ID())
 	}
+}
+
+// recoverRecords admits recs into a memory-only scheduler's table as
+// replay would, then recovers them.
+func recoverRecords(t *testing.T, s *Scheduler, recs ...JobRecord) {
+	t.Helper()
+	for _, rec := range recs {
+		if err := s.journal.JournalSubmit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Recover()
 }
 
 // referenceDigest runs a spec on a throwaway journal-less scheduler
@@ -139,7 +151,7 @@ func TestSchedulerCleanShutdownRecovery(t *testing.T) {
 
 	s2 := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st2})
 	defer s2.Close()
-	s2.Recover(rec.Jobs)
+	s2.Recover()
 	recovered, ok := s2.Get(id)
 	if !ok {
 		t.Fatalf("done job %s lost in recovery", id)
@@ -197,9 +209,9 @@ func TestRecoveredDigestChecked(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
 			defer s.Close()
-			s.Recover([]JobRecord{tc.rec})
+			recoverRecords(t, s, tc.rec)
 			recovered, ok := s.Get(tc.rec.ID)
-			if !ok || recovered.digest != tc.rec.Digest {
+			if !ok || recovered.record().Digest != tc.rec.Digest {
 				t.Fatalf("recovered job lost its journaled digest %s", tc.rec.Digest)
 			}
 			// Twice: the second run is a whole-job cache hit, and the
@@ -306,10 +318,10 @@ func TestServerRecoveredResultGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(1700000000, 0).UTC()
-	s.Recover([]JobRecord{{
+	recoverRecords(t, s, JobRecord{
 		ID: "job-000001", Spec: norm, Key: "k", State: StateDone,
 		Digest: "d", Created: now, Updated: now,
-	}})
+	})
 	ts := httptest.NewServer(NewServerWith(s, ServerOptions{}))
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/job-000001/result")
@@ -334,7 +346,7 @@ func TestRecoverResolvesFailureVisibly(t *testing.T) {
 	norm.Synth = nil
 	norm.Path = "/nonexistent/trajectory/file"
 	now := time.Unix(1700000000, 0).UTC()
-	s.Recover([]JobRecord{{ID: "job-000001", Spec: norm, State: StateQueued, Created: now}})
+	recoverRecords(t, s, JobRecord{ID: "job-000001", Spec: norm, State: StateQueued, Created: now})
 	job, ok := s.Get("job-000001")
 	if !ok {
 		t.Fatal("unresolvable job dropped instead of surfaced")

@@ -43,23 +43,17 @@ var (
 	ErrJournal = errors.New("jobs: journal write failed")
 )
 
-// Job is one scheduled analysis: a normalized spec, its lifecycle
-// state, and (once finished) its result and metrics.
+// Job is one scheduled analysis: its durable record, which only the
+// job table's apply writes, and the runtime handles the scheduler
+// attaches — run context, input, result, metrics and spans.
 type Job struct {
-	id   string
-	spec Spec
-	key  string
-	rc   *RunContext
+	rc *RunContext
 
 	mu       sync.Mutex
-	state    State
-	errMsg   string
+	rec      JobRecord // id, normalized spec, cache key, state, error, digest, times
 	cacheHit bool
-	created  time.Time
 	started  time.Time
-	finished time.Time
 	result   *Result
-	digest   string // a recovered done job's journaled result digest
 	final    engine.Snapshot
 	input    *Input // held until the run starts, then released
 
@@ -72,7 +66,7 @@ type Job struct {
 }
 
 // ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
+func (j *Job) ID() string { return j.rec.ID }
 
 // TraceID returns the job's trace id (zero when tracing is off).
 func (j *Job) TraceID() obs.TraceID {
@@ -82,7 +76,19 @@ func (j *Job) TraceID() obs.TraceID {
 }
 
 // Spec returns the job's normalized spec.
-func (j *Job) Spec() Spec { return j.spec }
+func (j *Job) Spec() Spec { return j.rec.Spec }
+
+// record returns a copy of the job's durable fields.
+func (j *Job) record() JobRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rec
+}
+
+// stateRecord is the journal record of the job moving to state.
+func (j *Job) stateRecord(state State, errMsg, digest string, ts time.Time) walRecord {
+	return walRecord{T: "state", ID: j.rec.ID, State: state, Err: errMsg, Digest: digest, TS: ts}
+}
 
 // Status is the JSON view of a job's current state and progress.
 type Status struct {
@@ -120,27 +126,27 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID:              j.id,
-		Analysis:        j.spec.Analysis,
-		Engine:          j.spec.Engine,
-		State:           j.state,
-		Error:           j.errMsg,
+		ID:              j.rec.ID,
+		Analysis:        j.rec.Spec.Analysis,
+		Engine:          j.rec.Spec.Engine,
+		State:           j.rec.State,
+		Error:           j.rec.Error,
 		CacheHit:        j.cacheHit,
-		CancelRequested: j.rc.Cancelled() && !j.state.Terminal(),
-		Created:         j.created,
+		CancelRequested: j.rc.Cancelled() && !j.rec.State.Terminal(),
+		Created:         j.rec.Created,
 	}
 	if !j.started.IsZero() {
 		t := j.started
 		st.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if j.rec.State.Terminal() {
+		t := j.rec.Updated
 		st.Finished = &t
 	}
 	if !j.trace.IsZero() {
 		st.TraceID = j.trace.String()
 	}
-	if j.state.Terminal() {
+	if j.rec.State.Terminal() {
 		st.Metrics = j.final
 	} else {
 		st.Metrics = j.rc.Metrics().Snapshot()
@@ -151,7 +157,7 @@ func (j *Job) Status() Status {
 		st.BlockHitRatio = float64(st.Metrics.BlockCacheHits) / float64(looked)
 	}
 	switch {
-	case j.state == StateDone:
+	case j.rec.State == StateDone:
 		st.Progress = 1
 	case st.TasksTotal > 0:
 		p := float64(st.TasksDone) / float64(st.TasksTotal)
@@ -168,7 +174,7 @@ func (j *Job) Status() Status {
 func (j *Job) Result() (*Result, State, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.state, j.errMsg
+	return j.result, j.rec.State, j.rec.Error
 }
 
 // Options sizes a Scheduler.
@@ -195,22 +201,23 @@ type Options struct {
 	// histograms, job counters, and block-store gauges. Nil falls back
 	// to a metrics-only bundle with tracing disabled.
 	Obs *obs.Obs
-	// Journal, when non-nil, is the durable job store every lifecycle
-	// transition is written through (cmd/mdserver wires a WALStore
-	// under -data-dir). A journal write failure at submission fails
-	// the submission — an acknowledged job is always recoverable. Nil
-	// keeps the scheduler memory-only.
-	Journal Store
+	// Journal, when non-nil, is the durable job table the scheduler
+	// serves from: every lifecycle transition is a record appended to
+	// its log and applied (cmd/mdserver opens one under -data-dir). A
+	// journal write failure at submission fails the submission — an
+	// acknowledged job is always recoverable. Nil keeps the table in
+	// memory, with the same records applied and none written.
+	Journal *WALStore
 }
 
-// Scheduler owns the job table, the bounded FIFO queue, the worker
-// pool, the content-addressed result store (whole-job entries and the
-// per-block entries every engine records through it), and the
-// service-wide engine-metrics aggregate.
+// Scheduler runs the jobs of one job table (its journal): the bounded
+// FIFO queue, the worker pool, the content-addressed result store
+// (whole-job entries and the per-block entries every engine records
+// through it), and the service-wide engine-metrics aggregate.
 type Scheduler struct {
 	reg     *Registry
 	store   *blockstore.Store
-	journal Store // nil: memory-only
+	journal *WALStore // the job table; memory-only without Options.Journal
 	agg     *engine.Metrics
 
 	obs           *obs.Obs
@@ -220,7 +227,6 @@ type Scheduler struct {
 
 	cacheHits         atomic.Int64
 	cacheMisses       atomic.Int64
-	journalErrs       atomic.Int64
 	digestMismatchCtr *obs.Counter
 
 	mu         sync.Mutex
@@ -231,11 +237,9 @@ type Scheduler struct {
 	maxJobs    int
 	queueDepth int
 	pending    []*Job // FIFO of queued jobs; cancelled ones are removed in place
-	jobs       map[string]*Job
-	order      []*Job
-	// recoveredDone maps a cache key to a done job recovered from the
-	// journal, until the next run of that key checks its digest.
-	recoveredDone map[string]*Job
+	// recoveredDone maps the cache key of a done job recovered from the
+	// journal to its digest, until the next run of that key checks it.
+	recoveredDone map[string]string
 
 	wg sync.WaitGroup
 }
@@ -259,16 +263,19 @@ func NewScheduler(reg *Registry, o Options) *Scheduler {
 	if ob == nil {
 		ob = obs.NoTrace()
 	}
+	journal := o.Journal
+	if journal == nil {
+		journal = newStore(nil, WALStoreOptions{})
+	}
 	s := &Scheduler{
 		reg:           reg,
 		store:         store,
-		journal:       o.Journal,
+		journal:       journal,
 		agg:           &engine.Metrics{},
 		obs:           ob,
 		maxJobs:       o.MaxJobs,
 		queueDepth:    o.QueueDepth,
-		jobs:          make(map[string]*Job),
-		recoveredDone: make(map[string]*Job),
+		recoveredDone: make(map[string]string),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.registerMetrics()
@@ -303,7 +310,7 @@ func (s *Scheduler) registerMetrics() {
 		"Runs whose result digest differs from the one journaled for an identical job recovered at boot.")
 	m.CounterFunc("mdtask_jobs_journal_errors_total",
 		"Failed journal writes on non-submission transitions (submission failures reject the submission instead).",
-		func() float64 { return float64(s.journalErrs.Load()) })
+		func() float64 { return float64(s.journal.stateErrors()) })
 	waitHist := m.Histogram("mdtask_blockstore_do_wait_seconds",
 		"Time follower block lookups wait on an in-flight leader computing the same key.", nil)
 	s.store.SetWaitObserver(func(d time.Duration) { waitHist.Observe(d.Seconds()) })
@@ -387,14 +394,9 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := &Job{
-		spec:    norm,
-		key:     CacheKey(norm, digest),
-		rc:      NewRunContext(),
-		state:   StateQueued,
-		created: time.Now(),
-		input:   in,
-	}
+	now := time.Now()
+	rec := JobRecord{Spec: norm, Key: CacheKey(norm, digest), State: StateQueued, Created: now, Updated: now}
+	job := &Job{rc: NewRunContext(), input: in}
 	// Engines the runner brings up consult (and populate) the service
 	// store block by block, so even a partial overlap with earlier jobs
 	// skips the shared kernel work.
@@ -405,67 +407,54 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	cached, hitOK := s.store.Get(jobEntryKey(job.key))
-	var hit *jobEntry
+	cached, hitOK := s.store.Get(jobEntryKey(rec.Key))
 	if hitOK {
-		hit = cached.(*jobEntry)
-	}
-	if !hitOK && len(s.pending) >= s.queueDepth {
+		hit := cached.(*jobEntry)
+		rec.State, rec.Digest = StateDone, hit.digest
+		job.cacheHit, job.result, job.input = true, hit.result, nil
+	} else if len(s.pending) >= s.queueDepth {
 		s.rejectedCtr.Inc()
 		return nil, ErrQueueFull
 	}
 	s.seq++
-	job.id = fmt.Sprintf("job-%06d", s.seq)
+	rec.ID = fmt.Sprintf("job-%06d", s.seq)
+	// Root span of the job's trace; everything below — queue wait, the
+	// run, engine stages, blocks, fleet hops — nests under it. The spans
+	// start before the job enters the table; a rejected submission
+	// never ends them, so they are never recorded.
+	job.jobSpan = s.obs.Tracer.StartRoot("job")
+	job.jobSpan.SetAttr("job", rec.ID)
+	job.jobSpan.SetAttr("analysis", norm.Analysis)
+	job.jobSpan.SetAttr("engine", norm.Engine)
+	if ctx := job.jobSpan.Context(); ctx.Valid() {
+		job.trace = ctx.Trace
+	}
+	if !hitOK {
+		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
+	}
 	// Journal the admission before acknowledging it: once Submit
 	// returns, the job survives a SIGKILL or a power loss. A journal
 	// that cannot take the record fails the submission instead of
 	// admitting a job a restart would never have heard of. This is the
 	// one fsync a job's lifecycle waits on, and it rides inside s.mu —
 	// admission order and journal order stay identical.
-	if s.journal != nil {
-		rec := JobRecord{
-			ID: job.id, Spec: norm, Key: job.key, State: StateQueued,
-			Created: job.created, Updated: job.created,
-		}
-		if hitOK {
-			rec.State = StateDone
-			rec.Digest = hit.digest
-		}
-		if jerr := s.journal.JournalSubmit(rec); jerr != nil {
-			s.seq--
-			return nil, fmt.Errorf("%w: journaling submission: %w", ErrJournal, jerr)
-		}
+	if err := s.journal.append(walRecord{T: "submit", Job: &rec, job: job}, true); err != nil {
+		s.seq--
+		return nil, fmt.Errorf("%w: journaling submission: %w", ErrJournal, err)
 	}
-	s.jobs[job.id] = job
-	s.order = append(s.order, job)
 	s.submittedCtr.Inc()
-	// Root span of the job's trace; everything below — queue wait, the
-	// run, engine stages, blocks, fleet hops — nests under it.
-	job.jobSpan = s.obs.Tracer.StartRoot("job")
-	job.jobSpan.SetAttr("job", job.id)
-	job.jobSpan.SetAttr("analysis", job.spec.Analysis)
-	job.jobSpan.SetAttr("engine", job.spec.Engine)
-	if ctx := job.jobSpan.Context(); ctx.Valid() {
-		job.trace = ctx.Trace
-	}
 	if hitOK {
 		s.cacheHits.Add(1)
-		job.state = StateDone
-		job.cacheHit = true
-		job.result = hit.result
-		job.finished = job.created
-		job.input = nil
 		job.jobSpan.SetAttr("cache_hit", "true")
 		job.jobSpan.SetAttr("state", string(StateDone))
 		job.jobSpan.End()
 		s.jobFinished(StateDone)
 	} else {
 		s.cacheMisses.Add(1)
-		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
 		s.pending = append(s.pending, job)
 		s.cond.Signal()
 	}
-	s.pruneLocked()
+	s.journal.retain(s.maxJobs)
 	return job, nil
 }
 
@@ -475,117 +464,47 @@ func (s *Scheduler) jobFinished(state State) {
 		"Jobs reaching a terminal state, by state.", "state", string(state)).Inc()
 }
 
-// journalState journals a non-submission lifecycle transition. Only a
-// cancel waits for an fsync (Store.JournalState); running, done and
-// failed records ride the next one, so a power loss before it re-runs
-// the job. Failures are counted rather than surfaced: the in-memory
-// state is already committed, and the gap shows up as
-// mdtask_jobs_journal_errors_total (worst case, recovery re-runs the
-// job — the at-least-once contract absorbs it).
-func (s *Scheduler) journalState(id string, state State, errMsg, digest string, ts time.Time) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.JournalState(id, state, errMsg, digest, ts); err != nil {
-		s.journalErrs.Add(1)
-	}
-}
-
-// pruneLocked evicts the oldest terminal job records beyond MaxJobs so
-// the job table (and the results it pins) stays bounded on a
-// long-running server. Callers hold s.mu.
-func (s *Scheduler) pruneLocked() {
-	if len(s.order) <= s.maxJobs {
-		return
-	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.maxJobs
-	var evicted []string
-	for _, j := range s.order {
-		if excess > 0 {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, j.id)
-				if s.recoveredDone[j.key] == j {
-					delete(s.recoveredDone, j.key)
-				}
-				evicted = append(evicted, j.id)
-				excess--
-				continue
-			}
-		}
-		kept = append(kept, j)
-	}
-	// Drop the tail references so evicted jobs can be collected.
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
-	s.order = kept
-	if s.journal != nil && len(evicted) > 0 {
-		if err := s.journal.JournalPrune(evicted); err != nil {
-			s.journalErrs.Add(1)
-		}
-	}
-}
-
 // Get returns the job with the given id.
-func (s *Scheduler) Get(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Scheduler) Get(id string) (*Job, bool) { return s.journal.job(id) }
 
 // Jobs lists all jobs in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	copy(out, s.order)
-	return out
-}
+func (s *Scheduler) Jobs() []*Job { return s.journal.list() }
 
 // Cancel requests cancellation of a job: a queued job is cancelled
 // immediately (it leaves the queue and will never run); a running job's
 // cancel flag is set and the run drains at its next block boundary,
 // ending in StateCancelled without publishing a result. Finished jobs
 // are unaffected. The boolean reports whether the request changed
-// anything.
+// anything. A queued job's cancelled record is fsynced inside the table
+// lock, before Cancel returns.
 func (s *Scheduler) Cancel(id string) (*Job, bool) {
 	j, ok := s.Get(id)
 	if !ok {
 		return nil, false
 	}
-	j.mu.Lock()
-	var wasQueued bool
-	var changed bool
-	switch j.state {
-	case StateQueued:
-		j.rc.Cancel()
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.input = nil
-		j.queueSpan.SetAttr("outcome", "cancelled")
-		j.queueSpan.End()
-		j.jobSpan.SetAttr("state", string(StateCancelled))
-		j.jobSpan.End()
-		s.jobFinished(StateCancelled)
-		wasQueued, changed = true, true
-	case StateRunning:
-		j.rc.Cancel()
-		changed = true
+	var queued, running bool
+	s.journal.update(j, func(cur State) (walRecord, bool) {
+		queued, running = cur == StateQueued, cur == StateRunning
+		switch {
+		case running:
+			j.rc.Cancel() // under the table lock, so runJob's outcome sees it
+		case queued:
+			j.mu.Lock()
+			j.rc.Cancel()
+			j.input = nil
+			j.queueSpan.SetAttr("outcome", "cancelled")
+			j.queueSpan.End()
+			j.jobSpan.SetAttr("state", string(StateCancelled))
+			j.jobSpan.End()
+			j.mu.Unlock()
+			s.jobFinished(StateCancelled)
+		}
+		return j.stateRecord(StateCancelled, "", "", time.Now()), queued
+	})
+	if queued {
+		s.unqueue(j) // free the queue slot immediately
 	}
-	finishedAt := j.finished
-	j.mu.Unlock()
-	if wasQueued {
-		// Free the queue slot immediately (never while holding j.mu:
-		// pruneLocked nests the locks the other way round).
-		s.unqueue(j)
-		s.journalState(j.id, StateCancelled, "", "", finishedAt)
-	}
-	return j, changed
+	return j, queued || running
 }
 
 // unqueue removes a job from the pending FIFO, freeing its queue slot
@@ -625,9 +544,7 @@ type ServiceMetrics struct {
 func (s *Scheduler) Metrics() ServiceMetrics {
 	counts := make(map[State]int)
 	for _, j := range s.Jobs() {
-		j.mu.Lock()
-		counts[j.state]++
-		j.mu.Unlock()
+		counts[j.record().State]++
 	}
 	return ServiceMetrics{
 		Jobs:         counts,
@@ -654,11 +571,7 @@ func (s *Scheduler) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.journal != nil {
-		if err := s.journal.JournalShutdown(); err != nil {
-			s.journalErrs.Add(1)
-		}
-	}
+	s.journal.shutdown() // a failure counts into mdtask_jobs_journal_errors_total
 }
 
 // BeginDrain stops admission and job pickup without cancelling queued
@@ -666,10 +579,10 @@ func (s *Scheduler) Close() {
 // stay journaled as queued, so the next boot re-enqueues them in
 // order. Running jobs keep running — the owner aborts or waits for
 // them (cmd/mdserver closes its fleet coordinator next) and then calls
-// Close for the shutdown marker. While draining, terminal journal
-// writes for failed/cancelled runs are suppressed: a job aborted by
-// shutdown stays `running` in the journal and re-runs from its spec on
-// the next boot instead of surfacing a spurious failure.
+// Close for the shutdown marker. While draining, failed and cancelled
+// outcomes are not committed: a job aborted by shutdown stays
+// `running` in the table and re-runs from its spec on the next boot
+// instead of surfacing a spurious failure.
 func (s *Scheduler) BeginDrain() {
 	s.mu.Lock()
 	s.closed = true
@@ -699,23 +612,31 @@ func (s *Scheduler) worker() {
 
 // runJob executes one job and publishes its outcome.
 func (s *Scheduler) runJob(job *Job) {
-	job.mu.Lock()
-	if job.state != StateQueued { // cancelled while queued
-		job.mu.Unlock()
+	var (
+		runSpan *obs.Span
+		in      *Input
+		started time.Time
+	)
+	picked := s.journal.update(job, func(cur State) (walRecord, bool) {
+		if cur != StateQueued { // cancelled while queued
+			return walRecord{}, false
+		}
+		job.mu.Lock()
+		defer job.mu.Unlock()
+		job.started = time.Now()
+		in, started = job.input, job.started
+		s.queueWaitHist.Observe(started.Sub(job.rec.Created).Seconds())
+		job.queueSpan.End()
+		// The run span parents the runner's engine stage; the runner
+		// reaches it through the RunContext.
+		runSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "run")
+		job.rc.SetObs(s.obs, runSpan.Context())
+		return job.stateRecord(StateRunning, "", "", started), true
+	})
+	if !picked {
 		return
 	}
-	job.state = StateRunning
-	job.started = time.Now()
-	spec, in := job.spec, job.input
-	started := job.started
-	s.queueWaitHist.Observe(job.started.Sub(job.created).Seconds())
-	job.queueSpan.End()
-	// The run span parents the runner's engine stage; the runner reaches
-	// it through the RunContext.
-	runSpan := s.obs.Tracer.StartChild(job.jobSpan.Context(), "run")
-	job.rc.SetObs(s.obs, runSpan.Context())
-	job.mu.Unlock()
-	s.journalState(job.id, StateRunning, "", "", started)
+	spec := job.rec.Spec
 
 	var (
 		res    *Result
@@ -735,61 +656,56 @@ func (s *Scheduler) runJob(job *Job) {
 	// rather than being served as an empty 200.
 	if err == nil && !job.rc.Cancelled() {
 		if digest, err = resultDigest(res); err == nil {
-			s.checkRecordedDigest(job.key, digest)
+			s.checkRecordedDigest(job.rec.Key, digest)
+			// Publish before the job reads done, so an identical
+			// submission that sees it done hits the cache.
+			s.store.Put(jobEntryKey(job.rec.Key), &jobEntry{result: res, digest: digest}, resultBytes(res))
 		}
 	}
 
 	final := job.rc.Metrics().Snapshot()
 	s.agg.Add(final)
-
-	job.mu.Lock()
-	job.input = nil
-	job.final = final
-	job.finished = time.Now()
-	var publish bool
-	switch {
-	case job.rc.Cancelled() || errors.Is(err, ErrCancelled):
-		job.state = StateCancelled
-	case err != nil:
-		job.state = StateFailed
-		job.errMsg = err.Error()
-	default:
-		job.state = StateDone
-		job.result = res
-		publish = true
-	}
-	if err != nil {
-		runSpan.SetAttr("error", err.Error())
-	}
-	runSpan.End()
-	job.jobSpan.SetAttr("state", string(job.state))
-	job.jobSpan.End()
-	state := job.state
-	errMsg := job.errMsg
-	key := job.key
-	finishedAt := job.finished
-	runDur := job.finished.Sub(job.started)
-	job.mu.Unlock()
-	s.obs.Metrics.Histogram("mdtask_job_run_seconds",
-		"Wall time of job runs, by analysis and engine.", nil,
-		"analysis", spec.Analysis, "engine", spec.Engine).Observe(runDur.Seconds())
-	s.jobFinished(state)
-	if publish {
-		s.store.Put(jobEntryKey(key), &jobEntry{result: res, digest: digest}, resultBytes(res))
-	}
 	// A failed/cancelled outcome during drain is a shutdown artefact
 	// (the fleet coordinator aborting in-flight work), not a verdict on
-	// the job: leave it `running` in the journal so the next boot
-	// re-runs it from its spec. Completed results are always journaled.
+	// the job: leave it `running` so the next boot re-runs it from its
+	// spec. Completed results are always committed.
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	if state == StateDone || !draining {
+	// The outcome is decided under the table lock: a cancel that found
+	// the job running (and set its flag under the same lock) is never
+	// answered by a done job.
+	s.journal.update(job, func(State) (walRecord, bool) {
+		state, errMsg := StateDone, ""
+		switch {
+		case job.rc.Cancelled() || errors.Is(err, ErrCancelled):
+			state = StateCancelled
+		case err != nil:
+			state, errMsg = StateFailed, err.Error()
+		}
+		finished := time.Now()
+		job.mu.Lock()
+		job.input = nil
+		job.final = final
+		if state == StateDone {
+			job.result = res
+		}
+		job.mu.Unlock()
+		if err != nil {
+			runSpan.SetAttr("error", err.Error())
+		}
+		runSpan.End()
+		job.jobSpan.SetAttr("state", string(state))
+		job.jobSpan.End()
+		s.obs.Metrics.Histogram("mdtask_job_run_seconds",
+			"Wall time of job runs, by analysis and engine.", nil,
+			"analysis", spec.Analysis, "engine", spec.Engine).Observe(finished.Sub(started).Seconds())
+		s.jobFinished(state)
 		if state != StateDone {
 			digest = ""
 		}
-		s.journalState(job.id, state, errMsg, digest, finishedAt)
-	}
+		return job.stateRecord(state, errMsg, digest, finished), state == StateDone || !draining
+	})
 }
 
 // checkRecordedDigest compares a finished run's result digest with the
@@ -799,66 +715,59 @@ func (s *Scheduler) runJob(job *Job) {
 // deterministic — counts into mdtask_jobs_result_digest_mismatch_total.
 func (s *Scheduler) checkRecordedDigest(key, digest string) {
 	s.mu.Lock()
-	rec, ok := s.recoveredDone[key]
+	recorded, ok := s.recoveredDone[key]
 	delete(s.recoveredDone, key)
 	s.mu.Unlock()
-	if ok && rec.digest != digest {
+	if ok && recorded != digest {
 		s.digestMismatchCtr.Inc()
 	}
 }
 
-// Recover re-admits jobs reconstructed from the journal, in original
-// submission order, before the server starts taking new submissions.
+// Recover re-admits the jobs of the journal's table — the table as
+// replay left it, in original submission order — before the server
+// starts taking new submissions. It attaches each job's runtime
+// handles; the records themselves change only through journaled
+// transitions.
 //
-// Terminal records come back as status-only entries: result bodies are
-// not journaled (only their digest), so a recovered done job keeps its
-// status, provenance and digest but GET .../result answers 410 Gone
-// until an identical resubmission recomputes it — deterministic kernels
-// make that recomputation byte-identical to the digest on record, and
+// Terminal jobs come back status-only: result bodies are not journaled
+// (only their digest), so a recovered done job keeps its status,
+// provenance and digest but GET .../result answers 410 Gone until an
+// identical resubmission recomputes it — deterministic kernels make
+// that recomputation byte-identical to the digest on record, and
 // checkRecordedDigest counts any that is not.
 //
-// Queued and running records are re-enqueued and re-run from their
-// normalized specs: the at-least-once contract. A record whose input
-// no longer resolves is marked failed with the reason (and journaled
-// as such) rather than silently dropped. The job counter is restored
-// past the highest recovered id so new submissions never collide.
-func (s *Scheduler) Recover(recs []JobRecord) {
+// Queued and running jobs are re-enqueued (a running one journaled
+// back to queued) and re-run from their normalized specs: the
+// at-least-once contract. A job whose input no longer resolves is
+// journaled failed with the reason rather than silently dropped. The
+// job counter is restored past the highest recovered id so new
+// submissions never collide.
+func (s *Scheduler) Recover() {
 	recoveredCtr := func(prior State) *obs.Counter {
 		return s.obs.Metrics.Counter("mdtask_jobs_recovered_total",
 			"Jobs re-admitted from the journal at boot, by the state they held when the previous process exited.",
 			"prior", string(prior))
 	}
+	jobs := s.Jobs()
 	s.mu.Lock()
-	for _, rec := range recs {
+	for _, job := range jobs {
 		var n int64
-		if _, err := fmt.Sscanf(rec.ID, "job-%06d", &n); err == nil && n > s.seq {
+		if _, err := fmt.Sscanf(job.ID(), "job-%06d", &n); err == nil && n > s.seq {
 			s.seq = n
 		}
 	}
 	s.mu.Unlock()
-	for _, rec := range recs {
+	for _, job := range jobs {
+		rec := job.record()
 		prior := rec.State
-		job := &Job{
-			id:      rec.ID,
-			spec:    rec.Spec,
-			key:     rec.Key,
-			rc:      NewRunContext(),
-			state:   rec.State,
-			errMsg:  rec.Error,
-			created: rec.Created,
-			digest:  rec.Digest,
-		}
 		job.rc.SetBlockStore(s.store)
-		if rec.State.Terminal() {
-			job.finished = rec.Updated
-			s.mu.Lock()
-			s.jobs[job.id] = job
-			s.order = append(s.order, job)
-			if rec.State == StateDone && rec.Digest != "" {
-				s.recoveredDone[rec.Key] = job
+		recoveredCtr(prior).Inc()
+		if prior.Terminal() {
+			if prior == StateDone && rec.Digest != "" {
+				s.mu.Lock()
+				s.recoveredDone[rec.Key] = rec.Digest
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
-			recoveredCtr(prior).Inc()
 			continue
 		}
 		// Queued or running when the previous process died: re-run from
@@ -867,36 +776,30 @@ func (s *Scheduler) Recover(recs []JobRecord) {
 		// surfacing, not a recovery bug.
 		in, err := ResolveInput(rec.Spec)
 		if err != nil {
-			job.state = StateFailed
-			job.errMsg = fmt.Sprintf("jobs: recovering %s job: resolving input: %v", prior, err)
-			job.finished = time.Now()
-			s.mu.Lock()
-			s.jobs[job.id] = job
-			s.order = append(s.order, job)
-			s.mu.Unlock()
-			s.journalState(job.id, StateFailed, job.errMsg, "", job.finished)
+			msg := fmt.Sprintf("jobs: recovering %s job: resolving input: %v", prior, err)
+			s.journal.append(job.stateRecord(StateFailed, msg, "", time.Now()), false)
 			s.jobFinished(StateFailed)
-			recoveredCtr(prior).Inc()
 			continue
 		}
-		job.state = StateQueued
+		if prior == StateRunning {
+			s.journal.append(job.stateRecord(StateQueued, "", "", time.Now()), false)
+		}
+		job.mu.Lock()
 		job.input = in
-		s.mu.Lock()
 		job.jobSpan = s.obs.Tracer.StartRoot("job")
-		job.jobSpan.SetAttr("job", job.id)
-		job.jobSpan.SetAttr("analysis", job.spec.Analysis)
-		job.jobSpan.SetAttr("engine", job.spec.Engine)
+		job.jobSpan.SetAttr("job", rec.ID)
+		job.jobSpan.SetAttr("analysis", rec.Spec.Analysis)
+		job.jobSpan.SetAttr("engine", rec.Spec.Engine)
 		job.jobSpan.SetAttr("recovered_from", string(prior))
 		if ctx := job.jobSpan.Context(); ctx.Valid() {
 			job.trace = ctx.Trace
 		}
 		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
-		s.jobs[job.id] = job
-		s.order = append(s.order, job)
+		job.mu.Unlock()
+		s.mu.Lock()
 		s.pending = append(s.pending, job)
 		s.cond.Signal()
 		s.mu.Unlock()
-		recoveredCtr(prior).Inc()
 	}
 }
 

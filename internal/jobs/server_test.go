@@ -458,7 +458,7 @@ func TestAPIUnencodableResultFails(t *testing.T) {
 	if code != http.StatusInternalServerError || !strings.Contains(string(raw), "unsupported value") {
 		t.Fatalf("GET result = %d %s, want 500 with the encoder's reason", code, raw)
 	}
-	waitAppends(t, st, 3) // submit, running, failed
+	journalStats(t, st, 3) // submit, running, failed
 	data, err := os.ReadFile(filepath.Join(dataDir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,20 @@
 // Package jobs is the serving layer of the repository: the engine table
 // (engines.go — the one place an engine name becomes an engine.Executor
 // or a pair of staged runners), a registry of named analysis runners
-// (analysis × engine) built from it, a bounded FIFO scheduler
-// with cooperative cancellation and per-job engine metrics, and a
-// content-addressed result cache. cmd/mdserver exposes it over HTTP;
-// cmd/psa and cmd/leaflet run their one-shot invocations through the
-// same registry.
+// (analysis × engine) built from it, the job table, a bounded FIFO
+// scheduler with cooperative cancellation and per-job engine metrics,
+// and a content-addressed result cache. cmd/mdserver exposes it over
+// HTTP; cmd/psa and cmd/leaflet run their one-shot invocations through
+// the same registry.
+//
+// The job table (store.go) is what its journal replays to: every
+// change to it is a journal record, and one function, table.apply,
+// makes each one, when OpenWALStore replays the log and when the
+// scheduler appends a record and applies it under the table lock. A
+// memory-only scheduler applies the same records without a log. Job
+// holds the durable fields as one JobRecord, which only apply writes,
+// beside the runtime handles (run context, input, result, spans) the
+// scheduler attaches.
 package jobs
 
 import (

@@ -3,6 +3,7 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,39 +11,6 @@ import (
 	"mdtask/internal/obs"
 	"mdtask/internal/wal"
 )
-
-// Store is the durability sink the scheduler journals every job
-// lifecycle transition through: the submitted (normalized) spec and
-// cache key, each state change with its error message or result
-// digest, prunes of evicted terminal records, and a clean-shutdown
-// marker. A nil Store in Options leaves the scheduler memory-only
-// (the pre-durability behaviour); WALStore is the crash-recoverable
-// implementation cmd/mdserver wires in under -data-dir.
-//
-// Only the records an HTTP answer waits on are fsynced before their
-// call returns: the submission (the POST answer) and the cancelled
-// state (a queued job's DELETE answer). Every other record is written
-// in order and becomes durable with the next fsync; a power loss
-// before it re-runs the job (a lost running or terminal record) or
-// prunes it again later (a lost prune). A process kill loses nothing.
-type Store interface {
-	// JournalSubmit records an admitted job: its normalized spec, cache
-	// key, and initial state (StateQueued, or StateDone with a digest
-	// for a whole-job cache hit). A non-nil error MUST mean the record
-	// is not durable — the scheduler un-admits the job and fails the
-	// submission, so no acknowledged job can be lost.
-	JournalSubmit(rec JobRecord) error
-	// JournalState records a lifecycle transition. Only StateCancelled
-	// is durable on return; the others wait for the next fsync.
-	JournalState(id string, state State, errMsg, resultDigest string, ts time.Time) error
-	// JournalPrune records the eviction of terminal job records, so
-	// replay state stays bounded alongside the in-memory table. The
-	// record waits for the next fsync.
-	JournalPrune(ids []string) error
-	// JournalShutdown records a clean shutdown: every transition before
-	// it is known journaled.
-	JournalShutdown() error
-}
 
 // JobRecord is the durable image of one job: everything recovery
 // needs to re-admit it (specs are normalized before journaling, so
@@ -77,6 +45,11 @@ type walRecord struct {
 	Digest string     `json:"digest,omitempty"`
 	IDs    []string   `json:"ids,omitempty"`
 	TS     time.Time  `json:"ts,omitempty"`
+
+	// job is the live path's handle on the job a submit admits, its
+	// runtime handles attached; replay leaves it nil and apply makes a
+	// bare one. Unexported, so never journaled.
+	job *Job
 }
 
 // snapshotState is the compacted journal state: the job table at the
@@ -127,36 +100,50 @@ type WALStoreOptions struct {
 	CompactRecords int
 }
 
-// WALStore is the durable Store: a write-ahead log of lifecycle
-// records plus a shadow job table it snapshots and compacts from.
+// WALStore is the job table and the write-ahead log that defines it.
+// Every change to the table — a job admitted; its state, error, digest
+// or updated time changed; a job pruned — is a walRecord, and apply is
+// the only code that makes it. Replay at open applies the records read
+// back; the live path appends a record and applies it in one critical
+// section of mu, the table lock. A WALStore without a log (a
+// memory-only scheduler's) applies the same records and writes none.
 // All methods are safe for concurrent use.
+//
+// Only the records an HTTP answer waits on are fsynced before their
+// call returns: the submission (the POST answer) and the cancelled
+// state (a queued job's DELETE answer). Every other record is written
+// in order and becomes durable with the next fsync; a power loss
+// before it re-runs the job (a lost running or terminal record) or
+// prunes it again later (a lost prune). A process kill loses nothing.
 type WALStore struct {
 	mu           sync.Mutex
-	log          *wal.Log
+	log          *wal.Log // nil: memory-only
 	o            WALStoreOptions
 	lsn          uint64
-	jobs         map[string]*shadowJob
-	order        []string // submission order; may hold pruned or repeated ids
+	tab          table
 	sinceCompact int
 
 	recovered   Recovered
-	journalErrs int64
+	journalErrs int64 // failed journal writes
+	stateErrs   int64 // non-submission records applied though their write failed
 }
 
-// shadowJob is one job of the shadow table: its record and the index
-// in WALStore.order of its submission. An order entry is live only
-// when the job it names is in the table and sits at that index, so a
-// prune deletes from the map alone and leaves its order entries stale;
-// reorder drops them.
-type shadowJob struct {
-	JobRecord
-	at int
+// table is the job table: every retained job, by id and in submission
+// order.
+type table struct {
+	jobs  map[string]*Job
+	order []*Job
+}
+
+// newStore returns an empty table over log (nil: memory-only).
+func newStore(log *wal.Log, o WALStoreOptions) *WALStore {
+	return &WALStore{log: log, o: o, tab: table{jobs: make(map[string]*Job)}}
 }
 
 // OpenWALStore opens (or creates) the durable job store under o.Dir
-// and replays snapshot + log into the recovered job table. The store
-// is ready for journaling on return; feed Recovered.Jobs to
-// Scheduler.Recover to re-admit them.
+// and replays snapshot + log into its job table. The store is ready
+// for journaling on return; pass it as Options.Journal and call
+// Scheduler.Recover to re-admit its jobs.
 func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	if o.CompactBytes < 1 {
 		o.CompactBytes = 1 << 20
@@ -168,11 +155,7 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &WALStore{
-		log:  l,
-		o:    o,
-		jobs: make(map[string]*shadowJob),
-	}
+	st := newStore(l, o)
 	rec := &Recovered{Skipped: walRec.Skipped, SkippedBytes: walRec.SkippedBytes}
 	if walRec.Snapshot != nil {
 		var snap snapshotState
@@ -181,8 +164,8 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 			return nil, nil, fmt.Errorf("jobs: decoding journal snapshot: %w", err)
 		}
 		st.lsn = snap.LSN
-		for _, j := range snap.Jobs {
-			st.admit(j)
+		for i := range snap.Jobs {
+			st.tab.apply(walRecord{T: "submit", Job: &snap.Jobs[i]})
 		}
 	}
 	// The guard below compares against the LSN the snapshot was taken
@@ -196,7 +179,7 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 		st.replay(raw, snapLSN, rec)
 	}
 	st.recovered = *rec
-	rec.Jobs = st.tableLocked()
+	rec.Jobs = st.tab.records()
 	return st, rec, nil
 }
 
@@ -221,7 +204,7 @@ func (st *WALStore) replay(raw []byte, snapLSN uint64, rec *Recovered) {
 		st.lsn = r.LSN
 	}
 	rec.CleanShutdown = r.T == "shutdown"
-	if st.apply(r) {
+	if st.tab.apply(r) {
 		return
 	}
 	rec.Unreplayable++
@@ -229,43 +212,72 @@ func (st *WALStore) replay(raw []byte, snapLSN uint64, rec *Recovered) {
 		// A transition without its submission (lost to a skipped
 		// region): surface the job as failed rather than dropping the
 		// evidence it existed.
-		st.admit(JobRecord{
+		st.tab.apply(walRecord{T: "submit", Job: &JobRecord{
 			ID:    r.ID,
 			State: StateFailed,
 			Error: fmt.Sprintf("jobs: unreplayable journal: %q transition without a surviving submit record", r.State),
-		})
+		}})
 	}
 }
 
-// apply folds one journal record into the shadow table — the one code
-// path for a record replayed at open and a record just appended. It
+// apply folds one journal record into the table: the one code path
+// that admits a job, changes its durable fields or prunes it, for a
+// record replayed at open and for a record just appended alike. It
 // reports false, changing nothing, for a record that cannot be applied:
 // a submit without its job, a state record for a job the table does not
-// hold, or an unknown type.
-func (st *WALStore) apply(r walRecord) bool {
+// hold, or an unknown type. Callers hold the table lock; apply takes
+// each changed job's own lock, so its readers need only that.
+func (t *table) apply(r walRecord) bool {
 	switch r.T {
 	case "submit":
 		if r.Job == nil {
 			return false
 		}
-		if j, dup := st.jobs[r.Job.ID]; dup {
-			j.JobRecord = *r.Job
-		} else {
-			st.admit(*r.Job)
+		if j, dup := t.jobs[r.Job.ID]; dup {
+			j.mu.Lock()
+			j.rec = *r.Job
+			j.mu.Unlock()
+			return true
 		}
+		j := r.job
+		if j == nil {
+			j = &Job{rc: NewRunContext()}
+		}
+		j.rec = *r.Job
+		t.jobs[j.rec.ID] = j
+		t.order = append(t.order, j)
 	case "state":
-		j, ok := st.jobs[r.ID]
+		j, ok := t.jobs[r.ID]
 		if !ok {
 			return false
 		}
-		j.State, j.Error, j.Digest, j.Updated = r.State, r.Err, r.Digest, r.TS
+		j.mu.Lock()
+		j.rec.State, j.rec.Error, j.rec.Digest, j.rec.Updated = r.State, r.Err, r.Digest, r.TS
+		j.mu.Unlock()
 	case "prune":
+		n := 0
 		for _, id := range r.IDs {
-			delete(st.jobs, id)
+			if _, ok := t.jobs[id]; ok {
+				delete(t.jobs, id)
+				n++
+			}
 		}
-		if len(st.order) > 2*len(st.jobs) {
-			st.reorder()
+		// Pruned jobs are the oldest, so the scan stops early and the
+		// rest of the order moves down in one copy.
+		kept := t.order[:0]
+		for i, j := range t.order {
+			if n == 0 {
+				kept = append(kept, t.order[i:]...)
+				break
+			}
+			if t.jobs[j.rec.ID] == j {
+				kept = append(kept, j)
+			} else {
+				n--
+			}
 		}
+		clear(t.order[len(kept):])
+		t.order = kept
 	case "shutdown":
 	default:
 		return false
@@ -273,95 +285,78 @@ func (st *WALStore) apply(r walRecord) bool {
 	return true
 }
 
-// admit adds a job the table does not hold, last in submission order.
-func (st *WALStore) admit(j JobRecord) {
-	st.jobs[j.ID] = &shadowJob{JobRecord: j, at: len(st.order)}
-	st.order = append(st.order, j.ID)
-}
-
-// live reports whether order entry i names the job's submission, not a
-// pruned or earlier one.
-func (st *WALStore) live(i int) (*shadowJob, bool) {
-	j, ok := st.jobs[st.order[i]]
-	return j, ok && j.at == i
-}
-
-// reorder drops the stale entries of st.order, in place. A prune calls
-// it once stale entries outnumber live ones, so each costs O(1)
-// amortized and order stays within twice the table.
-func (st *WALStore) reorder() {
-	kept := st.order[:0]
-	for i := range st.order {
-		if j, ok := st.live(i); ok {
-			j.at = len(kept)
-			kept = append(kept, j.ID)
-		}
-	}
-	clear(st.order[len(kept):])
-	st.order = kept
-}
-
-// tableLocked copies the shadow table in submission order.
-func (st *WALStore) tableLocked() []JobRecord {
-	out := make([]JobRecord, 0, len(st.jobs))
-	for i := range st.order {
-		if j, ok := st.live(i); ok {
-			out = append(out, j.JobRecord)
-		}
+// records copies the table's job records in submission order.
+func (t *table) records() []JobRecord {
+	out := make([]JobRecord, len(t.order))
+	for i, j := range t.order {
+		out[i] = j.rec
 	}
 	return out
 }
 
-// append journals one record and compacts if the log has grown past
-// its bounds.
+// append commits one record (see commitLocked).
 func (st *WALStore) append(r walRecord, durable bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.writeLocked(r, durable); err != nil {
-		return err
-	}
-	st.sinceCompact++
-	if st.sinceCompact >= st.o.CompactRecords || st.log.LogBytes() >= st.o.CompactBytes {
-		st.compactLocked()
-	}
-	return nil
+	return st.commitLocked(r, durable)
 }
 
-// writeLocked assigns the next LSN, writes the record to the WAL
-// (fsynced per the policy when durable is set, riding the next fsync
-// otherwise) and applies it to the shadow table as replay would.
-// Callers hold st.mu.
+// commitLocked writes r to the log (fsynced per the policy when durable
+// is set, riding the next fsync otherwise) and applies it to the table.
+// A submission whose write fails is not applied: the caller rejects
+// it. Any other record is applied anyway and counted in stateErrs —
+// the table is what the process serves, and the next compaction
+// snapshot carries the record the log missed. Callers hold st.mu.
+func (st *WALStore) commitLocked(r walRecord, durable bool) error {
+	err := st.writeLocked(r, durable)
+	if err != nil {
+		if r.T == "submit" {
+			return err
+		}
+		st.stateErrs++
+	}
+	st.tab.apply(r)
+	if err == nil && st.log != nil {
+		st.sinceCompact++
+		if st.sinceCompact >= st.o.CompactRecords || st.log.LogBytes() >= st.o.CompactBytes {
+			st.compactLocked()
+		}
+	}
+	return err
+}
+
+// writeLocked assigns the next LSN and writes the record to the WAL; a
+// memory-only store writes nothing. Callers hold st.mu.
 func (st *WALStore) writeLocked(r walRecord, durable bool) error {
+	if st.log == nil {
+		return nil
+	}
 	if err := faultinject.Fire("jobs.journal"); err != nil {
 		st.journalErrs++
 		return err
 	}
-	st.lsn++
-	r.LSN = st.lsn
+	r.LSN = st.lsn + 1
 	raw, err := json.Marshal(r)
+	if err == nil {
+		write := st.log.AppendNoSync
+		if durable {
+			write = st.log.Append
+		}
+		err = write(raw)
+	}
 	if err != nil {
 		st.journalErrs++
 		return err
 	}
-	write := st.log.AppendNoSync
-	if durable {
-		write = st.log.Append
-	}
-	if err := write(raw); err != nil {
-		st.journalErrs++
-		st.lsn--
-		return err
-	}
-	st.apply(r)
+	st.lsn = r.LSN
 	return nil
 }
 
-// compactLocked snapshots the shadow table and truncates the log.
-// Failures are counted, not fatal: the un-compacted log remains fully
+// compactLocked snapshots the table and truncates the log. Failures
+// are counted, not fatal: the un-compacted log remains fully
 // replayable.
 func (st *WALStore) compactLocked() {
-	st.reorder()
-	state, err := json.Marshal(snapshotState{LSN: st.lsn, Jobs: st.tableLocked()})
+	state, err := json.Marshal(snapshotState{LSN: st.lsn, Jobs: st.tab.records()})
 	if err != nil {
 		st.journalErrs++
 		return
@@ -373,38 +368,97 @@ func (st *WALStore) compactLocked() {
 	st.sinceCompact = 0
 }
 
-// JournalSubmit implements Store. The record is fsynced (per the sync
-// policy) before it returns.
+// update decides and commits one state change of job j in a single
+// critical section of the table lock: next sees j's current state and
+// returns the record to commit, or false to commit nothing. A
+// cancelled record is fsynced before update returns; the others ride
+// the next fsync. It reports whether a record was committed.
+func (st *WALStore) update(j *Job, next func(State) (walRecord, bool)) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	r, ok := next(j.rec.State)
+	if ok {
+		st.commitLocked(r, r.State == StateCancelled)
+	}
+	return ok
+}
+
+// retain prunes the oldest terminal jobs past max, as one prune
+// record. It sees only states the log already holds, so no prune is
+// written ahead of its job's terminal record.
+func (st *WALStore) retain(max int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	excess := len(st.tab.order) - max
+	var ids []string
+	for _, j := range st.tab.order {
+		if excess <= 0 {
+			break
+		}
+		if j.rec.State.Terminal() {
+			ids = append(ids, j.rec.ID)
+			excess--
+		}
+	}
+	if len(ids) > 0 {
+		st.commitLocked(walRecord{T: "prune", IDs: ids}, false)
+	}
+}
+
+// job looks a job up by id.
+func (st *WALStore) job(id string) (*Job, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	j, ok := st.tab.jobs[id]
+	return j, ok
+}
+
+// list returns the table's jobs in submission order.
+func (st *WALStore) list() []*Job {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return slices.Clone(st.tab.order)
+}
+
+// JournalSubmit journals an admitted job and adds it to the table: its
+// normalized spec, cache key and initial state (StateQueued, or
+// StateDone with a digest for a whole-job cache hit). The record is
+// fsynced (per the sync policy) before it returns; an error means it
+// is neither durable nor in the table.
 func (st *WALStore) JournalSubmit(rec JobRecord) error {
 	return st.append(walRecord{T: "submit", Job: &rec}, true)
 }
 
-// JournalState implements Store. Only a cancel is fsynced before it
-// returns: a queued job's DELETE answers 200 after it.
+// JournalState journals a lifecycle transition and applies it. Only a
+// cancel is fsynced before it returns: a queued job's DELETE answers
+// 200 after it.
 func (st *WALStore) JournalState(id string, state State, errMsg, resultDigest string, ts time.Time) error {
 	r := walRecord{T: "state", ID: id, State: state, Err: errMsg, Digest: resultDigest, TS: ts}
 	return st.append(r, state == StateCancelled)
 }
 
-// JournalPrune implements Store.
-func (st *WALStore) JournalPrune(ids []string) error {
-	return st.append(walRecord{T: "prune", IDs: ids}, false)
-}
-
-// JournalShutdown implements Store. It compacts first, then writes the
-// marker and fsyncs once, so a clean restart replays a snapshot plus
-// exactly one shutdown record instead of the whole session's log. The
-// marker is written outside the compaction accounting: a compaction
-// triggered by the marker's own append (CompactRecords=1) would
-// truncate it and make the clean shutdown replay as unclean.
-func (st *WALStore) JournalShutdown() error {
+// shutdown records a clean shutdown: every transition before it is
+// known journaled. It compacts first, then writes the marker and
+// fsyncs once, so a clean restart replays a snapshot plus exactly one
+// shutdown record instead of the whole session's log. The marker is
+// written outside the compaction accounting: a compaction triggered by
+// the marker's own append (CompactRecords=1) would truncate it and make
+// the clean shutdown replay as unclean.
+func (st *WALStore) shutdown() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.compactLocked()
-	if err := st.writeLocked(walRecord{T: "shutdown"}, false); err != nil {
-		return err
+	if st.log == nil {
+		return nil
 	}
-	return st.log.Sync()
+	st.compactLocked()
+	err := st.writeLocked(walRecord{T: "shutdown"}, false)
+	if err == nil {
+		err = st.log.Sync()
+	}
+	if err != nil {
+		st.stateErrs++
+	}
+	return err
 }
 
 // Close closes the underlying log.
@@ -419,6 +473,14 @@ func (st *WALStore) JournalErrors() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.journalErrs
+}
+
+// stateErrors counts the non-submission records applied to the table
+// although their write failed, the shutdown marker included.
+func (st *WALStore) stateErrors() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.stateErrs
 }
 
 // RegisterMetrics exposes the store's durability accounting on a

@@ -66,6 +66,14 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// prune journals the eviction of ids, as retention does.
+func prune(t *testing.T, st *WALStore, ids ...string) {
+	t.Helper()
+	if err := st.append(walRecord{T: "prune", IDs: ids}, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func testRecord(id string) JobRecord {
 	spec, _ := validPSASpec().Normalized()
 	now := time.Unix(1700000000, 0).UTC()
@@ -91,7 +99,7 @@ func TestWALStoreRoundTrip(t *testing.T) {
 	if err := st.JournalState("job-000001", StateDone, "", "digest-1", ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.JournalShutdown(); err != nil {
+	if err := st.shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -123,9 +131,7 @@ func TestWALStorePruneDropsRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.JournalPrune([]string{"job-000001", "job-000003"}); err != nil {
-		t.Fatal(err)
-	}
+	prune(t, st, "job-000001", "job-000003")
 	st.Close()
 	st2, rec := openStore(t, dir)
 	defer st2.Close()
@@ -134,12 +140,11 @@ func TestWALStorePruneDropsRecords(t *testing.T) {
 	}
 }
 
-// A prune costs O(ids): it leaves stale submission-order entries behind
-// rather than searching the order for each id. Over 10 000 submit +
-// prune cycles at a fixed retention, with pruned ids resubmitted and
-// live ones submitted twice, the order never grows past twice the
-// table, and the live and recovered tables equal the retained jobs in
-// submission order.
+// Over 10 000 submit + prune cycles at a fixed retention, with pruned
+// ids resubmitted and live ones submitted twice, the order never grows
+// past twice the table (a prune leaves no stale entry behind), and the
+// live and recovered tables equal the retained jobs in submission
+// order.
 func TestWALStorePruneKeepsOrderBounded(t *testing.T) {
 	const retain = 64
 	dir := t.TempDir()
@@ -163,13 +168,11 @@ func TestWALStorePruneKeepsOrderBounded(t *testing.T) {
 			want = append(want, id)
 		}
 		if len(want) > retain {
-			if err := st.JournalPrune(want[:1]); err != nil {
-				t.Fatal(err)
-			}
+			prune(t, st, want[0])
 			pruned, want = want[0], want[1:]
 		}
-		if st.mu.Lock(); len(st.order) > 2*len(st.jobs) {
-			t.Fatalf("cycle %d: %d order entries for %d jobs", cycle, len(st.order), len(st.jobs))
+		if st.mu.Lock(); len(st.tab.order) > 2*len(st.tab.jobs) {
+			t.Fatalf("cycle %d: %d order entries for %d jobs", cycle, len(st.tab.order), len(st.tab.jobs))
 		}
 		st.mu.Unlock()
 	}
@@ -181,7 +184,7 @@ func TestWALStorePruneKeepsOrderBounded(t *testing.T) {
 		return out
 	}
 	st.mu.Lock()
-	live := st.tableLocked()
+	live := st.tab.records()
 	st.mu.Unlock()
 	if got := ids(live); !slices.Equal(got, want) {
 		t.Fatalf("live table %v, want %v", got, want)
@@ -223,9 +226,7 @@ func randomLifecycle(t *testing.T, st *WALStore, rng *rand.Rand, ops int) map[st
 		default: // prune one terminal job
 			for _, id := range ids {
 				if expect[id].Terminal() {
-					if err := st.JournalPrune([]string{id}); err != nil {
-						t.Fatal(err)
-					}
+					prune(t, st, id)
 					delete(expect, id)
 					for k, v := range ids {
 						if v == id {
@@ -307,7 +308,7 @@ func TestWALStoreCrashAtEveryRecordBoundary(t *testing.T) {
 	var images []image
 	snapshot := func() {
 		st.mu.Lock()
-		expect := tableJSON(t, st.tableLocked())
+		expect := tableJSON(t, st.tab.records())
 		st.mu.Unlock()
 		images = append(images, image{dir: copyDir(t, dir), expect: expect})
 	}
@@ -449,7 +450,7 @@ func TestWALStoreShutdownMarkerSurvivesAggressiveCompaction(t *testing.T) {
 	if err := st.JournalSubmit(testRecord("job-000001")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.JournalShutdown(); err != nil {
+	if err := st.shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
