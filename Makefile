@@ -1,6 +1,5 @@
 GO ?= go
 SERVE_ADDR ?= :8077
-SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
@@ -16,68 +15,46 @@ test: build
 serve:
 	$(GO) run ./cmd/mdserver -addr $(SERVE_ADDR)
 
-# CI smoke: build mdserver, start it, hit /healthz, submit a tiny synth
-# PSA job, poll it to completion and assert a 200 result. The trap
-# covers INT/TERM/HUP as well as EXIT and reaps the server, so an
-# assertion failure (or a cancelled CI run) never leaks an mdserver
-# onto the runner's port; the binary lives in a per-run scratch dir so
-# parallel invocations cannot trample each other.
-smoke-serve:
-	@set -eu; \
-	bin=$$(mktemp -d); pid=""; \
-	trap 'status=$$?; [ -n "$$pid" ] && kill $$pid 2>/dev/null || true; \
-	      wait 2>/dev/null || true; rm -rf "$$bin"; exit $$status' EXIT INT TERM HUP; \
-	$(GO) build -o $$bin/mdserver ./cmd/mdserver; \
-	$$bin/mdserver -addr 127.0.0.1:$(SMOKE_PORT) & pid=$$!; \
-	for i in $$(seq 1 50); do \
-	  curl -fsS http://127.0.0.1:$(SMOKE_PORT)/healthz >/dev/null 2>&1 && break; \
-	  sleep 0.1; \
-	done; \
-	curl -fsS http://127.0.0.1:$(SMOKE_PORT)/healthz; echo; \
-	id=$$(curl -fsS -X POST http://127.0.0.1:$(SMOKE_PORT)/v1/jobs \
-	  -d '{"analysis":"psa","engine":"dask","synth":{"count":3,"atoms":8,"frames":4}}' | jq -r .id); \
-	echo "submitted $$id"; \
-	state=queued; \
-	for i in $$(seq 1 100); do \
-	  state=$$(curl -fsS http://127.0.0.1:$(SMOKE_PORT)/v1/jobs/$$id | jq -r .state); \
-	  [ "$$state" = "done" ] && break; \
-	  [ "$$state" = "failed" ] && { echo "job failed" >&2; exit 1; }; \
-	  sleep 0.1; \
-	done; \
-	[ "$$state" = "done" ] || { echo "job stuck in $$state" >&2; exit 1; }; \
-	curl -fsS -o /dev/null -w '%{http_code}\n' http://127.0.0.1:$(SMOKE_PORT)/v1/jobs/$$id/result | grep -q 200; \
-	echo "smoke-serve OK"
+# The live-server gates are cmd/mdload scenarios named after their
+# targets (internal/loadgen/gates.go): each recipe builds mdserver,
+# mdworker and mdload into one scratch dir and runs `mdload -scenario
+# <target> -gate`, which starts the processes from that dir on
+# ephemeral loopback ports (so gates run side by side under make -j),
+# kills and restarts them on cue, checks named invariants, reaps every
+# child on every exit path and prints their logs on failure.
 
-# CI smoke for the fleet engine: mdserver + 2 external mdworkers, one
-# SIGKILLed mid-job; the job must finish with a matrix identical to
-# the serial engine's (see scripts/smoke_fleet.sh).
-smoke-fleet:
-	sh scripts/smoke_fleet.sh
-
-# CI smoke for the block-level result store: submit a synth PSA job,
-# resubmit it grown by one trajectory, and assert via the HTTP API that
-# only the new row/column blocks ran — 10 block hits, 5 misses, and
-# exactly the new trajectory's frame pairs evaluated (see
-# scripts/smoke_cache.sh).
-smoke-cache:
-	sh scripts/smoke_cache.sh
-
-# CI smoke for the observability layer: mdserver + 2 external
-# mdworkers with /metrics listeners; both expositions must parse, the
-# POST /v1/jobs counters must equal the submissions made, and the
-# fleet job's Chrome trace must span both processes with every
-# worker-side kernel span parented under a coordinator-side lease
-# span (see scripts/smoke_obs.sh).
-smoke-obs:
-	sh scripts/smoke_obs.sh
-
-# CI gate for the durable job store: mdserver with a -data-dir journal
-# is SIGKILLed mid-fleet-job and restarted against the same directory;
-# zero jobs may be lost, the recovered job must complete byte-identical
-# to the serial reference, and /metrics must expose the recovery
-# evidence (see scripts/smoke_crash.sh).
-smoke-crash:
-	sh scripts/smoke_crash.sh
+# smoke-serve: a fresh mdserver is healthy and runs a tiny synth PSA job
+# to done with a 200 result.
+# smoke-cache: a synth PSA job resubmitted grown by one trajectory
+# recomputes only the new row/column blocks — 10 block hits, 5 misses
+# and exactly the new trajectory's 128 frame pairs, and service-wide 10
+# hits, 17 entries and bytes saved.
+# smoke-fleet: mdserver + 2 mdworkers, one SIGKILLed while it holds a
+# lease; the fleet job must finish (requeue path) with a matrix
+# byte-equal to the serial engine's, computed on a second, cold server.
+# smoke-obs: mdserver + 2 mdworkers with /metrics listeners; every
+# exposition must parse, the POST /v1/jobs counters must equal the
+# submissions, and the fleet job's trace must span both processes with
+# every worker kernel span under a coordinator lease span.
+# smoke-crash: mdserver with a -data-dir journal is SIGKILLed mid fleet
+# job and restarted on the same address and directory; zero jobs lost,
+# the recovered job matches the serial reference, and /metrics shows
+# jobs_recovered >= 1, wal_records_replayed >= 1, wal_records_skipped 0.
+# loadgate: mdserver (queue of 4, below the suite's 8 clients, and a
+# journal) + 2 healthy mdworkers run the non-chaos scenario suite with
+# every deterministic invariant gating (zero lost jobs, exact
+# shed/submit accounting, Retry-After on 429s, 413 on oversized bodies,
+# wal_records_skipped == 0, no goroutine leaks); then an
+# MDTASK_FAULTS-armed worker takes the chaos scenario's first units
+# alone, must exit 137 at its fourth, and two fresh healthy workers
+# finish it; the scenario must find evidence of the injected faults and
+# the coordinator a lost worker. Its invariant reports land in
+# BENCH_load.json / BENCH_load_chaos.json (docs/load.md); time is
+# benchmark/'s to measure.
+smoke-serve smoke-cache smoke-fleet smoke-obs smoke-crash loadgate:
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT INT TERM HUP; \
+	$(GO) build -o $$bin/ ./cmd/mdserver ./cmd/mdworker ./cmd/mdload && \
+	$$bin/mdload -gate -scenario $@ $(if $(filter loadgate,$@),-json BENCH_load.json)
 
 # CI smoke for out-of-core streaming: an ensemble whose loaded payload
 # exceeds the streamed child's RSS budget must run to completion with
@@ -172,19 +149,6 @@ benchmark:
 benchmark-compare:
 	@[ -n "$(A)" ] && [ -n "$(B)" ] || { echo "usage: make benchmark-compare A=parent.jsonl B=change.jsonl" >&2; exit 2; }
 	bash benchmark/run.sh -compare $(A) $(B)
-
-# CI gate for the production load harness: mdserver (small queue,
-# journal) + 2 healthy mdworkers run the full non-chaos scenario suite
-# under cmd/mdload with every deterministic invariant gating (zero
-# lost jobs, exact shed/submit accounting, Retry-After on 429s, 413 on
-# oversized bodies, wal_records_skipped == 0, no goroutine leaks);
-# then an MDTASK_FAULTS-armed worker takes the chaos scenario's first
-# units alone, crashes at its fourth, and two fresh healthy workers
-# finish it; the scenario must find evidence of the injected faults.
-# The invariant reports land in BENCH_load.json / BENCH_load_chaos.json
-# (see scripts/loadgate.sh); time is benchmark/'s to measure.
-loadgate:
-	sh scripts/loadgate.sh
 
 # Documentation lint: every internal/cmd package must carry a
 # substantive package doc comment stating its role and pipeline place

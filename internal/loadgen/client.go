@@ -69,12 +69,9 @@ func (h *Harness) check(name string, ok bool, format string, args ...interface{}
 func (h *Harness) waitHealthy(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := h.hc.Get(h.base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+		code, _, err := h.get("/healthz")
+		if code == http.StatusOK {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
@@ -82,19 +79,54 @@ func (h *Harness) waitHealthy(timeout time.Duration) error {
 			}
 			return fmt.Errorf("loadgen: server %s unhealthy", h.base)
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-// warmup exercises the read path unrecorded so connection setup and
-// first-hit allocation costs don't land in the first scenario's tail.
-func (h *Harness) warmup(d time.Duration) {
-	until := time.Now().Add(d)
-	for time.Now().Before(until) {
-		if resp, err := h.hc.Get(h.base + "/v1/metrics"); err == nil {
-			resp.Body.Close()
+// get fetches one path of the server and returns its status code and
+// body; a non-200 answer is not an error.
+func (h *Harness) get(path string) (int, []byte, error) {
+	resp, err := h.hc.Get(h.base + path)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// getJSON decodes the 200 answer of one path into v.
+func (h *Harness) getJSON(path string, v any) error {
+	code, body, err := h.get(path)
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK {
+		return fmt.Errorf("loadgen: GET %s answered %d: %s", path, code, body)
+	}
+	return json.Unmarshal(body, v)
+}
+
+// fleetView fetches the coordinator's /v1/fleet view.
+func (h *Harness) fleetView() (fleet.StatsView, error) {
+	var v fleet.StatsView
+	err := h.getJSON("/v1/fleet", &v)
+	return v, err
+}
+
+// waitFleet polls /v1/fleet until cond holds, failing once timeout
+// passes: the bound reports a broken registration, it paces nothing.
+func (h *Harness) waitFleet(what string, timeout time.Duration, cond func(fleet.StatsView) bool) (fleet.StatsView, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		v, err := h.fleetView()
+		if err == nil && cond(v) {
+			return v, nil
 		}
-		time.Sleep(20 * time.Millisecond)
+		if time.Now().After(deadline) {
+			return v, fmt.Errorf("loadgen: %s: not reached within %s (last view %+v, err %v)", what, timeout, v, err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -233,16 +265,8 @@ func (h *Harness) submitOversized() error {
 
 // status fetches one job's status.
 func (h *Harness) status(id string) (jobs.Status, error) {
-	resp, err := h.hc.Get(h.base + "/v1/jobs/" + id)
-	if err != nil {
-		return jobs.Status{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobs.Status{}, fmt.Errorf("loadgen: status of %s: %s", id, resp.Status)
-	}
 	var st jobs.Status
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	err := h.getJSON("/v1/jobs/"+id, &st)
 	return st, err
 }
 
@@ -307,18 +331,14 @@ func (h *Harness) waitTerminal(id string, allowed ...jobs.State) (jobs.Status, e
 	}
 }
 
-// fetchResult downloads a done job's result body; the body is decoded only far enough to prove it parses.
-func (h *Harness) fetchResult(id string) error {
-	resp, err := h.hc.Get(h.base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return err
+// matrix downloads a done job's result and returns its matrix field
+// as the server encoded it, byte for byte.
+func (h *Harness) matrix(id string) (json.RawMessage, error) {
+	var res struct {
+		Matrix json.RawMessage `json:"matrix"`
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: result of %s: %s", id, resp.Status)
-	}
-	var res struct{}
-	return json.NewDecoder(resp.Body).Decode(&res)
+	err := h.getJSON("/v1/jobs/"+id+"/result", &res)
+	return res.Matrix, err
 }
 
 // snapshot scrapes the server's three observability surfaces at once.
@@ -332,31 +352,12 @@ type snapshot struct {
 
 func (h *Harness) snapshot() (snapshot, error) {
 	var s snapshot
-	resp, err := h.hc.Get(h.base + "/v1/metrics")
-	if err != nil {
+	if err := h.getJSON("/v1/metrics", &s.svc); err != nil {
 		return s, fmt.Errorf("loadgen: scraping /v1/metrics: %w", err)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&s.svc)
-	resp.Body.Close()
-	if err != nil {
-		return s, fmt.Errorf("loadgen: decoding /v1/metrics: %w", err)
-	}
-	if resp, err = h.hc.Get(h.base + "/metrics"); err == nil {
-		s.prom, s.promErr = ParseProm(resp.Body)
-		resp.Body.Close()
-	} else {
-		s.promErr = err
-	}
-	if resp, err = h.hc.Get(h.base + "/v1/fleet"); err == nil {
-		if resp.StatusCode == http.StatusOK {
-			var fs fleet.StatsView
-			if err := json.NewDecoder(resp.Body).Decode(&fs); err == nil {
-				s.fleet = &fs
-			} else {
-				s.fleetErr = err
-			}
-		}
-		resp.Body.Close()
+	s.prom, _, s.promErr = h.scrape(h.base)
+	if v, err := h.fleetView(); err == nil {
+		s.fleet = &v
 	} else {
 		s.fleetErr = err
 	}
@@ -382,23 +383,24 @@ func (h *Harness) drain(timeout time.Duration) error {
 	}
 }
 
-// workers returns how many fleet workers are currently registered.
-func (h *Harness) workers() int {
-	s, err := h.snapshot()
-	if err != nil || s.fleet == nil {
-		return 0
+// scrape fetches and parses the Prometheus exposition at base/metrics
+// and returns its Content-Type.
+func (h *Harness) scrape(base string) (PromMetrics, string, error) {
+	resp, err := h.hc.Get(base + "/metrics")
+	if err != nil {
+		return nil, "", err
 	}
-	return s.fleet.Workers
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("loadgen: GET %s/metrics: %s", base, resp.Status)
+	}
+	pm, err := ParseProm(resp.Body)
+	return pm, resp.Header.Get("Content-Type"), err
 }
 
 // goroutines samples the server's go_goroutines gauge.
 func (h *Harness) goroutines() (float64, error) {
-	resp, err := h.hc.Get(h.base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	pm, err := ParseProm(resp.Body)
+	pm, _, err := h.scrape(h.base)
 	if err != nil {
 		return 0, err
 	}
@@ -407,18 +409,4 @@ func (h *Harness) goroutines() (float64, error) {
 		return 0, fmt.Errorf("loadgen: go_goroutines not exposed")
 	}
 	return v, nil
-}
-
-// deadline returns the storm cutoff implied by cfg.Duration (zero
-// time: no cap) for scenarios that honor -duration.
-func (h *Harness) deadline() time.Time {
-	if h.cfg.Duration <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(h.cfg.Duration)
-}
-
-// expired reports whether the storm cutoff passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && time.Now().After(deadline)
 }

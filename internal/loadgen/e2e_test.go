@@ -138,7 +138,7 @@ func TestRunSuiteEndToEnd(t *testing.T) {
 }
 
 // TestRunChaosScenario arms fault injection in-process (the loadgate
-// script arms it via MDTASK_FAULTS on a worker process) and requires
+// gate arms it via MDTASK_FAULTS on a worker process) and requires
 // the chaos gate to find evidence of the faults: failure nacks and
 // requeues, with every job still completing.
 func TestRunChaosScenario(t *testing.T) {
@@ -197,5 +197,48 @@ func TestFleetScenarioSkipsWithoutWorkers(t *testing.T) {
 	}
 	if !rep.OK {
 		t.Fatal("a skipped scenario must not fail the report")
+	}
+}
+
+// TestSmokeGateChecks runs the smoke-serve and smoke-cache gates'
+// checks against a fresh in-process server each, so a regression of
+// the block-reuse story (10 hits, 5 misses, 128 pairs) fails go test,
+// not only the live-process gate.
+func TestSmokeGateChecks(t *testing.T) {
+	for _, name := range []string{"smoke-serve", "smoke-cache"} {
+		t.Run(name, func(t *testing.T) {
+			srv, stop := startTestServer(t, 8, 0)
+			defer stop()
+			rep, err := Run(Config{Server: srv.URL, Seed: 1, Logf: t.Logf}, []string{name})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			sc := requireScenario(t, rep, name)
+			for _, inv := range sc.Invariants {
+				if !inv.OK {
+					t.Errorf("invariant %s failed: %s", inv.Name, inv.Detail)
+				}
+			}
+			if n := len(sc.Invariants); n < 9 {
+				t.Errorf("%d invariants checked, want the gate's own besides the shared ones", n)
+			}
+		})
+	}
+}
+
+// TestGatesStayOutOfTheSuite: a gate that boots its own processes is
+// neither part of "all" nor runnable against a given server.
+func TestGatesStayOutOfTheSuite(t *testing.T) {
+	list, err := resolve([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range list {
+		if sc.Boots() {
+			t.Errorf("gate %s in the load suite", sc.Name)
+		}
+	}
+	if _, err := Run(Config{Server: "http://127.0.0.1:1"}, []string{"smoke-crash"}); err == nil {
+		t.Fatal("a boot-only gate ran against a given server")
 	}
 }

@@ -14,9 +14,9 @@ import (
 func (h *Harness) runScenario(sc Scenario) (*ScenarioReport, error) {
 	rep := &ScenarioReport{Scenario: sc.Name, Description: sc.Description}
 	if sc.NeedsWorkers {
-		if n := h.workers(); n == 0 {
+		if v, err := h.fleetView(); err != nil || v.Workers == 0 {
 			if h.cfg.RequireWorkers {
-				return nil, fmt.Errorf("no fleet workers registered (scenario needs them; started with -require-workers)")
+				return nil, fmt.Errorf("no fleet workers registered (the scenario needs them and the topology requires them)")
 			}
 			rep.Skipped = true
 			rep.SkipReason = "no fleet workers registered"

@@ -19,11 +19,18 @@
 // zero, goroutine counts return to baseline — never wall-clock
 // latency, so a slow CI runner cannot fail the build. Time is the
 // end-to-end benchmark's question (benchmark/), not this harness's.
+//
+// The same client runs the repo's live-server gates (gates.go): the
+// scenarios smoke-serve, smoke-cache, smoke-fleet, smoke-obs,
+// smoke-crash and loadgate, each named after its make target, boot
+// their own mdserver and mdworker processes through a Supervisor and
+// record every check as a named invariant.
 package loadgen
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -38,30 +45,25 @@ type Config struct {
 	Jobs int
 	// Concurrency is the closed-loop client count (default 8).
 	Concurrency int
-	// Warmup exercises the server unrecorded before measurement
-	// (default 0: no warmup).
-	Warmup time.Duration
-	// Duration caps each scenario's storm phase; 0 means run to
-	// completion of the configured job count.
-	Duration time.Duration
 	// Seed makes every generated job spec deterministic; scenario
 	// names are folded in so the same seed never collides across
 	// scenarios within one run.
 	Seed uint64
 	// Chaos arms the chaos expectations: the chaos scenario then
 	// REQUIRES evidence of injected faults (requeues, and unit
-	// failures or lost workers) scraped from the coordinator. Leave
-	// false when no worker runs with MDTASK_FAULTS.
+	// failures or lost workers) scraped from the coordinator. The
+	// loadgate sets it for the leg it runs against a fault-armed worker.
 	Chaos bool
 	// OversizedBytes sizes the 413 probe body (default 2 MiB — above
 	// mdserver's default -max-spec-bytes of 1 MiB).
 	OversizedBytes int64
 	// RequireWorkers makes scenarios that need fleet workers fail
-	// instead of skipping when none are registered.
+	// instead of skipping when none are registered (set by a topology
+	// that starts workers).
 	RequireWorkers bool
 	// ExpectShedding arms the overload scenario's "shedding-observed"
 	// check: set it when the server's queue depth is sized below the
-	// harness concurrency (as the loadgate script does), so a run that
+	// harness concurrency (as the loadgate's server is), so a run that
 	// never provokes a 429 fails instead of silently proving nothing.
 	ExpectShedding bool
 	// Logf receives progress lines (default: discard).
@@ -129,7 +131,8 @@ type Report struct {
 	OK        bool             `json:"invariants_ok"`
 }
 
-// Run executes the named scenarios (nil or empty: every scenario) in
+// Run executes the named scenarios (nil, empty or "all": the load
+// suite, every scenario that does not boot its own processes) in
 // order against one live server and returns the aggregate report. A
 // scenario that needs fleet workers is skipped — not failed — when
 // none are registered, unless cfg.RequireWorkers is set. The error is
@@ -155,9 +158,6 @@ func Run(cfg Config, names []string) (*Report, error) {
 	if err := h.waitHealthy(30 * time.Second); err != nil {
 		return nil, err
 	}
-	if cfg.Warmup > 0 {
-		h.warmup(cfg.Warmup)
-	}
 	for _, sc := range list {
 		sr, err := h.runScenario(sc)
 		if err != nil {
@@ -171,19 +171,25 @@ func Run(cfg Config, names []string) (*Report, error) {
 	return rep, nil
 }
 
-// resolve maps scenario names to definitions, defaulting to all.
+// resolve maps scenario names to definitions; none or "all" is the
+// load suite, every scenario that does not boot its own processes.
 func resolve(names []string) ([]Scenario, error) {
-	if len(names) == 0 {
-		return Scenarios(), nil
-	}
 	var out []Scenario
-	for _, n := range names {
-		if n == "all" {
-			return Scenarios(), nil
+	if len(names) == 0 || slices.Contains(names, "all") {
+		for _, sc := range Scenarios() {
+			if sc.gate == nil {
+				out = append(out, sc)
+			}
 		}
+		return out, nil
+	}
+	for _, n := range names {
 		sc, ok := Lookup(n)
 		if !ok {
 			return nil, fmt.Errorf("loadgen: unknown scenario %q (use -list)", n)
+		}
+		if sc.run == nil {
+			return nil, fmt.Errorf("loadgen: scenario %q boots its own processes (run it alone, through mdload)", n)
 		}
 		out = append(out, sc)
 	}

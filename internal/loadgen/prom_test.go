@@ -59,3 +59,19 @@ func TestDelta(t *testing.T) {
 		t.Fatal("absent metric reported found")
 	}
 }
+
+// TestParsePromRejectsBadSeries pins the exposition grammar the
+// observability gate checks: a series name is [a-zA-Z_:][a-zA-Z0-9_:]*,
+// optionally followed by a label set that closes.
+func TestParsePromRejectsBadSeries(t *testing.T) {
+	for _, line := range []string{"9bad 1", "name{unterminated 1", "bad-name 1", "{a=\"b\"} 1", "name{a=\"b\"}x 1"} {
+		if _, err := ParseProm(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%q parsed without error", line)
+		}
+	}
+	for _, line := range []string{"a_b:c 1", "_x{a=\"b c\"} +Inf", "X9 NaN", "h_bucket{le=\"0.1\"} 2e-3"} {
+		if _, err := ParseProm(strings.NewReader(line + "\n")); err != nil {
+			t.Errorf("%q: %v", line, err)
+		}
+	}
+}

@@ -8,10 +8,12 @@ import (
 	"mdtask/internal/jobs"
 )
 
-// Scenario is one named load mode. Scenarios scale from Config.Jobs
-// and Config.Concurrency, clamping where the mode needs fewer, and
-// derive every generated spec from Config.Seed plus the scenario name,
-// so two runs with the same knobs submit byte-identical specs.
+// Scenario is one named load mode or gate. Load scenarios scale from
+// Config.Jobs and Config.Concurrency, clamping where the mode needs
+// fewer, and derive every generated spec from Config.Seed plus the
+// scenario name, so two runs with the same knobs submit byte-identical
+// specs. A gate (gates.go) is named after its make target and boots
+// the processes it checks.
 type Scenario struct {
 	Name        string
 	Description string
@@ -21,8 +23,17 @@ type Scenario struct {
 	// ChaosOnly marks the chaos scenario: its fault-evidence
 	// invariants arm only under Config.Chaos.
 	ChaosOnly bool
-	run       func(h *Harness) error
+	// run drives Config.Server; nil for a gate whose checks interleave
+	// with killing and restarting its processes.
+	run func(h *Harness) error
+	// gate boots the scenario's own processes and checks them (RunGate);
+	// nil for a load scenario.
+	gate func(g *gateRun) error
 }
+
+// Boots reports whether the scenario is a gate: one that starts its own
+// mdserver and mdworker processes rather than drive Config.Server.
+func (sc Scenario) Boots() bool { return sc.gate != nil }
 
 // Scenarios returns every scenario in suite order.
 func Scenarios() []Scenario {
@@ -65,6 +76,18 @@ func Scenarios() []Scenario {
 			ChaosOnly:    true,
 			run:          runChaos,
 		},
+		{Name: "smoke-serve", run: runSmokeServe, gate: bootOne(),
+			Description: "gate: a fresh mdserver is healthy and runs a tiny dask PSA job to a 200 result"},
+		{Name: "smoke-cache", run: runSmokeCache, gate: bootOne("-workers", "1"),
+			Description: "gate: a job grown by one trajectory recomputes only its new blocks (10 hits, 5 misses, 128 pairs)"},
+		{Name: "smoke-fleet", gate: gateFleet,
+			Description: "gate: a worker SIGKILLed holding a lease; the fleet job still matches the serial matrix"},
+		{Name: "smoke-obs", gate: gateObs,
+			Description: "gate: both processes' expositions parse and count the submissions; one cross-process trace"},
+		{Name: "smoke-crash", gate: gateCrash,
+			Description: "gate: mdserver SIGKILLed mid fleet job and restarted on its journal; zero jobs lost"},
+		{Name: "loadgate", gate: gateLoad,
+			Description: "gate: the load suite on a queue of 4 with two workers, then chaos against a fault-armed worker"},
 	}
 }
 
@@ -110,11 +133,7 @@ func runResubmitStorm(h *Harness) error {
 		return err
 	}
 	warm := 0
-	deadline := h.deadline()
 	err = h.parallel(h.cfg.Concurrency, h.cfg.Jobs, func(i int) error {
-		if expired(deadline) {
-			return nil
-		}
 		st, err := h.submitRetry(spec)
 		if err != nil {
 			return err
@@ -198,11 +217,7 @@ func runDeltaAppend(h *Harness) error {
 func runFleetFanout(h *Harness) error {
 	seed := h.seedFor("fleet-fanout")
 	methods := []string{"naive", "early-break", "pruned", "indexed"}
-	deadline := h.deadline()
 	return h.parallel(h.cfg.Concurrency, h.cfg.Jobs, func(i int) error {
-		if expired(deadline) {
-			return nil
-		}
 		spec := psaSpec(jobs.EngineFleet, methods[i%len(methods)], 4, 24, 12, seed+uint64(i))
 		spec.Tasks = 8
 		st, err := h.submitRetry(spec)
@@ -212,7 +227,8 @@ func runFleetFanout(h *Harness) error {
 		if _, err := h.waitTerminal(st.ID); err != nil {
 			return err
 		}
-		return h.fetchResult(st.ID)
+		_, err = h.matrix(st.ID)
+		return err
 	})
 }
 
@@ -223,11 +239,7 @@ func runFleetFanout(h *Harness) error {
 // race is the point — and none may fail or hang.
 func runCancelStorm(h *Harness) error {
 	seed := h.seedFor("cancel-storm")
-	deadline := h.deadline()
 	return h.parallel(h.cfg.Concurrency, h.cfg.Jobs, func(i int) error {
-		if expired(deadline) {
-			return nil
-		}
 		// Distinct seeds: a cache-hit submission completes instantly and
 		// would turn the cancel race into a no-op. Slow specs (naive
 		// kernel, long trajectories) keep jobs alive long enough for the
@@ -306,15 +318,11 @@ func runOverload(h *Harness) error {
 	}
 	var ids []string
 	var idsMu sync.Mutex
-	deadline := h.deadline()
 	// Twice the configured job count, and deliberately slow specs (the
 	// naive kernel over long trajectories): the burst must outlive its
 	// own submission window, or the queue drains as fast as it fills
 	// and the full-queue path never triggers.
 	err := h.parallel(h.cfg.Concurrency, h.cfg.Jobs*2, func(i int) error {
-		if expired(deadline) {
-			return nil
-		}
 		spec := psaSpec(jobs.EngineSerial, "naive", 4, 64, 256, seed+uint64(i))
 		st, code, err := h.submit(spec)
 		if err != nil || code != 202 {
@@ -343,7 +351,7 @@ func runOverload(h *Harness) error {
 	})
 }
 
-// runChaos runs fleet jobs while (per the loadgate script) one worker
+// runChaos runs fleet jobs while (in the loadgate's topology) one worker
 // is armed with MDTASK_FAULTS on fleet.unit.execute: slowdowns, failed
 // units (nacked and requeued), and a mid-run worker crash (leases
 // requeued by the failure detector). Every job must still complete
@@ -355,11 +363,7 @@ func runChaos(h *Harness) error {
 	if jobsN > 12 {
 		jobsN = 12 // each job fans out ~8 units through a deliberately degraded fleet
 	}
-	deadline := h.deadline()
 	return h.parallel(h.cfg.Concurrency, jobsN, func(i int) error {
-		if expired(deadline) {
-			return nil
-		}
 		spec := psaSpec(jobs.EngineFleet, "pruned", 4, 24, 12, seed+uint64(i))
 		spec.Tasks = 8
 		st, err := h.submitRetry(spec)
