@@ -28,9 +28,11 @@
 //	GET    /v1/fleet             fleet coordinator stats
 //
 // Observability: -trace=off disables span collection (metrics stay
-// on), -debug-addr serves net/http/pprof on a side listener,
-// -log-format selects text or JSON structured access logs, and
-// -version prints the build identity.
+// on), -debug-addr serves net/http/pprof on a side listener, and
+// -version prints the build identity. The process logs its lifecycle
+// (listening, journal recovery, shutdown) to stderr and nothing per
+// request: each request is counted, timed and, when it continues a
+// trace, spanned on /metrics and /v1/jobs/{id}/trace instead.
 //
 // Durability: -data-dir enables a write-ahead job journal in that
 // directory — acknowledged jobs survive SIGKILL and are re-run from
@@ -50,7 +52,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served at -debug-addr
@@ -85,7 +86,6 @@ func main() {
 
 		trace     = flag.String("trace", "on", "span collection: on|off (metrics are always on)")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty: disabled)")
-		logFormat = flag.String("log-format", "text", "structured log format: text|json")
 		version   = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
@@ -103,7 +103,6 @@ func main() {
 		fleetOpts:    fleet.Options{LeaseTTL: *leaseTTL, HeartbeatTTL: *hbTTL, SweepEvery: *sweep},
 		traceOn:      *trace != "off",
 		debugAddr:    *debugAddr,
-		logFormat:    *logFormat,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -125,7 +124,6 @@ type serverConfig struct {
 	fleetOpts              fleet.Options
 	traceOn                bool
 	debugAddr              string
-	logFormat              string
 	// onReady, when non-nil, receives the bound listen address once the
 	// server is accepting requests (test hook).
 	onReady func(net.Addr)
@@ -149,8 +147,8 @@ func selfURL(addr net.Addr) (string, error) {
 // buildHandler wires the jobs API, the fleet worker protocol, and the
 // Prometheus exposition into one mux (shared with the in-process
 // server test), wrapped in the standard instrumentation middleware
-// (per-endpoint metrics, access log, inbound-traceparent spans).
-func buildHandler(sched *jobs.Scheduler, coord *fleet.Coordinator, logger *slog.Logger, jo jobs.ServerOptions) http.Handler {
+// (per-endpoint metrics, inbound-traceparent spans).
+func buildHandler(sched *jobs.Scheduler, coord *fleet.Coordinator, jo jobs.ServerOptions) http.Handler {
 	fh := coord.Handler()
 	mux := http.NewServeMux()
 	mux.Handle("/v1/workers", fh)
@@ -159,7 +157,7 @@ func buildHandler(sched *jobs.Scheduler, coord *fleet.Coordinator, logger *slog.
 	mux.Handle("/v1/fleet/", fh)
 	mux.Handle("/metrics", sched.Obs().Metrics.Handler())
 	mux.Handle("/", jobs.NewServerWith(sched, jo))
-	return obs.Middleware(mux, sched.Obs(), logger, "mdserver")
+	return obs.Middleware(mux, sched.Obs(), "mdserver")
 }
 
 // run serves until ctx is cancelled (main cancels on SIGINT/SIGTERM)
@@ -180,7 +178,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 	}
 	obs.RegisterRuntimeMetrics(ob.Metrics)
 	obs.RegisterBuildInfo(ob.Metrics, "mdserver")
-	logger := obs.NewLogger(os.Stderr, cfg.logFormat)
 	// Env-gated fault points (MDTASK_FAULTS) — inert in production, they
 	// let the crash-recovery tests and smoke script break the journal at
 	// chosen record boundaries.
@@ -246,13 +243,11 @@ func run(ctx context.Context, cfg serverConfig) error {
 		defer dln.Close()
 		// The blank net/http/pprof import registered /debug/pprof on the
 		// default mux; serve it on the side listener only.
-		go func() { _ = http.Serve(dln, http.DefaultServeMux) }()
+		dsrv := obs.NewHTTPServer(http.DefaultServeMux)
+		go func() { _ = dsrv.Serve(dln) }()
 		log.Printf("mdserver pprof on %s/debug/pprof/", dln.Addr())
 	}
-	srv := &http.Server{
-		Handler:           buildHandler(sched, coord, logger, jobs.ServerOptions{MaxSpecBytes: cfg.maxSpecBytes}),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := obs.NewHTTPServer(buildHandler(sched, coord, jobs.ServerOptions{MaxSpecBytes: cfg.maxSpecBytes}))
 
 	// Serve before anything dials in: the in-process fleet workers
 	// below register over real HTTP against this very listener.

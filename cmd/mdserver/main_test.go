@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +92,7 @@ func TestServerFleetRoundTrip(t *testing.T) {
 	defer coord.Close()
 	sched := jobs.NewScheduler(jobs.RegistryWithFleet(coord), jobs.Options{Workers: 2})
 	defer sched.Close()
-	ts := httptest.NewServer(buildHandler(sched, coord, nil, jobs.ServerOptions{}))
+	ts := httptest.NewServer(buildHandler(sched, coord, jobs.ServerOptions{}))
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
@@ -331,5 +335,85 @@ func TestRunShutdownWithFleetJobInFlight(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("run deadlocked shutting down with a fleet job in flight")
+	}
+}
+
+// TestRunLogsNoLinePerRequest boots run() with stderr and the standard
+// logger on one pipe, makes 50 requests and shuts down: the process
+// writes its lifecycle lines and nothing per request, so the count stays
+// below the request count by a wide margin.
+func TestRunLogsNoLinePerRequest(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pw.Close()
+	oldStderr, oldLog := os.Stderr, log.Writer()
+	os.Stderr = pw
+	log.SetOutput(pw)
+	restore := func() {
+		os.Stderr = oldStderr
+		log.SetOutput(oldLog)
+	}
+	defer restore()
+	var lines []string
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		_, _ = io.Copy(io.Discard, pr)
+	}()
+
+	ready := make(chan string, 1)
+	cfg := serverConfig{
+		addr: "127.0.0.1:0", workers: 1, queue: 8, cacheBytes: 1 << 20, retain: 64,
+		fleetOpts: fleet.LocalOptions(),
+		onReady:   func(a net.Addr) { ready <- "http://" + a.String() },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg) }()
+	var base string
+	select {
+	case base = <-ready:
+	case err := <-done:
+		t.Fatalf("run exited early: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never became ready")
+	}
+
+	paths := []string{"/healthz", "/v1/jobs", "/v1/metrics", "/metrics", "/v1/fleet", "/v1/jobs/job-999999"}
+	for i := 0; i < 50; i++ {
+		resp, err := http.Get(base + paths[i%len(paths)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not shut down")
+	}
+	restore()
+	pw.Close()
+	<-read
+	pr.Close()
+
+	out := strings.Join(lines, "\n")
+	if !strings.Contains(out, "mdserver listening on") || !strings.Contains(out, "mdserver shutting down") {
+		t.Fatalf("lifecycle lines missing from the captured log:\n%s", out)
+	}
+	if len(lines) >= 10 {
+		t.Fatalf("50 requests wrote %d log lines, want < 10 (lifecycle only):\n%s", len(lines), out)
 	}
 }

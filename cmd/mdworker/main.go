@@ -18,7 +18,9 @@
 // with per-unit kernel and lease round-trip histograms, -debug-addr
 // serves net/http/pprof, and each executed unit's spans are shipped to
 // the coordinator inside its result, parented under the lease that
-// granted it — one trace covers both processes.
+// granted it — one trace covers both processes. The process logs its
+// lifecycle (registration, listeners, drain) and any unit that fails
+// or is rejected to stderr, and nothing per request.
 package main
 
 import (
@@ -50,7 +52,6 @@ func main() {
 
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text) on this address (empty: disabled)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty: disabled)")
-		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
 		version     = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
@@ -71,7 +72,7 @@ func main() {
 		TransferTimeout: *xferTimeout,
 		Logf:            log.Printf,
 	}
-	if err := run(opts, *metricsAddr, *debugAddr, *logFormat); err != nil {
+	if err := run(opts, *metricsAddr, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "mdworker:", err)
 		os.Exit(1)
 	}
@@ -86,24 +87,10 @@ func defaultName() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// sideServer wraps a side-listener handler (metrics, pprof) in a
-// configured http.Server. The ReadHeaderTimeout matters even on these
-// auxiliary ports: a bare http.Serve lets any client hold a connection
-// open indefinitely without sending a request line, pinning a goroutine
-// per idle connection — the same slowloris hole mdserver and
-// fleet.Local already close on their main listeners.
-func sideServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-}
-
-func run(opts fleet.WorkerOptions, metricsAddr, debugAddr, logFormat string) error {
+func run(opts fleet.WorkerOptions, metricsAddr, debugAddr string) error {
 	ob := obs.New("mdworker")
 	obs.RegisterRuntimeMetrics(ob.Metrics)
 	obs.RegisterBuildInfo(ob.Metrics, "mdworker")
-	logger := obs.NewLogger(os.Stderr, logFormat)
 	if metricsAddr != "" {
 		mln, err := net.Listen("tcp", metricsAddr)
 		if err != nil {
@@ -112,7 +99,7 @@ func run(opts fleet.WorkerOptions, metricsAddr, debugAddr, logFormat string) err
 		defer mln.Close()
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", ob.Metrics.Handler())
-		srv := sideServer(obs.Middleware(mux, ob, logger, "mdworker"))
+		srv := obs.NewHTTPServer(obs.Middleware(mux, ob, "mdworker"))
 		go func() { _ = srv.Serve(mln) }()
 		log.Printf("mdworker metrics on %s/metrics", mln.Addr())
 	}
@@ -122,7 +109,7 @@ func run(opts fleet.WorkerOptions, metricsAddr, debugAddr, logFormat string) err
 			return err
 		}
 		defer dln.Close()
-		dsrv := sideServer(http.DefaultServeMux)
+		dsrv := obs.NewHTTPServer(http.DefaultServeMux)
 		go func() { _ = dsrv.Serve(dln) }()
 		log.Printf("mdworker pprof on %s/debug/pprof/", dln.Addr())
 	}

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"net"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -65,40 +63,9 @@ func TestRunRegisterTimeout(t *testing.T) {
 		Name:         "w",
 		Parallel:     1,
 		RegisterWait: 50 * time.Millisecond,
-	}, "", "", "text")
+	}, "", "")
 	if err == nil || !strings.Contains(err.Error(), "registering") {
 		t.Fatalf("got %v, want registration error", err)
-	}
-}
-
-// TestSideServerConfigured is the regression test for the bare
-// http.Serve the metrics and debug listeners used to run with: both
-// must go through a configured http.Server with a ReadHeaderTimeout,
-// matching mdserver and fleet.Local, so an idle connection that never
-// sends a request line cannot pin a goroutine forever.
-func TestSideServerConfigured(t *testing.T) {
-	called := false
-	srv := sideServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		called = true
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	if srv.ReadHeaderTimeout <= 0 {
-		t.Fatalf("sideServer ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	resp, err := http.Get("http://" + ln.Addr().String() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent || !called {
-		t.Fatalf("sideServer did not serve the wrapped handler (status %d, called %v)", resp.StatusCode, called)
 	}
 }
 

@@ -54,7 +54,7 @@ func benchPSAStreamed(b *testing.B, method hausdorff.Method, window int) {
 		lastPeak, lastBytes = s.PeakResidentFrames, s.BytesStreamed
 	}
 	b.ReportMetric(float64(lastPeak), "peak-frames")
-	b.ReportMetric(float64(lastBytes)/float64(traj.Ensemble(ens).Bytes()), "read-amplification")
+	b.ReportMetric(float64(lastBytes)/float64(traj.RefsOf(ens).Bytes()), "read-amplification")
 }
 
 func BenchmarkPSAStreamed(b *testing.B) {

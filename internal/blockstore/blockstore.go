@@ -240,13 +240,6 @@ func (s *Store) Len() int {
 	return s.ll.Len()
 }
 
-// Bytes returns the stored payload bytes.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // Stats returns a snapshot of the store's accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -27,7 +27,7 @@ func TestByteBudgetEvictionOrder(t *testing.T) {
 	if _, ok := s.Get("c"); !ok {
 		t.Fatal("just-inserted c was evicted")
 	}
-	if got := s.Bytes(); got != 80 {
+	if got := s.Stats().Bytes; got != 80 {
 		t.Fatalf("bytes = %d, want 80", got)
 	}
 	st := s.Stats()
@@ -43,7 +43,7 @@ func TestByteBudgetEvictionOrder(t *testing.T) {
 
 	// Replacing an entry accounts the size delta.
 	s.Put("a", "A2", 60)
-	if got := s.Bytes(); got != 100 {
+	if got := s.Stats().Bytes; got != 100 {
 		t.Fatalf("bytes after resize = %d, want 100", got)
 	}
 }

@@ -44,9 +44,6 @@ func NewClient(workers int) *Client {
 	return &Client{workers: p.Workers(), Metrics: m}
 }
 
-// Workers returns the scheduler's parallelism.
-func (c *Client) Workers() int { return c.workers }
-
 // Delayed is a lazy task: a function of the results of its dependencies.
 // Results are memoized, so a node shared by several graphs computes
 // once.

@@ -140,7 +140,7 @@ func TestComputeMultipleRoots(t *testing.T) {
 }
 
 func TestWorkersDefault(t *testing.T) {
-	if NewClient(0).Workers() < 1 {
-		t.Error("Workers < 1")
+	if NewClient(0).workers < 1 {
+		t.Error("workers < 1")
 	}
 }

@@ -132,17 +132,6 @@ type Job struct {
 	result   any
 }
 
-// ID returns the job's fleet-scoped identifier.
-func (j *Job) ID() string { return j.id }
-
-// Requeues returns how many of the job's units were revoked and
-// rescheduled (lease expiry or worker death).
-func (j *Job) Requeues() int64 {
-	j.c.mu.Lock()
-	defer j.c.mu.Unlock()
-	return j.requeues
-}
-
 // Result returns the assembled result of a completed job: whatever its
 // plan's Assemble built.
 func (j *Job) Result() any {

@@ -48,6 +48,14 @@ func submitPSA(t testing.TB, c *Coordinator, refs traj.RefEnsemble, n1 int, opts
 	return submitPlan(t, c, plan, m)
 }
 
+// requeuesOf reads how many of j's units were revoked and
+// rescheduled: the count its fleet.job span reports.
+func requeuesOf(j *Job) int64 {
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
+	return j.requeues
+}
+
 // submitLeaflet submits a Leaflet job over coords, one unit per live
 // tile.
 func submitLeaflet(t testing.TB, c *Coordinator, coords []linalg.Vec3, cutoff float64, tasks int, tree bool) *Job {
@@ -124,7 +132,7 @@ func TestEnsembleCodecRoundTrip(t *testing.T) {
 				continue
 			}
 			seen[name] = true
-			blob, err := c.blobOf(psaJob.ID(), name)
+			blob, err := c.blobOf(psaJob.id, name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +153,7 @@ func TestEnsembleCodecRoundTrip(t *testing.T) {
 	if len(seen) != len(ens) {
 		t.Fatalf("the job's units read %d blobs, want one per trajectory (%d)", len(seen), len(ens))
 	}
-	if _, err := c.blobOf(lfJob.ID(), psaJob.run.Units()[0].Inputs[0]); err == nil {
+	if _, err := c.blobOf(lfJob.id, psaJob.run.Units()[0].Inputs[0]); err == nil {
 		t.Error("Leaflet job served a trajectory")
 	}
 }
@@ -157,7 +165,7 @@ func TestCoordsCodecRoundTrip(t *testing.T) {
 	coords := []linalg.Vec3{{0, -1.5, 2}, {math.Pi, 1e-12, -3e7}}
 	c, psaJob, lfJob := inputJobs(t, testEnsemble(2, 3, 2, 7), coords)
 	name := lfJob.run.Units()[0].Inputs[0]
-	blob, err := c.blobOf(lfJob.ID(), name)
+	blob, err := c.blobOf(lfJob.id, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestCoordsCodecRoundTrip(t *testing.T) {
 	if _, err := linalg.DecodeVec3s(blob[:10]); err == nil {
 		t.Error("truncated coordinate blob accepted")
 	}
-	if _, err := c.blobOf(psaJob.ID(), name); err == nil {
+	if _, err := c.blobOf(psaJob.id, name); err == nil {
 		t.Error("PSA job served a coordinate chunk")
 	}
 }
@@ -349,8 +357,8 @@ func TestWorkerIDsUniqueAcrossCoordinatorRestarts(t *testing.T) {
 	if err != nil || live == nil {
 		t.Fatalf("restarted coordinator granted no lease: %v", err)
 	}
-	if job.ID() == oldJob.ID() || live.Lease == stale.Lease {
-		t.Fatalf("ids repeat across incarnations: job %s, lease %s", job.ID(), live.Lease)
+	if job.id == oldJob.id || live.Lease == stale.Lease {
+		t.Fatalf("ids repeat across incarnations: job %s, lease %s", job.id, live.Lease)
 	}
 	if live.Unit != stale.Unit {
 		t.Fatalf("live lease is for unit %d, the stale one for %d", live.Unit, stale.Unit)

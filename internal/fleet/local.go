@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"mdtask/internal/obs"
 )
@@ -39,7 +38,7 @@ func StartLocal(n int, opts Options) (*Local, error) {
 	lf := &Local{
 		C:   c,
 		URL: "http://" + ln.Addr().String(),
-		srv: &http.Server{Handler: c.Handler(), ReadHeaderTimeout: 10 * time.Second},
+		srv: obs.NewHTTPServer(c.Handler()),
 	}
 	go func() { _ = lf.srv.Serve(ln) }()
 	for i := 0; i < n; i++ {

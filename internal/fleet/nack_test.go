@@ -99,8 +99,8 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("job took %s; the nack must beat the 30s lease TTL", elapsed)
 	}
-	if job.Requeues() < 1 {
-		t.Errorf("requeues = %d, want >= 1", job.Requeues())
+	if n := requeuesOf(job); n < 1 {
+		t.Errorf("requeues = %d, want >= 1", n)
 	}
 	if st := c.Stats(); st.UnitFailures < 1 {
 		t.Errorf("unit failures = %d, want >= 1", st.UnitFailures)

@@ -137,8 +137,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if err := job.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
-	if job.Requeues() < 1 {
-		t.Errorf("requeues = %d, want >= 1", job.Requeues())
+	if n := requeuesOf(job); n < 1 {
+		t.Errorf("requeues = %d, want >= 1", n)
 	}
 	got := matrixOf(job)
 	for i := range want.Data {
@@ -196,8 +196,8 @@ func TestDeadWorkerRequeues(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("job took %s; dead-worker detection should beat the 30s lease TTL", elapsed)
 	}
-	if job.Requeues() < 1 {
-		t.Errorf("requeues = %d, want >= 1", job.Requeues())
+	if n := requeuesOf(job); n < 1 {
+		t.Errorf("requeues = %d, want >= 1", n)
 	}
 	got := matrixOf(job)
 	for i := range want.Data {
@@ -254,8 +254,8 @@ func TestAbortStalePostsAndUnknownWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if job2.Requeues() < 1 {
-		t.Errorf("deregister did not requeue: %d", job2.Requeues())
+	if n := requeuesOf(job2); n < 1 {
+		t.Errorf("deregister did not requeue: %d", n)
 	}
 }
 
@@ -322,7 +322,7 @@ func TestSlowUnitOnLiveWorkerNotRevoked(t *testing.T) {
 	if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, Payload: payload}); code != http.StatusOK {
 		t.Fatalf("slow-but-alive worker's post rejected with %d", code)
 	}
-	if got := job.Requeues(); got != 0 {
+	if got := requeuesOf(job); got != 0 {
 		t.Errorf("requeues = %d, want 0 (live worker must keep its lease)", got)
 	}
 }

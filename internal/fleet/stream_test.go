@@ -109,7 +109,7 @@ func TestCoordinatorWindowEndpointBounds(t *testing.T) {
 		return blob, resp.StatusCode
 	}
 	for i, want := range []int{2, 2, 1} { // the final window is the remainder
-		blob, code := get(job.ID(), u.Inputs[i])
+		blob, code := get(job.id, u.Inputs[i])
 		if code != http.StatusOK {
 			t.Fatalf("window %s answered %d", u.Inputs[i], code)
 		}
@@ -130,7 +130,7 @@ func TestCoordinatorWindowEndpointBounds(t *testing.T) {
 		strings.Replace(first, "w00000", "w0", 1),
 		"atoms-0-1.bin",
 	} {
-		if _, code := get(job.ID(), bad); code != http.StatusNotFound {
+		if _, code := get(job.id, bad); code != http.StatusNotFound {
 			t.Fatalf("input %q answered %d, want 404", bad, code)
 		}
 	}
@@ -143,12 +143,12 @@ func TestCoordinatorWindowEndpointBounds(t *testing.T) {
 	if in := job2.run.Units()[0].Inputs; job2.run.Units()[0].Stream || len(in) != 1 || in[0] != first {
 		t.Fatalf("in-memory unit 0 reads %v, want the whole trajectory %s", in, first)
 	}
-	if blob, code := get(job2.ID(), first); code != http.StatusOK {
+	if blob, code := get(job2.id, first); code != http.StatusOK {
 		t.Fatalf("whole trajectory answered %d", code)
 	} else if whole, err := traj.DecodeMDT(blob); err != nil || whole.NFrames() != 5 {
 		t.Fatalf("whole trajectory decodes to %v frames (err %v), want 5", whole, err)
 	}
-	if _, code := get(job2.ID(), u.Inputs[1]); code != http.StatusNotFound {
+	if _, code := get(job2.id, u.Inputs[1]); code != http.StatusNotFound {
 		t.Fatalf("window request for in-memory job answered %d, want 404", code)
 	}
 }

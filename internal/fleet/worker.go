@@ -419,7 +419,7 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 // 5xx responses are retried with jittered backoff: the computed block
 // is already in hand, and a blip on the result path must not throw the
 // kernel work away. A non-empty traceparent is forwarded so the
-// coordinator's access log and server span land in the job's trace.
+// coordinator's server span lands in the job's trace.
 func (w *Worker) post(traceparent string, res UnitResult) bool {
 	body, err := json.Marshal(res)
 	if err != nil {

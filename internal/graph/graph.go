@@ -92,9 +92,6 @@ func (uf *UnionFind) Reset(n int) {
 	clear(uf.rank)
 }
 
-// Len returns the number of elements in the forest.
-func (uf *UnionFind) Len() int { return len(uf.parent) }
-
 // Find returns the representative of x's set, compressing the path.
 func (uf *UnionFind) Find(x int32) int32 {
 	root := x

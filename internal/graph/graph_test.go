@@ -26,8 +26,8 @@ func TestComponentsBFSSimple(t *testing.T) {
 
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind(4)
-	if uf.Len() != 4 {
-		t.Fatalf("Len = %d", uf.Len())
+	if len(uf.parent) != 4 {
+		t.Fatalf("len = %d", len(uf.parent))
 	}
 	if !uf.Union(0, 1) {
 		t.Error("first union reported no-op")
@@ -114,8 +114,8 @@ func TestUnionFindReset(t *testing.T) {
 	uf.Union(0, 7)
 	uf.Union(2, 3)
 	uf.Reset(5)
-	if uf.Len() != 5 {
-		t.Fatalf("Len = %d after Reset(5)", uf.Len())
+	if len(uf.parent) != 5 {
+		t.Fatalf("len = %d after Reset(5)", len(uf.parent))
 	}
 	for i := int32(0); i < 5; i++ {
 		if uf.Find(i) != i {

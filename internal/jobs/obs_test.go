@@ -315,14 +315,14 @@ func TestLeafletTilesObserveKernelHistogram(t *testing.T) {
 				root := ob.Tracer.StartRoot("run")
 				rc := NewRunContext()
 				rc.SetObs(ob, root.Context())
-				before := hist.Count()
+				before := hist.Snapshot().Count
 				res, err := runner(rc, spec, in)
 				root.End()
 				if err != nil {
 					t.Fatal(err)
 				}
 				spans, _ := ob.Tracer.Spans(root.Context().Trace)
-				observed, traced := hist.Count()-before, len(spansByName(spans)["leaflet.tile"])
+				observed, traced := hist.Snapshot().Count-before, len(spansByName(spans)["leaflet.tile"])
 				if live := res.Leaflet.Stats.Tasks; live != 11 || observed != 11 || traced != 11 {
 					t.Errorf("%d live tiles: histogram rose by %d, %d leaflet.tile spans; want 11 each",
 						live, observed, traced)

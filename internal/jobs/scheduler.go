@@ -75,9 +75,6 @@ func (j *Job) TraceID() obs.TraceID {
 	return j.trace
 }
 
-// Spec returns the job's normalized spec.
-func (j *Job) Spec() Spec { return j.rec.Spec }
-
 // record returns a copy of the job's durable fields.
 func (j *Job) record() JobRecord {
 	j.mu.Lock()
@@ -556,10 +553,6 @@ func (s *Scheduler) Metrics() ServiceMetrics {
 		Engine:       s.agg.Snapshot(),
 	}
 }
-
-// BlockStore exposes the scheduler's content-addressed result store
-// (shared with whatever components the owner wired it into).
-func (s *Scheduler) BlockStore() *blockstore.Store { return s.store }
 
 // Close stops accepting submissions, drains the queue, waits for
 // running jobs to finish, and (with a journal wired) records the

@@ -49,9 +49,6 @@ const (
 // Engines lists every engine name a runner is registered for.
 var Engines = []string{EngineSerial, EngineSpark, EngineDask, EngineMPI, EnginePilot, EngineFleet}
 
-// Analyses lists every analysis name a runner is registered for.
-var Analyses = []string{AnalysisPSA, AnalysisLeaflet}
-
 // SynthSpec describes a deterministically generated input, the serving
 // analogue of cmd/trajgen: either a paper preset by name or explicit
 // dimensions. All generation is a pure function of the fields, so a

@@ -48,7 +48,7 @@ func startTestServer(t *testing.T, queueDepth, nWorkers int) (*httptest.Server, 
 	mux.Handle("/v1/fleet/", fh)
 	mux.Handle("/metrics", ob.Metrics.Handler())
 	mux.Handle("/", jobs.NewServerWith(sched, jobs.ServerOptions{MaxSpecBytes: 64 << 10}))
-	srv := httptest.NewServer(obs.Middleware(mux, ob, nil, "mdserver-test"))
+	srv := httptest.NewServer(obs.Middleware(mux, ob, "mdserver-test"))
 
 	var workers []*fleet.Worker
 	for i := 0; i < nWorkers; i++ {

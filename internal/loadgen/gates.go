@@ -381,12 +381,12 @@ func gateCrash(g *gateRun) error {
 	return nil
 }
 
-// gateObs is smoke-obs: mdserver (tracing on, JSON logs) and two
+// gateObs is smoke-obs: mdserver (tracing on) and two
 // mdworkers serving /metrics; one serial job, then one fleet job on
 // another seed (a same-seed fleet job would be served from the block
 // cache and lease no unit), then checkObs.
 func gateObs(g *gateRun) error {
-	_, h, err := g.server("127.0.0.1:0", "-workers", "2", "-log-format", "json",
+	_, h, err := g.server("127.0.0.1:0", "-workers", "2",
 		"-fleet-lease-ttl", "5s", "-fleet-heartbeat-ttl", "2s", "-fleet-sweep", "100ms")
 	if err != nil {
 		return err

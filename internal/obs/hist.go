@@ -22,8 +22,7 @@ var DefBuckets = []float64{
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 // NewHistogram returns a histogram over the given strictly increasing
@@ -48,7 +47,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.counts[h.bucketOf(v)].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -99,69 +97,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Count += c
 	}
 	return s
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation inside the bucket the rank falls in, the same
-// estimate Prometheus's histogram_quantile computes. The +Inf
-// bucket clamps to the largest finite bound; an empty histogram
-// returns 0. Estimates are monotone in q.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantile is Histogram.Quantile over a snapshot.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			if i == len(s.Bounds) {
-				// +Inf bucket: clamp to the largest finite bound.
-				if len(s.Bounds) == 0 {
-					return 0
-				}
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = s.Bounds[i-1]
-			}
-			upper := s.Bounds[i]
-			// Position of the rank inside this bucket.
-			frac := (rank - float64(cum-c)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + (upper-lower)*frac
-		}
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }

@@ -1,14 +1,14 @@
 package obs
 
 import (
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// statusRecorder captures the response status for logging/metrics.
+// statusRecorder captures the response status for the request counter
+// and the server span.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -67,25 +67,25 @@ func isIDSegment(s string) bool {
 
 // Middleware wraps an HTTP handler with the standard server-side
 // instrumentation: a per-endpoint latency histogram and request
-// counter, a structured access log line, and — when the request
-// carries a W3C traceparent header — an http.server span continuing
-// the inbound trace. Requests without a traceparent get metrics and a
-// log line but no span: the job timeline's root spans are opened by
-// the scheduler, and minting a fresh trace per unrelated request would
-// churn the tracer's bounded trace buffer.
-func Middleware(next http.Handler, o *Obs, log *slog.Logger, service string) http.Handler {
+// counter and, when the request carries a W3C traceparent header, an
+// http.server span continuing the inbound trace. It writes no log
+// line: every fact about a request is in those series or that span.
+// Requests without a traceparent get metrics but no span: the job
+// timeline's root spans are opened by the scheduler, and minting a
+// fresh trace per unrelated request would churn the tracer's bounded
+// trace buffer.
+func Middleware(next http.Handler, o *Obs, service string) http.Handler {
 	if o == nil {
 		o = NoTrace()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
+		path := NormalizePath(r.URL.Path)
 
 		var span *Span
-		traceID := ""
 		if parent, ok := ParseTraceParent(r.Header.Get("traceparent")); ok {
-			traceID = parent.Trace.String()
-			span = o.Tracer.StartChild(parent, "http.server "+r.Method+" "+NormalizePath(r.URL.Path))
+			span = o.Tracer.StartChild(parent, "http.server "+r.Method+" "+path)
 			span.SetAttr("http.path", r.URL.Path)
 		}
 
@@ -94,12 +94,10 @@ func Middleware(next http.Handler, o *Obs, log *slog.Logger, service string) htt
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		elapsed := time.Since(start)
-		path := NormalizePath(r.URL.Path)
 		o.Metrics.Histogram("mdtask_http_request_duration_seconds",
 			"HTTP server request latency by endpoint.", nil,
 			"service", service, "method", r.Method, "path", path,
-		).Observe(elapsed.Seconds())
+		).Observe(time.Since(start).Seconds())
 		o.Metrics.Counter("mdtask_http_requests_total",
 			"HTTP server requests by endpoint and status code.",
 			"service", service, "method", r.Method, "path", path,
@@ -110,37 +108,14 @@ func Middleware(next http.Handler, o *Obs, log *slog.Logger, service string) htt
 			span.SetAttrInt("http.status", int64(rec.status))
 			span.End()
 		}
-		if log != nil {
-			attrs := []any{
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("dur", elapsed),
-			}
-			if traceID != "" {
-				attrs = append(attrs, slog.String("trace_id", traceID))
-			}
-			log.LogAttrs(r.Context(), slog.LevelInfo, "http",
-				toSlogAttrs(attrs)...)
-		}
 	})
 }
 
-func toSlogAttrs(in []any) []slog.Attr {
-	out := make([]slog.Attr, 0, len(in))
-	for _, a := range in {
-		if sa, ok := a.(slog.Attr); ok {
-			out = append(out, sa)
-		}
-	}
-	return out
-}
-
-// NewLogger builds the process logger for the -log-format flag:
-// "json" for machine-readable lines, anything else for text.
-func NewLogger(w interface{ Write([]byte) (int, error) }, format string) *slog.Logger {
-	if format == "json" {
-		return slog.New(slog.NewJSONHandler(w, nil))
-	}
-	return slog.New(slog.NewTextHandler(w, nil))
+// NewHTTPServer returns the http.Server every listener of mdserver,
+// mdworker and fleet.Local serves through, the pprof and metrics side
+// ports included. Its ReadHeaderTimeout closes the slowloris hole of a
+// bare http.Serve, where a client that opens a connection and never
+// sends a request line pins a goroutine for as long as it likes.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }

@@ -30,8 +30,16 @@
 // A Registry holds counters, gauges (value callbacks), and fixed
 // exponential-bucket histograms with per-series labels, and writes
 // the Prometheus text exposition format (GET /metrics). Histograms
-// support lock-free concurrent Observe and p50/p95/p99-style quantile
-// estimation by linear interpolation.
+// support lock-free concurrent Observe; quantiles are computed by the
+// scraper from the exposed buckets.
+//
+// # Requests
+//
+// Middleware records each HTTP request once, in two places: the
+// mdtask_http_requests_total and mdtask_http_request_duration_seconds
+// series on /metrics, and an http.server span when the request
+// continues a trace. It writes no log line, so a process's log holds
+// only its lifecycle lines.
 package obs
 
 // Obs bundles the observability handles of one process: its tracer

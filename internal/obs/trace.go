@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -371,9 +370,4 @@ func (t *Tracer) Take(trace TraceID) []WireSpan {
 		}
 	}
 	return buf.spans
-}
-
-// String renders a context for logs: "trace/span".
-func (c SpanContext) String() string {
-	return fmt.Sprintf("%s/%s", c.Trace.String(), c.Span.String())
 }

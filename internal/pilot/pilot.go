@@ -207,9 +207,6 @@ func NewPilot(cores int, dir string, db *DB, cfg Config, m *engine.Metrics) (*Pi
 	return p, nil
 }
 
-// Metrics returns the pilot's metrics sink.
-func (p *Pilot) Metrics() *engine.Metrics { return p.metrics }
-
 // Submit registers units with the coordination DB and returns handles.
 func (p *Pilot) Submit(descs []UnitDescription) []*Unit {
 	units := make([]*Unit, len(descs))

@@ -53,7 +53,7 @@ func TestSubmitAndWait(t *testing.T) {
 	if ran != 20 {
 		t.Errorf("ran = %d", ran)
 	}
-	if got := p.Metrics().Snapshot().Tasks; got != 20 {
+	if got := p.metrics.Snapshot().Tasks; got != 20 {
 		t.Errorf("metrics tasks = %d", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestInputStagingAndOutputCollection(t *testing.T) {
 	if !ok || string(out) != "HELLO STAGING" {
 		t.Fatalf("output = %q, ok=%v", out, ok)
 	}
-	if p.Metrics().Snapshot().BytesStaged == 0 {
+	if p.metrics.Snapshot().BytesStaged == 0 {
 		t.Error("staging bytes not accounted")
 	}
 }

@@ -46,12 +46,6 @@ type RDD[T any] struct {
 	compute  func(part int) ([]T, error)
 }
 
-// Context returns the owning context.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
-// Name returns the RDD's debug name.
-func (r *RDD[T]) Name() string { return r.name }
-
 // Parallelize distributes data across numParts partitions (0 uses the
 // context default). Elements are split into contiguous ranges, like
 // Spark's parallelize.
@@ -145,19 +139,6 @@ func (r *RDD[T]) Collect() ([]T, error) {
 		out = append(out, p...)
 	}
 	return out, nil
-}
-
-// Count runs the job and returns the element count.
-func (r *RDD[T]) Count() (int, error) {
-	parts, err := r.runStage()
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n, nil
 }
 
 // Broadcast is a read-only value shipped once to every worker, like

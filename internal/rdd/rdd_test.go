@@ -40,9 +40,9 @@ func TestParallelizeMorePartitionsThanData(t *testing.T) {
 	if r.numParts != 3 {
 		t.Errorf("partitions clamped to %d, want 3", r.numParts)
 	}
-	n, err := r.Count()
-	if err != nil || n != 3 {
-		t.Errorf("Count = %d, %v", n, err)
+	got, err := r.Collect()
+	if err != nil || len(got) != 3 {
+		t.Errorf("Collect = %v, %v", got, err)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestStageCounting(t *testing.T) {
 	if s.Stages != 1 {
 		t.Errorf("stages = %d, want 1 (pipelined narrow ops)", s.Stages)
 	}
-	_, _ = r.Count() // each action runs its own stage
+	_, _ = r.Collect() // each action runs its own stage
 	s = ctx.Metrics.Snapshot()
 	if s.Stages != 2 {
 		t.Errorf("stages = %d, want 2", s.Stages)

@@ -163,8 +163,8 @@ func TestMDTHeaderFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr.Name() != "hello world" || mr.NAtoms() != 6 || mr.NFrames() != 2 {
-		t.Errorf("header = %q/%d/%d", mr.Name(), mr.NAtoms(), mr.NFrames())
+	if mr.name != "hello world" || mr.nAtoms != 6 || mr.nFrames != 2 {
+		t.Errorf("header = %q/%d/%d", mr.name, mr.nAtoms, mr.nFrames)
 	}
 }
 

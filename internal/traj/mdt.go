@@ -163,15 +163,6 @@ func NewMDTReader(r io.Reader) (*MDTReader, error) {
 	return mr, nil
 }
 
-// Name returns the trajectory name stored in the header.
-func (mr *MDTReader) Name() string { return mr.name }
-
-// NAtoms returns the per-frame atom count.
-func (mr *MDTReader) NAtoms() int { return mr.nAtoms }
-
-// NFrames returns the number of frames in the file.
-func (mr *MDTReader) NFrames() int { return mr.nFrames }
-
 // decodeMDTFrames decodes the raw payload of whole MDT frames (each an
 // 8-byte time then nAtoms·3 components of prec bytes), len(raw)/frame
 // size of them, straight into packed rows, and their times into times

@@ -196,12 +196,3 @@ func (e Ensemble) Validate() error {
 	}
 	return nil
 }
-
-// Bytes returns the total coordinate payload of the ensemble.
-func (e Ensemble) Bytes() int64 {
-	var n int64
-	for _, t := range e {
-		n += t.Bytes()
-	}
-	return n
-}

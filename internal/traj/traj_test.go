@@ -68,8 +68,8 @@ func TestBytes(t *testing.T) {
 		t.Errorf("Bytes = %d, want %d", got, 10*4*24)
 	}
 	ens := Ensemble{tr, tr}
-	if got := ens.Bytes(); got != 2*tr.Bytes() {
-		t.Errorf("Ensemble.Bytes = %d", got)
+	if got := RefsOf(ens).Bytes(); got != 2*tr.Bytes() {
+		t.Errorf("RefEnsemble.Bytes = %d", got)
 	}
 }
 
