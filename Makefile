@@ -102,12 +102,14 @@ fuzz:
 # streamed folds read one shared per-file sketch and recycle window
 # slots through a pool, and the executors: engine's pool, dask's
 # dependency scheduler, mpi's channel fabric with its abort path and
-# rdd's partition pool), independent of the main test matrix.
+# rdd's partition pool, and the tracer, whose one span buffer every
+# goroutine of mdserver and mdworker records into and reads from),
+# independent of the main test matrix.
 # -race also turns on checkptr, which checks traj's in-place views stay
 # inside one allocation. -shuffle=on randomizes test order so order
 # dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/... ./internal/engine/... ./internal/dask/... ./internal/mpi/... ./internal/rdd/...
+	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/... ./internal/engine/... ./internal/dask/... ./internal/mpi/... ./internal/rdd/... ./internal/obs/...
 
 # Soak the serving layers: five shuffled passes under -race, so a test
 # that synchronises by sleeping instead of waiting on its condition

@@ -68,8 +68,9 @@ type lease struct {
 }
 
 // endLocked finishes the lease span with its outcome. Callers hold
-// the coordinator's mu; ending twice no-ops, so every outcome path can
-// call it unconditionally.
+// the coordinator's mu. Only the first call records: a later call's
+// SetAttr and End are ignored on the ended span, so every outcome path
+// can call it unconditionally and the first outcome stands.
 func (l *lease) endLocked(outcome string) {
 	l.span.SetAttr("outcome", outcome)
 	l.span.End()

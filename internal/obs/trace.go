@@ -96,6 +96,9 @@ type WireSpan struct {
 // both the trace count and the spans retained per trace bounded (the
 // oldest-touched trace and the latest spans beyond the cap are
 // dropped), so tracing on a long-running server holds steady memory.
+// The traces form an intrusive doubly linked LRU list, so recording a
+// span costs the same however many traces the buffer holds: a map
+// lookup, an unlink and a relink, and the span's own slot.
 //
 // A nil *Tracer is the disabled tracer: every method no-ops and every
 // started span is nil (whose methods also no-op).
@@ -105,14 +108,16 @@ type Tracer struct {
 	mu        sync.Mutex
 	idState   [2]uint64 // xorshift128+ state for span/trace ids
 	traces    map[TraceID]*traceBuf
-	order     []TraceID // LRU, most recently touched last
+	lru       traceBuf // sentinel: lru.next is the least recently touched trace, lru.prev the most
 	maxTraces int
 	maxSpans  int
 }
 
 type traceBuf struct {
-	spans   []WireSpan
-	dropped int
+	id         TraceID
+	prev, next *traceBuf // LRU links
+	spans      []WireSpan
+	dropped    int
 }
 
 // Bounds of the default tracer: traces retained and spans per trace.
@@ -130,6 +135,7 @@ func NewTracer(proc string) *Tracer {
 		maxTraces: defaultMaxTraces,
 		maxSpans:  defaultMaxSpansPerTrace,
 	}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	var seed [16]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		t.idState[0] = binary.LittleEndian.Uint64(seed[0:])
@@ -233,13 +239,18 @@ func (s *Span) Context() SpanContext {
 }
 
 // SetAttr attaches a key/value attribute, visible in the exported
-// trace's args.
+// trace's args. An ended span is already recorded, and its attributes
+// are shared with readers of the buffer, so SetAttr after End is
+// ignored.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ended {
+		return
+	}
 	if s.attrs == nil {
 		s.attrs = make(map[string]string, 4)
 	}
@@ -287,17 +298,17 @@ func (t *Tracer) record(trace TraceID, ws WireSpan) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	buf, ok := t.traces[trace]
-	if !ok {
-		buf = &traceBuf{}
-		t.traces[trace] = buf
-		t.order = append(t.order, trace)
-		if len(t.order) > t.maxTraces {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.traces, evict)
-		}
+	if ok {
+		buf.unlink()
 	} else {
-		t.touchLocked(trace)
+		buf = &traceBuf{id: trace}
+		t.traces[trace] = buf
+	}
+	t.pushMRULocked(buf)
+	if len(t.traces) > t.maxTraces {
+		evict := t.lru.next
+		evict.unlink()
+		delete(t.traces, evict.id)
 	}
 	if len(buf.spans) >= t.maxSpans {
 		buf.dropped++
@@ -306,14 +317,18 @@ func (t *Tracer) record(trace TraceID, ws WireSpan) {
 	buf.spans = append(buf.spans, ws)
 }
 
-// touchLocked moves a trace to the most-recently-used end.
-func (t *Tracer) touchLocked(trace TraceID) {
-	for i, id := range t.order {
-		if id == trace {
-			t.order = append(append(t.order[:i:i], t.order[i+1:]...), trace)
-			return
-		}
-	}
+// pushMRULocked links b at the most-recently-used end of the LRU list.
+func (t *Tracer) pushMRULocked(b *traceBuf) {
+	b.prev, b.next = t.lru.prev, &t.lru
+	t.lru.prev.next = b
+	t.lru.prev = b
+}
+
+// unlink removes b from the LRU list. Callers hold the tracer's mu.
+func (b *traceBuf) unlink() {
+	b.prev.next = b.next
+	b.next.prev = b.prev
+	b.prev, b.next = nil, nil
 }
 
 // Import records already-finished spans (e.g. shipped back from a
@@ -363,11 +378,6 @@ func (t *Tracer) Take(trace TraceID) []WireSpan {
 		return nil
 	}
 	delete(t.traces, trace)
-	for i, id := range t.order {
-		if id == trace {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
+	buf.unlink()
 	return buf.spans
 }

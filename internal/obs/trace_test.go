@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -176,6 +177,166 @@ func TestImportCrossProcessSpans(t *testing.T) {
 	}
 	if !procs["mdserver"] || !procs["mdworker"] {
 		t.Fatalf("trace does not span both processes: %v", procs)
+	}
+}
+
+func TestTouchedTraceOutlivesUntouchedNewerTrace(t *testing.T) {
+	tr := NewTracer("test")
+	tr.maxTraces = 3
+	roots := make([]SpanContext, 3)
+	for i := range roots {
+		s := tr.StartRoot("job")
+		s.End()
+		roots[i] = s.Context()
+	}
+	// A span into the oldest trace makes it the most recently touched,
+	// so the next new trace evicts roots[1], the oldest untouched one.
+	tr.StartChild(roots[0], "run").End()
+	tr.StartRoot("job").End()
+	if tr.TraceCount() != 3 {
+		t.Fatalf("trace count %d, want 3", tr.TraceCount())
+	}
+	if spans, _ := tr.Spans(roots[0].Trace); len(spans) != 2 {
+		t.Fatalf("touched trace holds %d spans, want 2", len(spans))
+	}
+	if spans, _ := tr.Spans(roots[1].Trace); spans != nil {
+		t.Fatal("untouched newer trace survived eviction")
+	}
+	if spans, _ := tr.Spans(roots[2].Trace); len(spans) != 1 {
+		t.Fatal("newest old trace was evicted")
+	}
+}
+
+func TestFillAfterTakeEvictsOldestRemaining(t *testing.T) {
+	tr := NewTracer("test")
+	tr.maxTraces = 3
+	var ids []TraceID
+	newTrace := func() {
+		s := tr.StartRoot("job")
+		s.End()
+		ids = append(ids, s.Context().Trace)
+	}
+	alive := func(want ...int) {
+		t.Helper()
+		if tr.TraceCount() != len(want) {
+			t.Fatalf("trace count %d, want %d", tr.TraceCount(), len(want))
+		}
+		for _, i := range want {
+			if spans, _ := tr.Spans(ids[i]); len(spans) != 1 {
+				t.Fatalf("trace %d was evicted", i)
+			}
+		}
+	}
+	newTrace()
+	newTrace()
+	newTrace()
+	if len(tr.Take(ids[1])) != 1 {
+		t.Fatal("Take of the middle trace returned no span")
+	}
+	alive(0, 2)
+	newTrace() // fills the slot Take freed: nothing is evicted
+	alive(0, 2, 3)
+	newTrace() // evicts ids[0], the oldest remaining
+	alive(2, 3, 4)
+	if len(tr.Take(ids[4])) != 1 {
+		t.Fatal("Take of the newest trace returned no span")
+	}
+	alive(2, 3)
+	newTrace()
+	newTrace() // evicts ids[2]
+	alive(3, 5, 6)
+}
+
+// recordBytes returns the heap bytes allocated per span recorded into
+// an existing trace while the tracer retains the given number of
+// traces: 1000 spans round-robin into the 3 newest traces.
+func recordBytes(retained int) float64 {
+	tr := NewTracer("test")
+	roots := make([]SpanContext, retained)
+	for i := range roots {
+		s := tr.StartRoot("job")
+		s.End()
+		roots[i] = s.Context()
+	}
+	hot := roots[retained-3:]
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tr.StartChild(hot[i%len(hot)], "run").End()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+func TestRecordCostIndependentOfRetainedTraces(t *testing.T) {
+	few, full := recordBytes(3), recordBytes(defaultMaxTraces)
+	if full-few > 64 {
+		t.Fatalf("recording a span allocates %.0f B with %d traces retained, %.0f B with 3", full, defaultMaxTraces, few)
+	}
+}
+
+func TestSetAttrAfterEndIsIgnored(t *testing.T) {
+	tr := NewTracer("test")
+	s := tr.StartRoot("fleet.lease")
+	s.SetAttr("outcome", "done")
+	s.End()
+	s.SetAttr("outcome", "revoked")
+	s.SetAttrInt("late", 1)
+	spans, _ := tr.Spans(s.Context().Trace)
+	if len(spans) != 1 {
+		t.Fatalf("got %d spans, want 1", len(spans))
+	}
+	if got := spans[0].Attrs; len(got) != 1 || got["outcome"] != "done" {
+		t.Fatalf("recorded attrs = %v, want only outcome=done", got)
+	}
+}
+
+func TestLateSetAttrDoesNotRaceReaders(t *testing.T) {
+	tr := NewTracer("test")
+	s := tr.StartRoot("job")
+	s.SetAttr("k", "v")
+	s.End()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			s.SetAttrInt("k", int64(i))
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		spans, _ := tr.Spans(s.Context().Trace)
+		if got := spans[0].Attrs["k"]; got != "v" {
+			t.Errorf("recorded attr k = %q after End, want v", got)
+			break
+		}
+		ChromeTrace(spans)
+	}
+	<-done
+}
+
+// BenchmarkSpanRecord times one child span (start, one attribute, end)
+// recorded into an existing trace, with 3 and with 256 traces retained.
+func BenchmarkSpanRecord(b *testing.B) {
+	for _, retained := range []int{3, defaultMaxTraces} {
+		b.Run(fmt.Sprintf("traces=%d", retained), func(b *testing.B) {
+			tr := NewTracer("bench")
+			var hot SpanContext
+			for i := 0; i < retained; i++ {
+				s := tr.StartRoot("job")
+				s.End()
+				if i == 0 {
+					hot = s.Context()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := tr.StartChild(hot, "run")
+				s.SetAttr("engine", "dask")
+				s.End()
+			}
+		})
 	}
 }
 
