@@ -3,7 +3,7 @@ SERVE_ADDR ?= :8077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare docslint enginelint deadapi fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race soak loadgate
+.PHONY: build test bench bench-json bench-gate benchmark benchmark-compare lint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race soak loadgate
 
 build:
 	$(GO) build ./...
@@ -114,12 +114,13 @@ race:
 # Soak the serving layers: five shuffled passes under -race, so a test
 # that synchronises by sleeping instead of waiting on its condition
 # flakes here rather than on main. Then five passes of every package
-# with testing/quick properties (those calling proptest.Check) with a
-# fresh seed per test and 10x each property's MaxCount; a failure
-# prints the MDTASK_QUICK_SEED that replays it.
+# with testing/quick properties (those whose tests import
+# internal/proptest, as `go list` reports) with a fresh seed per test
+# and 10x each property's MaxCount; a failure prints the
+# MDTASK_QUICK_SEED that replays it.
 soak:
 	$(GO) test -race -shuffle=on -count=5 ./internal/jobs/... ./internal/fleet/... ./internal/wal/...
-	MDTASK_QUICK_SOAK=1 $(GO) test -count=5 $$(grep -rl --include='*_test.go' 'proptest\.Check' internal | xargs -n1 dirname | sort -u | sed 's|^|./|')
+	MDTASK_QUICK_SOAK=1 $(GO) test -count=5 $$($(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/... | grep -E ' mdtask/internal/proptest( |$$)' | cut -d' ' -f1)
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/
@@ -152,25 +153,18 @@ benchmark-compare:
 	@[ -n "$(A)" ] && [ -n "$(B)" ] || { echo "usage: make benchmark-compare A=parent.jsonl B=change.jsonl" >&2; exit 2; }
 	bash benchmark/run.sh -compare $(A) $(B)
 
-# Documentation lint: every internal/cmd package must carry a
-# substantive package doc comment stating its role and pipeline place
-# (see scripts/docslint.sh). Gating in CI.
-docslint:
-	sh scripts/docslint.sh
-
-# Executor-seam lint: internal/psa and internal/leaflet must not import
-# an engine (rdd, dask, mpi), and only one package — the engine table in
-# internal/jobs — may import all three (see scripts/enginelint.sh).
-# Gating in CI.
-enginelint:
-	sh scripts/enginelint.sh
-
-# Dead-API lint: every exported func and method under internal/ must
-# be referenced by a non-test file of the module, cmd/, examples/ and
-# benchmark/ included; a short allowlist in the script names the test
-# references that must stay (see scripts/deadapi.sh). Gating in CI.
-deadapi:
-	sh scripts/deadapi.sh
+# Static check (cmd/mdlint): one type-checked load of the module and
+# benchmark/, then three rules. Dead API: every exported func, method,
+# var, const and type of a non-main package has a non-test use; the few
+# test-shared oracles that stay are in the allowlist table in
+# cmd/mdlint/main.go, one reason each, and a stale entry fails. Executor
+# seam: internal/psa and internal/leaflet import no engine (rdd, dask,
+# mpi), they and internal/stage do not import internal/obs, and only the
+# engine table in internal/jobs imports all three engines. Package docs:
+# every internal/cmd package opens with a doc comment of two lines or
+# more. Gating in CI.
+lint:
+	$(GO) run ./cmd/mdlint
 
 fmt:
 	gofmt -l .

@@ -167,16 +167,3 @@ func (t *Tree) QueryRadiusAppend(dst []int32, q linalg.Vec3, radius float64) []i
 	}
 	return dst
 }
-
-// BruteRadius is the brute-force reference for QueryRadiusAppend that
-// the tree's tests compare against.
-func BruteRadius(pts []linalg.Vec3, q linalg.Vec3, radius float64) []int32 {
-	r2 := radius * radius
-	var out []int32
-	for i, p := range pts {
-		if linalg.Dist2(q, p) <= r2 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}

@@ -21,7 +21,7 @@ func randPoints(r *rand.Rand, n int, scale float64) []linalg.Vec3 {
 }
 
 // queryRadius is QueryRadiusAppend in ascending index order, the order
-// BruteRadius reports.
+// bruteRadius reports.
 func queryRadius(t *Tree, q linalg.Vec3, radius float64) []int32 {
 	out := t.QueryRadiusAppend(nil, q, radius)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -43,7 +43,7 @@ func TestQueryRadiusMatchesBruteQuick(t *testing.T) {
 		tree := New(pts)
 		q := linalg.Vec3{r.Float64() * 10, r.Float64() * 10, r.Float64() * 10}
 		got := queryRadius(tree, q, radius)
-		want := BruteRadius(pts, q, radius)
+		want := bruteRadius(pts, q, radius)
 		return reflect.DeepEqual(got, want) || (len(got) == 0 && len(want) == 0)
 	}
 	proptest.Check(t, f, cfg)
@@ -53,7 +53,7 @@ func TestQueryRadiusLeafSizes(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	pts := randPoints(r, 500, 20)
 	q := linalg.Vec3{10, 10, 10}
-	want := BruteRadius(pts, q, 4)
+	want := bruteRadius(pts, q, 4)
 	for _, leaf := range []int{1, 2, 8, 64, 1000} {
 		tree := newLeafSize(pts, leaf)
 		got := queryRadius(tree, q, 4)
@@ -122,4 +122,17 @@ func TestDegeneratePoints(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("collinear: got %v", got)
 	}
+}
+
+// bruteRadius is the brute-force reference for QueryRadiusAppend that
+// the tree's tests compare against.
+func bruteRadius(pts []linalg.Vec3, q linalg.Vec3, radius float64) []int32 {
+	r2 := radius * radius
+	var out []int32
+	for i, p := range pts {
+		if linalg.Dist2(q, p) <= r2 {
+			out = append(out, int32(i))
+		}
+	}
+	return out
 }

@@ -89,9 +89,6 @@ func NewFrameTree(pts []Point4, leafSize int) *FrameTree {
 	return t
 }
 
-// Len returns the number of indexed signatures.
-func (t *FrameTree) Len() int { return len(t.Pts) }
-
 // build creates the node covering Perm[start:end] and returns its id.
 func (t *FrameTree) build(start, end int32, leafSize int) int32 {
 	id := int32(len(t.Nodes))

@@ -23,8 +23,8 @@ func TestFrameTreeInvariants(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 8, 9, 33, 100} {
 		pts := randSigs(r, n)
 		tr := NewFrameTree(pts, 0)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len() = %d", n, tr.Len())
+		if len(tr.Pts) != n {
+			t.Fatalf("n=%d: len(Pts) = %d", n, len(tr.Pts))
 		}
 		if n == 0 {
 			if len(tr.Nodes) != 0 {

@@ -118,10 +118,6 @@ func (f Framework) String() string {
 	}
 }
 
-// Frameworks lists all modeled frameworks in the paper's comparison
-// order.
-var Frameworks = []Framework{MPI, Spark, Dask, RadicalPilot}
-
 // Profile holds the coordination-cost parameters of a framework.
 type Profile struct {
 	Framework Framework

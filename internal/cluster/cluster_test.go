@@ -12,6 +12,10 @@ import (
 	"mdtask/internal/proptest"
 )
 
+// frameworks lists all modeled frameworks in the paper's comparison
+// order.
+var frameworks = []Framework{MPI, Spark, Dask, RadicalPilot}
+
 func alloc(m Machine, nodes, cpn int) Alloc {
 	return Alloc{Machine: m, Nodes: nodes, CoresPerNode: cpn}
 }
@@ -36,7 +40,7 @@ func TestSlowdown(t *testing.T) {
 
 func TestEstimateMoreCoresFaster(t *testing.T) {
 	w := Workload{Phases: []Phase{{Name: "p", Tasks: UniformTasks(256, 1.0)}}}
-	for _, fw := range Frameworks {
+	for _, fw := range frameworks {
 		p := DefaultProfile(fw)
 		t1 := Estimate(p, alloc(Comet(), 1, 16), w)
 		t2 := Estimate(p, alloc(Comet(), 4, 16), w)
@@ -269,7 +273,7 @@ func TestEstimateBoundsQuick(t *testing.T) {
 		w := Workload{Phases: []Phase{{Name: "p", Tasks: tasks}}}
 		a := Alloc{Machine: Comet(), Nodes: 1, CoresPerNode: cores}
 		slow := a.Machine.Slowdown(cores)
-		for _, fw := range Frameworks {
+		for _, fw := range frameworks {
 			p := DefaultProfile(fw)
 			res := Estimate(p, a, w)
 			if res.Failed != "" {

@@ -6,13 +6,13 @@ import (
 	"mdtask/internal/sim"
 )
 
-// Trace runs a workload phase-by-phase through the discrete-event
-// simulator (internal/sim), producing a per-task execution timeline.
-// It models the same system as Estimate — a dispatch-serialized central
+// Trace is a workload run phase-by-phase through the discrete-event
+// simulator (internal/sim): a per-task execution timeline. Simulate
+// models the same system as Estimate — a dispatch-serialized central
 // scheduler feeding per-core workers — but as explicit events rather
-// than closed-form scheduling, so the two implementations validate each
-// other (see cluster tests) and the trace exposes per-task start/finish
-// times for timeline analysis.
+// than closed-form scheduling, so it is the independent reference the
+// Estimate tests compare against, and the trace exposes per-task
+// start/finish times for the timeline tests.
 type Trace struct {
 	Result Result
 	// Tasks holds one event per executed task, in completion order.

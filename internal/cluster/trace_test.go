@@ -12,7 +12,7 @@ import (
 
 func TestSimulateMatchesEstimateUniform(t *testing.T) {
 	w := Workload{Phases: []Phase{{Name: "p", Tasks: UniformTasks(200, 0.5)}}}
-	for _, fw := range Frameworks {
+	for _, fw := range frameworks {
 		p := DefaultProfile(fw)
 		a := alloc(Comet(), 2, 16)
 		est := Estimate(p, a, w)

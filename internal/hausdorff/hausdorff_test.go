@@ -5,6 +5,7 @@ import (
 	mathrand "math/rand"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,16 @@ import (
 // distance is the uncounted symmetric Hausdorff distance of two
 // trajectories.
 func distance(a, b *traj.Trajectory, m Method) float64 { return DistanceCounted(a, b, m, nil) }
+
+// clone is a deep copy of a trajectory, for tests that need two
+// distinct trajectories holding the same frames.
+func clone(t *traj.Trajectory) *traj.Trajectory {
+	out := &traj.Trajectory{Name: t.Name, NAtoms: t.NAtoms, Frames: make([]traj.Frame, len(t.Frames))}
+	for i, f := range t.Frames {
+		out.Frames[i] = traj.Frame{Time: f.Time, Coords: slices.Clone(f.Coords)}
+	}
+	return out
+}
 
 // frames is the coordinate view of a trajectory's frames (no copying).
 func frames(t *traj.Trajectory) [][]linalg.Vec3 {

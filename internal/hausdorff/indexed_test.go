@@ -58,7 +58,7 @@ func TestIndexedEqualsNaiveRandom(t *testing.T) {
 			a = synth.Walk("a", atoms, fa, seed, 0)
 			b = synth.Walk("b", atoms, fb, seed, 0)
 			if fa == fb {
-				b = a.Clone()
+				b = clone(a)
 				b.Name = "b"
 			}
 		}
@@ -114,7 +114,7 @@ func TestIndexedSelfDistanceZero(t *testing.T) {
 func TestIndexedEmptyConventions(t *testing.T) {
 	empty := traj.New("e", 3)
 	full := synth.Walk("f", 3, 4, 5, 0)
-	if got := distance(empty, empty.Clone(), Indexed); got != 0 {
+	if got := distance(empty, clone(empty), Indexed); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)
 	}
 	if got := distance(empty, full, Indexed); !math.IsInf(got, 1) {

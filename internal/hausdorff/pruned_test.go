@@ -68,7 +68,7 @@ func TestPrunedEqualsNaiveRandom(t *testing.T) {
 			a = synth.Walk("a", atoms, fa, seed, 0)
 			b = synth.Walk("b", atoms, fb, seed, 0)
 			if fa == fb {
-				b = a.Clone()
+				b = clone(a)
 				b.Name = "b"
 			}
 		}
@@ -95,7 +95,7 @@ func TestPrunedSelfDistanceZero(t *testing.T) {
 func TestPrunedEmptyConventions(t *testing.T) {
 	empty := traj.New("e", 3)
 	full := synth.Walk("f", 3, 4, 5, 0)
-	if got := distance(empty, empty.Clone(), Pruned); got != 0 {
+	if got := distance(empty, clone(empty), Pruned); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)
 	}
 	if got := distance(empty, full, Pruned); !math.IsInf(got, 1) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -396,7 +397,7 @@ func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
 	for f := 0; f < 4; f++ {
 		fr := traj.Frame{Time: float64(f), Coords: []linalg.Vec3{{float64(f), 0, 0}, {0, 1, float64(f)}}}
 		good.Frames = append(good.Frames, fr)
-		bad.Frames = append(bad.Frames, fr.Clone())
+		bad.Frames = append(bad.Frames, traj.Frame{Time: fr.Time, Coords: slices.Clone(fr.Coords)})
 	}
 	bad.Frames[2].Coords[1][0] = math.Inf(-1)
 	if err := traj.WriteMDTFile(filepath.Join(dir, "a-good.mdt"), good, 8); err != nil {

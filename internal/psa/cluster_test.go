@@ -109,11 +109,11 @@ func TestClusterOnRealPSAMatrix(t *testing.T) {
 	// within a family share a start configuration (same stream) and
 	// differ only by later drift.
 	var ens = testEnsemble(4, 8, 6)
-	// Family B: clones of a distinct fifth walk (fresh stream) with tiny
-	// perturbations.
-	base := synth.Walk("base", 8, 6, 77, 10)
+	// Family B: copies of a distinct fifth walk (fresh stream) with tiny
+	// perturbations; the generator is deterministic, so each call makes
+	// a fresh copy.
 	for i := 0; i < 3; i++ {
-		c := base.Clone()
+		c := synth.Walk("base", 8, 6, 77, 10)
 		for f := range c.Frames {
 			for a := range c.Frames[f].Coords {
 				c.Frames[f].Coords[a][0] += 0.001 * float64(i)

@@ -1,7 +1,8 @@
 // Package sim provides a small discrete-event simulation core: a virtual
-// clock and an event queue. The cluster package builds its machine and
-// framework performance models on top of it; nothing in this package
-// knows about clusters or tasks.
+// clock and an event queue. Only tests import it: the cluster tests
+// build on it the event-driven reference (Simulate) that the analytic
+// cluster.Estimate is checked against. Nothing in this package knows
+// about clusters or tasks.
 package sim
 
 import "container/heap"

@@ -77,13 +77,6 @@ type Frame struct {
 	Coords []linalg.Vec3
 }
 
-// Clone returns a deep copy of the frame.
-func (f Frame) Clone() Frame {
-	c := make([]linalg.Vec3, len(f.Coords))
-	copy(c, f.Coords)
-	return Frame{Time: f.Time, Coords: c}
-}
-
 // Trajectory is a named time series of frames over a fixed set of atoms.
 // All frames must have exactly NAtoms coordinates.
 type Trajectory struct {
@@ -162,15 +155,6 @@ func (t *Trajectory) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the trajectory.
-func (t *Trajectory) Clone() *Trajectory {
-	out := &Trajectory{Name: t.Name, NAtoms: t.NAtoms, Frames: make([]Frame, len(t.Frames))}
-	for i, f := range t.Frames {
-		out.Frames[i] = f.Clone()
-	}
-	return out
 }
 
 // Bytes returns the in-memory coordinate payload size in bytes (8 bytes

@@ -53,6 +53,22 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy of the frame.
+func (f Frame) Clone() Frame {
+	c := make([]linalg.Vec3, len(f.Coords))
+	copy(c, f.Coords)
+	return Frame{Time: f.Time, Coords: c}
+}
+
+// Clone returns a deep copy of the trajectory.
+func (t *Trajectory) Clone() *Trajectory {
+	out := &Trajectory{Name: t.Name, NAtoms: t.NAtoms, Frames: make([]Frame, len(t.Frames))}
+	for i, f := range t.Frames {
+		out.Frames[i] = f.Clone()
+	}
+	return out
+}
+
 func TestCloneIndependence(t *testing.T) {
 	tr := randTraj(t, 2, 4, 2)
 	cl := tr.Clone()
