@@ -40,11 +40,14 @@ func frames(t *traj.Trajectory) [][]linalg.Vec3 {
 
 // refDirected is the reference every kernel is checked against: the
 // paper's Algorithm 1, h(A→B) = max over a in A of min over b in B of
-// dRMS(a, b), over frame views and linalg.DRMS. It shares no code with
-// the kernels, which all read traj.Packed rows through
-// linalg.DRMSWithin, so a defect in the production naive cannot reach
-// both sides of a comparison. It returns 0 when A is empty and +Inf
-// when A is non-empty but B is empty.
+// dRMS(a, b), over frame views and linalg.DRMS. It shares with the
+// kernels, which all read traj.Packed rows through linalg.DRMSWithin,
+// only the dRMS summation itself (DRMS is DRMSWithin's with an infinite
+// bound; linalg's tests hold that summation against a reference of
+// their own) — not the rows, the bounds or the loops — so a defect in
+// the production naive cannot reach both sides of a comparison. It
+// returns 0 when A is empty and +Inf when A is non-empty but B is
+// empty.
 func refDirected(a, b [][]linalg.Vec3) float64 {
 	var cmax float64
 	for _, fa := range a {

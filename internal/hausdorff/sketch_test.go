@@ -12,28 +12,31 @@ import (
 	"mdtask/internal/traj"
 )
 
-// digestRecorded digests path through fresh FileRefs until the digest
-// cache records it (its times have left the racy window), as admission
-// of a settled file does, and returns the last ref.
+// digestRecorded digests path through a fresh FileRef so that the
+// digest cache records it, as admission of a settled file does, and
+// returns the ref. It settles the file without waiting out the racy
+// window: path's mtime goes an hour back (a later write to it moves
+// the mtime its identity was recorded with), and the cache's clock runs
+// an hour ahead for the rest of the test.
 func digestRecorded(t *testing.T, path string) *traj.Ref {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		r, err := traj.FileRef(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := traj.FileDigestStats()
-		if _, err := r.Digest(); err != nil {
-			t.Fatal(err)
-		}
-		now := traj.FileDigestStats()
-		if now.Racy == before.Racy && now.Misses+now.Hits > before.Misses+before.Hits {
-			return r
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: digest never recorded", path)
-		}
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(traj.SetDigestClock(func() time.Time { return time.Now().Add(time.Hour) }))
+	r, err := traj.FileRef(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := traj.FileDigestStats()
+	if _, err := r.Digest(); err != nil {
+		t.Fatal(err)
+	}
+	if now := traj.FileDigestStats(); now.Racy != before.Racy || now.Misses+now.Hits == before.Misses+before.Hits {
+		t.Fatalf("%s: digest not recorded (%+v, then %+v)", path, before, now)
+	}
+	return r
 }
 
 // streamedAgrees runs every method streamed over a and b at window 3
@@ -98,11 +101,17 @@ func TestStreamedSketchTrust(t *testing.T) {
 		t.Fatalf("one file rewritten: %d window frames sketched, %d computed; want both", s, c)
 	}
 
-	// A file digested the moment it is written.
+	// A file digested the moment it is written: the cache's clock
+	// stands at the file's mtime, inside the racy window.
 	racy := filepath.Join(dir, "racy.mdt")
 	if err := traj.WriteMDTFile(racy, ens[0], 8); err != nil {
 		t.Fatal(err)
 	}
+	st, err := os.Stat(racy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(traj.SetDigestClock(st.ModTime))
 	r, err := traj.FileRef(racy)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +121,7 @@ func TestStreamedSketchTrust(t *testing.T) {
 		t.Fatal(err)
 	}
 	if traj.FileDigestStats().Racy == before.Racy {
-		t.Skip("the file left the racy window before it was digested")
+		t.Fatal("a file digested at its own mtime was recorded")
 	}
 	if s, c := streamedAgrees(t, "racy", r, b, ens[0], ens[1]); s == 0 || c == 0 {
 		t.Fatalf("one racy file: %d window frames sketched, %d computed; want both", s, c)

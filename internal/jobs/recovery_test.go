@@ -232,6 +232,59 @@ func TestRecoveredDigestChecked(t *testing.T) {
 	}
 }
 
+// TestRecoveredV2KeyNeverCompared recovers, from a journal on disk, a
+// done PSA job that a server of cache-key version v2 recorded: its key
+// and its result digest, both computed with the serial dRMS summation
+// that v3's eight-lane one replaced. Resubmitting the same spec must run
+// the job, to a result whose digest differs from the recorded one in
+// the last ulps, and count no mismatch: the v2 key is one no new job
+// computes, so the old digest is never compared.
+func TestRecoveredV2KeyNeverCompared(t *testing.T) {
+	spec := Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Synth: &SynthSpec{Count: 4, Atoms: 1024, Frames: 16, Seed: 7}}
+	const (
+		v2Key    = "7709e1240d2e62d97ab237c699a722ac686e3219124a10f10215ade8c3f3c7e0"
+		v2Digest = "7248cb38ddf1025ca6f65c04dd19ca05aa8c63d0bd630489d6ec201f52163a3b"
+	)
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, _ := openStore(t, dir)
+	at := time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.JournalSubmit(JobRecord{ID: "job-000001", Spec: norm, Key: v2Key, State: StateDone,
+		Digest: v2Digest, Created: at, Updated: at}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, rec := openStore(t, dir)
+	defer st2.Close()
+	if len(rec.Jobs) != 1 || rec.Jobs[0].Key != v2Key || rec.Jobs[0].State != StateDone {
+		t.Fatalf("recovered %+v, want the one done v2 record", rec.Jobs)
+	}
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st2})
+	defer s.Close()
+	s.Recover()
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID() == "job-000001" {
+		t.Fatal("the resubmission was answered by the recovered v2 job")
+	}
+	if fin := waitTerminal(t, job); fin.State != StateDone {
+		t.Fatalf("resubmission finished %s (%s)", fin.State, fin.Error)
+	}
+	res, _, _ := job.Result()
+	if got := mustResultDigest(t, res); got == v2Digest {
+		t.Fatalf("result digest %s equals the v2 one: this spec no longer shows the arithmetic change", got)
+	}
+	if got := s.digestMismatchCtr.Value(); got != 0 {
+		t.Errorf("mdtask_jobs_result_digest_mismatch_total = %d, want 0", got)
+	}
+}
+
 // TestSubmitFailsWhenJournalFails checks the durability contract at
 // the API edge: if the journal cannot take the submit record, the
 // submission is rejected and nothing is admitted — and the id sequence

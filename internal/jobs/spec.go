@@ -342,9 +342,16 @@ func RunnerName(analysis, engine string) string { return analysis + "/" + engine
 // existing entry. Fields
 // that change where or how much engine work runs (engine, sizing) stay
 // in the key, so resubmitting on a different engine re-runs.
+//
+// The version prefix names the arithmetic a result was computed with,
+// and moves whenever that changes a result's bits: v3 is the eight-lane
+// dRMS summation of internal/linalg. A done job recovered from a journal
+// written under another version then has a key no new job computes, so
+// it is never compared with a result of the new arithmetic, and
+// mdtask_jobs_result_digest_mismatch_total counts only real mismatches.
 func CacheKey(s Spec, inputDigest string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v2|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
+	fmt.Fprintf(h, "v3|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
 		s.Analysis, s.Engine, s.Parallelism, s.Tasks,
 		s.Approach, s.Cutoff, inputDigest)
 	return hex.EncodeToString(h.Sum(nil))

@@ -14,10 +14,12 @@ import (
 )
 
 // TestStagingGolden pins what staging produces — the content digest and
-// the cache key — to the values recorded before the per-trajectory
-// fan-out and the contiguous synth.Walk, at one and at four cores.
-// Every block key and every cached result hangs off these, so a change
-// here silently invalidates every store.
+// the cache key — at one and at four cores. The digests are the values
+// recorded before the per-trajectory fan-out and the contiguous
+// synth.Walk; the keys are those of CacheKey's v3 prefix (the eight-lane
+// dRMS summation), which moved them and nothing else. Every block key
+// and every cached result hangs off these, so a change here silently
+// invalidates every store.
 func TestStagingGolden(t *testing.T) {
 	cases := []struct {
 		spec        Spec
@@ -26,13 +28,13 @@ func TestStagingGolden(t *testing.T) {
 		{
 			Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{}}, // 4×16×8, seed 0
 			"f896e7ffc4d9243ad3e3a8b783efafb7e3d9cbe3a3ec3ca65e5284903c4c6607",
-			"86b572f98e8c08fc161606793956de93445fe7c1b99c1e04dbb4b1d63a7d8d7c",
+			"fe5bd73777ca0e527c7937195e7f765e6ed589114858dc766a5c71a8b5c7c47c",
 		},
 		{
 			Spec{Analysis: AnalysisPSA, Engine: EngineDask, Method: "pruned",
 				Synth: &SynthSpec{Count: 8, Atoms: 1024, Frames: 64, Seed: 1000}},
 			"8e4a646e88afcc94201c004741c1eedf3e59609d5c924da6bbcaae5972bd2f9d",
-			"f28abeaa74608adff9a90b300165dbdf51e8fbbdbda3224cfb2dd4517db4eb39",
+			"197e7606136a1a16efef3b1d7633177e6427c14dec9d17ba2be5b1c7a795f8de",
 		},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -135,9 +137,9 @@ func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Past the racy window of the files' times (50 ms), so the first
-	// admission's digests are recorded.
-	time.Sleep(100 * time.Millisecond)
+	// The digest cache's clock an hour ahead: the files' times are past
+	// the racy window, so the first admission's digests are recorded.
+	t.Cleanup(traj.SetDigestClock(func() time.Time { return time.Now().Add(time.Hour) }))
 	s := NewScheduler(DefaultRegistry(), Options{Workers: 1})
 	defer s.Close()
 	spec := Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Path: dir, MaxResidentFrames: 2}

@@ -1,15 +1,37 @@
 // Package linalg provides the small dense linear-algebra and distance
 // kernels used by the MD trajectory analysis algorithms: 3-vector
-// arithmetic, the dRMS frame metric, and the cutoff pair searches that stand in for SciPy's cdist.
+// arithmetic, the dRMS frame metric, and the cutoff pair searches that
+// stand in for SciPy's cdist. All kernels work in double precision,
+// mirroring the NumPy/SciPy kernels the paper's Python implementations
+// rely on.
 //
-// All kernels operate on slices of Vec3 in double precision, mirroring
-// the NumPy/SciPy kernels the paper's Python implementations rely on.
+// dRMS is the PSA kernels' inner loop, and its sum of squares has one
+// fixed order on every platform (drms.go): eight lanes, coordinate i in
+// lane i mod 8, combined in one tree. DRMS and the bounded DRMSWithin
+// share that summation, so a completed bounded evaluation has DRMS's
+// bits. On amd64 hosts with AVX2 the summation runs in an assembly
+// routine chosen once at init; elsewhere it runs in Go, with every term
+// rounded on its own so no compiler may fuse it into an FMA. A result
+// therefore does not depend on GOARCH or GOAMD64.
 package linalg
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Vec3 is a point or displacement in 3-dimensional space.
 type Vec3 [3]float64
+
+// Floats views points as their x, y, z components, in place: a Vec3 is
+// exactly three packed float64s (TestVec3Layout), and the view covers
+// the one allocation v lies in.
+func Floats(v []Vec3) []float64 {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&v[0][0], 3*len(v))
+}
 
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v[0] + w[0], v[1] + w[1], v[2] + w[2]} }
@@ -87,24 +109,4 @@ func BoundingBox(pts []Vec3) (lo, hi Vec3) {
 		}
 	}
 	return Vec3{x0, y0, z0}, Vec3{x1, y1, z1}
-}
-
-// DRMS computes the paper's per-frame metric dRMS(a, b): the root mean
-// square of the Euclidean distances between corresponding points of two
-// frames. It does not superimpose the frames first.
-//
-// DRMS panics if the frames have different lengths; it returns 0 for two
-// empty frames.
-func DRMS(a, b []Vec3) float64 {
-	if len(a) != len(b) {
-		panic("linalg: DRMS frames have different lengths")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range a {
-		sum += Dist2(a[i], b[i])
-	}
-	return math.Sqrt(sum / float64(len(a)))
 }

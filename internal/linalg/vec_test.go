@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mdtask/internal/proptest"
 )
@@ -167,4 +168,15 @@ func Center(pts []Vec3) Vec3 {
 		pts[i] = pts[i].Sub(c)
 	}
 	return c
+}
+
+// Floats is only sound while a point is exactly three packed float64s.
+func TestVec3Layout(t *testing.T) {
+	if got := unsafe.Sizeof(Vec3{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Vec3{}) = %d, want 24", got)
+	}
+	pts := []Vec3{{1, 2, 3}, {4, 5, 6}}
+	if f := Floats(pts); len(f) != 6 || f[4] != 5 || &f[3] != &pts[1][0] {
+		t.Fatalf("Floats = %v, want the points' six components in place", f)
+	}
 }

@@ -39,7 +39,7 @@ func (r *Ref) computeDigest() (string, error) {
 	case r.mem != nil:
 		h := r.newContentHash()
 		for _, f := range r.mem.Frames {
-			h.floats(vec3Floats(f.Coords))
+			h.floats(linalg.Floats(f.Coords))
 		}
 		return h.sum(), nil
 	case r.path != "":

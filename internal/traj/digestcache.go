@@ -95,6 +95,10 @@ var fileDigests = newDigestCache(digestCacheEntries, digestCacheBytes)
 type digestCache struct {
 	maxEntries int
 	maxBytes   int64
+	// clock, when set, is read instead of the wall clock for the moment
+	// a hash starts, which the racy rule measures file times against
+	// (SetDigestClock).
+	clock atomic.Pointer[func() time.Time]
 
 	mu    sync.Mutex
 	lru   *list.List // of *digestEntry, most recently used first
@@ -140,6 +144,23 @@ func newDigestCache(maxEntries int, maxBytes int64) *digestCache {
 	return &digestCache{maxEntries: maxEntries, maxBytes: maxBytes, lru: list.New(), byID: make(map[fileIdentity]*list.Element)}
 }
 
+// SetDigestClock makes the process's digest cache read now, instead of
+// the wall clock, as the moment a hash starts, until the returned
+// function restores the clock it replaced. A clock ahead of a file's
+// times puts the file outside the racy window without waiting it out;
+// one at its times keeps it inside.
+func SetDigestClock(now func() time.Time) (restore func()) {
+	prev := fileDigests.clock.Swap(&now)
+	return func() { fileDigests.clock.Store(prev) }
+}
+
+func (c *digestCache) now() time.Time {
+	if now := c.clock.Load(); now != nil {
+		return (*now)()
+	}
+	return time.Now()
+}
+
 // sketches reports whether a file of nFrames frames gets a sketch
 // recorded with its digest.
 func (c *digestCache) sketches(nFrames int) bool {
@@ -164,7 +185,7 @@ func (c *digestCache) digest(r *Ref) (string, error) {
 		}
 	}
 	c.misses.Add(1)
-	start := time.Now()
+	start := c.now()
 	m, err := newMDTFileReader(f, r.path, r, true)
 	if err != nil {
 		return "", err

@@ -56,22 +56,56 @@ func writeTraj(t *testing.T, path string, seed int) {
 	}
 }
 
-// settle waits until path's times are old enough for the racy rule to
-// trust, so that its next digest is recorded.
-func settle(t *testing.T, path string) {
+// identityOf is path's file identity, and whether this platform gives
+// files one.
+func identityOf(t *testing.T, path string) (fileIdentity, bool) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	id, ok := identify(f)
-	if !ok {
+	return identify(f)
+}
+
+// settle makes path's next digest through c recordable at once, with
+// no wait on the racy window: path's mtime goes an hour back, so any
+// later write to it moves the mtime its identity was recorded with, and
+// c's clock runs an hour ahead of the wall clock for the rest of the
+// test, so the ctime that Chtimes just stamped is long past the window.
+// It skips the test where files have no identity.
+func settle(t *testing.T, c *digestCache, path string) {
+	t.Helper()
+	if _, ok := identityOf(t, path); !ok {
 		t.Skip("no file identity on this platform: every digest hashes")
 	}
-	for deadline := time.Now().Add(10 * time.Second); racy(id, time.Now()); time.Sleep(5 * time.Millisecond) {
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	ahead := func() time.Time { return time.Now().Add(time.Hour) }
+	prev := c.clock.Swap(&ahead)
+	t.Cleanup(func() { c.clock.Store(prev) })
+}
+
+// ctimeTicked returns once the clock that stamps file times has moved
+// past path's ctime, so that any change made to path from then on
+// stamps a ctime its recorded identity does not have. It waits on that
+// condition, one timestamp tick at most, by stamping a probe file
+// beside path until the probe's ctime is later.
+func ctimeTicked(t *testing.T, path string) {
+	t.Helper()
+	was, _ := identityOf(t, path)
+	probe := path + ".tick"
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if err := os.WriteFile(probe, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := identityOf(t, probe); now.ctimeNs > was.ctimeNs {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: times never left the racy window", path)
+			t.Fatalf("%s: file times never moved past its ctime", path)
 		}
 	}
 }
@@ -81,7 +115,7 @@ func settle(t *testing.T, path string) {
 func recorded(t *testing.T, path string) string {
 	t.Helper()
 	writeTraj(t, path, 0)
-	settle(t, path)
+	settle(t, fileDigests, path)
 	before := FileDigestStats()
 	d, err := fileDigest(t, path)
 	if err != nil {
@@ -123,7 +157,7 @@ func TestDigestCacheHardLinksShareOneEntry(t *testing.T) {
 	if err := os.Link(a, b); err != nil {
 		t.Skip(err)
 	}
-	settle(t, a) // after the link, which moved ctime
+	settle(t, fileDigests, a) // after the link, which moved ctime
 	before := FileDigestStats()
 	da, err := fileDigest(t, a)
 	if err != nil {
@@ -144,23 +178,28 @@ func TestDigestCacheHardLinksShareOneEntry(t *testing.T) {
 // TestDigestCacheRacyRewrite rewrites a file in place, same size,
 // straight after its first digest: within one timestamp tick, so mtime
 // and ctime may not move. The racy rule must not have recorded the
-// first digest.
+// first digest. The cache's clock stands at the file's mtime, so the
+// digest starts inside the racy window however long writing took.
 func TestDigestCacheRacyRewrite(t *testing.T) {
 	dir := t.TempDir()
 	path, other := filepath.Join(dir, "a.mdt"), filepath.Join(dir, "b.mdt")
 	writeTraj(t, path, 0)
 	writeTraj(t, other, 1)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(SetDigestClock(st.ModTime))
 	before := FileDigestStats()
 	if _, err := fileDigest(t, path); err != nil {
 		t.Fatal(err)
 	}
-	// Still racy now, so racy when hashing started: not recorded.
-	if st, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	} else if time.Since(st.ModTime()) < fineTimestamps {
-		if got := cacheDelta(before); got != (DigestCacheStats{Misses: 1, Racy: 1}) {
-			t.Fatalf("digest of a file written within the racy window: %+v", got)
-		}
+	wantRacy := DigestCacheStats{Misses: 1, Racy: 1}
+	if _, ok := identityOf(t, path); !ok {
+		wantRacy.Racy = 0 // no identity: hashed, never recorded
+	}
+	if got := cacheDelta(before); got != wantRacy {
+		t.Fatalf("digest of a file written within the racy window: %+v, want %+v", got, wantRacy)
 	}
 	b, err := os.ReadFile(other)
 	if err != nil {
@@ -187,7 +226,7 @@ func TestDigestCacheRenameOver(t *testing.T) {
 	path, next := filepath.Join(dir, "a.mdt"), filepath.Join(dir, "next.mdt")
 	recorded(t, path)
 	writeTraj(t, next, 1)
-	settle(t, next)
+	settle(t, fileDigests, next)
 	if err := os.Rename(next, path); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +267,7 @@ func TestDigestCacheBitFlipMtimeRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctimeTicked(t, path)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +355,7 @@ func TestDigestCacheBound(t *testing.T) {
 		if err := WriteMDTFile(path, streamTestTraj(2, nFrames), 8); err != nil {
 			t.Fatal(err)
 		}
-		settle(t, path)
+		settle(t, c, path)
 		r, err := FileRef(path)
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"mdtask/internal/linalg"
 )
 
 // The MDT binary trajectory format.
@@ -355,7 +357,7 @@ func DecodeMDT(b []byte) (*Trajectory, error) {
 func allocDecoded(name string, nAtoms, n int, decode func(rows, times []float64) error) (*Trajectory, error) {
 	t := Alloc(name, nAtoms, n)
 	times := make([]float64, n)
-	if err := decode(vec3Floats(t.backing), times); err != nil {
+	if err := decode(linalg.Floats(t.backing), times); err != nil {
 		return nil, err
 	}
 	for i, tm := range times {

@@ -137,7 +137,7 @@ func (t *Trajectory) inPlace() ([]float64, bool) {
 			return nil, false
 		}
 	}
-	return vec3Floats(t.backing), true
+	return linalg.Floats(t.backing), true
 }
 
 // Packed returns the trajectory's packed representation, computing it on

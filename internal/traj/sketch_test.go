@@ -66,11 +66,11 @@ func sameAsPack(t *testing.T, label string, ref *Ref, want *Trajectory) int64 {
 	return frames
 }
 
-// recordSketch digests path through a fresh FileRef once its times are
-// old enough to trust, so that the digest cache holds its sketch.
+// recordSketch settles path and digests it through a fresh FileRef, so
+// that the digest cache holds its sketch.
 func recordSketch(t *testing.T, path string) *Ref {
 	t.Helper()
-	settle(t, path)
+	settle(t, fileDigests, path)
 	r, err := FileRef(path)
 	if err != nil {
 		t.Fatal(err)

@@ -3,28 +3,16 @@ package traj
 import (
 	"encoding/binary"
 	"unsafe"
-
-	"mdtask/internal/linalg"
 )
 
 // The package's only use of unsafe: reading memory under a second
 // element type instead of copying it. Each view covers exactly the one
-// allocation it is given. linalg.Vec3 is [3]float64 — 24 bytes, no
-// padding (pinned by TestVec3Layout) — so n points are exactly 3n
-// float64s.
+// allocation it is given. (Points as floats is linalg.Floats.)
 
 // littleEndian reports whether the host stores a float as its
 // little-endian encoding — the bytes Digest hashes and the bytes an MDT
 // payload holds — so either can be read as it lies.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// vec3Floats views points as their x,y,z components, in place.
-func vec3Floats(v []linalg.Vec3) []float64 {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice(&v[0][0], 3*len(v))
-}
 
 // floatBytes views float64s as their in-memory bytes, in place — on a
 // little-endian host, each value's little-endian encoding.

@@ -8,18 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"mdtask/internal/linalg"
 )
-
-// The float64 view of a []Vec3 (vec3Floats) is only sound while a point
-// is exactly three packed float64s.
-func TestVec3Layout(t *testing.T) {
-	if got := unsafe.Sizeof(linalg.Vec3{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(linalg.Vec3{}) = %d, want 24", got)
-	}
-}
 
 // sameBits fails unless two float64 slices agree bit for bit.
 func sameBits(t *testing.T, label string, got, want []float64) {
@@ -42,7 +33,7 @@ func samePacked(t *testing.T, label string, got, want *Packed) {
 		t.Fatalf("%s: shape %d×%d, want %d×%d", label, got.NFrames, got.NAtoms, want.NFrames, want.NAtoms)
 	}
 	sameBits(t, label+" Coords", got.Coords, want.Coords)
-	sameBits(t, label+" Centroids", vec3Floats(got.Centroids), vec3Floats(want.Centroids))
+	sameBits(t, label+" Centroids", linalg.Floats(got.Centroids), linalg.Floats(want.Centroids))
 	sameBits(t, label+" RadGyr", got.RadGyr, want.RadGyr)
 	sameBits(t, label+" StepDRMS", got.StepDRMS, want.StepDRMS)
 }
@@ -202,7 +193,7 @@ func TestMDTWholeDecodeMatchesReadAll(t *testing.T) {
 						t.Fatalf("prec %d %v %s frame %d: time %v (cap %d of %d coords), want %v", prec, sh, label, f,
 							gf.Time, cap(gf.Coords), len(gf.Coords), wf.Time)
 					}
-					sameBits(t, label, vec3Floats(gf.Coords), vec3Floats(wf.Coords))
+					sameBits(t, label, linalg.Floats(gf.Coords), linalg.Floats(wf.Coords))
 				}
 				if _, ok := got.inPlace(); ok != (sh[0] > 0 && sh[1] > 0) {
 					t.Fatalf("prec %d %v %s: packs in place = %v", prec, sh, label, ok)
