@@ -38,7 +38,7 @@ func (p Point4) Dist2(q Point4) float64 {
 	dy := p[1] - q[1]
 	dz := p[2] - q[2]
 	dw := p[3] - q[3]
-	return dx*dx + dy*dy + dz*dz + dw*dw
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + float64(dw*dw)
 }
 
 // Dist returns the Euclidean distance between two signatures.

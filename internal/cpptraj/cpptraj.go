@@ -93,7 +93,7 @@ func norms(p *traj.Packed) []float64 {
 		row := p.Row(i)
 		var n float64
 		for j := 0; j+2 < len(row); j += 3 {
-			n += row[j]*row[j] + row[j+1]*row[j+1] + row[j+2]*row[j+2]
+			n += float64(row[j]*row[j]) + float64(row[j+1]*row[j+1]) + float64(row[j+2]*row[j+2])
 		}
 		out[i] = n
 	}
@@ -126,10 +126,10 @@ func matrixBlocked(a, b *traj.Packed) []float64 {
 					rb0, rb1, rb2, rb3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 					var d0, d1, d2, d3 float64
 					for k, x := range ra {
-						d0 += x * rb0[k]
-						d1 += x * rb1[k]
-						d2 += x * rb2[k]
-						d3 += x * rb3[k]
+						d0 += float64(x * rb0[k])
+						d1 += float64(x * rb1[k])
+						d2 += float64(x * rb2[k])
+						d3 += float64(x * rb3[k])
 					}
 					row[j] = finishMSD(normA[i], normB[j], d0, inv)
 					row[j+1] = finishMSD(normA[i], normB[j+1], d1, inv)
@@ -140,7 +140,7 @@ func matrixBlocked(a, b *traj.Packed) []float64 {
 					rb := b.Row(j)
 					var dot float64
 					for k, x := range ra {
-						dot += x * rb[k]
+						dot += float64(x * rb[k])
 					}
 					row[j] = finishMSD(normA[i], normB[j], dot, inv)
 				}

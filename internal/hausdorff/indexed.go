@@ -87,7 +87,7 @@ func heapPop(h []nodeItem) (nodeItem, []nodeItem) {
 // dominate the rounding error of the inputs, not of the difference.
 func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 	d := q.Dist(n.Center)
-	return (d - n.Radius) - (d+n.Radius)*boundSlack
+	return (d - n.Radius) - float64((d+n.Radius)*boundSlack)
 }
 
 // directedIndexed computes the directed Hausdorff distance
@@ -162,7 +162,7 @@ func directedIndexed(a, b *traj.Packed, seed float64, c *Counters, rowUB, outUB 
 	for i := 0; i < na; i++ {
 		if i > 0 {
 			dstar += a.StepDRMS[i]
-			dstar += dstar * boundSlack
+			dstar += float64(dstar * boundSlack)
 		}
 		if i == probe {
 			continue
@@ -271,8 +271,8 @@ func (s *indexedScan) row(frontier []nodeItem, i, jstar int, dstar, cmax float64
 				}
 				dc := ca.Sub(b.Centroids[j])
 				dr := ra - b.RadGyr[j]
-				lb2 := dc.Norm2() + dr*dr
-				lb2 -= lb2 * (2 * boundSlack)
+				lb2 := dc.Norm2() + float64(dr*dr)
+				lb2 -= float64(lb2 * (2 * boundSlack))
 				if lb2 >= cmin*cmin {
 					c.prune(1)
 					settled++

@@ -85,7 +85,7 @@ func directedPruned(a, b *traj.Packed, seed float64, c *Counters) float64 {
 	for i := 0; i < na; i++ {
 		if i > 0 {
 			dstar += a.StepDRMS[i]
-			dstar += dstar * boundSlack
+			dstar += float64(dstar * boundSlack)
 		}
 		if i == probe {
 			continue
@@ -120,8 +120,8 @@ func prunedRow(a, b *traj.Packed, i, jstar int, dstar, cmax float64, c *Counters
 		}
 		dc := ca.Sub(b.Centroids[j])
 		dr := ra - b.RadGyr[j]
-		lb2 := dc.Norm2() + dr*dr
-		lb2 -= lb2 * (2 * boundSlack)
+		lb2 := dc.Norm2() + float64(dr*dr)
+		lb2 -= float64(lb2 * (2 * boundSlack))
 		if lb2 >= cmin*cmin {
 			// The pair provably cannot lower the running minimum.
 			c.prune(1)

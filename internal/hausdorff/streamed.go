@@ -426,8 +426,8 @@ func (f *fold) flat(rows, cols *side, c *Counters) {
 			if f.m == Pruned {
 				dc := pr.Centroids[k].Sub(pc.Centroids[l])
 				dr := pr.RadGyr[k] - pc.RadGyr[l]
-				lb2 := dc.Norm2() + dr*dr
-				lb2 -= lb2 * (2 * boundSlack)
+				lb2 := dc.Norm2() + float64(dr*dr)
+				lb2 -= float64(lb2 * (2 * boundSlack))
 				if lb2 >= t*t {
 					continue
 				}
@@ -525,8 +525,8 @@ func (f *fold) indexedPass(q, t *side, qMin, tMin []float64, rows bool, c *Count
 				}
 				dc := cq.Sub(pt.Centroids[j])
 				dr := rq - pt.RadGyr[j]
-				lb2 := dc.Norm2() + dr*dr
-				lb2 -= lb2 * (2 * boundSlack)
+				lb2 := dc.Norm2() + float64(dr*dr)
+				lb2 -= float64(lb2 * (2 * boundSlack))
 				if lb2 >= cmin*cmin {
 					continue
 				}

@@ -3,7 +3,49 @@ package jobs
 import (
 	"encoding/json"
 	"testing"
+	"time"
 )
+
+// BenchmarkResolveInput times the staging of a synth submission —
+// ResolveInput generates the input, ContentDigest addresses it — at the
+// shapes of the service benchmark's psa-cold (8×1024×64) and
+// leaflet-cold (32 768 atoms) workloads. digest-ns/op is the
+// ContentDigest part alone; MB/s counts the generated coordinates.
+func BenchmarkResolveInput(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"psa-8x1024x64", Spec{Analysis: AnalysisPSA, Engine: EngineDask, Method: "pruned",
+			Synth: &SynthSpec{Count: 8, Atoms: 1024, Frames: 64, Seed: 1}}},
+		{"leaflet-32k", Spec{Analysis: AnalysisLeaflet, Engine: EngineDask, Approach: "tree",
+			Synth: &SynthSpec{Atoms: 32768, Seed: 1}}},
+	} {
+		norm, err := tc.spec.Normalized()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var digest time.Duration
+			for i := 0; i < b.N; i++ {
+				in, err := ResolveInput(norm)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t0 := time.Now()
+				if _, err := in.ContentDigest(); err != nil {
+					b.Fatal(err)
+				}
+				digest += time.Since(t0)
+				if i == 0 {
+					b.SetBytes(in.Refs.Bytes() + int64(len(in.Coords))*24)
+				}
+			}
+			b.ReportMetric(float64(digest.Nanoseconds())/float64(b.N), "digest-ns/op")
+		})
+	}
+}
 
 // BenchmarkEncodeResult times the result encoding a job pays at finish
 // and on every GET …/result, by reflection (encoding-json, the encoder

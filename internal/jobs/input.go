@@ -15,10 +15,14 @@ import (
 	"mdtask/internal/traj"
 )
 
-// Input is a job's resolved input data. Its content digest covers the
-// actual coordinates (not file paths or names), so identical data
-// reached through different paths — or regenerated from the same synth
-// spec — content-addresses identically.
+// Input is a job's resolved input data. The digest of an input read
+// from disk covers the actual coordinates (not file paths or names), so
+// identical data reached through different paths content-addresses
+// identically. An input the server generates is addressed by its
+// recipe instead (synth.WalkDigest, synth.BilayerDigest): the
+// generator's version and arguments name the coordinates exactly, so
+// regenerating the same synth spec addresses identically without a
+// pass over the data.
 type Input struct {
 	// Refs is the trajectory ensemble of a PSA job as windowed handles —
 	// always set for PSA. In a streamed on-disk job they are file-backed
@@ -29,27 +33,33 @@ type Input struct {
 	Ens traj.Ensemble
 	// Coords is the membrane snapshot of a Leaflet Finder job.
 	Coords []linalg.Vec3
+	// recipe is the digest of a generated membrane (empty for a file).
+	recipe string
 
 	digestOnce sync.Once
 	digest     string
 	digestErr  error
 }
 
-// ContentDigest returns the hex SHA-256 of the input content, computed
-// lazily (the one-shot CLI path never needs it) and cached. A PSA
-// ensemble digests as the ordered list of its members' per-trajectory
-// content digests (traj.Ref.Digest) — the same digests the block cache
-// keys blocks under, so the one scan that content-addresses a job also
-// warms every per-trajectory digest the engines will need. Streamed
-// refs digest frame by frame and hash identically to the same data
-// loaded in memory.
+// ContentDigest returns the hex SHA-256 that addresses the input,
+// computed lazily (the one-shot CLI path never needs it) and cached. A
+// PSA ensemble digests as the ordered list of its members' digests
+// (traj.Ref.Digest) — the same digests the block cache keys blocks
+// under, so the one scan that content-addresses a job also warms every
+// per-trajectory digest the engines will need. A file member's digest
+// hashes its content (streamed refs frame by frame, identically to the
+// same data loaded in memory); a generated member's is its recipe
+// digest, known without a scan, and so is a generated membrane's.
 func (in *Input) ContentDigest() (string, error) {
 	in.digestOnce.Do(func() {
-		if in.Refs != nil {
+		switch {
+		case in.Refs != nil:
 			in.digest, in.digestErr = refsDigest(in.Refs)
-			return
+		case in.recipe != "":
+			in.digest = in.recipe
+		default:
+			in.digest = coordsDigest(in.Coords)
 		}
-		in.digest = coordsDigest(in.Coords)
 	})
 	return in.digest, in.digestErr
 }
@@ -85,16 +95,19 @@ func ResolveInput(spec Spec) (*Input, error) {
 			}
 			return &Input{Refs: refs}, nil
 		}
-		ens, err := resolveEnsemble(spec)
+		ens, refs, err := resolveEnsemble(spec)
 		if err != nil {
 			return nil, err
 		}
 		if err := ens.Validate(); err != nil {
 			return nil, err
 		}
-		return &Input{Ens: ens, Refs: traj.RefsOf(ens)}, nil
+		return &Input{Ens: ens, Refs: refs}, nil
 	case AnalysisLeaflet:
-		coords, err := resolveCoords(spec)
+		if g := spec.Synth; g != nil {
+			return &Input{Coords: synth.Bilayer(g.Atoms, g.Seed).Coords, recipe: synth.BilayerDigest(g.Atoms, g.Seed)}, nil
+		}
+		coords, err := resolveCoords(spec.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -109,36 +122,49 @@ func ResolveInput(spec Spec) (*Input, error) {
 
 // resolveEnsemble reads a directory of .mdt files (sorted by name) or
 // generates a random-walk ensemble, one task per trajectory on a
-// GOMAXPROCS pool. Each member is a pure function of its own (seed,
-// stream) or file, so the ensemble is the same whatever the schedule,
-// and a failure names the lowest failing file, as a sequential loop
-// would.
-func resolveEnsemble(spec Spec) (traj.Ensemble, error) {
+// GOMAXPROCS pool, and returns it with memory-backed refs over it. Each
+// member is a pure function of its own (seed, stream) or file, so the
+// ensemble is the same whatever the schedule, and a failure names the
+// lowest failing file, as a sequential loop would. A generated member's
+// ref carries its recipe digest, which depends on the member's own
+// (seed, stream) and shape and not on the ensemble's Count, so an
+// ensemble grown by one member shares every earlier member's digest,
+// and so its cached blocks. A file member's ref digests its content
+// when asked.
+func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
 	var (
 		n      int
-		member func(i int) (*traj.Trajectory, error)
+		member func(i int) (*traj.Ref, error)
 	)
 	if g := spec.Synth; g != nil {
 		n = g.Count
-		member = func(i int) (*traj.Trajectory, error) {
-			return synth.Walk(fmt.Sprintf("synth-%03d", i), g.Atoms, g.Frames, g.Seed, uint64(i)), nil
+		member = func(i int) (*traj.Ref, error) {
+			t := synth.Walk(fmt.Sprintf("synth-%03d", i), g.Atoms, g.Frames, g.Seed, uint64(i))
+			return traj.DigestedRef(t, synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))), nil
 		}
 	} else {
 		paths, err := ensemblePaths(spec.Path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		n = len(paths)
-		member = func(i int) (*traj.Trajectory, error) { return traj.ReadMDTFile(paths[i]) }
+		member = func(i int) (*traj.Ref, error) {
+			t, err := traj.ReadMDTFile(paths[i])
+			if err != nil {
+				return nil, err
+			}
+			return traj.MemRef(t), nil
+		}
 	}
-	ens := make(traj.Ensemble, n)
+	refs := make(traj.RefEnsemble, n)
 	if err := engine.NewPool(0, nil).ForEach(n, func(i int) (err error) {
-		ens[i], err = member(i)
+		refs[i], err = member(i)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ens, nil
+	ens, err := refs.Load() // memory-backed: shares the trajectories
+	return ens, refs, err
 }
 
 // resolveEnsembleRefs builds file-backed handles over a directory of
@@ -173,34 +199,31 @@ func ensemblePaths(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// resolveCoords reads frame 0 of a single-frame .mdt membrane file or
-// generates a bilayer.
-func resolveCoords(spec Spec) ([]linalg.Vec3, error) {
-	if g := spec.Synth; g != nil {
-		return synth.Bilayer(g.Atoms, g.Seed).Coords, nil
-	}
-	t, err := traj.ReadMDTFile(spec.Path)
+// resolveCoords reads frame 0 of a single-frame .mdt membrane file.
+func resolveCoords(path string) ([]linalg.Vec3, error) {
+	t, err := traj.ReadMDTFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if t.NFrames() == 0 {
-		return nil, fmt.Errorf("jobs: %s contains no frames", spec.Path)
+		return nil, fmt.Errorf("jobs: %s contains no frames", path)
 	}
 	return t.FrameCoords(0), nil
 }
 
 // refsDigest hashes an ensemble as the ordered list of its members'
-// content digests. Each member digests streamed or in-memory data
-// identically (traj.Ref.Digest), so streamed and in-memory submissions
-// of the same input share one cache entry. The members are hashed as
-// one task each on a GOMAXPROCS pool and composed in ensemble order, so
-// the digest does not depend on the schedule and a failure names the
-// lowest failing member. A member file the process has hashed before,
-// under the same device, inode, size, mtime and ctime, is not read
-// again (traj's file-identity cache; README, "What admission
-// trusts"), so a submission scans only the on-disk bytes it has not
-// seen; callers that cannot afford even that on the submit path should
-// run through RunLocal, which never digests.
+// digests: their count, then each member's. A file member digests
+// streamed or in-memory data identically (traj.Ref.Digest), so streamed
+// and in-memory submissions of the same files share one cache entry; a
+// generated member's digest is its recipe, already on its ref. The
+// members are hashed as one task each on a GOMAXPROCS pool and composed
+// in ensemble order, so the digest does not depend on the schedule and
+// a failure names the lowest failing member. A member file the process
+// has hashed before, under the same device, inode, size, mtime and
+// ctime, is not read again (traj's file-identity cache; README, "What
+// admission trusts"), so a submission scans only the on-disk bytes it
+// has not seen; callers that cannot afford even that on the submit path
+// should run through RunLocal, which never digests.
 func refsDigest(refs traj.RefEnsemble) (string, error) {
 	ds := make([]string, len(refs))
 	err := engine.NewPool(0, nil).ForEach(len(refs), func(i int) (err error) {

@@ -285,6 +285,68 @@ func TestRecoveredV2KeyNeverCompared(t *testing.T) {
 	}
 }
 
+// TestRecoveredContentKeyNeverCompared is the upgrade path from content-
+// to recipe-addressed synth inputs. A journal written before holds a
+// done synth PSA job under the key its generated coordinates' SHA-256
+// gave it. After the upgrade the same spec computes its recipe key, so
+// the resubmission runs rather than meeting the old record, and its
+// result — the same arithmetic, so the same bits the old job journaled —
+// is never compared with the recovered one: the old record stays
+// unconsumed and mdtask_jobs_result_digest_mismatch_total stays 0.
+func TestRecoveredContentKeyNeverCompared(t *testing.T) {
+	spec := Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Synth: &SynthSpec{Count: 4, Atoms: 1024, Frames: 16, Seed: 7}}
+	const (
+		contentKey   = "9e27763c904bc8e742f765f6921d918cd30eb30edabb116d2aa68fa7eafcf2fe"
+		resultDigest = "e7ecceefc5810bacb3b59855b882d631846709758e08559bdb16eb3297a1aabb"
+	)
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ResolveInput(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := CacheKey(norm, generatedContent(t, in)); k != contentKey {
+		t.Fatalf("content-addressed key %s, want %s: the pin no longer names what the earlier code journaled", k, contentKey)
+	}
+	dir := t.TempDir()
+	st, _ := openStore(t, dir)
+	at := time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.JournalSubmit(JobRecord{ID: "job-000001", Spec: norm, Key: contentKey, State: StateDone,
+		Digest: resultDigest, Created: at, Updated: at}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, _ := openStore(t, dir)
+	defer st2.Close()
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st2})
+	defer s.Close()
+	s.Recover()
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, job)
+	if job.ID() == "job-000001" || fin.CacheHit || fin.State != StateDone {
+		t.Fatalf("resubmission %s finished %s (cache hit %v, %s), want a fresh run to done", job.ID(), fin.State, fin.CacheHit, fin.Error)
+	}
+	res, _, _ := job.Result()
+	if got := mustResultDigest(t, res); got != resultDigest {
+		t.Errorf("result digest %s, want the journaled %s: only the key may move", got, resultDigest)
+	}
+	s.mu.Lock()
+	_, unconsumed := s.recoveredDone[contentKey]
+	s.mu.Unlock()
+	if !unconsumed {
+		t.Error("the recovered content-keyed record was compared with the recipe-keyed run")
+	}
+	if got := s.digestMismatchCtr.Value(); got != 0 {
+		t.Errorf("mdtask_jobs_result_digest_mismatch_total = %d, want 0", got)
+	}
+}
+
 // TestSubmitFailsWhenJournalFails checks the durability contract at
 // the API edge: if the journal cannot take the submit record, the
 // submission is rejected and nothing is admitted — and the id sequence

@@ -351,15 +351,16 @@ func (s *Scheduler) registerMetrics() {
 func (s *Scheduler) Obs() *obs.Obs { return s.obs }
 
 // Submit validates and enqueues a job. The input is resolved (loaded or
-// generated) and content-digested before Submit returns, so the result
-// cache can be consulted and the cache key journaled at admission: an
+// generated) and digested before Submit returns, so the result cache
+// can be consulted and the cache key journaled at admission: an
 // identical earlier submission completes the job on the spot, without
 // touching the queue or any engine. The caller waits for that staging,
-// which runs one task per trajectory across GOMAXPROCS cores (load or
-// generate, then digest), and each queued job holds its input in memory
-// until a worker picks it up — QueueDepth bounds that multiplier, and
-// an overloaded (or closed) scheduler rejects submissions before
-// resolving their input.
+// which runs one task per trajectory across GOMAXPROCS cores (load,
+// then hash a file the process has not hashed before; generate a synth
+// member, whose recipe is its digest), and each queued job holds its
+// input in memory until a worker picks it up — QueueDepth bounds that
+// multiplier, and an overloaded (or closed) scheduler rejects
+// submissions before resolving their input.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	norm, err := spec.Normalized()
 	if err != nil {

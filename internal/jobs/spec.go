@@ -52,7 +52,8 @@ var Engines = []string{EngineSerial, EngineSpark, EngineDask, EngineMPI, EngineP
 // SynthSpec describes a deterministically generated input, the serving
 // analogue of cmd/trajgen: either a paper preset by name or explicit
 // dimensions. All generation is a pure function of the fields, so a
-// synth job is fully content-addressable.
+// synth input is addressed by its recipe (synth.WalkDigest,
+// synth.BilayerDigest) without hashing what it generates.
 type SynthSpec struct {
 	// Preset selects a paper size class: for PSA an ensemble preset
 	// (small|medium|large), for Leaflet Finder a membrane preset
@@ -322,6 +323,9 @@ func normalizedLeafletSynth(g SynthSpec) (SynthSpec, error) {
 	g.Count, g.Frames = 0, 0
 	if g.Atoms <= 0 {
 		g.Atoms = 2048
+	}
+	if g.Atoms < 2 { // one atom per leaflet at least: synth.Bilayer panics below
+		return SynthSpec{}, fmt.Errorf("jobs: synth membrane of %d atoms: a bilayer needs at least 2", g.Atoms)
 	}
 	if !synthFits(g.Atoms) {
 		return SynthSpec{}, fmt.Errorf("jobs: synth membrane of %d atoms exceeds %d bytes of coordinates", g.Atoms, MaxSynthBytes)

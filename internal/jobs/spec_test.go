@@ -109,6 +109,7 @@ func TestNormalizedErrors(t *testing.T) {
 		"synth over the ceiling":        {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 33, Preset: "large"}},
 		"synth matrix over the ceiling": {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 20000, Atoms: 1, Frames: 1}},
 		"synth membrane over ceiling":   {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Atoms: MaxSynthBytes/24 + 1}},
+		"synth membrane of one atom":    {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Atoms: 1}},
 	}
 	for name, spec := range cases {
 		if _, err := spec.Normalized(); err == nil {
@@ -197,7 +198,7 @@ func TestResolveInputDigestStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if digestOf(t, c) == digestOf(t, a) {
-		t.Error("digest ignores the generated content")
+		t.Error("digest ignores the seed")
 	}
 }
 

@@ -3,38 +3,55 @@ package jobs
 import (
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"mdtask/internal/linalg"
+	"mdtask/internal/proptest"
+	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
 
-// TestStagingGolden pins what staging produces — the content digest and
-// the cache key — at one and at four cores. The digests are the values
-// recorded before the per-trajectory fan-out and the contiguous
-// synth.Walk; the keys are those of CacheKey's v3 prefix (the eight-lane
-// dRMS summation), which moved them and nothing else. Every block key
-// and every cached result hangs off these, so a change here silently
-// invalidates every store.
+// TestStagingGolden pins what staging produces for synth inputs at one
+// and at four cores: the digest that addresses the input, its cache key,
+// and the content digest of the coordinates generated. The addressing
+// digests are recipe digests (synth.WalkDigest, synth.BilayerDigest),
+// which moved every synth key once when they replaced the SHA-256 of the
+// generated coordinates; the content digests are the values those keys
+// were built from before, so they still pin what the generators write.
+// A generator whose output changes fails here until its version moves
+// (and the pins with it): the recipe digest would otherwise name two
+// different contents. Every block key and every cached result hangs off
+// the addressing digests, so a change to one silently invalidates every
+// store.
 func TestStagingGolden(t *testing.T) {
 	cases := []struct {
-		spec        Spec
-		digest, key string
+		spec                 Spec
+		digest, key, content string
 	}{
 		{
 			Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{}}, // 4×16×8, seed 0
+			"9d9718f2b914b908ccf3a43e7411ad561e603b359b97c3f83c18b77d52833635",
+			"e17bee883497fc866972529502c145c5197a37d0b9974927c1f4e2a2064b4210",
 			"f896e7ffc4d9243ad3e3a8b783efafb7e3d9cbe3a3ec3ca65e5284903c4c6607",
-			"fe5bd73777ca0e527c7937195e7f765e6ed589114858dc766a5c71a8b5c7c47c",
 		},
 		{
 			Spec{Analysis: AnalysisPSA, Engine: EngineDask, Method: "pruned",
 				Synth: &SynthSpec{Count: 8, Atoms: 1024, Frames: 64, Seed: 1000}},
+			"808586ae0d1112e762da87a9af3261a82f02bc8523be94df0d3abc51a7491ae6",
+			"0248e911e550545bada8fa2190158f2d9f6f764782f36ccc531b7b541b04bd9d",
 			"8e4a646e88afcc94201c004741c1eedf3e59609d5c924da6bbcaae5972bd2f9d",
-			"197e7606136a1a16efef3b1d7633177e6427c14dec9d17ba2be5b1c7a795f8de",
+		},
+		{
+			Spec{Analysis: AnalysisLeaflet, Synth: &SynthSpec{}}, // 2048 atoms, seed 0
+			"20841d08706c065e07863a9da64a5f70799d523895854240743fb6161226ebaf",
+			"3ea1788f4468792ca345a3f8088129edd4aa3b347b86e42934207e536fafe2a6",
+			"34e7d2b283a365a8f2fd6852357033af3a81f4f9c67a5f9db8450f2eb47f7a0c",
 		},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -54,11 +71,183 @@ func TestStagingGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d != c.digest {
-				t.Errorf("GOMAXPROCS=%d %+v: digest %s, want %s", procs, *norm.Synth, d, c.digest)
+				t.Errorf("GOMAXPROCS=%d %s %+v: digest %s, want %s", procs, norm.Analysis, *norm.Synth, d, c.digest)
 			}
 			if k := CacheKey(norm, d); k != c.key {
-				t.Errorf("GOMAXPROCS=%d %+v: cache key %s, want %s", procs, *norm.Synth, k, c.key)
+				t.Errorf("GOMAXPROCS=%d %s %+v: cache key %s, want %s", procs, norm.Analysis, *norm.Synth, k, c.key)
 			}
+			if got := generatedContent(t, in); got != c.content {
+				t.Errorf("GOMAXPROCS=%d %s %+v: generated content digest %s, want %s: the generator's output changed, so bump its version (synth.WalkVersion, synth.BilayerVersion) and re-pin this case",
+					procs, norm.Analysis, *norm.Synth, got, c.content)
+			}
+		}
+	}
+}
+
+// generatedContent is the content digest of a resolved input's
+// coordinates, whatever addresses the input: a PSA ensemble's as
+// memory refs compose it, a membrane's as coordsDigest hashes it.
+func generatedContent(t *testing.T, in *Input) string {
+	t.Helper()
+	if in.Ens == nil {
+		return coordsDigest(in.Coords)
+	}
+	d, err := refsDigest(traj.RefsOf(in.Ens))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestSynthRecipeDigests checks the recipe digests' properties over
+// small generated ensembles: a member's digest does not depend on the
+// ensemble's Count (a grown ensemble shares its members' digests, and
+// so their cached blocks); it moves with every change of atoms, frames,
+// seed or member index; and no recipe digest equals the content digest
+// of the data it names, for a member or for the ensemble.
+func TestSynthRecipeDigests(t *testing.T) {
+	resolve := func(g SynthSpec) *Input {
+		norm, err := Spec{Analysis: AnalysisPSA, Synth: &g}.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := ResolveInput(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	memberDigest := func(in *Input, i int) string {
+		d, err := in.Refs[i].Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	proptest.Check(t, func(count, grow, atoms, frames uint8, seed uint64, field, delta uint8) bool {
+		g := SynthSpec{Count: 1 + int(count%4), Atoms: 1 + int(atoms%8), Frames: 1 + int(frames%4), Seed: seed}
+		in := resolve(g)
+		grown := g
+		grown.Count += 1 + int(grow%3)
+		big := resolve(grown)
+		for i := range g.Count {
+			d := memberDigest(in, i)
+			if memberDigest(big, i) != d {
+				t.Logf("%+v member %d: digest moves when the ensemble grows to %d", g, i, grown.Count)
+				return false
+			}
+			content, err := traj.MemRef(in.Ens[i]).Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d == content {
+				t.Logf("%+v member %d: recipe digest equals the content digest", g, i)
+				return false
+			}
+		}
+		if d, _ := in.ContentDigest(); d == generatedContent(t, in) {
+			t.Logf("%+v: ensemble digest equals its content digest", g)
+			return false
+		}
+		// One field of one member's recipe moved by a non-zero step.
+		atomsN, framesN, seedN, idx := g.Atoms, g.Frames, g.Seed, uint64(0)
+		step := 1 + int(delta%7)
+		switch field % 4 {
+		case 0:
+			atomsN += step
+		case 1:
+			framesN += step
+		case 2:
+			seedN += uint64(step)
+		case 3:
+			idx += uint64(step)
+		}
+		if synth.WalkDigest(atomsN, framesN, seedN, idx) == memberDigest(in, 0) {
+			t.Logf("%+v: field %d moved by %d, same digest", g, field%4, step)
+			return false
+		}
+		return true
+	}, &quick.Config{MaxCount: 50})
+}
+
+// writeFileInputs writes a three-trajectory PSA directory (float32) and
+// a one-frame membrane (float64) whose coordinates are fixed formulas,
+// not a generator's output: TestFileInputDigestsUnchanged pins their
+// digests, which must not move with any change to internal/synth.
+func writeFileInputs(t *testing.T) (psaDir, membrane string) {
+	t.Helper()
+	dir := t.TempDir()
+	psaDir = filepath.Join(dir, "psa")
+	if err := os.Mkdir(psaDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		tr := traj.New(fmt.Sprintf("t%d", i), 8)
+		for f := range 5 {
+			coords := make([]linalg.Vec3, 8)
+			for a := range coords {
+				coords[a] = linalg.Vec3{float64(i) + 0.25*float64(f), 0.5 * float64(a), float64(a*f) - 3}
+			}
+			if err := tr.AppendFrame(traj.Frame{Time: float64(f), Coords: coords}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := traj.WriteMDTFile(filepath.Join(psaDir, fmt.Sprintf("t%d.mdt", i)), tr, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := traj.New("membrane", 64)
+	coords := make([]linalg.Vec3, 64)
+	for a := range coords {
+		coords[a] = linalg.Vec3{float64(a % 8), float64(a / 8), 0.125 * float64(a%2)}
+	}
+	if err := m.AppendFrame(traj.Frame{Coords: coords}); err != nil {
+		t.Fatal(err)
+	}
+	membrane = filepath.Join(dir, "membrane.mdt")
+	if err := traj.WriteMDTFile(membrane, m, 8); err != nil {
+		t.Fatal(err)
+	}
+	return psaDir, membrane
+}
+
+// TestFileInputDigestsUnchanged pins the digests and cache keys of
+// on-disk inputs — PSA loaded in memory and streamed, and a membrane —
+// to the values recorded before synth inputs were addressed by their
+// recipe: a file is still addressed by its content.
+func TestFileInputDigestsUnchanged(t *testing.T) {
+	psaDir, membrane := writeFileInputs(t)
+	const psaDigest = "fd74b5e2f00e68903f99f44d662c36af81acbd21cc207c10c4c465651db28cd1"
+	cases := []struct {
+		spec        Spec
+		digest, key string
+	}{
+		{Spec{Analysis: AnalysisPSA, Path: psaDir}, psaDigest,
+			"219595c99934adb39bee20305f8a4b0dabc623f646a0544fc2d7c446b3a44c0a"},
+		{Spec{Analysis: AnalysisPSA, Engine: EngineDask, Path: psaDir, MaxResidentFrames: 2}, psaDigest,
+			"d47b60c691c07774f8165335714d34b0c0f0fe04e43ab844a406fdfad1b61c0b"},
+		{Spec{Analysis: AnalysisLeaflet, Path: membrane},
+			"616529f34ef295827e4d3cc7724476d19f5c8381113e2e40dbc087b51285767b",
+			"1adb24dca27830a96013598b32a8c04b8dce1f119039968c8e11541334a215d0"},
+	}
+	for _, c := range cases {
+		norm, err := c.spec.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := ResolveInput(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := in.ContentDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != c.digest {
+			t.Errorf("%s %s (max_resident_frames %d): digest %s, want %s", norm.Analysis, norm.Engine, norm.MaxResidentFrames, d, c.digest)
+		}
+		if k := CacheKey(norm, d); k != c.key {
+			t.Errorf("%s %s (max_resident_frames %d): cache key %s, want %s", norm.Analysis, norm.Engine, norm.MaxResidentFrames, k, c.key)
 		}
 	}
 }

@@ -12,7 +12,10 @@
 // bits. On amd64 hosts with AVX2 the summation runs in an assembly
 // routine chosen once at init; elsewhere it runs in Go, with every term
 // rounded on its own so no compiler may fuse it into an FMA. A result
-// therefore does not depend on GOARCH or GOAMD64.
+// therefore does not depend on GOARCH or GOAMD64. Dot and Dist2 round
+// every product the same way (float64(x*y)), and so does every other
+// data-path product the arm64 compiler would fuse: CI fails on any
+// FMADDD/FMSUBD in the arm64 assembly outside the cost-model packages.
 package linalg
 
 import (
@@ -39,11 +42,16 @@ func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v[0] + w[0], v[1] + w[1], v[2] + w[
 // Sub returns v - w.
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v[0] - w[0], v[1] - w[1], v[2] - w[2]} }
 
-// Scale returns s*v.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} }
+// Scale returns s*v, each product rounded on its own (an inlined
+// Scale must not fuse into its caller's add).
+func (v Vec3) Scale(s float64) Vec3 {
+	return Vec3{float64(s * v[0]), float64(s * v[1]), float64(s * v[2])}
+}
 
-// Dot returns the inner product v·w.
-func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
+// Dot returns the inner product v·w, each product rounded on its own.
+func (v Vec3) Dot(w Vec3) float64 {
+	return float64(v[0]*w[0]) + float64(v[1]*w[1]) + float64(v[2]*w[2])
+}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -54,12 +62,13 @@ func (v Vec3) Norm2() float64 { return v.Dot(v) }
 // Dist returns the Euclidean distance between points a and b.
 func Dist(a, b Vec3) float64 { return math.Sqrt(Dist2(a, b)) }
 
-// Dist2 returns the squared Euclidean distance between points a and b.
+// Dist2 returns the squared Euclidean distance between points a and b,
+// each square rounded on its own.
 func Dist2(a, b Vec3) float64 {
 	dx := a[0] - b[0]
 	dy := a[1] - b[1]
 	dz := a[2] - b[2]
-	return dx*dx + dy*dy + dz*dz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // Centroid returns the arithmetic mean of the points.

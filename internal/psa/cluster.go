@@ -115,7 +115,7 @@ func (m *Matrix) Cluster(linkage Linkage) (*Dendrogram, error) {
 			case CompleteLinkage:
 				nd = math.Max(da, db)
 			case AverageLinkage:
-				nd = (da*float64(size[a]) + db*float64(size[b])) /
+				nd = (float64(da*float64(size[a])) + float64(db*float64(size[b]))) /
 					float64(size[a]+size[b])
 			default:
 				return nil, fmt.Errorf("psa: unknown linkage %d", int(linkage))

@@ -30,7 +30,7 @@ func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensembl
 		out := make([]linalg.Vec3, nAtoms)
 		for i := range out {
 			for k := 0; k < 3; k++ {
-				v := r.NormFloat64() * jitter
+				v := float64(r.NormFloat64() * jitter)
 				if base != nil {
 					v += base[i][k] / scale
 				}

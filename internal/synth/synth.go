@@ -12,10 +12,24 @@
 //     exactly two connected components and roughly the paper's
 //     edges-per-atom density (~6.7).
 //
-// All generators are deterministic functions of their seed.
+// All generators are deterministic functions of their arguments, and
+// every product they add is rounded on its own (float64(x*y)), so no
+// compiler fuses it into an FMA and a generator writes the same bits on
+// every GOARCH.
+//
+// The two generators the job service serves, Walk and Bilayer, are
+// addressed by their recipe: WalkDigest and BilayerDigest hash the
+// generator's version and arguments, never the coordinates, so a server
+// names a generated input without a pass over it. The version constant
+// beside each generator is what makes that sound: a change to what a
+// generator writes for some recipe must bump its version, or inputs
+// generated before and after the change would share one digest, and so
+// one cache entry.
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -58,6 +72,27 @@ func Ensemble(p EnsemblePreset, n int, seed uint64) traj.Ensemble {
 	return out
 }
 
+// WalkVersion names what Walk writes. Bump it with any change to the
+// coordinates or times Walk generates for some arguments: WalkDigest
+// promises that one recipe names one content.
+const WalkVersion = 1
+
+// WalkDigest returns the hex recipe digest of Walk(name, nAtoms,
+// nFrames, seed, stream): SHA-256 over a domain-separated string of
+// WalkVersion and the arguments. The display name is not part of it,
+// since it is not part of the content.
+func WalkDigest(nAtoms, nFrames int, seed, stream uint64) string {
+	return recipeDigest(fmt.Sprintf("walk|v%d|atoms=%d|frames=%d|seed=%d|stream=%d", WalkVersion, nAtoms, nFrames, seed, stream))
+}
+
+// recipeDigest hashes a generator's recipe under a domain prefix of its
+// own, so a recipe digest and a content digest (traj.Ref.Digest, which
+// hashes a binary shape and coordinates) never hash the same bytes.
+func recipeDigest(recipe string) string {
+	sum := sha256.Sum256([]byte("mdtask/synth recipe|" + recipe))
+	return hex.EncodeToString(sum[:])
+}
+
 // Walk generates a single random-walk trajectory: nAtoms atoms over
 // nFrames frames. The (seed, stream) pair fully determines the output.
 func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
@@ -78,9 +113,9 @@ func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajector
 	for f := 1; f < nFrames; f++ {
 		prev, cur := t.Frames[f-1].Coords, t.Frames[f].Coords
 		for i, p := range prev {
-			p[0] += r.NormFloat64() * step
-			p[1] += r.NormFloat64() * step
-			p[2] += r.NormFloat64() * step
+			p[0] += float64(r.NormFloat64() * step)
+			p[1] += float64(r.NormFloat64() * step)
+			p[2] += float64(r.NormFloat64() * step)
 			cur[i] = p
 		}
 	}
@@ -134,9 +169,9 @@ func PathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Traje
 		prev, cur := t.Frames[f-1].Coords, t.Frames[f].Coords
 		for i, p := range prev {
 			p = p.Add(dir)
-			p[0] += r.NormFloat64() * jitter
-			p[1] += r.NormFloat64() * jitter
-			p[2] += r.NormFloat64() * jitter
+			p[0] += float64(r.NormFloat64() * jitter)
+			p[1] += float64(r.NormFloat64() * jitter)
+			p[2] += float64(r.NormFloat64() * jitter)
 			cur[i] = p
 		}
 	}
@@ -193,6 +228,17 @@ type BilayerSystem struct {
 	Leaflet []uint8
 }
 
+// BilayerVersion names what Bilayer writes; bump it with any change to
+// the coordinates Bilayer generates for some arguments.
+const BilayerVersion = 1
+
+// BilayerDigest returns the hex recipe digest of Bilayer(nAtoms, seed):
+// SHA-256 over a domain-separated string of BilayerVersion and the
+// arguments.
+func BilayerDigest(nAtoms int, seed uint64) string {
+	return recipeDigest(fmt.Sprintf("bilayer|v%d|atoms=%d|seed=%d", BilayerVersion, nAtoms, seed))
+}
+
 // Bilayer generates a two-leaflet membrane with the given total atom
 // count. Each leaflet is a jittered triangular lattice; the jitter σ is
 // small relative to the lattice constant, keeping the sheets locally
@@ -224,15 +270,15 @@ func sheet(sys *BilayerSystem, n int, z float64, label uint8, r *rand.Rand) {
 	for i := 0; i < n; i++ {
 		row := i / cols
 		col := i % cols
-		x := float64(col) * BilayerSpacing
+		x := float64(float64(col) * BilayerSpacing)
 		if row%2 == 1 {
 			x += BilayerSpacing / 2
 		}
-		y := float64(row) * rowH
+		y := float64(float64(row) * rowH)
 		sys.Coords = append(sys.Coords, linalg.Vec3{
-			x + r.NormFloat64()*jitter,
-			y + r.NormFloat64()*jitter,
-			z + r.NormFloat64()*jitter,
+			x + float64(r.NormFloat64()*jitter),
+			y + float64(r.NormFloat64()*jitter),
+			z + float64(r.NormFloat64()*jitter),
 		})
 		sys.Leaflet = append(sys.Leaflet, label)
 	}

@@ -167,9 +167,9 @@ func oldWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajec
 		copy(coords, cur)
 		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
 		for i := range cur {
-			cur[i][0] += r.NormFloat64() * step
-			cur[i][1] += r.NormFloat64() * step
-			cur[i][2] += r.NormFloat64() * step
+			cur[i][0] += float64(r.NormFloat64() * step)
+			cur[i][1] += float64(r.NormFloat64() * step)
+			cur[i][2] += float64(r.NormFloat64() * step)
 		}
 	}
 	return t
@@ -196,9 +196,9 @@ func oldPathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Tr
 		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
 		for i := range cur {
 			cur[i] = cur[i].Add(dir)
-			cur[i][0] += r.NormFloat64() * jitter
-			cur[i][1] += r.NormFloat64() * jitter
-			cur[i][2] += r.NormFloat64() * jitter
+			cur[i][0] += float64(r.NormFloat64() * jitter)
+			cur[i][1] += float64(r.NormFloat64() * jitter)
+			cur[i][2] += float64(r.NormFloat64() * jitter)
 		}
 	}
 	return t

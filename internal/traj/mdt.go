@@ -213,14 +213,14 @@ func widenFinite[F float32 | float64](row []float64, v []F) int {
 	k := 0
 	for ; k+4 <= len(v); k += 4 {
 		x, r := v[k:k+4:k+4], row[k:k+4:k+4]
-		s0 += x[0] * 0
-		s1 += x[1] * 0
-		s2 += x[2] * 0
-		s3 += x[3] * 0
+		s0 += F(x[0] * 0)
+		s1 += F(x[1] * 0)
+		s2 += F(x[2] * 0)
+		s3 += F(x[3] * 0)
 		r[0], r[1], r[2], r[3] = float64(x[0]), float64(x[1]), float64(x[2]), float64(x[3])
 	}
 	for ; k < len(v); k++ {
-		s0 += v[k] * 0
+		s0 += F(v[k] * 0)
 		row[k] = float64(v[k])
 	}
 	if s0+s1+s2+s3 == 0 {

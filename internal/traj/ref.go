@@ -39,6 +39,16 @@ func MemRef(t *Trajectory) *Ref {
 	return &Ref{name: t.Name, nAtoms: t.NAtoms, nFrames: t.NFrames(), mem: t}
 }
 
+// DigestedRef wraps a loaded trajectory whose digest the caller already
+// knows — a generated input named by its recipe (synth.WalkDigest) —
+// so Digest returns it without a pass over the coordinates. The caller
+// vouches that the digest names this content and no other.
+func DigestedRef(t *Trajectory, digest string) *Ref {
+	r := MemRef(t)
+	r.digestOnce.Do(func() { r.digest = digest })
+	return r
+}
+
 // FileRef builds a stream-backed Ref over an MDT file, learning the
 // shape from the header alone. The header's claimed shape is validated
 // against the file size, so a hostile header can never make downstream

@@ -31,7 +31,8 @@
 // For inputs larger than memory, frames are read a window at a time:
 //
 //   - Ref (ref.go) is a windowed handle to one trajectory — identity
-//     and shape plus where its frames live: memory (MemRef), a plain
+//     and shape plus where its frames live: memory (MemRef, or
+//     DigestedRef when the caller already knows the digest), a plain
 //     .mdt file (FileRef, header-only until read) or a chain of
 //     window-sized MDT blobs (WindowChainRef: staged pilot files, fleet
 //     coordinator fetches).

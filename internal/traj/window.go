@@ -216,7 +216,7 @@ func rowStats(row []float64) (c linalg.Vec3, rg float64) {
 		dx := row[i] - c[0]
 		dy := row[i+1] - c[1]
 		dz := row[i+2] - c[2]
-		s += dx*dx + dy*dy + dz*dz
+		s += float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 	}
 	return c, math.Sqrt(s / float64(n))
 }
