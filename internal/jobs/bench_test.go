@@ -2,8 +2,14 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"mdtask/internal/wal"
 )
 
 // BenchmarkResolveInput times the staging of a synth submission —
@@ -89,4 +95,72 @@ func BenchmarkEncodeResult(b *testing.B) {
 			b.SetBytes(int64(len(buf)))
 		})
 	}
+}
+
+// BenchmarkJournal times the journal's two costs: appending one state
+// record (wal.SyncNever, so the encoding and the write are timed, not
+// the disk) and one compaction of a table of 4 096 retained jobs (the
+// default MaxJobs), each a done serve-small job, {"analysis":"psa",
+// "synth":{"seed":n}} normalized. A compaction writes and fsyncs its
+// snapshot whatever the sync policy; snapshot-B/op is its size.
+func BenchmarkJournal(b *testing.B) {
+	spec, err := Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Seed: 1}}.Normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(1700000000, 123456789).UTC()
+	open := func(b *testing.B) *WALStore {
+		st, _, err := OpenWALStore(WALStoreOptions{Dir: b.TempDir(), Sync: wal.SyncNever, CompactBytes: 1 << 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		return st
+	}
+	digest := strings.Repeat("d", 64)
+	admit := func(b *testing.B, st *WALStore, i int) string {
+		spec.Synth.Seed = uint64(i)
+		id := fmt.Sprintf("job-%06d", i)
+		rec := JobRecord{ID: id, Spec: spec, Key: digest, State: StateQueued, Created: now, Updated: now}
+		if err := st.JournalSubmit(rec); err != nil {
+			b.Fatal(err)
+		}
+		if err := st.JournalState(id, StateDone, "", digest, now); err != nil {
+			b.Fatal(err)
+		}
+		return id
+	}
+	b.Run("append", func(b *testing.B) {
+		st := open(b)
+		id := admit(b, st, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.JournalState(id, StateDone, "", digest, now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compact-4096", func(b *testing.B) {
+		st := open(b)
+		for i := 1; i <= 4096; i++ {
+			admit(b, st, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.mu.Lock()
+			st.compactLocked()
+			st.mu.Unlock()
+		}
+		b.StopTimer()
+		if st.JournalErrors() != 0 {
+			b.Fatal("a compaction failed")
+		}
+		snap, err := os.Stat(filepath.Join(st.o.Dir, "snapshot"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(snap.Size()), "snapshot-B/op")
+	})
 }

@@ -38,11 +38,12 @@ func journalStats(t *testing.T, st *WALStore, n int64) wal.Stats {
 // TestSchedulerOneFsyncPerAdmission counts the journal's fsyncs under
 // SyncAlways: every job appends its submit, running and done records,
 // but only the submit waits for an fsync, so N jobs cost N fsyncs plus
-// one per compaction. A whole-job cache hit is one synced submit, and
+// one per compaction (CompactBytes is 1: the log compacts whenever it
+// outgrows the last snapshot). A whole-job cache hit is one synced submit, and
 // a queued job's cancel adds exactly one fsync.
 func TestSchedulerOneFsyncPerAdmission(t *testing.T) {
 	const n = 6
-	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.CompactRecords = 5 })
+	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.CompactBytes = 1 })
 	defer st.Close()
 	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st})
 	defer s.Close()

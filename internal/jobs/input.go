@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"mdtask/internal/engine"
@@ -139,7 +140,7 @@ func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
 	if g := spec.Synth; g != nil {
 		n = g.Count
 		member = func(i int) (*traj.Ref, error) {
-			t := synth.Walk(fmt.Sprintf("synth-%03d", i), g.Atoms, g.Frames, g.Seed, uint64(i))
+			t := synth.Walk(synthMemberName(i), g.Atoms, g.Frames, g.Seed, uint64(i))
 			return traj.DigestedRef(t, synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))), nil
 		}
 	} else {
@@ -165,6 +166,16 @@ func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
 	}
 	ens, err := refs.Load() // memory-backed: shares the trajectories
 	return ens, refs, err
+}
+
+// synthMemberName names member i of a generated ensemble as
+// fmt.Sprintf("synth-%03d", i) would, without fmt.
+func synthMemberName(i int) string {
+	b := append(make([]byte, 0, 16), "synth-"...)
+	for p := 100; p > 1 && i < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // resolveEnsembleRefs builds file-backed handles over a directory of

@@ -156,15 +156,20 @@ func appendInt32s(b []byte, vs []int32) []byte {
 	return append(b, ']')
 }
 
-// appendInt appends v in decimal, as strconv.AppendInt(b, v, 10) does,
-// but writes the digits straight into b, two at a time, instead of
-// formatting them in a scratch array and copying them over.
+// appendInt appends v in decimal, as strconv.AppendInt(b, v, 10) does.
 func appendInt(b []byte, v int64) []byte {
 	u := uint64(v)
 	if v < 0 {
 		b = append(b, '-')
 		u = -u
 	}
+	return appendUint(b, u)
+}
+
+// appendUint appends u in decimal, as strconv.AppendUint(b, u, 10) does,
+// but writes the digits straight into b, two at a time, instead of
+// formatting them in a scratch array and copying them over.
+func appendUint(b []byte, u uint64) []byte {
 	n := decimalLen(u)
 	b = slices.Grow(b, n)[:len(b)+n]
 	i := len(b)
@@ -221,25 +226,35 @@ func appendFloats(b []byte, vs []float64) ([]byte, error) {
 	}
 	b = append(b, '[')
 	for i, v := range vs {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return b, fmt.Errorf("jobs: encoding result: unsupported value %s", strconv.FormatFloat(v, 'g', -1, 64))
-		}
 		if i > 0 {
 			b = append(b, ',')
 		}
-		format := byte('f')
-		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(b, v, format, -1, 64)
-		if format == 'e' {
-			if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-				b[n-2] = b[n-1]
-				b = b[:n-1]
-			}
+		var err error
+		if b, err = appendFloat(b, v); err != nil {
+			return b, fmt.Errorf("jobs: encoding result: %w", err)
 		}
 	}
 	return append(b, ']'), nil
+}
+
+// appendFloat appends v in encoding/json's float64 format (see
+// appendFloats), or fails on a NaN or ±Inf, leaving b as it was.
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return b, fmt.Errorf("unsupported value %s", strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // encodeBufs recycles encoding buffers: a finished job's encoding lives

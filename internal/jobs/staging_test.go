@@ -365,3 +365,13 @@ func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSynthMemberName checks the generated members' names against the
+// fmt.Sprintf("synth-%03d", i) they were once built with.
+func TestSynthMemberName(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 99, 100, 101, 999, 1000, 12345, math.MaxInt} {
+		if got, want := synthMemberName(i), fmt.Sprintf("synth-%03d", i); got != want {
+			t.Errorf("synthMemberName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

@@ -92,12 +92,11 @@ type WALStoreOptions struct {
 	// Sync is the fsync policy (default wal.SyncAlways: an acknowledged
 	// submission survives SIGKILL).
 	Sync wal.SyncPolicy
-	// CompactBytes triggers snapshot + log truncation when the log
-	// exceeds this size (< 1: 1 MiB).
+	// CompactBytes is the least log size that triggers a snapshot + log
+	// truncation (< 1: 1 MiB). The log is compacted once it reaches
+	// max(CompactBytes, size of the last snapshot), so a compaction
+	// follows at least as many log bytes as it writes.
 	CompactBytes int64
-	// CompactRecords triggers compaction after this many appends since
-	// the last snapshot (< 1: 1024).
-	CompactRecords int
 }
 
 // WALStore is the job table and the write-ahead log that defines it.
@@ -115,13 +114,21 @@ type WALStoreOptions struct {
 // in order and becomes durable with the next fsync; a power loss
 // before it re-runs the job (a lost running or terminal record) or
 // prunes it again later (a lost prune). A process kill loses nothing.
+//
+// The journal's work per job is constant: each record is encoded
+// without reflection into one reused buffer, and the log is compacted
+// only when it has grown as large as the snapshot that replaces it
+// (see compactLocked), so snapshots cost no more bytes than the log
+// they retire, and replay reads at most about twice the table.
 type WALStore struct {
-	mu           sync.Mutex
-	log          *wal.Log // nil: memory-only
-	o            WALStoreOptions
-	lsn          uint64
-	tab          table
-	sinceCompact int
+	mu        sync.Mutex
+	log       *wal.Log // nil: memory-only
+	o         WALStoreOptions
+	lsn       uint64
+	tab       table
+	snapBytes int64  // size of the last snapshot encoded, or replayed at open
+	compactAt int64  // log size that triggers the next compaction
+	buf       []byte // encoding buffer of every record and snapshot
 
 	recovered   Recovered
 	journalErrs int64 // failed journal writes
@@ -148,14 +155,13 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	if o.CompactBytes < 1 {
 		o.CompactBytes = 1 << 20
 	}
-	if o.CompactRecords < 1 {
-		o.CompactRecords = 1024
-	}
 	l, walRec, err := wal.Open(wal.Options{Dir: o.Dir, Sync: o.Sync})
 	if err != nil {
 		return nil, nil, err
 	}
 	st := newStore(l, o)
+	st.snapBytes = int64(len(walRec.Snapshot))
+	st.compactAt = max(o.CompactBytes, st.snapBytes)
 	rec := &Recovered{Skipped: walRec.Skipped, SkippedBytes: walRec.SkippedBytes}
 	if walRec.Snapshot != nil {
 		var snap snapshotState
@@ -316,11 +322,8 @@ func (st *WALStore) commitLocked(r walRecord, durable bool) error {
 		st.stateErrs++
 	}
 	st.tab.apply(r)
-	if err == nil && st.log != nil {
-		st.sinceCompact++
-		if st.sinceCompact >= st.o.CompactRecords || st.log.LogBytes() >= st.o.CompactBytes {
-			st.compactLocked()
-		}
+	if err == nil && st.log != nil && st.log.LogBytes() >= st.compactAt {
+		st.compactLocked()
 	}
 	return err
 }
@@ -336,8 +339,9 @@ func (st *WALStore) writeLocked(r walRecord, durable bool) error {
 		return err
 	}
 	r.LSN = st.lsn + 1
-	raw, err := json.Marshal(r)
+	raw, err := appendRecord(st.buf[:0], &r)
 	if err == nil {
+		st.buf = raw
 		write := st.log.AppendNoSync
 		if durable {
 			write = st.log.Append
@@ -352,20 +356,25 @@ func (st *WALStore) writeLocked(r walRecord, durable bool) error {
 	return nil
 }
 
-// compactLocked snapshots the table and truncates the log. Failures
-// are counted, not fatal: the un-compacted log remains fully
-// replayable.
+// compactLocked snapshots the table, encoded from it in place, and
+// truncates the log. The next compaction waits until the log has grown
+// to max(CompactBytes, this snapshot's size) again: from empty after a
+// success, and from its current size after a failure, so a snapshot
+// that cannot be written is retried after that much more log, not on
+// every append. Failures are counted, not fatal: the un-compacted log
+// remains fully replayable.
 func (st *WALStore) compactLocked() {
-	state, err := json.Marshal(snapshotState{LSN: st.lsn, Jobs: st.tab.records()})
+	state, err := appendSnapshot(st.buf[:0], st.lsn, st.tab.order)
+	if err == nil {
+		st.buf = state
+		st.snapBytes = int64(len(state))
+		err = st.log.Compact(state)
+	}
+	st.compactAt = max(st.o.CompactBytes, st.snapBytes)
 	if err != nil {
 		st.journalErrs++
-		return
+		st.compactAt += st.log.LogBytes()
 	}
-	if err := st.log.Compact(state); err != nil {
-		st.journalErrs++
-		return
-	}
-	st.sinceCompact = 0
 }
 
 // update decides and commits one state change of job j in a single
@@ -441,9 +450,10 @@ func (st *WALStore) JournalState(id string, state State, errMsg, resultDigest st
 // known journaled. It compacts first, then writes the marker and
 // fsyncs once, so a clean restart replays a snapshot plus exactly one
 // shutdown record instead of the whole session's log. The marker is
-// written outside the compaction accounting: a compaction triggered by
-// the marker's own append (CompactRecords=1) would truncate it and make
-// the clean shutdown replay as unclean.
+// written outside the compaction trigger: a compaction triggered by
+// the marker's own append (a marker longer than a small table's
+// snapshot) would truncate it and make the clean shutdown replay as
+// unclean.
 func (st *WALStore) shutdown() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -514,6 +524,6 @@ func (st *WALStore) RegisterMetrics(m *obs.Registry) {
 		"Current size of the job journal's append-only log.",
 		func() float64 { return float64(st.log.LogBytes()) })
 	m.CounterFunc("mdtask_wal_journal_errors_total",
-		"Journal writes that failed (the affected submissions were rejected).",
+		"Journal writes and compactions that failed (a submission whose write failed was rejected).",
 		func() float64 { return float64(st.JournalErrors()) })
 }

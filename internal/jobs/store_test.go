@@ -29,6 +29,15 @@ func openStore(t *testing.T, dir string, opts ...func(*WALStoreOptions)) (*WALSt
 	return st, rec
 }
 
+// mustCompact fails t unless st's log was compacted since it opened: a
+// test that sets CompactBytes to compact mid-run must see it happen.
+func mustCompact(t *testing.T, st *WALStore) {
+	t.Helper()
+	if st.log.Stats().Snapshots == 0 {
+		t.Fatal("no compaction ran; the test no longer covers replay over a snapshot")
+	}
+}
+
 // tableJSON renders a recovered job table for comparison: JSON
 // round-trips the timestamps exactly as the journal stores them, so
 // two on-disk replays of equivalent logs compare byte-identical.
@@ -242,18 +251,20 @@ func randomLifecycle(t *testing.T, st *WALStore, rng *rand.Rand, ops int) map[st
 	return expect
 }
 
-// TestWALStoreReplayIdempotence replays the same on-disk journal
-// repeatedly: every replay must reconstruct the identical table, and
-// replaying must not mutate the journal.
+// TestWALStoreReplayIdempotence replays the same on-disk journal, a
+// snapshot plus the log written after it, repeatedly: every replay must
+// reconstruct the identical table, and replaying must not mutate the
+// journal.
 func TestWALStoreReplayIdempotence(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactRecords = 7 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
 	randomLifecycle(t, st, rand.New(rand.NewSource(42)), 120)
+	mustCompact(t, st)
 	st.Close()
 
 	var first string
 	for i := 0; i < 3; i++ {
-		st, rec := openStore(t, dir, func(o *WALStoreOptions) { o.CompactRecords = 7 })
+		st, rec := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
 		got := tableJSON(t, rec.Jobs)
 		st.Close()
 		if i == 0 {
@@ -273,10 +284,11 @@ func TestWALStoreReplayIdempotence(t *testing.T) {
 func TestWALStoreSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		compDir, plainDir := t.TempDir(), t.TempDir()
-		comp, _ := openStore(t, compDir, func(o *WALStoreOptions) { o.CompactRecords = 3 })
-		plain, _ := openStore(t, plainDir, func(o *WALStoreOptions) { o.CompactRecords = 1 << 30; o.CompactBytes = 1 << 40 })
+		comp, _ := openStore(t, compDir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+		plain, _ := openStore(t, plainDir, func(o *WALStoreOptions) { o.CompactBytes = 1 << 40 })
 		randomLifecycle(t, comp, rand.New(rand.NewSource(seed)), 80)
 		randomLifecycle(t, plain, rand.New(rand.NewSource(seed)), 80)
+		mustCompact(t, comp)
 		comp.Close()
 		plain.Close()
 
@@ -298,7 +310,7 @@ func TestWALStoreSnapshotEquivalence(t *testing.T) {
 // the table must match the expectation at that instant.
 func TestWALStoreCrashAtEveryRecordBoundary(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactRecords = 5 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
 	rng := rand.New(rand.NewSource(7))
 
 	type image struct {
@@ -316,6 +328,7 @@ func TestWALStoreCrashAtEveryRecordBoundary(t *testing.T) {
 		randomLifecycle(t, st, rng, 1)
 		snapshot()
 	}
+	mustCompact(t, st)
 	st.Close()
 
 	for i, img := range images {
@@ -441,26 +454,32 @@ func TestWALStoreDuplicateLSNLastWriterWins(t *testing.T) {
 }
 
 // TestWALStoreShutdownMarkerSurvivesAggressiveCompaction: with
-// CompactRecords=1 the marker's own append must not trigger a
-// compaction that truncates it, turning a clean shutdown into an
-// unclean replay.
+// CompactBytes=1 and an empty table, the shutdown compaction writes a
+// snapshot shorter than the marker, so the marker alone fills the log
+// past the next trigger. Its append must still not compact, which
+// would truncate it and turn a clean shutdown into an unclean replay.
 func TestWALStoreShutdownMarkerSurvivesAggressiveCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactRecords = 1 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
 	if err := st.JournalSubmit(testRecord("job-000001")); err != nil {
 		t.Fatal(err)
 	}
+	must(st.JournalState("job-000001", StateDone, "", "", time.Unix(1700000001, 0).UTC()))
+	prune(t, st, "job-000001")
 	if err := st.shutdown(); err != nil {
 		t.Fatal(err)
 	}
+	logBytes, compactAt := st.log.LogBytes(), st.compactAt
 	st.Close()
 	st2, rec := openStore(t, dir)
 	defer st2.Close()
 	if !rec.CleanShutdown {
 		t.Error("shutdown marker lost to the compaction it triggered itself")
+	} else if logBytes < compactAt {
+		t.Errorf("the marker filled the log to %d bytes, short of the trigger at %d: the test no longer shows anything", logBytes, compactAt)
 	}
-	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "job-000001" {
-		t.Fatalf("recovered %+v, want the one submitted job", rec.Jobs)
+	if len(rec.Jobs) != 0 {
+		t.Fatalf("recovered %+v, want the empty table", rec.Jobs)
 	}
 }
 
@@ -491,5 +510,66 @@ func TestWALStoreInjectedJournalError(t *testing.T) {
 	defer st2.Close()
 	if len(rec.Jobs) != 2 {
 		t.Fatalf("recovered %d jobs, want 2 (the faulted write must not be durable)", len(rec.Jobs))
+	}
+}
+
+// TestWALStoreFailedCompactionWaitsForGrowth arms wal.snapshot.write to
+// fail every time under the most aggressive trigger (CompactBytes=1:
+// compact whenever the log reaches the last snapshot's size). A failed
+// compaction must wait for that much more log before the next attempt,
+// not retry on every append: each attempt encodes every job so far, and
+// a job's submit record is a little longer than its snapshot entry, so
+// the table nearly doubles between attempts and 50 submissions make at
+// most 8 (7 here; the trigger that once retried on every append made
+// 46). Once the
+// fault clears, the next attempt succeeds and resets the trigger: the
+// log starts empty and the following append does not compact.
+func TestWALStoreFailedCompactionWaitsForGrowth(t *testing.T) {
+	t.Cleanup(faultinject.Deactivate)
+	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	defer st.Close()
+	if err := faultinject.Activate("wal.snapshot.write=error"); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	submit := func() {
+		t.Helper()
+		next++
+		if err := st.JournalSubmit(testRecord(fmt.Sprintf("job-%06d", next))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for next < 50 {
+		submit()
+	}
+	attempts := st.JournalErrors() // every failed compaction counts one
+	t.Logf("50 submissions, %d failed compaction attempts", attempts)
+	if attempts < 2 || attempts > 8 {
+		t.Errorf("50 submissions made %d failed compaction attempts, want 2..8", attempts)
+	}
+	if s := st.log.Stats(); s.Snapshots != 0 || s.Appends != 50 {
+		t.Fatalf("with the fault armed: %d snapshots, %d appends; want 0, 50", s.Snapshots, s.Appends)
+	}
+
+	faultinject.Deactivate()
+	for st.log.Stats().Snapshots == 0 {
+		if next == 200 {
+			t.Fatal("no compaction succeeded within 150 submissions of the fault clearing")
+		}
+		submit()
+	}
+	if got := st.JournalErrors(); got != attempts {
+		t.Errorf("journal errors moved from %d to %d after the fault cleared", attempts, got)
+	}
+	st.mu.Lock()
+	logBytes, compactAt, snapBytes := st.log.LogBytes(), st.compactAt, st.snapBytes
+	st.mu.Unlock()
+	if logBytes != 0 || compactAt != snapBytes {
+		t.Errorf("after the successful compaction: log %d bytes, next trigger at %d; want 0 and the snapshot's %d bytes",
+			logBytes, compactAt, snapBytes)
+	}
+	submit()
+	if s := st.log.Stats(); s.Snapshots != 1 {
+		t.Errorf("the append after a successful compaction compacted again (%d snapshots)", s.Snapshots)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
 
 	"mdtask/internal/linalg"
 	"mdtask/internal/traj"
@@ -82,14 +83,24 @@ const WalkVersion = 1
 // WalkVersion and the arguments. The display name is not part of it,
 // since it is not part of the content.
 func WalkDigest(nAtoms, nFrames int, seed, stream uint64) string {
-	return recipeDigest(fmt.Sprintf("walk|v%d|atoms=%d|frames=%d|seed=%d|stream=%d", WalkVersion, nAtoms, nFrames, seed, stream))
+	b := append(make([]byte, 0, 128), recipeDomain+"walk|v"...)
+	b = strconv.AppendInt(b, WalkVersion, 10)
+	b = strconv.AppendInt(append(b, "|atoms="...), int64(nAtoms), 10)
+	b = strconv.AppendInt(append(b, "|frames="...), int64(nFrames), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), seed, 10)
+	b = strconv.AppendUint(append(b, "|stream="...), stream, 10)
+	return recipeDigest(b)
 }
 
-// recipeDigest hashes a generator's recipe under a domain prefix of its
-// own, so a recipe digest and a content digest (traj.Ref.Digest, which
-// hashes a binary shape and coordinates) never hash the same bytes.
-func recipeDigest(recipe string) string {
-	sum := sha256.Sum256([]byte("mdtask/synth recipe|" + recipe))
+// recipeDomain prefixes every recipe a generator hashes, so a recipe
+// digest and a content digest (traj.Ref.Digest, which hashes a binary
+// shape and coordinates) never hash the same bytes.
+const recipeDomain = "mdtask/synth recipe|"
+
+// recipeDigest returns the hex SHA-256 of a recipe that starts with
+// recipeDomain.
+func recipeDigest(recipe []byte) string {
+	sum := sha256.Sum256(recipe)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -236,7 +247,11 @@ const BilayerVersion = 1
 // SHA-256 over a domain-separated string of BilayerVersion and the
 // arguments.
 func BilayerDigest(nAtoms int, seed uint64) string {
-	return recipeDigest(fmt.Sprintf("bilayer|v%d|atoms=%d|seed=%d", BilayerVersion, nAtoms, seed))
+	b := append(make([]byte, 0, 96), recipeDomain+"bilayer|v"...)
+	b = strconv.AppendInt(b, BilayerVersion, 10)
+	b = strconv.AppendInt(append(b, "|atoms="...), int64(nAtoms), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), seed, 10)
+	return recipeDigest(b)
 }
 
 // Bilayer generates a two-leaflet membrane with the given total atom

@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -249,5 +252,29 @@ func TestWalkFramesIndependent(t *testing.T) {
 	_ = append(tr.Frames[0].Coords, linalg.Vec3{-1, -1, -1})
 	if tr.Frames[1].Coords[0] != next {
 		t.Fatal("append to frame 0 overwrote frame 1")
+	}
+}
+
+// TestRecipeDigestsMatchFmt checks that WalkDigest and BilayerDigest,
+// which build their recipes with strconv, hash exactly the strings the
+// fmt.Sprintf recipes they replaced hashed, at the extremes of every
+// argument.
+func TestRecipeDigestsMatchFmt(t *testing.T) {
+	ref := func(recipe string) string {
+		sum := sha256.Sum256([]byte("mdtask/synth recipe|" + recipe))
+		return hex.EncodeToString(sum[:])
+	}
+	ints := []int{0, 1, 9, 10, 16, 1024, -1, math.MaxInt, math.MinInt}
+	uints := []uint64{0, 1, 7, 1 << 32, math.MaxUint64}
+	for _, a := range ints {
+		for _, u := range uints {
+			f := ints[len(ints)-1-int(u%uint64(len(ints)))]
+			if got, want := WalkDigest(a, f, u, u^3), ref(fmt.Sprintf("walk|v%d|atoms=%d|frames=%d|seed=%d|stream=%d", WalkVersion, a, f, u, u^3)); got != want {
+				t.Errorf("WalkDigest(%d, %d, %d, %d) = %s, want %s", a, f, u, u^3, got, want)
+			}
+			if got, want := BilayerDigest(a, u), ref(fmt.Sprintf("bilayer|v%d|atoms=%d|seed=%d", BilayerVersion, a, u)); got != want {
+				t.Errorf("BilayerDigest(%d, %d) = %s, want %s", a, u, got, want)
+			}
+		}
 	}
 }

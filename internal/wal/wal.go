@@ -105,6 +105,7 @@ type Log struct {
 	off    int64 // end of the last complete record; appends go here
 	policy SyncPolicy
 	closed bool
+	frame  []byte // the frame being appended, reused by every append
 
 	appends   int64
 	syncs     int64
@@ -246,10 +247,10 @@ func (l *Log) append(payload []byte, durable bool) error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
+	frame := binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	l.frame = frame
 	if ferr := faultinject.Fire("wal.append"); ferr != nil {
 		if errors.Is(ferr, faultinject.ErrPartial) {
 			// Simulated torn write: half a frame hits the disk and the log
@@ -414,14 +415,15 @@ func writeSnapshot(dir string, state []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	frame := make([]byte, len(snapMagic)+headerSize+len(state))
-	copy(frame, snapMagic)
-	binary.LittleEndian.PutUint32(frame[len(snapMagic):], uint32(len(state)))
-	binary.LittleEndian.PutUint32(frame[len(snapMagic)+4:], crc32.ChecksumIEEE(state))
-	copy(frame[len(snapMagic)+headerSize:], state)
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: snapshot write: %w", err)
+	// The header and state go in two writes, so a large state is not
+	// copied into a frame first.
+	header := binary.LittleEndian.AppendUint32([]byte(snapMagic), uint32(len(state)))
+	header = binary.LittleEndian.AppendUint32(header, crc32.ChecksumIEEE(state))
+	for _, part := range [][]byte{header, state} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return fmt.Errorf("wal: snapshot write: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
