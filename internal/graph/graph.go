@@ -111,16 +111,37 @@ func (uf *UnionFind) Union(x, y int32) bool {
 	if rx == ry {
 		return false
 	}
+	uf.link(rx, ry)
+	return true
+}
+
+// UnionRoot merges y's set into the set whose representative is root
+// and returns the merged set's representative. root must be a current
+// representative (a Find result with no union since), so a caller
+// linking many nodes to one set finds that set once and pays one Find
+// per node: root = uf.UnionRoot(root, y) for each y.
+func (uf *UnionFind) UnionRoot(root, y int32) int32 {
+	if ry := uf.Find(y); ry != root {
+		return uf.link(root, ry)
+	}
+	return root
+}
+
+// link joins the sets of two distinct representatives by rank and
+// returns the joined set's representative: the higher-ranked one, or
+// rx on a tie, whose rank grows.
+func (uf *UnionFind) link(rx, ry int32) int32 {
 	switch {
 	case uf.rank[rx] < uf.rank[ry]:
 		uf.parent[rx] = ry
+		return ry
 	case uf.rank[rx] > uf.rank[ry]:
 		uf.parent[ry] = rx
 	default:
 		uf.parent[ry] = rx
 		uf.rank[rx]++
 	}
-	return true
+	return rx
 }
 
 // Labels returns the canonical labeling: each node is labeled with the
@@ -167,8 +188,12 @@ func MergeComponents(n int, partials ...[]Component) []int32 {
 	uf := NewUnionFind(n)
 	for _, ps := range partials {
 		for _, c := range ps {
-			for i := 1; i < len(c); i++ {
-				uf.Union(c[0], c[i])
+			if len(c) < 2 {
+				continue
+			}
+			root := uf.Find(c[0]) // once per component, then one Find per member
+			for _, v := range c[1:] {
+				root = uf.UnionRoot(root, v)
 			}
 		}
 	}

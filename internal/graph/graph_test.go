@@ -43,6 +43,38 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
+// Linking each node's neighbours to its set one Find per neighbour
+// (UnionRoot from the node's root, the root carried from call to call)
+// partitions the nodes as BFS does, and every returned root is a
+// current representative of the node's set.
+func TestUnionRootMatchesBFSQuick(t *testing.T) {
+	cfg := &quick.Config{
+		MaxCount: 100,
+		Values: func(args []reflect.Value, r *mathrand.Rand) {
+			args[0] = reflect.ValueOf(uint64(r.Int63()))
+			args[1] = reflect.ValueOf(1 + r.Intn(60))
+			args[2] = reflect.ValueOf(r.Intn(120))
+		},
+	}
+	f := func(seed uint64, n, m int) bool {
+		r := rand.New(rand.NewPCG(seed, 1))
+		edges := randEdges(r, n, m)
+		adj := Adjacency(n, edges)
+		uf := NewUnionFind(n)
+		for u, vs := range adj {
+			root := uf.Find(int32(u))
+			for _, v := range vs {
+				root = uf.UnionRoot(root, v)
+				if uf.parent[root] != root || uf.Find(int32(u)) != root || uf.Find(v) != root {
+					return false
+				}
+			}
+		}
+		return EqualLabels(uf.Labels(), ComponentsBFS(n, edges))
+	}
+	proptest.Check(t, f, cfg)
+}
+
 func randEdges(r *rand.Rand, n, m int) []Edge {
 	edges := make([]Edge, m)
 	for i := range edges {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,7 +156,7 @@ func drawString(r *rand.Rand) string {
 }
 
 func drawInt(r *rand.Rand) int {
-	return []int{1, -1, 9, 10, 1 << 20, math.MaxInt, math.MinInt, int(r.Int63()) - r.Intn(2)<<62}[r.Intn(8)]
+	return []int{1, -1, 9, 10, 1 << 20, math.MaxInt, math.MinInt, int(r.Int63()) - r.Intn(2)<<(strconv.IntSize-2)}[r.Intn(8)]
 }
 
 func drawUint(r *rand.Rand) uint64 {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -321,15 +322,22 @@ func TestAPISpecBodyBound(t *testing.T) {
 // synth.Walk on the submit path and end in a fatal (unrecoverable) out
 // of memory. It must answer 400 without admitting anything, and the
 // server must go on running the next valid job.
+//
+// 2^40 atoms fit a 64-bit int, so the ceiling refuses them; on a 32-bit
+// target the decoder refuses the number first, which is just as safe.
 func TestAPIRejectsOversizedSynth(t *testing.T) {
 	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	want, by := "exceeds", "the ceiling"
+	if strconv.IntSize == 32 {
+		want, by = "cannot unmarshal number 1099511627776", "the decoder"
+	}
 	for _, body := range []string{
 		`{"analysis":"psa","synth":{"atoms":1099511627776,"frames":2}}`,
 		`{"analysis":"leaflet","synth":{"atoms":1099511627776}}`,
 	} {
 		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body)
-		if code != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds") {
-			t.Fatalf("%s: got %d (%s), want 400 naming the ceiling", body, code, raw)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+			t.Fatalf("%s: got %d (%s), want 400 from %s", body, code, raw, by)
 		}
 	}
 	if n := len(s.Jobs()); n != 0 {

@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
@@ -353,10 +354,27 @@ func RunnerName(analysis, engine string) string { return analysis + "/" + engine
 // written under another version then has a key no new job computes, so
 // it is never compared with a result of the new arithmetic, and
 // mdtask_jobs_result_digest_mismatch_total counts only real mismatches.
+//
+// The hashed text is "v3|analysis|engine|p=parallelism|t=tasks|
+// a=approach|c=cutoff|in=digest", the integers in decimal and the
+// cutoff in hexadecimal floating point (strconv's 'x' format, exact for
+// every float64), built with appends instead of fmt.
 func CacheKey(s Spec, inputDigest string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v3|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
-		s.Analysis, s.Engine, s.Parallelism, s.Tasks,
-		s.Approach, s.Cutoff, inputDigest)
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 128+len(inputDigest))
+	b = append(b, "v3|"...)
+	b = append(b, s.Analysis...)
+	b = append(b, '|')
+	b = append(b, s.Engine...)
+	b = append(b, "|p="...)
+	b = strconv.AppendInt(b, int64(s.Parallelism), 10)
+	b = append(b, "|t="...)
+	b = strconv.AppendInt(b, int64(s.Tasks), 10)
+	b = append(b, "|a="...)
+	b = append(b, s.Approach...)
+	b = append(b, "|c="...)
+	b = strconv.AppendFloat(b, s.Cutoff, 'x', -1, 64)
+	b = append(b, "|in="...)
+	b = append(b, inputDigest...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

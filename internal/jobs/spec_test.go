@@ -1,6 +1,11 @@
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -105,7 +110,7 @@ func TestNormalizedErrors(t *testing.T) {
 		"two inputs":                    {Analysis: AnalysisPSA, Path: "/tmp", Synth: &SynthSpec{}},
 		"unknown psa preset":            {Analysis: AnalysisPSA, Synth: &SynthSpec{Preset: "huge"}},
 		"unknown mem preset":            {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Preset: "1M"}},
-		"synth atoms x 24 B overflows":  {Analysis: AnalysisPSA, Synth: &SynthSpec{Atoms: 1 << 60, Frames: 2}},
+		"synth atoms x 24 B overflows":  {Analysis: AnalysisPSA, Synth: &SynthSpec{Atoms: math.MaxInt/24 + 1, Frames: 2}},
 		"synth over the ceiling":        {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 33, Preset: "large"}},
 		"synth matrix over the ceiling": {Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 20000, Atoms: 1, Frames: 1}},
 		"synth membrane over ceiling":   {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Atoms: MaxSynthBytes/24 + 1}},
@@ -130,6 +135,48 @@ func TestParseEngineNames(t *testing.T) {
 	}
 	if _, err := ParseEngine("hadoop"); err == nil {
 		t.Error("unknown engine accepted")
+	}
+}
+
+// cacheKeyFmt is CacheKey as it was first written, with fmt: the key
+// CacheKey must keep producing, so no stored entry or journaled job
+// changes its key.
+func cacheKeyFmt(s Spec, inputDigest string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v3|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
+		s.Analysis, s.Engine, s.Parallelism, s.Tasks,
+		s.Approach, s.Cutoff, inputDigest)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// CacheKey's appends hash the bytes fmt did, for every analysis,
+// engine and approach, parallelism and tasks at 0 and the int
+// extremes, and cutoffs 0, −0, subnormal, huge, typical and not finite.
+func TestCacheKeyMatchesFmt(t *testing.T) {
+	cutoffs := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1022, math.MaxFloat64, 15, 1.5, 0.1,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	ints := []int{0, 1, -1, math.MaxInt, math.MinInt, math.MaxInt32}
+	n := 0
+	for _, analysis := range []string{AnalysisPSA, AnalysisLeaflet, ""} {
+		for _, engine := range append(slices.Clone(Engines), "") {
+			for _, approach := range []string{"", "broadcast", "task2d", "parallel-cc", "tree"} {
+				for _, c := range cutoffs {
+					for k, p := range ints {
+						s := Spec{Analysis: analysis, Engine: engine, Approach: approach, Cutoff: c,
+							Parallelism: p, Tasks: ints[(k+1)%len(ints)]}
+						for _, digest := range []string{"", "sha256:0f", "v1|recipe|x"} {
+							if got, want := CacheKey(s, digest), cacheKeyFmt(s, digest); got != want {
+								t.Fatalf("%+v, %q: key %s, fmt %s", s, digest, got, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no key compared")
 	}
 }
 

@@ -2,7 +2,6 @@ package leaflet
 
 import (
 	"math"
-	"sort"
 
 	"mdtask/internal/graph"
 	"mdtask/internal/linalg"
@@ -30,9 +29,11 @@ const minNormal = 0x1p-1022
 // list (Allen & Tildesley, Computer Simulation of Liquids): the chunk's
 // box is cut into cubic cells of side at least the slackened cutoff, so
 // an atom's neighbours lie in the 3 × 3 × 3 cells around its own. The
-// cells only filter candidates; linalg.Dist2 <= cutoff² decides every
-// pair, as in pairwiseEdges, so both kernels find the same edges. A
-// cellList lives in a pooled tileScratch.
+// cells only pick candidates: linalg.AppendWithin decides each with
+// Dist2's own rounded test, <= cutoff², as pairwiseEdges does, so both
+// kernels find the same edges. The scans union every edge into a
+// forest as they find it, one pass with no edge list. A cellList lives
+// in a pooled tileScratch.
 type cellList struct {
 	lo     linalg.Vec3 // the chunk box's low corner, where cell (0,0,0) starts
 	side   float64     // cell side, >= cutoff·(1+cellSlack)
@@ -40,11 +41,15 @@ type cellList struct {
 	single bool        // one cell that every atom scans: a pairwise scan
 
 	// Cell c (x fastest, then y, then z) holds the binned positions
-	// start[c]:start[c+1]: atoms idx[k] at pts[k].
-	start []int32
-	idx   []int32
-	pts   []linalg.Vec3
-	cell  []int32 // scratch: each atom's cell, in chunk order
+	// start[c]:start[c+1]: atom idx[k] at (x[k], y[k], z[k]), three
+	// columns, so a run of a cell row's candidates is three contiguous
+	// loads.
+	start   []int32
+	idx     []int32
+	x, y, z []float64
+	cell    []int32 // scratch: each atom's cell, in chunk order
+	runs    []int32 // scratch: one atom's candidate runs, lo, hi pairs
+	hits    []int32 // scratch: the positions of its runs that pass the test
 }
 
 // bin sorts the atoms pts, atom j with id base+j, into cells with a
@@ -99,10 +104,11 @@ func (cl *cellList) bin(pts []linalg.Vec3, base int32, cutoff float64) {
 	// Place each atom at its cell's cursor; afterwards start[c] has
 	// advanced to cell c's end, so shift it back by one cell.
 	cl.idx = resize(cl.idx, m)
-	cl.pts = resize(cl.pts, m)
+	cl.x, cl.y, cl.z = resize(cl.x, m), resize(cl.y, m), resize(cl.z, m)
 	for j, c := range cl.cell {
 		k := cl.start[c]
-		cl.idx[k], cl.pts[k] = base+int32(j), pts[j]
+		cl.idx[k] = base + int32(j)
+		cl.x[k], cl.y[k], cl.z[k] = pts[j][0], pts[j][1], pts[j][2]
 		cl.start[c]++
 	}
 	copy(cl.start[1:], cl.start[:ncell])
@@ -128,85 +134,120 @@ func (cl *cellList) neighbourhood(p linalg.Vec3) (lo, hi [3]int, ok bool) {
 	return lo, hi, true
 }
 
-// appendCross appends to out every edge (base+r, j) of the atoms rows
-// against the binned atoms j, linalg.Dist2 <= cutoff² (an off-diagonal
-// tile, whose rows are not binned). It also returns the number of
-// Dist2 tests it made.
-func (cl *cellList) appendCross(out []graph.Edge, rows []linalg.Vec3, base int32, cutoff float64) ([]graph.Edge, int) {
-	c2 := cutoff * cutoff
+// crossRuns sets cl.runs to the binned positions in the block of cells
+// around p, one run per non-empty cell row (x fastest, so a row's
+// cells are contiguous positions), in ascending order, and returns the
+// number of candidates they hold.
+func (cl *cellList) crossRuns(p linalg.Vec3) int {
+	cl.runs = cl.runs[:0]
+	lo, hi, ok := cl.neighbourhood(p)
+	if !ok {
+		return 0
+	}
 	tests := 0
+	for z := lo[2]; z <= hi[2]; z++ {
+		for y := lo[1]; y <= hi[1]; y++ {
+			row := (z*cl.n[1] + y) * cl.n[0]
+			if a, b := cl.start[row+lo[0]], cl.start[row+hi[0]+1]; a < b {
+				cl.runs = append(cl.runs, a, b)
+				tests += int(b - a)
+			}
+		}
+	}
+	return tests
+}
+
+// shellRuns sets cl.runs to the candidate runs of cell c's half shell:
+// c's own cell row from c's first position (the scan of position k
+// moves that start to k+1), the row after it, and the three rows of the
+// next plane. Cells are numbered x fastest, so the block's rows before
+// c's own (z, y) row hold only earlier positions and are left out. It
+// returns the candidates of the runs after the first, which are the
+// same for every atom of c.
+func (cl *cellList) shellRuns(c int) int {
+	nx, ny := cl.n[0], cl.n[1]
+	x, y, z := c%nx, c/nx%ny, c/(nx*ny)
+	xlo, xhi := max(x-1, 0), min(x+1, nx-1)
+	yhi, zhi := min(y+1, ny-1), min(z+1, cl.n[2]-1)
+	own := (z*ny + y) * nx
+	cl.runs = append(cl.runs[:0], cl.start[c], cl.start[own+xhi+1])
+	rest := 0
+	for zz := z; zz <= zhi; zz++ {
+		ylo := max(y-1, 0)
+		if zz == z {
+			ylo = y + 1
+		}
+		for yy := ylo; yy <= yhi; yy++ {
+			row := (zz*ny + yy) * nx
+			if a, b := cl.start[row+xlo], cl.start[row+xhi+1]; a < b {
+				cl.runs = append(cl.runs, a, b)
+				rest += int(b - a)
+			}
+		}
+	}
+	return rest
+}
+
+// link tests atom i at p against the candidate runs in cl.runs and
+// unions every atom that passes into i's set, finding i's root once and
+// each hit's once (graph.UnionFind.UnionRoot). It returns the hits,
+// which are the edges from i.
+func (cl *cellList) link(uf *graph.UnionFind, i int32, p linalg.Vec3, c2 float64) int {
+	cl.hits = linalg.AppendWithin(cl.hits[:0], p, cl.x, cl.y, cl.z, cl.runs, c2)
+	if len(cl.hits) == 0 {
+		return 0
+	}
+	root := uf.Find(i)
+	for _, q := range cl.hits {
+		root = uf.UnionRoot(root, cl.idx[q])
+	}
+	return len(cl.hits)
+}
+
+// unionCross unions into uf every edge of the atoms rows, row r as node
+// r, against the binned atoms (an off-diagonal tile, whose rows are not
+// binned). It returns the edges and the Dist2 tests it made.
+func (cl *cellList) unionCross(uf *graph.UnionFind, rows []linalg.Vec3, c2 float64) (edges, tests int) {
 	for r, p := range rows {
-		lo, hi, ok := cl.neighbourhood(p)
-		if !ok {
+		tests += cl.crossRuns(p)
+		edges += cl.link(uf, int32(r), p, c2)
+	}
+	return edges, tests
+}
+
+// unionHalfShell unions into uf every edge among the binned atoms (a
+// diagonal tile, or Serial's whole system): the atom at position k is
+// tested only against the later positions of its half shell, so each
+// neighbouring pair is tested once, from its earlier position. It
+// returns the edges and the Dist2 tests it made.
+func (cl *cellList) unionHalfShell(uf *graph.UnionFind, c2 float64) (edges, tests int) {
+	for c := range len(cl.start) - 1 {
+		end := cl.start[c+1]
+		if cl.start[c] == end {
 			continue
 		}
-		for z := lo[2]; z <= hi[2]; z++ {
-			for y := lo[1]; y <= hi[1]; y++ {
-				row := (z*cl.n[1] + y) * cl.n[0]
-				for k := cl.start[row+lo[0]]; k < cl.start[row+hi[0]+1]; k++ {
-					tests++
-					if linalg.Dist2(p, cl.pts[k]) <= c2 {
-						out = append(out, graph.Edge{U: base + int32(r), V: cl.idx[k]})
-					}
-				}
-			}
+		rest := cl.shellRuns(c)
+		for k := cl.start[c]; k < end; k++ {
+			cl.runs[0] = k + 1
+			tests += int(cl.runs[1]-k-1) + rest
+			edges += cl.link(uf, cl.idx[k], linalg.Vec3{cl.x[k], cl.y[k], cl.z[k]}, c2)
 		}
 	}
-	return out, tests
+	return edges, tests
 }
 
-// appendHalfShell appends to out every edge among the binned atoms
-// found from binned positions [from, to) (a diagonal tile, or Serial a
-// chunk of positions at a time): the atom at position k is tested only
-// against the positions after k in the 3 × 3 × 3 cells around its own,
-// so each neighbouring pair is tested once, from its earlier position,
-// and an edge is emitted as {min(i,j), max(i,j)}. Cells are numbered x
-// fastest, so the rows of that block before k's own (z, y) row hold
-// only earlier positions and are skipped. It also returns the number of
-// Dist2 tests it made.
-func (cl *cellList) appendHalfShell(out []graph.Edge, from, to int, cutoff float64) ([]graph.Edge, int) {
+// unionTile unions into uf, over the tile's local ids (row atom r as r,
+// column atom c as len(rows)+c), every edge of one tile found by the
+// cell list: on a diagonal tile the rows are binned and scanned by half
+// shell (cols is ignored), otherwise the columns are binned and every
+// row atom scans its neighbourhood. It returns the edges and the Dist2
+// tests it made.
+func (cl *cellList) unionTile(uf *graph.UnionFind, rows, cols []linalg.Vec3, diagonal bool, cutoff float64) (edges, tests int) {
 	c2 := cutoff * cutoff
-	tests := 0
-	nx, ny, ncell := cl.n[0], cl.n[1], len(cl.start)-1
-	// The first cell holding position from; empty cells end where they start.
-	c := sort.Search(ncell, func(c int) bool { return int(cl.start[c+1]) > from })
-	for ; c < ncell && int(cl.start[c]) < to; c++ {
-		x, y, z := c%nx, c/nx%ny, c/(nx*ny)
-		xlo, xhi := max(x-1, 0), min(x+1, nx-1)
-		yhi, zhi := min(y+1, ny-1), min(z+1, cl.n[2]-1)
-		for k := max(int(cl.start[c]), from); k < min(int(cl.start[c+1]), to); k++ {
-			i, p := cl.idx[k], cl.pts[k]
-			for zz := z; zz <= zhi; zz++ {
-				ylo := max(y-1, 0)
-				if zz == z {
-					ylo = y
-				}
-				for yy := ylo; yy <= yhi; yy++ {
-					row := (zz*ny + yy) * nx
-					for q := max(cl.start[row+xlo], int32(k)+1); q < cl.start[row+xhi+1]; q++ {
-						tests++
-						if linalg.Dist2(p, cl.pts[q]) <= c2 {
-							j := cl.idx[q]
-							out = append(out, graph.Edge{U: min(i, j), V: max(i, j)})
-						}
-					}
-				}
-			}
-		}
-	}
-	return out, tests
-}
-
-// tileEdges appends to out the edges of one tile found by the cell
-// list, row atom r as rowBase+r and column atom c as colBase+c: on a
-// diagonal tile the rows are binned and scanned by half-shell (cols is
-// ignored), otherwise the columns are binned and every row atom scans
-// its neighbourhood. It returns the Dist2 tests made.
-func (cl *cellList) tileEdges(out []graph.Edge, rows, cols []linalg.Vec3, rowBase, colBase int32, diagonal bool, cutoff float64) ([]graph.Edge, int) {
 	if diagonal {
-		cl.bin(rows, rowBase, cutoff)
-		return cl.appendHalfShell(out, 0, len(rows), cutoff)
+		cl.bin(rows, 0, cutoff)
+		return cl.unionHalfShell(uf, c2)
 	}
-	cl.bin(cols, colBase, cutoff)
-	return cl.appendCross(out, rows, rowBase, cutoff)
+	cl.bin(cols, int32(len(rows)), cutoff)
+	return cl.unionCross(uf, rows, c2)
 }

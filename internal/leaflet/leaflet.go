@@ -93,37 +93,25 @@ type Result struct {
 }
 
 // Serial computes the reference result on one goroutine: the tree
-// approach's cell list over the whole system as one diagonal block, so
-// it stays usable on paper-sized systems: the half-shell scan runs
-// serialChunk binned positions at a time into one reused buffer whose
-// edges are unioned as they come, so memory does not grow with the edge
-// count. It is the answer every engine's run is checked against, not an
-// engine: the jobs layer's serial engine runs Run on the serial
-// executor.
+// approach's cell list over the whole system as one diagonal block,
+// whose half-shell scan unions each edge into one forest as it finds
+// it, so it stays usable on paper-sized systems: memory does not grow
+// with the edge count. It is the answer every engine's run is checked
+// against, not an engine: the jobs layer's serial engine runs Run on
+// the serial executor.
 func Serial(coords []linalg.Vec3, cutoff float64) *Result {
-	n := len(coords)
 	s := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(s)
 	s.cells.bin(coords, 0, cutoff)
-	uf := graph.NewUnionFind(n)
-	var edges int64
-	for lo := 0; lo < n; lo += serialChunk {
-		s.edges, _ = s.cells.appendHalfShell(s.edges[:0], lo, min(lo+serialChunk, n), cutoff)
-		for _, e := range s.edges {
-			uf.Union(e.U, e.V)
-		}
-		edges += int64(len(s.edges))
-	}
+	uf := graph.NewUnionFind(len(coords))
+	edges, _ := s.cells.unionHalfShell(uf, cutoff*cutoff)
 	labels := uf.Labels()
 	return &Result{
 		Labels:     labels,
 		Components: graph.Groups(labels),
-		Stats:      Stats{Tasks: 1, Edges: edges},
+		Stats:      Stats{Tasks: 1, Edges: int64(edges)},
 	}
 }
-
-// serialChunk is the binned positions Serial scans between unions.
-const serialChunk = 4096
 
 // Equal reports whether two results partition the atoms identically.
 func Equal(a, b *Result) bool { return graph.EqualLabels(a.Labels, b.Labels) }
@@ -262,10 +250,10 @@ func blockEdgesBrute(coords []linalg.Vec3, b block, cutoff float64) []graph.Edge
 }
 
 // pairwiseEdges appends to out every edge of the atoms rows against
-// cols by pairwise distance (SciPy-cdist style, Approaches 2 and 3), row
-// atom r as rowBase+r and column atom c as colBase+c. A diagonal tile
-// (cols is rows, and ignored) scans r < c; an off-diagonal one the full
-// cross product.
+// cols by pairwise distance (SciPy-cdist style, Approach 2), row atom r
+// as rowBase+r and column atom c as colBase+c. A diagonal tile (cols is
+// rows, and ignored) scans r < c; an off-diagonal one the full cross
+// product.
 func pairwiseEdges(out []graph.Edge, rows, cols []linalg.Vec3, rowBase, colBase int32, diagonal bool, cutoff float64) []graph.Edge {
 	c2 := cutoff * cutoff
 	if diagonal {
@@ -286,6 +274,29 @@ func pairwiseEdges(out []graph.Edge, rows, cols []linalg.Vec3, rowBase, colBase 
 		}
 	}
 	return out
+}
+
+// pairwiseUnion is Approach 3's tile kernel: the pairs pairwiseEdges
+// tests, each edge unioned into uf as it is found, over the tile's local
+// ids (row atom r as r, column atom c as len(rows)+c). It returns the
+// edge count.
+func pairwiseUnion(uf *graph.UnionFind, rows, cols []linalg.Vec3, diagonal bool, cutoff float64) int {
+	c2 := cutoff * cutoff
+	edges := 0
+	for i, p := range rows {
+		others, base := cols, int32(len(rows))
+		if diagonal {
+			others, base = rows[i+1:], int32(i+1)
+		}
+		root := uf.Find(int32(i))
+		for j, q := range others {
+			if linalg.Dist2(p, q) <= c2 {
+				root = uf.UnionRoot(root, base+int32(j))
+				edges++
+			}
+		}
+	}
+	return edges
 }
 
 // rowChunkEdges finds edges between a row chunk and all atoms with the

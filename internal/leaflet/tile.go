@@ -12,7 +12,6 @@ import (
 // components a tile returns cross the shuffle and are freshly allocated.
 type tileScratch struct {
 	cells cellList
-	edges []graph.Edge // the tile's edges, in local ids
 	uf    graph.UnionFind
 	size  []int32 // root → its set's size; −(1 + component number) once emitted
 }
@@ -23,36 +22,37 @@ var tilePool = sync.Pool{New: func() any { return new(tileScratch) }}
 // task, the staged engines' unit (ChunkPartial) and SampleDataMovement
 // all call it. rows holds atoms b.rows and cols atoms b.cols (ignored on
 // a diagonal tile); an off-diagonal tile's rows precede its cols, as in
-// every tile of the grid. It finds the tile's edges with the cell list
-// (tree) or the pairwise scan in local ids, row atom r as r and column
-// atom c as len(rows)+c, unions them in a dense forest over rows ∪ cols,
-// and walks the local ids in ascending order, which is global order, to
+// every tile of the grid. In one pass it tests the tile's pairs with
+// the cell list (tree) or the pairwise scan and unions each edge it
+// finds into a dense forest over rows ∪ cols in local ids, row atom r
+// as r and column atom c as len(rows)+c; no edge is stored. It then
+// walks the local ids in ascending order, which is global order, to
 // emit the partial components canonically: only atoms on an edge, each
-// component sorted, components ordered by first atom. All components
-// share one fresh backing array, each capped at its length so an append
-// through one cannot reach the next.
+// component sorted, components ordered by first atom. The components
+// are a function of the forest's sets alone, not of the order the
+// edges were unioned in. All components share one fresh backing array,
+// each capped at its length so an append through one cannot reach the
+// next.
 func tilePartial(rows, cols []linalg.Vec3, b block, cutoff float64, tree bool) TilePartial {
 	s := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(s)
 	diagonal := b.rows == b.cols
-	nodes, colBase := len(rows), int32(len(rows))
+	nodes := len(rows)
 	if !diagonal {
 		nodes += len(cols)
 	}
+	s.uf.Reset(nodes)
+	var edges int
 	if tree {
-		s.edges, _ = s.cells.tileEdges(s.edges[:0], rows, cols, 0, colBase, diagonal, cutoff)
+		edges, _ = s.cells.unionTile(&s.uf, rows, cols, diagonal, cutoff)
 	} else {
-		s.edges = pairwiseEdges(s.edges[:0], rows, cols, 0, colBase, diagonal, cutoff)
+		edges = pairwiseUnion(&s.uf, rows, cols, diagonal, cutoff)
 	}
-	tp := TilePartial{Edges: int64(len(s.edges))}
-	if len(s.edges) == 0 {
+	tp := TilePartial{Edges: int64(edges)}
+	if edges == 0 {
 		return tp
 	}
 
-	s.uf.Reset(nodes)
-	for _, e := range s.edges {
-		s.uf.Union(e.U, e.V)
-	}
 	// No edge is a self-loop, so the atoms on an edge are exactly those
 	// in a set of two or more.
 	s.size = resize(s.size, nodes)
