@@ -8,8 +8,12 @@ FUZZTIME ?= 10s
 build:
 	$(GO) build ./...
 
+# Every go test below runs with an explicit -timeout, over 3x the
+# target's duration on a 2-vCPU box (test 11 s, race 22 s, soak 29 s,
+# bench-gate 1 s), so a hung test (a union-find parent cycle makes Find
+# loop forever) fails in minutes instead of go test's default ten.
 test: build
-	$(GO) test ./...
+	$(GO) test -timeout 2m ./...
 
 # Run the analysis job server (cmd/mdserver) in the foreground.
 serve:
@@ -79,7 +83,9 @@ smoke-stream:
 # bit-identical to naive, and the same adversarial inputs through every
 # engine and both schedules — the Leaflet partial-component combine
 # against a BFS over pseudo-edge stars, and the Leaflet plan's dropped
-# tiles and every engine's labels against a brute-force scan.
+# tiles and every engine's labels against a brute-force scan, and the
+# synthetic generators' random stream against math/rand/v2, draw for
+# draw.
 fuzz:
 	$(GO) test -fuzz FuzzSpecNormalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
 	$(GO) test -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/jobs/
@@ -96,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
 	$(GO) test -fuzz FuzzMergePartialSets -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
 	$(GO) test -fuzz FuzzLeafletPlanExact -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/
+	$(GO) test -fuzz FuzzNormStream -fuzztime $(FUZZTIME) -run '^$$' ./internal/synth/
 
 # Dedicated race gate over the concurrency-heavy layers (the serving
 # scheduler with its journal and crash-point tests, the WAL, the fleet
@@ -115,7 +122,7 @@ fuzz:
 # inside one allocation. -shuffle=on randomizes test order so order
 # dependence between tests is caught here, not on main.
 race:
-	$(GO) test -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/... ./internal/engine/... ./internal/dask/... ./internal/mpi/... ./internal/rdd/... ./internal/obs/...
+	$(GO) test -timeout 2m -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/... ./internal/engine/... ./internal/dask/... ./internal/mpi/... ./internal/rdd/... ./internal/obs/...
 
 # Soak the serving layers: five shuffled passes under -race, so a test
 # that synchronises by sleeping instead of waiting on its condition
@@ -125,8 +132,8 @@ race:
 # and 10x each property's MaxCount; a failure prints the
 # MDTASK_QUICK_SEED that replays it.
 soak:
-	$(GO) test -race -shuffle=on -count=5 ./internal/jobs/... ./internal/fleet/... ./internal/wal/...
-	MDTASK_QUICK_SOAK=1 $(GO) test -count=5 $$($(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/... | grep -E ' mdtask/internal/proptest( |$$)' | cut -d' ' -f1)
+	$(GO) test -timeout 3m -race -shuffle=on -count=5 ./internal/jobs/... ./internal/fleet/... ./internal/wal/...
+	MDTASK_QUICK_SOAK=1 $(GO) test -timeout 3m -count=5 $$($(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/... | grep -E ' mdtask/internal/proptest( |$$)' | cut -d' ' -f1)
 
 bench:
 	$(GO) test -bench 'PSA|Hausdorff' -run '^$$' ./internal/bench/
@@ -143,7 +150,7 @@ bench-json:
 # Counters are deterministic (fixed synth seeds), so the tolerance only
 # absorbs future intentional jitter; wall-clock never gates.
 bench-gate:
-	MDTASK_BENCH_JSON=$(BENCH_CURRENT) $(GO) test -count=1 ./internal/bench/ -run TestWriteBenchPSAJSON
+	MDTASK_BENCH_JSON=$(BENCH_CURRENT) $(GO) test -timeout 2m -count=1 ./internal/bench/ -run TestWriteBenchPSAJSON
 	$(GO) run ./cmd/benchgate -baseline $(CURDIR)/BENCH_psa.json -current $(BENCH_CURRENT)
 
 # The end-to-end benchmark of BENCHMARK.json: every workload once, the

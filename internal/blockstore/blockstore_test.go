@@ -2,22 +2,25 @@ package blockstore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // Eviction is byte-budget LRU: inserting past the budget drops the
-// least-recently-used entries, and a Get refreshes recency.
+// least-recently-used entries, and a Get refreshes recency. Each entry
+// is charged its payload, its key and entryOverhead.
 func TestByteBudgetEvictionOrder(t *testing.T) {
-	s := New(100)
+	const c40 = 40 + 1 + entryOverhead // a one-letter key with a 40-byte payload
+	s := New(2*c40 + 20)
 	s.Put("a", "A", 40)
 	s.Put("b", "B", 40)
 	// Touch a so b becomes the eviction candidate.
 	if _, ok := s.Get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	s.Put("c", "C", 40) // 120 > 100: evicts b (LRU), not a
+	s.Put("c", "C", 40) // 3×c40 > 2×c40+20: evicts b (LRU), not a
 	if _, ok := s.index["b"]; ok {
 		t.Fatal("b survived eviction; want LRU order a,c retained")
 	}
@@ -27,8 +30,8 @@ func TestByteBudgetEvictionOrder(t *testing.T) {
 	if _, ok := s.Get("c"); !ok {
 		t.Fatal("just-inserted c was evicted")
 	}
-	if got := s.Stats().Bytes; got != 80 {
-		t.Fatalf("bytes = %d, want 80", got)
+	if got := s.Stats().Bytes; got != 2*c40 {
+		t.Fatalf("bytes = %d, want %d", got, 2*c40)
 	}
 	st := s.Stats()
 	if st.Evictions != 1 {
@@ -43,8 +46,44 @@ func TestByteBudgetEvictionOrder(t *testing.T) {
 
 	// Replacing an entry accounts the size delta.
 	s.Put("a", "A2", 60)
-	if got := s.Stats().Bytes; got != 100 {
-		t.Fatalf("bytes after resize = %d, want 100", got)
+	if got := s.Stats().Bytes; got != 2*c40+20 {
+		t.Fatalf("bytes after resize = %d, want %d", got, 2*c40+20)
+	}
+}
+
+// TestTinyEntriesChargeKeyAndOverhead: entries with a few bytes of
+// payload under 64-character keys (a small PSA block) fill the budget
+// by what they hold, not by their payload. The payload alone would fit
+// 1000 of them; the charge fits exactly 10, the eleventh evicts the
+// first, and the entry whose charge exceeds the budget by one byte is
+// refused. A hit still credits only the payload to BytesSaved.
+func TestTinyEntriesChargeKeyAndOverhead(t *testing.T) {
+	const payload, keyLen = 8, 64
+	const charge = payload + keyLen + entryOverhead
+	s := New(10 * charge)
+	key := func(i int) string { return fmt.Sprintf("%064x", i) }
+	for i := 0; i < 10; i++ {
+		s.Put(key(i), i, payload)
+	}
+	if st := s.Stats(); st.Entries != 10 || st.Bytes != 10*charge || st.Evictions != 0 {
+		t.Fatalf("after 10 entries: %+v, want 10 entries, %d bytes, no eviction", st, 10*charge)
+	}
+	s.Put(key(10), 10, payload)
+	if _, ok := s.index[key(0)]; ok {
+		t.Fatal("eleventh tiny entry evicted nothing")
+	}
+	if st := s.Stats(); st.Entries != 10 || st.Evictions != 1 {
+		t.Fatalf("after 11 entries: %+v, want 10 entries, 1 eviction", st)
+	}
+	s.Put(key(99), 99, 10*charge-keyLen-entryOverhead+1)
+	if _, ok := s.index[key(99)]; ok {
+		t.Fatal("an entry charged one byte over the budget was stored")
+	}
+	if _, hit, _ := s.Do(key(5), func(any) int64 { return payload }, nil); !hit {
+		t.Fatal("stored tiny entry missed")
+	}
+	if got := s.Stats().BytesSaved; got != payload {
+		t.Fatalf("bytes saved = %d, want the payload %d", got, payload)
 	}
 }
 

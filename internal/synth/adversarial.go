@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"math/rand/v2"
-
 	"mdtask/internal/linalg"
 	"mdtask/internal/traj"
 )
@@ -24,13 +22,15 @@ import (
 // and seed%5 moves the coordinates across 60 orders of magnitude (every
 // choice still fits a float32 .mdt). Deterministic in its arguments.
 func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensemble {
-	r := rand.New(rand.NewPCG(seed, 0x5eed))
+	p := pcg{seed, 0x5eed}
 	scale := []float64{1, 1e-30, 1e-3, 1e6, 1e30}[seed%5]
 	frame := func(base []linalg.Vec3, jitter float64) []linalg.Vec3 {
 		out := make([]linalg.Vec3, nAtoms)
 		for i := range out {
 			for k := 0; k < 3; k++ {
-				v := float64(r.NormFloat64() * jitter)
+				var v float64
+				p, v = p.norm()
+				v = float64(v * jitter)
 				if base != nil {
 					v += base[i][k] / scale
 				}

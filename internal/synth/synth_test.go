@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"mdtask/internal/linalg"
@@ -153,12 +154,19 @@ func TestMembranePresets(t *testing.T) {
 	}
 }
 
+// stdRng is rng's stream drawn through math/rand/v2, the oracle the
+// package's own stream must match draw for draw.
+func stdRng(seed, stream uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, stream^0x9e3779b97f4a7c15))
+}
+
 // oldWalk and oldPathWalk are the generators as they were before Walk
 // and PathWalk wrote into one contiguous backing per trajectory: a
 // scratch configuration advanced in place and copied out per frame.
-// They are the reference the rewrite must match bit for bit.
+// They draw from math/rand/v2, and are the reference the rewrite must
+// match bit for bit.
 func oldWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
-	r := rng(seed, stream)
+	r := stdRng(seed, stream)
 	const box, step, dt = 50.0, 0.15, 1.0
 	t := traj.New(name, nAtoms)
 	cur := make([]linalg.Vec3, nAtoms)
@@ -180,12 +188,12 @@ func oldWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajec
 
 func oldPathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
 	const box, drift, jitter, dt = 50.0, 1.0, 0.15, 1.0
-	base := rng(seed, 0x9A7B)
+	base := stdRng(seed, 0x9A7B)
 	start := make([]linalg.Vec3, nAtoms)
 	for i := range start {
 		start[i] = linalg.Vec3{base.Float64() * box, base.Float64() * box, base.Float64() * box}
 	}
-	r := rng(seed, stream^0x5EED)
+	r := stdRng(seed, stream^0x5EED)
 	dir := linalg.Vec3{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 	if n := dir.Norm(); n > 0 {
 		dir = dir.Scale(drift / n)
@@ -244,6 +252,60 @@ func TestWalkMatchesOldLoopBitForBit(t *testing.T) {
 	}
 }
 
+// oldBilayer is Bilayer as it was before it drew from the package's
+// own stream and laid its sheets out row by row: one i / cols and
+// i % cols per atom, appending, drawing from math/rand/v2.
+func oldBilayer(nAtoms int, seed uint64) []linalg.Vec3 {
+	r := stdRng(seed, 0xB17A)
+	out := make([]linalg.Vec3, 0, nAtoms)
+	sheet := func(n int, z float64) {
+		const jitter = 0.08 * BilayerSpacing
+		cols := int(math.Ceil(math.Sqrt(float64(n))))
+		if cols < 1 {
+			cols = 1
+		}
+		rowH := BilayerSpacing * math.Sqrt(3) / 2
+		for i := 0; i < n; i++ {
+			row, col := i/cols, i%cols
+			x := float64(float64(col) * BilayerSpacing)
+			if row%2 == 1 {
+				x += BilayerSpacing / 2
+			}
+			y := float64(float64(row) * rowH)
+			out = append(out, linalg.Vec3{
+				x + float64(r.NormFloat64()*jitter),
+				y + float64(r.NormFloat64()*jitter),
+				z + float64(r.NormFloat64()*jitter),
+			})
+		}
+	}
+	sheet(nAtoms/2+nAtoms%2, 0)
+	sheet(nAtoms/2, BilayerSeparation)
+	return out
+}
+
+// TestBilayerMatchesOldLoopBitForBit pins Bilayer to its old loop at
+// sizes whose sheets end on a full row, a partial row and a lone atom.
+func TestBilayerMatchesOldLoopBitForBit(t *testing.T) {
+	skipUnlessStdlibRounds(t)
+	for _, n := range []int{2, 3, 4, 7, 17, 100, 2047, 2048} {
+		for _, seed := range []uint64{0, 1, 9} {
+			got, want := Bilayer(n, seed), oldBilayer(n, seed)
+			lo, hi := got.CountLeaflets()
+			if lo != n/2+n%2 || hi != n/2 {
+				t.Fatalf("n=%d: leaflets %d/%d", n, lo, hi)
+			}
+			for i := range want {
+				for c := 0; c < 3; c++ {
+					if math.Float64bits(got.Coords[i][c]) != math.Float64bits(want[i][c]) {
+						t.Fatalf("n=%d seed=%d atom %d axis %d: %v, want %v", n, seed, i, c, got.Coords[i][c], want[i][c])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWalkFramesIndependent: frames share one backing, but an append
 // to one frame must never write into the next.
 func TestWalkFramesIndependent(t *testing.T) {
@@ -276,5 +338,23 @@ func TestRecipeDigestsMatchFmt(t *testing.T) {
 				t.Errorf("BilayerDigest(%d, %d) = %s, want %s", a, u, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkWalk times one psa-cold-shaped member, 1024 atoms × 64
+// frames, and reports the cost of each normal draw (with its add and
+// store) beside ns/op.
+func BenchmarkWalk(b *testing.B) {
+	const atoms, frames = 1024, 64
+	for i := 0; i < b.N; i++ {
+		Walk("w", atoms, frames, 1, uint64(i))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(3*atoms*(frames-1)), "ns/normal")
+}
+
+// BenchmarkBilayer times one leaflet-cold-shaped membrane, 32768 atoms.
+func BenchmarkBilayer(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Bilayer(32768, uint64(i))
 	}
 }
