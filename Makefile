@@ -108,7 +108,7 @@ fuzz:
 # scheduler with its journal and crash-point tests, the WAL, the fleet
 # coordinator/worker protocol, the streamed PSA cancel paths, and the
 # trajectory layer, whose cached Packed and lazy digest share memory
-# with the frames, the Leaflet tile bodies, whose pooled scratch
+# with the coordinate backing, the Leaflet tile bodies, whose pooled scratch
 # the dask/rdd workers share, the staged-unit driver, the pilot and
 # the block store, which TestTransportContract drives from both
 # transports at once, and the Hausdorff kernels, whose concurrent
@@ -118,8 +118,9 @@ fuzz:
 # rdd's partition pool, and the tracer, whose one span buffer every
 # goroutine of mdserver and mdworker records into and reads from),
 # independent of the main test matrix.
-# -race also turns on checkptr, which checks traj's in-place views stay
-# inside one allocation. -shuffle=on randomizes test order so order
+# -race also turns on checkptr, which checks that the float views of a
+# coordinate backing or an MDT payload (linalg.Floats, traj/view.go)
+# stay inside the one allocation they view. -shuffle=on randomizes test order so order
 # dependence between tests is caught here, not on main.
 race:
 	$(GO) test -timeout 2m -race -shuffle=on -count=1 ./internal/jobs/... ./internal/fleet/... ./internal/psa/... ./internal/wal/... ./internal/faultinject/... ./internal/traj/... ./internal/synth/... ./internal/leaflet/... ./internal/graph/... ./internal/stage/... ./internal/pilot/... ./internal/blockstore/... ./internal/hausdorff/... ./internal/engine/... ./internal/dask/... ./internal/mpi/... ./internal/rdd/... ./internal/obs/...

@@ -24,10 +24,7 @@ func TestRunSerialEngine(t *testing.T) {
 
 func TestRunFromFile(t *testing.T) {
 	sys := synth.Bilayer(1000, 2)
-	tr := traj.New("membrane", len(sys.Coords))
-	if err := tr.AppendFrame(traj.Frame{Coords: sys.Coords}); err != nil {
-		t.Fatal(err)
-	}
+	tr := &traj.Trajectory{Name: "membrane", NAtoms: len(sys.Coords), Coords: sys.Coords, Times: []float64{0}}
 	path := filepath.Join(t.TempDir(), "m.mdt")
 	if err := traj.WriteMDTFile(path, tr, 8); err != nil {
 		t.Fatal(err)

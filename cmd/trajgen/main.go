@@ -91,10 +91,8 @@ func run(kind, size string, n, atoms, frames int, atomsSet bool, seed uint64, ou
 		return nil
 	case "membrane":
 		sys := synth.Bilayer(atoms, seed)
-		t := traj.New(fmt.Sprintf("membrane-%d", atoms), len(sys.Coords))
-		if err := t.AppendFrame(traj.Frame{Coords: sys.Coords}); err != nil {
-			return err
-		}
+		t := &traj.Trajectory{Name: fmt.Sprintf("membrane-%d", atoms), NAtoms: len(sys.Coords),
+			Coords: sys.Coords, Times: []float64{0}}
 		path := filepath.Join(out, t.Name+".mdt")
 		if err := traj.WriteMDTFile(path, t, 4); err != nil {
 			return err

@@ -61,8 +61,8 @@ func TestKernelStrings(t *testing.T) {
 }
 
 func TestEmptyTrajectories(t *testing.T) {
-	a := traj.New("a", 3)
-	b := traj.New("b", 3)
+	a := traj.Alloc("a", 3, 0)
+	b := traj.Alloc("b", 3, 0)
 	m, err := Matrix2DRMS(a, b, Blocked)
 	if err != nil || len(m) != 0 {
 		t.Errorf("empty matrix = %v, %v", m, err)
@@ -80,7 +80,7 @@ func TestMatrix2DRMSShape(t *testing.T) {
 		t.Fatalf("matrix len = %d", len(m))
 	}
 	// Spot check one element.
-	if got, want := m[1*b.NFrames()+2], linalg.DRMS(a.Frames[1].Coords, b.Frames[2].Coords); got != want {
+	if got, want := m[1*b.NFrames()+2], linalg.DRMS(a.FrameCoords(1), b.FrameCoords(2)); got != want {
 		t.Errorf("m[1][2] = %v, want %v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mdtask/internal/engine"
@@ -168,7 +169,7 @@ func FuzzLeafletPlanExact(f *testing.F) {
 		}
 
 		labels, edges := bruteLeaflet(coords, cutoff)
-		if res := leaflet.Serial(coords, cutoff); !graph.EqualLabels(res.Labels, labels) || res.Stats.Edges != edges {
+		if res := leaflet.Serial(coords, cutoff); !slices.Equal(res.Labels, labels) || res.Stats.Edges != edges {
 			t.Fatalf("Serial: %d edges, labels %v; brute force %d edges, labels %v", res.Stats.Edges, res.Labels, edges, labels)
 		}
 		for _, eng := range []string{jobs.EngineSerial, jobs.EngineSpark, jobs.EngineDask, jobs.EngineMPI} {
@@ -182,7 +183,7 @@ func FuzzLeafletPlanExact(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !graph.EqualLabels(res.Labels, labels) {
+				if !slices.Equal(res.Labels, labels) {
 					t.Fatalf("%s: labels %v, brute force %v", name, res.Labels, labels)
 				}
 				if res.Stats.Edges != edges || (approach != leaflet.Broadcast1D && res.Stats.Tasks != len(live)) {

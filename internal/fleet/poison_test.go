@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,7 +108,7 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 	if err := job.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Result().(*leaflet.Result); !leaflet.Equal(got, leaflet.Serial(coords, cutoff)) {
+	if got := job.Result().(*leaflet.Result); !slices.Equal(got.Labels, leaflet.Serial(coords, cutoff).Labels) {
 		t.Fatal("job after the refused payloads differs from serial")
 	}
 	if store.Len() != 0 {

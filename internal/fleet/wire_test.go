@@ -121,14 +121,8 @@ func sameEnsembleBits(a, b traj.Ensemble) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Name != y.Name || x.NAtoms != y.NAtoms || len(x.Frames) != len(y.Frames) {
+		if x.Name != y.Name || x.NAtoms != y.NAtoms || !sameBits(x.Times, y.Times) || !sameCoordBits(x.Coords, y.Coords) {
 			return false
-		}
-		for f := range x.Frames {
-			if math.Float64bits(x.Frames[f].Time) != math.Float64bits(y.Frames[f].Time) ||
-				!sameCoordBits(x.Frames[f].Coords, y.Frames[f].Coords) {
-				return false
-			}
 		}
 	}
 	return true
@@ -144,17 +138,16 @@ func wireEnsemble(data []byte) traj.Ensemble {
 	nAtoms := 1 + int(data[0])%3
 	ens := make(traj.Ensemble, 1+int(data[len(data)-1])%2)
 	for i := range ens {
-		ens[i] = traj.New(string(rune('a'+i)), nAtoms)
+		ens[i] = &traj.Trajectory{Name: string(rune('a' + i)), NAtoms: nAtoms}
 	}
 	per := 1 + 3*nAtoms // a frame: its time, then its coordinates
 	for f := 0; (f+1)*per <= len(vals); f++ {
 		v := vals[f*per : (f+1)*per]
-		fr := traj.Frame{Time: v[0], Coords: make([]linalg.Vec3, nAtoms)}
-		for a := range fr.Coords {
-			fr.Coords[a] = linalg.Vec3{v[1+3*a], v[2+3*a], v[3+3*a]}
-		}
 		t := ens[f%len(ens)]
-		t.Frames = append(t.Frames, fr)
+		t.Times = append(t.Times, v[0])
+		for a := range nAtoms {
+			t.Coords = append(t.Coords, linalg.Vec3{v[1+3*a], v[2+3*a], v[3+3*a]})
+		}
 	}
 	return ens
 }
@@ -300,13 +293,9 @@ func FuzzFleetWire(f *testing.F) {
 // times keep whatever bits they carry.
 func finiteCoords(ens traj.Ensemble) bool {
 	for _, t := range ens {
-		for _, fr := range t.Frames {
-			for _, p := range fr.Coords {
-				for _, x := range p {
-					if math.IsNaN(x) || math.IsInf(x, 0) {
-						return false
-					}
-				}
+		for _, x := range linalg.Floats(t.Coords) {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return false
 			}
 		}
 	}

@@ -252,21 +252,6 @@ func Groups(labels []int32) []Component {
 	return out
 }
 
-// EqualLabels reports whether two labelings partition nodes identically.
-// Both must be canonical labelings (as produced by the functions in this
-// package) of the same node count.
-func EqualLabels(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ComponentBytes returns the shuffle payload size of a set of partial
 // components, at 4 bytes per node id, used by the experiment harness to
 // report Table 2's shuffle volumes.

@@ -4,6 +4,7 @@ import (
 	mathrand "math/rand"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func TestUnionRootMatchesBFSQuick(t *testing.T) {
 				}
 			}
 		}
-		return EqualLabels(uf.Labels(), ComponentsBFS(n, edges))
+		return slices.Equal(uf.Labels(), ComponentsBFS(n, edges))
 	}
 	proptest.Check(t, f, cfg)
 }
@@ -95,7 +96,7 @@ func TestBFSMatchesUnionFindQuick(t *testing.T) {
 	f := func(seed uint64, n, m int) bool {
 		r := rand.New(rand.NewPCG(seed, 0))
 		edges := randEdges(r, n, m)
-		return EqualLabels(ComponentsBFS(n, edges), ComponentsUnionFind(n, edges))
+		return slices.Equal(ComponentsBFS(n, edges), ComponentsUnionFind(n, edges))
 	}
 	proptest.Check(t, f, cfg)
 }
@@ -188,7 +189,7 @@ func TestMergePartialsEqualsGlobalQuick(t *testing.T) {
 			partials[i] = partialComponentsRef(es)
 		}
 		merged := MergeComponents(n, partials...)
-		return EqualLabels(global, merged)
+		return slices.Equal(global, merged)
 	}
 	proptest.Check(t, f, cfg)
 }
@@ -326,15 +327,6 @@ func TestByteAccounting(t *testing.T) {
 	comps := []Component{{1, 2, 3}, {4}}
 	if ComponentBytes(comps) != 16 {
 		t.Errorf("ComponentBytes = %d", ComponentBytes(comps))
-	}
-}
-
-func TestEqualLabels(t *testing.T) {
-	if EqualLabels([]int32{0, 1}, []int32{0}) {
-		t.Error("different lengths reported equal")
-	}
-	if !EqualLabels([]int32{0, 0}, []int32{0, 0}) {
-		t.Error("equal labels reported different")
 	}
 }
 

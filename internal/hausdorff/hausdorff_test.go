@@ -22,18 +22,14 @@ func distance(a, b *traj.Trajectory, m Method) float64 { return DistanceCounted(
 // clone is a deep copy of a trajectory, for tests that need two
 // distinct trajectories holding the same frames.
 func clone(t *traj.Trajectory) *traj.Trajectory {
-	out := &traj.Trajectory{Name: t.Name, NAtoms: t.NAtoms, Frames: make([]traj.Frame, len(t.Frames))}
-	for i, f := range t.Frames {
-		out.Frames[i] = traj.Frame{Time: f.Time, Coords: slices.Clone(f.Coords)}
-	}
-	return out
+	return &traj.Trajectory{Name: t.Name, NAtoms: t.NAtoms, Coords: slices.Clone(t.Coords), Times: slices.Clone(t.Times)}
 }
 
 // frames is the coordinate view of a trajectory's frames (no copying).
 func frames(t *traj.Trajectory) [][]linalg.Vec3 {
-	out := make([][]linalg.Vec3, len(t.Frames))
-	for i := range t.Frames {
-		out[i] = t.Frames[i].Coords
+	out := make([][]linalg.Vec3, t.NFrames())
+	for i := range out {
+		out[i] = t.FrameCoords(i)
 	}
 	return out
 }
@@ -122,11 +118,8 @@ func TestTriangleInequality(t *testing.T) {
 }
 
 func TestDirectedEmptySets(t *testing.T) {
-	fr := traj.New("x", 1)
-	if err := fr.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{1, 2, 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	empty, full := traj.New("e", 1).Packed(), fr.Packed()
+	fr := &traj.Trajectory{Name: "x", NAtoms: 1, Coords: []linalg.Vec3{{1, 2, 3}}, Times: []float64{0}}
+	empty, full := traj.Alloc("e", 1, 0).Packed(), fr.Packed()
 	if got := refDirected(nil, frames(fr)); got != 0 {
 		t.Errorf("reference h(empty->X) = %v, want 0", got)
 	}
@@ -154,9 +147,9 @@ func TestEmptyInputConsistency(t *testing.T) {
 		a, b *traj.Trajectory
 		want float64
 	}{
-		{"empty-A", traj.New("e", 6), nonEmpty, inf},
-		{"empty-B", nonEmpty, traj.New("e", 6), inf},
-		{"empty-both", traj.New("e", 6), traj.New("f", 6), 0},
+		{"empty-A", traj.Alloc("e", 6, 0), nonEmpty, inf},
+		{"empty-B", nonEmpty, traj.Alloc("e", 6, 0), inf},
+		{"empty-both", traj.Alloc("e", 6, 0), traj.Alloc("f", 6, 0), 0},
 	}
 	for _, tc := range cases {
 		if got := refDistance(tc.a, tc.b); got != tc.want {
@@ -197,11 +190,9 @@ func TestParseMethod(t *testing.T) {
 // Known-value check: two single-frame trajectories reduce Hausdorff to
 // plain dRMS.
 func TestSingleFrameReducesToDRMS(t *testing.T) {
-	a := traj.New("a", 2)
-	b := traj.New("b", 2)
-	_ = a.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{0, 0, 0}, {1, 0, 0}}})
-	_ = b.AppendFrame(traj.Frame{Coords: []linalg.Vec3{{0, 1, 0}, {1, 1, 0}}})
-	want := linalg.DRMS(a.Frames[0].Coords, b.Frames[0].Coords)
+	a := &traj.Trajectory{Name: "a", NAtoms: 2, Coords: []linalg.Vec3{{0, 0, 0}, {1, 0, 0}}, Times: []float64{0}}
+	b := &traj.Trajectory{Name: "b", NAtoms: 2, Coords: []linalg.Vec3{{0, 1, 0}, {1, 1, 0}}, Times: []float64{0}}
+	want := linalg.DRMS(a.FrameCoords(0), b.FrameCoords(0))
 	for _, m := range Methods {
 		if got := distance(a, b, m); got != want {
 			t.Errorf("%v: H = %v, want %v", m, got, want)

@@ -112,7 +112,7 @@ func TestIndexedSelfDistanceZero(t *testing.T) {
 
 // TestIndexedEmptyConventions mirrors TestPrunedEmptyConventions.
 func TestIndexedEmptyConventions(t *testing.T) {
-	empty := traj.New("e", 3)
+	empty := traj.Alloc("e", 3, 0)
 	full := synth.Walk("f", 3, 4, 5, 0)
 	if got := distance(empty, clone(empty), Indexed); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)

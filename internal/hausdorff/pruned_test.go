@@ -93,7 +93,7 @@ func TestPrunedSelfDistanceZero(t *testing.T) {
 // TestPrunedEmptyConventions mirrors TestEmptyInputConsistency for the
 // packed path: 0 for empty-both, +Inf for half-empty.
 func TestPrunedEmptyConventions(t *testing.T) {
-	empty := traj.New("e", 3)
+	empty := traj.Alloc("e", 3, 0)
 	full := synth.Walk("f", 3, 4, 5, 0)
 	if got := distance(empty, clone(empty), Pruned); got != 0 {
 		t.Errorf("H(empty,empty) = %v, want 0", got)

@@ -27,8 +27,8 @@ func symmetricCases() map[string][2]*traj.Trajectory {
 		"3 against 13":   {synth.PathWalk("a", 9, 3, 7, 0), synth.PathWalk("b", 9, 13, 7, 1)},
 		"duplicates":     {dupA, dupB},
 		"self":           {dupA, dupA},
-		"half empty":     {traj.New("e", 4), synth.Walk("f", 4, 5, 8, 0)},
-		"both empty":     {traj.New("e", 4), traj.New("f", 4)},
+		"half empty":     {traj.Alloc("e", 4, 0), synth.Walk("f", 4, 5, 8, 0)},
+		"both empty":     {traj.Alloc("e", 4, 0), traj.Alloc("f", 4, 0)},
 	}
 	for _, na := range []int{2, 3, 12} {
 		for _, pos := range []int{0, na / 2, na - 1} {
@@ -46,8 +46,8 @@ func symmetricCases() map[string][2]*traj.Trajectory {
 // it is the row realising the directed distance from t to any
 // trajectory that stayed where t was.
 func withFarFrame(t *traj.Trajectory, pos int) *traj.Trajectory {
-	for i := range t.Frames[pos].Coords {
-		t.Frames[pos].Coords[i][0] += 100
+	for i := range t.FrameCoords(pos) {
+		t.FrameCoords(pos)[i][0] += 100
 	}
 	return t
 }

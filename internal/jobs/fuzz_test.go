@@ -12,7 +12,7 @@ import (
 // it must never panic, must be idempotent, must leave the cache key
 // unchanged when re-applied, and must never admit a synth input whose
 // coordinates or PSA matrix exceed MaxSynthBytes, nor a parallelism
-// above MaxParallelism. It stops at the spec and never calls
+// above MaxParallelism, nor a task count above MaxTasks. It stops at the spec and never calls
 // ResolveInput, so no input it accepts is generated or read. Seed
 // corpus: f.Add below plus testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
@@ -44,6 +44,9 @@ func FuzzSpecNormalize(f *testing.F) {
 		}
 		if once.Parallelism < 0 || once.Parallelism > MaxParallelism {
 			t.Fatalf("admitted parallelism %d (bound %d)", once.Parallelism, MaxParallelism)
+		}
+		if once.Tasks < 0 || once.Tasks > MaxTasks {
+			t.Fatalf("admitted tasks %d (bound %d)", once.Tasks, MaxTasks)
 		}
 		if g := once.Synth; g != nil {
 			payload := big.NewInt(24)

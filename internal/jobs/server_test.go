@@ -168,7 +168,7 @@ func TestAPILeafletAllEngines(t *testing.T) {
 		if code != http.StatusOK || res.Leaflet == nil {
 			t.Fatalf("%s: result fetch failed (%d)", eng, code)
 		}
-		if !leaflet.Equal(res.Leaflet, want) {
+		if !slices.Equal(res.Leaflet.Labels, want.Labels) {
 			t.Fatalf("%s: assignment differs from serial", eng)
 		}
 	}
@@ -372,6 +372,30 @@ func TestAPIRejectsOversizedParallelism(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsOversizedTasks: a task count past MaxTasks is refused
+// with 400 before anything is admitted, for each analysis. At the int
+// extreme a Leaflet plan's chunk search used to wrap around and pin a
+// scheduler worker for ever; a PSA one planned a block per pair. The
+// ceiling itself is admitted.
+func TestAPIRejectsOversizedTasks(t *testing.T) {
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	for _, analysis := range []string{AnalysisPSA, AnalysisLeaflet} {
+		for _, tasks := range []int{MaxTasks + 1, math.MaxInt} {
+			body := fmt.Sprintf(`{"analysis":%q,"tasks":%d,"synth":{"seed":1}}`, analysis, tasks)
+			code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+			if code != http.StatusBadRequest || !strings.Contains(string(raw), "tasks") {
+				t.Fatalf("%s tasks=%d: got %d (%s), want 400 naming tasks", analysis, tasks, code, raw)
+			}
+		}
+		if n := len(s.Jobs()); n != 0 {
+			t.Fatalf("%s: oversized tasks admitted %d job(s)", analysis, n)
+		}
+		if _, err := (Spec{Analysis: analysis, Tasks: MaxTasks, Synth: &SynthSpec{}}).Normalized(); err != nil {
+			t.Fatalf("%s: tasks at the ceiling refused: %v", analysis, err)
+		}
+	}
+}
+
 // TestAPIListAndHealth covers GET /v1/jobs and /healthz.
 func TestAPIListAndHealth(t *testing.T) {
 	ts, _ := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
@@ -400,14 +424,13 @@ func TestAPIListAndHealth(t *testing.T) {
 // Hausdorff kernels vacuous, so they are rejected at decode).
 func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
 	dir := t.TempDir()
-	good := traj.New("good", 2)
-	bad := traj.New("bad", 2)
-	for f := 0; f < 4; f++ {
-		fr := traj.Frame{Time: float64(f), Coords: []linalg.Vec3{{float64(f), 0, 0}, {0, 1, float64(f)}}}
-		good.Frames = append(good.Frames, fr)
-		bad.Frames = append(bad.Frames, traj.Frame{Time: fr.Time, Coords: slices.Clone(fr.Coords)})
+	good := traj.Alloc("good", 2, 4)
+	for f := range 4 {
+		good.Times[f] = float64(f)
+		copy(good.FrameCoords(f), []linalg.Vec3{{float64(f), 0, 0}, {0, 1, float64(f)}})
 	}
-	bad.Frames[2].Coords[1][0] = math.Inf(-1)
+	bad := &traj.Trajectory{Name: "bad", NAtoms: 2, Coords: slices.Clone(good.Coords), Times: good.Times}
+	bad.FrameCoords(2)[1][0] = math.Inf(-1)
 	if err := traj.WriteMDTFile(filepath.Join(dir, "a-good.mdt"), good, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -444,10 +467,10 @@ func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
 func TestAPIUnencodableResultFails(t *testing.T) {
 	dir := t.TempDir()
 	for i, x := range []float64{1e200, -1e200} {
-		tr := traj.New(fmt.Sprintf("t%d", i), 2)
-		for f := 0; f < 4; f++ {
-			tr.Frames = append(tr.Frames, traj.Frame{Time: float64(f),
-				Coords: []linalg.Vec3{{x, x, x}, {x, -x, float64(f)}}})
+		tr := traj.Alloc(fmt.Sprintf("t%d", i), 2, 4)
+		for f := range 4 {
+			tr.Times[f] = float64(f)
+			copy(tr.FrameCoords(f), []linalg.Vec3{{x, x, x}, {x, -x, float64(f)}})
 		}
 		if err := traj.WriteMDTFile(filepath.Join(dir, tr.Name+".mdt"), tr, 8); err != nil {
 			t.Fatal(err)

@@ -85,7 +85,7 @@ type Spec struct {
 	// for shared-memory engines, 4 ranks/cores for mpi/pilot).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Tasks bounds the task count (0: one per worker for PSA, 1024 for
-	// Leaflet Finder, matching the paper).
+	// Leaflet Finder, matching the paper; at most MaxTasks).
 	Tasks int `json:"tasks,omitempty"`
 
 	// Method is the PSA Hausdorff kernel: "naive" (default),
@@ -190,6 +190,9 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.Tasks < 0 {
 		s.Tasks = 0
 	}
+	if s.Tasks > MaxTasks {
+		return Spec{}, fmt.Errorf("jobs: tasks %d exceeds %d", s.Tasks, MaxTasks)
+	}
 	if (s.Path == "") == (s.Synth == nil) {
 		return Spec{}, fmt.Errorf("jobs: exactly one of path and synth must be set")
 	}
@@ -260,6 +263,13 @@ const MaxSynthBytes = 1 << 30
 // request's say-so. 256 is far above every core count the CLIs, smoke
 // scripts and benchmark use (at most 8).
 const MaxParallelism = 256
+
+// MaxTasks bounds a spec's task count, which sizes a plan on a
+// request's say-so: a Leaflet grid of p chunks has p(p+1)/2 tiles, and
+// a PSA partition holds about tasks blocks. 1<<16 admits the paper's
+// 42k-task repartitioning of the 4M-atom Leaflet run and every count
+// the CLIs, smoke scripts and benchmark use (at most 1024).
+const MaxTasks = 1 << 16
 
 // synthFits reports whether 24 B (one Vec3) times every factor stays
 // within MaxSynthBytes, checking each step before it could overflow.

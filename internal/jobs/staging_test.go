@@ -182,27 +182,21 @@ func writeFileInputs(t *testing.T) (psaDir, membrane string) {
 		t.Fatal(err)
 	}
 	for i := range 3 {
-		tr := traj.New(fmt.Sprintf("t%d", i), 8)
+		tr := traj.Alloc(fmt.Sprintf("t%d", i), 8, 5)
 		for f := range 5 {
-			coords := make([]linalg.Vec3, 8)
+			tr.Times[f] = float64(f)
+			coords := tr.FrameCoords(f)
 			for a := range coords {
 				coords[a] = linalg.Vec3{float64(i) + 0.25*float64(f), 0.5 * float64(a), float64(a*f) - 3}
-			}
-			if err := tr.AppendFrame(traj.Frame{Time: float64(f), Coords: coords}); err != nil {
-				t.Fatal(err)
 			}
 		}
 		if err := traj.WriteMDTFile(filepath.Join(psaDir, fmt.Sprintf("t%d.mdt", i)), tr, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := traj.New("membrane", 64)
-	coords := make([]linalg.Vec3, 64)
-	for a := range coords {
-		coords[a] = linalg.Vec3{float64(a % 8), float64(a / 8), 0.125 * float64(a%2)}
-	}
-	if err := m.AppendFrame(traj.Frame{Coords: coords}); err != nil {
-		t.Fatal(err)
+	m := traj.Alloc("membrane", 64, 1)
+	for a := range m.Coords {
+		m.Coords[a] = linalg.Vec3{float64(a % 8), float64(a / 8), 0.125 * float64(a%2)}
 	}
 	membrane = filepath.Join(dir, "membrane.mdt")
 	if err := traj.WriteMDTFile(membrane, m, 8); err != nil {
@@ -266,19 +260,19 @@ func TestStagingErrorIsLowestIndex(t *testing.T) {
 		if i == 2 {
 			nFrames = 256
 		}
-		tr := traj.New(fmt.Sprintf("t%d", i), 16)
-		for f := 0; f < nFrames; f++ {
-			coords := make([]linalg.Vec3, 16)
+		tr := traj.Alloc(fmt.Sprintf("t%d", i), 16, nFrames)
+		for f := range nFrames {
+			tr.Times[f] = float64(f)
+			coords := tr.FrameCoords(f)
 			for a := range coords {
 				coords[a] = linalg.Vec3{float64(f), float64(a), float64(i)}
 			}
-			tr.Frames = append(tr.Frames, traj.Frame{Time: float64(f), Coords: coords})
 		}
 		switch i {
 		case 2:
-			tr.Frames[nFrames-1].Coords[15][0] = math.NaN()
+			tr.FrameCoords(nFrames - 1)[15][0] = math.NaN()
 		case 5:
-			tr.Frames[0].Coords[0][1] = math.Inf(1)
+			tr.FrameCoords(0)[0][1] = math.Inf(1)
 		}
 		if err := traj.WriteMDTFile(filepath.Join(dir, fmt.Sprintf("f%d.mdt", i)), tr, 4); err != nil {
 			t.Fatal(err)
@@ -312,14 +306,11 @@ func TestStreamedAdmissionDigestsEachFileOnce(t *testing.T) {
 	dir := t.TempDir()
 	const n = 3
 	for i := range n {
-		tr := traj.New(fmt.Sprintf("t%d", i), 4)
+		tr := traj.Alloc(fmt.Sprintf("t%d", i), 4, 5)
 		for f := range 5 {
-			coords := make([]linalg.Vec3, 4)
+			coords := tr.FrameCoords(f)
 			for a := range coords {
 				coords[a] = linalg.Vec3{float64(i), float64(f), float64(a)}
-			}
-			if err := tr.AppendFrame(traj.Frame{Coords: coords}); err != nil {
-				t.Fatal(err)
 			}
 		}
 		if err := traj.WriteMDTFile(filepath.Join(dir, fmt.Sprintf("t%d.mdt", i)), tr, 4); err != nil {

@@ -312,7 +312,7 @@ func TestSerialMatchesPairwise(t *testing.T) {
 			uf.Union(e.U, e.V)
 		}
 		res := Serial(sys.Coords, cutoff)
-		if !graph.EqualLabels(res.Labels, uf.Labels()) || res.Stats.Edges != int64(len(edges)) {
+		if !slices.Equal(res.Labels, uf.Labels()) || res.Stats.Edges != int64(len(edges)) {
 			t.Fatalf("cutoff %g: Serial found %d edges, pairwise %d", cutoff, res.Stats.Edges, len(edges))
 		}
 	}

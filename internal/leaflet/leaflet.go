@@ -113,9 +113,6 @@ func Serial(coords []linalg.Vec3, cutoff float64) *Result {
 	}
 }
 
-// Equal reports whether two results partition the atoms identically.
-func Equal(a, b *Result) bool { return graph.EqualLabels(a.Labels, b.Labels) }
-
 // finish converts a canonical labeling plus stats into a Result.
 func finish(labels []int32, stats Stats) *Result {
 	return &Result{Labels: labels, Components: graph.Groups(labels), Stats: stats}
@@ -138,9 +135,11 @@ func chunks1D(n, parts int) []span {
 	if parts > n {
 		parts = n
 	}
+	// p·n can pass 2³¹ on a 32-bit int (4M atoms in 1024 parts).
+	cut := func(p int) int { return int(int64(p) * int64(n) / int64(parts)) }
 	out := make([]span, 0, parts)
 	for p := 0; p < parts; p++ {
-		out = append(out, span{lo: p * n / parts, hi: (p + 1) * n / parts})
+		out = append(out, span{lo: cut(p), hi: cut(p + 1)})
 	}
 	return out
 }
@@ -150,19 +149,27 @@ func chunks1D(n, parts int) []span {
 type block struct{ rows, cols span }
 
 // chunks2D cuts [0, n) into the p chunks of the 2-D grid, the largest p
-// with p(p+1)/2 <= maxTasks (and at most n).
+// with p(p+1)/2 <= maxTasks, at most n and at least 1. The search stops
+// at n, and triangleFits forms no product, so any maxTasks — up to
+// math.MaxInt, on either int width — returns after at most n steps.
 func chunks2D(n, maxTasks int) []span {
 	p := 1
-	for (p+1)*(p+2)/2 <= maxTasks {
+	for p < n && triangleFits(p+1, maxTasks) {
 		p++
 	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
 	return chunks1D(n, p)
+}
+
+// triangleFits reports whether q(q+1)/2 <= m for q >= 1, halving the
+// even factor and comparing by division so nothing overflows.
+func triangleFits(q, m int) bool {
+	a, b := q, q+1
+	if a%2 == 0 {
+		a /= 2
+	} else {
+		b /= 2
+	}
+	return b <= m/a
 }
 
 // blocks2D tiles the upper triangle of the n×n comparison space into at

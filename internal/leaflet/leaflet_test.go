@@ -1,6 +1,8 @@
 package leaflet
 
 import (
+	"fmt"
+	"math"
 	mathrand "math/rand"
 	"math/rand/v2"
 	"reflect"
@@ -192,6 +194,57 @@ func TestPlanHelpers(t *testing.T) {
 	if sumLen != 100 || sumPairs != 100*99/2 {
 		t.Errorf("Plan1D sums = %d atoms, %d pairs", sumLen, sumPairs)
 	}
+}
+
+// Any task bound plans at once, on either int width: the grid's chunk
+// count stops at n, never wraps around, and is otherwise the largest p
+// with p(p+1)/2 <= maxTasks. A bound near math.MaxInt used to wrap the
+// loop's p(p+1)/2 negative and never return.
+func TestChunks2DHugeTaskBounds(t *testing.T) {
+	huge := min(1<<40, math.MaxInt)
+	for _, c := range []struct{ n, maxTasks, want int }{
+		{2048, math.MaxInt, 2048},
+		{2048, math.MaxInt32, 2048},
+		{2048, huge, 2048},
+		{1 << 20, math.MaxInt32, 65535},
+		{1 << 20, 42_000, 289},
+		{100, 10, 4},
+		{100, 0, 1},
+		{0, math.MaxInt, 0},
+	} {
+		ch := chunks2D(c.n, c.maxTasks)
+		if p := len(ch); p != c.want || (p > 1 && !triangleFits(p, c.maxTasks)) {
+			t.Fatalf("chunks2D(%d, %d): %d chunks, want %d", c.n, c.maxTasks, p, c.want)
+		}
+		if err := tiles(ch, c.n); err != nil {
+			t.Fatalf("chunks2D(%d, %d): %v", c.n, c.maxTasks, err)
+		}
+	}
+	for _, m := range []int{math.MaxInt, math.MaxInt32, huge} {
+		if got := len(Plan2D(64, m)); got != 64*65/2 {
+			t.Fatalf("Plan2D(64, %d): %d tiles, want %d", m, got, 64*65/2)
+		}
+	}
+	// p·n passes 2³¹ here: the 4M-atom membrane in the paper's 1024 parts.
+	if err := tiles(chunks1D(4_000_000, 1024), 4_000_000); err != nil {
+		t.Fatalf("chunks1D(4M, 1024): %v", err)
+	}
+}
+
+// tiles reports whether spans cut [0, n) into contiguous, non-empty
+// pieces.
+func tiles(spans []span, n int) error {
+	next := 0
+	for i, s := range spans {
+		if s.lo != next || s.hi <= s.lo {
+			return fmt.Errorf("span %d is [%d, %d) after %d", i, s.lo, s.hi, next)
+		}
+		next = s.hi
+	}
+	if next != n {
+		return fmt.Errorf("spans end at %d, want %d", next, n)
+	}
+	return nil
 }
 
 func TestSampleDataMovement(t *testing.T) {

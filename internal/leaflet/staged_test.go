@@ -1,6 +1,7 @@
 package leaflet_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestPilotDriverMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := res.(*leaflet.Result)
-			if !leaflet.Equal(got, want) {
+			if !slices.Equal(got.Labels, want.Labels) {
 				t.Fatalf("tree=%v pass %d: pilot result differs from serial", tree, pass)
 			}
 			if got.Stats.Edges != want.Stats.Edges {

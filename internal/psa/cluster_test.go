@@ -114,10 +114,8 @@ func TestClusterOnRealPSAMatrix(t *testing.T) {
 	// a fresh copy.
 	for i := 0; i < 3; i++ {
 		c := synth.Walk("base", 8, 6, 77, 10)
-		for f := range c.Frames {
-			for a := range c.Frames[f].Coords {
-				c.Frames[f].Coords[a][0] += 0.001 * float64(i)
-			}
+		for a := range c.Coords {
+			c.Coords[a][0] += 0.001 * float64(i)
 		}
 		ens = append(ens, c)
 	}

@@ -211,13 +211,13 @@ func TestEncodeMDTWindowRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, f := range part.Frames {
-				wantF := src.Frames[win*w+i]
-				if f.Time != wantF.Time {
-					t.Fatalf("window %d frame %d: time %v != %v", win, i, f.Time, wantF.Time)
+			for i := range part.NFrames() {
+				if got, want := part.Times[i], src.Times[win*w+i]; got != want {
+					t.Fatalf("window %d frame %d: time %v != %v", win, i, got, want)
 				}
-				for a := range f.Coords {
-					if f.Coords[a] != wantF.Coords[a] {
+				f, wantF := part.FrameCoords(i), src.FrameCoords(win*w+i)
+				for a := range f {
+					if f[a] != wantF[a] {
 						t.Fatalf("window %d frame %d atom %d differs", win, i, a)
 					}
 				}

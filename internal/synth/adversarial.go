@@ -6,7 +6,7 @@ import (
 )
 
 // Adversarial builds a small ensemble — one trajectory per entry of
-// frames, named "a", "b", … — shaped to break exact pruning rather than
+// nFrames, named "a", "b", … — shaped to break exact pruning rather than
 // to resemble MD: it is the input generator of the differential fuzz
 // tests (hausdorff.FuzzHausdorffMethodsAgree, conformtest's
 // FuzzEnginesAgree). kind%5 selects the structure the pruning devices
@@ -21,7 +21,7 @@ import (
 //
 // and seed%5 moves the coordinates across 60 orders of magnitude (every
 // choice still fits a float32 .mdt). Deterministic in its arguments.
-func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensemble {
+func Adversarial(nAtoms int, nFrames []int, kind uint8, seed uint64) traj.Ensemble {
 	p := pcg{seed, 0x5eed}
 	scale := []float64{1, 1e-30, 1e-3, 1e6, 1e30}[seed%5]
 	frame := func(base []linalg.Vec3, jitter float64) []linalg.Vec3 {
@@ -49,7 +49,7 @@ func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensembl
 		return f
 	}
 	build := func(name string, n int, start []linalg.Vec3) *traj.Trajectory {
-		t := traj.New(name, nAtoms)
+		t := frames(name, nAtoms, n, 1)
 		cur := start
 		for f := 0; f < n; f++ {
 			switch kind % 5 {
@@ -66,7 +66,7 @@ func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensembl
 			case 4:
 				cur = frame(cur, 0.5)
 			}
-			t.Frames = append(t.Frames, traj.Frame{Time: float64(f), Coords: append([]linalg.Vec3(nil), cur...)})
+			copy(t.FrameCoords(f), cur)
 		}
 		return t
 	}
@@ -74,14 +74,14 @@ func Adversarial(nAtoms int, frames []int, kind uint8, seed uint64) traj.Ensembl
 	if kind%5 == 4 {
 		start = frame(nil, 10)
 	}
-	ens := make(traj.Ensemble, len(frames))
-	for i, n := range frames {
+	ens := make(traj.Ensemble, len(nFrames))
+	for i, n := range nFrames {
 		name := string(rune('a' + i%26))
-		if i > 0 && kind%5 == 2 && frames[0] > 0 {
+		if i > 0 && kind%5 == 2 && nFrames[0] > 0 {
 			first := ens[0]
-			t := traj.New(name, nAtoms)
+			t := frames(name, nAtoms, n, 1)
 			for f := 0; f < n; f++ {
-				t.Frames = append(t.Frames, traj.Frame{Time: float64(f), Coords: first.Frames[(f*(i+1))%frames[0]].Coords})
+				copy(t.FrameCoords(f), first.FrameCoords((f*(i+1))%nFrames[0]))
 			}
 			ens[i] = t
 			continue

@@ -129,9 +129,9 @@ func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajector
 	}
 	// Each frame is viewed as its x, y, z components in atom order, the
 	// order the draws have always been made in.
-	p := rng(seed, stream).uniforms(linalg.Floats(t.Frames[0].Coords), box)
+	p := rng(seed, stream).uniforms(linalg.Floats(t.FrameCoords(0)), box)
 	for f := 1; f < nFrames; f++ {
-		p = p.displace(linalg.Floats(t.Frames[f].Coords), linalg.Floats(t.Frames[f-1].Coords), step)
+		p = p.displace(linalg.Floats(t.FrameCoords(f)), linalg.Floats(t.FrameCoords(f-1)), step)
 	}
 	return t
 }
@@ -167,13 +167,12 @@ func (p pcg) displace(dst, base []float64, sigma float64) pcg {
 	return p
 }
 
-// frames allocates a trajectory of nFrames frames, dt apart, whose
-// coordinates share one contiguous backing (traj.Alloc): the generators
-// fill it in place, and packing it for the kernels adds no copy.
+// frames allocates a trajectory of nFrames frames, dt apart, for the
+// generators to fill in place.
 func frames(name string, nAtoms, nFrames int, dt float64) *traj.Trajectory {
 	t := traj.Alloc(name, nAtoms, nFrames)
-	for f := range t.Frames {
-		t.Frames[f].Time = float64(f) * dt
+	for f := range t.Times {
+		t.Times[f] = float64(f) * dt
 	}
 	return t
 }
@@ -199,7 +198,7 @@ func PathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Traje
 		return t
 	}
 	// The shared starting configuration depends only on the seed.
-	rng(seed, 0x9A7B).uniforms(linalg.Floats(t.Frames[0].Coords), box)
+	rng(seed, 0x9A7B).uniforms(linalg.Floats(t.FrameCoords(0)), box)
 	// Drift direction and jitter are per-trajectory.
 	p := rng(seed, stream^0x5EED)
 	var dir linalg.Vec3
@@ -210,7 +209,7 @@ func PathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Traje
 		dir = dir.Scale(drift / n)
 	}
 	for f := 1; f < nFrames; f++ {
-		prev, cur := t.Frames[f-1].Coords, t.Frames[f].Coords
+		prev, cur := t.FrameCoords(f-1), t.FrameCoords(f)
 		for i, q := range prev[:len(cur)] {
 			cur[i] = q.Add(dir)
 		}

@@ -15,15 +15,13 @@ import (
 func TestWalkDeterministic(t *testing.T) {
 	a := Walk("x", 10, 5, 42, 0)
 	b := Walk("x", 10, 5, 42, 0)
-	for f := range a.Frames {
-		for i := range a.Frames[f].Coords {
-			if a.Frames[f].Coords[i] != b.Frames[f].Coords[i] {
-				t.Fatalf("frame %d atom %d differs between identical seeds", f, i)
-			}
+	for i := range a.Coords {
+		if a.Coords[i] != b.Coords[i] {
+			t.Fatalf("frame %d atom %d differs between identical seeds", i/a.NAtoms, i%a.NAtoms)
 		}
 	}
 	c := Walk("x", 10, 5, 43, 0)
-	if a.Frames[0].Coords[0] == c.Frames[0].Coords[0] {
+	if a.Coords[0] == c.Coords[0] {
 		t.Error("different seeds produced identical first coordinates")
 	}
 }
@@ -37,7 +35,7 @@ func TestWalkShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Frames should evolve: consecutive frames differ but only slightly.
-	d := linalg.DRMS(tr.Frames[0].Coords, tr.Frames[1].Coords)
+	d := linalg.DRMS(tr.FrameCoords(0), tr.FrameCoords(1))
 	if d == 0 {
 		t.Error("consecutive frames identical")
 	}
@@ -67,7 +65,7 @@ func TestEnsemblePresets(t *testing.T) {
 		names[tr.Name] = true
 	}
 	// Members must differ from each other.
-	if linalg.DRMS(ens[0].Frames[0].Coords, ens[1].Frames[0].Coords) == 0 {
+	if linalg.DRMS(ens[0].FrameCoords(0), ens[1].FrameCoords(0)) == 0 {
 		t.Error("ensemble members identical")
 	}
 }
@@ -168,15 +166,14 @@ func stdRng(seed, stream uint64) *rand.Rand {
 func oldWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
 	r := stdRng(seed, stream)
 	const box, step, dt = 50.0, 0.15, 1.0
-	t := traj.New(name, nAtoms)
+	t := &traj.Trajectory{Name: name, NAtoms: nAtoms}
 	cur := make([]linalg.Vec3, nAtoms)
 	for i := range cur {
 		cur[i] = linalg.Vec3{r.Float64() * box, r.Float64() * box, r.Float64() * box}
 	}
 	for f := 0; f < nFrames; f++ {
-		coords := make([]linalg.Vec3, nAtoms)
-		copy(coords, cur)
-		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
+		t.Times = append(t.Times, float64(f)*dt)
+		t.Coords = append(t.Coords, cur...)
 		for i := range cur {
 			cur[i][0] += float64(r.NormFloat64() * step)
 			cur[i][1] += float64(r.NormFloat64() * step)
@@ -198,13 +195,12 @@ func oldPathWalk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Tr
 	if n := dir.Norm(); n > 0 {
 		dir = dir.Scale(drift / n)
 	}
-	t := traj.New(name, nAtoms)
+	t := &traj.Trajectory{Name: name, NAtoms: nAtoms}
 	cur := make([]linalg.Vec3, nAtoms)
 	copy(cur, start)
 	for f := 0; f < nFrames; f++ {
-		coords := make([]linalg.Vec3, nAtoms)
-		copy(coords, cur)
-		t.Frames = append(t.Frames, traj.Frame{Time: float64(f) * dt, Coords: coords})
+		t.Times = append(t.Times, float64(f)*dt)
+		t.Coords = append(t.Coords, cur...)
 		for i := range cur {
 			cur[i] = cur[i].Add(dir)
 			cur[i][0] += float64(r.NormFloat64() * jitter)
@@ -234,16 +230,18 @@ func TestWalkMatchesOldLoopBitForBit(t *testing.T) {
 				if got.NAtoms != want.NAtoms || got.NFrames() != want.NFrames() {
 					t.Fatalf("%s %v: shape %d×%d, want %d×%d", g.name, sh, got.NAtoms, got.NFrames(), want.NAtoms, want.NFrames())
 				}
-				for f := range want.Frames {
-					gf, wf := got.Frames[f], want.Frames[f]
-					if math.Float64bits(gf.Time) != math.Float64bits(wf.Time) || len(gf.Coords) != len(wf.Coords) {
-						t.Fatalf("%s %v frame %d: time %v/%d coords, want %v/%d", g.name, sh, f, gf.Time, len(gf.Coords), wf.Time, len(wf.Coords))
+				if len(got.Coords) != len(want.Coords) {
+					t.Fatalf("%s %v: %d coords, want %d", g.name, sh, len(got.Coords), len(want.Coords))
+				}
+				for f := range want.Times {
+					if math.Float64bits(got.Times[f]) != math.Float64bits(want.Times[f]) {
+						t.Fatalf("%s %v frame %d: time %v, want %v", g.name, sh, f, got.Times[f], want.Times[f])
 					}
-					for i := range wf.Coords {
-						for c := 0; c < 3; c++ {
-							if math.Float64bits(gf.Coords[i][c]) != math.Float64bits(wf.Coords[i][c]) {
-								t.Fatalf("%s %v frame %d atom %d axis %d: %v, want %v", g.name, sh, f, i, c, gf.Coords[i][c], wf.Coords[i][c])
-							}
+				}
+				for i := range want.Coords {
+					for c := 0; c < 3; c++ {
+						if math.Float64bits(got.Coords[i][c]) != math.Float64bits(want.Coords[i][c]) {
+							t.Fatalf("%s %v frame %d atom %d axis %d: %v, want %v", g.name, sh, i/sh[0], i%sh[0], c, got.Coords[i][c], want.Coords[i][c])
 						}
 					}
 				}
@@ -307,12 +305,12 @@ func TestBilayerMatchesOldLoopBitForBit(t *testing.T) {
 }
 
 // TestWalkFramesIndependent: frames share one backing, but an append
-// to one frame must never write into the next.
+// to one frame's coordinates must never write into the next.
 func TestWalkFramesIndependent(t *testing.T) {
 	tr := Walk("x", 4, 3, 1, 0)
-	next := tr.Frames[1].Coords[0]
-	_ = append(tr.Frames[0].Coords, linalg.Vec3{-1, -1, -1})
-	if tr.Frames[1].Coords[0] != next {
+	next := tr.FrameCoords(1)[0]
+	_ = append(tr.FrameCoords(0), linalg.Vec3{-1, -1, -1})
+	if tr.FrameCoords(1)[0] != next {
 		t.Fatal("append to frame 0 overwrote frame 1")
 	}
 }

@@ -38,8 +38,8 @@ func (r *Ref) computeDigest() (string, error) {
 	switch {
 	case r.mem != nil:
 		h := r.newContentHash()
-		for _, f := range r.mem.Frames {
-			h.floats(linalg.Floats(f.Coords))
+		for i := range r.nFrames {
+			h.floats(linalg.Floats(r.mem.FrameCoords(i)))
 		}
 		return h.sum(), nil
 	case r.path != "":

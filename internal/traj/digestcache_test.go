@@ -48,8 +48,8 @@ func contentDigestOf(t *testing.T, path string) string {
 func writeTraj(t *testing.T, path string, seed int) {
 	t.Helper()
 	tr := streamTestTraj(5, 9)
-	for i := range tr.Frames {
-		tr.Frames[i].Coords[0][0] += float64(seed)
+	for i := range tr.NFrames() {
+		tr.FrameCoords(i)[0][0] += float64(seed)
 	}
 	if err := WriteMDTFile(path, tr, 4); err != nil {
 		t.Fatal(err)

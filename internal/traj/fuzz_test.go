@@ -11,18 +11,17 @@ import (
 // fuzzTraj builds a small deterministic trajectory from fuzzed shape
 // parameters (an LCG keeps the package dependency-free).
 func fuzzTraj(nAtoms, nFrames int, seed uint64) *Trajectory {
-	t := New("fuzz", nAtoms)
+	t := Alloc("fuzz", nAtoms, nFrames)
 	state := seed | 1
 	next := func() float64 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(int64(state>>11)%2000) / 16.0
 	}
-	for f := 0; f < nFrames; f++ {
-		fr := Frame{Time: float64(f)}
-		for a := 0; a < nAtoms; a++ {
-			fr.Coords = append(fr.Coords, [3]float64{next(), next(), next()})
-		}
-		t.Frames = append(t.Frames, fr)
+	for f := range t.Times {
+		t.Times[f] = float64(f)
+	}
+	for a := range t.Coords {
+		t.Coords[a] = [3]float64{next(), next(), next()}
 	}
 	return t
 }
@@ -68,11 +67,9 @@ func FuzzDecodeMDT(f *testing.F) {
 		if back.NAtoms != tr.NAtoms || back.NFrames() != tr.NFrames() {
 			t.Fatalf("round trip changed shape")
 		}
-		for i := range tr.Frames {
-			for a := range tr.Frames[i].Coords {
-				if back.Frames[i].Coords[a] != tr.Frames[i].Coords[a] {
-					t.Fatalf("frame %d atom %d changed in round trip", i, a)
-				}
+		for a := range tr.Coords {
+			if back.Coords[a] != tr.Coords[a] {
+				t.Fatalf("frame %d atom %d changed in round trip", a/tr.NAtoms, a%tr.NAtoms)
 			}
 		}
 	})
@@ -116,7 +113,7 @@ func FuzzWindowRoundTrip(f *testing.F) {
 		sameFrames := func(win *Window, label string) {
 			for i := 0; i < win.Packed.NFrames; i++ {
 				row := win.Packed.Row(i)
-				want := tr.Frames[win.Start+i].Coords
+				want := tr.FrameCoords(win.Start + i)
 				for a := 0; a < na; a++ {
 					for k := 0; k < 3; k++ {
 						if row[a*3+k] != want[a][k] {

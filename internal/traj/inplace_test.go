@@ -6,23 +6,60 @@ import (
 	"encoding/hex"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"mdtask/internal/linalg"
 	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
 
-// A generated trajectory stays one resident copy through packing: Pack
-// and the cached Packed view the generator's backing, so the packed
-// coordinates are the frames' own memory.
-func TestPackSynthWalkSharesFrames(t *testing.T) {
-	for _, tr := range []*traj.Trajectory{synth.Walk("w", 64, 17, 1, 0), synth.PathWalk("p", 9, 5, 1, 2)} {
+// Packing never copies coordinates: however a trajectory was built —
+// generated, decoded, loaded or by hand — Packed().Coords is the
+// trajectory's own Coords, first component to last.
+func TestPackInPlace(t *testing.T) {
+	walk := synth.Walk("w", 64, 17, 1, 0)
+	blob, err := traj.EncodeMDT(walk, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "w.mdt")
+	if err := traj.WriteMDTFile(path, walk, 4); err != nil {
+		t.Fatal(err)
+	}
+	file, err := traj.FileRef(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := traj.MemRef(walk)
+	chain, err := traj.WindowChainRef(walk.Name, walk.NAtoms, walk.NFrames(), 5, func(win int) ([]byte, error) {
+		return mem.EncodeMDTWindow(win*5, 5, 8)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(tr *traj.Trajectory, err error) *traj.Trajectory {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for label, tr := range map[string]*traj.Trajectory{
+		"synth.Walk":        walk,
+		"synth.PathWalk":    synth.PathWalk("p", 9, 5, 1, 2),
+		"synth.Adversarial": synth.Adversarial(4, []int{3, 6}, 2, 1)[1],
+		"DecodeMDT":         must(traj.DecodeMDT(blob)),
+		"ReadMDTFile":       must(traj.ReadMDTFile(path)),
+		"FileRef.Load":      must(file.Load()),
+		"chain Load":        must(chain.Load()),
+		"hand-built": {Name: "h", NAtoms: 2, Times: []float64{0, 1},
+			Coords: []linalg.Vec3{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}},
+	} {
 		p := tr.Packed()
-		for i, f := range tr.Frames {
-			row := p.Row(i)
-			if &row[0] != &f.Coords[0][0] || &row[len(row)-1] != &f.Coords[tr.NAtoms-1][2] {
-				t.Fatalf("%s frame %d: packed row is a copy, want the frame's own memory", tr.Name, i)
-			}
+		last := len(tr.Coords) - 1
+		if len(p.Coords) != 3*len(tr.Coords) || &p.Coords[0] != &tr.Coords[0][0] || &p.Coords[len(p.Coords)-1] != &tr.Coords[last][2] {
+			t.Fatalf("%s: packed coordinates are a copy, want the trajectory's own memory", label)
 		}
 	}
 }
@@ -34,8 +71,8 @@ func referenceDigest(tr *traj.Trajectory) string {
 	var b []byte
 	b = binary.LittleEndian.AppendUint64(b, uint64(tr.NAtoms))
 	b = binary.LittleEndian.AppendUint64(b, uint64(tr.NFrames()))
-	for _, f := range tr.Frames {
-		for _, p := range f.Coords {
+	for i := range tr.NFrames() {
+		for _, p := range tr.FrameCoords(i) {
 			for _, v := range p {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 			}
@@ -45,31 +82,25 @@ func referenceDigest(tr *traj.Trajectory) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// One content digest whatever holds the data: a contiguous MemRef (the
-// generator's backing), a non-contiguous copy built frame by frame, and
-// a FileRef over the same data written as float64 all hash to the
-// spelled-out reference.
+// One content digest whatever holds the data: a generated MemRef, a
+// hand-built one over a copy of its coordinates, and a FileRef over the
+// same data written as float64 all hash to the spelled-out reference.
 func TestDigestSameAcrossLayouts(t *testing.T) {
 	for _, sh := range [][2]int{{0, 3}, {4, 0}, {1, 1}, {64, 17}, {3000, 9}} {
-		contiguous := synth.Walk("d", sh[0], sh[1], 5, 1)
-		scattered := traj.New("d", sh[0])
-		for _, f := range contiguous.Frames {
-			if err := scattered.AppendFrame(f.Clone()); err != nil {
-				t.Fatal(err)
-			}
-		}
+		generated := synth.Walk("d", sh[0], sh[1], 5, 1)
+		handBuilt := &traj.Trajectory{Name: "d", NAtoms: sh[0], Coords: slices.Clone(generated.Coords), Times: slices.Clone(generated.Times)}
 		path := filepath.Join(t.TempDir(), "d.mdt")
-		if err := traj.WriteMDTFile(path, contiguous, 8); err != nil {
+		if err := traj.WriteMDTFile(path, generated, 8); err != nil {
 			t.Fatal(err)
 		}
 		file, err := traj.FileRef(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceDigest(contiguous)
+		want := referenceDigest(generated)
 		for label, r := range map[string]*traj.Ref{
-			"contiguous MemRef": traj.MemRef(contiguous),
-			"scattered MemRef":  traj.MemRef(scattered),
+			"generated MemRef":  traj.MemRef(generated),
+			"hand-built MemRef": traj.MemRef(handBuilt),
 			"float64 FileRef":   file,
 		} {
 			got, err := r.Digest()

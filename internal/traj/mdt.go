@@ -40,84 +40,6 @@ var (
 	ErrTruncated    = errors.New("traj: MDT file truncated")
 )
 
-// MDTWriter streams a trajectory to an MDT file.
-type MDTWriter struct {
-	w       *bufio.Writer
-	crc     uint32
-	prec    int
-	nAtoms  int
-	written uint32
-	buf     []byte
-}
-
-// NewMDTWriter writes the MDT header and returns a writer for the frame
-// payload. prec must be 4 or 8. nFrames must be the exact number of
-// frames that will be written.
-func NewMDTWriter(w io.Writer, name string, nAtoms, nFrames, prec int) (*MDTWriter, error) {
-	if prec != 4 && prec != 8 {
-		return nil, fmt.Errorf("%w: %d", ErrBadPrecision, prec)
-	}
-	if len(name) > math.MaxUint16 {
-		return nil, fmt.Errorf("traj: trajectory name too long (%d bytes)", len(name))
-	}
-	bw := bufio.NewWriter(w)
-	mw := &MDTWriter{w: bw, prec: prec, nAtoms: nAtoms}
-	if _, err := bw.Write(mdtMagic[:]); err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 0, 16+len(name))
-	hdr = append(hdr, byte(prec))
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
-	hdr = append(hdr, name...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nAtoms))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nFrames))
-	mw.crc = crc32.Update(mw.crc, crc32.IEEETable, hdr)
-	if _, err := bw.Write(hdr); err != nil {
-		return nil, err
-	}
-	return mw, nil
-}
-
-// WriteFrame appends one frame to the payload.
-func (mw *MDTWriter) WriteFrame(f Frame) error {
-	if len(f.Coords) != mw.nAtoms {
-		return fmt.Errorf("%w: got %d coords, want %d", ErrShapeMismatch, len(f.Coords), mw.nAtoms)
-	}
-	need := 8 + len(f.Coords)*3*mw.prec
-	if cap(mw.buf) < need {
-		mw.buf = make([]byte, 0, need)
-	}
-	b := mw.buf[:0]
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Time))
-	for _, p := range f.Coords {
-		for k := 0; k < 3; k++ {
-			if mw.prec == 4 {
-				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(p[k])))
-			} else {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p[k]))
-			}
-		}
-	}
-	mw.buf = b
-	mw.crc = crc32.Update(mw.crc, crc32.IEEETable, b)
-	if _, err := mw.w.Write(b); err != nil {
-		return err
-	}
-	mw.written++
-	return nil
-}
-
-// Close writes the trailing checksum and flushes. It does not close the
-// underlying writer.
-func (mw *MDTWriter) Close() error {
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], mw.crc)
-	if _, err := mw.w.Write(tail[:]); err != nil {
-		return err
-	}
-	return mw.w.Flush()
-}
-
 // MDTReader holds a parsed MDT header. The frame payload is decoded
 // whole by DecodeMDT, or a window at a time by a Ref's frame readers
 // (FileRef, WindowChainRef).
@@ -261,49 +183,52 @@ func decodeCoordsLE(row []float64, b []byte, prec int) int {
 }
 
 // WriteMDTFile writes the whole trajectory to path with the given
-// coordinate precision (4 or 8 bytes).
+// coordinate precision (4 or 8 bytes): the bytes of EncodeMDT.
 func WriteMDTFile(path string, t *Trajectory, prec int) error {
-	f, err := os.Create(path)
+	b, err := EncodeMDT(t, prec)
 	if err != nil {
 		return err
 	}
-	mw, err := NewMDTWriter(f, t.Name, t.NAtoms, len(t.Frames), prec)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, fr := range t.Frames {
-		if err := mw.WriteFrame(fr); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := mw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, b, 0o666)
 }
 
 // EncodeMDT serializes a whole trajectory to MDT bytes with the given
-// coordinate precision (4 or 8 bytes) — the in-memory counterpart of
-// WriteMDTFile, used wherever trajectories cross a process boundary
-// (pilot staging blobs, fleet input payloads).
+// coordinate precision (4 or 8 bytes) — what WriteMDTFile writes, and
+// what crosses a process boundary (pilot staging blobs, fleet input
+// payloads). A trajectory whose shape does not validate is refused.
 func EncodeMDT(t *Trajectory, prec int) ([]byte, error) {
-	var buf sliceWriter
-	w, err := NewMDTWriter(&buf, t.Name, t.NAtoms, len(t.Frames), prec)
-	if err != nil {
+	if prec != 4 && prec != 8 {
+		return nil, fmt.Errorf("%w: %d", ErrBadPrecision, prec)
+	}
+	if len(t.Name) > math.MaxUint16 {
+		return nil, fmt.Errorf("traj: trajectory name too long (%d bytes)", len(t.Name))
+	}
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	for _, f := range t.Frames {
-		if err := w.WriteFrame(f); err != nil {
-			return nil, err
+	nf, w3 := t.NFrames(), t.NAtoms*3
+	b := make([]byte, 0, len(mdtMagic)+3+len(t.Name)+8+nf*(8+w3*prec)+4)
+	b = append(b, mdtMagic[:]...)
+	b = append(b, byte(prec))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.Name)))
+	b = append(b, t.Name...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.NAtoms))
+	b = binary.LittleEndian.AppendUint32(b, uint32(nf))
+	coords := linalg.Floats(t.Coords)
+	for i, tm := range t.Times {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(tm))
+		row := coords[i*w3 : (i+1)*w3]
+		if prec == 4 {
+			for _, v := range row {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
+			}
+		} else {
+			for _, v := range row {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
 		}
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(mdtMagic):])), nil
 }
 
 // impliedSize returns the exact byte length the header implies for the
@@ -340,8 +265,8 @@ func parseMDT(b []byte) (*MDTReader, []byte, error) {
 }
 
 // DecodeMDT deserializes MDT bytes back into a trajectory (see
-// parseMDT for what is checked first). The trajectory's frames share
-// one backing, so it packs in place (see Alloc).
+// parseMDT for what is checked first), decoding the payload straight
+// into the trajectory's coordinate backing.
 func DecodeMDT(b []byte) (*Trajectory, error) {
 	mr, payload, err := parseMDT(b)
 	if err != nil {
@@ -352,31 +277,19 @@ func DecodeMDT(b []byte) (*Trajectory, error) {
 	})
 }
 
-// allocDecoded builds an n-frame Alloc trajectory whose packed rows and
-// frame times decode fills.
+// allocDecoded builds an n-frame trajectory whose coordinate backing,
+// as packed rows, and frame times decode fills.
 func allocDecoded(name string, nAtoms, n int, decode func(rows, times []float64) error) (*Trajectory, error) {
 	t := Alloc(name, nAtoms, n)
-	times := make([]float64, n)
-	if err := decode(linalg.Floats(t.backing), times); err != nil {
+	if err := decode(linalg.Floats(t.Coords), t.Times); err != nil {
 		return nil, err
-	}
-	for i, tm := range times {
-		t.Frames[i].Time = tm
 	}
 	return t, nil
 }
 
-// sliceWriter is a minimal append-based io.Writer over a byte slice.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // ReadMDTFile reads a whole trajectory from path: FileRef checks the
-// file size against the header, and Load decodes the frames into one
-// backing, verifying the checksum.
+// file size against the header, and Load decodes the frames into the
+// trajectory's backing, verifying the checksum.
 func ReadMDTFile(path string) (*Trajectory, error) {
 	r, err := FileRef(path)
 	if err != nil {

@@ -15,14 +15,14 @@ import (
 // radii of gyration, and the dRMS between consecutive frames. The
 // statistics are computed once per trajectory in O(frames·atoms)
 // instead of being re-derived inside every O(frames²) trajectory
-// comparison; the coordinates are the trajectory's own backing when it
-// has one (see Pack), so packing adds no second copy of them.
+// comparison; the coordinates are the trajectory's own backing (see
+// Pack), so packing adds no second copy of them.
 type Packed struct {
 	NAtoms  int
 	NFrames int
 	// Coords holds the frames back to back: frame i occupies
 	// Coords[i*NAtoms*3 : (i+1)*NAtoms*3] as x,y,z triples in atom order.
-	// It may share memory with the packed trajectory's frames.
+	// It is the packed trajectory's Coords, viewed in place.
 	Coords []float64
 	// Centroids[i] is the arithmetic-mean position of frame i.
 	Centroids []linalg.Vec3
@@ -66,24 +66,15 @@ func (p *Packed) Row(i int) []float64 {
 	return p.Coords[i*w : (i+1)*w]
 }
 
-// packFrames builds the packed representation of raw frame views,
-// copying their coordinates. All frames must have nAtoms coordinates.
-func packFrames(frames [][]linalg.Vec3, nAtoms int) *Packed {
-	w3 := nAtoms * 3
-	coords := make([]float64, len(frames)*w3)
-	for i, f := range frames {
-		packRow(coords[i*w3:(i+1)*w3], f)
-	}
-	return packCoords(coords, nAtoms, len(frames))
-}
-
-// packCoords wraps nf frames of packed coordinates (kept, not copied)
-// with their per-frame statistics.
-func packCoords(coords []float64, nAtoms, nf int) *Packed {
+// Pack builds the packed representation of a trajectory: Coords is the
+// trajectory's own backing viewed as float64s, never a copy, and only
+// the per-frame statistics are computed.
+func Pack(t *Trajectory) *Packed {
+	nf := t.NFrames()
 	p := &Packed{
-		NAtoms:    nAtoms,
+		NAtoms:    t.NAtoms,
 		NFrames:   nf,
-		Coords:    coords,
+		Coords:    linalg.Floats(t.Coords),
 		Centroids: make([]linalg.Vec3, nf),
 		RadGyr:    make([]float64, nf),
 		StepDRMS:  make([]float64, nf),
@@ -99,55 +90,14 @@ func packCoords(coords []float64, nAtoms, nf int) *Packed {
 	return p
 }
 
-// packRow flattens one frame's coordinates into a packed row of xyz
-// triples (len(row) = 3·len(coords)).
-func packRow(row []float64, coords []linalg.Vec3) {
-	for j, pt := range coords {
-		row[j*3], row[j*3+1], row[j*3+2] = pt[0], pt[1], pt[2]
-	}
-}
-
-// Pack builds the packed representation of a trajectory. A trajectory
-// from Alloc whose frames are all still their slices of its backing, in
-// order, is packed in place: Coords is that backing viewed as float64s,
-// and only the per-frame statistics are computed. Any other trajectory
-// is copied (packFrames).
-func Pack(t *Trajectory) *Packed {
-	if coords, ok := t.inPlace(); ok {
-		return packCoords(coords, t.NAtoms, len(t.Frames))
-	}
-	frames := make([][]linalg.Vec3, len(t.Frames))
-	for i := range t.Frames {
-		frames[i] = t.Frames[i].Coords
-	}
-	return packFrames(frames, t.NAtoms)
-}
-
-// inPlace returns the trajectory's coordinates as packed rows without
-// copying them, when frame i is exactly backing[i·NAtoms : (i+1)·NAtoms]
-// for every i. Pointer identity of each frame's first atom proves it:
-// the backing is one allocation, so the view never spans two.
-func (t *Trajectory) inPlace() ([]float64, bool) {
-	n := t.NAtoms
-	if len(t.backing) == 0 || len(t.backing) != n*len(t.Frames) {
-		return nil, false
-	}
-	for i, f := range t.Frames {
-		if len(f.Coords) != n || &f.Coords[0] != &t.backing[i*n] {
-			return nil, false
-		}
-	}
-	return linalg.Floats(t.backing), true
-}
-
 // Packed returns the trajectory's packed representation, computing it on
 // first use and caching it. The cache is safe for concurrent use (racing
 // callers at worst pack twice) and is invalidated when the frame count
-// changes. The packed coordinates may be the frames' own memory (see
-// Pack), so mutating frame coordinates in place after the first call is
-// not supported.
+// changes. The packed coordinates are the trajectory's own memory (see
+// Pack), so mutating coordinates in place after the first call is not
+// supported.
 func (t *Trajectory) Packed() *Packed {
-	if p := t.packed.Load(); p != nil && p.NFrames == len(t.Frames) {
+	if p := t.packed.Load(); p != nil && p.NFrames == t.NFrames() {
 		return p
 	}
 	p := Pack(t)
@@ -160,5 +110,5 @@ func (t *Trajectory) Packed() *Packed {
 // packed up front rather than inside its first timed tasks.
 func (t *Trajectory) IsPacked() bool {
 	p := t.packed.Load()
-	return p != nil && p.NFrames == len(t.Frames)
+	return p != nil && p.NFrames == t.NFrames()
 }

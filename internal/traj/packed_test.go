@@ -9,18 +9,11 @@ import (
 
 func packTestTrajectory(t *testing.T) *Trajectory {
 	t.Helper()
-	tr := New("p", 3)
-	frames := [][]linalg.Vec3{
-		{{0, 0, 0}, {1, 0, 0}, {2, 0, 0}},
-		{{0, 1, 0}, {1, 1, 0}, {2, 1, 0}},
-		{{3, 1, 2}, {4, 1, 2}, {5, 1, 2}},
-	}
-	for i, f := range frames {
-		if err := tr.AppendFrame(Frame{Time: float64(i), Coords: f}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tr
+	return &Trajectory{Name: "p", NAtoms: 3, Times: []float64{0, 1, 2}, Coords: []linalg.Vec3{
+		{0, 0, 0}, {1, 0, 0}, {2, 0, 0},
+		{0, 1, 0}, {1, 1, 0}, {2, 1, 0},
+		{3, 1, 2}, {4, 1, 2}, {5, 1, 2},
+	}}
 }
 
 func TestPackLayoutAndStats(t *testing.T) {
@@ -32,21 +25,22 @@ func TestPackLayoutAndStats(t *testing.T) {
 	if len(p.Coords) != 3*3*3 {
 		t.Fatalf("coords len %d", len(p.Coords))
 	}
-	for i, f := range tr.Frames {
+	for i := range tr.NFrames() {
+		f := tr.FrameCoords(i)
 		row := p.Row(i)
-		for j, pt := range f.Coords {
+		for j, pt := range f {
 			for k := 0; k < 3; k++ {
 				if row[j*3+k] != pt[k] {
 					t.Fatalf("frame %d atom %d axis %d: packed %v != %v", i, j, k, row[j*3+k], pt[k])
 				}
 			}
 		}
-		c := linalg.Centroid(f.Coords)
+		c := linalg.Centroid(f)
 		if p.Centroids[i] != c {
 			t.Errorf("frame %d centroid %v != %v", i, p.Centroids[i], c)
 		}
 		var s float64
-		for _, pt := range f.Coords {
+		for _, pt := range f {
 			s += linalg.Dist2(pt, c)
 		}
 		if want := math.Sqrt(s / 3); p.RadGyr[i] != want {
@@ -57,7 +51,7 @@ func TestPackLayoutAndStats(t *testing.T) {
 		t.Errorf("StepDRMS[0] = %v", p.StepDRMS[0])
 	}
 	for i := 1; i < 3; i++ {
-		want := linalg.DRMS(tr.Frames[i-1].Coords, tr.Frames[i].Coords)
+		want := linalg.DRMS(tr.FrameCoords(i-1), tr.FrameCoords(i))
 		if p.StepDRMS[i] != want {
 			t.Errorf("StepDRMS[%d] = %v, want %v", i, p.StepDRMS[i], want)
 		}
@@ -70,12 +64,11 @@ func TestPackedCacheAndInvalidation(t *testing.T) {
 	if p2 := tr.Packed(); p2 != p1 {
 		t.Error("Packed not cached")
 	}
-	if err := tr.AppendFrame(Frame{Time: 3, Coords: []linalg.Vec3{{9, 9, 9}, {8, 8, 8}, {7, 7, 7}}}); err != nil {
-		t.Fatal(err)
-	}
+	tr.Coords = append(tr.Coords, linalg.Vec3{9, 9, 9}, linalg.Vec3{8, 8, 8}, linalg.Vec3{7, 7, 7})
+	tr.Times = append(tr.Times, 3)
 	p3 := tr.Packed()
 	if p3 == p1 {
-		t.Fatal("Packed cache not invalidated by AppendFrame")
+		t.Fatal("Packed cache not invalidated by an appended frame")
 	}
 	if p3.NFrames != 4 {
 		t.Fatalf("repacked NFrames = %d", p3.NFrames)
@@ -83,17 +76,12 @@ func TestPackedCacheAndInvalidation(t *testing.T) {
 }
 
 func TestPackEmptyAndZeroAtoms(t *testing.T) {
-	empty := New("e", 5)
+	empty := Alloc("e", 5, 0)
 	p := empty.Packed()
 	if p.NFrames != 0 || len(p.Coords) != 0 {
 		t.Fatalf("empty pack: %+v", p)
 	}
-	zero := New("z", 0)
-	for i := 0; i < 2; i++ {
-		if err := zero.AppendFrame(Frame{Coords: nil}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	zero := Alloc("z", 0, 2)
 	pz := zero.Packed()
 	if pz.NFrames != 2 || pz.RadGyr[0] != 0 || pz.StepDRMS[1] != 0 {
 		t.Fatalf("zero-atom pack: %+v", pz)

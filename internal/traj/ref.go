@@ -92,8 +92,8 @@ func (r *Ref) Bytes() int64 { return int64(r.nFrames) * int64(r.nAtoms) * 3 * 8 
 
 // Load materializes the whole trajectory. Memory-backed refs return
 // their trajectory (shared, with its cached packed representation);
-// stream-backed refs decode every frame into one backing, which packs
-// in place, verifying a plain .mdt payload's checksum. The backing is
+// stream-backed refs decode every frame into a new trajectory's
+// backing, verifying a plain .mdt payload's checksum. The backing is
 // sized from the ref's declared shape, so Load is for shapes checked
 // against real bytes (FileRef, shapes a client staged itself), never
 // for a shape only a remote peer declared.
@@ -133,7 +133,9 @@ func (r *Ref) EncodeMDTWindow(start, count, prec int) ([]byte, error) {
 	start = min(start, r.nFrames)
 	count = min(count, r.nFrames-start)
 	if r.mem != nil {
-		return EncodeMDT(&Trajectory{Name: r.name, NAtoms: r.nAtoms, Frames: r.mem.Frames[start : start+count]}, prec)
+		n := r.nAtoms
+		return EncodeMDT(&Trajectory{Name: r.name, NAtoms: n,
+			Coords: r.mem.Coords[start*n : (start+count)*n], Times: r.mem.Times[start : start+count]}, prec)
 	}
 	w, err := r.read(start, count)
 	if err != nil {

@@ -15,15 +15,12 @@ import (
 )
 
 func streamTestTraj(nAtoms, nFrames int) *Trajectory {
-	t := New("stream", nAtoms)
-	for f := 0; f < nFrames; f++ {
-		fr := Frame{Time: float64(f) * 0.5}
-		for a := 0; a < nAtoms; a++ {
-			fr.Coords = append(fr.Coords, linalg.Vec3{
-				float64(f*nAtoms+a) * 0.25, float64(a) - 1.5, float64(f),
-			})
+	t := Alloc("stream", nAtoms, nFrames)
+	for f := range nFrames {
+		t.Times[f] = float64(f) * 0.5
+		for a := range nAtoms {
+			t.FrameCoords(f)[a] = linalg.Vec3{float64(f*nAtoms+a) * 0.25, float64(a) - 1.5, float64(f)}
 		}
-		t.Frames = append(t.Frames, fr)
 	}
 	return t
 }
@@ -146,10 +143,9 @@ func TestWindowsValidateDeclaredShape(t *testing.T) {
 }
 
 func ExampleRef_Windows() {
-	tr := New("demo", 1)
-	for i := 0; i < 5; i++ {
-		tr.Frames = append(tr.Frames, Frame{Time: float64(i), Coords: []linalg.Vec3{{float64(i), 0, 0}}})
-	}
+	tr := &Trajectory{Name: "demo", NAtoms: 1,
+		Coords: []linalg.Vec3{{0, 0, 0}, {1, 0, 0}, {2, 0, 0}, {3, 0, 0}, {4, 0, 0}},
+		Times:  []float64{0, 1, 2, 3, 4}}
 	it := MemRef(tr).Windows(2)
 	defer it.Close()
 	for {

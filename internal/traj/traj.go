@@ -10,23 +10,22 @@
 // float32/float64 coordinate precision. Jobs, the CLIs, trajgen and
 // the pilot and fleet engines read and write nothing else.
 //
-// Beyond the frame-of-Vec3 data model, the package provides a packed
+// Beyond the coordinates themselves, the package provides a packed
 // analysis representation (packed.go): Trajectory.Packed presents every
 // frame as one contiguous []float64 and precomputes the per-frame
 // centroids, radii of gyration, and consecutive-frame dRMS values that
 // the pruned Hausdorff kernel's lower bounds consume, once per
 // trajectory instead of once per trajectory comparison.
 //
-// A trajectory keeps one resident copy of its coordinates. Alloc lays
-// every frame out as a capped slice of one backing — synth.Walk,
-// synth.PathWalk, DecodeMDT, ReadMDTFile and Ref.Load build their
-// trajectories this way — and while each frame is still its slice of
-// that backing, in order, Packed views the backing in place instead of
-// copying it. Any other trajectory (built by AppendFrame, or one whose
-// frames were reassigned or reordered) is packed into a copy.
-// Ref.Digest hashes coordinate memory as it lies, with no scratch
-// encoding on little-endian hosts. Mutating coordinates after the first
-// Packed call is unsupported either way.
+// A trajectory is its packed coordinates: Coords holds every frame back
+// to back, frame-major, which is the layout Packed and the kernels
+// read, however the trajectory was built — generated (synth), decoded
+// (DecodeMDT), loaded (ReadMDTFile, Ref.Load) or assembled by hand. So
+// Packed views Coords in place and computes only the per-frame
+// statistics: a trajectory keeps one resident copy of its coordinates.
+// Ref.Digest hashes that memory as it lies, with no scratch encoding on
+// little-endian hosts. Mutating coordinates after the first Packed call
+// is unsupported.
 //
 // For inputs larger than memory, frames are read a window at a time:
 //
@@ -71,31 +70,25 @@ import (
 	"mdtask/internal/linalg"
 )
 
-// Frame is one snapshot of a physical system: the positions of all atoms
-// at a simulation time (in picoseconds).
-type Frame struct {
-	Time   float64
-	Coords []linalg.Vec3
-}
-
-// Trajectory is a named time series of frames over a fixed set of atoms.
-// All frames must have exactly NAtoms coordinates.
+// Trajectory is a named time series of frames over a fixed set of
+// atoms, held as one frame-major coordinate backing.
 type Trajectory struct {
 	Name   string
 	NAtoms int
-	Frames []Frame
+	// Coords holds the frames back to back: frame i is
+	// Coords[i*NAtoms : (i+1)*NAtoms] (FrameCoords), its atoms in order.
+	Coords []linalg.Vec3
+	// Times[i] is frame i's simulation time in picoseconds; its length
+	// is the frame count.
+	Times []float64
 
-	// backing is the one allocation Alloc sliced the frames from. Pack
-	// views it in place while every frame is still its slice (see
-	// inPlace); nil for a trajectory built any other way.
-	backing []linalg.Vec3
-	// packed caches the contiguous frame representation (see packed.go),
-	// built on first use by Packed().
+	// packed caches the packed representation (see packed.go), built on
+	// first use by Packed().
 	packed atomic.Pointer[Packed]
 }
 
-// ErrShapeMismatch is returned when a frame's coordinate count does not
-// match the trajectory's atom count.
+// ErrShapeMismatch is returned when a trajectory's coordinate count is
+// not its atom count times its frame count.
 var ErrShapeMismatch = errors.New("traj: frame size does not match trajectory atom count")
 
 // ErrNonFinite is returned by every MDT decoder for a NaN or
@@ -108,52 +101,37 @@ func nonFiniteError(frame, atom int) error {
 	return fmt.Errorf("frame %d atom %d: %w", frame, atom, ErrNonFinite)
 }
 
-// New creates an empty trajectory for nAtoms atoms.
-func New(name string, nAtoms int) *Trajectory {
-	return &Trajectory{Name: name, NAtoms: nAtoms}
-}
-
 // Alloc creates a trajectory of nFrames frames of nAtoms zeroed atoms
-// (all at time 0) for the caller to fill in place. The frames are
-// consecutive slices of one backing, each capped at its own end so an
-// append to one frame never writes into the next; Packed views that
-// backing instead of copying it.
+// (all at time 0) for the caller to fill in place.
 func Alloc(name string, nAtoms, nFrames int) *Trajectory {
-	t := New(name, nAtoms)
-	t.backing = make([]linalg.Vec3, nAtoms*nFrames)
-	t.Frames = make([]Frame, nFrames)
-	for f := range t.Frames {
-		a, b := f*nAtoms, (f+1)*nAtoms
-		t.Frames[f].Coords = t.backing[a:b:b]
+	return &Trajectory{
+		Name:   name,
+		NAtoms: nAtoms,
+		Coords: make([]linalg.Vec3, nAtoms*nFrames),
+		Times:  make([]float64, nFrames),
 	}
-	return t
-}
-
-// AppendFrame adds a frame, validating its shape.
-func (t *Trajectory) AppendFrame(f Frame) error {
-	if len(f.Coords) != t.NAtoms {
-		return fmt.Errorf("%w: got %d coords, want %d", ErrShapeMismatch, len(f.Coords), t.NAtoms)
-	}
-	t.Frames = append(t.Frames, f)
-	return nil
 }
 
 // NFrames returns the number of frames.
-func (t *Trajectory) NFrames() int { return len(t.Frames) }
+func (t *Trajectory) NFrames() int { return len(t.Times) }
 
-// FrameCoords returns the coordinate slice of frame i (shared, not copied).
-func (t *Trajectory) FrameCoords(i int) []linalg.Vec3 { return t.Frames[i].Coords }
+// FrameCoords returns the coordinates of frame i (shared, not copied),
+// capped at the frame's end so an append never writes into the next
+// frame.
+func (t *Trajectory) FrameCoords(i int) []linalg.Vec3 {
+	a, b := i*t.NAtoms, (i+1)*t.NAtoms
+	return t.Coords[a:b:b]
+}
 
-// Validate checks the structural invariants of the trajectory.
+// Validate checks that the trajectory's shape is consistent: a
+// non-negative atom count and exactly NAtoms coordinates per frame.
 func (t *Trajectory) Validate() error {
 	if t.NAtoms < 0 {
 		return fmt.Errorf("traj: negative atom count %d", t.NAtoms)
 	}
-	for i, f := range t.Frames {
-		if len(f.Coords) != t.NAtoms {
-			return fmt.Errorf("traj: frame %d: %w (got %d, want %d)",
-				i, ErrShapeMismatch, len(f.Coords), t.NAtoms)
-		}
+	if want := t.NAtoms * len(t.Times); len(t.Coords) != want {
+		return fmt.Errorf("traj: %w: %d coords for %d frames of %d atoms",
+			ErrShapeMismatch, len(t.Coords), len(t.Times), t.NAtoms)
 	}
 	return nil
 }
@@ -162,7 +140,7 @@ func (t *Trajectory) Validate() error {
 // per float64 component), used for data-volume accounting in the
 // experiment harness.
 func (t *Trajectory) Bytes() int64 {
-	return int64(len(t.Frames)) * int64(t.NAtoms) * 3 * 8
+	return int64(len(t.Times)) * int64(t.NAtoms) * 3 * 8
 }
 
 // Ensemble is a set of trajectories analyzed together, e.g. by Path

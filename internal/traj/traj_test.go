@@ -3,6 +3,7 @@ package traj
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mdtask/internal/linalg"
@@ -11,31 +12,14 @@ import (
 func randTraj(t *testing.T, seed uint64, nAtoms, nFrames int) *Trajectory {
 	t.Helper()
 	r := rand.New(rand.NewPCG(seed, seed^0xABCD))
-	tr := New("test", nAtoms)
-	for f := 0; f < nFrames; f++ {
-		coords := make([]linalg.Vec3, nAtoms)
-		for i := range coords {
-			coords[i] = linalg.Vec3{r.NormFloat64() * 10, r.NormFloat64() * 10, r.NormFloat64() * 10}
-		}
-		if err := tr.AppendFrame(Frame{Time: float64(f) * 2.5, Coords: coords}); err != nil {
-			t.Fatal(err)
+	tr := Alloc("test", nAtoms, nFrames)
+	for f := range nFrames {
+		tr.Times[f] = float64(f) * 2.5
+		for i := range tr.FrameCoords(f) {
+			tr.FrameCoords(f)[i] = linalg.Vec3{r.NormFloat64() * 10, r.NormFloat64() * 10, r.NormFloat64() * 10}
 		}
 	}
 	return tr
-}
-
-func TestAppendFrameValidatesShape(t *testing.T) {
-	tr := New("x", 3)
-	err := tr.AppendFrame(Frame{Coords: make([]linalg.Vec3, 2)})
-	if !errors.Is(err, ErrShapeMismatch) {
-		t.Fatalf("err = %v, want ErrShapeMismatch", err)
-	}
-	if err := tr.AppendFrame(Frame{Coords: make([]linalg.Vec3, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NFrames() != 1 {
-		t.Errorf("NFrames = %d", tr.NFrames())
-	}
 }
 
 func TestValidate(t *testing.T) {
@@ -43,9 +27,13 @@ func TestValidate(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tr.Frames[1].Coords = tr.Frames[1].Coords[:2]
-	if err := tr.Validate(); err == nil {
-		t.Fatal("Validate accepted malformed trajectory")
+	tr.Coords = tr.Coords[:len(tr.Coords)-2]
+	if err := tr.Validate(); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("err = %v, want ErrShapeMismatch", err)
+	}
+	tr.Coords, tr.Times = make([]linalg.Vec3, 5), make([]float64, 1)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	bad := &Trajectory{NAtoms: -1}
 	if err := bad.Validate(); err == nil {
@@ -53,27 +41,16 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// Clone returns a deep copy of the frame.
-func (f Frame) Clone() Frame {
-	c := make([]linalg.Vec3, len(f.Coords))
-	copy(c, f.Coords)
-	return Frame{Time: f.Time, Coords: c}
-}
-
 // Clone returns a deep copy of the trajectory.
 func (t *Trajectory) Clone() *Trajectory {
-	out := &Trajectory{Name: t.Name, NAtoms: t.NAtoms, Frames: make([]Frame, len(t.Frames))}
-	for i, f := range t.Frames {
-		out.Frames[i] = f.Clone()
-	}
-	return out
+	return &Trajectory{Name: t.Name, NAtoms: t.NAtoms, Coords: slices.Clone(t.Coords), Times: slices.Clone(t.Times)}
 }
 
 func TestCloneIndependence(t *testing.T) {
 	tr := randTraj(t, 2, 4, 2)
 	cl := tr.Clone()
-	cl.Frames[0].Coords[0][0] = 999
-	if tr.Frames[0].Coords[0][0] == 999 {
+	cl.Coords[0][0], cl.Times[0] = 999, 999
+	if tr.Coords[0][0] == 999 || tr.Times[0] == 999 {
 		t.Fatal("Clone shares coordinate storage")
 	}
 }

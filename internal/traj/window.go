@@ -197,8 +197,8 @@ func (wr *WindowReader) Close() {
 }
 
 // rowStats returns the centroid and radius of gyration of one packed
-// frame row — the side data of the pruned Hausdorff bounds. packFrames
-// and the window decode share it, so a window's statistics are
+// frame row — the side data of the pruned Hausdorff bounds. Pack and
+// the window decode share it, so a window's statistics are
 // bit-identical to the packed trajectory's.
 func rowStats(row []float64) (c linalg.Vec3, rg float64) {
 	n := len(row) / 3

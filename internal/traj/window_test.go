@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mdtask/internal/linalg"
 )
 
 // windowBackings builds one ref per backing a WindowReader serves —
@@ -48,14 +46,11 @@ func windowBackings(t *testing.T, tr *Trajectory, chainWindow int) map[string]*R
 	return out
 }
 
-// packedWindow is the reference a decoded window must equal: packFrames
-// of the corresponding loaded frames.
+// packedWindow is the reference a decoded window must equal: Pack of
+// the corresponding loaded frames.
 func packedWindow(loaded *Trajectory, start, n int) *Packed {
-	frames := make([][]linalg.Vec3, n)
-	for i := range frames {
-		frames[i] = loaded.Frames[start+i].Coords
-	}
-	return packFrames(frames, loaded.NAtoms)
+	a := loaded.NAtoms
+	return Pack(&Trajectory{NAtoms: a, Coords: loaded.Coords[start*a : (start+n)*a], Times: loaded.Times[start : start+n]})
 }
 
 func sameWindow(t *testing.T, label string, got *Window, want *Packed, start int) {
@@ -86,7 +81,7 @@ func sameWindow(t *testing.T, label string, got *Window, want *Packed, start int
 }
 
 // Window k by random access — in any order, across backward jumps,
-// including the short tail window — equals packFrames of the loaded
+// including the short tail window — equals Pack of the loaded
 // frames bit for bit, for every backing and for reader sizes that do
 // and do not match a chain's blob size.
 func TestWindowReaderMatchesPackFrames(t *testing.T) {
@@ -325,7 +320,7 @@ func TestDecodersRejectNonFinite(t *testing.T) {
 	dir := t.TempDir()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		tr := fuzzTraj(3, 5, 21)
-		tr.Frames[3].Coords[2][1] = bad
+		tr.FrameCoords(3)[2][1] = bad
 		for _, prec := range []int{4, 8} {
 			path := filepath.Join(dir, "nonfinite.mdt")
 			if err := WriteMDTFile(path, tr, prec); err != nil {
