@@ -64,6 +64,20 @@ func TestPackInPlace(t *testing.T) {
 	}
 }
 
+// A generated trajectory stays one resident copy through packing: each
+// packed row is that frame's own coordinates, not a copy of them.
+func TestPackSynthWalkSharesFrames(t *testing.T) {
+	for _, tr := range []*traj.Trajectory{synth.Walk("w", 64, 17, 1, 0), synth.PathWalk("p", 9, 5, 1, 2)} {
+		p := tr.Packed()
+		for i := range tr.NFrames() {
+			row, f := p.Row(i), tr.FrameCoords(i)
+			if len(row) != 3*tr.NAtoms || &row[0] != &f[0][0] || &row[len(row)-1] != &f[tr.NAtoms-1][2] {
+				t.Fatalf("%s frame %d: packed row is a copy, want the frame's own memory", tr.Name, i)
+			}
+		}
+	}
+}
+
 // referenceDigest is the content digest spelled out: shape, then every
 // coordinate's float64 bits, little-endian, in frame and atom order.
 func referenceDigest(tr *traj.Trajectory) string {
