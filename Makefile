@@ -76,7 +76,8 @@ smoke-stream:
 # execution of arbitrary leases and the coordinator's check of both
 # unit kinds' results, then the dRMS summation's AVX2 routine against
 # its generic Go loop, bit for bit (value, decision and abandoning
-# block), the Leaflet cell scan's lane test against Dist2, candidate
+# block), the frame statistics' AVX2 routine against their generic
+# body, bit for bit (centroid and sum of squares), the Leaflet cell scan's lane test against Dist2, candidate
 # by candidate, with the one-pass tile body's edge and test counts,
 # and the differential tests of the Hausdorff
 # exactness contract — every method, in memory and streamed,
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRecordLeafletResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzLease -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleet/
 	$(GO) test -fuzz FuzzDRMSWithin -fuzztime $(FUZZTIME) -run '^$$' ./internal/linalg/
+	$(GO) test -fuzz FuzzFrameStats -fuzztime $(FUZZTIME) -run '^$$' ./internal/linalg/
 	$(GO) test -fuzz FuzzCellScan -fuzztime $(FUZZTIME) -run '^$$' ./internal/leaflet/
 	$(GO) test -fuzz FuzzHausdorffMethodsAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/hausdorff/
 	$(GO) test -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/engine/conformtest/

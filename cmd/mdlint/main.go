@@ -37,7 +37,6 @@ var allowlist = map[string]string{
 	"traj.Trajectory.IsPacked": "lets jobs tests assert a runner packs before its timed tasks",
 	"faultinject.Deactivate":   "disarms injected faults between tests in five packages",
 	"jobs.NewExecutor":         "conformtest runs leaflet.Run on each engine through the table",
-	"linalg.Centroid":          "reference the traj packing tests compare per-frame centroids against",
 	"traj.SetDigestClock":      "lets the traj, hausdorff and jobs tests move files out of or into the racy window without waiting",
 }
 

@@ -129,6 +129,22 @@ func (s Spec) groupSize(n int) int {
 	return psa.DefaultGroupSize(n, wantTasks)
 }
 
+// checkPlan refuses an n-member PSA ensemble whose plan would pass
+// MaxPSABlocks: k(k+1)/2 blocks for k = n/groupSize(n), k² on the full
+// matrix, counted without building them.
+func (s Spec) checkPlan(n int) error {
+	n1 := s.groupSize(n)
+	k := int64(n / n1)
+	blocks := k * (k + 1) / 2
+	if s.FullMatrix {
+		blocks = k * k
+	}
+	if blocks > MaxPSABlocks {
+		return fmt.Errorf("jobs: a psa plan of %d members in groups of %d is %d blocks, over %d", n, n1, blocks, MaxPSABlocks)
+	}
+	return nil
+}
+
 // leafletTasks resolves the task bound leaflet.Run tiles with.
 func (s Spec) leafletTasks(approach leaflet.Approach) int {
 	if approach == leaflet.Broadcast1D && engineTable[s.Engine].chunkPerRank {
@@ -249,7 +265,7 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		// The staged engines run every approach as one unit per live tile;
 		// the executors cut Approach 1 into 1-D row chunks instead.
 		if res != nil && rc.Tracer().Enabled() && (row.staged != nil || approach != leaflet.Broadcast1D) {
-			engSpan.SetAttrInt("tiles_grid", int64(len(leaflet.Plan2D(len(in.Coords), spec.Tasks))))
+			engSpan.SetAttrInt("tiles_grid", int64(leaflet.GridTiles(len(in.Coords), spec.Tasks)))
 			engSpan.SetAttrInt("tiles_live", int64(res.Stats.Tasks))
 		}
 		return finish(rc, &Result{Leaflet: res}, err)

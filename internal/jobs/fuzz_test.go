@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"reflect"
 	"testing"
+
+	"mdtask/internal/psa"
 )
 
 // FuzzSpecNormalize feeds POST /v1/jobs bodies through the server's own
@@ -12,7 +14,9 @@ import (
 // it must never panic, must be idempotent, must leave the cache key
 // unchanged when re-applied, and must never admit a synth input whose
 // coordinates or PSA matrix exceed MaxSynthBytes, nor a parallelism
-// above MaxParallelism, nor a task count above MaxTasks. It stops at the spec and never calls
+// above MaxParallelism, nor a task count above MaxTasks, nor a PSA
+// synth ensemble whose plan (built here) holds more than MaxPSABlocks
+// blocks. It stops at the spec and never calls
 // ResolveInput, so no input it accepts is generated or read. Seed
 // corpus: f.Add below plus testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
@@ -59,6 +63,12 @@ func FuzzSpecNormalize(f *testing.F) {
 			matrix.Mul(matrix, matrix).Mul(matrix, big.NewInt(8))
 			if payload.Cmp(big.NewInt(MaxSynthBytes)) > 0 || matrix.Cmp(big.NewInt(MaxSynthBytes)) > 0 {
 				t.Fatalf("admitted synth %+v: %s bytes of coordinates, %s of matrix", *g, payload, matrix)
+			}
+			if once.Analysis == AnalysisPSA {
+				blocks, err := psa.Partition(g.Count, once.groupSize(g.Count), !once.FullMatrix)
+				if err != nil || len(blocks) > MaxPSABlocks {
+					t.Fatalf("admitted synth %+v: a plan of %d blocks (bound %d), %v", *g, len(blocks), MaxPSABlocks, err)
+				}
 			}
 		}
 	})

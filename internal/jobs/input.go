@@ -144,7 +144,7 @@ func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
 			return traj.DigestedRef(t, synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))), nil
 		}
 	} else {
-		paths, err := ensemblePaths(spec.Path)
+		paths, err := ensemblePaths(spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -182,7 +182,7 @@ func synthMemberName(i int) string {
 // .mdt files: only headers are read here, frames stay on disk until an
 // engine windows them.
 func resolveEnsembleRefs(spec Spec) (traj.RefEnsemble, error) {
-	paths, err := ensemblePaths(spec.Path)
+	paths, err := ensemblePaths(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -197,16 +197,20 @@ func resolveEnsembleRefs(spec Spec) (traj.RefEnsemble, error) {
 	return refs, nil
 }
 
-// ensemblePaths lists a PSA input directory's .mdt files, sorted.
-func ensemblePaths(dir string) ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.mdt"))
+// ensemblePaths lists a PSA input directory's .mdt files, sorted, and
+// refuses a count whose plan would pass MaxPSABlocks before any is read.
+func ensemblePaths(spec Spec) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(spec.Path, "*.mdt"))
 	if err != nil {
 		return nil, err
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("jobs: no .mdt files in %s (generate some with trajgen)", dir)
+		return nil, fmt.Errorf("jobs: no .mdt files in %s (generate some with trajgen)", spec.Path)
 	}
 	sort.Strings(paths)
+	if err := spec.checkPlan(len(paths)); err != nil {
+		return nil, err
+	}
 	return paths, nil
 }
 

@@ -396,6 +396,57 @@ func TestAPIRejectsOversizedTasks(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsOversizedPSAPlan: a prime member count cuts only into
+// single-member groups, whatever tasks says, so 11 579 synth members of
+// 1 atom × 1 frame (within MaxSynthBytes) would plan about 67 M blocks.
+// The spec must answer 400 before anything is generated (Normalized
+// refuses it), and a directory of 367 files (prime, 67 528 blocks) must
+// be refused when it is listed. Small prime ensembles still run.
+func TestAPIRejectsOversizedPSAPlan(t *testing.T) {
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
+	huge := Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 11579, Atoms: 1, Frames: 1}}
+	if _, err := huge.Normalized(); err == nil || !strings.Contains(err.Error(), "blocks") {
+		t.Fatalf("11579 × 1 × 1: Normalized = %v, want the plan ceiling", err)
+	}
+	body := `{"analysis":"psa","synth":{"count":11579,"atoms":1,"frames":1}}`
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), "blocks") {
+		t.Fatalf("got %d (%s), want 400 naming the blocks", code, raw)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("oversized plan admitted %d job(s)", n)
+	}
+
+	dir := t.TempDir()
+	for i := range 367 {
+		if err := traj.WriteMDTFile(filepath.Join(dir, fmt.Sprintf("m%03d.mdt", i)), traj.Alloc("m", 1, 1), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, frames := range []int{0, 3} {
+		norm, err := Spec{Analysis: AnalysisPSA, Path: dir, MaxResidentFrames: frames}.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResolveInput(norm); err == nil || !strings.Contains(err.Error(), "blocks") {
+			t.Fatalf("367 files, max_resident_frames %d: ResolveInput = %v, want the plan ceiling", frames, err)
+		}
+	}
+
+	for _, count := range []int{7, 13, 127} {
+		for _, full := range []bool{false, true} {
+			spec := Spec{Analysis: AnalysisPSA, FullMatrix: full, Synth: &SynthSpec{Count: count, Atoms: 1, Frames: 1}}
+			if _, err := spec.Normalized(); err != nil {
+				t.Errorf("%d members (full matrix %v) refused: %v", count, full, err)
+			}
+		}
+	}
+	st := pollJob(t, ts.URL, submitJob(t, ts.URL, Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 13, Atoms: 2, Frames: 2}}).ID)
+	if st.State != StateDone {
+		t.Fatalf("13-member job: %s (%s)", st.State, st.Error)
+	}
+}
+
 // TestAPIListAndHealth covers GET /v1/jobs and /healthz.
 func TestAPIListAndHealth(t *testing.T) {
 	ts, _ := newTestServer(t, DefaultRegistry(), Options{Workers: 1})

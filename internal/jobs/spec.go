@@ -214,6 +214,9 @@ func (s Spec) Normalized() (Spec, error) {
 			if err != nil {
 				return Spec{}, err
 			}
+			if err := s.checkPlan(syn.Count); err != nil {
+				return Spec{}, err
+			}
 			s.Synth = &syn
 		}
 	case AnalysisLeaflet:
@@ -270,6 +273,16 @@ const MaxParallelism = 256
 // 42k-task repartitioning of the 4M-atom Leaflet run and every count
 // the CLIs, smoke scripts and benchmark use (at most 1024).
 const MaxTasks = 1 << 16
+
+// MaxPSABlocks bounds the blocks of a PSA plan, counted before the plan
+// (or, for a synth ensemble, the input) is built. The partition cuts n
+// members into groups of the largest n1 dividing n with (n/n1)² ≥ the
+// wanted tasks, so a prime n can only be cut into n single-member
+// groups, n(n+1)/2 blocks (n² on the full matrix), whatever tasks says:
+// 11 579 members, which MaxSynthBytes admits at 1 atom × 1 frame, would
+// plan 67 M. It is MaxTasks, the plan size a spec may ask for: every
+// prime ensemble up to 361 members fits (256 on the full matrix).
+const MaxPSABlocks = MaxTasks
 
 // synthFits reports whether 24 B (one Vec3) times every factor stays
 // within MaxSynthBytes, checking each step before it could overflow.

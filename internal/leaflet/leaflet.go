@@ -148,16 +148,24 @@ func chunks1D(n, parts int) []span {
 // comparison space.
 type block struct{ rows, cols span }
 
-// chunks2D cuts [0, n) into the p chunks of the 2-D grid, the largest p
-// with p(p+1)/2 <= maxTasks, at most n and at least 1. The search stops
-// at n, and triangleFits forms no product, so any maxTasks — up to
-// math.MaxInt, on either int width — returns after at most n steps.
-func chunks2D(n, maxTasks int) []span {
+// chunks2D cuts [0, n) into the gridChunks(n, maxTasks) chunks of the
+// 2-D grid.
+func chunks2D(n, maxTasks int) []span { return chunks1D(n, gridChunks(n, maxTasks)) }
+
+// gridChunks is the chunk count p of the 2-D grid: the largest p with
+// p(p+1)/2 <= maxTasks, at most n and at least 1 (0 for no atoms). The
+// search stops at n, and triangleFits forms no product, so any maxTasks
+// — up to math.MaxInt, on either int width — returns after at most n
+// steps.
+func gridChunks(n, maxTasks int) int {
+	if n < 1 {
+		return 0
+	}
 	p := 1
 	for p < n && triangleFits(p+1, maxTasks) {
 		p++
 	}
-	return chunks1D(n, p)
+	return p
 }
 
 // triangleFits reports whether q(q+1)/2 <= m for q >= 1, halving the
@@ -344,6 +352,17 @@ func Plan2D(n, maxTasks int) []BlockDims {
 		out[i] = BlockDims{Rows: b.rows.len(), Cols: b.cols.len(), Diagonal: b.rows == b.cols}
 	}
 	return out
+}
+
+// GridTiles counts the tiles of Plan2D(n, maxTasks), p(p+1)/2 for its p
+// chunks, without building them. The even factor is halved first:
+// p(p+1)/2 <= maxTasks fits an int, but p(p+1) may not.
+func GridTiles(n, maxTasks int) int {
+	p := gridChunks(n, maxTasks)
+	if p%2 == 0 {
+		return p / 2 * (p + 1)
+	}
+	return p * ((p + 1) / 2)
 }
 
 // Plan1D exposes Approach 1's row chunking: it returns, per chunk, the

@@ -196,6 +196,18 @@ func TestPlanHelpers(t *testing.T) {
 	}
 }
 
+// TestGridTilesCountsPlan2D: GridTiles, the tiles_grid span attribute,
+// is the length of the grid Plan2D builds, across sizes and task counts.
+func TestGridTilesCountsPlan2D(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 100, 1000, 32768} {
+		for _, tasks := range []int{0, 1, 2, 3, 5, 6, 10, 64, 255, 1024, 42_000, 1 << 16} {
+			if got, want := GridTiles(n, tasks), len(Plan2D(n, tasks)); got != want {
+				t.Fatalf("GridTiles(%d, %d) = %d, len(Plan2D) = %d", n, tasks, got, want)
+			}
+		}
+	}
+}
+
 // Any task bound plans at once, on either int width: the grid's chunk
 // count stops at n, never wraps around, and is otherwise the largest p
 // with p(p+1)/2 <= maxTasks. A bound near math.MaxInt used to wrap the
@@ -224,6 +236,9 @@ func TestChunks2DHugeTaskBounds(t *testing.T) {
 		if got := len(Plan2D(64, m)); got != 64*65/2 {
 			t.Fatalf("Plan2D(64, %d): %d tiles, want %d", m, got, 64*65/2)
 		}
+	}
+	if got := GridTiles(1<<20, math.MaxInt32); got != 65535*65536/2 {
+		t.Fatalf("GridTiles(1<<20, MaxInt32) = %d, want %d", got, 65535*65536/2)
 	}
 	// p·n passes 2³¹ here: the 4M-atom membrane in the paper's 1024 parts.
 	if err := tiles(chunks1D(4_000_000, 1024), 4_000_000); err != nil {

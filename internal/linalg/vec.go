@@ -71,22 +71,6 @@ func Dist2(a, b Vec3) float64 {
 	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
-// Centroid returns the arithmetic mean of the points.
-// It returns the zero vector for an empty slice.
-func Centroid(pts []Vec3) Vec3 {
-	if len(pts) == 0 {
-		return Vec3{}
-	}
-	var c Vec3
-	for _, p := range pts {
-		c[0] += p[0]
-		c[1] += p[1]
-		c[2] += p[2]
-	}
-	inv := 1 / float64(len(pts))
-	return c.Scale(inv)
-}
-
 // BoundingBox returns the axis-aligned bounding box (min, max corners)
 // of the points. Both corners are zero for an empty slice.
 func BoundingBox(pts []Vec3) (lo, hi Vec3) {

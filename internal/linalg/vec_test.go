@@ -72,23 +72,23 @@ func TestDistSymmetricQuick(t *testing.T) {
 
 func TestCentroidAndCenter(t *testing.T) {
 	pts := []Vec3{{1, 2, 3}, {3, 2, 1}, {2, 2, 2}}
-	c := Centroid(pts)
+	c, _ := FrameStats(Floats(pts))
 	if c != (Vec3{2, 2, 2}) {
-		t.Fatalf("Centroid = %v", c)
+		t.Fatalf("centroid = %v", c)
 	}
 	removed := Center(pts)
 	if removed != c {
 		t.Errorf("Center returned %v, want %v", removed, c)
 	}
-	after := Centroid(pts)
+	after, _ := FrameStats(Floats(pts))
 	if after.Norm() > 1e-14 {
 		t.Errorf("centroid after centering = %v, want ~0", after)
 	}
 }
 
 func TestCentroidEmpty(t *testing.T) {
-	if got := Centroid(nil); got != (Vec3{}) {
-		t.Errorf("Centroid(nil) = %v", got)
+	if got, rg := FrameStats(Floats(nil)); got != (Vec3{}) || rg != 0 {
+		t.Errorf("FrameStats of no points = %v, %v", got, rg)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestDRMSMetricQuick(t *testing.T) {
 // Center translates the points so their centroid is at the origin,
 // in place, and returns the centroid that was removed.
 func Center(pts []Vec3) Vec3 {
-	c := Centroid(pts)
+	c, _ := FrameStats(Floats(pts))
 	for i := range pts {
 		pts[i] = pts[i].Sub(c)
 	}

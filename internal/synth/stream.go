@@ -90,7 +90,8 @@ func zig(u uint64) (x float64, ok bool) {
 // and on a rejected wedge a fresh draw from the top. Every product is
 // rounded on its own and log and exp are the pure-Go ones below, so no
 // fused multiply-add and no run-time choice of an assembly body picks
-// the bits.
+// the bits. The strip's squeeze (wedges) decides most wedge tests, and
+// exp runs only for a point it leaves open.
 //
 //go:noinline
 func (p pcg) normSlow(u uint64) (pcg, float64) {
@@ -116,7 +117,12 @@ func (p pcg) normSlow(u uint64) (pcg, float64) {
 		}
 		var f float64
 		p, f = p.float()
-		if fn[i]+float32(float32(f)*(fn[i-1]-fn[i])) < float32(exp(float64(-.5*x)*x)) {
+		lhs := fn[i] + float32(float32(f)*(fn[i-1]-fn[i]))
+		accept, decided := wedges[i].decide(x, lhs)
+		if !decided {
+			accept = lhs < float32(exp(float64(-.5*x)*x))
+		}
+		if accept {
 			return p, x
 		}
 		p, u = p.next()
@@ -124,6 +130,59 @@ func (p pcg) normSlow(u uint64) (pcg, float64) {
 			return p, x
 		}
 	}
+}
+
+// wedge is one strip's squeeze: two lines in |x|, lo0 + lo1·|x| and
+// hi0 + hi1·|x|, below and above float32(exp(−x²/2)) everywhere on the
+// strip's wedge (the package doc has the argument).
+type wedge struct{ lo0, lo1, hi0, hi1 float64 }
+
+// decide is the wedge test lhs < float32(exp(−x²/2)) where the squeeze
+// settles it: accept below the lower line, reject at or above the upper
+// one. Between them decided is false, and only exp can tell.
+func (w *wedge) decide(x float64, lhs float32) (accept, decided bool) {
+	ax, l := math.Abs(x), float64(lhs)
+	if l < w.lo0+float64(w.lo1*ax) {
+		return true, true
+	}
+	return false, l >= w.hi0+float64(w.hi1*ax)
+}
+
+// wedges holds the squeeze of strips 1–127; strip 0's tail has no
+// wedge test.
+var wedges = makeWedges()
+
+// makeWedges bounds f(x) = e^(−x²/2) over each strip's wedge, |x| in
+// [a, b] with a = kn[i]·wn[i] and b = 2³¹·wn[i], the ends of what
+// float64(j)·float64(wn[i]) can round to for kn[i] ≤ |j| ≤ 2³¹. Where f
+// is concave (b ≤ 1) the chord lies below it and the tangent at the
+// midpoint above; where it is convex (a ≥ 1) they swap; a strip across
+// 1 takes the constants f(b) ≤ f ≤ f(a). Each bound is widened by
+// f(a)·2⁻¹⁹.
+func makeWedges() (ws [128]wedge) {
+	f := func(x float64) float64 { return exp(float64(-.5*x) * x) }
+	for i := 1; i < len(ws); i++ {
+		a, b := float64(float64(kn[i])*float64(wn[i])), float64((1<<31)*float64(wn[i]))
+		fa, fb, m := f(a), f(b), (a+b)/2
+		fm := f(m)
+		chord := (fb - fa) / (b - a)
+		tangent := -m * fm
+		w := &ws[i]
+		switch {
+		case b <= 1:
+			w.lo0, w.lo1 = fa-float64(chord*a), chord
+			w.hi0, w.hi1 = fm-float64(tangent*m), tangent
+		case a >= 1:
+			w.lo0, w.lo1 = fm-float64(tangent*m), tangent
+			w.hi0, w.hi1 = fa-float64(chord*a), chord
+		default:
+			w.lo0, w.hi0 = fb, fa
+		}
+		margin := float64(fa * 0x1p-19)
+		w.lo0 -= margin
+		w.hi0 += margin
+	}
+	return ws
 }
 
 // absInt32 is |i| as a uint32, defined for math.MinInt32 too.

@@ -168,3 +168,63 @@ func FuzzNormStream(f *testing.F) {
 		}
 	})
 }
+
+// TestWedgeSqueezeAgreesWithExp holds every strip's squeeze to the
+// exp wedge test it stands in for. For each strip it takes |j| on an
+// even grid over [kn[i], 2³¹], both ends included, and at each x two
+// sets of heights: lhs for a grid of uniforms f over [0, 1), both ends
+// included, the heights a draw can have, and the float32 heights from
+// 8 ulps below float32(exp(−x²/2)) to 8 above, where a bound that is
+// not one shows first. Every point the squeeze decides must be decided
+// as exp decides it; exp must still be needed somewhere; and the
+// squeeze must decide at least 90 % of the drawable points.
+func TestWedgeSqueezeAgreesWithExp(t *testing.T) {
+	const nj, nf, ulps = 257, 129, 8
+	drawn, decided, open := 0, 0, 0
+	check := func(i uint64, x float64, lhs float32) bool {
+		want := lhs < float32(exp(float64(-.5*x)*x))
+		accept, ok := wedges[i].decide(x, lhs)
+		if ok && accept != want {
+			t.Fatalf("strip %d, x = %v, lhs = %v: squeeze says %v, exp says %v", i, x, lhs, accept, want)
+		}
+		if !ok {
+			open++
+		}
+		return ok
+	}
+	for i := uint64(1); i < 128; i++ {
+		lo := int64(kn[i])
+		for a := 0; a < nj; a++ {
+			m := lo + (1<<31-lo)*int64(a)/(nj-1)
+			j := int32(m) // |j| = 2³¹ is math.MinInt32
+			if a%2 == 1 || m == 1<<31 {
+				j = int32(-m)
+			}
+			x := float64(j) * float64(wn[i])
+			for b := 0; b < nf; b++ {
+				f := float64(b) / (nf - 1)
+				if b == nf-1 {
+					f = uniform(math.MaxUint64) // the largest Float64, 1 − 2⁻⁵³
+				}
+				drawn++
+				if check(i, x, fn[i]+float32(float32(f)*(fn[i-1]-fn[i]))) {
+					decided++
+				}
+			}
+			rhs := float32(exp(float64(-.5*x) * x))
+			for k, up, down := 0, rhs, rhs; k <= ulps; k++ {
+				check(i, x, up)
+				check(i, x, down)
+				up, down = math.Nextafter32(up, 2), math.Nextafter32(down, 0)
+			}
+		}
+	}
+	share := float64(decided) / float64(drawn)
+	t.Logf("the squeeze decided %d of %d drawable points (%.4f); exp was needed %d times", decided, drawn, share, open)
+	if open == 0 {
+		t.Fatal("the exp fallback was never reached")
+	}
+	if share < 0.9 {
+		t.Fatalf("the squeeze decided %.4f of the drawable points, want ≥ 0.9", share)
+	}
+}

@@ -29,6 +29,30 @@
 // which keeps its 128-bit state in registers: a walk costs about a
 // fifth less to generate than through rand.Rand (BenchmarkWalk).
 //
+// The wedge test of strip i, lhs < float32(exp(−x²/2)), is decided by
+// a squeeze wherever it can be (Marsaglia & Tsang 2000; McFarland 2016
+// decides overhang points by convexity the same way), and exp runs only
+// for the points it leaves open. A wedge draw's |x| lies in [a, b],
+// a = kn[i]·wn[i] and b = 2³¹·wn[i]. On that interval f(x) = e^(−x²/2)
+// lies between two lines. Where f is concave (b ≤ 1) the chord through
+// (a, f(a)) and (b, f(b)) is below f and the tangent at the midpoint is
+// above it. Where f is convex (a ≥ 1) the two swap. The one strip across
+// 1 takes the constants f(b) ≤ f ≤ f(a), since f falls on [0, ∞). Each
+// line is moved away from f by f(a)·2⁻¹⁹, and the squeeze accepts when
+// float64(lhs) is below the lower line and rejects when it is at or
+// above the upper one. That is the test exp would decide. The margin
+// covers what separates float32(exp(−x²/2)) from the real f(x) on the
+// strip: rounding to float32, at most 2⁻²⁴·f(x) ≤ 2⁻²⁴·f(a), which the
+// margin exceeds 2⁵ times over; exp's own error and that of the rounded
+// −x²/2, a few units of 2⁻⁵³; and the rounding of the lines, which are
+// built at init with the package's own exp and evaluated with each
+// product rounded, a few units of 2⁻⁵³ of f(a) too. So every point the
+// squeeze decides, exp would decide the same way, on every GOARCH, and
+// the bytes do not move (TestWedgeSqueezeAgreesWithExp checks every
+// strip on a dense grid, the float32 neighbours of the threshold
+// included). exp runs for about 7 % of wedge tests, mostly in strip 1,
+// whose wedge is all of it.
+//
 // The two generators the job service serves, Walk and Bilayer, are
 // addressed by their recipe: WalkDigest and BilayerDigest hash the
 // generator's version and arguments, never the coordinates, so a server

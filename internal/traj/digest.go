@@ -71,7 +71,7 @@ func (r *Ref) hashFrames(fr frameReader, sk *sketch) (string, error) {
 		h.floats(rows[:n*w3])
 		if sk != nil {
 			for i := range n {
-				sk.centroids[start+i], sk.radGyr[start+i] = rowStats(rows[i*w3 : (i+1)*w3])
+				sk.centroids[start+i], sk.radGyr[start+i] = linalg.FrameStats(rows[i*w3 : (i+1)*w3])
 			}
 		}
 	}

@@ -120,9 +120,9 @@ type digestEntry struct {
 func (e *digestEntry) size() int64 { return digestEntryBytes + e.sketch.size() }
 
 // sketch holds the per-frame statistics of one file, computed by the
-// pass that digested it with the rowStats a window decode would run on
-// the same decoded rows, so a window served from it is bit-identical to
-// one that computes. It is read-only once recorded: concurrent window
+// pass that digested it with the linalg.FrameStats a window decode
+// would run on the same decoded rows, so a window served from it is
+// bit-identical to one that computes. It is read-only once recorded: concurrent window
 // readers slice it.
 type sketch struct {
 	centroids []linalg.Vec3

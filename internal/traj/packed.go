@@ -68,7 +68,10 @@ func (p *Packed) Row(i int) []float64 {
 
 // Pack builds the packed representation of a trajectory: Coords is the
 // trajectory's own backing viewed as float64s, never a copy, and only
-// the per-frame statistics are computed.
+// the per-frame statistics are computed. Each frame's centroid and
+// radius of gyration are linalg.FrameStats of its row, as a window
+// decode and a digest's sketch compute them, so a window's statistics
+// are bit-identical to the packed trajectory's.
 func Pack(t *Trajectory) *Packed {
 	nf := t.NFrames()
 	p := &Packed{
@@ -81,7 +84,7 @@ func Pack(t *Trajectory) *Packed {
 	}
 	for i := range nf {
 		row := p.Row(i)
-		p.Centroids[i], p.RadGyr[i] = rowStats(row)
+		p.Centroids[i], p.RadGyr[i] = linalg.FrameStats(row)
 		if i > 0 {
 			d, _ := linalg.DRMSWithin(p.Row(i-1), row, math.Inf(1))
 			p.StepDRMS[i] = d

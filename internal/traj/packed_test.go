@@ -35,16 +35,26 @@ func TestPackLayoutAndStats(t *testing.T) {
 				}
 			}
 		}
-		c := linalg.Centroid(f)
-		if p.Centroids[i] != c {
-			t.Errorf("frame %d centroid %v != %v", i, p.Centroids[i], c)
+		// The reference is the lane-order generic body: these rows are
+		// far below the atom floor of the AVX2 one.
+		c, rg := linalg.FrameStats(row)
+		if p.Centroids[i] != c || p.RadGyr[i] != rg {
+			t.Errorf("frame %d stats %v, %v; FrameStats %v, %v", i, p.Centroids[i], p.RadGyr[i], c, rg)
+		}
+		// Integer coordinates: the mean is exact in any order.
+		var sum linalg.Vec3
+		for _, pt := range f {
+			sum = sum.Add(pt)
+		}
+		if mean := sum.Scale(1.0 / 3); c != mean {
+			t.Errorf("frame %d centroid %v, mean %v", i, c, mean)
 		}
 		var s float64
 		for _, pt := range f {
 			s += linalg.Dist2(pt, c)
 		}
-		if want := math.Sqrt(s / 3); p.RadGyr[i] != want {
-			t.Errorf("frame %d rg %v != %v", i, p.RadGyr[i], want)
+		if want := math.Sqrt(s / 3); math.Abs(rg-want) > 1e-15*want {
+			t.Errorf("frame %d rg %v, serial %v", i, rg, want)
 		}
 	}
 	if p.StepDRMS[0] != 0 {

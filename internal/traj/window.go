@@ -3,7 +3,6 @@ package traj
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -173,7 +172,7 @@ func (wr *WindowReader) Window(k int) (*Window, error) {
 			}
 			p.Centroids, p.RadGyr = s.centroids[:n], s.radGyr[:n]
 			for i := range n {
-				p.Centroids[i], p.RadGyr[i] = rowStats(p.Coords[i*w3 : (i+1)*w3])
+				p.Centroids[i], p.RadGyr[i] = linalg.FrameStats(p.Coords[i*w3 : (i+1)*w3])
 			}
 			windowStatsComputed.Add(int64(n))
 		}
@@ -194,31 +193,6 @@ func (wr *WindowReader) Close() {
 		wr.slot = nil
 	}
 	wr.p.Coords, wr.p.Centroids, wr.p.RadGyr = nil, nil, nil
-}
-
-// rowStats returns the centroid and radius of gyration of one packed
-// frame row — the side data of the pruned Hausdorff bounds. Pack and
-// the window decode share it, so a window's statistics are
-// bit-identical to the packed trajectory's.
-func rowStats(row []float64) (c linalg.Vec3, rg float64) {
-	n := len(row) / 3
-	if n == 0 {
-		return c, 0
-	}
-	for i := 0; i+2 < len(row); i += 3 {
-		c[0] += row[i]
-		c[1] += row[i+1]
-		c[2] += row[i+2]
-	}
-	c = c.Scale(1 / float64(n))
-	var s float64
-	for i := 0; i+2 < len(row); i += 3 {
-		dx := row[i] - c[0]
-		dy := row[i+1] - c[1]
-		dz := row[i+2] - c[2]
-		s += float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
-	}
-	return c, math.Sqrt(s / float64(n))
 }
 
 // WindowIter walks a trajectory's windows front to back: a thin
