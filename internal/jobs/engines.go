@@ -130,16 +130,10 @@ func (s Spec) groupSize(n int) int {
 }
 
 // checkPlan refuses an n-member PSA ensemble whose plan would pass
-// MaxPSABlocks: k(k+1)/2 blocks for k = n/groupSize(n), k² on the full
-// matrix, counted without building them.
+// MaxPSABlocks, counted (psa.PlanBlocks) without building it.
 func (s Spec) checkPlan(n int) error {
 	n1 := s.groupSize(n)
-	k := int64(n / n1)
-	blocks := k * (k + 1) / 2
-	if s.FullMatrix {
-		blocks = k * k
-	}
-	if blocks > MaxPSABlocks {
+	if blocks := psa.PlanBlocks(n, n1, !s.FullMatrix); blocks > MaxPSABlocks {
 		return fmt.Errorf("jobs: a psa plan of %d members in groups of %d is %d blocks, over %d", n, n1, blocks, MaxPSABlocks)
 	}
 	return nil

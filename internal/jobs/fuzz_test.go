@@ -15,8 +15,8 @@ import (
 // unchanged when re-applied, and must never admit a synth input whose
 // coordinates or PSA matrix exceed MaxSynthBytes, nor a parallelism
 // above MaxParallelism, nor a task count above MaxTasks, nor a PSA
-// synth ensemble whose plan (built here) holds more than MaxPSABlocks
-// blocks. It stops at the spec and never calls
+// synth ensemble whose plan (counted by psa.PlanBlocks) holds more than
+// MaxPSABlocks blocks. It stops at the spec and never calls
 // ResolveInput, so no input it accepts is generated or read. Seed
 // corpus: f.Add below plus testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
@@ -65,9 +65,8 @@ func FuzzSpecNormalize(f *testing.F) {
 				t.Fatalf("admitted synth %+v: %s bytes of coordinates, %s of matrix", *g, payload, matrix)
 			}
 			if once.Analysis == AnalysisPSA {
-				blocks, err := psa.Partition(g.Count, once.groupSize(g.Count), !once.FullMatrix)
-				if err != nil || len(blocks) > MaxPSABlocks {
-					t.Fatalf("admitted synth %+v: a plan of %d blocks (bound %d), %v", *g, len(blocks), MaxPSABlocks, err)
+				if blocks := psa.PlanBlocks(g.Count, once.groupSize(g.Count), !once.FullMatrix); blocks > MaxPSABlocks {
+					t.Fatalf("admitted synth %+v: a plan of %d blocks (bound %d)", *g, blocks, MaxPSABlocks)
 				}
 			}
 		}

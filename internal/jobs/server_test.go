@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
@@ -400,8 +401,11 @@ func TestAPIRejectsOversizedTasks(t *testing.T) {
 // single-member groups, whatever tasks says, so 11 579 synth members of
 // 1 atom × 1 frame (within MaxSynthBytes) would plan about 67 M blocks.
 // The spec must answer 400 before anything is generated (Normalized
-// refuses it), and a directory of 367 files (prime, 67 528 blocks) must
-// be refused when it is listed. Small prime ensembles still run.
+// refuses it), and a directory of 8209 files (prime, 33.7 M blocks) must
+// be refused when it is listed, before any file is read (they are
+// empty). The ceiling is bytes of plan, so the largest primes under it
+// (8191; 5791 on the full matrix) are admitted and the next refused,
+// and so are small primes and 2p plans of a few MB.
 func TestAPIRejectsOversizedPSAPlan(t *testing.T) {
 	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1})
 	huge := Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 11579, Atoms: 1, Frames: 1}}
@@ -416,10 +420,13 @@ func TestAPIRejectsOversizedPSAPlan(t *testing.T) {
 	if n := len(s.Jobs()); n != 0 {
 		t.Fatalf("oversized plan admitted %d job(s)", n)
 	}
+	if sz := int64(unsafe.Sizeof(psa.Block{})); MaxPSABlocks*sz > MaxSynthBytes {
+		t.Fatalf("a plan of %d blocks of %d B passes %d B", MaxPSABlocks, sz, MaxSynthBytes)
+	}
 
 	dir := t.TempDir()
-	for i := range 367 {
-		if err := traj.WriteMDTFile(filepath.Join(dir, fmt.Sprintf("m%03d.mdt", i)), traj.Alloc("m", 1, 1), 4); err != nil {
+	for i := range 8209 {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("m%04d.mdt", i)), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,16 +436,24 @@ func TestAPIRejectsOversizedPSAPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := ResolveInput(norm); err == nil || !strings.Contains(err.Error(), "blocks") {
-			t.Fatalf("367 files, max_resident_frames %d: ResolveInput = %v, want the plan ceiling", frames, err)
+			t.Fatalf("8209 files, max_resident_frames %d: ResolveInput = %v, want the plan ceiling", frames, err)
 		}
 	}
 
-	for _, count := range []int{7, 13, 127} {
-		for _, full := range []bool{false, true} {
-			spec := Spec{Analysis: AnalysisPSA, FullMatrix: full, Synth: &SynthSpec{Count: count, Atoms: 1, Frames: 1}}
-			if _, err := spec.Normalized(); err != nil {
-				t.Errorf("%d members (full matrix %v) refused: %v", count, full, err)
-			}
+	for _, tc := range []struct {
+		count, tasks int
+		full, ok     bool
+	}{
+		{count: 7, ok: true}, {count: 7, full: true, ok: true},
+		{count: 13, ok: true}, {count: 13, full: true, ok: true},
+		{count: 127, ok: true}, {count: 127, full: true, ok: true},
+		{count: 367, ok: true}, {count: 734, tasks: 64, ok: true},
+		{count: 8191, ok: true}, {count: 8209},
+		{count: 5791, full: true, ok: true}, {count: 5801, full: true},
+	} {
+		spec := Spec{Analysis: AnalysisPSA, FullMatrix: tc.full, Tasks: tc.tasks, Synth: &SynthSpec{Count: tc.count, Atoms: 1, Frames: 1}}
+		if _, err := spec.Normalized(); (err == nil) != tc.ok {
+			t.Errorf("%d members (tasks %d, full matrix %v): Normalized = %v, admitted want %v", tc.count, tc.tasks, tc.full, err, tc.ok)
 		}
 	}
 	st := pollJob(t, ts.URL, submitJob(t, ts.URL, Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{Count: 13, Atoms: 2, Frames: 2}}).ID)

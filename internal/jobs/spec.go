@@ -280,9 +280,12 @@ const MaxTasks = 1 << 16
 // wanted tasks, so a prime n can only be cut into n single-member
 // groups, n(n+1)/2 blocks (n² on the full matrix), whatever tasks says:
 // 11 579 members, which MaxSynthBytes admits at 1 atom × 1 frame, would
-// plan 67 M. It is MaxTasks, the plan size a spec may ask for: every
-// prime ensemble up to 361 members fits (256 on the full matrix).
-const MaxPSABlocks = MaxTasks
+// plan 67 M, 2.1 GB of psa.Block. The plan gets the byte budget the
+// input and the matrix get: MaxSynthBytes of blocks at 32 B each (four
+// ints on a 64-bit host; fixed, so a 32-bit build admits the same
+// specs), 33 554 432 blocks. Every prime ensemble up to 8191 members
+// fits (5791 on the full matrix).
+const MaxPSABlocks = MaxSynthBytes / 32
 
 // synthFits reports whether 24 B (one Vec3) times every factor stays
 // within MaxSynthBytes, checking each step before it could overflow.

@@ -16,14 +16,6 @@ import "math"
 // registers, bit for bit (FuzzFrameStats).
 const statsLanes = 24
 
-// statsAVX2MinAtoms is the smallest row FrameStats hands to the AVX2
-// body; smaller rows run the generic one. Both give the same bits. The
-// AVX2 body is the faster at every size (BenchmarkFrameStats: 12 against
-// 57 ns at 16 atoms), but below the floor a row costs tens of
-// nanoseconds either way, and rows of a few atoms stay on the reference
-// body, which is also what the packing tests compare against.
-const statsAVX2MinAtoms = 64
-
 // FrameStats returns the centroid c and the radius of gyration rg
 // (sqrt(mean |xⱼ − c|²)) of one packed frame row (x₀,y₀,z₀,x₁,…), the
 // side data of the pruned Hausdorff bounds. It returns zeros for an
@@ -38,7 +30,7 @@ func FrameStats(row []float64) (c Vec3, rg float64) {
 		return c, 0
 	}
 	var q float64
-	if useAVX2 && n >= statsAVX2MinAtoms {
+	if useAVX2 {
 		c[0], c[1], c[2], q = frameSumsAVX2(row, 1/float64(n))
 	} else {
 		c[0], c[1], c[2], q = frameSumsGeneric(row, 1/float64(n))

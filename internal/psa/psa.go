@@ -138,6 +138,18 @@ func (b Block) TaskPairs(symmetric bool) int {
 	return b.Pairs()
 }
 
+// PlanBlocks counts the blocks Partition(n, n1, symmetric) builds,
+// without building them: k(k+1)/2 for k = N/n1 under the triangular
+// schedule, k² on Algorithm 2's full grid. n1 must be a positive
+// divisor of N, as for Partition.
+func PlanBlocks(n, n1 int, symmetric bool) int64 {
+	k := int64(n / n1)
+	if symmetric {
+		return k * (k + 1) / 2
+	}
+	return k * k
+}
+
 // Partition2D maps the N² distances onto (N/n1)² block tasks
 // (Algorithm 2). n1 must be a positive divisor of N.
 func Partition2D(n, n1 int) ([]Block, error) {
@@ -145,7 +157,7 @@ func Partition2D(n, n1 int) ([]Block, error) {
 		return nil, fmt.Errorf("psa: group size %d must be a positive divisor of N=%d", n1, n)
 	}
 	k := n / n1
-	blocks := make([]Block, 0, k*k)
+	blocks := make([]Block, 0, PlanBlocks(n, n1, false))
 	for bi := 0; bi < k; bi++ {
 		for bj := 0; bj < k; bj++ {
 			blocks = append(blocks, Block{
@@ -167,7 +179,7 @@ func PartitionTriangular(n, n1 int) ([]Block, error) {
 		return nil, fmt.Errorf("psa: group size %d must be a positive divisor of N=%d", n1, n)
 	}
 	k := n / n1
-	blocks := make([]Block, 0, k*(k+1)/2)
+	blocks := make([]Block, 0, PlanBlocks(n, n1, true))
 	for bi := 0; bi < k; bi++ {
 		for bj := bi; bj < k; bj++ {
 			blocks = append(blocks, Block{

@@ -97,6 +97,27 @@ func TestPartitionTriangularCoversUpperPairs(t *testing.T) {
 	}
 }
 
+// PlanBlocks counts exactly the blocks Partition builds, on both
+// schedules, for every divisor group size.
+func TestPlanBlocksCountsPartition(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 12, 13, 24, 36, 97} {
+		for n1 := 1; n1 <= n; n1++ {
+			if n%n1 != 0 {
+				continue
+			}
+			for _, sym := range []bool{false, true} {
+				blocks, err := Partition(n, n1, sym)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := PlanBlocks(n, n1, sym); got != int64(len(blocks)) {
+					t.Errorf("PlanBlocks(%d, %d, %v) = %d, Partition built %d", n, n1, sym, got, len(blocks))
+				}
+			}
+		}
+	}
+}
+
 // The symmetric schedule does k(k+1)/2 − k·n1-ish of the full grid's k²
 // kernel evaluations: just over half the work, approaching exactly half
 // as N grows.

@@ -35,8 +35,6 @@ func TestPackLayoutAndStats(t *testing.T) {
 				}
 			}
 		}
-		// The reference is the lane-order generic body: these rows are
-		// far below the atom floor of the AVX2 one.
 		c, rg := linalg.FrameStats(row)
 		if p.Centroids[i] != c || p.RadGyr[i] != rg {
 			t.Errorf("frame %d stats %v, %v; FrameStats %v, %v", i, p.Centroids[i], p.RadGyr[i], c, rg)
