@@ -131,6 +131,11 @@ type Job struct {
 	err      error
 	doneCh   chan struct{}
 	result   any
+
+	// reads counts the blob reads (blobOf) that found the job in the
+	// table and may still be encoding from its plan's input; Drop
+	// waits for them.
+	reads sync.WaitGroup
 }
 
 // Result returns the assembled result of a completed job: whatever its
@@ -235,10 +240,11 @@ func (c *Coordinator) Abort(j *Job) {
 
 // Drop removes a finished (or abandoned) job from the coordinator so
 // its input payload and results can be collected. Dropping an
-// unfinished job aborts it first.
+// unfinished job aborts it first. Drop returns once no blob read of the
+// job is in flight, so from then on nothing the coordinator does reads
+// the plan's input, and its owner may reuse that memory.
 func (c *Coordinator) Drop(j *Job) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !j.finished {
 		c.revokeJobLeasesLocked(j)
 		j.finishLocked(ErrAborted)
@@ -250,6 +256,8 @@ func (c *Coordinator) Drop(j *Job) {
 			break
 		}
 	}
+	c.mu.Unlock()
+	j.reads.Wait()
 }
 
 // revokeJobLeasesLocked retires every active lease of one job without
@@ -385,14 +393,20 @@ func (c *Coordinator) lease(workerID string) (*Lease, error) {
 
 // blobOf serves one input blob of a job. The plan encodes it outside
 // the coordinator lock — it may read a file or a remote source — so a
-// slow fetch never stalls the lease/heartbeat path.
+// slow fetch never stalls the lease/heartbeat path. The read is counted
+// while the job is still in the table, under the lock Drop removes it
+// with, so Drop waits for every read that found the job.
 func (c *Coordinator) blobOf(jobID, name string) ([]byte, error) {
 	c.mu.Lock()
 	j, ok := c.jobs[jobID]
+	if ok {
+		j.reads.Add(1)
+	}
 	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("fleet: no such job %q", jobID)
 	}
+	defer j.reads.Done()
 	return j.run.Blob(name)
 }
 

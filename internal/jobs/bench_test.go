@@ -13,10 +13,15 @@ import (
 )
 
 // BenchmarkResolveInput times the staging of a synth submission —
-// ResolveInput generates the input, ContentDigest addresses it — at the
-// shapes of the service benchmark's psa-cold (8×1024×64) and
-// leaflet-cold (32 768 atoms) workloads. digest-ns/op is the
-// ContentDigest part alone; MB/s counts the generated coordinates.
+// the input generated, ContentDigest addressing it — at the shapes of
+// the service benchmark's psa-cold (8×1024×64) and leaflet-cold
+// (32 768 atoms) workloads, two ways. fresh is ResolveInput, as the
+// CLIs and the benchmark's layer replay call it: every member in newly
+// allocated memory. reused gives each input back to the pool it was
+// generated from, as a finished job gives it back to the scheduler's,
+// so its B/op and allocs/op are the server's steady state on a stream
+// of jobs of one shape. digest-ns/op is the ContentDigest part alone;
+// MB/s counts the generated coordinates.
 func BenchmarkResolveInput(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -31,25 +36,38 @@ func BenchmarkResolveInput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var digest time.Duration
-			for i := 0; i < b.N; i++ {
-				in, err := ResolveInput(norm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				t0 := time.Now()
-				if _, err := in.ContentDigest(); err != nil {
-					b.Fatal(err)
-				}
-				digest += time.Since(t0)
-				if i == 0 {
-					b.SetBytes(in.Refs.Bytes() + int64(len(in.Coords))*24)
-				}
+		for _, reuse := range []bool{false, true} {
+			name := tc.name + "/fresh"
+			if reuse {
+				name = tc.name + "/reused"
 			}
-			b.ReportMetric(float64(digest.Nanoseconds())/float64(b.N), "digest-ns/op")
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var (
+					pool   *backingPool // nil: fresh memory each time
+					digest time.Duration
+				)
+				if reuse {
+					pool = &backingPool{keep: 1}
+				}
+				for i := 0; i < b.N; i++ {
+					in, err := resolveInput(norm, pool)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t0 := time.Now()
+					if _, err := in.ContentDigest(); err != nil {
+						b.Fatal(err)
+					}
+					digest += time.Since(t0)
+					if i == 0 {
+						b.SetBytes(in.Refs.Bytes() + int64(len(in.Coords))*24)
+					}
+					in.release()
+				}
+				b.ReportMetric(float64(digest.Nanoseconds())/float64(b.N), "digest-ns/op")
+			})
+		}
 	}
 }
 

@@ -36,6 +36,10 @@ type Input struct {
 	Coords []linalg.Vec3
 	// recipe is the digest of a generated membrane (empty for a file).
 	recipe string
+	// backings is the coordinate memory of a generated input, taken from
+	// pool; release gives it back.
+	backings [][]linalg.Vec3
+	pool     *backingPool
 
 	digestOnce sync.Once
 	digest     string
@@ -81,8 +85,54 @@ func coordsDigest(coords []linalg.Vec3) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// release gives a generated input's backings back to the pool they
+// came from and drops the input's views of them. Nothing may read the
+// input's coordinates afterwards: the next input generated may be
+// written into the same memory. It is a no-op on a second call, on a
+// nil input, or for an input read from files.
+func (in *Input) release() {
+	if in == nil {
+		return
+	}
+	in.pool.give(in.backings)
+	in.backings = nil
+	in.Refs, in.Ens, in.Coords = nil, nil, nil
+}
+
+// synthDigest returns the digest that addresses a generated input,
+// composed from its recipe as ContentDigest composes the generated
+// input's: a PSA ensemble's as refsDigest composes its members'
+// WalkDigests, a membrane's its BilayerDigest. So a synth spec's cache
+// key is known before a byte is generated. ok is false for an input
+// read from files.
+func synthDigest(spec Spec) (digest string, ok bool) {
+	g := spec.Synth
+	if g == nil {
+		return "", false
+	}
+	switch spec.Analysis {
+	case AnalysisPSA:
+		ds := make([]string, g.Count)
+		for i := range ds {
+			ds[i] = synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))
+		}
+		return composeDigests(ds), true
+	case AnalysisLeaflet:
+		return synth.BilayerDigest(g.Atoms, g.Seed), true
+	}
+	return "", false
+}
+
 // ResolveInput loads or generates the input a normalized spec describes.
-func ResolveInput(spec Spec) (*Input, error) {
+func ResolveInput(spec Spec) (*Input, error) { return resolveInput(spec, nil) }
+
+// resolveInput is ResolveInput with a generated input written into
+// backings taken from pool (nil: fresh ones), which the input's release
+// gives back.
+func resolveInput(spec Spec, pool *backingPool) (*Input, error) {
+	if spec.Synth != nil {
+		return generateInput(spec, pool)
+	}
 	switch spec.Analysis {
 	case AnalysisPSA:
 		if spec.MaxResidentFrames > 0 && spec.Path != "" {
@@ -100,14 +150,8 @@ func ResolveInput(spec Spec) (*Input, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ens.Validate(); err != nil {
-			return nil, err
-		}
 		return &Input{Ens: ens, Refs: refs}, nil
 	case AnalysisLeaflet:
-		if g := spec.Synth; g != nil {
-			return &Input{Coords: synth.Bilayer(g.Atoms, g.Seed).Coords, recipe: synth.BilayerDigest(g.Atoms, g.Seed)}, nil
-		}
 		coords, err := resolveCoords(spec.Path)
 		if err != nil {
 			return nil, err
@@ -121,42 +165,61 @@ func ResolveInput(spec Spec) (*Input, error) {
 	}
 }
 
-// resolveEnsemble reads a directory of .mdt files (sorted by name) or
-// generates a random-walk ensemble, one task per trajectory on a
-// GOMAXPROCS pool, and returns it with memory-backed refs over it. Each
-// member is a pure function of its own (seed, stream) or file, so the
-// ensemble is the same whatever the schedule, and a failure names the
-// lowest failing file, as a sequential loop would. A generated member's
-// ref carries its recipe digest, which depends on the member's own
-// (seed, stream) and shape and not on the ensemble's Count, so an
-// ensemble grown by one member shares every earlier member's digest,
-// and so its cached blocks. A file member's ref digests its content
-// when asked.
-func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
-	var (
-		n      int
-		member func(i int) (*traj.Ref, error)
-	)
-	if g := spec.Synth; g != nil {
-		n = g.Count
-		member = func(i int) (*traj.Ref, error) {
-			t := synth.Walk(synthMemberName(i), g.Atoms, g.Frames, g.Seed, uint64(i))
+// generateInput generates a synth spec's input into backings taken from
+// pool; its ContentDigest is what synthDigest gives for the spec. A
+// PSA ensemble is one Walk per member; a member's ref carries its
+// recipe digest, which depends on the member's own (seed, stream) and
+// shape and not on the ensemble's Count, so an ensemble grown by one
+// member shares every earlier member's digest, and so its cached
+// blocks. A membrane is Bilayer's coordinates alone: the job never
+// reads the ground-truth labels the CLIs check against.
+func generateInput(spec Spec, pool *backingPool) (*Input, error) {
+	g := spec.Synth
+	switch spec.Analysis {
+	case AnalysisPSA:
+		in := &Input{pool: pool, backings: make([][]linalg.Vec3, g.Count)}
+		ens, refs, err := loadEnsemble(g.Count, func(i int) (*traj.Ref, error) {
+			in.backings[i] = pool.take(g.Atoms * g.Frames)
+			t := synth.WalkInto(in.backings[i], synthMemberName(i), g.Atoms, g.Frames, g.Seed, uint64(i))
 			return traj.DigestedRef(t, synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))), nil
-		}
-	} else {
-		paths, err := ensemblePaths(spec)
+		})
 		if err != nil {
-			return nil, nil, err
+			in.release()
+			return nil, err
 		}
-		n = len(paths)
-		member = func(i int) (*traj.Ref, error) {
-			t, err := traj.ReadMDTFile(paths[i])
-			if err != nil {
-				return nil, err
-			}
-			return traj.MemRef(t), nil
-		}
+		in.Ens, in.Refs = ens, refs
+		return in, nil
+	case AnalysisLeaflet:
+		b := pool.take(g.Atoms)
+		return &Input{Coords: synth.BilayerCoords(b, g.Seed), recipe: synth.BilayerDigest(g.Atoms, g.Seed),
+			backings: [][]linalg.Vec3{b}, pool: pool}, nil
+	default:
+		return nil, fmt.Errorf("jobs: unknown analysis %q", spec.Analysis)
 	}
+}
+
+// resolveEnsemble reads a directory of .mdt files (sorted by name) into
+// memory. A member's ref digests its content when asked.
+func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
+	paths, err := ensemblePaths(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return loadEnsemble(len(paths), func(i int) (*traj.Ref, error) {
+		t, err := traj.ReadMDTFile(paths[i])
+		if err != nil {
+			return nil, err
+		}
+		return traj.MemRef(t), nil
+	})
+}
+
+// loadEnsemble builds n resident members, one task per member on a
+// GOMAXPROCS pool, and returns them, validated, with memory-backed refs
+// over them. Each member is a pure function of its own (seed, stream)
+// or file, so the ensemble is the same whatever the schedule, and a
+// failure names the lowest failing member, as a sequential loop would.
+func loadEnsemble(n int, member func(i int) (*traj.Ref, error)) (traj.Ensemble, traj.RefEnsemble, error) {
 	refs := make(traj.RefEnsemble, n)
 	if err := engine.NewPool(0, nil).ForEach(n, func(i int) (err error) {
 		refs[i], err = member(i)
@@ -165,7 +228,13 @@ func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
 		return nil, nil, err
 	}
 	ens, err := refs.Load() // memory-backed: shares the trajectories
-	return ens, refs, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ens.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return ens, refs, nil
 }
 
 // synthMemberName names member i of a generated ensemble as
@@ -248,6 +317,12 @@ func refsDigest(refs traj.RefEnsemble) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return composeDigests(ds), nil
+}
+
+// composeDigests hashes an ordered list of member digests: their
+// count, then each one.
+func composeDigests(ds []string) string {
 	h := sha256.New()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(len(ds)))
@@ -255,5 +330,5 @@ func refsDigest(refs traj.RefEnsemble) (string, error) {
 	for _, d := range ds {
 		h.Write([]byte(d))
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }

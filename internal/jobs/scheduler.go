@@ -212,10 +212,11 @@ type Options struct {
 // (whole-job entries and the per-block entries every engine records
 // through it), and the service-wide engine-metrics aggregate.
 type Scheduler struct {
-	reg     *Registry
-	store   *blockstore.Store
-	journal *WALStore // the job table; memory-only without Options.Journal
-	agg     *engine.Metrics
+	reg      *Registry
+	store    *blockstore.Store
+	journal  *WALStore // the job table; memory-only without Options.Journal
+	agg      *engine.Metrics
+	backings backingPool // generated inputs' coordinate memory, reused between jobs
 
 	obs           *obs.Obs
 	queueWaitHist *obs.Histogram
@@ -269,6 +270,7 @@ func NewScheduler(reg *Registry, o Options) *Scheduler {
 		store:         store,
 		journal:       journal,
 		agg:           &engine.Metrics{},
+		backings:      backingPool{keep: o.Workers},
 		obs:           ob,
 		maxJobs:       o.MaxJobs,
 		queueDepth:    o.QueueDepth,
@@ -329,6 +331,12 @@ func (s *Scheduler) registerMetrics() {
 	m.CounterFunc("mdtask_jobs_cache_hits_total",
 		"Submissions answered whole from the job result cache.",
 		func() float64 { return float64(s.cacheHits.Load()) })
+	m.CounterFunc("mdtask_jobs_input_backings_reused_total",
+		"Generated input members written into coordinate memory an earlier job gave back.",
+		func() float64 { return float64(s.backings.reused.Load()) })
+	m.CounterFunc("mdtask_jobs_input_backings_allocated_total",
+		"Generated input members written into freshly allocated coordinate memory.",
+		func() float64 { return float64(s.backings.allocated.Load()) })
 	m.CounterFunc("mdtask_traj_digest_cache_hits_total",
 		"Input file digests served from the process's file-identity cache without reading the file.",
 		func() float64 { return float64(traj.FileDigestStats().Hits) })
@@ -350,14 +358,16 @@ func (s *Scheduler) registerMetrics() {
 // Tracer is nil when tracing is disabled).
 func (s *Scheduler) Obs() *obs.Obs { return s.obs }
 
-// Submit validates and enqueues a job. The input is resolved (loaded or
-// generated) and digested before Submit returns, so the result cache
-// can be consulted and the cache key journaled at admission: an
-// identical earlier submission completes the job on the spot, without
-// touching the queue or any engine. The caller waits for that staging,
-// which runs one task per trajectory across GOMAXPROCS cores (load,
-// then hash a file the process has not hashed before; generate a synth
-// member, whose recipe is its digest), and each queued job holds its
+// Submit validates and enqueues a job. The job's cache key is known
+// before Submit returns, so the result cache is consulted and the key
+// journaled at admission: an identical earlier submission completes the
+// job on the spot, without touching the queue or any engine. A synth
+// spec's key comes from its recipe (synthDigest), so a whole-job hit
+// generates nothing; a miss generates the input into coordinate memory
+// earlier jobs gave back. A file input is resolved (loaded, then hashed
+// where the process has not hashed that file before) before its key is
+// known. The caller waits for that staging, which runs one task per
+// trajectory across GOMAXPROCS cores, and each queued job holds its
 // input in memory until a worker picks it up — QueueDepth bounds that
 // multiplier, and an overloaded (or closed) scheduler rejects
 // submissions before resolving their input.
@@ -384,36 +394,54 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	in, err := ResolveInput(norm)
-	if err != nil {
-		return nil, err
+	var in *Input
+	digest, ok := synthDigest(norm)
+	if !ok {
+		if in, err = resolveInput(norm, &s.backings); err != nil {
+			return nil, err
+		}
+		if digest, err = in.ContentDigest(); err != nil {
+			return nil, err
+		}
 	}
-	digest, err := in.ContentDigest()
-	if err != nil {
-		return nil, err
+	key := CacheKey(norm, digest)
+	cached, _ := s.store.Get(jobEntryKey(key))
+	hit, _ := cached.(*jobEntry)
+	if hit == nil && in == nil {
+		if in, err = resolveInput(norm, &s.backings); err != nil {
+			return nil, err
+		}
 	}
-	now := time.Now()
-	rec := JobRecord{Spec: norm, Key: CacheKey(norm, digest), State: StateQueued, Created: now, Updated: now}
-	job := &Job{rc: NewRunContext(), input: in}
-	// Engines the runner brings up consult (and populate) the service
-	// store block by block, so even a partial overlap with earlier jobs
-	// skips the shared kernel work.
-	job.rc.SetBlockStore(s.store)
+	job, err := s.admit(norm, key, in, hit)
+	if job == nil {
+		in.release()
+	}
+	return job, err
+}
 
+// admit journals and enqueues a job of key over its resolved input, or,
+// given key's whole-job store entry hit, completes it on the spot.
+func (s *Scheduler) admit(norm Spec, key string, in *Input, hit *jobEntry) (*Job, error) {
+	now := time.Now()
+	rec := JobRecord{Spec: norm, Key: key, State: StateQueued, Created: now, Updated: now}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	cached, hitOK := s.store.Get(jobEntryKey(rec.Key))
-	if hitOK {
-		hit := cached.(*jobEntry)
-		rec.State, rec.Digest = StateDone, hit.digest
-		job.cacheHit, job.result, job.input = true, hit.result, nil
-	} else if len(s.pending) >= s.queueDepth {
+	if hit == nil && len(s.pending) >= s.queueDepth {
 		s.rejectedCtr.Inc()
 		return nil, ErrQueueFull
 	}
+	job := &Job{rc: NewRunContext(), input: in}
+	if hit != nil {
+		rec.State, rec.Digest = StateDone, hit.digest
+		job.cacheHit, job.result, job.input = true, hit.result, nil
+	}
+	// Engines the runner brings up consult (and populate) the service
+	// store block by block, so even a partial overlap with earlier jobs
+	// skips the shared kernel work.
+	job.rc.SetBlockStore(s.store)
 	s.seq++
 	rec.ID = fmt.Sprintf("job-%06d", s.seq)
 	// Root span of the job's trace; everything below — queue wait, the
@@ -427,7 +455,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if ctx := job.jobSpan.Context(); ctx.Valid() {
 		job.trace = ctx.Trace
 	}
-	if !hitOK {
+	if hit == nil {
 		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
 	}
 	// Journal the admission before acknowledging it: once Submit
@@ -441,7 +469,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		return nil, fmt.Errorf("%w: journaling submission: %w", ErrJournal, err)
 	}
 	s.submittedCtr.Inc()
-	if hitOK {
+	if hit != nil {
 		s.cacheHits.Add(1)
 		job.jobSpan.SetAttr("cache_hit", "true")
 		job.jobSpan.SetAttr("state", string(StateDone))
@@ -489,6 +517,7 @@ func (s *Scheduler) Cancel(id string) (*Job, bool) {
 		case queued:
 			j.mu.Lock()
 			j.rc.Cancel()
+			j.input.release()
 			j.input = nil
 			j.queueSpan.SetAttr("outcome", "cancelled")
 			j.queueSpan.End()
@@ -679,6 +708,12 @@ func (s *Scheduler) runJob(job *Job) {
 		}
 		finished := time.Now()
 		job.mu.Lock()
+		// The runner has returned, and with it every reader of the
+		// input: engines wait for their tasks, and a fleet job waits
+		// for its in-flight blob reads when it is dropped
+		// (fleet.Coordinator.Drop). So the next job may be generated
+		// into this one's memory.
+		in.release()
 		job.input = nil
 		job.final = final
 		if state == StateDone {
@@ -768,7 +803,7 @@ func (s *Scheduler) Recover() {
 		// the spec. Input resolution can fail now even if it succeeded
 		// then (file deleted, disk gone) — that is a real failure worth
 		// surfacing, not a recovery bug.
-		in, err := ResolveInput(rec.Spec)
+		in, err := resolveInput(rec.Spec, &s.backings)
 		if err != nil {
 			msg := fmt.Sprintf("jobs: recovering %s job: resolving input: %v", prior, err)
 			s.journal.append(job.stateRecord(StateFailed, msg, "", time.Now()), false)

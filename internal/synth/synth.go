@@ -142,12 +142,21 @@ func recipeDigest(recipe []byte) string {
 // Walk generates a single random-walk trajectory: nAtoms atoms over
 // nFrames frames. The (seed, stream) pair fully determines the output.
 func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
+	return WalkInto(make([]linalg.Vec3, nAtoms*nFrames), name, nAtoms, nFrames, seed, stream)
+}
+
+// WalkInto is Walk written into coords, which must hold exactly
+// nAtoms·nFrames positions and becomes the trajectory's backing. Every
+// position is written, whatever coords held before: frame 0 by the
+// uniform draws, every later frame from the one before it. So a backing
+// reused from an earlier input gives the same bytes as a fresh one.
+func WalkInto(coords []linalg.Vec3, name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
 	const (
 		box  = 50.0 // initial box edge, Å
 		step = 0.15 // per-frame Gaussian displacement σ, Å
 		dt   = 1.0  // frame spacing, ps
 	)
-	t := frames(name, nAtoms, nFrames, dt)
+	t := framesOver(coords, name, nAtoms, nFrames, dt)
 	if nFrames == 0 {
 		return t
 	}
@@ -194,7 +203,16 @@ func (p pcg) displace(dst, base []float64, sigma float64) pcg {
 // frames allocates a trajectory of nFrames frames, dt apart, for the
 // generators to fill in place.
 func frames(name string, nAtoms, nFrames int, dt float64) *traj.Trajectory {
-	t := traj.Alloc(name, nAtoms, nFrames)
+	return framesOver(make([]linalg.Vec3, nAtoms*nFrames), name, nAtoms, nFrames, dt)
+}
+
+// framesOver is frames over a backing the caller gives, which must hold
+// exactly nAtoms·nFrames positions.
+func framesOver(coords []linalg.Vec3, name string, nAtoms, nFrames int, dt float64) *traj.Trajectory {
+	if len(coords) != nAtoms*nFrames {
+		panic(fmt.Sprintf("synth: a backing of %d positions for %d frames of %d atoms", len(coords), nFrames, nAtoms))
+	}
+	t := &traj.Trajectory{Name: name, NAtoms: nAtoms, Coords: coords, Times: make([]float64, nFrames)}
 	for f := range t.Times {
 		t.Times[f] = float64(f) * dt
 	}
@@ -312,21 +330,32 @@ func BilayerDigest(nAtoms int, seed uint64) string {
 // small relative to the lattice constant, keeping the sheets locally
 // parallel as the Leaflet Finder assumes.
 func Bilayer(nAtoms int, seed uint64) *BilayerSystem {
-	if nAtoms < 2 {
-		panic(fmt.Sprintf("synth: Bilayer needs at least 2 atoms, got %d", nAtoms))
-	}
-	nLower := nAtoms/2 + nAtoms%2
 	sys := &BilayerSystem{
-		Coords:  make([]linalg.Vec3, nAtoms),
+		Coords:  BilayerCoords(make([]linalg.Vec3, nAtoms), seed),
 		Leaflet: make([]uint8, nAtoms),
 	}
-	p := sheet(sys.Coords[:nLower], 0, rng(seed, 0xB17A))
-	sheet(sys.Coords[nLower:], BilayerSeparation, p)
-	for i := nLower; i < nAtoms; i++ {
+	for i := lowerLeaflet(nAtoms); i < nAtoms; i++ {
 		sys.Leaflet[i] = 1
 	}
 	return sys
 }
+
+// BilayerCoords writes the coordinates of Bilayer(len(dst), seed) into
+// dst and returns it, without the ground truth. Every position is
+// written, whatever dst held before: each sheet places all of its atoms
+// on the lattice before jittering them.
+func BilayerCoords(dst []linalg.Vec3, seed uint64) []linalg.Vec3 {
+	if len(dst) < 2 {
+		panic(fmt.Sprintf("synth: Bilayer needs at least 2 atoms, got %d", len(dst)))
+	}
+	nLower := lowerLeaflet(len(dst))
+	p := sheet(dst[:nLower], 0, rng(seed, 0xB17A))
+	sheet(dst[nLower:], BilayerSeparation, p)
+	return dst
+}
+
+// lowerLeaflet is the size of a bilayer's lower sheet, its first atoms.
+func lowerLeaflet(nAtoms int) int { return nAtoms/2 + nAtoms%2 }
 
 // sheet fills dst with one jittered triangular-lattice sheet at height
 // z, laid out row by row, jittered from p, and returns the stream where

@@ -356,3 +356,53 @@ func BenchmarkBilayer(b *testing.B) {
 		Bilayer(32768, uint64(i))
 	}
 }
+
+// TestGeneratorsOverwriteDirtyBackings: a server writes each generated
+// input into memory an earlier input gave back, so WalkInto and
+// BilayerCoords must write every position whatever the backing held.
+// At the shapes the jobs layer's staging pins (4 × 16 atoms × 8 frames
+// at seed 0, 8 × 1024 × 64 at seed 1000, a 2048-atom membrane at seed
+// 0), a backing filled with NaN and one holding another input's
+// coordinates both give the bits of a fresh one.
+func TestGeneratorsOverwriteDirtyBackings(t *testing.T) {
+	nan := func(n int) []linalg.Vec3 {
+		b := make([]linalg.Vec3, n)
+		for i := range b {
+			b[i] = linalg.Vec3{math.NaN(), math.NaN(), math.NaN()}
+		}
+		return b
+	}
+	same := func(t *testing.T, what string, got, want []linalg.Vec3) {
+		t.Helper()
+		for i := range want {
+			for c := range 3 {
+				if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+					t.Fatalf("%s: position %d axis %d is %v, fresh %v", what, i, c, got[i][c], want[i][c])
+				}
+			}
+		}
+	}
+	for _, w := range []struct {
+		count, atoms, frames int
+		seed                 uint64
+	}{{4, 16, 8, 0}, {8, 1024, 64, 1000}} {
+		n := w.atoms * w.frames
+		for i := range w.count {
+			fresh := Walk("w", w.atoms, w.frames, w.seed, uint64(i))
+			stale := Walk("w", w.atoms, w.frames, w.seed+1, uint64(i)).Coords
+			for _, dirty := range []struct {
+				name string
+				b    []linalg.Vec3
+			}{{"NaN", nan(n)}, {"stale", stale}} {
+				got := WalkInto(dirty.b, "w", w.atoms, w.frames, w.seed, uint64(i))
+				if &got.Coords[0] != &dirty.b[0] {
+					t.Fatal("WalkInto did not write into the backing it was given")
+				}
+				same(t, fmt.Sprintf("walk %d×%d seed %d member %d over a %s backing", w.atoms, w.frames, w.seed, i, dirty.name), got.Coords, fresh.Coords)
+			}
+		}
+	}
+	fresh := Bilayer(2048, 0).Coords
+	same(t, "bilayer over a NaN backing", BilayerCoords(nan(2048), 0), fresh)
+	same(t, "bilayer over a stale backing", BilayerCoords(Bilayer(2048, 1).Coords, 0), fresh)
+}
