@@ -82,7 +82,7 @@ func run(in, engineName string, parallel int, methodName string, tasks, clusters
 	}
 	refs := input.Refs
 	mode := "loaded"
-	if input.Ens == nil {
+	if norm.MaxResidentFrames > 0 {
 		mode = "streaming"
 	}
 	fmt.Printf("%s %d trajectories (%d atoms, %d frames each)\n",

@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("ensemble: %d trajectories x %d atoms x %d frames\n\n",
 		len(ens), ens[0].NAtoms, ens[0].NFrames())
 
-	in := &jobs.Input{Ens: ens, Refs: traj.RefsOf(ens)}
+	in := &jobs.Input{Refs: traj.RefsOf(ens)}
 	var reference []float64
 	fmt.Printf("%-14s %-10s %10s %8s\n", "engine", "schedule", "elapsed", "agrees")
 	for _, eng := range []string{jobs.EngineMPI, jobs.EngineSpark, jobs.EngineDask, jobs.EnginePilot} {

@@ -46,6 +46,22 @@ func writeConformEnsemble(t *testing.T) string {
 	return dir
 }
 
+// resident reports whether an ensemble's first member is memory-backed:
+// loading such a ref twice returns its one trajectory, where a
+// file-backed ref decodes a new one each time.
+func resident(t *testing.T, refs traj.RefEnsemble) bool {
+	t.Helper()
+	a, err := refs[0].Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := refs[0].Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a == b
+}
+
 // expectedDirectedPairs is the frame-pair total every run's counters
 // must sum to: each scheduled trajectory comparison scans 2·F² directed
 // pairs, and the symmetric schedule drops the diagonal and mirror half.
@@ -138,7 +154,7 @@ func TestPSAEngineConformance(t *testing.T) {
 						if maxFrames > 0 {
 							// Streamed runs resolve file-backed handles (no
 							// loaded ensemble) and respect the residency bound.
-							if in.Ens != nil {
+							if resident(t, in.Refs) {
 								t.Fatal("streamed run materialized the ensemble at resolve time")
 							}
 							if metrics.PeakResidentFrames == 0 || metrics.PeakResidentFrames > 2*confWindow {
@@ -148,7 +164,7 @@ func TestPSAEngineConformance(t *testing.T) {
 								t.Fatal("streamed run accounted no streamed bytes")
 							}
 						} else {
-							if in.Ens == nil {
+							if !resident(t, in.Refs) {
 								t.Fatal("in-memory run did not load the ensemble")
 							}
 							if metrics.PeakResidentFrames != 0 || metrics.BytesStreamed != 0 {

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 	"time"
 
+	"mdtask/internal/engine"
 	"mdtask/internal/psa"
 	"mdtask/internal/stage"
 	"mdtask/internal/synth"
@@ -17,9 +19,11 @@ import (
 // jobs: fj-00000000-000001, an in-memory PSA job over two trajectories
 // of 3 atoms × 5 frames; fj-00000000-000002, the same ensemble streamed
 // in two-frame windows; and fj-00000000-000003, a Leaflet job over 64
-// atoms. No lease may panic the worker, which has no recover on its
-// executor loop. A refused lease returns an error, which the loop turns
-// into a nack, and carries no payload. An accepted one carries one task
+// atoms. No lease may panic the unit body: the worker survives one
+// (engine.RunTask makes it a failed unit), but a lease the unit's own
+// checks let through to a panic is still a hole in them. A refused
+// lease returns an error, which the loop turns into a nack, and carries
+// no payload. An accepted one carries one task
 // of valid metrics and a payload the coordinator's check of that unit
 // (stage.Check) accepts. Committed seeds in testdata/fuzz are the three
 // leases that once panicked execute, in today's lease shape: a block
@@ -68,6 +72,9 @@ func FuzzLease(f *testing.F) {
 			return
 		}
 		res, err := w.execute(&l)
+		if pe := (*engine.TaskPanicError)(nil); errors.As(err, &pe) {
+			t.Fatalf("lease panicked the unit body: %v", pe)
+		}
 		if err != nil {
 			if res.Payload != nil || res.Metrics.Tasks != 0 {
 				t.Fatalf("refused lease (%v) carries a payload: %+v", err, res)

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"mdtask/internal/faultinject"
 	"mdtask/internal/psa"
+	"mdtask/internal/stage"
+	"mdtask/internal/synth"
 	"mdtask/internal/traj"
 )
 
@@ -110,5 +114,91 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("matrix differs from serial at %d after nacked retry", i)
 		}
+	}
+}
+
+// mixedAtomsPlan is a valid PSA plan whose one unit is rewritten to
+// pair a 3-atom trajectory with a 4-atom one, description and blob
+// alike: the unit's kernel then compares rows of different lengths and
+// panics. stage.PSA refuses such an ensemble, so only a hand-built plan
+// reaches a worker with one.
+type mixedAtomsPlan struct {
+	stage.Plan
+	unit stage.Unit
+	blob []byte // the unit's second input
+}
+
+func (p *mixedAtomsPlan) Units() []stage.Unit { return []stage.Unit{p.unit} }
+
+func (p *mixedAtomsPlan) Blob(name string) ([]byte, error) {
+	if name == p.unit.Inputs[1] {
+		return p.blob, nil
+	}
+	return p.Plan.Blob(name)
+}
+
+// TestWorkerSurvivesPanickingUnit: a unit whose body panics is a failed
+// unit, as on every executor. The worker nacks it, the coordinator
+// counts the failure, and the same worker then completes another job.
+// Before the worker ran its units through engine.RunTask the panic
+// ended the process, and with it an mdserver running -fleet-workers.
+func TestWorkerSurvivesPanickingUnit(t *testing.T) {
+	c, url := startCoordinator(t, Options{
+		LeaseTTL:     30 * time.Second,
+		HeartbeatTTL: 30 * time.Second,
+		SweepEvery:   20 * time.Millisecond,
+		PollEvery:    5 * time.Millisecond,
+	})
+	opts := psa.Opts{Symmetric: true}
+	good, err := stage.PSA(traj.RefsOf(testEnsemble(2, 3, 4, 5)), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := good.Units()[0]
+	var desc map[string]any
+	if err := json.Unmarshal(u.Desc, &desc); err != nil {
+		t.Fatal(err)
+	}
+	desc["trajs"].([]any)[1].(map[string]any)["natoms"] = 4
+	if u.Desc, err = json.Marshal(desc); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := traj.EncodeMDT(synth.Walk("t", 4, 4, 5, 1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := submitPlan(t, c, &mixedAtomsPlan{Plan: good, unit: u, blob: blob}, nil)
+
+	w, err := StartWorker(WorkerOptions{Coordinator: url, Name: "survivor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().UnitFailures < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the panicking unit was never nacked")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A unit that fails every time is requeued for as long as its job
+	// lives; drop the job so the worker is free for the next one.
+	c.Drop(poisoned)
+
+	ens := testEnsemble(3, 3, 4, 6)
+	want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 1, opts, nil)
+	defer c.Drop(job)
+	if err := job.Wait(func() bool { return time.Now().After(deadline) }); err != nil {
+		t.Fatalf("the worker did not complete a job after a panicking unit: %v", err)
+	}
+	if got := matrixOf(job); !slices.Equal(got.Data, want.Data) {
+		t.Fatalf("matrix %v, want %v", got.Data, want.Data)
+	}
+	if w.UnitsDone.Load() < 1 {
+		t.Fatal("the surviving worker completed no unit")
 	}
 }

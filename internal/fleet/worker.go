@@ -388,7 +388,6 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 		// job's trace.
 		res.Spans = w.tracer.Take(span.Context().Trace)
 	}()
-	start := time.Now()
 	tp := ""
 	if ctx := span.Context(); ctx.Valid() {
 		tp = ctx.TraceParent()
@@ -398,17 +397,19 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 		fetch = func(name string) ([]byte, error) { return w.inputs.blob(w, l.Job, name, tp) }
 	}
 	// The unit's own sink: the kernel accounts into it, the unit's wall
-	// time joins it, and it ships with the result.
+	// time joins it, and it ships with the result. The body runs as an
+	// executor's task does (engine.RunTask), so a panicking unit is a
+	// failed one, nacked like any other, and the worker lives on.
 	var m engine.Metrics
-	payload, err := stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
-		Env:   engine.Env{Metrics: &m, Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist},
-		Fetch: fetch, MaxBlobBytes: w.o.MaxTransferBytes,
-	})
-	if err != nil {
+	if err := engine.RunTask(&m, l.Unit, func() (err error) {
+		res.Payload, err = stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
+			Env:   engine.Env{Metrics: &m, Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist},
+			Fetch: fetch, MaxBlobBytes: w.o.MaxTransferBytes,
+		})
+		return err
+	}); err != nil {
 		return res, err
 	}
-	m.RecordTask(time.Since(start))
-	res.Payload = payload
 	res.Metrics = m.Snapshot()
 	return res, nil
 }

@@ -129,7 +129,7 @@ func TestDirtyPoolStagesFreshBytes(t *testing.T) {
 // TestSynthDigestComposesMembers: the digest Submit keys a synth spec
 // by before generating anything is the one the generated input's
 // members' refs compose, for any small shape, and a membrane's is its
-// generated input's recipe.
+// generated input's ContentDigest.
 func TestSynthDigestComposesMembers(t *testing.T) {
 	proptest.Check(t, func(count, atoms, frames uint8, seed uint64) bool {
 		norm, err := Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{
@@ -156,8 +156,9 @@ func TestSynthDigestComposesMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := synthDigest(norm); d != in.recipe {
-		t.Fatalf("membrane: synthDigest %s, resolved %s", d, in.recipe)
+	d, _ := synthDigest(norm)
+	if got, err := in.ContentDigest(); err != nil || got != d {
+		t.Fatalf("membrane: synthDigest %s, resolved %s (%v)", d, got, err)
 	}
 	if _, ok := synthDigest(Spec{Analysis: AnalysisPSA, Path: "x"}); ok {
 		t.Fatal("a file input has a recipe digest")

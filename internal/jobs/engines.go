@@ -203,23 +203,6 @@ func psaRunner(engineName string, row engineRow, shared *fleet.Coordinator) Runn
 			mat, _ := res.(*psa.Matrix)
 			return finish(rc, &Result{Matrix: mat}, err)
 		}
-		if len(in.Ens) > 0 {
-			// Every kernel reads the packed representation (contiguous
-			// frames + per-frame pruning statistics), and so do the
-			// windows of a streamed job's in-memory refs. Build it once
-			// up front, O(F·N) per trajectory and one task per
-			// trajectory, so no timed kernel task pays for it and
-			// concurrent tasks never pack the same trajectory twice.
-			// Runs after the cache lookup: a cache hit never packs.
-			// Inputs read from files have no resident ensemble; their
-			// windows are packed as they are decoded.
-			if err := engine.NewPool(0, nil).ForEach(len(in.Ens), func(i int) error {
-				in.Ens[i].Packed()
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-		}
 		ex := row.executor(spec.Parallelism, rc.Cancelled)
 		rc.SetMetrics(ex.Metrics())
 		mat, err := psa.Run(ex, in.Refs, spec.groupSize(len(in.Refs)), opts)

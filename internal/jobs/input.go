@@ -16,26 +16,25 @@ import (
 	"mdtask/internal/traj"
 )
 
-// Input is a job's resolved input data. The digest of an input read
-// from disk covers the actual coordinates (not file paths or names), so
-// identical data reached through different paths content-addresses
-// identically. An input the server generates is addressed by its
-// recipe instead (synth.WalkDigest, synth.BilayerDigest): the
-// generator's version and arguments name the coordinates exactly, so
-// regenerating the same synth spec addresses identically without a
-// pass over the data.
+// Input is a job's resolved input data: a PSA job's ensemble as Refs,
+// a Leaflet job's membrane as Coords. The members of an ensemble
+// ResolveInput loads share one atom count, and a resident one
+// (generated, or decoded from a .mdt file) is already packed, so no
+// timed task packs it; a streamed member is a header-only file handle.
+// A hand-built input (examples/psaensemble) is packed on first use.
+//
+// The digest of an input read from disk covers the actual coordinates
+// (not file paths or names), so identical data reached through
+// different paths content-addresses identically. An input the server
+// generates is addressed by its recipe instead (synth.WalkDigest,
+// synth.BilayerDigest): the generator's version and arguments name the
+// coordinates exactly, so regenerating the same synth spec addresses
+// identically without a pass over the data.
 type Input struct {
-	// Refs is the trajectory ensemble of a PSA job as windowed handles —
-	// always set for PSA. In a streamed on-disk job they are file-backed
-	// and no frame is resident until an engine windows them.
+	// Refs is the trajectory ensemble of a PSA job.
 	Refs traj.RefEnsemble
-	// Ens is the loaded trajectory ensemble of an in-memory PSA job
-	// (nil when the job streams from disk; Refs wrap it otherwise).
-	Ens traj.Ensemble
 	// Coords is the membrane snapshot of a Leaflet Finder job.
 	Coords []linalg.Vec3
-	// recipe is the digest of a generated membrane (empty for a file).
-	recipe string
 	// backings is the coordinate memory of a generated input, taken from
 	// pool; release gives it back.
 	backings [][]linalg.Vec3
@@ -54,15 +53,13 @@ type Input struct {
 // per-trajectory digest the engines will need. A file member's digest
 // hashes its content (streamed refs frame by frame, identically to the
 // same data loaded in memory); a generated member's is its recipe
-// digest, known without a scan, and so is a generated membrane's.
+// digest, known without a scan, and a generated membrane's is set when
+// it is generated.
 func (in *Input) ContentDigest() (string, error) {
 	in.digestOnce.Do(func() {
-		switch {
-		case in.Refs != nil:
+		if in.Refs != nil {
 			in.digest, in.digestErr = refsDigest(in.Refs)
-		case in.recipe != "":
-			in.digest = in.recipe
-		default:
+		} else {
 			in.digest = coordsDigest(in.Coords)
 		}
 	})
@@ -96,7 +93,7 @@ func (in *Input) release() {
 	}
 	in.pool.give(in.backings)
 	in.backings = nil
-	in.Refs, in.Ens, in.Coords = nil, nil, nil
+	in.Refs, in.Coords = nil, nil
 }
 
 // synthDigest returns the digest that addresses a generated input,
@@ -130,28 +127,18 @@ func ResolveInput(spec Spec) (*Input, error) { return resolveInput(spec, nil) }
 // backings taken from pool (nil: fresh ones), which the input's release
 // gives back.
 func resolveInput(spec Spec, pool *backingPool) (*Input, error) {
-	if spec.Synth != nil {
-		return generateInput(spec, pool)
-	}
 	switch spec.Analysis {
 	case AnalysisPSA:
-		if spec.MaxResidentFrames > 0 && spec.Path != "" {
-			// Out-of-core: resolve handles without loading any frames.
-			refs, err := resolveEnsembleRefs(spec)
-			if err != nil {
-				return nil, err
-			}
-			if err := refs.Validate(); err != nil {
-				return nil, err
-			}
-			return &Input{Refs: refs}, nil
-		}
-		ens, refs, err := resolveEnsemble(spec)
-		if err != nil {
-			return nil, err
-		}
-		return &Input{Ens: ens, Refs: refs}, nil
+		return loadEnsemble(spec, pool)
 	case AnalysisLeaflet:
+		if g := spec.Synth; g != nil {
+			// A membrane is Bilayer's coordinates alone: the job never
+			// reads the ground-truth labels the CLIs check against.
+			b := pool.take(g.Atoms)
+			in := &Input{Coords: synth.BilayerCoords(b, g.Seed), backings: [][]linalg.Vec3{b}, pool: pool}
+			in.digestOnce.Do(func() { in.digest = synth.BilayerDigest(g.Atoms, g.Seed) })
+			return in, nil
+		}
 		coords, err := resolveCoords(spec.Path)
 		if err != nil {
 			return nil, err
@@ -165,76 +152,61 @@ func resolveInput(spec Spec, pool *backingPool) (*Input, error) {
 	}
 }
 
-// generateInput generates a synth spec's input into backings taken from
-// pool; its ContentDigest is what synthDigest gives for the spec. A
-// PSA ensemble is one Walk per member; a member's ref carries its
-// recipe digest, which depends on the member's own (seed, stream) and
-// shape and not on the ensemble's Count, so an ensemble grown by one
-// member shares every earlier member's digest, and so its cached
-// blocks. A membrane is Bilayer's coordinates alone: the job never
-// reads the ground-truth labels the CLIs check against.
-func generateInput(spec Spec, pool *backingPool) (*Input, error) {
-	g := spec.Synth
-	switch spec.Analysis {
-	case AnalysisPSA:
-		in := &Input{pool: pool, backings: make([][]linalg.Vec3, g.Count)}
-		ens, refs, err := loadEnsemble(g.Count, func(i int) (*traj.Ref, error) {
+// loadEnsemble builds a PSA input's members, one task per member on a
+// GOMAXPROCS pool, and validates them together. A member is one Walk
+// written into a backing taken from pool, whose ref carries its recipe
+// digest; or a .mdt file of the input directory (sorted by name),
+// decoded, or opened as a header-only handle when max_resident_frames
+// streams the job. A resident member is packed by the task that made
+// it, while its coordinates are still in cache. A generated member's
+// digest depends on its own (seed, stream) and shape and not on the
+// ensemble's Count, so an ensemble grown by one member shares every
+// earlier member's digest, and so its cached blocks. Each member is a
+// pure function of its own recipe or file, so the ensemble is the same
+// whatever the schedule, and a failure names the lowest failing member,
+// as a sequential loop would.
+func loadEnsemble(spec Spec, pool *backingPool) (*Input, error) {
+	in := &Input{pool: pool}
+	var member func(i int) (*traj.Ref, error)
+	if g := spec.Synth; g != nil {
+		in.backings = make([][]linalg.Vec3, g.Count)
+		member = func(i int) (*traj.Ref, error) {
 			in.backings[i] = pool.take(g.Atoms * g.Frames)
 			t := synth.WalkInto(in.backings[i], synthMemberName(i), g.Atoms, g.Frames, g.Seed, uint64(i))
+			t.Packed()
 			return traj.DigestedRef(t, synth.WalkDigest(g.Atoms, g.Frames, g.Seed, uint64(i))), nil
-		})
-		if err != nil {
-			in.release()
-			return nil, err
 		}
-		in.Ens, in.Refs = ens, refs
-		return in, nil
-	case AnalysisLeaflet:
-		b := pool.take(g.Atoms)
-		return &Input{Coords: synth.BilayerCoords(b, g.Seed), recipe: synth.BilayerDigest(g.Atoms, g.Seed),
-			backings: [][]linalg.Vec3{b}, pool: pool}, nil
-	default:
-		return nil, fmt.Errorf("jobs: unknown analysis %q", spec.Analysis)
-	}
-}
-
-// resolveEnsemble reads a directory of .mdt files (sorted by name) into
-// memory. A member's ref digests its content when asked.
-func resolveEnsemble(spec Spec) (traj.Ensemble, traj.RefEnsemble, error) {
-	paths, err := ensemblePaths(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return loadEnsemble(len(paths), func(i int) (*traj.Ref, error) {
-		t, err := traj.ReadMDTFile(paths[i])
+		in.Refs = make(traj.RefEnsemble, g.Count)
+	} else {
+		paths, err := ensemblePaths(spec)
 		if err != nil {
 			return nil, err
 		}
-		return traj.MemRef(t), nil
-	})
-}
-
-// loadEnsemble builds n resident members, one task per member on a
-// GOMAXPROCS pool, and returns them, validated, with memory-backed refs
-// over them. Each member is a pure function of its own (seed, stream)
-// or file, so the ensemble is the same whatever the schedule, and a
-// failure names the lowest failing member, as a sequential loop would.
-func loadEnsemble(n int, member func(i int) (*traj.Ref, error)) (traj.Ensemble, traj.RefEnsemble, error) {
-	refs := make(traj.RefEnsemble, n)
-	if err := engine.NewPool(0, nil).ForEach(n, func(i int) (err error) {
-		refs[i], err = member(i)
+		member = func(i int) (*traj.Ref, error) {
+			if spec.MaxResidentFrames > 0 {
+				return traj.FileRef(paths[i])
+			}
+			t, err := traj.ReadMDTFile(paths[i])
+			if err != nil {
+				return nil, err
+			}
+			t.Packed()
+			return traj.MemRef(t), nil
+		}
+		in.Refs = make(traj.RefEnsemble, len(paths))
+	}
+	err := engine.NewPool(0, nil).ForEach(len(in.Refs), func(i int) (err error) {
+		in.Refs[i], err = member(i)
 		return err
-	}); err != nil {
-		return nil, nil, err
+	})
+	if err == nil {
+		err = in.Refs.Validate()
 	}
-	ens, err := refs.Load() // memory-backed: shares the trajectories
 	if err != nil {
-		return nil, nil, err
+		in.release()
+		return nil, err
 	}
-	if err := ens.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return ens, refs, nil
+	return in, nil
 }
 
 // synthMemberName names member i of a generated ensemble as
@@ -245,25 +217,6 @@ func synthMemberName(i int) string {
 		b = append(b, '0')
 	}
 	return string(strconv.AppendInt(b, int64(i), 10))
-}
-
-// resolveEnsembleRefs builds file-backed handles over a directory of
-// .mdt files: only headers are read here, frames stay on disk until an
-// engine windows them.
-func resolveEnsembleRefs(spec Spec) (traj.RefEnsemble, error) {
-	paths, err := ensemblePaths(spec)
-	if err != nil {
-		return nil, err
-	}
-	refs := make(traj.RefEnsemble, 0, len(paths))
-	for _, p := range paths {
-		r, err := traj.FileRef(p)
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, r)
-	}
-	return refs, nil
 }
 
 // ensemblePaths lists a PSA input directory's .mdt files, sorted, and

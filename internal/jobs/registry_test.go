@@ -4,10 +4,8 @@ import (
 	"slices"
 	"testing"
 
-	"mdtask/internal/engine"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/psa"
-	"mdtask/internal/traj"
 )
 
 // TestPSARunnersMatchSerial checks every engine's PSA runner produces a
@@ -21,7 +19,7 @@ func TestPSARunnersMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := psa.SerialRefs(traj.RefsOf(in.Ens), psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
+	want, err := psa.SerialRefs(in.Refs, psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,51 +127,34 @@ func TestRunContextCancelPreemptsRun(t *testing.T) {
 	}
 }
 
-// packProbe is a serial executor that records, before handing out the
-// first task, whether every trajectory of the input is already packed.
-type packProbe struct {
-	*engine.Serial
-	ens      traj.Ensemble
-	unpacked []string
-}
-
-func (p *packProbe) Map(tasks []engine.Task) ([]any, error) {
-	for _, t := range p.ens {
-		if !t.IsPacked() {
-			p.unpacked = append(p.unpacked, t.Name)
-		}
-	}
-	return p.Serial.Map(tasks)
-}
-
-// TestPSARunnerPrePacksPackedKernels checks the runner builds the packed
-// representation of a resident ensemble before the first block runs,
-// whatever the method: every kernel reads packed rows, and a streamed
-// job's in-memory refs slice their windows out of it too.
+// TestPSARunnerPrePacksPackedKernels checks that Resolve packs every
+// resident member of an ensemble, so no kernel task pays for packing:
+// every kernel reads packed rows, and a streamed job's in-memory refs
+// slice their windows out of them too. Generated members are resident
+// whatever the window; a directory's are when it is not streamed.
 func TestPSARunnerPrePacksPackedKernels(t *testing.T) {
+	psaDir, _ := writeFileInputs(t)
+	synthSpec := validPSASpec()
 	for _, tc := range []struct {
-		method string
+		spec   Spec
 		window int
 	}{
-		{"naive", 0}, {"early-break", 0}, {"pruned", 0}, {"indexed", 0},
-		{"naive", 2}, {"indexed", 2},
+		{synthSpec, 0}, {synthSpec, 2},
+		{Spec{Analysis: AnalysisPSA, Engine: EngineSerial, Path: psaDir}, 0},
 	} {
-		spec := validPSASpec()
-		spec.Method, spec.MaxResidentFrames = tc.method, tc.window
-		spec, in, err := Resolve(spec) // fresh, unpacked trajectories
+		tc.spec.MaxResidentFrames = tc.window
+		_, in, err := Resolve(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var probe *packProbe
-		runner := psaRunner("probe", engineRow{executor: func(_ int, cancel func() bool) engine.Executor {
-			probe = &packProbe{Serial: engine.NewSerial(cancel), ens: in.Ens}
-			return probe
-		}}, nil)
-		if _, err := runner(NewRunContext(), spec, in); err != nil {
-			t.Fatal(err)
-		}
-		if len(probe.unpacked) != 0 {
-			t.Errorf("%s/window=%d: %v not packed before the first block", tc.method, tc.window, probe.unpacked)
+		for _, r := range in.Refs {
+			tr, err := r.Load() // a memory-backed ref's own trajectory
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.IsPacked() {
+				t.Errorf("synth=%t window=%d: %s not packed by Resolve", tc.spec.Synth != nil, tc.window, r.Name())
+			}
 		}
 	}
 }

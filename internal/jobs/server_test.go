@@ -116,7 +116,7 @@ func TestAPIPSAAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := psa.SerialRefs(traj.RefsOf(in.Ens), psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
+	want, err := psa.SerialRefs(in.Refs, psa.Opts{Symmetric: true, Method: spec.hausdorffMethod()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,6 +521,46 @@ func TestSubmitRejectsNonFiniteCoordinates(t *testing.T) {
 	}
 	if n := len(s.Jobs()); n != 0 {
 		t.Fatalf("%d job(s) admitted from an ensemble with a non-finite coordinate", n)
+	}
+}
+
+// A PSA directory whose members disagree on atom count is a client
+// error on every engine, resident or streamed: Resolve refuses it, POST
+// answers 400 naming the odd member, and nothing is journaled. Admitted,
+// it failed every in-process engine with a recovered kernel panic and
+// killed the fleet worker that ran it.
+func TestAPIRejectsMixedAtomCounts(t *testing.T) {
+	dir := t.TempDir()
+	for i, atoms := range []int{16, 20} {
+		tr := traj.Alloc(fmt.Sprintf("t%d", i), atoms, 3)
+		if err := traj.WriteMDTFile(filepath.Join(dir, tr.Name+".mdt"), tr, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := openStore(t, t.TempDir())
+	defer st.Close()
+	ts, s := newTestServer(t, DefaultRegistry(), Options{Workers: 1, Journal: st})
+	for _, eng := range Engines {
+		for _, window := range []int{0, 4} {
+			spec := Spec{Analysis: AnalysisPSA, Engine: eng, Path: dir, MaxResidentFrames: window}
+			if _, _, err := Resolve(spec); err == nil || !strings.Contains(err.Error(), "20 atoms") {
+				t.Fatalf("%s window=%d: Resolve = %v, want the member of 20 atoms refused", eng, window, err)
+			}
+			body, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", string(body))
+			if code != http.StatusBadRequest || !strings.Contains(string(raw), "20 atoms") {
+				t.Fatalf("%s window=%d: got %d (%s), want 400 naming the member of 20 atoms", eng, window, code, raw)
+			}
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d job(s) admitted from an ensemble of mixed atom counts", n)
+	}
+	if a := st.log.Stats().Appends; a != 0 {
+		t.Fatalf("refused submissions journaled %d records", a)
 	}
 }
 

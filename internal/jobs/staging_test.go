@@ -89,10 +89,14 @@ func TestStagingGolden(t *testing.T) {
 // memory refs compose it, a membrane's as coordsDigest hashes it.
 func generatedContent(t *testing.T, in *Input) string {
 	t.Helper()
-	if in.Ens == nil {
+	if in.Refs == nil {
 		return coordsDigest(in.Coords)
 	}
-	d, err := refsDigest(traj.RefsOf(in.Ens))
+	ens, err := in.Refs.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := refsDigest(traj.RefsOf(ens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,11 @@ func TestSynthRecipeDigests(t *testing.T) {
 				t.Logf("%+v member %d: digest moves when the ensemble grows to %d", g, i, grown.Count)
 				return false
 			}
-			content, err := traj.MemRef(in.Ens[i]).Digest()
+			tr, err := in.Refs[i].Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			content, err := traj.MemRef(tr).Digest()
 			if err != nil {
 				t.Fatal(err)
 			}

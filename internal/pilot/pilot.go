@@ -281,21 +281,15 @@ func (p *Pilot) execute(u *Unit) {
 		p.metrics.AddStaged(int64(len(data)))
 	}
 	p.setState(u.ID, StateExecuting, "")
-	start := time.Now()
-	err := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("unit %d panicked: %v", u.ID, v)
-			}
-		}()
+	// The body runs as an executor's task does: RunTask times it,
+	// converts a panic into a failure and counts that failure itself.
+	if err := engine.RunTask(p.metrics, u.ID, func() error {
 		if u.Desc.Fn == nil {
 			return nil
 		}
 		return u.Desc.Fn(u.Sandbox)
-	}()
-	p.metrics.RecordTask(time.Since(start))
-	if err != nil {
-		fail(err)
+	}); err != nil {
+		p.setState(u.ID, StateFailed, err.Error())
 		return
 	}
 	outputs := make(map[string][]byte, len(u.Desc.OutputFiles))

@@ -106,6 +106,9 @@ func TestUnitPanicBecomesFailure(t *testing.T) {
 	if werr := p.Wait(units); werr == nil || !strings.Contains(werr.Error(), "panicked") {
 		t.Fatalf("Wait = %v", werr)
 	}
+	if n := p.metrics.Snapshot().Failures; n != 1 {
+		t.Errorf("a panicking unit counted %d failures, want 1", n)
+	}
 	// The agent must still execute subsequent units.
 	units2 := p.Submit([]UnitDescription{{Name: "after", Fn: func(string) error { return nil }}})
 	if err := p.Wait(units2); err != nil {

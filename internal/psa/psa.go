@@ -150,54 +150,30 @@ func PlanBlocks(n, n1 int, symmetric bool) int64 {
 	return k * k
 }
 
-// Partition2D maps the N² distances onto (N/n1)² block tasks
-// (Algorithm 2). n1 must be a positive divisor of N.
-func Partition2D(n, n1 int) ([]Block, error) {
-	if n1 <= 0 || n%n1 != 0 {
-		return nil, fmt.Errorf("psa: group size %d must be a positive divisor of N=%d", n1, n)
-	}
-	k := n / n1
-	blocks := make([]Block, 0, PlanBlocks(n, n1, false))
-	for bi := 0; bi < k; bi++ {
-		for bj := 0; bj < k; bj++ {
-			blocks = append(blocks, Block{
-				I0: bi * n1, I1: (bi + 1) * n1,
-				J0: bj * n1, J1: (bj + 1) * n1,
-			})
-		}
-	}
-	return blocks, nil
-}
-
-// PartitionTriangular maps the distance matrix onto only its diagonal
-// and upper-triangle blocks — (N/n1)·(N/n1+1)/2 tasks instead of
-// Algorithm 2's (N/n1)². Each omitted lower-triangle block is recovered
-// by Assemble mirroring its transpose. n1 must be a positive divisor
-// of N.
-func PartitionTriangular(n, n1 int) ([]Block, error) {
-	if n1 <= 0 || n%n1 != 0 {
-		return nil, fmt.Errorf("psa: group size %d must be a positive divisor of N=%d", n1, n)
-	}
-	k := n / n1
-	blocks := make([]Block, 0, PlanBlocks(n, n1, true))
-	for bi := 0; bi < k; bi++ {
-		for bj := bi; bj < k; bj++ {
-			blocks = append(blocks, Block{
-				I0: bi * n1, I1: (bi + 1) * n1,
-				J0: bj * n1, J1: (bj + 1) * n1,
-			})
-		}
-	}
-	return blocks, nil
-}
-
-// Partition returns the block schedule for the given options: the
-// triangular schedule when symmetric, Algorithm 2's full grid otherwise.
+// Partition returns the block schedule for the given options: under
+// symmetric, only the diagonal and upper-triangle blocks —
+// (N/n1)·(N/n1+1)/2 tasks, each omitted lower-triangle block recovered
+// by Assemble mirroring its transpose — and otherwise Algorithm 2's
+// full grid of (N/n1)² block tasks. n1 must be a positive divisor of N.
 func Partition(n, n1 int, symmetric bool) ([]Block, error) {
-	if symmetric {
-		return PartitionTriangular(n, n1)
+	if n1 <= 0 || n%n1 != 0 {
+		return nil, fmt.Errorf("psa: group size %d must be a positive divisor of N=%d", n1, n)
 	}
-	return Partition2D(n, n1)
+	k := n / n1
+	blocks := make([]Block, 0, PlanBlocks(n, n1, symmetric))
+	for bi := 0; bi < k; bi++ {
+		bj := 0
+		if symmetric {
+			bj = bi
+		}
+		for ; bj < k; bj++ {
+			blocks = append(blocks, Block{
+				I0: bi * n1, I1: (bi + 1) * n1,
+				J0: bj * n1, J1: (bj + 1) * n1,
+			})
+		}
+	}
+	return blocks, nil
 }
 
 // BlockResult carries one computed block back to the assembler.
@@ -357,8 +333,12 @@ func computeBlockVals(refs traj.RefEnsemble, b Block, opts Opts) (vals []float64
 // per block, mapped by the executor → Assemble. This is the whole
 // analysis; what differs between Spark, Dask and MPI (§4.2) lives in
 // the executor. Kernel counters go to the executor's sink, whatever
-// opts.Metrics says.
+// opts.Metrics says. An ensemble RefEnsemble.Validate refuses runs no
+// task.
 func Run(ex engine.Executor, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
+	if err := refs.Validate(); err != nil {
+		return nil, err
+	}
 	blocks, err := Partition(len(refs), n1, opts.Symmetric)
 	if err != nil {
 		return nil, err
@@ -430,9 +410,6 @@ func SerialRefs(refs traj.RefEnsemble, opts Opts) (*Matrix, error) {
 	if !opts.streaming() {
 		loaded, err := refs.Load()
 		if err != nil {
-			return nil, err
-		}
-		if err := loaded.Validate(); err != nil {
 			return nil, err
 		}
 		ens = loaded

@@ -19,7 +19,7 @@ func testEnsemble(n, atoms, frames int) traj.Ensemble {
 
 func TestPartition2DCoversAllPairs(t *testing.T) {
 	for _, tc := range []struct{ n, n1 int }{{8, 2}, {8, 4}, {8, 8}, {6, 1}, {12, 3}} {
-		blocks, err := Partition2D(tc.n, tc.n1)
+		blocks, err := Partition(tc.n, tc.n1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +50,10 @@ func TestPartition2DCoversAllPairs(t *testing.T) {
 
 func TestPartition2DRejectsBadGroupSize(t *testing.T) {
 	for _, n1 := range []int{0, -1, 3, 5} {
-		if _, err := Partition2D(8, n1); err == nil {
+		if _, err := Partition(8, n1, false); err == nil {
 			t.Errorf("n1=%d accepted for N=8", n1)
 		}
-		if _, err := PartitionTriangular(8, n1); err == nil {
+		if _, err := Partition(8, n1, true); err == nil {
 			t.Errorf("triangular: n1=%d accepted for N=8", n1)
 		}
 	}
@@ -64,7 +64,7 @@ func TestPartition2DRejectsBadGroupSize(t *testing.T) {
 // block lies strictly below the diagonal.
 func TestPartitionTriangularCoversUpperPairs(t *testing.T) {
 	for _, tc := range []struct{ n, n1 int }{{8, 2}, {8, 4}, {8, 8}, {6, 1}, {12, 3}} {
-		blocks, err := PartitionTriangular(tc.n, tc.n1)
+		blocks, err := Partition(tc.n, tc.n1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ func TestPlanBlocksCountsPartition(t *testing.T) {
 // as N grows.
 func TestTaskPairsSymmetricHalvesWork(t *testing.T) {
 	const n, n1 = 24, 4
-	full, err := Partition2D(n, n1)
+	full, err := Partition(n, n1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tri, err := PartitionTriangular(n, n1)
+	tri, err := Partition(n, n1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSerialProperties(t *testing.T) {
 func TestComputeBlockAndAssemble(t *testing.T) {
 	ens := testEnsemble(4, 5, 3)
 	want, _ := SerialRefs(traj.RefsOf(ens), Opts{Method: hausdorff.Naive})
-	blocks, err := Partition2D(4, 2)
+	blocks, err := Partition(4, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

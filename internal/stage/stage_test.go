@@ -31,6 +31,15 @@ func TestPSAPlanRejectsBadGroupSize(t *testing.T) {
 
 // Start serves every unit whose stored value passes the unit's check
 // and runs the rest: a stored block of the wrong length is a miss.
+// A PSA plan refuses an ensemble whose members disagree on atom count,
+// as psa.Run does: its units would pair rows of different lengths.
+func TestPSAPlanRejectsMixedAtomCounts(t *testing.T) {
+	refs := append(walkRefs(1), traj.MemRef(synth.Walk("t", 4, 4, 9, 1)))
+	if _, err := stage.PSA(refs, 2, psa.Opts{Symmetric: true}); err == nil {
+		t.Error("members of 3 and 4 atoms accepted")
+	}
+}
+
 func TestStartServesStoredUnits(t *testing.T) {
 	store := blockstore.New(1 << 20)
 	refs := walkRefs(4)

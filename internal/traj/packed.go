@@ -109,8 +109,8 @@ func (t *Trajectory) Packed() *Packed {
 }
 
 // IsPacked reports whether the packed representation is already cached,
-// so a call to Packed costs nothing: how tests assert that a runner
-// packed up front rather than inside its first timed tasks.
+// so a call to Packed costs nothing: how tests assert that loading an
+// input packed it, so that no timed task does.
 func (t *Trajectory) IsPacked() bool {
 	p := t.packed.Load()
 	return p != nil && p.NFrames == t.NFrames()

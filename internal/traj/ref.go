@@ -195,7 +195,11 @@ func (e RefEnsemble) Load() (Ensemble, error) {
 	return out, nil
 }
 
-// Validate checks the ensemble's structural invariants.
+// Validate checks the ensemble's structural invariants: no member is
+// nil or has a negative shape, a memory-backed member's coordinates
+// fill its frames (Trajectory.Validate), and every member has the
+// first member's atom count, since every distance compares frames atom
+// by atom.
 func (e RefEnsemble) Validate() error {
 	for i, r := range e {
 		if r == nil {
@@ -203,6 +207,15 @@ func (e RefEnsemble) Validate() error {
 		}
 		if r.nAtoms < 0 || r.nFrames < 0 {
 			return fmt.Errorf("traj: ref ensemble member %d (%s) has negative shape", i, r.name)
+		}
+		if r.mem != nil {
+			if err := r.mem.Validate(); err != nil {
+				return fmt.Errorf("traj: ref ensemble member %d (%s): %w", i, r.name, err)
+			}
+		}
+		if r.nAtoms != e[0].nAtoms {
+			return fmt.Errorf("traj: ref ensemble member %d (%s) has %d atoms, member 0 (%s) has %d",
+				i, r.name, r.nAtoms, e[0].name, e[0].nAtoms)
 		}
 	}
 	return nil

@@ -146,16 +146,3 @@ func (t *Trajectory) Bytes() int64 {
 // Ensemble is a set of trajectories analyzed together, e.g. by Path
 // Similarity Analysis.
 type Ensemble []*Trajectory
-
-// Validate checks every member trajectory.
-func (e Ensemble) Validate() error {
-	for i, t := range e {
-		if t == nil {
-			return fmt.Errorf("traj: ensemble member %d is nil", i)
-		}
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("traj: ensemble member %d (%s): %w", i, t.Name, err)
-		}
-	}
-	return nil
-}

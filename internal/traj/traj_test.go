@@ -66,13 +66,22 @@ func TestBytes(t *testing.T) {
 	}
 }
 
+// TestEnsembleValidate: a ref ensemble validates when every member is
+// non-nil, well shaped and has the first member's atom count, however
+// many frames each has.
 func TestEnsembleValidate(t *testing.T) {
-	ens := Ensemble{randTraj(t, 4, 3, 2), nil}
-	if err := ens.Validate(); err == nil {
+	if err := (RefEnsemble{MemRef(randTraj(t, 4, 3, 2)), nil}).Validate(); err == nil {
 		t.Fatal("Validate accepted nil member")
 	}
-	ens = Ensemble{randTraj(t, 5, 3, 2), randTraj(t, 6, 4, 2)}
-	if err := ens.Validate(); err != nil {
+	if err := (RefEnsemble{MemRef(randTraj(t, 5, 3, 2)), MemRef(randTraj(t, 6, 4, 2))}).Validate(); err == nil {
+		t.Fatal("Validate accepted members of 3 and 4 atoms")
+	}
+	bad := randTraj(t, 7, 3, 2)
+	bad.Coords = bad.Coords[:5]
+	if err := (RefEnsemble{MemRef(bad)}).Validate(); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("Validate over 5 coords for 2 frames of 3 atoms: %v, want ErrShapeMismatch", err)
+	}
+	if err := (RefEnsemble{MemRef(randTraj(t, 8, 3, 2)), MemRef(randTraj(t, 9, 3, 5))}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
