@@ -211,7 +211,7 @@ func benchShuffle(b *testing.B, approach leaflet.Approach) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), approach, sys.Coords, synth.BilayerCutoff, 64, engine.Env{})
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), approach, sys.Coords, synth.BilayerCutoff, 64, 4, engine.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}

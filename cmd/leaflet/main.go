@@ -32,7 +32,7 @@ func main() {
 		approach = flag.String("approach", "tree", "approach: 1|broadcast, 2|task2d, 3|parallel-cc, 4|tree")
 		cutoff   = flag.Float64("cutoff", synth.BilayerCutoff, "neighbor cutoff (Å)")
 		parallel = flag.Int("parallel", 0, "worker/rank count (0: automatic)")
-		tasks    = flag.Int("tasks", 1024, "map task count")
+		tasks    = flag.Int("tasks", 1024, "upper bound on the map task count (tree plans fewer, by cost, for the -parallel workers)")
 		version  = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()

@@ -67,8 +67,10 @@ func Tab2(cal *Calibration) *Table {
 		{leaflet.TreeSearch, "2D", "tree search + partial components", "partial components (O(n))", "join components"},
 	}
 	sys := synth.Bilayer(tab2Atoms, 11)
+	// The tree approach plans its tiles for four workers, the jobs
+	// layer's default rank count.
 	for _, r := range rows {
-		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), r.a, sys.Coords, synth.BilayerCutoff, 64, engine.Env{})
+		res, err := leaflet.Run(rdd.NewExecutor(rdd.NewContext(0), nil), r.a, sys.Coords, synth.BilayerCutoff, 64, 4, engine.Env{})
 		if err != nil {
 			t.AddRow(r.a.String(), r.part, r.mapDesc, r.shuffleDesc, r.reduceDesc, "-", "-", "-", "ERR: "+err.Error())
 			continue

@@ -19,7 +19,7 @@ func TestExecutorScatterLimit(t *testing.T) {
 	// before doing any work, so a zeroed slice suffices.
 	big := make([]linalg.Vec3, dask.ScatterElementLimit+1)
 	ex := dask.NewExecutor(dask.NewClient(2), nil)
-	_, err := leaflet.Run(ex, leaflet.Broadcast1D, big, 1.0, 8, engine.Env{})
+	_, err := leaflet.Run(ex, leaflet.Broadcast1D, big, 1.0, 8, 4, engine.Env{})
 	if !errors.Is(err, dask.ErrScatter) {
 		t.Fatalf("err = %v, want ErrScatter", err)
 	}

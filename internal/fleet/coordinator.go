@@ -120,6 +120,7 @@ type Job struct {
 	open      []bool // units no result has been recorded for
 	remaining int
 	requeues  int64
+	failures  []int // failed runs per unit, as reported by workers
 
 	// Tracing: span is the fleet.job span (open from admit to finish);
 	// lastLease remembers each unit's most recent lease id so a retry's
@@ -202,6 +203,7 @@ func (c *Coordinator) Submit(plan stage.Plan, m *engine.Metrics, parent obs.Span
 		open:      make([]bool, len(units)),
 		remaining: len(run.Missing()),
 		lastLease: make([]string, len(units)),
+		failures:  make([]int, len(units)),
 		doneCh:    make(chan struct{}),
 	}
 	for _, i := range j.pending {
@@ -435,6 +437,17 @@ func (c *Coordinator) complete(workerID string, res UnitResult) error {
 		}
 		c.opts.Tracer.Import(res.Spans)
 		c.unitFailures++
+		// A unit that fails every time would be requeued for as long as
+		// its job lives: its maxAttempts-th failure fails the job
+		// instead. Only reported failures count; a lease revoked on
+		// expiry or a silent worker's death says nothing of the unit.
+		if j := l.job; !j.finished && j.open[l.unit] {
+			if j.failures[l.unit]++; j.failures[l.unit] >= maxAttempts {
+				c.revokeJobLeasesLocked(j)
+				j.finishLocked(fmt.Errorf("fleet: unit %d failed %d times: %s", l.unit, maxAttempts, res.Error))
+				return nil
+			}
+		}
 		c.requeueLocked(l)
 		return nil
 	}

@@ -56,11 +56,11 @@ func requeuesOf(j *Job) int64 {
 	return j.requeues
 }
 
-// submitLeaflet submits a Leaflet job over coords, one unit per live
-// tile.
+// submitLeaflet submits a Leaflet job over coords, one unit per tile
+// of its plan for four workers.
 func submitLeaflet(t testing.TB, c *Coordinator, coords []linalg.Vec3, cutoff float64, tasks int, tree bool) *Job {
 	t.Helper()
-	plan, err := stage.Leaflet(coords, cutoff, tasks, tree)
+	plan, err := stage.Leaflet(coords, cutoff, tasks, 4, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestFleetLeafletMatchesSerial(t *testing.T) {
 		if got.Stats.Edges != want.Stats.Edges {
 			t.Errorf("tree=%v: edges = %d, want %d", tree, got.Stats.Edges, want.Stats.Edges)
 		}
-		// Only the plan's live tiles are leased.
-		if live := len(leaflet.LiveBlocks(coords, cutoff, 16)); got.Stats.Tasks != live || live >= len(leaflet.Blocks(len(coords), 16)) {
+		// Only the plan's tiles are leased.
+		if live := len(leaflet.Tiles(coords, cutoff, 16, 4, tree)); got.Stats.Tasks != live || live >= len(leaflet.Blocks(len(coords), 16)) {
 			t.Errorf("tree=%v: tasks = %d, live tiles %d of %d", tree, got.Stats.Tasks, live, len(leaflet.Blocks(len(coords), 16)))
 		}
 	}
@@ -300,10 +300,10 @@ func TestFleetSubmitValidation(t *testing.T) {
 	if _, err := stage.PSA(traj.RefsOf(testEnsemble(4, 4, 3, 1)), 3, psa.Opts{}); err == nil {
 		t.Error("non-divisor group size accepted")
 	}
-	if _, err := stage.Leaflet(nil, 1, 4, false); err == nil {
+	if _, err := stage.Leaflet(nil, 1, 4, 4, false); err == nil {
 		t.Error("empty coordinate set accepted")
 	}
-	if _, err := stage.Leaflet([]linalg.Vec3{{0, 0, 0}}, -1, 4, false); err == nil {
+	if _, err := stage.Leaflet([]linalg.Vec3{{0, 0, 0}}, -1, 4, 4, false); err == nil {
 		t.Error("negative cutoff accepted")
 	}
 	c.Close()

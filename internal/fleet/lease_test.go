@@ -52,7 +52,7 @@ func FuzzLease(f *testing.F) {
 	for _, plan := range []func() (stage.Plan, error){
 		func() (stage.Plan, error) { return stage.PSA(refs, 1, psa.Opts{}) },
 		func() (stage.Plan, error) { return stage.PSA(refs, 1, psa.Opts{MaxResidentFrames: 2}) },
-		func() (stage.Plan, error) { return stage.Leaflet(coords, synth.BilayerCutoff, 4, true) },
+		func() (stage.Plan, error) { return stage.Leaflet(coords, synth.BilayerCutoff, 4, 4, true) },
 	} {
 		p, err := plan()
 		if err != nil {

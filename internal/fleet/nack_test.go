@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,9 +141,12 @@ func (p *mixedAtomsPlan) Blob(name string) ([]byte, error) {
 
 // TestWorkerSurvivesPanickingUnit: a unit whose body panics is a failed
 // unit, as on every executor. The worker nacks it, the coordinator
-// counts the failure, and the same worker then completes another job.
-// Before the worker ran its units through engine.RunTask the panic
-// ended the process, and with it an mdserver running -fleet-workers.
+// counts the failure and requeues it, and its maxAttempts-th failure
+// fails the job with the panic's message; the same worker then
+// completes another job. Before the worker ran its units through
+// engine.RunTask the panic ended the process, and with it an mdserver
+// running -fleet-workers; before the bound, the unit was requeued for
+// as long as its job lived, thousands of times a second.
 func TestWorkerSurvivesPanickingUnit(t *testing.T) {
 	c, url := startCoordinator(t, Options{
 		LeaseTTL:     30 * time.Second,
@@ -175,14 +180,13 @@ func TestWorkerSurvivesPanickingUnit(t *testing.T) {
 	}
 	defer w.Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().UnitFailures < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("the panicking unit was never nacked")
-		}
-		time.Sleep(5 * time.Millisecond)
+	err = poisoned.Wait(func() bool { return time.Now().After(deadline) })
+	if err == nil || errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("the poisoned job ended with %v, want the unit's panic", err)
 	}
-	// A unit that fails every time is requeued for as long as its job
-	// lives; drop the job so the worker is free for the next one.
+	if got := c.Stats().UnitFailures; got != maxAttempts {
+		t.Fatalf("unit failures = %d, want exactly %d", got, maxAttempts)
+	}
 	c.Drop(poisoned)
 
 	ens := testEnsemble(3, 3, 4, 6)
@@ -200,5 +204,57 @@ func TestWorkerSurvivesPanickingUnit(t *testing.T) {
 	}
 	if w.UnitsDone.Load() < 1 {
 		t.Fatal("the surviving worker completed no unit")
+	}
+}
+
+// TestExpiryIsNotAFailedAttempt: only a worker's failure report counts
+// toward a unit's maxAttempts. A lease revoked on expiry says nothing of
+// the unit, so a unit whose leases expire maxAttempts times and that is
+// nacked maxAttempts−1 times more still completes its job. The
+// background sweeper is parked; each expiry is one sweep at a chosen
+// instant past the lease's deadline.
+func TestExpiryIsNotAFailedAttempt(t *testing.T) {
+	c, url := startCoordinator(t, Options{
+		LeaseTTL:     time.Second,
+		HeartbeatTTL: time.Hour,
+		SweepEvery:   time.Hour,
+		PollEvery:    5 * time.Millisecond,
+	})
+	ens := testEnsemble(2, 3, 4, 8)
+	opts := psa.Opts{Symmetric: true}
+	want, err := psa.SerialRefs(traj.RefsOf(ens), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := submitPSA(t, c, traj.RefsOf(ens), 2, opts, nil) // one unit
+	defer c.Drop(job)
+
+	pc := newProtoClient(t, url)
+	for i := range 2*maxAttempts - 1 {
+		l := pc.lease()
+		if l == nil || l.Unit != 0 {
+			t.Fatalf("round %d: lease %+v, want unit 0", i, l)
+		}
+		if i%2 == 0 {
+			c.sweep(time.Now().Add(2 * time.Second))
+		} else if code := pc.post(UnitResult{Lease: l.Lease, Job: l.Job, Unit: l.Unit, Failed: true, Error: "boom"}); code != http.StatusOK {
+			t.Fatalf("round %d: failure nack: got %d, want 200", i, code)
+		}
+	}
+	if st := c.Stats(); st.UnitFailures != maxAttempts-1 || st.Requeues != 2*maxAttempts-1 {
+		t.Fatalf("unit failures %d, requeues %d; want %d and %d", st.UnitFailures, st.Requeues, maxAttempts-1, 2*maxAttempts-1)
+	}
+
+	w, err := StartWorker(WorkerOptions{Coordinator: url, Name: "healthy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	if err := job.Wait(func() bool { return time.Now().After(deadline) }); err != nil {
+		t.Fatalf("the job failed after expiries and %d failures: %v", maxAttempts-1, err)
+	}
+	if got := matrixOf(job); !slices.Equal(got.Data, want.Data) {
+		t.Fatalf("matrix %v, want %v", got.Data, want.Data)
 	}
 }

@@ -62,7 +62,7 @@ func TestMalformedLeafletPartialNotCached(t *testing.T) {
 	})
 	coords, cutoff := synth.Bilayer(poisonAtoms, 5).Coords, synth.BilayerCutoff
 	var m engine.Metrics
-	plan, err := stage.Leaflet(coords, cutoff, poisonTasks, true)
+	plan, err := stage.Leaflet(coords, cutoff, poisonTasks, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func FuzzRecordLeafletResult(f *testing.F) {
 			var plan stage.Plan
 			var err error
 			if kind == "leaflet" {
-				plan, err = stage.Leaflet(coords, cutoff, poisonTasks, true)
+				plan, err = stage.Leaflet(coords, cutoff, poisonTasks, 4, true)
 			} else {
 				plan, err = stage.PSA(traj.RefsOf(ens), 1, psa.Opts{Cache: store})
 			}

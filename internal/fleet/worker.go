@@ -414,6 +414,12 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	return res, nil
 }
 
+// maxAttempts bounds the tries of one operation that fails the same way
+// again and again: a worker's post of one result, and the coordinator's
+// runs of one unit that a worker reports failed (a unit that fails this
+// many times fails its job).
+const maxAttempts = 4
+
 // post ships a unit result; false means the result did not land (a
 // stale lease was rejected outright, or retries ran out — either way
 // the lease expires and the unit is requeued). Transport errors and
@@ -426,7 +432,6 @@ func (w *Worker) post(traceparent string, res UnitResult) bool {
 	if err != nil {
 		return false
 	}
-	const attempts = 4
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequest(http.MethodPost, w.base+"/v1/workers/"+w.ID()+"/results", bytes.NewReader(body))
 		if err != nil {
@@ -449,7 +454,7 @@ func (w *Worker) post(traceparent string, res UnitResult) bool {
 			}
 			resp.Body.Close()
 		}
-		if !retryable || attempt == attempts-1 {
+		if !retryable || attempt == maxAttempts-1 {
 			return false
 		}
 		w.postRetry.Inc()

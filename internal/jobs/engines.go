@@ -139,6 +139,18 @@ func (s Spec) checkPlan(n int) error {
 	return nil
 }
 
+// leafletWorkers is the worker count the tree approach plans its tiles
+// for: one on the serial engine, the spec's ranks on every other. It is
+// never the machine's GOMAXPROCS nor a shared fleet's registered
+// workers, because the plan shows in the result's Stats, which the
+// result's digest covers.
+func (s Spec) leafletWorkers() int {
+	if s.Engine == EngineSerial {
+		return 1
+	}
+	return s.ranks()
+}
+
 // leafletTasks resolves the task bound leaflet.Run tiles with.
 func (s Spec) leafletTasks(approach leaflet.Approach) int {
 	if approach == leaflet.Broadcast1D && engineTable[s.Engine].chunkPerRank {
@@ -228,7 +240,7 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		var res *leaflet.Result
 		if row.staged != nil {
 			var plan stage.Plan
-			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, approach == leaflet.TreeSearch); err == nil {
+			if plan, err = stage.Leaflet(in.Coords, spec.Cutoff, spec.Tasks, spec.leafletWorkers(), approach == leaflet.TreeSearch); err == nil {
 				var out any
 				out, err = row.staged(shared, rc, spec, plan, stage.Env{Env: env})
 				res, _ = out.(*leaflet.Result)
@@ -236,11 +248,11 @@ func leafletRunner(engineName string, row engineRow, shared *fleet.Coordinator) 
 		} else {
 			ex := row.executor(spec.Parallelism, rc.Cancelled)
 			rc.SetMetrics(ex.Metrics())
-			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), env)
+			res, err = leaflet.Run(ex, approach, in.Coords, spec.Cutoff, spec.leafletTasks(approach), spec.leafletWorkers(), env)
 		}
-		// What the plan saved: the grid's tiles against the live ones run.
-		// The staged engines run every approach as one unit per live tile;
-		// the executors cut Approach 1 into 1-D row chunks instead.
+		// What the plan saved: the grid's tiles against the ones run.
+		// The staged engines run every approach as one unit per planned
+		// tile; the executors cut Approach 1 into 1-D row chunks instead.
 		if res != nil && rc.Tracer().Enabled() && (row.staged != nil || approach != leaflet.Broadcast1D) {
 			engSpan.SetAttrInt("tiles_grid", int64(leaflet.GridTiles(len(in.Coords), spec.Tasks)))
 			engSpan.SetAttrInt("tiles_live", int64(res.Stats.Tasks))

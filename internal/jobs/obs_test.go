@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mdtask/internal/engine"
+	"mdtask/internal/leaflet"
 	"mdtask/internal/obs"
 )
 
@@ -294,8 +295,10 @@ func TestTracingDisabled(t *testing.T) {
 // Every Leaflet tile body runs through one instrumented kernel call,
 // on an executor (dask, serial) or as a staged unit (pilot): a traced
 // job at the engine conformance point (2000 atoms, 16 tasks) records one
-// leaflet.tile span and one block kernel observation per live tile — 11
-// of them — for every tiled approach.
+// leaflet.tile span and one block kernel observation per tile of its
+// plan for every tiled approach: the fine grid's 11 live tiles, or the
+// tree approach's cost plan for the spec's workers (5 tiles for the
+// serial engine's one, 8 for two).
 func TestLeafletTilesObserveKernelHistogram(t *testing.T) {
 	ob := obs.New("mdserver")
 	hist := engine.KernelHistogram(ob.Metrics)
@@ -323,9 +326,13 @@ func TestLeafletTilesObserveKernelHistogram(t *testing.T) {
 				}
 				spans, _ := ob.Tracer.Spans(root.Context().Trace)
 				observed, traced := hist.Snapshot().Count-before, len(spansByName(spans)["leaflet.tile"])
-				if live := res.Leaflet.Stats.Tasks; live != 11 || observed != 11 || traced != 11 {
-					t.Errorf("%d live tiles: histogram rose by %d, %d leaflet.tile spans; want 11 each",
-						live, observed, traced)
+				want := 11
+				if approach == "tree" {
+					want = len(leaflet.Tiles(in.Coords, spec.Cutoff, spec.Tasks, spec.leafletWorkers(), true))
+				}
+				if tiles := res.Leaflet.Stats.Tasks; tiles != want || observed != int64(want) || traced != want {
+					t.Errorf("%d tiles: histogram rose by %d, %d leaflet.tile spans; want %d each",
+						tiles, observed, traced, want)
 				}
 			})
 		}

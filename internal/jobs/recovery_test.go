@@ -3,11 +3,13 @@ package jobs
 import (
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"mdtask/internal/faultinject"
+	"mdtask/internal/leaflet"
 )
 
 // TestSchedulerCrashRecovery simulates a SIGKILL mid-workload: one job
@@ -285,10 +287,72 @@ func TestRecoveredV2KeyNeverCompared(t *testing.T) {
 	}
 }
 
+// TestRecoveredV3TreeKeyNeverCompared recovers, from a journal on disk,
+// a done tree-approach Leaflet job that a server of cache-key version v3
+// recorded: its key and its result digest, from the fine grid's 126
+// live tiles that v4's cost plan replaced. Resubmitting the same spec
+// must run the job, to the same labels in fewer tiles and so to another
+// digest, and count no mismatch: the v3 key is one no new job computes,
+// so the old digest is never compared.
+func TestRecoveredV3TreeKeyNeverCompared(t *testing.T) {
+	spec := Spec{Analysis: AnalysisLeaflet, Engine: EngineSerial, Approach: "tree", Synth: &SynthSpec{Atoms: 2048, Seed: 7}}
+	const (
+		v3Key    = "f3606a04e396b867dcd0fa4b5a560e8e7c25a4431d078024d089eaa4f84902ba"
+		v3Digest = "8561ff789d5679785b870320f92597b5b398faa92a29b7f4d00c0c11a39d113c"
+		v3Tiles  = 126
+	)
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, _ := openStore(t, dir)
+	at := time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.JournalSubmit(JobRecord{ID: "job-000001", Spec: norm, Key: v3Key, State: StateDone,
+		Digest: v3Digest, Created: at, Updated: at}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, rec := openStore(t, dir)
+	defer st2.Close()
+	if len(rec.Jobs) != 1 || rec.Jobs[0].Key != v3Key || rec.Jobs[0].State != StateDone {
+		t.Fatalf("recovered %+v, want the one done v3 record", rec.Jobs)
+	}
+	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st2})
+	defer s.Close()
+	s.Recover()
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, job)
+	if job.ID() == "job-000001" || fin.CacheHit || fin.State != StateDone {
+		t.Fatalf("resubmission %s finished %s (cache hit %v, %s), want a fresh run to done", job.ID(), fin.State, fin.CacheHit, fin.Error)
+	}
+	res, _, _ := job.Result()
+	if got := mustResultDigest(t, res); got == v3Digest {
+		t.Fatalf("result digest %s equals the v3 one: this spec no longer shows the plan change", got)
+	}
+	if tiles := res.Leaflet.Stats.Tasks; tiles >= v3Tiles {
+		t.Errorf("the tree plan ran %d tiles, want fewer than the fine grid's %d", tiles, v3Tiles)
+	}
+	in, err := ResolveInput(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := leaflet.Serial(in.Coords, norm.Cutoff); !slices.Equal(res.Leaflet.Labels, want.Labels) || res.Leaflet.Stats.Edges != want.Stats.Edges {
+		t.Errorf("the resubmission's labels or edges differ from leaflet.Serial")
+	}
+	if got := s.digestMismatchCtr.Value(); got != 0 {
+		t.Errorf("mdtask_jobs_result_digest_mismatch_total = %d, want 0", got)
+	}
+}
+
 // TestRecoveredContentKeyNeverCompared is the upgrade path from content-
 // to recipe-addressed synth inputs. A journal written before holds a
 // done synth PSA job under the key its generated coordinates' SHA-256
-// gave it. After the upgrade the same spec computes its recipe key, so
+// gave it, under the cache-key version v3 of that code. After the upgrade the same spec computes its recipe key, so
 // the resubmission runs rather than meeting the old record, and its
 // result — the same arithmetic, so the same bits the old job journaled —
 // is never compared with the recovered one: the old record stays
@@ -307,7 +371,7 @@ func TestRecoveredContentKeyNeverCompared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := CacheKey(norm, generatedContent(t, in)); k != contentKey {
+	if k := cacheKeyFmt("v3", norm, generatedContent(t, in)); k != contentKey {
 		t.Fatalf("content-addressed key %s, want %s: the pin no longer names what the earlier code journaled", k, contentKey)
 	}
 	dir := t.TempDir()

@@ -2,7 +2,10 @@ package jobs
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"mdtask/internal/leaflet"
 )
 
 // TestResultPins pins the result digest (resultDigest: the SHA-256 of
@@ -20,7 +23,9 @@ func TestResultPins(t *testing.T) {
 	psaIn := &SynthSpec{Count: 5, Atoms: 24, Frames: 10, Seed: 7}
 	leafletIn := &SynthSpec{Atoms: 512, Seed: 3}
 	// Every PSA method and window agrees (docs/kernels.md); the Leaflet
-	// results differ by approach only in their run statistics.
+	// results differ by approach only in their run statistics (the tree
+	// approach plans its own tiles by cost, so it no longer shares
+	// parallel-cc's).
 	const psaPin = "d427f41be2df65a9a0fe1aafed23a2f8940689a21d0e778d99147349868d17d0"
 	cases := []struct {
 		spec Spec
@@ -41,7 +46,7 @@ func TestResultPins(t *testing.T) {
 		{Spec{Analysis: AnalysisLeaflet, Approach: "parallel-cc", Tasks: 16, Synth: leafletIn},
 			"6513be51d81b306f77e39d39b5e4fc2dbf58e1ac9f2714cc86c7d4a4eeb61407"},
 		{Spec{Analysis: AnalysisLeaflet, Approach: "tree", Tasks: 16, Synth: leafletIn},
-			"6513be51d81b306f77e39d39b5e4fc2dbf58e1ac9f2714cc86c7d4a4eeb61407"},
+			"bbf68ec12820a769c38acd24ea55e60647e50b011b01bf844feca7272cf4fbde"},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%s/%s%s/window=%d", c.spec.Analysis, c.spec.Method, c.spec.Approach, c.spec.MaxResidentFrames)
@@ -54,5 +59,39 @@ func TestResultPins(t *testing.T) {
 				t.Errorf("result digest %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestTreePlanIgnoresGOMAXPROCS: the tree approach plans its tiles for
+// the spec's workers (Spec.leafletWorkers), never the machine's, because
+// the plan shows in the result's Stats and so in its digest. One spec on
+// an executor sized by the machine (dask at parallelism 0) and on a
+// staged engine (fleet) plans the same tiles, leaflet.Tiles for the
+// spec's four ranks, and writes the same result digest under GOMAXPROCS
+// 1 and 4.
+func TestTreePlanIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, eng := range []string{EngineDask, EngineFleet} {
+		spec := Spec{Analysis: AnalysisLeaflet, Engine: eng, Approach: "tree", Synth: &SynthSpec{Atoms: 4096, Seed: 5}}
+		norm, in, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(leaflet.Tiles(in.Coords, norm.Cutoff, norm.Tasks, norm.ranks(), true))
+		digests := map[string]bool{}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			_, res, _, err := RunLocal(DefaultRegistry(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Leaflet.Stats.Tasks; got != want {
+				t.Errorf("%s GOMAXPROCS=%d: %d tiles, want the %d planned for %d workers", eng, procs, got, want, norm.ranks())
+			}
+			digests[mustResultDigest(t, res)] = true
+		}
+		if len(digests) != 1 {
+			t.Errorf("%s: result digests %v differ with GOMAXPROCS", eng, digests)
+		}
 	}
 }

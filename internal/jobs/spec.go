@@ -85,7 +85,8 @@ type Spec struct {
 	// for shared-memory engines, 4 ranks/cores for mpi/pilot).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Tasks bounds the task count (0: one per worker for PSA, 1024 for
-	// Leaflet Finder, matching the paper; at most MaxTasks).
+	// Leaflet Finder, matching the paper; at most MaxTasks). The Leaflet
+	// tree approach plans fewer tiles, by cost, for the spec's ranks.
 	Tasks int `json:"tasks,omitempty"`
 
 	// Method is the PSA Hausdorff kernel: "naive" (default),
@@ -110,8 +111,8 @@ type Spec struct {
 	// Approach is the Leaflet Finder architecture: "broadcast"|"1",
 	// "task2d"|"2", "parallel-cc"|"3" or "tree"|"4" (default "tree").
 	// The staged engines (pilot, fleet) run every approach as one unit
-	// per live tile shipping partial components; "tree" selects their
-	// cell-list kernel.
+	// per planned tile shipping partial components; "tree" selects their
+	// cell-list kernel and its tiles planned by cost.
 	Approach string `json:"approach,omitempty"`
 	// Cutoff is the Leaflet Finder neighbor cutoff in Å (default
 	// synth.BilayerCutoff).
@@ -374,20 +375,23 @@ func RunnerName(analysis, engine string) string { return analysis + "/" + engine
 // that change where or how much engine work runs (engine, sizing) stay
 // in the key, so resubmitting on a different engine re-runs.
 //
-// The version prefix names the arithmetic a result was computed with,
-// and moves whenever that changes a result's bits: v3 is the eight-lane
-// dRMS summation of internal/linalg. A done job recovered from a journal
-// written under another version then has a key no new job computes, so
-// it is never compared with a result of the new arithmetic, and
-// mdtask_jobs_result_digest_mismatch_total counts only real mismatches.
+// The version prefix names how a result was computed, and moves
+// whenever that changes a result's bits: v3 was the eight-lane dRMS
+// summation of internal/linalg; v4 keeps it and adds the tree approach's
+// tiles chosen by cost (internal/leaflet, treeBlocks), whose count and
+// shuffle bytes a Leaflet result's Stats carry. A done job recovered
+// from a journal written under another version then has a key no new
+// job computes, so it is never compared with a result computed the new
+// way, and mdtask_jobs_result_digest_mismatch_total counts only real
+// mismatches.
 //
-// The hashed text is "v3|analysis|engine|p=parallelism|t=tasks|
+// The hashed text is "v4|analysis|engine|p=parallelism|t=tasks|
 // a=approach|c=cutoff|in=digest", the integers in decimal and the
 // cutoff in hexadecimal floating point (strconv's 'x' format, exact for
 // every float64), built with appends instead of fmt.
 func CacheKey(s Spec, inputDigest string) string {
 	b := make([]byte, 0, 128+len(inputDigest))
-	b = append(b, "v3|"...)
+	b = append(b, "v4|"...)
 	b = append(b, s.Analysis...)
 	b = append(b, '|')
 	b = append(b, s.Engine...)

@@ -138,13 +138,14 @@ func TestParseEngineNames(t *testing.T) {
 	}
 }
 
-// cacheKeyFmt is CacheKey as it was first written, with fmt: the key
-// CacheKey must keep producing, so no stored entry or journaled job
-// changes its key.
-func cacheKeyFmt(s Spec, inputDigest string) string {
+// cacheKeyFmt is CacheKey as it was first written, with fmt, under the
+// given version prefix: at the current one ("v4"), the key CacheKey
+// must keep producing, so no stored entry or journaled job changes its
+// key; at an earlier one, the key a server of that version journaled.
+func cacheKeyFmt(version string, s Spec, inputDigest string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v3|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
-		s.Analysis, s.Engine, s.Parallelism, s.Tasks,
+	fmt.Fprintf(h, "%s|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
+		version, s.Analysis, s.Engine, s.Parallelism, s.Tasks,
 		s.Approach, s.Cutoff, inputDigest)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -165,7 +166,7 @@ func TestCacheKeyMatchesFmt(t *testing.T) {
 						s := Spec{Analysis: analysis, Engine: engine, Approach: approach, Cutoff: c,
 							Parallelism: p, Tasks: ints[(k+1)%len(ints)]}
 						for _, digest := range []string{"", "sha256:0f", "v1|recipe|x"} {
-							if got, want := CacheKey(s, digest), cacheKeyFmt(s, digest); got != want {
+							if got, want := CacheKey(s, digest), cacheKeyFmt("v4", s, digest); got != want {
 								t.Fatalf("%+v, %q: key %s, fmt %s", s, digest, got, want)
 							}
 							n++

@@ -37,20 +37,20 @@ func TestStagingGolden(t *testing.T) {
 		{
 			Spec{Analysis: AnalysisPSA, Synth: &SynthSpec{}}, // 4×16×8, seed 0
 			"9d9718f2b914b908ccf3a43e7411ad561e603b359b97c3f83c18b77d52833635",
-			"e17bee883497fc866972529502c145c5197a37d0b9974927c1f4e2a2064b4210",
+			"76d83e09deee83c92cf416efe723124fe200b3ff54cacd5cb3e8becdc1b84e43",
 			"f896e7ffc4d9243ad3e3a8b783efafb7e3d9cbe3a3ec3ca65e5284903c4c6607",
 		},
 		{
 			Spec{Analysis: AnalysisPSA, Engine: EngineDask, Method: "pruned",
 				Synth: &SynthSpec{Count: 8, Atoms: 1024, Frames: 64, Seed: 1000}},
 			"808586ae0d1112e762da87a9af3261a82f02bc8523be94df0d3abc51a7491ae6",
-			"0248e911e550545bada8fa2190158f2d9f6f764782f36ccc531b7b541b04bd9d",
+			"1ff9e1940e0427f861dc77fe2f35340ea3b2e496a495b7dc9f83bdcac29735cc",
 			"8e4a646e88afcc94201c004741c1eedf3e59609d5c924da6bbcaae5972bd2f9d",
 		},
 		{
 			Spec{Analysis: AnalysisLeaflet, Synth: &SynthSpec{}}, // 2048 atoms, seed 0
 			"20841d08706c065e07863a9da64a5f70799d523895854240743fb6161226ebaf",
-			"3ea1788f4468792ca345a3f8088129edd4aa3b347b86e42934207e536fafe2a6",
+			"14ddb0bc16c92e1364d38a6fb60ca411c98cab30a0f42cf82461a4277ef19fe2",
 			"34e7d2b283a365a8f2fd6852357033af3a81f4f9c67a5f9db8450f2eb47f7a0c",
 		},
 	}
@@ -225,12 +225,12 @@ func TestFileInputDigestsUnchanged(t *testing.T) {
 		digest, key string
 	}{
 		{Spec{Analysis: AnalysisPSA, Path: psaDir}, psaDigest,
-			"219595c99934adb39bee20305f8a4b0dabc623f646a0544fc2d7c446b3a44c0a"},
+			"2d0d40f90badb213c4db289db3640eb1a303b0dce00e5c1347a8005b572389b4"},
 		{Spec{Analysis: AnalysisPSA, Engine: EngineDask, Path: psaDir, MaxResidentFrames: 2}, psaDigest,
-			"d47b60c691c07774f8165335714d34b0c0f0fe04e43ab844a406fdfad1b61c0b"},
+			"c96895059faff1016a43bab0ec791c645de23c5fdba1cda397d57e06c8e7e002"},
 		{Spec{Analysis: AnalysisLeaflet, Path: membrane},
 			"616529f34ef295827e4d3cc7724476d19f5c8381113e2e40dbc087b51285767b",
-			"1adb24dca27830a96013598b32a8c04b8dce1f119039968c8e11541334a215d0"},
+			"4d9f780bfa7cc4a81a25272e41494bc0b1d71374554b8fc417806e99c129cfed"},
 	}
 	for _, c := range cases {
 		norm, err := c.spec.Normalized()

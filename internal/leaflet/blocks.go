@@ -38,11 +38,14 @@ func (b BlockSpec) Valid(n int) error {
 // covered by exactly one tile.
 func Blocks(n, maxTasks int) []BlockSpec { return specsOf(blocks2D(n, maxTasks)) }
 
-// LiveBlocks returns the tiles of Blocks(len(coords), maxTasks) that
-// can hold an edge — the schedule Approaches 2-4 run. Every edge lies in
-// a live tile.
-func LiveBlocks(coords []linalg.Vec3, cutoff float64, maxTasks int) []BlockSpec {
-	return specsOf(liveBlocks2D(coords, cutoff, maxTasks))
+// Tiles returns the schedule of Approaches 2-4. Without tree it is the
+// tiles of Blocks(len(coords), maxTasks) that can hold an edge (workers
+// is unused); with tree, the tree approach's cost plan for workers
+// workers, whose chunks group consecutive chunks of that grid. Either
+// way the tiles and the ones dropped cover every atom pair exactly
+// once, and every edge lies in a kept tile.
+func Tiles(coords []linalg.Vec3, cutoff float64, maxTasks, workers int, tree bool) []BlockSpec {
+	return specsOf(tilesFor(coords, cutoff, maxTasks, workers, tree))
 }
 
 func specsOf(blocks []block) []BlockSpec {

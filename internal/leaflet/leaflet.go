@@ -27,7 +27,7 @@
 // runs on the master: a union-find over the collected edges
 // (Approaches 1-2) or over the collected partial components
 // (Approaches 3-4, FromPartials). The staged engines (pilot, fleet) run
-// the same tile body over the live tiles as staged units instead
+// the same tile body over the same planned tiles as staged units instead
 // (internal/stage) and join the partials with the same FromPartials.
 // Every run is validated against Serial, the untiled reference.
 package leaflet
@@ -183,7 +183,8 @@ func triangleFits(q, m int) bool {
 // blocks2D tiles the upper triangle of the n×n comparison space into at
 // most maxTasks blocks: every chunk pair (i <= j) of chunks2D is a tile.
 // This is the paper's 2-D pre-partitioning, the full grid; the runs of
-// Approaches 2-4 schedule only its live tiles (liveBlocks2D).
+// Approaches 2-3 schedule only its live tiles (liveBlocks2D), and
+// Approach 4 the live tiles of a grouping of its chunks (treeBlocks).
 func blocks2D(n, maxTasks int) []block {
 	ch := chunks2D(n, maxTasks)
 	out := make([]block, 0, len(ch)*(len(ch)+1)/2)
@@ -195,23 +196,33 @@ func blocks2D(n, maxTasks int) []block {
 	return out
 }
 
-// liveBlocks2D is the plan of Approaches 2-4: the tiles of
+// liveBlocks2D is the plan of Approaches 2 and 3: the tiles of
 // blocks2D(len(coords), maxTasks) that can hold an edge, in grid order.
 // A dropped tile never becomes a task or a span.
 func liveBlocks2D(coords []linalg.Vec3, cutoff float64, maxTasks int) []block {
 	return planTiles(coords, chunks2D(len(coords), maxTasks), cutoff)
 }
 
-// planTiles pairs the chunks ch (i <= j) into tiles, boxing each chunk
-// once — one O(n) pass — and dropping every off-diagonal pair whose
-// boxes lie more than cutoff apart (boxesApart). Diagonal tiles are
-// always kept.
+// planTiles pairs the chunks ch (i <= j) into the tiles that can hold
+// an edge, boxing each chunk once — one O(n) pass.
 func planTiles(coords []linalg.Vec3, ch []span, cutoff float64) []block {
+	return liveTiles(nil, ch, boxesOf(coords, ch), cutoff)
+}
+
+// boxesOf boxes each chunk of ch.
+func boxesOf(coords []linalg.Vec3, ch []span) []box {
 	boxes := make([]box, len(ch))
 	for i, c := range ch {
-		boxes[i] = boxOf(coords[c.lo:c.hi])
+		boxes[i] = boxOf(c.of(coords))
 	}
-	var out []block
+	return boxes
+}
+
+// liveTiles appends to out, in grid order, every tile of the chunks ch
+// (boxed by boxes) that can hold an edge: each diagonal tile, and each
+// off-diagonal pair whose boxes do not lie more than cutoff apart
+// (boxesApart).
+func liveTiles(out []block, ch []span, boxes []box, cutoff float64) []block {
 	for i := range ch {
 		for j := i; j < len(ch); j++ {
 			if i == j || !boxesApart(boxes[i], boxes[j], cutoff) {
@@ -222,8 +233,101 @@ func planTiles(coords []linalg.Vec3, ch []span, cutoff float64) []block {
 	return out
 }
 
+// tasksPerWorker is how many tiles per worker the tree plan keeps, so
+// that tiles of uneven cost still leave no worker idle.
+const tasksPerWorker = 4
+
+// treeBlocks is the plan of Approach 4, chosen by cost. It boxes the
+// chunks2D(len(coords), maxTasks) fine chunks once, then, for each p up
+// to min(fine chunks, 4·workers), groups them into p runs of
+// consecutive fine chunks (chunks1D over the fine chunks' indices),
+// boxes each run as the union of its fine boxes and keeps its live
+// tiles. A tile's cost is the atoms its cell-list kernel bins and scans:
+// |rows| on a diagonal tile, which bins and scans its one chunk, and
+// |rows| + |cols| off it. Among the groupings with at least
+// min(4·workers, the fine grid's live tiles) tiles, the cheapest wins,
+// a tie going to more tiles. The grouping into the fine chunks
+// themselves, reached when they are at most 4·workers, always
+// qualifies, and so does p = 4·workers, whose diagonal alone is enough.
+// The union of boxes is the box of the run's atoms, so a dropped tile
+// holds no edge, exactly as on the fine grid.
+//
+// The plan is a function of the input, cutoff, maxTasks and workers
+// alone: a result's Stats carry its tile count, and the jobs layer
+// passes the spec's worker count, never the machine's.
+func treeBlocks(coords []linalg.Vec3, cutoff float64, maxTasks, workers int) []block {
+	fine := chunks2D(len(coords), maxTasks)
+	boxes := boxesOf(coords, fine)
+	limit := tasksPerWorker * max(workers, 1)
+	want := min(limit, len(liveTiles(nil, fine, boxes, cutoff)))
+	var best, tiles []block
+	var bestCost int64
+	var ch []span
+	var bx []box
+	for p := 1; p <= min(len(fine), limit); p++ {
+		ch, bx = coarsen(ch[:0], bx[:0], fine, boxes, p)
+		tiles = liveTiles(tiles[:0], ch, bx, cutoff)
+		if len(tiles) < want {
+			continue
+		}
+		if cost := binnedAtoms(tiles); best == nil || cost < bestCost || cost == bestCost && len(tiles) > len(best) {
+			best, bestCost = append(best[:0], tiles...), cost
+		}
+	}
+	return best
+}
+
+// coarsen appends to ch and bx the p runs of consecutive fine chunks
+// (chunks1D over their indices) and their boxes, each the union of its
+// fine chunks' boxes.
+func coarsen(ch []span, bx []box, fine []span, boxes []box, p int) ([]span, []box) {
+	for _, g := range chunks1D(len(fine), p) {
+		b := boxes[g.lo]
+		for _, o := range boxes[g.lo+1 : g.hi] {
+			b = b.union(o)
+		}
+		ch = append(ch, span{lo: fine[g.lo].lo, hi: fine[g.hi-1].hi})
+		bx = append(bx, b)
+	}
+	return ch, bx
+}
+
+// binnedAtoms is the atoms the cell-list kernel bins and scans over
+// tiles: |rows| on a diagonal tile, |rows| + |cols| off it.
+func binnedAtoms(tiles []block) int64 {
+	var n int64
+	for _, b := range tiles {
+		n += int64(b.rows.len())
+		if b.rows != b.cols {
+			n += int64(b.cols.len())
+		}
+	}
+	return n
+}
+
+// tilesFor is the plan the Parallel-CC approaches run: the cost plan for
+// the tree kernel (treeBlocks), the live fine grid for the pairwise one,
+// whose tile cost is its pair count, which the finest grid minimises.
+func tilesFor(coords []linalg.Vec3, cutoff float64, maxTasks, workers int, tree bool) []block {
+	if tree {
+		return treeBlocks(coords, cutoff, maxTasks, workers)
+	}
+	return liveBlocks2D(coords, cutoff, maxTasks)
+}
+
 // box is the axis-aligned bounding box of a chunk's atoms.
 type box struct{ lo, hi linalg.Vec3 }
+
+// union is the box of both boxes' atoms. Go's min and max return NaN
+// when either operand is NaN, so an axis a NaN coordinate left
+// unordered in either box stays unordered, and boxesApart never finds
+// it apart.
+func (b box) union(o box) box {
+	for k := range 3 {
+		b.lo[k], b.hi[k] = min(b.lo[k], o.lo[k]), max(b.hi[k], o.hi[k])
+	}
+	return b
+}
 
 // boxOf boxes pts. The box of no points is inverted (lo = +Inf,
 // hi = −Inf), so boxesApart finds it apart from every box.
@@ -342,7 +446,7 @@ type BlockDims struct {
 	Diagonal   bool
 }
 
-// Plan2D exposes the full 2-D grid Approaches 2-4 plan their live tiles
+// Plan2D exposes the full 2-D grid Approaches 2-4 plan their tiles
 // from, so the experiment harness can model per-task costs without
 // running the tasks.
 func Plan2D(n, maxTasks int) []BlockDims {

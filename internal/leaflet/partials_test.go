@@ -62,9 +62,10 @@ func FuzzMergePartialSets(f *testing.F) {
 
 // The staged engines compute each tile from its own chunks
 // (ChunkPartial, under BlockPartial) and join the partials with
-// FromPartials; over Run's own plan of a 1024-tile grid they must label
-// every atom as Run does, and so must the full grid, whose extra tiles
-// hold no edge.
+// FromPartials; over Run's own plan of a 1024-tile grid (for the tree
+// approach, its cost plan) they must label every atom as Run does, and
+// so must the fine grid's live tiles and the full grid, whose extra
+// tiles hold no edge.
 func TestFromPartialsMatchesRun(t *testing.T) {
 	sys := membrane(4096)
 	const nTasks = 1024
@@ -73,12 +74,14 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 		if tree {
 			approach = TreeSearch
 		}
-		want, err := Run(engine.NewSerial(nil), approach, sys.Coords, synth.BilayerCutoff, nTasks, engine.Env{})
+		want, err := Run(engine.NewSerial(nil), approach, sys.Coords, synth.BilayerCutoff, nTasks, 1, engine.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := Tiles(sys.Coords, synth.BilayerCutoff, nTasks, 1, tree)
 		for _, specs := range [][]BlockSpec{
-			LiveBlocks(sys.Coords, synth.BilayerCutoff, nTasks),
+			plan,
+			Tiles(sys.Coords, synth.BilayerCutoff, nTasks, 1, false),
 			Blocks(len(sys.Coords), nTasks),
 		} {
 			partials := make([][]graph.Component, len(specs))
@@ -96,8 +99,8 @@ func TestFromPartialsMatchesRun(t *testing.T) {
 				t.Errorf("tree=%v, %d tiles: edges %d, Run %d", tree, len(specs), got.Stats.Edges, want.Stats.Edges)
 			}
 		}
-		if live := len(LiveBlocks(sys.Coords, synth.BilayerCutoff, nTasks)); want.Stats.Tasks != live {
-			t.Errorf("tree=%v: Run ran %d tasks, the plan has %d live tiles", tree, want.Stats.Tasks, live)
+		if want.Stats.Tasks != len(plan) {
+			t.Errorf("tree=%v: Run ran %d tasks, the plan has %d tiles", tree, want.Stats.Tasks, len(plan))
 		}
 	}
 }
@@ -110,7 +113,7 @@ func TestReduceOnConcurrentWorkersMatchesSerial(t *testing.T) {
 	want := Serial(sys.Coords, synth.BilayerCutoff)
 	for _, approach := range []Approach{ParallelCC, TreeSearch} {
 		for range 3 {
-			got, err := Run(dask.NewExecutor(dask.NewClient(4), nil), approach, sys.Coords, synth.BilayerCutoff, 256, engine.Env{})
+			got, err := Run(dask.NewExecutor(dask.NewClient(4), nil), approach, sys.Coords, synth.BilayerCutoff, 256, 4, engine.Env{})
 			if err != nil {
 				t.Fatal(err)
 			}

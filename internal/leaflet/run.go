@@ -15,10 +15,13 @@ import (
 // how tasks are scheduled and broadcast is the executor's business (an
 // RDD partition per task on Spark, one delayed node per task on Dask, a
 // rank loop plus collectives on MPI — §4.3). nTasks bounds the number
-// of map tasks (the paper uses 1024 partitions). The tile bodies of
-// Approaches 2-4 are instrumented through env (tileKernel);
-// cancellation is the executor's.
-func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks int, env engine.Env) (*Result, error) {
+// of map tasks (the paper uses 1024 partitions); workers is the worker
+// count the tree approach keeps busy when it plans its tiles by cost
+// (treeBlocks), and must not be read from the machine, since the plan
+// shows in the result's Stats. The tile bodies of Approaches 2-4 are
+// instrumented through env (tileKernel); cancellation is the
+// executor's.
+func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff float64, nTasks, workers int, env engine.Env) (*Result, error) {
 	n := len(coords)
 	switch approach {
 	case Broadcast1D:
@@ -54,8 +57,8 @@ func Run(ex engine.Executor, approach Approach, coords []linalg.Vec3, cutoff flo
 	case ParallelCC, TreeSearch:
 		// Map: edges + partial components per block; only components
 		// cross the shuffle. Combine: join them on the master.
-		blocks := liveBlocks2D(coords, cutoff, nTasks)
 		useTree := approach == TreeSearch
+		blocks := tilesFor(coords, cutoff, nTasks, workers, useTree)
 		tiles, err := engine.Map(ex, len(blocks), func(i int) (TilePartial, error) {
 			b := blocks[i]
 			return tileKernel(env, b, func() TilePartial {

@@ -24,11 +24,11 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 	if len(want.Components) != 2 {
 		t.Fatalf("reference found %d components", len(want.Components))
 	}
-	const nTasks = 24
+	const nTasks, workers = 24, 2
 	for _, approach := range Approaches {
 		t.Run(approach.String(), func(t *testing.T) {
 			ex := engine.NewSerial(nil)
-			got, err := Run(ex, approach, sys.Coords, synth.BilayerCutoff, nTasks, engine.Env{})
+			got, err := Run(ex, approach, sys.Coords, synth.BilayerCutoff, nTasks, workers, engine.Env{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 			if got.Stats.Edges != want.Stats.Edges {
 				t.Errorf("edges = %d, want %d", got.Stats.Edges, want.Stats.Edges)
 			}
-			plan := len(liveBlocks2D(sys.Coords, synth.BilayerCutoff, nTasks))
+			plan := len(tilesFor(sys.Coords, synth.BilayerCutoff, nTasks, workers, approach == TreeSearch))
 			if approach == Broadcast1D {
 				plan = len(chunks1D(len(sys.Coords), nTasks))
 			}
@@ -54,7 +54,7 @@ func TestRunMatchesSerialEveryApproach(t *testing.T) {
 func TestApproach3ShufflesLessThanApproach2(t *testing.T) {
 	sys := membrane(4096)
 	run := func(a Approach) *Result {
-		res, err := Run(rdd.NewExecutor(rdd.NewContext(4), nil), a, sys.Coords, synth.BilayerCutoff, 32, engine.Env{})
+		res, err := Run(rdd.NewExecutor(rdd.NewContext(4), nil), a, sys.Coords, synth.BilayerCutoff, 32, 4, engine.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestApproach3ShufflesLessThanApproach2(t *testing.T) {
 func TestApproach1BroadcastAccounted(t *testing.T) {
 	sys := membrane(1500)
 	ex := engine.NewSerial(nil)
-	res, err := Run(ex, Broadcast1D, sys.Coords, synth.BilayerCutoff, 16, engine.Env{})
+	res, err := Run(ex, Broadcast1D, sys.Coords, synth.BilayerCutoff, 16, 1, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestApproach1BroadcastAccounted(t *testing.T) {
 		t.Errorf("broadcast: stats %d, executor %d, want %d",
 			res.Stats.BroadcastBytes, ex.Metrics().Snapshot().BytesBroadcast, want)
 	}
-	res2, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 16, engine.Env{})
+	res2, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 16, 1, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestApproach1BroadcastAccounted(t *testing.T) {
 
 func TestRunUnknownApproach(t *testing.T) {
 	sys := membrane(100)
-	if _, err := Run(engine.NewSerial(nil), Approach(9), sys.Coords, 1, 4, engine.Env{}); err == nil {
+	if _, err := Run(engine.NewSerial(nil), Approach(9), sys.Coords, 1, 4, 1, engine.Env{}); err == nil {
 		t.Error("unknown approach accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestRunUnknownApproach(t *testing.T) {
 func TestSingleTaskDegenerate(t *testing.T) {
 	sys := membrane(600)
 	want := Serial(sys.Coords, synth.BilayerCutoff)
-	got, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 1, engine.Env{})
+	got, err := Run(engine.NewSerial(nil), TaskAPI2D, sys.Coords, synth.BilayerCutoff, 1, 1, engine.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestPilotDriverMatchesSerial(t *testing.T) {
 	store := blockstore.New(64 << 20)
 	for _, tree := range []bool{false, true} {
 		for pass := range 2 {
-			plan, err := stage.Leaflet(sys.Coords, synth.BilayerCutoff, 12, tree)
+			plan, err := stage.Leaflet(sys.Coords, synth.BilayerCutoff, 12, 4, tree)
 			if err != nil {
 				t.Fatal(err)
 			}

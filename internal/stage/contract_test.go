@@ -63,7 +63,7 @@ func TestTransportContract(t *testing.T) {
 		return stage.PSA(traj.RefsOf(ens), 2, psa.Opts{Symmetric: true, Cache: store})
 	}
 	planLeaflet := func(*blockstore.Store) (stage.Plan, error) {
-		return stage.Leaflet(coords, synth.BilayerCutoff, 6, true)
+		return stage.Leaflet(coords, synth.BilayerCutoff, 6, 4, true)
 	}
 
 	var (

@@ -36,20 +36,21 @@ type stagedLeaflet struct {
 	shuffle int64
 }
 
-// Leaflet cuts a Leaflet Finder job into one unit per live tile of
-// leaflet.LiveBlocks(coords, cutoff, maxTasks): each reads its row and
-// column chunks and stages out the tile's partial components (tree
-// selects the cell-list kernel), so only components cross the transport
-// whatever the approach. Its units carry no key: the store holds
-// Leaflet results only as whole jobs.
-func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks int, tree bool) (Plan, error) {
+// Leaflet cuts a Leaflet Finder job into one unit per tile of
+// leaflet.Tiles(coords, cutoff, maxTasks, workers, tree): each reads its
+// row and column chunks and stages out the tile's partial components
+// (tree selects the cell-list kernel and its cost plan for workers
+// workers), so only components cross the transport whatever the
+// approach. Its units carry no key: the store holds Leaflet results
+// only as whole jobs.
+func Leaflet(coords []linalg.Vec3, cutoff float64, maxTasks, workers int, tree bool) (Plan, error) {
 	if len(coords) == 0 {
 		return nil, fmt.Errorf("stage: empty coordinate set")
 	}
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("stage: cutoff must be positive, got %g", cutoff)
 	}
-	tiles := leaflet.LiveBlocks(coords, cutoff, maxTasks)
+	tiles := leaflet.Tiles(coords, cutoff, maxTasks, workers, tree)
 	p := &stagedLeaflet{coords: coords, units: make([]Unit, len(tiles)),
 		chunks: make(map[string][2]int), parts: make([][]graph.Component, len(tiles))}
 	for i, t := range tiles {

@@ -1,8 +1,8 @@
 // Package stage is the staged compute unit the pilot and fleet engines
 // share: the paper's RADICAL-Pilot compute unit, a description staged
 // in, executed, and staged out. Each analysis defines its unit once —
-// psa.go one block of the distance matrix, leaflet.go one live tile of
-// the Leaflet Finder grid — as a block-store key (PSA only: Leaflet
+// psa.go one block of the distance matrix, leaflet.go one planned tile
+// of the Leaflet Finder grid — as a block-store key (PSA only: Leaflet
 // results are cached as whole jobs), the named input blobs it reads, a
 // JSON description of its geometry and parameters, a body
 // that runs the kernel the in-process executors run, and a check of
