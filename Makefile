@@ -171,7 +171,7 @@ benchmark-compare:
 
 # Static check (cmd/mdlint): one type-checked load of the module and
 # benchmark/, then three rules. Dead API: every exported func, method,
-# var, const and type of a non-main package has a non-test use; the few
+# var, const and type of a non-main package has a non-test use; the seven
 # test-shared oracles that stay are in the allowlist table in
 # cmd/mdlint/main.go, one reason each, and a stale entry fails. Executor
 # seam: internal/psa and internal/leaflet import no engine (rdd, dask,

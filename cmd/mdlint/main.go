@@ -35,7 +35,6 @@ var allowlist = map[string]string{
 	"synth.Adversarial":        "generator of the hausdorff and engine differential fuzz targets",
 	"synth.PathEnsemble":       "ensemble the hausdorff tests and BENCH_psa.json counters run on",
 	"traj.Trajectory.IsPacked": "lets jobs tests assert Resolve packs every resident member, so no timed task packs",
-	"faultinject.Deactivate":   "disarms injected faults between tests in five packages",
 	"jobs.NewExecutor":         "conformtest runs leaflet.Run on each engine through the table",
 	"traj.SetDigestClock":      "lets the traj, hausdorff and jobs tests move files out of or into the racy window without waiting",
 }

@@ -57,8 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := pilot.Defaults()
-	p, err := pilot.NewPilot(8, dir, pilot.NewDB(cfg.DBLatency), cfg, nil)
+	p, err := pilot.NewPilot(8, dir, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,5 +27,5 @@ func (e Env) Cancelled() bool { return e.Cancel != nil && e.Cancel() }
 // of every PSA block and Leaflet tile kernel run in r's process.
 func KernelHistogram(r *obs.Registry) *obs.Histogram {
 	return r.Histogram("mdtask_block_kernel_seconds",
-		"Wall time of block kernels (PSA blocks and Leaflet tiles) run in this process.", nil)
+		"Wall time of block kernels (PSA blocks and Leaflet tiles) run in this process.")
 }

@@ -72,7 +72,8 @@ var (
 )
 
 // Activate arms the points named in spec (see package doc for the
-// grammar), replacing any previous activation.
+// grammar), replacing any previous activation: Activate("") disarms
+// every point.
 func Activate(spec string) error {
 	parsed := make(map[string][]arm)
 	for _, part := range strings.Split(spec, ",") {
@@ -127,14 +128,6 @@ func Activate(spec string) error {
 // than none).
 func ActivateFromEnv() error {
 	return Activate(os.Getenv(EnvVar))
-}
-
-// Deactivate disarms every point.
-func Deactivate() {
-	mu.Lock()
-	defer mu.Unlock()
-	arms, hits = nil, nil
-	active.Store(false)
 }
 
 // Enabled reports whether any point is armed.

@@ -8,9 +8,9 @@ import (
 )
 
 func TestDisabledIsInert(t *testing.T) {
-	Deactivate()
+	Activate("")
 	if Enabled() {
-		t.Fatal("Enabled() = true after Deactivate")
+		t.Fatal(`Enabled() = true after Activate("")`)
 	}
 	if err := Fire("wal.append"); err != nil {
 		t.Fatalf("disarmed Fire returned %v", err)
@@ -21,7 +21,7 @@ func TestDisabledIsInert(t *testing.T) {
 }
 
 func TestErrorArm(t *testing.T) {
-	t.Cleanup(Deactivate)
+	t.Cleanup(func() { Activate("") })
 	if err := Activate("wal.append=error"); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestErrorArm(t *testing.T) {
 }
 
 func TestNthHitArm(t *testing.T) {
-	t.Cleanup(Deactivate)
+	t.Cleanup(func() { Activate("") })
 	if err := Activate("p=error@3"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNthHitArm(t *testing.T) {
 }
 
 func TestPartialAndSleepArms(t *testing.T) {
-	t.Cleanup(Deactivate)
+	t.Cleanup(func() { Activate("") })
 	if err := Activate("w=partial,s=sleep:10ms"); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPartialAndSleepArms(t *testing.T) {
 }
 
 func TestMalformedSpecs(t *testing.T) {
-	t.Cleanup(Deactivate)
+	t.Cleanup(func() { Activate("") })
 	for _, spec := range []string{"noequals", "=error", "p=bogus", "p=sleep:xyz", "p=error@0", "p=error@x"} {
 		if err := Activate(spec); err == nil {
 			t.Errorf("Activate(%q) accepted a malformed spec", spec)

@@ -16,7 +16,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
 		if r.ContentLength != 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, c.opts.MaxControlBytes)
+			r.Body = http.MaxBytesReader(w, r.Body, c.opts.controlLimit)
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				writeError(w, decodeStatus(err), fmt.Errorf("decoding register request: %w", err))
 				return
@@ -49,7 +49,7 @@ func (c *Coordinator) Handler() http.Handler {
 		// coordinator memory. The intentionally large input transfers run
 		// over GET …/input/{name} and are governed by the worker's own
 		// limit.
-		r.Body = http.MaxBytesReader(w, r.Body, c.opts.MaxResultBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, c.opts.resultLimit)
 		var res UnitResult
 		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
 			writeError(w, decodeStatus(err), fmt.Errorf("decoding unit result: %w", err))

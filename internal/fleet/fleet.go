@@ -104,17 +104,6 @@ type Options struct {
 	// PollEvery is the idle-poll interval advertised to workers when no
 	// work is available (default 200ms).
 	PollEvery time.Duration
-	// MaxControlBytes bounds small worker-facing request bodies —
-	// registration and heartbeats — which legitimately carry at most a
-	// short JSON document (default 1 MiB). Oversized bodies answer 413.
-	MaxControlBytes int64
-	// MaxResultBytes bounds POST …/results bodies. Unit results carry
-	// base64 payloads plus shipped spans, so the bound is generous
-	// (default 64 MiB) — but not absent: without it one misbehaving
-	// worker could balloon coordinator memory with a single request.
-	// The input-transfer path (GET …/input) is not governed here; the
-	// worker side bounds those downloads with its own transfer limit.
-	MaxResultBytes int64
 	// BlockStore, when set, is the content-addressed result store the
 	// coordinator consults before leasing any work unit: units whose
 	// block is already cached are recorded at admission and never fan
@@ -130,7 +119,26 @@ type Options struct {
 	// one trace covers both sides of the wire. Nil disables coordinator
 	// tracing.
 	Tracer *obs.Tracer
+
+	// controlLimit and resultLimit bound worker-facing request bodies
+	// (0: maxControlBytes and maxResultBytes); tests shrink them.
+	controlLimit, resultLimit int64
 }
+
+// The coordinator's request body bounds; oversized bodies answer 413.
+const (
+	// maxControlBytes bounds small worker-facing request bodies:
+	// registration, which legitimately carries at most a short JSON
+	// document.
+	maxControlBytes = 1 << 20
+	// maxResultBytes bounds POST …/results bodies. Unit results carry
+	// base64 payloads plus shipped spans, so the bound is generous, but
+	// not absent: without it one misbehaving worker could balloon
+	// coordinator memory with a single request. The input-transfer path
+	// (GET …/input) is not governed here; the worker side bounds those
+	// downloads with maxTransferBytes.
+	maxResultBytes = 64 << 20
+)
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -149,11 +157,11 @@ func (o Options) withDefaults() Options {
 	if o.PollEvery <= 0 {
 		o.PollEvery = 200 * time.Millisecond
 	}
-	if o.MaxControlBytes <= 0 {
-		o.MaxControlBytes = 1 << 20
+	if o.controlLimit <= 0 {
+		o.controlLimit = maxControlBytes
 	}
-	if o.MaxResultBytes <= 0 {
-		o.MaxResultBytes = 64 << 20
+	if o.resultLimit <= 0 {
+		o.resultLimit = maxResultBytes
 	}
 	return o
 }

@@ -61,7 +61,7 @@ func FuzzLease(f *testing.F) {
 		submitPlan(f, c, p, nil)
 	}
 	w := &Worker{
-		o:    WorkerOptions{MaxTransferBytes: 1 << 20, Logf: func(string, ...any) {}},
+		o:    WorkerOptions{transferLimit: 1 << 20, Logf: func(string, ...any) {}},
 		base: url,
 		xfer: &http.Client{Timeout: 10 * time.Second},
 	}

@@ -73,7 +73,7 @@ func TestWorkerNacksFailedUnit(t *testing.T) {
 	if err := faultinject.Activate("fleet.unit.execute=error@1"); err != nil {
 		t.Fatal(err)
 	}
-	defer faultinject.Deactivate()
+	defer faultinject.Activate("")
 
 	c, url := startCoordinator(t, Options{
 		LeaseTTL:       30 * time.Second,

@@ -30,7 +30,7 @@ func TestHostileInputBlobRefused(t *testing.T) {
 	hostile := []byte{'P', 0xff, 0xff, 0xff, 0x7f}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(hostile) }))
 	defer ts.Close()
-	w := &Worker{o: WorkerOptions{MaxTransferBytes: 1 << 20}, base: ts.URL, xfer: ts.Client()}
+	w := &Worker{o: WorkerOptions{transferLimit: 1 << 20}, base: ts.URL, xfer: ts.Client()}
 	refs := traj.RefsOf(testEnsemble(2, 3, 5, 1))
 	var plans []stage.Plan
 	for _, window := range []int{0, 2} {

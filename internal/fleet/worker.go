@@ -40,14 +40,6 @@ type WorkerOptions struct {
 	ControlTimeout time.Duration
 	// TransferTimeout bounds input blob downloads (default 2m).
 	TransferTimeout time.Duration
-	// MaxTransferBytes bounds the size of one input blob download
-	// (default 1 GiB). The transfer-size contract: a whole trajectory or
-	// coordinate chunk is the largest legitimate blob, a streamed window
-	// is far smaller, and either way a coordinator (or an interloper on
-	// its address) must not be able to balloon worker memory with one
-	// unbounded response body — nor, through a unit's declared shapes,
-	// with the memory a body sizes from them.
-	MaxTransferBytes int64
 	// Logf, when non-nil, receives worker lifecycle log lines.
 	Logf func(format string, args ...interface{})
 	// Obs, when non-nil, instruments the worker: kernel spans parented
@@ -56,7 +48,20 @@ type WorkerOptions struct {
 	// histogram, all registered on Obs.Metrics (cmd/mdworker serves
 	// them at its own /metrics endpoint).
 	Obs *obs.Obs
+
+	// transferLimit bounds one input blob download (0:
+	// maxTransferBytes); tests shrink it.
+	transferLimit int64
 }
+
+// maxTransferBytes bounds the size of one input blob download. The
+// transfer-size contract: a whole trajectory or coordinate chunk is the
+// largest legitimate blob, a streamed window is far smaller, and either
+// way a coordinator (or an interloper on its address) must not be able
+// to balloon worker memory with one unbounded response body — nor,
+// through a unit's declared shapes, with the memory a body sizes from
+// them.
+const maxTransferBytes = 1 << 30
 
 // Worker is the pull-based execution agent: it registers with a
 // coordinator, heartbeats, leases work units, runs them with the
@@ -105,8 +110,8 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 	if o.TransferTimeout <= 0 {
 		o.TransferTimeout = 2 * time.Minute
 	}
-	if o.MaxTransferBytes <= 0 {
-		o.MaxTransferBytes = 1 << 30
+	if o.transferLimit <= 0 {
+		o.transferLimit = maxTransferBytes
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
@@ -121,7 +126,7 @@ func StartWorker(o WorkerOptions) (*Worker, error) {
 	if o.Obs != nil {
 		w.tracer = o.Obs.Tracer
 		w.leaseHist = o.Obs.Metrics.Histogram("mdtask_fleet_lease_roundtrip_seconds",
-			"Latency of lease requests to the coordinator, including grants and empty polls.", nil)
+			"Latency of lease requests to the coordinator, including grants and empty polls.")
 		w.kernelHist = engine.KernelHistogram(o.Obs.Metrics)
 		retries := func(op string) *obs.Counter {
 			return o.Obs.Metrics.Counter("mdtask_fleet_worker_retries_total",
@@ -404,7 +409,7 @@ func (w *Worker) execute(l *Lease) (res UnitResult, err error) {
 	if err := engine.RunTask(&m, l.Unit, func() (err error) {
 		res.Payload, err = stage.Exec(stage.Unit{Kind: l.Kind, Desc: l.Desc}, stage.Env{
 			Env:   engine.Env{Metrics: &m, Tracer: w.tracer, TraceParent: span.Context(), KernelHist: w.kernelHist},
-			Fetch: fetch, MaxBlobBytes: w.o.MaxTransferBytes,
+			Fetch: fetch, MaxBlobBytes: w.o.transferLimit,
 		})
 		return err
 	}); err != nil {
@@ -467,11 +472,11 @@ func (w *Worker) post(traceparent string, res UnitResult) bool {
 }
 
 // readTransfer drains one download under the transfer-size contract:
-// at most MaxTransferBytes land in memory, and a longer body is an
+// at most the transfer limit lands in memory, and a longer body is an
 // error, not a truncation — a silently clipped payload would fail
 // shape validation later with a far less useful message.
 func (w *Worker) readTransfer(r io.Reader) ([]byte, error) {
-	max := w.o.MaxTransferBytes
+	max := w.o.transferLimit
 	data, err := io.ReadAll(io.LimitReader(r, max+1))
 	if err != nil {
 		return nil, err

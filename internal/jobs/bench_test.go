@@ -128,7 +128,7 @@ func BenchmarkJournal(b *testing.B) {
 	}
 	now := time.Unix(1700000000, 123456789).UTC()
 	open := func(b *testing.B) *WALStore {
-		st, _, err := OpenWALStore(WALStoreOptions{Dir: b.TempDir(), Sync: wal.SyncNever, CompactBytes: 1 << 40})
+		st, _, err := OpenWALStore(WALStoreOptions{Dir: b.TempDir(), Sync: wal.SyncNever, compactMin: 1 << 40})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -270,8 +270,7 @@ func runPilot(_ *fleet.Coordinator, rc *RunContext, spec Spec, plan stage.Plan, 
 		return nil, fmt.Errorf("jobs: creating pilot staging dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := pilot.Defaults()
-	p, err := pilot.NewPilot(spec.ranks(), dir, pilot.NewDB(cfg.DBLatency), cfg, rc.Metrics())
+	p, err := pilot.NewPilot(spec.ranks(), dir, rc.Metrics())
 	if err != nil {
 		return nil, err
 	}

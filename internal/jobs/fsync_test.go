@@ -38,12 +38,12 @@ func journalStats(t *testing.T, st *WALStore, n int64) wal.Stats {
 // TestSchedulerOneFsyncPerAdmission counts the journal's fsyncs under
 // SyncAlways: every job appends its submit, running and done records,
 // but only the submit waits for an fsync, so N jobs cost N fsyncs plus
-// one per compaction (CompactBytes is 1: the log compacts whenever it
+// one per compaction (compactMin is 1: the log compacts whenever it
 // outgrows the last snapshot). A whole-job cache hit is one synced submit, and
 // a queued job's cancel adds exactly one fsync.
 func TestSchedulerOneFsyncPerAdmission(t *testing.T) {
 	const n = 6
-	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.compactMin = 1 })
 	defer st.Close()
 	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st})
 	defer s.Close()
@@ -224,7 +224,7 @@ func TestSchedulerPowerLossRecovery(t *testing.T) {
 // failure is counted in mdtask_jobs_journal_errors_total, and the next
 // submission is admitted.
 func TestDoneRecordAppendFailure(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	st, _ := openStore(t, t.TempDir())
 	defer st.Close()
 	s := NewScheduler(DefaultRegistry(), Options{Workers: 1, Journal: st})
@@ -243,7 +243,7 @@ func TestDoneRecordAppendFailure(t *testing.T) {
 	if got := promCounter(t, s, "mdtask_jobs_journal_errors_total"); got != before+1 {
 		t.Errorf("mdtask_jobs_journal_errors_total rose by %g, want 1", got-before)
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	next, err := s.Submit(serialSpec(101))
 	if err != nil {
 		t.Fatalf("submission after a failed done record: %v", err)

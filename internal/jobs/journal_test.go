@@ -39,7 +39,7 @@ func TestRetentionCrashImageHasNoGhosts(t *testing.T) {
 			dir := t.TempDir()
 			st, _ := openStore(t, dir, func(o *WALStoreOptions) {
 				o.Sync = wal.SyncNever
-				o.CompactBytes = 1 << 40
+				o.compactMin = 1 << 40
 			})
 			s := NewScheduler(instantRegistry(), Options{Workers: 2, QueueDepth: 1024, MaxJobs: maxJobs, Journal: st})
 			const submitters, perSubmitter = 4, 100
@@ -107,7 +107,7 @@ func TestLegacyJournalImages(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 	ts := time.Unix(1700000000, 123456789).UTC()
 	for i := 1; i <= 6; i++ {
 		id := fmt.Sprintf("job-%06d", i)
@@ -185,7 +185,7 @@ func newReplayHarness(t *testing.T) *replayHarness {
 // open opens the store on the harness directory and recovers a
 // scheduler over it.
 func (h *replayHarness) open() {
-	h.st, _ = openStore(h.t, h.dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	h.st, _ = openStore(h.t, h.dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 	h.s = NewScheduler(h.reg, Options{Workers: 1, MaxJobs: 2, BlockStore: h.blocks, Journal: h.st})
 	h.s.Recover()
 }
@@ -310,7 +310,7 @@ func (h *replayHarness) close() {
 // FuzzJournalReplay drives a real Scheduler and WALStore with one
 // operation per input byte: submit, a cache-hit resubmission, the
 // running job run to done or to failure, a cancel while queued and
-// while running, retention, compaction (CompactBytes is 1, so the log
+// while running, retention, compaction (compactMin is 1, so the log
 // compacts whenever it outgrows the last snapshot, on the other steps
 // too) and a shutdown with a restart on the same
 // directory. After every step the live table, as JobRecords in order,

@@ -416,7 +416,7 @@ func TestRecoveredContentKeyNeverCompared(t *testing.T) {
 // submission is rejected and nothing is admitted — and the id sequence
 // does not leak.
 func TestSubmitFailsWhenJournalFails(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	st, _ := openStore(t, dir)
 	defer st.Close()
@@ -437,7 +437,7 @@ func TestSubmitFailsWhenJournalFails(t *testing.T) {
 	if got := len(s.Jobs()); got != 0 {
 		t.Fatalf("%d jobs admitted despite journal failure", got)
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	job, err := s.Submit(validPSASpec())
 	if err != nil {
 		t.Fatal(err)

@@ -293,7 +293,7 @@ func NewScheduler(reg *Registry, o Options) *Scheduler {
 func (s *Scheduler) registerMetrics() {
 	m := s.obs.Metrics
 	s.queueWaitHist = m.Histogram("mdtask_job_queue_wait_seconds",
-		"Time jobs spend queued before a worker picks them up.", nil)
+		"Time jobs spend queued before a worker picks them up.")
 	s.submittedCtr = m.Counter("mdtask_jobs_submitted_total",
 		"Jobs admitted by the scheduler (including whole-job cache hits).")
 	s.rejectedCtr = m.Counter("mdtask_jobs_rejected_total",
@@ -311,7 +311,7 @@ func (s *Scheduler) registerMetrics() {
 		"Failed journal writes on non-submission transitions (submission failures reject the submission instead).",
 		func() float64 { return float64(s.journal.stateErrors()) })
 	waitHist := m.Histogram("mdtask_blockstore_do_wait_seconds",
-		"Time follower block lookups wait on an in-flight leader computing the same key.", nil)
+		"Time follower block lookups wait on an in-flight leader computing the same key.")
 	s.store.SetWaitObserver(func(d time.Duration) { waitHist.Observe(d.Seconds()) })
 	m.GaugeFunc("mdtask_blockstore_entries",
 		"Entries resident in the content-addressed block store.",
@@ -444,20 +444,9 @@ func (s *Scheduler) admit(norm Spec, key string, in *Input, hit *jobEntry) (*Job
 	job.rc.SetBlockStore(s.store)
 	s.seq++
 	rec.ID = fmt.Sprintf("job-%06d", s.seq)
-	// Root span of the job's trace; everything below — queue wait, the
-	// run, engine stages, blocks, fleet hops — nests under it. The spans
-	// start before the job enters the table; a rejected submission
-	// never ends them, so they are never recorded.
-	job.jobSpan = s.obs.Tracer.StartRoot("job")
-	job.jobSpan.SetAttr("job", rec.ID)
-	job.jobSpan.SetAttr("analysis", norm.Analysis)
-	job.jobSpan.SetAttr("engine", norm.Engine)
-	if ctx := job.jobSpan.Context(); ctx.Valid() {
-		job.trace = ctx.Trace
-	}
-	if hit == nil {
-		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
-	}
+	// The spans start before the job enters the table; a rejected
+	// submission never ends them, so they are never recorded.
+	s.startSpans(job, rec.ID, norm, hit == nil)
 	// Journal the admission before acknowledging it: once Submit
 	// returns, the job survives a SIGKILL or a power loss. A journal
 	// that cannot take the record fails the submission instead of
@@ -727,7 +716,7 @@ func (s *Scheduler) runJob(job *Job) {
 		job.jobSpan.SetAttr("state", string(state))
 		job.jobSpan.End()
 		s.obs.Metrics.Histogram("mdtask_job_run_seconds",
-			"Wall time of job runs, by analysis and engine.", nil,
+			"Wall time of job runs, by analysis and engine.",
 			"analysis", spec.Analysis, "engine", spec.Engine).Observe(finished.Sub(started).Seconds())
 		s.jobFinished(state)
 		if state != StateDone {
@@ -815,20 +804,30 @@ func (s *Scheduler) Recover() {
 		}
 		job.mu.Lock()
 		job.input = in
-		job.jobSpan = s.obs.Tracer.StartRoot("job")
-		job.jobSpan.SetAttr("job", rec.ID)
-		job.jobSpan.SetAttr("analysis", rec.Spec.Analysis)
-		job.jobSpan.SetAttr("engine", rec.Spec.Engine)
+		s.startSpans(job, rec.ID, rec.Spec, true)
 		job.jobSpan.SetAttr("recovered_from", string(prior))
-		if ctx := job.jobSpan.Context(); ctx.Valid() {
-			job.trace = ctx.Trace
-		}
-		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
 		job.mu.Unlock()
 		s.mu.Lock()
 		s.pending = append(s.pending, job)
 		s.cond.Signal()
 		s.mu.Unlock()
+	}
+}
+
+// startSpans starts job's root span, the root of its trace, and, for a
+// job that will queue, the root's queue.wait child: everything below —
+// queue wait, the run, engine stages, blocks, fleet hops — nests under
+// the root.
+func (s *Scheduler) startSpans(job *Job, id string, spec Spec, queued bool) {
+	job.jobSpan = s.obs.Tracer.StartRoot("job")
+	job.jobSpan.SetAttr("job", id)
+	job.jobSpan.SetAttr("analysis", spec.Analysis)
+	job.jobSpan.SetAttr("engine", spec.Engine)
+	if ctx := job.jobSpan.Context(); ctx.Valid() {
+		job.trace = ctx.Trace
+	}
+	if queued {
+		job.queueSpan = s.obs.Tracer.StartChild(job.jobSpan.Context(), "queue.wait")
 	}
 }
 

@@ -85,19 +85,24 @@ type Recovered struct {
 	CleanShutdown bool
 }
 
-// WALStoreOptions sizes a WALStore.
+// WALStoreOptions places a WALStore and sets its fsync policy.
 type WALStoreOptions struct {
 	// Dir is the data directory (wal.log + snapshot live here).
 	Dir string
 	// Sync is the fsync policy (default wal.SyncAlways: an acknowledged
 	// submission survives SIGKILL).
 	Sync wal.SyncPolicy
-	// CompactBytes is the least log size that triggers a snapshot + log
-	// truncation (< 1: 1 MiB). The log is compacted once it reaches
-	// max(CompactBytes, size of the last snapshot), so a compaction
-	// follows at least as many log bytes as it writes.
-	CompactBytes int64
+
+	// compactMin is the least log size that triggers a compaction (< 1:
+	// compactBytes); tests lower it to compact mid-run.
+	compactMin int64
 }
+
+// compactBytes is the least log size that triggers a snapshot + log
+// truncation. The log is compacted once it reaches max(compactBytes,
+// size of the last snapshot), so a compaction follows at least as many
+// log bytes as it writes.
+const compactBytes = 1 << 20
 
 // WALStore is the job table and the write-ahead log that defines it.
 // Every change to the table — a job admitted; its state, error, digest
@@ -152,8 +157,8 @@ func newStore(log *wal.Log, o WALStoreOptions) *WALStore {
 // for journaling on return; pass it as Options.Journal and call
 // Scheduler.Recover to re-admit its jobs.
 func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
-	if o.CompactBytes < 1 {
-		o.CompactBytes = 1 << 20
+	if o.compactMin < 1 {
+		o.compactMin = compactBytes
 	}
 	l, walRec, err := wal.Open(wal.Options{Dir: o.Dir, Sync: o.Sync})
 	if err != nil {
@@ -161,7 +166,7 @@ func OpenWALStore(o WALStoreOptions) (*WALStore, *Recovered, error) {
 	}
 	st := newStore(l, o)
 	st.snapBytes = int64(len(walRec.Snapshot))
-	st.compactAt = max(o.CompactBytes, st.snapBytes)
+	st.compactAt = max(o.compactMin, st.snapBytes)
 	rec := &Recovered{Skipped: walRec.Skipped, SkippedBytes: walRec.SkippedBytes}
 	if walRec.Snapshot != nil {
 		var snap snapshotState
@@ -358,7 +363,7 @@ func (st *WALStore) writeLocked(r walRecord, durable bool) error {
 
 // compactLocked snapshots the table, encoded from it in place, and
 // truncates the log. The next compaction waits until the log has grown
-// to max(CompactBytes, this snapshot's size) again: from empty after a
+// to max(compactMin, this snapshot's size) again: from empty after a
 // success, and from its current size after a failure, so a snapshot
 // that cannot be written is retried after that much more log, not on
 // every append. Failures are counted, not fatal: the un-compacted log
@@ -370,7 +375,7 @@ func (st *WALStore) compactLocked() {
 		st.snapBytes = int64(len(state))
 		err = st.log.Compact(state)
 	}
-	st.compactAt = max(st.o.CompactBytes, st.snapBytes)
+	st.compactAt = max(st.o.compactMin, st.snapBytes)
 	if err != nil {
 		st.journalErrs++
 		st.compactAt += st.log.LogBytes()

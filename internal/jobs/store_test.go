@@ -30,7 +30,7 @@ func openStore(t *testing.T, dir string, opts ...func(*WALStoreOptions)) (*WALSt
 }
 
 // mustCompact fails t unless st's log was compacted since it opened: a
-// test that sets CompactBytes to compact mid-run must see it happen.
+// test that lowers compactMin to compact mid-run must see it happen.
 func mustCompact(t *testing.T, st *WALStore) {
 	t.Helper()
 	if st.log.Stats().Snapshots == 0 {
@@ -257,14 +257,14 @@ func randomLifecycle(t *testing.T, st *WALStore, rng *rand.Rand, ops int) map[st
 // journal.
 func TestWALStoreReplayIdempotence(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 	randomLifecycle(t, st, rand.New(rand.NewSource(42)), 120)
 	mustCompact(t, st)
 	st.Close()
 
 	var first string
 	for i := 0; i < 3; i++ {
-		st, rec := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+		st, rec := openStore(t, dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 		got := tableJSON(t, rec.Jobs)
 		st.Close()
 		if i == 0 {
@@ -284,8 +284,8 @@ func TestWALStoreReplayIdempotence(t *testing.T) {
 func TestWALStoreSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		compDir, plainDir := t.TempDir(), t.TempDir()
-		comp, _ := openStore(t, compDir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
-		plain, _ := openStore(t, plainDir, func(o *WALStoreOptions) { o.CompactBytes = 1 << 40 })
+		comp, _ := openStore(t, compDir, func(o *WALStoreOptions) { o.compactMin = 1 })
+		plain, _ := openStore(t, plainDir, func(o *WALStoreOptions) { o.compactMin = 1 << 40 })
 		randomLifecycle(t, comp, rand.New(rand.NewSource(seed)), 80)
 		randomLifecycle(t, plain, rand.New(rand.NewSource(seed)), 80)
 		mustCompact(t, comp)
@@ -310,7 +310,7 @@ func TestWALStoreSnapshotEquivalence(t *testing.T) {
 // the table must match the expectation at that instant.
 func TestWALStoreCrashAtEveryRecordBoundary(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 	rng := rand.New(rand.NewSource(7))
 
 	type image struct {
@@ -378,7 +378,7 @@ func TestWALStoreUnreplayableTransition(t *testing.T) {
 // fsync failed must leave no frame behind and must not burn an LSN a
 // later acknowledged submission silently collides with.
 func TestWALStoreFsyncFailureDoesNotLoseNextJob(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	st, _ := openStore(t, dir)
 	if err := faultinject.Activate("wal.sync=error"); err != nil {
@@ -387,7 +387,7 @@ func TestWALStoreFsyncFailureDoesNotLoseNextJob(t *testing.T) {
 	if err := st.JournalSubmit(testRecord("job-000001")); err == nil {
 		t.Fatal("submit under fsync failure succeeded, want error")
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	if err := st.JournalSubmit(testRecord("job-000002")); err != nil {
 		t.Fatal(err)
 	}
@@ -454,13 +454,13 @@ func TestWALStoreDuplicateLSNLastWriterWins(t *testing.T) {
 }
 
 // TestWALStoreShutdownMarkerSurvivesAggressiveCompaction: with
-// CompactBytes=1 and an empty table, the shutdown compaction writes a
+// compactMin=1 and an empty table, the shutdown compaction writes a
 // snapshot shorter than the marker, so the marker alone fills the log
 // past the next trigger. Its append must still not compact, which
 // would truncate it and turn a clean shutdown into an unclean replay.
 func TestWALStoreShutdownMarkerSurvivesAggressiveCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	st, _ := openStore(t, dir, func(o *WALStoreOptions) { o.compactMin = 1 })
 	if err := st.JournalSubmit(testRecord("job-000001")); err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestWALStoreShutdownMarkerSurvivesAggressiveCompaction(t *testing.T) {
 // makes writes fail visibly — and that the store stays usable after
 // the fault clears.
 func TestWALStoreInjectedJournalError(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	st, _ := openStore(t, dir)
 	if err := faultinject.Activate("jobs.journal=error@2"); err != nil {
@@ -514,7 +514,7 @@ func TestWALStoreInjectedJournalError(t *testing.T) {
 }
 
 // TestWALStoreFailedCompactionWaitsForGrowth arms wal.snapshot.write to
-// fail every time under the most aggressive trigger (CompactBytes=1:
+// fail every time under the most aggressive trigger (compactMin=1:
 // compact whenever the log reaches the last snapshot's size). A failed
 // compaction must wait for that much more log before the next attempt,
 // not retry on every append: each attempt encodes every job so far, and
@@ -525,8 +525,8 @@ func TestWALStoreInjectedJournalError(t *testing.T) {
 // fault clears, the next attempt succeeds and resets the trigger: the
 // log starts empty and the following append does not compact.
 func TestWALStoreFailedCompactionWaitsForGrowth(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
-	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.CompactBytes = 1 })
+	t.Cleanup(func() { faultinject.Activate("") })
+	st, _ := openStore(t, t.TempDir(), func(o *WALStoreOptions) { o.compactMin = 1 })
 	defer st.Close()
 	if err := faultinject.Activate("wal.snapshot.write=error"); err != nil {
 		t.Fatal(err)
@@ -551,7 +551,7 @@ func TestWALStoreFailedCompactionWaitsForGrowth(t *testing.T) {
 		t.Fatalf("with the fault armed: %d snapshots, %d appends; want 0, 50", s.Snapshots, s.Appends)
 	}
 
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	for st.log.Stats().Snapshots == 0 {
 		if next == 200 {
 			t.Fatal("no compaction succeeded within 150 submissions of the fault clearing")

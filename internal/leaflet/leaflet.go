@@ -420,19 +420,12 @@ func pairwiseUnion(uf *graph.UnionFind, rows, cols []linalg.Vec3, diagonal bool,
 
 // rowChunkEdges finds edges between a row chunk and all atoms with the
 // second index greater than the first (Approach 1's map task over the
-// broadcast system).
+// broadcast system): the chunk's own diagonal tile, then its rows
+// against the atoms [rows.hi, n).
 func rowChunkEdges(coords []linalg.Vec3, rows span, cutoff float64) []graph.Edge {
-	c2 := cutoff * cutoff
-	var out []graph.Edge
-	for i := rows.lo; i < rows.hi; i++ {
-		p := coords[i]
-		for j := i + 1; j < len(coords); j++ {
-			if linalg.Dist2(p, coords[j]) <= c2 {
-				out = append(out, graph.Edge{U: int32(i), V: int32(j)})
-			}
-		}
-	}
-	return out
+	own := rows.of(coords)
+	out := pairwiseEdges(nil, own, nil, int32(rows.lo), int32(rows.lo), true, cutoff)
+	return pairwiseEdges(out, own, coords[rows.hi:], int32(rows.lo), int32(rows.hi), false, cutoff)
 }
 
 // CoordBytes is the broadcast payload size of a coordinate set

@@ -3,7 +3,6 @@ package leaflet_test
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
@@ -21,13 +20,8 @@ import (
 func TestPilotDriverMatchesSerial(t *testing.T) {
 	sys := synth.Bilayer(1200, 4242)
 	want := leaflet.Serial(sys.Coords, synth.BilayerCutoff)
-	cfg := pilot.Config{
-		DBLatency:          50 * time.Microsecond,
-		AgentPollInterval:  500 * time.Microsecond,
-		ClientPollInterval: 500 * time.Microsecond,
-	}
 	var m engine.Metrics
-	p, err := pilot.NewPilot(4, t.TempDir(), pilot.NewDB(cfg.DBLatency), cfg, &m)
+	p, err := pilot.NewPilot(4, t.TempDir(), &m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestRunChaosScenario(t *testing.T) {
 	if err := faultinject.Activate("fleet.unit.execute=error@3,fleet.unit.execute=sleep:50ms@2"); err != nil {
 		t.Fatalf("arming faults: %v", err)
 	}
-	defer faultinject.Deactivate()
+	defer faultinject.Activate("")
 
 	srv, stop := startTestServer(t, 8, 2)
 	defer stop()

@@ -5,40 +5,29 @@ import (
 	"sync/atomic"
 )
 
-// DefBuckets are the default latency bucket upper bounds in seconds:
-// exponential from 500µs to 60s, sized for the spread between a cache
-// hit (~µs), a block kernel (ms–s), and a whole fleet job (s–min).
-// The terminal +Inf bucket is implicit.
+// DefBuckets are the latency bucket upper bounds, in seconds, of every
+// histogram: exponential from 500µs to 60s, sized for the spread
+// between a cache hit (~µs), a block kernel (ms–s), and a whole fleet
+// job (s–min). The terminal +Inf bucket is implicit.
 var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// Histogram is a fixed-bucket histogram safe for lock-free concurrent
-// Observe. Bucket i counts observations v <= bounds[i] (cumulative
-// counts are computed at snapshot time, not stored); the last bucket
-// is the implicit +Inf. A nil *Histogram no-ops, so optional
-// instrumentation hooks cost one nil check when unset.
+// Histogram is a fixed-bucket histogram over DefBuckets, safe for
+// lock-free concurrent Observe. Bucket i counts observations v <=
+// DefBuckets[i] (cumulative counts are computed at snapshot time, not
+// stored); the last bucket is the implicit +Inf. A nil *Histogram
+// no-ops, so optional instrumentation hooks cost one nil check when
+// unset.
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is +Inf
+	counts []atomic.Int64 // len(DefBuckets)+1; last is +Inf
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
-// NewHistogram returns a histogram over the given strictly increasing
-// upper bounds (nil: DefBuckets).
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly increasing")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+// NewHistogram returns an empty histogram over DefBuckets.
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Int64, len(DefBuckets)+1)}
 }
 
 // Observe records one value.
@@ -46,7 +35,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.counts[h.bucketOf(v)].Add(1)
+	h.counts[bucketOf(v)].Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -58,11 +47,11 @@ func (h *Histogram) Observe(v float64) {
 // bucketOf returns the index of the bucket v falls in: the first
 // bucket whose upper bound is >= v (bounds are inclusive upper
 // limits, matching Prometheus `le`).
-func (h *Histogram) bucketOf(v float64) int {
-	lo, hi := 0, len(h.bounds)
+func bucketOf(v float64) int {
+	lo, hi := 0, len(DefBuckets)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
+		if v <= DefBuckets[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -87,7 +76,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		return HistSnapshot{}
 	}
 	s := HistSnapshot{
-		Bounds: h.bounds,
+		Bounds: DefBuckets,
 		Counts: make([]int64, len(h.counts)),
 		Sum:    math.Float64frombits(h.sum.Load()),
 	}

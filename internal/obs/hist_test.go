@@ -19,30 +19,28 @@ func referenceBucket(bounds []float64, v float64) int {
 }
 
 func TestBucketBoundariesExactAndAdjacent(t *testing.T) {
-	h := NewHistogram(nil)
 	for i, b := range DefBuckets {
 		// A value exactly on a bound lands in that bucket (le-semantics)…
-		if got := h.bucketOf(b); got != i {
+		if got := bucketOf(b); got != i {
 			t.Errorf("bucketOf(%g) = %d, want %d (bounds are inclusive)", b, got, i)
 		}
 		// …and the next representable value above it lands one bucket up.
 		above := math.Nextafter(b, math.Inf(1))
-		if got := h.bucketOf(above); got != i+1 {
+		if got := bucketOf(above); got != i+1 {
 			t.Errorf("bucketOf(%g) = %d, want %d", above, got, i+1)
 		}
 	}
-	if got := h.bucketOf(math.Inf(1)); got != len(DefBuckets) {
+	if got := bucketOf(math.Inf(1)); got != len(DefBuckets) {
 		t.Errorf("bucketOf(+Inf) = %d, want the overflow bucket %d", got, len(DefBuckets))
 	}
 }
 
 func TestBucketOfMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	h := NewHistogram(nil)
 	for i := 0; i < 10000; i++ {
 		// Log-uniform over (~1e-5, ~1e3) to hit every bucket region.
 		v := math.Exp(rng.Float64()*18 - 11)
-		if got, want := h.bucketOf(v), referenceBucket(DefBuckets, v); got != want {
+		if got, want := bucketOf(v), referenceBucket(DefBuckets, v); got != want {
 			t.Fatalf("bucketOf(%g) = %d, reference says %d", v, got, want)
 		}
 	}
@@ -50,7 +48,7 @@ func TestBucketOfMatchesReferenceProperty(t *testing.T) {
 
 func TestHistogramConcurrentObserve(t *testing.T) {
 	const goroutines, perG = 16, 2000
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -90,11 +88,13 @@ func TestNilHistogramNoOps(t *testing.T) {
 	}
 }
 
-func TestNewHistogramRejectsUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing bounds did not panic")
+// TestDefBucketsStrictlyIncreasing guards bucketOf's binary search:
+// it finds the first admitting bound only over strictly increasing
+// bounds.
+func TestDefBucketsStrictlyIncreasing(t *testing.T) {
+	for i := 1; i < len(DefBuckets); i++ {
+		if DefBuckets[i] <= DefBuckets[i-1] {
+			t.Fatalf("DefBuckets[%d] = %g does not exceed DefBuckets[%d] = %g", i, DefBuckets[i], i-1, DefBuckets[i-1])
 		}
-	}()
-	NewHistogram([]float64{1, 1})
+	}
 }

@@ -95,7 +95,7 @@ func Middleware(next http.Handler, o *Obs, service string) http.Handler {
 			rec.status = http.StatusOK
 		}
 		o.Metrics.Histogram("mdtask_http_request_duration_seconds",
-			"HTTP server request latency by endpoint.", nil,
+			"HTTP server request latency by endpoint.",
 			"service", service, "method", r.Method, "path", path,
 		).Observe(time.Since(start).Seconds())
 		o.Metrics.Counter("mdtask_http_requests_total",

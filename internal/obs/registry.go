@@ -131,14 +131,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	s.valueFn = fn
 }
 
-// Histogram registers (or returns) a histogram with the given bucket
-// upper bounds (nil: DefBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
+// Histogram registers (or returns) a histogram over DefBuckets.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, fresh := r.familyOf(name, help, kindHistogram).seriesOf(labels)
 	if fresh {
-		s.hist = NewHistogram(bounds)
+		s.hist = NewHistogram()
 	}
 	return s.hist
 }

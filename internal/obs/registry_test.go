@@ -19,10 +19,10 @@ func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mdtask_test_total", "A counter.", "engine", "fleet").Add(3)
 	r.GaugeFunc("mdtask_test_gauge", "A gauge.", func() float64 { return 1.5 })
-	h := r.Histogram("mdtask_test_seconds", "A histogram.", []float64{0.1, 1})
+	h := r.Histogram("mdtask_test_seconds", "A histogram.")
 	h.Observe(0.05)
 	h.Observe(0.5)
-	h.Observe(5)
+	h.Observe(20)
 
 	out := expose(t, r)
 	for _, want := range []string{
@@ -32,10 +32,15 @@ func TestExpositionFormat(t *testing.T) {
 		"# TYPE mdtask_test_gauge gauge",
 		"mdtask_test_gauge 1.5",
 		"# TYPE mdtask_test_seconds histogram",
+		`mdtask_test_seconds_bucket{le="0.0005"} 0`,
+		`mdtask_test_seconds_bucket{le="0.05"} 1`,
 		`mdtask_test_seconds_bucket{le="0.1"} 1`,
-		`mdtask_test_seconds_bucket{le="1"} 2`,
+		`mdtask_test_seconds_bucket{le="0.5"} 2`,
+		`mdtask_test_seconds_bucket{le="10"} 2`,
+		`mdtask_test_seconds_bucket{le="30"} 3`,
+		`mdtask_test_seconds_bucket{le="60"} 3`,
 		`mdtask_test_seconds_bucket{le="+Inf"} 3`,
-		"mdtask_test_seconds_sum 5.55",
+		"mdtask_test_seconds_sum 20.55",
 		"mdtask_test_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {
@@ -53,15 +58,18 @@ func TestExpositionFormat(t *testing.T) {
 
 func TestHistogramBucketsAreCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "", []float64{1, 2, 3})
-	for _, v := range []float64{0.5, 1.5, 1.6, 2.5, 9} {
+	h := r.Histogram("h_seconds", "")
+	for _, v := range []float64{0.5, 1.5, 1.6, 2.5, 90} {
 		h.Observe(v)
 	}
 	out := expose(t, r)
 	for _, want := range []string{
+		`h_seconds_bucket{le="0.25"} 0`,
+		`h_seconds_bucket{le="0.5"} 1`,
 		`h_seconds_bucket{le="1"} 1`,
-		`h_seconds_bucket{le="2"} 3`,
-		`h_seconds_bucket{le="3"} 4`,
+		`h_seconds_bucket{le="2.5"} 4`,
+		`h_seconds_bucket{le="5"} 4`,
+		`h_seconds_bucket{le="60"} 4`,
 		`h_seconds_bucket{le="+Inf"} 5`,
 	} {
 		if !strings.Contains(out, want) {
@@ -90,7 +98,7 @@ func TestGetOrCreateReturnsSameInstrument(t *testing.T) {
 	if a == c {
 		t.Fatal("distinct labels share a counter")
 	}
-	if ha, hb := r.Histogram("h", "", nil), r.Histogram("h", "", nil); ha != hb {
+	if ha, hb := r.Histogram("h", ""), r.Histogram("h", ""); ha != hb {
 		t.Fatal("same histogram name returned distinct instruments")
 	}
 }
@@ -103,7 +111,7 @@ func TestKindConflictPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x_total", "")
-	r.Histogram("x_total", "", nil)
+	r.Histogram("x_total", "")
 }
 
 func TestNilCounterSafe(t *testing.T) {

@@ -4,8 +4,8 @@
 // properties the paper measures (§3.3, §4.1):
 //
 //   - every unit's life cycle (NEW → SCHEDULING → EXECUTING → DONE) is
-//     driven through a DB with a configurable round-trip latency, which
-//     serializes coordination and caps task throughput;
+//     driven through a DB whose every operation costs a round trip,
+//     which serializes coordination and caps task throughput;
 //   - units exchange data through real files in a shared staging
 //     directory (there is no shuffle data plane);
 //   - the agent polls the DB on an interval, adding dispatch delay.
@@ -33,11 +33,20 @@ const (
 	StateFailed     State = "FAILED"
 )
 
-// DB simulates the MongoDB coordination store: a key-value unit table
-// whose every operation costs one network round trip.
-type DB struct {
-	latency time.Duration
+// The pilot's coordination latencies: the paper's RADICAL-Pilot
+// overheads (§3.3, §4.1) scaled down ~100x so that test suites finish
+// quickly. They belong to the model, not to a deployment. Their
+// ordering: agent poll = client poll > DB round trip, a poll interval
+// being four round trips.
+const (
+	dbLatency          = 500 * time.Microsecond
+	agentPollInterval  = 2 * time.Millisecond
+	clientPollInterval = 2 * time.Millisecond
+)
 
+// DB simulates the MongoDB coordination store: a key-value unit table
+// whose every operation costs one network round trip (dbLatency).
+type DB struct {
 	mu    sync.Mutex
 	units map[int]*record
 }
@@ -47,16 +56,9 @@ type record struct {
 	err   string
 }
 
-// NewDB creates a store with the given per-operation round-trip latency.
-func NewDB(latency time.Duration) *DB {
-	return &DB{latency: latency, units: make(map[int]*record)}
-}
+func newDB() *DB { return &DB{units: make(map[int]*record)} }
 
-func (db *DB) roundTrip() {
-	if db.latency > 0 {
-		time.Sleep(db.latency)
-	}
-}
+func (db *DB) roundTrip() { time.Sleep(dbLatency) }
 
 // Insert registers a unit in state NEW.
 func (db *DB) Insert(id int) {
@@ -145,34 +147,10 @@ func (u *Unit) Output(name string) ([]byte, bool) {
 	return b, ok
 }
 
-// Config tunes the runtime's simulated coordination costs. The zero
-// value gives a fast configuration suitable for tests; Defaults gives
-// paper-like latencies.
-type Config struct {
-	// DBLatency is the coordination-database round-trip time.
-	DBLatency time.Duration
-	// AgentPollInterval is how often the agent pulls NEW units.
-	AgentPollInterval time.Duration
-	// ClientPollInterval is how often Wait polls unit states.
-	ClientPollInterval time.Duration
-}
-
-// Defaults returns paper-like latencies scaled down ~100x so that test
-// suites finish quickly while preserving the ordering of costs
-// (DB round trip >> agent poll > client poll).
-func Defaults() Config {
-	return Config{
-		DBLatency:          500 * time.Microsecond,
-		AgentPollInterval:  2 * time.Millisecond,
-		ClientPollInterval: 2 * time.Millisecond,
-	}
-}
-
 // Pilot is an acquired resource slice plus its agent.
 type Pilot struct {
 	sem     semaphore
 	db      *DB
-	cfg     Config
 	dir     string
 	metrics *engine.Metrics
 
@@ -184,9 +162,9 @@ type Pilot struct {
 }
 
 // NewPilot starts a pilot with the given core count (worker goroutines)
-// using dir for unit sandboxes, accounting into m (nil: nowhere). The
-// agent runs until Shutdown.
-func NewPilot(cores int, dir string, db *DB, cfg Config, m *engine.Metrics) (*Pilot, error) {
+// and its own coordination DB, using dir for unit sandboxes, accounting
+// into m (nil: nowhere). The agent runs until Shutdown.
+func NewPilot(cores int, dir string, m *engine.Metrics) (*Pilot, error) {
 	if cores < 1 {
 		cores = 1
 	}
@@ -195,8 +173,7 @@ func NewPilot(cores int, dir string, db *DB, cfg Config, m *engine.Metrics) (*Pi
 	}
 	p := &Pilot{
 		sem:     newSemaphore(cores),
-		db:      db,
-		cfg:     cfg,
+		db:      newDB(),
 		dir:     dir,
 		metrics: m,
 		units:   make(map[int]*Unit),
@@ -228,7 +205,7 @@ func (p *Pilot) Submit(descs []UnitDescription) []*Unit {
 func (p *Pilot) agent() {
 	defer p.done.Done()
 	var running sync.WaitGroup
-	ticker := time.NewTicker(p.cfg.AgentPollInterval)
+	ticker := time.NewTicker(agentPollInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -317,7 +294,7 @@ func (p *Pilot) Wait(units []*Unit) error {
 	}
 	var failures []string
 	for len(pendingSet) > 0 {
-		time.Sleep(p.cfg.ClientPollInterval)
+		time.Sleep(clientPollInterval)
 		for id, u := range pendingSet {
 			st, msg, err := p.db.GetState(id)
 			if err != nil {

@@ -13,19 +13,9 @@ import (
 	"mdtask/internal/engine"
 )
 
-// fastConfig keeps tests quick while exercising the coordination path.
-func fastConfig() Config {
-	return Config{
-		DBLatency:          50 * time.Microsecond,
-		AgentPollInterval:  500 * time.Microsecond,
-		ClientPollInterval: 500 * time.Microsecond,
-	}
-}
-
 func newTestPilot(t *testing.T, cores int) *Pilot {
 	t.Helper()
-	db := NewDB(fastConfig().DBLatency)
-	p, err := NewPilot(cores, t.TempDir(), db, fastConfig(), &engine.Metrics{})
+	p, err := NewPilot(cores, t.TempDir(), &engine.Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +146,7 @@ func TestConcurrencyBoundedByCores(t *testing.T) {
 }
 
 func TestDBStateTransitions(t *testing.T) {
-	db := NewDB(0)
+	db := newDB()
 	db.Insert(1)
 	st, _, err := db.GetState(1)
 	if err != nil || st != StateNew {
@@ -185,7 +175,7 @@ func TestDBStateTransitions(t *testing.T) {
 }
 
 func TestClaimNewBatchLimit(t *testing.T) {
-	db := NewDB(0)
+	db := newDB()
 	for i := 0; i < 10; i++ {
 		db.Insert(i)
 	}
@@ -199,8 +189,7 @@ func TestClaimNewBatchLimit(t *testing.T) {
 
 func TestMetricsSharedSink(t *testing.T) {
 	m := &engine.Metrics{}
-	db := NewDB(0)
-	p, err := NewPilot(1, t.TempDir(), db, fastConfig(), m)
+	p, err := NewPilot(1, t.TempDir(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

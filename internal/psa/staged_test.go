@@ -2,7 +2,6 @@ package psa_test
 
 import (
 	"testing"
-	"time"
 
 	"mdtask/internal/engine"
 	"mdtask/internal/hausdorff"
@@ -26,13 +25,8 @@ func TestPilotStreamedStagesWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pilot.Config{
-		DBLatency:          50 * time.Microsecond,
-		AgentPollInterval:  500 * time.Microsecond,
-		ClientPollInterval: 500 * time.Microsecond,
-	}
 	sink := &engine.Metrics{}
-	p, err := pilot.NewPilot(4, t.TempDir(), pilot.NewDB(cfg.DBLatency), cfg, sink)
+	p, err := pilot.NewPilot(4, t.TempDir(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ type Context struct {
 	pool *engine.Pool
 	// Metrics accumulates task counts, stages and shuffle volumes.
 	Metrics *engine.Metrics
-	// DefaultParallelism is the partition count used when callers pass 0.
-	DefaultParallelism int
 }
 
 // NewContext creates a context running at the given parallelism
@@ -33,7 +31,7 @@ type Context struct {
 func NewContext(parallelism int) *Context {
 	m := &engine.Metrics{}
 	p := engine.NewPool(parallelism, m)
-	return &Context{pool: p, Metrics: m, DefaultParallelism: p.Workers()}
+	return &Context{pool: p, Metrics: m}
 }
 
 // RDD is a resilient-distributed-dataset analogue: a partitioned
@@ -46,12 +44,12 @@ type RDD[T any] struct {
 	compute  func(part int) ([]T, error)
 }
 
-// Parallelize distributes data across numParts partitions (0 uses the
-// context default). Elements are split into contiguous ranges, like
-// Spark's parallelize.
+// Parallelize distributes data across numParts partitions (<= 0: one
+// per worker of the context's pool). Elements are split into contiguous
+// ranges, like Spark's parallelize.
 func Parallelize[T any](ctx *Context, data []T, numParts int) *RDD[T] {
 	if numParts <= 0 {
-		numParts = ctx.DefaultParallelism
+		numParts = ctx.pool.Workers()
 	}
 	if numParts > len(data) && len(data) > 0 {
 		numParts = len(data)

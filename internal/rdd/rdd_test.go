@@ -46,6 +46,14 @@ func TestParallelizeMorePartitionsThanData(t *testing.T) {
 	}
 }
 
+func TestParallelizeZeroCutsOnePartitionPerWorker(t *testing.T) {
+	ctx := NewContext(3)
+	r := Parallelize(ctx, intRange(10), 0)
+	if w := ctx.pool.Workers(); w != 3 || r.numParts != w {
+		t.Fatalf("partitions = %d, want the pool's %d workers (3)", r.numParts, w)
+	}
+}
+
 func TestParallelizeEmpty(t *testing.T) {
 	ctx := NewContext(2)
 	r := Parallelize(ctx, []int(nil), 0)

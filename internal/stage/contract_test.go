@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mdtask/internal/blockstore"
 	"mdtask/internal/engine"
@@ -99,11 +98,6 @@ func TestTransportContract(t *testing.T) {
 			return c.exec(desc, env)
 		})()
 	}
-	cfg := pilot.Config{
-		DBLatency:          50 * time.Microsecond,
-		AgentPollInterval:  500 * time.Microsecond,
-		ClientPollInterval: 500 * time.Microsecond,
-	}
 
 	for _, c := range cases {
 		for _, transport := range []string{"pilot", "fleet"} {
@@ -121,7 +115,7 @@ func TestTransportContract(t *testing.T) {
 				switch transport {
 				case "pilot":
 					close(release)
-					p, err := pilot.NewPilot(2, t.TempDir(), pilot.NewDB(cfg.DBLatency), cfg, &m)
+					p, err := pilot.NewPilot(2, t.TempDir(), &m)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -213,7 +213,7 @@ func TestCompactReplacesSnapshotAndResetsLog(t *testing.T) {
 // not been reset: recovery must surface the new snapshot AND the old
 // records (the caller's replay layer makes re-applying them a no-op).
 func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	recs := mkRecords(5, 4)
 	l, _ := openT(t, dir)
@@ -224,7 +224,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if err := l.Compact([]byte("state-2")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Compact under injection = %v, want ErrInjected", err)
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 // fails after half a frame hits the disk, and a fresh Open recovers
 // every previous record, counts one skip, and truncates the tail.
 func TestInjectedPartialAppendRecovers(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	recs := mkRecords(4, 5)
 	l, _ := openT(t, dir)
@@ -253,7 +253,7 @@ func TestInjectedPartialAppendRecovers(t *testing.T) {
 	if err := l.Append([]byte("doomed-record-payload")); !errors.Is(err, faultinject.ErrPartial) {
 		t.Fatalf("Append under partial injection = %v, want ErrPartial", err)
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	l2, rec := openT(t, dir)
 	defer l2.Close()
 	if !sameRecords(rec.Records, recs) {
@@ -265,7 +265,7 @@ func TestInjectedPartialAppendRecovers(t *testing.T) {
 }
 
 func TestInjectedAppendErrorLeavesLogClean(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	for _, w := range []struct {
 		name  string
 		write func(*Log, []byte) error
@@ -281,7 +281,7 @@ func TestInjectedAppendErrorLeavesLogClean(t *testing.T) {
 		if err := w.write(l, []byte("rejected")); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("%s under error injection = %v", w.name, err)
 		}
-		faultinject.Deactivate()
+		faultinject.Activate("")
 		if got := l.Stats().Appends; got != 1 {
 			t.Fatalf("%s: appends = %d after a rejected write, want 1", w.name, got)
 		}
@@ -304,7 +304,7 @@ func TestInjectedAppendErrorLeavesLogClean(t *testing.T) {
 // reusing its sequence number cannot collide with a ghost frame). The
 // unsynced frames written before it are not its own and stay.
 func TestSyncFailureRollsBackFrame(t *testing.T) {
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate("") })
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
 	if err := l.Append([]byte("ok-1")); err != nil {
@@ -321,7 +321,7 @@ func TestSyncFailureRollsBackFrame(t *testing.T) {
 	if err := l.Append([]byte("ghost")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Append under fsync failure = %v, want ErrInjected", err)
 	}
-	faultinject.Deactivate()
+	faultinject.Activate("")
 	if err := l.Append([]byte("ok-2")); err != nil {
 		t.Fatalf("append after recovered fsync failure: %v", err)
 	}
